@@ -16,7 +16,7 @@ import numpy as np
 from scipy.optimize import minimize
 
 from lopsim.fock import ModeUnitary
-from lopsim.mesh import MeshLayout, _coupler_matrix
+from lopsim.mesh import MeshLayout, _adjoint_sweep, _forward_sweep
 
 __all__ = [
     "HardwareModel",
@@ -251,13 +251,36 @@ def predicted_intensities(
     scale: float = 1.0,
 ) -> np.ndarray:
     """Relative output powers for classical or single-photon input light."""
-    u = unitary_at_voltages(hw, layout, voltages).matrix
-    return scale * hw.output_losses * np.abs(u[:, input_mode]) ** 2
+    _check_layout(hw, layout)
+    phases = _logical_phases(hw, layout, [voltages])
+    return scale * _intensities(hw, layout, phases, [input_mode])[0]
 
 
 def _check_layout(hw: HardwareModel, layout: MeshLayout) -> None:
     if layout.m != hw.m or layout.n_actuated != hw.b.shape[0]:
         raise ValueError("hardware model does not match the layout")
+
+
+def _logical_phases(hw: HardwareModel, layout: MeshLayout, volts) -> np.ndarray:
+    """Logical mesh phases (B, n_logical), one row per range-checked voltage vector."""
+    actuated = [phases_from_voltages(v, hw) for v in volts]
+    return layout.phases_from_actuated(np.reshape(actuated, (-1, layout.n_actuated)))
+
+
+def _intensities(
+    hw: HardwareModel, layout: MeshLayout, phases: np.ndarray, inputs
+) -> np.ndarray:
+    """Lossy output powers (B, m) of one-hot inputs under per-row logical phases."""
+    rows = np.eye(layout.m, dtype=complex)[inputs]
+    out = _forward_sweep(layout, rows, phases, hw.reflectivities)[-1]
+    return hw.output_losses * np.abs(out) ** 2
+
+
+def _tvd(p: np.ndarray, q: np.ndarray) -> np.ndarray:
+    """Row-wise total variation distance after normalizing each row."""
+    p = p / p.sum(axis=1, keepdims=True)
+    q = q / q.sum(axis=1, keepdims=True)
+    return 0.5 * np.sum(np.abs(p - q), axis=1)
 
 
 def generate_measurements(
@@ -272,18 +295,18 @@ def generate_measurements(
     _check_layout(hw, layout)
     if isinstance(rng, (int, np.integer)):
         rng = np.random.default_rng(int(rng))
-    measurements = []
-    p = hw.b.shape[0]
+    volts = np.empty((n, hw.b.shape[0]))
+    gains = np.empty((n, hw.m))
     for i in range(n):
-        voltages = rng.uniform(0.0, hw.v_max, size=p)
-        input_mode = i % hw.m
-        clean = predicted_intensities(hw, layout, voltages, input_mode, scale)
-        noisy = clean * (1.0 + noise * rng.standard_normal(hw.m))
-        noisy = np.clip(noisy, 0.0, None)
-        measurements.append(
-            IntensityMeasurement(tuple(voltages), input_mode, tuple(noisy))
-        )
-    return measurements
+        volts[i] = rng.uniform(0.0, hw.v_max, size=hw.b.shape[0])
+        gains[i] = 1.0 + noise * rng.standard_normal(hw.m)
+    inputs = [i % hw.m for i in range(n)]
+    clean = scale * _intensities(hw, layout, _logical_phases(hw, layout, volts), inputs)
+    noisy = np.clip(clean * gains, 0.0, None)
+    return [
+        IntensityMeasurement(tuple(v), input_mode, tuple(row))
+        for v, input_mode, row in zip(volts, inputs, noisy)
+    ]
 
 
 # ---------------------------------------------------------------------------
@@ -317,46 +340,6 @@ def _unpack(x: np.ndarray, p: int, n_cells: int, m: int):
     return a, b, refl, losses, scale
 
 
-def _forward_states(
-    layout: MeshLayout, phi_act: np.ndarray, refl: np.ndarray, inputs: np.ndarray
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Batched single-input mesh evolution; returns per-cell input states.
-
-    ``states[c]`` holds the amplitudes entering cell c; ``states[-1]``
-    is the chip output. ``blocks`` keeps every applied 2x2 cell matrix.
-    """
-    n_batch = phi_act.shape[0]
-    m = layout.m
-    phi_log = np.zeros((n_batch, layout.n_logical))
-    phi_log[:, list(layout.actuated_indices)] = phi_act
-    state = np.zeros((n_batch, m), dtype=complex)
-    state[np.arange(n_batch), inputs] = 1.0
-    states = np.empty((layout.n_cells + 1, n_batch, m), dtype=complex)
-    blocks = np.empty((layout.n_cells, n_batch, 2, 2), dtype=complex)
-    states[0] = state
-    for c, p in enumerate(layout.cells):
-        theta = phi_log[:, 2 * c]
-        phi = phi_log[:, 2 * c + 1]
-        c1 = _coupler_matrix(refl[c, 0])
-        c2 = _coupler_matrix(refl[c, 1])
-        block = _cell_chain(theta, phi, c1, c2)
-        blocks[c] = block
-        pair = state[:, p : p + 2]
-        state = state.copy()
-        state[:, p : p + 2] = np.einsum("bjk,bk->bj", block, pair)
-        states[c + 1] = state
-    return states, blocks, phi_log
-
-
-def _cell_chain(theta, phi, c1, c2):
-    """(B,2,2) cell matrices c2 @ P(theta) @ c1 @ P(phi)."""
-    n_batch = theta.shape[0]
-    x = np.broadcast_to(c1, (n_batch, 2, 2)).copy()
-    x[:, :, 0] = x[:, :, 0] * np.exp(1j * phi)[:, None]
-    x[:, 0, :] = x[:, 0, :] * np.exp(1j * theta)[:, None]
-    return np.einsum("jk,bkl->bjl", c2, x)
-
-
 def _objective(
     x: np.ndarray, layout: MeshLayout, batch: _Batch
 ) -> tuple[float, np.ndarray]:
@@ -368,8 +351,9 @@ def _objective(
     refl_c = np.clip(refl, 1e-4, 1.0 - 1e-4)
     n_batch = batch.w.shape[0]
 
-    phi_act = batch.w @ a.T + b
-    states, blocks, _ = _forward_states(layout, phi_act, refl_c, batch.inputs)
+    phases = layout.phases_from_actuated(batch.w @ a.T + b)
+    rows = np.eye(m, dtype=complex)[batch.inputs]
+    states = _forward_sweep(layout, rows, phases, refl_c)
     out = states[-1]
     power = np.abs(out) ** 2
     pred = scale * losses[None, :] * power
@@ -380,70 +364,13 @@ def _objective(
     d_losses = np.sum(d_pred * scale * power, axis=0)
     d_scale = float(np.sum(d_pred * losses[None, :] * power))
     adj = (d_pred * scale * losses[None, :]) * np.conj(out)
-
-    d_phi_log = np.zeros((n_batch, layout.n_logical))
-    d_refl = np.zeros((n_cells, 2))
-    phi_log = np.zeros((n_batch, layout.n_logical))
-    phi_log[:, list(layout.actuated_indices)] = phi_act
-    for c in range(n_cells - 1, -1, -1):
-        pm = layout.cells[c]
-        theta = phi_log[:, 2 * c]
-        phi = phi_log[:, 2 * c + 1]
-        r1, r2 = refl_c[c]
-        c1 = _coupler_matrix(r1)
-        c2 = _coupler_matrix(r2)
-        state_in = states[c][:, pm : pm + 2]
-        a_pair = adj[:, pm : pm + 2]
-
-        e_th = np.exp(1j * theta)
-        e_ph = np.exp(1j * phi)
-        x1 = np.broadcast_to(c1, (n_batch, 2, 2)).copy()
-        x1[:, :, 0] = x1[:, :, 0] * e_ph[:, None]
-
-        d_th_block = np.zeros((n_batch, 2, 2), dtype=complex)
-        d_th_block[:, 0, :] = 1j * e_th[:, None] * x1[:, 0, :]
-        d_th_block = np.einsum("jk,bkl->bjl", c2, d_th_block)
-
-        x1_dph = np.zeros((n_batch, 2, 2), dtype=complex)
-        x1_dph[:, :, 0] = c1[:, 0][None, :] * (1j * e_ph)[:, None]
-        x1_dph[:, 0, :] = x1_dph[:, 0, :] * e_th[:, None]
-        d_ph_block = np.einsum("jk,bkl->bjl", c2, x1_dph)
-
-        dc1 = _coupler_derivative(r1)
-        x_r1 = np.broadcast_to(dc1, (n_batch, 2, 2)).copy()
-        x_r1[:, :, 0] = x_r1[:, :, 0] * e_ph[:, None]
-        x_r1[:, 0, :] = x_r1[:, 0, :] * e_th[:, None]
-        d_r1_block = np.einsum("jk,bkl->bjl", c2, x_r1)
-
-        dc2 = _coupler_derivative(r2)
-        x2 = np.broadcast_to(c1, (n_batch, 2, 2)).copy()
-        x2[:, :, 0] = x2[:, :, 0] * e_ph[:, None]
-        x2[:, 0, :] = x2[:, 0, :] * e_th[:, None]
-        d_r2_block = np.einsum("jk,bkl->bjl", dc2, x2)
-
-        def pair_grad(d_block):
-            prod = np.einsum("bj,bjk,bk->b", a_pair, d_block, state_in)
-            return 2.0 * np.real(prod)
-
-        d_phi_log[:, 2 * c] = pair_grad(d_th_block)
-        d_phi_log[:, 2 * c + 1] = pair_grad(d_ph_block)
-        d_refl[c, 0] = float(np.sum(pair_grad(d_r1_block)))
-        d_refl[c, 1] = float(np.sum(pair_grad(d_r2_block)))
-
-        adj = adj.copy()
-        adj[:, pm : pm + 2] = np.einsum("bj,bjk->bk", a_pair, blocks[c])
-
-    d_phi_act = d_phi_log[:, list(layout.actuated_indices)]
+    d_phases, d_r = _adjoint_sweep(layout, states, phases, refl_c, adj)
+    d_phi_act = layout.actuated_from_phases(2.0 * np.real(d_phases))
+    d_refl = 2.0 * np.real(d_r.sum(axis=0))
     d_a = d_phi_act.T @ batch.w
     d_b = d_phi_act.sum(axis=0)
     grad = _pack(d_a, d_b, d_refl, d_losses, d_scale)
     return value, grad
-
-
-def _coupler_derivative(r: float) -> np.ndarray:
-    dt = 0.5 / np.sqrt(r)
-    dk = -0.5j / np.sqrt(1.0 - r)
-    return np.array([[dt, dk], [dk, dt]])
 
 
 def calibrate(
@@ -535,14 +462,10 @@ def held_out_tvd(
 ) -> float:
     """Mean TVD between normalized predicted and observed intensities."""
     _check_layout(hw, layout)
-    tvds = []
-    for mm in measurements:
-        pred = predicted_intensities(hw, layout, np.array(mm.voltages), mm.input_mode)
-        obs = np.array(mm.intensities)
-        pred = pred / pred.sum()
-        obs = obs / obs.sum()
-        tvds.append(0.5 * np.sum(np.abs(pred - obs)))
-    return float(np.mean(tvds))
+    phases = _logical_phases(hw, layout, [mm.voltages for mm in measurements])
+    pred = _intensities(hw, layout, phases, [mm.input_mode for mm in measurements])
+    obs = np.array([mm.intensities for mm in measurements]).reshape(pred.shape)
+    return float(np.mean(_tvd(pred, obs)))
 
 
 @dataclass
@@ -570,7 +493,8 @@ def benchmark_tvd(
     _check_layout(hw_est, layout)
     _check_layout(hw_true, layout)
     rng = np.random.default_rng(seed)
-    tvds = np.empty(n_configs)
+    targets = np.empty((n_configs, layout.n_actuated))
+    volts = np.empty_like(targets)
     attempts = 0
     for i in range(n_configs):
         while True:
@@ -583,13 +507,9 @@ def benchmark_tvd(
             except TranspilationError:
                 continue
             break
-        input_mode = i % layout.m
-        u_int = layout.unitary(
-            layout.phases_from_actuated(phi_target), hw_est.reflectivities
-        ).matrix
-        intended = hw_est.output_losses * np.abs(u_int[:, input_mode]) ** 2
-        realized = predicted_intensities(hw_true, layout, voltages, input_mode)
-        intended = intended / intended.sum()
-        realized = realized / realized.sum()
-        tvds[i] = 0.5 * np.sum(np.abs(intended - realized))
+        targets[i], volts[i] = phi_target, voltages
+    inputs = np.arange(n_configs) % layout.m
+    intended = _intensities(hw_est, layout, layout.phases_from_actuated(targets), inputs)
+    realized = _intensities(hw_true, layout, _logical_phases(hw_true, layout, volts), inputs)
+    tvds = _tvd(intended, realized)
     return TvdStatistics(mean=float(tvds.mean()), std=float(tvds.std()), tvds=tvds)

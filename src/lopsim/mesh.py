@@ -4,6 +4,23 @@ A circuit is an ordered list of phase shifters, directional couplers and
 mode permutations. The rectangular mesh follows the nulling scheme of
 rectangular decompositions: every unitary factors exactly into one
 two-phase cell per mode pair plus a diagonal layer of output phases.
+
+A cell on modes (p, p+1) is four elements in light order: phase(phi) on
+the top mode p, coupler(r1), phase(theta) on mode p, coupler(r2).
+``MeshLayout`` schedules the cells once into layers of disjoint mode
+pairs (m layers for m >= 3): each cell goes one layer after the
+latest earlier cell sharing one of its modes. Cells in a layer touch
+disjoint pairs, so they commute and one vectorized update applies a whole
+layer to a batch of row states.
+
+``_forward_sweep`` and ``_adjoint_sweep`` are the only mesh propagation.
+The forward sweep pushes row states through the layers; the adjoint sweep
+runs back through them with a cotangent and returns its product with the
+derivative of the output by every phase and reflectivity. At a phase
+element that product is ``1j * a_top * s_top`` (cotangent times state on
+the top mode), so no 2x2 derivative blocks are formed. The unitary, the
+compile objective and every calibration and benchmark intensity go
+through this pair.
 """
 
 from __future__ import annotations
@@ -25,7 +42,6 @@ __all__ = [
     "MeshPhases",
     "CompilationResult",
     "element_unitary",
-    "compose",
     "clements_decompose",
     "compile_with_imperfections",
     "fidelity",
@@ -137,11 +153,6 @@ class PhotonicCircuit:
         return ModeUnitary(u)
 
 
-def compose(circuit: PhotonicCircuit) -> ModeUnitary:
-    """Transfer matrix of the whole circuit."""
-    return circuit.unitary()
-
-
 def input_permutation(m: int, targets: Sequence[int]) -> ModePermutation:
     """Permutation routing the n feed modes 0..n-1 onto ``targets``.
 
@@ -167,19 +178,37 @@ def input_permutation(m: int, targets: Sequence[int]) -> ModePermutation:
 # Rectangular mesh
 
 
-def _cell_matrix(theta: float, phi: float, r1: float = 0.5, r2: float = 0.5) -> np.ndarray:
-    """2x2 block of one cell: coupler(r2) @ phase(theta) @ coupler(r1) @ phase(phi)."""
-    c1 = _coupler_matrix(r1)
-    c2 = _coupler_matrix(r2)
+def _cell_matrix(theta: float, phi: float) -> np.ndarray:
+    """2x2 block of one balanced cell: coupler @ phase(theta) @ coupler @ phase(phi)."""
+    t = np.sqrt(0.5)
+    coupler = np.array([[t, 1j * t], [1j * t, t]])
     pt = np.diag([np.exp(1j * theta), 1.0])
     pf = np.diag([np.exp(1j * phi), 1.0])
-    return c2 @ pt @ c1 @ pf
+    return coupler @ pt @ coupler @ pf
 
 
-def _coupler_matrix(r: float) -> np.ndarray:
-    t = np.sqrt(r)
-    k = 1j * np.sqrt(1.0 - r)
-    return np.array([[t, k], [k, t]])
+def _cell_angles(v: np.ndarray) -> tuple[float, float, float, float]:
+    """Angles (theta, phi, psi, chi) of a 2x2 unitary ``v``.
+
+    ``v = diag(exp(1j psi), exp(1j chi)) @ _cell_matrix(theta, phi)``. When
+    one row entry vanishes, phi is free and set to zero.
+    """
+    s, c = np.abs(v[0, 0]), np.abs(v[0, 1])
+    theta = 2.0 * np.arctan2(s, c)
+    half = 1j * np.exp(1j * theta / 2.0)
+    if s > 1e-14 and c > 1e-14:
+        phi = float(np.angle(v[0, 0] * np.conj(v[0, 1])))
+        psi = float(np.angle(v[0, 1] / (half * c)))
+        chi = float(np.angle(-v[1, 1] / (half * s)))
+    elif s <= 1e-14:
+        phi = 0.0
+        psi = float(np.angle(v[0, 1] / half))
+        chi = float(np.angle(v[1, 0] / half))
+    else:
+        phi = 0.0
+        psi = float(np.angle(v[0, 0] / (half * s)))
+        chi = float(np.angle(-v[1, 1] / half))
+    return theta, phi, psi, chi
 
 
 class MeshLayout:
@@ -190,7 +219,8 @@ class MeshLayout:
     ``[theta_0, phi_0, theta_1, phi_1, ...]``. For the 12-mode reference
     geometry the six external phases that sit directly on untouched
     input modes are not actuated in hardware and are pinned to zero,
-    leaving 126 actuated phases.
+    leaving 126 actuated phases. ``layers[d]`` holds the cell indices and
+    top modes of the d-th layer of disjoint pairs.
     """
 
     def __init__(self, m: int, pin_input_phases: bool | None = None):
@@ -215,22 +245,35 @@ class MeshLayout:
             i for i in range(self.n_logical) if i not in set(pinned)
         )
         self.n_actuated = len(self.actuated_indices)
+        layer_of: list[int] = []
+        free = [0] * m
+        for p in self.cells:
+            layer = max(free[p], free[p + 1])
+            free[p] = free[p + 1] = layer + 1
+            layer_of.append(layer)
+        cell_layer, tops = np.array(layer_of), np.array(self.cells)
+        self.layers = tuple(
+            (cells, tops[cells])
+            for cells in (np.flatnonzero(cell_layer == d) for d in range(max(free)))
+        )
 
     def phases_from_actuated(self, actuated: np.ndarray) -> np.ndarray:
+        """Logical phase vector(s) with pinned phases at zero; leading axes are kept."""
         actuated = np.asarray(actuated, dtype=float)
-        if actuated.shape != (self.n_actuated,):
+        if actuated.shape[-1:] != (self.n_actuated,):
             raise ValueError(
                 f"expected {self.n_actuated} actuated phases, got {actuated.shape}"
             )
-        full = np.zeros(self.n_logical)
-        full[list(self.actuated_indices)] = actuated
+        full = np.zeros(actuated.shape[:-1] + (self.n_logical,))
+        full[..., list(self.actuated_indices)] = actuated
         return full
 
     def actuated_from_phases(self, full: np.ndarray) -> np.ndarray:
+        """Actuated entries of logical phase vector(s); leading axes are kept."""
         full = np.asarray(full, dtype=float)
-        if full.shape != (self.n_logical,):
+        if full.shape[-1:] != (self.n_logical,):
             raise ValueError(f"expected {self.n_logical} logical phases, got {full.shape}")
-        return full[list(self.actuated_indices)]
+        return full[..., list(self.actuated_indices)]
 
     def unitary(
         self,
@@ -250,10 +293,7 @@ class MeshLayout:
         if phases.shape != (self.n_logical,):
             raise ValueError(f"expected {self.n_logical} logical phases, got {phases.shape}")
         refl = self._reflectivity_table(reflectivities)
-        u = np.eye(self.m, dtype=complex)
-        for c, p in enumerate(self.cells):
-            block = _cell_matrix(phases[2 * c], phases[2 * c + 1], refl[c, 0], refl[c, 1])
-            u[p : p + 2, :] = block @ u[p : p + 2, :]
+        u = _forward_sweep(self, np.eye(self.m, dtype=complex), phases, refl)[-1].T
         if output_phases is not None:
             output_phases = np.asarray(output_phases, dtype=float)
             if output_phases.shape != (self.m,):
@@ -290,6 +330,98 @@ class MeshLayout:
             for mode in range(self.m):
                 circuit.add(PhaseShifter(mode, float(output_phases[mode])))
         return circuit
+
+
+def _cell_front(
+    s: np.ndarray,
+    cells: np.ndarray,
+    tops: np.ndarray,
+    e: np.ndarray,
+    t: np.ndarray,
+    k: np.ndarray,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Pair amplitudes of ``cells`` after phase(phi), and after phase(theta).
+
+    Returns ``(x1, y1, x3, y3)``: top and bottom amplitudes after the first
+    phase element, then after coupler(r1) and phase(theta), i.e. at the
+    input of coupler(r2).
+    """
+    x1 = s[:, tops] * e[..., cells, 1]
+    y1 = s[:, tops + 1]
+    t1, k1 = t[cells, 0], k[cells, 0]
+    x3 = (t1 * x1 + k1 * y1) * e[..., cells, 0]
+    y3 = k1 * x1 + t1 * y1
+    return x1, y1, x3, y3
+
+
+def _sweep_factors(
+    layout: MeshLayout, phases: np.ndarray, refl: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Phase factors shaped (..., n_cells, 2) as (theta, phi), and coupler t, k."""
+    e = np.exp(1j * phases).reshape(phases.shape[:-1] + (layout.n_cells, 2))
+    return e, np.sqrt(refl), 1j * np.sqrt(1.0 - refl)
+
+
+def _forward_sweep(
+    layout: MeshLayout, rows: np.ndarray, phases: np.ndarray, refl: np.ndarray
+) -> np.ndarray:
+    """Push row states (B, m) through the mesh, one layer at a time.
+
+    ``phases`` is one logical vector shared by every row, or one per row
+    (B, n_logical); ``refl`` is the (n_cells, 2) coupler table. Returns the
+    states (n_layers + 1, B, m): ``states[d]`` enters layer d and
+    ``states[-1][b]`` is the mesh transfer matrix applied to ``rows[b]``.
+    """
+    e, t, k = _sweep_factors(layout, phases, refl)
+    states = np.empty((len(layout.layers) + 1,) + rows.shape, dtype=complex)
+    states[0] = rows
+    for d, (cells, tops) in enumerate(layout.layers):
+        _, _, x3, y3 = _cell_front(states[d], cells, tops, e, t, k)
+        t2, k2 = t[cells, 1], k[cells, 1]
+        states[d + 1] = states[d]
+        states[d + 1][:, tops] = t2 * x3 + k2 * y3
+        states[d + 1][:, tops + 1] = k2 * x3 + t2 * y3
+    return states
+
+
+def _adjoint_sweep(
+    layout: MeshLayout,
+    states: np.ndarray,
+    phases: np.ndarray,
+    refl: np.ndarray,
+    adjoint: np.ndarray,
+) -> tuple[np.ndarray, np.ndarray]:
+    """Run the cotangent ``adjoint`` (B, m) back through the mesh.
+
+    ``states`` comes from ``_forward_sweep`` with the same ``phases`` and
+    ``refl``. For each row b, with ``a = adjoint[b]`` and ``out =
+    states[-1][b]``, returns ``a . d out / d phase`` as (B, n_logical) in
+    logical order and ``a . d out / d r`` as (B, n_cells, 2). The cotangent
+    seen by an element is its output cotangent, so a phase element
+    contributes ``1j * a_top * s_top`` with ``s_top`` its output amplitude.
+    """
+    e, t, k = _sweep_factors(layout, phases, refl)
+    dt, dk = 0.5 / t, -0.5j / np.sqrt(1.0 - refl)
+    n_rows = adjoint.shape[0]
+    d_phases = np.empty((n_rows, layout.n_cells, 2), dtype=complex)
+    d_refl = np.empty((n_rows, layout.n_cells, 2), dtype=complex)
+    a = np.array(adjoint, dtype=complex)
+    for d in range(len(layout.layers) - 1, -1, -1):
+        cells, tops = layout.layers[d]
+        x1, y1, x3, y3 = _cell_front(states[d], cells, tops, e, t, k)
+        ax, ay = a[:, tops], a[:, tops + 1]
+        t1, k1, t2, k2 = t[cells, 0], k[cells, 0], t[cells, 1], k[cells, 1]
+        dt1, dk1, dt2, dk2 = dt[cells, 0], dk[cells, 0], dt[cells, 1], dk[cells, 1]
+        d_refl[:, cells, 1] = ax * (dt2 * x3 + dk2 * y3) + ay * (dk2 * x3 + dt2 * y3)
+        ax, ay = t2 * ax + k2 * ay, k2 * ax + t2 * ay
+        d_phases[:, cells, 0] = 1j * ax * x3
+        ax = ax * e[..., cells, 0]
+        d_refl[:, cells, 0] = ax * (dt1 * x1 + dk1 * y1) + ay * (dk1 * x1 + dt1 * y1)
+        ax, ay = t1 * ax + k1 * ay, k1 * ax + t1 * ay
+        d_phases[:, cells, 1] = 1j * ax * x1
+        a[:, tops] = ax * e[..., cells, 1]
+        a[:, tops + 1] = ay
+    return d_phases.reshape(n_rows, layout.n_logical), d_refl
 
 
 def _mesh_cell_sequence(m: int) -> list[int]:
@@ -394,25 +526,11 @@ def _push_diagonal_through(
     """Rewrite cell(theta, phi)^dagger @ diag as diag' @ cell(theta', phi') on pair p."""
     d = np.diag(diag[p : p + 2].astype(complex))
     m2 = _cell_matrix(theta, phi).conj().T @ d
-    s, c = np.abs(m2[0, 0]), np.abs(m2[0, 1])
-    theta_new = 2.0 * np.arctan2(s, c)
-    half = 1j * np.exp(1j * theta_new / 2.0)
-    if s > 1e-14 and c > 1e-14:
-        phi_new = float(np.angle(m2[0, 0] * np.conj(m2[0, 1])))
-        g1 = m2[0, 1] / (half * c)
-        g2 = -m2[1, 1] / (half * s)
-    elif s <= 1e-14:
-        phi_new = 0.0
-        g1 = m2[0, 1] / half
-        g2 = m2[1, 0] / half
-    else:
-        phi_new = 0.0
-        g1 = -m2[0, 0]
-        g2 = m2[1, 1]
+    theta_new, phi_new, psi, chi = _cell_angles(m2)
+    g = np.exp(1j * np.array([psi, chi]))
     new_diag = diag.copy()
-    new_diag[p] = g1
-    new_diag[p + 1] = g2
-    block = np.diag([g1, g2]) @ _cell_matrix(theta_new, phi_new)
+    new_diag[p : p + 2] = g
+    block = np.diag(g) @ _cell_matrix(theta_new, phi_new)
     if np.max(np.abs(block - m2)) > 1e-9:
         raise RuntimeError("diagonal commutation failed")
     return new_diag, (p, theta_new, phi_new)
@@ -520,51 +638,19 @@ def _gauge_objective_and_grad(
 
     The boundary phase layers solve an inner maximization, so at their
     optimum the fidelity gradient reduces to the partial derivative
-    through the cell chain (envelope argument). Prefix and suffix
-    products make that a single backward sweep.
+    through the cell chain (envelope argument): one adjoint sweep seeded
+    with the gauge-weighted target.
     """
     m = layout.m
     phases = layout.phases_from_actuated(actuated)
-    n = layout.n_cells
-    blocks = np.empty((n, 2, 2), dtype=complex)
-    dtheta = np.empty((n, 2, 2), dtype=complex)
-    dphi = np.empty((n, 2, 2), dtype=complex)
-    for c in range(n):
-        theta, phi = phases[2 * c], phases[2 * c + 1]
-        c1 = _coupler_matrix(refl[c, 0])
-        c2 = _coupler_matrix(refl[c, 1])
-        pt = np.diag([np.exp(1j * theta), 1.0])
-        pf = np.diag([np.exp(1j * phi), 1.0])
-        left = c2 @ pt @ c1
-        blocks[c] = left @ pf
-        dtheta[c] = c2 @ np.diag([1j * np.exp(1j * theta), 0.0]) @ c1 @ pf
-        dphi[c] = left @ np.diag([1j * np.exp(1j * phi), 0.0])
-
-    prefixes = np.empty((n + 1, m, m), dtype=complex)
-    prefixes[0] = np.eye(m)
-    u = np.eye(m, dtype=complex)
-    for c, p in enumerate(layout.cells):
-        u = u.copy()
-        u[p : p + 2, :] = blocks[c] @ u[p : p + 2, :]
-        prefixes[c + 1] = u
-
-    out, inn = _optimal_gauges(target, u)
-    d_out = np.exp(1j * out)
-    d_in = np.exp(1j * inn)
-    z = np.sum((d_in[:, None] * target.conj().T * d_out[None, :]).T * u)
-    weight = d_in[:, None] * target.conj().T * d_out[None, :]
-
-    grad = np.zeros(layout.n_logical)
-    suffix_w = weight.copy()
-    for c in range(n - 1, -1, -1):
-        p = layout.cells[c]
-        g_block = prefixes[c][[p, p + 1], :] @ suffix_w[:, [p, p + 1]]
-        dz_theta = np.sum(dtheta[c] * g_block.T)
-        dz_phi = np.sum(dphi[c] * g_block.T)
-        grad[2 * c] = 2.0 * np.real(np.conj(z) * dz_theta) / m**2
-        grad[2 * c + 1] = 2.0 * np.real(np.conj(z) * dz_phi) / m**2
-        suffix_w[:, p : p + 2] = suffix_w[:, p : p + 2] @ blocks[c]
-
+    states = _forward_sweep(layout, np.eye(m, dtype=complex), phases, refl)
+    out, inn = _optimal_gauges(target, states[-1].T)
+    # Row j of the sweep output is column j of the unitary, so
+    # z = Tr(D_in T^dag D_out U) = sum(weight * states[-1]).
+    weight = np.exp(1j * inn)[:, None] * target.conj().T * np.exp(1j * out)[None, :]
+    z = np.sum(weight * states[-1])
+    d_phases, _ = _adjoint_sweep(layout, states, phases, refl, weight)
+    grad = 2.0 * np.real(np.conj(z) * d_phases.sum(axis=0)) / m**2
     value = float(np.abs(z) ** 2) / m**2
     return -value, -layout.actuated_from_phases(grad)
 
@@ -647,21 +733,7 @@ def two_mode_gate_elements(
         raise ValueError("expected a 2x2 matrix")
     if np.max(np.abs(v.conj().T @ v - np.eye(2))) > 1e-10:
         raise ValueError("matrix is not unitary")
-    s, c = np.abs(v[0, 0]), np.abs(v[0, 1])
-    theta = 2.0 * np.arctan2(s, c)
-    half = 1j * np.exp(1j * theta / 2.0)
-    if s > 1e-14 and c > 1e-14:
-        phi = float(np.angle(v[0, 0] * np.conj(v[0, 1])))
-        psi = float(np.angle(v[0, 1] / (half * c)))
-        chi = float(np.angle(-v[1, 1] / (half * s)))
-    elif s <= 1e-14:
-        phi = 0.0
-        psi = float(np.angle(v[0, 1] / half))
-        chi = float(np.angle(v[1, 0] / half))
-    else:
-        phi = 0.0
-        psi = float(np.angle(v[0, 0] / (half * s)))
-        chi = float(np.angle(-v[1, 1] / half))
+    theta, phi, psi, chi = _cell_angles(v)
     elements: list[CircuitElement] = [
         PhaseShifter(mode_a, phi),
         DirectionalCoupler(mode_a, mode_b, 0.5),

@@ -13,10 +13,7 @@ events against rival samplers, stepping by +1 or -1 per event:
 Both are likelihood-ratio tests conditioned on the collision-free
 sector: an event increments its counter when the outcome is at least as
 likely under coherent interference as under the rival hypothesis, so a
-positive long-run slope favors genuine multiphoton interference.  The
-raw row-mass product statistic is retained as a diagnostic
-(:func:`row_mass_product`) but is not powerful enough at mode counts
-comparable to the photon number squared to drive a counter.
+positive long-run slope favors genuine multiphoton interference.
 
 The module also provides distribution-level comparisons (fidelity,
 total variation distance, residuals), lossy marginals for samples that
@@ -51,7 +48,6 @@ __all__ = [
     "DistributionComparison",
     "CollisionFreeReference",
     "collision_free_reference",
-    "row_mass_product",
     "aa_counter_update",
     "lr_counter_update",
     "sample_outcomes",
@@ -178,22 +174,6 @@ def collision_free_reference(
     return CollisionFreeReference(
         ideal_mass=ideal_mass, classical_mass=classical_mass, n_outcomes=len(cf)
     )
-
-
-def row_mass_product(
-    unitary: ModeUnitary, detected: Sequence[int], inputs: Sequence[int]
-) -> float:
-    """Product over detected modes of the input-column mass.
-
-    For a unitary with uniform moduli the product equals (n/m)**n
-    exactly.  The statistic is cheap to evaluate but carries little
-    discrimination power when m is small compared to n**2, so the
-    counters use exact likelihood ratios instead; this remains as a
-    diagnostic.
-    """
-    detected, inputs = _check_modes(unitary, detected, inputs)
-    mass = np.abs(unitary.matrix[np.ix_(detected, inputs)]) ** 2
-    return float(np.prod(mass.sum(axis=1)))
 
 
 def aa_counter_update(

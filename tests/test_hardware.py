@@ -269,3 +269,56 @@ class TestBenchmark:
         assert stats.tvds.shape == (20,)
         assert stats.mean == pytest.approx(stats.tvds.mean())
         assert 0.0 <= stats.mean <= 1.0
+
+
+class TestBatchedIntensities:
+    """The batched mesh sweeps against a per-configuration loop."""
+
+    @pytest.fixture(scope="class")
+    def chip(self):
+        layout = MeshLayout(4)
+        hw = HardwareModel.synthetic(4, rng=24)
+        return layout, hw, crosstalk_free_baseline(hw)
+
+    def test_noiseless_measurements(self, chip):
+        layout, hw, _ = chip
+        meas = generate_measurements(hw, layout, 30, rng=25, noise=0.0, scale=0.8)
+        rng = np.random.default_rng(25)
+        for i, mm in enumerate(meas):
+            v = rng.uniform(0.0, hw.v_max, size=12)
+            rng.standard_normal(4)
+            assert mm.voltages == tuple(v)
+            assert mm.input_mode == i % 4
+            expected = predicted_intensities(hw, layout, v, i % 4, scale=0.8)
+            assert np.max(np.abs(np.array(mm.intensities) - expected)) < 1e-12
+
+    def test_held_out_tvd(self, chip):
+        layout, hw, est = chip
+        meas = generate_measurements(hw, layout, 30, rng=26)
+        tvds = []
+        for mm in meas:
+            pred = predicted_intensities(est, layout, np.array(mm.voltages), mm.input_mode)
+            obs = np.array(mm.intensities)
+            tvds.append(0.5 * np.sum(np.abs(pred / pred.sum() - obs / obs.sum())))
+        assert abs(held_out_tvd(est, meas, layout) - np.mean(tvds)) < 1e-12
+
+    def test_benchmark_tvds(self, chip):
+        layout, hw, est = chip
+        stats = benchmark_tvd(est, hw, layout, n_configs=25, seed=6)
+        rng = np.random.default_rng(6)
+        expected = []
+        for i in range(25):
+            while True:
+                target = rng.uniform(0.0, 2.0 * np.pi, size=layout.n_actuated)
+                try:
+                    v = voltages_from_phases(target, est)
+                except TranspilationError:
+                    continue
+                break
+            u = layout.unitary(layout.phases_from_actuated(target), est.reflectivities).matrix
+            intended = est.output_losses * np.abs(u[:, i % 4]) ** 2
+            realized = predicted_intensities(hw, layout, v, i % 4)
+            expected.append(
+                0.5 * np.sum(np.abs(intended / intended.sum() - realized / realized.sum()))
+            )
+        assert np.max(np.abs(stats.tvds - np.array(expected))) < 1e-12

@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from lopsim.fock import ModeUnitary
 from lopsim.mesh import (
@@ -13,7 +15,6 @@ from lopsim.mesh import (
     PhotonicCircuit,
     clements_decompose,
     compile_with_imperfections,
-    compose,
     element_unitary,
     fidelity,
     gauge_fidelity,
@@ -78,7 +79,7 @@ class TestElements:
         first = PhotonicCircuit(2)
         first.add(PhaseShifter(0, 0.7))
         first.add(DirectionalCoupler(0, 1, 0.5))
-        u1 = compose(first).matrix
+        u1 = first.unitary().matrix
         expected = (
             element_unitary(DirectionalCoupler(0, 1, 0.5), 2).matrix
             @ element_unitary(PhaseShifter(0, 0.7), 2).matrix
@@ -109,6 +110,25 @@ class TestTwoModeGate:
 
     def test_swap_like_target(self):
         v = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
+        circuit = PhotonicCircuit(2).extend(two_mode_gate_elements(v, 0, 1))
+        assert np.max(np.abs(circuit.unitary().matrix - v)) < 1e-10
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        alpha=st.floats(-np.pi, np.pi),
+        beta=st.floats(-np.pi, np.pi),
+        delta=st.floats(-np.pi, np.pi),
+        # 0 gives a diagonal and pi/2 an anti-diagonal target.
+        gamma=st.one_of(st.sampled_from([0.0, np.pi / 2]), st.floats(0.0, np.pi / 2)),
+    )
+    def test_synthesis_reproduces_any_unitary(self, alpha, beta, delta, gamma):
+        c, s = np.cos(gamma), np.sin(gamma)
+        v = np.exp(1j * alpha) * np.array(
+            [
+                [np.exp(1j * beta) * c, np.exp(1j * delta) * s],
+                [-np.exp(-1j * delta) * s, np.exp(-1j * beta) * c],
+            ]
+        )
         circuit = PhotonicCircuit(2).extend(two_mode_gate_elements(v, 0, 1))
         assert np.max(np.abs(circuit.unitary().matrix - v)) < 1e-10
 
@@ -168,13 +188,15 @@ class TestMeshLayout:
         assert np.allclose(layout.actuated_from_phases(full), actuated)
         assert np.allclose(full[list(layout.pinned_indices)], 0.0)
 
-    def test_circuit_expansion_matches_matrix(self):
-        layout = MeshLayout(5)
-        rng = np.random.default_rng(7)
+    @pytest.mark.parametrize("m", [2, 3, 5, 6, 12])
+    def test_circuit_expansion_matches_matrix(self, m):
+        layout = MeshLayout(m)
+        rng = np.random.default_rng(7 + m)
         phases = rng.uniform(0, 2 * np.pi, layout.n_logical)
-        output = rng.uniform(0, 2 * np.pi, 5)
-        direct = layout.unitary(phases, output_phases=output).matrix
-        expanded = layout.circuit(phases, output_phases=output).unitary().matrix
+        refl = rng.uniform(0.3, 0.7, size=(layout.n_cells, 2))
+        output = rng.uniform(0, 2 * np.pi, m)
+        direct = layout.unitary(phases, refl, output).matrix
+        expanded = layout.circuit(phases, refl, output).unitary().matrix
         assert np.max(np.abs(direct - expanded)) < 1e-12
 
 
@@ -186,6 +208,13 @@ class TestDecomposition:
         rebuilt = result.unitary().matrix
         assert np.max(np.abs(rebuilt - target.matrix)) < 1e-10
         assert fidelity(target, result.unitary()) > 1.0 - 1e-12
+
+    @settings(max_examples=25, deadline=None)
+    @given(m=st.integers(2, 8), seed=st.integers(0, 2**32 - 1))
+    def test_round_trip_any_seed(self, m, seed):
+        target = haar(m, seed)
+        rebuilt = clements_decompose(target).unitary().matrix
+        assert np.max(np.abs(rebuilt - target.matrix)) < 1e-10
 
     def test_identity_decomposition(self):
         result = clements_decompose(ModeUnitary(np.eye(6, dtype=complex)))
