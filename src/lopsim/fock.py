@@ -2,13 +2,24 @@
 
 Occupation-number states, basis enumeration, matrix permanents, exact
 transition amplitudes and strong simulation of linear-optical circuits.
+
+A :class:`FockBasis` stores its states as one read-only ``(N, m)`` array
+of occupations in ascending lexicographic order and ranks rows by the
+combinatorial number system (a table of how many completions the
+remaining modes admit, each mode capped at 1 photon collision-free and
+at n otherwise); no other module knows this layout.  Every multi-photon
+distribution comes from one kernel that adds a photon from one input
+mode to a vector over the n-photon basis: on amplitudes it is the SLOS
+recursion of Heurtel et al., *Strong simulation of linear optical
+processes* (Quantum 7, 931 (2023)); on ``|U|^2`` it is the classical
+convolution.  Permanents serve only single amplitudes.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from math import comb, factorial, sqrt
+from math import factorial, prod, sqrt
 from typing import Iterable, Iterator, Mapping
 
 import numpy as np
@@ -88,69 +99,85 @@ class FockState:
 class FockBasis:
     """Canonically ordered basis of n-photon states on m modes.
 
-    Ordering is ascending lexicographic on occupation tuples, so for
-    m=12, n=6 the collision-free basis runs from |000000111111> up to
-    |111111000000>.
+    ``occupations`` holds one row per state, in ascending lexicographic
+    order, so for m=12, n=6 the collision-free basis runs from
+    |000000111111> up to |111111000000>.  States are built on demand by
+    indexing or iteration; :meth:`rank` maps occupation rows back to
+    their positions.
     """
 
     def __init__(self, m: int, n: int, collision_free: bool = False):
         if m < 1:
             raise ValueError("need at least one mode")
-        if n < 0:
-            raise ValueError("photon number must be non-negative")
+        if not 0 <= n <= np.iinfo(np.int8).max:
+            raise ValueError(f"photon number must lie in [0, 127], got {n}")
         if collision_free and n > m:
             raise ValueError(f"cannot place {n} photons collision-free in {m} modes")
         self.m = m
         self.n = n
         self.collision_free = collision_free
-        self._states = tuple(_enumerate_occupations(m, n, collision_free))
-        self._index = {s: i for i, s in enumerate(self._states)}
+        cap = 1 if collision_free else n
+        # blocks[k]: rows over the last s modes holding k photons, in
+        # order; prepending one mode's occupation keeps them in order.
+        # tails[s, k] counts them.
+        blocks = [np.zeros((1, 0), dtype=np.int8)] + [np.zeros((0, 0), dtype=np.int8)] * n
+        tails = np.zeros((m, n + 1), dtype=np.intp)
+        for s in range(m):
+            tails[s] = [len(b) for b in blocks]
+            blocks = [
+                np.concatenate(
+                    [np.insert(blocks[k - o], 0, o, axis=1) for o in range(min(cap, k) + 1)]
+                )
+                for k in range(n + 1)
+            ]
+        self.occupations = blocks[n]
+        self.occupations.setflags(write=False)
+        # below[i, r, o]: states that put fewer than o photons on mode i
+        # when r photons are left for modes i..m-1.
+        below = np.zeros((m, n + 1, cap + 1), dtype=np.intp)
+        for o in range(1, cap + 1):
+            below[:, o - 1 :, o] = tails[:, : n + 2 - o]
+        self._below = np.cumsum(below, axis=2)[::-1]
+
+    def rank(self, rows: np.ndarray) -> np.ndarray:
+        """Basis index of each occupation row; ``KeyError`` if any is absent."""
+        rows = np.asarray(rows)
+        if rows.ndim != 2 or rows.shape[1] != self.m or not (
+            np.all(rows.sum(axis=1) == self.n)
+            and np.all((rows >= 0) & (rows < self._below.shape[2]))
+        ):
+            raise KeyError(f"occupation rows outside the ({self.m}, {self.n}) basis")
+        index = np.zeros(len(rows), dtype=np.intp)
+        left = np.full(len(rows), self.n)
+        for i, below in enumerate(self._below):
+            index += below[left, rows[:, i]]
+            left -= rows[:, i]
+        return index
 
     def __len__(self) -> int:
-        return len(self._states)
+        return len(self.occupations)
 
     def __iter__(self) -> Iterator[FockState]:
-        return iter(self._states)
+        return (FockState(tuple(row)) for row in self.occupations.tolist())
 
     def __getitem__(self, i: int) -> FockState:
-        return self._states[i]
+        return FockState(tuple(self.occupations[i].tolist()))
 
     def __contains__(self, state: FockState) -> bool:
-        return state in self._index
+        try:
+            return self.index(state) >= 0
+        except (KeyError, AttributeError):
+            return False
 
     def index(self, state: FockState) -> int:
         try:
-            return self._index[state]
+            return int(self.rank(np.array([state.occupations]))[0])
         except KeyError:
             raise KeyError(f"{state} is not in this basis") from None
 
     @property
     def size(self) -> int:
-        return len(self._states)
-
-
-def _enumerate_occupations(m: int, n: int, collision_free: bool) -> Iterator[FockState]:
-    cap = 1 if collision_free else n
-
-    def rec(prefix: list[int], remaining: int, slots: int) -> Iterator[tuple[int, ...]]:
-        if slots == 0:
-            if remaining == 0:
-                yield tuple(prefix)
-            return
-        for occ in range(min(cap, remaining) + 1):
-            if remaining - occ > cap * (slots - 1):
-                continue
-            prefix.append(occ)
-            yield from rec(prefix, remaining - occ, slots - 1)
-            prefix.pop()
-
-    for occ_tuple in rec([], n, m):
-        yield FockState(occ_tuple)
-
-
-def expected_basis_size(m: int, n: int, collision_free: bool) -> int:
-    """Closed-form cardinality: C(m, n) collision-free, C(n+m-1, n) full."""
-    return comb(m, n) if collision_free else comb(n + m - 1, n)
+        return len(self.occupations)
 
 
 class ModeUnitary:
@@ -203,7 +230,7 @@ def _glynn_deltas(k: int) -> tuple[np.ndarray, np.ndarray]:
 def permanent(matrix: np.ndarray, extended_precision: bool | None = None) -> complex:
     """Permanent of a square matrix by Glynn's formula.
 
-    Cost is O(2^k k) for a k x k matrix; k is capped at 16. With
+    Cost is O(2^k k^2) for a k x k matrix; k is capped at 16. With
     ``extended_precision`` unset, accumulation switches to extended
     precision from k >= 12 to limit cancellation error.
     """
@@ -232,15 +259,45 @@ def enumerate_basis(m: int, n: int, collision_free: bool = False) -> FockBasis:
     """Canonical n-photon basis on m modes (see :class:`FockBasis`).
 
     Bases are cached: repeated simulations at the same (m, n) share one
-    index table instead of re-enumerating the occupation lists.
+    occupation array and rank table.
     """
     return FockBasis(m, n, collision_free)
 
 
+@lru_cache(maxsize=None)
+def _successors(m: int, n: int) -> np.ndarray:
+    """Index of ``s + e_j`` in the (n+1)-photon basis, shape (m, N_n)."""
+    occ, upper = enumerate_basis(m, n).occupations, enumerate_basis(m, n + 1)
+    return np.stack([upper.rank(occ + step) for step in np.eye(m, dtype=np.int8)])
+
+
+def _add_photon(vec: np.ndarray, n: int, column: np.ndarray, coherent: bool) -> np.ndarray:
+    """Add one photon to a vector over the full n-photon basis.
+
+    ``column`` is where the photon goes.  Coherently, ``vec`` holds
+    amplitudes, ``column`` is ``U[:, k]`` for input mode k, and the step
+    is ``amp'[s + e_j] += U[j, k] sqrt(s_j + 1) amp[s]`` (one SLOS step).
+    Otherwise ``vec`` holds probabilities, ``column`` is ``|U[:, k]|^2``
+    and the step is ``p'[s + e_j] += |U[j, k]|^2 p[s]``.  Returns the
+    vector over the full (n+1)-photon basis.
+    """
+    m = len(column)
+    occ, succ = enumerate_basis(m, n).occupations, _successors(m, n)
+    out = np.zeros(len(enumerate_basis(m, n + 1)), dtype=np.result_type(vec, column))
+    for j in np.flatnonzero(column):
+        term = column[j] * vec
+        if coherent:
+            term *= np.sqrt(occ[:, j] + 1.0)
+        out[succ[j]] += term
+    return out
+
+
 def _submatrix(u: np.ndarray, input_state: FockState, output_state: FockState) -> np.ndarray:
-    cols = input_state.modes()
-    rows = output_state.modes()
-    return u[np.ix_(rows, cols)]
+    return u[np.ix_(output_state.modes(), input_state.modes())]
+
+
+def _factorials(state: FockState) -> int:
+    return prod(factorial(occ) for occ in state.occupations)
 
 
 def output_amplitude(
@@ -251,12 +308,7 @@ def output_amplitude(
     if input_state.n == 0:
         return 1.0 + 0.0j
     perm = permanent(_submatrix(unitary.matrix, input_state, output_state))
-    norm = 1.0
-    for occ in input_state.occupations:
-        norm *= factorial(occ)
-    for occ in output_state.occupations:
-        norm *= factorial(occ)
-    return perm / sqrt(norm)
+    return perm / sqrt(_factorials(input_state) * _factorials(output_state))
 
 
 def distinguishable_probability(
@@ -270,10 +322,7 @@ def distinguishable_probability(
     if input_state.n == 0:
         return 1.0
     sub = np.abs(_submatrix(unitary.matrix, input_state, output_state)) ** 2
-    norm = 1.0
-    for occ in output_state.occupations:
-        norm *= factorial(occ)
-    return float(np.real(permanent(sub)) / norm)
+    return float(np.real(permanent(sub)) / _factorials(output_state))
 
 
 def _check_states(unitary: ModeUnitary, *states: FockState) -> None:
@@ -304,14 +353,19 @@ class OutputDistribution(Mapping[FockState, float]):
         self.subspace_weight = float(subspace_weight)
 
     def prob(self, state: FockState) -> float:
-        idx = self.basis._index.get(state)
-        return 0.0 if idx is None else float(self.probabilities[idx])
+        try:
+            return float(self.probabilities[self.basis.index(state)])
+        except KeyError:
+            return 0.0
 
     def __getitem__(self, state: FockState) -> float:
         return self.prob(state)
 
     def __iter__(self) -> Iterator[FockState]:
         return iter(self.basis)
+
+    def items(self) -> Iterator[tuple[FockState, float]]:
+        return zip(self.basis, self.probabilities.tolist())
 
     def __len__(self) -> int:
         return len(self.basis)
@@ -334,43 +388,26 @@ def strong_simulate(
 ) -> OutputDistribution:
     """Exact output distribution of ``input_state`` through ``unitary``.
 
-    Amplitudes are evaluated as permanents of submatrices; with
-    ``collision_free`` the distribution is renormalized over the
-    collision-free outcomes (threshold-detector view).
+    Photons are added one input mode at a time by the SLOS kernel, which
+    yields every output amplitude at once (scaled by ``sqrt(prod s_i!)``
+    for a bunched input).  With ``collision_free`` the distribution is
+    renormalized over the collision-free outcomes (threshold-detector
+    view) and ``subspace_weight`` keeps the mass they carried.
     """
     _check_states(unitary, input_state)
-    m, n = input_state.m, input_state.n
-    basis = enumerate_basis(m, n, collision_free)
-    cols = input_state.modes()
-    u_cols = unitary.matrix[:, cols]
-    in_norm = 1.0
-    for occ in input_state.occupations:
-        in_norm *= factorial(occ)
-
-    probs = np.empty(len(basis))
-    if n == 0:
-        probs[:] = 1.0
+    amp = np.ones(1, dtype=complex)
+    for n, mode in enumerate(input_state.modes()):
+        amp = _add_photon(amp, n, unitary.matrix[:, mode], coherent=True)
+    probs = np.abs(amp) ** 2 / _factorials(input_state)
+    basis = enumerate_basis(input_state.m, input_state.n)
+    if not collision_free:
         return OutputDistribution(basis, probs)
-    deltas, signs = _glynn_deltas(n) if n > 1 else (None, None)
-    for i, state in enumerate(basis):
-        rows = state.modes()
-        sub = u_cols[rows, :]
-        if n == 1:
-            perm = sub[0, 0]
-        else:
-            terms = np.prod(deltas @ sub, axis=1)
-            perm = np.dot(signs, terms) / (1 << (n - 1))
-        norm = in_norm
-        for occ in state.occupations:
-            norm *= factorial(occ)
-        probs[i] = abs(perm) ** 2 / norm
-
+    probs = probs[np.all(basis.occupations <= 1, axis=1)]
     weight = probs.sum()
-    if collision_free:
-        if weight <= 0.0:
-            raise ValueError("no probability mass in the collision-free subspace")
-        return OutputDistribution(basis, probs / weight, subspace_weight=weight)
-    return OutputDistribution(basis, probs, subspace_weight=1.0)
+    if weight <= 0.0:
+        raise ValueError("no probability mass in the collision-free subspace")
+    cf = enumerate_basis(input_state.m, input_state.n, collision_free=True)
+    return OutputDistribution(cf, probs / weight, subspace_weight=weight)
 
 
 def sample(
@@ -389,7 +426,4 @@ def sample(
     p = dist.probabilities / dist.probabilities.sum()
     draws = rng.choice(len(p), size=shots, p=p)
     tallies = np.bincount(draws, minlength=len(p))
-    counts: SampleCounts = {}
-    for idx in tallies.nonzero()[0]:
-        counts[dist.basis[int(idx)]] = int(tallies[idx])
-    return counts
+    return {dist.basis[int(i)]: int(tallies[i]) for i in np.flatnonzero(tallies)}

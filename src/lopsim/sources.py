@@ -40,6 +40,8 @@ from scipy.optimize import curve_fit
 from .fock import (
     FockState,
     ModeUnitary,
+    OutputDistribution,
+    _add_photon,
     enumerate_basis,
     strong_simulate,
 )
@@ -213,7 +215,6 @@ class LabeledInput:
 def build_input(
     n: int,
     src: SourceModel,
-    seed: int | None = None,
     modes: Sequence[int] | None = None,
     min_weight: float = 0.0,
 ) -> LabeledInput:
@@ -224,18 +225,15 @@ def build_input(
     probability ``m_i`` and a unique label otherwise; and an extra
     distinguishable photon accompanies the trigger with probability
     ``g2`` (the extra is subject to the same loss).  The expansion is
-    exact, so ``seed`` is unused; it is accepted so that input
-    construction has a uniform seeded signature.
+    exact and deterministic.
 
     Args:
         n: number of triggers.
         src: source noise parameters.
-        seed: ignored (the ensemble is deterministic).
         modes: input mode per trigger; defaults to ``0..n-1``.
         min_weight: drop branches lighter than this (0 keeps the exact
             mixture, whose weights sum to 1).
     """
-    del seed
     if modes is None:
         modes = tuple(range(n))
     else:
@@ -281,91 +279,73 @@ def build_input(
 
 
 class NoisyDistribution(Mapping[FockState, float]):
-    """Output probabilities of a mixed input, across photon-number sectors."""
+    """Output probabilities of a mixed input, one sector per photon number.
 
-    def __init__(self, probs: dict[FockState, float]):
-        self._probs = dict(probs)
+    ``sectors`` maps each populated photon number to its
+    :class:`OutputDistribution`; iteration, ``items`` and ``len`` cover
+    the nonzero outcomes.  ``dropped_weight`` is the branch weight that
+    pruning skipped (``total() + dropped_weight`` is the mixture's
+    weight), scaled like the probabilities after postselection.
+    """
+
+    def __init__(self, sectors: Mapping[int, OutputDistribution], dropped_weight: float = 0.0):
+        self.sectors = {n: d for n, d in sorted(sectors.items()) if d.total() > 0.0}
+        self.dropped_weight = float(dropped_weight)
+        self._len = sum(np.count_nonzero(d.probabilities) for d in self.sectors.values())
 
     def prob(self, state: FockState) -> float:
-        return self._probs.get(state, 0.0)
+        sector = self.sectors.get(state.n)
+        return 0.0 if sector is None else sector.prob(state)
 
     def __getitem__(self, state: FockState) -> float:
         return self.prob(state)
 
+    def items(self) -> Iterator[tuple[FockState, float]]:
+        for sector in self.sectors.values():
+            nonzero = np.flatnonzero(sector.probabilities)
+            rows = sector.basis.occupations[nonzero].tolist()
+            for row, p in zip(rows, sector.probabilities[nonzero].tolist()):
+                yield FockState(tuple(row)), p
+
     def __iter__(self) -> Iterator[FockState]:
-        return iter(self._probs)
+        return (state for state, _ in self.items())
 
     def __len__(self) -> int:
-        return len(self._probs)
+        return self._len
 
     def total(self) -> float:
-        return float(sum(self._probs.values()))
+        return float(sum(d.total() for d in self.sectors.values()))
 
     def sector_weights(self) -> dict[int, float]:
         """Total probability per photon number."""
-        weights: dict[int, float] = {}
-        for state, p in self._probs.items():
-            weights[state.n] = weights.get(state.n, 0.0) + p
-        return weights
+        return {n: d.total() for n, d in self.sectors.items()}
 
     def postselect_photon_number(self, n: int) -> tuple["NoisyDistribution", float]:
         """Distribution conditioned on ``n`` detected photons, and its weight."""
-        kept = {s: p for s, p in self._probs.items() if s.n == n}
-        weight = float(sum(kept.values()))
-        if weight <= 0.0:
+        if n not in self.sectors:
             raise ValueError(f"no probability mass in the {n}-photon sector")
-        return NoisyDistribution({s: p / weight for s, p in kept.items()}), weight
+        sector = self.sectors[n]
+        weight = sector.total()
+        conditioned = OutputDistribution(sector.basis, sector.probabilities / weight)
+        return NoisyDistribution({n: conditioned}, self.dropped_weight / weight), weight
 
     def top(self, k: int = 5) -> list[tuple[FockState, float]]:
-        ranked = sorted(self._probs.items(), key=lambda kv: -kv[1])
-        return ranked[:k]
-
-
-@lru_cache(maxsize=None)
-def _successor_indices(m: int, n: int) -> np.ndarray:
-    """Index of ``occ + e_j`` in the (n+1)-photon basis, per mode j."""
-    basis_n = enumerate_basis(m, n)
-    basis_next = enumerate_basis(m, n + 1)
-    out = np.empty((m, len(basis_n)), dtype=np.intp)
-    for i, state in enumerate(basis_n):
-        occ = state.occupations
-        for j in range(m):
-            lifted = FockState(occ[:j] + (occ[j] + 1,) + occ[j + 1 :])
-            out[j, i] = basis_next.index(lifted)
-    return out
-
-
-def _convolve_single_photon(vec: np.ndarray, n: int, col_probs: np.ndarray) -> np.ndarray:
-    """Add one classically routed photon with output law ``col_probs``."""
-    m = len(col_probs)
-    succ = _successor_indices(m, n)
-    out = np.zeros(len(enumerate_basis(m, n + 1)))
-    for j in range(m):
-        c = col_probs[j]
-        if c > 0.0:
-            out[succ[j]] += vec * c
-    return out
+        return sorted(self.items(), key=lambda kv: -kv[1])[:k]
 
 
 def _convolve_distributions(
-    m: int,
-    vec_a: np.ndarray,
-    n_a: int,
-    vec_b: np.ndarray,
-    n_b: int,
+    m: int, vec_a: np.ndarray, n_a: int, vec_b: np.ndarray, n_b: int
 ) -> np.ndarray:
     """Classical convolution of two photon-number-definite distributions."""
-    basis_a = enumerate_basis(m, n_a)
-    basis_b = enumerate_basis(m, n_b)
+    ia, ib = np.flatnonzero(vec_a), np.flatnonzero(vec_b)
+    occ_a, occ_b = enumerate_basis(m, n_a).occupations, enumerate_basis(m, n_b).occupations
+    rows = occ_a[ia, None, :] + occ_b[None, ib, :]
     basis_out = enumerate_basis(m, n_a + n_b)
-    out = np.zeros(len(basis_out))
-    for ib in vec_b.nonzero()[0]:
-        occ_b = basis_b[int(ib)].occupations
-        pb = vec_b[ib]
-        for ia in vec_a.nonzero()[0]:
-            occ = tuple(a + b for a, b in zip(basis_a[int(ia)].occupations, occ_b))
-            out[basis_out.index(FockState(occ))] += vec_a[ia] * pb
-    return out
+    return np.bincount(
+        basis_out.rank(rows.reshape(-1, m)),
+        weights=np.outer(vec_a[ia], vec_b[ib]).ravel(),
+        minlength=len(basis_out),
+    )
 
 
 def _class_partition(photons: tuple[LabeledPhoton, ...]) -> tuple[tuple[int, ...], ...]:
@@ -390,55 +370,39 @@ def _branch_distribution(
     n = 0
     for part in parts:
         if len(part) == 1:
-            vec = _convolve_single_photon(vec, n, col_power[:, part[0]])
-            n += 1
-            continue
-        if part not in class_cache:
-            dist = strong_simulate(unitary, FockState.from_modes(m, part))
-            class_cache[part] = dist.probabilities
-        if n == 0:
-            vec = class_cache[part].copy()
+            vec = _add_photon(vec, n, col_power[:, part[0]], coherent=False)
         else:
-            vec = _convolve_distributions(m, vec, n, class_cache[part], len(part))
+            if part not in class_cache:
+                dist = strong_simulate(unitary, FockState.from_modes(m, part))
+                class_cache[part] = dist.probabilities
+            part_vec = class_cache[part]
+            vec = part_vec if n == 0 else _convolve_distributions(m, vec, n, part_vec, len(part))
         n += len(part)
     return vec, n
 
 
 def _thin_outputs(
     sectors: dict[int, np.ndarray], m: int, keep: np.ndarray
-) -> dict[tuple[int, ...], float]:
-    """Per-mode binomial thinning of photon-number-sector distributions."""
-    out: dict[tuple[int, ...], float] = {}
-    for n, vec in sectors.items():
-        basis = enumerate_basis(m, n)
-        for i in vec.nonzero()[0]:
-            occ = basis[int(i)].occupations
-            p = float(vec[i])
-            choices = []
-            for j, s in enumerate(occ):
-                if s == 0:
-                    continue
-                kj = keep[j]
-                choices.append(
-                    (
-                        j,
-                        [
-                            (k, comb(s, k) * kj**k * (1.0 - kj) ** (s - k))
-                            for k in range(s + 1)
-                        ],
-                    )
-                )
-            for combo in itertools.product(*(opts for _, opts in choices)):
-                w = p
-                surviving = [0] * m
-                for (j, _), (k, wk) in zip(choices, combo):
-                    w *= wk
-                    surviving[j] = k
-                if w == 0.0:
-                    continue
-                key = tuple(surviving)
-                out[key] = out.get(key, 0.0) + w
-    return out
+) -> dict[int, np.ndarray]:
+    """Per-mode binomial thinning of photon-number-sector distributions.
+
+    Mode by mode, a state with ``a`` photons in mode j moves to the state
+    with ``d`` of them lost, weighted ``C(a, d) keep_j^(a-d) (1-keep_j)^d``.
+    """
+    for j, kj in enumerate(keep):
+        thinned: dict[int, np.ndarray] = {}
+        for n, vec in sectors.items():
+            occ = enumerate_basis(m, n).occupations
+            for d in range(int(occ[:, j].max()) + 1):
+                hit = occ[:, j] >= d
+                lost = occ[hit]
+                lost[:, j] -= d
+                w = [comb(d + e, d) * kj**e * (1.0 - kj) ** d for e in range(n - d + 1)]
+                target = enumerate_basis(m, n - d)
+                out = thinned.setdefault(n - d, np.zeros(len(target)))
+                out[target.rank(lost)] += vec[hit] * np.array(w)[lost[:, j]]
+        sectors = thinned
+    return sectors
 
 
 def noisy_simulate(
@@ -451,7 +415,8 @@ def noisy_simulate(
 
     Each branch factors into interference classes (one per label); every
     class evolves coherently through ``unitary`` and the class outputs
-    add classically.  Branch results are weighted by branch probability.
+    add classically.  Branches with the same class partition are grouped,
+    and results are weighted by branch probability.
 
     Args:
         unitary: the interferometer.
@@ -460,20 +425,29 @@ def noisy_simulate(
             output by binomial thinning, or None for lossless readout.
         min_branch_weight: skip branches lighter than this.  The default
             keeps every branch; pass a small cutoff (say 1e-9) to trade
-            a bounded amount of probability mass for speed.
+            a bounded amount of probability mass for speed.  The skipped
+            weight is reported as ``dropped_weight``.
 
     Returns:
-        Probabilities for every reachable output occupation, spanning
-        all photon-number sectors the mixture populates.
+        One :class:`OutputDistribution` per photon-number sector the
+        mixture populates, with the pruned weight.
     """
     if not isinstance(unitary, ModeUnitary):
         unitary = ModeUnitary(np.asarray(unitary))
     m = unitary.m
+    if output_losses is not None:
+        keep = np.asarray(output_losses, dtype=float)
+        if keep.shape != (m,):
+            raise ValueError(f"output_losses must have shape ({m},)")
+        if np.any(keep < 0.0) or np.any(keep > 1.0):
+            raise ValueError("output losses must lie in [0, 1]")
     col_power = np.abs(unitary.matrix) ** 2
 
     grouped: dict[tuple[tuple[int, ...], ...], float] = {}
+    dropped = 0.0
     for branch in labeled.branches:
         if branch.weight < min_branch_weight:
+            dropped += branch.weight
             continue
         for ph in branch.photons:
             if not 0 <= ph.mode < m:
@@ -485,39 +459,43 @@ def noisy_simulate(
     sectors: dict[int, np.ndarray] = {}
     for parts, weight in grouped.items():
         vec, n = _branch_distribution(unitary, parts, col_power, class_cache)
-        if n in sectors:
-            sectors[n] += weight * vec
-        else:
-            sectors[n] = weight * vec
-
+        acc = sectors.setdefault(n, np.zeros(len(vec)))
+        acc += weight * vec
     if output_losses is not None:
-        keep = np.asarray(output_losses, dtype=float)
-        if keep.shape != (m,):
-            raise ValueError(f"output_losses must have shape ({m},)")
-        if np.any(keep < 0.0) or np.any(keep > 1.0):
-            raise ValueError("output losses must lie in [0, 1]")
-        thinned = _thin_outputs(sectors, m, keep)
-        probs = {FockState(occ): p for occ, p in thinned.items()}
-        return NoisyDistribution(probs)
+        sectors = _thin_outputs(sectors, m, keep)
+    return NoisyDistribution(
+        {n: OutputDistribution(enumerate_basis(m, n), vec) for n, vec in sectors.items()},
+        dropped,
+    )
 
-    probs = {}
-    for n, vec in sectors.items():
-        basis = enumerate_basis(m, n)
-        for i in vec.nonzero()[0]:
-            probs[basis[int(i)]] = float(vec[i])
-    return NoisyDistribution(probs)
+
+def _click_arrays(dist: Mapping[FockState, float], width: int) -> tuple[np.ndarray, np.ndarray]:
+    """Click masks of the first ``width`` modes, and each outcome's value.
+
+    Distributions from this package are read from their occupation
+    arrays; any other mapping (counts keyed by :class:`FockState` or by
+    occupation tuple) is turned into arrays once.
+    """
+    if isinstance(dist, OutputDistribution):
+        sectors = [dist]
+    elif isinstance(dist, NoisyDistribution):
+        sectors = list(dist.sectors.values())
+    else:
+        occs = [getattr(key, "occupations", key)[:width] for key in dist]
+        values = np.fromiter(dist.values(), dtype=float, count=len(occs))
+        return np.array(occs, dtype=np.int64).reshape(-1, width) > 0, values
+    rows = [d.basis.occupations[:, :width] > 0 for d in sectors]
+    values = [d.probabilities for d in sectors]
+    return np.concatenate(rows + [np.zeros((0, width), bool)]), np.concatenate(values + [[]])
 
 
 def coincidence_probability(
     dist: Mapping[FockState, float], modes: Sequence[int]
 ) -> float:
     """Probability that every listed mode clicks (threshold detectors)."""
-    total = 0.0
-    for state, p in dist.items():
-        occ = state.occupations
-        if all(occ[q] > 0 for q in modes):
-            total += p
-    return float(total)
+    modes = list(modes)
+    clicks, values = _click_arrays(dist, max(modes, default=-1) + 1)
+    return float(values[clicks[:, modes].all(axis=1)].sum())
 
 
 def _mzi_unitary(internal_phase: float) -> ModeUnitary:
@@ -609,16 +587,10 @@ def cyclic_interferometer(n_photons: int, alpha: float) -> ModeUnitary:
     return _cyclic_circuit(n_photons, alpha).unitary()
 
 
-def _pair_click_pattern(occ: tuple[int, ...], n_pairs: int) -> tuple[int, ...] | None:
-    """Clicked side per output pair, or None unless exactly one side clicks."""
-    bits = []
-    for k in range(n_pairs):
-        left = occ[2 * k] > 0
-        right = occ[2 * k + 1] > 0
-        if left == right:
-            return None
-        bits.append(1 if right else 0)
-    return tuple(bits)
+def _one_click_per_pair(clicks: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Outcomes with exactly one click per output pair (2k, 2k+1), and the clicked sides."""
+    right = clicks[:, 1::2]
+    return np.all(clicks[:, 0::2] != right, axis=1), right
 
 
 @lru_cache(maxsize=None)
@@ -627,13 +599,9 @@ def _constructive_patterns(n_photons: int) -> frozenset[tuple[int, ...]]:
     m = 2 * n_photons
     unitary = _cyclic_circuit(n_photons, 0.0).unitary()
     dist = strong_simulate(unitary, FockState.from_modes(m, cyclic_input_modes(n_photons)))
-    best = float(dist.probabilities.max())
-    bright = set()
-    for state, p in zip(dist.basis, dist.probabilities):
-        pattern = _pair_click_pattern(state.occupations, n_photons)
-        if pattern is not None and p > 1e-9 * best:
-            bright.add(pattern)
-    return frozenset(bright)
+    valid, right = _one_click_per_pair(_click_arrays(dist, m)[0])
+    bright = valid & (dist.probabilities > 1e-9 * dist.probabilities.max())
+    return frozenset(map(tuple, right[bright].astype(int).tolist()))
 
 
 def genuine_indistinguishability(
@@ -648,18 +616,13 @@ def genuine_indistinguishability(
     ``p_N = (C - D) / (C + D)``.  For the independent-label model with
     perfect purity this equals the product of the ``m_i``.
     """
-    constructive = _constructive_patterns(n_photons)
-    c_sum = 0.0
-    d_sum = 0.0
-    for state, value in dist.items():
-        occ = state.occupations if isinstance(state, FockState) else tuple(state)
-        pattern = _pair_click_pattern(occ, n_photons)
-        if pattern is None:
-            continue
-        if pattern in constructive:
-            c_sum += value
-        else:
-            d_sum += value
+    clicks, values = _click_arrays(dist, 2 * n_photons)
+    valid, right = _one_click_per_pair(clicks)
+    bits = 1 << np.arange(n_photons)
+    bright = [int(np.dot(pattern, bits)) for pattern in _constructive_patterns(n_photons)]
+    constructive = valid & np.isin(right @ bits, bright)
+    c_sum = float(values[constructive].sum())
+    d_sum = float(values[valid & ~constructive].sum())
     total = c_sum + d_sum
     if total <= 0.0:
         raise ValueError("no one-click-per-pair events; p_N is undefined")

@@ -460,11 +460,8 @@ def lossy_marginals(
         )
         noisy = noisy_simulate(unitary, labeled, min_branch_weight=min_branch_weight)
         sector, weight = noisy.postselect_photon_number(survivors)
-        basis = enumerate_basis(m, survivors)
-        vec = np.zeros(len(basis))
-        for state, p in sector.items():
-            vec[basis.index(state)] = p
-        return OutputDistribution(basis, vec, subspace_weight=weight)
+        dist = sector.sectors[survivors]
+        return OutputDistribution(dist.basis, dist.probabilities, subspace_weight=weight)
 
     basis = enumerate_basis(m, survivors)
     vec = np.zeros(len(basis))

@@ -1,0 +1,20 @@
+"""The ``lopsim`` command line."""
+
+import json
+
+import pytest
+
+from lopsim.cli import main
+
+
+def test_fringe_json_reports_p6(capsys):
+    assert main(["fringe", "--json"]) == 0
+    record = json.loads(capsys.readouterr().out)
+    assert record["command"] == "fringe"
+    assert record["alpha"] == 0.0
+    assert record["p6_cos_alpha"] == pytest.approx(0.7194, abs=1e-3)
+
+
+def test_requires_a_subcommand(capsys):
+    with pytest.raises(SystemExit):
+        main([])

@@ -1,5 +1,7 @@
-"""Packaging metadata: an installed copy carries every bundled data file."""
+"""Packaging metadata: an installed copy carries every bundled data file
+and every console script resolves to a callable."""
 
+import importlib
 import tomllib
 from pathlib import Path, PurePosixPath
 
@@ -18,3 +20,12 @@ def test_every_data_file_matches_a_package_data_glob():
     assert files
     missing = [str(f) for f in files if not any(f.match(g) for g in globs)]
     assert missing == []
+
+
+def test_every_console_script_target_is_callable():
+    config = tomllib.loads((ROOT / "pyproject.toml").read_text(encoding="utf-8"))
+    scripts = config["project"]["scripts"]
+    assert scripts
+    for name, target in scripts.items():
+        module, _, attribute = target.partition(":")
+        assert callable(getattr(importlib.import_module(module), attribute)), name
