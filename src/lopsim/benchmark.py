@@ -32,6 +32,10 @@ import numpy as np
 from .fock import strong_simulate
 from .mesh import ModeUnitary, PhotonicCircuit, compile_with_imperfections, two_mode_gate_elements
 from .qubits import (
+    _ID2,
+    _MEAS_ROT,
+    _PAULI,
+    _SQRT2,
     GateCircuit,
     QubitEncoding,
     compile_gate_circuit,
@@ -68,22 +72,6 @@ ALPHA_PRUNE_TOL = 1e-12
 #: smallest genuine weight across the supported gates is 1/288, so the
 #: gap to solver noise is many orders of magnitude.
 PLAN_PRUNE_TOL = 1e-10
-
-_SQRT2 = np.sqrt(2.0)
-_ID2 = np.eye(2, dtype=complex)
-_PAULI = {
-    "I": _ID2,
-    "X": np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex),
-    "Y": np.array([[0.0, -1.0j], [1.0j, 0.0]], dtype=complex),
-    "Z": np.diag([1.0, -1.0]).astype(complex),
-}
-
-#: Basis-change matrices V with V P V^dagger = Z for each measured letter.
-_MEAS_ROT = {
-    "Z": _ID2,
-    "X": np.array([[1.0, 1.0], [1.0, -1.0]], dtype=complex) / _SQRT2,
-    "Y": np.array([[1.0, -1.0j], [1.0, 1.0j]], dtype=complex) / _SQRT2,
-}
 
 #: Per-label preparation vectors for each functional's label convention.
 _PREP_VECTORS = {
@@ -579,7 +567,7 @@ def photonic_executor(
         meas = PhotonicCircuit(enc.n_modes)
         for qubit, letter in enumerate(setting):
             rotation = _MEAS_ROT[letter]
-            if not np.allclose(rotation, _ID2):
+            if rotation is not _ID2:
                 meas.extend(
                     two_mode_gate_elements(rotation, *enc.qubit_pairs[qubit])
                 )
@@ -603,14 +591,7 @@ def photonic_executor(
             distribution = noisy_simulate(
                 ModeUnitary(total), labeled, min_branch_weight=min_branch_weight
             )
-        logical, _ = logical_distribution(distribution, rule)
-        probs = np.zeros(2**n_qubits)
-        for bits, probability in logical.items():
-            index = 0
-            for bit in bits:
-                index = (index << 1) | bit
-            probs[index] = probability
-        return probs
+        return logical_distribution(distribution, rule)[0].ravel()
 
     return run
 

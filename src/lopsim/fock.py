@@ -13,6 +13,12 @@ mode to a vector over the n-photon basis: on amplitudes it is the SLOS
 recursion of Heurtel et al., *Strong simulation of linear optical
 processes* (Quantum 7, 931 (2023)); on ``|U|^2`` it is the classical
 convolution.  Permanents serve only single amplitudes.
+
+Every readout (click patterns, postselection, pattern merging) is a
+mask or group-by on one outcome view, :func:`outcome_arrays`: ``(K, m)``
+occupation rows and ``(K,)`` values.  Distributions of this package hand
+over their arrays through ``outcomes()``; any other mapping, such as the
+counts of :func:`sample`, keyed by state or by tuple, is converted once.
 """
 
 from __future__ import annotations
@@ -36,6 +42,7 @@ __all__ = [
     "distinguishable_probability",
     "strong_simulate",
     "sample",
+    "outcome_arrays",
 ]
 
 PERMANENT_MAX_SIZE = 16
@@ -373,9 +380,9 @@ class OutputDistribution(Mapping[FockState, float]):
     def total(self) -> float:
         return float(self.probabilities.sum())
 
-    def top(self, k: int = 5) -> list[tuple[FockState, float]]:
-        order = np.argsort(self.probabilities)[::-1][:k]
-        return [(self.basis[i], float(self.probabilities[i])) for i in order]
+    def outcomes(self) -> tuple[np.ndarray, np.ndarray]:
+        """Occupation rows of the basis and their probabilities."""
+        return self.basis.occupations, self.probabilities
 
 
 SampleCounts = dict[FockState, int]
@@ -427,3 +434,16 @@ def sample(
     draws = rng.choice(len(p), size=shots, p=p)
     tallies = np.bincount(draws, minlength=len(p))
     return {dist.basis[int(i)]: int(tallies[i]) for i in np.flatnonzero(tallies)}
+
+
+def outcome_arrays(dist: Mapping) -> tuple[np.ndarray, np.ndarray]:
+    """Occupation rows ``(K, m)`` and values ``(K,)`` of a distribution.
+
+    A mapping without ``outcomes()``, keyed by :class:`FockState` or by
+    occupation tuple, is converted here; an empty one gives ``(0, 0)`` rows.
+    """
+    if hasattr(dist, "outcomes"):
+        return dist.outcomes()
+    rows = [getattr(key, "occupations", key) for key in dist]
+    values = np.fromiter(dist.values(), dtype=float, count=len(rows))
+    return np.array(rows, dtype=np.int64).reshape(len(rows), -1 if rows else 0), values

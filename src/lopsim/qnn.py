@@ -80,30 +80,32 @@ def pattern_space() -> tuple[tuple[int, int, int, int, int], ...]:
     return tuple(patterns)
 
 
-def _merge_state(state: FockState) -> tuple[int, int, int, int, int]:
-    """Threshold-detect a Fock state and merge the redirect groups."""
-    occ = state.occupations
-    left = sum(occ[mode] > 0 for mode in _LEFT_GROUP)
-    right = sum(occ[mode] > 0 for mode in _RIGHT_GROUP)
-    bits = tuple(int(occ[mode] > 0) for mode in _MIDDLE_MODES)
-    return (left, *bits, right)
-
-
 @cache
 def _pattern_matrix() -> np.ndarray:
     """Aggregation matrix from the three-photon Fock basis to patterns.
 
-    Basis states with photons beyond the detected region (the circuit
-    never populates those modes) are left unassigned; they carry zero
-    probability, so the merge preserves the total.
+    Each basis row is threshold-detected and the redirect groups are
+    merged into pseudo photon numbers.  Basis states with photons beyond
+    the detected region (the circuit never populates those modes) are
+    left unassigned; they carry zero probability, so the merge preserves
+    the total.
     """
-    detected = set(_LEFT_GROUP) | set(_MIDDLE_MODES) | set(_RIGHT_GROUP)
-    basis = enumerate_basis(N_MODES, N_PHOTONS)
-    index = {pattern: i for i, pattern in enumerate(pattern_space())}
-    matrix = np.zeros((len(index), len(basis)))
-    for j, state in enumerate(basis):
-        if all(mode in detected for mode in state.modes()):
-            matrix[index[_merge_state(state)], j] = 1.0
+    occ = enumerate_basis(N_MODES, N_PHOTONS).occupations
+    clicks = occ > 0
+    merged = np.column_stack(
+        [
+            clicks[:, _LEFT_GROUP].sum(axis=1),
+            clicks[:, _MIDDLE_MODES],
+            clicks[:, _RIGHT_GROUP].sum(axis=1),
+        ]
+    )
+    # pattern_space() is lexicographic, so its mixed-radix codes ascend
+    radix = np.array([32, 16, 8, 4, 1])
+    codes = np.array(pattern_space()) @ radix
+    region = [*_LEFT_GROUP, *_MIDDLE_MODES, *_RIGHT_GROUP]
+    inside = np.flatnonzero(occ[:, region].sum(axis=1) == N_PHOTONS)
+    matrix = np.zeros((len(codes), len(occ)))
+    matrix[np.searchsorted(codes, merged[inside] @ radix), inside] = 1.0
     return matrix
 
 

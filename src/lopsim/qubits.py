@@ -22,7 +22,12 @@ by postselection:
 Postselection keeps outcomes with exactly one photon per rail pair and no
 photon in any ancilla mode.  The same rule type also carries herald
 patterns for the GHZ factory, where part of the photons are detected to
-signal that the surviving qubits carry entanglement.
+signal that the surviving qubits carry entanglement.  A rule is a mask on
+the occupation rows of a distribution's outcome view
+(:func:`lopsim.fock.outcome_arrays`): one vectorized readout gives the
+acceptance mask and the logical index of every row, and the logical
+distribution is a weighted ``bincount`` of the accepted indices.  The
+module also owns the 2x2 gate constants that other modules import.
 """
 
 from __future__ import annotations
@@ -33,7 +38,7 @@ from typing import Mapping, Sequence
 import numpy as np
 from scipy.linalg import null_space
 
-from lopsim.fock import FockState, output_amplitude
+from lopsim.fock import FockState, outcome_arrays, output_amplitude
 from lopsim.mesh import (
     CircuitElement,
     DirectionalCoupler,
@@ -86,13 +91,16 @@ _H = np.array([[1.0, 1.0], [1.0, -1.0]], dtype=complex) / _SQRT2
 _T = np.diag([1.0, np.exp(1j * np.pi / 4.0)])
 _S = np.diag([1.0, 1j])
 
-#: Basis-change matrices V with V P V^dagger = Z for each measured Pauli.
-_MEASUREMENT_ROTATIONS: dict[str, np.ndarray | None] = {
-    "I": None,
-    "Z": None,
-    "X": _H,
-    "Y": _H @ _S.conj().T,
+#: Single-qubit Pauli matrices by letter.
+_PAULI = {
+    "I": _ID2,
+    "X": _X,
+    "Y": np.array([[0.0, -1.0j], [1.0j, 0.0]], dtype=complex),
+    "Z": np.diag([1.0, -1.0]).astype(complex),
 }
+
+#: Basis-change matrices V with V P V^dagger = Z for each measured Pauli.
+_MEAS_ROT = {"I": _ID2, "Z": _ID2, "X": _H, "Y": _H @ _S.conj().T}
 
 #: Single-qubit preparations from logical |0>.
 PREPARATIONS: dict[str, np.ndarray] = {
@@ -333,32 +341,36 @@ class PostselectionRule:
     heralds: tuple[tuple[tuple[int, int], ...], ...] = ()
     threshold: bool = False
 
+    def readout(self, rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Acceptance mask and logical index of each occupation row.
+
+        ``rows`` is a ``(K, m)`` occupation array; the index reads qubit
+        0 as the most significant bit and is meaningful only where the
+        mask is set.
+        """
+        rows = np.asarray(rows)
+        if not rows.size:
+            return np.zeros(len(rows), dtype=bool), np.zeros(len(rows), dtype=np.intp)
+        seen = np.minimum(rows, 1) if self.threshold else rows
+        pairs = np.array(self.qubit_pairs, dtype=np.intp).reshape(-1, 2)
+        rail1 = seen[:, pairs[:, 1]]
+        accepted = np.all(seen[:, pairs[:, 0]] + rail1 == 1, axis=1)
+        accepted &= np.all(rows[:, list(self.vacuum_modes)] == 0, axis=1)
+        if self.heralds:
+            matches = []
+            for pattern in self.heralds:
+                spec = np.array(pattern, dtype=np.intp).reshape(-1, 2)
+                want = np.minimum(spec[:, 1], 1) if self.threshold else spec[:, 1]
+                matches.append(np.all(seen[:, spec[:, 0]] == want, axis=1))
+            accepted &= np.any(matches, axis=0)
+        return accepted, rail1 @ (1 << np.arange(len(pairs))[::-1])
+
     def logical_bits(self, state: FockState) -> tuple[int, ...] | None:
         """Logical readout of an accepted state, or None if rejected."""
-        occ = state.occupations
-        bits = []
-        for r0, r1 in self.qubit_pairs:
-            if self.threshold:
-                c0, c1 = occ[r0] > 0, occ[r1] > 0
-                if c0 == c1:
-                    return None
-                bits.append(1 if c1 else 0)
-            else:
-                if occ[r0] + occ[r1] != 1:
-                    return None
-                bits.append(occ[r1])
-        if any(occ[mode] > 0 for mode in self.vacuum_modes):
+        accepted, index = self.readout(np.array([state.occupations]))
+        if not accepted[0]:
             return None
-        if self.heralds and not any(
-            self._matches(occ, pattern) for pattern in self.heralds
-        ):
-            return None
-        return tuple(bits)
-
-    def _matches(self, occ: tuple[int, ...], pattern: tuple[tuple[int, int], ...]) -> bool:
-        if self.threshold:
-            return all((occ[mode] > 0) == (count > 0) for mode, count in pattern)
-        return all(occ[mode] == count for mode, count in pattern)
+        return tuple(int(b) for b in np.unravel_index(index[0], (2,) * len(self.qubit_pairs)))
 
     def accepts(self, state: FockState) -> bool:
         return self.logical_bits(state) is not None
@@ -369,22 +381,23 @@ class PostselectionRule:
 
 def logical_distribution(
     distribution: Mapping[FockState, float], rule: PostselectionRule
-) -> tuple[dict[tuple[int, ...], float], float]:
+) -> tuple[np.ndarray, float]:
     """Postselected logical distribution and its total weight.
 
-    The returned probabilities are normalized over the accepted outcomes;
-    the weight is the unnormalized probability of acceptance.
+    The probabilities come as an array of shape ``(2,) * n_qubits``,
+    indexed by the bits (``probs[(1, 0)]``), normalized over the accepted
+    outcomes; ``probs.ravel()`` is the vector with qubit 0 as the most
+    significant bit.  The weight is the unnormalized probability of
+    acceptance.
     """
-    raw: dict[tuple[int, ...], float] = {}
-    for state, prob in distribution.items():
-        bits = rule.logical_bits(state)
-        if bits is None:
-            continue
-        raw[bits] = raw.get(bits, 0.0) + prob
-    weight = sum(raw.values())
+    rows, values = outcome_arrays(distribution)
+    accepted, index = rule.readout(rows)
+    n = len(rule.qubit_pairs)
+    raw = np.bincount(index[accepted], weights=values[accepted], minlength=1 << n)
+    weight = float(raw.sum())
     if weight <= 0.0:
         raise ValueError("no outcomes pass the postselection rule")
-    return {bits: prob / weight for bits, prob in raw.items()}, weight
+    return (raw / weight).reshape((2,) * n), weight
 
 
 def pauli_expectation(
@@ -397,14 +410,10 @@ def pauli_expectation(
     ignored when accumulating the eigenvalue product.
     """
     logical, _ = logical_distribution(distribution, rule)
-    total = 0.0
-    for bits, prob in logical.items():
-        value = 1
-        for q, pauli in enumerate(word.upper()):
-            if pauli != "I" and bits[q]:
-                value = -value
-        total += value * prob
-    return total
+    signs = np.ones(1)
+    for pauli in word.upper():
+        signs = np.kron(signs, [1.0, 1.0] if pauli == "I" else [1.0, -1.0])
+    return float(signs @ logical.ravel())
 
 
 # ---------------------------------------------------------------------------
@@ -530,10 +539,10 @@ def pauli_measurement_setting(word: str, enc: QubitEncoding) -> PhotonicCircuit:
         raise ValueError(f"word {word!r} does not match {enc.n_qubits} qubits")
     circuit = PhotonicCircuit(enc.n_modes)
     for q, pauli in enumerate(word):
-        if pauli not in _MEASUREMENT_ROTATIONS:
+        if pauli not in _MEAS_ROT:
             raise ValueError(f"bad Pauli letter {pauli!r}")
-        rotation = _MEASUREMENT_ROTATIONS[pauli]
-        if rotation is not None:
+        rotation = _MEAS_ROT[pauli]
+        if rotation is not _ID2:
             circuit.extend(two_mode_gate_elements(rotation, *enc.qubit_pairs[q]))
     return circuit
 

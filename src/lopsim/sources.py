@@ -43,6 +43,7 @@ from .fock import (
     OutputDistribution,
     _add_photon,
     enumerate_basis,
+    outcome_arrays,
     strong_simulate,
 )
 from .mesh import DirectionalCoupler, PhaseShifter, PhotonicCircuit
@@ -301,11 +302,10 @@ class NoisyDistribution(Mapping[FockState, float]):
         return self.prob(state)
 
     def items(self) -> Iterator[tuple[FockState, float]]:
-        for sector in self.sectors.values():
-            nonzero = np.flatnonzero(sector.probabilities)
-            rows = sector.basis.occupations[nonzero].tolist()
-            for row, p in zip(rows, sector.probabilities[nonzero].tolist()):
-                yield FockState(tuple(row)), p
+        rows, values = self.outcomes()
+        nonzero = np.flatnonzero(values)
+        for row, p in zip(rows[nonzero].tolist(), values[nonzero].tolist()):
+            yield FockState(tuple(row)), p
 
     def __iter__(self) -> Iterator[FockState]:
         return (state for state, _ in self.items())
@@ -329,8 +329,11 @@ class NoisyDistribution(Mapping[FockState, float]):
         conditioned = OutputDistribution(sector.basis, sector.probabilities / weight)
         return NoisyDistribution({n: conditioned}, self.dropped_weight / weight), weight
 
-    def top(self, k: int = 5) -> list[tuple[FockState, float]]:
-        return sorted(self.items(), key=lambda kv: -kv[1])[:k]
+    def outcomes(self) -> tuple[np.ndarray, np.ndarray]:
+        """Occupation rows and probabilities of every sector, concatenated."""
+        sectors = list(self.sectors.values())
+        rows = [d.basis.occupations for d in sectors] or [np.zeros((0, 0), dtype=np.int8)]
+        return np.concatenate(rows), np.concatenate([d.probabilities for d in sectors] + [[]])
 
 
 def _convolve_distributions(
@@ -470,23 +473,9 @@ def noisy_simulate(
 
 
 def _click_arrays(dist: Mapping[FockState, float], width: int) -> tuple[np.ndarray, np.ndarray]:
-    """Click masks of the first ``width`` modes, and each outcome's value.
-
-    Distributions from this package are read from their occupation
-    arrays; any other mapping (counts keyed by :class:`FockState` or by
-    occupation tuple) is turned into arrays once.
-    """
-    if isinstance(dist, OutputDistribution):
-        sectors = [dist]
-    elif isinstance(dist, NoisyDistribution):
-        sectors = list(dist.sectors.values())
-    else:
-        occs = [getattr(key, "occupations", key)[:width] for key in dist]
-        values = np.fromiter(dist.values(), dtype=float, count=len(occs))
-        return np.array(occs, dtype=np.int64).reshape(-1, width) > 0, values
-    rows = [d.basis.occupations[:, :width] > 0 for d in sectors]
-    values = [d.probabilities for d in sectors]
-    return np.concatenate(rows + [np.zeros((0, width), bool)]), np.concatenate(values + [[]])
+    """Click masks of the first ``width`` modes, and each outcome's value."""
+    rows, values = outcome_arrays(dist)
+    return rows[:, :width].reshape(len(rows), width) > 0, values
 
 
 def coincidence_probability(

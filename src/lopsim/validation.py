@@ -15,33 +15,26 @@ sector: an event increments its counter when the outcome is at least as
 likely under coherent interference as under the rival hypothesis, so a
 positive long-run slope favors genuine multiphoton interference.
 
-The module also provides distribution-level comparisons (fidelity,
-total variation distance, residuals), lossy marginals for samples that
-lost a known number of photons, and plain-text sample-log round
-tripping.
+The module also provides a distribution-level comparison (fidelity,
+total variation distance, residuals).
 """
 
 from __future__ import annotations
 
-import itertools
 import logging
 from dataclasses import dataclass, field, replace
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
 from .fock import (
-    FockBasis,
     FockState,
     ModeUnitary,
-    OutputDistribution,
     distinguishable_probability,
     enumerate_basis,
     output_amplitude,
     permanent,
-    strong_simulate,
 )
-from .sources import SourceModel, build_input, noisy_simulate
 
 __all__ = [
     "CounterState",
@@ -53,12 +46,7 @@ __all__ = [
     "sample_outcomes",
     "run_validation",
     "counter_trajectory_csv",
-    "format_sample_log",
-    "parse_sample_log",
     "compare_distributions",
-    "collision_free_probabilities",
-    "threshold_projection",
-    "lossy_marginals",
 ]
 
 _LOGGER = logging.getLogger(__name__)
@@ -337,25 +325,6 @@ def counter_trajectory_csv(aa: CounterState, lr: CounterState) -> str:
     return "\n".join(rows) + "\n"
 
 
-def format_sample_log(events: Iterable[FockState]) -> str:
-    """Newline-delimited occupation strings, one event per line."""
-    return "\n".join(event.to_string() for event in events) + "\n"
-
-
-def parse_sample_log(text: str) -> tuple[FockState, ...]:
-    """Parse a sample log produced by :func:`format_sample_log`."""
-    events = []
-    for lineno, line in enumerate(text.splitlines(), start=1):
-        line = line.strip()
-        if not line:
-            continue
-        try:
-            events.append(FockState.from_string(line))
-        except ValueError as exc:
-            raise ValueError(f"sample log line {lineno}: {exc}") from exc
-    return tuple(events)
-
-
 def compare_distributions(
     ideal: np.ndarray, experimental: np.ndarray
 ) -> DistributionComparison:
@@ -379,94 +348,3 @@ def compare_distributions(
     return DistributionComparison(
         fidelity=min(fidelity, 1.0), tvd=min(tvd, 1.0), residuals=q - p
     )
-
-
-def collision_free_probabilities(
-    dist: Mapping[FockState, float], m: int, n: int
-) -> tuple[np.ndarray, float]:
-    """Restrict a distribution to collision-free n-photon patterns.
-
-    Returns the renormalized probability vector aligned on the
-    collision-free basis ordering, and the weight that the sector
-    carried before renormalization.
-
-    Args:
-        dist: mapping from output states to probabilities (an
-            :class:`OutputDistribution`, a noisy distribution, or a
-            click-pattern dictionary).
-        m: number of modes.
-        n: photon (click) number of the sector to keep.
-    """
-    cf = enumerate_basis(m, n, collision_free=True)
-    vec = np.array([float(dist.get(state, 0.0)) for state in cf])
-    weight = float(vec.sum())
-    if weight <= 0.0:
-        raise ValueError(f"no probability mass on collision-free {n}-photon patterns")
-    return vec / weight, weight
-
-
-def threshold_projection(dist: Mapping[FockState, float]) -> dict[FockState, float]:
-    """Collapse occupation probabilities onto threshold click patterns.
-
-    Every occupied mode registers one click regardless of its photon
-    number, so bunched outcomes merge with their click pattern.  The
-    total probability is preserved.
-    """
-    clicks: dict[FockState, float] = {}
-    for state, p in dist.items():
-        pattern = FockState(tuple(1 if occ > 0 else 0 for occ in state.occupations))
-        clicks[pattern] = clicks.get(pattern, 0.0) + float(p)
-    return clicks
-
-
-def lossy_marginals(
-    unitary: ModeUnitary,
-    input_state: FockState,
-    k_lost: int,
-    source: SourceModel | None = None,
-    min_branch_weight: float = 0.0,
-) -> OutputDistribution:
-    """Output distribution for events that lost ``k_lost`` photons.
-
-    Without a source model, loss is uniform: conditioned on losing
-    exactly ``k_lost`` of the n input photons, every surviving subset
-    is equally likely, and the result is the uniform mixture of the
-    subset interference patterns.  (Uniform loss commutes with the
-    interferometer, so input thinning equals output thinning.)
-
-    With a source model, the full noise model runs (loss from the
-    source's efficiency, partial distinguishability, multiphoton
-    emission) and the (n - k_lost)-photon sector is returned, its
-    pre-normalization weight recorded on the distribution.
-
-    Args:
-        unitary: interferometer.
-        input_state: collision-free n-photon input.
-        k_lost: number of photons lost, 0 <= k_lost < n.
-        source: optional noise model; its ``efficiency`` drives the loss.
-        min_branch_weight: branch pruning cutoff for the noisy path.
-    """
-    if not input_state.is_collision_free():
-        raise ValueError("lossy marginals require a collision-free input state")
-    n = input_state.n
-    if not 0 <= k_lost < n:
-        raise ValueError(f"k_lost must lie in [0, {n - 1}], got {k_lost}")
-    m = unitary.m
-    survivors = n - k_lost
-
-    if source is not None:
-        labeled = build_input(
-            n, source, modes=input_state.modes(), min_weight=min_branch_weight
-        )
-        noisy = noisy_simulate(unitary, labeled, min_branch_weight=min_branch_weight)
-        sector, weight = noisy.postselect_photon_number(survivors)
-        dist = sector.sectors[survivors]
-        return OutputDistribution(dist.basis, dist.probabilities, subspace_weight=weight)
-
-    basis = enumerate_basis(m, survivors)
-    vec = np.zeros(len(basis))
-    subsets = list(itertools.combinations(input_state.modes(), survivors))
-    for keep in subsets:
-        sub = strong_simulate(unitary, FockState.from_modes(m, keep))
-        vec += sub.probabilities / len(subsets)
-    return OutputDistribution(basis, vec)

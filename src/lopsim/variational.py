@@ -24,6 +24,8 @@ from scipy.optimize import minimize
 
 from .fock import strong_simulate
 from .qubits import (
+    _ID2,
+    _PAULI,
     Gate,
     GateCircuit,
     QubitEncoding,
@@ -59,10 +61,6 @@ BASES = ("ZZ", "XX")
 #: Number of trainable angles in the ansatz.
 N_ANSATZ_ANGLES = 7
 
-_PAULI_Z = np.diag([1.0, -1.0])
-_PAULI_X = np.array([[0.0, 1.0], [1.0, 0.0]])
-_ID2 = np.eye(2)
-
 
 @dataclass(frozen=True)
 class QubitHamiltonian:
@@ -84,12 +82,13 @@ class QubitHamiltonian:
 
     def matrix(self) -> np.ndarray:
         """Dense 4x4 matrix in the computational basis (00, 01, 10, 11)."""
-        return (
+        z, x = _PAULI["Z"], _PAULI["X"]
+        return np.real(
             self.alpha * np.kron(_ID2, _ID2)
-            + self.beta * np.kron(_PAULI_Z, _ID2)
-            + self.gamma * np.kron(_ID2, _PAULI_Z)
-            + self.delta * np.kron(_PAULI_Z, _PAULI_Z)
-            + self.mu * np.kron(_PAULI_X, _PAULI_X)
+            + self.beta * np.kron(z, _ID2)
+            + self.gamma * np.kron(_ID2, z)
+            + self.delta * np.kron(z, z)
+            + self.mu * np.kron(x, x)
         )
 
 
@@ -240,11 +239,7 @@ class PhotonicVqeBackend:
             dist = noisy_simulate(
                 optics.unitary(), labeled, min_branch_weight=self.min_branch_weight
             )
-        logical, _ = logical_distribution(dist, rule)
-        probs = np.zeros(4)
-        for bits, prob in logical.items():
-            probs[(bits[0] << 1) | bits[1]] = prob
-        return self._confusion @ probs
+        return self._confusion @ logical_distribution(dist, rule)[0].ravel()
 
 
 def ansatz_circuit(theta: Sequence[float], basis: str = "ZZ") -> GateCircuit:

@@ -151,3 +151,41 @@ def h2_ground_energy_closed_form(
     even = alpha + delta - np.hypot(beta + gamma, mu)
     odd = alpha - delta - np.hypot(beta - gamma, mu)
     return float(min(even, odd))
+
+
+def postselect_by_state(distribution, rule) -> tuple[dict[tuple[int, ...], float], float]:
+    """Postselected logical distribution, checking one outcome at a time.
+
+    Keys may be ``FockState`` objects or occupation tuples.  A state is
+    kept when every rail pair holds exactly one photon (one click with
+    ``rule.threshold``), every vacuum mode is empty and, if the rule has
+    heralds, one herald pattern matches.  Returns the normalized
+    ``{bits: probability}`` dict and the acceptance weight.
+    """
+    raw: dict[tuple[int, ...], float] = {}
+    for key, prob in distribution.items():
+        occ = getattr(key, "occupations", key)
+        bits = []
+        for r0, r1 in rule.qubit_pairs:
+            if rule.threshold:
+                if (occ[r0] > 0) == (occ[r1] > 0):
+                    break
+                bits.append(1 if occ[r1] > 0 else 0)
+            else:
+                if occ[r0] + occ[r1] != 1:
+                    break
+                bits.append(occ[r1])
+        else:
+            if any(occ[mode] > 0 for mode in rule.vacuum_modes):
+                continue
+            if rule.heralds and not any(
+                all(
+                    (occ[mode] > 0) == (count > 0) if rule.threshold else occ[mode] == count
+                    for mode, count in pattern
+                )
+                for pattern in rule.heralds
+            ):
+                continue
+            raw[tuple(bits)] = raw.get(tuple(bits), 0.0) + prob
+    weight = sum(raw.values())
+    return {bits: p / weight for bits, p in raw.items()} if weight > 0 else {}, weight

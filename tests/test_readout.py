@@ -1,0 +1,125 @@
+"""Postselection as a mask on occupation rows, checked against a per-state rule.
+
+``logical_distribution`` reads any distribution through the outcome view
+of ``lopsim.fock.outcome_arrays``; random rules and random
+``OutputDistribution``, ``NoisyDistribution`` and counts-dict inputs are
+compared with the brute-force ``postselect_by_state`` of ``_oracles.py``.
+"""
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from lopsim.fock import (
+    FockState,
+    OutputDistribution,
+    enumerate_basis,
+    outcome_arrays,
+    strong_simulate,
+)
+from lopsim.qubits import (
+    Gate,
+    GateCircuit,
+    PostselectionRule,
+    QubitEncoding,
+    compile_gate_circuit,
+    encoding_input_state,
+    logical_distribution,
+)
+from lopsim.sources import NoisyDistribution
+
+from _oracles import postselect_by_state
+
+
+@st.composite
+def rules(draw):
+    m = draw(st.integers(2, 8))
+    modes = draw(st.permutations(range(m)))
+    n_qubits = draw(st.integers(1, min(3, m // 2)))
+    pairs = tuple((modes[2 * q], modes[2 * q + 1]) for q in range(n_qubits))
+    rest = modes[2 * n_qubits :]
+    vacuum = tuple(draw(st.lists(st.sampled_from(rest), unique=True))) if rest else ()
+    free = [mode for mode in rest if mode not in vacuum]
+    heralds = ()
+    if free:
+        pattern = st.lists(
+            st.tuples(st.sampled_from(free), st.integers(0, 2)),
+            max_size=2,
+            unique_by=lambda pair: pair[0],
+        ).map(tuple)
+        heralds = tuple(draw(st.lists(pattern, max_size=3)))
+    rule = PostselectionRule(pairs, vacuum, heralds, threshold=draw(st.booleans()))
+    return m, rule
+
+
+def random_sector(m: int, n: int, rng: np.random.Generator) -> OutputDistribution:
+    basis = enumerate_basis(m, n)
+    probs = rng.random(len(basis)) * (rng.random(len(basis)) < 0.7)
+    return OutputDistribution(basis, probs / max(probs.sum(), 1.0))
+
+
+@settings(max_examples=50, deadline=None)
+@given(
+    drawn=rules(),
+    kind=st.sampled_from(["output", "noisy", "states", "tuples"]),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_mask_readout_matches_per_state_rule(drawn, kind, seed):
+    m, rule = drawn
+    rng = np.random.default_rng(seed)
+    q = len(rule.qubit_pairs)
+    sectors = {n: random_sector(m, n, rng) for n in range(q, q + 3)}
+    if kind == "output":
+        dist = sectors[q + int(rng.integers(3))]
+    elif kind == "noisy":
+        dist = NoisyDistribution(sectors)
+    else:
+        noisy = NoisyDistribution(sectors)
+        dist = {
+            (state if kind == "states" else state.occupations): int(rng.integers(1, 50))
+            for state, _ in noisy.items()
+        }
+    expected, weight = postselect_by_state(dist, rule)
+    if weight <= 0.0:
+        with pytest.raises(ValueError, match="postselection"):
+            logical_distribution(dist, rule)
+        return
+    probs, got_weight = logical_distribution(dist, rule)
+    assert probs.shape == (2,) * q
+    assert got_weight == pytest.approx(weight, rel=1e-12, abs=1e-12)
+    reference = np.zeros((2,) * q)
+    for bits, p in expected.items():
+        reference[bits] = p
+    assert np.max(np.abs(probs - reference)) < 1e-12
+    rows, _ = outcome_arrays(dist)
+    accepted, index = rule.readout(rows)
+    for row, ok, i in zip(rows[:20].tolist(), accepted[:20], index[:20]):
+        bits = rule.logical_bits(FockState(tuple(row)))
+        assert (bits is not None) == ok
+        if ok:
+            assert int(np.ravel_multi_index(bits, (2,) * q)) == i
+
+
+def test_ravel_puts_qubit_zero_first():
+    circuit, rule, _ = compile_gate_circuit(GateCircuit(2, (Gate("CNOT", (0, 1)),)))
+    enc = QubitEncoding.default(2)
+    dist = strong_simulate(circuit.unitary(), encoding_input_state(enc, (1, 0)))
+    probs, _ = logical_distribution(dist, rule)
+    assert probs.ravel()[3] == pytest.approx(1.0, abs=1e-12)
+    assert probs.ravel()[3] == probs[1, 1]
+
+
+def test_empty_distribution_has_no_accepted_outcome():
+    rule = PostselectionRule(((0, 1),))
+    for empty in ({}, NoisyDistribution({})):
+        rows, values = outcome_arrays(empty)
+        assert rows.shape == (0, 0) and values.shape == (0,)
+        with pytest.raises(ValueError, match="postselection"):
+            logical_distribution(empty, rule)
+
+
+def test_threshold_herald_reads_any_count_as_a_click():
+    rule = PostselectionRule(((0, 1),), heralds=(((2, 2),),), threshold=True)
+    probs, weight = logical_distribution({(0, 1, 1): 0.25, (1, 0, 0): 0.75}, rule)
+    assert weight == 0.25 and probs[1] == 1.0
