@@ -510,7 +510,6 @@ def photonic_executor(
     freeze_gate_phases: bool = True,
     calibration_noise: float = 0.0,
     compile_seed: int | None = None,
-    min_branch_weight: float = 1e-9,
 ) -> Executor:
     """Executor running plans on the dual-rail photonic simulator.
 
@@ -585,12 +584,8 @@ def photonic_executor(
         if source is None:
             distribution = strong_simulate(ModeUnitary(total), input_state)
         else:
-            labeled = build_input(
-                n_qubits, source, modes=tuple(input_state.modes())
-            )
-            distribution = noisy_simulate(
-                ModeUnitary(total), labeled, min_branch_weight=min_branch_weight
-            )
+            labeled = build_input(n_qubits, source, modes=tuple(input_state.modes()))
+            distribution = noisy_simulate(ModeUnitary(total), labeled)
         return logical_distribution(distribution, rule)[0].ravel()
 
     return run

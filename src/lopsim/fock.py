@@ -273,9 +273,25 @@ def enumerate_basis(m: int, n: int, collision_free: bool = False) -> FockBasis:
 
 @lru_cache(maxsize=None)
 def _successors(m: int, n: int) -> np.ndarray:
-    """Index of ``s + e_j`` in the (n+1)-photon basis, shape (m, N_n)."""
-    occ, upper = enumerate_basis(m, n).occupations, enumerate_basis(m, n + 1)
-    return np.stack([upper.rank(occ + step) for step in np.eye(m, dtype=np.int8)])
+    """Index of ``s + e_j`` in the (n+1)-photon basis, shape (m, N_n).
+
+    The rank terms of ``s + e_j`` are those of ``s`` with one more photon
+    left for modes up to j, so each row is a prefix, a term and a suffix.
+    """
+    occ, below = enumerate_basis(m, n).occupations, enumerate_basis(m, n + 1)._below
+    terms = np.empty((m, len(occ)), dtype=np.intp)
+    left = np.full(len(occ), n)
+    for i in range(m):
+        terms[i] = below[i, left, occ[:, i]]
+        left -= occ[:, i]
+    suffix, prefix = terms.sum(axis=0), 0
+    left = np.full(len(occ), n + 1)
+    for j in range(m):
+        suffix -= terms[j]
+        terms[j] = prefix + below[j, left, occ[:, j] + 1] + suffix
+        prefix = prefix + below[j, left, occ[:, j]]
+        left -= occ[:, j]
+    return terms
 
 
 def _add_photon(vec: np.ndarray, n: int, column: np.ndarray, coherent: bool) -> np.ndarray:

@@ -769,9 +769,7 @@ def ghz_fidelity(expectations: Mapping[str, float]) -> float:
     ) / len(_GHZ_STABILIZER_SIGNS)
 
 
-def ghz_noisy_fidelity(
-    source: SourceModel, *, min_branch_weight: float = 1e-8
-) -> tuple[float, dict[str, float]]:
+def ghz_noisy_fidelity(source: SourceModel) -> tuple[float, dict[str, float]]:
     """GHZ fidelity with an imperfect source, pooled over the h+ heralds.
 
     Runs the five measurement settings through the full noisy simulation
@@ -780,15 +778,11 @@ def ghz_noisy_fidelity(
     """
     circuit, heralds, encoding = ghz_factory()
     rule = ghz_postselection(heralds, sign=1, threshold=True)
-    labeled = build_input(
-        6, source, modes=GHZ_INPUT_MODES, min_weight=min_branch_weight
-    )
+    labeled = build_input(6, source, modes=GHZ_INPUT_MODES)
     distributions = {}
     for word in GHZ_MEASUREMENT_SETTINGS:
         setting = PhotonicCircuit(12).extend(circuit.elements)
         setting.extend(pauli_measurement_setting(word, encoding).elements)
-        distributions[word] = noisy_simulate(
-            setting.unitary(), labeled, min_branch_weight=min_branch_weight
-        )
+        distributions[word] = noisy_simulate(setting.unitary(), labeled)
     expectations = ghz_stabilizer_expectations(distributions, rule)
     return ghz_fidelity(expectations), expectations

@@ -10,11 +10,14 @@ Phenomenological per-trigger noise model with three ingredients:
   accompanied by an extra, fully distinguishable photon in the same
   input mode (also subject to loss).
 
-Inputs built from this model are mixtures over label assignments.  Each
-branch evolves with coherent interference inside every label class and
-classical addition across classes.  Detection throughout this module is
-click-based (threshold detectors): an occupied mode counts as one click
-regardless of photon number.
+The model is a mixture of up to 6^n labeled branches.
+:func:`build_input` keeps it as a per-trigger table, and
+:func:`noisy_simulate` sums it exactly over the 2^n sets of triggers
+whose photon takes the shared label (the distinguishable-photon
+expansion of Renema et al., PRL 120, 220502 (2018)), truncated only by
+a photon-number cap whose tail mass it reports.  Detection throughout
+this module is click-based (threshold detectors): an occupied mode
+counts as one click regardless of photon number.
 
 The module also provides the two standard source characterization
 experiments: the two-photon Hong-Ou-Mandel visibility (with its purity
@@ -28,9 +31,9 @@ import itertools
 import json
 import warnings
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from importlib import resources
-from math import comb
+from math import comb, prod
 from pathlib import Path
 from typing import Iterator, Mapping, Sequence
 
@@ -61,6 +64,7 @@ __all__ = [
     "ms_correction",
     "cyclic_interferometer",
     "cyclic_input_modes",
+    "cyclic_distribution",
     "genuine_indistinguishability",
     "measure_genuine_indistinguishability",
     "indistinguishability_fringe",
@@ -73,6 +77,9 @@ __all__ = [
 SCHEMA = "lopsim-source-v1"
 
 SHARED_LABEL = 0
+
+#: Largest photon-number tail mass :func:`noisy_simulate` leaves out.
+TAIL_TOLERANCE = 1e-9
 
 
 @dataclass(frozen=True)
@@ -178,7 +185,7 @@ class LabeledPhoton:
 
 @dataclass(frozen=True)
 class InputBranch:
-    """One term of a labeled-input mixture."""
+    """One term of the explicit labeled-input expansion."""
 
     weight: float
     photons: tuple[LabeledPhoton, ...]
@@ -190,50 +197,65 @@ class InputBranch:
 
 @dataclass(frozen=True)
 class LabeledInput:
-    """Mixture of labeled Fock inputs produced by a noisy source."""
+    """Per-trigger table of the input a noisy source feeds.
 
-    branches: tuple[InputBranch, ...]
+    Trigger ``i`` feeds input mode ``modes[i]``.  Its main photon takes
+    the shared label with weight ``shared[i]`` (``efficiency * m_i``),
+    a label of its own with weight ``unique[i]``
+    (``efficiency * (1 - m_i)``), and is lost with weight ``lost[i]``
+    (``1 - efficiency``).  Independently, an extra photon with a label
+    of its own joins it in the same mode with weight ``extra[i]``
+    (``g2 * efficiency``).
+    """
 
-    def total_weight(self) -> float:
-        return float(sum(b.weight for b in self.branches))
+    modes: tuple[int, ...]
+    shared: tuple[float, ...]
+    unique: tuple[float, ...]
+    lost: tuple[float, ...]
+    extra: tuple[float, ...]
 
-    def __len__(self) -> int:
-        return len(self.branches)
+    @cached_property
+    def branches(self) -> tuple[InputBranch, ...]:
+        """The explicit mixture over label assignments, up to 6^n branches.
 
-    def __iter__(self) -> Iterator[InputBranch]:
-        return iter(self.branches)
-
-    def restrict_photon_number(self, n: int) -> "LabeledInput":
-        """Keep only branches with exactly ``n`` photons.
-
-        The result is unnormalized: weights keep their original values,
-        so conditioned quantities can be formed as ratios.
+        Label 0 is shared; trigger ``i``'s own photon has label ``1 + i``
+        and its extra photon ``1 + n + i``.  Options of zero weight are
+        left out.  :func:`noisy_simulate` never expands this.
         """
-        kept = tuple(b for b in self.branches if b.n == n)
-        return LabeledInput(branches=kept)
+        n = len(self.modes)
+        factors = []
+        for i, q in enumerate(self.modes):
+            main = (
+                (self.shared[i], (LabeledPhoton(q, SHARED_LABEL),)),
+                (self.unique[i], (LabeledPhoton(q, 1 + i),)),
+                (self.lost[i], ()),
+            )
+            extra = ((self.extra[i], (LabeledPhoton(q, 1 + n + i),)), (1.0 - self.extra[i], ()))
+            factors += [[(w, ph) for w, ph in options if w != 0.0] for options in (main, extra)]
+        return tuple(
+            InputBranch(prod(w for w, _ in combo), sum((ph for _, ph in combo), ()))
+            for combo in itertools.product(*factors)
+        )
 
 
 def build_input(
     n: int,
     src: SourceModel,
     modes: Sequence[int] | None = None,
-    min_weight: float = 0.0,
 ) -> LabeledInput:
-    """Labeled-input ensemble for ``n`` triggered photons.
+    """Per-trigger input table for ``n`` triggered photons.
 
     Each trigger independently loses its photon with probability
     ``1 - efficiency``; a surviving photon takes the shared label with
     probability ``m_i`` and a unique label otherwise; and an extra
     distinguishable photon accompanies the trigger with probability
-    ``g2`` (the extra is subject to the same loss).  The expansion is
-    exact and deterministic.
+    ``g2`` (the extra is subject to the same loss).  The table is exact;
+    :func:`noisy_simulate` sums it by trigger.
 
     Args:
         n: number of triggers.
         src: source noise parameters.
         modes: input mode per trigger; defaults to ``0..n-1``.
-        min_weight: drop branches lighter than this (0 keeps the exact
-            mixture, whose weights sum to 1).
     """
     if modes is None:
         modes = tuple(range(n))
@@ -243,40 +265,13 @@ def build_input(
             raise ValueError(f"expected {n} input modes, got {len(modes)}")
     ms = src.m_values(n)
     eta = src.efficiency
-    extra_p = src.g2 * eta
-
-    cases: list[list[tuple[float, str | None, bool]]] = []
-    for i in range(n):
-        per_photon = []
-        for main, w_main in (
-            ("shared", eta * ms[i]),
-            ("unique", eta * (1.0 - ms[i])),
-            (None, 1.0 - eta),
-        ):
-            if w_main == 0.0:
-                continue
-            for extra, w_extra in ((True, extra_p), (False, 1.0 - extra_p)):
-                if w_extra == 0.0:
-                    continue
-                per_photon.append((w_main * w_extra, main, extra))
-        cases.append(per_photon)
-
-    branches = []
-    for combo in itertools.product(*cases):
-        weight = 1.0
-        photons = []
-        for i, (w, main, extra) in enumerate(combo):
-            weight *= w
-            if main == "shared":
-                photons.append(LabeledPhoton(modes[i], SHARED_LABEL))
-            elif main == "unique":
-                photons.append(LabeledPhoton(modes[i], 1 + i))
-            if extra:
-                photons.append(LabeledPhoton(modes[i], 1 + n + i))
-        if weight < min_weight or weight == 0.0:
-            continue
-        branches.append(InputBranch(weight=weight, photons=tuple(photons)))
-    return LabeledInput(branches=tuple(branches))
+    return LabeledInput(
+        modes=modes,
+        shared=tuple(float(eta * m) for m in ms),
+        unique=tuple(float(eta * (1.0 - m)) for m in ms),
+        lost=(1.0 - eta,) * n,
+        extra=(src.g2 * eta,) * n,
+    )
 
 
 class NoisyDistribution(Mapping[FockState, float]):
@@ -284,9 +279,12 @@ class NoisyDistribution(Mapping[FockState, float]):
 
     ``sectors`` maps each populated photon number to its
     :class:`OutputDistribution`; iteration, ``items`` and ``len`` cover
-    the nonzero outcomes.  ``dropped_weight`` is the branch weight that
-    pruning skipped (``total() + dropped_weight`` is the mixture's
-    weight), scaled like the probabilities after postselection.
+    the nonzero outcomes.  ``dropped_weight`` is the mass above the
+    photon-number cap of :func:`noisy_simulate`, so ``total() +
+    dropped_weight`` is 1.  Without output losses every sector at or
+    below the cap is exact; with them, ``dropped_weight`` bounds the
+    mass missing from any sector.  Postselection scales it like the
+    probabilities.
     """
 
     def __init__(self, sectors: Mapping[int, OutputDistribution], dropped_weight: float = 0.0):
@@ -321,7 +319,11 @@ class NoisyDistribution(Mapping[FockState, float]):
         return {n: d.total() for n, d in self.sectors.items()}
 
     def postselect_photon_number(self, n: int) -> tuple["NoisyDistribution", float]:
-        """Distribution conditioned on ``n`` detected photons, and its weight."""
+        """Distribution conditioned on ``n`` detected photons, and its weight.
+
+        The conditioned ``dropped_weight`` is the original divided by that
+        weight: a bound on the relative error of the conditioned values.
+        """
         if n not in self.sectors:
             raise ValueError(f"no probability mass in the {n}-photon sector")
         sector = self.sectors[n]
@@ -336,52 +338,44 @@ class NoisyDistribution(Mapping[FockState, float]):
         return np.concatenate(rows), np.concatenate([d.probabilities for d in sectors] + [[]])
 
 
-def _convolve_distributions(
-    m: int, vec_a: np.ndarray, n_a: int, vec_b: np.ndarray, n_b: int
-) -> np.ndarray:
-    """Classical convolution of two photon-number-definite distributions."""
-    ia, ib = np.flatnonzero(vec_a), np.flatnonzero(vec_b)
-    occ_a, occ_b = enumerate_basis(m, n_a).occupations, enumerate_basis(m, n_b).occupations
-    rows = occ_a[ia, None, :] + occ_b[None, ib, :]
-    basis_out = enumerate_basis(m, n_a + n_b)
-    return np.bincount(
-        basis_out.rank(rows.reshape(-1, m)),
-        weights=np.outer(vec_a[ia], vec_b[ib]).ravel(),
-        minlength=len(basis_out),
-    )
+def _photon_number_tail(labeled: LabeledInput) -> np.ndarray:
+    """``P(photons >= k)`` for ``k = 0 .. 2n + 1``.
+
+    The photon count is a sum of independent Bernoulli counts, one for
+    each trigger's main photon and one for its extra, so its law is the
+    convolution of the 2n two-point laws.  The tail is summed from the
+    top to keep its small entries accurate.
+    """
+    pmf = np.ones(1)
+    for p in (*(1.0 - lost for lost in labeled.lost), *labeled.extra):
+        pmf = np.convolve(pmf, [1.0 - p, p])
+    return np.append(np.cumsum(pmf[::-1])[::-1], 0.0)
 
 
-def _class_partition(photons: tuple[LabeledPhoton, ...]) -> tuple[tuple[int, ...], ...]:
-    """Sorted mode tuples of the interference classes of one branch."""
-    classes: dict[int, list[int]] = {}
-    for ph in photons:
-        classes.setdefault(ph.label, []).append(ph.mode)
-    parts = [tuple(sorted(modes)) for modes in classes.values()]
-    parts.sort(key=lambda t: (-len(t), t))
-    return tuple(parts)
+def _accumulate(sectors: dict[int, np.ndarray], n: int, vec: np.ndarray) -> None:
+    """Add ``vec`` into sector ``n``, taking it over if the sector is new."""
+    if n in sectors:
+        sectors[n] += vec
+    else:
+        sectors[n] = vec
 
 
-def _branch_distribution(
-    unitary: ModeUnitary,
-    parts: tuple[tuple[int, ...], ...],
-    col_power: np.ndarray,
-    class_cache: dict[tuple[int, ...], np.ndarray],
-) -> tuple[np.ndarray, int]:
-    """Output distribution of one label partition, as (vector, photons)."""
-    m = unitary.m
-    vec = np.ones(1)
-    n = 0
-    for part in parts:
-        if len(part) == 1:
-            vec = _add_photon(vec, n, col_power[:, part[0]], coherent=False)
-        else:
-            if part not in class_cache:
-                dist = strong_simulate(unitary, FockState.from_modes(m, part))
-                class_cache[part] = dist.probabilities
-            part_vec = class_cache[part]
-            vec = part_vec if n == 0 else _convolve_distributions(m, vec, n, part_vec, len(part))
-        n += len(part)
-    return vec, n
+def _mix_photon(
+    sectors: dict[int, np.ndarray], column: np.ndarray, w_none: float, w_one: float, cap: int
+) -> dict[int, np.ndarray]:
+    """One classical mixture step over photon-number sectors.
+
+    With weight ``w_none`` no photon is added; with weight ``w_one`` one
+    distinguishable photon is routed by ``column`` (``|U[:, q]|^2`` for
+    input mode q).  Sectors above ``cap`` are not formed.
+    """
+    out: dict[int, np.ndarray] = {}
+    for n, vec in sectors.items():
+        if w_none:
+            _accumulate(out, n, w_none * vec)
+        if w_one and n < cap:
+            _accumulate(out, n + 1, _add_photon(vec, n, w_one * column, coherent=False))
+    return out
 
 
 def _thin_outputs(
@@ -412,28 +406,33 @@ def noisy_simulate(
     unitary: ModeUnitary | np.ndarray,
     labeled: LabeledInput,
     output_losses: np.ndarray | None = None,
-    min_branch_weight: float = 0.0,
 ) -> NoisyDistribution:
-    """Exact output distribution of a labeled-input mixture.
+    """Output distribution of a noisy source's input, summed by trigger.
 
-    Each branch factors into interference classes (one per label); every
-    class evolves coherently through ``unitary`` and the class outputs
-    add classically.  Branches with the same class partition are grouped,
-    and results are weighted by branch probability.
+    A labeled branch is fixed by the set S of triggers whose photon takes
+    the shared label; every other photon is fully distinguishable, and
+    classical addition is linear, so
+
+        P = sum_S P(S) strong(S) (*) prod_{i not in S} D_i (*) prod_i E_i
+
+    with ``P(S) = prod_{i in S} shared[i]``.  ``strong(S)`` evolves the
+    shared photons coherently; ``D_i`` adds trigger i's own photon
+    (weight ``unique[i]``) or nothing (``lost[i]``); ``E_i``, its extra
+    photon, does not depend on S and is applied once, after the sum.
+
+    The only truncation is a photon-number cap: the smallest N whose
+    exact tail ``P(photons > N)`` is at most ``TAIL_TOLERANCE``.  Sectors
+    above N are not formed and the tail is reported as ``dropped_weight``.
 
     Args:
         unitary: the interferometer.
-        labeled: input mixture from :func:`build_input`.
+        labeled: per-trigger input table from :func:`build_input`.
         output_losses: per-mode survival probabilities applied to the
             output by binomial thinning, or None for lossless readout.
-        min_branch_weight: skip branches lighter than this.  The default
-            keeps every branch; pass a small cutoff (say 1e-9) to trade
-            a bounded amount of probability mass for speed.  The skipped
-            weight is reported as ``dropped_weight``.
 
     Returns:
-        One :class:`OutputDistribution` per photon-number sector the
-        mixture populates, with the pruned weight.
+        One :class:`OutputDistribution` per photon-number sector up to
+        the cap, with the truncated mass.
     """
     if not isinstance(unitary, ModeUnitary):
         unitary = ModeUnitary(np.asarray(unitary))
@@ -444,31 +443,31 @@ def noisy_simulate(
             raise ValueError(f"output_losses must have shape ({m},)")
         if np.any(keep < 0.0) or np.any(keep > 1.0):
             raise ValueError("output losses must lie in [0, 1]")
-    col_power = np.abs(unitary.matrix) ** 2
+    FockState.from_modes(m, labeled.modes)  # rejects an input mode outside the unitary
+    tail = _photon_number_tail(labeled)
+    cap = int(np.argmax(tail[1:] <= TAIL_TOLERANCE))
+    power = np.abs(unitary.matrix) ** 2
 
-    grouped: dict[tuple[tuple[int, ...], ...], float] = {}
-    dropped = 0.0
-    for branch in labeled.branches:
-        if branch.weight < min_branch_weight:
-            dropped += branch.weight
-            continue
-        for ph in branch.photons:
-            if not 0 <= ph.mode < m:
-                raise ValueError(f"photon mode {ph.mode} out of range for m={m}")
-        parts = _class_partition(branch.photons)
-        grouped[parts] = grouped.get(parts, 0.0) + branch.weight
-
-    class_cache: dict[tuple[int, ...], np.ndarray] = {}
     sectors: dict[int, np.ndarray] = {}
-    for parts, weight in grouped.items():
-        vec, n = _branch_distribution(unitary, parts, col_power, class_cache)
-        acc = sectors.setdefault(n, np.zeros(len(vec)))
-        acc += weight * vec
+    for members in itertools.product((False, True), repeat=len(labeled.modes)):
+        shared_modes = [q for q, s in zip(labeled.modes, members) if s]
+        weight = prod(w for w, s in zip(labeled.shared, members) if s)
+        if weight == 0.0 or len(shared_modes) > cap:
+            continue
+        coherent = strong_simulate(unitary, FockState.from_modes(m, shared_modes))
+        term = {len(shared_modes): weight * coherent.probabilities}
+        for q, unique, lost, s in zip(labeled.modes, labeled.unique, labeled.lost, members):
+            if not s:
+                term = _mix_photon(term, power[:, q], lost, unique, cap)
+        for n, vec in term.items():
+            _accumulate(sectors, n, vec)
+    for q, extra in zip(labeled.modes, labeled.extra):
+        sectors = _mix_photon(sectors, power[:, q], 1.0 - extra, extra, cap)
     if output_losses is not None:
         sectors = _thin_outputs(sectors, m, keep)
     return NoisyDistribution(
         {n: OutputDistribution(enumerate_basis(m, n), vec) for n, vec in sectors.items()},
-        dropped,
+        tail[cap + 1],
     )
 
 
@@ -618,33 +617,28 @@ def genuine_indistinguishability(
     return float((c_sum - d_sum) / total)
 
 
-def measure_genuine_indistinguishability(
-    n_photons: int,
-    src: SourceModel,
-    alpha: float = 0.0,
-    min_branch_weight: float = 1e-9,
-) -> float:
-    """Simulate the cyclic experiment and estimate ``p_N``."""
+def cyclic_distribution(
+    n_photons: int, src: SourceModel, alpha: float = 0.0
+) -> NoisyDistribution:
+    """Noisy output of the cyclic interferometer fed by ``n_photons`` triggers."""
     unitary = cyclic_interferometer(n_photons, alpha)
     labeled = build_input(n_photons, src, modes=cyclic_input_modes(n_photons))
-    dist = noisy_simulate(unitary, labeled, min_branch_weight=min_branch_weight)
-    return genuine_indistinguishability(dist, n_photons)
+    return noisy_simulate(unitary, labeled)
+
+
+def measure_genuine_indistinguishability(
+    n_photons: int, src: SourceModel, alpha: float = 0.0
+) -> float:
+    """Simulate the cyclic experiment and estimate ``p_N``."""
+    return genuine_indistinguishability(cyclic_distribution(n_photons, src, alpha), n_photons)
 
 
 def indistinguishability_fringe(
-    n_photons: int,
-    src: SourceModel,
-    alphas: Sequence[float],
-    min_branch_weight: float = 1e-9,
+    n_photons: int, src: SourceModel, alphas: Sequence[float]
 ) -> np.ndarray:
     """``p_N`` estimates over a scan of the internal phase."""
     return np.array(
-        [
-            measure_genuine_indistinguishability(
-                n_photons, src, alpha=a, min_branch_weight=min_branch_weight
-            )
-            for a in alphas
-        ]
+        [measure_genuine_indistinguishability(n_photons, src, alpha=a) for a in alphas]
     )
 
 

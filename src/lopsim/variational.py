@@ -211,13 +211,11 @@ class PhotonicVqeBackend:
         self,
         readout_flip: float = 0.0,
         source: SourceModel | None = None,
-        min_branch_weight: float = 1e-9,
     ):
         if not 0.0 <= readout_flip < 0.5:
             raise ValueError(f"readout_flip must lie in [0, 0.5), got {readout_flip}")
         self.readout_flip = float(readout_flip)
         self.source = source
-        self.min_branch_weight = float(min_branch_weight)
         flip = np.array(
             [[1.0 - readout_flip, readout_flip], [readout_flip, 1.0 - readout_flip]]
         )
@@ -233,12 +231,7 @@ class PhotonicVqeBackend:
             dist = strong_simulate(optics.unitary(), encoding_input_state(enc))
         else:
             modes = tuple(enc.rail(q, 0) for q in range(enc.n_qubits))
-            labeled = build_input(
-                2, self.source, modes=modes, min_weight=self.min_branch_weight
-            )
-            dist = noisy_simulate(
-                optics.unitary(), labeled, min_branch_weight=self.min_branch_weight
-            )
+            dist = noisy_simulate(optics.unitary(), build_input(2, self.source, modes=modes))
         return self._confusion @ logical_distribution(dist, rule)[0].ravel()
 
 

@@ -2,13 +2,14 @@
 
 Each function here recomputes a quantity through a route independent of
 the library code: factorial-cost permanents, full second-quantized
-state-vector evolution, and explicit classical routing enumeration.
+state-vector evolution, explicit classical routing enumeration, and
+the noisy-source output summed over every labeled branch.
 """
 
 from __future__ import annotations
 
 import itertools
-from math import factorial, sqrt
+from math import comb, factorial, sqrt
 
 import numpy as np
 
@@ -74,6 +75,71 @@ def classical_routing_probability(
         for src, dest in zip(photons, assignment):
             p *= weights[dest, src]
         total += p
+    return total
+
+
+def branch_distribution(u: np.ndarray, photons) -> dict[tuple[int, ...], float]:
+    """Output of one labeled branch by explicit class-by-class evolution.
+
+    ``photons`` carry ``mode`` and ``label``.  Each label class evolves
+    coherently by :func:`evolve_state_vector`; the class outputs combine
+    by classical convolution over occupation tuples.
+    """
+    m = u.shape[0]
+    classes: dict[int, list[int]] = {}
+    for ph in photons:
+        classes.setdefault(ph.label, []).append(ph.mode)
+    dist = {(0,) * m: 1.0}
+    for modes in classes.values():
+        amps = evolve_state_vector(u, FockState.from_modes(m, modes))
+        nxt: dict[tuple[int, ...], float] = {}
+        for occ, p in dist.items():
+            for state, amp in amps.items():
+                key = tuple(a + b for a, b in zip(occ, state.occupations))
+                nxt[key] = nxt.get(key, 0.0) + p * abs(amp) ** 2
+        dist = nxt
+    return dist
+
+
+def thin_by_state(
+    dist: dict[tuple[int, ...], float], keep: np.ndarray
+) -> dict[tuple[int, ...], float]:
+    """Per-mode binomial loss applied outcome by outcome, loss pattern by loss pattern."""
+    out: dict[tuple[int, ...], float] = {}
+    for occ, p in dist.items():
+        for lost in itertools.product(*(range(o + 1) for o in occ)):
+            w = p
+            for o, d, k in zip(occ, lost, keep):
+                w *= comb(o, d) * k ** (o - d) * (1.0 - k) ** d
+            key = tuple(o - d for o, d in zip(occ, lost))
+            out[key] = out.get(key, 0.0) + w
+    return out
+
+
+def branchwise_noisy_distribution(
+    u: np.ndarray, labeled, output_losses: np.ndarray | None = None
+) -> dict[tuple[int, ...], float]:
+    """Noisy-source output summed branch by branch over ``labeled.branches``.
+
+    The untruncated reference for ``noisy_simulate``: every branch of the
+    explicit label expansion goes through :func:`branch_distribution`
+    (branches with the same classes share one evaluation) and, with
+    ``output_losses``, through :func:`thin_by_state`.
+    """
+    grouped: dict[tuple[tuple[int, ...], ...], tuple[float, tuple]] = {}
+    for branch in labeled.branches:
+        classes: dict[int, list[int]] = {}
+        for ph in branch.photons:
+            classes.setdefault(ph.label, []).append(ph.mode)
+        key = tuple(sorted(tuple(sorted(modes)) for modes in classes.values()))
+        weight, _ = grouped.get(key, (0.0, None))
+        grouped[key] = (weight + branch.weight, branch.photons)
+    total: dict[tuple[int, ...], float] = {}
+    for weight, photons in grouped.values():
+        for occ, p in branch_distribution(u, photons).items():
+            total[occ] = total.get(occ, 0.0) + weight * p
+    if output_losses is not None:
+        total = thin_by_state(total, np.asarray(output_losses, dtype=float))
     return total
 
 

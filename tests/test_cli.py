@@ -13,6 +13,7 @@ def test_fringe_json_reports_p6(capsys):
     assert record["command"] == "fringe"
     assert record["alpha"] == 0.0
     assert record["p6_cos_alpha"] == pytest.approx(0.7194, abs=1e-3)
+    assert 0.0 < record["dropped_mass"] <= 1e-9
 
 
 def test_requires_a_subcommand(capsys):

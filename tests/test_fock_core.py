@@ -2,7 +2,8 @@
 
 The basis rank is checked against the stored occupation rows, and the
 photon-addition kernel behind ``strong_simulate`` and ``noisy_simulate``
-against the brute-force oracles in ``_oracles.py``.
+against the brute-force oracles in ``_oracles.py``; ``noisy_simulate``
+also against the sum over every labeled branch of its input.
 """
 
 import numpy as np
@@ -12,6 +13,7 @@ from hypothesis import strategies as st
 
 from lopsim.fock import FockState, ModeUnitary, enumerate_basis, strong_simulate
 from lopsim.sources import (
+    TAIL_TOLERANCE,
     NoisyDistribution,
     SourceModel,
     build_input,
@@ -22,7 +24,11 @@ from lopsim.sources import (
     noisy_simulate,
 )
 
-from _oracles import classical_routing_probability, evolve_state_vector
+from _oracles import (
+    branchwise_noisy_distribution,
+    classical_routing_probability,
+    evolve_state_vector,
+)
 
 
 def haar(m: int, seed: int) -> ModeUnitary:
@@ -135,27 +141,75 @@ class TestNoisySimulate:
         labeled = build_input(len(modes), src, modes=modes)
         keep = np.random.default_rng(seed).uniform(0.0, 1.0, size=m) if lossy else None
         noisy = noisy_simulate(u, labeled, output_losses=keep)
-        assert noisy.total() == pytest.approx(labeled.total_weight(), abs=1e-12)
-        assert noisy.dropped_weight == 0.0
+        assert noisy.total() + noisy.dropped_weight == pytest.approx(
+            sum(b.weight for b in labeled.branches), abs=1e-12
+        )
+        assert 0.0 <= noisy.dropped_weight <= TAIL_TOLERANCE
         assert sum(p for _, p in noisy.items()) == pytest.approx(noisy.total(), abs=1e-12)
         assert len(noisy) == sum(1 for _ in noisy)
 
 
+    @settings(max_examples=30, deadline=None)
+    @given(
+        m=st.integers(2, 6),
+        data=st.data(),
+        seed=st.integers(0, 2**32 - 1),
+        g2=st.floats(0.0, 0.3),
+        efficiency=st.floats(0.05, 1.0),
+        lossy=st.booleans(),
+    )
+    def test_matches_branchwise_oracle(self, m, data, seed, g2, efficiency, lossy):
+        modes = data.draw(st.lists(st.integers(0, m - 1), min_size=1, max_size=4))
+        ms = data.draw(st.lists(st.floats(0.0, 1.0), min_size=len(modes), max_size=len(modes)))
+        u = haar(m, seed)
+        src = SourceModel(indistinguishability=tuple(ms), g2=g2, efficiency=efficiency)
+        labeled = build_input(len(modes), src, modes=modes)
+        keep = np.random.default_rng(seed).uniform(0.0, 1.0, size=m) if lossy else None
+        noisy = noisy_simulate(u, labeled, output_losses=keep)
+        reference = branchwise_noisy_distribution(u.matrix, labeled, keep)
+
+        # The cap is the smallest N whose photon-number tail is at most
+        # TAIL_TOLERANCE; the branch weights give that law directly.
+        counts = np.zeros(2 * len(modes) + 2)
+        for branch in labeled.branches:
+            counts[branch.n] += branch.weight
+        above = [counts[k + 1 :].sum() for k in range(len(counts))]
+        cap = next(k for k, tail in enumerate(above) if tail <= TAIL_TOLERANCE)
+        assert noisy.dropped_weight == pytest.approx(above[cap], abs=1e-15)
+        assert max(noisy.sectors, default=0) <= cap
+        # Without output losses every sector up to the cap is exact; with
+        # them the truncated mass can be missing from any sector.
+        slack = 1e-12 + (noisy.dropped_weight if lossy else 0.0)
+        for n in range(cap + 1):
+            basis = enumerate_basis(m, n)
+            expected = np.zeros(len(basis))
+            rows = [occ for occ in reference if sum(occ) == n]
+            if rows:
+                np.add.at(expected, basis.rank(np.array(rows)), [reference[r] for r in rows])
+            got = noisy.sectors[n].probabilities if n in noisy.sectors else np.zeros(len(basis))
+            assert np.abs(got - expected).max() <= slack
+
+
 class TestDroppedWeight:
     def test_pruned_mass_is_reported(self):
-        src = SourceModel(indistinguishability=(0.93, 0.88, 0.95, 0.90), g2=0.02)
-        labeled = build_input(4, src, modes=cyclic_input_modes(4))
         unitary = cyclic_interferometer(4, 0.0)
-        pruned = noisy_simulate(unitary, labeled, min_branch_weight=1e-3)
-        assert pruned.dropped_weight > 0.0
-        assert pruned.total() + pruned.dropped_weight == pytest.approx(
-            labeled.total_weight(), abs=1e-12
-        )
-        assert noisy_simulate(unitary, labeled).dropped_weight == 0.0
+        modes = cyclic_input_modes(4)
+        src = SourceModel(indistinguishability=(0.93, 0.88, 0.95, 0.90), g2=1e-3)
+        # Four extra photons carry g2^4 = 1e-12, below the tail tolerance,
+        # so the cap is 7 photons and that sector's mass is reported.
+        capped = noisy_simulate(unitary, build_input(4, src, modes=modes))
+        assert max(capped.sectors) == 7
+        assert capped.dropped_weight == pytest.approx(1e-12, rel=1e-12)
+        assert capped.total() + capped.dropped_weight == pytest.approx(1.0, abs=1e-12)
 
-        conditioned, weight = pruned.postselect_photon_number(4)
+        bright = SourceModel(indistinguishability=src.indistinguishability, g2=0.02)
+        uncapped = noisy_simulate(unitary, build_input(4, bright, modes=modes))
+        assert max(uncapped.sectors) == 8
+        assert uncapped.dropped_weight == 0.0
+
+        conditioned, weight = capped.postselect_photon_number(4)
         assert conditioned.total() == pytest.approx(1.0, abs=1e-12)
-        assert conditioned.dropped_weight == pytest.approx(pruned.dropped_weight / weight)
+        assert conditioned.dropped_weight == pytest.approx(capped.dropped_weight / weight)
 
 
 class TestClickPatterns:

@@ -629,7 +629,7 @@ class TestNoisyGhz:
             indistinguishability=(0.95786, 0.96488, 0.95943, 0.97008, 0.96274, 0.9638),
             g2=0.0075,
         )
-        fidelity, expectations = ghz_noisy_fidelity(source, min_branch_weight=1e-8)
+        fidelity, expectations = ghz_noisy_fidelity(source)
         assert 0.76 <= fidelity <= 0.88
         assert fidelity == pytest.approx(0.839, abs=2e-3)
         # coherence-type stabilizers degrade with the six-photon overlap
