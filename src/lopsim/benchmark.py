@@ -30,9 +30,8 @@ from typing import Callable, Mapping, Sequence
 import numpy as np
 
 from .fock import strong_simulate
-from .mesh import ModeUnitary, PhotonicCircuit, compile_with_imperfections, two_mode_gate_elements
+from .mesh import ModeUnitary, compile_with_imperfections
 from .qubits import (
-    _ID2,
     _MEAS_ROT,
     _PAULI,
     _SQRT2,
@@ -539,6 +538,7 @@ def photonic_executor(
     gate_matrix = gate_optics.unitary().matrix
     n_qubits = enc.n_qubits
     input_state = encoding_input_state(enc)
+    labeled = None if source is None else build_input(n_qubits, source, modes=input_state.modes())
     compile_rng = np.random.default_rng(compile_seed)
 
     if reflectivities is not None and freeze_gate_phases:
@@ -557,20 +557,12 @@ def photonic_executor(
         gate_matrix = executed * np.exp(1j * fit.input_phases)[None, :]
 
     def run(prep_vectors: tuple[np.ndarray, ...], setting: str) -> np.ndarray:
-        spam = PhotonicCircuit(enc.n_modes)
-        for qubit, vector in enumerate(prep_vectors):
-            spam.extend(
-                two_mode_gate_elements(_prep_unitary(vector), *enc.qubit_pairs[qubit])
-            )
-        prep_matrix = spam.unitary().matrix
-        meas = PhotonicCircuit(enc.n_modes)
-        for qubit, letter in enumerate(setting):
-            rotation = _MEAS_ROT[letter]
-            if rotation is not _ID2:
-                meas.extend(
-                    two_mode_gate_elements(rotation, *enc.qubit_pairs[qubit])
-                )
-        meas_matrix = meas.unitary().matrix
+        # the rotations are exact 2x2 blocks on each qubit's rail pair
+        prep_matrix = np.eye(enc.n_modes, dtype=complex)
+        meas_matrix = np.eye(enc.n_modes, dtype=complex)
+        for pair, vector, letter in zip(enc.qubit_pairs, prep_vectors, setting, strict=True):
+            prep_matrix[np.ix_(pair, pair)] = _prep_unitary(vector)
+            meas_matrix[np.ix_(pair, pair)] = _MEAS_ROT[letter]
 
         total = meas_matrix @ gate_matrix @ prep_matrix
         if reflectivities is not None and not freeze_gate_phases:
@@ -581,10 +573,9 @@ def photonic_executor(
             )
             total = fit.implemented.matrix
 
-        if source is None:
+        if labeled is None:
             distribution = strong_simulate(ModeUnitary(total), input_state)
         else:
-            labeled = build_input(n_qubits, source, modes=tuple(input_state.modes()))
             distribution = noisy_simulate(ModeUnitary(total), labeled)
         return logical_distribution(distribution, rule)[0].ravel()
 

@@ -3,6 +3,7 @@
 Usage::
 
     lopsim fringe [--alpha A] [--json]
+    lopsim qnn [--seed S] [--json]
 
 ``fringe`` runs the six-photon cyclic interferometer with the bundled
 measured source (per-photon ``m_i`` fitted to the pairwise
@@ -10,6 +11,11 @@ indistinguishability matrix, ``g2 = 0.0075``) and prints the
 one-click-per-pair contrast ``p6 cos(alpha)``.  ``--json`` also
 reports ``dropped_mass``, the probability above the simulated
 photon-number cap that the contrast leaves out.
+
+``qnn`` trains the three-photon classifier on the bundled iris set with
+the default :class:`~lopsim.qnn.QnnConfig` (seeded by ``--seed``) and
+prints the train and test accuracy, the number of objective evaluations
+and the outer iteration that found the best chip phases.
 """
 
 from __future__ import annotations
@@ -18,6 +24,7 @@ import argparse
 import json
 from typing import Sequence
 
+from .qnn import QnnConfig, load_iris_dataset, qnn_train
 from .sources import (
     SourceModel,
     cyclic_distribution,
@@ -38,6 +45,13 @@ def fringe(alpha: float) -> tuple[float, float]:
     return genuine_indistinguishability(dist, 6), dist.dropped_weight
 
 
+def train_iris(seed: int) -> dict:
+    """Train the classifier on the bundled iris set; returns its metrics."""
+    features, labels, names = load_iris_dataset()
+    _, metrics = qnn_train(features, labels, QnnConfig(seed=seed), class_names=names)
+    return metrics
+
+
 def main(argv: Sequence[str] | None = None) -> int:
     parser = argparse.ArgumentParser(
         prog="lopsim", description="Simulate experiments of the single-photon processor."
@@ -50,7 +64,26 @@ def main(argv: Sequence[str] | None = None) -> int:
         "--alpha", type=float, default=0.0, help="internal phase in radians (default 0)"
     )
     fringe_parser.add_argument("--json", action="store_true", help="print one JSON object")
+    qnn_parser = commands.add_parser(
+        "qnn", help="train the three-photon classifier on the bundled iris set"
+    )
+    qnn_parser.add_argument("--seed", type=int, default=0, help="training seed (default 0)")
+    qnn_parser.add_argument("--json", action="store_true", help="print one JSON object")
     args = parser.parse_args(argv)
+
+    if args.command == "qnn":
+        metrics = train_iris(args.seed)
+        keys = ("train_accuracy", "test_accuracy", "objective_evaluations", "best_iteration")
+        record = {"command": "qnn", "seed": args.seed, **{key: metrics[key] for key in keys}}
+        if args.json:
+            print(json.dumps(record))
+        else:
+            print(
+                f"train accuracy {record['train_accuracy']:.4f}, test accuracy"
+                f" {record['test_accuracy']:.4f} after {record['objective_evaluations']}"
+                f" evaluations (best at iteration {record['best_iteration']})"
+            )
+        return 0
 
     value, dropped = fringe(args.alpha)
     if args.json:

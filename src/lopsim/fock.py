@@ -11,8 +11,10 @@ at n otherwise); no other module knows this layout.  Every multi-photon
 distribution comes from one kernel that adds a photon from one input
 mode to a vector over the n-photon basis: on amplitudes it is the SLOS
 recursion of Heurtel et al., *Strong simulation of linear optical
-processes* (Quantum 7, 931 (2023)); on ``|U|^2`` it is the classical
-convolution.  Permanents serve only single amplitudes.
+processes* (Comput. Phys. Commun. 291, 108848 (2023)); on ``|U|^2`` it
+is the classical convolution.  A trailing batch axis runs many unitaries
+through the same recursion at once (:func:`batched_amplitudes`).
+Permanents serve only single amplitudes.
 
 Every readout (click patterns, postselection, pattern merging) is a
 mask or group-by on one outcome view, :func:`outcome_arrays`: ``(K, m)``
@@ -41,6 +43,7 @@ __all__ = [
     "output_amplitude",
     "distinguishable_probability",
     "strong_simulate",
+    "batched_amplitudes",
     "sample",
     "outcome_arrays",
 ]
@@ -294,25 +297,69 @@ def _successors(m: int, n: int) -> np.ndarray:
     return terms
 
 
+@lru_cache(maxsize=None)
+def _gains(m: int, n: int) -> np.ndarray:
+    """Bosonic gain ``sqrt(s_j + 1)`` of a photon added to mode j, shape (m, N_n)."""
+    return np.ascontiguousarray(np.sqrt(enumerate_basis(m, n).occupations.T + 1.0))
+
+
 def _add_photon(vec: np.ndarray, n: int, column: np.ndarray, coherent: bool) -> np.ndarray:
-    """Add one photon to a vector over the full n-photon basis.
+    """Add one photon to vectors over the full n-photon basis.
 
     ``column`` is where the photon goes.  Coherently, ``vec`` holds
     amplitudes, ``column`` is ``U[:, k]`` for input mode k, and the step
     is ``amp'[s + e_j] += U[j, k] sqrt(s_j + 1) amp[s]`` (one SLOS step).
     Otherwise ``vec`` holds probabilities, ``column`` is ``|U[:, k]|^2``
-    and the step is ``p'[s + e_j] += |U[j, k]|^2 p[s]``.  Returns the
-    vector over the full (n+1)-photon basis.
+    and the step is ``p'[s + e_j] += |U[j, k]|^2 p[s]``.
+
+    The basis axis comes first.  ``vec`` is ``(N_n,)`` or ``(N_n, B)``
+    and ``column`` is ``(m,)`` or ``(m, B)``; a trailing batch axis on
+    either runs B independent additions (one unitary and state per
+    column) in the same scatter, and a 1-D operand is shared by all B.
+    Returns the vectors over the full (n+1)-photon basis, ``(N_{n+1},)``
+    when both inputs are 1-D and ``(N_{n+1}, B)`` otherwise.  B = 1 runs
+    as the 1-D call: a trailing axis of length 1 only slows the scatter.
     """
     m = len(column)
-    occ, succ = enumerate_basis(m, n).occupations, _successors(m, n)
-    out = np.zeros(len(enumerate_basis(m, n + 1)), dtype=np.result_type(vec, column))
-    for j in np.flatnonzero(column):
+    batch = vec.shape[1:] or column.shape[1:]
+    if batch == (1,):
+        return _add_photon(vec.reshape(len(vec)), n, column.reshape(m), coherent)[:, None]
+    if batch and vec.ndim == 1:
+        vec = vec[:, None]
+    out = np.zeros((len(enumerate_basis(m, n + 1)), *batch), dtype=np.result_type(vec, column))
+    succ = _successors(m, n)
+    for j in np.flatnonzero(column if column.ndim == 1 else np.any(column, axis=1)):
         term = column[j] * vec
         if coherent:
-            term *= np.sqrt(occ[:, j] + 1.0)
+            gain = _gains(m, n)[j]
+            term *= gain[:, None] if batch else gain
         out[succ[j]] += term
     return out
+
+
+def batched_amplitudes(unitaries: np.ndarray, input_modes: np.ndarray) -> np.ndarray:
+    """Output amplitudes of B inputs through B unitaries in one SLOS pass.
+
+    ``unitaries`` is ``(B, m, m)`` and ``input_modes`` is ``(B, n)``: row
+    b lists the input mode of each photon of input b (repeats bunch).
+    Returns ``(B, N)`` amplitudes over ``enumerate_basis(m, n)``, row b
+    being ``<t|U_b|s_b>`` for every basis state t.  The photons of all B
+    inputs are added one position at a time through the batched kernel.
+    """
+    unitaries = np.asarray(unitaries, dtype=complex)
+    input_modes = np.asarray(input_modes, dtype=np.intp)
+    count, photons = input_modes.shape
+    rows = np.arange(count)
+    amp = np.ones((1, count), dtype=complex)
+    for n in range(photons):
+        amp = _add_photon(amp, n, unitaries[rows, :, input_modes[:, n]].T, coherent=True)
+    occ = np.zeros(unitaries.shape[:2], dtype=np.intp)
+    np.add.at(occ, (rows[:, None], input_modes), 1)
+    if np.all(occ <= 1):
+        return amp.T
+    # a bunched input's amplitudes carry a factor sqrt(prod s_i!)
+    table = np.array([factorial(k) for k in range(photons + 1)], dtype=float)
+    return amp.T / np.sqrt(np.prod(table[occ], axis=1))[:, None]
 
 
 def _submatrix(u: np.ndarray, input_state: FockState, output_state: FockState) -> np.ndarray:
@@ -411,17 +458,15 @@ def strong_simulate(
 ) -> OutputDistribution:
     """Exact output distribution of ``input_state`` through ``unitary``.
 
-    Photons are added one input mode at a time by the SLOS kernel, which
-    yields every output amplitude at once (scaled by ``sqrt(prod s_i!)``
-    for a bunched input).  With ``collision_free`` the distribution is
+    The B = 1 case of :func:`batched_amplitudes`: photons are added one
+    input mode at a time by the SLOS kernel, which yields every output
+    amplitude at once.  With ``collision_free`` the distribution is
     renormalized over the collision-free outcomes (threshold-detector
     view) and ``subspace_weight`` keeps the mass they carried.
     """
     _check_states(unitary, input_state)
-    amp = np.ones(1, dtype=complex)
-    for n, mode in enumerate(input_state.modes()):
-        amp = _add_photon(amp, n, unitary.matrix[:, mode], coherent=True)
-    probs = np.abs(amp) ** 2 / _factorials(input_state)
+    modes = np.array([input_state.modes()], dtype=np.intp)
+    probs = np.abs(batched_amplitudes(unitary.matrix[None], modes)[0]) ** 2
     basis = enumerate_basis(input_state.m, input_state.n)
     if not collision_free:
         return OutputDistribution(basis, probs)

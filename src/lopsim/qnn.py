@@ -7,6 +7,16 @@ redirects the outer modes of the region into two unused neighbor modes
 each, so threshold detectors resolve up to three photons there; the
 detected click patterns are merged into pseudo photon-number outcomes
 and contracted with per-class weights to form the classifier output.
+
+Only the four encoding phases change from sample to sample, so the chip
+unitary factors as ``U_k = A diag(exp(i phi_k)) B`` with ``B`` the first
+trainable block and ``A`` the second block followed by the redirect
+layer.  An evaluation builds ``A`` and ``B`` once per set of chip
+phases, forms every ``U_k`` in one broadcast product, runs all samples
+through one batched SLOS pass (:func:`lopsim.fock.batched_amplitudes`)
+and merges the outcomes with one product against the ``(N, 37)``
+pattern matrix.  :func:`classifier_circuit` builds the same unitary
+element by element for one sample.
 """
 
 from __future__ import annotations
@@ -18,7 +28,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .fock import FockState, enumerate_basis, strong_simulate
+from .fock import batched_amplitudes, enumerate_basis
 from .mesh import DirectionalCoupler, PhaseShifter, PhotonicCircuit
 
 __all__ = [
@@ -32,6 +42,7 @@ __all__ = [
     "classifier_circuit",
     "load_iris_dataset",
     "pattern_distribution",
+    "pattern_distributions",
     "pattern_space",
     "qnn_forward",
     "qnn_predict",
@@ -82,7 +93,7 @@ def pattern_space() -> tuple[tuple[int, int, int, int, int], ...]:
 
 @cache
 def _pattern_matrix() -> np.ndarray:
-    """Aggregation matrix from the three-photon Fock basis to patterns.
+    """Aggregation matrix ``(N, 37)`` from the three-photon Fock basis to patterns.
 
     Each basis row is threshold-detected and the redirect groups are
     merged into pseudo photon numbers.  Basis states with photons beyond
@@ -104,9 +115,34 @@ def _pattern_matrix() -> np.ndarray:
     codes = np.array(pattern_space()) @ radix
     region = [*_LEFT_GROUP, *_MIDDLE_MODES, *_RIGHT_GROUP]
     inside = np.flatnonzero(occ[:, region].sum(axis=1) == N_PHOTONS)
-    matrix = np.zeros((len(codes), len(occ)))
-    matrix[np.searchsorted(codes, merged[inside] @ radix), inside] = 1.0
+    matrix = np.zeros((len(occ), len(codes)))
+    matrix[inside, np.searchsorted(codes, merged[inside] @ radix)] = 1.0
     return matrix
+
+
+def _checked_theta(theta: Sequence[float]) -> np.ndarray:
+    theta = np.asarray(theta, dtype=float)
+    if theta.shape != (N_THETA,):
+        raise ValueError(f"expected {N_THETA} trainable phases, got shape {theta.shape}")
+    return theta
+
+
+def _add_block(circuit: PhotonicCircuit, block: np.ndarray) -> None:
+    """One trainable block, cell by cell (outer and inner phase per cell)."""
+    for cell, (a, b) in enumerate(_BLOCK_PAIRS):
+        outer, inner = block[2 * cell], block[2 * cell + 1]
+        circuit.add(PhaseShifter(a, outer))
+        circuit.add(DirectionalCoupler(a, b))
+        circuit.add(PhaseShifter(a, inner))
+        circuit.add(DirectionalCoupler(a, b))
+
+
+def _add_redirect(circuit: PhotonicCircuit) -> None:
+    """Fixed layer spreading the outer region modes over their neighbors."""
+    circuit.add(DirectionalCoupler(1, 2))
+    circuit.add(DirectionalCoupler(0, 1))
+    circuit.add(DirectionalCoupler(6, 7))
+    circuit.add(DirectionalCoupler(7, 8))
 
 
 def classifier_circuit(theta: Sequence[float], phases: Sequence[float]) -> PhotonicCircuit:
@@ -116,34 +152,55 @@ def classifier_circuit(theta: Sequence[float], phases: Sequence[float]) -> Photo
     per cell); ``phases`` are the four encoding phases applied between
     the blocks.  The fixed redirect layer follows the second block.
     """
-    theta = np.asarray(theta, dtype=float)
-    if theta.shape != (N_THETA,):
-        raise ValueError(f"expected {N_THETA} trainable phases, got shape {theta.shape}")
+    theta = _checked_theta(theta)
     phases = np.asarray(phases, dtype=float)
     if phases.shape != (N_FEATURES,):
         raise ValueError(f"expected {N_FEATURES} encoding phases, got shape {phases.shape}")
-
     circuit = PhotonicCircuit(N_MODES)
-    half = N_THETA // 2
-
-    def add_block(block: np.ndarray) -> None:
-        for cell, (a, b) in enumerate(_BLOCK_PAIRS):
-            outer, inner = block[2 * cell], block[2 * cell + 1]
-            circuit.add(PhaseShifter(a, outer))
-            circuit.add(DirectionalCoupler(a, b))
-            circuit.add(PhaseShifter(a, inner))
-            circuit.add(DirectionalCoupler(a, b))
-
-    add_block(theta[:half])
+    _add_block(circuit, theta[: N_THETA // 2])
     for mode, phase in zip(ENCODING_MODES, phases):
         circuit.add(PhaseShifter(mode, phase))
-    add_block(theta[half:])
-
-    circuit.add(DirectionalCoupler(1, 2))
-    circuit.add(DirectionalCoupler(0, 1))
-    circuit.add(DirectionalCoupler(6, 7))
-    circuit.add(DirectionalCoupler(7, 8))
+    _add_block(circuit, theta[N_THETA // 2 :])
+    _add_redirect(circuit)
     return circuit
+
+
+def pattern_distributions(
+    theta: Sequence[float],
+    phases: np.ndarray,
+    shots: int | None = None,
+    rng: np.random.Generator | None = None,
+) -> np.ndarray:
+    """Merged outcome-pattern probabilities of K data points, ``(K, 37)``.
+
+    ``phases`` holds one row of encoding phases per data point.  The K
+    chip unitaries ``A diag(exp(i phi_k)) B`` share the blocks ``A`` and
+    ``B`` and go through one batched SLOS pass.  With ``shots``
+    every row is replaced by an empirical multinomial draw of that many
+    detection events, drawn row by row in order from ``rng``.
+    """
+    theta = _checked_theta(theta)
+    phases = np.asarray(phases, dtype=float)
+    if phases.ndim != 2 or phases.shape[1] != N_FEATURES:
+        raise ValueError(f"expected (K, {N_FEATURES}) encoding phases, got shape {phases.shape}")
+    first = PhotonicCircuit(N_MODES)
+    _add_block(first, theta[: N_THETA // 2])
+    second = PhotonicCircuit(N_MODES)
+    _add_block(second, theta[N_THETA // 2 :])
+    _add_redirect(second)
+    diag = np.ones((len(phases), N_MODES), dtype=complex)
+    diag[:, ENCODING_MODES] = np.exp(1j * phases)
+    unitaries = second.unitary().matrix @ (diag[:, :, None] * first.unitary().matrix)
+    inputs = np.broadcast_to(INPUT_MODES, (len(phases), N_PHOTONS))
+    merged = np.abs(batched_amplitudes(unitaries, inputs)) ** 2 @ _pattern_matrix()
+    if shots is not None:
+        if int(shots) <= 0:
+            raise ValueError(f"shots must be positive, got {shots}")
+        if rng is None:
+            rng = np.random.default_rng()
+        pvals = merged / merged.sum(axis=1, keepdims=True)
+        merged = rng.multinomial(int(shots), pvals) / float(shots)
+    return merged
 
 
 def pattern_distribution(
@@ -154,19 +211,14 @@ def pattern_distribution(
 ) -> np.ndarray:
     """Probabilities of the merged outcome patterns for one data point.
 
-    With ``shots`` the exact distribution is replaced by an empirical
-    multinomial draw of that many detection events.
+    The K = 1 case of :func:`pattern_distributions`.  With ``shots`` the
+    exact distribution is replaced by an empirical multinomial draw of
+    that many detection events.
     """
-    circuit = classifier_circuit(theta, phases)
-    dist = strong_simulate(circuit.unitary(), FockState.from_modes(N_MODES, INPUT_MODES))
-    merged = _pattern_matrix() @ dist.probabilities
-    if shots is not None:
-        if int(shots) <= 0:
-            raise ValueError(f"shots must be positive, got {shots}")
-        if rng is None:
-            rng = np.random.default_rng()
-        merged = rng.multinomial(int(shots), merged / merged.sum()) / float(shots)
-    return merged
+    phases = np.asarray(phases, dtype=float)
+    if phases.shape != (N_FEATURES,):
+        raise ValueError(f"expected {N_FEATURES} encoding phases, got shape {phases.shape}")
+    return pattern_distributions(theta, phases[None], shots, rng)[0]
 
 
 @dataclass(frozen=True, eq=False)
@@ -222,10 +274,10 @@ class ClassifierModel:
         return self.lambdas.shape[0]
 
     def encode(self, x: Sequence[float]) -> np.ndarray:
-        """Scaled encoding phases for one feature vector, in [0, pi]."""
+        """Scaled encoding phases in [0, pi], one row per feature row of ``x``."""
         x = np.asarray(x, dtype=float)
-        if x.shape != (N_FEATURES,):
-            raise ValueError(f"expected {N_FEATURES} features, got shape {x.shape}")
+        if x.ndim not in (1, 2) or x.shape[-1] != N_FEATURES:
+            raise ValueError(f"expected {N_FEATURES} features per row, got shape {x.shape}")
         scaled = (x - self.feature_low) / self.feature_span * np.pi
         return np.clip(scaled, 0.0, np.pi)
 
@@ -248,8 +300,8 @@ def qnn_predict(
     rng: np.random.Generator | None = None,
 ) -> np.ndarray:
     """Predicted class labels for a feature matrix."""
-    features = np.atleast_2d(np.asarray(features, dtype=float))
-    values = np.stack([qnn_forward(model, x, shots, rng) for x in features])
+    phases = model.encode(np.atleast_2d(np.asarray(features, dtype=float)))
+    values = pattern_distributions(model.theta, phases, shots, rng) @ model.lambdas.T
     return np.argmax(values, axis=1)
 
 
@@ -390,9 +442,7 @@ def qnn_train(
     train_phases = np.clip((x_train - low) / span * np.pi, 0.0, np.pi)
 
     def evaluate(theta: np.ndarray):
-        probs = np.stack(
-            [pattern_distribution(theta, p, config.shots, rng) for p in train_phases]
-        )
+        probs = pattern_distributions(theta, train_phases, config.shots, rng)
         weights, accuracy, loss = _solve_lambdas(probs, y_train, n_classes, config.ridge)
         return weights, accuracy - 0.01 * loss, accuracy
 

@@ -38,7 +38,7 @@ from typing import Mapping, Sequence
 import numpy as np
 from scipy.linalg import null_space
 
-from lopsim.fock import FockState, outcome_arrays, output_amplitude
+from lopsim.fock import FockState, batched_amplitudes, enumerate_basis, outcome_arrays
 from lopsim.mesh import (
     CircuitElement,
     DirectionalCoupler,
@@ -234,32 +234,25 @@ class GateCircuit:
                 raise ValueError(f"bad measurement word {self.measurement!r}")
 
     def logical_unitary(self) -> np.ndarray:
-        """The 2^n x 2^n unitary of the gate list (qubit 0 = leftmost bit)."""
-        dim = 1 << self.n_qubits
+        """The 2^n x 2^n unitary of the gate list (qubit 0 = leftmost bit).
+
+        A single-qubit gate contracts its 2x2 matrix with the row axis of
+        its qubit (rows viewed as ``(2^q, 2, rest)``); a CNOT or Toffoli
+        permutes the rows, flipping the target bit where every control is 1.
+        """
+        n = self.n_qubits
+        dim = 1 << n
+        index = np.arange(dim)
         u = np.eye(dim, dtype=complex)
         for gate in self.gates:
-            u = self._gate_unitary(gate) @ u
+            if gate.name in ("CNOT", "TOFFOLI"):
+                *controls, target = gate.qubits
+                fire = np.all([(index >> (n - 1 - c)) & 1 for c in controls], axis=0)
+                u = u[index ^ (fire << (n - 1 - target))]
+            else:
+                q = gate.qubits[0]
+                u = (_single_qubit_matrix(gate) @ u.reshape(1 << q, 2, -1)).reshape(dim, dim)
         return u
-
-    def _gate_unitary(self, gate: Gate) -> np.ndarray:
-        if gate.name in ("CNOT", "TOFFOLI"):
-            dim = 1 << self.n_qubits
-            full = np.zeros((dim, dim), dtype=complex)
-            controls, target = gate.qubits[:-1], gate.qubits[-1]
-            for col in range(dim):
-                bits = [(col >> (self.n_qubits - 1 - q)) & 1 for q in range(self.n_qubits)]
-                if all(bits[c] for c in controls):
-                    bits[target] ^= 1
-                row = 0
-                for bit in bits:
-                    row = (row << 1) | bit
-                full[row, col] = 1.0
-            return full
-        mat = _single_qubit_matrix(gate)
-        full = np.ones((1, 1), dtype=complex)
-        for q in range(self.n_qubits):
-            full = np.kron(full, mat if q == gate.qubits[0] else _ID2)
-        return full
 
     @classmethod
     def from_text(cls, text: str, n_qubits: int | None = None) -> "GateCircuit":
@@ -483,24 +476,18 @@ def logical_matrix(circuit: PhotonicCircuit, enc: QubitEncoding) -> np.ndarray:
     the rails of basis state col (all other modes empty) to the rails of
     basis state row.  For a correctly compiled gate this equals the gate
     unitary times a constant whose squared magnitude is the success
-    probability.
+    probability.  The 2^n inputs run through one batched SLOS pass and
+    are read at the 2^n rail outputs.
     """
     n = enc.n_qubits
-    unitary = circuit.unitary()
-
-    def basis_state(index: int) -> FockState:
-        modes = tuple(
-            enc.rail(q, (index >> (n - 1 - q)) & 1) for q in range(n)
-        )
-        return FockState.from_modes(enc.n_modes, modes)
-
     dim = 1 << n
-    states = [basis_state(i) for i in range(dim)]
-    mat = np.empty((dim, dim), dtype=complex)
-    for col in range(dim):
-        for row in range(dim):
-            mat[row, col] = output_amplitude(unitary, states[col], states[row])
-    return mat
+    bits = (np.arange(dim)[:, None] >> np.arange(n - 1, -1, -1)) & 1
+    rails = np.array(enc.qubit_pairs, dtype=np.intp)[np.arange(n), bits]
+    unitary = circuit.unitary().matrix
+    amps = batched_amplitudes(np.broadcast_to(unitary, (dim, *unitary.shape)), rails)
+    rows = np.zeros((dim, enc.n_modes), dtype=np.intp)
+    rows[np.arange(dim)[:, None], rails] = 1
+    return amps[:, enumerate_basis(enc.n_modes, n).rank(rows)].T
 
 
 def encoding_input_state(
@@ -741,15 +728,18 @@ def ghz_stabilizer_expectations(
 
     ``distributions`` maps each setting in ``GHZ_MEASUREMENT_SETTINGS`` to
     the output distribution taken with that setting's rotations.  The
-    two-qubit Z words are marginals of the ZZZ data.
+    two-qubit Z words are parity marginals of one ZZZ readout.
     """
     missing = [w for w in GHZ_MEASUREMENT_SETTINGS if w not in distributions]
     if missing:
         raise ValueError(f"missing measurement settings: {missing}")
     expectations = {"III": 1.0}
     expectations["XXX"] = pauli_expectation(distributions["XXX"], rule, "XXX")
-    for word in ("ZZI", "IZZ", "ZIZ"):
-        expectations[word] = pauli_expectation(distributions["ZZZ"], rule, word)
+    zzz, _ = logical_distribution(distributions["ZZZ"], rule)
+    z = np.array([1.0, -1.0])
+    expectations["ZZI"] = float(np.einsum("abc,a,b->", zzz, z, z))
+    expectations["IZZ"] = float(np.einsum("abc,b,c->", zzz, z, z))
+    expectations["ZIZ"] = float(np.einsum("abc,a,c->", zzz, z, z))
     for word in ("YYX", "XYY", "YXY"):
         expectations[word] = pauli_expectation(distributions[word], rule, word)
     return expectations

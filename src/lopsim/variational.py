@@ -216,6 +216,11 @@ class PhotonicVqeBackend:
             raise ValueError(f"readout_flip must lie in [0, 0.5), got {readout_flip}")
         self.readout_flip = float(readout_flip)
         self.source = source
+        self._encoding = QubitEncoding.default(2)
+        self._input_state = encoding_input_state(self._encoding)
+        self._labeled = None
+        if source is not None:
+            self._labeled = build_input(2, source, modes=self._input_state.modes())
         flip = np.array(
             [[1.0 - readout_flip, readout_flip], [readout_flip, 1.0 - readout_flip]]
         )
@@ -225,13 +230,11 @@ class PhotonicVqeBackend:
         """Probabilities of the four logical outcomes, qubit 0 first."""
         if circuit.n_qubits != 2:
             raise ValueError("backend is wired for two-qubit circuits")
-        enc = QubitEncoding.default(2)
-        optics, rule, _ = compile_gate_circuit(circuit, enc)
-        if self.source is None:
-            dist = strong_simulate(optics.unitary(), encoding_input_state(enc))
+        optics, rule, _ = compile_gate_circuit(circuit, self._encoding)
+        if self._labeled is None:
+            dist = strong_simulate(optics.unitary(), self._input_state)
         else:
-            modes = tuple(enc.rail(q, 0) for q in range(enc.n_qubits))
-            dist = noisy_simulate(optics.unitary(), build_input(2, self.source, modes=modes))
+            dist = noisy_simulate(optics.unitary(), self._labeled)
         return self._confusion @ logical_distribution(dist, rule)[0].ravel()
 
 

@@ -3,7 +3,8 @@
 The basis rank is checked against the stored occupation rows, and the
 photon-addition kernel behind ``strong_simulate`` and ``noisy_simulate``
 against the brute-force oracles in ``_oracles.py``; ``noisy_simulate``
-also against the sum over every labeled branch of its input.
+also against the sum over every labeled branch of its input.  The
+kernel's trailing batch axis is checked against one-at-a-time calls.
 """
 
 import numpy as np
@@ -11,7 +12,14 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from lopsim.fock import FockState, ModeUnitary, enumerate_basis, strong_simulate
+from lopsim.fock import (
+    FockState,
+    ModeUnitary,
+    _add_photon,
+    batched_amplitudes,
+    enumerate_basis,
+    strong_simulate,
+)
 from lopsim.sources import (
     TAIL_TOLERANCE,
     NoisyDistribution,
@@ -98,6 +106,71 @@ class TestStrongSimulate:
         expected = np.array([abs(reference.get(t, 0.0)) ** 2 for t in dist.basis])
         assert dist.subspace_weight == pytest.approx(expected.sum(), abs=1e-12)
         assert np.allclose(dist.probabilities, expected / expected.sum(), rtol=0, atol=1e-12)
+
+
+@st.composite
+def batched_inputs(draw):
+    """B unitaries on m modes and B n-photon inputs, bunching allowed."""
+    m = draw(st.integers(2, 7))
+    n = draw(st.integers(1, 4))
+    count = draw(st.integers(1, 5))
+    modes = draw(
+        st.lists(
+            st.lists(st.integers(0, m - 1), min_size=n, max_size=n),
+            min_size=count,
+            max_size=count,
+        )
+    )
+    seed = draw(st.integers(0, 2**32 - 1))
+    rng = np.random.default_rng(seed)
+    unitaries = np.stack([ModeUnitary.haar_random(m, rng).matrix for _ in range(count)])
+    return unitaries, np.array(modes)
+
+
+class TestBatchedKernel:
+    @settings(max_examples=50, deadline=None)
+    @given(case=batched_inputs())
+    def test_batch_matches_one_at_a_time(self, case):
+        unitaries, modes = case
+        m, n = unitaries.shape[1], modes.shape[1]
+        amps = batched_amplitudes(unitaries, modes)
+        basis = enumerate_basis(m, n)
+        assert amps.shape == (len(unitaries), len(basis))
+        for u, row, amp in zip(unitaries, modes, amps):
+            state = FockState.from_modes(m, row)
+            single = strong_simulate(ModeUnitary(u), state)
+            assert np.allclose(np.abs(amp) ** 2, single.probabilities, rtol=0, atol=1e-12)
+            reference = evolve_state_vector(u, state)
+            expected = np.array([reference.get(t, 0.0) for t in basis])
+            assert np.allclose(amp, expected, rtol=0, atol=1e-12)
+
+    @settings(max_examples=50, deadline=None)
+    @given(case=batched_inputs(), coherent=st.booleans())
+    def test_one_dimensional_calls_equal_the_batched_kernel(self, case, coherent):
+        unitaries, modes = case
+        m, n = unitaries.shape[1], modes.shape[1]
+        rng = np.random.default_rng(n)
+        vec = rng.normal(size=len(enumerate_basis(m, n - 1)))
+        if coherent:
+            vec = vec + 1j * rng.normal(size=vec.shape)
+        columns = unitaries[:, :, 0].T if coherent else np.abs(unitaries[:, :, 0].T) ** 2
+        batched = _add_photon(vec, n - 1, columns, coherent)
+        stacked = _add_photon(np.stack([vec] * len(unitaries), axis=1), n - 1, columns, coherent)
+        assert np.array_equal(batched, stacked)
+        for b, column in enumerate(columns.T):
+            single = _add_photon(vec, n - 1, column, coherent)
+            assert np.allclose(single, batched[:, b], rtol=0, atol=1e-14)
+            for one in (
+                _add_photon(vec[:, None], n - 1, column[:, None], coherent),
+                _add_photon(vec, n - 1, column[:, None], coherent),
+            ):
+                assert one.shape == (len(single), 1)
+                assert np.array_equal(single, one[:, 0])
+
+    def test_no_inputs_and_no_photons(self):
+        u = np.stack([haar(3, seed).matrix for seed in range(2)])
+        assert np.array_equal(batched_amplitudes(u, np.zeros((2, 0), dtype=int)), np.ones((2, 1)))
+        assert batched_amplitudes(u[:0], np.zeros((0, 2), dtype=int)).shape == (0, 6)
 
 
 class TestNoisySimulate:

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from _oracles import evolve_state_vector
 
-from lopsim.fock import FockState
+from lopsim.fock import FockState, strong_simulate
 from lopsim.qnn import (
     ENCODING_MODES,
     INPUT_MODES,
@@ -16,6 +16,7 @@ from lopsim.qnn import (
     classifier_circuit,
     load_iris_dataset,
     pattern_distribution,
+    pattern_distributions,
     pattern_space,
     qnn_forward,
     qnn_predict,
@@ -132,6 +133,49 @@ def test_forward_matches_state_vector_oracle():
     assert np.allclose(qnn_forward(model, phases / np.pi), reference, atol=1e-10)
 
 
+def per_sample_patterns(theta, phases):
+    """Merged patterns of each data point through its own circuit."""
+    rows = []
+    for phi in phases:
+        u = classifier_circuit(theta, phi).unitary()
+        dist = strong_simulate(u, FockState.from_modes(N_MODES, INPUT_MODES))
+        merged = dict.fromkeys(pattern_space(), 0.0)
+        for state, p in dist.items():
+            if p > 0.0:
+                merged[merged_pattern_of(state)] += p
+        rows.append(list(merged.values()))
+    return np.array(rows)
+
+
+def test_batched_patterns_match_per_sample_circuits():
+    theta = RNG.uniform(0.0, 2.0 * np.pi, N_THETA)
+    phases = RNG.uniform(0.0, np.pi, (6, N_FEATURES))
+    batched = pattern_distributions(theta, phases)
+    assert batched.shape == (6, len(pattern_space()))
+    assert np.allclose(batched, per_sample_patterns(theta, phases), rtol=0, atol=1e-12)
+    for row, phi in zip(batched, phases):
+        assert np.allclose(row, pattern_distribution(theta, phi), rtol=0, atol=1e-15)
+    with pytest.raises(ValueError, match="encoding"):
+        pattern_distributions(theta, phases[:, :3])
+
+
+def test_batched_shots_draw_rows_in_sample_order():
+    theta = RNG.uniform(0.0, 2.0 * np.pi, N_THETA)
+    phases = RNG.uniform(0.0, np.pi, (5, N_FEATURES))
+    batched = pattern_distributions(theta, phases, shots=300, rng=np.random.default_rng(9))
+    rng = np.random.default_rng(9)
+    rows = [pattern_distribution(theta, phi, shots=300, rng=rng) for phi in phases]
+    assert np.array_equal(batched, np.array(rows))
+
+
+def test_predict_matches_per_sample_forward():
+    model = unit_model(RNG.normal(size=(3, len(pattern_space()))))
+    features = RNG.uniform(0.0, 1.0, (7, N_FEATURES))
+    values = np.array([qnn_forward(model, x) for x in features])
+    assert np.array_equal(qnn_predict(model, features), np.argmax(values, axis=1))
+    assert np.array_equal(model.encode(features)[2], model.encode(features[2]))
+
+
 def test_sampled_forward_within_shot_noise():
     lambdas = RNG.normal(size=(3, len(pattern_space())))
     model = unit_model(lambdas)
@@ -246,6 +290,43 @@ def test_training_input_validation():
         qnn_train(TOY_FEATURES, TOY_LABELS[:5], config)
     with pytest.raises(ValueError, match="class name"):
         qnn_train(TOY_FEATURES, TOY_LABELS, config, class_names=("only",))
+
+
+def test_seeded_sampled_training_is_pinned():
+    """Values of the per-sample implementation this batched path replaced."""
+    features, labels, _ = load_iris_dataset()
+    config = QnnConfig(
+        outer_iterations=2, evaluations_per_iteration=2, pool_size=6, shots=200, seed=11, n_test=30
+    )
+    model, metrics = qnn_train(features, labels, config)
+    assert np.allclose(
+        model.theta[:4],
+        [1.562304800322586, 4.538179962028249, 4.291844454436386, 2.5464901170108356],
+        rtol=0,
+        atol=1e-12,
+    )
+    assert np.allclose(
+        model.lambdas.sum(axis=1),
+        [5.439355659091575, -12.471084761669731, 44.02919046934919],
+        rtol=1e-9,
+        atol=0,
+    )
+    assert np.allclose(
+        model.lambdas[:, :3],
+        [
+            [-2.6252965286862127, -3.261859079522184, -4.709160501393152],
+            [-17.767600745047957, 5.04805526149084, 0.3742216560830144],
+            [21.392396174938412, -0.7861735144396841, 5.333981405353431],
+        ],
+        rtol=1e-9,
+        atol=0,
+    )
+    assert metrics["train_accuracy"] == 119 / 120
+    assert metrics["test_accuracy"] == 27 / 30
+    assert metrics["confusion_train"] == [[40, 0, 0], [0, 39, 1], [0, 0, 40]]
+    assert metrics["confusion_test"] == [[10, 0, 0], [0, 8, 2], [0, 1, 9]]
+    assert metrics["objective_evaluations"] == 4
+    assert metrics["best_iteration"] == 1
 
 
 def test_small_iris_subset_trains_above_chance():

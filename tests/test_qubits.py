@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from _oracles import pauli_matrix
-from lopsim.fock import FockState, output_amplitude, strong_simulate
+from lopsim.fock import FockState, ModeUnitary, output_amplitude, strong_simulate
 from lopsim.mesh import PhotonicCircuit, two_mode_gate_elements
 from lopsim.qubits import (
     CNOT_SUCCESS,
@@ -52,6 +52,55 @@ def haar_2x2(rng):
     z = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
     q, r = np.linalg.qr(z)
     return q * (np.diag(r) / np.abs(np.diag(r)))
+
+
+def random_single_gates(n_qubits, count, rng):
+    gates = []
+    for _ in range(count):
+        name = str(rng.choice(["H", "T", "RX", "RY", "RZ"]))
+        angle = float(rng.uniform(-np.pi, np.pi)) if name.startswith("R") else None
+        gates.append(Gate(name, (int(rng.integers(n_qubits)),), angle))
+    return gates
+
+
+def random_gate_circuit(n_qubits, rng):
+    """Single-qubit layers around the entangling gates the default budget allows."""
+    order = tuple(int(q) for q in rng.permutation(n_qubits))
+    if n_qubits == 1:
+        entangling = []
+    elif n_qubits == 2:
+        entangling = [Gate("CNOT", order)]
+    elif rng.random() < 0.5:
+        entangling = [Gate("TOFFOLI", order)]
+    else:
+        entangling = [Gate("CNOT", (0, 1)), Gate("CNOT", (1, 2))]
+    gates = random_single_gates(n_qubits, 3, rng)
+    for gate in entangling:
+        gates += [gate, *random_single_gates(n_qubits, 2, rng)]
+    return GateCircuit(n_qubits, tuple(gates))
+
+
+def kron_logical_unitary(gc):
+    """Gate-list product with every gate embedded as a full 2^n matrix."""
+    n = gc.n_qubits
+    dim = 1 << n
+    total = np.eye(dim, dtype=complex)
+    for gate in gc.gates:
+        if gate.name in ("CNOT", "TOFFOLI"):
+            full = np.zeros((dim, dim), dtype=complex)
+            *controls, target = gate.qubits
+            for col in range(dim):
+                bits = [(col >> (n - 1 - q)) & 1 for q in range(n)]
+                if all(bits[c] for c in controls):
+                    bits[target] ^= 1
+                full[int("".join(map(str, bits)), 2), col] = 1.0
+        else:
+            single = GateCircuit(1, (Gate(gate.name, (0,), gate.angle),)).logical_unitary()
+            full = np.ones((1, 1))
+            for q in range(n):
+                full = np.kron(full, single if q == gate.qubits[0] else np.eye(2))
+        total = full @ total
+    return total
 
 
 def compiled_matrix_and_scale(gc, enc=None):
@@ -202,6 +251,29 @@ class TestLogicalUnitary:
         gc = GateCircuit(2, (Gate("H", (0,)), Gate("CNOT", (0, 1))))
         bell = gc.logical_unitary()[:, 0]
         assert np.allclose(bell, np.array([1, 0, 0, 1]) / np.sqrt(2))
+
+    @pytest.mark.parametrize("n_qubits", [1, 2, 3])
+    @pytest.mark.parametrize("seed", range(4))
+    def test_matches_the_kron_product(self, n_qubits, seed):
+        rng = np.random.default_rng([n_qubits, seed])
+        gc = random_gate_circuit(n_qubits, rng)
+        gc = GateCircuit(n_qubits, gc.gates + tuple(random_single_gates(n_qubits, 4, rng)))
+        assert np.allclose(gc.logical_unitary(), kron_logical_unitary(gc), rtol=0, atol=1e-14)
+
+
+class TestLogicalMatrix:
+    @pytest.mark.parametrize("n_qubits", [1, 2, 3])
+    @pytest.mark.parametrize("seed", range(4))
+    def test_matches_per_entry_amplitudes(self, n_qubits, seed):
+        gc = random_gate_circuit(n_qubits, np.random.default_rng([seed, n_qubits]))
+        enc = QubitEncoding.default(n_qubits)
+        circuit, _, _ = compile_gate_circuit(gc, enc)
+        unitary = circuit.unitary()
+        states = [encoding_input_state(enc, bits) for bits in np.ndindex((2,) * n_qubits)]
+        expected = np.array(
+            [[output_amplitude(unitary, col, row) for col in states] for row in states]
+        )
+        assert np.allclose(logical_matrix(circuit, enc), expected, rtol=0, atol=1e-12)
 
 
 class TestSingleQubitCompilation:
@@ -589,6 +661,23 @@ class TestGhzFactory:
             dist = strong_simulate(run.unitary(), ghz_input_state())
             measured = pauli_expectation(dist, herald.rule(), word)
             assert measured == pytest.approx(direct, abs=1e-9), word
+
+    def test_z_marginals_equal_per_word_readouts(self, factory):
+        _, heralds, _, _ = factory
+        rule = ghz_postselection(heralds, sign=1, threshold=True)
+        rng = np.random.default_rng(77)
+        distributions = {
+            word: strong_simulate(ModeUnitary.haar_random(12, rng), ghz_input_state())
+            for word in GHZ_MEASUREMENT_SETTINGS
+        }
+        expectations = ghz_stabilizer_expectations(distributions, rule)
+        assert len(expectations) == 8 and expectations["III"] == 1.0
+        for word, value in expectations.items():
+            setting = "ZZZ" if set(word) <= {"Z", "I"} else word
+            if word != "III":
+                expected = pauli_expectation(distributions[setting], rule, word)
+                assert value == pytest.approx(expected, abs=1e-14), word
+        assert 0.01 < abs(expectations["ZZI"]) < 0.99
 
     def test_missing_setting_raises(self, factory):
         _, heralds, _, _ = factory
