@@ -14,7 +14,6 @@ from lopsim.fock import (
 )
 from lopsim.sources import (
     LabeledInput,
-    NoisyDistribution,
     SourceModel,
     build_input,
     hom_experiment,

@@ -37,6 +37,7 @@ from .qubits import (
     _SQRT2,
     GateCircuit,
     QubitEncoding,
+    _pauli_signs,
     compile_gate_circuit,
     encoding_input_state,
     logical_distribution,
@@ -380,19 +381,6 @@ def build_plan(
 # Plan execution
 
 
-def _outcome_signs(word: str, n_qubits: int) -> np.ndarray:
-    """Eigenvalue product per measurement outcome, ignoring I-letters."""
-    signs = np.ones(2**n_qubits)
-    for outcome in range(2**n_qubits):
-        value = 1.0
-        for position, letter in enumerate(word):
-            bit = (outcome >> (n_qubits - 1 - position)) & 1
-            if letter != "I" and bit:
-                value = -value
-        signs[outcome] = value
-    return signs
-
-
 def estimate_favg(
     plan: BenchmarkPlan,
     executor: Executor,
@@ -439,7 +427,7 @@ def estimate_favg(
         configs_run += 1
         for index in indices:
             entry = plan.entries[index]
-            correlation = float(_outcome_signs(entry.word, n) @ probs)
+            correlation = float(_pauli_signs(entry.word) @ probs)
             correlation *= plan.measurement_sign(entry)
             total += entry.weight * correlation
             if shots_per_config is not None:

@@ -16,11 +16,16 @@ is the classical convolution.  A trailing batch axis runs many unitaries
 through the same recursion at once (:func:`batched_amplitudes`).
 Permanents serve only single amplitudes.
 
-Every readout (click patterns, postselection, pattern merging) is a
-mask or group-by on one outcome view, :func:`outcome_arrays`: ``(K, m)``
-occupation rows and ``(K,)`` values.  Distributions of this package hand
-over their arrays through ``outcomes()``; any other mapping, such as the
-counts of :func:`sample`, keyed by state or by tuple, is converted once.
+:class:`OutputDistribution` is the one type of every simulated output,
+ideal or from a noisy source: a probability vector per photon-number
+sector over the cached basis, plus the mass a collision-free
+restriction kept (``subspace_weight``) and the mass a simulation left
+out (``dropped_weight``).  Every readout (click patterns, postselection,
+pattern merging) is a mask or group-by on one outcome view,
+:func:`outcome_arrays`: ``(K, m)`` occupation rows and ``(K,)`` values.
+An :class:`OutputDistribution` hands over its arrays through
+``outcomes()``; any other mapping, such as the counts of :func:`sample`,
+keyed by state or by tuple, is converted once.
 """
 
 from __future__ import annotations
@@ -405,47 +410,110 @@ def _check_states(unitary: ModeUnitary, *states: FockState) -> None:
 
 
 class OutputDistribution(Mapping[FockState, float]):
-    """Probabilities over a Fock basis.
+    """Outcome probabilities of one detector array, one vector per photon number.
 
-    For a collision-free restriction the probabilities are renormalized
-    within the subspace and ``subspace_weight`` records the total mass
-    the subspace carried before renormalization.
+    ``sectors[n]`` is the probability vector over ``enumerate_basis(m, n)``,
+    or over the collision-free basis for a ``collision_free`` result; only
+    sectors with mass are kept.  Iteration, ``items`` and ``len`` cover
+    the nonzero outcomes.  A collision-free result is renormalized within
+    the subspace and ``subspace_weight`` is the mass the subspace carried
+    before.  ``dropped_weight`` is the mass a simulation left out (see
+    :func:`lopsim.sources.noisy_simulate`), so ``total() + dropped_weight``
+    is 1 before any postselection.
     """
 
-    def __init__(self, basis: FockBasis, probabilities: np.ndarray, subspace_weight: float = 1.0):
-        probabilities = np.asarray(probabilities, dtype=float)
-        if probabilities.shape != (len(basis),):
-            raise ValueError("probability vector does not match basis size")
-        if np.any(probabilities < -1e-12):
-            raise ValueError("negative probability")
-        self.basis = basis
-        self.probabilities = np.clip(probabilities, 0.0, None)
+    def __init__(
+        self,
+        m: int,
+        sectors: Mapping[int, np.ndarray],
+        *,
+        collision_free: bool = False,
+        subspace_weight: float = 1.0,
+        dropped_weight: float = 0.0,
+    ):
+        self.m = m
+        self.collision_free = collision_free
+        self.sectors: dict[int, np.ndarray] = {}
+        for n, vec in sorted(sectors.items()):
+            vec = np.asarray(vec, dtype=float)
+            if vec.shape != (len(self._basis(n)),):
+                raise ValueError(f"probability vector does not match the {n}-photon basis")
+            if np.any(vec < -1e-12):
+                raise ValueError("negative probability")
+            vec = np.clip(vec, 0.0, None)
+            if vec.sum() > 0.0:
+                self.sectors[n] = vec
         self.subspace_weight = float(subspace_weight)
+        self.dropped_weight = float(dropped_weight)
+
+    def _basis(self, n: int) -> FockBasis:
+        # one call form per basis kind: enumerate_basis caches by call signature
+        if self.collision_free:
+            return enumerate_basis(self.m, n, collision_free=True)
+        return enumerate_basis(self.m, n)
+
+    @property
+    def probabilities(self) -> np.ndarray:
+        """Every sector's vector, concatenated in photon-number order."""
+        return self.outcomes()[1]
 
     def prob(self, state: FockState) -> float:
+        vec = self.sectors.get(state.n)
         try:
-            return float(self.probabilities[self.basis.index(state)])
+            return 0.0 if vec is None else float(vec[self._basis(state.n).index(state)])
         except KeyError:
             return 0.0
 
     def __getitem__(self, state: FockState) -> float:
         return self.prob(state)
 
-    def __iter__(self) -> Iterator[FockState]:
-        return iter(self.basis)
-
     def items(self) -> Iterator[tuple[FockState, float]]:
-        return zip(self.basis, self.probabilities.tolist())
+        rows, values = self.outcomes()
+        nonzero = np.flatnonzero(values)
+        for row, p in zip(rows[nonzero].tolist(), values[nonzero].tolist()):
+            yield FockState(tuple(row)), p
+
+    def __iter__(self) -> Iterator[FockState]:
+        return (state for state, _ in self.items())
 
     def __len__(self) -> int:
-        return len(self.basis)
+        return sum(int(np.count_nonzero(vec)) for vec in self.sectors.values())
 
     def total(self) -> float:
-        return float(self.probabilities.sum())
+        return float(sum(vec.sum() for vec in self.sectors.values()))
+
+    def sector_weights(self) -> dict[int, float]:
+        """Total probability per photon number."""
+        return {n: float(vec.sum()) for n, vec in self.sectors.items()}
+
+    def postselect_photon_number(self, n: int) -> tuple["OutputDistribution", float]:
+        """Distribution conditioned on ``n`` detected photons, and its weight.
+
+        The conditioned ``dropped_weight`` is the original divided by that
+        weight: a bound on the relative error of the conditioned values.
+        """
+        if n not in self.sectors:
+            raise ValueError(f"no probability mass in the {n}-photon sector")
+        weight = float(self.sectors[n].sum())
+        conditioned = OutputDistribution(
+            self.m,
+            {n: self.sectors[n] / weight},
+            collision_free=self.collision_free,
+            subspace_weight=self.subspace_weight,
+            dropped_weight=self.dropped_weight / weight,
+        )
+        return conditioned, weight
 
     def outcomes(self) -> tuple[np.ndarray, np.ndarray]:
-        """Occupation rows of the basis and their probabilities."""
-        return self.basis.occupations, self.probabilities
+        """Occupation rows and probabilities of every sector, photon number ascending."""
+        if len(self.sectors) == 1:
+            [(n, vec)] = self.sectors.items()
+            return self._basis(n).occupations, vec
+        rows = [self._basis(n).occupations for n in self.sectors]
+        return (
+            np.concatenate(rows or [np.zeros((0, 0), dtype=np.int8)]),
+            np.concatenate([*self.sectors.values(), []]),
+        )
 
 
 SampleCounts = dict[FockState, int]
@@ -465,17 +533,16 @@ def strong_simulate(
     view) and ``subspace_weight`` keeps the mass they carried.
     """
     _check_states(unitary, input_state)
+    m, n = input_state.m, input_state.n
     modes = np.array([input_state.modes()], dtype=np.intp)
     probs = np.abs(batched_amplitudes(unitary.matrix[None], modes)[0]) ** 2
-    basis = enumerate_basis(input_state.m, input_state.n)
     if not collision_free:
-        return OutputDistribution(basis, probs)
-    probs = probs[np.all(basis.occupations <= 1, axis=1)]
+        return OutputDistribution(m, {n: probs})
+    probs = probs[np.all(enumerate_basis(m, n).occupations <= 1, axis=1)]
     weight = probs.sum()
     if weight <= 0.0:
         raise ValueError("no probability mass in the collision-free subspace")
-    cf = enumerate_basis(input_state.m, input_state.n, collision_free=True)
-    return OutputDistribution(cf, probs / weight, subspace_weight=weight)
+    return OutputDistribution(m, {n: probs / weight}, collision_free=True, subspace_weight=weight)
 
 
 def sample(
@@ -490,20 +557,20 @@ def sample(
         raise ValueError("shots must be non-negative")
     if isinstance(rng, (int, np.integer)):
         rng = np.random.default_rng(int(rng))
-    dist = strong_simulate(unitary, input_state, collision_free=collision_free)
-    p = dist.probabilities / dist.probabilities.sum()
-    draws = rng.choice(len(p), size=shots, p=p)
+    rows, p = strong_simulate(unitary, input_state, collision_free=collision_free).outcomes()
+    draws = rng.choice(len(p), size=shots, p=p / p.sum())
     tallies = np.bincount(draws, minlength=len(p))
-    return {dist.basis[int(i)]: int(tallies[i]) for i in np.flatnonzero(tallies)}
+    return {FockState(tuple(rows[i].tolist())): int(tallies[i]) for i in np.flatnonzero(tallies)}
 
 
 def outcome_arrays(dist: Mapping) -> tuple[np.ndarray, np.ndarray]:
     """Occupation rows ``(K, m)`` and values ``(K,)`` of a distribution.
 
-    A mapping without ``outcomes()``, keyed by :class:`FockState` or by
-    occupation tuple, is converted here; an empty one gives ``(0, 0)`` rows.
+    An :class:`OutputDistribution` hands over its ``outcomes()``.  Any
+    other mapping, keyed by :class:`FockState` or by occupation
+    tuple, is converted here; an empty one gives ``(0, 0)`` rows.
     """
-    if hasattr(dist, "outcomes"):
+    if isinstance(dist, OutputDistribution):
         return dist.outcomes()
     rows = [getattr(key, "occupations", key) for key in dist]
     values = np.fromiter(dist.values(), dtype=float, count=len(rows))

@@ -47,10 +47,13 @@ class TranspilationError(ValueError):
 class HardwareModel:
     """Crosstalk model of one chip.
 
-    ``a`` has units rad/V^2 and shape (P, P) over actuated phases,
-    ``b`` is the static offset in rad, ``reflectivities`` holds the two
-    coupler values of every cell and ``output_losses`` the relative
-    output transmissions (scaled so the best mode is 1).
+    ``a`` has units rad/V^2 and shape (P, P) over the actuated phases of
+    ``MeshLayout(m)`` (P = 126 at m = 12, whose six input-side external
+    phases are pinned; every phase otherwise), ``b`` is the static
+    offset in rad, ``reflectivities`` holds the two coupler values of
+    every cell and ``output_losses`` the relative output transmissions
+    (scaled so the best mode is 1).  Saved files of older versions that
+    carry a ``pin_input_phases`` key still load; the key is ignored.
     """
 
     m: int
@@ -59,7 +62,6 @@ class HardwareModel:
     reflectivities: np.ndarray
     output_losses: np.ndarray
     v_max: float = DEFAULT_V_MAX
-    pin_input_phases: bool | None = None
 
     def __post_init__(self) -> None:
         self.a = np.asarray(self.a, dtype=float)
@@ -82,12 +84,12 @@ class HardwareModel:
             raise ValueError("output losses must lie in (0, 1]")
 
     def layout(self) -> MeshLayout:
-        return MeshLayout(self.m, self.pin_input_phases)
+        return MeshLayout(self.m)
 
     @classmethod
-    def prior(cls, m: int, pin_input_phases: bool | None = None) -> "HardwareModel":
+    def prior(cls, m: int) -> "HardwareModel":
         """Nominal pre-calibration model: no crosstalk, balanced couplers."""
-        layout = MeshLayout(m, pin_input_phases)
+        layout = MeshLayout(m)
         p = layout.n_actuated
         return cls(
             m=m,
@@ -95,7 +97,6 @@ class HardwareModel:
             b=np.zeros(p),
             reflectivities=np.full((layout.n_cells, 2), 0.5),
             output_losses=np.ones(m),
-            pin_input_phases=pin_input_phases,
         )
 
     @classmethod
@@ -110,12 +111,11 @@ class HardwareModel:
         reflectivity_mean: float = 0.567,
         reflectivity_std: float = 0.006,
         loss_spread: float = 0.15,
-        pin_input_phases: bool | None = None,
     ) -> "HardwareModel":
         """Random ground-truth chip for simulation studies."""
         if isinstance(rng, (int, np.integer)):
             rng = np.random.default_rng(int(rng))
-        layout = MeshLayout(m, pin_input_phases)
+        layout = MeshLayout(m)
         p = layout.n_actuated
         a = rng.normal(0.0, crosstalk_std, size=(p, p))
         np.fill_diagonal(a, rng.normal(DEFAULT_SELF_HEATING, self_heating_std, size=p))
@@ -133,14 +133,12 @@ class HardwareModel:
             b=b,
             reflectivities=refl,
             output_losses=losses,
-            pin_input_phases=pin_input_phases,
         )
 
     def to_dict(self) -> dict:
         return {
             "schema": SCHEMA,
             "m": self.m,
-            "pin_input_phases": self.pin_input_phases,
             "v_max": self.v_max,
             "a": self.a.tolist(),
             "b": self.b.tolist(),
@@ -159,7 +157,6 @@ class HardwareModel:
             reflectivities=np.array(payload["reflectivities"]),
             output_losses=np.array(payload["output_losses"]),
             v_max=float(payload["v_max"]),
-            pin_input_phases=payload.get("pin_input_phases"),
         )
 
     def save(self, path: str) -> None:
@@ -435,7 +432,6 @@ def calibrate(
         reflectivities=np.clip(refl, 1e-4, 1.0 - 1e-4),
         output_losses=losses,
         v_max=v_max,
-        pin_input_phases=layout.pinned_indices != () or None,
     )
 
 
@@ -453,7 +449,6 @@ def crosstalk_free_baseline(hw: HardwareModel) -> HardwareModel:
         reflectivities=np.full_like(hw.reflectivities, 0.5),
         output_losses=np.ones(hw.m),
         v_max=hw.v_max,
-        pin_input_phases=hw.pin_input_phases,
     )
 
 

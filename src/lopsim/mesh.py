@@ -223,17 +223,15 @@ class MeshLayout:
     top modes of the d-th layer of disjoint pairs.
     """
 
-    def __init__(self, m: int, pin_input_phases: bool | None = None):
+    def __init__(self, m: int):
         if m < 2:
             raise ValueError("mesh needs at least 2 modes")
         self.m = m
         self.cells = tuple(_mesh_cell_sequence(m))
         self.n_cells = len(self.cells)
         self.n_logical = 2 * self.n_cells
-        if pin_input_phases is None:
-            pin_input_phases = m == 12
         pinned: list[int] = []
-        if pin_input_phases:
+        if m == 12:
             touched = [False] * m
             for c, p in enumerate(self.cells):
                 if not touched[p]:
@@ -750,37 +748,24 @@ def unitary_to_elements(
 ) -> list[CircuitElement]:
     """Element sequence embedding a k-mode unitary on the given modes.
 
-    Triangular nulling: Givens-style two-mode rotations clear the lower
-    triangle column by column, leaving a diagonal of phases.  Emitting the
-    diagonal first and the inverse rotations in reverse order reproduces
-    the matrix exactly on ``modes`` while leaving all other modes alone.
-    The modes need not be adjacent or sorted.
+    The rectangular decomposition (:func:`clements_decompose`) on
+    ``MeshLayout(k)`` gives cells and output phases on modes 0..k-1;
+    mode i of that mesh is relabelled ``modes[i]``, so the sequence
+    reproduces the matrix on ``modes`` and leaves all other modes alone.
+    A 1-mode unitary is one phase.  The modes need not be adjacent or
+    sorted.
     """
-    u = unitary.matrix if isinstance(unitary, ModeUnitary) else np.asarray(unitary)
-    u = np.array(u, dtype=complex)
-    if u.ndim != 2 or u.shape[0] != u.shape[1]:
-        raise ValueError("expected a square matrix")
-    k = u.shape[0]
-    if np.max(np.abs(u.conj().T @ u - np.eye(k))) > RECONSTRUCTION_ATOL:
-        raise ValueError("matrix is not unitary")
+    u = unitary if isinstance(unitary, ModeUnitary) else ModeUnitary(np.asarray(unitary))
     modes = [int(mode) for mode in modes]
-    if len(modes) != k or len(set(modes)) != k:
-        raise ValueError(f"need {k} distinct modes, got {modes}")
-
-    rotations: list[tuple[int, int, np.ndarray]] = []
-    for col in range(k - 1):
-        for row in range(k - 1, col, -1):
-            a, b = u[row - 1, col], u[row, col]
-            norm = np.hypot(abs(a), abs(b))
-            if norm < 1e-14:
-                continue
-            givens = np.array([[a.conj(), b.conj()], [-b, a]]) / norm
-            u[[row - 1, row], :] = givens @ u[[row - 1, row], :]
-            rotations.append((row - 1, row, givens))
-
-    elements: list[CircuitElement] = [
-        PhaseShifter(modes[i], float(np.angle(u[i, i]))) for i in range(k)
+    if len(modes) != u.m or len(set(modes)) != u.m:
+        raise ValueError(f"need {u.m} distinct modes, got {modes}")
+    if u.m == 1:
+        return [PhaseShifter(modes[0], float(np.angle(u.matrix[0, 0])))]
+    cells = clements_decompose(u, MeshLayout(u.m))
+    circuit = cells.layout.circuit(cells.phases, output_phases=cells.output_phases)
+    return [
+        PhaseShifter(modes[e.mode], e.phase)
+        if isinstance(e, PhaseShifter)
+        else DirectionalCoupler(modes[e.mode_a], modes[e.mode_b], e.reflectivity)
+        for e in circuit.elements
     ]
-    for i, j, givens in reversed(rotations):
-        elements.extend(two_mode_gate_elements(givens.conj().T, modes[i], modes[j]))
-    return elements

@@ -403,10 +403,18 @@ def pauli_expectation(
     ignored when accumulating the eigenvalue product.
     """
     logical, _ = logical_distribution(distribution, rule)
+    return float(_pauli_signs(word) @ logical.ravel())
+
+
+def _pauli_signs(word: str) -> np.ndarray:
+    """Eigenvalue product of a Pauli word per logical outcome, qubit 0 first.
+
+    Identity letters contribute +1 on both outcomes.
+    """
     signs = np.ones(1)
     for pauli in word.upper():
-        signs = np.kron(signs, [1.0, 1.0] if pauli == "I" else [1.0, -1.0])
-    return float(signs @ logical.ravel())
+        signs = np.multiply.outer(signs, [1.0, 1.0] if pauli == "I" else [1.0, -1.0]).ravel()
+    return signs
 
 
 # ---------------------------------------------------------------------------

@@ -15,9 +15,12 @@ The model is a mixture of up to 6^n labeled branches.
 :func:`noisy_simulate` sums it exactly over the 2^n sets of triggers
 whose photon takes the shared label (the distinguishable-photon
 expansion of Renema et al., PRL 120, 220502 (2018)), truncated only by
-a photon-number cap whose tail mass it reports.  Detection throughout
-this module is click-based (threshold detectors): an occupied mode
-counts as one click regardless of photon number.
+a photon-number cap whose tail mass it reports.  The result is the
+same :class:`~lopsim.fock.OutputDistribution` that an ideal input
+gives, with one sector per detected photon number and the truncated
+mass as ``dropped_weight``.  Detection throughout this module is
+click-based (threshold detectors): an occupied mode counts as one click
+regardless of photon number.
 
 The module also provides the two standard source characterization
 experiments: the two-photon Hong-Ou-Mandel visibility (with its purity
@@ -35,7 +38,7 @@ from functools import cached_property, lru_cache
 from importlib import resources
 from math import comb, prod
 from pathlib import Path
-from typing import Iterator, Mapping, Sequence
+from typing import Mapping, Sequence
 
 import numpy as np
 from scipy.optimize import curve_fit
@@ -56,7 +59,6 @@ __all__ = [
     "LabeledPhoton",
     "InputBranch",
     "LabeledInput",
-    "NoisyDistribution",
     "build_input",
     "noisy_simulate",
     "coincidence_probability",
@@ -274,70 +276,6 @@ def build_input(
     )
 
 
-class NoisyDistribution(Mapping[FockState, float]):
-    """Output probabilities of a mixed input, one sector per photon number.
-
-    ``sectors`` maps each populated photon number to its
-    :class:`OutputDistribution`; iteration, ``items`` and ``len`` cover
-    the nonzero outcomes.  ``dropped_weight`` is the mass above the
-    photon-number cap of :func:`noisy_simulate`, so ``total() +
-    dropped_weight`` is 1.  Without output losses every sector at or
-    below the cap is exact; with them, ``dropped_weight`` bounds the
-    mass missing from any sector.  Postselection scales it like the
-    probabilities.
-    """
-
-    def __init__(self, sectors: Mapping[int, OutputDistribution], dropped_weight: float = 0.0):
-        self.sectors = {n: d for n, d in sorted(sectors.items()) if d.total() > 0.0}
-        self.dropped_weight = float(dropped_weight)
-        self._len = sum(np.count_nonzero(d.probabilities) for d in self.sectors.values())
-
-    def prob(self, state: FockState) -> float:
-        sector = self.sectors.get(state.n)
-        return 0.0 if sector is None else sector.prob(state)
-
-    def __getitem__(self, state: FockState) -> float:
-        return self.prob(state)
-
-    def items(self) -> Iterator[tuple[FockState, float]]:
-        rows, values = self.outcomes()
-        nonzero = np.flatnonzero(values)
-        for row, p in zip(rows[nonzero].tolist(), values[nonzero].tolist()):
-            yield FockState(tuple(row)), p
-
-    def __iter__(self) -> Iterator[FockState]:
-        return (state for state, _ in self.items())
-
-    def __len__(self) -> int:
-        return self._len
-
-    def total(self) -> float:
-        return float(sum(d.total() for d in self.sectors.values()))
-
-    def sector_weights(self) -> dict[int, float]:
-        """Total probability per photon number."""
-        return {n: d.total() for n, d in self.sectors.items()}
-
-    def postselect_photon_number(self, n: int) -> tuple["NoisyDistribution", float]:
-        """Distribution conditioned on ``n`` detected photons, and its weight.
-
-        The conditioned ``dropped_weight`` is the original divided by that
-        weight: a bound on the relative error of the conditioned values.
-        """
-        if n not in self.sectors:
-            raise ValueError(f"no probability mass in the {n}-photon sector")
-        sector = self.sectors[n]
-        weight = sector.total()
-        conditioned = OutputDistribution(sector.basis, sector.probabilities / weight)
-        return NoisyDistribution({n: conditioned}, self.dropped_weight / weight), weight
-
-    def outcomes(self) -> tuple[np.ndarray, np.ndarray]:
-        """Occupation rows and probabilities of every sector, concatenated."""
-        sectors = list(self.sectors.values())
-        rows = [d.basis.occupations for d in sectors] or [np.zeros((0, 0), dtype=np.int8)]
-        return np.concatenate(rows), np.concatenate([d.probabilities for d in sectors] + [[]])
-
-
 def _photon_number_tail(labeled: LabeledInput) -> np.ndarray:
     """``P(photons >= k)`` for ``k = 0 .. 2n + 1``.
 
@@ -406,7 +344,7 @@ def noisy_simulate(
     unitary: ModeUnitary | np.ndarray,
     labeled: LabeledInput,
     output_losses: np.ndarray | None = None,
-) -> NoisyDistribution:
+) -> OutputDistribution:
     """Output distribution of a noisy source's input, summed by trigger.
 
     A labeled branch is fixed by the set S of triggers whose photon takes
@@ -431,8 +369,13 @@ def noisy_simulate(
             output by binomial thinning, or None for lossless readout.
 
     Returns:
-        One :class:`OutputDistribution` per photon-number sector up to
-        the cap, with the truncated mass.
+        An :class:`~lopsim.fock.OutputDistribution` with one sector per
+        populated photon number up to the cap, the type
+        :func:`~lopsim.fock.strong_simulate` returns.  Its
+        ``dropped_weight`` is the tail above the cap, so ``total() +
+        dropped_weight`` is 1.  Without output losses every sector is
+        exact; with them, ``dropped_weight`` bounds the mass missing from
+        any sector.  Postselection scales it like the probabilities.
     """
     if not isinstance(unitary, ModeUnitary):
         unitary = ModeUnitary(np.asarray(unitary))
@@ -455,7 +398,7 @@ def noisy_simulate(
         if weight == 0.0 or len(shared_modes) > cap:
             continue
         coherent = strong_simulate(unitary, FockState.from_modes(m, shared_modes))
-        term = {len(shared_modes): weight * coherent.probabilities}
+        term = {len(shared_modes): weight * coherent.sectors[len(shared_modes)]}
         for q, unique, lost, s in zip(labeled.modes, labeled.unique, labeled.lost, members):
             if not s:
                 term = _mix_photon(term, power[:, q], lost, unique, cap)
@@ -465,10 +408,7 @@ def noisy_simulate(
         sectors = _mix_photon(sectors, power[:, q], 1.0 - extra, extra, cap)
     if output_losses is not None:
         sectors = _thin_outputs(sectors, m, keep)
-    return NoisyDistribution(
-        {n: OutputDistribution(enumerate_basis(m, n), vec) for n, vec in sectors.items()},
-        tail[cap + 1],
-    )
+    return OutputDistribution(m, sectors, dropped_weight=tail[cap + 1])
 
 
 def _click_arrays(dist: Mapping[FockState, float], width: int) -> tuple[np.ndarray, np.ndarray]:
@@ -587,8 +527,9 @@ def _constructive_patterns(n_photons: int) -> frozenset[tuple[int, ...]]:
     m = 2 * n_photons
     unitary = _cyclic_circuit(n_photons, 0.0).unitary()
     dist = strong_simulate(unitary, FockState.from_modes(m, cyclic_input_modes(n_photons)))
-    valid, right = _one_click_per_pair(_click_arrays(dist, m)[0])
-    bright = valid & (dist.probabilities > 1e-9 * dist.probabilities.max())
+    clicks, probs = _click_arrays(dist, m)
+    valid, right = _one_click_per_pair(clicks)
+    bright = valid & (probs > 1e-9 * probs.max())
     return frozenset(map(tuple, right[bright].astype(int).tolist()))
 
 
@@ -619,7 +560,7 @@ def genuine_indistinguishability(
 
 def cyclic_distribution(
     n_photons: int, src: SourceModel, alpha: float = 0.0
-) -> NoisyDistribution:
+) -> OutputDistribution:
     """Noisy output of the cyclic interferometer fed by ``n_photons`` triggers."""
     unitary = cyclic_interferometer(n_photons, alpha)
     labeled = build_input(n_photons, src, modes=cyclic_input_modes(n_photons))

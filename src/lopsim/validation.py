@@ -27,14 +27,8 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .fock import (
-    FockState,
-    ModeUnitary,
-    distinguishable_probability,
-    enumerate_basis,
-    output_amplitude,
-    permanent,
-)
+from .fock import FockState, ModeUnitary, enumerate_basis, permanent, strong_simulate
+from .sources import SourceModel, build_input, noisy_simulate
 
 __all__ = [
     "CounterState",
@@ -145,22 +139,36 @@ def _check_modes(unitary: ModeUnitary, detected: Sequence[int], inputs: Sequence
     return detected, inputs
 
 
+def _collision_free_probabilities(
+    unitary: ModeUnitary, input_state: FockState
+) -> tuple[np.ndarray, np.ndarray]:
+    """Ideal and classical probabilities of the collision-free outcomes.
+
+    One coherent and one classical pass over the full basis, restricted
+    to the collision-free rows (in collision-free basis order) and not
+    renormalized.
+    """
+    n = input_state.n
+    distinguishable = build_input(
+        n, SourceModel(indistinguishability=0.0), modes=input_state.modes()
+    )
+    free = np.all(enumerate_basis(unitary.m, n).occupations <= 1, axis=1)
+    ideal = strong_simulate(unitary, input_state).sectors[n][free]
+    classical = noisy_simulate(unitary, distinguishable).sectors[n][free]
+    return ideal, classical
+
+
 def collision_free_reference(
     unitary: ModeUnitary, input_state: FockState
 ) -> CollisionFreeReference:
     """Precompute the sector constants the counters normalize by."""
     if not input_state.is_collision_free():
         raise ValueError("reference requires a collision-free input state")
-    inputs = input_state.modes()
-    cf = enumerate_basis(unitary.m, input_state.n, collision_free=True)
-    ideal_mass = 0.0
-    classical_mass = 0.0
-    for state in cf:
-        sub = unitary.matrix[np.ix_(state.modes(), inputs)]
-        ideal_mass += abs(permanent(sub)) ** 2
-        classical_mass += float(np.real(permanent(np.abs(sub) ** 2)))
+    ideal, classical = _collision_free_probabilities(unitary, input_state)
     return CollisionFreeReference(
-        ideal_mass=ideal_mass, classical_mass=classical_mass, n_outcomes=len(cf)
+        ideal_mass=float(ideal.sum()),
+        classical_mass=float(classical.sum()),
+        n_outcomes=len(ideal),
     )
 
 
@@ -236,19 +244,13 @@ def lr_counter_update(
 def _collision_free_weights(
     unitary: ModeUnitary, input_state: FockState, hypothesis: str
 ) -> np.ndarray:
-    cf = enumerate_basis(unitary.m, input_state.n, collision_free=True)
-    if hypothesis == "uniform":
-        return np.full(len(cf), 1.0 / len(cf))
-    if hypothesis == "ideal":
-        weights = np.array(
-            [abs(output_amplitude(unitary, input_state, s)) ** 2 for s in cf]
-        )
-    elif hypothesis == "distinguishable":
-        weights = np.array(
-            [distinguishable_probability(unitary, input_state, s) for s in cf]
-        )
-    else:
+    if hypothesis not in HYPOTHESES:
         raise ValueError(f"unknown hypothesis {hypothesis!r}; expected {HYPOTHESES}")
+    if hypothesis == "uniform":
+        size = len(enumerate_basis(unitary.m, input_state.n, collision_free=True))
+        return np.full(size, 1.0 / size)
+    ideal, classical = _collision_free_probabilities(unitary, input_state)
+    weights = ideal if hypothesis == "ideal" else classical
     return weights / weights.sum()
 
 

@@ -15,6 +15,7 @@ from hypothesis import strategies as st
 from lopsim.fock import (
     FockState,
     ModeUnitary,
+    OutputDistribution,
     _add_photon,
     batched_amplitudes,
     enumerate_basis,
@@ -22,7 +23,6 @@ from lopsim.fock import (
 )
 from lopsim.sources import (
     TAIL_TOLERANCE,
-    NoisyDistribution,
     SourceModel,
     build_input,
     coincidence_probability,
@@ -103,7 +103,8 @@ class TestStrongSimulate:
         state = FockState.from_modes(m, modes)
         reference = evolve_state_vector(u.matrix, state)
         dist = strong_simulate(u, state, collision_free=collision_free)
-        expected = np.array([abs(reference.get(t, 0.0)) ** 2 for t in dist.basis])
+        basis = enumerate_basis(m, len(modes), collision_free)
+        expected = np.array([abs(reference.get(t, 0.0)) ** 2 for t in basis])
         assert dist.subspace_weight == pytest.approx(expected.sum(), abs=1e-12)
         assert np.allclose(dist.probabilities, expected / expected.sum(), rtol=0, atol=1e-12)
 
@@ -194,9 +195,21 @@ class TestNoisySimulate:
         noisy = noisy_simulate(u, build_input(len(modes), SourceModel(), modes=modes))
         ideal = strong_simulate(u, FockState.from_modes(m, modes))
         assert list(noisy.sectors) == [len(modes)]
-        assert np.allclose(
-            noisy.sectors[len(modes)].probabilities, ideal.probabilities, rtol=0, atol=1e-12
-        )
+        assert np.allclose(noisy.sectors[len(modes)], ideal.probabilities, rtol=0, atol=1e-12)
+        # the two are one type and agree on every accessor
+        assert type(noisy) is type(ideal)
+        rows, values = noisy.outcomes()
+        assert np.array_equal(rows, ideal.outcomes()[0])
+        assert np.allclose(values, ideal.probabilities, rtol=0, atol=1e-12)
+        assert [s for s, _ in noisy.items()] == [s for s, _ in ideal.items()] == list(ideal)
+        assert len(noisy) == len(ideal)
+        assert noisy.total() == pytest.approx(ideal.total(), abs=1e-12)
+        assert noisy.sector_weights() == pytest.approx(ideal.sector_weights(), abs=1e-12)
+        for state in ideal:
+            assert noisy.prob(state) == pytest.approx(ideal.prob(state), abs=1e-12)
+        for dist in (noisy, ideal):
+            assert (dist.m, dist.collision_free) == (m, False)
+            assert (dist.subspace_weight, dist.dropped_weight) == (1.0, 0.0)
 
     @settings(max_examples=30, deadline=None)
     @given(
@@ -259,7 +272,7 @@ class TestNoisySimulate:
             rows = [occ for occ in reference if sum(occ) == n]
             if rows:
                 np.add.at(expected, basis.rank(np.array(rows)), [reference[r] for r in rows])
-            got = noisy.sectors[n].probabilities if n in noisy.sectors else np.zeros(len(basis))
+            got = noisy.sectors[n] if n in noisy.sectors else np.zeros(len(basis))
             assert np.abs(got - expected).max() <= slack
 
 
@@ -299,7 +312,7 @@ class TestClickPatterns:
         assert coincidence_probability(by_state, (1, 6)) == pytest.approx(pair, abs=1e-12)
 
     def test_empty_distribution(self):
-        empty = NoisyDistribution({})
+        empty = OutputDistribution(8, {})
         assert len(empty) == 0
         assert coincidence_probability(empty, (0, 1)) == 0.0
         with pytest.raises(ValueError, match="undefined"):

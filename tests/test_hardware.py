@@ -65,6 +65,17 @@ class TestHardwareModel:
         assert np.allclose(loaded.output_losses, hw.output_losses)
         assert loaded.v_max == hw.v_max
 
+    @pytest.mark.parametrize("m, pinned", [(12, True), (12, None), (4, False), (4, None)])
+    def test_loads_files_with_the_retired_pinning_key(self, m, pinned):
+        # files written before pinning became the fixed m = 12 rule carry
+        # a "pin_input_phases" entry (null unless set); it is ignored
+        hw = HardwareModel.synthetic(m, rng=3)
+        payload = {**hw.to_dict(), "pin_input_phases": pinned}
+        loaded = HardwareModel.from_dict(payload)
+        assert loaded.a.shape == (MeshLayout(m).n_actuated,) * 2
+        assert np.array_equal(loaded.a, hw.a) and np.array_equal(loaded.b, hw.b)
+        assert "pin_input_phases" not in loaded.to_dict()
+
     def test_rejects_bad_schema(self):
         with pytest.raises(ValueError, match="schema"):
             HardwareModel.from_dict({"schema": "something-else"})

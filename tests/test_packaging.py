@@ -1,9 +1,10 @@
 """Packaging metadata: an installed copy carries every bundled data file,
-every console script resolves to a callable, and every name a module
-exports or the package imports exists."""
+every console script resolves to a callable, every name a module exports
+or the package imports exists, and no module-level definition is dead."""
 
 import ast
 import importlib
+import re
 import tomllib
 from pathlib import Path, PurePosixPath
 
@@ -50,3 +51,44 @@ def test_every_exported_name_resolves():
     ]
     assert names
     assert [n for n in names if not hasattr(package, n)] == []
+
+
+def test_every_module_level_definition_has_a_caller_or_a_test():
+    # A name counts as used when it occurs in the package outside its own
+    # definition and outside the __all__ lists and the package's
+    # __init__ imports, or anywhere in the tests.
+    source = ROOT / "src" / "lopsim"
+    tests = "\n".join(p.read_text(encoding="utf-8") for p in (ROOT / "tests").glob("*.py"))
+    modules = {
+        path.name: path.read_text(encoding="utf-8").splitlines()
+        for path in sorted(source.glob("*.py"))
+        if path.name != "__init__.py"
+    }
+    trees = {name: ast.parse("\n".join(lines)) for name, lines in modules.items()}
+
+    def text_without(name: str, spans: list[tuple[int, int]]) -> str:
+        exports = [
+            (node.lineno, node.end_lineno)
+            for node in trees[name].body
+            if isinstance(node, ast.Assign)
+            and any(getattr(target, "id", None) == "__all__" for target in node.targets)
+        ]
+        drop = {i for start, end in exports + spans for i in range(start - 1, end)}
+        return "\n".join(line for i, line in enumerate(modules[name]) if i not in drop)
+
+    unused = []
+    for module, tree in trees.items():
+        for node in tree.body:
+            if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                continue
+            if node.name.startswith("__") and node.name.endswith("__"):
+                continue
+            start = min([node.lineno] + [d.lineno for d in node.decorator_list])
+            texts = [
+                text_without(other, [(start, node.end_lineno)] if other == module else [])
+                for other in modules
+            ]
+            pattern = re.compile(rf"\b{re.escape(node.name)}\b")
+            if not any(pattern.search(text) for text in [*texts, tests]):
+                unused.append(f"{module}:{node.name}")
+    assert unused == []

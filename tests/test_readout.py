@@ -1,9 +1,10 @@
 """Postselection as a mask on occupation rows, checked against a per-state rule.
 
 ``logical_distribution`` reads any distribution through the outcome view
-of ``lopsim.fock.outcome_arrays``; random rules and random
-``OutputDistribution``, ``NoisyDistribution`` and counts-dict inputs are
-compared with the brute-force ``postselect_by_state`` of ``_oracles.py``.
+of ``lopsim.fock.outcome_arrays``; random rules and random single- and
+multi-sector ``OutputDistribution`` and counts-dict inputs are compared
+with the brute-force ``postselect_by_state`` of ``_oracles.py``.  The
+accessors of ``OutputDistribution`` are checked against its outcome view.
 """
 
 import numpy as np
@@ -27,7 +28,6 @@ from lopsim.qubits import (
     encoding_input_state,
     logical_distribution,
 )
-from lopsim.sources import NoisyDistribution
 
 from _oracles import postselect_by_state
 
@@ -53,10 +53,12 @@ def rules(draw):
     return m, rule
 
 
-def random_sector(m: int, n: int, rng: np.random.Generator) -> OutputDistribution:
-    basis = enumerate_basis(m, n)
-    probs = rng.random(len(basis)) * (rng.random(len(basis)) < 0.7)
-    return OutputDistribution(basis, probs / max(probs.sum(), 1.0))
+def random_sector(
+    m: int, n: int, rng: np.random.Generator, collision_free: bool = False
+) -> np.ndarray:
+    size = len(enumerate_basis(m, n, collision_free))
+    probs = rng.random(size) * (rng.random(size) < 0.7)
+    return probs / max(probs.sum(), 1.0)
 
 
 @settings(max_examples=50, deadline=None)
@@ -71,11 +73,12 @@ def test_mask_readout_matches_per_state_rule(drawn, kind, seed):
     q = len(rule.qubit_pairs)
     sectors = {n: random_sector(m, n, rng) for n in range(q, q + 3)}
     if kind == "output":
-        dist = sectors[q + int(rng.integers(3))]
+        n = q + int(rng.integers(3))
+        dist = OutputDistribution(m, {n: sectors[n]})
     elif kind == "noisy":
-        dist = NoisyDistribution(sectors)
+        dist = OutputDistribution(m, sectors)
     else:
-        noisy = NoisyDistribution(sectors)
+        noisy = OutputDistribution(m, sectors)
         dist = {
             (state if kind == "states" else state.occupations): int(rng.integers(1, 50))
             for state, _ in noisy.items()
@@ -112,7 +115,7 @@ def test_ravel_puts_qubit_zero_first():
 
 def test_empty_distribution_has_no_accepted_outcome():
     rule = PostselectionRule(((0, 1),))
-    for empty in ({}, NoisyDistribution({})):
+    for empty in ({}, OutputDistribution(2, {})):
         rows, values = outcome_arrays(empty)
         assert rows.shape == (0, 0) and values.shape == (0,)
         with pytest.raises(ValueError, match="postselection"):
@@ -123,3 +126,48 @@ def test_threshold_herald_reads_any_count_as_a_click():
     rule = PostselectionRule(((0, 1),), heralds=(((2, 2),),), threshold=True)
     probs, weight = logical_distribution({(0, 1, 1): 0.25, (1, 0, 0): 0.75}, rule)
     assert weight == 0.25 and probs[1] == 1.0
+
+
+@st.composite
+def distributions(draw):
+    """Random single- or multi-sector distributions, some collision-free."""
+    m = draw(st.integers(1, 6))
+    collision_free = draw(st.booleans())
+    photons = st.integers(0, m if collision_free else 4)
+    ns = draw(st.lists(photons, min_size=1, max_size=3, unique=True))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    sectors = {n: random_sector(m, n, rng, collision_free) for n in ns}
+    scale = max(sum(vec.sum() for vec in sectors.values()), 1.0)
+    return OutputDistribution(
+        m,
+        {n: vec / scale for n, vec in sectors.items()},
+        collision_free=collision_free,
+        dropped_weight=draw(st.floats(0.0, 1e-6)),
+    )
+
+
+@settings(max_examples=50, deadline=None)
+@given(dist=distributions())
+def test_accessors_agree_with_the_outcome_view(dist):
+    rows, values = dist.outcomes()
+    assert np.array_equal(dist.probabilities, values)
+    for row, p in zip(rows.tolist(), values.tolist()):
+        assert dist.prob(FockState(tuple(row))) == p
+    assert len(dist) == np.count_nonzero(values)
+    assert list(dist) == [state for state, _ in dist.items()]
+    assert all(p > 0.0 for _, p in dist.items())
+    assert sum(p for _, p in dist.items()) == pytest.approx(dist.total(), abs=1e-12)
+    weights = dist.sector_weights()
+    assert list(weights) == list(dist.sectors) and all(w > 0.0 for w in weights.values())
+    assert sum(weights.values()) == pytest.approx(dist.total(), abs=1e-12)
+    if dist.collision_free:
+        assert dist.prob(FockState((2,) + (0,) * (dist.m - 1))) == 0.0
+    for n, weight in weights.items():
+        conditioned, got = dist.postselect_photon_number(n)
+        assert got == weight
+        assert list(conditioned.sectors) == [n]
+        assert conditioned.total() == pytest.approx(1.0, abs=1e-12)
+        assert conditioned.dropped_weight == pytest.approx(dist.dropped_weight / weight)
+        assert conditioned.collision_free == dist.collision_free
+    with pytest.raises(ValueError, match="sector"):
+        dist.postselect_photon_number(max(weights, default=0) + 1)

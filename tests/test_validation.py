@@ -7,7 +7,7 @@ evolution and explicit classical routing from ``_oracles.py``.
 import numpy as np
 import pytest
 
-from lopsim.fock import FockState, ModeUnitary, enumerate_basis
+from lopsim.fock import FockState, ModeUnitary, enumerate_basis, permanent
 from lopsim.validation import (
     CollisionFreeReference,
     CounterState,
@@ -15,6 +15,7 @@ from lopsim.validation import (
     aa_counter_update,
     collision_free_reference,
     compare_distributions,
+    _collision_free_weights,
     counter_trajectory_csv,
     lr_counter_update,
     run_validation,
@@ -39,6 +40,23 @@ def test_reference_masses_match_oracles():
     assert ref.n_outcomes == len(cf) == 20
     assert ref.ideal_mass == pytest.approx(ideal, abs=1e-12)
     assert ref.classical_mass == pytest.approx(classical, abs=1e-12)
+
+
+@pytest.mark.parametrize("m", range(4, 9))
+def test_one_pass_weights_equal_per_state_permanents(m):
+    u = haar(m, 10 + m)
+    inp = FockState.from_modes(m, range(0, m, 2))
+    cf = enumerate_basis(m, inp.n, collision_free=True)
+    subs = [u.matrix[np.ix_(state.modes(), inp.modes())] for state in cf]
+    ideal = np.array([abs(permanent(sub)) ** 2 for sub in subs])
+    classical = np.array([permanent(np.abs(sub) ** 2).real for sub in subs])
+    ref = collision_free_reference(u, inp)
+    assert ref.n_outcomes == len(cf)
+    assert ref.ideal_mass == pytest.approx(ideal.sum(), abs=1e-12)
+    assert ref.classical_mass == pytest.approx(classical.sum(), abs=1e-12)
+    for hypothesis, per_state in (("ideal", ideal), ("distinguishable", classical)):
+        weights = _collision_free_weights(u, inp, hypothesis)
+        assert np.allclose(weights, per_state / per_state.sum(), rtol=0, atol=1e-12)
 
 
 def test_run_validation_replays_bit_exactly():
