@@ -415,7 +415,9 @@ class OutputDistribution(Mapping[FockState, float]):
     ``sectors[n]`` is the probability vector over ``enumerate_basis(m, n)``,
     or over the collision-free basis for a ``collision_free`` result; only
     sectors with mass are kept.  Iteration, ``items`` and ``len`` cover
-    the nonzero outcomes.  A collision-free result is renormalized within
+    the nonzero outcomes, and so do ``in``, ``get`` and ``[]``: ``[]``
+    raises KeyError elsewhere, while :meth:`prob` is total and returns
+    0.0 there.  A collision-free result is renormalized within
     the subspace and ``subspace_weight`` is the mass the subspace carried
     before.  ``dropped_weight`` is the mass a simulation left out (see
     :func:`lopsim.sources.noisy_simulate`), so ``total() + dropped_weight``
@@ -458,14 +460,21 @@ class OutputDistribution(Mapping[FockState, float]):
         return self.outcomes()[1]
 
     def prob(self, state: FockState) -> float:
+        """Probability of ``state``; 0.0 for any outcome outside the support."""
         vec = self.sectors.get(state.n)
+        if vec is None or state.m != self.m:
+            return 0.0
         try:
-            return 0.0 if vec is None else float(vec[self._basis(state.n).index(state)])
+            return float(vec[self._basis(state.n).index(state)])
         except KeyError:
             return 0.0
 
     def __getitem__(self, state: FockState) -> float:
-        return self.prob(state)
+        """Probability of a nonzero outcome; KeyError elsewhere, as iteration says."""
+        p = self.prob(state) if isinstance(state, FockState) else 0.0
+        if p == 0.0:
+            raise KeyError(state)
+        return p
 
     def items(self) -> Iterator[tuple[FockState, float]]:
         rows, values = self.outcomes()

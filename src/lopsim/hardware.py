@@ -269,7 +269,7 @@ def _intensities(
 ) -> np.ndarray:
     """Lossy output powers (B, m) of one-hot inputs under per-row logical phases."""
     rows = np.eye(layout.m, dtype=complex)[inputs]
-    out = _forward_sweep(layout, rows, phases, hw.reflectivities)[-1]
+    out = _forward_sweep(layout, rows, phases, hw.reflectivities)[0]
     return hw.output_losses * np.abs(out) ** 2
 
 
@@ -350,8 +350,7 @@ def _objective(
 
     phases = layout.phases_from_actuated(batch.w @ a.T + b)
     rows = np.eye(m, dtype=complex)[batch.inputs]
-    states = _forward_sweep(layout, rows, phases, refl_c)
-    out = states[-1]
+    out, tape = _forward_sweep(layout, rows, phases, refl_c)
     power = np.abs(out) ** 2
     pred = scale * losses[None, :] * power
     res = pred - batch.y
@@ -361,7 +360,7 @@ def _objective(
     d_losses = np.sum(d_pred * scale * power, axis=0)
     d_scale = float(np.sum(d_pred * losses[None, :] * power))
     adj = (d_pred * scale * losses[None, :]) * np.conj(out)
-    d_phases, d_r = _adjoint_sweep(layout, states, phases, refl_c, adj)
+    d_phases, d_r = _adjoint_sweep(layout, tape, adj)
     d_phi_act = layout.actuated_from_phases(2.0 * np.real(d_phases))
     d_refl = 2.0 * np.real(d_r.sum(axis=0))
     d_a = d_phi_act.T @ batch.w

@@ -14,9 +14,14 @@ disjoint pairs, so they commute and one vectorized update applies a whole
 layer to a batch of row states.
 
 ``_forward_sweep`` and ``_adjoint_sweep`` are the only mesh propagation.
-The forward sweep pushes row states through the layers; the adjoint sweep
-runs back through them with a cotangent and returns its product with the
-derivative of the output by every phase and reflectivity. At a phase
+The forward sweep pushes row states, held mode-major with the row batch
+last, through the layers and records a tape: the phase and coupler
+factors, permuted once into layer order so each layer is a contiguous
+span of cells on stride-2 mode slices, and every cell's pair amplitudes
+entering its two couplers. The adjoint sweep reads that tape back to
+front with a cotangent and returns its product with the derivative of
+the output by every phase and reflectivity, so nothing of the forward
+pass is recomputed. At a phase
 element that product is ``1j * a_top * s_top`` (cotangent times state on
 the top mode), so no 2x2 derivative blocks are formed. The unitary, the
 compile objective and every calibration and benchmark intensity go
@@ -219,8 +224,10 @@ class MeshLayout:
     ``[theta_0, phi_0, theta_1, phi_1, ...]``. For the 12-mode reference
     geometry the six external phases that sit directly on untouched
     input modes are not actuated in hardware and are pinned to zero,
-    leaving 126 actuated phases. ``layers[d]`` holds the cell indices and
-    top modes of the d-th layer of disjoint pairs.
+    leaving 126 actuated phases. ``layer_order`` lists the cells layer by
+    layer and ``layer_inverse`` undoes it; ``layers[d]`` is the d-th layer
+    of disjoint pairs as (its span of cells in layer order, its top-mode
+    slice, its bottom-mode slice).
     """
 
     def __init__(self, m: int):
@@ -249,11 +256,23 @@ class MeshLayout:
             layer = max(free[p], free[p + 1])
             free[p] = free[p + 1] = layer + 1
             layer_of.append(layer)
-        cell_layer, tops = np.array(layer_of), np.array(self.cells)
-        self.layers = tuple(
-            (cells, tops[cells])
-            for cells in (np.flatnonzero(cell_layer == d) for d in range(max(free)))
-        )
+        # Layer order: cells grouped by layer, by index within a layer. A
+        # layer's tops then rise in steps of 2, so it is one contiguous span
+        # of cells on stride-2 mode slices.
+        order = sorted(range(self.n_cells), key=layer_of.__getitem__)
+        self.layer_order = np.array(order)
+        self.layer_inverse = np.empty_like(self.layer_order)
+        self.layer_inverse[self.layer_order] = np.arange(self.n_cells)
+        layers = []
+        lo = 0
+        for d in range(max(free)):
+            tops = [self.cells[c] for c in order if layer_of[c] == d]
+            t0, t_last = tops[0], tops[-1]
+            if tops != list(range(t0, t_last + 1, 2)):
+                raise RuntimeError("layer tops are not evenly spaced")
+            span, lo = slice(lo, lo + len(tops)), lo + len(tops)
+            layers.append((span, slice(t0, t_last + 1, 2), slice(t0 + 1, t_last + 2, 2)))
+        self.layers = tuple(layers)
 
     def phases_from_actuated(self, actuated: np.ndarray) -> np.ndarray:
         """Logical phase vector(s) with pinned phases at zero; leading axes are kept."""
@@ -291,7 +310,7 @@ class MeshLayout:
         if phases.shape != (self.n_logical,):
             raise ValueError(f"expected {self.n_logical} logical phases, got {phases.shape}")
         refl = self._reflectivity_table(reflectivities)
-        u = _forward_sweep(self, np.eye(self.m, dtype=complex), phases, refl)[-1].T
+        u = _forward_sweep(self, np.eye(self.m, dtype=complex), phases, refl)[0].T
         if output_phases is not None:
             output_phases = np.asarray(output_phases, dtype=float)
             if output_phases.shape != (self.m,):
@@ -330,96 +349,99 @@ class MeshLayout:
         return circuit
 
 
-def _cell_front(
-    s: np.ndarray,
-    cells: np.ndarray,
-    tops: np.ndarray,
-    e: np.ndarray,
-    t: np.ndarray,
-    k: np.ndarray,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Pair amplitudes of ``cells`` after phase(phi), and after phase(theta).
+@dataclass(frozen=True)
+class _Tape:
+    """What the forward sweep recorded for the adjoint.
 
-    Returns ``(x1, y1, x3, y3)``: top and bottom amplitudes after the first
-    phase element, then after coupler(r1) and phase(theta), i.e. at the
-    input of coupler(r2).
+    Arrays are mode- or cell-major with the row batch last, so a layer's
+    update runs over contiguous rows, and cells are permuted by
+    ``MeshLayout.layer_order``. ``e`` (2, n_cells, B or 1) holds the phase
+    factors of (theta, phi); ``t``, ``k`` and ``refl`` (2, n_cells, 1) the
+    coupler factors and reflectivities of (r1, r2). ``x`` and ``y`` (2,
+    n_cells, B) hold every cell's top and bottom amplitudes entering
+    coupler(r1) (``[0]``, after phase(phi)) and coupler(r2) (``[1]``, after
+    phase(theta)).
     """
-    x1 = s[:, tops] * e[..., cells, 1]
-    y1 = s[:, tops + 1]
-    t1, k1 = t[cells, 0], k[cells, 0]
-    x3 = (t1 * x1 + k1 * y1) * e[..., cells, 0]
-    y3 = k1 * x1 + t1 * y1
-    return x1, y1, x3, y3
 
-
-def _sweep_factors(
-    layout: MeshLayout, phases: np.ndarray, refl: np.ndarray
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Phase factors shaped (..., n_cells, 2) as (theta, phi), and coupler t, k."""
-    e = np.exp(1j * phases).reshape(phases.shape[:-1] + (layout.n_cells, 2))
-    return e, np.sqrt(refl), 1j * np.sqrt(1.0 - refl)
+    e: np.ndarray
+    t: np.ndarray
+    k: np.ndarray
+    refl: np.ndarray
+    x: np.ndarray
+    y: np.ndarray
 
 
 def _forward_sweep(
     layout: MeshLayout, rows: np.ndarray, phases: np.ndarray, refl: np.ndarray
-) -> np.ndarray:
+) -> tuple[np.ndarray, _Tape]:
     """Push row states (B, m) through the mesh, one layer at a time.
 
     ``phases`` is one logical vector shared by every row, or one per row
-    (B, n_logical); ``refl`` is the (n_cells, 2) coupler table. Returns the
-    states (n_layers + 1, B, m): ``states[d]`` enters layer d and
-    ``states[-1][b]`` is the mesh transfer matrix applied to ``rows[b]``.
+    (B, n_logical); ``refl`` is the (n_cells, 2) coupler table. Returns
+    ``out`` (B, m), where ``out[b]`` is the mesh transfer matrix applied to
+    ``rows[b]``, and the tape that ``_adjoint_sweep`` reads. The phase
+    factors are formed once and one (m, B) state array is updated in
+    place; the tape gets copies of the amplitudes it needs.
     """
-    e, t, k = _sweep_factors(layout, phases, refl)
-    states = np.empty((len(layout.layers) + 1,) + rows.shape, dtype=complex)
-    states[0] = rows
-    for d, (cells, tops) in enumerate(layout.layers):
-        _, _, x3, y3 = _cell_front(states[d], cells, tops, e, t, k)
-        t2, k2 = t[cells, 1], k[cells, 1]
-        states[d + 1] = states[d]
-        states[d + 1][:, tops] = t2 * x3 + k2 * y3
-        states[d + 1][:, tops + 1] = k2 * x3 + t2 * y3
-    return states
+    order = layout.layer_order
+    cell_phases = np.reshape(phases, (-1, layout.n_cells, 2))[:, order]
+    e = np.exp(1j * np.ascontiguousarray(cell_phases.T))
+    refl = np.ascontiguousarray(refl[order].T)[..., None]
+    t, k = np.sqrt(refl), 1j * np.sqrt(1.0 - refl)
+    s = np.array(rows.T, dtype=complex, order="C")
+    x = np.empty((2, layout.n_cells, s.shape[1]), dtype=complex)
+    y = np.empty_like(x)
+    for span, top, bot in layout.layers:
+        t1, k1, t2, k2 = t[0, span], k[0, span], t[1, span], k[1, span]
+        x1, y1, x3, y3 = x[0, span], y[0, span], x[1, span], y[1, span]
+        x1[...] = s[top] * e[1, span]
+        y1[...] = s[bot]
+        x3[...] = (t1 * x1 + k1 * y1) * e[0, span]
+        y3[...] = k1 * x1 + t1 * y1
+        s[top] = t2 * x3 + k2 * y3
+        s[bot] = k2 * x3 + t2 * y3
+    return np.ascontiguousarray(s.T), _Tape(e, t, k, refl, x, y)
 
 
 def _adjoint_sweep(
-    layout: MeshLayout,
-    states: np.ndarray,
-    phases: np.ndarray,
-    refl: np.ndarray,
-    adjoint: np.ndarray,
+    layout: MeshLayout, tape: _Tape, adjoint: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
     """Run the cotangent ``adjoint`` (B, m) back through the mesh.
 
-    ``states`` comes from ``_forward_sweep`` with the same ``phases`` and
-    ``refl``. For each row b, with ``a = adjoint[b]`` and ``out =
-    states[-1][b]``, returns ``a . d out / d phase`` as (B, n_logical) in
-    logical order and ``a . d out / d r`` as (B, n_cells, 2). The cotangent
-    seen by an element is its output cotangent, so a phase element
-    contributes ``1j * a_top * s_top`` with ``s_top`` its output amplitude.
+    ``tape`` comes from ``_forward_sweep`` and is only read, so one tape
+    serves any number of cotangents. For each row b, with ``a =
+    adjoint[b]`` and ``out`` the forward output row, returns ``a . d out /
+    d phase`` as (B, n_logical) in logical order and ``a . d out / d r``
+    as (B, n_cells, 2). The cotangent seen by an element is its output
+    cotangent, so a phase element contributes ``1j * a_top * s_top`` with
+    ``s_top`` its output amplitude. Each layer reads its amplitudes from
+    the tape instead of recomputing them; both results are built in
+    layer order and permuted back to cell order once, at the end.
     """
-    e, t, k = _sweep_factors(layout, phases, refl)
-    dt, dk = 0.5 / t, -0.5j / np.sqrt(1.0 - refl)
-    n_rows = adjoint.shape[0]
-    d_phases = np.empty((n_rows, layout.n_cells, 2), dtype=complex)
-    d_refl = np.empty((n_rows, layout.n_cells, 2), dtype=complex)
-    a = np.array(adjoint, dtype=complex)
-    for d in range(len(layout.layers) - 1, -1, -1):
-        cells, tops = layout.layers[d]
-        x1, y1, x3, y3 = _cell_front(states[d], cells, tops, e, t, k)
-        ax, ay = a[:, tops], a[:, tops + 1]
-        t1, k1, t2, k2 = t[cells, 0], k[cells, 0], t[cells, 1], k[cells, 1]
-        dt1, dk1, dt2, dk2 = dt[cells, 0], dk[cells, 0], dt[cells, 1], dk[cells, 1]
-        d_refl[:, cells, 1] = ax * (dt2 * x3 + dk2 * y3) + ay * (dk2 * x3 + dt2 * y3)
+    e, t, k, x, y = tape.e, tape.t, tape.k, tape.x, tape.y
+    dt, dk = 0.5 / t, -0.5j / np.sqrt(1.0 - tape.refl)
+    a = np.array(adjoint.T, dtype=complex, order="C")
+    d_phases, d_refl = np.empty_like(x), np.empty_like(x)
+    for span, top, bot in reversed(layout.layers):
+        t1, k1, t2, k2 = t[0, span], k[0, span], t[1, span], k[1, span]
+        dt1, dk1, dt2, dk2 = dt[0, span], dk[0, span], dt[1, span], dk[1, span]
+        x1, y1, x3, y3 = x[0, span], y[0, span], x[1, span], y[1, span]
+        ax, ay = a[top], a[bot]
+        d_refl[1, span] = ax * (dt2 * x3 + dk2 * y3) + ay * (dk2 * x3 + dt2 * y3)
         ax, ay = t2 * ax + k2 * ay, k2 * ax + t2 * ay
-        d_phases[:, cells, 0] = 1j * ax * x3
-        ax = ax * e[..., cells, 0]
-        d_refl[:, cells, 0] = ax * (dt1 * x1 + dk1 * y1) + ay * (dk1 * x1 + dt1 * y1)
+        d_phases[0, span] = 1j * ax * x3
+        ax = ax * e[0, span]
+        d_refl[0, span] = ax * (dt1 * x1 + dk1 * y1) + ay * (dk1 * x1 + dt1 * y1)
         ax, ay = t1 * ax + k1 * ay, k1 * ax + t1 * ay
-        d_phases[:, cells, 1] = 1j * ax * x1
-        a[:, tops] = ax * e[..., cells, 1]
-        a[:, tops + 1] = ay
-    return d_phases.reshape(n_rows, layout.n_logical), d_refl
+        d_phases[1, span] = 1j * ax * x1
+        a[top] = ax * e[1, span]
+        a[bot] = ay
+    inverse = layout.layer_inverse
+    n_rows = a.shape[1]
+    return (
+        np.take(d_phases.T, inverse, axis=1).reshape(n_rows, layout.n_logical),
+        np.take(d_refl.T, inverse, axis=1),
+    )
 
 
 def _mesh_cell_sequence(m: int) -> list[int]:
@@ -559,43 +581,37 @@ def _optimal_gauges(
     counting, so compilation is free to choose them. Alternating phase
     updates are run from both update orders and the better result wins.
     """
+    target_conj = target.conj()
     best: tuple[float, np.ndarray, np.ndarray] | None = None
     for out_first in (True, False):
-        score, d_out, d_in = _alternate_gauges(target, implemented, out_first, iterations)
+        score, d_out, d_in = _alternate_gauges(target_conj, implemented, out_first, iterations)
         if best is None or score > best[0]:
             best = (score, d_out, d_in)
     return np.angle(best[1]), np.angle(best[2])
 
 
 def _alternate_gauges(
-    target: np.ndarray, implemented: np.ndarray, out_first: bool, iterations: int
+    target_conj: np.ndarray, implemented: np.ndarray, out_first: bool, iterations: int
 ) -> tuple[float, np.ndarray, np.ndarray]:
-    m = target.shape[0]
+    m = target_conj.shape[0]
     d_in = np.ones(m, dtype=complex)
     d_out = np.ones(m, dtype=complex)
+    # D_out U, refreshed whenever d_out changes
+    left = d_out[:, None] * implemented
     score = -1.0
     for step in range(iterations):
         update_out = (step % 2 == 0) == out_first
         if update_out:
-            diag_out = np.einsum("ij,ij->i", implemented * d_in[None, :], target.conj())
-            d_out = np.where(
-                np.abs(diag_out) > 1e-15, np.conj(diag_out) / np.abs(diag_out), 1.0
-            )
+            diag_out = np.einsum("ij,ij->i", implemented * d_in[None, :], target_conj)
+            size = np.abs(diag_out)
+            d_out = np.where(size > 1e-15, np.conj(diag_out) / size, 1.0)
+            left = d_out[:, None] * implemented
         else:
-            diag_in = np.einsum("ij,ij->j", d_out[:, None] * implemented, target.conj())
-            d_in = np.where(
-                np.abs(diag_in) > 1e-15, np.conj(diag_in) / np.abs(diag_in), 1.0
-            )
+            diag_in = np.einsum("ij,ij->j", left, target_conj)
+            size = np.abs(diag_in)
+            d_in = np.where(size > 1e-15, np.conj(diag_in) / size, 1.0)
         new_score = float(
-            np.abs(
-                np.sum(
-                    np.einsum(
-                        "ij,ij->i",
-                        d_out[:, None] * implemented * d_in[None, :],
-                        target.conj(),
-                    )
-                )
-            )
+            np.abs(np.sum(np.einsum("ij,ij->i", left * d_in[None, :], target_conj)))
         )
         if step > 2 and new_score - score < 1e-14:
             score = new_score
@@ -641,13 +657,13 @@ def _gauge_objective_and_grad(
     """
     m = layout.m
     phases = layout.phases_from_actuated(actuated)
-    states = _forward_sweep(layout, np.eye(m, dtype=complex), phases, refl)
-    out, inn = _optimal_gauges(target, states[-1].T)
+    rows_out, tape = _forward_sweep(layout, np.eye(m, dtype=complex), phases, refl)
+    out, inn = _optimal_gauges(target, rows_out.T)
     # Row j of the sweep output is column j of the unitary, so
-    # z = Tr(D_in T^dag D_out U) = sum(weight * states[-1]).
+    # z = Tr(D_in T^dag D_out U) = sum(weight * rows_out).
     weight = np.exp(1j * inn)[:, None] * target.conj().T * np.exp(1j * out)[None, :]
-    z = np.sum(weight * states[-1])
-    d_phases, _ = _adjoint_sweep(layout, states, phases, refl, weight)
+    z = np.sum(weight * rows_out)
+    d_phases, _ = _adjoint_sweep(layout, tape, weight)
     grad = 2.0 * np.real(np.conj(z) * d_phases.sum(axis=0)) / m**2
     value = float(np.abs(z) ** 2) / m**2
     return -value, -layout.actuated_from_phases(grad)

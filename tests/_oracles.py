@@ -2,8 +2,9 @@
 
 Each function here recomputes a quantity through a route independent of
 the library code: factorial-cost permanents, full second-quantized
-state-vector evolution, explicit classical routing enumeration, and
-the noisy-source output summed over every labeled branch.
+state-vector evolution, explicit classical routing enumeration, the
+noisy-source output summed over every labeled branch, and the mesh
+transfer matrix and its derivatives as products of per-element factors.
 """
 
 from __future__ import annotations
@@ -255,3 +256,61 @@ def postselect_by_state(distribution, rule) -> tuple[dict[tuple[int, ...], float
             raw[tuple(bits)] = raw.get(tuple(bits), 0.0) + prob
     weight = sum(raw.values())
     return {bits: p / weight for bits, p in raw.items()} if weight > 0 else {}, weight
+
+
+def _embedded(block: np.ndarray, top: int, base: np.ndarray) -> np.ndarray:
+    factor = base.copy()
+    factor[top : top + 2, top : top + 2] = block
+    return factor
+
+
+def mesh_transfer_with_derivatives(
+    cells, phases: np.ndarray, refl: np.ndarray, m: int
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Mesh transfer matrix and its parameter derivatives, element by element.
+
+    ``cells[c]`` is the top mode of cell c; the cell applies phase(phi) on
+    the top mode, coupler(r[c, 0]), phase(theta), coupler(r[c, 1]), with
+    ``phases[2c] = theta`` and ``phases[2c + 1] = phi``.  The transfer
+    matrix is the product of one full m x m factor per element, as
+    ``PhotonicCircuit.unitary`` builds it.  The derivative by a parameter
+    is the same product with that element's 2x2 block replaced by its
+    derivative (zero elsewhere): ``1j exp(1j a)`` on a phase, ``dt =
+    0.5 / sqrt(r)`` and ``dk = -0.5j / sqrt(1 - r)`` on a coupler.
+
+    Returns ``u`` (m, m), ``du_phase`` (n_logical, m, m) in logical order
+    and ``du_refl`` (n_cells, 2, m, m).
+    """
+    eye, zero = np.eye(m, dtype=complex), np.zeros((m, m), dtype=complex)
+    factors: list[tuple[np.ndarray, np.ndarray, tuple]] = []
+    for c, top in enumerate(cells):
+        light_order = (("phase", 2 * c + 1), ("refl", (c, 0)), ("phase", 2 * c), ("refl", (c, 1)))
+        for kind, index in light_order:
+            if kind == "phase":
+                z = np.exp(1j * phases[index])
+                block = np.array([[z, 0.0], [0.0, 1.0]])
+                derivative = np.array([[1j * z, 0.0], [0.0, 0.0]])
+            else:
+                r = refl[index]
+                t, k = sqrt(r), 1j * sqrt(1.0 - r)
+                dt, dk = 0.5 / sqrt(r), -0.5j / sqrt(1.0 - r)
+                block = np.array([[t, k], [k, t]])
+                derivative = np.array([[dt, dk], [dk, dt]])
+            factors.append(
+                (_embedded(block, top, eye), _embedded(derivative, top, zero), (kind, index))
+            )
+
+    def product(swap: int | None) -> np.ndarray:
+        u = eye.copy()
+        for i, (factor, derivative, _) in enumerate(factors):
+            u = (derivative if i == swap else factor) @ u
+        return u
+
+    du_phase = np.zeros((2 * len(cells), m, m), dtype=complex)
+    du_refl = np.zeros((len(cells), 2, m, m), dtype=complex)
+    for i, (_, _, (kind, index)) in enumerate(factors):
+        if kind == "phase":
+            du_phase[index] = product(i)
+        else:
+            du_refl[index] = product(i)
+    return product(None), du_phase, du_refl

@@ -37,3 +37,14 @@ def test_qnn_json_reports_accuracies(capsys):
 def test_requires_a_subcommand(capsys):
     with pytest.raises(SystemExit):
         main([])
+
+
+def test_calibrate_json_reports_both_tvds(capsys):
+    assert main(["calibrate", "--seed", "2", "--json"]) == 0
+    record = json.loads(capsys.readouterr().out)
+    assert set(record) == {"command", "seed", "calib_tvd", "baseline_tvd", "stage_s"}
+    assert record["command"] == "calibrate" and record["seed"] == 2
+    assert 0.0 <= record["calib_tvd"] <= 1.0
+    assert 0.0 <= record["baseline_tvd"] <= 1.0
+    assert set(record["stage_s"]) == {"measure", "calibrate", "benchmark"}
+    assert all(sec >= 0.0 for sec in record["stage_s"].values())

@@ -202,6 +202,19 @@ class TestStrongSimulate:
         for t in enumerate_basis(8, 4, collision_free=True):
             assert cf.prob(t) == pytest.approx(full.prob(t) / mass, abs=1e-9)
 
+    def test_mapping_lookups_match_iteration(self):
+        dist = strong_simulate(ModeUnitary(np.eye(2)), FockState((1, 0)))
+        assert len(dist) == 1
+        assert list(dist) == [FockState((1, 0))]
+        assert FockState((1, 0)) in dist and dist[FockState((1, 0))] == 1.0
+        # wrong mode count, and a zero-probability outcome of the right size
+        assert FockState((5, 5, 5)) not in dist
+        assert dist.get(FockState((0, 1)), "missing") == "missing"
+        with pytest.raises(KeyError):
+            dist[FockState((0, 1))]
+        assert dist.prob(FockState((0, 1))) == 0.0
+        assert dist.prob(FockState((5, 5, 5))) == 0.0
+
     def test_twelve_mode_six_photon_size(self):
         rng = np.random.default_rng(21)
         u = ModeUnitary.haar_random(12, rng)

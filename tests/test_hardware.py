@@ -250,6 +250,15 @@ class TestCalibration:
         )
 
 
+    def test_calibrate_twice_in_one_process(self):
+        layout = MeshLayout(4)
+        hw = HardwareModel.synthetic(4, rng=41)
+        data = generate_measurements(hw, layout, 60, rng=42)
+        fits = [calibrate(data, layout, maxiter=20) for _ in range(2)]
+        for field in ("a", "b", "reflectivities", "output_losses"):
+            assert np.array_equal(getattr(fits[0], field), getattr(fits[1], field)), field
+
+
 class TestBenchmark:
     def test_matched_model_is_exact(self):
         layout = MeshLayout(4)

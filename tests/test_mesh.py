@@ -21,7 +21,11 @@ from lopsim.mesh import (
     input_permutation,
     two_mode_gate_elements,
     unitary_to_elements,
+    _adjoint_sweep,
+    _forward_sweep,
 )
+
+from _oracles import mesh_transfer_with_derivatives
 
 
 def haar(m: int, seed: int) -> ModeUnitary:
@@ -322,6 +326,65 @@ class TestCompilation:
         refl = rng.normal(0.567, 0.006, size=(layout.n_cells, 2))
         result = compile_with_imperfections(target, refl, layout=layout, max_restarts=2)
         assert fidelity(target, result.implemented) == pytest.approx(result.fidelity, abs=1e-9)
+
+
+class TestSweepOracle:
+    """The layered forward/adjoint kernel against element-by-element products."""
+
+    @pytest.mark.parametrize("m", range(2, 9))
+    @pytest.mark.parametrize("per_row", [False, True])
+    def test_forward_and_adjoint_match_brute_force(self, m, per_row):
+        layout = MeshLayout(m)
+        rng = np.random.default_rng(40 + m)
+        n_rows = 3
+        refl = rng.uniform(0.2, 0.8, size=(layout.n_cells, 2))
+        shape = (n_rows, layout.n_logical) if per_row else (layout.n_logical,)
+        phases = rng.uniform(0.0, 2 * np.pi, size=shape)
+        rows = rng.normal(size=(n_rows, m)) + 1j * rng.normal(size=(n_rows, m))
+        adjoint = rng.normal(size=(n_rows, m)) + 1j * rng.normal(size=(n_rows, m))
+        out, tape = _forward_sweep(layout, rows, phases, refl)
+        d_phases, d_refl = _adjoint_sweep(layout, tape, adjoint)
+        assert d_phases.shape == (n_rows, layout.n_logical)
+        assert d_refl.shape == (n_rows, layout.n_cells, 2)
+        for b in range(n_rows):
+            u, du_phase, du_refl = mesh_transfer_with_derivatives(
+                layout.cells, phases[b] if per_row else phases, refl, m
+            )
+            np.testing.assert_allclose(out[b], u @ rows[b], rtol=0, atol=1e-12)
+            np.testing.assert_allclose(
+                d_phases[b], du_phase @ rows[b] @ adjoint[b], rtol=0, atol=1e-12
+            )
+            np.testing.assert_allclose(
+                d_refl[b], du_refl @ rows[b] @ adjoint[b], rtol=0, atol=1e-12
+            )
+
+    @pytest.mark.parametrize("m", [2, 5, 8])
+    def test_tape_survives_a_second_adjoint(self, m):
+        layout = MeshLayout(m)
+        rng = np.random.default_rng(60 + m)
+        refl = rng.uniform(0.2, 0.8, size=(layout.n_cells, 2))
+        phases = rng.uniform(0.0, 2 * np.pi, size=(4, layout.n_logical))
+        rows = np.eye(m, dtype=complex)[np.arange(4) % m]
+        adjoint = rng.normal(size=(4, m)) + 1j * rng.normal(size=(4, m))
+        _, tape = _forward_sweep(layout, rows, phases, refl)
+        first = _adjoint_sweep(layout, tape, adjoint)
+        second = _adjoint_sweep(layout, tape, adjoint)
+        assert np.array_equal(first[0], second[0])
+        assert np.array_equal(first[1], second[1])
+
+
+class TestDeterminism:
+    def test_compile_twice_in_one_process(self):
+        target = haar(6, 31)
+        layout = MeshLayout(6)
+        refl = np.random.default_rng(32).normal(0.567, 0.006, size=(layout.n_cells, 2))
+        runs = [
+            compile_with_imperfections(target, refl, layout=layout, maxiter=20, rng=33)
+            for _ in range(2)
+        ]
+        for field in ("phases", "output_phases", "input_phases", "fidelity", "restarts_used"):
+            assert np.array_equal(getattr(runs[0], field), getattr(runs[1], field)), field
+        assert np.array_equal(runs[0].implemented.matrix, runs[1].implemented.matrix)
 
 
 class TestUnitaryEmbedding:
