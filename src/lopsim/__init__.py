@@ -1,4 +1,12 @@
-"""Simulation and calibration toolkit for programmable photonic interferometers."""
+"""Simulation and calibration toolkit for programmable photonic interferometers.
+
+Importing the package loads numpy only.  scipy is imported on first use
+by the functions that need it: :func:`calibrate`,
+:func:`compile_with_imperfections` and :func:`vqe_run` (``minimize``),
+:func:`lopsim.sources.fit_fringe` (``curve_fit``) and the Toffoli compile
+in :func:`compile_gate_circuit` (``null_space``), so a fresh process
+that only simulates starts without it.
+"""
 
 from lopsim.fock import (
     FockBasis,

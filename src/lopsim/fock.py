@@ -139,12 +139,17 @@ class FockBasis:
         tails = np.zeros((m, n + 1), dtype=np.intp)
         for s in range(m):
             tails[s] = [len(b) for b in blocks]
-            blocks = [
-                np.concatenate(
-                    [np.insert(blocks[k - o], 0, o, axis=1) for o in range(min(cap, k) + 1)]
-                )
-                for k in range(n + 1)
-            ]
+            grown = []
+            for k in range(n + 1):
+                parts = [blocks[k - o] for o in range(min(cap, k) + 1)]
+                block = np.empty((sum(map(len, parts)), s + 1), dtype=np.int8)
+                start = 0
+                for o, part in enumerate(parts):
+                    block[start : start + len(part), 0] = o
+                    block[start : start + len(part), 1:] = part
+                    start += len(part)
+                grown.append(block)
+            blocks = grown
         self.occupations = blocks[n]
         self.occupations.setflags(write=False)
         # below[i, r, o]: states that put fewer than o photons on mode i
@@ -203,7 +208,7 @@ class ModeUnitary:
         if matrix.ndim != 2 or matrix.shape[0] != matrix.shape[1]:
             raise ValueError(f"expected a square matrix, got shape {matrix.shape}")
         deviation = np.max(np.abs(matrix.conj().T @ matrix - np.eye(matrix.shape[0])))
-        if deviation > UNITARITY_ATOL * max(1.0, matrix.shape[0]):
+        if not deviation <= UNITARITY_ATOL * max(1.0, matrix.shape[0]):
             raise ValueError(f"matrix is not unitary (max deviation {deviation:.3e})")
         matrix = matrix.copy()
         matrix.setflags(write=False)

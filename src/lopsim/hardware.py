@@ -13,7 +13,6 @@ import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.optimize import minimize
 
 from lopsim.fock import ModeUnitary
 from lopsim.mesh import MeshLayout, _adjoint_sweep, _forward_sweep
@@ -200,6 +199,8 @@ def voltages_from_phases(
     phi_target = np.asarray(phi_target, dtype=float)
     if phi_target.shape != hw.b.shape:
         raise ValueError("phase vector does not match the model size")
+    if not np.all(np.isfinite(phi_target)):
+        raise ValueError("phase vector has a non-finite entry")
     w_cap = hw.v_max**2
     k = np.ceil((hw.b - phi_target) / (2.0 * np.pi))
     flips = np.zeros_like(k)
@@ -226,7 +227,7 @@ def voltages_from_phases(
     voltages = np.sqrt(np.clip(w, 0.0, w_cap))
     residual = phases_from_voltages(voltages, hw) - phi_target
     residual = np.abs((residual + np.pi) % (2.0 * np.pi) - np.pi)
-    if residual.max() > 1e-6:
+    if not residual.max() <= 1e-6:
         raise TranspilationError(f"transpilation residual {residual.max():.2e} rad")
     return voltages
 
@@ -384,6 +385,8 @@ def calibrate(
     the mesh simulation. Voltages are normalized to v_max internally so
     the crosstalk block is as well scaled as the offsets.
     """
+    from scipy.optimize import minimize
+
     prior = initial if initial is not None else HardwareModel.prior(layout.m)
     _check_layout(prior, layout)
     if not measurements:

@@ -34,7 +34,6 @@ from dataclasses import dataclass, field
 from typing import Sequence
 
 import numpy as np
-from scipy.optimize import minimize
 
 from lopsim.fock import ModeUnitary
 
@@ -687,6 +686,8 @@ def compile_with_imperfections(
     seeds are exhausted. Boundary phase layers are chosen in closed form
     at every step.
     """
+    from scipy.optimize import minimize
+
     if layout is None:
         layout = MeshLayout(target.m)
     refl = layout._reflectivity_table(np.asarray(reflectivities, dtype=float))
@@ -745,7 +746,7 @@ def two_mode_gate_elements(
     v = np.asarray(v, dtype=complex)
     if v.shape != (2, 2):
         raise ValueError("expected a 2x2 matrix")
-    if np.max(np.abs(v.conj().T @ v - np.eye(2))) > 1e-10:
+    if not np.max(np.abs(v.conj().T @ v - np.eye(2))) <= 1e-10:
         raise ValueError("matrix is not unitary")
     theta, phi, psi, chi = _cell_angles(v)
     elements: list[CircuitElement] = [

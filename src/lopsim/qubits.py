@@ -36,7 +36,6 @@ from dataclasses import dataclass, replace
 from typing import Mapping, Sequence
 
 import numpy as np
-from scipy.linalg import null_space
 
 from lopsim.fock import FockState, batched_amplitudes, enumerate_basis, outcome_arrays
 from lopsim.mesh import (
@@ -449,6 +448,8 @@ def _dilate_contraction(w: np.ndarray, atol: float = 1e-12) -> np.ndarray:
     One extra mode is added per singular value of ``w`` below one; the
     extra columns (vacuum inputs) are an arbitrary orthonormal completion.
     """
+    from scipy.linalg import null_space
+
     k = w.shape[0]
     gram = np.eye(k) - w.conj().T @ w
     vals, vecs = np.linalg.eigh(gram)
@@ -586,7 +587,7 @@ def compile_gate_circuit(
     anchor = np.unravel_index(np.argmax(np.abs(target)), target.shape)
     scale = realized[anchor] / target[anchor]
     deviation = float(np.max(np.abs(realized - scale * target)))
-    if deviation > 1e-9 or abs(abs(scale) ** 2 - success) > 1e-9:
+    if not (deviation <= 1e-9 and abs(abs(scale) ** 2 - success) <= 1e-9):
         raise CompilationError(
             f"compiled circuit deviates from the logical unitary by {deviation:.2e}"
         )

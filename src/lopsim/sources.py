@@ -41,7 +41,6 @@ from pathlib import Path
 from typing import Mapping, Sequence
 
 import numpy as np
-from scipy.optimize import curve_fit
 
 from .fock import (
     FockState,
@@ -594,6 +593,8 @@ class FringeFit:
 
 def fit_fringe(alphas: Sequence[float], values: Sequence[float]) -> FringeFit:
     """Least-squares cosine fit of a fringe scan."""
+    from scipy.optimize import curve_fit
+
     alphas = np.asarray(alphas, dtype=float)
     values = np.asarray(values, dtype=float)
 

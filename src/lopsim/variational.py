@@ -20,7 +20,6 @@ from importlib import resources
 from typing import Mapping, Sequence
 
 import numpy as np
-from scipy.optimize import minimize
 
 from .fock import strong_simulate
 from .qubits import (
@@ -468,6 +467,8 @@ def vqe_run(
     ``converged=False``.  Passing ``config.initial_theta`` skips the
     sweep and starts the optimizer at the given angles.
     """
+    from scipy.optimize import minimize
+
     if config is None:
         config = VqeConfig()
     method = _METHODS.get(config.method.lower())

@@ -1,7 +1,8 @@
 """Brute-force reference implementations used only by the test suite.
 
 Each function here recomputes a quantity through a route independent of
-the library code: factorial-cost permanents, full second-quantized
+the library code: Fock bases filtered from every occupation tuple,
+factorial-cost permanents, full second-quantized
 state-vector evolution, explicit classical routing enumeration, the
 noisy-source output summed over every labeled branch, and the mesh
 transfer matrix and its derivatives as products of per-element factors.
@@ -15,6 +16,17 @@ from math import comb, factorial, sqrt
 import numpy as np
 
 from lopsim.fock import FockState
+
+
+def fock_basis_rows(m: int, n: int, collision_free: bool) -> np.ndarray:
+    """Every n-photon occupation row on m modes, ascending lexicographically.
+
+    Filters all occupation tuples with entries up to the per-mode cap (1
+    collision-free, n otherwise) by their photon total; ``(N, m)`` int8.
+    """
+    cap = 1 if collision_free else n
+    rows = sorted(r for r in itertools.product(range(cap + 1), repeat=m) if sum(r) == n)
+    return np.array(rows, dtype=np.int8).reshape(len(rows), m)
 
 
 def permanent_by_permutations(a: np.ndarray) -> complex:

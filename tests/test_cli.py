@@ -14,6 +14,8 @@ def test_fringe_json_reports_p6(capsys):
     assert record["alpha"] == 0.0
     assert record["p6_cos_alpha"] == pytest.approx(0.7194, abs=1e-3)
     assert 0.0 < record["dropped_mass"] <= 1e-9
+    assert set(record["stage_s"]) == {"fit", "simulate", "readout"}
+    assert all(sec >= 0.0 for sec in record["stage_s"].values())
 
 
 def test_qnn_json_reports_accuracies(capsys):

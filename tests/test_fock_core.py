@@ -1,6 +1,7 @@
 """Invariants of the array-native Fock core, checked on random inputs.
 
-The basis rank is checked against the stored occupation rows, and the
+The basis rows and the photon-addition tables are checked against a
+brute-force enumeration, the basis rank against the stored rows, and the
 photon-addition kernel behind ``strong_simulate`` and ``noisy_simulate``
 against the brute-force oracles in ``_oracles.py``; ``noisy_simulate``
 also against the sum over every labeled branch of its input.  The
@@ -17,6 +18,8 @@ from lopsim.fock import (
     ModeUnitary,
     OutputDistribution,
     _add_photon,
+    _gains,
+    _successors,
     batched_amplitudes,
     enumerate_basis,
     strong_simulate,
@@ -36,6 +39,7 @@ from _oracles import (
     branchwise_noisy_distribution,
     classical_routing_probability,
     evolve_state_vector,
+    fock_basis_rows,
 )
 
 
@@ -91,6 +95,28 @@ class TestBasisRank:
         assert rows == sorted(set(rows))
         with pytest.raises(ValueError):
             basis.occupations[0, 0] = 1
+
+
+class TestBasisTables:
+    @pytest.mark.parametrize("collision_free", [False, True])
+    @pytest.mark.parametrize("m", range(1, 7))
+    def test_rows_match_brute_force(self, m, collision_free):
+        for n in range(min(m, 5) + 1 if collision_free else 6):
+            occ = enumerate_basis(m, n, collision_free).occupations
+            assert np.array_equal(occ, fock_basis_rows(m, n, collision_free))
+            assert occ.dtype == np.int8 and not occ.flags.writeable
+
+    @pytest.mark.parametrize("m", range(1, 7))
+    def test_photon_addition_tables_match_brute_force(self, m):
+        for n in range(6):
+            rows, grown = fock_basis_rows(m, n, False), fock_basis_rows(m, n + 1, False)
+            position = {tuple(r): i for i, r in enumerate(grown.tolist())}
+            successors = [
+                [position[tuple(r)] for r in (rows + np.eye(m, dtype=np.int8)[j]).tolist()]
+                for j in range(m)
+            ]
+            assert np.array_equal(_successors(m, n), np.array(successors).reshape(m, len(rows)))
+            assert np.array_equal(_gains(m, n), np.sqrt(rows.T + 1.0))
 
 
 class TestStrongSimulate:

@@ -1,10 +1,16 @@
 """Packaging metadata: an installed copy carries every bundled data file,
 every console script resolves to a callable, every name a module exports
-or the package imports exists, and no module-level definition is dead."""
+or the package imports exists, no module-level definition is dead, and
+importing the package (or running ``lopsim fringe``) loads no scipy
+module, so a fresh process starts without paying for it."""
 
 import ast
 import importlib
+import json
+import os
 import re
+import subprocess
+import sys
 import tomllib
 from pathlib import Path, PurePosixPath
 
@@ -92,3 +98,50 @@ def test_every_module_level_definition_has_a_caller_or_a_test():
             if not any(pattern.search(text) for text in [*texts, tests]):
                 unused.append(f"{module}:{node.name}")
     assert unused == []
+
+
+def test_no_module_imports_scipy_at_import_time():
+    # Statements run on import: the module body and class bodies, not
+    # function bodies, where scipy is imported by the one function using it.
+    def import_time_nodes(body):
+        for node in body:
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                continue
+            yield node
+            for field in ("body", "orelse", "finalbody", "handlers"):
+                yield from import_time_nodes(getattr(node, field, []))
+
+    offenders = []
+    for path in sorted((ROOT / "src" / "lopsim").glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        for node in import_time_nodes(tree.body):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                names = [node.module or ""]
+            else:
+                continue
+            if any(name.split(".")[0] == "scipy" for name in names):
+                offenders.append(f"{path.name}:{node.lineno}")
+    assert offenders == []
+
+
+def test_fringe_in_a_fresh_process_loads_no_scipy():
+    script = (
+        "import json, sys\n"
+        "import lopsim, lopsim.cli\n"
+        "lopsim.cli.main(['fringe', '--json'])\n"
+        "print(json.dumps(sorted(n for n in sys.modules if n.startswith('scipy'))))\n"
+    )
+    env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
+    done = subprocess.run(
+        [sys.executable, "-c", script],
+        capture_output=True,
+        text=True,
+        env=env,
+        check=True,
+        timeout=300,
+    )
+    lines = done.stdout.strip().splitlines()
+    assert json.loads(lines[0])["command"] == "fringe"
+    assert json.loads(lines[-1]) == []
