@@ -57,10 +57,8 @@ from lopsim.qubits import (
     pauli_measurement_setting,
 )
 from lopsim.benchmark import (
-    AlphaCoefficients,
     BenchmarkPlan,
     FidelityEstimate,
-    alpha_coefficients,
     build_plan,
     estimate_favg,
     photonic_executor,

@@ -3,10 +3,11 @@
 A gate benchmark reduces the average fidelity of a noisy n-qubit gate to a
 weighted sum of Pauli correlations measured over separable preparations
 drawn from {|0>, |1>, |+>, |+i>} per qubit.  ``build_plan`` derives the
-weights by solving the full 16^n correlation system, ``estimate_favg``
-executes a plan against a simulator backend, and ``spam_floor`` bounds the
-preparation-and-measurement error a plan inherits from its single-qubit
-layer.
+weights from the 16^n correlation system, which is the n-fold Kronecker
+product of one 16 x 16 one-qubit system and so is solved one qubit at a
+time, ``estimate_favg`` executes a plan against a simulator backend, and
+``spam_floor`` bounds the preparation-and-measurement error a plan
+inherits from its single-qubit layer.
 
 Two estimator functionals are supported.  The ``tabulated`` route solves
 the swap-paired estimator used by the bundled reference plans; it agrees
@@ -25,7 +26,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from functools import reduce
-from typing import Callable, Mapping, Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -45,11 +46,9 @@ from .qubits import (
 from .sources import SourceModel, build_input, noisy_simulate
 
 __all__ = [
-    "AlphaCoefficients",
     "BenchmarkPlan",
     "FidelityEstimate",
     "PlanEntry",
-    "alpha_coefficients",
     "build_plan",
     "channel_executor",
     "depolarizing_executor",
@@ -64,9 +63,6 @@ PREP_LABELS = "01+i"
 
 #: Pauli letters in canonical order.
 PAULI_LETTERS = "IXYZ"
-
-#: Coefficients below this magnitude are dropped from alpha maps.
-ALPHA_PRUNE_TOL = 1e-12
 
 #: Plan weights below this magnitude are treated as exact zeros.  The
 #: smallest genuine weight across the supported gates is 1/288, so the
@@ -116,8 +112,8 @@ def _as_unitary(gate: GateCircuit | np.ndarray) -> np.ndarray:
 
 
 def _check_qubits(unitary: np.ndarray, n_qubits: int) -> None:
-    if not 1 <= n_qubits <= 3:
-        raise ValueError("benchmark plans support 1 to 3 qubits")
+    if not 1 <= n_qubits <= 4:
+        raise ValueError("benchmark plans support 1 to 4 qubits")
     if unitary.shape != (2**n_qubits, 2**n_qubits):
         raise ValueError(
             f"unitary of shape {unitary.shape} does not act on {n_qubits} qubits"
@@ -125,91 +121,45 @@ def _check_qubits(unitary: np.ndarray, n_qubits: int) -> None:
 
 
 # ---------------------------------------------------------------------------
-# Alpha coefficients
-
-
-@dataclass(frozen=True)
-class AlphaCoefficients:
-    """Sparse gate-overlap coefficients indexed by basis-string quadruples.
-
-    ``entries`` maps (i', j', i, j) bitstring tuples to
-    alpha = <i'|U^dagger|i><j|U|j'>; magnitudes at or below the pruning
-    tolerance are omitted.
-    """
-
-    n_qubits: int
-    entries: Mapping[tuple[str, str, str, str], complex]
-
-    def __getitem__(self, key: tuple[str, str, str, str]) -> complex:
-        return self.entries.get(key, 0.0 + 0.0j)
-
-    def symmetry_defect(self) -> float:
-        """Worst-case violation of alpha[i'j';ij] = conj(alpha[j'i';ji])."""
-        worst = 0.0
-        for (ip, jp, i, j), value in self.entries.items():
-            partner = self.entries.get((jp, ip, j, i), 0.0 + 0.0j)
-            worst = max(worst, abs(value - np.conj(partner)))
-        return worst
-
-
-def alpha_coefficients(
-    unitary: GateCircuit | np.ndarray, n_qubits: int
-) -> AlphaCoefficients:
-    """All nonzero alpha = <i'|U^dagger|i><j|U|j'> over basis strings."""
-    mat = _as_unitary(unitary)
-    _check_qubits(mat, n_qubits)
-    d = 2**n_qubits
-    bits = ["".join(b) for b in itertools.product("01", repeat=n_qubits)]
-    ud = mat.conj().T
-    entries: dict[tuple[str, str, str, str], complex] = {}
-    for ip, jp, i, j in itertools.product(range(d), repeat=4):
-        value = ud[ip, i] * mat[j, jp]
-        if abs(value) > ALPHA_PRUNE_TOL:
-            entries[(bits[ip], bits[jp], bits[i], bits[j])] = complex(value)
-    return AlphaCoefficients(n_qubits=n_qubits, entries=entries)
-
-
-# ---------------------------------------------------------------------------
 # Estimator functionals as dual matrices over channel Choi states
 
-def _tabulated_dual(unitary: np.ndarray, d: int) -> np.ndarray:
+def _tabulated_dual(unitary: np.ndarray) -> np.ndarray:
     """Dual matrix of the swap-paired estimator.
 
-    The functional pairs (alpha[i'j';ij] + alpha[i'j';ji]) with the
-    correlation Trace[|i><j| Phi(|i'><j'|)]; its value on the Choi state J
-    of the noisy gate Phi is Trace[G J] with G returned here.
+    The functional pairs (alpha[i'j';ij] + alpha[i'j';ji]), where
+    alpha[i'j';ij] = <i'|U^dagger|i><j|U|j'>, with the correlation
+    Trace[|i><j| Phi(|i'><j'|)]; its value on the Choi state J of the
+    noisy gate Phi is Trace[G J] with G returned here as a tensor
+    indexed [j', i, i', j] (rows j' i, columns i' j).
     """
-    ud = unitary.conj().T
-    dual = np.zeros((d * d, d * d), dtype=complex)
-    for i, j, ip, jp in itertools.product(range(d), repeat=4):
-        coef = ud[ip, i] * unitary[j, jp] + ud[ip, j] * unitary[i, jp]
-        dual[jp * d + i, ip * d + j] += coef
+    d = unitary.shape[0]
+    dual = np.einsum("ia,jb->biaj", unitary.conj(), unitary)
+    dual += np.einsum("ja,ib->biaj", unitary.conj(), unitary)
     return dual / (d * (d + 1))
 
 
-def _exact_dual(unitary: np.ndarray, d: int) -> np.ndarray:
-    """Dual matrix of the Haar-average gate fidelity."""
-    ud = unitary.conj().T
-    dual = np.zeros((d * d, d * d), dtype=complex)
-    for i, j, ip, jp in itertools.product(range(d), repeat=4):
-        coef = ud[ip, j] * unitary[j, jp]
-        dual[jp * d + i, ip * d + i] += coef
-        coef = ud[ip, j] * unitary[i, jp]
-        dual[jp * d + i, ip * d + j] += coef
+def _exact_dual(unitary: np.ndarray) -> np.ndarray:
+    """Dual matrix of the Haar-average gate fidelity, indexed as above."""
+    d = unitary.shape[0]
+    dual = np.einsum("ja,jb,ik->biak", unitary.conj(), unitary, np.eye(d))
+    dual += np.einsum("ja,ib->biaj", unitary.conj(), unitary)
     return dual / (d * (d + 1))
 
 
 _DUALS = {"tabulated": _tabulated_dual, "exact": _exact_dual}
 
 
-def _prep_matrices(functional: str) -> dict[str, np.ndarray]:
-    vectors = _PREP_VECTORS["tabulated" if functional == "tabulated" else "standard"]
-    return {label: np.outer(v, v.conj()) for label, v in vectors.items()}
+def _qubit_basis(functional: str) -> np.ndarray:
+    """One-qubit correlation basis B1, rows (a, b, c, d), columns (prep, word).
 
-
-def _word_matrix(word: str, functional: str) -> np.ndarray:
-    signs = _MEAS_SIGNS["tabulated" if functional == "tabulated" else "standard"]
-    return _kron_chain([signs[c] * _PAULI[c] for c in word])
+    Column (prep, word) is vec(kron(rho^T, P)) for the labelled one-qubit
+    preparation rho and signed Pauli letter P.
+    """
+    key = "tabulated" if functional == "tabulated" else "standard"
+    vectors = np.array([_PREP_VECTORS[key][c] for c in PREP_LABELS])
+    paulis = np.array([_MEAS_SIGNS[key][c] * _PAULI[c] for c in PAULI_LETTERS])
+    rhos = np.einsum("pc,pa->pca", vectors, vectors.conj())
+    return np.einsum("pca,wbd->abcdpw", rhos, paulis).reshape(16, 16)
 
 
 # ---------------------------------------------------------------------------
@@ -323,47 +273,52 @@ def build_plan(
     n_qubits: int,
     functional: str = "tabulated",
 ) -> BenchmarkPlan:
-    """Solve the 16^n correlation system expressing a gate's fidelity.
+    """Expand a gate's fidelity functional over the product correlation basis.
 
-    The correlation basis spans all products of per-qubit preparations
-    {0, 1, +, i} and Pauli letters {I, X, Y, Z}; the basis is complete, so
-    the weight vector is the unique expansion of the chosen estimator
-    functional and zero weights identify correlations that never need to
-    be measured.  Raises when the solve is numerically rank deficient.
+    The basis spans all products of per-qubit preparations {0, 1, +, i}
+    and Pauli letters {I, X, Y, Z}.  It is the n-fold Kronecker product of
+    one complete 16 x 16 one-qubit basis, up to a fixed reordering of its
+    rows and columns, so the unique weight vector comes from applying
+    that basis's inverse along each qubit's axis of the functional's dual
+    matrix; zero weights identify correlations that never need to be
+    measured.  Raises when the one-qubit basis is numerically singular.
     """
     if functional not in FUNCTIONALS:
         raise ValueError(f"unknown functional {functional!r}")
     mat = _as_unitary(unitary)
     _check_qubits(mat, n_qubits)
-    d = 2**n_qubits
-    dual = _DUALS[functional](mat, d)
-
-    preps = _prep_matrices(functional)
-    labels: list[tuple[str, str]] = []
-    basis = np.empty((16**n_qubits, 16**n_qubits), dtype=complex)
-    column = 0
-    for prep in itertools.product(PREP_LABELS, repeat=n_qubits):
-        rho = _kron_chain([preps[c] for c in prep])
-        rho_t = rho.T
-        for word in itertools.product(PAULI_LETTERS, repeat=n_qubits):
-            observable = _word_matrix("".join(word), functional)
-            basis[:, column] = np.kron(rho_t, observable).reshape(-1)
-            labels.append(("".join(prep), "".join(word)))
-            column += 1
+    n = n_qubits
     try:
-        weights = np.linalg.solve(basis, dual.reshape(-1))
+        inverse = np.linalg.solve(_qubit_basis(functional), np.eye(16))
     except np.linalg.LinAlgError as exc:
         raise ValueError(f"correlation system is rank deficient: {exc}") from exc
-    if np.abs(weights.imag).max() > 1e-9:
+
+    # Dual rows (a, b) and columns (c, d) are n-bit indices; gather each
+    # qubit's (a_k, b_k, c_k, d_k) bits into one axis of length 16.
+    dual = _DUALS[functional](mat).reshape((2,) * 4 * n)
+    coeffs = dual.transpose([q + k * n for q in range(n) for k in range(4)])
+    coeffs = coeffs.reshape((16,) * n)
+    for _ in range(n):
+        # contracts the leading axis and appends the result, so after n
+        # passes the axes are back in qubit order
+        coeffs = np.tensordot(coeffs, inverse, axes=(0, 1))
+    # axes (prep_1, word_1, ..., prep_n, word_n) to the plan's label order
+    # (prep_1..prep_n, word_1..word_n)
+    coeffs = coeffs.reshape((4, 4) * n).transpose([*range(0, 2 * n, 2), *range(1, 2 * n, 2)])
+    weights = coeffs.reshape(-1)
+    if not np.abs(weights.imag).max() <= 1e-9:
         raise ValueError("correlation solve returned non-real weights")
 
-    identity_word = "I" * n_qubits
+    labels = itertools.product(
+        map("".join, itertools.product(PREP_LABELS, repeat=n)),
+        map("".join, itertools.product(PAULI_LETTERS, repeat=n)),
+    )
     constant = 0.0
     entries: list[PlanEntry] = []
     for (prep, word), weight in zip(labels, weights.real):
         if abs(weight) <= PLAN_PRUNE_TOL:
             continue
-        if n_qubits == 1 and word == identity_word:
+        if n == 1 and word == "I":
             constant += weight
         else:
             entries.append(PlanEntry(preparation=prep, word=word, weight=float(weight)))

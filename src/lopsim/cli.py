@@ -6,6 +6,8 @@ Usage::
     lopsim qnn [--seed S] [--json]
     lopsim calibrate [--seed S] [--json]
 
+``python -m lopsim.cli`` takes the same arguments.
+
 ``fringe`` runs the six-photon cyclic interferometer with the bundled
 measured source (per-photon ``m_i`` fitted to the pairwise
 indistinguishability matrix, ``g2 = 0.0075``) and prints the
@@ -33,6 +35,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import sys
 import time
 from typing import Sequence
 
@@ -164,3 +167,7 @@ def main(argv: Sequence[str] | None = None) -> int:
         stages = ", ".join(f"{name} {sec:.3f} s" for name, sec in record["stage_s"].items())
         print(f"p6 cos(alpha) = {record['p6_cos_alpha']:.6f} at alpha = {args.alpha:g} ({stages})")
     return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -148,9 +148,9 @@ class MitigationMatrix:
         if np.any(matrix < -1e-12):
             raise ValueError("confusion matrix entries must be nonnegative")
         sums = matrix.sum(axis=0)
-        if np.any(np.abs(sums - 1.0) > 1e-6):
+        if not np.all(np.abs(sums - 1.0) <= 1e-6):
             raise ValueError(f"columns must sum to 1 within 1e-6, got {sums}")
-        if np.any(np.diag(matrix) <= sums - np.diag(matrix)):
+        if not np.all(np.diag(matrix) > sums - np.diag(matrix)):
             raise ValueError("confusion matrix is not diagonally dominant")
         matrix.setflags(write=False)
         object.__setattr__(self, "matrix", matrix)

@@ -4,8 +4,9 @@ Each function here recomputes a quantity through a route independent of
 the library code: Fock bases filtered from every occupation tuple,
 factorial-cost permanents, full second-quantized
 state-vector evolution, explicit classical routing enumeration, the
-noisy-source output summed over every labeled branch, and the mesh
-transfer matrix and its derivatives as products of per-element factors.
+noisy-source output summed over every labeled branch, benchmark-plan
+weights from the dense 16^n correlation solve, and the mesh transfer
+matrix and its derivatives as products of per-element factors.
 """
 
 from __future__ import annotations
@@ -15,6 +16,7 @@ from math import comb, factorial, sqrt
 
 import numpy as np
 
+from lopsim.benchmark import _MEAS_SIGNS, _PREP_VECTORS
 from lopsim.fock import FockState
 
 
@@ -215,6 +217,47 @@ def swap_paired_functional(
             coef = ud[ip, i] * u[j, jp] + ud[ip, j] * u[i, jp]
             total += coef * image[j, i]
     return float(np.real(total)) / (d * (d + 1))
+
+
+def dense_plan_weights(
+    u: np.ndarray, n: int, functional: str
+) -> dict[tuple[str, str], complex]:
+    """Benchmark-plan weights from the dense 16^n x 16^n correlation solve.
+
+    Builds the functional's dual matrix from its defining quadruple sum,
+    fills one basis column vec(kron(rho^T, P)) per (preparation, word)
+    and solves the full system.  Returns every weight, pruned or not,
+    keyed by (preparation, word) in the plan's label order.  The n = 3
+    system is 4096 x 4096 and takes seconds.
+    """
+    d = 2**n
+    ud = u.conj().T
+    dual = np.zeros((d * d, d * d), dtype=complex)
+    for i, j, ip, jp in itertools.product(range(d), repeat=4):
+        if functional == "tabulated":
+            dual[jp * d + i, ip * d + j] += ud[ip, i] * u[j, jp] + ud[ip, j] * u[i, jp]
+        else:
+            dual[jp * d + i, ip * d + i] += ud[ip, j] * u[j, jp]
+            dual[jp * d + i, ip * d + j] += ud[ip, j] * u[i, jp]
+    dual /= d * (d + 1)
+
+    key = "tabulated" if functional == "tabulated" else "standard"
+    rhos = {c: np.outer(v, v.conj()) for c, v in _PREP_VECTORS[key].items()}
+    signed = {c: _MEAS_SIGNS[key][c] * _PAULI_1Q[c] for c in "IXYZ"}
+    labels: list[tuple[str, str]] = []
+    basis = np.empty((16**n, 16**n), dtype=complex)
+    for prep in itertools.product("01+i", repeat=n):
+        rho = np.ones((1, 1), dtype=complex)
+        for c in prep:
+            rho = np.kron(rho, rhos[c])
+        for word in itertools.product("IXYZ", repeat=n):
+            observable = np.ones((1, 1), dtype=complex)
+            for c in word:
+                observable = np.kron(observable, signed[c])
+            basis[:, len(labels)] = np.kron(rho.T, observable).reshape(-1)
+            labels.append(("".join(prep), "".join(word)))
+    weights = np.linalg.solve(basis, dual.reshape(-1))
+    return dict(zip(labels, weights))
 
 
 def h2_ground_energy_closed_form(

@@ -8,6 +8,6 @@ from lopsim.qubits import GateCircuit
 
 @pytest.fixture(scope="session")
 def toffoli_plan():
-    """Benchmark plan for the three-qubit gate (solves a 4096-term system)."""
+    """Benchmark plan for the three-qubit Toffoli gate (592 weighted correlations)."""
     circuit = GateCircuit.from_text("TOFFOLI 0 1 2", n_qubits=3)
     return build_plan(circuit, 3)

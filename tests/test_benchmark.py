@@ -7,9 +7,8 @@ from importlib import resources
 import numpy as np
 import pytest
 
-from _oracles import haar_average_fidelity, swap_paired_functional
+from _oracles import dense_plan_weights, haar_average_fidelity, swap_paired_functional
 from lopsim.benchmark import (
-    alpha_coefficients,
     build_plan,
     channel_executor,
     depolarizing_executor,
@@ -19,8 +18,6 @@ from lopsim.benchmark import (
     spam_floor,
 )
 from lopsim.qubits import Gate, GateCircuit, QubitEncoding
-
-RNG = np.random.default_rng(77)
 
 T_CIRCUIT = GateCircuit.from_text("T 0", n_qubits=1)
 CNOT_CIRCUIT = GateCircuit.from_text("CNOT 0 1", n_qubits=2)
@@ -72,57 +69,6 @@ def kraus_gate_channel(gate, kraus):
         return sum(op @ out @ op.conj().T for op in kraus)
 
     return channel
-
-
-# ---------------------------------------------------------------------------
-# Alpha coefficients
-
-
-def test_alpha_t_gate_has_exactly_four_terms():
-    alpha = alpha_coefficients(T_CIRCUIT, 1)
-    expected = {
-        ("0", "0", "0", "0"): 1.0,
-        ("0", "1", "0", "1"): np.exp(1j * np.pi / 4),
-        ("1", "0", "1", "0"): np.exp(-1j * np.pi / 4),
-        ("1", "1", "1", "1"): 1.0,
-    }
-    assert set(alpha.entries) == set(expected)
-    for key, value in expected.items():
-        assert alpha[key] == pytest.approx(value)
-    assert alpha[("0", "0", "1", "1")] == 0.0
-
-
-def test_alpha_identity_is_a_double_delta():
-    alpha = alpha_coefficients(np.eye(4, dtype=complex), 2)
-    bits = ["00", "01", "10", "11"]
-    expected = {(i, j, i, j) for i in bits for j in bits}
-    assert set(alpha.entries) == expected
-    assert all(value == pytest.approx(1.0) for value in alpha.entries.values())
-
-
-def test_alpha_cnot_matches_dense_recomputation():
-    alpha = alpha_coefficients(CNOT_CIRCUIT, 2)
-    dense = np.einsum("ia,jb->abij", CNOT_MATRIX.conj(), CNOT_MATRIX)
-    bits = ["00", "01", "10", "11"]
-    for ip in range(4):
-        for jp in range(4):
-            for i in range(4):
-                for j in range(4):
-                    key = (bits[ip], bits[jp], bits[i], bits[j])
-                    assert alpha[key] == pytest.approx(dense[ip, jp, i, j], abs=1e-12)
-
-
-def test_alpha_conjugate_symmetry_on_haar_unitaries():
-    for n in (1, 2):
-        alpha = alpha_coefficients(haar_unitary(2**n, RNG), n)
-        assert alpha.symmetry_defect() < 1e-12
-
-
-def test_alpha_rejects_bad_inputs():
-    with pytest.raises(ValueError):
-        alpha_coefficients(np.eye(16, dtype=complex), 4)
-    with pytest.raises(ValueError):
-        alpha_coefficients(np.array([[1.0, 0.0], [1.0, 1.0]], dtype=complex), 1)
 
 
 # ---------------------------------------------------------------------------
@@ -207,11 +153,28 @@ def test_build_plan_input_validation():
     with pytest.raises(ValueError):
         build_plan(T_MATRIX, 2)
     with pytest.raises(ValueError):
-        build_plan(np.eye(16, dtype=complex), 4)
+        build_plan(np.eye(32, dtype=complex), 5)
     with pytest.raises(ValueError):
         build_plan(T_MATRIX, 1, functional="bogus")
     with pytest.raises(ValueError):
         build_plan(np.array([[1.0, 1.0], [0.0, 1.0]], dtype=complex), 1)
+
+
+@pytest.mark.parametrize("functional", ["tabulated", "exact"])
+def test_plan_matches_dense_correlation_solve(functional):
+    rng = np.random.default_rng(5)
+    for n in (1, 2):
+        gate = haar_unitary(2**n, rng)
+        plan = build_plan(gate, n, functional=functional)
+        got = {(e.preparation, e.word): e.weight for e in plan.entries}
+        constant = 0.0
+        for (prep, word), weight in dense_plan_weights(gate, n, functional).items():
+            assert abs(weight.imag) < 1e-12
+            if n == 1 and word == "I":
+                constant += weight.real
+            else:
+                assert got.get((prep, word), 0.0) == pytest.approx(weight.real, abs=1e-12)
+        assert plan.constant == pytest.approx(constant, abs=1e-12)
 
 
 def test_singular_correlation_system_is_reported(monkeypatch):
@@ -248,6 +211,11 @@ def test_depolarizing_closed_forms():
     )
     assert estimate_favg(exact_cnot, depolarizing_executor(CNOT_CIRCUIT, p)).f_avg == (
         pytest.approx(1.0 - 3.0 * p / 4.0, abs=1e-9)
+    )
+    two_cnots = np.kron(CNOT_MATRIX, CNOT_MATRIX)
+    exact_4q = build_plan(two_cnots, 4, functional="exact")
+    assert estimate_favg(exact_4q, depolarizing_executor(two_cnots, p)).f_avg == (
+        pytest.approx(1.0 - 15.0 * p / 16.0, abs=1e-9)
     )
     tab_t = build_plan(T_CIRCUIT, 1)
     tab_cnot = build_plan(CNOT_CIRCUIT, 2)

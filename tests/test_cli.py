@@ -1,6 +1,10 @@
 """The ``lopsim`` command line."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -39,6 +43,16 @@ def test_qnn_json_reports_accuracies(capsys):
 def test_requires_a_subcommand(capsys):
     with pytest.raises(SystemExit):
         main([])
+
+
+def test_module_run_requires_a_subcommand():
+    src = Path(__file__).resolve().parent.parent / "src"
+    env = {**os.environ, "PYTHONPATH": str(src)}
+    run = subprocess.run(
+        [sys.executable, "-m", "lopsim.cli"], env=env, capture_output=True, text=True, timeout=60
+    )
+    assert run.returncode != 0
+    assert "usage: lopsim" in run.stderr
 
 
 def test_calibrate_json_reports_both_tvds(capsys):

@@ -12,6 +12,7 @@ from lopsim.fock import ModeUnitary
 from lopsim.hardware import HardwareModel, TranspilationError, voltages_from_phases
 from lopsim.mesh import two_mode_gate_elements
 from lopsim.qubits import Gate, GateCircuit, compile_gate_circuit
+from lopsim.variational import MitigationMatrix
 
 NAN = float("nan")
 
@@ -22,6 +23,13 @@ def _voltages_with_nan(where: str) -> np.ndarray:
     target = np.zeros_like(hw.b)
     (target if where == "target" else hw.b)[0] = NAN
     return voltages_from_phases(target, hw)
+
+
+def _confusion_with_nan() -> np.ndarray:
+    """Identity confusion matrix with one NaN off-diagonal entry."""
+    matrix = np.eye(4)
+    matrix[1, 0] = NAN
+    return matrix
 
 
 @pytest.mark.parametrize(
@@ -36,6 +44,7 @@ def _voltages_with_nan(where: str) -> np.ndarray:
         (lambda: two_mode_gate_elements(np.full((2, 2), NAN), 0, 1), ValueError, "not unitary"),
         (lambda: _voltages_with_nan("target"), ValueError, "non-finite"),
         (lambda: _voltages_with_nan("offset"), TranspilationError, "residual"),
+        (lambda: MitigationMatrix("ZZ", _confusion_with_nan()), ValueError, "sum to 1"),
     ],
     ids=[
         "ModeUnitary",
@@ -43,6 +52,7 @@ def _voltages_with_nan(where: str) -> np.ndarray:
         "two_mode_gate_elements",
         "voltages_from_phases-target",
         "voltages_from_phases-offset",
+        "MitigationMatrix",
     ],
 )
 def test_nan_input_raises(call, error, match):
