@@ -5,7 +5,8 @@ weighted sum of Pauli correlations measured over separable preparations
 drawn from {|0>, |1>, |+>, |+i>} per qubit.  ``build_plan`` derives the
 weights from the 16^n correlation system, which is the n-fold Kronecker
 product of one 16 x 16 one-qubit system and so is solved one qubit at a
-time, ``estimate_favg`` executes a plan against a simulator backend, and
+time, ``estimate_favg`` executes a plan against a simulator backend in
+one call that carries every configuration (:data:`Executor`), and
 ``spam_floor`` bounds the preparation-and-measurement error a plan
 inherits from its single-qubit layer.
 
@@ -25,12 +26,11 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from functools import reduce
 from typing import Callable, Sequence
 
 import numpy as np
 
-from .fock import strong_simulate
+from .fock import batched_amplitudes
 from .mesh import ModeUnitary, compile_with_imperfections
 from .qubits import (
     _MEAS_ROT,
@@ -41,9 +41,9 @@ from .qubits import (
     _pauli_signs,
     compile_gate_circuit,
     encoding_input_state,
-    logical_distribution,
+    logical_distributions,
 )
-from .sources import SourceModel, build_input, noisy_simulate
+from .sources import SourceModel, batched_noisy_sectors, build_input
 
 __all__ = [
     "BenchmarkPlan",
@@ -93,11 +93,12 @@ _MEAS_SIGNS = {
 
 FUNCTIONALS = ("tabulated", "exact")
 
-Executor = Callable[[tuple[np.ndarray, ...], str], np.ndarray]
-
-
-def _kron_chain(mats: Sequence[np.ndarray]) -> np.ndarray:
-    return reduce(np.kron, mats)
+#: Runs B configurations at once: ``executor(preparations, settings)``
+#: takes the ``(B, n, 2)`` per-qubit preparation vectors and the B setting
+#: words and returns ``(B, 2^n)`` outcome probabilities after the basis
+#: rotations, row b for configuration b (most significant bit = first
+#: qubit).
+Executor = Callable[[np.ndarray, Sequence[str]], np.ndarray]
 
 
 def _as_unitary(gate: GateCircuit | np.ndarray) -> np.ndarray:
@@ -345,14 +346,15 @@ def estimate_favg(
 ) -> FidelityEstimate:
     """Execute a plan and combine its correlations into a fidelity.
 
-    The executor is called once per distinct (preparation, setting)
-    configuration with explicit per-qubit preparation vectors and the
-    setting word, and must return the 2^n outcome probabilities after the
-    basis rotations (most significant bit = first qubit).  With
-    ``shots_per_config`` set, outcomes are multinomially sampled and the
-    standard error propagates each term's binomial variance; otherwise
-    correlations are exact expectations.  ``merge_settings=False``
-    executes every entry separately instead of recycling Z data.
+    The executor is called once, with every distinct (preparation,
+    setting) configuration in plan order (see :data:`Executor`): explicit
+    per-qubit preparation vectors and the setting words in, one row of
+    2^n outcome probabilities per configuration out.  With
+    ``shots_per_config`` set, each row is multinomially sampled, in the
+    same configuration order, and the standard error propagates each
+    term's binomial variance; otherwise correlations are exact
+    expectations.  ``merge_settings=False`` executes every entry
+    separately instead of recycling Z data.
 
     Estimates are reported unclamped, so sampling noise on a
     near-perfect gate can push the value slightly above 1.
@@ -367,28 +369,33 @@ def estimate_favg(
         for index, entry in enumerate(plan.entries):
             groups.setdefault((entry.preparation, entry.setting, index), []).append(index)
 
+    preparations = np.array(
+        [plan.preparation_vectors(plan.entries[indices[0]]) for indices in groups.values()],
+        dtype=complex,
+    ).reshape(len(groups), n, 2)
+    settings = [key[1] for key in groups]
+    results = np.asarray(executor(preparations, settings), dtype=float)
+    if results.shape != (len(groups), 2**n):
+        raise ValueError("executor returned a malformed probability array")
+
     total = plan.constant
     variance = 0.0
-    configs_run = 0
-    for key, indices in groups.items():
-        prep, setting = key[0], key[1]
-        vectors = plan.preparation_vectors(plan.entries[indices[0]])
-        probs = np.asarray(executor(vectors, setting), dtype=float)
-        if probs.shape != (2**n,):
-            raise ValueError("executor returned a malformed probability vector")
+    signs: dict[str, np.ndarray] = {}
+    for indices, probs in zip(groups.values(), results):
         if shots_per_config is not None:
             counts = rng.multinomial(shots_per_config, probs / probs.sum())
             probs = counts / shots_per_config
-        configs_run += 1
         for index in indices:
             entry = plan.entries[index]
-            correlation = float(_pauli_signs(entry.word) @ probs)
+            if entry.word not in signs:
+                signs[entry.word] = _pauli_signs(entry.word)
+            correlation = float(signs[entry.word] @ probs)
             correlation *= plan.measurement_sign(entry)
             total += entry.weight * correlation
             if shots_per_config is not None:
                 spread = max(0.0, 1.0 - correlation * correlation)
                 variance += entry.weight**2 * spread / shots_per_config
-    shots = None if shots_per_config is None else configs_run * shots_per_config
+    shots = None if shots_per_config is None else len(groups) * shots_per_config
     return FidelityEstimate(
         f_avg=float(total), std_error=float(np.sqrt(variance)), shots=shots
     )
@@ -398,16 +405,47 @@ def estimate_favg(
 # Executor backends
 
 
+def _rotate_qubit_rows(mats: np.ndarray, rotations: np.ndarray) -> np.ndarray:
+    """Left-multiply each of B ``(2^n, k)`` matrices by its per-qubit rotations.
+
+    ``rotations`` is ``(B, n, 2, 2)``; rotation q acts on qubit q's bit
+    of the row index (qubit 0 the most significant), so the product is
+    the Kronecker product of the n rotations without forming it.
+    """
+    count, d, k = mats.shape
+    for q in range(rotations.shape[1]):
+        mats = (rotations[:, q, None] @ mats.reshape(count, 1 << q, 2, -1)).reshape(count, d, k)
+    return mats
+
+
 def channel_executor(
     channel: Callable[[np.ndarray], np.ndarray], n_qubits: int
 ) -> Executor:
-    """Executor for any density-matrix map that includes the gate action."""
+    """Executor for any density-matrix map that includes the gate action.
 
-    def run(prep_vectors: tuple[np.ndarray, ...], setting: str) -> np.ndarray:
-        psi = _kron_chain(list(prep_vectors))
-        rho = channel(np.outer(psi, psi.conj()))
-        rotation = _kron_chain([_MEAS_ROT[c] for c in setting])
-        probs = np.real(np.diag(rotation @ rho @ rotation.conj().T))
+    ``channel`` maps one 2^n x 2^n density matrix and is called once per
+    configuration.  Product preparations are built one qubit at a time,
+    and the measurement rotations act along each qubit's axis of the
+    whole batch of channel outputs, so no 2^n x 2^n Kronecker product is
+    formed.
+    """
+    d = 1 << n_qubits
+
+    def run(preparations: np.ndarray, settings: Sequence[str]) -> np.ndarray:
+        preparations = np.asarray(preparations, dtype=complex)
+        count = len(preparations)
+        psi = np.ones((count, 1), dtype=complex)
+        for q in range(n_qubits):
+            psi = (psi[:, :, None] * preparations[:, q, None, :]).reshape(count, -1)
+        outputs = np.array([channel(np.outer(v, v.conj())) for v in psi]).reshape(count, d, d)
+        rotations = np.array(
+            [[_MEAS_ROT[c] for c in word] for word in settings], dtype=complex
+        ).reshape(count, n_qubits, 2, 2)
+        # diag(R rho^dagger R^dagger) is the conjugate of diag(R rho R^dagger),
+        # so its real part is the outcome distribution
+        rotated = _rotate_qubit_rows(outputs, rotations).conj().transpose(0, 2, 1)
+        rotated = _rotate_qubit_rows(rotated, rotations)
+        probs = np.real(np.diagonal(rotated, axis1=1, axis2=2))
         return np.clip(probs, 0.0, None)
 
     return run
@@ -436,12 +474,14 @@ def depolarizing_executor(gate: GateCircuit | np.ndarray, probability: float) ->
     return channel_executor(channel, n_qubits)
 
 
-def _prep_unitary(vector: np.ndarray) -> np.ndarray:
-    """Two-mode rotation sending |0> to the requested qubit state."""
-    a, b = complex(vector[0]), complex(vector[1])
-    norm = np.sqrt(abs(a) ** 2 + abs(b) ** 2)
-    a, b = a / norm, b / norm
-    return np.array([[a, -np.conj(b)], [b, np.conj(a)]], dtype=complex)
+def _prep_unitaries(vectors: np.ndarray) -> np.ndarray:
+    """Two-mode rotations sending |0> to each requested qubit state.
+
+    ``vectors`` is ``(..., 2)``; returns ``(..., 2, 2)``.
+    """
+    norm = np.sqrt(np.abs(vectors[..., 0]) ** 2 + np.abs(vectors[..., 1]) ** 2)
+    a, b = vectors[..., 0] / norm, vectors[..., 1] / norm
+    return np.stack([np.stack([a, -b.conj()], -1), np.stack([b, a.conj()], -1)], -2)
 
 
 def photonic_executor(
@@ -455,10 +495,17 @@ def photonic_executor(
 ) -> Executor:
     """Executor running plans on the dual-rail photonic simulator.
 
-    The gate circuit compiles once to postselected mode optics.  With
-    ``reflectivities`` given (the chip's true coupler table), the mesh
-    realizes unitaries through imperfect couplers and the flag selects
-    which systematic the run carries:
+    The gate circuit compiles once to postselected mode optics, and its
+    checked unitary is the gate matrix.  A call stacks ``meas @ gate @
+    prep`` for its B configurations into one ``(B, m, m)`` array (the
+    rotations are exact 2x2 blocks on each qubit's rail pair) and
+    simulates the stack in one pass: one
+    :func:`~lopsim.fock.batched_amplitudes` call for an ideal source, one
+    :func:`~lopsim.sources.batched_noisy_sectors` trigger sum for a noisy
+    one.  Readout is one postselection mask per photon-number sector for
+    all B columns.  With ``reflectivities`` given (the chip's true coupler
+    table), the mesh realizes unitaries through imperfect couplers and
+    the flag selects which systematic the run carries:
 
     * ``freeze_gate_phases=False`` refits the entire mesh against the
       true couplers for every configuration, the analogue of feedback
@@ -477,12 +524,14 @@ def photonic_executor(
     enc = encoding if encoding is not None else QubitEncoding.default(circuit.n_qubits)
     if circuit.measurement is not None:
         raise ValueError("benchmark circuits must not embed a measurement")
-    gate_optics, rule, _ = compile_gate_circuit(circuit, enc)
-    gate_matrix = gate_optics.unitary().matrix
-    n_qubits = enc.n_qubits
-    input_state = encoding_input_state(enc)
-    labeled = None if source is None else build_input(n_qubits, source, modes=input_state.modes())
+    _, rule, _, gate = compile_gate_circuit(circuit, enc)
+    gate_matrix = gate.matrix
+    n_qubits, m = enc.n_qubits, enc.n_modes
+    input_modes = np.array(encoding_input_state(enc).modes(), dtype=np.intp)
+    labeled = None if source is None else build_input(n_qubits, source, modes=input_modes)
     compile_rng = np.random.default_rng(compile_seed)
+    pairs = np.array(enc.qubit_pairs, dtype=np.intp)
+    block_rows, block_cols = pairs[:, :, None], pairs[:, None, :]
 
     if reflectivities is not None and freeze_gate_phases:
         true_refl = np.asarray(reflectivities, dtype=float)
@@ -499,28 +548,27 @@ def photonic_executor(
         executed = fit.layout.unitary(fit.phases, true_refl, fit.output_phases).matrix
         gate_matrix = executed * np.exp(1j * fit.input_phases)[None, :]
 
-    def run(prep_vectors: tuple[np.ndarray, ...], setting: str) -> np.ndarray:
-        # the rotations are exact 2x2 blocks on each qubit's rail pair
-        prep_matrix = np.eye(enc.n_modes, dtype=complex)
-        meas_matrix = np.eye(enc.n_modes, dtype=complex)
-        for pair, vector, letter in zip(enc.qubit_pairs, prep_vectors, setting, strict=True):
-            prep_matrix[np.ix_(pair, pair)] = _prep_unitary(vector)
-            meas_matrix[np.ix_(pair, pair)] = _MEAS_ROT[letter]
-
-        total = meas_matrix @ gate_matrix @ prep_matrix
+    def run(preparations: np.ndarray, settings: Sequence[str]) -> np.ndarray:
+        count = len(preparations)
+        prep = np.tile(np.eye(m, dtype=complex), (count, 1, 1))
+        meas = prep.copy()
+        prep[:, block_rows, block_cols] = _prep_unitaries(np.asarray(preparations, dtype=complex))
+        meas[:, block_rows, block_cols] = [[_MEAS_ROT[c] for c in word] for word in settings]
+        totals = meas @ gate_matrix @ prep
         if reflectivities is not None and not freeze_gate_phases:
-            fit = compile_with_imperfections(
-                ModeUnitary(meas_matrix @ gate_optics.unitary().matrix @ prep_matrix),
-                reflectivities,
-                rng=compile_rng,
-            )
-            total = fit.implemented.matrix
+            totals = np.array([
+                compile_with_imperfections(
+                    ModeUnitary(total), reflectivities, rng=compile_rng
+                ).implemented.matrix
+                for total in totals
+            ])
 
         if labeled is None:
-            distribution = strong_simulate(ModeUnitary(total), input_state)
+            inputs = np.broadcast_to(input_modes, (count, n_qubits))
+            sectors = {n_qubits: np.abs(batched_amplitudes(totals, inputs).T) ** 2}
         else:
-            distribution = noisy_simulate(ModeUnitary(total), labeled)
-        return logical_distribution(distribution, rule)[0].ravel()
+            sectors, _ = batched_noisy_sectors(totals, labeled)
+        return logical_distributions(m, sectors, rule)
 
     return run
 

@@ -514,7 +514,7 @@ def clements_decompose(unitary: ModeUnitary, layout: MeshLayout | None = None) -
     result = MeshPhases(layout, phases, output_phases)
     check = result.unitary().matrix
     err = np.max(np.abs(check - unitary.matrix))
-    if err > RECONSTRUCTION_ATOL:
+    if not err <= RECONSTRUCTION_ATOL:
         raise RuntimeError(f"decomposition round trip failed (error {err:.3e})")
     return result
 
@@ -550,7 +550,7 @@ def _push_diagonal_through(
     new_diag = diag.copy()
     new_diag[p : p + 2] = g
     block = np.diag(g) @ _cell_matrix(theta_new, phi_new)
-    if np.max(np.abs(block - m2)) > 1e-9:
+    if not np.max(np.abs(block - m2)) <= 1e-9:
         raise RuntimeError("diagonal commutation failed")
     return new_diag, (p, theta_new, phi_new)
 

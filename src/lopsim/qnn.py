@@ -15,8 +15,7 @@ layer.  An evaluation builds ``A`` and ``B`` once per set of chip
 phases, forms every ``U_k`` in one broadcast product, runs all samples
 through one batched SLOS pass (:func:`lopsim.fock.batched_amplitudes`)
 and merges the outcomes with one product against the ``(N, 37)``
-pattern matrix.  :func:`classifier_circuit` builds the same unitary
-element by element for one sample.
+pattern matrix.
 """
 
 from __future__ import annotations
@@ -39,7 +38,6 @@ __all__ = [
     "N_THETA",
     "ClassifierModel",
     "QnnConfig",
-    "classifier_circuit",
     "load_iris_dataset",
     "pattern_distribution",
     "pattern_distributions",
@@ -143,26 +141,6 @@ def _add_redirect(circuit: PhotonicCircuit) -> None:
     circuit.add(DirectionalCoupler(0, 1))
     circuit.add(DirectionalCoupler(6, 7))
     circuit.add(DirectionalCoupler(7, 8))
-
-
-def classifier_circuit(theta: Sequence[float], phases: Sequence[float]) -> PhotonicCircuit:
-    """Full twelve-mode circuit for one data point.
-
-    ``theta`` fills the two trainable blocks cell by cell (two phases
-    per cell); ``phases`` are the four encoding phases applied between
-    the blocks.  The fixed redirect layer follows the second block.
-    """
-    theta = _checked_theta(theta)
-    phases = np.asarray(phases, dtype=float)
-    if phases.shape != (N_FEATURES,):
-        raise ValueError(f"expected {N_FEATURES} encoding phases, got shape {phases.shape}")
-    circuit = PhotonicCircuit(N_MODES)
-    _add_block(circuit, theta[: N_THETA // 2])
-    for mode, phase in zip(ENCODING_MODES, phases):
-        circuit.add(PhaseShifter(mode, phase))
-    _add_block(circuit, theta[N_THETA // 2 :])
-    _add_redirect(circuit)
-    return circuit
 
 
 def pattern_distributions(

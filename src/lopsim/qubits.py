@@ -37,12 +37,19 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from lopsim.fock import FockState, batched_amplitudes, enumerate_basis, outcome_arrays
+from lopsim.fock import (
+    FockState,
+    ModeUnitary,
+    batched_amplitudes,
+    enumerate_basis,
+    outcome_arrays,
+)
 from lopsim.mesh import (
     CircuitElement,
     DirectionalCoupler,
     ModePermutation,
     PhotonicCircuit,
+    _apply_element,
     two_mode_gate_elements,
     unitary_to_elements,
 )
@@ -66,6 +73,7 @@ __all__ = [
     "preparation_elements",
     "pauli_measurement_setting",
     "logical_distribution",
+    "logical_distributions",
     "pauli_expectation",
     "ghz_factory",
     "ghz_input_state",
@@ -371,6 +379,20 @@ class PostselectionRule:
         return replace(self, threshold=threshold)
 
 
+def _logical_mass(rows: np.ndarray, values: np.ndarray, rule: PostselectionRule) -> np.ndarray:
+    """Accepted mass per logical index, ``(2^n, B)``, of ``(K, B)`` values.
+
+    One readout mask serves all B columns.  The weighted ``bincount``
+    runs over (index, column) bins, so each bin sums its rows in order.
+    """
+    accepted, index = rule.readout(rows)
+    kept = values[accepted]
+    dim, batch = 1 << len(rule.qubit_pairs), kept.shape[1]
+    bins = (index[accepted][:, None] * batch + np.arange(batch)).ravel()
+    raw = np.bincount(bins, weights=kept.ravel(), minlength=dim * batch)
+    return raw.reshape(dim, batch)
+
+
 def logical_distribution(
     distribution: Mapping[FockState, float], rule: PostselectionRule
 ) -> tuple[np.ndarray, float]:
@@ -383,13 +405,34 @@ def logical_distribution(
     acceptance.
     """
     rows, values = outcome_arrays(distribution)
-    accepted, index = rule.readout(rows)
-    n = len(rule.qubit_pairs)
-    raw = np.bincount(index[accepted], weights=values[accepted], minlength=1 << n)
+    raw = _logical_mass(rows, values[:, None], rule)[:, 0]
     weight = float(raw.sum())
     if weight <= 0.0:
         raise ValueError("no outcomes pass the postselection rule")
-    return (raw / weight).reshape((2,) * n), weight
+    return (raw / weight).reshape((2,) * len(rule.qubit_pairs)), weight
+
+
+def logical_distributions(
+    m: int, sectors: Mapping[int, np.ndarray], rule: PostselectionRule
+) -> np.ndarray:
+    """Postselected logical distributions of B outputs, ``(B, 2^n)``.
+
+    ``sectors[n]`` holds B probability columns over
+    ``enumerate_basis(m, n)``, as
+    :func:`lopsim.sources.batched_noisy_sectors` returns them.  Each
+    sector is read with one mask for all columns; row b is the
+    normalized logical vector of output b, qubit 0 the most significant
+    bit.
+    """
+    raw = np.zeros((1 << len(rule.qubit_pairs), 1))
+    for n, vec in sectors.items():
+        raw = raw + _logical_mass(enumerate_basis(m, n).occupations, vec, rule)
+    # rows contiguous, so each weight sums as logical_distribution's does
+    raw = np.ascontiguousarray(raw.T)
+    weight = raw.sum(axis=1, keepdims=True)
+    if not np.all(weight > 0.0):
+        raise ValueError("no outcomes pass the postselection rule")
+    return raw / weight
 
 
 def pauli_expectation(
@@ -485,14 +528,21 @@ def logical_matrix(circuit: PhotonicCircuit, enc: QubitEncoding) -> np.ndarray:
     the rails of basis state col (all other modes empty) to the rails of
     basis state row.  For a correctly compiled gate this equals the gate
     unitary times a constant whose squared magnitude is the success
-    probability.  The 2^n inputs run through one batched SLOS pass and
-    are read at the 2^n rail outputs.
+    probability.
+    """
+    return _rail_amplitudes(circuit.unitary().matrix, enc)
+
+
+def _rail_amplitudes(unitary: np.ndarray, enc: QubitEncoding) -> np.ndarray:
+    """:func:`logical_matrix` of the mode unitary ``unitary``.
+
+    The 2^n inputs run through one batched SLOS pass and are read at the
+    2^n rail outputs.
     """
     n = enc.n_qubits
     dim = 1 << n
     bits = (np.arange(dim)[:, None] >> np.arange(n - 1, -1, -1)) & 1
     rails = np.array(enc.qubit_pairs, dtype=np.intp)[np.arange(n), bits]
-    unitary = circuit.unitary().matrix
     amps = batched_amplitudes(np.broadcast_to(unitary, (dim, *unitary.shape)), rails)
     rows = np.zeros((dim, enc.n_modes), dtype=np.intp)
     rows[np.arange(dim)[:, None], rails] = 1
@@ -545,13 +595,17 @@ def pauli_measurement_setting(word: str, enc: QubitEncoding) -> PhotonicCircuit:
 
 def compile_gate_circuit(
     gc: GateCircuit, enc: QubitEncoding | None = None
-) -> tuple[PhotonicCircuit, PostselectionRule, float]:
+) -> tuple[PhotonicCircuit, PostselectionRule, float, ModeUnitary]:
     """Compile a gate circuit to mode elements plus its postselection rule.
 
     Entangling gates draw fresh ancilla modes from the encoding pool so
     their postselected actions compose exactly; running out of ancillas
-    raises ``CompilationError``.  The compiled circuit is verified against
-    the circuit's logical unitary before returning.  The returned success
+    raises ``CompilationError``.  The compiled circuit's unitary is built
+    once: the check against the circuit's logical unitary reads it, and
+    it is returned as the last item, so a caller need not build it again.
+    With a measurement word, the word's rotations are applied onto the
+    checked matrix in element order, which gives exactly the matrix of
+    the returned circuit's ``unitary()``.  The returned success
     probability is the postselection weight, independent of the input
     state (1/9 per CNOT, (2^(1/3)-1)^3 per Toffoli).
     """
@@ -582,8 +636,9 @@ def compile_gate_circuit(
             circuit.extend(two_mode_gate_elements(mat, *enc.qubit_pairs[gate.qubits[0]]))
     rule = PostselectionRule(enc.qubit_pairs, vacuum_modes=enc.ancilla_modes)
 
+    unitary = circuit.unitary()
     target = gc.logical_unitary()
-    realized = logical_matrix(circuit, enc)
+    realized = _rail_amplitudes(unitary.matrix, enc)
     anchor = np.unravel_index(np.argmax(np.abs(target)), target.shape)
     scale = realized[anchor] / target[anchor]
     deviation = float(np.max(np.abs(realized - scale * target)))
@@ -593,8 +648,13 @@ def compile_gate_circuit(
         )
 
     if gc.measurement is not None:
-        circuit.extend(pauli_measurement_setting(gc.measurement, enc).elements)
-    return circuit, rule, success
+        setting = pauli_measurement_setting(gc.measurement, enc).elements
+        circuit.extend(setting)
+        matrix = unitary.matrix.copy()
+        for element in setting:
+            _apply_element(matrix, element)
+        unitary = ModeUnitary(matrix)
+    return circuit, rule, success, unitary
 
 
 # ---------------------------------------------------------------------------

@@ -18,9 +18,10 @@ expansion of Renema et al., PRL 120, 220502 (2018)), truncated only by
 a photon-number cap whose tail mass it reports.  The result is the
 same :class:`~lopsim.fock.OutputDistribution` that an ideal input
 gives, with one sector per detected photon number and the truncated
-mass as ``dropped_weight``.  Detection throughout this module is
-click-based (threshold detectors): an occupied mode counts as one click
-regardless of photon number.
+mass as ``dropped_weight``; :func:`batched_noisy_sectors` runs the same
+sum for a stack of interferometers at once.  Detection throughout this
+module is click-based (threshold detectors): an occupied mode counts as
+one click regardless of photon number.
 
 The module also provides the two standard source characterization
 experiments: the two-photon Hong-Ou-Mandel visibility (with its purity
@@ -47,6 +48,7 @@ from .fock import (
     ModeUnitary,
     OutputDistribution,
     _add_photon,
+    batched_amplitudes,
     enumerate_basis,
     outcome_arrays,
     strong_simulate,
@@ -59,6 +61,7 @@ __all__ = [
     "InputBranch",
     "LabeledInput",
     "build_input",
+    "batched_noisy_sectors",
     "noisy_simulate",
     "coincidence_probability",
     "hom_experiment",
@@ -303,8 +306,9 @@ def _mix_photon(
     """One classical mixture step over photon-number sectors.
 
     With weight ``w_none`` no photon is added; with weight ``w_one`` one
-    distinguishable photon is routed by ``column`` (``|U[:, q]|^2`` for
-    input mode q).  Sectors above ``cap`` are not formed.
+    distinguishable photon is routed by ``column`` (``|U_b[:, q]|^2`` for
+    input mode q in column b, shape ``(m, B)``).  Sectors above ``cap``
+    are not formed.
     """
     out: dict[int, np.ndarray] = {}
     for n, vec in sectors.items():
@@ -318,7 +322,7 @@ def _mix_photon(
 def _thin_outputs(
     sectors: dict[int, np.ndarray], m: int, keep: np.ndarray
 ) -> dict[int, np.ndarray]:
-    """Per-mode binomial thinning of photon-number-sector distributions.
+    """Per-mode binomial thinning of ``(N_n, B)`` photon-number sectors.
 
     Mode by mode, a state with ``a`` photons in mode j moves to the state
     with ``d`` of them lost, weighted ``C(a, d) keep_j^(a-d) (1-keep_j)^d``.
@@ -333,10 +337,64 @@ def _thin_outputs(
                 lost[:, j] -= d
                 w = [comb(d + e, d) * kj**e * (1.0 - kj) ** d for e in range(n - d + 1)]
                 target = enumerate_basis(m, n - d)
-                out = thinned.setdefault(n - d, np.zeros(len(target)))
-                out[target.rank(lost)] += vec[hit] * np.array(w)[lost[:, j]]
+                out = thinned.setdefault(n - d, np.zeros((len(target), vec.shape[1])))
+                out[target.rank(lost)] += vec[hit] * np.array(w)[lost[:, j], None]
         sectors = thinned
     return sectors
+
+
+def batched_noisy_sectors(
+    unitaries: np.ndarray,
+    labeled: LabeledInput,
+    output_losses: np.ndarray | None = None,
+) -> tuple[dict[int, np.ndarray], float]:
+    """Noisy-source outputs of B interferometers in one trigger sum.
+
+    ``unitaries`` is ``(B, m, m)``.  The sum of :func:`noisy_simulate`
+    runs once for the whole stack: each shared set's coherent pass is one
+    :func:`~lopsim.fock.batched_amplitudes` call, and each classical step
+    feeds column b the ``|U_b[:, q]|^2`` of its own unitary through the
+    batched photon-addition kernel.  A batch pays off on small sectors
+    only; on large ones its strided scatters cost more than the Python
+    calls it saves.
+
+    Returns the sectors, ``{n: (N_n, B)}`` probabilities over
+    ``enumerate_basis(m, n)`` (column b the output of unitary b), and the
+    photon-number tail above the cap, which every column shares.
+    """
+    unitaries = np.asarray(unitaries, dtype=complex)
+    count, m = unitaries.shape[:2]
+    if output_losses is not None:
+        keep = np.asarray(output_losses, dtype=float)
+        if keep.shape != (m,):
+            raise ValueError(f"output_losses must have shape ({m},)")
+        if np.any(keep < 0.0) or np.any(keep > 1.0):
+            raise ValueError("output losses must lie in [0, 1]")
+    FockState.from_modes(m, labeled.modes)  # rejects an input mode outside the unitary
+    tail = _photon_number_tail(labeled)
+    cap = int(np.argmax(tail[1:] <= TAIL_TOLERANCE))
+    power = np.abs(unitaries) ** 2
+    columns = [np.ascontiguousarray(power[:, :, q].T) for q in labeled.modes]
+
+    sectors: dict[int, np.ndarray] = {}
+    for members in itertools.product((False, True), repeat=len(labeled.modes)):
+        shared_modes = sorted(q for q, s in zip(labeled.modes, members) if s)
+        weight = prod(w for w, s in zip(labeled.shared, members) if s)
+        if weight == 0.0 or len(shared_modes) > cap:
+            continue
+        inputs = np.broadcast_to(np.array(shared_modes, dtype=np.intp), (count, len(shared_modes)))
+        coherent = np.abs(batched_amplitudes(unitaries, inputs).T) ** 2
+        term = {len(shared_modes): weight * np.ascontiguousarray(coherent)}
+        for column, unique, lost, s in zip(columns, labeled.unique, labeled.lost, members):
+            if not s:
+                term = _mix_photon(term, column, lost, unique, cap)
+        for n, vec in term.items():
+            _accumulate(sectors, n, vec)
+    for column, extra in zip(columns, labeled.extra):
+        sectors = _mix_photon(sectors, column, 1.0 - extra, extra, cap)
+    if output_losses is not None:
+        sectors = _thin_outputs(sectors, m, keep)
+    return sectors, float(tail[cap + 1])
 
 
 def noisy_simulate(
@@ -361,6 +419,11 @@ def noisy_simulate(
     exact tail ``P(photons > N)`` is at most ``TAIL_TOLERANCE``.  Sectors
     above N are not formed and the tail is reported as ``dropped_weight``.
 
+    This is the B = 1 case of :func:`batched_noisy_sectors`, as
+    :func:`~lopsim.fock.strong_simulate` is of
+    :func:`~lopsim.fock.batched_amplitudes`; a batch of one runs the
+    one-dimensional photon-addition kernel.
+
     Args:
         unitary: the interferometer.
         labeled: per-trigger input table from :func:`build_input`.
@@ -378,36 +441,10 @@ def noisy_simulate(
     """
     if not isinstance(unitary, ModeUnitary):
         unitary = ModeUnitary(np.asarray(unitary))
-    m = unitary.m
-    if output_losses is not None:
-        keep = np.asarray(output_losses, dtype=float)
-        if keep.shape != (m,):
-            raise ValueError(f"output_losses must have shape ({m},)")
-        if np.any(keep < 0.0) or np.any(keep > 1.0):
-            raise ValueError("output losses must lie in [0, 1]")
-    FockState.from_modes(m, labeled.modes)  # rejects an input mode outside the unitary
-    tail = _photon_number_tail(labeled)
-    cap = int(np.argmax(tail[1:] <= TAIL_TOLERANCE))
-    power = np.abs(unitary.matrix) ** 2
-
-    sectors: dict[int, np.ndarray] = {}
-    for members in itertools.product((False, True), repeat=len(labeled.modes)):
-        shared_modes = [q for q, s in zip(labeled.modes, members) if s]
-        weight = prod(w for w, s in zip(labeled.shared, members) if s)
-        if weight == 0.0 or len(shared_modes) > cap:
-            continue
-        coherent = strong_simulate(unitary, FockState.from_modes(m, shared_modes))
-        term = {len(shared_modes): weight * coherent.sectors[len(shared_modes)]}
-        for q, unique, lost, s in zip(labeled.modes, labeled.unique, labeled.lost, members):
-            if not s:
-                term = _mix_photon(term, power[:, q], lost, unique, cap)
-        for n, vec in term.items():
-            _accumulate(sectors, n, vec)
-    for q, extra in zip(labeled.modes, labeled.extra):
-        sectors = _mix_photon(sectors, power[:, q], 1.0 - extra, extra, cap)
-    if output_losses is not None:
-        sectors = _thin_outputs(sectors, m, keep)
-    return OutputDistribution(m, sectors, dropped_weight=tail[cap + 1])
+    sectors, dropped = batched_noisy_sectors(unitary.matrix[None], labeled, output_losses)
+    return OutputDistribution(
+        unitary.m, {n: vec[:, 0] for n, vec in sectors.items()}, dropped_weight=dropped
+    )
 
 
 def _click_arrays(dist: Mapping[FockState, float], width: int) -> tuple[np.ndarray, np.ndarray]:

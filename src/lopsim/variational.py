@@ -226,14 +226,17 @@ class PhotonicVqeBackend:
         self._confusion = np.kron(flip, flip)
 
     def distribution(self, circuit: GateCircuit) -> np.ndarray:
-        """Probabilities of the four logical outcomes, qubit 0 first."""
+        """Probabilities of the four logical outcomes, qubit 0 first.
+
+        The unitary that the compile check built is the one simulated.
+        """
         if circuit.n_qubits != 2:
             raise ValueError("backend is wired for two-qubit circuits")
-        optics, rule, _ = compile_gate_circuit(circuit, self._encoding)
+        _, rule, _, unitary = compile_gate_circuit(circuit, self._encoding)
         if self._labeled is None:
-            dist = strong_simulate(optics.unitary(), self._input_state)
+            dist = strong_simulate(unitary, self._input_state)
         else:
-            dist = noisy_simulate(optics.unitary(), self._labeled)
+            dist = noisy_simulate(unitary, self._labeled)
         return self._confusion @ logical_distribution(dist, rule)[0].ravel()
 
 

@@ -5,8 +5,10 @@ the library code: Fock bases filtered from every occupation tuple,
 factorial-cost permanents, full second-quantized
 state-vector evolution, explicit classical routing enumeration, the
 noisy-source output summed over every labeled branch, benchmark-plan
-weights from the dense 16^n correlation solve, and the mesh transfer
-matrix and its derivatives as products of per-element factors.
+weights from the dense 16^n correlation solve, a plan executed one
+configuration per executor call, the classifier chip built element by
+element, and the mesh transfer matrix and its derivatives as products
+of per-element factors.
 """
 
 from __future__ import annotations
@@ -16,8 +18,19 @@ from math import comb, factorial, sqrt
 
 import numpy as np
 
-from lopsim.benchmark import _MEAS_SIGNS, _PREP_VECTORS
+from lopsim.benchmark import _MEAS_SIGNS, _PREP_VECTORS, FidelityEstimate
 from lopsim.fock import FockState
+from lopsim.mesh import PhaseShifter, PhotonicCircuit
+from lopsim.qnn import (
+    ENCODING_MODES,
+    N_FEATURES,
+    N_MODES,
+    N_THETA,
+    _add_block,
+    _add_redirect,
+    _checked_theta,
+)
+from lopsim.qubits import _pauli_signs
 
 
 def fock_basis_rows(m: int, n: int, collision_free: bool) -> np.ndarray:
@@ -258,6 +271,57 @@ def dense_plan_weights(
             labels.append(("".join(prep), "".join(word)))
     weights = np.linalg.solve(basis, dual.reshape(-1))
     return dict(zip(labels, weights))
+
+
+def per_configuration_favg(
+    plan, executor, shots_per_config=None, seed=None, merge_settings=True
+) -> FidelityEstimate:
+    """``estimate_favg`` with one executor call per configuration.
+
+    Each (preparation, setting) configuration runs as a batch of one, in
+    plan order, and its shots are drawn right after it.
+    """
+    rng = np.random.default_rng(seed)
+    groups: dict[tuple, list[int]] = {}
+    for index, entry in enumerate(plan.entries):
+        key = (entry.preparation, entry.setting) if merge_settings else (entry.label, index)
+        groups.setdefault(key, []).append(index)
+    total, variance = plan.constant, 0.0
+    for indices in groups.values():
+        first = plan.entries[indices[0]]
+        vectors = np.array(plan.preparation_vectors(first))
+        probs = np.asarray(executor(vectors[None], [first.setting]), dtype=float)[0]
+        if shots_per_config is not None:
+            probs = rng.multinomial(shots_per_config, probs / probs.sum()) / shots_per_config
+        for index in indices:
+            entry = plan.entries[index]
+            correlation = float(_pauli_signs(entry.word) @ probs) * plan.measurement_sign(entry)
+            total += entry.weight * correlation
+            if shots_per_config is not None:
+                spread = max(0.0, 1.0 - correlation * correlation)
+                variance += entry.weight**2 * spread / shots_per_config
+    shots = None if shots_per_config is None else len(groups) * shots_per_config
+    return FidelityEstimate(float(total), float(np.sqrt(variance)), shots)
+
+
+def classifier_circuit(theta, phases) -> PhotonicCircuit:
+    """Full twelve-mode classifier circuit for one data point, element by element.
+
+    ``theta`` fills the two trainable blocks cell by cell (two phases
+    per cell); ``phases`` are the four encoding phases applied between
+    the blocks.  The fixed redirect layer follows the second block.
+    """
+    theta = _checked_theta(theta)
+    phases = np.asarray(phases, dtype=float)
+    if phases.shape != (N_FEATURES,):
+        raise ValueError(f"expected {N_FEATURES} encoding phases, got shape {phases.shape}")
+    circuit = PhotonicCircuit(N_MODES)
+    _add_block(circuit, theta[: N_THETA // 2])
+    for mode, phase in zip(ENCODING_MODES, phases):
+        circuit.add(PhaseShifter(mode, phase))
+    _add_block(circuit, theta[N_THETA // 2 :])
+    _add_redirect(circuit)
+    return circuit
 
 
 def h2_ground_energy_closed_form(

@@ -7,7 +7,12 @@ from importlib import resources
 import numpy as np
 import pytest
 
-from _oracles import dense_plan_weights, haar_average_fidelity, swap_paired_functional
+from _oracles import (
+    dense_plan_weights,
+    haar_average_fidelity,
+    per_configuration_favg,
+    swap_paired_functional,
+)
 from lopsim.benchmark import (
     build_plan,
     channel_executor,
@@ -18,6 +23,7 @@ from lopsim.benchmark import (
     spam_floor,
 )
 from lopsim.qubits import Gate, GateCircuit, QubitEncoding
+from lopsim.sources import SourceModel
 
 T_CIRCUIT = GateCircuit.from_text("T 0", n_qubits=1)
 CNOT_CIRCUIT = GateCircuit.from_text("CNOT 0 1", n_qubits=2)
@@ -304,7 +310,7 @@ def test_standard_error_shrinks_with_shots():
 def test_executor_output_is_validated():
     plan = build_plan(T_CIRCUIT, 1)
     with pytest.raises(ValueError, match="malformed"):
-        estimate_favg(plan, lambda vectors, setting: np.zeros(3))
+        estimate_favg(plan, lambda preparations, settings: np.zeros(3))
 
 
 # ---------------------------------------------------------------------------
@@ -319,6 +325,29 @@ def test_photonic_noiseless_estimates_are_unity():
     plan = build_plan(CNOT_CIRCUIT, 2)
     est = estimate_favg(plan, photonic_executor(CNOT_CIRCUIT))
     assert est.f_avg == pytest.approx(1.0, abs=1e-9)
+
+
+@pytest.mark.parametrize("gate", ["T 0", "CNOT 0 1", "TOFFOLI 0 1 2"])
+@pytest.mark.parametrize("noisy", [False, True], ids=["ideal", "noisy"])
+def test_one_batched_call_matches_one_call_per_configuration(gate, noisy, toffoli_plan):
+    circuit = GateCircuit.from_text(gate)
+    plan = toffoli_plan if circuit.n_qubits == 3 else build_plan(circuit, circuit.n_qubits)
+    ms = (0.97, 0.94, 0.91)[: circuit.n_qubits]
+    source = SourceModel(indistinguishability=ms, g2=0.01) if noisy else None
+    executor = photonic_executor(circuit, source=source)
+    calls = []
+
+    def counted(preparations, settings):
+        calls.append(len(settings))
+        return executor(preparations, settings)
+
+    for shots in (None, 300):
+        batched = estimate_favg(plan, counted, shots_per_config=shots, seed=11)
+        reference = per_configuration_favg(plan, executor, shots_per_config=shots, seed=11)
+        assert batched.f_avg == pytest.approx(reference.f_avg, abs=1e-12)
+        assert batched.std_error == pytest.approx(reference.std_error, abs=1e-12)
+        assert batched.shots == reference.shots
+    assert calls == [plan.m_settings] * 2
 
 
 def test_photonic_executor_rejects_measurement_circuits():

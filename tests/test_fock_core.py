@@ -27,6 +27,7 @@ from lopsim.fock import (
 from lopsim.sources import (
     TAIL_TOLERANCE,
     SourceModel,
+    batched_noisy_sectors,
     build_input,
     coincidence_probability,
     cyclic_input_modes,
@@ -300,6 +301,37 @@ class TestNoisySimulate:
                 np.add.at(expected, basis.rank(np.array(rows)), [reference[r] for r in rows])
             got = noisy.sectors[n] if n in noisy.sectors else np.zeros(len(basis))
             assert np.abs(got - expected).max() <= slack
+
+
+    @settings(max_examples=30, deadline=None)
+    @given(
+        m=st.integers(2, 6),
+        batch=st.integers(1, 5),
+        data=st.data(),
+        seed=st.integers(0, 2**32 - 1),
+        g2=st.floats(0.0, 0.3),
+        efficiency=st.floats(0.05, 1.0),
+        lossy=st.booleans(),
+    )
+    def test_batched_pass_matches_separate_calls(
+        self, m, batch, data, seed, g2, efficiency, lossy
+    ):
+        # repeated modes put several triggers on one input mode
+        modes = data.draw(st.lists(st.integers(0, m - 1), min_size=1, max_size=3))
+        ms = data.draw(st.lists(st.floats(0.0, 1.0), min_size=len(modes), max_size=len(modes)))
+        src = SourceModel(indistinguishability=tuple(ms), g2=g2, efficiency=efficiency)
+        labeled = build_input(len(modes), src, modes=modes)
+        keep = np.random.default_rng(seed).uniform(0.0, 1.0, size=m) if lossy else None
+        unitaries = np.stack([haar(m, seed + b).matrix for b in range(batch)])
+        sectors, dropped = batched_noisy_sectors(unitaries, labeled, output_losses=keep)
+        for b, unitary in enumerate(unitaries):
+            single = noisy_simulate(unitary, labeled, output_losses=keep)
+            assert dropped == single.dropped_weight
+            for n, vec in sectors.items():
+                assert vec.shape == (len(enumerate_basis(m, n)), batch)
+                expected = single.sectors.get(n, np.zeros(len(vec)))
+                assert np.abs(vec[:, b] - expected).max() <= 1e-12
+            assert set(single.sectors) <= set(sectors)
 
 
 class TestDroppedWeight:

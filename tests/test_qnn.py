@@ -2,7 +2,7 @@
 
 import numpy as np
 import pytest
-from _oracles import evolve_state_vector
+from _oracles import classifier_circuit, evolve_state_vector
 
 from lopsim.fock import FockState, strong_simulate
 from lopsim.qnn import (
@@ -13,7 +13,6 @@ from lopsim.qnn import (
     N_THETA,
     ClassifierModel,
     QnnConfig,
-    classifier_circuit,
     load_iris_dataset,
     pattern_distribution,
     pattern_distributions,

@@ -104,7 +104,7 @@ def kron_logical_unitary(gc):
 
 
 def compiled_matrix_and_scale(gc, enc=None):
-    circuit, rule, success = compile_gate_circuit(gc, enc)
+    circuit, rule, success, _ = compile_gate_circuit(gc, enc)
     enc = enc or QubitEncoding.default(gc.n_qubits)
     mat = logical_matrix(circuit, enc)
     target = gc.logical_unitary()
@@ -267,7 +267,7 @@ class TestLogicalMatrix:
     def test_matches_per_entry_amplitudes(self, n_qubits, seed):
         gc = random_gate_circuit(n_qubits, np.random.default_rng([seed, n_qubits]))
         enc = QubitEncoding.default(n_qubits)
-        circuit, _, _ = compile_gate_circuit(gc, enc)
+        circuit, _, _, _ = compile_gate_circuit(gc, enc)
         unitary = circuit.unitary()
         states = [encoding_input_state(enc, bits) for bits in np.ndindex((2,) * n_qubits)]
         expected = np.array(
@@ -296,7 +296,7 @@ class TestSingleQubitCompilation:
 
     def test_t_gate_on_plus_state(self):
         gc = GateCircuit.from_text("H 0\nT 0")
-        circuit, rule, success = compile_gate_circuit(gc)
+        circuit, rule, success, _ = compile_gate_circuit(gc)
         assert success == 1.0
         mat = logical_matrix(circuit, QubitEncoding.default(1))
         column = mat[:, 0] / mat[0, 0] * abs(mat[0, 0])
@@ -324,7 +324,7 @@ class TestCnotCompilation:
 
     def test_one_zero_maps_to_one_one(self):
         gc = GateCircuit(2, (Gate("CNOT", (0, 1)),))
-        circuit, rule, _ = compile_gate_circuit(gc)
+        circuit, rule, _, _ = compile_gate_circuit(gc)
         enc = QubitEncoding.default(2)
         dist = strong_simulate(circuit.unitary(), encoding_input_state(enc, (1, 0)))
         logical, weight = logical_distribution(dist, rule)
@@ -333,7 +333,7 @@ class TestCnotCompilation:
 
     def test_success_is_input_independent(self):
         gc = GateCircuit(2, (Gate("CNOT", (0, 1)),))
-        circuit, _, _ = compile_gate_circuit(gc)
+        circuit, _, _, _ = compile_gate_circuit(gc)
         enc = QubitEncoding.default(2)
         weights = []
         for _ in range(20):
@@ -348,7 +348,7 @@ class TestCnotCompilation:
 
     def test_random_product_inputs_follow_the_gate(self):
         gc = GateCircuit(2, (Gate("CNOT", (0, 1)),))
-        circuit, _, _ = compile_gate_circuit(gc)
+        circuit, _, _, _ = compile_gate_circuit(gc)
         enc = QubitEncoding.default(2)
         for _ in range(20):
             u_a, u_b = haar_2x2(RNG), haar_2x2(RNG)
@@ -403,7 +403,7 @@ class TestToffoliCompilation:
 
     def test_one_one_zero_flips_target(self):
         gc = GateCircuit(3, (Gate("TOFFOLI", (0, 1, 2)),))
-        circuit, rule, _ = compile_gate_circuit(gc)
+        circuit, rule, _, _ = compile_gate_circuit(gc)
         enc = QubitEncoding.default(3)
         dist = strong_simulate(circuit.unitary(), encoding_input_state(enc, (1, 1, 0)))
         logical, weight = logical_distribution(dist, rule)
@@ -434,6 +434,16 @@ class TestToffoliCompilation:
         gc = GateCircuit(3, (Gate("TOFFOLI", (0, 1, 2)), Gate("TOFFOLI", (0, 1, 2))))
         with pytest.raises(CompilationError, match="mode budget"):
             compile_gate_circuit(gc)
+
+
+@pytest.mark.parametrize(
+    "text",
+    ["T 0", "H 0\nMEASURE X", "RY 0 0.4\nCNOT 0 1\nRX 1 1.1", "CNOT 1 0\nMEASURE YX",
+     "TOFFOLI 0 1 2", "H 2\nTOFFOLI 0 1 2\nMEASURE XZY"],
+)
+def test_compile_returns_the_circuit_unitary(text):
+    circuit, _, _, unitary = compile_gate_circuit(GateCircuit.from_text(text))
+    assert np.array_equal(unitary.matrix, circuit.unitary().matrix)
 
 
 class TestPostselectionRule:
@@ -497,7 +507,7 @@ class TestPauliMeasurement:
 
     def test_x_on_plus_state(self):
         gc = GateCircuit(1, (Gate("H", (0,)),), measurement="X")
-        circuit, rule, _ = compile_gate_circuit(gc)
+        circuit, rule, _, _ = compile_gate_circuit(gc)
         dist = strong_simulate(
             circuit.unitary(), encoding_input_state(QubitEncoding.default(1))
         )
@@ -507,7 +517,7 @@ class TestPauliMeasurement:
         gc = GateCircuit(
             1, (Gate("H", (0,)), Gate("RZ", (0,), np.pi / 2)), measurement="Y"
         )
-        circuit, rule, _ = compile_gate_circuit(gc)
+        circuit, rule, _, _ = compile_gate_circuit(gc)
         dist = strong_simulate(
             circuit.unitary(), encoding_input_state(QubitEncoding.default(1))
         )
@@ -519,7 +529,7 @@ class TestPauliMeasurement:
         expected = {"ZZ": 1.0, "XX": 1.0, "YY": -1.0, "ZI": 0.0, "IZ": 0.0}
         for word, value in expected.items():
             gc = GateCircuit(2, base.gates, measurement=word)
-            circuit, rule, _ = compile_gate_circuit(gc)
+            circuit, rule, _, _ = compile_gate_circuit(gc)
             dist = strong_simulate(circuit.unitary(), encoding_input_state(enc))
             assert pauli_expectation(dist, rule, word) == pytest.approx(
                 value, abs=1e-12

@@ -105,7 +105,7 @@ def test_mask_readout_matches_per_state_rule(drawn, kind, seed):
 
 
 def test_ravel_puts_qubit_zero_first():
-    circuit, rule, _ = compile_gate_circuit(GateCircuit(2, (Gate("CNOT", (0, 1)),)))
+    circuit, rule, _, _ = compile_gate_circuit(GateCircuit(2, (Gate("CNOT", (0, 1)),)))
     enc = QubitEncoding.default(2)
     dist = strong_simulate(circuit.unitary(), encoding_input_state(enc, (1, 0)))
     probs, _ = logical_distribution(dist, rule)

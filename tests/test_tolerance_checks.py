@@ -10,7 +10,7 @@ import pytest
 
 from lopsim.fock import ModeUnitary
 from lopsim.hardware import HardwareModel, TranspilationError, voltages_from_phases
-from lopsim.mesh import two_mode_gate_elements
+from lopsim.mesh import _push_diagonal_through, two_mode_gate_elements
 from lopsim.qubits import Gate, GateCircuit, compile_gate_circuit
 from lopsim.variational import MitigationMatrix
 
@@ -42,6 +42,11 @@ def _confusion_with_nan() -> np.ndarray:
             "not unitary",
         ),
         (lambda: two_mode_gate_elements(np.full((2, 2), NAN), 0, 1), ValueError, "not unitary"),
+        (
+            lambda: _push_diagonal_through(0, NAN, 0.0, np.ones(2, dtype=complex)),
+            RuntimeError,
+            "diagonal commutation failed",
+        ),
         (lambda: _voltages_with_nan("target"), ValueError, "non-finite"),
         (lambda: _voltages_with_nan("offset"), TranspilationError, "residual"),
         (lambda: MitigationMatrix("ZZ", _confusion_with_nan()), ValueError, "sum to 1"),
@@ -50,6 +55,7 @@ def _confusion_with_nan() -> np.ndarray:
         "ModeUnitary",
         "compile_gate_circuit",
         "two_mode_gate_elements",
+        "_push_diagonal_through",
         "voltages_from_phases-target",
         "voltages_from_phases-offset",
         "MitigationMatrix",
