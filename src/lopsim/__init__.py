@@ -48,6 +48,7 @@ from lopsim.hardware import (
 )
 from lopsim.qubits import (
     GateCircuit,
+    GateCompiler,
     PostselectionRule,
     QubitEncoding,
     compile_gate_circuit,

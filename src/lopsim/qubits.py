@@ -67,6 +67,7 @@ __all__ = [
     "GHZ_INPUT_MODES",
     "GHZ_HERALD_MODES",
     "GHZ_MEASUREMENT_SETTINGS",
+    "GateCompiler",
     "compile_gate_circuit",
     "logical_matrix",
     "encoding_input_state",
@@ -219,6 +220,24 @@ def _single_qubit_matrix(gate: Gate) -> np.ndarray:
     return np.diag([np.exp(-1j * half), np.exp(1j * half)])
 
 
+def _logical_step(u: np.ndarray, gate: Gate, n_qubits: int) -> np.ndarray:
+    """The 2^n x 2^n logical matrix ``u`` followed by one more gate.
+
+    A single-qubit gate contracts its 2x2 matrix with the row axis of
+    its qubit (rows viewed as ``(2^q, 2, rest)``); a CNOT or Toffoli
+    permutes the rows, flipping the target bit where every control is 1.
+    ``u`` is read, never written.
+    """
+    dim = len(u)
+    if gate.name in ("CNOT", "TOFFOLI"):
+        index = np.arange(dim)
+        *controls, target = gate.qubits
+        fire = np.all([(index >> (n_qubits - 1 - c)) & 1 for c in controls], axis=0)
+        return u[index ^ (fire << (n_qubits - 1 - target))]
+    q = gate.qubits[0]
+    return (_single_qubit_matrix(gate) @ u.reshape(1 << q, 2, -1)).reshape(dim, dim)
+
+
 @dataclass(frozen=True)
 class GateCircuit:
     """Qubit-level circuit: gate list plus an optional Pauli measurement."""
@@ -241,24 +260,10 @@ class GateCircuit:
                 raise ValueError(f"bad measurement word {self.measurement!r}")
 
     def logical_unitary(self) -> np.ndarray:
-        """The 2^n x 2^n unitary of the gate list (qubit 0 = leftmost bit).
-
-        A single-qubit gate contracts its 2x2 matrix with the row axis of
-        its qubit (rows viewed as ``(2^q, 2, rest)``); a CNOT or Toffoli
-        permutes the rows, flipping the target bit where every control is 1.
-        """
-        n = self.n_qubits
-        dim = 1 << n
-        index = np.arange(dim)
-        u = np.eye(dim, dtype=complex)
+        """The 2^n x 2^n unitary of the gate list (qubit 0 = leftmost bit)."""
+        u = np.eye(1 << self.n_qubits, dtype=complex)
         for gate in self.gates:
-            if gate.name in ("CNOT", "TOFFOLI"):
-                *controls, target = gate.qubits
-                fire = np.all([(index >> (n - 1 - c)) & 1 for c in controls], axis=0)
-                u = u[index ^ (fire << (n - 1 - target))]
-            else:
-                q = gate.qubits[0]
-                u = (_single_qubit_matrix(gate) @ u.reshape(1 << q, 2, -1)).reshape(dim, dim)
+            u = _logical_step(u, gate, self.n_qubits)
         return u
 
     @classmethod
@@ -593,11 +598,131 @@ def pauli_measurement_setting(word: str, enc: QubitEncoding) -> PhotonicCircuit:
     return circuit
 
 
+@dataclass(frozen=True, eq=False)
+class _CompiledGate:
+    """One gate boundary of a compiled circuit: the gate, its elements,
+    and the state after it (read-only mode matrix, logical matrix,
+    remaining ancilla pool, success product)."""
+
+    gate: Gate
+    elements: tuple[CircuitElement, ...]
+    modes: np.ndarray
+    logical: np.ndarray
+    pool: tuple[int, ...]
+    success: float
+
+
+class GateCompiler:
+    """Compiles gate circuits on one encoding, reusing the last circuit's work.
+
+    The compiler records the last circuit it compiled, one entry per gate
+    boundary.  A new circuit resumes from the longest prefix of gates
+    equal to the record's (angles compared exactly; 0.0 and -0.0 are
+    equal and decompose alike) and applies only the remaining gates'
+    elements, in element order, onto a copy of the recorded mode matrix;
+    the logical matrix is extended gate by gate the way
+    :meth:`GateCircuit.logical_unitary` builds it.  Each product is
+    therefore formed by the same operations in the same order as from
+    scratch, and every result is bit-identical to a fresh compile.  Gates
+    without an angle (H, T, CNOT, Toffoli) are decomposed once per
+    compiler and ancilla assignment.  The compile check runs in full on
+    every call.  The record is one circuit deep.
+    """
+
+    def __init__(self, enc: QubitEncoding):
+        self.enc = enc
+        self._record: list[_CompiledGate] = []
+        self._fixed: dict[tuple[Gate, tuple[int, ...]], tuple[CircuitElement, ...]] = {}
+
+    def _decompose(self, gate: Gate, pool: list[int]) -> tuple[CircuitElement, ...]:
+        """Elements of one gate; entangling gates take fresh ancillas from ``pool``."""
+        enc = self.enc
+        if gate.name in _ROTATION_GATES:
+            mat = _single_qubit_matrix(gate)
+            return tuple(two_mode_gate_elements(mat, *enc.qubit_pairs[gate.qubits[0]]))
+        count = {"CNOT": 2, "TOFFOLI": 4}.get(gate.name, 0)
+        ancillas = tuple(_allocate_ancillas(pool, count, gate))
+        key = (gate, ancillas)
+        if key not in self._fixed:
+            pairs = [enc.qubit_pairs[q] for q in gate.qubits]
+            if gate.name == "CNOT":
+                elements = _cnot_elements(*pairs, ancillas)
+            elif gate.name == "TOFFOLI":
+                hadamard = two_mode_gate_elements(_H, *pairs[2])
+                elements = [*hadamard, *_ccz_elements(pairs, ancillas), *hadamard]
+            else:
+                elements = two_mode_gate_elements(_single_qubit_matrix(gate), *pairs[0])
+            self._fixed[key] = tuple(elements)
+        return self._fixed[key]
+
+    def compile(
+        self, gc: GateCircuit
+    ) -> tuple[PhotonicCircuit, PostselectionRule, float, ModeUnitary]:
+        """Compile ``gc``; the result is that of :func:`compile_gate_circuit`."""
+        enc = self.enc
+        if enc.n_qubits != gc.n_qubits:
+            raise CompilationError(
+                f"encoding has {enc.n_qubits} qubits, circuit needs {gc.n_qubits}"
+            )
+        record = self._record
+        kept = 0
+        for step, gate in zip(record, gc.gates):
+            if step.gate != gate:
+                break
+            kept += 1
+        del record[kept:]
+        if record:
+            last = record[-1]
+            modes, logical = last.modes.copy(), last.logical
+            pool, success = list(last.pool), last.success
+        else:
+            modes = np.eye(enc.n_modes, dtype=complex)
+            logical = np.eye(1 << gc.n_qubits, dtype=complex)
+            pool, success = list(enc.ancilla_modes), 1.0
+        for gate in gc.gates[kept:]:
+            elements = self._decompose(gate, pool)
+            for element in elements:
+                _apply_element(modes, element)
+            logical = _logical_step(logical, gate, gc.n_qubits)
+            if gate.name == "CNOT":
+                success *= CNOT_SUCCESS
+            elif gate.name == "TOFFOLI":
+                success *= TOFFOLI_SUCCESS
+            frozen = modes.copy()
+            frozen.setflags(write=False)
+            logical.setflags(write=False)
+            record.append(_CompiledGate(gate, elements, frozen, logical, tuple(pool), success))
+
+        realized = _rail_amplitudes(modes, enc)
+        anchor = np.unravel_index(np.argmax(np.abs(logical)), logical.shape)
+        scale = realized[anchor] / logical[anchor]
+        deviation = float(np.max(np.abs(realized - scale * logical)))
+        weight = float(abs(scale) ** 2)
+        if not (deviation <= 1e-9 and abs(weight - success) <= 1e-9):
+            raise CompilationError(
+                f"compiled circuit deviates from the logical unitary by {deviation:.2e}"
+                f" (tolerance 1e-9) and has success weight {weight:.6g} against the"
+                f" expected {success:.6g}"
+            )
+
+        elements = [element for step in record for element in step.elements]
+        if gc.measurement is not None:
+            setting = pauli_measurement_setting(gc.measurement, enc).elements
+            for element in setting:
+                _apply_element(modes, element)
+            elements.extend(setting)
+        rule = PostselectionRule(enc.qubit_pairs, vacuum_modes=enc.ancilla_modes)
+        return PhotonicCircuit(enc.n_modes, elements), rule, success, ModeUnitary(modes)
+
+
 def compile_gate_circuit(
     gc: GateCircuit, enc: QubitEncoding | None = None
 ) -> tuple[PhotonicCircuit, PostselectionRule, float, ModeUnitary]:
     """Compile a gate circuit to mode elements plus its postselection rule.
 
+    This is one :class:`GateCompiler` used once, so nothing is reused.  A
+    caller compiling many circuits that share leading gates should hold
+    a compiler instead; its results are bit-identical to this function's.
     Entangling gates draw fresh ancilla modes from the encoding pool so
     their postselected actions compose exactly; running out of ancillas
     raises ``CompilationError``.  The compiled circuit's unitary is built
@@ -611,50 +736,7 @@ def compile_gate_circuit(
     """
     if enc is None:
         enc = QubitEncoding.default(gc.n_qubits)
-    if enc.n_qubits != gc.n_qubits:
-        raise CompilationError(
-            f"encoding has {enc.n_qubits} qubits, circuit needs {gc.n_qubits}"
-        )
-    circuit = PhotonicCircuit(enc.n_modes)
-    pool = list(enc.ancilla_modes)
-    success = 1.0
-    for gate in gc.gates:
-        if gate.name == "CNOT":
-            ancillas = _allocate_ancillas(pool, 2, gate)
-            control, target = (enc.qubit_pairs[q] for q in gate.qubits)
-            circuit.extend(_cnot_elements(control, target, ancillas))
-            success *= CNOT_SUCCESS
-        elif gate.name == "TOFFOLI":
-            ancillas = _allocate_ancillas(pool, 4, gate)
-            pairs = [enc.qubit_pairs[q] for q in gate.qubits]
-            circuit.extend(two_mode_gate_elements(_H, *pairs[2]))
-            circuit.extend(_ccz_elements(pairs, ancillas))
-            circuit.extend(two_mode_gate_elements(_H, *pairs[2]))
-            success *= TOFFOLI_SUCCESS
-        else:
-            mat = _single_qubit_matrix(gate)
-            circuit.extend(two_mode_gate_elements(mat, *enc.qubit_pairs[gate.qubits[0]]))
-    rule = PostselectionRule(enc.qubit_pairs, vacuum_modes=enc.ancilla_modes)
-
-    unitary = circuit.unitary()
-    target = gc.logical_unitary()
-    realized = _rail_amplitudes(unitary.matrix, enc)
-    anchor = np.unravel_index(np.argmax(np.abs(target)), target.shape)
-    scale = realized[anchor] / target[anchor]
-    deviation = float(np.max(np.abs(realized - scale * target)))
-    if not (deviation <= 1e-9 and abs(abs(scale) ** 2 - success) <= 1e-9):
-        raise CompilationError(
-            f"compiled circuit deviates from the logical unitary by {deviation:.2e}"
-        )
-
-    if gc.measurement is not None:
-        setting = pauli_measurement_setting(gc.measurement, enc).elements
-        circuit.extend(setting)
-        matrix = unitary.matrix.copy()
-        for element in setting:
-            _apply_element(matrix, element)
-        unitary = ModeUnitary(matrix)
-    return circuit, rule, success, unitary
+    return GateCompiler(enc).compile(gc)
 
 
 # ---------------------------------------------------------------------------

@@ -7,8 +7,9 @@ state-vector evolution, explicit classical routing enumeration, the
 noisy-source output summed over every labeled branch, benchmark-plan
 weights from the dense 16^n correlation solve, a plan executed one
 configuration per executor call, the classifier chip built element by
-element, and the mesh transfer matrix and its derivatives as products
-of per-element factors.
+element, the mesh transfer matrix and its derivatives as products
+of per-element factors, and a VQE backend that compiles every circuit
+from scratch.
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ from math import comb, factorial, sqrt
 import numpy as np
 
 from lopsim.benchmark import _MEAS_SIGNS, _PREP_VECTORS, FidelityEstimate
-from lopsim.fock import FockState
+from lopsim.fock import FockState, strong_simulate
 from lopsim.mesh import PhaseShifter, PhotonicCircuit
 from lopsim.qnn import (
     ENCODING_MODES,
@@ -30,7 +31,9 @@ from lopsim.qnn import (
     _add_redirect,
     _checked_theta,
 )
-from lopsim.qubits import _pauli_signs
+from lopsim.qubits import _pauli_signs, compile_gate_circuit, logical_distribution
+from lopsim.sources import noisy_simulate
+from lopsim.variational import PhotonicVqeBackend
 
 
 def fock_basis_rows(m: int, n: int, collision_free: bool) -> np.ndarray:
@@ -433,3 +436,21 @@ def mesh_transfer_with_derivatives(
         else:
             du_refl[index] = product(i)
     return product(None), du_phase, du_refl
+
+
+class PerEvaluationVqeBackend(PhotonicVqeBackend):
+    """``PhotonicVqeBackend`` with no compiler kept between circuits.
+
+    Every circuit is compiled from scratch by ``compile_gate_circuit``,
+    so nothing one evaluation compiled is reused by the next.
+    """
+
+    def distribution(self, circuit):
+        if circuit.n_qubits != 2:
+            raise ValueError("backend is wired for two-qubit circuits")
+        _, rule, _, unitary = compile_gate_circuit(circuit, self._encoding)
+        if self._labeled is None:
+            dist = strong_simulate(unitary, self._input_state)
+        else:
+            dist = noisy_simulate(unitary, self._labeled)
+        return self._confusion @ logical_distribution(dist, rule)[0].ravel()

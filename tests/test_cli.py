@@ -9,6 +9,7 @@ from pathlib import Path
 import pytest
 
 from lopsim.cli import main
+from lopsim.variational import VqeConfig, exact_ground_energy, h2_hamiltonian
 
 
 def test_fringe_json_reports_p6(capsys):
@@ -64,3 +65,33 @@ def test_calibrate_json_reports_both_tvds(capsys):
     assert 0.0 <= record["baseline_tvd"] <= 1.0
     assert set(record["stage_s"]) == {"measure", "calibrate", "benchmark"}
     assert all(sec >= 0.0 for sec in record["stage_s"].values())
+
+
+def test_vqe_json_reports_the_energy_and_its_error(capsys):
+    assert main(["vqe", "--radius", "0.75", "--seed", "1", "--json"]) == 0
+    record = json.loads(capsys.readouterr().out)
+    assert set(record) == {
+        "command",
+        "radius",
+        "seed",
+        "energy",
+        "exact_energy",
+        "error_mha",
+        "evaluations",
+        "converged",
+        "wall_s",
+    }
+    assert record["command"] == "vqe" and record["radius"] == 0.75 and record["seed"] == 1
+    assert record["exact_energy"] == exact_ground_energy(h2_hamiltonian(0.75))
+    assert record["error_mha"] == 1e3 * (record["energy"] - record["exact_energy"])
+    assert abs(record["error_mha"]) < 20.0
+    assert 1 <= record["evaluations"] <= VqeConfig().max_iterations
+    assert isinstance(record["converged"], bool)
+    assert record["wall_s"] > 0.0
+
+
+def test_vqe_rejects_an_untabulated_radius(capsys):
+    with pytest.raises(SystemExit) as exit_info:
+        main(["vqe", "--radius", "0.33"])
+    assert exit_info.value.code != 0
+    assert "not tabulated" in capsys.readouterr().err

@@ -2,8 +2,11 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from _oracles import pauli_matrix
+from lopsim import qubits
 from lopsim.fock import FockState, ModeUnitary, output_amplitude, strong_simulate
 from lopsim.mesh import PhotonicCircuit, two_mode_gate_elements
 from lopsim.qubits import (
@@ -15,6 +18,7 @@ from lopsim.qubits import (
     CompilationError,
     Gate,
     GateCircuit,
+    GateCompiler,
     HeraldPattern,
     PostselectionRule,
     QubitEncoding,
@@ -444,6 +448,97 @@ class TestToffoliCompilation:
 def test_compile_returns_the_circuit_unitary(text):
     circuit, _, _, unitary = compile_gate_circuit(GateCircuit.from_text(text))
     assert np.array_equal(unitary.matrix, circuit.unitary().matrix)
+
+
+def test_compile_check_reports_a_wrong_success_weight(monkeypatch):
+    # the logical action is right, only the expected weight is not
+    monkeypatch.setattr(qubits, "CNOT_SUCCESS", 0.2)
+    gc = GateCircuit(2, (Gate("CNOT", (0, 1)),))
+    message = r"deviates from .* success weight 0.111111 against the expected 0.2"
+    with pytest.raises(CompilationError, match=message):
+        compile_gate_circuit(gc)
+
+
+_ANGLES = st.sampled_from([0.0, -0.0, np.pi, -np.pi / 2]) | st.floats(
+    -2.0 * np.pi, 2.0 * np.pi, allow_nan=False
+)
+
+
+@st.composite
+def _gates(draw, n_qubits):
+    names = ["T", "H", "RX", "RY", "RZ", "CNOT", "TOFFOLI"][: 5 + min(n_qubits - 1, 2)]
+    name = draw(st.sampled_from(names))
+    targets = draw(st.permutations(range(n_qubits)))[: {"CNOT": 2, "TOFFOLI": 3}.get(name, 1)]
+    angle = draw(_ANGLES) if name.startswith("R") else None
+    return Gate(name, tuple(targets), angle)
+
+
+@st.composite
+def _circuit_sequences(draw):
+    """Circuits on one qubit count, each keeping a random prefix of the last."""
+    n = draw(st.integers(1, 3))
+    circuits, gates = [], ()
+    for _ in range(draw(st.integers(2, 5))):
+        gates = gates[: draw(st.integers(0, len(gates)))] + tuple(
+            draw(st.lists(_gates(n), max_size=4))
+        )
+        word = draw(st.none() | st.text("IXYZ", min_size=n, max_size=n))
+        circuits.append(GateCircuit(n, gates, word))
+    return circuits
+
+
+def _compile_or_error(compile, gc):
+    try:
+        return compile(gc)
+    except CompilationError as exc:
+        return str(exc)
+
+
+@settings(max_examples=40, deadline=None)
+@given(_circuit_sequences())
+def test_gate_compiler_matches_a_fresh_compile(circuits):
+    compiler = GateCompiler(QubitEncoding.default(circuits[0].n_qubits))
+    for gc in circuits:
+        got = _compile_or_error(compiler.compile, gc)
+        want = _compile_or_error(compile_gate_circuit, gc)
+        if isinstance(want, str):
+            assert got == want
+            continue
+        circuit, rule, success, unitary = got
+        assert circuit.elements == want[0].elements
+        assert (rule, success) == (want[1], want[2])
+        assert np.array_equal(unitary.matrix, want[3].matrix)
+        assert unitary.matrix.tobytes() == circuit.unitary().matrix.tobytes()
+
+
+def test_gate_compiler_recovers_after_an_exhausted_pool():
+    enc = QubitEncoding.default(2)
+    compiler = GateCompiler(enc)
+    prefix = (Gate("RY", (0,), 0.3), Gate("CNOT", (0, 1)))
+    compiler.compile(GateCircuit(2, prefix))
+    with pytest.raises(CompilationError, match="mode budget"):
+        compiler.compile(GateCircuit(2, prefix + (Gate("CNOT", (1, 0)),)))
+    after = GateCircuit(2, prefix + (Gate("RX", (1,), 0.7),), "XZ")
+    got, want = compiler.compile(after), compile_gate_circuit(after, enc)
+    assert got[0].elements == want[0].elements
+    assert np.array_equal(got[3].matrix, want[3].matrix)
+
+
+def test_gate_compiler_decomposes_only_the_changed_tail(monkeypatch):
+    calls = []
+
+    def counted(v, mode_a, mode_b):
+        calls.append((mode_a, mode_b))
+        return two_mode_gate_elements(v, mode_a, mode_b)
+
+    monkeypatch.setattr(qubits, "two_mode_gate_elements", counted)
+    compiler = GateCompiler(QubitEncoding.default(2))
+    gates = [Gate("RY", (0,), 0.1), Gate("CNOT", (0, 1)), Gate("RX", (1,), 0.2), Gate("H", (0,))]
+    compiler.compile(GateCircuit(2, tuple(gates)))
+    assert len(calls) == 5  # RY, the CNOT's two Hadamards, RX, H
+    gates[2] = Gate("RX", (1,), 0.25)
+    compiler.compile(GateCircuit(2, tuple(gates)))
+    assert len(calls) == 6  # only the new RX; the H after it is reused
 
 
 class TestPostselectionRule:

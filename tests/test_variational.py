@@ -2,7 +2,7 @@
 
 import numpy as np
 import pytest
-from _oracles import h2_ground_energy_closed_form
+from _oracles import PerEvaluationVqeBackend, h2_ground_energy_closed_form
 
 from lopsim.qubits import Gate, GateCircuit
 from lopsim.sources import SourceModel
@@ -392,3 +392,35 @@ def test_vqe_nelder_mead_method_converges():
     exact = exact_ground_energy(h)
     result = vqe_run(h, backend, VqeConfig(shots=None, mitigation=False, method="nelder-mead"))
     assert abs(result.energy - exact) < 0.01
+
+
+_BACKENDS = {
+    "ideal": {},
+    "readout_flip": {"readout_flip": 0.03},
+    "noisy_source": {"source": SourceModel(indistinguishability=0.92, g2=0.012)},
+}
+_CASES = [
+    (kind, method, mitigation)
+    for kind in _BACKENDS
+    for method in ("cobyla", "nelder-mead")
+    for mitigation in (True, False)
+]
+
+
+@pytest.mark.parametrize(
+    "case", range(len(_CASES)), ids=["-".join(map(str, case)) for case in _CASES]
+)
+def test_vqe_energies_match_a_backend_compiling_every_circuit(case):
+    # 12 cases cycle through 3 radii and 2 seeds, so every (radius, seed)
+    # pair is met twice; 40 evaluations run the presweep and a polish
+    # stage that moves every angle.
+    kind, method, mitigation = _CASES[case]
+    radius = (0.45, 0.75, 1.55)[case % 3]
+    config = VqeConfig(
+        shots=2000, max_iterations=40, seed=case % 2, mitigation=mitigation, method=method
+    )
+    h = h2_hamiltonian(radius)
+    want = vqe_run(h, PerEvaluationVqeBackend(**_BACKENDS[kind]), config)
+    got = vqe_run(h, PhotonicVqeBackend(**_BACKENDS[kind]), config)
+    assert np.array_equal(got.energies, want.energies)
+    assert np.array_equal(got.theta, want.theta)
