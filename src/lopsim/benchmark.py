@@ -69,9 +69,9 @@ PAULI_LETTERS = "IXYZ"
 #: gap to solver noise is many orders of magnitude.
 PLAN_PRUNE_TOL = 1e-10
 
-#: Per-label preparation vectors for each functional's label convention.
+#: Per-label preparation vectors under each functional's label convention.
 _PREP_VECTORS = {
-    "standard": {
+    "exact": {
         "0": np.array([1.0, 0.0], dtype=complex),
         "1": np.array([0.0, 1.0], dtype=complex),
         "+": np.array([1.0, 1.0], dtype=complex) / _SQRT2,
@@ -85,9 +85,9 @@ _PREP_VECTORS = {
     },
 }
 
-#: Sign carried by each measured letter under each label convention.
+#: Sign carried by each measured letter under each functional's label convention.
 _MEAS_SIGNS = {
-    "standard": {"I": 1.0, "X": 1.0, "Y": 1.0, "Z": 1.0},
+    "exact": {"I": 1.0, "X": 1.0, "Y": 1.0, "Z": 1.0},
     "tabulated": {"I": 1.0, "X": -1.0, "Y": -1.0, "Z": 1.0},
 }
 
@@ -156,9 +156,8 @@ def _qubit_basis(functional: str) -> np.ndarray:
     Column (prep, word) is vec(kron(rho^T, P)) for the labelled one-qubit
     preparation rho and signed Pauli letter P.
     """
-    key = "tabulated" if functional == "tabulated" else "standard"
-    vectors = np.array([_PREP_VECTORS[key][c] for c in PREP_LABELS])
-    paulis = np.array([_MEAS_SIGNS[key][c] * _PAULI[c] for c in PAULI_LETTERS])
+    vectors = np.array([_PREP_VECTORS[functional][c] for c in PREP_LABELS])
+    paulis = np.array([_MEAS_SIGNS[functional][c] * _PAULI[c] for c in PAULI_LETTERS])
     rhos = np.einsum("pc,pa->pca", vectors, vectors.conj())
     return np.einsum("pca,wbd->abcdpw", rhos, paulis).reshape(16, 16)
 
@@ -233,15 +232,13 @@ class BenchmarkPlan:
 
     def preparation_vectors(self, entry: PlanEntry) -> tuple[np.ndarray, ...]:
         """Per-qubit state vectors realizing the entry's preparation."""
-        key = "tabulated" if self.functional == "tabulated" else "standard"
-        return tuple(_PREP_VECTORS[key][c].copy() for c in entry.preparation)
+        return tuple(_PREP_VECTORS[self.functional][c].copy() for c in entry.preparation)
 
     def measurement_sign(self, entry: PlanEntry) -> float:
         """Outcome sign translating the label convention to standard Paulis."""
-        key = "tabulated" if self.functional == "tabulated" else "standard"
         sign = 1.0
         for c in entry.word:
-            sign *= _MEAS_SIGNS[key][c]
+            sign *= _MEAS_SIGNS[self.functional][c]
         return sign
 
     def to_csv(self) -> str:
@@ -342,7 +339,6 @@ def estimate_favg(
     executor: Executor,
     shots_per_config: int | None = None,
     seed: int | None = None,
-    merge_settings: bool = True,
 ) -> FidelityEstimate:
     """Execute a plan and combine its correlations into a fidelity.
 
@@ -353,8 +349,7 @@ def estimate_favg(
     ``shots_per_config`` set, each row is multinomially sampled, in the
     same configuration order, and the standard error propagates each
     term's binomial variance; otherwise correlations are exact
-    expectations.  ``merge_settings=False`` executes every entry
-    separately instead of recycling Z data.
+    expectations.
 
     Estimates are reported unclamped, so sampling noise on a
     near-perfect gate can push the value slightly above 1.
@@ -362,13 +357,7 @@ def estimate_favg(
     rng = np.random.default_rng(seed)
     n = plan.n_qubits
 
-    if merge_settings:
-        groups = plan.configurations()
-    else:
-        groups = {}
-        for index, entry in enumerate(plan.entries):
-            groups.setdefault((entry.preparation, entry.setting, index), []).append(index)
-
+    groups = plan.configurations()
     preparations = np.array(
         [plan.preparation_vectors(plan.entries[indices[0]]) for indices in groups.values()],
         dtype=complex,

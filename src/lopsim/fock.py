@@ -3,11 +3,11 @@
 Occupation-number states, basis enumeration, matrix permanents, exact
 transition amplitudes and strong simulation of linear-optical circuits.
 
-A :class:`FockBasis` stores its states as one read-only ``(N, m)`` array
-of occupations in ascending lexicographic order and ranks rows by the
-combinatorial number system (a table of how many completions the
-remaining modes admit, each mode capped at 1 photon collision-free and
-at n otherwise); no other module knows this layout.  Every multi-photon
+A :class:`FockBasis` stores every n-photon state on m modes as one
+read-only ``(N, m)`` array of occupations in ascending lexicographic
+order and ranks rows by the combinatorial number system (a table of how
+many completions the remaining modes admit); no other module knows this
+layout, and it is the only basis kind.  Every multi-photon
 distribution comes from one kernel that adds a photon from one input
 mode to a vector over the n-photon basis: on amplitudes it is the SLOS
 recursion of Heurtel et al., *Strong simulation of linear optical
@@ -21,9 +21,10 @@ ideal or from a noisy source: a probability vector per photon-number
 sector over the cached basis, plus the mass a collision-free
 restriction kept (``subspace_weight``) and the mass a simulation left
 out (``dropped_weight``).  Every readout (click patterns, postselection,
-pattern merging) is a mask or group-by on one outcome view,
-:func:`outcome_arrays`: ``(K, m)`` occupation rows and ``(K,)`` values.
-An :class:`OutputDistribution` hands over its arrays through
+pattern merging, the collision-free restriction of threshold detectors)
+is a mask or group-by on one outcome view, :func:`outcome_arrays`:
+``(K, m)`` occupation rows and ``(K,)`` values.  An
+:class:`OutputDistribution` hands over its arrays through
 ``outcomes()``; any other mapping, such as the counts of :func:`sample`,
 keyed by state or by tuple, is converted once.
 """
@@ -112,26 +113,23 @@ class FockState:
 
 
 class FockBasis:
-    """Canonically ordered basis of n-photon states on m modes.
+    """Canonically ordered basis of every n-photon state on m modes.
 
     ``occupations`` holds one row per state, in ascending lexicographic
-    order, so for m=12, n=6 the collision-free basis runs from
-    |000000111111> up to |111111000000>.  States are built on demand by
-    indexing or iteration; :meth:`rank` maps occupation rows back to
-    their positions.
+    order, so for m=12, n=6 the basis runs from |000000000006> up to
+    |600000000000>.  Any restriction, such as the collision-free rows a
+    threshold detector can tell apart, is a mask on these rows and keeps
+    their order.  States are built on demand by indexing or iteration;
+    :meth:`rank` maps occupation rows back to their positions.
     """
 
-    def __init__(self, m: int, n: int, collision_free: bool = False):
+    def __init__(self, m: int, n: int):
         if m < 1:
             raise ValueError("need at least one mode")
         if not 0 <= n <= np.iinfo(np.int8).max:
             raise ValueError(f"photon number must lie in [0, 127], got {n}")
-        if collision_free and n > m:
-            raise ValueError(f"cannot place {n} photons collision-free in {m} modes")
         self.m = m
         self.n = n
-        self.collision_free = collision_free
-        cap = 1 if collision_free else n
         # blocks[k]: rows over the last s modes holding k photons, in
         # order; prepending one mode's occupation keeps them in order.
         # tails[s, k] counts them.
@@ -141,7 +139,7 @@ class FockBasis:
             tails[s] = [len(b) for b in blocks]
             grown = []
             for k in range(n + 1):
-                parts = [blocks[k - o] for o in range(min(cap, k) + 1)]
+                parts = [blocks[k - o] for o in range(k + 1)]
                 block = np.empty((sum(map(len, parts)), s + 1), dtype=np.int8)
                 start = 0
                 for o, part in enumerate(parts):
@@ -154,8 +152,8 @@ class FockBasis:
         self.occupations.setflags(write=False)
         # below[i, r, o]: states that put fewer than o photons on mode i
         # when r photons are left for modes i..m-1.
-        below = np.zeros((m, n + 1, cap + 1), dtype=np.intp)
-        for o in range(1, cap + 1):
+        below = np.zeros((m, n + 1, n + 1), dtype=np.intp)
+        for o in range(1, n + 1):
             below[:, o - 1 :, o] = tails[:, : n + 2 - o]
         self._below = np.cumsum(below, axis=2)[::-1]
 
@@ -275,13 +273,13 @@ def permanent(matrix: np.ndarray, extended_precision: bool | None = None) -> com
 
 
 @lru_cache(maxsize=None)
-def enumerate_basis(m: int, n: int, collision_free: bool = False) -> FockBasis:
+def enumerate_basis(m: int, n: int) -> FockBasis:
     """Canonical n-photon basis on m modes (see :class:`FockBasis`).
 
     Bases are cached: repeated simulations at the same (m, n) share one
     occupation array and rank table.
     """
-    return FockBasis(m, n, collision_free)
+    return FockBasis(m, n)
 
 
 @lru_cache(maxsize=None)
@@ -417,16 +415,16 @@ def _check_states(unitary: ModeUnitary, *states: FockState) -> None:
 class OutputDistribution(Mapping[FockState, float]):
     """Outcome probabilities of one detector array, one vector per photon number.
 
-    ``sectors[n]`` is the probability vector over ``enumerate_basis(m, n)``,
-    or over the collision-free basis for a ``collision_free`` result; only
-    sectors with mass are kept.  Iteration, ``items`` and ``len`` cover
-    the nonzero outcomes, and so do ``in``, ``get`` and ``[]``: ``[]``
-    raises KeyError elsewhere, while :meth:`prob` is total and returns
-    0.0 there.  A collision-free result is renormalized within
-    the subspace and ``subspace_weight`` is the mass the subspace carried
-    before.  ``dropped_weight`` is the mass a simulation left out (see
-    :func:`lopsim.sources.noisy_simulate`), so ``total() + dropped_weight``
-    is 1 before any postselection.
+    ``sectors[n]`` is the probability vector over ``enumerate_basis(m, n)``;
+    only sectors with mass are kept.  Iteration, ``items`` and ``len``
+    cover the nonzero outcomes, and so do ``in``, ``get`` and ``[]``:
+    ``[]`` raises KeyError elsewhere, while :meth:`prob` is total and
+    returns 0.0 there.  A collision-free result (see
+    :func:`strong_simulate`) is the same vector with its bunched outcomes
+    set to 0 and the rest renormalized; ``subspace_weight`` is the mass
+    the kept outcomes carried before.  ``dropped_weight`` is the mass a
+    simulation left out (see :func:`lopsim.sources.noisy_simulate`), so
+    ``total() + dropped_weight`` is 1 before any postselection.
     """
 
     def __init__(
@@ -434,16 +432,14 @@ class OutputDistribution(Mapping[FockState, float]):
         m: int,
         sectors: Mapping[int, np.ndarray],
         *,
-        collision_free: bool = False,
         subspace_weight: float = 1.0,
         dropped_weight: float = 0.0,
     ):
         self.m = m
-        self.collision_free = collision_free
         self.sectors: dict[int, np.ndarray] = {}
         for n, vec in sorted(sectors.items()):
             vec = np.asarray(vec, dtype=float)
-            if vec.shape != (len(self._basis(n)),):
+            if vec.shape != (len(enumerate_basis(m, n)),):
                 raise ValueError(f"probability vector does not match the {n}-photon basis")
             if np.any(vec < -1e-12):
                 raise ValueError("negative probability")
@@ -452,12 +448,6 @@ class OutputDistribution(Mapping[FockState, float]):
                 self.sectors[n] = vec
         self.subspace_weight = float(subspace_weight)
         self.dropped_weight = float(dropped_weight)
-
-    def _basis(self, n: int) -> FockBasis:
-        # one call form per basis kind: enumerate_basis caches by call signature
-        if self.collision_free:
-            return enumerate_basis(self.m, n, collision_free=True)
-        return enumerate_basis(self.m, n)
 
     @property
     def probabilities(self) -> np.ndarray:
@@ -470,7 +460,7 @@ class OutputDistribution(Mapping[FockState, float]):
         if vec is None or state.m != self.m:
             return 0.0
         try:
-            return float(vec[self._basis(state.n).index(state)])
+            return float(vec[enumerate_basis(self.m, state.n).index(state)])
         except KeyError:
             return 0.0
 
@@ -512,7 +502,6 @@ class OutputDistribution(Mapping[FockState, float]):
         conditioned = OutputDistribution(
             self.m,
             {n: self.sectors[n] / weight},
-            collision_free=self.collision_free,
             subspace_weight=self.subspace_weight,
             dropped_weight=self.dropped_weight / weight,
         )
@@ -522,8 +511,8 @@ class OutputDistribution(Mapping[FockState, float]):
         """Occupation rows and probabilities of every sector, photon number ascending."""
         if len(self.sectors) == 1:
             [(n, vec)] = self.sectors.items()
-            return self._basis(n).occupations, vec
-        rows = [self._basis(n).occupations for n in self.sectors]
+            return enumerate_basis(self.m, n).occupations, vec
+        rows = [enumerate_basis(self.m, n).occupations for n in self.sectors]
         return (
             np.concatenate(rows or [np.zeros((0, 0), dtype=np.int8)]),
             np.concatenate([*self.sectors.values(), []]),
@@ -542,9 +531,9 @@ def strong_simulate(
 
     The B = 1 case of :func:`batched_amplitudes`: photons are added one
     input mode at a time by the SLOS kernel, which yields every output
-    amplitude at once.  With ``collision_free`` the distribution is
-    renormalized over the collision-free outcomes (threshold-detector
-    view) and ``subspace_weight`` keeps the mass they carried.
+    amplitude at once.  With ``collision_free`` the bunched outcomes are
+    masked to 0 and the rest renormalized (threshold-detector view), and
+    ``subspace_weight`` keeps the mass they carried.
     """
     _check_states(unitary, input_state)
     m, n = input_state.m, input_state.n
@@ -552,11 +541,11 @@ def strong_simulate(
     probs = np.abs(batched_amplitudes(unitary.matrix[None], modes)[0]) ** 2
     if not collision_free:
         return OutputDistribution(m, {n: probs})
-    probs = probs[np.all(enumerate_basis(m, n).occupations <= 1, axis=1)]
-    weight = probs.sum()
+    free = np.all(enumerate_basis(m, n).occupations <= 1, axis=1)
+    weight = probs[free].sum()
     if weight <= 0.0:
         raise ValueError("no probability mass in the collision-free subspace")
-    return OutputDistribution(m, {n: probs / weight}, collision_free=True, subspace_weight=weight)
+    return OutputDistribution(m, {n: np.where(free, probs / weight, 0.0)}, subspace_weight=weight)
 
 
 def sample(

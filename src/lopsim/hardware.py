@@ -37,6 +37,20 @@ SCHEMA = "lopsim-hardware-v1"
 DEFAULT_SELF_HEATING = 0.034
 DEFAULT_V_MAX = 14.0
 
+#: Ground-truth spreads of :meth:`HardwareModel.synthetic`: crosstalk and
+#: self-heating in rad/V^2, offsets in rad, coupler reflectivities, and
+#: the largest relative output loss.
+SYNTHETIC_CROSSTALK_STD = 5e-4
+SYNTHETIC_SELF_HEATING_STD = 0.001
+SYNTHETIC_OFFSET_MEAN = 0.1
+SYNTHETIC_OFFSET_STD = 1.2
+SYNTHETIC_REFLECTIVITY_MEAN = 0.567
+SYNTHETIC_REFLECTIVITY_STD = 0.006
+SYNTHETIC_LOSS_SPREAD = 0.15
+
+#: Branch-search rounds of :func:`voltages_from_phases` before it gives up.
+TRANSPILE_MAX_ROUNDS = 200
+
 
 class TranspilationError(ValueError):
     """No feasible voltage branch exists for the requested phases."""
@@ -77,9 +91,13 @@ class HardwareModel:
             raise ValueError("reflectivity table does not match the layout")
         if self.output_losses.shape != (self.m,):
             raise ValueError("need one output loss per mode")
-        if np.any(np.diag(self.a) <= 0):
+        if not (np.all(np.isfinite(self.a)) and np.all(np.isfinite(self.b))):
+            raise ValueError("crosstalk matrix and offsets must be finite")
+        if not np.all(np.diag(self.a) > 0):
             raise ValueError("self-heating coefficients must be positive")
-        if np.any(self.output_losses <= 0) or np.any(self.output_losses > 1 + 1e-9):
+        if not np.all((self.reflectivities >= 0) & (self.reflectivities <= 1)):
+            raise ValueError("reflectivities must lie in [0, 1]")
+        if not np.all((self.output_losses > 0) & (self.output_losses <= 1 + 1e-9)):
             raise ValueError("output losses must lie in (0, 1]")
 
     def layout(self) -> MeshLayout:
@@ -99,40 +117,22 @@ class HardwareModel:
         )
 
     @classmethod
-    def synthetic(
-        cls,
-        m: int,
-        rng: np.random.Generator | int,
-        crosstalk_std: float = 5e-4,
-        self_heating_std: float = 0.001,
-        offset_mean: float = 0.1,
-        offset_std: float = 1.2,
-        reflectivity_mean: float = 0.567,
-        reflectivity_std: float = 0.006,
-        loss_spread: float = 0.15,
-    ) -> "HardwareModel":
-        """Random ground-truth chip for simulation studies."""
+    def synthetic(cls, m: int, rng: np.random.Generator | int) -> "HardwareModel":
+        """Random ground-truth chip for simulation studies (``SYNTHETIC_*`` spreads)."""
         if isinstance(rng, (int, np.integer)):
             rng = np.random.default_rng(int(rng))
         layout = MeshLayout(m)
         p = layout.n_actuated
-        a = rng.normal(0.0, crosstalk_std, size=(p, p))
-        np.fill_diagonal(a, rng.normal(DEFAULT_SELF_HEATING, self_heating_std, size=p))
-        b = np.mod(rng.normal(offset_mean, offset_std, size=p), 2.0 * np.pi)
-        refl = np.clip(
-            rng.normal(reflectivity_mean, reflectivity_std, size=(layout.n_cells, 2)),
-            0.05,
-            0.95,
+        a = rng.normal(0.0, SYNTHETIC_CROSSTALK_STD, size=(p, p))
+        np.fill_diagonal(a, rng.normal(DEFAULT_SELF_HEATING, SYNTHETIC_SELF_HEATING_STD, size=p))
+        b = np.mod(rng.normal(SYNTHETIC_OFFSET_MEAN, SYNTHETIC_OFFSET_STD, size=p), 2.0 * np.pi)
+        refl = rng.normal(
+            SYNTHETIC_REFLECTIVITY_MEAN, SYNTHETIC_REFLECTIVITY_STD, size=(layout.n_cells, 2)
         )
-        losses = 1.0 - rng.uniform(0.0, loss_spread, size=m)
+        refl = np.clip(refl, 0.05, 0.95)
+        losses = 1.0 - rng.uniform(0.0, SYNTHETIC_LOSS_SPREAD, size=m)
         losses = losses / losses.max()
-        return cls(
-            m=m,
-            a=a,
-            b=b,
-            reflectivities=refl,
-            output_losses=losses,
-        )
+        return cls(m=m, a=a, b=b, reflectivities=refl, output_losses=losses)
 
     def to_dict(self) -> dict:
         return {
@@ -187,9 +187,7 @@ def phases_from_voltages(voltages: np.ndarray, hw: HardwareModel) -> np.ndarray:
     return hw.a @ (voltages * voltages) + hw.b
 
 
-def voltages_from_phases(
-    phi_target: np.ndarray, hw: HardwareModel, max_rounds: int = 200
-) -> np.ndarray:
+def voltages_from_phases(phi_target: np.ndarray, hw: HardwareModel) -> np.ndarray:
     """Voltages realizing ``phi_target`` modulo 2 pi on every shifter.
 
     Solves A w + b = phi + 2 pi k for w = V^2, raising the integer
@@ -204,7 +202,7 @@ def voltages_from_phases(
     w_cap = hw.v_max**2
     k = np.ceil((hw.b - phi_target) / (2.0 * np.pi))
     flips = np.zeros_like(k)
-    for _ in range(max_rounds):
+    for _ in range(TRANSPILE_MAX_ROUNDS):
         w = np.linalg.solve(hw.a, phi_target + 2.0 * np.pi * k - hw.b)
         negative = w < -1e-12
         over = w > w_cap + 1e-9

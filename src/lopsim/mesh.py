@@ -57,6 +57,15 @@ __all__ = [
 
 RECONSTRUCTION_ATOL = 1e-10
 
+#: :func:`compile_with_imperfections` stops restarting once the fidelity
+#: reaches ``COMPILE_STOP_FIDELITY`` or ``COMPILE_PATIENCE`` restarts in a
+#: row fail to improve it.
+COMPILE_STOP_FIDELITY = 1.0 - 1e-6
+COMPILE_PATIENCE = 2
+
+#: Alternating phase updates per update order in the boundary-phase search.
+GAUGE_ITERATIONS = 40
+
 
 @dataclass(frozen=True)
 class PhaseShifter:
@@ -571,9 +580,7 @@ def fidelity(target: ModeUnitary | np.ndarray, implemented: ModeUnitary | np.nda
     return float(num / den)
 
 
-def _optimal_gauges(
-    target: np.ndarray, implemented: np.ndarray, iterations: int = 40
-) -> tuple[np.ndarray, np.ndarray]:
+def _optimal_gauges(target: np.ndarray, implemented: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Input/output phase layers maximizing fidelity to the target.
 
     Per-mode phases at the chip boundary are unobservable in photon
@@ -583,14 +590,14 @@ def _optimal_gauges(
     target_conj = target.conj()
     best: tuple[float, np.ndarray, np.ndarray] | None = None
     for out_first in (True, False):
-        score, d_out, d_in = _alternate_gauges(target_conj, implemented, out_first, iterations)
+        score, d_out, d_in = _alternate_gauges(target_conj, implemented, out_first)
         if best is None or score > best[0]:
             best = (score, d_out, d_in)
     return np.angle(best[1]), np.angle(best[2])
 
 
 def _alternate_gauges(
-    target_conj: np.ndarray, implemented: np.ndarray, out_first: bool, iterations: int
+    target_conj: np.ndarray, implemented: np.ndarray, out_first: bool
 ) -> tuple[float, np.ndarray, np.ndarray]:
     m = target_conj.shape[0]
     d_in = np.ones(m, dtype=complex)
@@ -598,7 +605,7 @@ def _alternate_gauges(
     # D_out U, refreshed whenever d_out changes
     left = d_out[:, None] * implemented
     score = -1.0
-    for step in range(iterations):
+    for step in range(GAUGE_ITERATIONS):
         update_out = (step % 2 == 0) == out_first
         if update_out:
             diag_out = np.einsum("ij,ij->i", implemented * d_in[None, :], target_conj)
@@ -639,10 +646,6 @@ class CompilationResult:
     implemented: ModeUnitary
     restarts_used: int
 
-    @property
-    def actuated_phases(self) -> np.ndarray:
-        return self.layout.actuated_from_phases(self.phases)
-
 
 def _gauge_objective_and_grad(
     layout: MeshLayout, actuated: np.ndarray, refl: np.ndarray, target: np.ndarray
@@ -673,18 +676,16 @@ def compile_with_imperfections(
     reflectivities: np.ndarray,
     layout: MeshLayout | None = None,
     max_restarts: int = 20,
-    stop_fidelity: float = 1.0 - 1e-6,
-    patience: int = 2,
     rng: np.random.Generator | int | None = None,
     maxiter: int = 500,
 ) -> CompilationResult:
     """Fit mesh phases so the imperfect mesh implements ``target``.
 
     Seeds a quasi-Newton refinement from the ideal rectangular solution
-    and retries from perturbed seeds until ``stop_fidelity`` is reached,
-    ``patience`` consecutive restarts stop improving, or ``max_restarts``
-    seeds are exhausted. Boundary phase layers are chosen in closed form
-    at every step.
+    and retries from perturbed seeds until ``COMPILE_STOP_FIDELITY`` is
+    reached, ``COMPILE_PATIENCE`` consecutive restarts stop improving, or
+    ``max_restarts`` seeds are exhausted. Boundary phase layers are
+    chosen in closed form at every step.
     """
     from scipy.optimize import minimize
 
@@ -716,7 +717,7 @@ def compile_with_imperfections(
         if res.fun < best_f:
             best_f = res.fun
             best_x = res.x
-        if -best_f >= stop_fidelity or stale >= patience:
+        if -best_f >= COMPILE_STOP_FIDELITY or stale >= COMPILE_PATIENCE:
             break
 
     phases = layout.phases_from_actuated(np.mod(best_x, 2.0 * np.pi))

@@ -68,6 +68,12 @@ _LEFT_GROUP = (0, 1, 2)
 _MIDDLE_MODES = (3, 4, 5)
 _RIGHT_GROUP = (6, 7, 8)
 
+#: Training search: ridge of the outcome-weight solve, and the starting
+#: spread (rad) and per-iteration decay of the local perturbations.
+RIDGE = 1e-6
+PERTURBATION = 1.0
+PERTURBATION_DECAY = 0.85
+
 
 @cache
 def pattern_space() -> tuple[tuple[int, int, int, int, int], ...]:
@@ -336,7 +342,9 @@ class QnnConfig:
     the pool with a radial-basis surrogate fitted to all evaluated
     candidates, and fully evaluates only the top few per iteration.
     The inner step solves the outcome weights exactly per candidate by
-    ridge regression onto one-hot targets.
+    ridge regression onto one-hot targets (``RIDGE``).  Perturbations
+    start at a spread of ``PERTURBATION`` rad and shrink by
+    ``PERTURBATION_DECAY`` per outer iteration.
     """
 
     outer_iterations: int = 15
@@ -344,19 +352,16 @@ class QnnConfig:
     pool_size: int = 40
     seed: int | None = None
     shots: int | None = None
-    ridge: float = 1e-6
     n_test: int = 38
-    perturbation: float = 1.0
-    perturbation_decay: float = 0.85
 
 
 def _solve_lambdas(
-    probs: np.ndarray, labels: np.ndarray, n_classes: int, ridge: float
+    probs: np.ndarray, labels: np.ndarray, n_classes: int
 ) -> tuple[np.ndarray, float, float]:
     """Ridge regression of one-hot targets; returns weights, accuracy, loss."""
     targets = np.zeros((len(labels), n_classes))
     targets[np.arange(len(labels)), labels] = 1.0
-    gram = probs.T @ probs + ridge * np.eye(probs.shape[1])
+    gram = probs.T @ probs + RIDGE * np.eye(probs.shape[1])
     weights = np.linalg.solve(gram, probs.T @ targets)
     scores = probs @ weights
     accuracy = float(np.mean(np.argmax(scores, axis=1) == labels))
@@ -421,14 +426,14 @@ def qnn_train(
 
     def evaluate(theta: np.ndarray):
         probs = pattern_distributions(theta, train_phases, config.shots, rng)
-        weights, accuracy, loss = _solve_lambdas(probs, y_train, n_classes, config.ridge)
+        weights, accuracy, loss = _solve_lambdas(probs, y_train, n_classes)
         return weights, accuracy - 0.01 * loss, accuracy
 
     history_thetas: list[np.ndarray] = []
     history_scores: list[float] = []
     best = {"score": -np.inf, "theta": None, "lambdas": None, "accuracy": 0.0, "iteration": 0}
     history_best: list[float] = []
-    step = config.perturbation
+    step = PERTURBATION
 
     for iteration in range(config.outer_iterations):
         fresh = rng.uniform(0.0, 2.0 * np.pi, (config.pool_size // 2, N_THETA))
@@ -461,7 +466,7 @@ def qnn_train(
                     iteration=iteration + 1,
                 )
         history_best.append(best["accuracy"])
-        step *= config.perturbation_decay
+        step *= PERTURBATION_DECAY
 
     model = ClassifierModel(
         theta=best["theta"],

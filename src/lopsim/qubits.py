@@ -66,6 +66,7 @@ __all__ = [
     "TOFFOLI_SUCCESS",
     "GHZ_INPUT_MODES",
     "GHZ_HERALD_MODES",
+    "GHZ_OUTPUT_PAIRS",
     "GHZ_MEASUREMENT_SETTINGS",
     "GateCompiler",
     "compile_gate_circuit",
@@ -748,6 +749,9 @@ GHZ_INPUT_MODES = (1, 2, 5, 6, 9, 10)
 #: Detector modes whose click pattern heralds the generated state.
 GHZ_HERALD_MODES = (2, 3, 4, 7, 8, 9)
 
+#: Rail pairs of the three output qubits the factory leaves.
+GHZ_OUTPUT_PAIRS = ((0, 1), (5, 6), (10, 11))
+
 #: Rail pairs of the measured (fused) qubits inside the herald modes.
 _GHZ_MEASURED_PAIRS = ((2, 3), (4, 7), (8, 9))
 
@@ -780,9 +784,7 @@ class HeraldPattern:
 
     def rule(self, threshold: bool = False) -> PostselectionRule:
         return PostselectionRule(
-            qubit_pairs=((0, 1), (5, 6), (10, 11)),
-            heralds=(self.occupations,),
-            threshold=threshold,
+            GHZ_OUTPUT_PAIRS, heralds=(self.occupations,), threshold=threshold
         )
 
 
@@ -832,7 +834,7 @@ def ghz_factory() -> tuple[PhotonicCircuit, tuple[HeraldPattern, ...], QubitEnco
     plus-sign heralds are h2, h3, h5 and h8.
     """
     circuit = PhotonicCircuit(12).extend(_ghz_elements())
-    encoding = QubitEncoding(((0, 1), (5, 6), (10, 11)), (), 12)
+    encoding = QubitEncoding(GHZ_OUTPUT_PAIRS, (), 12)
 
     plus: list[HeraldPattern] = []
     minus: list[tuple[tuple[int, int], ...]] = []
@@ -865,11 +867,7 @@ def ghz_postselection(
     selected = tuple(h.occupations for h in heralds if h.sign == sign)
     if not selected:
         raise ValueError(f"no herald with sign {sign}")
-    return PostselectionRule(
-        qubit_pairs=((0, 1), (5, 6), (10, 11)),
-        heralds=selected,
-        threshold=threshold,
-    )
+    return PostselectionRule(GHZ_OUTPUT_PAIRS, heralds=selected, threshold=threshold)
 
 
 def ghz_stabilizer_expectations(

@@ -139,20 +139,28 @@ def _check_modes(unitary: ModeUnitary, detected: Sequence[int], inputs: Sequence
     return detected, inputs
 
 
+def _collision_free_mask(m: int, n: int) -> np.ndarray:
+    """Mask of the collision-free rows of ``enumerate_basis(m, n)``.
+
+    Every collision-free row, weight and draw is taken through this one
+    mask, so they all list the outcomes in basis order.
+    """
+    return np.all(enumerate_basis(m, n).occupations <= 1, axis=1)
+
+
 def _collision_free_probabilities(
     unitary: ModeUnitary, input_state: FockState
 ) -> tuple[np.ndarray, np.ndarray]:
     """Ideal and classical probabilities of the collision-free outcomes.
 
     One coherent and one classical pass over the full basis, restricted
-    to the collision-free rows (in collision-free basis order) and not
-    renormalized.
+    to the collision-free rows and not renormalized.
     """
     n = input_state.n
     distinguishable = build_input(
         n, SourceModel(indistinguishability=0.0), modes=input_state.modes()
     )
-    free = np.all(enumerate_basis(unitary.m, n).occupations <= 1, axis=1)
+    free = _collision_free_mask(unitary.m, n)
     ideal = strong_simulate(unitary, input_state).sectors[n][free]
     classical = noisy_simulate(unitary, distinguishable).sectors[n][free]
     return ideal, classical
@@ -247,7 +255,7 @@ def _collision_free_weights(
     if hypothesis not in HYPOTHESES:
         raise ValueError(f"unknown hypothesis {hypothesis!r}; expected {HYPOTHESES}")
     if hypothesis == "uniform":
-        size = len(enumerate_basis(unitary.m, input_state.n, collision_free=True))
+        size = np.count_nonzero(_collision_free_mask(unitary.m, input_state.n))
         return np.full(size, 1.0 / size)
     ideal, classical = _collision_free_probabilities(unitary, input_state)
     weights = ideal if hypothesis == "ideal" else classical
@@ -277,9 +285,10 @@ def sample_outcomes(
     if not input_state.is_collision_free():
         raise ValueError("sampling requires a collision-free input state")
     weights = _collision_free_weights(unitary, input_state, hypothesis)
-    cf = enumerate_basis(unitary.m, input_state.n, collision_free=True)
-    picks = rng.choice(len(cf), size=n_events, p=weights)
-    return tuple(cf[int(i)] for i in picks)
+    occupations = enumerate_basis(unitary.m, input_state.n).occupations
+    rows = occupations[_collision_free_mask(unitary.m, input_state.n)]
+    picks = rng.choice(len(rows), size=n_events, p=weights)
+    return tuple(FockState(tuple(rows[i].tolist())) for i in picks)
 
 
 def run_validation(

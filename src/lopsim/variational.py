@@ -60,6 +60,9 @@ BASES = ("ZZ", "XX")
 #: Number of trainable angles in the ansatz.
 N_ANSATZ_ANGLES = 7
 
+#: Initial trust-region radius (rad) of the COBYLA polish stage.
+COBYLA_RHOBEG = 0.8
+
 
 @dataclass(frozen=True)
 class QubitHamiltonian:
@@ -186,7 +189,7 @@ def apply_mitigation(gamma: MitigationMatrix, observed: np.ndarray) -> np.ndarra
     q = np.asarray(observed, dtype=float)
     if q.shape != (4,):
         raise ValueError(f"expected 4 outcome probabilities, got shape {q.shape}")
-    if np.any(q < 0.0) or q.sum() <= 0.0:
+    if not (np.all(q >= 0.0) and q.sum() > 0.0):
         raise ValueError("observed distribution must be nonnegative with positive mass")
     p = np.linalg.solve(gamma.matrix, q / q.sum())
     p = np.clip(p, 0.0, None)
@@ -399,7 +402,6 @@ class VqeConfig:
     seed: int | None = None
     mitigation: bool = True
     method: str = "cobyla"
-    rhobeg: float = 0.8
     initial_theta: Sequence[float] | None = None
 
 
@@ -528,7 +530,7 @@ def vqe_run(
         # the objective enforces the real cap.
         maxiter = max(remaining, N_ANSATZ_ANGLES + 2)
         if method == "COBYLA":
-            options = {"maxiter": maxiter, "rhobeg": config.rhobeg}
+            options = {"maxiter": maxiter, "rhobeg": COBYLA_RHOBEG}
         else:
             options = {"maxiter": maxiter, "maxfev": maxiter}
         try:

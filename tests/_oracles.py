@@ -257,9 +257,8 @@ def dense_plan_weights(
             dual[jp * d + i, ip * d + j] += ud[ip, j] * u[i, jp]
     dual /= d * (d + 1)
 
-    key = "tabulated" if functional == "tabulated" else "standard"
-    rhos = {c: np.outer(v, v.conj()) for c, v in _PREP_VECTORS[key].items()}
-    signed = {c: _MEAS_SIGNS[key][c] * _PAULI_1Q[c] for c in "IXYZ"}
+    rhos = {c: np.outer(v, v.conj()) for c, v in _PREP_VECTORS[functional].items()}
+    signed = {c: _MEAS_SIGNS[functional][c] * _PAULI_1Q[c] for c in "IXYZ"}
     labels: list[tuple[str, str]] = []
     basis = np.empty((16**n, 16**n), dtype=complex)
     for prep in itertools.product("01+i", repeat=n):

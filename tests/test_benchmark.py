@@ -283,8 +283,8 @@ def test_exact_estimates_stay_within_unit_interval():
 def test_merging_settings_does_not_change_the_estimate():
     plan = build_plan(CNOT_CIRCUIT, 2)
     executor = depolarizing_executor(CNOT_CIRCUIT, 0.07)
-    merged = estimate_favg(plan, executor, merge_settings=True)
-    separate = estimate_favg(plan, executor, merge_settings=False)
+    merged = estimate_favg(plan, executor)
+    separate = per_configuration_favg(plan, executor, merge_settings=False)
     assert merged.f_avg == pytest.approx(separate.f_avg, abs=1e-12)
 
 

@@ -44,16 +44,25 @@ class TestFockState:
             FockState((1, -1))
 
 
+def collision_free_states(m: int, n: int) -> list[FockState]:
+    """The collision-free states of ``enumerate_basis(m, n)``, as a mask keeps them."""
+    basis = enumerate_basis(m, n)
+    return [basis[i] for i in np.flatnonzero(np.all(basis.occupations <= 1, axis=1))]
+
+
 class TestBasis:
     def test_sizes_match_binomials(self):
-        assert enumerate_basis(12, 6, collision_free=True).size == 924
-        assert enumerate_basis(12, 6, collision_free=False).size == 12376
+        assert len(collision_free_states(12, 6)) == 924
+        assert enumerate_basis(12, 6).size == 12376
         assert enumerate_basis(2, 1).size == 2
 
     def test_canonical_order_endpoints(self):
-        basis = enumerate_basis(12, 6, collision_free=True)
-        assert basis[0].to_string() == "000000111111"
-        assert basis[-1].to_string() == "111111000000"
+        states = collision_free_states(12, 6)
+        assert states[0].to_string() == "000000111111"
+        assert states[-1].to_string() == "111111000000"
+        basis = enumerate_basis(12, 6)
+        assert basis[0].to_string() == "000000000006"
+        assert basis[-1].to_string() == "600000000000"
 
     def test_full_basis_order_frozen(self):
         basis = enumerate_basis(3, 2)
@@ -62,15 +71,15 @@ class TestBasis:
         ]
 
     def test_index_lookup(self):
-        basis = enumerate_basis(6, 3, collision_free=True)
+        basis = enumerate_basis(6, 3)
         for i, state in enumerate(basis):
             assert basis.index(state) == i
         with pytest.raises(KeyError):
-            basis.index(FockState.from_string("300000"))
+            basis.index(FockState.from_string("310000"))
 
     def test_overfull_collision_free_rejected(self):
-        with pytest.raises(ValueError):
-            enumerate_basis(3, 4, collision_free=True)
+        with pytest.raises(ValueError, match="no probability mass"):
+            strong_simulate(ModeUnitary(np.eye(3)), FockState((2, 1, 1)), collision_free=True)
 
 
 class TestPermanent:
@@ -196,11 +205,12 @@ class TestStrongSimulate:
         s = FockState.from_string("11110000")
         full = strong_simulate(u, s)
         cf = strong_simulate(u, s, collision_free=True)
-        mass = sum(full.prob(t) for t in enumerate_basis(8, 4, collision_free=True))
+        mass = sum(full.prob(t) for t in collision_free_states(8, 4))
         assert cf.subspace_weight == pytest.approx(mass, abs=1e-9)
         assert cf.total() == pytest.approx(1.0, abs=1e-9)
-        for t in enumerate_basis(8, 4, collision_free=True):
+        for t in collision_free_states(8, 4):
             assert cf.prob(t) == pytest.approx(full.prob(t) / mass, abs=1e-9)
+        assert all(state.is_collision_free() for state in cf)
 
     def test_mapping_lookups_match_iteration(self):
         dist = strong_simulate(ModeUnitary(np.eye(2)), FockState((1, 0)))

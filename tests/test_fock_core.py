@@ -51,9 +51,8 @@ def haar(m: int, seed: int) -> ModeUnitary:
 @st.composite
 def basis_shapes(draw):
     m = draw(st.integers(1, 8))
-    collision_free = draw(st.booleans())
-    n = draw(st.integers(0, m if collision_free else 5))
-    return m, n, collision_free
+    n = draw(st.integers(0, 5))
+    return m, n
 
 
 @st.composite
@@ -78,11 +77,10 @@ class TestBasisRank:
     @settings(max_examples=50, deadline=None)
     @given(shape=basis_shapes(), data=st.data())
     def test_non_members_raise_key_error(self, shape, data):
-        m, n, collision_free = shape
-        cap = 1 if collision_free else n
-        row = data.draw(st.lists(st.integers(-1, cap + 2), min_size=1, max_size=m + 1))
-        assume(len(row) != m or sum(row) != n or min(row) < 0 or max(row) > cap)
-        basis = enumerate_basis(m, n, collision_free)
+        m, n = shape
+        row = data.draw(st.lists(st.integers(-1, n + 2), min_size=1, max_size=m + 1))
+        assume(len(row) != m or sum(row) != n or min(row) < 0 or max(row) > n)
+        basis = enumerate_basis(m, n)
         with pytest.raises(KeyError):
             basis.rank(np.array([row]))
         if min(row) >= 0:
@@ -103,9 +101,11 @@ class TestBasisTables:
     @pytest.mark.parametrize("m", range(1, 7))
     def test_rows_match_brute_force(self, m, collision_free):
         for n in range(min(m, 5) + 1 if collision_free else 6):
-            occ = enumerate_basis(m, n, collision_free).occupations
-            assert np.array_equal(occ, fock_basis_rows(m, n, collision_free))
+            occ = enumerate_basis(m, n).occupations
             assert occ.dtype == np.int8 and not occ.flags.writeable
+            if collision_free:
+                occ = occ[np.all(occ <= 1, axis=1)]
+            assert np.array_equal(occ, fock_basis_rows(m, n, collision_free))
 
     @pytest.mark.parametrize("m", range(1, 7))
     def test_photon_addition_tables_match_brute_force(self, m):
@@ -130,8 +130,10 @@ class TestStrongSimulate:
         state = FockState.from_modes(m, modes)
         reference = evolve_state_vector(u.matrix, state)
         dist = strong_simulate(u, state, collision_free=collision_free)
-        basis = enumerate_basis(m, len(modes), collision_free)
+        basis = enumerate_basis(m, len(modes))
         expected = np.array([abs(reference.get(t, 0.0)) ** 2 for t in basis])
+        if collision_free:
+            expected[~np.all(basis.occupations <= 1, axis=1)] = 0.0
         assert dist.subspace_weight == pytest.approx(expected.sum(), abs=1e-12)
         assert np.allclose(dist.probabilities, expected / expected.sum(), rtol=0, atol=1e-12)
 
@@ -235,7 +237,7 @@ class TestNoisySimulate:
         for state in ideal:
             assert noisy.prob(state) == pytest.approx(ideal.prob(state), abs=1e-12)
         for dist in (noisy, ideal):
-            assert (dist.m, dist.collision_free) == (m, False)
+            assert dist.m == m
             assert (dist.subspace_weight, dist.dropped_weight) == (1.0, 0.0)
 
     @settings(max_examples=30, deadline=None)

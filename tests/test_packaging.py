@@ -1,8 +1,9 @@
 """Packaging metadata: an installed copy carries every bundled data file,
 every console script resolves to a callable, every name a module exports
-or the package imports exists, no module-level definition is dead, and
-importing the package (or running ``lopsim fringe``) loads no scipy
-module, so a fresh process starts without paying for it."""
+or the package imports exists, no module-level definition, method or
+property is dead, and importing the package (or running ``lopsim
+fringe``) loads no scipy module, so a fresh process starts without
+paying for it."""
 
 import ast
 import importlib
@@ -59,10 +60,29 @@ def test_every_exported_name_resolves():
     assert [n for n in names if not hasattr(package, n)] == []
 
 
-def test_every_module_level_definition_has_a_caller_or_a_test():
+_DEFINITIONS = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
+
+
+def _module_level(tree: ast.Module):
+    return [node for node in tree.body if isinstance(node, _DEFINITIONS)]
+
+
+def _class_members(tree: ast.Module):
+    """Methods and properties of the module-level classes."""
+    return [
+        node
+        for cls in tree.body
+        if isinstance(cls, ast.ClassDef)
+        for node in cls.body
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+    ]
+
+
+def _unused_definitions(select) -> list[str]:
     # A name counts as used when it occurs in the package outside its own
     # definition and outside the __all__ lists and the package's
-    # __init__ imports, or anywhere in the tests.
+    # __init__ imports, or anywhere in the tests.  Dunder names are used
+    # by the language.
     source = ROOT / "src" / "lopsim"
     tests = "\n".join(p.read_text(encoding="utf-8") for p in (ROOT / "tests").glob("*.py"))
     modules = {
@@ -84,9 +104,7 @@ def test_every_module_level_definition_has_a_caller_or_a_test():
 
     unused = []
     for module, tree in trees.items():
-        for node in tree.body:
-            if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
-                continue
+        for node in select(tree):
             if node.name.startswith("__") and node.name.endswith("__"):
                 continue
             start = min([node.lineno] + [d.lineno for d in node.decorator_list])
@@ -97,7 +115,15 @@ def test_every_module_level_definition_has_a_caller_or_a_test():
             pattern = re.compile(rf"\b{re.escape(node.name)}\b")
             if not any(pattern.search(text) for text in [*texts, tests]):
                 unused.append(f"{module}:{node.name}")
-    assert unused == []
+    return unused
+
+
+def test_every_module_level_definition_has_a_caller_or_a_test():
+    assert _unused_definitions(_module_level) == []
+
+
+def test_every_method_and_property_has_a_caller_or_a_test():
+    assert _unused_definitions(_class_members) == []
 
 
 def test_no_module_imports_scipy_at_import_time():

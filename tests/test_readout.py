@@ -56,8 +56,11 @@ def rules(draw):
 def random_sector(
     m: int, n: int, rng: np.random.Generator, collision_free: bool = False
 ) -> np.ndarray:
-    size = len(enumerate_basis(m, n, collision_free))
+    occupations = enumerate_basis(m, n).occupations
+    size = len(occupations)
     probs = rng.random(size) * (rng.random(size) < 0.7)
+    if collision_free:
+        probs[~np.all(occupations <= 1, axis=1)] = 0.0
     return probs / max(probs.sum(), 1.0)
 
 
@@ -130,7 +133,7 @@ def test_threshold_herald_reads_any_count_as_a_click():
 
 @st.composite
 def distributions(draw):
-    """Random single- or multi-sector distributions, some collision-free."""
+    """Random single- or multi-sector distributions, some masked collision-free."""
     m = draw(st.integers(1, 6))
     collision_free = draw(st.booleans())
     photons = st.integers(0, m if collision_free else 4)
@@ -138,17 +141,19 @@ def distributions(draw):
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     sectors = {n: random_sector(m, n, rng, collision_free) for n in ns}
     scale = max(sum(vec.sum() for vec in sectors.values()), 1.0)
-    return OutputDistribution(
+    dist = OutputDistribution(
         m,
         {n: vec / scale for n, vec in sectors.items()},
-        collision_free=collision_free,
+        subspace_weight=draw(st.floats(0.5, 1.0)) if collision_free else 1.0,
         dropped_weight=draw(st.floats(0.0, 1e-6)),
     )
+    return dist, collision_free
 
 
 @settings(max_examples=50, deadline=None)
-@given(dist=distributions())
-def test_accessors_agree_with_the_outcome_view(dist):
+@given(drawn=distributions())
+def test_accessors_agree_with_the_outcome_view(drawn):
+    dist, collision_free = drawn
     rows, values = dist.outcomes()
     assert np.array_equal(dist.probabilities, values)
     for row, p in zip(rows.tolist(), values.tolist()):
@@ -160,14 +165,15 @@ def test_accessors_agree_with_the_outcome_view(dist):
     weights = dist.sector_weights()
     assert list(weights) == list(dist.sectors) and all(w > 0.0 for w in weights.values())
     assert sum(weights.values()) == pytest.approx(dist.total(), abs=1e-12)
-    if dist.collision_free:
+    if collision_free:
         assert dist.prob(FockState((2,) + (0,) * (dist.m - 1))) == 0.0
+        assert all(state.is_collision_free() for state in dist)
     for n, weight in weights.items():
         conditioned, got = dist.postselect_photon_number(n)
         assert got == weight
         assert list(conditioned.sectors) == [n]
         assert conditioned.total() == pytest.approx(1.0, abs=1e-12)
         assert conditioned.dropped_weight == pytest.approx(dist.dropped_weight / weight)
-        assert conditioned.collision_free == dist.collision_free
+        assert conditioned.subspace_weight == dist.subspace_weight
     with pytest.raises(ValueError, match="sector"):
         dist.postselect_photon_number(max(weights, default=0) + 1)

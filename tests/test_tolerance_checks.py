@@ -1,9 +1,13 @@
-"""Tolerance checks reject NaN.
+"""Tolerance and range checks reject NaN.
 
 ``deviation > tol`` is False for a NaN deviation, so each check is
-written as ``not deviation <= tol``; a NaN input raises the error the
-function documents instead of passing through as a result.
+written as ``not deviation <= tol`` (or ``not (low <= x <= high)``); a
+NaN input raises the error the function documents instead of passing
+through as a result.  The range cases next to the NaN ones pin each
+bound of the same check.
 """
+
+import dataclasses
 
 import numpy as np
 import pytest
@@ -12,7 +16,7 @@ from lopsim.fock import ModeUnitary
 from lopsim.hardware import HardwareModel, TranspilationError, voltages_from_phases
 from lopsim.mesh import _push_diagonal_through, two_mode_gate_elements
 from lopsim.qubits import Gate, GateCircuit, compile_gate_circuit
-from lopsim.variational import MitigationMatrix
+from lopsim.variational import MitigationMatrix, apply_mitigation
 
 NAN = float("nan")
 
@@ -23,6 +27,14 @@ def _voltages_with_nan(where: str) -> np.ndarray:
     target = np.zeros_like(hw.b)
     (target if where == "target" else hw.b)[0] = NAN
     return voltages_from_phases(target, hw)
+
+
+def _hardware_with(field: str, index: tuple, value: float) -> HardwareModel:
+    """The 3-mode prior model with one entry of ``field`` replaced, validated anew."""
+    prior = HardwareModel.prior(3)
+    array = getattr(prior, field).copy()
+    array[index] = value
+    return dataclasses.replace(prior, **{field: array})
 
 
 def _confusion_with_nan() -> np.ndarray:
@@ -50,6 +62,21 @@ def _confusion_with_nan() -> np.ndarray:
         (lambda: _voltages_with_nan("target"), ValueError, "non-finite"),
         (lambda: _voltages_with_nan("offset"), TranspilationError, "residual"),
         (lambda: MitigationMatrix("ZZ", _confusion_with_nan()), ValueError, "sum to 1"),
+        (lambda: _hardware_with("a", (0, 0), NAN), ValueError, "finite"),
+        (lambda: _hardware_with("a", (0, 1), NAN), ValueError, "finite"),
+        (lambda: _hardware_with("b", (0,), NAN), ValueError, "finite"),
+        (lambda: _hardware_with("reflectivities", (0, 0), NAN), ValueError, "reflectivities"),
+        (lambda: _hardware_with("reflectivities", (0, 0), 1.7), ValueError, "reflectivities"),
+        (lambda: _hardware_with("reflectivities", (0, 1), -0.1), ValueError, "reflectivities"),
+        (lambda: _hardware_with("output_losses", (0,), NAN), ValueError, "output losses"),
+        (lambda: _hardware_with("output_losses", (0,), 0.0), ValueError, "output losses"),
+        (
+            lambda: apply_mitigation(
+                MitigationMatrix("ZZ", np.eye(4)), np.array([NAN, 0.5, 0.25, 0.25])
+            ),
+            ValueError,
+            "nonnegative",
+        ),
     ],
     ids=[
         "ModeUnitary",
@@ -59,6 +86,15 @@ def _confusion_with_nan() -> np.ndarray:
         "voltages_from_phases-target",
         "voltages_from_phases-offset",
         "MitigationMatrix",
+        "HardwareModel-self_heating",
+        "HardwareModel-crosstalk",
+        "HardwareModel-offset",
+        "HardwareModel-reflectivity",
+        "HardwareModel-reflectivity_above_1",
+        "HardwareModel-reflectivity_below_0",
+        "HardwareModel-output_loss",
+        "HardwareModel-zero_output_loss",
+        "apply_mitigation",
     ],
 )
 def test_nan_input_raises(call, error, match):

@@ -7,7 +7,7 @@ evolution and explicit classical routing from ``_oracles.py``.
 import numpy as np
 import pytest
 
-from lopsim.fock import FockState, ModeUnitary, enumerate_basis, permanent
+from lopsim.fock import FockState, ModeUnitary, permanent
 from lopsim.validation import (
     CollisionFreeReference,
     CounterState,
@@ -22,11 +22,15 @@ from lopsim.validation import (
     sample_outcomes,
 )
 
-from _oracles import classical_routing_probability, evolve_state_vector
+from _oracles import classical_routing_probability, evolve_state_vector, fock_basis_rows
 
 
 def haar(m: int, seed: int) -> ModeUnitary:
     return ModeUnitary.haar_random(m, np.random.default_rng(seed))
+
+
+def collision_free_states(m: int, n: int) -> list[FockState]:
+    return [FockState(tuple(row)) for row in fock_basis_rows(m, n, True).tolist()]
 
 
 def test_reference_masses_match_oracles():
@@ -34,7 +38,7 @@ def test_reference_masses_match_oracles():
     inp = FockState.from_modes(6, (0, 2, 4))
     ref = collision_free_reference(u, inp)
     amps = evolve_state_vector(u.matrix, inp)
-    cf = list(enumerate_basis(6, 3, collision_free=True))
+    cf = collision_free_states(6, 3)
     ideal = sum(abs(amps.get(state, 0.0)) ** 2 for state in cf)
     classical = sum(classical_routing_probability(u.matrix, inp, state) for state in cf)
     assert ref.n_outcomes == len(cf) == 20
@@ -46,7 +50,7 @@ def test_reference_masses_match_oracles():
 def test_one_pass_weights_equal_per_state_permanents(m):
     u = haar(m, 10 + m)
     inp = FockState.from_modes(m, range(0, m, 2))
-    cf = enumerate_basis(m, inp.n, collision_free=True)
+    cf = collision_free_states(m, inp.n)
     subs = [u.matrix[np.ix_(state.modes(), inp.modes())] for state in cf]
     ideal = np.array([abs(permanent(sub)) ** 2 for sub in subs])
     classical = np.array([permanent(np.abs(sub) ** 2).real for sub in subs])
@@ -57,6 +61,17 @@ def test_one_pass_weights_equal_per_state_permanents(m):
     for hypothesis, per_state in (("ideal", ideal), ("distinguishable", classical)):
         weights = _collision_free_weights(u, inp, hypothesis)
         assert np.allclose(weights, per_state / per_state.sum(), rtol=0, atol=1e-12)
+
+
+def test_sampler_draws_the_rows_its_weights_were_built_for():
+    u = haar(6, 5)
+    inp = FockState.from_modes(6, (0, 2, 4))
+    cf = collision_free_states(6, 3)
+    for hypothesis in ("ideal", "uniform", "distinguishable"):
+        weights = _collision_free_weights(u, inp, hypothesis)
+        picks = np.random.default_rng(3).choice(len(cf), size=50, p=weights)
+        events = sample_outcomes(u, inp, 50, np.random.default_rng(3), hypothesis)
+        assert events == tuple(cf[i] for i in picks)
 
 
 def test_run_validation_replays_bit_exactly():
