@@ -30,7 +30,6 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .fock import batched_amplitudes
 from .mesh import ModeUnitary, compile_with_imperfections
 from .qubits import (
     _MEAS_ROT,
@@ -43,7 +42,7 @@ from .qubits import (
     encoding_input_state,
     logical_distributions,
 )
-from .sources import SourceModel, batched_noisy_sectors, build_input
+from .sources import SourceModel
 
 __all__ = [
     "BenchmarkPlan",
@@ -354,6 +353,8 @@ def estimate_favg(
     Estimates are reported unclamped, so sampling noise on a
     near-perfect gate can push the value slightly above 1.
     """
+    if shots_per_config is not None and int(shots_per_config) < 1:
+        raise ValueError(f"shots_per_config must be at least 1, got {shots_per_config}")
     rng = np.random.default_rng(seed)
     n = plan.n_qubits
 
@@ -488,11 +489,10 @@ def photonic_executor(
     checked unitary is the gate matrix.  A call stacks ``meas @ gate @
     prep`` for its B configurations into one ``(B, m, m)`` array (the
     rotations are exact 2x2 blocks on each qubit's rail pair) and
-    simulates the stack in one pass: one
-    :func:`~lopsim.fock.batched_amplitudes` call for an ideal source, one
-    :func:`~lopsim.sources.batched_noisy_sectors` trigger sum for a noisy
-    one.  Readout is one postselection mask per photon-number sector for
-    all B columns.  With ``reflectivities`` given (the chip's true coupler
+    simulates and reads out the stack in one
+    :func:`~lopsim.qubits.logical_distributions` call, the dual-rail
+    readout path shared with the GHZ factory.  With
+    ``reflectivities`` given (the chip's true coupler
     table), the mesh realizes unitaries through imperfect couplers and
     the flag selects which systematic the run carries:
 
@@ -515,9 +515,8 @@ def photonic_executor(
         raise ValueError("benchmark circuits must not embed a measurement")
     _, rule, _, gate = compile_gate_circuit(circuit, enc)
     gate_matrix = gate.matrix
-    n_qubits, m = enc.n_qubits, enc.n_modes
-    input_modes = np.array(encoding_input_state(enc).modes(), dtype=np.intp)
-    labeled = None if source is None else build_input(n_qubits, source, modes=input_modes)
+    m = enc.n_modes
+    input_modes = encoding_input_state(enc).modes()
     compile_rng = np.random.default_rng(compile_seed)
     pairs = np.array(enc.qubit_pairs, dtype=np.intp)
     block_rows, block_cols = pairs[:, :, None], pairs[:, None, :]
@@ -538,8 +537,7 @@ def photonic_executor(
         gate_matrix = executed * np.exp(1j * fit.input_phases)[None, :]
 
     def run(preparations: np.ndarray, settings: Sequence[str]) -> np.ndarray:
-        count = len(preparations)
-        prep = np.tile(np.eye(m, dtype=complex), (count, 1, 1))
+        prep = np.tile(np.eye(m, dtype=complex), (len(preparations), 1, 1))
         meas = prep.copy()
         prep[:, block_rows, block_cols] = _prep_unitaries(np.asarray(preparations, dtype=complex))
         meas[:, block_rows, block_cols] = [[_MEAS_ROT[c] for c in word] for word in settings]
@@ -552,12 +550,7 @@ def photonic_executor(
                 for total in totals
             ])
 
-        if labeled is None:
-            inputs = np.broadcast_to(input_modes, (count, n_qubits))
-            sectors = {n_qubits: np.abs(batched_amplitudes(totals, inputs).T) ** 2}
-        else:
-            sectors, _ = batched_noisy_sectors(totals, labeled)
-        return logical_distributions(m, sectors, rule)
+        return logical_distributions(totals, input_modes, rule, source)
 
     return run
 

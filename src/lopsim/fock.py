@@ -441,8 +441,8 @@ class OutputDistribution(Mapping[FockState, float]):
             vec = np.asarray(vec, dtype=float)
             if vec.shape != (len(enumerate_basis(m, n)),):
                 raise ValueError(f"probability vector does not match the {n}-photon basis")
-            if np.any(vec < -1e-12):
-                raise ValueError("negative probability")
+            if not np.all(vec >= -1e-12):
+                raise ValueError("negative or NaN probability")
             vec = np.clip(vec, 0.0, None)
             if vec.sum() > 0.0:
                 self.sectors[n] = vec

@@ -182,7 +182,7 @@ def phases_from_voltages(voltages: np.ndarray, hw: HardwareModel) -> np.ndarray:
     voltages = np.asarray(voltages, dtype=float)
     if voltages.shape != hw.b.shape:
         raise ValueError(f"expected {hw.b.shape[0]} voltages, got {voltages.shape}")
-    if np.any(voltages < 0) or np.any(voltages > hw.v_max + 1e-9):
+    if not np.all((voltages >= 0) & (voltages <= hw.v_max + 1e-9)):
         raise ValueError("voltages outside [0, v_max]")
     return hw.a @ (voltages * voltages) + hw.b
 
@@ -204,6 +204,8 @@ def voltages_from_phases(phi_target: np.ndarray, hw: HardwareModel) -> np.ndarra
     flips = np.zeros_like(k)
     for _ in range(TRANSPILE_MAX_ROUNDS):
         w = np.linalg.solve(hw.a, phi_target + 2.0 * np.pi * k - hw.b)
+        if not np.all(np.isfinite(w)):
+            raise TranspilationError("the phase model gives a non-finite voltage solution")
         negative = w < -1e-12
         over = w > w_cap + 1e-9
         if not negative.any() and not over.any():

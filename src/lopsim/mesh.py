@@ -689,6 +689,8 @@ def compile_with_imperfections(
     """
     from scipy.optimize import minimize
 
+    if max_restarts < 1:
+        raise ValueError(f"max_restarts must be at least 1, got {max_restarts}")
     if layout is None:
         layout = MeshLayout(target.m)
     refl = layout._reflectivity_table(np.asarray(reflectivities, dtype=float))

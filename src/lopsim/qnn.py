@@ -75,7 +75,6 @@ PERTURBATION = 1.0
 PERTURBATION_DECAY = 0.85
 
 
-@cache
 def pattern_space() -> tuple[tuple[int, int, int, int, int], ...]:
     """Detected outcome patterns in canonical (lexicographic) order.
 
@@ -83,27 +82,20 @@ def pattern_space() -> tuple[tuple[int, int, int, int, int], ...]:
     mode 5, right count) where the counts are pseudo photon numbers from
     the redirect groups.  Three photons produce one to three clicks.
     """
-    patterns = []
-    for left in range(4):
-        for b3 in range(2):
-            for b4 in range(2):
-                for b5 in range(2):
-                    for right in range(4):
-                        total = left + b3 + b4 + b5 + right
-                        if 1 <= total <= N_PHOTONS:
-                            patterns.append((left, b3, b4, b5, right))
-    return tuple(patterns)
+    return _pattern_table()[0]
 
 
 @cache
-def _pattern_matrix() -> np.ndarray:
-    """Aggregation matrix ``(N, 37)`` from the three-photon Fock basis to patterns.
+def _pattern_table() -> tuple[tuple[tuple[int, int, int, int, int], ...], np.ndarray]:
+    """The 37 patterns and the ``(N, 37)`` aggregation matrix from the
+    three-photon Fock basis, from one enumeration.
 
     Each basis row is threshold-detected and the redirect groups are
-    merged into pseudo photon numbers.  Basis states with photons beyond
-    the detected region (the circuit never populates those modes) are
-    left unassigned; they carry zero probability, so the merge preserves
-    the total.
+    merged into pseudo photon numbers; the sorted distinct merged rows
+    are the patterns.  Basis states with photons beyond the detected
+    region (the circuit never populates those modes) are left
+    unassigned; they carry zero probability, so the merge preserves the
+    total.
     """
     occ = enumerate_basis(N_MODES, N_PHOTONS).occupations
     clicks = occ > 0
@@ -114,14 +106,12 @@ def _pattern_matrix() -> np.ndarray:
             clicks[:, _RIGHT_GROUP].sum(axis=1),
         ]
     )
-    # pattern_space() is lexicographic, so its mixed-radix codes ascend
-    radix = np.array([32, 16, 8, 4, 1])
-    codes = np.array(pattern_space()) @ radix
     region = [*_LEFT_GROUP, *_MIDDLE_MODES, *_RIGHT_GROUP]
     inside = np.flatnonzero(occ[:, region].sum(axis=1) == N_PHOTONS)
-    matrix = np.zeros((len(occ), len(codes)))
-    matrix[inside, np.searchsorted(codes, merged[inside] @ radix)] = 1.0
-    return matrix
+    patterns, index = np.unique(merged[inside], axis=0, return_inverse=True)
+    matrix = np.zeros((len(occ), len(patterns)))
+    matrix[inside, index.ravel()] = 1.0
+    return tuple(map(tuple, patterns.tolist())), matrix
 
 
 def _checked_theta(theta: Sequence[float]) -> np.ndarray:
@@ -176,7 +166,7 @@ def pattern_distributions(
     diag[:, ENCODING_MODES] = np.exp(1j * phases)
     unitaries = second.unitary().matrix @ (diag[:, :, None] * first.unitary().matrix)
     inputs = np.broadcast_to(INPUT_MODES, (len(phases), N_PHOTONS))
-    merged = np.abs(batched_amplitudes(unitaries, inputs)) ** 2 @ _pattern_matrix()
+    merged = np.abs(batched_amplitudes(unitaries, inputs)) ** 2 @ _pattern_table()[1]
     if shots is not None:
         if int(shots) <= 0:
             raise ValueError(f"shots must be positive, got {shots}")

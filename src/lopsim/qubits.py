@@ -26,13 +26,18 @@ signal that the surviving qubits carry entanglement.  A rule is a mask on
 the occupation rows of a distribution's outcome view
 (:func:`lopsim.fock.outcome_arrays`): one vectorized readout gives the
 acceptance mask and the logical index of every row, and the logical
-distribution is a weighted ``bincount`` of the accepted indices.  The
-module also owns the 2x2 gate constants that other modules import.
+distribution is a weighted ``bincount`` of the accepted indices.
+:func:`logical_distributions` is the one batched path from
+interferometers to postselected logical distributions, for an ideal or
+a noisy source: the F_avg executor and the noisy GHZ fidelity call it.
+The VQE backend still reads each circuit out of its Fock distribution
+with :func:`logical_distribution`.  The module also owns the 2x2 gate constants that other modules
+import.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Mapping, Sequence
 
 import numpy as np
@@ -53,7 +58,7 @@ from lopsim.mesh import (
     two_mode_gate_elements,
     unitary_to_elements,
 )
-from lopsim.sources import SourceModel, build_input, noisy_simulate
+from lopsim.sources import SourceModel, batched_noisy_sectors, build_input
 
 __all__ = [
     "CompilationError",
@@ -72,7 +77,6 @@ __all__ = [
     "compile_gate_circuit",
     "logical_matrix",
     "encoding_input_state",
-    "preparation_elements",
     "pauli_measurement_setting",
     "logical_distribution",
     "logical_distributions",
@@ -110,14 +114,6 @@ _PAULI = {
 
 #: Basis-change matrices V with V P V^dagger = Z for each measured Pauli.
 _MEAS_ROT = {"I": _ID2, "Z": _ID2, "X": _H, "Y": _H @ _S.conj().T}
-
-#: Single-qubit preparations from logical |0>.
-PREPARATIONS: dict[str, np.ndarray] = {
-    "0": _ID2,
-    "1": _X,
-    "+": _H,
-    "+i": _S @ _H,
-}
 
 
 # ---------------------------------------------------------------------------
@@ -371,19 +367,6 @@ class PostselectionRule:
             accepted &= np.any(matches, axis=0)
         return accepted, rail1 @ (1 << np.arange(len(pairs))[::-1])
 
-    def logical_bits(self, state: FockState) -> tuple[int, ...] | None:
-        """Logical readout of an accepted state, or None if rejected."""
-        accepted, index = self.readout(np.array([state.occupations]))
-        if not accepted[0]:
-            return None
-        return tuple(int(b) for b in np.unravel_index(index[0], (2,) * len(self.qubit_pairs)))
-
-    def accepts(self, state: FockState) -> bool:
-        return self.logical_bits(state) is not None
-
-    def with_threshold(self, threshold: bool = True) -> "PostselectionRule":
-        return replace(self, threshold=threshold)
-
 
 def _logical_mass(rows: np.ndarray, values: np.ndarray, rule: PostselectionRule) -> np.ndarray:
     """Accepted mass per logical index, ``(2^n, B)``, of ``(K, B)`` values.
@@ -419,17 +402,32 @@ def logical_distribution(
 
 
 def logical_distributions(
-    m: int, sectors: Mapping[int, np.ndarray], rule: PostselectionRule
+    unitaries: np.ndarray,
+    input_modes: Sequence[int],
+    rule: PostselectionRule,
+    source: SourceModel | None = None,
 ) -> np.ndarray:
-    """Postselected logical distributions of B outputs, ``(B, 2^n)``.
+    """Postselected logical distributions of B interferometers, ``(B, 2^n)``.
 
-    ``sectors[n]`` holds B probability columns over
-    ``enumerate_basis(m, n)``, as
-    :func:`lopsim.sources.batched_noisy_sectors` returns them.  Each
-    sector is read with one mask for all columns; row b is the
-    normalized logical vector of output b, qubit 0 the most significant
-    bit.
+    This is the dual-rail readout path of the F_avg plans and the GHZ
+    factory.  ``unitaries`` is a ``(B, m, m)`` stack, each fed one
+    photon per mode of ``input_modes``.  With ``source=None`` the
+    photons are ideal and the stack runs through one
+    :func:`~lopsim.fock.batched_amplitudes` pass; with a source, its
+    labeled input (:func:`~lopsim.sources.build_input`) runs through one
+    :func:`~lopsim.sources.batched_noisy_sectors` trigger sum.  Each
+    photon-number sector is read with one mask for all B columns; row b
+    is the normalized logical vector of unitary b, qubit 0 the most
+    significant bit.
     """
+    unitaries = np.asarray(unitaries, dtype=complex)
+    count, m = unitaries.shape[:2]
+    modes = np.asarray(input_modes, dtype=np.intp)
+    if source is None:
+        amps = batched_amplitudes(unitaries, np.broadcast_to(modes, (count, len(modes))))
+        sectors = {len(modes): np.abs(amps.T) ** 2}
+    else:
+        sectors, _ = batched_noisy_sectors(unitaries, build_input(len(modes), source, modes))
     raw = np.zeros((1 << len(rule.qubit_pairs), 1))
     for n, vec in sectors.items():
         raw = raw + _logical_mass(enumerate_basis(m, n).occupations, vec, rule)
@@ -565,23 +563,6 @@ def encoding_input_state(
         raise ValueError("one bit per qubit required")
     modes = tuple(enc.rail(q, bit) for q, bit in enumerate(bits))
     return FockState.from_modes(enc.n_modes, modes)
-
-
-def preparation_elements(
-    labels: Sequence[str], enc: QubitEncoding
-) -> list[CircuitElement]:
-    """Per-qubit preparation rotations from |0> (labels 0, 1, +, +i)."""
-    if len(labels) != enc.n_qubits:
-        raise ValueError("one preparation label per qubit required")
-    elements: list[CircuitElement] = []
-    for q, label in enumerate(labels):
-        if label not in PREPARATIONS:
-            raise ValueError(f"unknown preparation {label!r}")
-        if label != "0":
-            elements.extend(
-                two_mode_gate_elements(PREPARATIONS[label], *enc.qubit_pairs[q])
-            )
-    return elements
 
 
 def pauli_measurement_setting(word: str, enc: QubitEncoding) -> PhotonicCircuit:
@@ -882,15 +863,23 @@ def ghz_stabilizer_expectations(
     missing = [w for w in GHZ_MEASUREMENT_SETTINGS if w not in distributions]
     if missing:
         raise ValueError(f"missing measurement settings: {missing}")
+    logical = {
+        word: logical_distribution(distributions[word], rule)[0].ravel()
+        for word in GHZ_MEASUREMENT_SETTINGS
+    }
+    return _ghz_expectations(logical)
+
+
+def _ghz_expectations(logical: Mapping[str, np.ndarray]) -> dict[str, float]:
+    """The eight stabilizers from each setting's logical vector, qubit 0 first.
+
+    A word made of Z and I letters is read from the ZZZ setting, every
+    other word from the setting of the same name.
+    """
     expectations = {"III": 1.0}
-    expectations["XXX"] = pauli_expectation(distributions["XXX"], rule, "XXX")
-    zzz, _ = logical_distribution(distributions["ZZZ"], rule)
-    z = np.array([1.0, -1.0])
-    expectations["ZZI"] = float(np.einsum("abc,a,b->", zzz, z, z))
-    expectations["IZZ"] = float(np.einsum("abc,b,c->", zzz, z, z))
-    expectations["ZIZ"] = float(np.einsum("abc,a,c->", zzz, z, z))
-    for word in ("YYX", "XYY", "YXY"):
-        expectations[word] = pauli_expectation(distributions[word], rule, word)
+    for word in list(_GHZ_STABILIZER_SIGNS)[1:]:
+        setting = "ZZZ" if set(word) <= {"Z", "I"} else word
+        expectations[word] = float(_pauli_signs(word) @ logical[setting])
     return expectations
 
 
@@ -911,17 +900,20 @@ def ghz_fidelity(expectations: Mapping[str, float]) -> float:
 def ghz_noisy_fidelity(source: SourceModel) -> tuple[float, dict[str, float]]:
     """GHZ fidelity with an imperfect source, pooled over the h+ heralds.
 
-    Runs the five measurement settings through the full noisy simulation
-    with threshold detection and returns the stabilizer-average fidelity
-    together with the individual expectations.
+    Runs each of the five measurement settings through the full noisy
+    simulation with threshold detection, one
+    :func:`logical_distributions` call per setting (a batch of five is
+    slower on these 12-mode sectors), and returns the
+    stabilizer-average fidelity together with the individual
+    expectations.
     """
     circuit, heralds, encoding = ghz_factory()
     rule = ghz_postselection(heralds, sign=1, threshold=True)
-    labeled = build_input(6, source, modes=GHZ_INPUT_MODES)
-    distributions = {}
+    logical = {}
     for word in GHZ_MEASUREMENT_SETTINGS:
         setting = PhotonicCircuit(12).extend(circuit.elements)
         setting.extend(pauli_measurement_setting(word, encoding).elements)
-        distributions[word] = noisy_simulate(setting.unitary(), labeled)
-    expectations = ghz_stabilizer_expectations(distributions, rule)
+        unitary = setting.unitary().matrix[None]
+        logical[word] = logical_distributions(unitary, GHZ_INPUT_MODES, rule, source)[0]
+    expectations = _ghz_expectations(logical)
     return ghz_fidelity(expectations), expectations

@@ -368,7 +368,7 @@ def batched_noisy_sectors(
         keep = np.asarray(output_losses, dtype=float)
         if keep.shape != (m,):
             raise ValueError(f"output_losses must have shape ({m},)")
-        if np.any(keep < 0.0) or np.any(keep > 1.0):
+        if not np.all((keep >= 0.0) & (keep <= 1.0)):
             raise ValueError("output losses must lie in [0, 1]")
     FockState.from_modes(m, labeled.modes)  # rejects an input mode outside the unitary
     tail = _photon_number_tail(labeled)

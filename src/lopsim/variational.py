@@ -212,9 +212,9 @@ class PhotonicVqeBackend:
     lifetime.  The coordinate presweep and the optimizer's first simplex
     steps move one angle at a time, and the two measurement settings of
     one evaluation differ only in the trailing Hadamards, so a circuit
-    recompiles only the gates from its first changed one on.  The compiler's results are bit-identical to a
-    fresh compile, so the energies are those of compiling every circuit
-    from scratch.
+    recompiles only the gates from its first changed one on.  The
+    compiler's results are bit-identical to a fresh compile, so the
+    energies are those of compiling every circuit from scratch.
     """
 
     def __init__(

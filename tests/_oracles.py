@@ -31,8 +31,14 @@ from lopsim.qnn import (
     _add_redirect,
     _checked_theta,
 )
-from lopsim.qubits import _pauli_signs, compile_gate_circuit, logical_distribution
-from lopsim.sources import noisy_simulate
+from lopsim.qubits import (
+    QubitEncoding,
+    _pauli_signs,
+    compile_gate_circuit,
+    encoding_input_state,
+    logical_distribution,
+)
+from lopsim.sources import build_input, noisy_simulate
 from lopsim.variational import PhotonicVqeBackend
 
 
@@ -441,15 +447,23 @@ class PerEvaluationVqeBackend(PhotonicVqeBackend):
     """``PhotonicVqeBackend`` with no compiler kept between circuits.
 
     Every circuit is compiled from scratch by ``compile_gate_circuit``,
-    so nothing one evaluation compiled is reused by the next.
+    so nothing one evaluation compiled is reused by the next, and is
+    read out through a Fock distribution: ``strong_simulate`` or
+    ``noisy_simulate``, then ``logical_distribution``.  The encoding,
+    input and readout-flip matrix are built here, not read from the
+    backend.
     """
 
     def distribution(self, circuit):
         if circuit.n_qubits != 2:
             raise ValueError("backend is wired for two-qubit circuits")
-        _, rule, _, unitary = compile_gate_circuit(circuit, self._encoding)
-        if self._labeled is None:
-            dist = strong_simulate(unitary, self._input_state)
+        enc = QubitEncoding.default(2)
+        state = encoding_input_state(enc)
+        _, rule, _, unitary = compile_gate_circuit(circuit, enc)
+        if self.source is None:
+            dist = strong_simulate(unitary, state)
         else:
-            dist = noisy_simulate(unitary, self._labeled)
-        return self._confusion @ logical_distribution(dist, rule)[0].ravel()
+            dist = noisy_simulate(unitary, build_input(2, self.source, modes=state.modes()))
+        f = self.readout_flip
+        flip = np.array([[1.0 - f, f], [f, 1.0 - f]])
+        return np.kron(flip, flip) @ logical_distribution(dist, rule)[0].ravel()

@@ -307,6 +307,19 @@ def test_standard_error_shrinks_with_shots():
     assert fine.std_error < coarse.std_error / 5.0
 
 
+@pytest.mark.parametrize("shots", [0, -5])
+def test_shots_per_config_below_one_is_rejected_before_the_executor_runs(shots):
+    calls = []
+
+    def executor(preparations, settings):
+        calls.append(len(settings))
+        return np.full((len(settings), 2), 0.5)
+
+    with pytest.raises(ValueError, match="shots_per_config"):
+        estimate_favg(build_plan(T_CIRCUIT, 1), executor, shots_per_config=shots, seed=0)
+    assert calls == []
+
+
 def test_executor_output_is_validated():
     plan = build_plan(T_CIRCUIT, 1)
     with pytest.raises(ValueError, match="malformed"):

@@ -328,6 +328,13 @@ class TestCompilation:
         assert fidelity(target, result.implemented) == pytest.approx(result.fidelity, abs=1e-9)
 
 
+    def test_max_restarts_below_one_is_rejected(self):
+        layout = MeshLayout(4)
+        refl = np.full((layout.n_cells, 2), 0.5)
+        with pytest.raises(ValueError, match="max_restarts"):
+            compile_with_imperfections(haar(4, 17), refl, layout=layout, max_restarts=0)
+
+
 class TestSweepOracle:
     """The layered forward/adjoint kernel against element-by-element products."""
 

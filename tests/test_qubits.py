@@ -1,5 +1,7 @@
 """Tests for dual-rail qubit compilation, postselection and the GHZ factory."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -34,7 +36,6 @@ from lopsim.qubits import (
     logical_matrix,
     pauli_expectation,
     pauli_measurement_setting,
-    preparation_elements,
 )
 from lopsim.sources import SourceModel
 
@@ -541,37 +542,39 @@ def test_gate_compiler_decomposes_only_the_changed_tail(monkeypatch):
     assert len(calls) == 6  # only the new RX; the H after it is reused
 
 
+def read(rule, *rows):
+    """Logical index of each occupation row through ``rule.readout``, None if rejected."""
+    accepted, index = rule.readout(np.array(rows))
+    return [int(i) if ok else None for ok, i in zip(accepted, index)]
+
+
 class TestPostselectionRule:
     def test_exact_counts_required(self):
         rule = PostselectionRule(((0, 1), (2, 3)), vacuum_modes=(4,))
-        assert rule.logical_bits(FockState((1, 0, 0, 1, 0))) == (0, 1)
-        assert rule.logical_bits(FockState((1, 1, 0, 1, 0))) is None
-        assert rule.logical_bits(FockState((2, 0, 0, 1, 0))) is None
-        assert rule.logical_bits(FockState((1, 0, 0, 1, 1))) is None
+        rows = [(1, 0, 0, 1, 0), (1, 1, 0, 1, 0), (2, 0, 0, 1, 0), (1, 0, 0, 1, 1)]
+        assert read(rule, *rows) == [0b01, None, None, None]
 
     def test_threshold_mode_merges_multi_photon(self):
         rule = PostselectionRule(((0, 1),), threshold=True)
-        assert rule.logical_bits(FockState((2, 0))) == (0,)
-        assert rule.logical_bits(FockState((1, 1))) is None
-        assert rule.logical_bits(FockState((0, 0))) is None
-        exact = rule.with_threshold(False)
-        assert exact.logical_bits(FockState((2, 0))) is None
+        assert read(rule, (2, 0), (1, 1), (0, 0)) == [0, None, None]
+        exact = replace(rule, threshold=False)
+        assert read(exact, (2, 0)) == [None]
 
     def test_herald_patterns_are_alternatives(self):
         rule = PostselectionRule(
             ((0, 1),), heralds=(((2, 1), (3, 0)), ((2, 0), (3, 1)))
         )
-        assert rule.accepts(FockState((1, 0, 1, 0)))
-        assert rule.accepts(FockState((0, 1, 0, 1)))
-        assert not rule.accepts(FockState((1, 0, 1, 1)))
-        assert not rule.accepts(FockState((1, 0, 0, 0)))
+        accepted, _ = rule.readout(
+            np.array([(1, 0, 1, 0), (0, 1, 0, 1), (1, 0, 1, 1), (1, 0, 0, 0)])
+        )
+        assert accepted.tolist() == [True, True, False, False]
 
     def test_threshold_heralds_use_clicks(self):
         rule = PostselectionRule(
             ((0, 1),), heralds=(((2, 1), (3, 0)),), threshold=True
         )
-        assert rule.accepts(FockState((1, 0, 2, 0)))
-        assert not rule.accepts(FockState((1, 0, 0, 0)))
+        accepted, _ = rule.readout(np.array([(1, 0, 2, 0), (1, 0, 0, 0)]))
+        assert accepted.tolist() == [True, False]
 
     def test_empty_distribution_raises(self):
         rule = PostselectionRule(((0, 1),), vacuum_modes=(2,))
@@ -629,28 +632,6 @@ class TestPauliMeasurement:
             assert pauli_expectation(dist, rule, word) == pytest.approx(
                 value, abs=1e-12
             )
-
-    def test_preparation_elements(self):
-        enc = QubitEncoding.default(1)
-        targets = {
-            "0": np.array([1.0, 0.0]),
-            "1": np.array([0.0, 1.0]),
-            "+": np.array([1.0, 1.0]) / np.sqrt(2),
-            "+i": np.array([1.0, 1j]) / np.sqrt(2),
-        }
-        for label, target in targets.items():
-            circuit = PhotonicCircuit(2).extend(preparation_elements([label], enc))
-            state = circuit.unitary().matrix[:, 0]
-            anchor = np.argmax(np.abs(target))
-            scale = state[anchor] / target[anchor]
-            assert np.max(np.abs(state - scale * target)) < 1e-12
-
-    def test_preparation_validation(self):
-        enc = QubitEncoding.default(1)
-        with pytest.raises(ValueError, match="unknown preparation"):
-            preparation_elements(["2"], enc)
-        with pytest.raises(ValueError, match="one preparation"):
-            preparation_elements(["0", "1"], enc)
 
 
 @pytest.fixture(scope="module")

@@ -4,7 +4,10 @@
 of ``lopsim.fock.outcome_arrays``; random rules and random single- and
 multi-sector ``OutputDistribution`` and counts-dict inputs are compared
 with the brute-force ``postselect_by_state`` of ``_oracles.py``.  The
-accessors of ``OutputDistribution`` are checked against its outcome view.
+batched ``logical_distributions`` path is compared with
+``logical_distribution`` of each unitary's ``strong_simulate`` and
+``noisy_simulate`` output.  The accessors of ``OutputDistribution`` are
+checked against its outcome view.
 """
 
 import numpy as np
@@ -14,6 +17,7 @@ from hypothesis import strategies as st
 
 from lopsim.fock import (
     FockState,
+    ModeUnitary,
     OutputDistribution,
     enumerate_basis,
     outcome_arrays,
@@ -27,7 +31,9 @@ from lopsim.qubits import (
     compile_gate_circuit,
     encoding_input_state,
     logical_distribution,
+    logical_distributions,
 )
+from lopsim.sources import SourceModel, build_input, noisy_simulate
 
 from _oracles import postselect_by_state
 
@@ -101,10 +107,41 @@ def test_mask_readout_matches_per_state_rule(drawn, kind, seed):
     rows, _ = outcome_arrays(dist)
     accepted, index = rule.readout(rows)
     for row, ok, i in zip(rows[:20].tolist(), accepted[:20], index[:20]):
-        bits = rule.logical_bits(FockState(tuple(row)))
-        assert (bits is not None) == ok
+        single, single_weight = postselect_by_state({tuple(row): 1.0}, rule)
+        assert (single_weight > 0.0) == ok
         if ok:
+            [bits] = single
             assert int(np.ravel_multi_index(bits, (2,) * q)) == i
+
+
+@settings(max_examples=25, deadline=None)
+@given(
+    n_qubits=st.integers(1, 3),
+    batch=st.integers(1, 4),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_batched_readout_matches_one_distribution_per_unitary(n_qubits, batch, seed):
+    rng = np.random.default_rng(seed)
+    enc = QubitEncoding.default(n_qubits)
+    rule = PostselectionRule(enc.qubit_pairs, vacuum_modes=enc.ancilla_modes)
+    state = encoding_input_state(enc, tuple(rng.integers(0, 2, n_qubits)))
+    unitaries = [ModeUnitary.haar_random(enc.n_modes, rng) for _ in range(batch)]
+    stack = np.array([u.matrix for u in unitaries])
+    source = SourceModel(
+        indistinguishability=tuple(rng.uniform(0.5, 1.0, n_qubits)),
+        g2=float(rng.uniform(0.0, 0.05)),
+        efficiency=float(rng.uniform(0.5, 1.0)),
+    )
+    labeled = build_input(n_qubits, source, modes=state.modes())
+
+    ideal = logical_distributions(stack, state.modes(), rule)
+    noisy = logical_distributions(stack, state.modes(), rule, source)
+    assert ideal.shape == noisy.shape == (batch, 1 << n_qubits)
+    for u, got_ideal, got_noisy in zip(unitaries, ideal, noisy):
+        want, _ = logical_distribution(strong_simulate(u, state), rule)
+        assert np.array_equal(got_ideal, want.ravel())
+        want, _ = logical_distribution(noisy_simulate(u, labeled), rule)
+        assert np.max(np.abs(got_noisy - want.ravel())) < 1e-12
 
 
 def test_ravel_puts_qubit_zero_first():

@@ -12,10 +12,16 @@ import dataclasses
 import numpy as np
 import pytest
 
-from lopsim.fock import ModeUnitary
-from lopsim.hardware import HardwareModel, TranspilationError, voltages_from_phases
+from lopsim.fock import ModeUnitary, OutputDistribution
+from lopsim.hardware import (
+    HardwareModel,
+    TranspilationError,
+    phases_from_voltages,
+    voltages_from_phases,
+)
 from lopsim.mesh import _push_diagonal_through, two_mode_gate_elements
 from lopsim.qubits import Gate, GateCircuit, compile_gate_circuit
+from lopsim.sources import SourceModel, build_input, noisy_simulate
 from lopsim.variational import MitigationMatrix, apply_mitigation
 
 NAN = float("nan")
@@ -35,6 +41,20 @@ def _hardware_with(field: str, index: tuple, value: float) -> HardwareModel:
     array = getattr(prior, field).copy()
     array[index] = value
     return dataclasses.replace(prior, **{field: array})
+
+
+def _phases_with_nan_voltage() -> np.ndarray:
+    """Phases of the 3-mode prior model with one NaN voltage."""
+    hw = HardwareModel.prior(3)
+    voltages = np.zeros_like(hw.b)
+    voltages[0] = NAN
+    return phases_from_voltages(voltages, hw)
+
+
+def _noisy_with_nan_loss():
+    """One photon through a 2-mode identity, one NaN output loss."""
+    labeled = build_input(1, SourceModel())
+    return noisy_simulate(np.eye(2), labeled, output_losses=np.array([NAN, 1.0]))
 
 
 def _confusion_with_nan() -> np.ndarray:
@@ -60,7 +80,7 @@ def _confusion_with_nan() -> np.ndarray:
             "diagonal commutation failed",
         ),
         (lambda: _voltages_with_nan("target"), ValueError, "non-finite"),
-        (lambda: _voltages_with_nan("offset"), TranspilationError, "residual"),
+        (lambda: _voltages_with_nan("offset"), TranspilationError, "non-finite voltage"),
         (lambda: MitigationMatrix("ZZ", _confusion_with_nan()), ValueError, "sum to 1"),
         (lambda: _hardware_with("a", (0, 0), NAN), ValueError, "finite"),
         (lambda: _hardware_with("a", (0, 1), NAN), ValueError, "finite"),
@@ -77,6 +97,9 @@ def _confusion_with_nan() -> np.ndarray:
             ValueError,
             "nonnegative",
         ),
+        (_noisy_with_nan_loss, ValueError, "output losses"),
+        (lambda: OutputDistribution(2, {1: [NAN, 0.5]}), ValueError, "NaN probability"),
+        (_phases_with_nan_voltage, ValueError, "voltages outside"),
     ],
     ids=[
         "ModeUnitary",
@@ -95,6 +118,9 @@ def _confusion_with_nan() -> np.ndarray:
         "HardwareModel-output_loss",
         "HardwareModel-zero_output_loss",
         "apply_mitigation",
+        "batched_noisy_sectors",
+        "OutputDistribution",
+        "phases_from_voltages",
     ],
 )
 def test_nan_input_raises(call, error, match):
