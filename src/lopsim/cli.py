@@ -16,7 +16,8 @@ one-click-per-pair contrast ``p6 cos(alpha)`` and the wall time of
 each stage (fit, simulate, readout).  ``--json`` also reports
 ``dropped_mass``, the probability above the simulated photon-number cap
 that the contrast leaves out.  The first run in a process also builds
-the Fock-basis tables, which ``stage_s`` shows under ``simulate``.
+the Fock-basis tables, which ``stage_s`` shows under ``simulate``, and
+the per-sector readout tables, which it shows under ``readout``.
 
 ``qnn`` trains the three-photon classifier on the bundled iris set with
 the default :class:`~lopsim.qnn.QnnConfig` (seeded by ``--seed``) and

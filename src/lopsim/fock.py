@@ -156,6 +156,7 @@ class FockBasis:
         for o in range(1, n + 1):
             below[:, o - 1 :, o] = tails[:, : n + 2 - o]
         self._below = np.cumsum(below, axis=2)[::-1]
+        self._below.setflags(write=False)
 
     def rank(self, rows: np.ndarray) -> np.ndarray:
         """Basis index of each occupation row; ``KeyError`` if any is absent."""
@@ -242,6 +243,8 @@ def _glynn_deltas(k: int) -> tuple[np.ndarray, np.ndarray]:
     deltas[:, 1:] = 1.0 - 2.0 * bits
     parity = bits.sum(axis=1) & 1
     signs = 1.0 - 2.0 * parity.astype(np.float64)
+    deltas.setflags(write=False)
+    signs.setflags(write=False)
     return deltas, signs
 
 
@@ -302,13 +305,16 @@ def _successors(m: int, n: int) -> np.ndarray:
         terms[j] = prefix + below[j, left, occ[:, j] + 1] + suffix
         prefix = prefix + below[j, left, occ[:, j]]
         left -= occ[:, j]
+    terms.setflags(write=False)
     return terms
 
 
 @lru_cache(maxsize=None)
 def _gains(m: int, n: int) -> np.ndarray:
     """Bosonic gain ``sqrt(s_j + 1)`` of a photon added to mode j, shape (m, N_n)."""
-    return np.ascontiguousarray(np.sqrt(enumerate_basis(m, n).occupations.T + 1.0))
+    gains = np.ascontiguousarray(np.sqrt(enumerate_basis(m, n).occupations.T + 1.0))
+    gains.setflags(write=False)
+    return gains
 
 
 def _add_photon(vec: np.ndarray, n: int, column: np.ndarray, coherent: bool) -> np.ndarray:

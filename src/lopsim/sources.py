@@ -569,6 +569,27 @@ def _constructive_patterns(n_photons: int) -> frozenset[tuple[int, ...]]:
     return frozenset(map(tuple, right[bright].astype(int).tolist()))
 
 
+def _fringe_classes(rows: np.ndarray, n_photons: int) -> tuple[np.ndarray, np.ndarray]:
+    """Indices of the constructive and of the destructive one-click-per-pair rows."""
+    width = 2 * n_photons
+    if len(rows) and rows.shape[1] < width:
+        raise ValueError(f"the {n_photons}-photon fringe needs {width} modes, got {rows.shape[1]}")
+    valid, right = _one_click_per_pair(rows[:, :width].reshape(len(rows), width) > 0)
+    bits = 1 << np.arange(n_photons)
+    bright = [int(np.dot(pattern, bits)) for pattern in _constructive_patterns(n_photons)]
+    constructive = valid & np.isin(right @ bits, bright)
+    return np.flatnonzero(constructive), np.flatnonzero(valid & ~constructive)
+
+
+@lru_cache(maxsize=None)
+def _fringe_table(m: int, n: int, n_photons: int) -> tuple[np.ndarray, np.ndarray]:
+    """Read-only :func:`_fringe_classes` of one distribution sector's basis rows."""
+    classes = _fringe_classes(enumerate_basis(m, n).occupations, n_photons)
+    for index in classes:
+        index.setflags(write=False)
+    return classes
+
+
 def genuine_indistinguishability(
     dist: Mapping[FockState, float],
     n_photons: int,
@@ -576,20 +597,22 @@ def genuine_indistinguishability(
     """Genuine n-photon indistinguishability from cyclic-circuit statistics.
 
     Restricts ``dist`` (probabilities or counts from the interferometer
-    at alpha = 0) to events with exactly one click per output pair and
-    contrasts the constructive class against the destructive one:
+    at alpha = 0; modes past the first ``2 * n_photons`` are ignored) to
+    events with exactly one click per output pair and contrasts the
+    constructive class against the destructive one:
     ``p_N = (C - D) / (C + D)``.  For the independent-label model with
     perfect purity this equals the product of the ``m_i``.
     """
-    clicks, values = _click_arrays(dist, 2 * n_photons)
-    valid, right = _one_click_per_pair(clicks)
-    bits = 1 << np.arange(n_photons)
-    bright = [int(np.dot(pattern, bits)) for pattern in _constructive_patterns(n_photons)]
-    constructive = valid & np.isin(right @ bits, bright)
-    c_sum = float(values[constructive].sum())
-    d_sum = float(values[valid & ~constructive].sum())
+    if isinstance(dist, OutputDistribution):
+        parts = [(vec, _fringe_table(dist.m, n, n_photons)) for n, vec in dist.sectors.items()]
+    else:
+        rows, values = outcome_arrays(dist)
+        parts = [(values, _fringe_classes(rows, n_photons))]
+    constructive = np.concatenate([vec[c] for vec, (c, _) in parts] + [[]])
+    destructive = np.concatenate([vec[d] for vec, (_, d) in parts] + [[]])
+    c_sum, d_sum = float(constructive.sum()), float(destructive.sum())
     total = c_sum + d_sum
-    if total <= 0.0:
+    if not total > 0.0:
         raise ValueError("no one-click-per-pair events; p_N is undefined")
     return float((c_sum - d_sum) / total)
 

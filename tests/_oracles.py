@@ -4,7 +4,8 @@ Each function here recomputes a quantity through a route independent of
 the library code: Fock bases filtered from every occupation tuple,
 factorial-cost permanents, full second-quantized
 state-vector evolution, explicit classical routing enumeration, the
-noisy-source output summed over every labeled branch, benchmark-plan
+noisy-source output summed over every labeled branch, the cyclic-fringe
+contrast classified row by row on every call, benchmark-plan
 weights from the dense 16^n correlation solve, a plan executed one
 configuration per executor call, the classifier chip built element by
 element, the mesh transfer matrix and its derivatives as products
@@ -20,7 +21,7 @@ from math import comb, factorial, sqrt
 import numpy as np
 
 from lopsim.benchmark import _MEAS_SIGNS, _PREP_VECTORS, FidelityEstimate
-from lopsim.fock import FockState, strong_simulate
+from lopsim.fock import FockState, outcome_arrays, strong_simulate
 from lopsim.mesh import PhaseShifter, PhotonicCircuit
 from lopsim.qnn import (
     ENCODING_MODES,
@@ -38,7 +39,7 @@ from lopsim.qubits import (
     encoding_input_state,
     logical_distribution,
 )
-from lopsim.sources import build_input, noisy_simulate
+from lopsim.sources import _constructive_patterns, build_input, noisy_simulate
 from lopsim.variational import PhotonicVqeBackend
 
 
@@ -186,6 +187,27 @@ _PAULI_1Q = {
     "Y": np.array([[0.0, -1j], [1j, 0.0]]),
     "Z": np.diag([1.0, -1.0]).astype(complex),
 }
+
+
+def fringe_contrast_rows(dist, n_photons: int) -> float:
+    """``p_N = (C - D) / (C + D)`` with every outcome row classified on this call.
+
+    Builds the click mask of the first ``2 * n_photons`` modes, keeps the
+    rows with one click per output pair and splits them by whether the
+    right-hand clicks, read as bits, form a constructive pattern.  The
+    class values are summed in outcome order.
+    """
+    width = 2 * n_photons
+    rows, values = outcome_arrays(dist)
+    clicks = rows[:, :width].reshape(len(rows), width) > 0
+    right = clicks[:, 1::2]
+    valid = np.all(clicks[:, 0::2] != right, axis=1)
+    bits = 1 << np.arange(n_photons)
+    bright = [int(np.dot(pattern, bits)) for pattern in _constructive_patterns(n_photons)]
+    constructive = valid & np.isin(right @ bits, bright)
+    c_sum = float(values[constructive].sum())
+    d_sum = float(values[valid & ~constructive].sum())
+    return float((c_sum - d_sum) / (c_sum + d_sum))
 
 
 def pauli_matrix(word: str) -> np.ndarray:

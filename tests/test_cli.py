@@ -9,6 +9,7 @@ from pathlib import Path
 import pytest
 
 from lopsim.cli import main
+from lopsim.sources import _fringe_table
 from lopsim.variational import VqeConfig, exact_ground_energy, h2_hamiltonian
 
 
@@ -21,6 +22,17 @@ def test_fringe_json_reports_p6(capsys):
     assert 0.0 < record["dropped_mass"] <= 1e-9
     assert set(record["stage_s"]) == {"fit", "simulate", "readout"}
     assert all(sec >= 0.0 for sec in record["stage_s"].values())
+
+
+def test_fringe_json_is_the_same_with_cold_and_warm_readout_tables(capsys):
+    _fringe_table.cache_clear()
+    runs = []
+    for _ in range(2):
+        assert main(["fringe", "--json"]) == 0
+        runs.append(json.loads(capsys.readouterr().out))
+    cold, warm = runs
+    assert cold["p6_cos_alpha"].hex() == warm["p6_cos_alpha"].hex()
+    assert list(cold["stage_s"]) == list(warm["stage_s"]) == ["fit", "simulate", "readout"]
 
 
 def test_qnn_json_reports_accuracies(capsys):

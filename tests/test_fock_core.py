@@ -19,6 +19,7 @@ from lopsim.fock import (
     OutputDistribution,
     _add_photon,
     _gains,
+    _glynn_deltas,
     _successors,
     batched_amplitudes,
     enumerate_basis,
@@ -27,6 +28,7 @@ from lopsim.fock import (
 from lopsim.sources import (
     TAIL_TOLERANCE,
     SourceModel,
+    _fringe_table,
     batched_noisy_sectors,
     build_input,
     coincidence_probability,
@@ -41,6 +43,7 @@ from _oracles import (
     classical_routing_probability,
     evolve_state_vector,
     fock_basis_rows,
+    fringe_contrast_rows,
 )
 
 
@@ -118,6 +121,27 @@ class TestBasisTables:
             ]
             assert np.array_equal(_successors(m, n), np.array(successors).reshape(m, len(rows)))
             assert np.array_equal(_gains(m, n), np.sqrt(rows.T + 1.0))
+
+    @pytest.mark.parametrize(
+        "table",
+        [
+            lambda: enumerate_basis(4, 2)._below,
+            lambda: _successors(4, 2),
+            lambda: _gains(4, 2),
+            lambda: _glynn_deltas(4)[0],
+            lambda: _glynn_deltas(4)[1],
+            lambda: _fringe_table(8, 4, 4)[0],
+            lambda: _fringe_table(8, 4, 4)[1],
+        ],
+        ids=[
+            "below", "successors", "gains", "glynn_deltas", "glynn_signs",
+            "fringe_constructive", "fringe_destructive",
+        ],
+    )
+    def test_cached_tables_are_read_only(self, table):
+        array = table()
+        with pytest.raises(ValueError, match="read-only"):
+            array[(0,) * array.ndim] = 0
 
 
 class TestStrongSimulate:
@@ -358,7 +382,37 @@ class TestDroppedWeight:
         assert conditioned.dropped_weight == pytest.approx(capped.dropped_weight / weight)
 
 
+#: (N, m, sectors drawn from): N = 4 on 8 and 10 modes, N = 6 on 12.
+FRINGE_SHAPES = [(4, 8, range(9)), (4, 10, range(8)), (6, 12, range(8))]
+
+
+@st.composite
+def fringe_distributions(draw):
+    """A multi-sector distribution with zero entries and one-click-per-pair mass."""
+    n_photons, m, sectors = draw(st.sampled_from(FRINGE_SHAPES))
+    photon_numbers = draw(st.sets(st.sampled_from(sectors), max_size=3)) | {n_photons}
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    zero_frac = draw(st.floats(0.0, 0.9))
+    vectors = {}
+    for n in sorted(photon_numbers):
+        size = len(enumerate_basis(m, n))
+        vectors[n] = rng.random(size) * (rng.random(size) >= zero_frac)
+    left_clicks = FockState.from_modes(m, range(0, 2 * n_photons, 2))
+    vectors[n_photons][enumerate_basis(m, n_photons).index(left_clicks)] = 1.0
+    return n_photons, OutputDistribution(m, vectors)
+
+
 class TestClickPatterns:
+    @settings(max_examples=50, deadline=None)
+    @given(case=fringe_distributions())
+    def test_fringe_contrast_matches_the_row_oracle(self, case):
+        n_photons, dist = case
+        counts = dict(dist.items())
+        p_n = genuine_indistinguishability(dist, n_photons)
+        assert p_n.hex() == fringe_contrast_rows(dist, n_photons).hex()
+        p_counts = genuine_indistinguishability(counts, n_photons)
+        assert p_counts.hex() == fringe_contrast_rows(counts, n_photons).hex()
+
     def test_mapping_inputs_agree_with_distribution_arrays(self):
         src = SourceModel(indistinguishability=(0.93, 0.88, 0.95, 0.90), g2=0.01)
         labeled = build_input(4, src, modes=cyclic_input_modes(4))

@@ -398,6 +398,14 @@ class TestCyclicInterferometer:
         with pytest.raises(ValueError, match="undefined"):
             genuine_indistinguishability(bunched, 4)
 
+    def test_estimator_names_the_modes_it_reads(self):
+        # Six modes hold three output pairs; the four-photon fringe reads four pairs.
+        dist = strong_simulate(ModeUnitary(np.eye(6)), FockState.from_modes(6, (1, 3, 5)))
+        with pytest.raises(ValueError, match="needs 8 modes, got 6"):
+            genuine_indistinguishability(dist, 4)
+        with pytest.raises(ValueError, match="needs 8 modes, got 6"):
+            genuine_indistinguishability({FockState((1, 0, 1, 0, 1, 0)): 5}, 4)
+
     def test_four_photon_regime_with_measured_matrix(self):
         matrix = load_indistinguishability_matrix()
         m_fit, _ = fit_product_model(matrix)

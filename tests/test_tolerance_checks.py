@@ -21,7 +21,7 @@ from lopsim.hardware import (
 )
 from lopsim.mesh import _push_diagonal_through, two_mode_gate_elements
 from lopsim.qubits import Gate, GateCircuit, compile_gate_circuit
-from lopsim.sources import SourceModel, build_input, noisy_simulate
+from lopsim.sources import SourceModel, build_input, genuine_indistinguishability, noisy_simulate
 from lopsim.variational import MitigationMatrix, apply_mitigation
 
 NAN = float("nan")
@@ -100,6 +100,13 @@ def _confusion_with_nan() -> np.ndarray:
         (_noisy_with_nan_loss, ValueError, "output losses"),
         (lambda: OutputDistribution(2, {1: [NAN, 0.5]}), ValueError, "NaN probability"),
         (_phases_with_nan_voltage, ValueError, "voltages outside"),
+        (
+            lambda: genuine_indistinguishability(
+                {(1, 0, 1, 0, 1, 0, 1, 0): NAN, (0, 1, 1, 0, 1, 0, 1, 0): 1.0}, 4
+            ),
+            ValueError,
+            "undefined",
+        ),
     ],
     ids=[
         "ModeUnitary",
@@ -121,6 +128,7 @@ def _confusion_with_nan() -> np.ndarray:
         "batched_noisy_sectors",
         "OutputDistribution",
         "phases_from_voltages",
+        "genuine_indistinguishability",
     ],
 )
 def test_nan_input_raises(call, error, match):
