@@ -552,6 +552,8 @@ def _push_diagonal_through(
     p: int, theta: float, phi: float, diag: np.ndarray
 ) -> tuple[np.ndarray, tuple[int, float, float]]:
     """Rewrite cell(theta, phi)^dagger @ diag as diag' @ cell(theta', phi') on pair p."""
+    if not np.all(np.isfinite([theta, phi, *diag[p : p + 2]])):
+        raise RuntimeError("diagonal commutation failed: non-finite phase or diagonal")
     d = np.diag(diag[p : p + 2].astype(complex))
     m2 = _cell_matrix(theta, phi).conj().T @ d
     theta_new, phi_new, psi, chi = _cell_angles(m2)

@@ -4,7 +4,8 @@ Each function here recomputes a quantity through a route independent of
 the library code: Fock bases filtered from every occupation tuple,
 factorial-cost permanents, full second-quantized
 state-vector evolution, explicit classical routing enumeration, the
-noisy-source output summed over every labeled branch, the cyclic-fringe
+noisy-source output summed over every labeled branch, the trigger sum
+with a coherent pass from scratch for every shared set, the cyclic-fringe
 contrast classified row by row on every call, benchmark-plan
 weights from the dense 16^n correlation solve, a plan executed one
 configuration per executor call, the classifier chip built element by
@@ -16,12 +17,19 @@ from scratch.
 from __future__ import annotations
 
 import itertools
-from math import comb, factorial, sqrt
+from math import comb, factorial, prod, sqrt
 
 import numpy as np
 
 from lopsim.benchmark import _MEAS_SIGNS, _PREP_VECTORS, FidelityEstimate
-from lopsim.fock import FockState, outcome_arrays, strong_simulate
+from lopsim.fock import (
+    FockState,
+    _gains,
+    _successors,
+    enumerate_basis,
+    outcome_arrays,
+    strong_simulate,
+)
 from lopsim.mesh import PhaseShifter, PhotonicCircuit
 from lopsim.qnn import (
     ENCODING_MODES,
@@ -39,7 +47,15 @@ from lopsim.qubits import (
     encoding_input_state,
     logical_distribution,
 )
-from lopsim.sources import _constructive_patterns, build_input, noisy_simulate
+from lopsim.sources import (
+    TAIL_TOLERANCE,
+    _accumulate,
+    _constructive_patterns,
+    _photon_number_tail,
+    _thin_outputs,
+    build_input,
+    noisy_simulate,
+)
 from lopsim.variational import PhotonicVqeBackend
 
 
@@ -179,6 +195,79 @@ def branchwise_noisy_distribution(
     if output_losses is not None:
         total = thin_by_state(total, np.asarray(output_losses, dtype=float))
     return total
+
+
+def add_photon_fancy_index(
+    vec: np.ndarray, n: int, column: np.ndarray, coherent: bool
+) -> np.ndarray:
+    """One photon-addition step with a fancy-index ``+=`` scatter on every path."""
+    m = len(column)
+    batch = vec.shape[1:] or column.shape[1:]
+    if batch == (1,):
+        return add_photon_fancy_index(vec.reshape(len(vec)), n, column.reshape(m), coherent)[:, None]
+    if batch and vec.ndim == 1:
+        vec = vec[:, None]
+    out = np.zeros((len(enumerate_basis(m, n + 1)), *batch), dtype=np.result_type(vec, column))
+    succ = _successors(m, n)
+    for j in np.flatnonzero(column if column.ndim == 1 else np.any(column, axis=1)):
+        term = column[j] * vec
+        if coherent:
+            gain = _gains(m, n)[j]
+            term *= gain[:, None] if batch else gain
+        out[succ[j]] += term
+    return out
+
+
+def per_subset_noisy_sectors(
+    unitaries: np.ndarray, labeled, output_losses: np.ndarray | None = None
+) -> tuple[dict[int, np.ndarray], float]:
+    """``batched_noisy_sectors`` with one coherent pass per shared set.
+
+    Every shared set adds its photons from the vacuum, in sorted mode
+    order, and divides out ``sqrt(prod s_i!)`` for bunched modes; every
+    step scatters through :func:`add_photon_fancy_index`.
+    """
+    unitaries = np.asarray(unitaries, dtype=complex)
+    count, m = unitaries.shape[:2]
+    tail = _photon_number_tail(labeled)
+    cap = int(np.argmax(tail[1:] <= TAIL_TOLERANCE))
+    power = np.abs(unitaries) ** 2
+    columns = [np.ascontiguousarray(power[:, :, q].T) for q in labeled.modes]
+    rows = np.arange(count)
+
+    def mix(sectors, column, w_none, w_one):
+        out: dict[int, np.ndarray] = {}
+        for n, vec in sectors.items():
+            if w_none:
+                _accumulate(out, n, w_none * vec)
+            if w_one and n < cap:
+                _accumulate(out, n + 1, add_photon_fancy_index(vec, n, w_one * column, False))
+        return out
+
+    sectors: dict[int, np.ndarray] = {}
+    for members in itertools.product((False, True), repeat=len(labeled.modes)):
+        shared_modes = sorted(q for q, s in zip(labeled.modes, members) if s)
+        weight = prod(w for w, s in zip(labeled.shared, members) if s)
+        if weight == 0.0 or len(shared_modes) > cap:
+            continue
+        amp = np.ones((1, count), dtype=complex)
+        for k, q in enumerate(shared_modes):
+            column = unitaries[rows, :, np.full(count, q)].T
+            amp = add_photon_fancy_index(amp, k, column, True)
+        bunching = prod(factorial(s) for s in np.bincount(shared_modes, minlength=m))
+        if bunching > 1:
+            amp = amp / sqrt(bunching)
+        term = {len(shared_modes): weight * np.abs(amp) ** 2}
+        for column, unique, lost, s in zip(columns, labeled.unique, labeled.lost, members):
+            if not s:
+                term = mix(term, column, lost, unique)
+        for n, vec in term.items():
+            _accumulate(sectors, n, vec)
+    for column, extra in zip(columns, labeled.extra):
+        sectors = mix(sectors, column, 1.0 - extra, extra)
+    if output_losses is not None:
+        sectors = _thin_outputs(sectors, m, np.asarray(output_losses, dtype=float))
+    return sectors, float(tail[cap + 1])
 
 
 _PAULI_1Q = {

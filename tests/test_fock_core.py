@@ -4,15 +4,19 @@ The basis rows and the photon-addition tables are checked against a
 brute-force enumeration, the basis rank against the stored rows, and the
 photon-addition kernel behind ``strong_simulate`` and ``noisy_simulate``
 against the brute-force oracles in ``_oracles.py``; ``noisy_simulate``
-also against the sum over every labeled branch of its input.  The
+also against the sum over every labeled branch of its input, and the
+trigger sum bit for bit against one coherent pass per shared set.  The
 kernel's trailing batch axis is checked against one-at-a-time calls.
 """
+
+from collections import Counter
 
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from lopsim import fock, sources
 from lopsim.fock import (
     FockState,
     ModeUnitary,
@@ -44,6 +48,7 @@ from _oracles import (
     evolve_state_vector,
     fock_basis_rows,
     fringe_contrast_rows,
+    per_subset_noisy_sectors,
 )
 
 
@@ -358,6 +363,81 @@ class TestNoisySimulate:
                 expected = single.sectors.get(n, np.zeros(len(vec)))
                 assert np.abs(vec[:, b] - expected).max() <= 1e-12
             assert set(single.sectors) <= set(sectors)
+
+
+@st.composite
+def trigger_sums(draw):
+    """B unitaries and a labeled input with m_i of 0 and 1 and repeated modes."""
+    m = draw(st.integers(2, 6))
+    modes = draw(st.lists(st.integers(0, m - 1), min_size=1, max_size=4))
+    ms = draw(
+        st.lists(
+            st.one_of(st.sampled_from([0.0, 1.0]), st.floats(0.0, 1.0)),
+            min_size=len(modes),
+            max_size=len(modes),
+        )
+    )
+    src = SourceModel(
+        indistinguishability=tuple(ms),
+        g2=draw(st.floats(0.0, 0.3)),
+        efficiency=draw(st.one_of(st.just(1.0), st.floats(0.05, 1.0))),
+    )
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    unitaries = np.stack(
+        [ModeUnitary.haar_random(m, rng).matrix for _ in range(draw(st.sampled_from([1, 3])))]
+    )
+    keep = rng.uniform(0.0, 1.0, size=m) if draw(st.booleans()) else None
+    return unitaries, build_input(len(modes), src, modes=modes), keep
+
+
+def assert_matches_per_subset_oracle(unitaries, labeled, keep) -> dict[int, np.ndarray]:
+    sectors, dropped = batched_noisy_sectors(unitaries, labeled, output_losses=keep)
+    expected, expected_dropped = per_subset_noisy_sectors(unitaries, labeled, keep)
+    assert dropped == expected_dropped
+    assert list(sectors) == list(expected)
+    for n, vec in sectors.items():
+        assert vec.dtype == expected[n].dtype and vec.shape == expected[n].shape
+        assert vec.tobytes() == expected[n].tobytes()
+    return sectors
+
+
+class TestTriggerSum:
+    @settings(max_examples=60, deadline=None)
+    @given(case=trigger_sums())
+    def test_shared_prefixes_match_the_per_subset_oracle(self, case):
+        assert_matches_per_subset_oracle(*case)
+
+    @pytest.mark.parametrize("batch", [1, 3])
+    def test_shared_sets_above_the_cap_are_skipped(self, batch):
+        # At this efficiency P(photons > 2) is below TAIL_TOLERANCE, so
+        # the shared sets of three and four triggers are never formed.
+        src = SourceModel(indistinguishability=(0.9, 1.0, 0.8, 0.7), g2=0.9, efficiency=1e-4)
+        labeled = build_input(4, src, modes=(0, 2, 2, 4))
+        unitaries = np.stack([haar(5, seed).matrix for seed in range(batch)])
+        for keep in (None, np.linspace(0.5, 0.9, 5)):
+            sectors = assert_matches_per_subset_oracle(unitaries, labeled, keep)
+            assert max(sectors) == 2 < len(labeled.modes)
+
+    def test_each_shared_prefix_is_computed_once(self, monkeypatch):
+        real, coherent_steps, active = fock._add_photon, [], []
+
+        def counted(vec, n, column, coherent):
+            if coherent and not active:
+                coherent_steps.append(n)
+            active.append(n)
+            try:
+                return real(vec, n, column, coherent)
+            finally:
+                active.pop()
+
+        monkeypatch.setattr(fock, "_add_photon", counted)
+        monkeypatch.setattr(sources, "_add_photon", counted)
+        src = SourceModel(indistinguishability=(0.93, 0.88, 0.95, 0.90, 0.92, 0.91), g2=0.0075)
+        labeled = build_input(6, src, modes=cyclic_input_modes(6))
+        noisy_simulate(cyclic_interferometer(6, 0.3), labeled)
+        # one addition per nonempty prefix: C(6, n + 1) of them reach n + 1 photons
+        assert len(coherent_steps) == 2**6 - 1
+        assert Counter(coherent_steps) == {0: 6, 1: 15, 2: 20, 3: 15, 4: 6, 5: 1}
 
 
 class TestDroppedWeight:

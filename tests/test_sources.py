@@ -1,6 +1,7 @@
 """Tests for the source noise model and its characterization experiments."""
 
 import json
+import re
 
 import numpy as np
 import pytest
@@ -463,3 +464,12 @@ class TestFringeFit:
         }
         assert coincidence_probability(dist, (0, 1)) == pytest.approx(0.5)
         assert coincidence_probability(dist, (0,)) == pytest.approx(0.75)
+
+    @pytest.mark.parametrize("modes, bad", [((0, 9), "[9]"), ((8,), "[8]"), ((-1, 2), "[-1]")])
+    @pytest.mark.parametrize("as_dict", [False, True])
+    def test_coincidence_modes_outside_the_distribution_raise(self, modes, bad, as_dict):
+        dist = strong_simulate(ModeUnitary(np.eye(8)), FockState.from_modes(8, (1, 3)))
+        if as_dict:
+            dist = dict(dist.items())
+        with pytest.raises(ValueError, match=re.escape(f"modes {bad} lie outside") + ".*8"):
+            coincidence_probability(dist, modes)
