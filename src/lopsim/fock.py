@@ -531,7 +531,7 @@ class OutputDistribution(Mapping[FockState, float]):
             return enumerate_basis(self.m, n).occupations, vec
         rows = [enumerate_basis(self.m, n).occupations for n in self.sectors]
         return (
-            np.concatenate(rows or [np.zeros((0, 0), dtype=np.int8)]),
+            np.concatenate(rows or [np.zeros((0, self.m), dtype=np.int8)]),
             np.concatenate([*self.sectors.values(), []]),
         )
 

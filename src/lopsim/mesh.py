@@ -30,6 +30,7 @@ through this pair.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Sequence
 
@@ -103,19 +104,25 @@ CircuitElement = PhaseShifter | DirectionalCoupler | ModePermutation
 
 
 def _apply_element(u: np.ndarray, element: CircuitElement) -> None:
-    """In-place left-multiplication of ``u`` by the element transfer matrix."""
-    if isinstance(element, PhaseShifter):
-        u[element.mode, :] *= np.exp(1j * element.phase)
-    elif isinstance(element, DirectionalCoupler):
-        a, b = element.mode_a, element.mode_b
-        t = np.sqrt(element.reflectivity)
-        k = 1j * np.sqrt(1.0 - element.reflectivity)
-        ra = t * u[a, :] + k * u[b, :]
-        rb = k * u[a, :] + t * u[b, :]
-        u[a, :] = ra
-        u[b, :] = rb
-    elif isinstance(element, ModePermutation):
-        u[list(element.targets), :] = u.copy()
+    """In-place left-multiplication of ``u`` by the element transfer matrix.
+
+    Every compile and every :meth:`PhotonicCircuit.unitary` call runs
+    this once per element, so it dispatches on the exact element type
+    once, takes the coupler amplitudes from ``math.sqrt`` (correctly
+    rounded, like ``np.sqrt``) and reads each coupler row once.  The
+    phase factor stays ``np.exp``, so no result depends on two libm
+    exponentials agreeing.
+    """
+    kind = type(element)
+    if kind is PhaseShifter:
+        u[element.mode] *= np.exp(1j * element.phase)
+    elif kind is DirectionalCoupler:
+        r = element.reflectivity
+        t, k = math.sqrt(r), 1j * math.sqrt(1.0 - r)
+        row_a, row_b = u[element.mode_a], u[element.mode_b]
+        u[element.mode_a], u[element.mode_b] = t * row_a + k * row_b, k * row_a + t * row_b
+    elif kind is ModePermutation:
+        u[list(element.targets)] = u.copy()
     else:
         raise TypeError(f"unknown circuit element {element!r}")
 

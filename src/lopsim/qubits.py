@@ -45,6 +45,7 @@ import numpy as np
 from lopsim.fock import (
     FockState,
     ModeUnitary,
+    _glynn_deltas,
     batched_amplitudes,
     enumerate_basis,
     outcome_arrays,
@@ -532,7 +533,8 @@ def logical_matrix(circuit: PhotonicCircuit, enc: QubitEncoding) -> np.ndarray:
     the rails of basis state col (all other modes empty) to the rails of
     basis state row.  For a correctly compiled gate this equals the gate
     unitary times a constant whose squared magnitude is the success
-    probability.
+    probability.  Each entry is a permanent of an n x n block of the mode
+    unitary (see :func:`_rail_amplitudes`), not a Fock simulation.
     """
     return _rail_amplitudes(circuit.unitary().matrix, enc)
 
@@ -540,17 +542,20 @@ def logical_matrix(circuit: PhotonicCircuit, enc: QubitEncoding) -> np.ndarray:
 def _rail_amplitudes(unitary: np.ndarray, enc: QubitEncoding) -> np.ndarray:
     """:func:`logical_matrix` of the mode unitary ``unitary``.
 
-    The 2^n inputs run through one batched SLOS pass and are read at the
-    2^n rail outputs.
+    A rail state holds one photon per qubit on distinct modes, so entry
+    (row, col) is the permanent of the n x n block of ``unitary`` on the
+    rails of row (rows) and of col (columns), with no factorial factor.
+    All 4^n permanents go through Glynn's formula at once: the signed
+    sums of each output's rail rows are formed once, over every mode,
+    and each input reads its rail columns of them.  No n-photon basis is
+    built.
     """
     n = enc.n_qubits
-    dim = 1 << n
-    bits = (np.arange(dim)[:, None] >> np.arange(n - 1, -1, -1)) & 1
+    bits = (np.arange(1 << n)[:, None] >> np.arange(n - 1, -1, -1)) & 1
     rails = np.array(enc.qubit_pairs, dtype=np.intp)[np.arange(n), bits]
-    amps = batched_amplitudes(np.broadcast_to(unitary, (dim, *unitary.shape)), rails)
-    rows = np.zeros((dim, enc.n_modes), dtype=np.intp)
-    rows[np.arange(dim)[:, None], rails] = 1
-    return amps[:, enumerate_basis(enc.n_modes, n).rank(rows)].T
+    deltas, signs = _glynn_deltas(n)
+    sums = deltas @ unitary[rails]
+    return signs @ np.prod(sums[:, :, rails], axis=-1) / (1 << (n - 1))
 
 
 def encoding_input_state(
@@ -607,19 +612,26 @@ class GateCompiler:
     therefore formed by the same operations in the same order as from
     scratch, and every result is bit-identical to a fresh compile.  Gates
     without an angle (H, T, CNOT, Toffoli) are decomposed once per
-    compiler and ancilla assignment.  The compile check runs in full on
-    every call.  The record is one circuit deep.
+    compiler and ancilla assignment.  A rotation gate is looked up in the
+    last circuit's rotations (keyed by :class:`Gate`, rebuilt on every
+    compile, so it holds one circuit's worth) before it is decomposed, so
+    an unchanged angle after the first changed gate is not decomposed
+    again; the decomposition depends on the gate alone.  The compile
+    check runs in full on every call.  The record is one circuit deep.
     """
 
     def __init__(self, enc: QubitEncoding):
         self.enc = enc
         self._record: list[_CompiledGate] = []
         self._fixed: dict[tuple[Gate, tuple[int, ...]], tuple[CircuitElement, ...]] = {}
+        self._rotations: dict[Gate, tuple[CircuitElement, ...]] = {}
 
     def _decompose(self, gate: Gate, pool: list[int]) -> tuple[CircuitElement, ...]:
         """Elements of one gate; entangling gates take fresh ancillas from ``pool``."""
         enc = self.enc
         if gate.name in _ROTATION_GATES:
+            if gate in self._rotations:
+                return self._rotations[gate]
             mat = _single_qubit_matrix(gate)
             return tuple(two_mode_gate_elements(mat, *enc.qubit_pairs[gate.qubits[0]]))
         count = {"CNOT": 2, "TOFFOLI": 4}.get(gate.name, 0)
@@ -674,6 +686,9 @@ class GateCompiler:
             frozen.setflags(write=False)
             logical.setflags(write=False)
             record.append(_CompiledGate(gate, elements, frozen, logical, tuple(pool), success))
+        self._rotations = {
+            step.gate: step.elements for step in record if step.gate.name in _ROTATION_GATES
+        }
 
         realized = _rail_amplitudes(modes, enc)
         anchor = np.unravel_index(np.argmax(np.abs(logical)), logical.shape)
@@ -710,6 +725,10 @@ def compile_gate_circuit(
     raises ``CompilationError``.  The compiled circuit's unitary is built
     once: the check against the circuit's logical unitary reads it, and
     it is returned as the last item, so a caller need not build it again.
+    The check compares the logical matrix of that unitary, 4^n rail
+    permanents (:func:`logical_matrix`), with the gate product up to one
+    constant, to 1e-9, and the constant's squared magnitude with the
+    expected success probability.
     With a measurement word, the word's rotations are applied onto the
     checked matrix in element order, which gives exactly the matrix of
     the returned circuit's ``unitary()``.  The returned success

@@ -463,7 +463,8 @@ def coincidence_probability(
     """Probability that every listed mode clicks (threshold detectors)."""
     modes = list(modes)
     rows, values = outcome_arrays(dist)
-    m = rows.shape[1] if len(rows) else max(modes, default=-1) + 1
+    # an empty plain mapping gives (0, 0) rows, which carry no mode count
+    m = rows.shape[1] if rows.shape != (0, 0) else max(modes, default=-1) + 1
     outside = [q for q in modes if not 0 <= q < m]
     if outside:
         raise ValueError(f"modes {outside} lie outside the distribution's modes [0, {m})")

@@ -10,8 +10,10 @@ contrast classified row by row on every call, benchmark-plan
 weights from the dense 16^n correlation solve, a plan executed one
 configuration per executor call, the classifier chip built element by
 element, the mesh transfer matrix and its derivatives as products
-of per-element factors, and a VQE backend that compiles every circuit
-from scratch.
+of per-element factors, the element kernel with numpy scalars, the
+rail amplitudes of a mode unitary from a SLOS pass over the whole
+n-photon basis, and a VQE backend that compiles every circuit from
+scratch.
 """
 
 from __future__ import annotations
@@ -26,11 +28,12 @@ from lopsim.fock import (
     FockState,
     _gains,
     _successors,
+    batched_amplitudes,
     enumerate_basis,
     outcome_arrays,
     strong_simulate,
 )
-from lopsim.mesh import PhaseShifter, PhotonicCircuit
+from lopsim.mesh import DirectionalCoupler, ModePermutation, PhaseShifter, PhotonicCircuit
 from lopsim.qnn import (
     ENCODING_MODES,
     N_FEATURES,
@@ -552,6 +555,45 @@ def mesh_transfer_with_derivatives(
         else:
             du_refl[index] = product(i)
     return product(None), du_phase, du_refl
+
+
+def apply_element_numpy(u: np.ndarray, element) -> None:
+    """Left-multiply ``u`` in place by one element, with numpy scalars.
+
+    ``isinstance`` dispatch, ``np.sqrt`` coupler amplitudes and each
+    coupler row read twice; ``mesh._apply_element`` must match it bit
+    for bit.
+    """
+    if isinstance(element, PhaseShifter):
+        u[element.mode, :] *= np.exp(1j * element.phase)
+    elif isinstance(element, DirectionalCoupler):
+        a, b = element.mode_a, element.mode_b
+        t = np.sqrt(element.reflectivity)
+        k = 1j * np.sqrt(1.0 - element.reflectivity)
+        ra = t * u[a, :] + k * u[b, :]
+        rb = k * u[a, :] + t * u[b, :]
+        u[a, :] = ra
+        u[b, :] = rb
+    elif isinstance(element, ModePermutation):
+        u[list(element.targets), :] = u.copy()
+    else:
+        raise TypeError(f"unknown circuit element {element!r}")
+
+
+def rail_amplitudes_slos(unitary: np.ndarray, enc: QubitEncoding) -> np.ndarray:
+    """Logical matrix of a mode unitary from one batched SLOS pass.
+
+    The 2^n rail inputs run through ``batched_amplitudes`` over the whole
+    n-photon basis and are read at the 2^n rail outputs by rank.
+    """
+    n = enc.n_qubits
+    dim = 1 << n
+    bits = (np.arange(dim)[:, None] >> np.arange(n - 1, -1, -1)) & 1
+    rails = np.array(enc.qubit_pairs, dtype=np.intp)[np.arange(n), bits]
+    amps = batched_amplitudes(np.broadcast_to(unitary, (dim, *unitary.shape)), rails)
+    rows = np.zeros((dim, enc.n_modes), dtype=np.intp)
+    rows[np.arange(dim)[:, None], rails] = 1
+    return amps[:, enumerate_basis(enc.n_modes, n).rank(rows)].T
 
 
 class PerEvaluationVqeBackend(PhotonicVqeBackend):

@@ -22,10 +22,11 @@ from lopsim.mesh import (
     two_mode_gate_elements,
     unitary_to_elements,
     _adjoint_sweep,
+    _apply_element,
     _forward_sweep,
 )
 
-from _oracles import mesh_transfer_with_derivatives
+from _oracles import apply_element_numpy, mesh_transfer_with_derivatives
 
 
 def haar(m: int, seed: int) -> ModeUnitary:
@@ -89,6 +90,32 @@ class TestElements:
             @ element_unitary(PhaseShifter(0, 0.7), 2).matrix
         )
         assert np.allclose(u1, expected)
+
+
+_PHASES = st.sampled_from([0.0, -0.0, np.pi, -np.pi]) | st.floats(-50.0, 50.0)
+_REFLECTIVITIES = st.sampled_from([0.0, 1.0]) | st.floats(0.0, 1.0)
+
+
+@st.composite
+def _element_lists(draw):
+    m = draw(st.sampled_from([2, 6, 12]))
+    modes = st.integers(0, m - 1)
+    phase = st.builds(PhaseShifter, modes, _PHASES)
+    pair = st.lists(modes, min_size=2, max_size=2, unique=True)
+    coupler = st.builds(lambda ab, r: DirectionalCoupler(*ab, r), pair, _REFLECTIVITIES)
+    permutation = st.builds(ModePermutation, st.permutations(range(m)).map(tuple))
+    return m, draw(st.lists(phase | coupler | permutation, min_size=1, max_size=40))
+
+
+@settings(max_examples=200, deadline=None)
+@given(_element_lists())
+def test_element_kernel_matches_the_numpy_oracle(case):
+    m, elements = case
+    got, want = np.eye(m, dtype=complex), np.eye(m, dtype=complex)
+    for element in elements:
+        _apply_element(got, element)
+        apply_element_numpy(want, element)
+    assert got.tobytes() == want.tobytes()
 
 
 class TestTwoModeGate:

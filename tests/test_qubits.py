@@ -7,8 +7,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from _oracles import pauli_matrix
-from lopsim import qubits
+from _oracles import pauli_matrix, rail_amplitudes_slos
+from lopsim import fock, qubits
 from lopsim.fock import FockState, ModeUnitary, output_amplitude, strong_simulate
 from lopsim.mesh import PhotonicCircuit, two_mode_gate_elements
 from lopsim.qubits import (
@@ -534,12 +534,61 @@ def test_gate_compiler_decomposes_only_the_changed_tail(monkeypatch):
 
     monkeypatch.setattr(qubits, "two_mode_gate_elements", counted)
     compiler = GateCompiler(QubitEncoding.default(2))
-    gates = [Gate("RY", (0,), 0.1), Gate("CNOT", (0, 1)), Gate("RX", (1,), 0.2), Gate("H", (0,))]
+    gates = [
+        Gate("RY", (0,), 0.1), Gate("CNOT", (0, 1)), Gate("RX", (1,), 0.2),
+        Gate("RZ", (0,), 0.3), Gate("H", (0,)),
+    ]
     compiler.compile(GateCircuit(2, tuple(gates)))
-    assert len(calls) == 5  # RY, the CNOT's two Hadamards, RX, H
+    assert len(calls) == 6  # RY, the CNOT's two Hadamards, RX, RZ, H
     gates[2] = Gate("RX", (1,), 0.25)
     compiler.compile(GateCircuit(2, tuple(gates)))
-    assert len(calls) == 6  # only the new RX; the H after it is reused
+    assert len(calls) == 7  # only the new RX; the RZ and H after it are reused
+
+
+def test_gate_compiler_keeps_only_the_last_circuits_rotations():
+    compiler = GateCompiler(QubitEncoding.default(2))
+    for i in range(50):
+        gc = GateCircuit(
+            2, (Gate("RY", (0,), 0.01 * i), Gate("CNOT", (0, 1)), Gate("RZ", (1,), -0.02 * i))
+        )
+        compiler.compile(gc)
+    assert set(compiler._rotations) == {gc.gates[0], gc.gates[2]}
+
+
+@pytest.mark.parametrize("n_qubits", [1, 2, 3])
+def test_rail_amplitudes_match_the_slos_oracle(n_qubits):
+    enc = QubitEncoding.default(n_qubits)
+    for seed in range(4):
+        u = ModeUnitary.haar_random(enc.n_modes, np.random.default_rng([n_qubits, seed])).matrix
+        got, want = qubits._rail_amplitudes(u, enc), rail_amplitudes_slos(u, enc)
+        assert got.shape == want.shape == (1 << n_qubits, 1 << n_qubits)
+        assert np.max(np.abs(got - want)) <= 1e-13
+
+
+def test_compile_check_catches_a_dropped_coupler(monkeypatch):
+    cnot_elements = qubits._cnot_elements
+
+    def without_one_coupler(*args):
+        elements = cnot_elements(*args)
+        couplers = [e for e in elements if getattr(e, "reflectivity", None) == 1.0 / 3.0]
+        elements.remove(couplers[1])
+        return elements
+
+    monkeypatch.setattr(qubits, "_cnot_elements", without_one_coupler)
+    with pytest.raises(CompilationError, match="deviates from"):
+        compile_gate_circuit(GateCircuit(2, (Gate("CNOT", (0, 1)),)))
+
+
+def test_compile_check_runs_no_slos_pass(monkeypatch):
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return fock.batched_amplitudes(*args)
+
+    monkeypatch.setattr(qubits, "batched_amplitudes", counted)
+    compile_gate_circuit(GateCircuit(2, (Gate("H", (0,)), Gate("CNOT", (0, 1)))))
+    assert calls == []
 
 
 def read(rule, *rows):

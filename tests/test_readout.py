@@ -155,9 +155,9 @@ def test_ravel_puts_qubit_zero_first():
 
 def test_empty_distribution_has_no_accepted_outcome():
     rule = PostselectionRule(((0, 1),))
-    for empty in ({}, OutputDistribution(2, {})):
+    for empty, modes in (({}, 0), (OutputDistribution(2, {}), 2)):
         rows, values = outcome_arrays(empty)
-        assert rows.shape == (0, 0) and values.shape == (0,)
+        assert rows.shape == (0, modes) and values.shape == (0,)
         with pytest.raises(ValueError, match="postselection"):
             logical_distribution(empty, rule)
 

@@ -9,6 +9,7 @@ import pytest
 from lopsim.fock import (
     FockState,
     ModeUnitary,
+    OutputDistribution,
     distinguishable_probability,
     enumerate_basis,
     strong_simulate,
@@ -473,3 +474,11 @@ class TestFringeFit:
             dist = dict(dist.items())
         with pytest.raises(ValueError, match=re.escape(f"modes {bad} lie outside") + ".*8"):
             coincidence_probability(dist, modes)
+
+    def test_an_empty_distribution_keeps_its_mode_count(self):
+        empty = OutputDistribution(8, {})
+        assert empty.outcomes()[0].shape == (0, 8)
+        assert coincidence_probability(empty, (0, 7)) == 0.0
+        message = re.escape("modes [9] lie outside the distribution's modes [0, 8)")
+        with pytest.raises(ValueError, match=message):
+            coincidence_probability(empty, (9,))
