@@ -171,7 +171,7 @@ def pattern_distributions(
         if int(shots) <= 0:
             raise ValueError(f"shots must be positive, got {shots}")
         if rng is None:
-            rng = np.random.default_rng()
+            raise ValueError("sampled shots need a seeded rng; got rng=None")
         pvals = merged / merged.sum(axis=1, keepdims=True)
         merged = rng.multinomial(int(shots), pvals) / float(shots)
     return merged

@@ -1,18 +1,20 @@
 """Statistical validation of multiphoton sampling experiments.
 
-Two running counters discriminate a stream of collision-free detection
-events against rival samplers, stepping by +1 or -1 per event:
+One :class:`CollisionFreeReference` per experiment holds the two vectors
+every draw and counter step reads: the ideal (coherent) and the
+distinguishable (classical routing) probabilities over
+``enumerate_basis(m, n)``, zero on the bunched rows and renormalized over
+the collision-free ones.  :func:`collision_free_reference` builds it from
+one ``strong_simulate(..., collision_free=True)`` and one
+``noisy_simulate`` with a fully distinguishable (m = 0) source.
 
-* the uniform-sampler counter compares the ideal interference
-  probability of each outcome against the uniform distribution over
-  collision-free patterns;
-* the distinguishable-sampler counter compares the ideal (permanent
-  squared) probability against the classical routing probability
-  (permanent of the squared moduli).
-
-Both are likelihood-ratio tests conditioned on the collision-free
-sector: an event increments its counter when the outcome is at least as
-likely under coherent interference as under the rival hypothesis, so a
+:func:`sample_outcomes` draws events from either vector or uniformly over
+the K = C(m, n) collision-free patterns.  :func:`run_validation` ranks
+each event once and steps two likelihood-ratio counters by +1 or -1:
+the uniform-sampler counter (Aaronson and Arkhipov) steps up when the
+event's ideal probability is at least 1/K, the distinguishable-sampler
+counter (Spagnolo et al.) when it is at least the distinguishable one;
+an event both hypotheses rule out is logged and counted against.  A
 positive long-run slope favors genuine multiphoton interference.
 
 The module also provides a distribution-level comparison (fidelity,
@@ -23,11 +25,12 @@ from __future__ import annotations
 
 import logging
 from dataclasses import dataclass, field, replace
-from typing import Iterable, Sequence
+from math import comb
+from typing import Iterable
 
 import numpy as np
 
-from .fock import FockState, ModeUnitary, enumerate_basis, permanent, strong_simulate
+from .fock import FockState, ModeUnitary, enumerate_basis, strong_simulate
 from .sources import SourceModel, build_input, noisy_simulate
 
 __all__ = [
@@ -35,8 +38,6 @@ __all__ = [
     "DistributionComparison",
     "CollisionFreeReference",
     "collision_free_reference",
-    "aa_counter_update",
-    "lr_counter_update",
     "sample_outcomes",
     "run_validation",
     "counter_trajectory_csv",
@@ -69,17 +70,6 @@ class CounterState:
         if self.checkpoint_every < 1:
             raise ValueError("checkpoint cadence must be at least 1 event")
 
-    def advanced(self, step: int) -> "CounterState":
-        """State after one event moving the counter by ``step``."""
-        if step not in (1, -1):
-            raise ValueError(f"counter steps must be +1 or -1, got {step}")
-        samples = self.samples + 1
-        value = self.value + step
-        checkpoints = self.checkpoints
-        if samples % self.checkpoint_every == 0:
-            checkpoints = checkpoints + ((samples, value),)
-        return replace(self, value=value, samples=samples, checkpoints=checkpoints)
-
 
 @dataclass(frozen=True)
 class DistributionComparison:
@@ -100,171 +90,69 @@ class DistributionComparison:
         self.residuals.setflags(write=False)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class CollisionFreeReference:
-    """Collision-free sector constants of one sampling experiment.
+    """The two collision-free distributions of one m-mode, n-photon experiment.
 
-    Attributes:
-        ideal_mass: total ideal probability of collision-free outcomes.
-        classical_mass: same total under classical (distinguishable)
-            routing.
-        n_outcomes: number of collision-free patterns, C(m, n).
+    ``ideal`` (coherent) and ``distinguishable`` (classical routing) are
+    read-only probability vectors over ``enumerate_basis(m, n)``, zero on
+    the bunched rows and renormalized over the collision-free ones;
+    ``ideal_mass`` and ``classical_mass`` are the collision-free mass of
+    each before renormalization.
     """
 
+    m: int
+    n: int
+    ideal: np.ndarray
+    distinguishable: np.ndarray
     ideal_mass: float
     classical_mass: float
-    n_outcomes: int
 
     def __post_init__(self) -> None:
+        if self.n_outcomes < 1:
+            raise ValueError("need at least one collision-free outcome")
+        size = len(enumerate_basis(self.m, self.n))
+        if np.shape(self.ideal) != (size,) or np.shape(self.distinguishable) != (size,):
+            raise ValueError(f"reference vectors must cover the ({self.m}, {self.n}) basis")
         if not 0.0 < self.ideal_mass <= 1.0 + 1e-9:
             raise ValueError("ideal collision-free mass must lie in (0, 1]")
         if not 0.0 < self.classical_mass <= 1.0 + 1e-9:
             raise ValueError("classical collision-free mass must lie in (0, 1]")
-        if self.n_outcomes < 1:
-            raise ValueError("need at least one collision-free outcome")
+        self.ideal.setflags(write=False)
+        self.distinguishable.setflags(write=False)
 
-
-def _check_modes(unitary: ModeUnitary, detected: Sequence[int], inputs: Sequence[int]):
-    detected = tuple(int(i) for i in detected)
-    inputs = tuple(int(j) for j in inputs)
-    if len(detected) != len(inputs):
-        raise ValueError(
-            f"{len(detected)} detected modes for {len(inputs)} input photons"
-        )
-    for group, name in ((detected, "detected"), (inputs, "input")):
-        if len(set(group)) != len(group):
-            raise ValueError(f"{name} modes must be distinct")
-        if any(not 0 <= mode < unitary.m for mode in group):
-            raise ValueError(f"{name} modes out of range for m={unitary.m}")
-    return detected, inputs
-
-
-def _collision_free_mask(m: int, n: int) -> np.ndarray:
-    """Mask of the collision-free rows of ``enumerate_basis(m, n)``.
-
-    Every collision-free row, weight and draw is taken through this one
-    mask, so they all list the outcomes in basis order.
-    """
-    return np.all(enumerate_basis(m, n).occupations <= 1, axis=1)
-
-
-def _collision_free_probabilities(
-    unitary: ModeUnitary, input_state: FockState
-) -> tuple[np.ndarray, np.ndarray]:
-    """Ideal and classical probabilities of the collision-free outcomes.
-
-    One coherent and one classical pass over the full basis, restricted
-    to the collision-free rows and not renormalized.
-    """
-    n = input_state.n
-    distinguishable = build_input(
-        n, SourceModel(indistinguishability=0.0), modes=input_state.modes()
-    )
-    free = _collision_free_mask(unitary.m, n)
-    ideal = strong_simulate(unitary, input_state).sectors[n][free]
-    classical = noisy_simulate(unitary, distinguishable).sectors[n][free]
-    return ideal, classical
+    @property
+    def n_outcomes(self) -> int:
+        """Number of collision-free patterns, C(m, n)."""
+        return comb(self.m, self.n)
 
 
 def collision_free_reference(
     unitary: ModeUnitary, input_state: FockState
 ) -> CollisionFreeReference:
-    """Precompute the sector constants the counters normalize by."""
+    """Both collision-free distributions, from one coherent and one classical pass."""
     if not input_state.is_collision_free():
         raise ValueError("reference requires a collision-free input state")
-    ideal, classical = _collision_free_probabilities(unitary, input_state)
+    m, n = unitary.m, input_state.n
+    coherent = strong_simulate(unitary, input_state, collision_free=True)
+    distinguishable = build_input(
+        n, SourceModel(indistinguishability=0.0), modes=input_state.modes()
+    )
+    classical = noisy_simulate(unitary, distinguishable).sectors[n]
+    free = np.all(enumerate_basis(m, n).occupations <= 1, axis=1)
+    classical_mass = classical[free].sum()
     return CollisionFreeReference(
-        ideal_mass=float(ideal.sum()),
-        classical_mass=float(classical.sum()),
-        n_outcomes=len(ideal),
+        m=m,
+        n=n,
+        ideal=coherent.sectors[n],
+        distinguishable=np.where(free, classical / classical_mass, 0.0),
+        ideal_mass=coherent.subspace_weight,
+        classical_mass=float(classical_mass),
     )
 
 
-def aa_counter_update(
-    state: CounterState,
-    unitary: ModeUnitary,
-    detected: Sequence[int],
-    inputs: Sequence[int],
-    reference: CollisionFreeReference | None = None,
-) -> CounterState:
-    """Advance the counter that discriminates against uniform sampling.
-
-    The statistic is the event's ideal probability, conditioned on the
-    collision-free sector, times the number of collision-free patterns;
-    values >= 1 mean the outcome is at least as likely under coherent
-    interference as under uniform sampling and increment the counter.
-
-    Args:
-        state: counter to advance.
-        unitary: interferometer under test.
-        detected: modes that clicked (one photon each).
-        inputs: occupied input modes.
-        reference: precomputed sector constants; computed on the fly
-            when omitted (costly, prefer :func:`collision_free_reference`
-            once per experiment).
-    """
-    detected, inputs = _check_modes(unitary, detected, inputs)
-    if reference is None:
-        reference = collision_free_reference(
-            unitary, FockState.from_modes(unitary.m, inputs)
-        )
-    sub = unitary.matrix[np.ix_(detected, inputs)]
-    ideal = abs(permanent(sub)) ** 2 / reference.ideal_mass
-    return state.advanced(1 if ideal * reference.n_outcomes >= 1.0 else -1)
-
-
-def lr_counter_update(
-    state: CounterState,
-    unitary: ModeUnitary,
-    detected: Sequence[int],
-    inputs: Sequence[int],
-    reference: CollisionFreeReference | None = None,
-) -> CounterState:
-    """Advance the counter that discriminates against classical routing.
-
-    The statistic is the ratio of the ideal outcome probability
-    |Perm(U_sub)|^2 to the classical routing probability
-    Perm(|U_sub|^2), each conditioned on the collision-free sector;
-    ratios >= 1 increment the counter.  A doubly vanishing ratio (both
-    permanents zero, possible only for block-structured unitaries) is
-    logged and counted as a decrement.
-    """
-    detected, inputs = _check_modes(unitary, detected, inputs)
-    if reference is None:
-        reference = collision_free_reference(
-            unitary, FockState.from_modes(unitary.m, inputs)
-        )
-    sub = unitary.matrix[np.ix_(detected, inputs)]
-    q = abs(permanent(sub)) ** 2
-    p = float(np.real(permanent(np.abs(sub) ** 2)))
-    if p <= 0.0:
-        if q <= 0.0:
-            _LOGGER.warning(
-                "outcome %s unreachable under both hypotheses; counting it against",
-                detected,
-            )
-            return state.advanced(-1)
-        return state.advanced(1)
-    ratio = (q / reference.ideal_mass) / (p / reference.classical_mass)
-    return state.advanced(1 if ratio >= 1.0 else -1)
-
-
-def _collision_free_weights(
-    unitary: ModeUnitary, input_state: FockState, hypothesis: str
-) -> np.ndarray:
-    if hypothesis not in HYPOTHESES:
-        raise ValueError(f"unknown hypothesis {hypothesis!r}; expected {HYPOTHESES}")
-    if hypothesis == "uniform":
-        size = np.count_nonzero(_collision_free_mask(unitary.m, input_state.n))
-        return np.full(size, 1.0 / size)
-    ideal, classical = _collision_free_probabilities(unitary, input_state)
-    weights = ideal if hypothesis == "ideal" else classical
-    return weights / weights.sum()
-
-
 def sample_outcomes(
-    unitary: ModeUnitary,
-    input_state: FockState,
+    reference: CollisionFreeReference,
     n_events: int,
     rng: np.random.Generator,
     hypothesis: str = "ideal",
@@ -272,8 +160,7 @@ def sample_outcomes(
     """Draw collision-free detection events from a chosen sampler.
 
     Args:
-        unitary: interferometer.
-        input_state: collision-free multi-photon input.
+        reference: the experiment's collision-free distributions.
         n_events: number of events to draw.
         rng: random generator.
         hypothesis: "ideal" (coherent interference), "uniform", or
@@ -282,38 +169,58 @@ def sample_outcomes(
     """
     if n_events < 1:
         raise ValueError("n_events must be positive")
-    if not input_state.is_collision_free():
-        raise ValueError("sampling requires a collision-free input state")
-    weights = _collision_free_weights(unitary, input_state, hypothesis)
-    occupations = enumerate_basis(unitary.m, input_state.n).occupations
-    rows = occupations[_collision_free_mask(unitary.m, input_state.n)]
+    if hypothesis not in HYPOTHESES:
+        raise ValueError(f"unknown hypothesis {hypothesis!r}; expected {HYPOTHESES}")
+    rows = enumerate_basis(reference.m, reference.n).occupations
+    if hypothesis == "uniform":
+        weights = np.where(np.all(rows <= 1, axis=1), 1.0 / reference.n_outcomes, 0.0)
+    else:
+        weights = reference.ideal if hypothesis == "ideal" else reference.distinguishable
     picks = rng.choice(len(rows), size=n_events, p=weights)
     return tuple(FockState(tuple(rows[i].tolist())) for i in picks)
 
 
+def _counter(steps: np.ndarray, checkpoint_every: int) -> CounterState:
+    """Counter state after a +/-1 step per event, from one cumulative sum."""
+    state = CounterState(int(steps.sum()), len(steps), checkpoint_every)
+    values = np.cumsum(steps)
+    marks = np.arange(checkpoint_every, len(steps) + 1, checkpoint_every)
+    return replace(state, checkpoints=tuple(zip(marks.tolist(), values[marks - 1].tolist())))
+
+
 def run_validation(
-    unitary: ModeUnitary,
-    input_state: FockState,
+    reference: CollisionFreeReference,
     events: Iterable[FockState],
     checkpoint_every: int = 20,
 ) -> tuple[CounterState, CounterState]:
     """Run both counters over an event stream.
 
-    Returns the (uniform-sampler, distinguishable-sampler) counter
-    states after all events.  Replaying the same stream reproduces the
-    trajectories bit-exactly.
+    Each event is ranked once in ``enumerate_basis(m, n)`` and both
+    counters' steps are read from the reference's vectors.  Returns the
+    (uniform-sampler, distinguishable-sampler) counter states after all
+    events; replaying the same stream reproduces them bit-exactly.
     """
-    reference = collision_free_reference(unitary, input_state)
-    inputs = input_state.modes()
-    aa = CounterState(checkpoint_every=checkpoint_every)
-    lr = CounterState(checkpoint_every=checkpoint_every)
+    m, n = reference.m, reference.n
+    events = list(events)
     for event in events:
+        if event.m != m:
+            raise ValueError(f"event {event} has {event.m} modes, out of range for m={m}")
         if not event.is_collision_free():
-            raise ValueError(f"event {event} is not collision-free")
-        detected = event.modes()
-        aa = aa_counter_update(aa, unitary, detected, inputs, reference)
-        lr = lr_counter_update(lr, unitary, detected, inputs, reference)
-    return aa, lr
+            raise ValueError(f"event {event} is not collision-free: modes must be distinct")
+        if event.n != n:
+            raise ValueError(f"{event.n} detected modes for {n} input photons")
+    rows = np.array([event.occupations for event in events], dtype=np.int8).reshape(-1, m)
+    index = enumerate_basis(m, n).rank(rows)
+    ideal = reference.ideal[index]
+    distinguishable = reference.distinguishable[index]
+    unreachable = (ideal <= 0.0) & (distinguishable <= 0.0)
+    for i in np.flatnonzero(unreachable):
+        _LOGGER.warning(
+            "outcome %s unreachable under both hypotheses; counting it against", events[i]
+        )
+    aa = np.where(ideal * reference.n_outcomes >= 1.0, 1, -1)
+    lr = np.where((ideal >= distinguishable) & ~unreachable, 1, -1)
+    return _counter(aa, checkpoint_every), _counter(lr, checkpoint_every)
 
 
 def counter_trajectory_csv(aa: CounterState, lr: CounterState) -> str:
@@ -325,8 +232,7 @@ def counter_trajectory_csv(aa: CounterState, lr: CounterState) -> str:
     """
     if aa.checkpoint_every != lr.checkpoint_every or aa.samples != lr.samples:
         raise ValueError("counters were not advanced in lockstep")
-    rows = ["sample_index,A,C"]
-    rows.append("0,0,0")
+    rows = ["sample_index,A,C", "0,0,0"]
     for (idx_a, val_a), (idx_c, val_c) in zip(aa.checkpoints, lr.checkpoints):
         if idx_a != idx_c:
             raise ValueError("checkpoint histories are not aligned")
@@ -342,7 +248,7 @@ def compare_distributions(
     """Fidelity and total variation distance between aligned distributions.
 
     Fidelity is the Bhattacharyya overlap sum(sqrt(p*q)); the distance
-    is half the L1 norm of the difference.  Both inputs must be
+    is half the L1 norm of the difference.  Both inputs must be finite
     probability vectors over the same outcome ordering.
     """
     p = np.asarray(ideal, dtype=float)
@@ -350,6 +256,8 @@ def compare_distributions(
     if p.shape != q.shape or p.ndim != 1 or p.size == 0:
         raise ValueError("distributions must be equal-length 1-d vectors")
     for name, vec in (("ideal", p), ("experimental", q)):
+        if not np.all(np.isfinite(vec)):
+            raise ValueError(f"{name} distribution has NaN or infinite entries")
         if np.any(vec < -1e-12):
             raise ValueError(f"{name} distribution has negative entries")
         if abs(vec.sum() - 1.0) > 1e-6:

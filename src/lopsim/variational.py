@@ -303,21 +303,21 @@ def measure_energy(
     h: QubitHamiltonian,
     theta: Sequence[float],
     backend: PhotonicVqeBackend,
-    shots: int | None = 10000,
+    shots: int | None = None,
     mitigation: Mapping[str, MitigationMatrix] | None = None,
     rng: np.random.Generator | None = None,
 ) -> float:
     """One energy evaluation from the two measurement settings.
 
-    ``shots`` counts postselected samples per setting; None uses the
-    exact distributions (infinite-shot limit).  ``mitigation`` maps a
-    setting name to its confusion matrix; missing entries leave that
-    setting unmitigated.
+    ``shots`` counts postselected samples per setting, drawn from
+    ``rng``, which is then required; None uses the exact distributions
+    (infinite-shot limit).  ``mitigation`` maps a setting name to its
+    confusion matrix; missing entries leave that setting unmitigated.
     """
     if shots is not None and int(shots) <= 0:
         raise ValueError(f"shots must be positive, got {shots}")
-    if rng is None:
-        rng = np.random.default_rng()
+    if shots is not None and rng is None:
+        raise ValueError("sampled shots need a seeded rng; got rng=None")
     settings = {}
     for basis in BASES:
         p = backend.distribution(ansatz_circuit(theta, basis))

@@ -2,7 +2,8 @@
 
 Each function here recomputes a quantity through a route independent of
 the library code: Fock bases filtered from every occupation tuple,
-factorial-cost permanents, full second-quantized
+factorial-cost permanents, the collision-free sampling probabilities and
+validation counters from one permanent pair per pattern, full second-quantized
 state-vector evolution, explicit classical routing enumeration, the
 noisy-source output summed over every labeled branch, the trigger sum
 with a coherent pass from scratch for every shared set, the cyclic-fringe
@@ -86,6 +87,54 @@ def permanent_by_permutations(a: np.ndarray) -> complex:
             term *= a[i, j]
         total += term
     return total
+
+
+def collision_free_probabilities_by_permanents(
+    u: np.ndarray, input_modes
+) -> dict[tuple[int, ...], tuple[float, float]]:
+    """Ideal and classical probability of every collision-free pattern.
+
+    Keyed by the detected modes: ``|Perm(U_sub)|^2`` and
+    ``Perm(|U_sub|^2)``, each divided by its sum over all C(m, n)
+    patterns, with factorial-cost permanents.
+    """
+    input_modes = tuple(input_modes)
+    pairs = {}
+    for detected in itertools.combinations(range(u.shape[0]), len(input_modes)):
+        sub = u[np.ix_(detected, input_modes)]
+        pairs[detected] = (
+            abs(permanent_by_permutations(sub)) ** 2,
+            permanent_by_permutations(np.abs(sub) ** 2).real,
+        )
+    ideal_mass = sum(q for q, _ in pairs.values())
+    classical_mass = sum(p for _, p in pairs.values())
+    return {d: (q / ideal_mass, p / classical_mass) for d, (q, p) in pairs.items()}
+
+
+def counter_trajectories_by_permanents(
+    u: np.ndarray, input_modes, events, checkpoint_every: int
+) -> tuple[tuple[int, int, tuple[tuple[int, int], ...]], ...]:
+    """Both validation counters as (value, samples, checkpoints), event by event.
+
+    An event steps the uniform-sampler counter up when its conditioned
+    ideal probability times C(m, n) is at least 1, and the
+    distinguishable-sampler counter up when its conditioned ideal
+    probability is at least its classical one and not both are zero;
+    every other step is down.
+    """
+    input_modes = tuple(input_modes)
+    probabilities = collision_free_probabilities_by_permanents(u, input_modes)
+    k = comb(u.shape[0], len(input_modes))
+    counters = [[0, 0, []], [0, 0, []]]
+    for event in events:
+        q, p = probabilities[event.modes()]
+        steps = (1 if q * k >= 1.0 else -1, 1 if q >= p and q + p > 0.0 else -1)
+        for counter, step in zip(counters, steps):
+            counter[0] += step
+            counter[1] += 1
+            if counter[1] % checkpoint_every == 0:
+                counter[2].append((counter[1], counter[0]))
+    return tuple((value, samples, tuple(marks)) for value, samples, marks in counters)
 
 
 def evolve_state_vector(u: np.ndarray, input_state: FockState) -> dict[FockState, complex]:

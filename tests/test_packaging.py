@@ -1,9 +1,9 @@
 """Packaging metadata: an installed copy carries every bundled data file,
 every console script resolves to a callable, every name a module exports
 or the package imports exists, no module-level definition, method or
-property is dead, and importing the package (or running ``lopsim
-fringe``) loads no scipy module, so a fresh process starts without
-paying for it."""
+property is dead, no module draws from an unseeded generator, and
+importing the package (or running ``lopsim fringe``) loads no scipy
+module, so a fresh process starts without paying for it."""
 
 import ast
 import importlib
@@ -148,6 +148,22 @@ def test_no_module_imports_scipy_at_import_time():
             else:
                 continue
             if any(name.split(".")[0] == "scipy" for name in names):
+                offenders.append(f"{path.name}:{node.lineno}")
+    assert offenders == []
+
+
+def test_no_module_draws_from_an_unseeded_generator():
+    # A bare default_rng() seeds itself from the OS, so its draws differ
+    # from run to run.
+    offenders = []
+    for path in sorted((ROOT / "src" / "lopsim").glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if (
+                isinstance(node, ast.Call)
+                and getattr(node.func, "attr", getattr(node.func, "id", None)) == "default_rng"
+                and not node.args
+                and not node.keywords
+            ):
                 offenders.append(f"{path.name}:{node.lineno}")
     assert offenders == []
 

@@ -167,6 +167,14 @@ def test_batched_shots_draw_rows_in_sample_order():
     assert np.array_equal(batched, np.array(rows))
 
 
+def test_shots_without_rng_raise():
+    theta, phases = np.zeros(N_THETA), np.zeros((2, N_FEATURES))
+    with pytest.raises(ValueError, match="rng"):
+        pattern_distributions(theta, phases, shots=300)
+    with pytest.raises(ValueError, match="rng"):
+        pattern_distribution(theta, phases[0], shots=300)
+
+
 def test_predict_matches_per_sample_forward():
     model = unit_model(RNG.normal(size=(3, len(pattern_space()))))
     features = RNG.uniform(0.0, 1.0, (7, N_FEATURES))

@@ -1,28 +1,37 @@
 """Validation counters and distribution comparison.
 
-The collision-free sector masses are checked against state-vector
-evolution and explicit classical routing from ``_oracles.py``.
+The collision-free reference is checked against state-vector evolution,
+explicit classical routing and per-pattern permanents, and the counters
+against an event-by-event permanent oracle, all from ``_oracles.py``.
 """
+
+import logging
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from lopsim.fock import FockState, ModeUnitary, permanent
+from lopsim import validation
+from lopsim.fock import FockState, ModeUnitary, enumerate_basis, permanent
 from lopsim.validation import (
     CollisionFreeReference,
     CounterState,
     DistributionComparison,
-    aa_counter_update,
     collision_free_reference,
     compare_distributions,
-    _collision_free_weights,
     counter_trajectory_csv,
-    lr_counter_update,
     run_validation,
     sample_outcomes,
 )
 
-from _oracles import classical_routing_probability, evolve_state_vector, fock_basis_rows
+from _oracles import (
+    classical_routing_probability,
+    collision_free_probabilities_by_permanents,
+    counter_trajectories_by_permanents,
+    evolve_state_vector,
+    fock_basis_rows,
+)
 
 
 def haar(m: int, seed: int) -> ModeUnitary:
@@ -31,6 +40,10 @@ def haar(m: int, seed: int) -> ModeUnitary:
 
 def collision_free_states(m: int, n: int) -> list[FockState]:
     return [FockState(tuple(row)) for row in fock_basis_rows(m, n, True).tolist()]
+
+
+def collision_free_rows(m: int, n: int) -> np.ndarray:
+    return np.all(enumerate_basis(m, n).occupations <= 1, axis=1)
 
 
 def test_reference_masses_match_oracles():
@@ -58,30 +71,37 @@ def test_one_pass_weights_equal_per_state_permanents(m):
     assert ref.n_outcomes == len(cf)
     assert ref.ideal_mass == pytest.approx(ideal.sum(), abs=1e-12)
     assert ref.classical_mass == pytest.approx(classical.sum(), abs=1e-12)
-    for hypothesis, per_state in (("ideal", ideal), ("distinguishable", classical)):
-        weights = _collision_free_weights(u, inp, hypothesis)
-        assert np.allclose(weights, per_state / per_state.sum(), rtol=0, atol=1e-12)
+    free = collision_free_rows(m, inp.n)
+    for vec, per_state in ((ref.ideal, ideal), (ref.distinguishable, classical)):
+        assert not vec[~free].any()
+        assert np.allclose(vec[free], per_state / per_state.sum(), rtol=0, atol=1e-12)
 
 
 def test_sampler_draws_the_rows_its_weights_were_built_for():
+    # Drawing over the whole basis, bunched rows at weight 0, picks the
+    # same rows as drawing over the collision-free rows alone.
     u = haar(6, 5)
     inp = FockState.from_modes(6, (0, 2, 4))
+    ref = collision_free_reference(u, inp)
     cf = collision_free_states(6, 3)
-    for hypothesis in ("ideal", "uniform", "distinguishable"):
-        weights = _collision_free_weights(u, inp, hypothesis)
+    free = collision_free_rows(6, 3)
+    for hypothesis, weights in (
+        ("ideal", ref.ideal[free]),
+        ("uniform", np.full(len(cf), 1.0 / len(cf))),
+        ("distinguishable", ref.distinguishable[free]),
+    ):
         picks = np.random.default_rng(3).choice(len(cf), size=50, p=weights)
-        events = sample_outcomes(u, inp, 50, np.random.default_rng(3), hypothesis)
+        events = sample_outcomes(ref, 50, np.random.default_rng(3), hypothesis)
         assert events == tuple(cf[i] for i in picks)
 
 
 def test_run_validation_replays_bit_exactly():
-    u = haar(8, 1)
-    inp = FockState.from_modes(8, (0, 1, 2))
-    events = sample_outcomes(u, inp, 90, np.random.default_rng(7))
-    again = sample_outcomes(u, inp, 90, np.random.default_rng(7))
+    ref = collision_free_reference(haar(8, 1), FockState.from_modes(8, (0, 1, 2)))
+    events = sample_outcomes(ref, 90, np.random.default_rng(7))
+    again = sample_outcomes(ref, 90, np.random.default_rng(7))
     assert events == again
-    first = run_validation(u, inp, events, checkpoint_every=20)
-    assert run_validation(u, inp, again, checkpoint_every=20) == first
+    first = run_validation(ref, events, checkpoint_every=20)
+    assert run_validation(ref, again, checkpoint_every=20) == first
     aa, lr = first
     assert aa.samples == lr.samples == 90
     assert [idx for idx, _ in aa.checkpoints] == [20, 40, 60, 80]
@@ -92,22 +112,78 @@ def test_run_validation_replays_bit_exactly():
 
 
 def test_ideal_events_push_both_counters_up():
-    u = haar(8, 0)
-    inp = FockState.from_modes(8, (0, 1, 2))
-    ideal = sample_outcomes(u, inp, 300, np.random.default_rng(100))
-    aa, lr = run_validation(u, inp, ideal)
+    ref = collision_free_reference(haar(8, 0), FockState.from_modes(8, (0, 1, 2)))
+    ideal = sample_outcomes(ref, 300, np.random.default_rng(100))
+    aa, lr = run_validation(ref, ideal)
     assert aa.value > 0 and lr.value > 0
-    uniform = sample_outcomes(u, inp, 300, np.random.default_rng(100), hypothesis="uniform")
-    assert run_validation(u, inp, uniform)[0].value < 0
+    uniform = sample_outcomes(ref, 300, np.random.default_rng(100), hypothesis="uniform")
+    assert run_validation(ref, uniform)[0].value < 0
 
 
-def test_counter_updates_compute_missing_reference():
-    u = haar(5, 2)
-    inp = FockState.from_modes(5, (0, 1))
-    ref = collision_free_reference(u, inp)
-    for update in (aa_counter_update, lr_counter_update):
-        with_ref = update(CounterState(), u, (2, 4), (0, 1), ref)
-        assert update(CounterState(), u, (2, 4), (0, 1)) == with_ref
+def test_reference_is_the_only_simulation(monkeypatch):
+    calls = {"strong_simulate": 0, "noisy_simulate": 0}
+
+    def counted(name):
+        original = getattr(validation, name)
+
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return original(*args, **kwargs)
+
+        return wrapper
+
+    for name in calls:
+        monkeypatch.setattr(validation, name, counted(name))
+    assert not hasattr(validation, "permanent")
+    ref = collision_free_reference(haar(6, 2), FockState.from_modes(6, (1, 3, 5)))
+    assert calls == {"strong_simulate": 1, "noisy_simulate": 1}
+    for hypothesis in validation.HYPOTHESES:
+        events = sample_outcomes(ref, 40, np.random.default_rng(1), hypothesis)
+        run_validation(ref, events, checkpoint_every=3)
+    assert calls == {"strong_simulate": 1, "noisy_simulate": 1}
+
+
+@settings(max_examples=25, deadline=None)
+@given(
+    m=st.integers(3, 8),
+    data=st.data(),
+    seed=st.integers(0, 2**32 - 1),
+    cadence=st.integers(1, 10),
+)
+def test_reference_and_counters_match_permanent_oracles(m, data, seed, cadence):
+    # n >= 2: for one photon the two hypotheses coincide exactly, so the
+    # distinguishable-sampler step is a rounding tie.
+    n = data.draw(st.integers(2, min(m, 6)))
+    modes = data.draw(st.lists(st.integers(0, m - 1), min_size=n, max_size=n, unique=True))
+    rng = np.random.default_rng(seed)
+    u = ModeUnitary.haar_random(m, rng)
+    ref = collision_free_reference(u, FockState.from_modes(m, modes))
+    oracle = collision_free_probabilities_by_permanents(u.matrix, sorted(modes))
+    basis = enumerate_basis(m, n)
+    index = basis.rank(np.array([FockState.from_modes(m, d).occupations for d in oracle]))
+    expected = np.array(list(oracle.values()))
+    for vec, column in ((ref.ideal, 0), (ref.distinguishable, 1)):
+        assert np.allclose(vec[index], expected[:, column], rtol=0, atol=1e-12)
+        assert vec.sum() == pytest.approx(1.0, abs=1e-12)
+    hypothesis = data.draw(st.sampled_from(validation.HYPOTHESES))
+    events = sample_outcomes(ref, 60, rng, hypothesis)
+    aa, lr = run_validation(ref, events, checkpoint_every=cadence)
+    assert ((aa.value, aa.samples, aa.checkpoints), (lr.value, lr.samples, lr.checkpoints)) == (
+        counter_trajectories_by_permanents(u.matrix, sorted(modes), events, cadence)
+    )
+
+
+def test_event_unreachable_under_both_hypotheses_counts_against(caplog):
+    # Photons entering the first 2 x 2 block never reach modes 2 and 3.
+    block = np.zeros((4, 4), dtype=complex)
+    block[:2, :2] = haar(2, 0).matrix
+    block[2:, 2:] = haar(2, 1).matrix
+    ref = collision_free_reference(ModeUnitary(block), FockState((1, 1, 0, 0)))
+    with caplog.at_level(logging.WARNING, logger="lopsim.validation"):
+        aa, lr = run_validation(ref, [FockState((1, 1, 0, 0)), FockState((0, 0, 1, 1))], 1)
+    assert ["unreachable" in r.getMessage() for r in caplog.records] == [True]
+    assert "0011" in caplog.records[0].getMessage()
+    assert aa.checkpoints == lr.checkpoints == ((1, 1), (2, 0))
 
 
 def test_compare_identical_and_disjoint():
@@ -121,7 +197,8 @@ def test_compare_identical_and_disjoint():
 
 
 U5 = haar(5, 4)
-CF_INPUT = FockState.from_modes(5, (0, 1))
+REF5 = collision_free_reference(U5, FockState.from_modes(5, (0, 1)))
+V15 = np.full(15, 0.1)
 BUNCHED = FockState((2, 0, 0, 0, 0))
 
 
@@ -129,23 +206,23 @@ BUNCHED = FockState((2, 0, 0, 0, 0))
     "call, match",
     [
         (lambda: CounterState(checkpoint_every=0), "cadence"),
-        (lambda: CounterState().advanced(2), "steps"),
+        (lambda: run_validation(REF5, [FockState((0, 1, 1, 0, 0))], 0), "at least 1 event"),
         (lambda: DistributionComparison(1.5, 0.0, np.zeros(1)), "fidelity"),
         (lambda: DistributionComparison(1.0, -0.1, np.zeros(1)), "variation"),
-        (lambda: CollisionFreeReference(0.0, 0.5, 1), "ideal"),
-        (lambda: CollisionFreeReference(0.5, 1.5, 1), "classical"),
-        (lambda: CollisionFreeReference(0.5, 0.5, 0), "at least one"),
+        (lambda: CollisionFreeReference(5, 2, V15, V15, 0.0, 0.5), "ideal"),
+        (lambda: CollisionFreeReference(5, 2, V15, V15, 0.5, 1.5), "classical"),
+        (lambda: CollisionFreeReference(2, 3, np.zeros(4), np.zeros(4), 0.5, 0.5), "at least one"),
+        (lambda: CollisionFreeReference(5, 2, V15, np.zeros(10), 0.5, 0.5), "cover the"),
         (lambda: collision_free_reference(U5, BUNCHED), "collision-free input"),
-        (lambda: aa_counter_update(CounterState(), U5, (1,), (0, 1)), "1 detected modes"),
-        (lambda: aa_counter_update(CounterState(), U5, (1, 1), (0, 1)), "distinct"),
-        (lambda: lr_counter_update(CounterState(), U5, (1, 2), (0, 5)), "out of range"),
-        (lambda: sample_outcomes(U5, CF_INPUT, 0, np.random.default_rng(0)), "n_events"),
-        (lambda: sample_outcomes(U5, BUNCHED, 1, np.random.default_rng(0)), "collision-free input"),
+        (lambda: run_validation(REF5, [FockState((0, 1, 0, 0, 0))]), "1 detected modes"),
+        (lambda: run_validation(REF5, [FockState((0, 2, 0, 0, 0))]), "distinct"),
+        (lambda: run_validation(REF5, [FockState((1, 0, 0, 0, 0, 1))]), "out of range"),
+        (lambda: sample_outcomes(REF5, 0, np.random.default_rng(0)), "n_events"),
         (
-            lambda: sample_outcomes(U5, CF_INPUT, 1, np.random.default_rng(0), hypothesis="x"),
+            lambda: sample_outcomes(REF5, 1, np.random.default_rng(0), hypothesis="x"),
             "unknown hypothesis",
         ),
-        (lambda: run_validation(U5, CF_INPUT, [BUNCHED]), "not collision-free"),
+        (lambda: run_validation(REF5, [BUNCHED]), "not collision-free"),
         (
             lambda: counter_trajectory_csv(CounterState(), CounterState(checkpoint_every=5)),
             "lockstep",
@@ -164,6 +241,14 @@ BUNCHED = FockState((2, 0, 0, 0, 0))
             "negative",
         ),
         (lambda: compare_distributions(np.array([0.5, 0.5]), np.array([0.5, 0.4])), "sum to 1"),
+        (
+            lambda: compare_distributions(np.array([np.nan, 1.0]), np.array([0.5, 0.5])),
+            "ideal distribution has NaN",
+        ),
+        (
+            lambda: compare_distributions(np.array([0.5, 0.5]), np.array([np.inf, 0.0])),
+            "experimental distribution has NaN or infinite",
+        ),
     ],
 )
 def test_invalid_input_raises(call, match):

@@ -306,6 +306,15 @@ def test_measure_energy_rejects_nonpositive_shots():
         measure_energy(h2_hamiltonian(0.75), np.zeros(7), backend, shots=0)
 
 
+def test_measure_energy_rejects_shots_without_rng():
+    backend = PhotonicVqeBackend()
+    with pytest.raises(ValueError, match="rng"):
+        measure_energy(h2_hamiltonian(0.75), np.zeros(7), backend, shots=100)
+    assert measure_energy(h2_hamiltonian(0.75), np.zeros(7), backend) == measure_energy(
+        h2_hamiltonian(0.75), np.zeros(7), backend, shots=None
+    )
+
+
 def test_vqe_noiseless_converges_for_every_seed():
     backend = PhotonicVqeBackend()
     h = h2_hamiltonian(0.75)
