@@ -337,7 +337,7 @@ def estimate_favg(
     plan: BenchmarkPlan,
     executor: Executor,
     shots_per_config: int | None = None,
-    seed: int | None = None,
+    seed: int = 0,
 ) -> FidelityEstimate:
     """Execute a plan and combine its correlations into a fidelity.
 
@@ -481,7 +481,7 @@ def photonic_executor(
     reflectivities: np.ndarray | None = None,
     freeze_gate_phases: bool = True,
     calibration_noise: float = 0.0,
-    compile_seed: int | None = None,
+    compile_seed: int = 0,
 ) -> Executor:
     """Executor running plans on the dual-rail photonic simulator.
 

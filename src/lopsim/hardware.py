@@ -4,6 +4,14 @@ The chip maps voltages to phases through phi = A V^2 + b where A couples
 every heater to every phase (thermal crosstalk) and b collects static
 offsets. Calibration fits A, b, coupler reflectivities and relative
 output losses from intensity measurements alone.
+
+One batched transpiler (``_transpile``) inverts the phase model for a
+whole stack of phase targets: every round of its branch search solves
+all rows still searching at once. :func:`voltages_from_phases` is its
+one-row case and the programming benchmark feeds it blocks of targets;
+the forward model forms ``A V^2 + b`` for a whole voltage stack at once.
+Both stacked forms match the per-vector ``solve`` and matrix-vector
+product bit for bit, so no result depends on how the rows were batched.
 """
 
 from __future__ import annotations
@@ -48,7 +56,7 @@ SYNTHETIC_REFLECTIVITY_MEAN = 0.567
 SYNTHETIC_REFLECTIVITY_STD = 0.006
 SYNTHETIC_LOSS_SPREAD = 0.15
 
-#: Branch-search rounds of :func:`voltages_from_phases` before it gives up.
+#: Branch-search rounds of the transpiler before it gives up on a row.
 TRANSPILE_MAX_ROUNDS = 200
 
 
@@ -179,57 +187,83 @@ class IntensityMeasurement:
 
 
 def phases_from_voltages(voltages: np.ndarray, hw: HardwareModel) -> np.ndarray:
+    """Actuated phases ``A V^2 + b`` of one voltage vector or a stack (..., P) of them."""
     voltages = np.asarray(voltages, dtype=float)
-    if voltages.shape != hw.b.shape:
+    if voltages.shape[-1:] != hw.b.shape:
         raise ValueError(f"expected {hw.b.shape[0]} voltages, got {voltages.shape}")
     if not np.all((voltages >= 0) & (voltages <= hw.v_max + 1e-9)):
         raise ValueError("voltages outside [0, v_max]")
-    return hw.a @ (voltages * voltages) + hw.b
+    # A stack of matrix-vector products: each row matches hw.a @ row bit for bit.
+    return np.matmul(hw.a, (voltages * voltages)[..., None])[..., 0] + hw.b
 
 
 def voltages_from_phases(phi_target: np.ndarray, hw: HardwareModel) -> np.ndarray:
     """Voltages realizing ``phi_target`` modulo 2 pi on every shifter.
 
-    Solves A w + b = phi + 2 pi k for w = V^2, raising the integer
-    branch of any shifter whose square landed negative until the whole
-    vector is feasible.
+    The one-row case of the batched transpiler: solves A w + b = phi +
+    2 pi k for w = V^2, raising the integer branch of any shifter whose
+    square landed negative until the whole vector is feasible, and
+    raises :class:`TranspilationError` saying why when no branch is.
     """
     phi_target = np.asarray(phi_target, dtype=float)
     if phi_target.shape != hw.b.shape:
         raise ValueError("phase vector does not match the model size")
     if not np.all(np.isfinite(phi_target)):
         raise ValueError("phase vector has a non-finite entry")
+    voltages, errors = _transpile(phi_target[None], hw)
+    if errors:
+        raise TranspilationError(errors[0])
+    return voltages[0]
+
+
+def _transpile(phi: np.ndarray, hw: HardwareModel) -> tuple[np.ndarray, dict[int, str]]:
+    """Branch search of :func:`voltages_from_phases` on every row of ``phi`` (N, P) at once.
+
+    Each round solves the rows still searching with one stacked
+    ``solve``, which matches a per-row ``solve`` bit for bit; a row leaves
+    the search once its squares are feasible or it fails. Returns the
+    voltages (N, P), meaningless on failed rows, and the failure message
+    of each failed row by row index.
+    """
     w_cap = hw.v_max**2
-    k = np.ceil((hw.b - phi_target) / (2.0 * np.pi))
+    n = phi.shape[0]
+    rows = np.arange(n)
+    k = np.ceil((hw.b - phi) / (2.0 * np.pi))
     flips = np.zeros_like(k)
+    squares = np.zeros_like(phi)
+    errors: dict[int, str] = {}
     for _ in range(TRANSPILE_MAX_ROUNDS):
-        w = np.linalg.solve(hw.a, phi_target + 2.0 * np.pi * k - hw.b)
-        if not np.all(np.isfinite(w)):
-            raise TranspilationError("the phase model gives a non-finite voltage solution")
+        if not rows.size:
+            break
+        w = np.linalg.solve(hw.a[None], (phi[rows] + 2.0 * np.pi * k - hw.b)[..., None])[..., 0]
+        finite = np.all(np.isfinite(w), axis=1)
         negative = w < -1e-12
         over = w > w_cap + 1e-9
-        if not negative.any() and not over.any():
-            break
-        stuck = np.flatnonzero(flips > 8)
-        if stuck.size:
-            raise TranspilationError(
-                f"no feasible voltage branch for shifters {stuck.tolist()} "
+        done = finite & ~(negative | over).any(axis=1)
+        stuck = finite & ~done & (flips > 8).any(axis=1)
+        for i in np.flatnonzero(~finite):
+            errors[int(rows[i])] = "the phase model gives a non-finite voltage solution"
+        for i in np.flatnonzero(stuck):
+            errors[int(rows[i])] = (
+                f"no feasible voltage branch for shifters {np.flatnonzero(flips[i] > 8).tolist()} "
                 f"(2 pi window exceeds the {w_cap:.0f} V^2 range)"
             )
+        squares[rows[done]] = w[done]
+        go = finite & ~done & ~stuck
+        rows, k, flips, w = rows[go], k[go], flips[go], w[go]
+        negative, over = negative[go], over[go]
         k[negative] += 1.0
         k[over & ~negative] -= 1.0
         flips[negative | over] += 1.0
-    else:
-        bad = np.flatnonzero((w < -1e-12) | (w > w_cap + 1e-9))
-        raise TranspilationError(
-            f"branch search did not converge for shifters {bad.tolist()}"
-        )
-    voltages = np.sqrt(np.clip(w, 0.0, w_cap))
-    residual = phases_from_voltages(voltages, hw) - phi_target
-    residual = np.abs((residual + np.pi) % (2.0 * np.pi) - np.pi)
-    if not residual.max() <= 1e-6:
-        raise TranspilationError(f"transpilation residual {residual.max():.2e} rad")
-    return voltages
+    for i, row in enumerate(rows.tolist()):
+        bad = np.flatnonzero((w[i] < -1e-12) | (w[i] > w_cap + 1e-9))
+        errors[row] = f"branch search did not converge for shifters {bad.tolist()}"
+    voltages = np.sqrt(np.clip(squares, 0.0, w_cap))
+    residual = phases_from_voltages(voltages, hw) - phi
+    residual = np.abs((residual + np.pi) % (2.0 * np.pi) - np.pi).max(axis=1)
+    for row in np.flatnonzero(~(residual <= 1e-6)).tolist():
+        errors.setdefault(row, f"transpilation residual {residual[row]:.2e} rad")
+    return voltages, errors
 
 
 def unitary_at_voltages(
@@ -260,9 +294,8 @@ def _check_layout(hw: HardwareModel, layout: MeshLayout) -> None:
 
 
 def _logical_phases(hw: HardwareModel, layout: MeshLayout, volts) -> np.ndarray:
-    """Logical mesh phases (B, n_logical), one row per range-checked voltage vector."""
-    actuated = [phases_from_voltages(v, hw) for v in volts]
-    return layout.phases_from_actuated(np.reshape(actuated, (-1, layout.n_actuated)))
+    """Logical mesh phases (B, n_logical) of a voltage stack (B, P), range-checked at once."""
+    return layout.phases_from_actuated(phases_from_voltages(volts, hw))
 
 
 def _intensities(
@@ -485,26 +518,29 @@ def benchmark_tvd(
     voltages; the true chip then runs at those voltages. The TVD between
     the intended intensity distribution (estimated model at the exact
     target phases) and the realized one measures how faithful the
-    estimated model is.
+    estimated model is. Targets are drawn in blocks and transpiled
+    together; the first ``n_configs`` feasible ones in draw order are
+    kept, the same targets one draw per candidate would give, and at most
+    ``50 * n_configs`` candidates are drawn.
     """
     _check_layout(hw_est, layout)
     _check_layout(hw_true, layout)
     rng = np.random.default_rng(seed)
+    cap = 50 * n_configs
     targets = np.empty((n_configs, layout.n_actuated))
     volts = np.empty_like(targets)
-    attempts = 0
-    for i in range(n_configs):
-        while True:
-            attempts += 1
-            if attempts > 50 * n_configs:
-                raise TranspilationError("too many infeasible phase configurations")
-            phi_target = rng.uniform(0.0, 2.0 * np.pi, size=layout.n_actuated)
-            try:
-                voltages = voltages_from_phases(phi_target, hw_est)
-            except TranspilationError:
-                continue
-            break
-        targets[i], volts[i] = phi_target, voltages
+    found = attempts = 0
+    while found < n_configs:
+        block = min(n_configs - found, cap - attempts)
+        if block == 0:
+            raise TranspilationError("too many infeasible phase configurations")
+        phi = rng.uniform(0.0, 2.0 * np.pi, size=(block, layout.n_actuated))
+        voltages, errors = _transpile(phi, hw_est)
+        feasible = np.ones(block, dtype=bool)
+        feasible[list(errors)] = False
+        kept = slice(found, found + int(feasible.sum()))
+        targets[kept], volts[kept] = phi[feasible], voltages[feasible]
+        found, attempts = kept.stop, attempts + block
     inputs = np.arange(n_configs) % layout.m
     intended = _intensities(hw_est, layout, layout.phases_from_actuated(targets), inputs)
     realized = _intensities(hw_true, layout, _logical_phases(hw_true, layout, volts), inputs)

@@ -21,11 +21,13 @@ span of cells on stride-2 mode slices, and every cell's pair amplitudes
 entering its two couplers. The adjoint sweep reads that tape back to
 front with a cotangent and returns its product with the derivative of
 the output by every phase and reflectivity, so nothing of the forward
-pass is recomputed. At a phase
-element that product is ``1j * a_top * s_top`` (cotangent times state on
-the top mode), so no 2x2 derivative blocks are formed. The unitary, the
-compile objective and every calibration and benchmark intensity go
-through this pair.
+pass is recomputed. Its layer loop only carries the cotangent back and
+stores the cotangents leaving every cell's two couplers, (2, n_cells, B)
+like the tape; one vectorized pass over all cells then forms both
+derivatives from those and the tape. At a phase element the product is
+``1j * a_top * s_top`` (cotangent times state on the top mode), so no
+2x2 derivative blocks are formed. The unitary, the compile objective and
+every calibration and benchmark intensity go through this pair.
 """
 
 from __future__ import annotations
@@ -427,36 +429,78 @@ def _adjoint_sweep(
     serves any number of cotangents. For each row b, with ``a =
     adjoint[b]`` and ``out`` the forward output row, returns ``a . d out /
     d phase`` as (B, n_logical) in logical order and ``a . d out / d r``
-    as (B, n_cells, 2). The cotangent seen by an element is its output
-    cotangent, so a phase element contributes ``1j * a_top * s_top`` with
-    ``s_top`` its output amplitude. Each layer reads its amplitudes from
-    the tape instead of recomputing them; both results are built in
-    layer order and permuted back to cell order once, at the end.
+    as (B, n_cells, 2). The layer loop (``_cotangents``) only carries the
+    cotangent back; one pass over all cells (``_cell_derivatives``) then
+    forms both derivatives, in layer order, and they are permuted back to
+    cell order once, at the end. The two stages are functions of their own
+    so their stored cotangents and scratch are freed before the permuted
+    copies are made.
     """
-    e, t, k, x, y = tape.e, tape.t, tape.k, tape.x, tape.y
-    dt, dk = 0.5 / t, -0.5j / np.sqrt(1.0 - tape.refl)
-    a = np.array(adjoint.T, dtype=complex, order="C")
-    d_phases, d_refl = np.empty_like(x), np.empty_like(x)
-    for span, top, bot in reversed(layout.layers):
-        t1, k1, t2, k2 = t[0, span], k[0, span], t[1, span], k[1, span]
-        dt1, dk1, dt2, dk2 = dt[0, span], dk[0, span], dt[1, span], dk[1, span]
-        x1, y1, x3, y3 = x[0, span], y[0, span], x[1, span], y[1, span]
-        ax, ay = a[top], a[bot]
-        d_refl[1, span] = ax * (dt2 * x3 + dk2 * y3) + ay * (dk2 * x3 + dt2 * y3)
-        ax, ay = t2 * ax + k2 * ay, k2 * ax + t2 * ay
-        d_phases[0, span] = 1j * ax * x3
-        ax = ax * e[0, span]
-        d_refl[0, span] = ax * (dt1 * x1 + dk1 * y1) + ay * (dk1 * x1 + dt1 * y1)
-        ax, ay = t1 * ax + k1 * ay, k1 * ax + t1 * ay
-        d_phases[1, span] = 1j * ax * x1
-        a[top] = ax * e[1, span]
-        a[bot] = ay
+    d_phases, d_refl = _cell_derivatives(tape, *_cotangents(layout, tape, adjoint))
     inverse = layout.layer_inverse
-    n_rows = a.shape[1]
     return (
-        np.take(d_phases.T, inverse, axis=1).reshape(n_rows, layout.n_logical),
+        np.take(d_phases.T, inverse, axis=1).reshape(-1, layout.n_logical),
         np.take(d_refl.T, inverse, axis=1),
     )
+
+
+def _cotangents(
+    layout: MeshLayout, tape: _Tape, adjoint: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """Cotangents ``ax``, ``ay`` (2, n_cells, B) leaving every cell's couplers.
+
+    ``[0]`` is coupler(r1), ``[1]`` coupler(r2); ``ax`` is on the cell's
+    top mode and ``ay`` on its bottom mode. Cells are in layer order, as
+    on the tape.
+    """
+    e, t, k = tape.e, tape.t, tape.k
+    a = np.array(adjoint.T, dtype=complex, order="C")
+    ax, ay = np.empty_like(tape.x), np.empty_like(tape.x)
+    for span, top, bot in reversed(layout.layers):
+        t1, k1, t2, k2 = t[0, span], k[0, span], t[1, span], k[1, span]
+        ax1, ay1, ax2, ay2 = ax[0, span], ay[0, span], ax[1, span], ay[1, span]
+        ax2[...] = a[top]
+        ay2[...] = a[bot]
+        ax1[...] = (t2 * ax2 + k2 * ay2) * e[0, span]
+        ay1[...] = k2 * ax2 + t2 * ay2
+        a[top] = (t1 * ax1 + k1 * ay1) * e[1, span]
+        a[bot] = k1 * ax1 + t1 * ay1
+    return ax, ay
+
+
+def _cell_derivatives(
+    tape: _Tape, ax: np.ndarray, ay: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """Derivatives by every phase and reflectivity from the coupler cotangents.
+
+    With ``x``, ``y`` the amplitudes entering a coupler (from the tape)
+    and ``ax``, ``ay`` the cotangents leaving it, the coupler contributes
+    ``ax (dt x + dk y) + ay (dk x + dt y)`` and the phase in front of it
+    ``1j (t ax + k ay) x`` (cotangent times state on the top mode).
+    Returns (theta, phi) and (r1, r2) derivatives, each (2, n_cells, B)
+    in layer order; the second overwrites ``ax``. One coupler is done at a
+    time, so the scratch is three (n_cells, B) arrays. No product is
+    taken in place: numpy rounds an in-place complex product of one
+    element differently from the same product out of place.
+    """
+    t, k, x, y = tape.t, tape.k, tape.x, tape.y
+    dt, dk = 0.5 / t, -0.5j / np.sqrt(1.0 - tape.refl)
+    d_phases = np.empty_like(x)
+    u, v, w = np.empty_like(x[0]), np.empty_like(x[0]), np.empty_like(x[0])
+    for j in (0, 1):
+        # Coupler(r1) follows phase(phi), coupler(r2) phase(theta).
+        np.multiply(t[j], ax[j], out=u)
+        u += np.multiply(k[j], ay[j], out=v)
+        np.multiply(1j, u, out=v)
+        np.multiply(v, x[j], out=d_phases[1 - j])
+        np.multiply(dt[j], x[j], out=u)
+        u += np.multiply(dk[j], y[j], out=v)
+        np.multiply(ax[j], u, out=w)
+        np.multiply(dk[j], x[j], out=u)
+        u += np.multiply(dt[j], y[j], out=v)
+        np.multiply(ay[j], u, out=v)
+        np.add(w, v, out=ax[j])
+    return d_phases, ax
 
 
 def _mesh_cell_sequence(m: int) -> list[int]:
@@ -593,46 +637,38 @@ def _optimal_gauges(target: np.ndarray, implemented: np.ndarray) -> tuple[np.nda
     """Input/output phase layers maximizing fidelity to the target.
 
     Per-mode phases at the chip boundary are unobservable in photon
-    counting, so compilation is free to choose them. Alternating phase
-    updates are run from both update orders and the better result wins.
+    counting, so compilation is free to choose them. With ``W = U * conj(T)``
+    (elementwise) the dressed overlap is ``Tr(D_in T^dag D_out U) = d_out . W
+    d_in``, so alternating updates solve one side against ``W`` at a time:
+    ``d_out = phase(conj(W d_in))`` and ``d_in = phase(conj(d_out W))``,
+    and each step's score is the sum of the magnitudes it aligned. A side
+    whose entry of ``W d_in`` or ``d_out W`` vanishes keeps phase 0 there.
+    Both update orders run for up to ``GAUGE_ITERATIONS`` steps and the
+    better result wins.
     """
-    target_conj = target.conj()
+    w = implemented * target.conj()
+    ones = np.ones(w.shape[0], dtype=complex)
     best: tuple[float, np.ndarray, np.ndarray] | None = None
     for out_first in (True, False):
-        score, d_out, d_in = _alternate_gauges(target_conj, implemented, out_first)
+        d_in = d_out = ones
+        score = -1.0
+        for step in range(GAUGE_ITERATIONS):
+            update_out = (step % 2 == 0) == out_first
+            diag = w @ d_in if update_out else d_out @ w
+            size = np.abs(diag)
+            phase = np.divide(diag.conj(), size, out=ones.copy(), where=size > 1e-15)
+            if update_out:
+                d_out = phase
+            else:
+                d_in = phase
+            new_score = float(size.sum())
+            if step > 2 and new_score - score < 1e-14:
+                score = new_score
+                break
+            score = new_score
         if best is None or score > best[0]:
             best = (score, d_out, d_in)
     return np.angle(best[1]), np.angle(best[2])
-
-
-def _alternate_gauges(
-    target_conj: np.ndarray, implemented: np.ndarray, out_first: bool
-) -> tuple[float, np.ndarray, np.ndarray]:
-    m = target_conj.shape[0]
-    d_in = np.ones(m, dtype=complex)
-    d_out = np.ones(m, dtype=complex)
-    # D_out U, refreshed whenever d_out changes
-    left = d_out[:, None] * implemented
-    score = -1.0
-    for step in range(GAUGE_ITERATIONS):
-        update_out = (step % 2 == 0) == out_first
-        if update_out:
-            diag_out = np.einsum("ij,ij->i", implemented * d_in[None, :], target_conj)
-            size = np.abs(diag_out)
-            d_out = np.where(size > 1e-15, np.conj(diag_out) / size, 1.0)
-            left = d_out[:, None] * implemented
-        else:
-            diag_in = np.einsum("ij,ij->j", left, target_conj)
-            size = np.abs(diag_in)
-            d_in = np.where(size > 1e-15, np.conj(diag_in) / size, 1.0)
-        new_score = float(
-            np.abs(np.sum(np.einsum("ij,ij->i", left * d_in[None, :], target_conj)))
-        )
-        if step > 2 and new_score - score < 1e-14:
-            score = new_score
-            break
-        score = new_score
-    return score, d_out, d_in
 
 
 def gauge_fidelity(target: ModeUnitary | np.ndarray, implemented: ModeUnitary | np.ndarray) -> float:

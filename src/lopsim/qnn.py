@@ -340,7 +340,7 @@ class QnnConfig:
     outer_iterations: int = 15
     evaluations_per_iteration: int = 8
     pool_size: int = 40
-    seed: int | None = None
+    seed: int = 0
     shots: int | None = None
     n_test: int = 38
 

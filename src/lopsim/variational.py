@@ -353,7 +353,7 @@ def build_mitigation(
     backend: PhotonicVqeBackend,
     basis: str,
     shots: int | None = None,
-    seed: int | None = None,
+    seed: int = 0,
 ) -> MitigationMatrix:
     """Measure the readout confusion matrix of a backend in one basis.
 
@@ -399,7 +399,7 @@ class VqeConfig:
 
     shots: int | None = 10000
     max_iterations: int = 100
-    seed: int | None = None
+    seed: int = 0
     mitigation: bool = True
     method: str = "cobyla"
     initial_theta: Sequence[float] | None = None

@@ -34,7 +34,22 @@ from lopsim.fock import (
     outcome_arrays,
     strong_simulate,
 )
-from lopsim.mesh import DirectionalCoupler, ModePermutation, PhaseShifter, PhotonicCircuit
+from lopsim.hardware import (
+    TRANSPILE_MAX_ROUNDS,
+    HardwareModel,
+    IntensityMeasurement,
+    TranspilationError,
+    _intensities,
+    _tvd,
+)
+from lopsim.mesh import (
+    GAUGE_ITERATIONS,
+    DirectionalCoupler,
+    MeshLayout,
+    ModePermutation,
+    PhaseShifter,
+    PhotonicCircuit,
+)
 from lopsim.qnn import (
     ENCODING_MODES,
     N_FEATURES,
@@ -445,7 +460,7 @@ def dense_plan_weights(
 
 
 def per_configuration_favg(
-    plan, executor, shots_per_config=None, seed=None, merge_settings=True
+    plan, executor, shots_per_config=None, seed=0, merge_settings=True
 ) -> FidelityEstimate:
     """``estimate_favg`` with one executor call per configuration.
 
@@ -669,3 +684,163 @@ class PerEvaluationVqeBackend(PhotonicVqeBackend):
         f = self.readout_flip
         flip = np.array([[1.0 - f, f], [f, 1.0 - f]])
         return np.kron(flip, flip) @ logical_distribution(dist, rule)[0].ravel()
+
+
+def adjoint_sweep_by_layer(layout: MeshLayout, tape, adjoint: np.ndarray):
+    """``mesh._adjoint_sweep`` with every derivative formed inside the layer loop.
+
+    Each layer reads its tape amplitudes, forms the reflectivity and
+    phase derivatives of its cells from the cotangent at hand and
+    carries the cotangent on; the results are permuted back to cell
+    order at the end.  The library's post-loop pass must match it bit
+    for bit.
+    """
+    e, t, k, x, y = tape.e, tape.t, tape.k, tape.x, tape.y
+    dt, dk = 0.5 / t, -0.5j / np.sqrt(1.0 - tape.refl)
+    a = np.array(adjoint.T, dtype=complex, order="C")
+    d_phases, d_refl = np.empty_like(x), np.empty_like(x)
+    for span, top, bot in reversed(layout.layers):
+        t1, k1, t2, k2 = t[0, span], k[0, span], t[1, span], k[1, span]
+        dt1, dk1, dt2, dk2 = dt[0, span], dk[0, span], dt[1, span], dk[1, span]
+        x1, y1, x3, y3 = x[0, span], y[0, span], x[1, span], y[1, span]
+        ax, ay = a[top], a[bot]
+        d_refl[1, span] = ax * (dt2 * x3 + dk2 * y3) + ay * (dk2 * x3 + dt2 * y3)
+        ax, ay = t2 * ax + k2 * ay, k2 * ax + t2 * ay
+        d_phases[0, span] = 1j * ax * x3
+        ax = ax * e[0, span]
+        d_refl[0, span] = ax * (dt1 * x1 + dk1 * y1) + ay * (dk1 * x1 + dt1 * y1)
+        ax, ay = t1 * ax + k1 * ay, k1 * ax + t1 * ay
+        d_phases[1, span] = 1j * ax * x1
+        a[top] = ax * e[1, span]
+        a[bot] = ay
+    inverse = layout.layer_inverse
+    n_rows = a.shape[1]
+    return (
+        np.take(d_phases.T, inverse, axis=1).reshape(n_rows, layout.n_logical),
+        np.take(d_refl.T, inverse, axis=1),
+    )
+
+
+def optimal_gauges_einsum(target: np.ndarray, implemented: np.ndarray):
+    """Boundary phases by alternating updates that rescore the dressed matrix.
+
+    Every step forms ``D_out U D_in`` against ``conj(T)`` with an einsum
+    and scores ``|Tr(D_in T^dag D_out U)|``; the update orders, the step
+    budget, the stop rule and the better-of-two choice are the library's.
+    Returns the (output, input) phases.
+    """
+    target_conj = target.conj()
+    m = target.shape[0]
+    best = None
+    for out_first in (True, False):
+        d_in = np.ones(m, dtype=complex)
+        d_out = np.ones(m, dtype=complex)
+        left = d_out[:, None] * implemented
+        score = -1.0
+        for step in range(GAUGE_ITERATIONS):
+            if (step % 2 == 0) == out_first:
+                diag_out = np.einsum("ij,ij->i", implemented * d_in[None, :], target_conj)
+                size = np.abs(diag_out)
+                d_out = np.where(size > 1e-15, np.conj(diag_out) / size, 1.0)
+                left = d_out[:, None] * implemented
+            else:
+                diag_in = np.einsum("ij,ij->j", left, target_conj)
+                size = np.abs(diag_in)
+                d_in = np.where(size > 1e-15, np.conj(diag_in) / size, 1.0)
+            new_score = float(
+                np.abs(np.sum(np.einsum("ij,ij->i", left * d_in[None, :], target_conj)))
+            )
+            if step > 2 and new_score - score < 1e-14:
+                score = new_score
+                break
+            score = new_score
+        if best is None or score > best[0]:
+            best = (score, d_out, d_in)
+    return np.angle(best[1]), np.angle(best[2])
+
+
+def phases_per_row(voltages: np.ndarray, hw: HardwareModel) -> np.ndarray:
+    """``A V^2 + b`` of one voltage vector, as a plain matrix-vector product."""
+    return hw.a @ (voltages * voltages) + hw.b
+
+
+def voltages_from_phases_per_row(phi_target: np.ndarray, hw: HardwareModel) -> np.ndarray:
+    """Branch search for one phase vector with one ``solve`` per round.
+
+    Raises :class:`TranspilationError` with the library's messages.
+    """
+    phi_target = np.asarray(phi_target, dtype=float)
+    w_cap = hw.v_max**2
+    k = np.ceil((hw.b - phi_target) / (2.0 * np.pi))
+    flips = np.zeros_like(k)
+    for _ in range(TRANSPILE_MAX_ROUNDS):
+        w = np.linalg.solve(hw.a, phi_target + 2.0 * np.pi * k - hw.b)
+        if not np.all(np.isfinite(w)):
+            raise TranspilationError("the phase model gives a non-finite voltage solution")
+        negative = w < -1e-12
+        over = w > w_cap + 1e-9
+        if not negative.any() and not over.any():
+            break
+        stuck = np.flatnonzero(flips > 8)
+        if stuck.size:
+            raise TranspilationError(
+                f"no feasible voltage branch for shifters {stuck.tolist()} "
+                f"(2 pi window exceeds the {w_cap:.0f} V^2 range)"
+            )
+        k[negative] += 1.0
+        k[over & ~negative] -= 1.0
+        flips[negative | over] += 1.0
+    else:
+        bad = np.flatnonzero((w < -1e-12) | (w > w_cap + 1e-9))
+        raise TranspilationError(f"branch search did not converge for shifters {bad.tolist()}")
+    voltages = np.sqrt(np.clip(w, 0.0, w_cap))
+    residual = phases_per_row(voltages, hw) - phi_target
+    residual = np.abs((residual + np.pi) % (2.0 * np.pi) - np.pi)
+    if not residual.max() <= 1e-6:
+        raise TranspilationError(f"transpilation residual {residual.max():.2e} rad")
+    return voltages
+
+
+def benchmark_tvds_per_row(
+    hw_est: HardwareModel,
+    hw_true: HardwareModel,
+    layout: MeshLayout,
+    n_configs: int,
+    seed: int,
+) -> np.ndarray:
+    """Programming-benchmark TVDs with one draw and one transpilation per candidate."""
+    rng = np.random.default_rng(seed)
+    targets, volts = [], []
+    while len(targets) < n_configs:
+        phi_target = rng.uniform(0.0, 2.0 * np.pi, size=layout.n_actuated)
+        try:
+            volts.append(voltages_from_phases_per_row(phi_target, hw_est))
+        except TranspilationError:
+            continue
+        targets.append(phi_target)
+    inputs = np.arange(n_configs) % layout.m
+    intended = _intensities(hw_est, layout, layout.phases_from_actuated(np.array(targets)), inputs)
+    realized_phases = [phases_per_row(v, hw_true) for v in volts]
+    realized = _intensities(
+        hw_true, layout, layout.phases_from_actuated(np.array(realized_phases)), inputs
+    )
+    return _tvd(intended, realized)
+
+
+def measurements_per_row(
+    hw: HardwareModel, layout: MeshLayout, n: int, seed: int, noise: float, scale: float
+) -> list[IntensityMeasurement]:
+    """Random-drive intensity data with the phases of each drive formed on its own."""
+    rng = np.random.default_rng(seed)
+    volts, gains = [], []
+    for _ in range(n):
+        volts.append(rng.uniform(0.0, hw.v_max, size=hw.b.shape[0]))
+        gains.append(1.0 + noise * rng.standard_normal(hw.m))
+    inputs = [i % hw.m for i in range(n)]
+    phases = layout.phases_from_actuated(np.array([phases_per_row(v, hw) for v in volts]))
+    clean = scale * _intensities(hw, layout, phases, inputs)
+    noisy = np.clip(clean * np.array(gains), 0.0, None)
+    return [
+        IntensityMeasurement(tuple(v), input_mode, tuple(row))
+        for v, input_mode, row in zip(volts, inputs, noisy)
+    ]

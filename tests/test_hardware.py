@@ -1,5 +1,7 @@
 """Tests for the voltage-phase model, transpilation and calibration."""
 
+import re
+
 import numpy as np
 import pytest
 
@@ -10,6 +12,7 @@ from lopsim.hardware import (
     _Batch,
     _objective,
     _pack,
+    _transpile,
     benchmark_tvd,
     calibrate,
     crosstalk_free_baseline,
@@ -21,6 +24,12 @@ from lopsim.hardware import (
     voltages_from_phases,
 )
 from lopsim.mesh import MeshLayout
+
+from _oracles import (
+    benchmark_tvds_per_row,
+    measurements_per_row,
+    voltages_from_phases_per_row,
+)
 
 
 @pytest.fixture(scope="module")
@@ -342,3 +351,73 @@ class TestBatchedIntensities:
                 0.5 * np.sum(np.abs(intended / intended.sum() - realized / realized.sum()))
             )
         assert np.max(np.abs(stats.tvds - np.array(expected))) < 1e-12
+
+
+class TestBatchedTranspiler:
+    """The batched transpiler and its callers against the per-row code."""
+
+    @staticmethod
+    def _weakened(seed: int, shifter: int) -> HardwareModel:
+        """A synthetic 6-mode chip with one self-heating coefficient at 0.03 rad/V^2.
+
+        That shifter spans 5.9 rad over the voltage range, so some phase
+        targets have no feasible branch.
+        """
+        chip = HardwareModel.synthetic(6, rng=seed)
+        a = chip.a.copy()
+        a[shifter, shifter] = 0.03
+        return HardwareModel(m=6, a=a, b=chip.b, reflectivities=chip.reflectivities,
+                             output_losses=chip.output_losses)
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_voltages_and_feasibility_match_per_row_solves(self, seed):
+        hw = self._weakened(seed, 3 * seed)
+        phi = np.random.default_rng(90 + seed).uniform(0.0, 2 * np.pi, size=(300, 30))
+        voltages, errors = _transpile(phi, hw)
+        assert 0 < len(errors) < 300
+        for i, row in enumerate(phi):
+            try:
+                expected = voltages_from_phases_per_row(row, hw)
+            except TranspilationError as error:
+                assert errors.get(i) == str(error)
+                with pytest.raises(TranspilationError, match=re.escape(str(error))):
+                    voltages_from_phases(row, hw)
+                continue
+            assert i not in errors
+            assert np.array_equal(voltages[i], expected)
+            assert np.array_equal(voltages_from_phases(row, hw), expected)
+
+    @pytest.fixture(scope="class")
+    def fits(self):
+        layout = MeshLayout(6)
+        out = []
+        for seed in range(4):
+            chip = self._weakened(100 + seed, 7 * seed)
+            data = generate_measurements(chip, layout, 300, rng=110 + seed)
+            out.append((chip, calibrate(data, layout, maxiter=40)))
+        return layout, out
+
+    @pytest.mark.parametrize("index", range(4))
+    def test_benchmark_tvds_match_per_row_transpilation(self, fits, index):
+        layout, chips = fits
+        chip, fit = chips[index]
+        for est in (fit, crosstalk_free_baseline(chip)):
+            got = benchmark_tvd(est, chip, layout, n_configs=60, seed=120 + index)
+            expected = benchmark_tvds_per_row(est, chip, layout, 60, 120 + index)
+            assert np.array_equal(got.tvds, expected)
+
+    def test_too_many_infeasible_targets_raise(self):
+        prior = HardwareModel.prior(3)
+        a = prior.a.copy()
+        a[np.diag_indices(6)] = 0.005  # 0.98 rad range: almost no target fits
+        hw = HardwareModel(m=3, a=a, b=prior.b, reflectivities=prior.reflectivities,
+                           output_losses=prior.output_losses)
+        with pytest.raises(TranspilationError, match="too many infeasible"):
+            benchmark_tvd(hw, hw, MeshLayout(3), n_configs=5, seed=0)
+
+    @pytest.mark.parametrize("noise, scale", [(0.0, 1.0), (0.01, 0.7)])
+    def test_measurements_match_per_row_phases(self, noise, scale):
+        layout = MeshLayout(6)
+        chip = HardwareModel.synthetic(6, rng=130)
+        got = generate_measurements(chip, layout, 200, rng=131, noise=noise, scale=scale)
+        assert got == measurements_per_row(chip, layout, 200, 131, noise, scale)

@@ -1,5 +1,7 @@
 """Tests for circuit elements, the rectangular mesh and compilation."""
 
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -24,9 +26,16 @@ from lopsim.mesh import (
     _adjoint_sweep,
     _apply_element,
     _forward_sweep,
+    _optimal_gauges,
 )
 
-from _oracles import apply_element_numpy, mesh_transfer_with_derivatives
+from lopsim import mesh
+from _oracles import (
+    adjoint_sweep_by_layer,
+    apply_element_numpy,
+    mesh_transfer_with_derivatives,
+    optimal_gauges_einsum,
+)
 
 
 def haar(m: int, seed: int) -> ModeUnitary:
@@ -296,6 +305,59 @@ class TestFidelity:
         u_zeroed = layout.unitary(zeroed)
         assert gauge_fidelity(u_full, u_zeroed) > 1.0 - 1e-9
 
+    def test_permutation_target_needs_no_zero_division(self):
+        # Rows 0, 1 of U * conj(T) vanish: their phases stay 0 and the two
+        # matched modes give |2|^2 / (4 * 4).
+        swap = np.eye(4)[[1, 0, 2, 3]]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert gauge_fidelity(swap, np.eye(4)) == pytest.approx(0.25, abs=1e-15)
+            assert gauge_fidelity(np.eye(4)[[1, 0, 3, 2]], np.eye(4)) == 0.0
+            assert gauge_fidelity(swap, swap) == pytest.approx(1.0, abs=1e-15)
+
+
+class TestGaugeOracle:
+    """The matrix-vector boundary-phase solve against the einsum rescoring one."""
+
+    @staticmethod
+    def _score(target, implemented, gauges):
+        out, inn = gauges(target, implemented)
+        dressed = np.exp(1j * out)[:, None] * implemented * np.exp(1j * inn)[None, :]
+        return abs(np.trace(target.conj().T @ dressed)) / target.shape[0]
+
+    @pytest.mark.parametrize("pair", range(20))
+    def test_score_matches_on_haar_pairs(self, pair):
+        m = 3 + pair % 10
+        target, implemented = haar(m, 500 + pair).matrix, haar(m, 600 + pair).matrix
+        got = self._score(target, implemented, _optimal_gauges)
+        expected = self._score(target, implemented, optimal_gauges_einsum)
+        assert abs(got - expected) <= 1e-12
+
+    def test_compile_fidelity_matches_oracle_gauges(self, monkeypatch):
+        layout = MeshLayout(12)
+        rng = np.random.default_rng(70)
+        cases = [
+            (
+                ModeUnitary.haar_random(12, rng),
+                rng.normal(0.567, 0.006, size=(layout.n_cells, 2)),
+            )
+            for _ in range(6)
+        ]
+
+        def infidelities():
+            return np.array([
+                1.0 - compile_with_imperfections(
+                    target, refl, layout=layout, max_restarts=1, maxiter=60, rng=71
+                ).fidelity
+                for target, refl in cases
+            ])
+
+        got = infidelities()
+        monkeypatch.setattr(mesh, "_optimal_gauges", optimal_gauges_einsum)
+        expected = infidelities()
+        assert np.all(np.abs(got - expected) <= 0.02 * expected)
+        assert abs(got.mean() - expected.mean()) <= 0.005 * expected.mean()
+
 
 class TestCompilation:
     def test_analytic_gradient_matches_finite_differences(self):
@@ -405,6 +467,23 @@ class TestSweepOracle:
         second = _adjoint_sweep(layout, tape, adjoint)
         assert np.array_equal(first[0], second[0])
         assert np.array_equal(first[1], second[1])
+
+    @pytest.mark.parametrize("m", range(2, 13))
+    def test_adjoint_matches_the_per_layer_kernel_bit_for_bit(self, m):
+        layout = MeshLayout(m)
+        rng = np.random.default_rng(80 + m)
+        refl = rng.uniform(0.2, 0.8, size=(layout.n_cells, 2))
+        for n_rows in (1, 7, 400):
+            for per_row in (False, True):
+                shape = (n_rows, layout.n_logical) if per_row else (layout.n_logical,)
+                phases = rng.uniform(0.0, 2 * np.pi, size=shape)
+                rows = rng.normal(size=(n_rows, m)) + 1j * rng.normal(size=(n_rows, m))
+                adjoint = rng.normal(size=(n_rows, m)) + 1j * rng.normal(size=(n_rows, m))
+                _, tape = _forward_sweep(layout, rows, phases, refl)
+                got = _adjoint_sweep(layout, tape, adjoint)
+                expected = adjoint_sweep_by_layer(layout, tape, adjoint)
+                assert np.array_equal(got[0], expected[0]), (n_rows, per_row)
+                assert np.array_equal(got[1], expected[1]), (n_rows, per_row)
 
 
 class TestDeterminism:

@@ -168,6 +168,41 @@ def test_no_module_draws_from_an_unseeded_generator():
     assert offenders == []
 
 
+def test_no_seed_defaults_to_none():
+    # A seed left at None seeds the generator from the OS, so a call that
+    # does not pass one would not be reproducible.  Checks every function
+    # parameter and dataclass field named ``seed`` or ``*_seed``.
+    def is_seed(name: str) -> bool:
+        return name == "seed" or name.endswith("_seed")
+
+    def is_none(node) -> bool:
+        return isinstance(node, ast.Constant) and node.value is None
+
+    offenders = []
+    for path in sorted((ROOT / "src" / "lopsim").glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+                args = node.args
+                positional = args.posonlyargs + args.args
+                pairs = list(zip(positional[len(positional) - len(args.defaults):], args.defaults))
+                pairs += [(a, d) for a, d in zip(args.kwonlyargs, args.kw_defaults) if d is not None]
+                offenders += [
+                    f"{path.name}:{arg.lineno}:{arg.arg}"
+                    for arg, default in pairs
+                    if is_seed(arg.arg) and is_none(default)
+                ]
+            elif isinstance(node, ast.ClassDef):
+                offenders += [
+                    f"{path.name}:{item.lineno}:{item.target.id}"
+                    for item in node.body
+                    if isinstance(item, ast.AnnAssign)
+                    and isinstance(item.target, ast.Name)
+                    and is_seed(item.target.id)
+                    and is_none(item.value)
+                ]
+    assert offenders == []
+
+
 def test_fringe_in_a_fresh_process_loads_no_scipy():
     script = (
         "import json, sys\n"

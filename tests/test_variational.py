@@ -226,6 +226,13 @@ def test_build_mitigation_matches_flip_tensor():
         assert np.allclose(gamma.matrix, flip_tensor(0.03), atol=1e-9)
 
 
+def test_unseeded_sampled_mitigation_is_reproducible():
+    backend = PhotonicVqeBackend(readout_flip=0.05)
+    first = build_mitigation(backend, "ZZ", shots=200)
+    second = build_mitigation(backend, "ZZ", shots=200)
+    assert np.array_equal(first.matrix, second.matrix)
+
+
 def test_build_mitigation_sampled_columns_are_stochastic():
     backend = PhotonicVqeBackend(readout_flip=0.03)
     gamma = build_mitigation(backend, "ZZ", shots=4000, seed=7)
