@@ -479,7 +479,6 @@ def photonic_executor(
     encoding: QubitEncoding | None = None,
     source: SourceModel | None = None,
     reflectivities: np.ndarray | None = None,
-    freeze_gate_phases: bool = True,
     calibration_noise: float = 0.0,
     compile_seed: int = 0,
 ) -> Executor:
@@ -491,24 +490,16 @@ def photonic_executor(
     rotations are exact 2x2 blocks on each qubit's rail pair) and
     simulates and reads out the stack in one
     :func:`~lopsim.qubits.logical_distributions` call, the dual-rail
-    readout path shared with the GHZ factory.  With
-    ``reflectivities`` given (the chip's true coupler
-    table), the mesh realizes unitaries through imperfect couplers and
-    the flag selects which systematic the run carries:
+    readout path shared with the GHZ factory.
 
-    * ``freeze_gate_phases=False`` refits the entire mesh against the
-      true couplers for every configuration, the analogue of feedback
-      transpilation of the whole chip.  Each refit leaves its own small
-      residual, so the per-configuration correlations pick up
-      independent biases and the estimate can land above 1.
-    * ``freeze_gate_phases=True`` fits the gate region once and holds
-      those phases across configurations while preparation and
-      measurement rotations stay exactly calibrated.  The estimate then
-      measures one fixed gate realization.  ``calibration_noise`` adds
-      a per-coupler error to the reflectivity table used for that one
-      fit (the phases are set from an imperfect coupler estimate but
-      executed on the true chip), so the frozen gate keeps a genuine
-      infidelity instead of benefiting from per-configuration refits.
+    With ``reflectivities`` given (the chip's true coupler table), the
+    gate region is fitted once against the couplers and executed on
+    them, and those phases hold across configurations while preparation
+    and measurement rotations stay exactly calibrated, so the estimate
+    measures one fixed gate realization.  ``calibration_noise`` adds a
+    per-coupler error to the reflectivity table used for that one fit:
+    the phases are set from an imperfect coupler estimate but executed
+    on the true chip.  ``compile_seed`` seeds that error and the fit.
     """
     enc = encoding if encoding is not None else QubitEncoding.default(circuit.n_qubits)
     if circuit.measurement is not None:
@@ -517,11 +508,11 @@ def photonic_executor(
     gate_matrix = gate.matrix
     m = enc.n_modes
     input_modes = encoding_input_state(enc).modes()
-    compile_rng = np.random.default_rng(compile_seed)
     pairs = np.array(enc.qubit_pairs, dtype=np.intp)
     block_rows, block_cols = pairs[:, :, None], pairs[:, None, :]
 
-    if reflectivities is not None and freeze_gate_phases:
+    if reflectivities is not None:
+        compile_rng = np.random.default_rng(compile_seed)
         true_refl = np.asarray(reflectivities, dtype=float)
         believed = true_refl
         if calibration_noise > 0.0:
@@ -542,14 +533,6 @@ def photonic_executor(
         prep[:, block_rows, block_cols] = _prep_unitaries(np.asarray(preparations, dtype=complex))
         meas[:, block_rows, block_cols] = [[_MEAS_ROT[c] for c in word] for word in settings]
         totals = meas @ gate_matrix @ prep
-        if reflectivities is not None and not freeze_gate_phases:
-            totals = np.array([
-                compile_with_imperfections(
-                    ModeUnitary(total), reflectivities, rng=compile_rng
-                ).implemented.matrix
-                for total in totals
-            ])
-
         return logical_distributions(totals, input_modes, rule, source)
 
     return run

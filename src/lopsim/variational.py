@@ -7,7 +7,7 @@ seven-angle ansatz circuit prepares a trial state, two measurement
 settings (computational and Hadamard-rotated) supply every Pauli
 expectation in the Hamiltonian, readout errors are corrected by
 inverting per-basis confusion matrices built from eigenvector
-preparations, and a gradient-free optimizer drives the angles.
+preparations, and repeated exact coordinate sweeps drive the angles.
 """
 
 from __future__ import annotations
@@ -60,8 +60,8 @@ BASES = ("ZZ", "XX")
 #: Number of trainable angles in the ansatz.
 N_ANSATZ_ANGLES = 7
 
-#: Initial trust-region radius (rad) of the COBYLA polish stage.
-COBYLA_RHOBEG = 0.8
+#: A full sweep lowering the predicted energy by less than this (Ha) ends the run.
+SWEEP_TOLERANCE = 1e-9
 
 
 @dataclass(frozen=True)
@@ -209,10 +209,10 @@ class PhotonicVqeBackend:
     ideal two-photon input with its noisy labeled mixture.
 
     The backend holds one :class:`~lopsim.qubits.GateCompiler` for its
-    lifetime.  The coordinate presweep and the optimizer's first simplex
-    steps move one angle at a time, and the two measurement settings of
-    one evaluation differ only in the trailing Hadamards, so a circuit
-    recompiles only the gates from its first changed one on.  The
+    lifetime.  The coordinate sweeps move one angle at a time, and the
+    two measurement settings of one evaluation differ only in the
+    trailing Hadamards, so a circuit recompiles only the gates from its
+    first changed one on.  The
     compiler's results are bit-identical to a fresh compile, so the
     energies are those of compiling every circuit from scratch.
     """
@@ -390,18 +390,17 @@ class VqeConfig:
 
     ``shots`` counts postselected samples per measurement setting (None
     for the infinite-shot limit), ``max_iterations`` is a hard cap on
-    objective evaluations, presweep and polish stage together, and
+    objective evaluations, the closing re-measure included, and
     ``mitigation`` toggles confusion-matrix correction with matrices
-    measured once before the optimization starts.  The
-    seed drives sampling only; the starting angles are deterministic
-    unless ``initial_theta`` is given.
+    measured once before the optimization starts.  The seed drives
+    sampling only; the sweeps start from all-zero angles unless
+    ``initial_theta`` is given.
     """
 
     shots: int | None = 10000
     max_iterations: int = 100
     seed: int = 0
     mitigation: bool = True
-    method: str = "cobyla"
     initial_theta: Sequence[float] | None = None
 
 
@@ -409,12 +408,14 @@ class VqeConfig:
 class VqeResult:
     """Outcome of a variational run.
 
-    ``energies`` records every objective evaluation in order; ``energy``
-    and ``theta`` report the best evaluation of the run (for finite
-    shots this is the best sample estimate, not a re-measured value).
+    ``energies`` records every objective evaluation in order.  ``theta``
+    holds the angles after the last sweep step, and ``energy`` is the
+    last evaluation: a fresh estimate at ``theta``, not the lowest
+    sample of the run, which finite shots bias below the ground energy.
     ``evaluations`` never exceeds ``VqeConfig.max_iterations``.
-    ``converged`` is False when the run stopped at the evaluation cap
-    rather than at the optimizer's own tolerance.
+    ``converged`` is True when a full sweep lowered the predicted energy
+    by less than ``SWEEP_TOLERANCE`` and False when the run stopped at
+    the evaluation cap.
     """
 
     energies: np.ndarray
@@ -425,43 +426,37 @@ class VqeResult:
     mitigation: dict[str, MitigationMatrix] | None
 
 
-_METHODS = {"cobyla": "COBYLA", "nelder-mead": "Nelder-Mead"}
-
-
-class _BudgetSpent(Exception):
-    """Raised by the objective once the evaluation cap is spent."""
-
-
-def _coordinate_presweep(
-    objective, theta: np.ndarray, budget: int
-) -> tuple[np.ndarray, float, float]:
+def _sweep(
+    objective, theta: np.ndarray, value: float, budget: int
+) -> tuple[np.ndarray, float, bool]:
     """One coordinate sweep fitting the per-angle energy sinusoid.
 
     Every trainable angle enters through a rotation gate, so with the
     other angles held fixed the energy is an exact sinusoid of that
-    angle; three evaluations determine it and the angle jumps to the
-    sinusoid minimum.  Returns the swept angles, the predicted energy
-    there, and the number of evaluations spent.
+    angle.  ``value`` (the energy at ``theta``) and two evaluations a
+    quarter period either side determine it; the angle jumps to the
+    sinusoid minimum, and the predicted energy there is carried on as
+    ``value`` for the next angle.  The sweep stops early when fewer
+    than two of its ``budget`` evaluations are left.  Returns the swept
+    angles, the predicted energy there and whether every angle was swept.
     """
-    value = objective(theta)
-    used = 1
+    theta = theta.copy()
     for k in range(N_ANSATZ_ANGLES):
-        if used + 2 > budget:
-            break
+        if budget < 2:
+            return theta, value, False
+        budget -= 2
         up = theta.copy()
         up[k] += np.pi / 2.0
         down = theta.copy()
         down[k] -= np.pi / 2.0
         e_up = objective(up)
         e_down = objective(down)
-        used += 2
         offset = 0.5 * (e_up + e_down)
         cos_part = value - offset
         sin_part = 0.5 * (e_up - e_down)
-        theta = theta.copy()
         theta[k] += np.arctan2(sin_part, cos_part) + np.pi
         value = offset - np.hypot(cos_part, sin_part)
-    return theta, value, used
+    return theta, value, True
 
 
 def vqe_run(
@@ -471,25 +466,26 @@ def vqe_run(
 ) -> VqeResult:
     """Minimize the measured energy over the ansatz angles.
 
-    Starting from the reference state (all angles zero), a deterministic
-    coordinate sweep pins each angle to its per-angle energy minimum,
-    and a gradient-free stage (COBYLA by default, Nelder-Mead through
-    ``config.method``) polishes from there.  ``config.max_iterations``
-    is a hard cap on the evaluations of both stages together: the polish
-    stage stops at the evaluation that would exceed it, whatever budget
-    the optimizer itself was given, and the run then reports
-    ``converged=False``.  Passing ``config.initial_theta`` skips the
-    sweep and starts the optimizer at the given angles.
+    Starting from all-zero angles (the reference state), or from
+    ``config.initial_theta``, each sweep pins every angle in turn to the
+    minimum of its energy sinusoid: Rotosolve (Ostaszewski, Grant and
+    Benedetti, Quantum 5, 391 (2021)), the sequential minimal
+    optimization of Nakanishi, Fujii and Todo (Phys. Rev. Research 2,
+    043158 (2020)).  Sweeps repeat until a full one lowers the predicted
+    energy by less than ``SWEEP_TOLERANCE`` (``converged=True``) or the
+    cap leaves fewer than two evaluations for the next angle.
+    ``config.max_iterations`` is a hard cap on all evaluations, and the
+    last one re-measures the energy at the returned angles.
     """
-    from scipy.optimize import minimize
-
     if config is None:
         config = VqeConfig()
-    method = _METHODS.get(config.method.lower())
-    if method is None:
-        raise ValueError(f"method must be one of {sorted(_METHODS)}, got {config.method!r}")
     if config.max_iterations < 1:
         raise ValueError(f"max_iterations must be positive, got {config.max_iterations}")
+    theta = np.zeros(N_ANSATZ_ANGLES)
+    if config.initial_theta is not None:
+        theta = np.array(config.initial_theta, dtype=float)
+        if theta.shape != (N_ANSATZ_ANGLES,):
+            raise ValueError(f"initial_theta must have {N_ANSATZ_ANGLES} entries")
     rng = np.random.default_rng(config.seed)
 
     gammas = None
@@ -502,47 +498,31 @@ def vqe_run(
         }
 
     trajectory: list[float] = []
-    best: list = [np.inf, np.zeros(N_ANSATZ_ANGLES)]
 
-    def objective(theta: np.ndarray) -> float:
-        if len(trajectory) >= config.max_iterations:
-            raise _BudgetSpent
-        value = measure_energy(h, theta, backend, config.shots, gammas, rng)
+    def objective(angles: np.ndarray) -> float:
+        value = measure_energy(h, angles, backend, config.shots, gammas, rng)
         trajectory.append(value)
-        if value < best[0]:
-            best[0] = value
-            best[1] = np.array(theta, dtype=float)
         return value
 
-    if config.initial_theta is not None:
-        theta0 = np.asarray(config.initial_theta, dtype=float)
-        if theta0.shape != (N_ANSATZ_ANGLES,):
-            raise ValueError(f"initial_theta must have {N_ANSATZ_ANGLES} entries")
-    else:
-        theta0, _, _ = _coordinate_presweep(
-            objective, np.zeros(N_ANSATZ_ANGLES), config.max_iterations
-        )
-
+    # One evaluation stays reserved for the closing re-measure.
+    budget = config.max_iterations - 1
     converged = False
-    remaining = config.max_iterations - len(trajectory)
-    if remaining > 0:
-        # COBYLA raises a budget below n + 2 to its own default and warns;
-        # the objective enforces the real cap.
-        maxiter = max(remaining, N_ANSATZ_ANGLES + 2)
-        if method == "COBYLA":
-            options = {"maxiter": maxiter, "rhobeg": COBYLA_RHOBEG}
-        else:
-            options = {"maxiter": maxiter, "maxfev": maxiter}
-        try:
-            result = minimize(objective, theta0, method=method, options=options)
-            converged = bool(result.success)
-        except _BudgetSpent:
-            pass
+    if budget > 0:
+        value = objective(theta)
+        while True:
+            theta, swept, complete = _sweep(objective, theta, value, budget - len(trajectory))
+            if not complete:
+                break
+            if value - swept < SWEEP_TOLERANCE:
+                converged = True
+                break
+            value = swept
+    energy = objective(theta)
 
     return VqeResult(
         energies=np.asarray(trajectory),
-        theta=best[1],
-        energy=float(best[0]),
+        theta=theta,
+        energy=energy,
         converged=converged,
         evaluations=len(trajectory),
         mitigation=gammas,

@@ -369,39 +369,25 @@ def test_photonic_executor_rejects_measurement_circuits():
         photonic_executor(circuit)
 
 
-def test_refitting_every_configuration_can_overshoot_unity():
+def test_frozen_gate_fit_stays_below_unity():
     plan = build_plan(T_CIRCUIT, 1)
     encoding = QubitEncoding(((0, 1),), (2,), 3)
     master = np.random.default_rng(42)
     frozen_vals = []
-    joint_vals = []
     for trial in range(6):
         reflectivities = master.normal(0.567, 0.006, size=(3, 2))
         frozen = estimate_favg(plan, photonic_executor(
             T_CIRCUIT,
             encoding=encoding,
             reflectivities=reflectivities,
-            freeze_gate_phases=True,
             calibration_noise=0.02,
             compile_seed=trial,
         ))
-        joint = estimate_favg(plan, photonic_executor(
-            T_CIRCUIT,
-            encoding=encoding,
-            reflectivities=reflectivities,
-            freeze_gate_phases=False,
-            compile_seed=trial,
-        ))
         frozen_vals.append(frozen.f_avg)
-        joint_vals.append(joint.f_avg)
-    # Freezing the gate region keeps the estimate an honest fidelity of one
-    # fixed realization: always below 1 by the calibration-limited gate error.
+    # Fitting the gate region once keeps the estimate an honest fidelity of
+    # one fixed realization: always below 1 by the calibration-limited gate error.
     assert all(value < 1.0 for value in frozen_vals)
     assert min(frozen_vals) > 0.99
-    # Refitting the whole mesh per configuration leaves independent residuals
-    # that can push the estimate past 1.
-    assert all(abs(value - 1.0) < 5e-4 for value in joint_vals)
-    assert max(joint_vals) > 1.0
 
 
 # ---------------------------------------------------------------------------

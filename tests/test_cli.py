@@ -88,6 +88,7 @@ def test_vqe_json_reports_the_energy_and_its_error(capsys):
         "seed",
         "energy",
         "exact_energy",
+        "exact_energy_at_theta",
         "error_mha",
         "evaluations",
         "converged",
@@ -96,6 +97,7 @@ def test_vqe_json_reports_the_energy_and_its_error(capsys):
     assert record["command"] == "vqe" and record["radius"] == 0.75 and record["seed"] == 1
     assert record["exact_energy"] == exact_ground_energy(h2_hamiltonian(0.75))
     assert record["error_mha"] == 1e3 * (record["energy"] - record["exact_energy"])
+    assert record["exact_energy_at_theta"] >= record["exact_energy"] - 1e-12
     assert abs(record["error_mha"]) < 20.0
     assert 1 <= record["evaluations"] <= VqeConfig().max_iterations
     assert isinstance(record["converged"], bool)

@@ -2,8 +2,8 @@
 every console script resolves to a callable, every name a module exports
 or the package imports exists, no module-level definition, method or
 property is dead, no module draws from an unseeded generator, and
-importing the package (or running ``lopsim fringe``) loads no scipy
-module, so a fresh process starts without paying for it."""
+importing the package (or running ``lopsim fringe`` or ``lopsim vqe``)
+loads no scipy module, so a fresh process starts without paying for it."""
 
 import ast
 import importlib
@@ -14,6 +14,8 @@ import subprocess
 import sys
 import tomllib
 from pathlib import Path, PurePosixPath
+
+import pytest
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -203,11 +205,12 @@ def test_no_seed_defaults_to_none():
     assert offenders == []
 
 
-def test_fringe_in_a_fresh_process_loads_no_scipy():
+@pytest.mark.parametrize("command", ["fringe", "vqe"])
+def test_a_fresh_cli_process_loads_no_scipy(command):
     script = (
         "import json, sys\n"
         "import lopsim, lopsim.cli\n"
-        "lopsim.cli.main(['fringe', '--json'])\n"
+        f"lopsim.cli.main([{command!r}, '--json'])\n"
         "print(json.dumps(sorted(n for n in sys.modules if n.startswith('scipy'))))\n"
     )
     env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
@@ -220,5 +223,5 @@ def test_fringe_in_a_fresh_process_loads_no_scipy():
         timeout=300,
     )
     lines = done.stdout.strip().splitlines()
-    assert json.loads(lines[0])["command"] == "fringe"
+    assert json.loads(lines[0])["command"] == command
     assert json.loads(lines[-1]) == []
