@@ -30,7 +30,6 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .mesh import ModeUnitary, compile_with_imperfections
 from .qubits import (
     _MEAS_ROT,
     _PAULI,
@@ -474,65 +473,33 @@ def _prep_unitaries(vectors: np.ndarray) -> np.ndarray:
     return np.stack([np.stack([a, -b.conj()], -1), np.stack([b, a.conj()], -1)], -2)
 
 
-def photonic_executor(
-    circuit: GateCircuit,
-    encoding: QubitEncoding | None = None,
-    source: SourceModel | None = None,
-    reflectivities: np.ndarray | None = None,
-    calibration_noise: float = 0.0,
-    compile_seed: int = 0,
-) -> Executor:
+def photonic_executor(circuit: GateCircuit, source: SourceModel | None = None) -> Executor:
     """Executor running plans on the dual-rail photonic simulator.
 
-    The gate circuit compiles once to postselected mode optics, and its
-    checked unitary is the gate matrix.  A call stacks ``meas @ gate @
-    prep`` for its B configurations into one ``(B, m, m)`` array (the
-    rotations are exact 2x2 blocks on each qubit's rail pair) and
-    simulates and reads out the stack in one
+    The gate circuit compiles once to postselected mode optics in the
+    default encoding, and its checked unitary is the gate matrix.  A call
+    stacks ``meas @ gate @ prep`` for its B configurations into one
+    ``(B, m, m)`` array (the rotations are exact 2x2 blocks on each
+    qubit's rail pair) and simulates and reads out the stack in one
     :func:`~lopsim.qubits.logical_distributions` call, the dual-rail
-    readout path shared with the GHZ factory.
-
-    With ``reflectivities`` given (the chip's true coupler table), the
-    gate region is fitted once against the couplers and executed on
-    them, and those phases hold across configurations while preparation
-    and measurement rotations stay exactly calibrated, so the estimate
-    measures one fixed gate realization.  ``calibration_noise`` adds a
-    per-coupler error to the reflectivity table used for that one fit:
-    the phases are set from an imperfect coupler estimate but executed
-    on the true chip.  ``compile_seed`` seeds that error and the fit.
+    readout path shared with the GHZ factory.  ``source`` is the photon
+    source (None for ideal photons).
     """
-    enc = encoding if encoding is not None else QubitEncoding.default(circuit.n_qubits)
+    enc = QubitEncoding.default(circuit.n_qubits)
     if circuit.measurement is not None:
         raise ValueError("benchmark circuits must not embed a measurement")
     _, rule, _, gate = compile_gate_circuit(circuit, enc)
-    gate_matrix = gate.matrix
     m = enc.n_modes
     input_modes = encoding_input_state(enc).modes()
     pairs = np.array(enc.qubit_pairs, dtype=np.intp)
     block_rows, block_cols = pairs[:, :, None], pairs[:, None, :]
-
-    if reflectivities is not None:
-        compile_rng = np.random.default_rng(compile_seed)
-        true_refl = np.asarray(reflectivities, dtype=float)
-        believed = true_refl
-        if calibration_noise > 0.0:
-            believed = np.clip(
-                true_refl + compile_rng.normal(0.0, calibration_noise, true_refl.shape),
-                0.05,
-                0.95,
-            )
-        fit = compile_with_imperfections(
-            ModeUnitary(gate_matrix), believed, rng=compile_rng
-        )
-        executed = fit.layout.unitary(fit.phases, true_refl, fit.output_phases).matrix
-        gate_matrix = executed * np.exp(1j * fit.input_phases)[None, :]
 
     def run(preparations: np.ndarray, settings: Sequence[str]) -> np.ndarray:
         prep = np.tile(np.eye(m, dtype=complex), (len(preparations), 1, 1))
         meas = prep.copy()
         prep[:, block_rows, block_cols] = _prep_unitaries(np.asarray(preparations, dtype=complex))
         meas[:, block_rows, block_cols] = [[_MEAS_ROT[c] for c in word] for word in settings]
-        totals = meas @ gate_matrix @ prep
+        totals = meas @ gate.matrix @ prep
         return logical_distributions(totals, input_modes, rule, source)
 
     return run

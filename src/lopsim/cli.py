@@ -152,87 +152,77 @@ def run_vqe(h: QubitHamiltonian, seed: int) -> dict:
     }
 
 
+#: Each subcommand's help and the help of its ``--seed`` (None: no seed).
+_COMMANDS = {
+    "fringe": ("six-photon cyclic fringe p6 cos(alpha) of the bundled source", None),
+    "qnn": ("train the three-photon classifier on the bundled iris set", "training seed"),
+    "calibrate": ("calibrate a synthetic 6-mode chip and benchmark the fit", "chip seed"),
+    "vqe": ("H2 ground energy by VQE at one tabulated radius", "sampling seed"),
+}
+
+
+def _text_line(record: dict) -> str:
+    """The one-line plain-text report of a command's record."""
+    stages = ", ".join(f"{name} {sec:.3f} s" for name, sec in record.get("stage_s", {}).items())
+    command = record["command"]
+    if command == "vqe":
+        return (
+            f"VQE energy {record['energy']:.6f} Ha, exact {record['exact_energy']:.6f} Ha,"
+            f" error {record['error_mha']:.3f} mHa after {record['evaluations']} evaluations"
+            f" (converged: {record['converged']}) in {record['wall_s']:.2f} s"
+        )
+    if command == "calibrate":
+        return (
+            f"calibrated TVD {record['calib_tvd']:.4f}, crosstalk-free baseline TVD"
+            f" {record['baseline_tvd']:.4f} ({stages})"
+        )
+    if command == "qnn":
+        return (
+            f"train accuracy {record['train_accuracy']:.4f}, test accuracy"
+            f" {record['test_accuracy']:.4f} after {record['objective_evaluations']}"
+            f" evaluations (best at iteration {record['best_iteration']})"
+        )
+    return (
+        f"p6 cos(alpha) = {record['p6_cos_alpha']:.6f} at alpha = {record['alpha']:g} ({stages})"
+    )
+
+
 def main(argv: Sequence[str] | None = None) -> int:
     parser = argparse.ArgumentParser(
         prog="lopsim", description="Simulate experiments of the single-photon processor."
     )
     commands = parser.add_subparsers(dest="command", required=True)
-    fringe_parser = commands.add_parser(
-        "fringe", help="six-photon cyclic fringe p6 cos(alpha) of the bundled source"
-    )
-    fringe_parser.add_argument(
+    parsers = {name: commands.add_parser(name, help=text) for name, (text, _) in _COMMANDS.items()}
+    parsers["fringe"].add_argument(
         "--alpha", type=float, default=0.0, help="internal phase in radians (default 0)"
     )
-    fringe_parser.add_argument("--json", action="store_true", help="print one JSON object")
-    qnn_parser = commands.add_parser(
-        "qnn", help="train the three-photon classifier on the bundled iris set"
-    )
-    qnn_parser.add_argument("--seed", type=int, default=0, help="training seed (default 0)")
-    qnn_parser.add_argument("--json", action="store_true", help="print one JSON object")
-    calibrate_parser = commands.add_parser(
-        "calibrate", help="calibrate a synthetic 6-mode chip and benchmark the fit"
-    )
-    calibrate_parser.add_argument("--seed", type=int, default=0, help="chip seed (default 0)")
-    calibrate_parser.add_argument("--json", action="store_true", help="print one JSON object")
-    vqe_parser = commands.add_parser(
-        "vqe", help="H2 ground energy by VQE at one tabulated radius"
-    )
-    vqe_parser.add_argument(
+    parsers["vqe"].add_argument(
         "--radius", type=float, default=0.75, help="tabulated internuclear radius (default 0.75)"
     )
-    vqe_parser.add_argument("--seed", type=int, default=0, help="sampling seed (default 0)")
-    vqe_parser.add_argument("--json", action="store_true", help="print one JSON object")
+    for name, (_, seed_help) in _COMMANDS.items():
+        if seed_help is not None:
+            parsers[name].add_argument(
+                "--seed", type=int, default=0, help=f"{seed_help} (default 0)"
+            )
+        parsers[name].add_argument("--json", action="store_true", help="print one JSON object")
     args = parser.parse_args(argv)
 
     if args.command == "vqe":
         try:
             h = h2_hamiltonian(args.radius)
         except ValueError as exc:
-            vqe_parser.error(str(exc))
+            parsers["vqe"].error(str(exc))
         record = {"command": "vqe", "radius": args.radius, "seed": args.seed}
         record.update(run_vqe(h, args.seed))
-        if args.json:
-            print(json.dumps(record))
-        else:
-            print(
-                f"VQE energy {record['energy']:.6f} Ha, exact {record['exact_energy']:.6f} Ha,"
-                f" error {record['error_mha']:.3f} mHa after {record['evaluations']} evaluations"
-                f" (converged: {record['converged']}) in {record['wall_s']:.2f} s"
-            )
-        return 0
-
-    if args.command == "calibrate":
+    elif args.command == "calibrate":
         record = {"command": "calibrate", "seed": args.seed, **calibrate_chip(args.seed)}
-        if args.json:
-            print(json.dumps(record))
-        else:
-            stages = ", ".join(f"{name} {sec:.3f} s" for name, sec in record["stage_s"].items())
-            print(
-                f"calibrated TVD {record['calib_tvd']:.4f}, crosstalk-free baseline TVD"
-                f" {record['baseline_tvd']:.4f} ({stages})"
-            )
-        return 0
-
-    if args.command == "qnn":
+    elif args.command == "qnn":
         metrics = train_iris(args.seed)
         keys = ("train_accuracy", "test_accuracy", "objective_evaluations", "best_iteration")
         record = {"command": "qnn", "seed": args.seed, **{key: metrics[key] for key in keys}}
-        if args.json:
-            print(json.dumps(record))
-        else:
-            print(
-                f"train accuracy {record['train_accuracy']:.4f}, test accuracy"
-                f" {record['test_accuracy']:.4f} after {record['objective_evaluations']}"
-                f" evaluations (best at iteration {record['best_iteration']})"
-            )
-        return 0
-
-    record = {"command": "fringe", "alpha": args.alpha, **fringe(args.alpha)}
-    if args.json:
-        print(json.dumps(record))
     else:
-        stages = ", ".join(f"{name} {sec:.3f} s" for name, sec in record["stage_s"].items())
-        print(f"p6 cos(alpha) = {record['p6_cos_alpha']:.6f} at alpha = {args.alpha:g} ({stages})")
+        record = {"command": "fringe", "alpha": args.alpha, **fringe(args.alpha)}
+    print(json.dumps(record) if args.json else _text_line(record))
     return 0
 
 

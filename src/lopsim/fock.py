@@ -575,8 +575,7 @@ def sample(
     """Draw ``shots`` outcomes by inverse-CDF sampling of the exact distribution."""
     if shots < 0:
         raise ValueError("shots must be non-negative")
-    if isinstance(rng, (int, np.integer)):
-        rng = np.random.default_rng(int(rng))
+    rng = np.random.default_rng(rng)
     rows, p = strong_simulate(unitary, input_state, collision_free=collision_free).outcomes()
     draws = rng.choice(len(p), size=shots, p=p / p.sum())
     tallies = np.bincount(draws, minlength=len(p))

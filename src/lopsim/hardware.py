@@ -127,8 +127,7 @@ class HardwareModel:
     @classmethod
     def synthetic(cls, m: int, rng: np.random.Generator | int) -> "HardwareModel":
         """Random ground-truth chip for simulation studies (``SYNTHETIC_*`` spreads)."""
-        if isinstance(rng, (int, np.integer)):
-            rng = np.random.default_rng(int(rng))
+        rng = np.random.default_rng(rng)
         layout = MeshLayout(m)
         p = layout.n_actuated
         a = rng.normal(0.0, SYNTHETIC_CROSSTALK_STD, size=(p, p))
@@ -324,8 +323,7 @@ def generate_measurements(
 ) -> list[IntensityMeasurement]:
     """Random-drive intensity data with multiplicative detection noise."""
     _check_layout(hw, layout)
-    if isinstance(rng, (int, np.integer)):
-        rng = np.random.default_rng(int(rng))
+    rng = np.random.default_rng(rng)
     volts = np.empty((n, hw.b.shape[0]))
     gains = np.empty((n, hw.m))
     for i in range(n):

@@ -721,7 +721,7 @@ def compile_with_imperfections(
     reflectivities: np.ndarray,
     layout: MeshLayout | None = None,
     max_restarts: int = 20,
-    rng: np.random.Generator | int | None = None,
+    rng: np.random.Generator | int = 0,
     maxiter: int = 500,
 ) -> CompilationResult:
     """Fit mesh phases so the imperfect mesh implements ``target``.
@@ -739,8 +739,7 @@ def compile_with_imperfections(
     if layout is None:
         layout = MeshLayout(target.m)
     refl = layout._reflectivity_table(np.asarray(reflectivities, dtype=float))
-    if isinstance(rng, (int, np.integer)) or rng is None:
-        rng = np.random.default_rng(0 if rng is None else int(rng))
+    rng = np.random.default_rng(rng)
 
     ideal = clements_decompose(target, layout)
     seed = layout.actuated_from_phases(ideal.phases)

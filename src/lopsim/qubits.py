@@ -31,8 +31,8 @@ distribution is a weighted ``bincount`` of the accepted indices.
 interferometers to postselected logical distributions, for an ideal or
 a noisy source: the F_avg executor and the noisy GHZ fidelity call it.
 The VQE backend still reads each circuit out of its Fock distribution
-with :func:`logical_distribution`.  The module also owns the 2x2 gate constants that other modules
-import.
+with :func:`logical_distribution`.  The module also owns the 2x2 gate
+constants that other modules import.
 """
 
 from __future__ import annotations

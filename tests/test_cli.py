@@ -8,6 +8,7 @@ from pathlib import Path
 
 import pytest
 
+from lopsim import cli
 from lopsim.cli import main
 from lopsim.sources import _fringe_table
 from lopsim.variational import VqeConfig, exact_ground_energy, h2_hamiltonian
@@ -109,3 +110,78 @@ def test_vqe_rejects_an_untabulated_radius(capsys):
         main(["vqe", "--radius", "0.33"])
     assert exit_info.value.code != 0
     assert "not tabulated" in capsys.readouterr().err
+
+
+
+# Each command with its runner replaced by a fixed record: the argv, the
+# runner's name and the arguments it must receive, the options the JSON
+# record echoes, the runner's record and the plain-text line.
+_FIXED_RUNS = {
+    "fringe": (
+        ["fringe", "--alpha", "0.5"],
+        ("fringe", (0.5,)),
+        {"alpha": 0.5},
+        {
+            "p6_cos_alpha": 0.7194,
+            "dropped_mass": 1e-10,
+            "stage_s": {"fit": 0.001, "simulate": 0.25, "readout": 0.012},
+        },
+        "p6 cos(alpha) = 0.719400 at alpha = 0.5 (fit 0.001 s, simulate 0.250 s, readout 0.012 s)",
+    ),
+    "qnn": (
+        ["qnn", "--seed", "3"],
+        ("train_iris", (3,)),
+        {"seed": 3},
+        {
+            "train_accuracy": 0.975,
+            "test_accuracy": 0.9,
+            "objective_evaluations": 120,
+            "best_iteration": 7,
+        },
+        "train accuracy 0.9750, test accuracy 0.9000 after 120 evaluations"
+        " (best at iteration 7)",
+    ),
+    "calibrate": (
+        ["calibrate", "--seed", "4"],
+        ("calibrate_chip", (4,)),
+        {"seed": 4},
+        {
+            "calib_tvd": 0.3064,
+            "baseline_tvd": 0.41,
+            "stage_s": {"measure": 0.02, "calibrate": 1.5, "benchmark": 0.25},
+        },
+        "calibrated TVD 0.3064, crosstalk-free baseline TVD 0.4100"
+        " (measure 0.020 s, calibrate 1.500 s, benchmark 0.250 s)",
+    ),
+    "vqe": (
+        ["vqe", "--radius", "0.75", "--seed", "5"],
+        ("run_vqe", (h2_hamiltonian(0.75), 5)),
+        {"radius": 0.75, "seed": 5},
+        {
+            "energy": -1.1372,
+            "exact_energy": -1.13727,
+            "exact_energy_at_theta": -1.13721,
+            "error_mha": 0.07,
+            "evaluations": 42,
+            "converged": True,
+            "wall_s": 0.25,
+        },
+        "VQE energy -1.137200 Ha, exact -1.137270 Ha, error 0.070 mHa after 42 evaluations"
+        " (converged: True) in 0.25 s",
+    ),
+}
+
+
+@pytest.mark.parametrize("as_json", [False, True], ids=["text", "json"])
+@pytest.mark.parametrize("command", list(_FIXED_RUNS))
+def test_each_command_prints_its_record(command, as_json, monkeypatch, capsys):
+    argv, (runner, expected_args), options, record, text = _FIXED_RUNS[command]
+    calls = []
+    monkeypatch.setattr(cli, runner, lambda *args: calls.append(args) or dict(record))
+    assert main([*argv, "--json"] if as_json else argv) == 0
+    out = capsys.readouterr().out
+    if as_json:
+        assert json.loads(out) == {"command": command, **options, **record}
+    else:
+        assert out == text + "\n"
+    assert calls == [expected_args]

@@ -173,8 +173,11 @@ def test_no_module_draws_from_an_unseeded_generator():
 def test_no_seed_defaults_to_none():
     # A seed left at None seeds the generator from the OS, so a call that
     # does not pass one would not be reproducible.  Checks every function
-    # parameter and dataclass field named ``seed`` or ``*_seed``.
-    def is_seed(name: str) -> bool:
+    # parameter and dataclass field named ``seed`` or ``*_seed``, and
+    # every parameter named ``rng`` whose annotation admits an int seed.
+    def is_seed(name: str, annotation=None) -> bool:
+        if name == "rng":
+            return annotation is not None and "int" in re.findall(r"\w+", ast.unparse(annotation))
         return name == "seed" or name.endswith("_seed")
 
     def is_none(node) -> bool:
@@ -191,7 +194,7 @@ def test_no_seed_defaults_to_none():
                 offenders += [
                     f"{path.name}:{arg.lineno}:{arg.arg}"
                     for arg, default in pairs
-                    if is_seed(arg.arg) and is_none(default)
+                    if is_seed(arg.arg, arg.annotation) and is_none(default)
                 ]
             elif isinstance(node, ast.ClassDef):
                 offenders += [

@@ -322,14 +322,14 @@ def test_measure_energy_rejects_shots_without_rng():
     )
 
 
-def test_vqe_noiseless_converges_for_every_seed():
+def test_vqe_with_exact_energies_does_not_depend_on_the_seed():
+    # The seed drives sampling only, so without shots every seed runs the
+    # same sweeps.
     backend = PhotonicVqeBackend()
     h = h2_hamiltonian(0.75)
-    exact = exact_ground_energy(h)
-    for seed in range(5):
-        result = vqe_run(h, backend, VqeConfig(shots=None, seed=seed, mitigation=False))
-        assert result.evaluations <= 100
-        assert abs(result.energy - exact) < 0.01
+    first, second = (vqe_run(h, backend, VqeConfig(shots=None, seed=seed)) for seed in (0, 7))
+    np.testing.assert_array_equal(first.energies, second.energies)
+    np.testing.assert_array_equal(first.theta, second.theta)
 
 
 def test_vqe_with_exact_energies_reaches_every_tabulated_ground_energy():
