@@ -54,7 +54,6 @@ from lopsim.qubits import (
     compile_gate_circuit,
     ghz_factory,
     ghz_fidelity,
-    pauli_expectation,
     pauli_measurement_setting,
 )
 from lopsim.benchmark import (

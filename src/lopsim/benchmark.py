@@ -6,9 +6,10 @@ drawn from {|0>, |1>, |+>, |+i>} per qubit.  ``build_plan`` derives the
 weights from the 16^n correlation system, which is the n-fold Kronecker
 product of one 16 x 16 one-qubit system and so is solved one qubit at a
 time, ``estimate_favg`` executes a plan against a simulator backend in
-one call that carries every configuration (:data:`Executor`), and
-``spam_floor`` bounds the preparation-and-measurement error a plan
-inherits from its single-qubit layer.
+one call that carries every configuration (:data:`Executor`; each
+executor here simulates that batch as one stack of density matrices or
+interferometers), and ``spam_floor`` bounds the preparation-and-measurement
+error a plan inherits from its single-qubit layer.
 
 Two estimator functionals are supported.  The ``tabulated`` route solves
 the swap-paired estimator used by the bundled reference plans; it agrees
@@ -30,6 +31,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
+from .fock import _seeded_rng
 from .qubits import (
     _MEAS_ROT,
     _PAULI,
@@ -354,7 +356,7 @@ def estimate_favg(
     """
     if shots_per_config is not None and int(shots_per_config) < 1:
         raise ValueError(f"shots_per_config must be at least 1, got {shots_per_config}")
-    rng = np.random.default_rng(seed)
+    rng = _seeded_rng(seed)
     n = plan.n_qubits
 
     groups = plan.configurations()
@@ -394,57 +396,41 @@ def estimate_favg(
 # Executor backends
 
 
-def _rotate_qubit_rows(mats: np.ndarray, rotations: np.ndarray) -> np.ndarray:
-    """Left-multiply each of B ``(2^n, k)`` matrices by its per-qubit rotations.
-
-    ``rotations`` is ``(B, n, 2, 2)``; rotation q acts on qubit q's bit
-    of the row index (qubit 0 the most significant), so the product is
-    the Kronecker product of the n rotations without forming it.
-    """
-    count, d, k = mats.shape
-    for q in range(rotations.shape[1]):
-        mats = (rotations[:, q, None] @ mats.reshape(count, 1 << q, 2, -1)).reshape(count, d, k)
-    return mats
-
-
 def channel_executor(
     channel: Callable[[np.ndarray], np.ndarray], n_qubits: int
 ) -> Executor:
     """Executor for any density-matrix map that includes the gate action.
 
-    ``channel`` maps one 2^n x 2^n density matrix and is called once per
-    configuration.  Product preparations are built one qubit at a time,
-    and the measurement rotations act along each qubit's axis of the
-    whole batch of channel outputs, so no 2^n x 2^n Kronecker product is
-    formed.
+    ``channel`` maps a ``(B, 2^n, 2^n)`` stack of density matrices to the
+    stack of their outputs and is called once per executor call, on the
+    product preparations of all B configurations.  Each configuration's
+    measurement rotation is the Kronecker product of its 2x2 blocks (at
+    most 16 x 16), and only the diagonal of the rotated output is formed.
     """
-    d = 1 << n_qubits
 
     def run(preparations: np.ndarray, settings: Sequence[str]) -> np.ndarray:
         preparations = np.asarray(preparations, dtype=complex)
         count = len(preparations)
-        psi = np.ones((count, 1), dtype=complex)
-        for q in range(n_qubits):
-            psi = (psi[:, :, None] * preparations[:, q, None, :]).reshape(count, -1)
-        outputs = np.array([channel(np.outer(v, v.conj())) for v in psi]).reshape(count, d, d)
-        rotations = np.array(
+        blocks = np.array(
             [[_MEAS_ROT[c] for c in word] for word in settings], dtype=complex
         ).reshape(count, n_qubits, 2, 2)
-        # diag(R rho^dagger R^dagger) is the conjugate of diag(R rho R^dagger),
-        # so its real part is the outcome distribution
-        rotated = _rotate_qubit_rows(outputs, rotations).conj().transpose(0, 2, 1)
-        rotated = _rotate_qubit_rows(rotated, rotations)
-        probs = np.real(np.diagonal(rotated, axis1=1, axis2=2))
+        psi = np.ones((count, 1), dtype=complex)
+        rot = np.ones((count, 1, 1), dtype=complex)
+        for q in range(n_qubits):
+            psi = (psi[:, :, None] * preparations[:, q, None, :]).reshape(count, -1)
+            rot = rot[:, :, None, :, None] * blocks[:, q, None, :, None, :]
+            rot = rot.reshape(count, 2 << q, 2 << q)
+        out = channel(psi[:, :, None] * psi[:, None, :].conj())
+        # diag(R rho R^dagger)_i = sum_j (R rho)_ij conj(R_ij)
+        probs = np.sum((rot @ out) * rot.conj(), axis=2).real
         return np.clip(probs, 0.0, None)
 
     return run
 
 
 def noiseless_executor(gate: GateCircuit | np.ndarray) -> Executor:
-    """Executor applying the gate unitary exactly."""
-    mat = _as_unitary(gate)
-    n_qubits = int(round(np.log2(mat.shape[0])))
-    return channel_executor(lambda rho: mat @ rho @ mat.conj().T, n_qubits)
+    """Executor applying the gate unitary exactly (depolarizing with p = 0)."""
+    return depolarizing_executor(gate, 0.0)
 
 
 def depolarizing_executor(gate: GateCircuit | np.ndarray, probability: float) -> Executor:
@@ -458,7 +444,8 @@ def depolarizing_executor(gate: GateCircuit | np.ndarray, probability: float) ->
 
     def channel(rho: np.ndarray) -> np.ndarray:
         out = mat @ rho @ mat.conj().T
-        return (1.0 - probability) * out + probability * np.trace(out).real / d * eye
+        trace = np.trace(out, axis1=-2, axis2=-1).real[..., None, None]
+        return (1.0 - probability) * out + probability * trace / d * eye
 
     return channel_executor(channel, n_qubits)
 

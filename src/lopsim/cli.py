@@ -51,8 +51,7 @@ import sys
 import time
 from typing import Sequence
 
-import numpy as np
-
+from .fock import _seeded_rng
 from .hardware import (
     HardwareModel,
     benchmark_tvd,
@@ -114,7 +113,7 @@ def train_iris(seed: int) -> dict:
 
 def calibrate_chip(seed: int) -> dict:
     """Calibrate a synthetic 6-mode chip; returns both TVDs and stage times."""
-    draws = np.random.default_rng(seed).integers(2**31, size=3)
+    draws = _seeded_rng(seed).integers(2**31, size=3)
     chip_seed, data_seed, tvd_seed = (int(x) for x in draws)
     layout = MeshLayout(6)
     chip = HardwareModel.synthetic(6, rng=chip_seed)

@@ -248,12 +248,12 @@ def _glynn_deltas(k: int) -> tuple[np.ndarray, np.ndarray]:
     return deltas, signs
 
 
-def permanent(matrix: np.ndarray, extended_precision: bool | None = None) -> complex:
+def permanent(matrix: np.ndarray) -> complex:
     """Permanent of a square matrix by Glynn's formula.
 
-    Cost is O(2^k k^2) for a k x k matrix; k is capped at 16. With
-    ``extended_precision`` unset, accumulation switches to extended
-    precision from k >= 12 to limit cancellation error.
+    Cost is O(2^k k^2) for a k x k matrix; k is capped at 16. From
+    k >= 12 accumulation runs in extended precision to limit
+    cancellation error.
     """
     a = np.asarray(matrix)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
@@ -265,9 +265,7 @@ def permanent(matrix: np.ndarray, extended_precision: bool | None = None) -> com
         raise ValueError(f"permanent size {k} exceeds cap {PERMANENT_MAX_SIZE}")
     if k == 1:
         return complex(a[0, 0])
-    if extended_precision is None:
-        extended_precision = k >= 12
-    dtype = np.clongdouble if extended_precision else np.complex128
+    dtype = np.clongdouble if k >= 12 else np.complex128
     deltas, signs = _glynn_deltas(k)
     rows = deltas.astype(dtype) @ a.astype(dtype)
     terms = np.prod(rows, axis=1)
@@ -565,6 +563,17 @@ def strong_simulate(
     return OutputDistribution(m, {n: np.where(free, probs / weight, 0.0)}, subspace_weight=weight)
 
 
+def _seeded_rng(seed: np.random.Generator | int) -> np.random.Generator:
+    """Generator for ``seed``: an int seeds a new one, a Generator passes through.
+
+    None is refused: ``default_rng(None)`` seeds itself from the OS, so
+    its draws would differ from run to run.
+    """
+    if seed is None:
+        raise ValueError("need an int seed or a numpy Generator, got None")
+    return np.random.default_rng(seed)
+
+
 def sample(
     unitary: ModeUnitary,
     input_state: FockState,
@@ -575,7 +584,7 @@ def sample(
     """Draw ``shots`` outcomes by inverse-CDF sampling of the exact distribution."""
     if shots < 0:
         raise ValueError("shots must be non-negative")
-    rng = np.random.default_rng(rng)
+    rng = _seeded_rng(rng)
     rows, p = strong_simulate(unitary, input_state, collision_free=collision_free).outcomes()
     draws = rng.choice(len(p), size=shots, p=p / p.sum())
     tallies = np.bincount(draws, minlength=len(p))

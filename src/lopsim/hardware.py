@@ -22,7 +22,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from lopsim.fock import ModeUnitary
+from lopsim.fock import ModeUnitary, _seeded_rng
 from lopsim.mesh import MeshLayout, _adjoint_sweep, _forward_sweep
 
 __all__ = [
@@ -127,7 +127,7 @@ class HardwareModel:
     @classmethod
     def synthetic(cls, m: int, rng: np.random.Generator | int) -> "HardwareModel":
         """Random ground-truth chip for simulation studies (``SYNTHETIC_*`` spreads)."""
-        rng = np.random.default_rng(rng)
+        rng = _seeded_rng(rng)
         layout = MeshLayout(m)
         p = layout.n_actuated
         a = rng.normal(0.0, SYNTHETIC_CROSSTALK_STD, size=(p, p))
@@ -323,7 +323,7 @@ def generate_measurements(
 ) -> list[IntensityMeasurement]:
     """Random-drive intensity data with multiplicative detection noise."""
     _check_layout(hw, layout)
-    rng = np.random.default_rng(rng)
+    rng = _seeded_rng(rng)
     volts = np.empty((n, hw.b.shape[0]))
     gains = np.empty((n, hw.m))
     for i in range(n):
@@ -523,7 +523,7 @@ def benchmark_tvd(
     """
     _check_layout(hw_est, layout)
     _check_layout(hw_true, layout)
-    rng = np.random.default_rng(seed)
+    rng = _seeded_rng(seed)
     cap = 50 * n_configs
     targets = np.empty((n_configs, layout.n_actuated))
     volts = np.empty_like(targets)

@@ -38,7 +38,7 @@ from typing import Sequence
 
 import numpy as np
 
-from lopsim.fock import ModeUnitary
+from lopsim.fock import ModeUnitary, _seeded_rng
 
 __all__ = [
     "PhaseShifter",
@@ -739,7 +739,7 @@ def compile_with_imperfections(
     if layout is None:
         layout = MeshLayout(target.m)
     refl = layout._reflectivity_table(np.asarray(reflectivities, dtype=float))
-    rng = np.random.default_rng(rng)
+    rng = _seeded_rng(rng)
 
     ideal = clements_decompose(target, layout)
     seed = layout.actuated_from_phases(ideal.phases)

@@ -27,7 +27,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .fock import batched_amplitudes, enumerate_basis
+from .fock import _seeded_rng, batched_amplitudes, enumerate_basis
 from .mesh import DirectionalCoupler, PhaseShifter, PhotonicCircuit
 
 __all__ = [
@@ -404,7 +404,7 @@ def qnn_train(
     if class_names is not None and len(class_names) != n_classes:
         raise ValueError("one class name per class required")
 
-    rng = np.random.default_rng(config.seed)
+    rng = _seeded_rng(config.seed)
     train_idx, test_idx = stratified_split(labels, config.n_test, rng)
     x_train, y_train = features[train_idx], labels[train_idx]
     x_test, y_test = features[test_idx], labels[test_idx]

@@ -29,10 +29,11 @@ acceptance mask and the logical index of every row, and the logical
 distribution is a weighted ``bincount`` of the accepted indices.
 :func:`logical_distributions` is the one batched path from
 interferometers to postselected logical distributions, for an ideal or
-a noisy source: the F_avg executor and the noisy GHZ fidelity call it.
-The VQE backend still reads each circuit out of its Fock distribution
-with :func:`logical_distribution`.  The module also owns the 2x2 gate
-constants that other modules import.
+a noisy source: the F_avg executor and the GHZ fidelity call it, and
+Pauli and stabilizer expectations are sign vectors applied to its rows.
+Only the VQE backend still reads each circuit out of its Fock
+distribution with :func:`logical_distribution`.  The module also owns
+the 2x2 gate constants that other modules import.
 """
 
 from __future__ import annotations
@@ -81,11 +82,9 @@ __all__ = [
     "pauli_measurement_setting",
     "logical_distribution",
     "logical_distributions",
-    "pauli_expectation",
     "ghz_factory",
     "ghz_input_state",
     "ghz_postselection",
-    "ghz_stabilizer_expectations",
     "ghz_fidelity",
     "ghz_noisy_fidelity",
 ]
@@ -438,19 +437,6 @@ def logical_distributions(
     if not np.all(weight > 0.0):
         raise ValueError("no outcomes pass the postselection rule")
     return raw / weight
-
-
-def pauli_expectation(
-    distribution: Mapping[FockState, float], rule: PostselectionRule, word: str
-) -> float:
-    """Expectation of a Pauli word over the postselected logical outcomes.
-
-    The distribution must already include the basis-change rotations for
-    the word (see ``pauli_measurement_setting``); identity positions are
-    ignored when accumulating the eigenvalue product.
-    """
-    logical, _ = logical_distribution(distribution, rule)
-    return float(_pauli_signs(word) @ logical.ravel())
 
 
 def _pauli_signs(word: str) -> np.ndarray:
@@ -870,25 +856,6 @@ def ghz_postselection(
     return PostselectionRule(GHZ_OUTPUT_PAIRS, heralds=selected, threshold=threshold)
 
 
-def ghz_stabilizer_expectations(
-    distributions: Mapping[str, Mapping[FockState, float]], rule: PostselectionRule
-) -> dict[str, float]:
-    """All eight stabilizer expectations from the five measurement settings.
-
-    ``distributions`` maps each setting in ``GHZ_MEASUREMENT_SETTINGS`` to
-    the output distribution taken with that setting's rotations.  The
-    two-qubit Z words are parity marginals of one ZZZ readout.
-    """
-    missing = [w for w in GHZ_MEASUREMENT_SETTINGS if w not in distributions]
-    if missing:
-        raise ValueError(f"missing measurement settings: {missing}")
-    logical = {
-        word: logical_distribution(distributions[word], rule)[0].ravel()
-        for word in GHZ_MEASUREMENT_SETTINGS
-    }
-    return _ghz_expectations(logical)
-
-
 def _ghz_expectations(logical: Mapping[str, np.ndarray]) -> dict[str, float]:
     """The eight stabilizers from each setting's logical vector, qubit 0 first.
 
@@ -916,15 +883,15 @@ def ghz_fidelity(expectations: Mapping[str, float]) -> float:
     ) / len(_GHZ_STABILIZER_SIGNS)
 
 
-def ghz_noisy_fidelity(source: SourceModel) -> tuple[float, dict[str, float]]:
-    """GHZ fidelity with an imperfect source, pooled over the h+ heralds.
+def ghz_noisy_fidelity(source: SourceModel | None = None) -> tuple[float, dict[str, float]]:
+    """GHZ fidelity of the factory, pooled over the h+ heralds.
 
-    Runs each of the five measurement settings through the full noisy
-    simulation with threshold detection, one
-    :func:`logical_distributions` call per setting (a batch of five is
-    slower on these 12-mode sectors), and returns the
-    stabilizer-average fidelity together with the individual
-    expectations.
+    ``source`` is the photon source (None for ideal photons).  Each of
+    the five measurement settings is read with threshold detection in
+    one :func:`logical_distributions` call (a batch of five is slower on
+    the noisy 12-mode sectors); the two-qubit Z words are parity
+    marginals of the ZZZ readout.  Returns the stabilizer-average
+    fidelity together with the eight expectations.
     """
     circuit, heralds, encoding = ghz_factory()
     rule = ghz_postselection(heralds, sign=1, threshold=True)

@@ -21,7 +21,7 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .fock import strong_simulate
+from .fock import _seeded_rng, strong_simulate
 from .qubits import (
     _ID2,
     _PAULI,
@@ -365,7 +365,7 @@ def build_mitigation(
     basis = basis.upper()
     if basis not in BASES:
         raise ValueError(f"basis must be one of {BASES}, got {basis!r}")
-    rng = np.random.default_rng(seed)
+    rng = _seeded_rng(seed)
     columns = []
     for outcome in range(4):
         p = backend.distribution(_mitigation_circuit(basis, outcome))
@@ -486,7 +486,7 @@ def vqe_run(
         theta = np.array(config.initial_theta, dtype=float)
         if theta.shape != (N_ANSATZ_ANGLES,):
             raise ValueError(f"initial_theta must have {N_ANSATZ_ANGLES} entries")
-    rng = np.random.default_rng(config.seed)
+    rng = _seeded_rng(config.seed)
 
     gammas = None
     if config.mitigation:

@@ -218,6 +218,11 @@ def test_depolarizing_closed_forms():
     assert estimate_favg(exact_cnot, depolarizing_executor(CNOT_CIRCUIT, p)).f_avg == (
         pytest.approx(1.0 - 3.0 * p / 4.0, abs=1e-9)
     )
+    toffoli = GateCircuit.from_text("TOFFOLI 0 1 2", n_qubits=3)
+    exact_toffoli = build_plan(toffoli, 3, functional="exact")
+    assert estimate_favg(exact_toffoli, depolarizing_executor(toffoli, p)).f_avg == (
+        pytest.approx(1.0 - 7.0 * p / 8.0, abs=1e-9)
+    )
     two_cnots = np.kron(CNOT_MATRIX, CNOT_MATRIX)
     exact_4q = build_plan(two_cnots, 4, functional="exact")
     assert estimate_favg(exact_4q, depolarizing_executor(two_cnots, p)).f_avg == (
@@ -231,6 +236,19 @@ def test_depolarizing_closed_forms():
     assert estimate_favg(tab_cnot, depolarizing_executor(CNOT_CIRCUIT, p)).f_avg == (
         pytest.approx(1.0 - 9.0 * p / 10.0, abs=1e-9)
     )
+
+
+def test_channel_executor_calls_its_channel_once_per_plan():
+    calls = []
+
+    def channel(rho):
+        calls.append(rho.shape)
+        return CNOT_MATRIX @ rho @ CNOT_MATRIX.conj().T
+
+    plan = build_plan(CNOT_CIRCUIT, 2)
+    est = estimate_favg(plan, channel_executor(channel, 2))
+    assert calls == [(plan.m_settings, 4, 4)]
+    assert est.f_avg == pytest.approx(1.0, abs=1e-9)
 
 
 def test_exact_route_matches_state_average_oracle():

@@ -4,6 +4,7 @@ import pytest
 from lopsim.fock import (
     FockState,
     ModeUnitary,
+    _glynn_deltas,
     distinguishable_probability,
     enumerate_basis,
     output_amplitude,
@@ -112,9 +113,10 @@ class TestPermanent:
     def test_extended_precision_path(self):
         rng = np.random.default_rng(42)
         a = rng.normal(size=(12, 12)) + 1j * rng.normal(size=(12, 12))
-        fast = permanent(a, extended_precision=False)
-        slow = permanent(a, extended_precision=True)
-        assert fast == pytest.approx(slow, rel=1e-8)
+        # the same Glynn sum accumulated in complex128
+        deltas, signs = _glynn_deltas(12)
+        fast = signs @ np.prod(deltas @ a, axis=1) / 2**11
+        assert permanent(a) == pytest.approx(fast, rel=1e-8)
 
     def test_size_cap(self):
         with pytest.raises(ValueError):

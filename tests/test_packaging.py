@@ -15,7 +15,10 @@ import sys
 import tomllib
 from pathlib import Path, PurePosixPath
 
+import numpy as np
 import pytest
+
+from lopsim import benchmark, cli, fock, hardware, mesh, qnn, qubits, variational
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -155,19 +158,74 @@ def test_no_module_imports_scipy_at_import_time():
 
 
 def test_no_module_draws_from_an_unseeded_generator():
-    # A bare default_rng() seeds itself from the OS, so its draws differ
-    # from run to run.
+    # default_rng() and default_rng(None) seed themselves from the OS, so
+    # their draws differ from run to run.  Every generator comes from
+    # fock._seeded_rng, which refuses None; no other code calls
+    # default_rng.
     offenders = []
     for path in sorted((ROOT / "src" / "lopsim").glob("*.py")):
-        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        helper = {
+            id(node)
+            for func in ast.walk(tree)
+            if path.name == "fock.py"
+            and isinstance(func, ast.FunctionDef)
+            and func.name == "_seeded_rng"
+            for node in ast.walk(func)
+        }
+        for node in ast.walk(tree):
             if (
                 isinstance(node, ast.Call)
                 and getattr(node.func, "attr", getattr(node.func, "id", None)) == "default_rng"
-                and not node.args
-                and not node.keywords
+                and id(node) not in helper
             ):
                 offenders.append(f"{path.name}:{node.lineno}")
     assert offenders == []
+
+
+def _chip():
+    return hardware.HardwareModel.synthetic(3, rng=0)
+
+
+_T_GATE = qubits.GateCircuit.from_text("T 0", n_qubits=1)
+
+#: Every public entry point that makes a generator, called with a None seed.
+UNSEEDED_CALLS = {
+    "fock.sample": lambda: fock.sample(
+        fock.ModeUnitary(np.eye(2)), fock.FockState((1, 0)), 5, None
+    ),
+    "HardwareModel.synthetic": lambda: hardware.HardwareModel.synthetic(3, rng=None),
+    "generate_measurements": lambda: hardware.generate_measurements(
+        _chip(), mesh.MeshLayout(3), 3, rng=None
+    ),
+    "benchmark_tvd": lambda: hardware.benchmark_tvd(
+        _chip(), _chip(), mesh.MeshLayout(3), seed=None
+    ),
+    "compile_with_imperfections": lambda: mesh.compile_with_imperfections(
+        fock.ModeUnitary(np.eye(3)), np.full((mesh.MeshLayout(3).n_cells, 2), 0.5), rng=None
+    ),
+    "estimate_favg": lambda: benchmark.estimate_favg(
+        benchmark.build_plan(_T_GATE, 1), benchmark.noiseless_executor(_T_GATE), seed=None
+    ),
+    "build_mitigation": lambda: variational.build_mitigation(
+        variational.PhotonicVqeBackend(), "ZZ", shots=100, seed=None
+    ),
+    "vqe_run": lambda: variational.vqe_run(
+        variational.h2_hamiltonian(0.75),
+        variational.PhotonicVqeBackend(),
+        variational.VqeConfig(seed=None),
+    ),
+    "qnn_train": lambda: qnn.qnn_train(
+        *qnn.load_iris_dataset()[:2], qnn.QnnConfig(seed=None)
+    ),
+    "cli.calibrate_chip": lambda: cli.calibrate_chip(None),
+}
+
+
+@pytest.mark.parametrize("entry", list(UNSEEDED_CALLS))
+def test_an_explicit_none_seed_is_refused(entry):
+    with pytest.raises(ValueError, match="got None"):
+        UNSEEDED_CALLS[entry]()
 
 
 def test_no_seed_defaults_to_none():

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from _oracles import pauli_matrix, rail_amplitudes_slos
+from _oracles import pauli_matrix, postselect_by_state, rail_amplitudes_slos
 from lopsim import fock, qubits
 from lopsim.fock import FockState, ModeUnitary, output_amplitude, strong_simulate
 from lopsim.mesh import PhotonicCircuit, two_mode_gate_elements
@@ -31,10 +31,9 @@ from lopsim.qubits import (
     ghz_input_state,
     ghz_noisy_fidelity,
     ghz_postselection,
-    ghz_stabilizer_expectations,
     logical_distribution,
+    logical_distributions,
     logical_matrix,
-    pauli_expectation,
     pauli_measurement_setting,
 )
 from lopsim.sources import SourceModel
@@ -51,6 +50,12 @@ TOFFOLI_MATRIX[6:, 6:] = np.array([[0, 1], [1, 0]])
 def random_state(n_qubits, rng):
     vec = rng.normal(size=1 << n_qubits) + 1j * rng.normal(size=1 << n_qubits)
     return vec / np.linalg.norm(vec)
+
+
+def pauli_readout(unitary, input_modes, rule, word):
+    """Pauli expectation read from the one batched dual-rail readout."""
+    logical = logical_distributions(unitary.matrix[None], input_modes, rule)[0]
+    return float(qubits._pauli_signs(word) @ logical)
 
 
 def haar_2x2(rng):
@@ -655,20 +660,20 @@ class TestPauliMeasurement:
     def test_x_on_plus_state(self):
         gc = GateCircuit(1, (Gate("H", (0,)),), measurement="X")
         circuit, rule, _, _ = compile_gate_circuit(gc)
-        dist = strong_simulate(
-            circuit.unitary(), encoding_input_state(QubitEncoding.default(1))
+        modes = encoding_input_state(QubitEncoding.default(1)).modes()
+        assert pauli_readout(circuit.unitary(), modes, rule, "X") == pytest.approx(
+            1.0, abs=1e-12
         )
-        assert pauli_expectation(dist, rule, "X") == pytest.approx(1.0, abs=1e-12)
 
     def test_y_on_circular_state(self):
         gc = GateCircuit(
             1, (Gate("H", (0,)), Gate("RZ", (0,), np.pi / 2)), measurement="Y"
         )
         circuit, rule, _, _ = compile_gate_circuit(gc)
-        dist = strong_simulate(
-            circuit.unitary(), encoding_input_state(QubitEncoding.default(1))
+        modes = encoding_input_state(QubitEncoding.default(1)).modes()
+        assert pauli_readout(circuit.unitary(), modes, rule, "Y") == pytest.approx(
+            1.0, abs=1e-12
         )
-        assert pauli_expectation(dist, rule, "Y") == pytest.approx(1.0, abs=1e-12)
 
     def test_bell_state_correlations(self):
         enc = QubitEncoding.default(2)
@@ -677,8 +682,8 @@ class TestPauliMeasurement:
         for word, value in expected.items():
             gc = GateCircuit(2, base.gates, measurement=word)
             circuit, rule, _, _ = compile_gate_circuit(gc)
-            dist = strong_simulate(circuit.unitary(), encoding_input_state(enc))
-            assert pauli_expectation(dist, rule, word) == pytest.approx(
+            modes = encoding_input_state(enc).modes()
+            assert pauli_readout(circuit.unitary(), modes, rule, word) == pytest.approx(
                 value, abs=1e-12
             )
 
@@ -758,15 +763,9 @@ class TestGhzFactory:
         with pytest.raises(ValueError, match="sign"):
             ghz_postselection(heralds, sign=0)
 
-    def test_noiseless_stabilizers_are_signed_units(self, factory):
-        circuit, heralds, encoding, _ = factory
-        rule = ghz_postselection(heralds, sign=1)
-        distributions = {}
-        for word in GHZ_MEASUREMENT_SETTINGS:
-            setting = PhotonicCircuit(12).extend(circuit.elements)
-            setting.extend(pauli_measurement_setting(word, encoding).elements)
-            distributions[word] = strong_simulate(setting.unitary(), ghz_input_state())
-        expectations = ghz_stabilizer_expectations(distributions, rule)
+    def test_noiseless_stabilizers_are_signed_units(self):
+        fidelity, expectations = ghz_noisy_fidelity(None)
+        _, perfect_source = ghz_noisy_fidelity(SourceModel())
         signs = {
             "III": 1,
             "XXX": 1,
@@ -779,7 +778,9 @@ class TestGhzFactory:
         }
         for word, sign in signs.items():
             assert expectations[word] == pytest.approx(sign, abs=1e-9), word
-        assert ghz_fidelity(expectations) == pytest.approx(1.0, abs=1e-9)
+            assert expectations[word] == pytest.approx(perfect_source[word], abs=1e-12), word
+        assert fidelity == pytest.approx(1.0, abs=1e-12)
+        assert ghz_fidelity(expectations) == fidelity
 
     def test_expectations_match_density_matrix_traces(self, factory):
         _, heralds, _, unitary = factory
@@ -793,32 +794,32 @@ class TestGhzFactory:
             circuit, _, encoding = ghz_factory()
             run = PhotonicCircuit(12).extend(circuit.elements)
             run.extend(pauli_measurement_setting(setting, encoding).elements)
-            dist = strong_simulate(run.unitary(), ghz_input_state())
-            measured = pauli_expectation(dist, herald.rule(), word)
+            measured = pauli_readout(run.unitary(), GHZ_INPUT_MODES, herald.rule(), word)
             assert measured == pytest.approx(direct, abs=1e-9), word
 
     def test_z_marginals_equal_per_word_readouts(self, factory):
         _, heralds, _, _ = factory
         rule = ghz_postselection(heralds, sign=1, threshold=True)
         rng = np.random.default_rng(77)
-        distributions = {
-            word: strong_simulate(ModeUnitary.haar_random(12, rng), ghz_input_state())
-            for word in GHZ_MEASUREMENT_SETTINGS
+        unitaries = {
+            word: ModeUnitary.haar_random(12, rng) for word in GHZ_MEASUREMENT_SETTINGS
         }
-        expectations = ghz_stabilizer_expectations(distributions, rule)
+        stack = np.array([u.matrix for u in unitaries.values()])
+        rows = logical_distributions(stack, GHZ_INPUT_MODES, rule)
+        expectations = qubits._ghz_expectations(dict(zip(unitaries, rows)))
         assert len(expectations) == 8 and expectations["III"] == 1.0
         for word, value in expectations.items():
             setting = "ZZZ" if set(word) <= {"Z", "I"} else word
             if word != "III":
-                expected = pauli_expectation(distributions[setting], rule, word)
+                probs, _ = postselect_by_state(
+                    strong_simulate(unitaries[setting], ghz_input_state()), rule
+                )
+                expected = sum(
+                    p * (-1) ** sum(bit for bit, c in zip(bits, word) if c != "I")
+                    for bits, p in probs.items()
+                )
                 assert value == pytest.approx(expected, abs=1e-14), word
         assert 0.01 < abs(expectations["ZZI"]) < 0.99
-
-    def test_missing_setting_raises(self, factory):
-        _, heralds, _, _ = factory
-        rule = ghz_postselection(heralds)
-        with pytest.raises(ValueError, match="missing measurement"):
-            ghz_stabilizer_expectations({"XXX": {}}, rule)
 
 
 class TestGhzFidelity:
