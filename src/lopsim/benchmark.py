@@ -31,7 +31,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .fock import _seeded_rng
+from .fock import _seeded_rng, _shot_count
 from .qubits import (
     _MEAS_ROT,
     _PAULI,
@@ -346,7 +346,8 @@ def estimate_favg(
     setting) configuration in plan order (see :data:`Executor`): explicit
     per-qubit preparation vectors and the setting words in, one row of
     2^n outcome probabilities per configuration out.  With
-    ``shots_per_config`` set, each row is multinomially sampled, in the
+    ``shots_per_config`` set (a whole number of at least 1, checked
+    before the executor runs), each row is multinomially sampled, in the
     same configuration order, and the standard error propagates each
     term's binomial variance; otherwise correlations are exact
     expectations.
@@ -354,9 +355,8 @@ def estimate_favg(
     Estimates are reported unclamped, so sampling noise on a
     near-perfect gate can push the value slightly above 1.
     """
-    if shots_per_config is not None and int(shots_per_config) < 1:
-        raise ValueError(f"shots_per_config must be at least 1, got {shots_per_config}")
     rng = _seeded_rng(seed)
+    shots_per_config = _shot_count(shots_per_config, rng, "shots_per_config")
     n = plan.n_qubits
 
     groups = plan.configurations()

@@ -574,6 +574,17 @@ def _seeded_rng(seed: np.random.Generator | int) -> np.random.Generator:
     return np.random.default_rng(seed)
 
 
+def _shot_count(shots: int | None, rng: np.random.Generator | None, name: str = "shots"):
+    """``shots`` as an int, or None (exact); refuses counts below 1, fractions and no ``rng``."""
+    if shots is None:
+        return None
+    if int(shots) != shots or shots < 1:
+        raise ValueError(f"{name} must be a whole number of at least 1, got {shots}")
+    if rng is None:
+        raise ValueError(f"sampled {name} need a seeded rng; got rng=None")
+    return int(shots)
+
+
 def sample(
     unitary: ModeUnitary,
     input_state: FockState,

@@ -406,15 +406,15 @@ def calibrate(
     layout: MeshLayout,
     initial: HardwareModel | None = None,
     maxiter: int = 20000,
-    v_max: float = DEFAULT_V_MAX,
 ) -> HardwareModel:
     """Fit a full crosstalk model to intensity measurements.
 
     Optimizes A, b, every coupler reflectivity, relative output losses
     and one nuisance intensity scale by quasi-Newton descent on the mean
     squared intensity error, with gradients from a reverse-mode sweep of
-    the mesh simulation. Voltages are normalized to v_max internally so
-    the crosstalk block is as well scaled as the offsets.
+    the mesh simulation. Voltages are normalized to the ``v_max`` of the
+    prior (``initial`` or the nominal one), which the fit keeps, so the
+    crosstalk block is as well scaled as the offsets.
     """
     from scipy.optimize import minimize
 
@@ -431,7 +431,7 @@ def calibrate(
             stacklevel=2,
         )
 
-    w_scale = v_max**2
+    w_scale = prior.v_max**2
     volts = np.array([mm.voltages for mm in measurements])
     batch = _Batch(
         w=(volts * volts) / w_scale,
@@ -464,7 +464,7 @@ def calibrate(
         b=np.mod(b, 2.0 * np.pi),
         reflectivities=np.clip(refl, 1e-4, 1.0 - 1e-4),
         output_losses=losses,
-        v_max=v_max,
+        v_max=prior.v_max,
     )
 
 
@@ -490,6 +490,8 @@ def held_out_tvd(
 ) -> float:
     """Mean TVD between normalized predicted and observed intensities."""
     _check_layout(hw, layout)
+    if not measurements:
+        raise ValueError("held_out_tvd needs at least one measurement")
     phases = _logical_phases(hw, layout, [mm.voltages for mm in measurements])
     pred = _intensities(hw, layout, phases, [mm.input_mode for mm in measurements])
     obs = np.array([mm.intensities for mm in measurements]).reshape(pred.shape)
@@ -523,6 +525,8 @@ def benchmark_tvd(
     """
     _check_layout(hw_est, layout)
     _check_layout(hw_true, layout)
+    if n_configs < 1:
+        raise ValueError(f"n_configs must be at least 1, got {n_configs}")
     rng = _seeded_rng(seed)
     cap = 50 * n_configs
     targets = np.empty((n_configs, layout.n_actuated))

@@ -27,7 +27,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .fock import _seeded_rng, batched_amplitudes, enumerate_basis
+from .fock import _seeded_rng, _shot_count, batched_amplitudes, enumerate_basis
 from .mesh import DirectionalCoupler, PhaseShifter, PhotonicCircuit
 
 __all__ = [
@@ -149,10 +149,11 @@ def pattern_distributions(
 
     ``phases`` holds one row of encoding phases per data point.  The K
     chip unitaries ``A diag(exp(i phi_k)) B`` share the blocks ``A`` and
-    ``B`` and go through one batched SLOS pass.  With ``shots``
-    every row is replaced by an empirical multinomial draw of that many
-    detection events, drawn row by row in order from ``rng``.
+    ``B`` and go through one batched SLOS pass.  With ``shots`` (a whole
+    number, at least 1) every row is replaced by a multinomial draw of
+    that many detection events, row by row in order from ``rng``.
     """
+    shots = _shot_count(shots, rng)
     theta = _checked_theta(theta)
     phases = np.asarray(phases, dtype=float)
     if phases.ndim != 2 or phases.shape[1] != N_FEATURES:
@@ -168,12 +169,8 @@ def pattern_distributions(
     inputs = np.broadcast_to(INPUT_MODES, (len(phases), N_PHOTONS))
     merged = np.abs(batched_amplitudes(unitaries, inputs)) ** 2 @ _pattern_table()[1]
     if shots is not None:
-        if int(shots) <= 0:
-            raise ValueError(f"shots must be positive, got {shots}")
-        if rng is None:
-            raise ValueError("sampled shots need a seeded rng; got rng=None")
         pvals = merged / merged.sum(axis=1, keepdims=True)
-        merged = rng.multinomial(int(shots), pvals) / float(shots)
+        merged = rng.multinomial(shots, pvals) / shots
     return merged
 
 
@@ -389,6 +386,9 @@ def qnn_train(
     """
     if config is None:
         config = QnnConfig()
+    for name in ("outer_iterations", "evaluations_per_iteration", "pool_size"):
+        if getattr(config, name) < 1:
+            raise ValueError(f"{name} must be at least 1, got {getattr(config, name)}")
     features = np.asarray(features, dtype=float)
     labels = np.asarray(labels, dtype=int)
     if features.ndim != 2 or features.shape[1] != N_FEATURES:

@@ -598,11 +598,12 @@ class GateCompiler:
     therefore formed by the same operations in the same order as from
     scratch, and every result is bit-identical to a fresh compile.  Gates
     without an angle (H, T, CNOT, Toffoli) are decomposed once per
-    compiler and ancilla assignment.  A rotation gate is looked up in the
-    last circuit's rotations (keyed by :class:`Gate`, rebuilt on every
-    compile, so it holds one circuit's worth) before it is decomposed, so
-    an unchanged angle after the first changed gate is not decomposed
-    again; the decomposition depends on the gate alone.  The compile
+    compiler and ancilla assignment, and a measurement word once per
+    compiler.  A rotation gate is looked up in the last circuit's
+    rotations (keyed by :class:`Gate`, rebuilt on every compile, so it
+    holds one circuit's worth) before it is decomposed, so an unchanged
+    angle after the first changed gate is not decomposed again; the
+    decomposition depends on the gate alone.  The compile
     check runs in full on every call.  The record is one circuit deep.
     """
 
@@ -611,6 +612,7 @@ class GateCompiler:
         self._record: list[_CompiledGate] = []
         self._fixed: dict[tuple[Gate, tuple[int, ...]], tuple[CircuitElement, ...]] = {}
         self._rotations: dict[Gate, tuple[CircuitElement, ...]] = {}
+        self._settings: dict[str, list[CircuitElement]] = {}
 
     def _decompose(self, gate: Gate, pool: list[int]) -> tuple[CircuitElement, ...]:
         """Elements of one gate; entangling gates take fresh ancillas from ``pool``."""
@@ -689,8 +691,11 @@ class GateCompiler:
             )
 
         elements = [element for step in record for element in step.elements]
-        if gc.measurement is not None:
-            setting = pauli_measurement_setting(gc.measurement, enc).elements
+        word = gc.measurement
+        if word is not None:
+            if word not in self._settings:
+                self._settings[word] = pauli_measurement_setting(word, enc).elements
+            setting = self._settings[word]
             for element in setting:
                 _apply_element(modes, element)
             elements.extend(setting)

@@ -26,7 +26,8 @@ one click regardless of photon number.
 The module also provides the two standard source characterization
 experiments: the two-photon Hong-Ou-Mandel visibility (with its purity
 correction), and the cyclic multiport interferometer measuring genuine
-n-photon indistinguishability.
+n-photon indistinguishability, whose fringe classes are read from click
+parity (:func:`genuine_indistinguishability`).
 """
 
 from __future__ import annotations
@@ -51,7 +52,6 @@ from .fock import (
     _unbunched,
     enumerate_basis,
     outcome_arrays,
-    strong_simulate,
 )
 from .mesh import DirectionalCoupler, PhaseShifter, PhotonicCircuit
 
@@ -560,33 +560,15 @@ def cyclic_interferometer(n_photons: int, alpha: float) -> ModeUnitary:
     return _cyclic_circuit(n_photons, alpha).unitary()
 
 
-def _one_click_per_pair(clicks: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Outcomes with exactly one click per output pair (2k, 2k+1), and the clicked sides."""
-    right = clicks[:, 1::2]
-    return np.all(clicks[:, 0::2] != right, axis=1), right
-
-
-@lru_cache(maxsize=None)
-def _constructive_patterns(n_photons: int) -> frozenset[tuple[int, ...]]:
-    """Pair-click patterns bright at alpha = 0 for perfect photons."""
-    m = 2 * n_photons
-    unitary = _cyclic_circuit(n_photons, 0.0).unitary()
-    dist = strong_simulate(unitary, FockState.from_modes(m, cyclic_input_modes(n_photons)))
-    rows, probs = outcome_arrays(dist)
-    valid, right = _one_click_per_pair(rows > 0)
-    bright = valid & (probs > 1e-9 * probs.max())
-    return frozenset(map(tuple, right[bright].astype(int).tolist()))
-
-
 def _fringe_classes(rows: np.ndarray, n_photons: int) -> tuple[np.ndarray, np.ndarray]:
-    """Indices of the constructive and of the destructive one-click-per-pair rows."""
+    """Indices of the constructive (even odd-mode clicks) and destructive one-click-per-pair rows."""
     width = 2 * n_photons
     if len(rows) and rows.shape[1] < width:
         raise ValueError(f"the {n_photons}-photon fringe needs {width} modes, got {rows.shape[1]}")
-    valid, right = _one_click_per_pair(rows[:, :width].reshape(len(rows), width) > 0)
-    bits = 1 << np.arange(n_photons)
-    bright = [int(np.dot(pattern, bits)) for pattern in _constructive_patterns(n_photons)]
-    constructive = valid & np.isin(right @ bits, bright)
+    clicks = rows[:, :width].reshape(len(rows), width) > 0
+    right = clicks[:, 1::2]
+    valid = np.all(clicks[:, 0::2] != right, axis=1)
+    constructive = valid & (right.sum(axis=1) % 2 == 0)
     return np.flatnonzero(constructive), np.flatnonzero(valid & ~constructive)
 
 
@@ -608,7 +590,8 @@ def genuine_indistinguishability(
     Restricts ``dist`` (probabilities or counts from the interferometer
     at alpha = 0; modes past the first ``2 * n_photons`` are ignored) to
     events with exactly one click per output pair and contrasts the
-    constructive class against the destructive one:
+    constructive class (an even number of pairs clicking on their odd
+    mode) against the destructive one (an odd number):
     ``p_N = (C - D) / (C + D)``.  For the independent-label model with
     perfect purity this equals the product of the ``m_i``.
     """

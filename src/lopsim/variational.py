@@ -21,7 +21,7 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .fock import _seeded_rng, strong_simulate
+from .fock import _seeded_rng, _shot_count, strong_simulate
 from .qubits import (
     _ID2,
     _PAULI,
@@ -210,9 +210,9 @@ class PhotonicVqeBackend:
 
     The backend holds one :class:`~lopsim.qubits.GateCompiler` for its
     lifetime.  The coordinate sweeps move one angle at a time, and the
-    two measurement settings of one evaluation differ only in the
-    trailing Hadamards, so a circuit recompiles only the gates from its
-    first changed one on.  The
+    two measurement settings of one evaluation share every gate and
+    differ only in the measurement word, so a circuit recompiles only
+    the gates from its first changed one on.  The
     compiler's results are bit-identical to a fresh compile, so the
     energies are those of compiling every circuit from scratch.
     """
@@ -253,12 +253,12 @@ class PhotonicVqeBackend:
 
 
 def ansatz_circuit(theta: Sequence[float], basis: str = "ZZ") -> GateCircuit:
-    """Seven-angle two-qubit ansatz with the basis rotation appended.
+    """Seven-angle two-qubit ansatz measured in the ``basis`` setting.
 
     The gate list is RY on qubit 0, CNOT, then RX, RZ, RX layers on
-    both qubits; any two-qubit pure state is reachable.  ``basis``
-    selects the measurement setting: ZZ reads the rails directly and
-    XX adds a Hadamard on each qubit first.
+    both qubits; any two-qubit pure state is reachable.  ``basis`` is
+    the circuit's measurement word, so the compiler applies its
+    rotation (none for ZZ, a Hadamard on each qubit for XX).
     """
     theta = np.asarray(theta, dtype=float)
     if theta.shape != (N_ANSATZ_ANGLES,):
@@ -276,10 +276,7 @@ def ansatz_circuit(theta: Sequence[float], basis: str = "ZZ") -> GateCircuit:
         Gate("RX", (0,), theta[5]),
         Gate("RX", (1,), theta[6]),
     ]
-    if basis == "XX":
-        gates.append(Gate("H", (0,)))
-        gates.append(Gate("H", (1,)))
-    return GateCircuit(2, tuple(gates))
+    return GateCircuit(2, tuple(gates), basis)
 
 
 def energy_from_distributions(
@@ -309,20 +306,17 @@ def measure_energy(
 ) -> float:
     """One energy evaluation from the two measurement settings.
 
-    ``shots`` counts postselected samples per setting, drawn from
-    ``rng``, which is then required; None uses the exact distributions
-    (infinite-shot limit).  ``mitigation`` maps a setting name to its
+    ``shots`` counts postselected samples per setting (a whole number,
+    at least 1) drawn from ``rng``, which is then required; None uses the
+    exact distributions.  ``mitigation`` maps a setting name to its
     confusion matrix; missing entries leave that setting unmitigated.
     """
-    if shots is not None and int(shots) <= 0:
-        raise ValueError(f"shots must be positive, got {shots}")
-    if shots is not None and rng is None:
-        raise ValueError("sampled shots need a seeded rng; got rng=None")
+    shots = _shot_count(shots, rng)
     settings = {}
     for basis in BASES:
         p = backend.distribution(ansatz_circuit(theta, basis))
         if shots is not None:
-            p = rng.multinomial(int(shots), p / p.sum()) / float(shots)
+            p = rng.multinomial(shots, p / p.sum()) / shots
         if mitigation and basis in mitigation:
             p = apply_mitigation(mitigation[basis], p)
         settings[basis] = p
@@ -332,9 +326,9 @@ def measure_energy(
 def _mitigation_circuit(basis: str, outcome: int) -> GateCircuit:
     """Preparation-plus-readout circuit for one confusion-matrix column.
 
-    Prepares the ``basis`` eigenvector labeled by ``outcome`` and then
-    applies the measurement rotation for the same basis.  For XX the
-    two Hadamard layers (state preparation, then basis rotation) cancel
+    Prepares the ``basis`` eigenvector labeled by ``outcome`` and reads
+    it out through the measurement word ``basis``.  For XX the
+    preparation Hadamards (gates) and the word's rotation cancel
     logically but are both executed, exactly as a readout calibration
     run would execute them.
     """
@@ -343,10 +337,9 @@ def _mitigation_circuit(basis: str, outcome: int) -> GateCircuit:
         if (outcome >> (1 - q)) & 1:
             gates.append(Gate("RY", (q,), np.pi))
     if basis == "XX":
-        for _ in range(2):
-            gates.append(Gate("H", (0,)))
-            gates.append(Gate("H", (1,)))
-    return GateCircuit(2, tuple(gates))
+        gates.append(Gate("H", (0,)))
+        gates.append(Gate("H", (1,)))
+    return GateCircuit(2, tuple(gates), basis)
 
 
 def build_mitigation(
@@ -358,7 +351,9 @@ def build_mitigation(
     """Measure the readout confusion matrix of a backend in one basis.
 
     Column j is the outcome distribution observed after preparing the
-    eigenvector of outcome j.  When the measured matrix fails validation
+    eigenvector of outcome j, exact for ``shots=None`` and otherwise from
+    that many samples (a whole number, at least 1, checked before the
+    backend runs).  When the measured matrix fails validation
     (badly scrambled or singular columns) mitigation is disabled: a
     warning is emitted and the identity matrix is returned instead.
     """
@@ -366,11 +361,12 @@ def build_mitigation(
     if basis not in BASES:
         raise ValueError(f"basis must be one of {BASES}, got {basis!r}")
     rng = _seeded_rng(seed)
+    shots = _shot_count(shots, rng)
     columns = []
     for outcome in range(4):
         p = backend.distribution(_mitigation_circuit(basis, outcome))
         if shots is not None:
-            p = rng.multinomial(int(shots), p / p.sum()) / float(shots)
+            p = rng.multinomial(shots, p / p.sum()) / shots
         columns.append(p)
     matrix = np.column_stack(columns)
     try:

@@ -6,7 +6,8 @@ factorial-cost permanents, the collision-free sampling probabilities and
 validation counters from one permanent pair per pattern, full second-quantized
 state-vector evolution, explicit classical routing enumeration, the
 noisy-source output summed over every labeled branch, the trigger sum
-with a coherent pass from scratch for every shared set, the cyclic-fringe
+with a coherent pass from scratch for every shared set, the bright
+cyclic-fringe patterns from a simulation of the ideal circuit and the
 contrast classified row by row on every call, benchmark-plan
 weights from the dense 16^n correlation solve, a plan executed one
 configuration per executor call, the classifier chip built element by
@@ -19,6 +20,7 @@ scratch.
 
 from __future__ import annotations
 
+import functools
 import itertools
 from math import comb, factorial, prod, sqrt
 
@@ -69,10 +71,11 @@ from lopsim.qubits import (
 from lopsim.sources import (
     TAIL_TOLERANCE,
     _accumulate,
-    _constructive_patterns,
+    _cyclic_circuit,
     _photon_number_tail,
     _thin_outputs,
     build_input,
+    cyclic_input_modes,
     noisy_simulate,
 )
 from lopsim.variational import PhotonicVqeBackend
@@ -345,13 +348,33 @@ _PAULI_1Q = {
 }
 
 
+@functools.cache
+def constructive_patterns(n_photons: int) -> frozenset[tuple[int, ...]]:
+    """Pair-click patterns bright at alpha = 0 for perfect photons, simulated.
+
+    Runs the ideal cyclic circuit on ``2 * n_photons`` modes and keeps the
+    one-click-per-pair outcomes with probability above 1e-9 of the largest
+    one; a pattern lists, pair by pair, whether the odd mode clicked.
+    """
+    m = 2 * n_photons
+    unitary = _cyclic_circuit(n_photons, 0.0).unitary()
+    dist = strong_simulate(unitary, FockState.from_modes(m, cyclic_input_modes(n_photons)))
+    rows, probs = outcome_arrays(dist)
+    clicks = rows > 0
+    right = clicks[:, 1::2]
+    valid = np.all(clicks[:, 0::2] != right, axis=1)
+    bright = valid & (probs > 1e-9 * probs.max())
+    return frozenset(map(tuple, right[bright].astype(int).tolist()))
+
+
 def fringe_contrast_rows(dist, n_photons: int) -> float:
     """``p_N = (C - D) / (C + D)`` with every outcome row classified on this call.
 
     Builds the click mask of the first ``2 * n_photons`` modes, keeps the
     rows with one click per output pair and splits them by whether the
-    right-hand clicks, read as bits, form a constructive pattern.  The
-    class values are summed in outcome order.
+    right-hand clicks, read as bits, form a simulated constructive
+    pattern (:func:`constructive_patterns`).  The class values are summed
+    in outcome order.
     """
     width = 2 * n_photons
     rows, values = outcome_arrays(dist)
@@ -359,7 +382,7 @@ def fringe_contrast_rows(dist, n_photons: int) -> float:
     right = clicks[:, 1::2]
     valid = np.all(clicks[:, 0::2] != right, axis=1)
     bits = 1 << np.arange(n_photons)
-    bright = [int(np.dot(pattern, bits)) for pattern in _constructive_patterns(n_photons)]
+    bright = [int(np.dot(pattern, bits)) for pattern in constructive_patterns(n_photons)]
     constructive = valid & np.isin(right @ bits, bright)
     c_sum = float(values[constructive].sum())
     d_sum = float(values[valid & ~constructive].sum())

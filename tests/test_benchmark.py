@@ -338,6 +338,13 @@ def test_shots_per_config_below_one_is_rejected_before_the_executor_runs(shots):
     assert calls == []
 
 
+def test_a_fractional_shot_count_is_rejected():
+    plan = build_plan(T_CIRCUIT, 1)
+    executor = noiseless_executor(T_CIRCUIT)
+    with pytest.raises(ValueError, match="shots_per_config must be a whole number"):
+        estimate_favg(plan, executor, shots_per_config=2.5, seed=0)
+
+
 def test_executor_output_is_validated():
     plan = build_plan(T_CIRCUIT, 1)
     with pytest.raises(ValueError, match="malformed"):

@@ -1,5 +1,6 @@
 """Tests for the voltage-phase model, transpilation and calibration."""
 
+import dataclasses
 import re
 
 import numpy as np
@@ -235,6 +236,13 @@ class TestCalibration:
         assert np.allclose(fit.reflectivities, 0.5)
         assert np.allclose(fit.output_losses, 1.0)
 
+    def test_fit_keeps_the_prior_drive_range(self):
+        layout = MeshLayout(3)
+        chip = dataclasses.replace(HardwareModel.synthetic(3, rng=43), v_max=9.99)
+        data = generate_measurements(chip, layout, 40, rng=44)
+        prior = dataclasses.replace(HardwareModel.prior(3), v_max=10.0)
+        assert calibrate(data, layout, initial=prior, maxiter=20).v_max == 10.0
+
     def test_underdetermined_fit_warns(self):
         layout = MeshLayout(4)
         hw = HardwareModel.synthetic(4, rng=17)
@@ -289,6 +297,18 @@ class TestBenchmark:
         first = benchmark_tvd(baseline, hw, layout, n_configs=3000, seed=3)
         second = benchmark_tvd(baseline, hw, layout, n_configs=3000, seed=4)
         assert abs(first.mean - second.mean) / first.mean < 0.03
+
+    @pytest.mark.parametrize("n_configs", [0, -1])
+    def test_an_empty_benchmark_is_refused(self, n_configs):
+        layout = MeshLayout(3)
+        hw = HardwareModel.synthetic(3, rng=23)
+        with pytest.raises(ValueError, match="n_configs must be at least 1"):
+            benchmark_tvd(hw, hw, layout, n_configs=n_configs)
+
+    def test_held_out_tvd_needs_a_measurement(self):
+        hw = HardwareModel.synthetic(4, rng=21)
+        with pytest.raises(ValueError, match="at least one measurement"):
+            held_out_tvd(hw, [], MeshLayout(4))
 
     def test_statistics_fields(self):
         layout = MeshLayout(3)

@@ -7,6 +7,7 @@ loads no scipy module, so a fresh process starts without paying for it."""
 
 import ast
 import importlib
+import importlib.util
 import json
 import os
 import re
@@ -129,6 +130,44 @@ def test_every_module_level_definition_has_a_caller_or_a_test():
 
 def test_every_method_and_property_has_a_caller_or_a_test():
     assert _unused_definitions(_class_members) == []
+
+
+def test_the_benchmark_tracer_wraps_and_restores_every_name_it_names(monkeypatch):
+    # The benchmark's tracer (perfbench/tracing.py) replaces lopsim functions
+    # and methods by name, so a renamed or deleted name breaks every traced
+    # run; uninstall must put back every object it replaced.
+    spec = importlib.util.spec_from_file_location(
+        "_benchmark_tracing", ROOT / "perfbench" / "tracing.py"
+    )
+    tracing = importlib.util.module_from_spec(spec)
+    monkeypatch.setitem(sys.modules, spec.name, tracing)
+    spec.loader.exec_module(tracing)
+    names = ["lopsim"] + [
+        f"lopsim.{p.stem}" for p in sorted((ROOT / "src" / "lopsim").glob("*.py"))
+        if p.stem != "__init__"
+    ]
+    modules = [importlib.import_module(name) for name in names]
+    before = [dict(vars(module)) for module in modules]
+    methods = {}
+    for module, owner, attr, _ in tracing.METHODS:
+        cls = getattr(importlib.import_module(module), owner)
+        methods[cls, attr] = cls.__dict__[attr]
+    tracer = tracing.Tracer()
+    tracer.install()
+    try:
+        for module, attr, _, _ in tracing.FUNCTIONS:
+            home = importlib.import_module(module)
+            assert getattr(home, attr) is not before[names.index(module)][attr], attr
+        for (cls, attr), original in methods.items():
+            assert cls.__dict__[attr] is not original, attr
+    finally:
+        tracer.uninstall()
+    for name, module, saved in zip(names, modules, before):
+        now = vars(module)
+        assert now.keys() == saved.keys(), name
+        assert [key for key in saved if now[key] is not saved[key]] == [], name
+    for (cls, attr), original in methods.items():
+        assert cls.__dict__[attr] is original
 
 
 def test_no_module_imports_scipy_at_import_time():

@@ -285,6 +285,21 @@ def test_training_is_deterministic_given_seed():
     assert metrics_a == metrics_b
 
 
+@pytest.mark.parametrize("field", ["outer_iterations", "evaluations_per_iteration", "pool_size"])
+def test_an_empty_search_is_refused(field):
+    config = QnnConfig(**{"outer_iterations": 1, "n_test": 0, field: 0})
+    with pytest.raises(ValueError, match=f"{field} must be at least 1"):
+        qnn_train(TOY_FEATURES, TOY_LABELS, config)
+
+
+def test_a_fractional_shot_count_is_refused():
+    rng = np.random.default_rng(6)
+    theta = rng.uniform(0.0, 2.0 * np.pi, N_THETA)
+    phases = rng.uniform(0.0, np.pi, (2, N_FEATURES))
+    with pytest.raises(ValueError, match="shots must be a whole number"):
+        pattern_distributions(theta, phases, shots=2.5, rng=np.random.default_rng(0))
+
+
 def test_training_input_validation():
     config = QnnConfig(outer_iterations=1, n_test=0)
     with pytest.raises(ValueError, match="two classes"):

@@ -1,5 +1,6 @@
 """Tests for the source noise model and its characterization experiments."""
 
+import itertools
 import json
 import re
 
@@ -12,6 +13,7 @@ from lopsim.fock import (
     OutputDistribution,
     distinguishable_probability,
     enumerate_basis,
+    outcome_arrays,
     strong_simulate,
 )
 from lopsim.mesh import DirectionalCoupler, PhaseShifter, PhotonicCircuit
@@ -35,10 +37,10 @@ from lopsim.sources import (
     measure_genuine_indistinguishability,
     ms_correction,
     noisy_simulate,
-    _constructive_patterns,
+    _fringe_classes,
 )
 
-from _oracles import branch_distribution
+from _oracles import branch_distribution, constructive_patterns
 
 
 class TestSourceModel:
@@ -355,22 +357,26 @@ class TestCyclicInterferometer:
     def test_destructive_class_dark_at_zero_phase(self):
         unitary = cyclic_interferometer(4, 0.0)
         dist = strong_simulate(unitary, FockState.from_modes(8, cyclic_input_modes(4)))
-        constructive = _constructive_patterns(4)
-        dark = 0.0
-        for state, prob in dist.items():
-            occ = state.occupations
-            if not all(occ[2 * k] + occ[2 * k + 1] >= 1 for k in range(4)):
-                continue
-            pattern = tuple(int(occ[2 * k + 1] > 0) for k in range(4))
-            if all(occ[2 * k] + occ[2 * k + 1] == 1 for k in range(4)):
-                if pattern not in constructive:
-                    dark += prob
-        assert dark < 1e-12
+        rows, probs = outcome_arrays(dist)
+        constructive, destructive = _fringe_classes(rows, 4)
+        assert probs[constructive].sum() > 0.01
+        assert probs[destructive].sum() < 1e-12
 
     def test_pattern_classes_split_evenly(self):
-        constructive = _constructive_patterns(4)
+        constructive = constructive_patterns(4)
         assert len(constructive) == 8
         assert all(sum(pattern) % 2 == 0 for pattern in constructive)
+
+    @pytest.mark.parametrize("n_photons", range(2, 8))
+    def test_parity_classes_are_the_simulated_bright_patterns(self, n_photons):
+        patterns = list(itertools.product((0, 1), repeat=n_photons))
+        rows = np.zeros((len(patterns), 2 * n_photons), dtype=np.int8)
+        for row, pattern in zip(rows, patterns):
+            row[2 * np.arange(n_photons) + pattern] = 1
+        constructive, destructive = _fringe_classes(rows, n_photons)
+        assert len(constructive) + len(destructive) == len(patterns)
+        bright = {patterns[i] for i in constructive}
+        assert bright == constructive_patterns(n_photons)
 
     def test_product_model_oracle(self):
         ms = (0.93, 0.88, 0.95, 0.90)

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from _oracles import PerEvaluationVqeBackend, h2_ground_energy_closed_form
 
-from lopsim.qubits import Gate, GateCircuit
+from lopsim.qubits import _MEAS_ROT, Gate, GateCircuit, compile_gate_circuit
 from lopsim.sources import SourceModel
 from lopsim.variational import (
     BASES,
@@ -12,6 +12,7 @@ from lopsim.variational import (
     PhotonicVqeBackend,
     QubitHamiltonian,
     VqeConfig,
+    _mitigation_circuit,
     ansatz_circuit,
     apply_mitigation,
     bond_table,
@@ -173,8 +174,35 @@ def test_backend_matches_statevector():
     theta = RNG.uniform(0.0, 2.0 * np.pi, 7)
     for basis in BASES:
         circuit = ansatz_circuit(theta, basis)
-        expected = np.abs(circuit.logical_unitary()[:, 0]) ** 2
+        rotation = np.kron(_MEAS_ROT[basis[0]], _MEAS_ROT[basis[1]])
+        expected = np.abs(rotation @ circuit.logical_unitary()[:, 0]) ** 2
         assert np.allclose(backend.distribution(circuit), expected, atol=1e-12)
+
+
+def test_xx_word_compiles_like_an_appended_hadamard_layer():
+    # The reference gate lists read XX out by appending a Hadamard on each
+    # qubit to the gates, with no measurement word.
+    theta = np.random.default_rng(12).uniform(0.0, 2.0 * np.pi, 7)
+    hadamards = [Gate("H", (0,)), Gate("H", (1,))]
+    ansatz = [
+        Gate("RY", (0,), theta[0]),
+        Gate("CNOT", (0, 1)),
+        Gate("RX", (0,), theta[1]),
+        Gate("RX", (1,), theta[2]),
+        Gate("RZ", (0,), theta[3]),
+        Gate("RZ", (1,), theta[4]),
+        Gate("RX", (0,), theta[5]),
+        Gate("RX", (1,), theta[6]),
+    ]
+    pairs = [(ansatz_circuit(theta, "XX"), ansatz + hadamards)]
+    for outcome in range(4):
+        flips = [Gate("RY", (q,), np.pi) for q in range(2) if (outcome >> (1 - q)) & 1]
+        pairs.append((_mitigation_circuit("XX", outcome), flips + 2 * hadamards))
+    for circuit, gates in pairs:
+        assert circuit.measurement == "XX"
+        got = compile_gate_circuit(circuit)[3].matrix
+        want = compile_gate_circuit(GateCircuit(2, tuple(gates)))[3].matrix
+        assert got.tobytes() == want.tobytes()
 
 
 def test_backend_readout_flip_applies_confusion_tensor():
@@ -238,6 +266,20 @@ def test_build_mitigation_sampled_columns_are_stochastic():
     gamma = build_mitigation(backend, "ZZ", shots=4000, seed=7)
     assert np.allclose(gamma.matrix.sum(axis=0), 1.0, atol=1e-12)
     assert np.allclose(gamma.matrix, flip_tensor(0.03), atol=0.05)
+
+
+@pytest.mark.parametrize("shots", [0, 2.5])
+def test_build_mitigation_rejects_a_bad_shot_count_before_the_backend_runs(shots):
+    calls = []
+
+    class RecordingBackend:
+        def distribution(self, circuit):
+            calls.append(circuit)
+            return np.eye(4)[0]
+
+    with pytest.raises(ValueError, match="shots"):
+        build_mitigation(RecordingBackend(), "ZZ", shots=shots)
+    assert calls == []
 
 
 def test_build_mitigation_disables_on_scrambled_backend():
@@ -311,6 +353,14 @@ def test_measure_energy_rejects_nonpositive_shots():
     backend = PhotonicVqeBackend()
     with pytest.raises(ValueError, match="shots"):
         measure_energy(h2_hamiltonian(0.75), np.zeros(7), backend, shots=0)
+
+
+def test_measure_energy_rejects_a_fractional_shot_count():
+    backend = PhotonicVqeBackend()
+    with pytest.raises(ValueError, match="shots must be a whole number"):
+        measure_energy(
+            h2_hamiltonian(0.75), np.zeros(7), backend, shots=2.5, rng=np.random.default_rng(0)
+        )
 
 
 def test_measure_energy_rejects_shots_without_rng():
@@ -425,6 +475,8 @@ def test_vqe_config_validation():
         vqe_run(h, backend, VqeConfig(max_iterations=0))
     with pytest.raises(ValueError, match="initial_theta"):
         vqe_run(h, backend, VqeConfig(initial_theta=np.zeros(3)))
+    with pytest.raises(ValueError, match="shots"):
+        vqe_run(h, backend, VqeConfig(shots=0))
 
 
 _BACKENDS = {
