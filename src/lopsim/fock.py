@@ -315,7 +315,10 @@ def _gains(m: int, n: int) -> np.ndarray:
     return gains
 
 
-def _add_photon(vec: np.ndarray, n: int, column: np.ndarray, coherent: bool) -> np.ndarray:
+def _add_photon(
+    vec: np.ndarray, n: int, column: np.ndarray, coherent: bool,
+    out: np.ndarray | None = None, scratch: np.ndarray | None = None,
+) -> np.ndarray:
     """Add one photon to vectors over the full n-photon basis.
 
     ``column`` is where the photon goes.  Coherently, ``vec`` holds
@@ -329,8 +332,11 @@ def _add_photon(vec: np.ndarray, n: int, column: np.ndarray, coherent: bool) -> 
     either runs B independent additions (one unitary and state per
     column) in the same scatter, and a 1-D operand is shared by all B.
     Returns the vectors over the full (n+1)-photon basis, ``(N_{n+1},)``
-    when both inputs are 1-D and ``(N_{n+1}, B)`` otherwise.  B = 1 runs
-    as the 1-D call: a trailing axis of length 1 only slows the scatter.
+    when both inputs are 1-D and ``(N_{n+1}, B)`` otherwise: ``out`` (or a
+    view of it) plus the step, if given.  Each ``column[j] * vec`` is formed
+    in one buffer, the head of a flat ``scratch`` of the result's dtype if
+    given.  B = 1 runs as the 1-D call: a trailing axis of length 1 only
+    slows the scatter.
     Each ``succ[j]`` holds distinct indices, so both scatters add the same
     terms in the same order: ``np.add.at`` on 1-D vectors (12 scatters of
     167,960 states on 12 modes: 5.5 ms, fancy-index ``+=`` 11.5 ms) and
@@ -339,13 +345,17 @@ def _add_photon(vec: np.ndarray, n: int, column: np.ndarray, coherent: bool) -> 
     m = len(column)
     batch = vec.shape[1:] or column.shape[1:]
     if batch == (1,):
-        return _add_photon(vec.reshape(len(vec)), n, column.reshape(m), coherent)[:, None]
+        out = None if out is None else out.reshape(len(out))
+        vec, column = vec.reshape(len(vec)), column.reshape(m)
+        return _add_photon(vec, n, column, coherent, out, scratch)[:, None]
     if batch and vec.ndim == 1:
         vec = vec[:, None]
-    out = np.zeros((len(enumerate_basis(m, n + 1)), *batch), dtype=np.result_type(vec, column))
+    if out is None:
+        out = np.zeros((len(enumerate_basis(m, n + 1)), *batch), dtype=np.result_type(vec, column))
+    term = np.ndarray((len(vec), *batch), out.dtype, buffer=scratch)
     succ = _successors(m, n)
     for j in np.flatnonzero(column if column.ndim == 1 else np.any(column, axis=1)):
-        term = column[j] * vec
+        np.multiply(vec, column[j], out=term)
         if coherent:
             gain = _gains(m, n)[j]
             term *= gain[:, None] if batch else gain

@@ -14,14 +14,15 @@ The model is a mixture of up to 6^n labeled branches.
 :func:`build_input` keeps it as a per-trigger table, and
 :func:`noisy_simulate` sums it exactly over the 2^n sets of triggers
 whose photon takes the shared label (the distinguishable-photon
-expansion of Renema et al., PRL 120, 220502 (2018)), truncated only by
-a photon-number cap whose tail mass it reports.  The result is the
-same :class:`~lopsim.fock.OutputDistribution` that an ideal input
-gives, with one sector per detected photon number and the truncated
-mass as ``dropped_weight``; :func:`batched_noisy_sectors` runs the same
-sum for a stack of interferometers at once.  Detection throughout this
-module is click-based (threshold detectors): an occupied mode counts as
-one click regardless of photon number.
+expansion of Renema et al., PRL 120, 220502 (2018)), in Horner order
+over the triggers, truncated only by a photon-number cap whose tail
+mass it reports.  The result is the same
+:class:`~lopsim.fock.OutputDistribution` that an ideal input gives, with
+one sector per detected photon number and the truncated mass as
+``dropped_weight``; :func:`batched_noisy_sectors` runs the same sum for
+a stack of interferometers at once.  Detection throughout this module
+is click-based (threshold detectors): an occupied mode counts as one
+click regardless of photon number.
 
 The module also provides the two standard source characterization
 experiments: the two-photon Hong-Ou-Mandel visibility (with its purity
@@ -301,22 +302,24 @@ def _accumulate(sectors: dict[int, np.ndarray], n: int, vec: np.ndarray) -> None
 
 
 def _mix_photon(
-    sectors: dict[int, np.ndarray], column: np.ndarray, w_none: float, w_one: float, cap: int
-) -> dict[int, np.ndarray]:
-    """One classical mixture step over photon-number sectors.
+    sectors: dict[int, np.ndarray], column: np.ndarray, w_none: float, w_one: float,
+    cap: int, scratch: np.ndarray,
+) -> None:
+    """One classical mixture step over photon-number sectors, in place.
 
     With weight ``w_none`` no photon is added; with weight ``w_one`` one
     distinguishable photon is routed by ``column`` (``|U_b[:, q]|^2`` for
-    input mode q in column b, shape ``(m, B)``).  Sectors above ``cap``
-    are not formed.
+    input mode q in column b, shape ``(m, B)``).  Top down, sector n adds
+    into n + 1 (up to ``cap``), then is scaled by ``w_none`` or dropped.
     """
-    out: dict[int, np.ndarray] = {}
-    for n, vec in sectors.items():
-        if w_none:
-            _accumulate(out, n, w_none * vec)
+    for n in sorted(sectors, reverse=True):
         if w_one and n < cap:
-            _accumulate(out, n + 1, _add_photon(vec, n, w_one * column, coherent=False))
-    return out
+            grown = sectors.get(n + 1)
+            sectors[n + 1] = _add_photon(sectors[n], n, w_one * column, False, grown, scratch)
+        if w_none:
+            sectors[n] *= w_none
+        else:
+            del sectors[n]
 
 
 def _thin_outputs(
@@ -357,11 +360,11 @@ def batched_noisy_sectors(
     additions for n distinct triggers instead of n 2^(n-1).  Each set
     gets the additions and the bunching division of its own
     :func:`~lopsim.fock.batched_amplitudes` pass, in the same order, so
-    no bit changes.  Each classical step feeds column b the
-    ``|U_b[:, q]|^2`` of its own unitary through the batched
-    photon-addition kernel.  A batch pays off on small sectors only; on
-    large ones its strided scatters cost more than the Python calls it
-    saves.
+    its coherent term is bit for bit that pass's.  The classical steps
+    fold in one trigger at a time (2^n - 1 D's, not n 2^(n-1); sums round
+    in another order), in place through one scratch buffer, column b
+    taking ``|U_b[:, q]|^2``.  A batch pays off on small sectors only; on
+    large ones its strided scatters cost more than the Python calls it saves.
 
     Returns the sectors, ``{n: (N_n, B)}`` probabilities over
     ``enumerate_basis(m, n)`` (column b the output of unitary b), and the
@@ -381,8 +384,9 @@ def batched_noisy_sectors(
     power = np.abs(unitaries) ** 2
     columns = [np.ascontiguousarray(power[:, :, q].T) for q in labeled.modes]
     prefixes = {(): np.ones((1, count), dtype=complex)}
+    scratch = np.empty(len(enumerate_basis(m, max(cap - 1, 0))) * count)
 
-    sectors: dict[int, np.ndarray] = {}
+    terms: dict[tuple[bool, ...], dict[int, np.ndarray]] = {}
     for members in itertools.product((False, True), repeat=len(labeled.modes)):
         shared_modes = tuple(sorted(q for q, s in zip(labeled.modes, members) if s))
         weight = prod(w for w, s in zip(labeled.shared, members) if s)
@@ -394,14 +398,18 @@ def batched_noisy_sectors(
                 prefixes[shared_modes[: k + 1]] = _add_photon(head, k, unitaries[:, :, q].T, True)
         inputs = np.broadcast_to(np.array(shared_modes, dtype=np.intp), (count, len(shared_modes)))
         coherent = np.abs(_unbunched(prefixes[shared_modes], inputs, m).T) ** 2
-        term = {len(shared_modes): weight * np.ascontiguousarray(coherent)}
-        for column, unique, lost, s in zip(columns, labeled.unique, labeled.lost, members):
-            if not s:
-                term = _mix_photon(term, column, lost, unique, cap)
-        for n, vec in term.items():
-            _accumulate(sectors, n, vec)
+        terms[members] = {len(shared_modes): weight * np.ascontiguousarray(coherent)}
+    for column, unique, lost in zip(columns, labeled.unique, labeled.lost):  # Horner order
+        folded: dict[tuple[bool, ...], dict[int, np.ndarray]] = {}
+        for members, term in terms.items():
+            if not members[0]:
+                _mix_photon(term, column, lost, unique, cap, scratch)
+            for n, vec in term.items():
+                _accumulate(folded.setdefault(members[1:], {}), n, vec)
+        terms = folded
+    sectors = terms[()]
     for column, extra in zip(columns, labeled.extra):
-        sectors = _mix_photon(sectors, column, 1.0 - extra, extra, cap)
+        _mix_photon(sectors, column, 1.0 - extra, extra, cap, scratch)
     if output_losses is not None:
         sectors = _thin_outputs(sectors, m, keep)
     return sectors, float(tail[cap + 1])
@@ -424,6 +432,8 @@ def noisy_simulate(
     shared photons coherently; ``D_i`` adds trigger i's own photon
     (weight ``unique[i]``) or nothing (``lost[i]``); ``E_i``, its extra
     photon, does not depend on S and is applied once, after the sum.
+    The D_i commute, so the sum runs in Horner form from ``c_0(S) = P(S)
+    strong(S)``: ``c_{j+1}(S) = c_j(S + {j}) + D_j c_j(S)``, S in {j+1, ..}.
 
     The only truncation is a photon-number cap: the smallest N whose
     exact tail ``P(photons > N)`` is at most ``TAIL_TOLERANCE``.  Sectors

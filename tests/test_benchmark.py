@@ -388,6 +388,16 @@ def test_one_batched_call_matches_one_call_per_configuration(gate, noisy, toffol
     assert calls == [plan.m_settings] * 2
 
 
+def test_noisy_cnot_keeps_its_reference_fidelity():
+    # The source of perfbench's qubit_apps reference op (seed 0, op 0):
+    # 36 interferometers of 6 modes, 2 photons, through one batched trigger sum.
+    source = SourceModel(
+        indistinguishability=(0.9509569349857163, 0.9215829371011096), g2=0.005614602859042921
+    )
+    est = estimate_favg(build_plan(CNOT_CIRCUIT, 2), photonic_executor(CNOT_CIRCUIT, source=source))
+    assert abs(est.f_avg - 0.8458813598523911) <= 1e-12
+
+
 def test_photonic_executor_rejects_measurement_circuits():
     circuit = GateCircuit(n_qubits=1, gates=(Gate("T", (0,)),), measurement="Z")
     with pytest.raises(ValueError, match="measurement"):
