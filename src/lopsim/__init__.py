@@ -15,7 +15,6 @@ from lopsim.fock import (
     OutputDistribution,
     enumerate_basis,
     output_amplitude,
-    distinguishable_probability,
     permanent,
     sample,
     strong_simulate,
@@ -76,14 +75,12 @@ from lopsim.variational import (
     exact_ground_energy,
     h2_hamiltonian,
     measure_energy,
-    reference_mitigation,
     vqe_run,
 )
 from lopsim.qnn import (
     ClassifierModel,
     QnnConfig,
     load_iris_dataset,
-    qnn_forward,
     qnn_predict,
     qnn_train,
 )

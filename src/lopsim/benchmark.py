@@ -53,7 +53,6 @@ __all__ = [
     "channel_executor",
     "depolarizing_executor",
     "estimate_favg",
-    "noiseless_executor",
     "photonic_executor",
     "spam_floor",
 ]
@@ -426,11 +425,6 @@ def channel_executor(
         return np.clip(probs, 0.0, None)
 
     return run
-
-
-def noiseless_executor(gate: GateCircuit | np.ndarray) -> Executor:
-    """Executor applying the gate unitary exactly (depolarizing with p = 0)."""
-    return depolarizing_executor(gate, 0.0)
 
 
 def depolarizing_executor(gate: GateCircuit | np.ndarray, probability: float) -> Executor:

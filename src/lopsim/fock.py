@@ -47,7 +47,6 @@ __all__ = [
     "permanent",
     "enumerate_basis",
     "output_amplitude",
-    "distinguishable_probability",
     "strong_simulate",
     "batched_amplitudes",
     "sample",
@@ -225,11 +224,6 @@ class ModeUnitary:
         phases = np.diag(r).copy()
         phases /= np.abs(phases)
         return cls(q * phases)
-
-    def __matmul__(self, other: "ModeUnitary") -> "ModeUnitary":
-        if self.m != other.m:
-            raise ValueError("mode count mismatch")
-        return ModeUnitary(self.matrix @ other.matrix)
 
 
 @lru_cache(maxsize=32)
@@ -414,20 +408,6 @@ def output_amplitude(
     return perm / sqrt(_factorials(input_state) * _factorials(output_state))
 
 
-def distinguishable_probability(
-    unitary: ModeUnitary, input_state: FockState, output_state: FockState
-) -> float:
-    """Outcome probability for fully distinguishable photons.
-
-    Classical routing: Perm(|U_st|^2) / prod t_j!.
-    """
-    _check_states(unitary, input_state, output_state)
-    if input_state.n == 0:
-        return 1.0
-    sub = np.abs(_submatrix(unitary.matrix, input_state, output_state)) ** 2
-    return float(np.real(permanent(sub)) / _factorials(output_state))
-
-
 def _check_states(unitary: ModeUnitary, *states: FockState) -> None:
     n = states[0].n
     for s in states:
@@ -449,7 +429,9 @@ class OutputDistribution(Mapping[FockState, float]):
     set to 0 and the rest renormalized; ``subspace_weight`` is the mass
     the kept outcomes carried before.  ``dropped_weight`` is the mass a
     simulation left out (see :func:`lopsim.sources.noisy_simulate`), so
-    ``total() + dropped_weight`` is 1 before any postselection.
+    ``total() + dropped_weight`` is 1 before any postselection.  The
+    vectors given are kept, not copied; one is clipped into a new array
+    only when it holds a negative rounding residue.
     """
 
     def __init__(
@@ -468,7 +450,8 @@ class OutputDistribution(Mapping[FockState, float]):
                 raise ValueError(f"probability vector does not match the {n}-photon basis")
             if not np.all(vec >= -1e-12):
                 raise ValueError("negative or NaN probability")
-            vec = np.clip(vec, 0.0, None)
+            if np.any(vec < 0.0):
+                vec = np.clip(vec, 0.0, None)
             if vec.sum() > 0.0:
                 self.sectors[n] = vec
         self.subspace_weight = float(subspace_weight)
@@ -603,9 +586,8 @@ def sample(
     collision_free: bool = False,
 ) -> SampleCounts:
     """Draw ``shots`` outcomes by inverse-CDF sampling of the exact distribution."""
-    if shots < 0:
-        raise ValueError("shots must be non-negative")
     rng = _seeded_rng(rng)
+    shots = _shot_count(shots, rng)
     rows, p = strong_simulate(unitary, input_state, collision_free=collision_free).outcomes()
     draws = rng.choice(len(p), size=shots, p=p / p.sum())
     tallies = np.bincount(draws, minlength=len(p))

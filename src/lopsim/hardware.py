@@ -32,7 +32,6 @@ __all__ = [
     "phases_from_voltages",
     "voltages_from_phases",
     "unitary_at_voltages",
-    "predicted_intensities",
     "generate_measurements",
     "calibrate",
     "crosstalk_free_baseline",
@@ -272,19 +271,6 @@ def unitary_at_voltages(
     _check_layout(hw, layout)
     actuated = phases_from_voltages(voltages, hw)
     return layout.unitary(layout.phases_from_actuated(actuated), hw.reflectivities)
-
-
-def predicted_intensities(
-    hw: HardwareModel,
-    layout: MeshLayout,
-    voltages: np.ndarray,
-    input_mode: int,
-    scale: float = 1.0,
-) -> np.ndarray:
-    """Relative output powers for classical or single-photon input light."""
-    _check_layout(hw, layout)
-    phases = _logical_phases(hw, layout, [voltages])
-    return scale * _intensities(hw, layout, phases, [input_mode])[0]
 
 
 def _check_layout(hw: HardwareModel, layout: MeshLayout) -> None:

@@ -48,12 +48,10 @@ __all__ = [
     "MeshLayout",
     "MeshPhases",
     "CompilationResult",
-    "element_unitary",
     "clements_decompose",
     "compile_with_imperfections",
     "fidelity",
     "gauge_fidelity",
-    "input_permutation",
     "two_mode_gate_elements",
     "unitary_to_elements",
 ]
@@ -129,14 +127,6 @@ def _apply_element(u: np.ndarray, element: CircuitElement) -> None:
         raise TypeError(f"unknown circuit element {element!r}")
 
 
-def element_unitary(element: CircuitElement, m: int) -> ModeUnitary:
-    """Full m-mode transfer matrix of a single element."""
-    _check_element_modes(element, m)
-    u = np.eye(m, dtype=complex)
-    _apply_element(u, element)
-    return ModeUnitary(u)
-
-
 def _check_element_modes(element: CircuitElement, m: int) -> None:
     if isinstance(element, PhaseShifter):
         modes = [element.mode]
@@ -173,27 +163,6 @@ class PhotonicCircuit:
         for element in self.elements:
             _apply_element(u, element)
         return ModeUnitary(u)
-
-
-def input_permutation(m: int, targets: Sequence[int]) -> ModePermutation:
-    """Permutation routing the n feed modes 0..n-1 onto ``targets``.
-
-    Unused modes fill the remaining slots in ascending order, so the
-    element is a full permutation of all m modes.
-    """
-    targets = list(targets)
-    if len(set(targets)) != len(targets):
-        raise ValueError("target modes must be distinct")
-    if any(not 0 <= t < m for t in targets):
-        raise ValueError("target mode out of range")
-    if len(targets) > m:
-        raise ValueError("more targets than modes")
-    spare = [mode for mode in range(m) if mode not in targets]
-    full = targets + spare
-    mapping = [0] * m
-    for src, dst in enumerate(full):
-        mapping[src] = dst
-    return ModePermutation(tuple(mapping))
 
 
 # ---------------------------------------------------------------------------

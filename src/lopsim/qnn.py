@@ -42,7 +42,6 @@ __all__ = [
     "pattern_distribution",
     "pattern_distributions",
     "pattern_space",
-    "qnn_forward",
     "qnn_predict",
     "qnn_train",
     "stratified_split",
@@ -251,17 +250,6 @@ class ClassifierModel:
             raise ValueError(f"expected {N_FEATURES} features per row, got shape {x.shape}")
         scaled = (x - self.feature_low) / self.feature_span * np.pi
         return np.clip(scaled, 0.0, np.pi)
-
-
-def qnn_forward(
-    model: ClassifierModel,
-    x: Sequence[float],
-    shots: int | None = None,
-    rng: np.random.Generator | None = None,
-) -> np.ndarray:
-    """Per-class estimator values for one feature vector."""
-    probs = pattern_distribution(model.theta, model.encode(x), shots, rng)
-    return model.lambdas @ probs
 
 
 def qnn_predict(

@@ -77,13 +77,11 @@ __all__ = [
     "GHZ_MEASUREMENT_SETTINGS",
     "GateCompiler",
     "compile_gate_circuit",
-    "logical_matrix",
     "encoding_input_state",
     "pauli_measurement_setting",
     "logical_distribution",
     "logical_distributions",
     "ghz_factory",
-    "ghz_input_state",
     "ghz_postselection",
     "ghz_fidelity",
     "ghz_noisy_fidelity",
@@ -512,29 +510,18 @@ def _ccz_elements(
     return elements
 
 
-def logical_matrix(circuit: PhotonicCircuit, enc: QubitEncoding) -> np.ndarray:
-    """Postselected transfer amplitudes between computational basis states.
-
-    Entry (row, col) is the amplitude from the Fock state with photons on
-    the rails of basis state col (all other modes empty) to the rails of
-    basis state row.  For a correctly compiled gate this equals the gate
-    unitary times a constant whose squared magnitude is the success
-    probability.  Each entry is a permanent of an n x n block of the mode
-    unitary (see :func:`_rail_amplitudes`), not a Fock simulation.
-    """
-    return _rail_amplitudes(circuit.unitary().matrix, enc)
-
-
 def _rail_amplitudes(unitary: np.ndarray, enc: QubitEncoding) -> np.ndarray:
-    """:func:`logical_matrix` of the mode unitary ``unitary``.
+    """Postselected transfer amplitudes of ``unitary`` between basis states.
 
-    A rail state holds one photon per qubit on distinct modes, so entry
-    (row, col) is the permanent of the n x n block of ``unitary`` on the
-    rails of row (rows) and of col (columns), with no factorial factor.
-    All 4^n permanents go through Glynn's formula at once: the signed
-    sums of each output's rail rows are formed once, over every mode,
-    and each input reads its rail columns of them.  No n-photon basis is
-    built.
+    Entry (row, col) is the amplitude from one photon on each rail of
+    basis state col (all other modes empty) to the rails of basis state
+    row: the permanent of the n x n block of ``unitary`` on those rails,
+    with no factorial factor.  For a correctly compiled gate this is the
+    gate unitary times a constant whose squared magnitude is the success
+    probability.  All 4^n permanents go through Glynn's formula at once:
+    the signed sums of each output's rail rows are formed once, over
+    every mode, and each input reads its rail columns of them.  No
+    n-photon basis is built.
     """
     n = enc.n_qubits
     bits = (np.arange(1 << n)[:, None] >> np.arange(n - 1, -1, -1)) & 1
@@ -717,7 +704,7 @@ def compile_gate_circuit(
     once: the check against the circuit's logical unitary reads it, and
     it is returned as the last item, so a caller need not build it again.
     The check compares the logical matrix of that unitary, 4^n rail
-    permanents (:func:`logical_matrix`), with the gate product up to one
+    permanents (:func:`_rail_amplitudes`), with the gate product up to one
     constant, to 1e-9, and the constant's squared magnitude with the
     expected success probability.
     With a measurement word, the word's rotations are applied onto the
@@ -777,10 +764,6 @@ class HeraldPattern:
         return PostselectionRule(
             GHZ_OUTPUT_PAIRS, heralds=(self.occupations,), threshold=threshold
         )
-
-
-def ghz_input_state() -> FockState:
-    return FockState.from_modes(12, GHZ_INPUT_MODES)
 
 
 def _ghz_elements() -> list[CircuitElement]:

@@ -72,7 +72,6 @@ __all__ = [
     "cyclic_distribution",
     "genuine_indistinguishability",
     "measure_genuine_indistinguishability",
-    "indistinguishability_fringe",
     "FringeFit",
     "fit_fringe",
     "load_indistinguishability_matrix",
@@ -633,15 +632,6 @@ def measure_genuine_indistinguishability(
 ) -> float:
     """Simulate the cyclic experiment and estimate ``p_N``."""
     return genuine_indistinguishability(cyclic_distribution(n_photons, src, alpha), n_photons)
-
-
-def indistinguishability_fringe(
-    n_photons: int, src: SourceModel, alphas: Sequence[float]
-) -> np.ndarray:
-    """``p_N`` estimates over a scan of the internal phase."""
-    return np.array(
-        [measure_genuine_indistinguishability(n_photons, src, alpha=a) for a in alphas]
-    )
 
 
 @dataclass(frozen=True)

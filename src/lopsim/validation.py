@@ -30,7 +30,7 @@ from typing import Iterable
 
 import numpy as np
 
-from .fock import FockState, ModeUnitary, enumerate_basis, strong_simulate
+from .fock import FockState, ModeUnitary, _shot_count, enumerate_basis, strong_simulate
 from .sources import SourceModel, build_input, noisy_simulate
 
 __all__ = [
@@ -167,8 +167,7 @@ def sample_outcomes(
             "distinguishable" (classical routing), each renormalized
             over collision-free patterns.
     """
-    if n_events < 1:
-        raise ValueError("n_events must be positive")
+    n_events = _shot_count(n_events, rng, "n_events")
     if hypothesis not in HYPOTHESES:
         raise ValueError(f"unknown hypothesis {hypothesis!r}; expected {HYPOTHESES}")
     rows = enumerate_basis(reference.m, reference.n).occupations

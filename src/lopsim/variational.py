@@ -12,7 +12,6 @@ preparations, and repeated exact coordinate sweeps drive the angles.
 
 from __future__ import annotations
 
-import json
 import warnings
 from dataclasses import dataclass
 from functools import cache
@@ -50,7 +49,6 @@ __all__ = [
     "exact_ground_energy",
     "h2_hamiltonian",
     "measure_energy",
-    "reference_mitigation",
     "vqe_run",
 ]
 
@@ -157,25 +155,6 @@ class MitigationMatrix:
             raise ValueError("confusion matrix is not diagonally dominant")
         matrix.setflags(write=False)
         object.__setattr__(self, "matrix", matrix)
-
-
-@cache
-def _reference_matrices() -> dict[str, np.ndarray]:
-    text = (
-        resources.files("lopsim")
-        .joinpath("data/mitigation_matrices.json")
-        .read_text(encoding="utf-8")
-    )
-    payload = json.loads(text)
-    return {basis: np.array(payload[basis], dtype=float) for basis in BASES}
-
-
-def reference_mitigation(basis: str) -> MitigationMatrix:
-    """Bundled reference confusion matrix for one measurement basis."""
-    basis = basis.upper()
-    if basis not in BASES:
-        raise ValueError(f"basis must be one of {BASES}, got {basis!r}")
-    return MitigationMatrix(basis, _reference_matrices()[basis])
 
 
 def apply_mitigation(gamma: MitigationMatrix, observed: np.ndarray) -> np.ndarray:

@@ -18,7 +18,6 @@ from lopsim.benchmark import (
     channel_executor,
     depolarizing_executor,
     estimate_favg,
-    noiseless_executor,
     photonic_executor,
     spam_floor,
 )
@@ -200,11 +199,11 @@ def test_noiseless_estimates_are_unity(toffoli_plan):
     for functional in ("tabulated", "exact"):
         for circuit, n in ((T_CIRCUIT, 1), (CNOT_CIRCUIT, 2)):
             plan = build_plan(circuit, n, functional=functional)
-            est = estimate_favg(plan, noiseless_executor(circuit))
+            est = estimate_favg(plan, depolarizing_executor(circuit, 0.0))
             assert est.f_avg == pytest.approx(1.0, abs=1e-9)
             assert est.std_error == 0.0
-    est = estimate_favg(toffoli_plan, noiseless_executor(
-        GateCircuit.from_text("TOFFOLI 0 1 2", n_qubits=3)))
+    toffoli = GateCircuit.from_text("TOFFOLI 0 1 2", n_qubits=3)
+    est = estimate_favg(toffoli_plan, depolarizing_executor(toffoli, 0.0))
     assert est.f_avg == pytest.approx(1.0, abs=1e-9)
 
 
@@ -308,7 +307,7 @@ def test_merging_settings_does_not_change_the_estimate():
 
 def test_sampled_estimates_are_reported_unclamped():
     plan = build_plan(T_CIRCUIT, 1)
-    executor = noiseless_executor(T_CIRCUIT)
+    executor = depolarizing_executor(T_CIRCUIT, 0.0)
     est = estimate_favg(plan, executor, shots_per_config=500, seed=0)
     assert est.f_avg > 1.0
     assert est.std_error > 0.0
@@ -340,7 +339,7 @@ def test_shots_per_config_below_one_is_rejected_before_the_executor_runs(shots):
 
 def test_a_fractional_shot_count_is_rejected():
     plan = build_plan(T_CIRCUIT, 1)
-    executor = noiseless_executor(T_CIRCUIT)
+    executor = depolarizing_executor(T_CIRCUIT, 0.0)
     with pytest.raises(ValueError, match="shots_per_config must be a whole number"):
         estimate_favg(plan, executor, shots_per_config=2.5, seed=0)
 

@@ -4,14 +4,15 @@ import pytest
 from lopsim.fock import (
     FockState,
     ModeUnitary,
+    OutputDistribution,
     _glynn_deltas,
-    distinguishable_probability,
     enumerate_basis,
     output_amplitude,
     permanent,
     sample,
     strong_simulate,
 )
+from lopsim.sources import SourceModel, build_input, noisy_simulate
 
 from _oracles import (
     classical_routing_probability,
@@ -162,26 +163,30 @@ class TestAmplitudes:
 
 
 class TestDistinguishable:
+    # Fully distinguishable photons (m = 0) route classically: Perm(|U_st|^2) / prod t_j!.
+    @staticmethod
+    def classical(u: ModeUnitary, photons) -> OutputDistribution:
+        labeled = build_input(len(photons), SourceModel(indistinguishability=0.0), photons)
+        return noisy_simulate(u, labeled)
+
     def test_hom_coincidence_half(self):
-        u = coupler(0.5)
-        ones = FockState.from_string("11")
-        assert distinguishable_probability(u, ones, ones) == pytest.approx(0.5)
+        dist = self.classical(coupler(0.5), [0, 1])
+        assert dist.prob(FockState.from_string("11")) == pytest.approx(0.5)
 
     @pytest.mark.parametrize("m,photons", [(4, [0, 3]), (5, [0, 2, 4]), (4, [1, 1])])
     def test_against_enumeration(self, m, photons):
         rng = np.random.default_rng(m + 31 * len(photons))
         u = ModeUnitary.haar_random(m, rng)
         s = FockState.from_modes(m, photons)
+        dist = self.classical(u, photons)
         for t in enumerate_basis(m, len(photons)):
             expected = classical_routing_probability(u.matrix, s, t)
-            assert distinguishable_probability(u, s, t) == pytest.approx(expected, abs=1e-12)
+            assert dist.prob(t) == pytest.approx(expected, abs=1e-12)
 
     def test_normalization(self):
         rng = np.random.default_rng(11)
         u = ModeUnitary.haar_random(5, rng)
-        s = FockState.from_modes(5, [0, 1, 2])
-        total = sum(distinguishable_probability(u, s, t) for t in enumerate_basis(5, 3))
-        assert total == pytest.approx(1.0, abs=1e-9)
+        assert self.classical(u, [0, 1, 2]).total() == pytest.approx(1.0, abs=1e-9)
 
 
 class TestStrongSimulate:
@@ -253,6 +258,15 @@ class TestSampling:
         s = FockState.from_string("11000")
         counts = sample(u, s, shots=321, rng=0)
         assert sum(counts.values()) == 321
+
+    @pytest.mark.parametrize("shots", [0, 2.5])
+    def test_a_shot_count_must_be_a_whole_number(self, shots):
+        with pytest.raises(ValueError, match="shots must be a whole number"):
+            sample(coupler(0.5), FockState.from_string("11"), shots, rng=0)
+
+    def test_a_whole_float_shot_count_draws_that_many(self):
+        counts = sample(coupler(0.5), FockState.from_string("11"), 3.0, rng=0)
+        assert sum(counts.values()) == 3
 
     def test_empirical_frequencies_converge(self):
         u = coupler(0.5)

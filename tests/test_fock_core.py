@@ -498,7 +498,7 @@ class TestTriggerSum:
         finally:
             tracemalloc.stop()
         output = sum(vec.nbytes for vec in dist.sectors.values())
-        assert peak < 2.5 * output
+        assert peak < 1.75 * output
 
     @pytest.mark.parametrize("alpha", [0.0, 0.7, 2.0])
     def test_p6_matches_the_per_subset_oracle(self, alpha):

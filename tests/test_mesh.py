@@ -17,10 +17,8 @@ from lopsim.mesh import (
     PhotonicCircuit,
     clements_decompose,
     compile_with_imperfections,
-    element_unitary,
     fidelity,
     gauge_fidelity,
-    input_permutation,
     two_mode_gate_elements,
     unitary_to_elements,
     _adjoint_sweep,
@@ -44,27 +42,27 @@ def haar(m: int, seed: int) -> ModeUnitary:
 
 class TestElements:
     def test_phase_shifter_matrix(self):
-        u = element_unitary(PhaseShifter(1, np.pi / 3), 3).matrix
+        u = PhotonicCircuit(3).add(PhaseShifter(1, np.pi / 3)).unitary().matrix
         expected = np.diag([1.0, np.exp(1j * np.pi / 3), 1.0])
         assert np.allclose(u, expected)
 
     def test_balanced_coupler_matrix(self):
-        u = element_unitary(DirectionalCoupler(0, 1, 0.5), 2).matrix
+        u = PhotonicCircuit(2).add(DirectionalCoupler(0, 1, 0.5)).unitary().matrix
         expected = np.array([[1.0, 1j], [1j, 1.0]]) / np.sqrt(2.0)
         assert np.allclose(u, expected)
 
     def test_full_reflectivity_is_identity(self):
-        u = element_unitary(DirectionalCoupler(0, 1, 1.0), 2).matrix
+        u = PhotonicCircuit(2).add(DirectionalCoupler(0, 1, 1.0)).unitary().matrix
         assert np.allclose(u, np.eye(2))
 
     def test_coupler_on_distant_modes(self):
-        u = element_unitary(DirectionalCoupler(0, 3, 0.5), 4).matrix
+        u = PhotonicCircuit(4).add(DirectionalCoupler(0, 3, 0.5)).unitary().matrix
         assert np.allclose(u[1, 1], 1.0)
         assert np.allclose(u[2, 2], 1.0)
         assert np.allclose(u[0, 3], 1j / np.sqrt(2.0))
 
     def test_permutation_matrix(self):
-        u = element_unitary(ModePermutation((2, 0, 1)), 3).matrix
+        u = PhotonicCircuit(3).add(ModePermutation((2, 0, 1))).unitary().matrix
         for src, dst in enumerate((2, 0, 1)):
             vec = np.zeros(3)
             vec[src] = 1.0
@@ -83,7 +81,7 @@ class TestElements:
 
     def test_element_mode_range_checked(self):
         with pytest.raises(ValueError):
-            element_unitary(PhaseShifter(5, 0.1), 3)
+            PhotonicCircuit(3).add(PhaseShifter(5, 0.1))
         circuit = PhotonicCircuit(3)
         with pytest.raises(ValueError):
             circuit.add(DirectionalCoupler(2, 3))
@@ -95,8 +93,8 @@ class TestElements:
         first.add(DirectionalCoupler(0, 1, 0.5))
         u1 = first.unitary().matrix
         expected = (
-            element_unitary(DirectionalCoupler(0, 1, 0.5), 2).matrix
-            @ element_unitary(PhaseShifter(0, 0.7), 2).matrix
+            PhotonicCircuit(2).add(DirectionalCoupler(0, 1, 0.5)).unitary().matrix
+            @ PhotonicCircuit(2).add(PhaseShifter(0, 0.7)).unitary().matrix
         )
         assert np.allclose(u1, expected)
 
@@ -173,24 +171,6 @@ class TestTwoModeGate:
         assert np.max(np.abs(circuit.unitary().matrix - v)) < 1e-10
 
 
-class TestInputPermutation:
-    def test_routes_feed_modes(self):
-        perm = input_permutation(12, (1, 5, 9))
-        u = element_unitary(perm, 12).matrix
-        for src, dst in enumerate((1, 5, 9)):
-            vec = np.zeros(12)
-            vec[src] = 1.0
-            assert np.allclose((u @ vec)[dst], 1.0)
-
-    def test_rejects_duplicates(self):
-        with pytest.raises(ValueError):
-            input_permutation(6, (1, 1))
-
-    def test_rejects_out_of_range(self):
-        with pytest.raises(ValueError):
-            input_permutation(4, (5,))
-
-
 class TestMeshLayout:
     def test_reference_chip_counts(self):
         layout = MeshLayout(12)
@@ -262,7 +242,7 @@ class TestDecomposition:
         assert np.max(np.abs(rebuilt - np.eye(6))) < 1e-10
 
     def test_permutation_decomposition(self):
-        u = element_unitary(ModePermutation((3, 0, 2, 1)), 4)
+        u = PhotonicCircuit(4).add(ModePermutation((3, 0, 2, 1))).unitary()
         result = clements_decompose(u)
         assert np.max(np.abs(result.unitary().matrix - u.matrix)) < 1e-10
 

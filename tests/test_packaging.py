@@ -244,7 +244,7 @@ UNSEEDED_CALLS = {
         fock.ModeUnitary(np.eye(3)), np.full((mesh.MeshLayout(3).n_cells, 2), 0.5), rng=None
     ),
     "estimate_favg": lambda: benchmark.estimate_favg(
-        benchmark.build_plan(_T_GATE, 1), benchmark.noiseless_executor(_T_GATE), seed=None
+        benchmark.build_plan(_T_GATE, 1), benchmark.depolarizing_executor(_T_GATE, 0.0), seed=None
     ),
     "build_mitigation": lambda: variational.build_mitigation(
         variational.PhotonicVqeBackend(), "ZZ", shots=100, seed=None

@@ -17,7 +17,6 @@ from lopsim.qnn import (
     pattern_distribution,
     pattern_distributions,
     pattern_space,
-    qnn_forward,
     qnn_predict,
     qnn_train,
     stratified_split,
@@ -96,9 +95,10 @@ def test_classifier_circuit_validation():
 
 
 def test_forward_zero_weights_gives_zero():
+    # Every class scores 0, so the argmax tie goes to class 0.
     model = unit_model(np.zeros((3, len(pattern_space()))))
     x = RNG.uniform(0.0, 1.0, 4)
-    assert np.array_equal(qnn_forward(model, x), np.zeros(3))
+    assert np.array_equal(qnn_predict(model, x), [0])
 
 
 def test_forward_one_hot_weight_reads_pattern_probability():
@@ -108,9 +108,9 @@ def test_forward_one_hot_weight_reads_pattern_probability():
     model = unit_model(lambdas)
     x = RNG.uniform(0.0, 1.0, 4)
     probs = pattern_distribution(model.theta, model.encode(x))
-    values = qnn_forward(model, x)
-    assert values[0] == 0.0
-    assert values[1] == pytest.approx(probs[pattern_index], abs=1e-15)
+    # Class 1 scores the pattern's probability and class 0 scores 0.
+    assert probs[pattern_index] > 0.0
+    assert np.array_equal(qnn_predict(model, x), [1])
 
 
 def test_forward_matches_state_vector_oracle():
@@ -129,7 +129,8 @@ def test_forward_matches_state_vector_oracle():
     lambdas = RNG.normal(size=(3, len(pattern_space())))
     model = ClassifierModel(theta, lambdas, np.zeros(4), np.ones(4))
     reference = lambdas @ merged
-    assert np.allclose(qnn_forward(model, phases / np.pi), reference, atol=1e-10)
+    forward = model.lambdas @ pattern_distribution(theta, model.encode(phases / np.pi))
+    assert np.allclose(forward, reference, atol=1e-10)
 
 
 def per_sample_patterns(theta, phases):
@@ -178,7 +179,9 @@ def test_shots_without_rng_raise():
 def test_predict_matches_per_sample_forward():
     model = unit_model(RNG.normal(size=(3, len(pattern_space()))))
     features = RNG.uniform(0.0, 1.0, (7, N_FEATURES))
-    values = np.array([qnn_forward(model, x) for x in features])
+    values = np.array(
+        [model.lambdas @ pattern_distribution(model.theta, model.encode(x)) for x in features]
+    )
     assert np.array_equal(qnn_predict(model, features), np.argmax(values, axis=1))
     assert np.array_equal(model.encode(features)[2], model.encode(features[2]))
 
@@ -187,10 +190,11 @@ def test_sampled_forward_within_shot_noise():
     lambdas = RNG.normal(size=(3, len(pattern_space())))
     model = unit_model(lambdas)
     x = RNG.uniform(0.0, 1.0, 4)
-    exact = qnn_forward(model, x)
     probs = pattern_distribution(model.theta, model.encode(x))
+    exact = lambdas @ probs
     shots = 50000
-    sampled = qnn_forward(model, x, shots=shots, rng=np.random.default_rng(8))
+    rng = np.random.default_rng(8)
+    sampled = lambdas @ pattern_distribution(model.theta, model.encode(x), shots, rng)
     sigma = np.sqrt((lambdas**2) @ probs / shots)
     assert np.all(np.abs(sampled - exact) <= 3.0 * sigma + 1e-12)
 

@@ -28,12 +28,10 @@ from lopsim.qubits import (
     encoding_input_state,
     ghz_factory,
     ghz_fidelity,
-    ghz_input_state,
     ghz_noisy_fidelity,
     ghz_postselection,
     logical_distribution,
     logical_distributions,
-    logical_matrix,
     pauli_measurement_setting,
 )
 from lopsim.sources import SourceModel
@@ -116,7 +114,7 @@ def kron_logical_unitary(gc):
 def compiled_matrix_and_scale(gc, enc=None):
     circuit, rule, success, _ = compile_gate_circuit(gc, enc)
     enc = enc or QubitEncoding.default(gc.n_qubits)
-    mat = logical_matrix(circuit, enc)
+    mat = qubits._rail_amplitudes(circuit.unitary().matrix, enc)
     target = gc.logical_unitary()
     anchor = np.unravel_index(np.argmax(np.abs(target)), target.shape)
     scale = mat[anchor] / target[anchor]
@@ -283,7 +281,8 @@ class TestLogicalMatrix:
         expected = np.array(
             [[output_amplitude(unitary, col, row) for col in states] for row in states]
         )
-        assert np.allclose(logical_matrix(circuit, enc), expected, rtol=0, atol=1e-12)
+        got = qubits._rail_amplitudes(unitary.matrix, enc)
+        assert np.allclose(got, expected, rtol=0, atol=1e-12)
 
 
 class TestSingleQubitCompilation:
@@ -308,7 +307,7 @@ class TestSingleQubitCompilation:
         gc = GateCircuit.from_text("H 0\nT 0")
         circuit, rule, success, _ = compile_gate_circuit(gc)
         assert success == 1.0
-        mat = logical_matrix(circuit, QubitEncoding.default(1))
+        mat = qubits._rail_amplitudes(circuit.unitary().matrix, QubitEncoding.default(1))
         column = mat[:, 0] / mat[0, 0] * abs(mat[0, 0])
         expected = np.array([1.0, np.exp(1j * np.pi / 4)]) / np.sqrt(2)
         assert np.max(np.abs(column - expected)) < 1e-12
@@ -352,7 +351,7 @@ class TestCnotCompilation:
             for q, u in enumerate(prep):
                 prepped.extend(two_mode_gate_elements(u, *enc.qubit_pairs[q]))
             prepped.extend(circuit.elements)
-            mat = logical_matrix(prepped, enc)
+            mat = qubits._rail_amplitudes(prepped.unitary().matrix, enc)
             weights.append(np.sum(np.abs(mat[:, 0]) ** 2))
         assert np.max(np.abs(np.array(weights) - CNOT_SUCCESS)) < 1e-9
 
@@ -366,7 +365,7 @@ class TestCnotCompilation:
             prepped.extend(two_mode_gate_elements(u_a, *enc.qubit_pairs[0]))
             prepped.extend(two_mode_gate_elements(u_b, *enc.qubit_pairs[1]))
             prepped.extend(circuit.elements)
-            amps = logical_matrix(prepped, enc)[:, 0]
+            amps = qubits._rail_amplitudes(prepped.unitary().matrix, enc)[:, 0]
             expected = CNOT_MATRIX @ np.kron(u_a[:, 0], u_b[:, 0])
             scale = amps[np.argmax(np.abs(expected))] / expected[
                 np.argmax(np.abs(expected))
@@ -698,7 +697,7 @@ class TestGhzFactory:
     def herald_amplitudes(self, unitary, herald):
         """Qubit-basis amplitudes conditioned on one herald pattern."""
         occ = dict(herald.occupations)
-        inp = ghz_input_state()
+        inp = FockState.from_modes(12, GHZ_INPUT_MODES)
         amps = np.zeros(8, dtype=complex)
         pairs = ((0, 1), (5, 6), (10, 11))
         for index in range(8):
@@ -717,8 +716,10 @@ class TestGhzFactory:
         assert [h.name for h in heralds] == [f"h{i}" for i in range(1, 9)]
 
     def test_input_state(self):
-        assert tuple(ghz_input_state().modes()) == GHZ_INPUT_MODES
-        assert ghz_input_state().m == 12
+        # One photon enters each of the six adjacent rail pairs.
+        state = FockState.from_modes(12, GHZ_INPUT_MODES)
+        assert state.n == 6 and max(state.occupations) == 1
+        assert sorted(mode // 2 for mode in GHZ_INPUT_MODES) == list(range(6))
 
     def test_plus_heralds_match_the_published_patterns(self, factory):
         _, heralds, _, _ = factory
@@ -755,7 +756,7 @@ class TestGhzFactory:
         circuit, heralds, _, unitary = factory
         rule = ghz_postselection(heralds, sign=1)
         assert len(rule.heralds) == 4
-        dist = strong_simulate(unitary, ghz_input_state())
+        dist = strong_simulate(unitary, FockState.from_modes(12, GHZ_INPUT_MODES))
         logical, weight = logical_distribution(dist, rule)
         assert weight == pytest.approx(1.0 / 64.0, abs=1e-12)
         assert logical[(0, 0, 0)] == pytest.approx(0.5, abs=1e-12)
@@ -811,9 +812,8 @@ class TestGhzFactory:
         for word, value in expectations.items():
             setting = "ZZZ" if set(word) <= {"Z", "I"} else word
             if word != "III":
-                probs, _ = postselect_by_state(
-                    strong_simulate(unitaries[setting], ghz_input_state()), rule
-                )
+                inp = FockState.from_modes(12, GHZ_INPUT_MODES)
+                probs, _ = postselect_by_state(strong_simulate(unitaries[setting], inp), rule)
                 expected = sum(
                     p * (-1) ** sum(bit for bit, c in zip(bits, word) if c != "I")
                     for bits, p in probs.items()

@@ -11,7 +11,6 @@ from lopsim.fock import (
     FockState,
     ModeUnitary,
     OutputDistribution,
-    distinguishable_probability,
     enumerate_basis,
     outcome_arrays,
     strong_simulate,
@@ -32,7 +31,6 @@ from lopsim.sources import (
     fit_product_model,
     genuine_indistinguishability,
     hom_experiment,
-    indistinguishability_fringe,
     load_indistinguishability_matrix,
     measure_genuine_indistinguishability,
     ms_correction,
@@ -40,7 +38,7 @@ from lopsim.sources import (
     _fringe_classes,
 )
 
-from _oracles import branch_distribution, constructive_patterns
+from _oracles import branch_distribution, classical_routing_probability, constructive_patterns
 
 
 class TestSourceModel:
@@ -223,7 +221,7 @@ class TestNoisySimulate:
         noisy = noisy_simulate(unitary, labeled)
         input_state = FockState.from_modes(4, (0, 1, 2))
         for state in noisy:
-            expected = distinguishable_probability(unitary, input_state, state)
+            expected = classical_routing_probability(unitary.matrix, input_state, state)
             assert noisy.prob(state) == pytest.approx(expected, abs=1e-12)
 
     def test_independent_label_classes_factorize(self):
@@ -386,7 +384,7 @@ class TestCyclicInterferometer:
 
     def test_fringe_fit_matches_ideal_cosine(self):
         alphas = np.linspace(0.0, 2.0 * np.pi, 9)
-        values = indistinguishability_fringe(4, SourceModel(), alphas)
+        values = [measure_genuine_indistinguishability(4, SourceModel(), a) for a in alphas]
         fit = fit_fringe(alphas, values)
         assert fit.frequency == pytest.approx(1.0, abs=5e-3)
         assert fit.phase == pytest.approx(0.0, abs=1e-2)

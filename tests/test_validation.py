@@ -95,6 +95,16 @@ def test_sampler_draws_the_rows_its_weights_were_built_for():
         assert events == tuple(cf[i] for i in picks)
 
 
+@pytest.mark.parametrize("n_events", [0, 2.5])
+def test_an_event_count_must_be_a_whole_number(n_events):
+    with pytest.raises(ValueError, match="n_events must be a whole number"):
+        sample_outcomes(REF5, n_events, np.random.default_rng(0))
+
+
+def test_a_whole_float_event_count_draws_that_many():
+    assert len(sample_outcomes(REF5, 3.0, np.random.default_rng(0))) == 3
+
+
 def test_run_validation_replays_bit_exactly():
     ref = collision_free_reference(haar(8, 1), FockState.from_modes(8, (0, 1, 2)))
     events = sample_outcomes(ref, 90, np.random.default_rng(7))

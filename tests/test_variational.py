@@ -21,7 +21,6 @@ from lopsim.variational import (
     exact_ground_energy,
     h2_hamiltonian,
     measure_energy,
-    reference_mitigation,
     vqe_run,
 )
 
@@ -105,17 +104,6 @@ def test_exact_ground_energy_matches_closed_form_oracle():
         assert exact_ground_energy(h) == pytest.approx(expected, abs=1e-12)
 
 
-def test_reference_mitigation_loads_and_validates():
-    gamma_zz = reference_mitigation("ZZ")
-    gamma_xx = reference_mitigation("XX")
-    assert gamma_zz.matrix[0, 0] == pytest.approx(0.99999995, abs=1e-8)
-    assert gamma_zz.matrix[1, 1] == pytest.approx(0.93809, abs=1e-5)
-    for gamma in (gamma_zz, gamma_xx):
-        assert np.all(np.abs(gamma.matrix.sum(axis=0) - 1.0) <= 1e-6)
-        diag = np.diag(gamma.matrix)
-        assert np.all(diag > gamma.matrix.sum(axis=0) - diag)
-
-
 def test_mitigation_round_trip_on_random_stochastic_matrix():
     for _ in range(20):
         columns = RNG.dirichlet(np.ones(4), size=4).T
@@ -130,7 +118,7 @@ def test_reference_round_trip_on_simulated_distribution():
     backend = PhotonicVqeBackend()
     theta = RNG.uniform(0.0, 2.0 * np.pi, 7)
     p = backend.distribution(ansatz_circuit(theta, "XX"))
-    gamma = reference_mitigation("XX")
+    gamma = build_mitigation(PhotonicVqeBackend(readout_flip=0.05), "XX")
     recovered = apply_mitigation(gamma, gamma.matrix @ p)
     assert np.allclose(recovered, p, atol=1e-9)
 
