@@ -13,11 +13,13 @@ Usage::
 measured source (per-photon ``m_i`` fitted to the pairwise
 indistinguishability matrix, ``g2 = 0.0075``) and prints the
 one-click-per-pair contrast ``p6 cos(alpha)`` and the wall time of
-each stage (fit, simulate, readout).  ``--json`` also reports
-``dropped_mass``, the probability above the simulated photon-number cap
-that the contrast leaves out.  The first run in a process also builds
-the Fock-basis tables, which ``stage_s`` shows under ``simulate``, and
-the per-sector readout tables, which it shows under ``readout``.
+each stage (fit, simulate, readout).  It simulates only the outcomes
+with at most one click per output pair, which hold every outcome the
+contrast reads.  ``--json`` also reports ``dropped_mass``, the
+probability above the simulated photon-number cap that the contrast
+leaves out.  The first run in a process also builds the Fock-basis and
+support tables, which ``stage_s`` shows under ``simulate``, and the
+per-sector readout tables, which it shows under ``readout``.
 
 ``qnn`` trains the three-photon classifier on the bundled iris set with
 the default :class:`~lopsim.qnn.QnnConfig` (seeded by ``--seed``) and
@@ -63,7 +65,7 @@ from .mesh import MeshLayout
 from .qnn import QnnConfig, load_iris_dataset, qnn_train
 from .sources import (
     SourceModel,
-    cyclic_distribution,
+    _fringe_distribution,
     fit_product_model,
     genuine_indistinguishability,
     load_indistinguishability_matrix,
@@ -93,7 +95,7 @@ def fringe(alpha: float) -> dict:
     m_fit, _ = fit_product_model(load_indistinguishability_matrix())
     marks.append(time.perf_counter())
     source = SourceModel(indistinguishability=tuple(m_fit), g2=BUNDLED_G2)
-    dist = cyclic_distribution(6, source, alpha)
+    dist = _fringe_distribution(6, source, alpha)
     marks.append(time.perf_counter())
     value = genuine_indistinguishability(dist, 6)
     marks.append(time.perf_counter())

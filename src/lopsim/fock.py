@@ -13,7 +13,10 @@ mode to a vector over the n-photon basis: on amplitudes it is the SLOS
 recursion of Heurtel et al., *Strong simulation of linear optical
 processes* (Comput. Phys. Commun. 291, 108848 (2023)); on ``|U|^2`` it
 is the classical convolution.  A trailing batch axis runs many unitaries
-through the same recursion at once (:func:`batched_amplitudes`).
+through the same recursion at once (:func:`batched_amplitudes`).  The
+same kernel also runs on a support, the basis rows that leave no pair of
+a given set of disjoint mode pairs fully occupied, through tables built
+from those rows alone.
 Permanents serve only single amplitudes.
 
 :class:`OutputDistribution` is the one type of every simulated output,
@@ -277,14 +280,13 @@ def enumerate_basis(m: int, n: int) -> FockBasis:
     return FockBasis(m, n)
 
 
-@lru_cache(maxsize=None)
-def _successors(m: int, n: int) -> np.ndarray:
-    """Index of ``s + e_j`` in the (n+1)-photon basis, shape (m, N_n).
+def _successor_ranks(m: int, n: int, occ: np.ndarray) -> np.ndarray:
+    """Index of ``s + e_j`` in the (n+1)-photon basis for each row s of ``occ``, shape (m, K).
 
     The rank terms of ``s + e_j`` are those of ``s`` with one more photon
     left for modes up to j, so each row is a prefix, a term and a suffix.
     """
-    occ, below = enumerate_basis(m, n).occupations, enumerate_basis(m, n + 1)._below
+    below = enumerate_basis(m, n + 1)._below
     terms = np.empty((m, len(occ)), dtype=np.intp)
     left = np.full(len(occ), n)
     for i in range(m):
@@ -297,6 +299,13 @@ def _successors(m: int, n: int) -> np.ndarray:
         terms[j] = prefix + below[j, left, occ[:, j] + 1] + suffix
         prefix = prefix + below[j, left, occ[:, j]]
         left -= occ[:, j]
+    return terms
+
+
+@lru_cache(maxsize=None)
+def _successors(m: int, n: int) -> np.ndarray:
+    """Index of ``s + e_j`` in the (n+1)-photon basis, shape (m, N_n)."""
+    terms = _successor_ranks(m, n, enumerate_basis(m, n).occupations)
     terms.setflags(write=False)
     return terms
 
@@ -309,11 +318,75 @@ def _gains(m: int, n: int) -> np.ndarray:
     return gains
 
 
+@lru_cache(maxsize=None)
+def _support(m: int, n: int, pairs: tuple[tuple[int, int], ...]) -> np.ndarray:
+    """Read-only rows of ``enumerate_basis(m, n)`` with no pair of ``pairs`` fully occupied.
+
+    Removing a photon never fills a pair, so a photon added to a row off
+    the support never lands on it: the support's values depend on the
+    support alone.
+    """
+    occ = enumerate_basis(m, n).occupations
+    filled = np.zeros(len(occ), dtype=bool)
+    for a, b in pairs:
+        filled |= (occ[:, a] > 0) & (occ[:, b] > 0)
+    rows = np.flatnonzero(~filled)
+    rows.setflags(write=False)
+    return rows
+
+
+@lru_cache(maxsize=None)
+def _support_successors(m: int, n: int, pairs: tuple[tuple[int, int], ...]) -> np.ndarray:
+    """Position of ``s + e_j`` in the (n+1)-photon support vector, shape (m, K_n + 1).
+
+    A support vector holds the ``_support(m, n, pairs)`` rows followed by
+    one sink row.  An ``s + e_j`` that fills a pair, and the sink itself,
+    go to the next vector's sink, whose value nothing reads.  The ranks
+    come from the support rows alone, never from the full
+    :func:`_successors` table.
+    """
+    grown = _support(m, n + 1, pairs)
+    occ = enumerate_basis(m, n).occupations[_support(m, n, pairs)]
+    ranks = _successor_ranks(m, n, occ)
+    partner = {a: b for pair in pairs for a, b in (pair, pair[::-1])}
+    table = np.full((m, len(occ) + 1), len(grown), dtype=np.intp)
+    for j in range(m):
+        kept = occ[:, partner[j]] == 0 if j in partner else slice(None)
+        table[j, :-1][kept] = np.searchsorted(grown, ranks[j, kept])
+    table.setflags(write=False)
+    return table
+
+
+@lru_cache(maxsize=None)
+def _support_gains(m: int, n: int, pairs: tuple[tuple[int, int], ...]) -> np.ndarray:
+    """Bosonic gain ``sqrt(s_j + 1)`` over a support vector (sink gain 1), shape (m, K_n + 1)."""
+    occ = enumerate_basis(m, n).occupations[_support(m, n, pairs)]
+    gains = np.ones((m, len(occ) + 1))
+    gains[:, :-1] = np.sqrt(occ.T + 1.0)
+    gains.setflags(write=False)
+    return gains
+
+
+def _vector_length(m: int, n: int, pairs: tuple[tuple[int, int], ...]) -> int:
+    """Rows of a vector over the n-photon basis, or with ``pairs`` over its support and sink."""
+    return len(_support(m, n, pairs)) + 1 if pairs else len(enumerate_basis(m, n))
+
+
+def _expand_support(
+    vec: np.ndarray, m: int, n: int, pairs: tuple[tuple[int, int], ...]
+) -> np.ndarray:
+    """A vector over the support and sink as one over the full n-photon basis, 0 off the support."""
+    full = np.zeros((len(enumerate_basis(m, n)), *vec.shape[1:]), dtype=vec.dtype)
+    full[_support(m, n, pairs)] = vec[:-1]
+    return full
+
+
 def _add_photon(
     vec: np.ndarray, n: int, column: np.ndarray, coherent: bool,
     out: np.ndarray | None = None, scratch: np.ndarray | None = None,
+    pairs: tuple[tuple[int, int], ...] = (),
 ) -> np.ndarray:
-    """Add one photon to vectors over the full n-photon basis.
+    """Add one photon to vectors over the full n-photon basis, or over its support.
 
     ``column`` is where the photon goes.  Coherently, ``vec`` holds
     amplitudes, ``column`` is ``U[:, k]`` for input mode k, and the step
@@ -331,27 +404,36 @@ def _add_photon(
     in one buffer, the head of a flat ``scratch`` of the result's dtype if
     given.  B = 1 runs as the 1-D call: a trailing axis of length 1 only
     slows the scatter.
-    Each ``succ[j]`` holds distinct indices, so both scatters add the same
-    terms in the same order: ``np.add.at`` on 1-D vectors (12 scatters of
-    167,960 states on 12 modes: 5.5 ms, fancy-index ``+=`` 11.5 ms) and
-    ``+=`` with a batch axis (4,368 x 4 states: 2.1 ms, ``np.add.at`` 4.6 ms).
+    Each ``succ[j]`` holds distinct indices (the sink aside), so both
+    scatters add the same terms in the same order: ``np.add.at`` on 1-D
+    vectors (12 scatters of 167,960 states on 12 modes: 5.5 ms,
+    fancy-index ``+=`` 11.5 ms) and ``+=`` with a batch axis (4,368 x 4
+    states: 2.1 ms, ``np.add.at`` 4.6 ms).
+
+    With ``pairs`` (sorted disjoint mode pairs) both vectors run over
+    :func:`_support` plus one sink row instead, ``N_n`` counts those rows,
+    and the same loop reads the :func:`_support_successors` and
+    :func:`_support_gains` tables: every support entry gets the same
+    products, added in the same mode order, as over the full basis.  The
+    additions that would fill a pair land on the sink, whose value is
+    never read (on the batch path its repeated index keeps only one).
     """
     m = len(column)
     batch = vec.shape[1:] or column.shape[1:]
     if batch == (1,):
         out = None if out is None else out.reshape(len(out))
         vec, column = vec.reshape(len(vec)), column.reshape(m)
-        return _add_photon(vec, n, column, coherent, out, scratch)[:, None]
+        return _add_photon(vec, n, column, coherent, out, scratch, pairs)[:, None]
     if batch and vec.ndim == 1:
         vec = vec[:, None]
     if out is None:
-        out = np.zeros((len(enumerate_basis(m, n + 1)), *batch), dtype=np.result_type(vec, column))
+        out = np.zeros((_vector_length(m, n + 1, pairs), *batch), np.result_type(vec, column))
     term = np.ndarray((len(vec), *batch), out.dtype, buffer=scratch)
-    succ = _successors(m, n)
+    succ = _support_successors(m, n, pairs) if pairs else _successors(m, n)
     for j in np.flatnonzero(column if column.ndim == 1 else np.any(column, axis=1)):
         np.multiply(vec, column[j], out=term)
         if coherent:
-            gain = _gains(m, n)[j]
+            gain = (_support_gains(m, n, pairs) if pairs else _gains(m, n))[j]
             term *= gain[:, None] if batch else gain
         if batch:
             out[succ[j]] += term
@@ -567,9 +649,17 @@ def _seeded_rng(seed: np.random.Generator | int) -> np.random.Generator:
     return np.random.default_rng(seed)
 
 
-def _shot_count(shots: int | None, rng: np.random.Generator | None, name: str = "shots"):
-    """``shots`` as an int, or None (exact); refuses counts below 1, fractions and no ``rng``."""
+def _shot_count(
+    shots: int | None, rng: np.random.Generator | None, name: str = "shots", required: bool = False
+):
+    """``shots`` as an int, or None (exact) unless ``required``.
+
+    Refuses counts below 1, fractions, a count without an ``rng`` and,
+    for a draw that has no exact form, a missing count.
+    """
     if shots is None:
+        if required:
+            raise ValueError(f"{name} must be given as a whole number of at least 1, got None")
         return None
     if int(shots) != shots or shots < 1:
         raise ValueError(f"{name} must be a whole number of at least 1, got {shots}")
@@ -587,7 +677,7 @@ def sample(
 ) -> SampleCounts:
     """Draw ``shots`` outcomes by inverse-CDF sampling of the exact distribution."""
     rng = _seeded_rng(rng)
-    shots = _shot_count(shots, rng)
+    shots = _shot_count(shots, rng, required=True)
     rows, p = strong_simulate(unitary, input_state, collision_free=collision_free).outcomes()
     draws = rng.choice(len(p), size=shots, p=p / p.sum())
     tallies = np.bincount(draws, minlength=len(p))

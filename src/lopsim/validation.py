@@ -167,7 +167,7 @@ def sample_outcomes(
             "distinguishable" (classical routing), each renormalized
             over collision-free patterns.
     """
-    n_events = _shot_count(n_events, rng, "n_events")
+    n_events = _shot_count(n_events, rng, "n_events", required=True)
     if hypothesis not in HYPOTHESES:
         raise ValueError(f"unknown hypothesis {hypothesis!r}; expected {HYPOTHESES}")
     rows = enumerate_basis(reference.m, reference.n).occupations

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from lopsim import fock
 from lopsim.fock import (
     FockState,
     ModeUnitary,
@@ -263,6 +264,14 @@ class TestSampling:
     def test_a_shot_count_must_be_a_whole_number(self, shots):
         with pytest.raises(ValueError, match="shots must be a whole number"):
             sample(coupler(0.5), FockState.from_string("11"), shots, rng=0)
+
+    def test_a_missing_shot_count_is_refused_before_simulating(self, monkeypatch):
+        def simulated(*args, **kwargs):
+            raise AssertionError("sample simulated before checking its shot count")
+
+        monkeypatch.setattr(fock, "strong_simulate", simulated)
+        with pytest.raises(ValueError, match="shots must be given as a whole number"):
+            sample(coupler(0.5), FockState.from_string("11"), None, rng=0)
 
     def test_a_whole_float_shot_count_draws_that_many(self):
         counts = sample(coupler(0.5), FockState.from_string("11"), 3.0, rng=0)

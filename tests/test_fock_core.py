@@ -8,6 +8,8 @@ also against the sum over every labeled branch of its input, and the
 trigger sum against one coherent pass per shared set, entry by entry to
 a relative 1e-13 (it adds the same terms in another order).  The
 kernel's trailing batch axis is checked against one-at-a-time calls.
+The trigger sum on an exclusive-pair support is checked against the sum
+without pairs: equal bit for bit on the support and 0 off it.
 """
 
 import tracemalloc
@@ -27,6 +29,9 @@ from lopsim.fock import (
     _gains,
     _glynn_deltas,
     _successors,
+    _support,
+    _support_gains,
+    _support_successors,
     batched_amplitudes,
     enumerate_basis,
     strong_simulate,
@@ -139,10 +144,14 @@ class TestBasisTables:
             lambda: _glynn_deltas(4)[1],
             lambda: _fringe_table(8, 4, 4)[0],
             lambda: _fringe_table(8, 4, 4)[1],
+            lambda: _support(6, 3, ((0, 1), (2, 5))),
+            lambda: _support_successors(6, 3, ((0, 1), (2, 5))),
+            lambda: _support_gains(6, 3, ((0, 1), (2, 5))),
         ],
         ids=[
             "below", "successors", "gains", "glynn_deltas", "glynn_signs",
             "fringe_constructive", "fringe_destructive",
+            "support", "support_successors", "support_gains",
         ],
     )
     def test_cached_tables_are_read_only(self, table):
@@ -507,6 +516,89 @@ class TestTriggerSum:
         oracle = OutputDistribution(12, {n: vec[:, 0] for n, vec in sectors.items()})
         p6 = genuine_indistinguishability(noisy_simulate(unitary, labeled), 6)
         assert abs(p6 - fringe_contrast_rows(oracle, 6)) <= 1e-13
+
+
+@st.composite
+def paired_trigger_sums(draw):
+    """B unitaries on up to 8 modes, a lossy input with g2 > 0, and disjoint mode pairs."""
+    m = draw(st.integers(2, 8))
+    modes = draw(st.lists(st.integers(0, m - 1), min_size=1, max_size=4))
+    ms = draw(st.lists(st.floats(0.0, 1.0), min_size=len(modes), max_size=len(modes)))
+    src = SourceModel(
+        indistinguishability=tuple(ms),
+        g2=draw(st.floats(0.001, 0.3)),
+        efficiency=draw(st.floats(0.05, 0.99)),
+    )
+    order = draw(st.permutations(range(m)))
+    pairs = [tuple(order[2 * k : 2 * k + 2]) for k in range(draw(st.integers(1, m // 2)))]
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    unitaries = np.stack(
+        [ModeUnitary.haar_random(m, rng).matrix for _ in range(draw(st.sampled_from([1, 3])))]
+    )
+    return unitaries, build_input(len(modes), src, modes=modes), pairs
+
+
+def fringe_pairs(n_photons: int) -> tuple[tuple[int, int], ...]:
+    return tuple((2 * k, 2 * k + 1) for k in range(n_photons))
+
+
+class TestExclusivePairs:
+    @settings(max_examples=60, deadline=None)
+    @given(case=paired_trigger_sums())
+    def test_values_on_the_support_are_those_without_pairs(self, case):
+        unitaries, labeled, pairs = case
+        full, dropped = batched_noisy_sectors(unitaries, labeled)
+        sectors, pair_dropped = batched_noisy_sectors(unitaries, labeled, exclusive_pairs=pairs)
+        assert pair_dropped == dropped
+        assert sorted(sectors) == sorted(full)
+        for n, vec in sectors.items():
+            occ = enumerate_basis(unitaries.shape[1], n).occupations
+            filled = np.any([(occ[:, a] > 0) & (occ[:, b] > 0) for a, b in pairs], axis=0)
+            assert vec.shape == full[n].shape
+            assert np.array_equal(vec[~filled], full[n][~filled])
+            assert np.all(vec[filled] == 0.0)
+
+    def test_a_p6_measurement_builds_no_full_basis_successor_table(self):
+        _successors.cache_clear()
+        _gains.cache_clear()
+        src = SourceModel(indistinguishability=(0.93, 0.88, 0.95, 0.90, 0.92, 0.91), g2=0.0075)
+        sources.measure_genuine_indistinguishability(6, src, 0.3)
+        assert _successors.cache_info().currsize == 0
+        assert _gains.cache_info().currsize == 0
+
+    def test_working_memory_on_the_support_stays_near_the_output(self):
+        unitary, labeled = cyclic_interferometer(6, 0.3), p6_input()
+        noisy_simulate(unitary, labeled, exclusive_pairs=fringe_pairs(6))  # fills the tables
+        tracemalloc.start()
+        try:
+            dist = noisy_simulate(unitary, labeled, exclusive_pairs=fringe_pairs(6))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        output = sum(vec.nbytes for vec in dist.sectors.values())
+        assert peak < 1.4 * output
+
+    @pytest.mark.parametrize(
+        "pairs, message",
+        [
+            (((0, 1), (1, 2)), "share a mode"),
+            (((3, 3),), "share a mode"),
+            (((0, 12),), "outside"),
+            (((-1, 0),), "outside"),
+        ],
+    )
+    def test_overlapping_and_out_of_range_pairs_raise(self, pairs, message):
+        with pytest.raises(ValueError, match=message):
+            noisy_simulate(cyclic_interferometer(6, 0.3), p6_input(), exclusive_pairs=pairs)
+
+    def test_pairs_with_output_losses_raise(self):
+        with pytest.raises(ValueError, match="output_losses"):
+            noisy_simulate(
+                cyclic_interferometer(6, 0.3),
+                p6_input(),
+                np.full(12, 0.9),
+                exclusive_pairs=fringe_pairs(6),
+            )
 
 
 class TestDroppedWeight:

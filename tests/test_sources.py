@@ -444,6 +444,23 @@ class TestCyclicInterferometer:
         assert max(dist.sectors) == 10
         assert dist.dropped_weight == pytest.approx(tail, abs=1e-15)
 
+    @pytest.mark.parametrize("alpha", [0.0, 0.7, 2.0])
+    @pytest.mark.parametrize("lossy", [False, True])
+    @pytest.mark.parametrize("n_photons", [4, 6])
+    def test_the_measurement_reads_the_full_distribution_bit_for_bit(
+        self, n_photons, lossy, alpha
+    ):
+        # The measurement simulates only outcomes with at most one click
+        # per output pair; every outcome the fringe reads keeps its bits.
+        m_fit, _ = fit_product_model(load_indistinguishability_matrix()[:n_photons, :n_photons])
+        src = SourceModel(
+            indistinguishability=tuple(m_fit),
+            g2=0.02 if lossy else 0.0075,
+            efficiency=0.6 if lossy else 1.0,
+        )
+        full = genuine_indistinguishability(cyclic_distribution(n_photons, src, alpha), n_photons)
+        assert measure_genuine_indistinguishability(n_photons, src, alpha).hex() == full.hex()
+
 
 class TestFringeFit:
     def test_recovers_synthetic_parameters(self):

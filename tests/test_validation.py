@@ -101,6 +101,11 @@ def test_an_event_count_must_be_a_whole_number(n_events):
         sample_outcomes(REF5, n_events, np.random.default_rng(0))
 
 
+def test_a_missing_event_count_is_refused_by_name():
+    with pytest.raises(ValueError, match="n_events must be given as a whole number"):
+        sample_outcomes(REF5, None, np.random.default_rng(0))
+
+
 def test_a_whole_float_event_count_draws_that_many():
     assert len(sample_outcomes(REF5, 3.0, np.random.default_rng(0))) == 3
 
