@@ -13,10 +13,11 @@ mode to a vector over the n-photon basis: on amplitudes it is the SLOS
 recursion of Heurtel et al., *Strong simulation of linear optical
 processes* (Comput. Phys. Commun. 291, 108848 (2023)); on ``|U|^2`` it
 is the classical convolution.  A trailing batch axis runs many unitaries
-through the same recursion at once (:func:`batched_amplitudes`).  The
-same kernel also runs on a support, the basis rows that leave no pair of
-a given set of disjoint mode pairs fully occupied, through tables built
-from those rows alone.
+through the same recursion at once (:func:`batched_amplitudes`).  Its
+vectors run over a support, the basis rows that leave no pair of a given
+set of disjoint mode pairs fully occupied, plus one sink row; the full
+basis is the support with no pairs, so one family of tables, built from
+the support rows alone, serves both.
 Permanents serve only single amplitudes.
 
 :class:`OutputDistribution` is the one type of every simulated output,
@@ -280,12 +281,36 @@ def enumerate_basis(m: int, n: int) -> FockBasis:
     return FockBasis(m, n)
 
 
-def _successor_ranks(m: int, n: int, occ: np.ndarray) -> np.ndarray:
-    """Index of ``s + e_j`` in the (n+1)-photon basis for each row s of ``occ``, shape (m, K).
+@lru_cache(maxsize=None)
+def _support(m: int, n: int, pairs: tuple[tuple[int, int], ...]) -> np.ndarray:
+    """Read-only rows of ``enumerate_basis(m, n)`` with no pair of ``pairs`` fully occupied.
 
-    The rank terms of ``s + e_j`` are those of ``s`` with one more photon
-    left for modes up to j, so each row is a prefix, a term and a suffix.
+    With no pairs that is every row.  Removing a photon never fills a
+    pair, so a photon added to a row off the support never lands on it:
+    the support's values depend on the support alone.
     """
+    occ = enumerate_basis(m, n).occupations
+    filled = np.zeros(len(occ), dtype=bool)
+    for a, b in pairs:
+        filled |= (occ[:, a] > 0) & (occ[:, b] > 0)
+    rows = np.flatnonzero(~filled)
+    rows.setflags(write=False)
+    return rows
+
+
+@lru_cache(maxsize=None)
+def _successors(m: int, n: int, pairs: tuple[tuple[int, int], ...]) -> np.ndarray:
+    """Position of ``s + e_j`` in the (n+1)-photon vector, shape (m, K_n + 1).
+
+    A vector holds the ``_support(m, n, pairs)`` rows followed by one
+    sink row.  An ``s + e_j`` that fills a pair, and the sink itself, go
+    to the next vector's sink, whose value nothing reads; with no pairs
+    only the sink does.  The rank terms of ``s + e_j`` are those of ``s``
+    with one more photon left for modes up to j, so each row is a
+    prefix, a term and a suffix; they come from the support rows alone.
+    """
+    grown = _support(m, n + 1, pairs)
+    occ = enumerate_basis(m, n).occupations[_support(m, n, pairs)]
     below = enumerate_basis(m, n + 1)._below
     terms = np.empty((m, len(occ)), dtype=np.intp)
     left = np.full(len(occ), n)
@@ -299,67 +324,18 @@ def _successor_ranks(m: int, n: int, occ: np.ndarray) -> np.ndarray:
         terms[j] = prefix + below[j, left, occ[:, j] + 1] + suffix
         prefix = prefix + below[j, left, occ[:, j]]
         left -= occ[:, j]
-    return terms
-
-
-@lru_cache(maxsize=None)
-def _successors(m: int, n: int) -> np.ndarray:
-    """Index of ``s + e_j`` in the (n+1)-photon basis, shape (m, N_n)."""
-    terms = _successor_ranks(m, n, enumerate_basis(m, n).occupations)
-    terms.setflags(write=False)
-    return terms
-
-
-@lru_cache(maxsize=None)
-def _gains(m: int, n: int) -> np.ndarray:
-    """Bosonic gain ``sqrt(s_j + 1)`` of a photon added to mode j, shape (m, N_n)."""
-    gains = np.ascontiguousarray(np.sqrt(enumerate_basis(m, n).occupations.T + 1.0))
-    gains.setflags(write=False)
-    return gains
-
-
-@lru_cache(maxsize=None)
-def _support(m: int, n: int, pairs: tuple[tuple[int, int], ...]) -> np.ndarray:
-    """Read-only rows of ``enumerate_basis(m, n)`` with no pair of ``pairs`` fully occupied.
-
-    Removing a photon never fills a pair, so a photon added to a row off
-    the support never lands on it: the support's values depend on the
-    support alone.
-    """
-    occ = enumerate_basis(m, n).occupations
-    filled = np.zeros(len(occ), dtype=bool)
-    for a, b in pairs:
-        filled |= (occ[:, a] > 0) & (occ[:, b] > 0)
-    rows = np.flatnonzero(~filled)
-    rows.setflags(write=False)
-    return rows
-
-
-@lru_cache(maxsize=None)
-def _support_successors(m: int, n: int, pairs: tuple[tuple[int, int], ...]) -> np.ndarray:
-    """Position of ``s + e_j`` in the (n+1)-photon support vector, shape (m, K_n + 1).
-
-    A support vector holds the ``_support(m, n, pairs)`` rows followed by
-    one sink row.  An ``s + e_j`` that fills a pair, and the sink itself,
-    go to the next vector's sink, whose value nothing reads.  The ranks
-    come from the support rows alone, never from the full
-    :func:`_successors` table.
-    """
-    grown = _support(m, n + 1, pairs)
-    occ = enumerate_basis(m, n).occupations[_support(m, n, pairs)]
-    ranks = _successor_ranks(m, n, occ)
     partner = {a: b for pair in pairs for a, b in (pair, pair[::-1])}
     table = np.full((m, len(occ) + 1), len(grown), dtype=np.intp)
     for j in range(m):
         kept = occ[:, partner[j]] == 0 if j in partner else slice(None)
-        table[j, :-1][kept] = np.searchsorted(grown, ranks[j, kept])
+        table[j, :-1][kept] = np.searchsorted(grown, terms[j, kept])
     table.setflags(write=False)
     return table
 
 
 @lru_cache(maxsize=None)
-def _support_gains(m: int, n: int, pairs: tuple[tuple[int, int], ...]) -> np.ndarray:
-    """Bosonic gain ``sqrt(s_j + 1)`` over a support vector (sink gain 1), shape (m, K_n + 1)."""
+def _gains(m: int, n: int, pairs: tuple[tuple[int, int], ...]) -> np.ndarray:
+    """Gain ``sqrt(s_j + 1)`` of a photon added to mode j (sink gain 1), shape (m, K_n + 1)."""
     occ = enumerate_basis(m, n).occupations[_support(m, n, pairs)]
     gains = np.ones((m, len(occ) + 1))
     gains[:, :-1] = np.sqrt(occ.T + 1.0)
@@ -367,15 +343,15 @@ def _support_gains(m: int, n: int, pairs: tuple[tuple[int, int], ...]) -> np.nda
     return gains
 
 
-def _vector_length(m: int, n: int, pairs: tuple[tuple[int, int], ...]) -> int:
-    """Rows of a vector over the n-photon basis, or with ``pairs`` over its support and sink."""
-    return len(_support(m, n, pairs)) + 1 if pairs else len(enumerate_basis(m, n))
-
-
 def _expand_support(
     vec: np.ndarray, m: int, n: int, pairs: tuple[tuple[int, int], ...]
 ) -> np.ndarray:
-    """A vector over the support and sink as one over the full n-photon basis, 0 off the support."""
+    """A vector over the support and sink as one over the full n-photon basis, 0 off the support.
+
+    With no pairs the support is the basis and this is the view ``vec[:-1]``.
+    """
+    if not pairs:
+        return vec[:-1]
     full = np.zeros((len(enumerate_basis(m, n)), *vec.shape[1:]), dtype=vec.dtype)
     full[_support(m, n, pairs)] = vec[:-1]
     return full
@@ -386,7 +362,7 @@ def _add_photon(
     out: np.ndarray | None = None, scratch: np.ndarray | None = None,
     pairs: tuple[tuple[int, int], ...] = (),
 ) -> np.ndarray:
-    """Add one photon to vectors over the full n-photon basis, or over its support.
+    """Add one photon to vectors over the support of the n-photon basis and a sink row.
 
     ``column`` is where the photon goes.  Coherently, ``vec`` holds
     amplitudes, ``column`` is ``U[:, k]`` for input mode k, and the step
@@ -394,29 +370,30 @@ def _add_photon(
     Otherwise ``vec`` holds probabilities, ``column`` is ``|U[:, k]|^2``
     and the step is ``p'[s + e_j] += |U[j, k]|^2 p[s]``.
 
-    The basis axis comes first.  ``vec`` is ``(N_n,)`` or ``(N_n, B)``
-    and ``column`` is ``(m,)`` or ``(m, B)``; a trailing batch axis on
-    either runs B independent additions (one unitary and state per
-    column) in the same scatter, and a 1-D operand is shared by all B.
-    Returns the vectors over the full (n+1)-photon basis, ``(N_{n+1},)``
-    when both inputs are 1-D and ``(N_{n+1}, B)`` otherwise: ``out`` (or a
-    view of it) plus the step, if given.  Each ``column[j] * vec`` is formed
-    in one buffer, the head of a flat ``scratch`` of the result's dtype if
-    given.  B = 1 runs as the 1-D call: a trailing axis of length 1 only
-    slows the scatter.
-    Each ``succ[j]`` holds distinct indices (the sink aside), so both
-    scatters add the same terms in the same order: ``np.add.at`` on 1-D
-    vectors (12 scatters of 167,960 states on 12 modes: 5.5 ms,
-    fancy-index ``+=`` 11.5 ms) and ``+=`` with a batch axis (4,368 x 4
-    states: 2.1 ms, ``np.add.at`` 4.6 ms).
+    The basis axis comes first.  ``vec`` is ``(K_n + 1,)`` or
+    ``(K_n + 1, B)``, the :func:`_support` rows of ``pairs`` (sorted
+    disjoint mode pairs; with none, every basis row) and one sink row, and
+    ``column`` is ``(m,)`` or ``(m, B)``; a trailing batch axis on either
+    runs B independent additions (one unitary and state per column) in the
+    same scatter, and a 1-D operand is shared by all B.  Returns the
+    vectors over the (n+1)-photon support and sink, ``(K_{n+1} + 1,)``
+    when both inputs are 1-D and ``(K_{n+1} + 1, B)`` otherwise: ``out``
+    (or a view of it) plus the step, if given.  Each ``column[j] * vec``
+    is formed in one buffer, the head of a flat ``scratch`` of the
+    result's dtype if given.  B = 1 runs as the 1-D call: a trailing axis
+    of length 1 only slows the scatter.
 
-    With ``pairs`` (sorted disjoint mode pairs) both vectors run over
-    :func:`_support` plus one sink row instead, ``N_n`` counts those rows,
-    and the same loop reads the :func:`_support_successors` and
-    :func:`_support_gains` tables: every support entry gets the same
-    products, added in the same mode order, as over the full basis.  The
-    additions that would fill a pair land on the sink, whose value is
-    never read (on the batch path its repeated index keeps only one).
+    One loop reads the :func:`_successors` and :func:`_gains` tables of
+    ``pairs``: every support entry gets the same products, added in the
+    same mode order, as over the full basis.  The additions that would
+    fill a pair land on the sink, whose value is never read (on the batch
+    path its repeated index keeps only one); with no pairs only the sink
+    feeds the sink, so a sink that starts at 0 stays 0.  Each ``succ[j]``
+    holds distinct indices (the sink aside), so both scatters add the
+    same terms in the same order: ``np.add.at`` on 1-D vectors (12
+    scatters of 167,960 states on 12 modes: 5.5 ms, fancy-index ``+=``
+    11.5 ms) and ``+=`` with a batch axis (4,368 x 4 states: 2.1 ms,
+    ``np.add.at`` 4.6 ms).
     """
     m = len(column)
     batch = vec.shape[1:] or column.shape[1:]
@@ -427,13 +404,13 @@ def _add_photon(
     if batch and vec.ndim == 1:
         vec = vec[:, None]
     if out is None:
-        out = np.zeros((_vector_length(m, n + 1, pairs), *batch), np.result_type(vec, column))
+        out = np.zeros((len(_support(m, n + 1, pairs)) + 1, *batch), np.result_type(vec, column))
     term = np.ndarray((len(vec), *batch), out.dtype, buffer=scratch)
-    succ = _support_successors(m, n, pairs) if pairs else _successors(m, n)
+    succ = _successors(m, n, pairs)
     for j in np.flatnonzero(column if column.ndim == 1 else np.any(column, axis=1)):
         np.multiply(vec, column[j], out=term)
-        if coherent:
-            gain = (_support_gains(m, n, pairs) if pairs else _gains(m, n))[j]
+        if coherent:  # classical steps never build a gain table
+            gain = _gains(m, n, pairs)[j]
             term *= gain[:, None] if batch else gain
         if batch:
             out[succ[j]] += term
@@ -449,26 +426,24 @@ def batched_amplitudes(unitaries: np.ndarray, input_modes: np.ndarray) -> np.nda
     b lists the input mode of each photon of input b (repeats bunch).
     Returns ``(B, N)`` amplitudes over ``enumerate_basis(m, n)``, row b
     being ``<t|U_b|s_b>`` for every basis state t.  The photons of all B
-    inputs are added one position at a time through the batched kernel.
+    inputs are added one position at a time through the batched kernel,
+    from the vacuum and its sink row; the sink is dropped and
+    ``sqrt(prod s_i!)`` divided out for bunched inputs.
     """
     unitaries = np.asarray(unitaries, dtype=complex)
     input_modes = np.asarray(input_modes, dtype=np.intp)
     rows = np.arange(len(input_modes))
-    amp = np.ones((1, len(rows)), dtype=complex)
+    amp = np.zeros((2, len(rows)), dtype=complex)
+    amp[0] = 1.0
     for n, modes in enumerate(input_modes.T):
         amp = _add_photon(amp, n, unitaries[rows, :, modes].T, coherent=True)
-    return _unbunched(amp, input_modes, unitaries.shape[1])
-
-
-def _unbunched(amp: np.ndarray, input_modes: np.ndarray, m: int) -> np.ndarray:
-    """``(B, N)`` amplitudes from ``(N, B)`` photon additions: divides out ``sqrt(prod s_i!)``."""
-    rows = np.arange(len(input_modes))
-    occ = np.zeros((len(rows), m), dtype=np.intp)
+    amp = amp[:-1].T
+    occ = np.zeros((len(rows), unitaries.shape[1]), dtype=np.intp)
     np.add.at(occ, (rows[:, None], input_modes), 1)
     if np.all(occ <= 1):
-        return amp.T
+        return amp
     table = np.array([factorial(k) for k in range(input_modes.shape[1] + 1)], dtype=float)
-    return amp.T / np.sqrt(np.prod(table[occ], axis=1))[:, None]
+    return amp / np.sqrt(np.prod(table[occ], axis=1))[:, None]
 
 
 def _submatrix(u: np.ndarray, input_state: FockState, output_state: FockState) -> np.ndarray:

@@ -43,10 +43,11 @@ from __future__ import annotations
 import itertools
 import json
 import warnings
+from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from importlib import resources
-from math import comb, prod
+from math import factorial, prod, sqrt
 from pathlib import Path
 from typing import Mapping, Sequence
 
@@ -58,8 +59,7 @@ from .fock import (
     OutputDistribution,
     _add_photon,
     _expand_support,
-    _unbunched,
-    _vector_length,
+    _support,
     enumerate_basis,
     outcome_arrays,
 )
@@ -78,7 +78,6 @@ __all__ = [
     "ms_correction",
     "cyclic_interferometer",
     "cyclic_input_modes",
-    "cyclic_distribution",
     "genuine_indistinguishability",
     "measure_genuine_indistinguishability",
     "FringeFit",
@@ -333,30 +332,6 @@ def _mix_photon(
             del sectors[n]
 
 
-def _thin_outputs(
-    sectors: dict[int, np.ndarray], m: int, keep: np.ndarray
-) -> dict[int, np.ndarray]:
-    """Per-mode binomial thinning of ``(N_n, B)`` photon-number sectors.
-
-    Mode by mode, a state with ``a`` photons in mode j moves to the state
-    with ``d`` of them lost, weighted ``C(a, d) keep_j^(a-d) (1-keep_j)^d``.
-    """
-    for j, kj in enumerate(keep):
-        thinned: dict[int, np.ndarray] = {}
-        for n, vec in sectors.items():
-            occ = enumerate_basis(m, n).occupations
-            for d in range(int(occ[:, j].max()) + 1):
-                hit = occ[:, j] >= d
-                lost = occ[hit]
-                lost[:, j] -= d
-                w = [comb(d + e, d) * kj**e * (1.0 - kj) ** d for e in range(n - d + 1)]
-                target = enumerate_basis(m, n - d)
-                out = thinned.setdefault(n - d, np.zeros((len(target), vec.shape[1])))
-                out[target.rank(lost)] += vec[hit] * np.array(w)[lost[:, j], None]
-        sectors = thinned
-    return sectors
-
-
 def _pair_key(pairs: Sequence[Sequence[int]], m: int) -> tuple[tuple[int, int], ...]:
     """``pairs`` as sorted pairs in sorted order; refuses modes outside ``[0, m)`` or shared."""
     key = tuple(sorted(tuple(sorted((int(a), int(b)))) for a, b in pairs))
@@ -372,7 +347,6 @@ def _pair_key(pairs: Sequence[Sequence[int]], m: int) -> tuple[tuple[int, int], 
 def batched_noisy_sectors(
     unitaries: np.ndarray,
     labeled: LabeledInput,
-    output_losses: np.ndarray | None = None,
     *,
     exclusive_pairs: Sequence[Sequence[int]] = (),
 ) -> tuple[dict[int, np.ndarray], float]:
@@ -392,14 +366,13 @@ def batched_noisy_sectors(
     large ones its strided scatters cost more than the Python calls it saves.
 
     ``exclusive_pairs`` lists mode pairs the caller never reads with both
-    modes occupied.  With pairs, every step runs on the support, the
-    outcomes that fill no pair (removing a photon never fills one, so
-    no outcome off the support feeds one on it), and the sectors are
-    expanded to the full basis once, at the end: exact (bit for bit the
-    values without pairs) on the support and 0 off it.  Output losses
-    move mass onto the support from outside it, so they refuse pairs.
-    (On the 12-mode cyclic p6, sectors 6-10 hold 130,592 support states
-    instead of 640,458.)
+    modes occupied.  Every step runs on the support, the outcomes that
+    fill no pair (removing a photon never fills one, so no outcome off
+    the support feeds one on it), and the sectors are expanded to the
+    full basis once, at the end: exact (bit for bit the values without
+    pairs) on the support and 0 off it.  With no pairs the support is the
+    whole basis.  (On the 12-mode cyclic p6, sectors 6-10 hold 130,592
+    support states instead of 640,458.)
 
     Returns the sectors, ``{n: (N_n, B)}`` probabilities over
     ``enumerate_basis(m, n)`` (column b the output of unitary b), and the
@@ -408,23 +381,15 @@ def batched_noisy_sectors(
     unitaries = np.asarray(unitaries, dtype=complex)
     count, m = unitaries.shape[:2]
     pairs = _pair_key(exclusive_pairs, m)
-    if pairs and output_losses is not None:
-        raise ValueError("exclusive_pairs cannot be combined with output_losses")
-    if output_losses is not None:
-        keep = np.asarray(output_losses, dtype=float)
-        if keep.shape != (m,):
-            raise ValueError(f"output_losses must have shape ({m},)")
-        if not np.all((keep >= 0.0) & (keep <= 1.0)):
-            raise ValueError("output losses must lie in [0, 1]")
     FockState.from_modes(m, labeled.modes)  # rejects an input mode outside the unitary
     tail = _photon_number_tail(labeled)
     cap = int(np.argmax(tail[1:] <= TAIL_TOLERANCE))
     power = np.abs(unitaries) ** 2
     columns = [np.ascontiguousarray(power[:, :, q].T) for q in labeled.modes]
-    vacuum = np.zeros((_vector_length(m, 0, pairs), count), dtype=complex)
+    vacuum = np.zeros((2, count), dtype=complex)  # the vacuum row and the sink
     vacuum[0] = 1.0
     prefixes = {(): vacuum}
-    scratch = np.empty(_vector_length(m, max(cap - 1, 0), pairs) * count)
+    scratch = np.empty((len(_support(m, max(cap - 1, 0), pairs)) + 1) * count)
 
     terms: dict[tuple[bool, ...], dict[int, np.ndarray]] = {}
     for members in itertools.product((False, True), repeat=len(labeled.modes)):
@@ -438,9 +403,11 @@ def batched_noisy_sectors(
                 prefixes[shared_modes[: k + 1]] = _add_photon(
                     head, k, unitaries[:, :, q].T, True, pairs=pairs
                 )
-        inputs = np.broadcast_to(np.array(shared_modes, dtype=np.intp), (count, len(shared_modes)))
-        coherent = np.abs(_unbunched(prefixes[shared_modes], inputs, m).T) ** 2
-        terms[members] = {len(shared_modes): weight * np.ascontiguousarray(coherent)}
+        amp = prefixes[shared_modes]
+        bunching = prod(factorial(c) for c in Counter(shared_modes).values())
+        if bunching > 1:
+            amp = amp / sqrt(bunching)
+        terms[members] = {len(shared_modes): weight * np.abs(amp) ** 2}
     for column, unique, lost in zip(columns, labeled.unique, labeled.lost):  # Horner order
         folded: dict[tuple[bool, ...], dict[int, np.ndarray]] = {}
         for members, term in terms.items():
@@ -452,18 +419,14 @@ def batched_noisy_sectors(
     sectors = terms[()]
     for column, extra in zip(columns, labeled.extra):
         _mix_photon(sectors, column, 1.0 - extra, extra, cap, scratch, pairs)
-    if output_losses is not None:
-        sectors = _thin_outputs(sectors, m, keep)
-    if pairs:
-        for n, vec in sectors.items():  # one sector at a time, so each support vector is freed
-            sectors[n] = _expand_support(vec, m, n, pairs)
+    for n, vec in sectors.items():  # one sector at a time, so each support vector is freed
+        sectors[n] = _expand_support(vec, m, n, pairs)
     return sectors, float(tail[cap + 1])
 
 
 def noisy_simulate(
     unitary: ModeUnitary | np.ndarray,
     labeled: LabeledInput,
-    output_losses: np.ndarray | None = None,
     *,
     exclusive_pairs: Sequence[Sequence[int]] = (),
 ) -> OutputDistribution:
@@ -494,29 +457,24 @@ def noisy_simulate(
     Args:
         unitary: the interferometer.
         labeled: per-trigger input table from :func:`build_input`.
-        output_losses: per-mode survival probabilities applied to the
-            output by binomial thinning, or None for lossless readout.
         exclusive_pairs: mode pairs the caller never reads with both
             modes occupied, such as the output pairs of the cyclic
             fringe; only the outcomes that fill no pair are simulated.
-            Refused together with ``output_losses``.
 
     Returns:
         An :class:`~lopsim.fock.OutputDistribution` with one sector per
         populated photon number up to the cap, the type
-        :func:`~lopsim.fock.strong_simulate` returns.  Its
-        ``dropped_weight`` is the tail above the cap, so ``total() +
-        dropped_weight`` is 1.  Without output losses every sector is
-        exact; with them, ``dropped_weight`` bounds the mass missing from
-        any sector.  With ``exclusive_pairs`` every outcome that fills no
-        pair is exact and every other one is 0, so ``total() +
-        dropped_weight`` falls short of 1 by the mass of those outcomes.
+        :func:`~lopsim.fock.strong_simulate` returns.  Every sector is
+        exact and its ``dropped_weight`` is the tail above the cap, so
+        ``total() + dropped_weight`` is 1.  With ``exclusive_pairs``
+        every outcome that fills no pair is exact and every other one is
+        0, so the sum falls short of 1 by the mass of those outcomes.
         Postselection scales ``dropped_weight`` like the probabilities.
     """
     if not isinstance(unitary, ModeUnitary):
         unitary = ModeUnitary(np.asarray(unitary))
     sectors, dropped = batched_noisy_sectors(
-        unitary.matrix[None], labeled, output_losses, exclusive_pairs=exclusive_pairs
+        unitary.matrix[None], labeled, exclusive_pairs=exclusive_pairs
     )
     return OutputDistribution(
         unitary.m, {n: vec[:, 0] for n, vec in sectors.items()}, dropped_weight=dropped
@@ -675,17 +633,8 @@ def genuine_indistinguishability(
     return float((c_sum - d_sum) / total)
 
 
-def cyclic_distribution(
-    n_photons: int, src: SourceModel, alpha: float = 0.0
-) -> OutputDistribution:
-    """Noisy output of the cyclic interferometer fed by ``n_photons`` triggers."""
-    unitary = cyclic_interferometer(n_photons, alpha)
-    labeled = build_input(n_photons, src, modes=cyclic_input_modes(n_photons))
-    return noisy_simulate(unitary, labeled)
-
-
 def _fringe_distribution(n_photons: int, src: SourceModel, alpha: float) -> OutputDistribution:
-    """:func:`cyclic_distribution` on the outcomes the fringe reads.
+    """Noisy output of the cyclic interferometer on the outcomes the fringe reads.
 
     The fringe reads one click per output pair ``(2k, 2k + 1)``, so the
     pairs are exclusive: every outcome with two clicks in a pair is 0.
@@ -701,8 +650,8 @@ def measure_genuine_indistinguishability(
 ) -> float:
     """Simulate the cyclic experiment on the outcomes it reads and estimate ``p_N``.
 
-    The value is bit for bit that of :func:`cyclic_distribution`'s full
-    output.
+    The value is bit for bit that of the full output, the same
+    :func:`noisy_simulate` without ``exclusive_pairs``.
     """
     return genuine_indistinguishability(_fringe_distribution(n_photons, src, alpha), n_photons)
 

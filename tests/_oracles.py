@@ -6,7 +6,8 @@ factorial-cost permanents, the collision-free sampling probabilities and
 validation counters from one permanent pair per pattern, full second-quantized
 state-vector evolution, explicit classical routing enumeration, the
 noisy-source output summed over every labeled branch, the trigger sum
-with a coherent pass from scratch for every shared set, the bright
+with a coherent pass from scratch for every shared set, the cyclic
+interferometer's noisy output over the full basis, the bright
 cyclic-fringe patterns from a simulation of the ideal circuit and the
 contrast classified row by row on every call, benchmark-plan
 weights from the dense 16^n correlation solve, a plan executed one
@@ -73,9 +74,9 @@ from lopsim.sources import (
     _accumulate,
     _cyclic_circuit,
     _photon_number_tail,
-    _thin_outputs,
     build_input,
     cyclic_input_modes,
+    cyclic_interferometer,
     noisy_simulate,
 )
 from lopsim.variational import PhotonicVqeBackend
@@ -225,30 +226,12 @@ def branch_distribution(u: np.ndarray, photons) -> dict[tuple[int, ...], float]:
     return dist
 
 
-def thin_by_state(
-    dist: dict[tuple[int, ...], float], keep: np.ndarray
-) -> dict[tuple[int, ...], float]:
-    """Per-mode binomial loss applied outcome by outcome, loss pattern by loss pattern."""
-    out: dict[tuple[int, ...], float] = {}
-    for occ, p in dist.items():
-        for lost in itertools.product(*(range(o + 1) for o in occ)):
-            w = p
-            for o, d, k in zip(occ, lost, keep):
-                w *= comb(o, d) * k ** (o - d) * (1.0 - k) ** d
-            key = tuple(o - d for o, d in zip(occ, lost))
-            out[key] = out.get(key, 0.0) + w
-    return out
-
-
-def branchwise_noisy_distribution(
-    u: np.ndarray, labeled, output_losses: np.ndarray | None = None
-) -> dict[tuple[int, ...], float]:
+def branchwise_noisy_distribution(u: np.ndarray, labeled) -> dict[tuple[int, ...], float]:
     """Noisy-source output summed branch by branch over ``labeled.branches``.
 
     The untruncated reference for ``noisy_simulate``: every branch of the
     explicit label expansion goes through :func:`branch_distribution`
-    (branches with the same classes share one evaluation) and, with
-    ``output_losses``, through :func:`thin_by_state`.
+    (branches with the same classes share one evaluation).
     """
     grouped: dict[tuple[tuple[int, ...], ...], tuple[float, tuple]] = {}
     for branch in labeled.branches:
@@ -262,15 +245,13 @@ def branchwise_noisy_distribution(
     for weight, photons in grouped.values():
         for occ, p in branch_distribution(u, photons).items():
             total[occ] = total.get(occ, 0.0) + weight * p
-    if output_losses is not None:
-        total = thin_by_state(total, np.asarray(output_losses, dtype=float))
     return total
 
 
 def add_photon_fancy_index(
     vec: np.ndarray, n: int, column: np.ndarray, coherent: bool
 ) -> np.ndarray:
-    """One photon-addition step with a fancy-index ``+=`` scatter on every path."""
+    """One photon-addition step over the full basis (no sink row), fancy-index ``+=`` scatter."""
     m = len(column)
     batch = vec.shape[1:] or column.shape[1:]
     if batch == (1,):
@@ -278,18 +259,17 @@ def add_photon_fancy_index(
     if batch and vec.ndim == 1:
         vec = vec[:, None]
     out = np.zeros((len(enumerate_basis(m, n + 1)), *batch), dtype=np.result_type(vec, column))
-    succ = _successors(m, n)
+    succ, gains = _successors(m, n, ())[:, :-1], _gains(m, n, ())[:, :-1]
     for j in np.flatnonzero(column if column.ndim == 1 else np.any(column, axis=1)):
         term = column[j] * vec
         if coherent:
-            gain = _gains(m, n)[j]
-            term *= gain[:, None] if batch else gain
+            term *= gains[j][:, None] if batch else gains[j]
         out[succ[j]] += term
     return out
 
 
 def per_subset_noisy_sectors(
-    unitaries: np.ndarray, labeled, output_losses: np.ndarray | None = None
+    unitaries: np.ndarray, labeled
 ) -> tuple[dict[int, np.ndarray], float]:
     """``batched_noisy_sectors`` with one coherent pass per shared set.
 
@@ -335,9 +315,13 @@ def per_subset_noisy_sectors(
             _accumulate(sectors, n, vec)
     for column, extra in zip(columns, labeled.extra):
         sectors = mix(sectors, column, 1.0 - extra, extra)
-    if output_losses is not None:
-        sectors = _thin_outputs(sectors, m, np.asarray(output_losses, dtype=float))
     return sectors, float(tail[cap + 1])
+
+
+def cyclic_full_distribution(n_photons: int, src, alpha: float = 0.0):
+    """Noisy output of the cyclic interferometer over the full basis, no exclusive pairs."""
+    labeled = build_input(n_photons, src, cyclic_input_modes(n_photons))
+    return noisy_simulate(cyclic_interferometer(n_photons, alpha), labeled)
 
 
 _PAULI_1Q = {

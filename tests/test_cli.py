@@ -10,16 +10,17 @@ import pytest
 
 from lopsim import cli
 from lopsim.cli import main
-from lopsim.fock import _support, _support_gains, _support_successors
+from lopsim.fock import _gains, _successors, _support
 from lopsim.sources import (
     SourceModel,
     _fringe_table,
-    cyclic_distribution,
     fit_product_model,
     genuine_indistinguishability,
     load_indistinguishability_matrix,
 )
 from lopsim.variational import VqeConfig, exact_ground_energy, h2_hamiltonian
+
+from _oracles import cyclic_full_distribution
 
 
 def test_fringe_json_reports_p6(capsys):
@@ -36,8 +37,8 @@ def test_fringe_json_reports_p6(capsys):
 def test_fringe_json_is_the_same_with_cold_and_warm_readout_tables(capsys):
     _fringe_table.cache_clear()
     _support.cache_clear()
-    _support_successors.cache_clear()
-    _support_gains.cache_clear()
+    _successors.cache_clear()
+    _gains.cache_clear()
     runs = []
     for _ in range(2):
         assert main(["fringe", "--json"]) == 0
@@ -46,7 +47,7 @@ def test_fringe_json_is_the_same_with_cold_and_warm_readout_tables(capsys):
     assert cold["p6_cos_alpha"].hex() == warm["p6_cos_alpha"].hex()
     # the simulated support holds every outcome the contrast reads
     m_fit, _ = fit_product_model(load_indistinguishability_matrix())
-    full = cyclic_distribution(6, SourceModel(tuple(m_fit), g2=cli.BUNDLED_G2))
+    full = cyclic_full_distribution(6, SourceModel(tuple(m_fit), g2=cli.BUNDLED_G2))
     assert cold["p6_cos_alpha"].hex() == genuine_indistinguishability(full, 6).hex()
     assert cold["dropped_mass"] == full.dropped_weight
     assert list(cold["stage_s"]) == list(warm["stage_s"]) == ["fit", "simulate", "readout"]

@@ -1,13 +1,15 @@
 """Invariants of the array-native Fock core, checked on random inputs.
 
-The basis rows and the photon-addition tables are checked against a
-brute-force enumeration, the basis rank against the stored rows, and the
-photon-addition kernel behind ``strong_simulate`` and ``noisy_simulate``
-against the brute-force oracles in ``_oracles.py``; ``noisy_simulate``
+The basis rows and the photon-addition tables, with and without
+exclusive pairs, are checked against a brute-force enumeration, the
+basis rank against the stored rows, and the photon-addition kernel
+behind ``strong_simulate`` and ``noisy_simulate`` against the
+brute-force oracles in ``_oracles.py``; ``noisy_simulate``
 also against the sum over every labeled branch of its input, and the
 trigger sum against one coherent pass per shared set, entry by entry to
 a relative 1e-13 (it adds the same terms in another order).  The
-kernel's trailing batch axis is checked against one-at-a-time calls.
+kernel's trailing batch axis is checked against one-at-a-time calls, and
+with no pairs its sink row stays exactly 0.
 The trigger sum on an exclusive-pair support is checked against the sum
 without pairs: equal bit for bit on the support and 0 off it.
 """
@@ -30,8 +32,6 @@ from lopsim.fock import (
     _glynn_deltas,
     _successors,
     _support,
-    _support_gains,
-    _support_successors,
     batched_amplitudes,
     enumerate_basis,
     strong_simulate,
@@ -50,6 +50,7 @@ from lopsim.sources import (
 )
 
 from _oracles import (
+    add_photon_fancy_index,
     branchwise_noisy_distribution,
     classical_routing_probability,
     evolve_state_vector,
@@ -131,22 +132,53 @@ class TestBasisTables:
                 [position[tuple(r)] for r in (rows + np.eye(m, dtype=np.int8)[j]).tolist()]
                 for j in range(m)
             ]
-            assert np.array_equal(_successors(m, n), np.array(successors).reshape(m, len(rows)))
-            assert np.array_equal(_gains(m, n), np.sqrt(rows.T + 1.0))
+            succ, gains = _successors(m, n, ()), _gains(m, n, ())
+            assert np.array_equal(succ[:, :-1], np.array(successors).reshape(m, len(rows)))
+            assert np.array_equal(gains[:, :-1], np.sqrt(rows.T + 1.0))
+            # the sink row feeds the next vector's sink, with gain 1
+            assert np.all(succ[:, -1] == len(grown)) and np.all(gains[:, -1] == 1.0)
+
+    @pytest.mark.parametrize(
+        "pairs",
+        [((0, 1),), ((1, 3),), ((0, 1), (2, 5)), ((0, 5), (1, 4), (2, 3)), ((0, 2), (4, 5))],
+        ids=["adjacent", "apart", "two", "three", "edge"],
+    )
+    def test_support_tables_match_brute_force(self, pairs):
+        m = 6
+
+        def support_rows(n):
+            rows = fock_basis_rows(m, n, False)
+            return rows[[all(r[a] == 0 or r[b] == 0 for a, b in pairs) for r in rows.tolist()]]
+
+        for n in range(5):
+            rows, grown = support_rows(n), support_rows(n + 1)
+            full = {tuple(r): i for i, r in enumerate(fock_basis_rows(m, n, False).tolist())}
+            assert np.array_equal(_support(m, n, pairs), [full[tuple(r)] for r in rows.tolist()])
+            # an s + e_j that fills a pair goes to the sink, as does the sink
+            position = {tuple(r): i for i, r in enumerate(grown.tolist())}
+            sink = len(grown)
+            successors = [
+                [position.get(tuple(r), sink) for r in (rows + step).tolist()] + [sink]
+                for step in np.eye(m, dtype=np.int8)
+            ]
+            assert np.array_equal(_successors(m, n, pairs), successors)
+            gains = np.ones((m, len(rows) + 1))
+            gains[:, :-1] = np.sqrt(rows.T + 1.0)
+            assert np.array_equal(_gains(m, n, pairs), gains)
 
     @pytest.mark.parametrize(
         "table",
         [
             lambda: enumerate_basis(4, 2)._below,
-            lambda: _successors(4, 2),
-            lambda: _gains(4, 2),
+            lambda: _successors(4, 2, ()),
+            lambda: _gains(4, 2, ()),
             lambda: _glynn_deltas(4)[0],
             lambda: _glynn_deltas(4)[1],
             lambda: _fringe_table(8, 4, 4)[0],
             lambda: _fringe_table(8, 4, 4)[1],
             lambda: _support(6, 3, ((0, 1), (2, 5))),
-            lambda: _support_successors(6, 3, ((0, 1), (2, 5))),
-            lambda: _support_gains(6, 3, ((0, 1), (2, 5))),
+            lambda: _successors(6, 3, ((0, 1), (2, 5))),
+            lambda: _gains(6, 3, ((0, 1), (2, 5))),
         ],
         ids=[
             "below", "successors", "gains", "glynn_deltas", "glynn_signs",
@@ -220,7 +252,7 @@ class TestBatchedKernel:
         unitaries, modes = case
         m, n = unitaries.shape[1], modes.shape[1]
         rng = np.random.default_rng(n)
-        vec = rng.normal(size=len(enumerate_basis(m, n - 1)))
+        vec = rng.normal(size=len(enumerate_basis(m, n - 1)) + 1)  # basis rows and sink
         if coherent:
             vec = vec + 1j * rng.normal(size=vec.shape)
         columns = unitaries[:, :, 0].T if coherent else np.abs(unitaries[:, :, 0].T) ** 2
@@ -244,8 +276,10 @@ class TestBatchedKernel:
         m, n = unitaries.shape[1], modes.shape[1]
         rng = np.random.default_rng(n)
         columns = unitaries[:, :, 0].T if coherent else np.abs(unitaries[:, :, 0].T) ** 2
-        vec = rng.random((len(enumerate_basis(m, n - 1)), len(unitaries))).astype(columns.dtype)
-        start = rng.random((len(enumerate_basis(m, n)), len(unitaries))).astype(columns.dtype)
+        # basis rows and a sink row, which starts at 0 as it does with no pairs
+        vec = rng.random((len(enumerate_basis(m, n - 1)) + 1, len(unitaries))).astype(columns.dtype)
+        vec[-1] = 0.0
+        start = rng.random((len(enumerate_basis(m, n)) + 1, len(unitaries))).astype(columns.dtype)
         scratch = np.full(vec.size + 3, np.nan, dtype=columns.dtype)
         out = start.copy()
         got = _add_photon(vec, n - 1, columns, coherent, out, scratch)
@@ -254,6 +288,33 @@ class TestBatchedKernel:
         assert np.allclose(out, expected, rtol=1e-14, atol=0)
         fresh = _add_photon(vec, n - 1, columns, coherent, scratch=scratch)
         assert np.array_equal(fresh, _add_photon(vec, n - 1, columns, coherent))
+
+    @settings(max_examples=50, deadline=None)
+    @given(
+        m=st.integers(1, 6),
+        coherent_steps=st.lists(st.booleans(), min_size=1, max_size=4),
+        batch=st.sampled_from([(), (1,), (3,)]),
+        given_out=st.booleans(),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_the_sink_stays_zero_without_pairs(self, m, coherent_steps, batch, given_out, seed):
+        # With no pairs every successor of a basis row is a basis row, so
+        # only the sink feeds the sink: from 0 it stays exactly 0.
+        rng = np.random.default_rng(seed)
+        vec = np.zeros((2, *batch), dtype=complex)  # the vacuum row and the sink
+        vec[0] = 1.0
+        for n, coherent in enumerate(coherent_steps):
+            column = rng.normal(size=(m, *batch)) + 1j * rng.normal(size=(m, *batch))
+            if not coherent:
+                column = np.abs(column) ** 2
+            start = np.zeros((len(enumerate_basis(m, n + 1)) + 1, *batch), vec.dtype)
+            if given_out:
+                start[:-1] = rng.random(start[:-1].shape)
+            got = _add_photon(vec, n, column, coherent, start.copy() if given_out else None)
+            assert np.all(got[-1] == 0.0)
+            expected = start[:-1] + add_photon_fancy_index(vec[:-1], n, column, coherent)
+            assert np.allclose(got[:-1], expected, rtol=1e-12, atol=1e-12)
+            vec = got
 
     def test_no_inputs_and_no_photons(self):
         u = np.stack([haar(3, seed).matrix for seed in range(2)])
@@ -305,15 +366,13 @@ class TestNoisySimulate:
         ind=st.floats(0.0, 1.0),
         g2=st.floats(0.0, 0.2),
         efficiency=st.floats(0.05, 1.0),
-        lossy=st.booleans(),
     )
-    def test_total_probability_is_conserved(self, case, seed, ind, g2, efficiency, lossy):
+    def test_total_probability_is_conserved(self, case, seed, ind, g2, efficiency):
         m, modes = case
         u = haar(m, seed)
         src = SourceModel(indistinguishability=ind, g2=g2, efficiency=efficiency)
         labeled = build_input(len(modes), src, modes=modes)
-        keep = np.random.default_rng(seed).uniform(0.0, 1.0, size=m) if lossy else None
-        noisy = noisy_simulate(u, labeled, output_losses=keep)
+        noisy = noisy_simulate(u, labeled)
         assert noisy.total() + noisy.dropped_weight == pytest.approx(
             sum(b.weight for b in labeled.branches), abs=1e-12
         )
@@ -329,17 +388,15 @@ class TestNoisySimulate:
         seed=st.integers(0, 2**32 - 1),
         g2=st.floats(0.0, 0.3),
         efficiency=st.floats(0.05, 1.0),
-        lossy=st.booleans(),
     )
-    def test_matches_branchwise_oracle(self, m, data, seed, g2, efficiency, lossy):
+    def test_matches_branchwise_oracle(self, m, data, seed, g2, efficiency):
         modes = data.draw(st.lists(st.integers(0, m - 1), min_size=1, max_size=4))
         ms = data.draw(st.lists(st.floats(0.0, 1.0), min_size=len(modes), max_size=len(modes)))
         u = haar(m, seed)
         src = SourceModel(indistinguishability=tuple(ms), g2=g2, efficiency=efficiency)
         labeled = build_input(len(modes), src, modes=modes)
-        keep = np.random.default_rng(seed).uniform(0.0, 1.0, size=m) if lossy else None
-        noisy = noisy_simulate(u, labeled, output_losses=keep)
-        reference = branchwise_noisy_distribution(u.matrix, labeled, keep)
+        noisy = noisy_simulate(u, labeled)
+        reference = branchwise_noisy_distribution(u.matrix, labeled)
 
         # The cap is the smallest N whose photon-number tail is at most
         # TAIL_TOLERANCE; the branch weights give that law directly.
@@ -350,9 +407,7 @@ class TestNoisySimulate:
         cap = next(k for k, tail in enumerate(above) if tail <= TAIL_TOLERANCE)
         assert noisy.dropped_weight == pytest.approx(above[cap], abs=1e-15)
         assert max(noisy.sectors, default=0) <= cap
-        # Without output losses every sector up to the cap is exact; with
-        # them the truncated mass can be missing from any sector.
-        slack = 1e-12 + (noisy.dropped_weight if lossy else 0.0)
+        # every sector up to the cap is exact
         for n in range(cap + 1):
             basis = enumerate_basis(m, n)
             expected = np.zeros(len(basis))
@@ -360,7 +415,7 @@ class TestNoisySimulate:
             if rows:
                 np.add.at(expected, basis.rank(np.array(rows)), [reference[r] for r in rows])
             got = noisy.sectors[n] if n in noisy.sectors else np.zeros(len(basis))
-            assert np.abs(got - expected).max() <= slack
+            assert np.abs(got - expected).max() <= 1e-12
 
 
     @settings(max_examples=30, deadline=None)
@@ -371,21 +426,17 @@ class TestNoisySimulate:
         seed=st.integers(0, 2**32 - 1),
         g2=st.floats(0.0, 0.3),
         efficiency=st.floats(0.05, 1.0),
-        lossy=st.booleans(),
     )
-    def test_batched_pass_matches_separate_calls(
-        self, m, batch, data, seed, g2, efficiency, lossy
-    ):
+    def test_batched_pass_matches_separate_calls(self, m, batch, data, seed, g2, efficiency):
         # repeated modes put several triggers on one input mode
         modes = data.draw(st.lists(st.integers(0, m - 1), min_size=1, max_size=3))
         ms = data.draw(st.lists(st.floats(0.0, 1.0), min_size=len(modes), max_size=len(modes)))
         src = SourceModel(indistinguishability=tuple(ms), g2=g2, efficiency=efficiency)
         labeled = build_input(len(modes), src, modes=modes)
-        keep = np.random.default_rng(seed).uniform(0.0, 1.0, size=m) if lossy else None
         unitaries = np.stack([haar(m, seed + b).matrix for b in range(batch)])
-        sectors, dropped = batched_noisy_sectors(unitaries, labeled, output_losses=keep)
+        sectors, dropped = batched_noisy_sectors(unitaries, labeled)
         for b, unitary in enumerate(unitaries):
-            single = noisy_simulate(unitary, labeled, output_losses=keep)
+            single = noisy_simulate(unitary, labeled)
             assert dropped == single.dropped_weight
             for n, vec in sectors.items():
                 assert vec.shape == (len(enumerate_basis(m, n)), batch)
@@ -415,8 +466,7 @@ def trigger_sums(draw):
     unitaries = np.stack(
         [ModeUnitary.haar_random(m, rng).matrix for _ in range(draw(st.sampled_from([1, 3])))]
     )
-    keep = rng.uniform(0.0, 1.0, size=m) if draw(st.booleans()) else None
-    return unitaries, build_input(len(modes), src, modes=modes), keep
+    return unitaries, build_input(len(modes), src, modes=modes)
 
 
 #: Relative error allowed on every sector entry against the per-set oracle,
@@ -430,9 +480,9 @@ def p6_input():
     return build_input(6, src, modes=cyclic_input_modes(6))
 
 
-def assert_matches_per_subset_oracle(unitaries, labeled, keep) -> dict[int, np.ndarray]:
-    sectors, dropped = batched_noisy_sectors(unitaries, labeled, output_losses=keep)
-    expected, expected_dropped = per_subset_noisy_sectors(unitaries, labeled, keep)
+def assert_matches_per_subset_oracle(unitaries, labeled) -> dict[int, np.ndarray]:
+    sectors, dropped = batched_noisy_sectors(unitaries, labeled)
+    expected, expected_dropped = per_subset_noisy_sectors(unitaries, labeled)
     assert dropped == expected_dropped
     assert sorted(sectors) == sorted(expected)
     for n, vec in sectors.items():
@@ -456,9 +506,8 @@ class TestTriggerSum:
         src = SourceModel(indistinguishability=(0.9, 1.0, 0.8, 0.7), g2=0.9, efficiency=1e-4)
         labeled = build_input(4, src, modes=(0, 2, 2, 4))
         unitaries = np.stack([haar(5, seed).matrix for seed in range(batch)])
-        for keep in (None, np.linspace(0.5, 0.9, 5)):
-            sectors = assert_matches_per_subset_oracle(unitaries, labeled, keep)
-            assert max(sectors) == 2 < len(labeled.modes)
+        sectors = assert_matches_per_subset_oracle(unitaries, labeled)
+        assert max(sectors) == 2 < len(labeled.modes)
 
     @staticmethod
     def p6_additions(monkeypatch) -> list[tuple[bool, int]]:
@@ -563,8 +612,12 @@ class TestExclusivePairs:
         _gains.cache_clear()
         src = SourceModel(indistinguishability=(0.93, 0.88, 0.95, 0.90, 0.92, 0.91), g2=0.0075)
         sources.measure_genuine_indistinguishability(6, src, 0.3)
-        assert _successors.cache_info().currsize == 0
-        assert _gains.cache_info().currsize == 0
+        # gain tables for the six coherent photon numbers only, none for classical steps
+        assert _gains.cache_info().currsize == 6
+        hits = _successors.cache_info().hits
+        for n in range(10):  # every table a full-basis p6 reads
+            _successors(12, n, ())
+            assert _successors.cache_info().hits == hits
 
     def test_working_memory_on_the_support_stays_near_the_output(self):
         unitary, labeled = cyclic_interferometer(6, 0.3), p6_input()
@@ -591,14 +644,6 @@ class TestExclusivePairs:
         with pytest.raises(ValueError, match=message):
             noisy_simulate(cyclic_interferometer(6, 0.3), p6_input(), exclusive_pairs=pairs)
 
-    def test_pairs_with_output_losses_raise(self):
-        with pytest.raises(ValueError, match="output_losses"):
-            noisy_simulate(
-                cyclic_interferometer(6, 0.3),
-                p6_input(),
-                np.full(12, 0.9),
-                exclusive_pairs=fringe_pairs(6),
-            )
 
 
 class TestDroppedWeight:

@@ -21,7 +21,7 @@ from lopsim.hardware import (
 )
 from lopsim.mesh import _push_diagonal_through, two_mode_gate_elements
 from lopsim.qubits import Gate, GateCircuit, compile_gate_circuit
-from lopsim.sources import SourceModel, build_input, genuine_indistinguishability, noisy_simulate
+from lopsim.sources import genuine_indistinguishability
 from lopsim.variational import MitigationMatrix, apply_mitigation
 
 NAN = float("nan")
@@ -49,12 +49,6 @@ def _phases_with_nan_voltage() -> np.ndarray:
     voltages = np.zeros_like(hw.b)
     voltages[0] = NAN
     return phases_from_voltages(voltages, hw)
-
-
-def _noisy_with_nan_loss():
-    """One photon through a 2-mode identity, one NaN output loss."""
-    labeled = build_input(1, SourceModel())
-    return noisy_simulate(np.eye(2), labeled, output_losses=np.array([NAN, 1.0]))
 
 
 def _confusion_with_nan() -> np.ndarray:
@@ -97,7 +91,6 @@ def _confusion_with_nan() -> np.ndarray:
             ValueError,
             "nonnegative",
         ),
-        (_noisy_with_nan_loss, ValueError, "output losses"),
         (lambda: OutputDistribution(2, {1: [NAN, 0.5]}), ValueError, "NaN probability"),
         (_phases_with_nan_voltage, ValueError, "voltages outside"),
         (
@@ -125,7 +118,6 @@ def _confusion_with_nan() -> np.ndarray:
         "HardwareModel-output_loss",
         "HardwareModel-zero_output_loss",
         "apply_mitigation",
-        "batched_noisy_sectors",
         "OutputDistribution",
         "phases_from_voltages",
         "genuine_indistinguishability",
