@@ -14,10 +14,10 @@ measured source (per-photon ``m_i`` fitted to the pairwise
 indistinguishability matrix, ``g2 = 0.0075``) and prints the
 one-click-per-pair contrast ``p6 cos(alpha)`` and the wall time of
 each stage (fit, simulate, readout).  It simulates only the outcomes
-with at most one click per output pair, which hold every outcome the
-contrast reads.  ``--json`` also reports ``dropped_mass``, the
-probability above the simulated photon-number cap that the contrast
-leaves out.  The first run in a process also builds the Fock-basis and
+that can still reach one click per output pair, and keeps only those
+that do: the outcomes the contrast reads.  ``--json`` also reports
+``dropped_mass``, the probability above the simulated photon-number cap
+that the contrast leaves out.  The first run in a process also builds the Fock-basis and
 support tables, which ``stage_s`` shows under ``simulate``, and the
 per-sector readout tables, which it shows under ``readout``.
 

@@ -14,10 +14,10 @@ recursion of Heurtel et al., *Strong simulation of linear optical
 processes* (Comput. Phys. Commun. 291, 108848 (2023)); on ``|U|^2`` it
 is the classical convolution.  A trailing batch axis runs many unitaries
 through the same recursion at once (:func:`batched_amplitudes`).  Its
-vectors run over a support, the basis rows that leave no pair of a given
-set of disjoint mode pairs fully occupied, plus one sink row; the full
-basis is the support with no pairs, so one family of tables, built from
-the support rows alone, serves both.
+vectors run over the live rows of a set of disjoint mode pairs and a
+photon cap, those that can still reach one click in every pair, plus one
+sink row; with no pairs every basis row is live, so one family of
+tables, built from the live rows alone, serves both.
 Permanents serve only single amplitudes.
 
 :class:`OutputDistribution` is the one type of every simulated output,
@@ -281,38 +281,74 @@ def enumerate_basis(m: int, n: int) -> FockBasis:
     return FockBasis(m, n)
 
 
-@lru_cache(maxsize=None)
-def _support(m: int, n: int, pairs: tuple[tuple[int, int], ...]) -> np.ndarray:
-    """Read-only rows of ``enumerate_basis(m, n)`` with no pair of ``pairs`` fully occupied.
-
-    With no pairs that is every row.  Removing a photon never fills a
-    pair, so a photon added to a row off the support never lands on it:
-    the support's values depend on the support alone.
-    """
-    occ = enumerate_basis(m, n).occupations
+def _pair_clicks(
+    occ: np.ndarray, pairs: tuple[tuple[int, int], ...]
+) -> tuple[np.ndarray, np.ndarray]:
+    """Per row of ``occ``: whether some pair has both modes occupied, and how many are empty."""
     filled = np.zeros(len(occ), dtype=bool)
+    empty = np.zeros(len(occ), dtype=np.intp)
     for a, b in pairs:
-        filled |= (occ[:, a] > 0) & (occ[:, b] > 0)
-    rows = np.flatnonzero(~filled)
+        on_a, on_b = occ[:, a] > 0, occ[:, b] > 0
+        filled |= on_a & on_b
+        empty += ~(on_a | on_b)
+    return filled, empty
+
+
+@lru_cache(maxsize=None)
+def _support(m: int, n: int, pairs: tuple[tuple[int, int], ...], cap: int) -> np.ndarray:
+    """Read-only ranks of the live rows of ``enumerate_basis(m, n)``.
+
+    A row is live when no pair of ``pairs`` has both modes occupied and
+    at most ``cap - n`` pairs are empty, so that the photons the cap
+    leaves can still put one click in every pair.  Removing a photon
+    never fills a pair and empties at most one, so every row a live row
+    comes from is live: the live values depend on the live rows alone.
+    A photon added to a dead row gives another dead row, so no outcome
+    with one click in every pair comes from one.  With no pairs every
+    row is live and the kernel reads the basis itself, never this table.
+    """
+    filled, empty = _pair_clicks(enumerate_basis(m, n).occupations, pairs)
+    rows = np.flatnonzero(~filled & (empty <= cap - n))
     rows.setflags(write=False)
     return rows
 
 
-@lru_cache(maxsize=None)
-def _successors(m: int, n: int, pairs: tuple[tuple[int, int], ...]) -> np.ndarray:
-    """Position of ``s + e_j`` in the (n+1)-photon vector, shape (m, K_n + 1).
+def _live_size(m: int, n: int, pairs: tuple[tuple[int, int], ...], cap: int | None) -> int:
+    """Live rows of the n-photon vector (see :func:`_support`), the sink not counted."""
+    return len(_support(m, n, pairs, cap)) if pairs else len(enumerate_basis(m, n))
 
-    A vector holds the ``_support(m, n, pairs)`` rows followed by one
-    sink row.  An ``s + e_j`` that fills a pair, and the sink itself, go
-    to the next vector's sink, whose value nothing reads; with no pairs
-    only the sink does.  The rank terms of ``s + e_j`` are those of ``s``
-    with one more photon left for modes up to j, so each row is a
-    prefix, a term and a suffix; they come from the support rows alone.
+
+def _live_rows(m: int, n: int, pairs: tuple[tuple[int, int], ...], cap: int | None) -> np.ndarray:
+    """Occupation rows of the live rows, in vector order."""
+    occ = enumerate_basis(m, n).occupations
+    return occ[_support(m, n, pairs, cap)] if pairs else occ
+
+
+@lru_cache(maxsize=None)
+def _successors(
+    m: int, n: int, pairs: tuple[tuple[int, int], ...], cap: int | None
+) -> tuple[tuple[slice | np.ndarray, np.ndarray], ...]:
+    """Where a photon added to mode j moves the n-photon vector's rows: ``(rows, targets)`` per j.
+
+    Tables are keyed by ``(m, n, pairs, cap)``; with no pairs the caller
+    passes ``cap`` None, so the full basis has one table per sector.  A
+    vector holds the live rows (:func:`_support`) followed by one sink
+    row, and ``s + e_j`` of the row at ``rows[i]`` sits at ``targets[i]``
+    of the (n+1)-photon vector.  With no pairs ``rows`` is every row
+    (``slice(None)``), the sink going to the next sink.  With pairs the
+    additions that leave the live rows are left out, and so is the sink:
+    an ``s + e_j`` that fills a pair, or that keeps more than
+    ``cap - n - 1`` pairs empty, which is read from the empty-pair count
+    of ``s`` and whether j fills an empty pair, not searched.  The rank
+    terms of ``s + e_j`` are those of ``s`` with one more photon left for
+    modes up to j, so each row is a prefix, a term and a suffix, from the
+    live rows alone.  With no pairs the rank is the position; otherwise
+    it is looked up in the grown live ranks.  Every array is read-only.
     """
-    grown = _support(m, n + 1, pairs)
-    occ = enumerate_basis(m, n).occupations[_support(m, n, pairs)]
+    occ = _live_rows(m, n, pairs, cap)
     below = enumerate_basis(m, n + 1)._below
-    terms = np.empty((m, len(occ)), dtype=np.intp)
+    table = np.empty((m, len(occ) + 1), dtype=np.intp)
+    terms = table[:, :-1]
     left = np.full(len(occ), n)
     for i in range(m):
         terms[i] = below[i, left, occ[:, i]]
@@ -324,45 +360,75 @@ def _successors(m: int, n: int, pairs: tuple[tuple[int, int], ...]) -> np.ndarra
         terms[j] = prefix + below[j, left, occ[:, j] + 1] + suffix
         prefix = prefix + below[j, left, occ[:, j]]
         left -= occ[:, j]
+    if not pairs:
+        table[:, -1] = len(enumerate_basis(m, n + 1))
+        table.setflags(write=False)
+        return tuple((slice(None), table[j]) for j in range(m))
+    grown = _support(m, n + 1, pairs, cap)
+    _, empty = _pair_clicks(occ, pairs)
     partner = {a: b for pair in pairs for a, b in (pair, pair[::-1])}
-    table = np.full((m, len(occ) + 1), len(grown), dtype=np.intp)
+    steps = []
     for j in range(m):
-        kept = occ[:, partner[j]] == 0 if j in partner else slice(None)
-        table[j, :-1][kept] = np.searchsorted(grown, terms[j, kept])
-    table.setflags(write=False)
-    return table
+        if j in partner:  # filling an empty pair spends one of the photons the cap leaves
+            kept = (occ[:, partner[j]] == 0) & (empty - (occ[:, j] == 0) < cap - n)
+        else:
+            kept = empty < cap - n
+        rows = np.flatnonzero(kept)
+        targets = np.searchsorted(grown, terms[j, rows])
+        rows.setflags(write=False)
+        targets.setflags(write=False)
+        steps.append((rows, targets))
+    return tuple(steps)
 
 
 @lru_cache(maxsize=None)
-def _gains(m: int, n: int, pairs: tuple[tuple[int, int], ...]) -> np.ndarray:
+def _gains(
+    m: int, n: int, pairs: tuple[tuple[int, int], ...], cap: int | None
+) -> np.ndarray:
     """Gain ``sqrt(s_j + 1)`` of a photon added to mode j (sink gain 1), shape (m, K_n + 1)."""
-    occ = enumerate_basis(m, n).occupations[_support(m, n, pairs)]
+    occ = _live_rows(m, n, pairs, cap)
     gains = np.ones((m, len(occ) + 1))
     gains[:, :-1] = np.sqrt(occ.T + 1.0)
     gains.setflags(write=False)
     return gains
 
 
-def _expand_support(
-    vec: np.ndarray, m: int, n: int, pairs: tuple[tuple[int, int], ...]
-) -> np.ndarray:
-    """A vector over the support and sink as one over the full n-photon basis, 0 off the support.
+@lru_cache(maxsize=None)
+def _one_click_rows(
+    m: int, n: int, pairs: tuple[tuple[int, int], ...], cap: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """Vector positions and basis ranks of the live rows with one click in every pair, read-only."""
+    _, empty = _pair_clicks(_live_rows(m, n, pairs, cap), pairs)
+    at = np.flatnonzero(empty == 0)
+    ranks = _support(m, n, pairs, cap)[at]
+    at.setflags(write=False)
+    ranks.setflags(write=False)
+    return at, ranks
 
-    With no pairs the support is the basis and this is the view ``vec[:-1]``.
+
+def _expand_support(
+    vec: np.ndarray, m: int, n: int, pairs: tuple[tuple[int, int], ...], cap: int | None
+) -> np.ndarray:
+    """A live vector as one over the full n-photon basis: its one-click rows, 0 elsewhere.
+
+    Only the rows with one click in every pair are written; the other
+    live rows are left out too.  With no pairs every row is written, and
+    this is the view ``vec[:-1]``.
     """
     if not pairs:
         return vec[:-1]
+    at, ranks = _one_click_rows(m, n, pairs, cap)
     full = np.zeros((len(enumerate_basis(m, n)), *vec.shape[1:]), dtype=vec.dtype)
-    full[_support(m, n, pairs)] = vec[:-1]
+    full[ranks] = vec[at]
     return full
 
 
 def _add_photon(
     vec: np.ndarray, n: int, column: np.ndarray, coherent: bool,
     out: np.ndarray | None = None, scratch: np.ndarray | None = None,
-    pairs: tuple[tuple[int, int], ...] = (),
+    pairs: tuple[tuple[int, int], ...] = (), cap: int | None = None,
 ) -> np.ndarray:
-    """Add one photon to vectors over the support of the n-photon basis and a sink row.
+    """Add one photon to vectors over the live n-photon rows and a sink row.
 
     ``column`` is where the photon goes.  Coherently, ``vec`` holds
     amplitudes, ``column`` is ``U[:, k]`` for input mode k, and the step
@@ -372,11 +438,12 @@ def _add_photon(
 
     The basis axis comes first.  ``vec`` is ``(K_n + 1,)`` or
     ``(K_n + 1, B)``, the :func:`_support` rows of ``pairs`` (sorted
-    disjoint mode pairs; with none, every basis row) and one sink row, and
+    disjoint mode pairs) under photon cap ``cap`` (with no pairs, every
+    basis row, whatever the cap) and one sink row, and
     ``column`` is ``(m,)`` or ``(m, B)``; a trailing batch axis on either
     runs B independent additions (one unitary and state per column) in the
     same scatter, and a 1-D operand is shared by all B.  Returns the
-    vectors over the (n+1)-photon support and sink, ``(K_{n+1} + 1,)``
+    vectors over the live (n+1)-photon rows and sink, ``(K_{n+1} + 1,)``
     when both inputs are 1-D and ``(K_{n+1} + 1, B)`` otherwise: ``out``
     (or a view of it) plus the step, if given.  Each ``column[j] * vec``
     is formed in one buffer, the head of a flat ``scratch`` of the
@@ -384,38 +451,40 @@ def _add_photon(
     of length 1 only slows the scatter.
 
     One loop reads the :func:`_successors` and :func:`_gains` tables of
-    ``pairs``: every support entry gets the same products, added in the
-    same mode order, as over the full basis.  The additions that would
-    fill a pair land on the sink, whose value is never read (on the batch
-    path its repeated index keeps only one); with no pairs only the sink
-    feeds the sink, so a sink that starts at 0 stays 0.  Each ``succ[j]``
-    holds distinct indices (the sink aside), so both scatters add the
-    same terms in the same order: ``np.add.at`` on 1-D vectors (12
-    scatters of 167,960 states on 12 modes: 5.5 ms, fancy-index ``+=``
-    11.5 ms) and ``+=`` with a batch axis (4,368 x 4 states: 2.1 ms,
-    ``np.add.at`` 4.6 ms).
+    ``(pairs, cap)``: every live entry gets the same products, added in
+    the same mode order, as over the full basis.  The additions that
+    leave the live rows are not formed; only the sink feeds the sink, and
+    with pairs nothing does, so a sink that starts at 0 stays 0.  The
+    targets of one mode are distinct, so both scatters add the same terms
+    in the same order: ``np.add.at`` on 1-D vectors (12 scatters of
+    167,960 states on 12 modes: 5.5 ms, fancy-index ``+=`` 11.5 ms) and
+    ``+=`` with a batch axis (4,368 x 4 states: 2.1 ms, ``np.add.at``
+    4.6 ms).
     """
     m = len(column)
     batch = vec.shape[1:] or column.shape[1:]
     if batch == (1,):
         out = None if out is None else out.reshape(len(out))
         vec, column = vec.reshape(len(vec)), column.reshape(m)
-        return _add_photon(vec, n, column, coherent, out, scratch, pairs)[:, None]
+        return _add_photon(vec, n, column, coherent, out, scratch, pairs, cap)[:, None]
     if batch and vec.ndim == 1:
         vec = vec[:, None]
+    key = (m, n, pairs, cap if pairs else None)
     if out is None:
-        out = np.zeros((len(_support(m, n + 1, pairs)) + 1, *batch), np.result_type(vec, column))
+        out = np.zeros((_live_size(m, n + 1, pairs, cap) + 1, *batch), np.result_type(vec, column))
     term = np.ndarray((len(vec), *batch), out.dtype, buffer=scratch)
-    succ = _successors(m, n, pairs)
+    steps = _successors(*key)
     for j in np.flatnonzero(column if column.ndim == 1 else np.any(column, axis=1)):
-        np.multiply(vec, column[j], out=term)
+        rows, targets = steps[j]
+        part = term[: len(targets)]
+        np.multiply(vec[rows], column[j], out=part)
         if coherent:  # classical steps never build a gain table
-            gain = _gains(m, n, pairs)[j]
-            term *= gain[:, None] if batch else gain
+            gain = _gains(*key)[j][rows]
+            part *= gain[:, None] if batch else gain
         if batch:
-            out[succ[j]] += term
+            out[targets] += part
         else:
-            np.add.at(out, succ[j], term)
+            np.add.at(out, targets, part)
     return out
 
 
@@ -505,9 +574,10 @@ class OutputDistribution(Mapping[FockState, float]):
             vec = np.asarray(vec, dtype=float)
             if vec.shape != (len(enumerate_basis(m, n)),):
                 raise ValueError(f"probability vector does not match the {n}-photon basis")
-            if not np.all(vec >= -1e-12):
+            low = vec.min()
+            if not low >= -1e-12:  # also NaN, which min propagates
                 raise ValueError("negative or NaN probability")
-            if np.any(vec < 0.0):
+            if low < 0.0:
                 vec = np.clip(vec, 0.0, None)
             if vec.sum() > 0.0:
                 self.sectors[n] = vec

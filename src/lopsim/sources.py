@@ -20,16 +20,19 @@ mass it reports.  The result is the same
 :class:`~lopsim.fock.OutputDistribution` that an ideal input gives, with
 one sector per detected photon number and the truncated mass as
 ``dropped_weight``; :func:`batched_noisy_sectors` runs the same sum for
-a stack of interferometers at once.  A caller that never reads an
-outcome with both modes of some pair occupied names those pairs
-(``exclusive_pairs``), and the sum runs on the outcomes that fill no
-pair: each of them is exact, bit for bit the value without pairs, and
-every other outcome is 0, so ``total() + dropped_weight`` falls short
-of 1 by the mass of the outcomes left out.  The cyclic fringe reads one
-click per output pair, so :func:`measure_genuine_indistinguishability`
-simulates that support only.  Detection throughout this module is
-click-based (threshold detectors): an occupied mode counts as one click
-regardless of photon number.
+a stack of interferometers at once.  A caller that reads only the
+outcomes with exactly one click in every pair of some disjoint mode
+pairs names those pairs (``one_click_pairs``).  The sum then runs on the
+live outcomes, those that fill no pair and leave no more pairs empty
+than the photons the cap leaves could fill, since only these can still
+reach a read outcome; each read outcome is exact, bit for bit its value
+without pairs, and every other outcome is 0, so ``total() +
+dropped_weight`` falls short of 1 by the mass of the outcomes left out.
+The cyclic fringe reads one click per output pair, so
+:func:`measure_genuine_indistinguishability` simulates those outcomes
+only.  Detection throughout this module is click-based (threshold
+detectors): an occupied mode counts as one click regardless of photon
+number.
 
 The module also provides the two standard source characterization
 experiments: the two-photon Hong-Ou-Mandel visibility (with its purity
@@ -59,7 +62,7 @@ from .fock import (
     OutputDistribution,
     _add_photon,
     _expand_support,
-    _support,
+    _live_size,
     enumerate_basis,
     outcome_arrays,
 )
@@ -318,13 +321,13 @@ def _mix_photon(
     distinguishable photon is routed by ``column`` (``|U_b[:, q]|^2`` for
     input mode q in column b, shape ``(m, B)``).  Top down, sector n adds
     into n + 1 (up to ``cap``), then is scaled by ``w_none`` or dropped.
-    With ``pairs`` the sectors are vectors over their support.
+    With ``pairs`` the sectors are vectors over their live rows.
     """
     for n in sorted(sectors, reverse=True):
         if w_one and n < cap:
             grown = sectors.get(n + 1)
             sectors[n + 1] = _add_photon(
-                sectors[n], n, w_one * column, False, grown, scratch, pairs
+                sectors[n], n, w_one * column, False, grown, scratch, pairs, cap
             )
         if w_none:
             sectors[n] *= w_none
@@ -338,17 +341,45 @@ def _pair_key(pairs: Sequence[Sequence[int]], m: int) -> tuple[tuple[int, int], 
     modes = [q for pair in key for q in pair]
     outside = [q for q in modes if not 0 <= q < m]
     if outside:
-        raise ValueError(f"exclusive pair modes {outside} lie outside [0, {m})")
+        raise ValueError(f"one-click pair modes {outside} lie outside [0, {m})")
     if len(set(modes)) < len(modes):
-        raise ValueError(f"exclusive pairs {key} share a mode")
+        raise ValueError(f"one-click pairs {key} share a mode")
     return key
+
+
+def _coherent_prefixes(
+    unitaries: np.ndarray, wanted: Sequence[tuple[int, ...]],
+    pairs: tuple[tuple[int, int], ...], cap: int,
+) -> dict[tuple[int, ...], np.ndarray]:
+    """Amplitudes of every prefix of every sorted mode tuple in ``wanted``, from the vacuum.
+
+    The prefixes of one length take one more SLOS step from their heads
+    in one batched :func:`~lopsim.fock._add_photon` call, column block i
+    adding prefix i's last mode to its head.  Each column gets the
+    products of a call of its own, added in the same order (plus exact
+    zeros where only another column's mode reaches an output), so every
+    prefix is bit for bit that call's.  Returns ``(K + 1, B)`` live
+    vectors keyed by prefix, the vacuum under ``()``.
+    """
+    count, m = unitaries.shape[:2]
+    vacuum = np.zeros((_live_size(m, 0, pairs, cap) + 1, count), dtype=complex)
+    vacuum[:-1] = 1.0  # the vacuum row, when it is live; the sink stays 0
+    prefixes = {(): vacuum}
+    for k in range(max(map(len, wanted), default=0)):
+        grow = sorted({modes[: k + 1] for modes in wanted if len(modes) > k})
+        heads = np.concatenate([prefixes[p[:-1]] for p in grow], axis=1)
+        columns = np.concatenate([unitaries[:, :, p[-1]].T for p in grow], axis=1)
+        grown = _add_photon(heads, k, columns, True, pairs=pairs, cap=cap)
+        for i, p in enumerate(grow):
+            prefixes[p] = grown[:, i * count : (i + 1) * count]
+    return prefixes
 
 
 def batched_noisy_sectors(
     unitaries: np.ndarray,
     labeled: LabeledInput,
     *,
-    exclusive_pairs: Sequence[Sequence[int]] = (),
+    one_click_pairs: Sequence[Sequence[int]] = (),
 ) -> tuple[dict[int, np.ndarray], float]:
     """Noisy-source outputs of B interferometers in one trigger sum.
 
@@ -356,23 +387,28 @@ def batched_noisy_sectors(
     runs once for the whole stack.  The coherent amplitudes of a shared
     set, modes sorted, are those of the set without its last mode plus
     one SLOS step, so each prefix is computed once: 2^n - 1 photon
-    additions for n distinct triggers instead of n 2^(n-1).  Each set
-    gets the additions and the bunching division of its own
-    :func:`~lopsim.fock.batched_amplitudes` pass, in the same order, so
-    its coherent term is bit for bit that pass's.  The classical steps
-    fold in one trigger at a time (2^n - 1 D's, not n 2^(n-1); sums round
-    in another order), in place through one scratch buffer, column b
-    taking ``|U_b[:, q]|^2``.  A batch pays off on small sectors only; on
-    large ones its strided scatters cost more than the Python calls it saves.
+    additions for n distinct triggers instead of n 2^(n-1), in one
+    batched call per prefix length.  Each set gets the additions and the
+    bunching division of its own :func:`~lopsim.fock.batched_amplitudes`
+    pass, in the same order, so its coherent term is bit for bit that
+    pass's.  The classical steps fold in one trigger at a time (2^n - 1
+    D's, not n 2^(n-1); sums round in another order), in place through
+    one scratch buffer, column b taking ``|U_b[:, q]|^2``.  A batch pays
+    off on small sectors only; on large ones its strided scatters cost
+    more than the Python calls it saves.
 
-    ``exclusive_pairs`` lists mode pairs the caller never reads with both
-    modes occupied.  Every step runs on the support, the outcomes that
-    fill no pair (removing a photon never fills one, so no outcome off
-    the support feeds one on it), and the sectors are expanded to the
-    full basis once, at the end: exact (bit for bit the values without
-    pairs) on the support and 0 off it.  With no pairs the support is the
-    whole basis.  (On the 12-mode cyclic p6, sectors 6-10 hold 130,592
-    support states instead of 640,458.)
+    ``one_click_pairs`` lists disjoint mode pairs of which the caller
+    reads only the outcomes with exactly one click in every pair.  Every
+    step then runs on the live rows (:func:`~lopsim.fock._support`): no
+    pair filled, and no more pairs empty than the photons the cap leaves
+    could fill.  Removing a photon never fills a pair and empties at
+    most one, so no outcome off the live rows feeds one on them, and no
+    read outcome comes from a dead row.  Only the read outcomes are
+    written into the full-basis sectors at the end: each is exact (bit
+    for bit its value without pairs) and every other outcome is 0.  With
+    no pairs every row is live and read.  (On the 12-mode cyclic p6 at
+    a cap of 10, sectors 6-10 hold 57,340 live states, 13,440 of them
+    read, instead of 640,458.)
 
     Returns the sectors, ``{n: (N_n, B)}`` probabilities over
     ``enumerate_basis(m, n)`` (column b the output of unitary b), and the
@@ -380,34 +416,30 @@ def batched_noisy_sectors(
     """
     unitaries = np.asarray(unitaries, dtype=complex)
     count, m = unitaries.shape[:2]
-    pairs = _pair_key(exclusive_pairs, m)
+    pairs = _pair_key(one_click_pairs, m)
     FockState.from_modes(m, labeled.modes)  # rejects an input mode outside the unitary
     tail = _photon_number_tail(labeled)
     cap = int(np.argmax(tail[1:] <= TAIL_TOLERANCE))
     power = np.abs(unitaries) ** 2
     columns = [np.ascontiguousarray(power[:, :, q].T) for q in labeled.modes]
-    vacuum = np.zeros((2, count), dtype=complex)  # the vacuum row and the sink
-    vacuum[0] = 1.0
-    prefixes = {(): vacuum}
-    scratch = np.empty((len(_support(m, max(cap - 1, 0), pairs)) + 1) * count)
+    largest = max((_live_size(m, n, pairs, cap) for n in range(cap)), default=0)
+    scratch = np.empty((largest + 1) * count)
 
-    terms: dict[tuple[bool, ...], dict[int, np.ndarray]] = {}
+    shared: dict[tuple[bool, ...], tuple[tuple[int, ...], float]] = {}
     for members in itertools.product((False, True), repeat=len(labeled.modes)):
         shared_modes = tuple(sorted(q for q, s in zip(labeled.modes, members) if s))
         weight = prod(w for w, s in zip(labeled.shared, members) if s)
-        if weight == 0.0 or len(shared_modes) > cap:
-            continue
-        for k, q in enumerate(shared_modes):
-            if shared_modes[: k + 1] not in prefixes:
-                head = prefixes[shared_modes[:k]]
-                prefixes[shared_modes[: k + 1]] = _add_photon(
-                    head, k, unitaries[:, :, q].T, True, pairs=pairs
-                )
+        if weight != 0.0 and len(shared_modes) <= cap:
+            shared[members] = shared_modes, weight
+    prefixes = _coherent_prefixes(unitaries, [modes for modes, _ in shared.values()], pairs, cap)
+    terms: dict[tuple[bool, ...], dict[int, np.ndarray]] = {}
+    for members, (shared_modes, weight) in shared.items():
         amp = prefixes[shared_modes]
         bunching = prod(factorial(c) for c in Counter(shared_modes).values())
         if bunching > 1:
             amp = amp / sqrt(bunching)
         terms[members] = {len(shared_modes): weight * np.abs(amp) ** 2}
+    del prefixes  # the classical fold needs none of the amplitudes
     for column, unique, lost in zip(columns, labeled.unique, labeled.lost):  # Horner order
         folded: dict[tuple[bool, ...], dict[int, np.ndarray]] = {}
         for members, term in terms.items():
@@ -419,8 +451,8 @@ def batched_noisy_sectors(
     sectors = terms[()]
     for column, extra in zip(columns, labeled.extra):
         _mix_photon(sectors, column, 1.0 - extra, extra, cap, scratch, pairs)
-    for n, vec in sectors.items():  # one sector at a time, so each support vector is freed
-        sectors[n] = _expand_support(vec, m, n, pairs)
+    for n, vec in sectors.items():  # one sector at a time, so each live vector is freed
+        sectors[n] = _expand_support(vec, m, n, pairs, cap)
     return sectors, float(tail[cap + 1])
 
 
@@ -428,7 +460,7 @@ def noisy_simulate(
     unitary: ModeUnitary | np.ndarray,
     labeled: LabeledInput,
     *,
-    exclusive_pairs: Sequence[Sequence[int]] = (),
+    one_click_pairs: Sequence[Sequence[int]] = (),
 ) -> OutputDistribution:
     """Output distribution of a noisy source's input, summed by trigger.
 
@@ -457,24 +489,27 @@ def noisy_simulate(
     Args:
         unitary: the interferometer.
         labeled: per-trigger input table from :func:`build_input`.
-        exclusive_pairs: mode pairs the caller never reads with both
-            modes occupied, such as the output pairs of the cyclic
-            fringe; only the outcomes that fill no pair are simulated.
+        one_click_pairs: disjoint mode pairs of which the caller reads
+            only the outcomes with exactly one click in every pair, such
+            as the output pairs of the cyclic fringe; only the outcomes
+            that can still reach one are simulated (see
+            :func:`batched_noisy_sectors`).
 
     Returns:
         An :class:`~lopsim.fock.OutputDistribution` with one sector per
         populated photon number up to the cap, the type
         :func:`~lopsim.fock.strong_simulate` returns.  Every sector is
         exact and its ``dropped_weight`` is the tail above the cap, so
-        ``total() + dropped_weight`` is 1.  With ``exclusive_pairs``
-        every outcome that fills no pair is exact and every other one is
-        0, so the sum falls short of 1 by the mass of those outcomes.
+        ``total() + dropped_weight`` is 1.  With ``one_click_pairs``
+        every outcome with one click in every pair is exact and every
+        other one is 0, so the sum falls short of 1 by the mass of those
+        others.
         Postselection scales ``dropped_weight`` like the probabilities.
     """
     if not isinstance(unitary, ModeUnitary):
         unitary = ModeUnitary(np.asarray(unitary))
     sectors, dropped = batched_noisy_sectors(
-        unitary.matrix[None], labeled, exclusive_pairs=exclusive_pairs
+        unitary.matrix[None], labeled, one_click_pairs=one_click_pairs
     )
     return OutputDistribution(
         unitary.m, {n: vec[:, 0] for n, vec in sectors.items()}, dropped_weight=dropped
@@ -636,13 +671,13 @@ def genuine_indistinguishability(
 def _fringe_distribution(n_photons: int, src: SourceModel, alpha: float) -> OutputDistribution:
     """Noisy output of the cyclic interferometer on the outcomes the fringe reads.
 
-    The fringe reads one click per output pair ``(2k, 2k + 1)``, so the
-    pairs are exclusive: every outcome with two clicks in a pair is 0.
+    The fringe reads one click per output pair ``(2k, 2k + 1)``, so
+    those are the one-click pairs: every other outcome is 0.
     """
     unitary = cyclic_interferometer(n_photons, alpha)
     labeled = build_input(n_photons, src, modes=cyclic_input_modes(n_photons))
     pairs = tuple((2 * k, 2 * k + 1) for k in range(n_photons))
-    return noisy_simulate(unitary, labeled, exclusive_pairs=pairs)
+    return noisy_simulate(unitary, labeled, one_click_pairs=pairs)
 
 
 def measure_genuine_indistinguishability(
@@ -651,7 +686,7 @@ def measure_genuine_indistinguishability(
     """Simulate the cyclic experiment on the outcomes it reads and estimate ``p_N``.
 
     The value is bit for bit that of the full output, the same
-    :func:`noisy_simulate` without ``exclusive_pairs``.
+    :func:`noisy_simulate` without ``one_click_pairs``.
     """
     return genuine_indistinguishability(_fringe_distribution(n_photons, src, alpha), n_photons)
 

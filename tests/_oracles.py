@@ -259,12 +259,12 @@ def add_photon_fancy_index(
     if batch and vec.ndim == 1:
         vec = vec[:, None]
     out = np.zeros((len(enumerate_basis(m, n + 1)), *batch), dtype=np.result_type(vec, column))
-    succ, gains = _successors(m, n, ())[:, :-1], _gains(m, n, ())[:, :-1]
+    steps, gains = _successors(m, n, (), None), _gains(m, n, (), None)[:, :-1]
     for j in np.flatnonzero(column if column.ndim == 1 else np.any(column, axis=1)):
         term = column[j] * vec
         if coherent:
             term *= gains[j][:, None] if batch else gains[j]
-        out[succ[j]] += term
+        out[steps[j][1][:-1]] += term
     return out
 
 
@@ -319,7 +319,7 @@ def per_subset_noisy_sectors(
 
 
 def cyclic_full_distribution(n_photons: int, src, alpha: float = 0.0):
-    """Noisy output of the cyclic interferometer over the full basis, no exclusive pairs."""
+    """Noisy output of the cyclic interferometer over the full basis, no one-click pairs."""
     labeled = build_input(n_photons, src, cyclic_input_modes(n_photons))
     return noisy_simulate(cyclic_interferometer(n_photons, alpha), labeled)
 

@@ -242,6 +242,20 @@ class TestStrongSimulate:
         assert dist.total() == pytest.approx(1.0, abs=1e-9)
 
 
+def test_output_distribution_clips_a_rounding_residue_and_drops_empty_sectors():
+    given = np.array([0.5, -1e-13, 0.5])
+    dist = OutputDistribution(2, {0: np.zeros(1), 2: given})
+    # the residue is clipped into a copy; the caller's array keeps it
+    assert dist.sectors[2] is not given and list(dist.sectors[2]) == [0.5, 0.0, 0.5]
+    assert given[1] == -1e-13
+    # the all-zero sector is dropped
+    assert list(dist.sectors) == [2]
+    kept = np.array([0.25, 0.0, 0.75])
+    assert OutputDistribution(2, {2: kept}).sectors[2] is kept
+    with pytest.raises(ValueError, match="negative or NaN"):
+        OutputDistribution(2, {2: np.array([0.5, -1e-11, 0.5])})
+
+
 class TestSampling:
     def test_deterministic_per_seed(self):
         rng = np.random.default_rng(2)

@@ -1,21 +1,21 @@
 """Invariants of the array-native Fock core, checked on random inputs.
 
 The basis rows and the photon-addition tables, with and without
-exclusive pairs, are checked against a brute-force enumeration, the
-basis rank against the stored rows, and the photon-addition kernel
-behind ``strong_simulate`` and ``noisy_simulate`` against the
-brute-force oracles in ``_oracles.py``; ``noisy_simulate``
+one-click pairs and a photon cap, are checked against a brute-force
+enumeration, the basis rank against the stored rows, and the
+photon-addition kernel behind ``strong_simulate`` and ``noisy_simulate``
+against the brute-force oracles in ``_oracles.py``; ``noisy_simulate``
 also against the sum over every labeled branch of its input, and the
 trigger sum against one coherent pass per shared set, entry by entry to
 a relative 1e-13 (it adds the same terms in another order).  The
 kernel's trailing batch axis is checked against one-at-a-time calls, and
 with no pairs its sink row stays exactly 0.
-The trigger sum on an exclusive-pair support is checked against the sum
-without pairs: equal bit for bit on the support and 0 off it.
+The trigger sum with one-click pairs is checked against the sum without
+pairs: equal bit for bit on the outcomes with one click in every pair
+and 0 elsewhere.
 """
 
 import tracemalloc
-from collections import Counter
 
 import numpy as np
 import pytest
@@ -30,6 +30,7 @@ from lopsim.fock import (
     _add_photon,
     _gains,
     _glynn_deltas,
+    _one_click_rows,
     _successors,
     _support,
     batched_amplitudes,
@@ -132,7 +133,10 @@ class TestBasisTables:
                 [position[tuple(r)] for r in (rows + np.eye(m, dtype=np.int8)[j]).tolist()]
                 for j in range(m)
             ]
-            succ, gains = _successors(m, n, ()), _gains(m, n, ())
+            steps, gains = _successors(m, n, (), None), _gains(m, n, (), None)
+            # every row moves, the sink row last
+            assert all(moved == slice(None) for moved, _ in steps)
+            succ = np.array([targets for _, targets in steps])
             assert np.array_equal(succ[:, :-1], np.array(successors).reshape(m, len(rows)))
             assert np.array_equal(gains[:, :-1], np.sqrt(rows.T + 1.0))
             # the sink row feeds the next vector's sink, with gain 1
@@ -146,44 +150,60 @@ class TestBasisTables:
     def test_support_tables_match_brute_force(self, pairs):
         m = 6
 
-        def support_rows(n):
+        def live_rows(n, cap):
+            # no pair filled, and no more pairs empty than the cap leaves photons for
             rows = fock_basis_rows(m, n, False)
-            return rows[[all(r[a] == 0 or r[b] == 0 for a, b in pairs) for r in rows.tolist()]]
+            filled = [any(r[a] and r[b] for a, b in pairs) for r in rows.tolist()]
+            empty = np.array([sum(not (r[a] or r[b]) for a, b in pairs) for r in rows.tolist()])
+            return rows[~np.array(filled, dtype=bool) & (empty <= cap - n)]
 
-        for n in range(5):
-            rows, grown = support_rows(n), support_rows(n + 1)
-            full = {tuple(r): i for i, r in enumerate(fock_basis_rows(m, n, False).tolist())}
-            assert np.array_equal(_support(m, n, pairs), [full[tuple(r)] for r in rows.tolist()])
-            # an s + e_j that fills a pair goes to the sink, as does the sink
-            position = {tuple(r): i for i, r in enumerate(grown.tolist())}
-            sink = len(grown)
-            successors = [
-                [position.get(tuple(r), sink) for r in (rows + step).tolist()] + [sink]
-                for step in np.eye(m, dtype=np.int8)
-            ]
-            assert np.array_equal(_successors(m, n, pairs), successors)
-            gains = np.ones((m, len(rows) + 1))
-            gains[:, :-1] = np.sqrt(rows.T + 1.0)
-            assert np.array_equal(_gains(m, n, pairs), gains)
+        for cap in (1, 2, 4, 6, 9):  # from 9 on the cap bounds no empty pair
+            for n in range(5):
+                rows, grown = live_rows(n, cap), live_rows(n + 1, cap)
+                full = {tuple(r): i for i, r in enumerate(fock_basis_rows(m, n, False).tolist())}
+                ranks = [full[tuple(r)] for r in rows.tolist()]
+                assert np.array_equal(_support(m, n, pairs, cap), ranks)
+                # an s + e_j that leaves the live rows is left out, as is the sink
+                position = {tuple(r): i for i, r in enumerate(grown.tolist())}
+                steps = _successors(m, n, pairs, cap)
+                for step, (moved, targets) in zip(np.eye(m, dtype=np.int8), steps):
+                    grown_rows = [tuple(r) for r in (rows + step).tolist()]
+                    kept = [i for i, r in enumerate(grown_rows) if r in position]
+                    assert np.array_equal(moved, kept)
+                    assert np.array_equal(targets, [position[grown_rows[i]] for i in kept])
+                gains = np.ones((m, len(rows) + 1))
+                gains[:, :-1] = np.sqrt(rows.T + 1.0)
+                assert np.array_equal(_gains(m, n, pairs, cap), gains)
+                one_click = [
+                    i for i, r in enumerate(rows.tolist())
+                    if all(bool(r[a]) != bool(r[b]) for a, b in pairs)
+                ]
+                at, read = _one_click_rows(m, n, pairs, cap)
+                assert np.array_equal(at, one_click)
+                assert np.array_equal(read, np.array(ranks, dtype=np.intp)[one_click])
 
     @pytest.mark.parametrize(
         "table",
         [
             lambda: enumerate_basis(4, 2)._below,
-            lambda: _successors(4, 2, ()),
-            lambda: _gains(4, 2, ()),
+            lambda: _successors(4, 2, (), None)[0][1],
+            lambda: _gains(4, 2, (), None),
             lambda: _glynn_deltas(4)[0],
             lambda: _glynn_deltas(4)[1],
             lambda: _fringe_table(8, 4, 4)[0],
             lambda: _fringe_table(8, 4, 4)[1],
-            lambda: _support(6, 3, ((0, 1), (2, 5))),
-            lambda: _successors(6, 3, ((0, 1), (2, 5))),
-            lambda: _gains(6, 3, ((0, 1), (2, 5))),
+            lambda: _support(6, 3, ((0, 1), (2, 5)), 4),
+            lambda: _successors(6, 3, ((0, 1), (2, 5)), 4)[0][1],
+            lambda: _successors(6, 3, ((0, 1), (2, 5)), 4)[0][0],
+            lambda: _gains(6, 3, ((0, 1), (2, 5)), 4),
+            lambda: _one_click_rows(6, 3, ((0, 1), (2, 5)), 4)[0],
+            lambda: _one_click_rows(6, 3, ((0, 1), (2, 5)), 4)[1],
         ],
         ids=[
             "below", "successors", "gains", "glynn_deltas", "glynn_signs",
             "fringe_constructive", "fringe_destructive",
-            "support", "support_successors", "support_gains",
+            "support", "support_successors", "support_successor_rows", "support_gains",
+            "one_click_positions", "one_click_ranks",
         ],
     )
     def test_cached_tables_are_read_only(self, table):
@@ -510,17 +530,18 @@ class TestTriggerSum:
         assert max(sectors) == 2 < len(labeled.modes)
 
     @staticmethod
-    def p6_additions(monkeypatch) -> list[tuple[bool, int]]:
-        """``(coherent, n)`` of each photon addition of a lossless cyclic p6.
+    def p6_additions(monkeypatch) -> list[tuple[bool, int, int]]:
+        """``(coherent, n, columns)`` of each photon addition of a lossless cyclic p6.
 
         Only the outermost call counts: a batch of one reruns as the
-        one-dimensional call.
+        one-dimensional call.  ``columns`` is the width of ``column``'s
+        batch axis (1 without one).
         """
         real, steps, active = fock._add_photon, [], []
 
         def counted(vec, n, column, coherent, *args, **kwargs):
             if not active:
-                steps.append((coherent, n))
+                steps.append((coherent, n, column.shape[1] if column.ndim == 2 else 1))
             active.append(n)
             try:
                 return real(vec, n, column, coherent, *args, **kwargs)
@@ -533,13 +554,14 @@ class TestTriggerSum:
         return steps
 
     def test_each_shared_prefix_is_computed_once(self, monkeypatch):
-        coherent_steps = [n for coherent, n in self.p6_additions(monkeypatch) if coherent]
-        # one addition per nonempty prefix: C(6, n + 1) of them reach n + 1 photons
-        assert len(coherent_steps) == 2**6 - 1
-        assert Counter(coherent_steps) == {0: 6, 1: 15, 2: 20, 3: 15, 4: 6, 5: 1}
+        coherent_steps = [(n, w) for coherent, n, w in self.p6_additions(monkeypatch) if coherent]
+        # one call per prefix length, one column per nonempty prefix:
+        # C(6, n + 1) of them reach n + 1 photons
+        assert len(coherent_steps) == 6
+        assert dict(coherent_steps) == {0: 6, 1: 15, 2: 20, 3: 15, 4: 6, 5: 1}
 
     def test_each_classical_step_is_applied_once_per_set_of_later_triggers(self, monkeypatch):
-        classical = [n for coherent, n in self.p6_additions(monkeypatch) if not coherent]
+        classical = [n for coherent, n, _ in self.p6_additions(monkeypatch) if not coherent]
         # Trigger j's own photon is folded into the 2^(5-j) sets of the
         # triggers after it, one sector each (63 in all); the extras then
         # grow the summed sector 6 one photon at a time up to the cap of
@@ -594,18 +616,30 @@ def fringe_pairs(n_photons: int) -> tuple[tuple[int, int], ...]:
 class TestExclusivePairs:
     @settings(max_examples=60, deadline=None)
     @given(case=paired_trigger_sums())
-    def test_values_on_the_support_are_those_without_pairs(self, case):
+    def test_one_click_rows_are_those_without_pairs(self, case):
         unitaries, labeled, pairs = case
         full, dropped = batched_noisy_sectors(unitaries, labeled)
-        sectors, pair_dropped = batched_noisy_sectors(unitaries, labeled, exclusive_pairs=pairs)
+        sectors, pair_dropped = batched_noisy_sectors(unitaries, labeled, one_click_pairs=pairs)
         assert pair_dropped == dropped
         assert sorted(sectors) == sorted(full)
         for n, vec in sectors.items():
             occ = enumerate_basis(unitaries.shape[1], n).occupations
-            filled = np.any([(occ[:, a] > 0) & (occ[:, b] > 0) for a, b in pairs], axis=0)
+            one_click = np.all([(occ[:, a] > 0) != (occ[:, b] > 0) for a, b in pairs], axis=0)
             assert vec.shape == full[n].shape
-            assert np.array_equal(vec[~filled], full[n][~filled])
-            assert np.all(vec[filled] == 0.0)
+            assert np.array_equal(vec[one_click], full[n][one_click])
+            assert np.all(vec[~one_click] == 0.0)
+
+    def test_p6_live_and_read_row_counts(self):
+        pairs = fringe_pairs(6)
+        tail = sources._photon_number_tail(p6_input())
+        cap = int(np.argmax(tail[1:] <= TAIL_TOLERANCE))
+        assert cap == 10
+        # the pairs alone keep 130,592 rows in sectors 6-10 (a cap of 16 bounds no empty pair)
+        assert sum(len(_support(12, n, pairs, 16)) for n in range(6, 11)) == 130_592
+        live = [len(_support(12, n, pairs, cap)) for n in range(6, 11)]
+        assert live == [5_324, 10_464, 16_464, 17_024, 8_064]
+        read = [len(_one_click_rows(12, n, pairs, cap)[0]) for n in range(6, 11)]
+        assert read == [64, 384, 1_344, 3_584, 8_064]
 
     def test_a_p6_measurement_builds_no_full_basis_successor_table(self):
         _successors.cache_clear()
@@ -616,20 +650,27 @@ class TestExclusivePairs:
         assert _gains.cache_info().currsize == 6
         hits = _successors.cache_info().hits
         for n in range(10):  # every table a full-basis p6 reads
-            _successors(12, n, ())
+            _successors(12, n, (), None)
             assert _successors.cache_info().hits == hits
+
+    def test_the_full_basis_path_builds_no_support_table(self):
+        _support.cache_clear()
+        labeled = build_input(4, SourceModel(0.9, 0.01), cyclic_input_modes(4))
+        noisy_simulate(cyclic_interferometer(4, 0.3), labeled)
+        # with no pairs every row is live: the tables read the basis, never a row list
+        assert _support.cache_info().currsize == 0
 
     def test_working_memory_on_the_support_stays_near_the_output(self):
         unitary, labeled = cyclic_interferometer(6, 0.3), p6_input()
-        noisy_simulate(unitary, labeled, exclusive_pairs=fringe_pairs(6))  # fills the tables
+        noisy_simulate(unitary, labeled, one_click_pairs=fringe_pairs(6))  # fills the tables
         tracemalloc.start()
         try:
-            dist = noisy_simulate(unitary, labeled, exclusive_pairs=fringe_pairs(6))
+            dist = noisy_simulate(unitary, labeled, one_click_pairs=fringe_pairs(6))
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
         output = sum(vec.nbytes for vec in dist.sectors.values())
-        assert peak < 1.4 * output
+        assert peak < 1.3 * output
 
     @pytest.mark.parametrize(
         "pairs, message",
@@ -642,7 +683,7 @@ class TestExclusivePairs:
     )
     def test_overlapping_and_out_of_range_pairs_raise(self, pairs, message):
         with pytest.raises(ValueError, match=message):
-            noisy_simulate(cyclic_interferometer(6, 0.3), p6_input(), exclusive_pairs=pairs)
+            noisy_simulate(cyclic_interferometer(6, 0.3), p6_input(), one_click_pairs=pairs)
 
 
 
