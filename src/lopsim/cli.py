@@ -17,9 +17,9 @@ each stage (fit, simulate, readout).  It simulates only the outcomes
 that can still reach one click per output pair, and keeps only those
 that do: the outcomes the contrast reads.  ``--json`` also reports
 ``dropped_mass``, the probability above the simulated photon-number cap
-that the contrast leaves out.  The first run in a process also builds the Fock-basis and
-support tables, which ``stage_s`` shows under ``simulate``, and the
-per-sector readout tables, which it shows under ``readout``.
+that the contrast leaves out.  The first run in a process also builds
+the live-row tables, which ``stage_s`` shows under ``simulate``, and the
+readout tables, under ``readout``; it never builds a full 12-mode basis.
 
 ``qnn`` trains the three-photon classifier on the bundled iris set with
 the default :class:`~lopsim.qnn.QnnConfig` (seeded by ``--seed``) and

@@ -3,11 +3,12 @@
 Occupation-number states, basis enumeration, matrix permanents, exact
 transition amplitudes and strong simulation of linear-optical circuits.
 
-A :class:`FockBasis` stores every n-photon state on m modes as one
-read-only ``(N, m)`` array of occupations in ascending lexicographic
-order and ranks rows by the combinatorial number system (a table of how
-many completions the remaining modes admit); no other module knows this
-layout, and it is the only basis kind.  Every multi-photon
+A :class:`FockBasis` orders every n-photon state on m modes
+lexicographically and ranks rows by the combinatorial number system (a
+table of how many completions the remaining modes admit); its size and
+ranks are arithmetic on those counts, and its read-only ``(N, m)`` array
+of occupations is built only when first read.  No other module knows
+this layout, and it is the only basis kind.  Every multi-photon
 distribution comes from one kernel that adds a photon from one input
 mode to a vector over the n-photon basis: on amplitudes it is the SLOS
 recursion of Heurtel et al., *Strong simulation of linear optical
@@ -17,7 +18,8 @@ through the same recursion at once (:func:`batched_amplitudes`).  Its
 vectors run over the live rows of a set of disjoint mode pairs and a
 photon cap, those that can still reach one click in every pair, plus one
 sink row; with no pairs every basis row is live, so one family of
-tables, built from the live rows alone, serves both.
+tables, built from the live rows alone, serves both.  Live rows are
+generated by pair pattern, never filtered from the full basis.
 Permanents serve only single amplitudes.
 
 :class:`OutputDistribution` is the one type of every simulated output,
@@ -36,8 +38,9 @@ keyed by state or by tuple, is converted once.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
-from math import factorial, prod, sqrt
+from functools import cached_property, lru_cache
+from itertools import combinations, product
+from math import comb, factorial, prod, sqrt
 from typing import Iterable, Iterator, Mapping
 
 import numpy as np
@@ -123,7 +126,9 @@ class FockBasis:
     |600000000000>.  Any restriction, such as the collision-free rows a
     threshold detector can tell apart, is a mask on these rows and keeps
     their order.  States are built on demand by indexing or iteration;
-    :meth:`rank` maps occupation rows back to their positions.
+    :meth:`rank` maps occupation rows back to their positions.  The size
+    and rank table are arithmetic, so ``len``, ``rank``, ``index`` and
+    ``in`` never build the rows; ``occupations`` is built on first read.
     """
 
     def __init__(self, m: int, n: int):
@@ -133,15 +138,32 @@ class FockBasis:
             raise ValueError(f"photon number must lie in [0, 127], got {n}")
         self.m = m
         self.n = n
+        self.size = comb(m - 1 + n, n)
+        if self.size > np.iinfo(np.intp).max:
+            raise ValueError(f"the ({m}, {n}) basis has {self.size} states, too many to index")
+        # tails[s, k]: rows over the last s modes holding k photons; one
+        # more mode takes 0..k of them, so tails[s + 1] sums tails[s].
+        tails = np.zeros((m, n + 1), dtype=np.intp)
+        tails[0, 0] = 1
+        for s in range(m - 1):
+            tails[s + 1] = np.cumsum(tails[s])
+        # below[i, r, o]: states that put fewer than o photons on mode i
+        # when r photons are left for modes i..m-1.
+        below = np.zeros((m, n + 1, n + 1), dtype=np.intp)
+        for o in range(1, n + 1):
+            below[:, o - 1 :, o] = tails[:, : n + 2 - o]
+        self._below = np.cumsum(below, axis=2)[::-1]
+        self._below.setflags(write=False)
+
+    @cached_property
+    def occupations(self) -> np.ndarray:
+        """One read-only int8 row per state, in order, built on first read."""
         # blocks[k]: rows over the last s modes holding k photons, in
         # order; prepending one mode's occupation keeps them in order.
-        # tails[s, k] counts them.
-        blocks = [np.zeros((1, 0), dtype=np.int8)] + [np.zeros((0, 0), dtype=np.int8)] * n
-        tails = np.zeros((m, n + 1), dtype=np.intp)
-        for s in range(m):
-            tails[s] = [len(b) for b in blocks]
+        blocks = [np.zeros((1, 0), dtype=np.int8)] + [np.zeros((0, 0), dtype=np.int8)] * self.n
+        for s in range(self.m):
             grown = []
-            for k in range(n + 1):
+            for k in range(self.n + 1):
                 parts = [blocks[k - o] for o in range(k + 1)]
                 block = np.empty((sum(map(len, parts)), s + 1), dtype=np.int8)
                 start = 0
@@ -151,15 +173,9 @@ class FockBasis:
                     start += len(part)
                 grown.append(block)
             blocks = grown
-        self.occupations = blocks[n]
-        self.occupations.setflags(write=False)
-        # below[i, r, o]: states that put fewer than o photons on mode i
-        # when r photons are left for modes i..m-1.
-        below = np.zeros((m, n + 1, n + 1), dtype=np.intp)
-        for o in range(1, n + 1):
-            below[:, o - 1 :, o] = tails[:, : n + 2 - o]
-        self._below = np.cumsum(below, axis=2)[::-1]
-        self._below.setflags(write=False)
+        occupations = blocks[self.n]
+        occupations.setflags(write=False)
+        return occupations
 
     def rank(self, rows: np.ndarray) -> np.ndarray:
         """Basis index of each occupation row; ``KeyError`` if any is absent."""
@@ -171,13 +187,13 @@ class FockBasis:
             raise KeyError(f"occupation rows outside the ({self.m}, {self.n}) basis")
         index = np.zeros(len(rows), dtype=np.intp)
         left = np.full(len(rows), self.n)
-        for i, below in enumerate(self._below):
-            index += below[left, rows[:, i]]
-            left -= rows[:, i]
+        for below, column in zip(self._below, rows.T):
+            index += below.ravel()[left * (self.n + 1) + column]
+            left -= column
         return index
 
     def __len__(self) -> int:
-        return len(self.occupations)
+        return self.size
 
     def __iter__(self) -> Iterator[FockState]:
         return (FockState(tuple(row)) for row in self.occupations.tolist())
@@ -196,10 +212,6 @@ class FockBasis:
             return int(self.rank(np.array([state.occupations]))[0])
         except KeyError:
             raise KeyError(f"{state} is not in this basis") from None
-
-    @property
-    def size(self) -> int:
-        return len(self.occupations)
 
 
 class ModeUnitary:
@@ -281,22 +293,14 @@ def enumerate_basis(m: int, n: int) -> FockBasis:
     return FockBasis(m, n)
 
 
-def _pair_clicks(
-    occ: np.ndarray, pairs: tuple[tuple[int, int], ...]
-) -> tuple[np.ndarray, np.ndarray]:
-    """Per row of ``occ``: whether some pair has both modes occupied, and how many are empty."""
-    filled = np.zeros(len(occ), dtype=bool)
-    empty = np.zeros(len(occ), dtype=np.intp)
-    for a, b in pairs:
-        on_a, on_b = occ[:, a] > 0, occ[:, b] > 0
-        filled |= on_a & on_b
-        empty += ~(on_a | on_b)
-    return filled, empty
-
-
 @lru_cache(maxsize=None)
-def _support(m: int, n: int, pairs: tuple[tuple[int, int], ...], cap: int) -> np.ndarray:
-    """Read-only ranks of the live rows of ``enumerate_basis(m, n)``.
+def _live_table(
+    m: int, n: int, pairs: tuple[tuple[int, int], ...], cap: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """Read-only basis ranks and occupation rows of the live n-photon rows, rank ascending.
+
+    With no pairs every row is live, and the kernel reads the basis
+    itself, never these tables.
 
     A row is live when no pair of ``pairs`` has both modes occupied and
     at most ``cap - n`` pairs are empty, so that the photons the cap
@@ -304,13 +308,41 @@ def _support(m: int, n: int, pairs: tuple[tuple[int, int], ...], cap: int) -> np
     never fills a pair and empties at most one, so every row a live row
     comes from is live: the live values depend on the live rows alone.
     A photon added to a dead row gives another dead row, so no outcome
-    with one click in every pair comes from one.  With no pairs every
-    row is live and the kernel reads the basis itself, never this table.
+    with one click in every pair comes from one.
+
+    The rows are generated by pair pattern, not filtered from the basis:
+    for each count k of occupied pairs and choice of k pairs and sides,
+    the ``n - k`` photons left go to those sides and the unpaired modes
+    as the rows of a small basis, in one fancy-index assignment per k.
+    The rows are then ranked and sorted.
     """
-    filled, empty = _pair_clicks(enumerate_basis(m, n).occupations, pairs)
-    rows = np.flatnonzero(~filled & (empty <= cap - n))
+    free = [q for q in range(m) if all(q not in pair for pair in pairs)]
+    blocks = [np.zeros((0, m), dtype=np.int8)]
+    for k in range(max(0, len(pairs) + n - cap), min(len(pairs), n) + 1):
+        width = k + len(free)
+        sides = [(*q, *free) for chosen in combinations(pairs, k) for q in product(*chosen)]
+        modes = np.array(sides, dtype=np.intp)[:, None]
+        if width:
+            spare = enumerate_basis(width, n - k).occupations
+        else:  # every mode paired and none occupied: only the vacuum is left
+            spare = np.zeros((int(n == 0), 0), dtype=np.int8)
+        block = np.zeros((len(sides), len(spare), m), dtype=np.int8)
+        block[np.arange(len(sides))[:, None, None], np.arange(len(spare))[:, None], modes] = (
+            spare + (np.arange(width) < k)
+        )
+        blocks.append(block.reshape(-1, m))
+    rows = np.concatenate(blocks)
+    ranks = enumerate_basis(m, n).rank(rows)
+    order = np.argsort(ranks)
+    ranks, rows = ranks[order], rows[order]
+    ranks.setflags(write=False)
     rows.setflags(write=False)
-    return rows
+    return ranks, rows
+
+
+def _support(m: int, n: int, pairs: tuple[tuple[int, int], ...], cap: int) -> np.ndarray:
+    """Read-only ranks of the live rows of ``enumerate_basis(m, n)`` (see :func:`_live_table`)."""
+    return _live_table(m, n, pairs, cap)[0]
 
 
 def _live_size(m: int, n: int, pairs: tuple[tuple[int, int], ...], cap: int | None) -> int:
@@ -319,9 +351,8 @@ def _live_size(m: int, n: int, pairs: tuple[tuple[int, int], ...], cap: int | No
 
 
 def _live_rows(m: int, n: int, pairs: tuple[tuple[int, int], ...], cap: int | None) -> np.ndarray:
-    """Occupation rows of the live rows, in vector order."""
-    occ = enumerate_basis(m, n).occupations
-    return occ[_support(m, n, pairs, cap)] if pairs else occ
+    """Occupation rows of the live rows, in vector order, generated by pair pattern."""
+    return _live_table(m, n, pairs, cap)[1] if pairs else enumerate_basis(m, n).occupations
 
 
 @lru_cache(maxsize=None)
@@ -341,31 +372,29 @@ def _successors(
     ``cap - n - 1`` pairs empty, which is read from the empty-pair count
     of ``s`` and whether j fills an empty pair, not searched.  The rank
     terms of ``s + e_j`` are those of ``s`` with one more photon left for
-    modes up to j, so each row is a prefix, a term and a suffix, from the
-    live rows alone.  With no pairs the rank is the position; otherwise
-    it is looked up in the grown live ranks.  Every array is read-only.
+    modes up to j, so each row is a prefix, a term and a suffix (the
+    rank of ``s`` less its terms up to j), from the live rows alone.
+    With no pairs the rank is the position; otherwise it is looked up in
+    the grown live ranks.  Every array is read-only.
     """
     occ = _live_rows(m, n, pairs, cap)
     below = enumerate_basis(m, n + 1)._below
     table = np.empty((m, len(occ) + 1), dtype=np.intp)
-    terms = table[:, :-1]
-    left = np.full(len(occ), n)
-    for i in range(m):
-        terms[i] = below[i, left, occ[:, i]]
-        left -= occ[:, i]
-    suffix, prefix = terms.sum(axis=0), 0
-    left = np.full(len(occ), n + 1)
+    suffix = _support(m, n, pairs, cap).copy() if pairs else np.arange(len(occ))
+    prefix, left = 0, np.full(len(occ), n)
     for j in range(m):
-        suffix -= terms[j]
-        terms[j] = prefix + below[j, left, occ[:, j] + 1] + suffix
-        prefix = prefix + below[j, left, occ[:, j]]
+        flat, at = below[j].ravel(), left * (n + 2) + occ[:, j]
+        suffix -= flat[at]
+        at += n + 2
+        table[j, :-1] = prefix + flat[at + 1] + suffix
+        prefix = prefix + flat[at]
         left -= occ[:, j]
     if not pairs:
         table[:, -1] = len(enumerate_basis(m, n + 1))
         table.setflags(write=False)
         return tuple((slice(None), table[j]) for j in range(m))
     grown = _support(m, n + 1, pairs, cap)
-    _, empty = _pair_clicks(occ, pairs)
+    empty = sum((occ[:, a] == 0) & (occ[:, b] == 0) for a, b in pairs)
     partner = {a: b for pair in pairs for a, b in (pair, pair[::-1])}
     steps = []
     for j in range(m):
@@ -374,7 +403,7 @@ def _successors(
         else:
             kept = empty < cap - n
         rows = np.flatnonzero(kept)
-        targets = np.searchsorted(grown, terms[j, rows])
+        targets = np.searchsorted(grown, table[j, rows])
         rows.setflags(write=False)
         targets.setflags(write=False)
         steps.append((rows, targets))
@@ -397,12 +426,10 @@ def _gains(
 def _one_click_rows(
     m: int, n: int, pairs: tuple[tuple[int, int], ...], cap: int
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Vector positions and basis ranks of the live rows with one click in every pair, read-only."""
-    _, empty = _pair_clicks(_live_rows(m, n, pairs, cap), pairs)
-    at = np.flatnonzero(empty == 0)
-    ranks = _support(m, n, pairs, cap)[at]
+    """Vector positions and ranks of the one-click-per-pair rows (live at a cap of n), read-only."""
+    ranks = _support(m, n, pairs, min(n, cap))
+    at = np.searchsorted(_support(m, n, pairs, cap), ranks)
     at.setflags(write=False)
-    ranks.setflags(write=False)
     return at, ranks
 
 

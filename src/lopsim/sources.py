@@ -63,6 +63,7 @@ from .fock import (
     _add_photon,
     _expand_support,
     _live_size,
+    _live_table,
     enumerate_basis,
     outcome_arrays,
 )
@@ -619,11 +620,18 @@ def cyclic_interferometer(n_photons: int, alpha: float) -> ModeUnitary:
     return _cyclic_circuit(n_photons, alpha).unitary()
 
 
+def _output_pairs(n_photons: int, m: int) -> tuple[tuple[int, int], ...]:
+    """The fringe's output pairs ``(2k, 2k + 1)``; refuses fewer than ``2 * n_photons`` modes."""
+    if m < 2 * n_photons:
+        raise ValueError(f"the {n_photons}-photon fringe needs {2 * n_photons} modes, got {m}")
+    return tuple((2 * k, 2 * k + 1) for k in range(n_photons))
+
+
 def _fringe_classes(rows: np.ndarray, n_photons: int) -> tuple[np.ndarray, np.ndarray]:
     """Indices of the constructive (even odd-mode clicks) and destructive one-click-per-pair rows."""
     width = 2 * n_photons
-    if len(rows) and rows.shape[1] < width:
-        raise ValueError(f"the {n_photons}-photon fringe needs {width} modes, got {rows.shape[1]}")
+    if len(rows):
+        _output_pairs(n_photons, rows.shape[1])
     clicks = rows[:, :width].reshape(len(rows), width) > 0
     right = clicks[:, 1::2]
     valid = np.all(clicks[:, 0::2] != right, axis=1)
@@ -633,8 +641,14 @@ def _fringe_classes(rows: np.ndarray, n_photons: int) -> tuple[np.ndarray, np.nd
 
 @lru_cache(maxsize=None)
 def _fringe_table(m: int, n: int, n_photons: int) -> tuple[np.ndarray, np.ndarray]:
-    """Read-only :func:`_fringe_classes` of one distribution sector's basis rows."""
-    classes = _fringe_classes(enumerate_basis(m, n).occupations, n_photons)
+    """Read-only basis ranks of one sector's :func:`_fringe_classes`.
+
+    Its rows with one click in every output pair are the live rows of
+    those pairs at a cap of n (:func:`~lopsim.fock._live_table`), so
+    they are generated, not searched for in the basis.
+    """
+    ranks, rows = _live_table(m, n, _output_pairs(n_photons, m), n)
+    classes = tuple(ranks[at] for at in _fringe_classes(rows, n_photons))
     for index in classes:
         index.setflags(write=False)
     return classes
@@ -676,8 +690,7 @@ def _fringe_distribution(n_photons: int, src: SourceModel, alpha: float) -> Outp
     """
     unitary = cyclic_interferometer(n_photons, alpha)
     labeled = build_input(n_photons, src, modes=cyclic_input_modes(n_photons))
-    pairs = tuple((2 * k, 2 * k + 1) for k in range(n_photons))
-    return noisy_simulate(unitary, labeled, one_click_pairs=pairs)
+    return noisy_simulate(unitary, labeled, one_click_pairs=_output_pairs(n_photons, unitary.m))
 
 
 def measure_genuine_indistinguishability(

@@ -1,7 +1,9 @@
 """Brute-force reference implementations used only by the test suite.
 
 Each function here recomputes a quantity through a route independent of
-the library code: Fock bases filtered from every occupation tuple,
+the library code: Fock bases filtered from every occupation tuple, the
+live rows of a set of one-click pairs and the cyclic-fringe classes
+filtered from every row of the full basis,
 factorial-cost permanents, the collision-free sampling probabilities and
 validation counters from one permanent pair per pattern, full second-quantized
 state-vector evolution, explicit classical routing enumeration, the
@@ -73,6 +75,7 @@ from lopsim.sources import (
     TAIL_TOLERANCE,
     _accumulate,
     _cyclic_circuit,
+    _fringe_classes,
     _photon_number_tail,
     build_input,
     cyclic_input_modes,
@@ -91,6 +94,39 @@ def fock_basis_rows(m: int, n: int, collision_free: bool) -> np.ndarray:
     cap = 1 if collision_free else n
     rows = sorted(r for r in itertools.product(range(cap + 1), repeat=m) if sum(r) == n)
     return np.array(rows, dtype=np.int8).reshape(len(rows), m)
+
+
+def _pair_clicks(
+    occ: np.ndarray, pairs: tuple[tuple[int, int], ...]
+) -> tuple[np.ndarray, np.ndarray]:
+    """Per row of ``occ``: whether some pair has both modes occupied, and how many are empty."""
+    filled = np.zeros(len(occ), dtype=bool)
+    empty = np.zeros(len(occ), dtype=np.intp)
+    for a, b in pairs:
+        on_a, on_b = occ[:, a] > 0, occ[:, b] > 0
+        filled |= on_a & on_b
+        empty += ~(on_a | on_b)
+    return filled, empty
+
+
+def live_rows_by_filter(
+    m: int, n: int, pairs: tuple[tuple[int, int], ...], cap: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """Ranks and rows of the live rows, filtered from every row of the full basis.
+
+    A row is kept when it fills no pair and leaves at most ``cap - n``
+    pairs empty: the filter the live-row tables used before they were
+    generated by pair pattern.
+    """
+    occ = enumerate_basis(m, n).occupations
+    filled, empty = _pair_clicks(occ, pairs)
+    ranks = np.flatnonzero(~filled & (empty <= cap - n))
+    return ranks, occ[ranks]
+
+
+def fringe_classes_by_filter(m: int, n: int, n_photons: int) -> tuple[np.ndarray, np.ndarray]:
+    """Constructive and destructive ranks of one sector, classified over every basis row."""
+    return _fringe_classes(enumerate_basis(m, n).occupations, n_photons)
 
 
 def permanent_by_permutations(a: np.ndarray) -> complex:

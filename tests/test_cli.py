@@ -10,7 +10,7 @@ import pytest
 
 from lopsim import cli
 from lopsim.cli import main
-from lopsim.fock import _gains, _one_click_rows, _successors, _support
+from lopsim.fock import _gains, _live_table, _one_click_rows, _successors
 from lopsim.sources import (
     SourceModel,
     _fringe_table,
@@ -36,7 +36,7 @@ def test_fringe_json_reports_p6(capsys):
 
 def test_fringe_json_is_the_same_with_cold_and_warm_readout_tables(capsys):
     _fringe_table.cache_clear()
-    _support.cache_clear()
+    _live_table.cache_clear()
     _successors.cache_clear()
     _gains.cache_clear()
     _one_click_rows.cache_clear()

@@ -24,12 +24,15 @@ from hypothesis import strategies as st
 
 from lopsim import fock, sources
 from lopsim.fock import (
+    FockBasis,
     FockState,
     ModeUnitary,
     OutputDistribution,
     _add_photon,
     _gains,
     _glynn_deltas,
+    _live_rows,
+    _live_table,
     _one_click_rows,
     _successors,
     _support,
@@ -56,7 +59,9 @@ from _oracles import (
     classical_routing_probability,
     evolve_state_vector,
     fock_basis_rows,
+    fringe_classes_by_filter,
     fringe_contrast_rows,
+    live_rows_by_filter,
     per_subset_noisy_sectors,
 )
 
@@ -70,6 +75,17 @@ def basis_shapes(draw):
     m = draw(st.integers(1, 8))
     n = draw(st.integers(0, 5))
     return m, n
+
+
+@st.composite
+def live_row_keys(draw):
+    """A table key ``(m, n, pairs, cap)``: sorted disjoint pairs, often with modes left unpaired."""
+    m = draw(st.integers(2, 8))
+    order = draw(st.permutations(range(m)))
+    count = draw(st.integers(1, m // 2))
+    pairs = tuple(sorted(tuple(sorted(order[2 * k : 2 * k + 2])) for k in range(count)))
+    n = draw(st.integers(0, 6))
+    return m, n, pairs, draw(st.integers(n, n + 3))
 
 
 @st.composite
@@ -105,12 +121,36 @@ class TestBasisRank:
                 basis.index(FockState(tuple(row)))
             assert FockState(tuple(row)) not in basis
 
+    @pytest.mark.parametrize("m, n", [(2, 12), (3, 40)])
+    def test_rank_and_successors_of_crowded_rows(self, m, n):
+        # an occupation times the rank table's width leaves the int8 range
+        basis, grown = enumerate_basis(m, n), enumerate_basis(m, n + 1)
+        assert np.array_equal(basis.rank(basis.occupations), np.arange(len(basis)))
+        for step, (_, targets) in zip(np.eye(m, dtype=np.int8), _successors(m, n, (), None)):
+            assert np.array_equal(targets[:-1], grown.rank(basis.occupations + step))
+
+    def test_a_basis_too_large_to_index_is_refused(self):
+        with pytest.raises(ValueError, match="too many to index"):
+            FockBasis(70, 127)
+
     def test_basis_is_ordered_and_read_only(self):
         basis = enumerate_basis(5, 3)
         rows = [tuple(r) for r in basis.occupations.tolist()]
         assert rows == sorted(set(rows))
         with pytest.raises(ValueError):
             basis.occupations[0, 0] = 1
+
+    def test_size_and_rank_need_no_rows(self):
+        basis = FockBasis(12, 10)
+        assert len(basis) == basis.size == 352_716
+        last = FockState((10,) + (0,) * 11)
+        assert basis.index(last) == len(basis) - 1 and last in basis
+        assert "occupations" not in vars(basis)
+        # built on first read: the same order the rank table gives, read-only
+        rows = basis.occupations
+        assert rows.dtype == np.int8 and not rows.flags.writeable
+        assert np.array_equal(basis.rank(rows), np.arange(len(basis)))
+        assert basis.index(basis[12_345]) == 12_345
 
 
 class TestBasisTables:
@@ -182,10 +222,35 @@ class TestBasisTables:
                 assert np.array_equal(at, one_click)
                 assert np.array_equal(read, np.array(ranks, dtype=np.intp)[one_click])
 
+    @settings(max_examples=80, deadline=None)
+    @given(key=live_row_keys())
+    def test_live_rows_are_the_filtered_basis_rows(self, key):
+        ranks, rows = live_rows_by_filter(*key)
+        assert np.array_equal(_support(*key), ranks)
+        assert np.array_equal(_live_rows(*key), rows)
+        assert _live_rows(*key).dtype == np.int8
+
+    def test_a_cap_below_n_leaves_no_live_rows(self):
+        pairs = ((0, 1), (2, 5))
+        assert len(_support(6, 3, pairs, 2)) == 0
+        assert _live_rows(6, 3, pairs, 2).shape == (0, 6)
+        assert len(_one_click_rows(6, 3, pairs, 2)[0]) == 0
+
+    @pytest.mark.parametrize("m", range(4, 13))
+    def test_fringe_tables_match_the_filtered_basis(self, m):
+        # every N the modes hold, so m > 2N as well as m = 2N
+        for n_photons in range(2, m // 2 + 1):
+            for n in range(min(2 * n_photons, 8) + 1):
+                for table, oracle in zip(
+                    _fringe_table(m, n, n_photons), fringe_classes_by_filter(m, n, n_photons)
+                ):
+                    assert np.array_equal(table, oracle)
+
     @pytest.mark.parametrize(
         "table",
         [
             lambda: enumerate_basis(4, 2)._below,
+            lambda: enumerate_basis(4, 2).occupations,
             lambda: _successors(4, 2, (), None)[0][1],
             lambda: _gains(4, 2, (), None),
             lambda: _glynn_deltas(4)[0],
@@ -200,7 +265,7 @@ class TestBasisTables:
             lambda: _one_click_rows(6, 3, ((0, 1), (2, 5)), 4)[1],
         ],
         ids=[
-            "below", "successors", "gains", "glynn_deltas", "glynn_signs",
+            "below", "rows", "successors", "gains", "glynn_deltas", "glynn_signs",
             "fringe_constructive", "fringe_destructive",
             "support", "support_successors", "support_successor_rows", "support_gains",
             "one_click_positions", "one_click_ranks",
@@ -654,11 +719,11 @@ class TestExclusivePairs:
             assert _successors.cache_info().hits == hits
 
     def test_the_full_basis_path_builds_no_support_table(self):
-        _support.cache_clear()
+        _live_table.cache_clear()
         labeled = build_input(4, SourceModel(0.9, 0.01), cyclic_input_modes(4))
         noisy_simulate(cyclic_interferometer(4, 0.3), labeled)
         # with no pairs every row is live: the tables read the basis, never a row list
-        assert _support.cache_info().currsize == 0
+        assert _live_table.cache_info().currsize == 0
 
     def test_working_memory_on_the_support_stays_near_the_output(self):
         unitary, labeled = cyclic_interferometer(6, 0.3), p6_input()
@@ -685,6 +750,38 @@ class TestExclusivePairs:
         with pytest.raises(ValueError, match=message):
             noisy_simulate(cyclic_interferometer(6, 0.3), p6_input(), one_click_pairs=pairs)
 
+
+
+class TestColdStart:
+    """A fresh process's p6 builds the tables it reads, and no 12-mode basis rows."""
+
+    SOURCE = SourceModel(indistinguishability=(0.93, 0.88, 0.95, 0.90, 0.92, 0.91), g2=0.0075)
+
+    @staticmethod
+    def clear_tables():
+        for table in (
+            enumerate_basis, _live_table, _successors, _gains, _one_click_rows, _fringe_table
+        ):
+            table.cache_clear()
+
+    def test_a_cold_p6_builds_no_full_basis_rows(self):
+        self.clear_tables()
+        sources.measure_genuine_indistinguishability(6, self.SOURCE, 0.3)
+        assert enumerate_basis.cache_info().currsize > 0
+        for n in range(11):  # every sector of the p6 cap
+            assert "occupations" not in vars(enumerate_basis(12, n))
+
+    def test_a_cold_p6_peak_stays_small(self):
+        # the full 12-mode bases alone hold 7.4 MB; the filtered tables
+        # peaked at 27.6 MB, the generated ones at about 12 MB
+        self.clear_tables()
+        tracemalloc.start()
+        try:
+            sources.measure_genuine_indistinguishability(6, self.SOURCE, 0.3)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 16e6
 
 
 class TestDroppedWeight:
