@@ -106,7 +106,7 @@ def _as_unitary(gate: GateCircuit | np.ndarray) -> np.ndarray:
     mat = np.asarray(gate, dtype=complex)
     if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
         raise ValueError("gate unitary must be a square matrix")
-    if not np.allclose(mat @ mat.conj().T, np.eye(mat.shape[0]), atol=1e-10):
+    if not np.allclose(mat @ mat.conj().T, np.eye(mat.shape[0]), rtol=0, atol=1e-10):
         raise ValueError("gate matrix is not unitary")
     return mat
 

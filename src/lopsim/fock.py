@@ -14,8 +14,10 @@ mode to a vector over the n-photon basis: on amplitudes it is the SLOS
 recursion of Heurtel et al., *Strong simulation of linear optical
 processes* (Comput. Phys. Commun. 291, 108848 (2023)); on ``|U|^2`` it
 is the classical convolution.  A trailing batch axis runs many unitaries
-through the same recursion at once (:func:`batched_amplitudes`).  Its
-vectors run over the live rows of a set of disjoint mode pairs and a
+through the same recursion at once, and one coherent pass
+(:func:`_coherent_prefixes`) serves both :func:`batched_amplitudes` and
+the noisy trigger sum of :mod:`lopsim.sources`.  The kernel's vectors
+run over the live rows of a set of disjoint mode pairs and a
 photon cap, those that can still reach one click in every pair, plus one
 sink row; with no pairs every basis row is live, so one family of
 tables, built from the live rows alone, serves both.  Live rows are
@@ -24,15 +26,16 @@ Permanents serve only single amplitudes.
 
 :class:`OutputDistribution` is the one type of every simulated output,
 ideal or from a noisy source: a probability vector per photon-number
-sector over the cached basis, plus the mass a collision-free
-restriction kept (``subspace_weight``) and the mass a simulation left
-out (``dropped_weight``).  Every readout (click patterns, postselection,
-pattern merging, the collision-free restriction of threshold detectors)
-is a mask or group-by on one outcome view, :func:`outcome_arrays`:
-``(K, m)`` occupation rows and ``(K,)`` values.  An
-:class:`OutputDistribution` hands over its arrays through
-``outcomes()``; any other mapping, such as the counts of :func:`sample`,
-keyed by state or by tuple, is converted once.
+sector over the cached basis, plus the mass a simulation left out
+(``dropped_weight``).  The simulators return full vectors; a reader that
+wants a restricted view, such as the collision-free outcomes of
+threshold detectors (:mod:`lopsim.validation`), restricts them itself.
+Every readout (click patterns, postselection, pattern merging) is a mask
+or group-by on one outcome view, :func:`outcome_arrays`: ``(K, m)``
+occupation rows and ``(K,)`` values.  An :class:`OutputDistribution`
+hands over its arrays through ``outcomes()``; any other mapping, such as
+the counts of :func:`sample`, keyed by state or by tuple, is converted
+once.
 """
 
 from __future__ import annotations
@@ -40,8 +43,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from itertools import combinations, product
-from math import comb, factorial, prod, sqrt
-from typing import Iterable, Iterator, Mapping
+from math import comb, factorial, isfinite, prod, sqrt
+from typing import Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
 
@@ -515,31 +518,55 @@ def _add_photon(
     return out
 
 
-def batched_amplitudes(unitaries: np.ndarray, input_modes: np.ndarray) -> np.ndarray:
-    """Output amplitudes of B inputs through B unitaries in one SLOS pass.
+def _coherent_prefixes(
+    unitaries: np.ndarray, wanted: Sequence[tuple[int, ...]],
+    pairs: tuple[tuple[int, int], ...] = (), cap: int | None = None,
+) -> dict[tuple[int, ...], np.ndarray]:
+    """Amplitudes of every prefix of every mode tuple in ``wanted``, from the vacuum.
 
-    ``unitaries`` is ``(B, m, m)`` and ``input_modes`` is ``(B, n)``: row
-    b lists the input mode of each photon of input b (repeats bunch).
-    Returns ``(B, N)`` amplitudes over ``enumerate_basis(m, n)``, row b
-    being ``<t|U_b|s_b>`` for every basis state t.  The photons of all B
-    inputs are added one position at a time through the batched kernel,
-    from the vacuum and its sink row; the sink is dropped and
-    ``sqrt(prod s_i!)`` divided out for bunched inputs.
+    ``unitaries`` is ``(B, m, m)``; a tuple's photons are added in its
+    order.  The prefixes of one length take one more SLOS step from their
+    heads in one batched :func:`_add_photon` call, column block i adding
+    prefix i's last mode to its head.  Each column gets the products of
+    a call of its own, added in the same order (plus exact zeros where
+    only another column's mode reaches an output), so every prefix is
+    bit for bit that call's.  Returns ``(K + 1, B)`` live vectors of
+    ``(pairs, cap)`` keyed by prefix, the vacuum under ``()``, with no
+    bunching division (:func:`_unbunched`).
+    """
+    count, m = unitaries.shape[:2]
+    vacuum = np.zeros((_live_size(m, 0, pairs, cap) + 1, count), dtype=complex)
+    vacuum[:-1] = 1.0  # the vacuum row, when it is live; the sink stays 0
+    prefixes = {(): vacuum}
+    for k in range(max(map(len, wanted), default=0)):
+        grow = sorted({modes[: k + 1] for modes in wanted if len(modes) > k})
+        heads = np.concatenate([prefixes[p[:-1]] for p in grow], axis=1)
+        columns = np.concatenate([unitaries[:, :, p[-1]].T for p in grow], axis=1)
+        grown = _add_photon(heads, k, columns, True, pairs=pairs, cap=cap)
+        for i, p in enumerate(grow):
+            prefixes[p] = grown[:, i * count : (i + 1) * count]
+    return prefixes
+
+
+def _unbunched(amp: np.ndarray, modes: tuple[int, ...]) -> np.ndarray:
+    """``amp`` divided by ``sqrt(prod s_i!)`` of the input that ``modes`` lists."""
+    bunching = prod(factorial(modes.count(q)) for q in set(modes))
+    return amp / sqrt(bunching) if bunching > 1 else amp
+
+
+def batched_amplitudes(unitaries: np.ndarray, modes: Sequence[int]) -> np.ndarray:
+    """Output amplitudes of one input through B unitaries in one SLOS pass.
+
+    ``unitaries`` is ``(B, m, m)`` and ``modes`` lists the input mode of
+    each photon (repeats bunch), shared by every unitary.  Returns
+    ``(B, N)`` amplitudes over ``enumerate_basis(m, n)``, row b being
+    ``<t|U_b|s>`` for every basis state t: the one-tuple case of
+    :func:`_coherent_prefixes`, its sink dropped and divided by
+    :func:`_unbunched`.
     """
     unitaries = np.asarray(unitaries, dtype=complex)
-    input_modes = np.asarray(input_modes, dtype=np.intp)
-    rows = np.arange(len(input_modes))
-    amp = np.zeros((2, len(rows)), dtype=complex)
-    amp[0] = 1.0
-    for n, modes in enumerate(input_modes.T):
-        amp = _add_photon(amp, n, unitaries[rows, :, modes].T, coherent=True)
-    amp = amp[:-1].T
-    occ = np.zeros((len(rows), unitaries.shape[1]), dtype=np.intp)
-    np.add.at(occ, (rows[:, None], input_modes), 1)
-    if np.all(occ <= 1):
-        return amp
-    table = np.array([factorial(k) for k in range(input_modes.shape[1] + 1)], dtype=float)
-    return amp / np.sqrt(np.prod(table[occ], axis=1))[:, None]
+    modes = tuple(int(q) for q in modes)
+    return _unbunched(_coherent_prefixes(unitaries, [modes])[modes][:-1].T, modes)
 
 
 def _submatrix(u: np.ndarray, input_state: FockState, output_state: FockState) -> np.ndarray:
@@ -577,14 +604,12 @@ class OutputDistribution(Mapping[FockState, float]):
     only sectors with mass are kept.  Iteration, ``items`` and ``len``
     cover the nonzero outcomes, and so do ``in``, ``get`` and ``[]``:
     ``[]`` raises KeyError elsewhere, while :meth:`prob` is total and
-    returns 0.0 there.  A collision-free result (see
-    :func:`strong_simulate`) is the same vector with its bunched outcomes
-    set to 0 and the rest renormalized; ``subspace_weight`` is the mass
-    the kept outcomes carried before.  ``dropped_weight`` is the mass a
-    simulation left out (see :func:`lopsim.sources.noisy_simulate`), so
-    ``total() + dropped_weight`` is 1 before any postselection.  The
-    vectors given are kept, not copied; one is clipped into a new array
-    only when it holds a negative rounding residue.
+    returns 0.0 there.  ``dropped_weight`` is the mass a simulation left
+    out (see :func:`lopsim.sources.noisy_simulate`), so ``total() +
+    dropped_weight`` is 1 before any postselection.  The vectors given
+    are kept, not copied; one is clipped into a new array only when it
+    holds a negative rounding residue.  A negative, NaN or infinite
+    probability is refused.
     """
 
     def __init__(
@@ -592,7 +617,6 @@ class OutputDistribution(Mapping[FockState, float]):
         m: int,
         sectors: Mapping[int, np.ndarray],
         *,
-        subspace_weight: float = 1.0,
         dropped_weight: float = 0.0,
     ):
         self.m = m
@@ -606,9 +630,11 @@ class OutputDistribution(Mapping[FockState, float]):
                 raise ValueError("negative or NaN probability")
             if low < 0.0:
                 vec = np.clip(vec, 0.0, None)
-            if vec.sum() > 0.0:
+            total = vec.sum()
+            if not isfinite(total):  # NaN was refused above, so an infinity or an overflow
+                raise ValueError(f"infinite probability mass in the {n}-photon sector")
+            if total > 0.0:
                 self.sectors[n] = vec
-        self.subspace_weight = float(subspace_weight)
         self.dropped_weight = float(dropped_weight)
 
     @property
@@ -664,7 +690,6 @@ class OutputDistribution(Mapping[FockState, float]):
         conditioned = OutputDistribution(
             self.m,
             {n: self.sectors[n] / weight},
-            subspace_weight=self.subspace_weight,
             dropped_weight=self.dropped_weight / weight,
         )
         return conditioned, weight
@@ -684,30 +709,16 @@ class OutputDistribution(Mapping[FockState, float]):
 SampleCounts = dict[FockState, int]
 
 
-def strong_simulate(
-    unitary: ModeUnitary,
-    input_state: FockState,
-    collision_free: bool = False,
-) -> OutputDistribution:
+def strong_simulate(unitary: ModeUnitary, input_state: FockState) -> OutputDistribution:
     """Exact output distribution of ``input_state`` through ``unitary``.
 
     The B = 1 case of :func:`batched_amplitudes`: photons are added one
     input mode at a time by the SLOS kernel, which yields every output
-    amplitude at once.  With ``collision_free`` the bunched outcomes are
-    masked to 0 and the rest renormalized (threshold-detector view), and
-    ``subspace_weight`` keeps the mass they carried.
+    amplitude at once.
     """
     _check_states(unitary, input_state)
-    m, n = input_state.m, input_state.n
-    modes = np.array([input_state.modes()], dtype=np.intp)
-    probs = np.abs(batched_amplitudes(unitary.matrix[None], modes)[0]) ** 2
-    if not collision_free:
-        return OutputDistribution(m, {n: probs})
-    free = np.all(enumerate_basis(m, n).occupations <= 1, axis=1)
-    weight = probs[free].sum()
-    if weight <= 0.0:
-        raise ValueError("no probability mass in the collision-free subspace")
-    return OutputDistribution(m, {n: np.where(free, probs / weight, 0.0)}, subspace_weight=weight)
+    probs = np.abs(batched_amplitudes(unitary.matrix[None], input_state.modes())[0]) ** 2
+    return OutputDistribution(input_state.m, {input_state.n: probs})
 
 
 def _seeded_rng(seed: np.random.Generator | int) -> np.random.Generator:
@@ -726,14 +737,14 @@ def _shot_count(
 ):
     """``shots`` as an int, or None (exact) unless ``required``.
 
-    Refuses counts below 1, fractions, a count without an ``rng`` and,
-    for a draw that has no exact form, a missing count.
+    Refuses counts below 1, fractions, infinities, NaN, a count without
+    an ``rng`` and, for a draw that has no exact form, a missing count.
     """
     if shots is None:
         if required:
             raise ValueError(f"{name} must be given as a whole number of at least 1, got None")
         return None
-    if int(shots) != shots or shots < 1:
+    if not 1 <= shots < np.inf or int(shots) != shots:  # before int() meets an inf or a NaN
         raise ValueError(f"{name} must be a whole number of at least 1, got {shots}")
     if rng is None:
         raise ValueError(f"sampled {name} need a seeded rng; got rng=None")
@@ -745,12 +756,11 @@ def sample(
     input_state: FockState,
     shots: int,
     rng: np.random.Generator | int,
-    collision_free: bool = False,
 ) -> SampleCounts:
     """Draw ``shots`` outcomes by inverse-CDF sampling of the exact distribution."""
     rng = _seeded_rng(rng)
     shots = _shot_count(shots, rng, required=True)
-    rows, p = strong_simulate(unitary, input_state, collision_free=collision_free).outcomes()
+    rows, p = strong_simulate(unitary, input_state).outcomes()
     draws = rng.choice(len(p), size=shots, p=p / p.sum())
     tallies = np.bincount(draws, minlength=len(p))
     return {FockState(tuple(rows[i].tolist())): int(tallies[i]) for i in np.flatnonzero(tallies)}

@@ -165,8 +165,7 @@ def pattern_distributions(
     diag = np.ones((len(phases), N_MODES), dtype=complex)
     diag[:, ENCODING_MODES] = np.exp(1j * phases)
     unitaries = second.unitary().matrix @ (diag[:, :, None] * first.unitary().matrix)
-    inputs = np.broadcast_to(INPUT_MODES, (len(phases), N_PHOTONS))
-    merged = np.abs(batched_amplitudes(unitaries, inputs)) ** 2 @ _pattern_table()[1]
+    merged = np.abs(batched_amplitudes(unitaries, INPUT_MODES)) ** 2 @ _pattern_table()[1]
     if shots is not None:
         pvals = merged / merged.sum(axis=1, keepdims=True)
         merged = rng.multinomial(shots, pvals) / shots

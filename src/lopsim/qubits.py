@@ -419,10 +419,10 @@ def logical_distributions(
     significant bit.
     """
     unitaries = np.asarray(unitaries, dtype=complex)
-    count, m = unitaries.shape[:2]
+    m = unitaries.shape[1]
     modes = np.asarray(input_modes, dtype=np.intp)
     if source is None:
-        amps = batched_amplitudes(unitaries, np.broadcast_to(modes, (count, len(modes))))
+        amps = batched_amplitudes(unitaries, modes)
         sectors = {len(modes): np.abs(amps.T) ** 2}
     else:
         sectors, _ = batched_noisy_sectors(unitaries, build_input(len(modes), source, modes))

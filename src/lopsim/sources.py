@@ -46,11 +46,10 @@ from __future__ import annotations
 import itertools
 import json
 import warnings
-from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from importlib import resources
-from math import factorial, prod, sqrt
+from math import prod
 from pathlib import Path
 from typing import Mapping, Sequence
 
@@ -61,9 +60,11 @@ from .fock import (
     ModeUnitary,
     OutputDistribution,
     _add_photon,
+    _coherent_prefixes,
     _expand_support,
     _live_size,
     _live_table,
+    _unbunched,
     enumerate_basis,
     outcome_arrays,
 )
@@ -348,34 +349,6 @@ def _pair_key(pairs: Sequence[Sequence[int]], m: int) -> tuple[tuple[int, int], 
     return key
 
 
-def _coherent_prefixes(
-    unitaries: np.ndarray, wanted: Sequence[tuple[int, ...]],
-    pairs: tuple[tuple[int, int], ...], cap: int,
-) -> dict[tuple[int, ...], np.ndarray]:
-    """Amplitudes of every prefix of every sorted mode tuple in ``wanted``, from the vacuum.
-
-    The prefixes of one length take one more SLOS step from their heads
-    in one batched :func:`~lopsim.fock._add_photon` call, column block i
-    adding prefix i's last mode to its head.  Each column gets the
-    products of a call of its own, added in the same order (plus exact
-    zeros where only another column's mode reaches an output), so every
-    prefix is bit for bit that call's.  Returns ``(K + 1, B)`` live
-    vectors keyed by prefix, the vacuum under ``()``.
-    """
-    count, m = unitaries.shape[:2]
-    vacuum = np.zeros((_live_size(m, 0, pairs, cap) + 1, count), dtype=complex)
-    vacuum[:-1] = 1.0  # the vacuum row, when it is live; the sink stays 0
-    prefixes = {(): vacuum}
-    for k in range(max(map(len, wanted), default=0)):
-        grow = sorted({modes[: k + 1] for modes in wanted if len(modes) > k})
-        heads = np.concatenate([prefixes[p[:-1]] for p in grow], axis=1)
-        columns = np.concatenate([unitaries[:, :, p[-1]].T for p in grow], axis=1)
-        grown = _add_photon(heads, k, columns, True, pairs=pairs, cap=cap)
-        for i, p in enumerate(grow):
-            prefixes[p] = grown[:, i * count : (i + 1) * count]
-    return prefixes
-
-
 def batched_noisy_sectors(
     unitaries: np.ndarray,
     labeled: LabeledInput,
@@ -389,14 +362,16 @@ def batched_noisy_sectors(
     set, modes sorted, are those of the set without its last mode plus
     one SLOS step, so each prefix is computed once: 2^n - 1 photon
     additions for n distinct triggers instead of n 2^(n-1), in one
-    batched call per prefix length.  Each set gets the additions and the
-    bunching division of its own :func:`~lopsim.fock.batched_amplitudes`
-    pass, in the same order, so its coherent term is bit for bit that
-    pass's.  The classical steps fold in one trigger at a time (2^n - 1
-    D's, not n 2^(n-1); sums round in another order), in place through
-    one scratch buffer, column b taking ``|U_b[:, q]|^2``.  A batch pays
-    off on small sectors only; on large ones its strided scatters cost
-    more than the Python calls it saves.
+    batched call per prefix length.  The prefixes come from the coherent
+    pass that :func:`~lopsim.fock.batched_amplitudes` runs for one tuple
+    (:func:`~lopsim.fock._coherent_prefixes`) and are divided by the
+    same :func:`~lopsim.fock._unbunched`, so each set's coherent term is
+    bit for bit the one that call gives for its modes (on the live rows,
+    with pairs).  The classical steps fold in one trigger at a time
+    (2^n - 1 D's, not n 2^(n-1); sums round in another order), in place
+    through one scratch buffer, column b taking ``|U_b[:, q]|^2``.  A
+    batch pays off on small sectors only; on large ones its strided
+    scatters cost more than the Python calls it saves.
 
     ``one_click_pairs`` lists disjoint mode pairs of which the caller
     reads only the outcomes with exactly one click in every pair.  Every
@@ -435,10 +410,7 @@ def batched_noisy_sectors(
     prefixes = _coherent_prefixes(unitaries, [modes for modes, _ in shared.values()], pairs, cap)
     terms: dict[tuple[bool, ...], dict[int, np.ndarray]] = {}
     for members, (shared_modes, weight) in shared.items():
-        amp = prefixes[shared_modes]
-        bunching = prod(factorial(c) for c in Counter(shared_modes).values())
-        if bunching > 1:
-            amp = amp / sqrt(bunching)
+        amp = _unbunched(prefixes[shared_modes], shared_modes)
         terms[members] = {len(shared_modes): weight * np.abs(amp) ** 2}
     del prefixes  # the classical fold needs none of the amplitudes
     for column, unique, lost in zip(columns, labeled.unique, labeled.lost):  # Horner order
@@ -484,8 +456,9 @@ def noisy_simulate(
 
     This is the B = 1 case of :func:`batched_noisy_sectors`, as
     :func:`~lopsim.fock.strong_simulate` is of
-    :func:`~lopsim.fock.batched_amplitudes`; a batch of one runs the
-    one-dimensional photon-addition kernel.
+    :func:`~lopsim.fock.batched_amplitudes`; both read the same coherent
+    pass, and a batch of one runs the one-dimensional photon-addition
+    kernel.
 
     Args:
         unitary: the interferometer.
@@ -780,9 +753,9 @@ def fit_product_model(matrix: np.ndarray) -> tuple[np.ndarray, float]:
     n = matrix.shape[0]
     if matrix.shape != (n, n):
         raise ValueError("matrix must be square")
-    if not np.allclose(matrix, matrix.T, atol=1e-9):
+    if not np.allclose(matrix, matrix.T, rtol=0, atol=1e-9):
         raise ValueError("matrix must be symmetric")
-    if not np.allclose(np.diag(matrix), 1.0, atol=1e-9):
+    if not np.allclose(np.diag(matrix), 1.0, rtol=0, atol=1e-9):
         raise ValueError("diagonal entries must be 1")
     pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
     values = np.array([matrix[i, j] for i, j in pairs])

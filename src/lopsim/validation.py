@@ -1,21 +1,24 @@
 """Statistical validation of multiphoton sampling experiments.
 
-One :class:`CollisionFreeReference` per experiment holds the two vectors
-every draw and counter step reads: the ideal (coherent) and the
-distinguishable (classical routing) probabilities over
-``enumerate_basis(m, n)``, zero on the bunched rows and renormalized over
-the collision-free ones.  :func:`collision_free_reference` builds it from
-one ``strong_simulate(..., collision_free=True)`` and one
-``noisy_simulate`` with a fully distinguishable (m = 0) source.
+Events are validated on the collision-free outcomes, as threshold
+detectors see them (Spagnolo et al., Nat. Photon. 8, 615 (2014)), and
+this module alone restricts to them: one cached mask over
+``enumerate_basis(m, n)`` zeroes the bunched rows and renormalizes the
+rest.  One :class:`CollisionFreeReference` per experiment holds the two
+vectors every draw and counter step reads, so restricted: the ideal
+(coherent) probabilities from one ``strong_simulate``, and the
+distinguishable (classical routing) ones from one ``noisy_simulate``
+with a fully distinguishable (m = 0) source.
 
 :func:`sample_outcomes` draws events from either vector or uniformly over
-the K = C(m, n) collision-free patterns.  :func:`run_validation` ranks
-each event once and steps two likelihood-ratio counters by +1 or -1:
-the uniform-sampler counter (Aaronson and Arkhipov) steps up when the
-event's ideal probability is at least 1/K, the distinguishable-sampler
-counter (Spagnolo et al.) when it is at least the distinguishable one;
-an event both hypotheses rule out is logged and counted against.  A
-positive long-run slope favors genuine multiphoton interference.
+the K = C(m, n) collision-free patterns of the same mask.
+:func:`run_validation` ranks each event once and steps two
+likelihood-ratio counters by +1 or -1: the uniform-sampler counter
+(Aaronson and Arkhipov) steps up when the event's ideal probability is
+at least 1/K, the distinguishable-sampler counter (Spagnolo et al.) when
+it is at least the distinguishable one; an event both hypotheses rule
+out is logged and counted against.  A positive long-run slope favors
+genuine multiphoton interference.
 
 The module also provides a distribution-level comparison (fidelity,
 total variation distance, residuals).
@@ -25,6 +28,7 @@ from __future__ import annotations
 
 import logging
 from dataclasses import dataclass, field, replace
+from functools import lru_cache
 from math import comb
 from typing import Iterable
 
@@ -127,6 +131,23 @@ class CollisionFreeReference:
         return comb(self.m, self.n)
 
 
+@lru_cache(maxsize=None)
+def _collision_free_rows(m: int, n: int) -> np.ndarray:
+    """Read-only mask of the collision-free rows of ``enumerate_basis(m, n)``."""
+    free = np.all(enumerate_basis(m, n).occupations <= 1, axis=1)
+    free.setflags(write=False)
+    return free
+
+
+def _restrict_collision_free(probs: np.ndarray, m: int, n: int) -> tuple[np.ndarray, float]:
+    """``probs`` zeroed on the bunched rows and renormalized, and the mass it kept."""
+    free = _collision_free_rows(m, n)
+    mass = probs[free].sum()
+    if not mass > 0.0:  # refused before the division, which would warn
+        raise ValueError("no probability mass in the collision-free subspace")
+    return np.where(free, probs / mass, 0.0), float(mass)
+
+
 def collision_free_reference(
     unitary: ModeUnitary, input_state: FockState
 ) -> CollisionFreeReference:
@@ -134,21 +155,12 @@ def collision_free_reference(
     if not input_state.is_collision_free():
         raise ValueError("reference requires a collision-free input state")
     m, n = unitary.m, input_state.n
-    coherent = strong_simulate(unitary, input_state, collision_free=True)
-    distinguishable = build_input(
-        n, SourceModel(indistinguishability=0.0), modes=input_state.modes()
-    )
-    classical = noisy_simulate(unitary, distinguishable).sectors[n]
-    free = np.all(enumerate_basis(m, n).occupations <= 1, axis=1)
-    classical_mass = classical[free].sum()
-    return CollisionFreeReference(
-        m=m,
-        n=n,
-        ideal=coherent.sectors[n],
-        distinguishable=np.where(free, classical / classical_mass, 0.0),
-        ideal_mass=coherent.subspace_weight,
-        classical_mass=float(classical_mass),
-    )
+    coherent = strong_simulate(unitary, input_state).sectors[n]
+    ideal, ideal_mass = _restrict_collision_free(coherent, m, n)
+    labeled = build_input(n, SourceModel(indistinguishability=0.0), modes=input_state.modes())
+    classical = noisy_simulate(unitary, labeled).sectors[n]
+    distinguishable, classical_mass = _restrict_collision_free(classical, m, n)
+    return CollisionFreeReference(m, n, ideal, distinguishable, ideal_mass, classical_mass)
 
 
 def sample_outcomes(
@@ -172,7 +184,8 @@ def sample_outcomes(
         raise ValueError(f"unknown hypothesis {hypothesis!r}; expected {HYPOTHESES}")
     rows = enumerate_basis(reference.m, reference.n).occupations
     if hypothesis == "uniform":
-        weights = np.where(np.all(rows <= 1, axis=1), 1.0 / reference.n_outcomes, 0.0)
+        free = _collision_free_rows(reference.m, reference.n)
+        weights = np.where(free, 1.0 / reference.n_outcomes, 0.0)
     else:
         weights = reference.ideal if hypothesis == "ideal" else reference.distinguishable
     picks = rng.choice(len(rows), size=n_events, p=weights)

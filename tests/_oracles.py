@@ -690,14 +690,14 @@ def apply_element_numpy(u: np.ndarray, element) -> None:
 def rail_amplitudes_slos(unitary: np.ndarray, enc: QubitEncoding) -> np.ndarray:
     """Logical matrix of a mode unitary from one batched SLOS pass.
 
-    The 2^n rail inputs run through ``batched_amplitudes`` over the whole
-    n-photon basis and are read at the 2^n rail outputs by rank.
+    Each of the 2^n rail inputs runs through ``batched_amplitudes`` over
+    the whole n-photon basis, and is read at the 2^n rail outputs by rank.
     """
     n = enc.n_qubits
     dim = 1 << n
     bits = (np.arange(dim)[:, None] >> np.arange(n - 1, -1, -1)) & 1
     rails = np.array(enc.qubit_pairs, dtype=np.intp)[np.arange(n), bits]
-    amps = batched_amplitudes(np.broadcast_to(unitary, (dim, *unitary.shape)), rails)
+    amps = np.concatenate([batched_amplitudes(unitary[None], row) for row in rails])
     rows = np.zeros((dim, enc.n_modes), dtype=np.intp)
     rows[np.arange(dim)[:, None], rails] = 1
     return amps[:, enumerate_basis(enc.n_modes, n).rank(rows)].T

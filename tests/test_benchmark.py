@@ -337,11 +337,22 @@ def test_shots_per_config_below_one_is_rejected_before_the_executor_runs(shots):
     assert calls == []
 
 
-def test_a_fractional_shot_count_is_rejected():
+@pytest.mark.parametrize("shots", [2.5, float("inf"), float("nan")])
+def test_a_fractional_shot_count_is_rejected(shots):
     plan = build_plan(T_CIRCUIT, 1)
     executor = depolarizing_executor(T_CIRCUIT, 0.0)
     with pytest.raises(ValueError, match="shots_per_config must be a whole number"):
-        estimate_favg(plan, executor, shots_per_config=2.5, seed=0)
+        estimate_favg(plan, executor, shots_per_config=shots, seed=0)
+
+
+@pytest.mark.parametrize(
+    "entry", [lambda g: build_plan(g, 1), lambda g: depolarizing_executor(g, 0.0)],
+    ids=["build_plan", "depolarizing_executor"],
+)
+def test_a_gate_matrix_off_unitary_by_more_than_the_tolerance_is_refused(entry):
+    # 1.000004 I deviates from unitarity by 8e-6, far above the stated 1e-10
+    with pytest.raises(ValueError, match="not unitary"):
+        entry(1.000004 * np.eye(2))
 
 
 def test_executor_output_is_validated():

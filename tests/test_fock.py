@@ -14,6 +14,7 @@ from lopsim.fock import (
     strong_simulate,
 )
 from lopsim.sources import SourceModel, build_input, noisy_simulate
+from lopsim.validation import collision_free_reference
 
 from _oracles import (
     classical_routing_probability,
@@ -80,9 +81,10 @@ class TestBasis:
         with pytest.raises(KeyError):
             basis.index(FockState.from_string("310000"))
 
-    def test_overfull_collision_free_rejected(self):
+    def test_no_collision_free_mass_rejected(self):
+        # Hong-Ou-Mandel: both photons leave a balanced coupler together
         with pytest.raises(ValueError, match="no probability mass"):
-            strong_simulate(ModeUnitary(np.eye(3)), FockState((2, 1, 1)), collision_free=True)
+            collision_free_reference(coupler(0.5), FockState((1, 1)))
 
 
 class TestPermanent:
@@ -212,13 +214,14 @@ class TestStrongSimulate:
         u = ModeUnitary.haar_random(8, rng)
         s = FockState.from_string("11110000")
         full = strong_simulate(u, s)
-        cf = strong_simulate(u, s, collision_free=True)
+        ref = collision_free_reference(u, s)
         mass = sum(full.prob(t) for t in collision_free_states(8, 4))
-        assert cf.subspace_weight == pytest.approx(mass, abs=1e-9)
-        assert cf.total() == pytest.approx(1.0, abs=1e-9)
+        assert ref.ideal_mass == pytest.approx(mass, abs=1e-9)
+        assert ref.ideal.sum() == pytest.approx(1.0, abs=1e-9)
+        basis = enumerate_basis(8, 4)
         for t in collision_free_states(8, 4):
-            assert cf.prob(t) == pytest.approx(full.prob(t) / mass, abs=1e-9)
-        assert all(state.is_collision_free() for state in cf)
+            assert ref.ideal[basis.index(t)] == pytest.approx(full.prob(t) / mass, abs=1e-9)
+        assert all(basis[i].is_collision_free() for i in np.flatnonzero(ref.ideal))
 
     def test_mapping_lookups_match_iteration(self):
         dist = strong_simulate(ModeUnitary(np.eye(2)), FockState((1, 0)))
@@ -237,9 +240,9 @@ class TestStrongSimulate:
         rng = np.random.default_rng(21)
         u = ModeUnitary.haar_random(12, rng)
         s = FockState.from_string("111111000000")
-        dist = strong_simulate(u, s, collision_free=True)
-        assert len(dist) == 924
-        assert dist.total() == pytest.approx(1.0, abs=1e-9)
+        ideal = collision_free_reference(u, s).ideal
+        assert np.count_nonzero(ideal) == 924
+        assert ideal.sum() == pytest.approx(1.0, abs=1e-9)
 
 
 def test_output_distribution_clips_a_rounding_residue_and_drops_empty_sectors():
@@ -254,6 +257,11 @@ def test_output_distribution_clips_a_rounding_residue_and_drops_empty_sectors():
     assert OutputDistribution(2, {2: kept}).sectors[2] is kept
     with pytest.raises(ValueError, match="negative or NaN"):
         OutputDistribution(2, {2: np.array([0.5, -1e-11, 0.5])})
+
+
+def test_output_distribution_refuses_an_infinite_sector():
+    with pytest.raises(ValueError, match="infinite probability mass in the 1-photon sector"):
+        OutputDistribution(2, {1: np.array([np.inf, 0.0])})
 
 
 class TestSampling:
@@ -274,7 +282,7 @@ class TestSampling:
         counts = sample(u, s, shots=321, rng=0)
         assert sum(counts.values()) == 321
 
-    @pytest.mark.parametrize("shots", [0, 2.5])
+    @pytest.mark.parametrize("shots", [0, 2.5, float("inf"), float("nan")])
     def test_a_shot_count_must_be_a_whole_number(self, shots):
         with pytest.raises(ValueError, match="shots must be a whole number"):
             sample(coupler(0.5), FockState.from_string("11"), shots, rng=0)

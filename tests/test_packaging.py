@@ -1,9 +1,10 @@
 """Packaging metadata: an installed copy carries every bundled data file,
 every console script resolves to a callable, every name a module exports
 or the package imports exists, no module-level definition, method or
-property is dead, no module draws from an unseeded generator, and
-importing the package (or running ``lopsim fringe`` or ``lopsim vqe``)
-loads no scipy module, so a fresh process starts without paying for it."""
+property is dead, no module draws from an unseeded generator, every
+``np.allclose``/``np.isclose`` sets its ``rtol``, and importing the
+package (or running ``lopsim fringe`` or ``lopsim vqe``) loads no scipy
+module, so a fresh process starts without paying for it."""
 
 import ast
 import importlib
@@ -217,6 +218,24 @@ def test_no_module_draws_from_an_unseeded_generator():
                 isinstance(node, ast.Call)
                 and getattr(node.func, "attr", getattr(node.func, "id", None)) == "default_rng"
                 and id(node) not in helper
+            ):
+                offenders.append(f"{path.name}:{node.lineno}")
+    assert offenders == []
+
+
+def test_every_allclose_sets_its_rtol():
+    # np.allclose and np.isclose add rtol (1e-5 by default) times the
+    # reference to the atol a check states, so a check that leaves rtol
+    # unset accepts a deviation of 1e-5 where it says 1e-9.
+    offenders = []
+    for path in sorted((ROOT / "src" / "lopsim").glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if (
+                isinstance(node, ast.Call)
+                and getattr(node.func, "attr", getattr(node.func, "id", None))
+                in ("allclose", "isclose")
+                and len(node.args) < 3
+                and all(keyword.arg != "rtol" for keyword in node.keywords)
             ):
                 offenders.append(f"{path.name}:{node.lineno}")
     assert offenders == []

@@ -296,12 +296,13 @@ def test_an_empty_search_is_refused(field):
         qnn_train(TOY_FEATURES, TOY_LABELS, config)
 
 
-def test_a_fractional_shot_count_is_refused():
+@pytest.mark.parametrize("shots", [2.5, float("inf"), float("nan")])
+def test_a_fractional_shot_count_is_refused(shots):
     rng = np.random.default_rng(6)
     theta = rng.uniform(0.0, 2.0 * np.pi, N_THETA)
     phases = rng.uniform(0.0, np.pi, (2, N_FEATURES))
     with pytest.raises(ValueError, match="shots must be a whole number"):
-        pattern_distributions(theta, phases, shots=2.5, rng=np.random.default_rng(0))
+        pattern_distributions(theta, phases, shots=shots, rng=np.random.default_rng(0))
 
 
 def test_training_input_validation():

@@ -181,7 +181,6 @@ def distributions(draw):
     dist = OutputDistribution(
         m,
         {n: vec / scale for n, vec in sectors.items()},
-        subspace_weight=draw(st.floats(0.5, 1.0)) if collision_free else 1.0,
         dropped_weight=draw(st.floats(0.0, 1e-6)),
     )
     return dist, collision_free
@@ -211,6 +210,5 @@ def test_accessors_agree_with_the_outcome_view(drawn):
         assert list(conditioned.sectors) == [n]
         assert conditioned.total() == pytest.approx(1.0, abs=1e-12)
         assert conditioned.dropped_weight == pytest.approx(dist.dropped_weight / weight)
-        assert conditioned.subspace_weight == dist.subspace_weight
     with pytest.raises(ValueError, match="sector"):
         dist.postselect_photon_number(max(weights, default=0) + 1)

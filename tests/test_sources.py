@@ -142,6 +142,17 @@ class TestIndistinguishabilityMatrix:
         with pytest.raises(ValueError):
             fit_product_model(matrix)
 
+    @pytest.mark.parametrize(
+        "diagonal, upper, lower, match",
+        [(1.0 + 5e-6, 0.9, 0.9, "diagonal"), (1.0, 0.9, 0.9 + 5e-6, "symmetric")],
+        ids=["diagonal", "symmetry"],
+    )
+    def test_product_fit_checks_hold_their_stated_tolerance(self, diagonal, upper, lower, match):
+        # both checks say atol=1e-9; a deviation of 5e-6 is refused
+        matrix = np.array([[diagonal, upper], [lower, 1.0]])
+        with pytest.raises(ValueError, match=match):
+            fit_product_model(matrix)
+
     def test_source_from_pairwise_matrix(self):
         matrix = load_indistinguishability_matrix()
         src = SourceModel.from_pairwise_matrix(matrix, g2=0.0075)

@@ -95,7 +95,7 @@ def test_sampler_draws_the_rows_its_weights_were_built_for():
         assert events == tuple(cf[i] for i in picks)
 
 
-@pytest.mark.parametrize("n_events", [0, 2.5])
+@pytest.mark.parametrize("n_events", [0, 2.5, float("inf"), float("nan")])
 def test_an_event_count_must_be_a_whole_number(n_events):
     with pytest.raises(ValueError, match="n_events must be a whole number"):
         sample_outcomes(REF5, n_events, np.random.default_rng(0))

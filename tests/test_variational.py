@@ -256,7 +256,7 @@ def test_build_mitigation_sampled_columns_are_stochastic():
     assert np.allclose(gamma.matrix, flip_tensor(0.03), atol=0.05)
 
 
-@pytest.mark.parametrize("shots", [0, 2.5])
+@pytest.mark.parametrize("shots", [0, 2.5, float("inf"), float("nan")])
 def test_build_mitigation_rejects_a_bad_shot_count_before_the_backend_runs(shots):
     calls = []
 
@@ -343,11 +343,12 @@ def test_measure_energy_rejects_nonpositive_shots():
         measure_energy(h2_hamiltonian(0.75), np.zeros(7), backend, shots=0)
 
 
-def test_measure_energy_rejects_a_fractional_shot_count():
+@pytest.mark.parametrize("shots", [2.5, float("inf"), float("nan")])
+def test_measure_energy_rejects_a_fractional_shot_count(shots):
     backend = PhotonicVqeBackend()
     with pytest.raises(ValueError, match="shots must be a whole number"):
         measure_energy(
-            h2_hamiltonian(0.75), np.zeros(7), backend, shots=2.5, rng=np.random.default_rng(0)
+            h2_hamiltonian(0.75), np.zeros(7), backend, shots=shots, rng=np.random.default_rng(0)
         )
 
 
