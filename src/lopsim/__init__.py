@@ -47,7 +47,6 @@ from lopsim.hardware import (
 )
 from lopsim.qubits import (
     GateCircuit,
-    GateCompiler,
     PostselectionRule,
     QubitEncoding,
     compile_gate_circuit,

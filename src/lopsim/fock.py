@@ -562,10 +562,14 @@ def batched_amplitudes(unitaries: np.ndarray, modes: Sequence[int]) -> np.ndarra
     ``(B, N)`` amplitudes over ``enumerate_basis(m, n)``, row b being
     ``<t|U_b|s>`` for every basis state t: the one-tuple case of
     :func:`_coherent_prefixes`, its sink dropped and divided by
-    :func:`_unbunched`.
+    :func:`_unbunched`.  A mode outside ``[0, m)`` raises ``ValueError``.
     """
     unitaries = np.asarray(unitaries, dtype=complex)
     modes = tuple(int(q) for q in modes)
+    m = unitaries.shape[-1]
+    for mode in modes:
+        if not 0 <= mode < m:
+            raise ValueError(f"mode {mode} out of range for m={m}")
     return _unbunched(_coherent_prefixes(unitaries, [modes])[modes][:-1].T, modes)
 
 

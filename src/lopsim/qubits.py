@@ -32,13 +32,21 @@ interferometers to postselected logical distributions, for an ideal or
 a noisy source: the F_avg executor and the GHZ fidelity call it, and
 Pauli and stabilizer expectations are sign vectors applied to its rows.
 Only the VQE backend still reads each circuit out of its Fock
-distribution with :func:`logical_distribution`.  The module also owns
-the 2x2 gate constants that other modules import.
+distribution with :func:`logical_distribution`.
+
+:func:`compile_gate_circuit` is the one compile.  It reads three bounded
+``lru_cache`` tables: the elements of each gate, each checked gate list
+(elements, read-only mode matrix, success product) and the rotations of
+each measurement word.  A VQE sweep step therefore decomposes only the
+angle it moved, and the two settings of one energy evaluation share one
+checked matrix.  The module also owns the 2x2 gate constants that other
+modules import.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Mapping, Sequence
 
 import numpy as np
@@ -75,7 +83,6 @@ __all__ = [
     "GHZ_HERALD_MODES",
     "GHZ_OUTPUT_PAIRS",
     "GHZ_MEASUREMENT_SETTINGS",
-    "GateCompiler",
     "compile_gate_circuit",
     "encoding_input_state",
     "pauli_measurement_setting",
@@ -195,7 +202,10 @@ class Gate:
         if name in _ROTATION_GATES:
             if self.angle is None:
                 raise ValueError(f"{name} needs an angle")
-            object.__setattr__(self, "angle", float(self.angle))
+            angle = float(self.angle)
+            if not np.isfinite(angle):
+                raise ValueError(f"{name} angle must be finite, got {angle}")
+            object.__setattr__(self, "angle", angle)
         elif self.angle is not None:
             raise ValueError(f"{name} takes no angle")
 
@@ -213,24 +223,6 @@ def _single_qubit_matrix(gate: Gate) -> np.ndarray:
     if gate.name == "RY":
         return np.array([[np.cos(half), -np.sin(half)], [np.sin(half), np.cos(half)]])
     return np.diag([np.exp(-1j * half), np.exp(1j * half)])
-
-
-def _logical_step(u: np.ndarray, gate: Gate, n_qubits: int) -> np.ndarray:
-    """The 2^n x 2^n logical matrix ``u`` followed by one more gate.
-
-    A single-qubit gate contracts its 2x2 matrix with the row axis of
-    its qubit (rows viewed as ``(2^q, 2, rest)``); a CNOT or Toffoli
-    permutes the rows, flipping the target bit where every control is 1.
-    ``u`` is read, never written.
-    """
-    dim = len(u)
-    if gate.name in ("CNOT", "TOFFOLI"):
-        index = np.arange(dim)
-        *controls, target = gate.qubits
-        fire = np.all([(index >> (n_qubits - 1 - c)) & 1 for c in controls], axis=0)
-        return u[index ^ (fire << (n_qubits - 1 - target))]
-    q = gate.qubits[0]
-    return (_single_qubit_matrix(gate) @ u.reshape(1 << q, 2, -1)).reshape(dim, dim)
 
 
 @dataclass(frozen=True)
@@ -255,10 +247,22 @@ class GateCircuit:
                 raise ValueError(f"bad measurement word {self.measurement!r}")
 
     def logical_unitary(self) -> np.ndarray:
-        """The 2^n x 2^n unitary of the gate list (qubit 0 = leftmost bit)."""
-        u = np.eye(1 << self.n_qubits, dtype=complex)
+        """The 2^n x 2^n unitary of the gate list (qubit 0 = leftmost bit).
+
+        A single-qubit gate contracts its 2x2 matrix with the row axis of
+        its qubit (rows viewed as ``(2^q, 2, rest)``); a CNOT or Toffoli
+        permutes the rows, flipping the target bit where every control is 1.
+        """
+        n, dim = self.n_qubits, 1 << self.n_qubits
+        u, index = np.eye(dim, dtype=complex), np.arange(dim)
         for gate in self.gates:
-            u = _logical_step(u, gate, self.n_qubits)
+            if gate.name in ("CNOT", "TOFFOLI"):
+                *controls, target = gate.qubits
+                fire = np.all([(index >> (n - 1 - c)) & 1 for c in controls], axis=0)
+                u = u[index ^ (fire << (n - 1 - target))]
+            else:
+                q = gate.qubits[0]
+                u = (_single_qubit_matrix(gate) @ u.reshape(1 << q, 2, -1)).reshape(dim, dim)
         return u
 
     @classmethod
@@ -333,7 +337,8 @@ class PostselectionRule:
     a tuple of alternative herald patterns; each pattern fixes the exact
     photon count on a set of modes and the state must match one of them.
     With ``threshold`` the rule only distinguishes click from no-click on
-    every mode, which is what threshold detectors resolve.
+    every mode, which is what threshold detectors resolve.  Every mode
+    the rule reads must be nonnegative.
     """
 
     qubit_pairs: tuple[tuple[int, int], ...]
@@ -341,16 +346,32 @@ class PostselectionRule:
     heralds: tuple[tuple[tuple[int, int], ...], ...] = ()
     threshold: bool = False
 
+    def __post_init__(self) -> None:
+        negative = [mode for mode in self._modes() if mode < 0]
+        if negative:
+            raise ValueError(f"postselection modes must be nonnegative, got {negative}")
+
+    def _modes(self) -> list[int]:
+        """Every mode the rule reads: rails, vacuum modes and herald modes."""
+        return [
+            *(mode for pair in self.qubit_pairs for mode in pair),
+            *self.vacuum_modes,
+            *(mode for pattern in self.heralds for mode, _ in pattern),
+        ]
+
     def readout(self, rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Acceptance mask and logical index of each occupation row.
 
         ``rows`` is a ``(K, m)`` occupation array; the index reads qubit
         0 as the most significant bit and is meaningful only where the
-        mask is set.
+        mask is set.  A rule mode at or past m raises ``ValueError``.
         """
         rows = np.asarray(rows)
         if not rows.size:
             return np.zeros(len(rows), dtype=bool), np.zeros(len(rows), dtype=np.intp)
+        outside = [mode for mode in self._modes() if mode >= rows.shape[1]]
+        if outside:
+            raise ValueError(f"rule reads modes {outside}, rows have {rows.shape[1]} modes")
         seen = np.minimum(rows, 1) if self.threshold else rows
         pairs = np.array(self.qubit_pairs, dtype=np.intp).reshape(-1, 2)
         rail1 = seen[:, pairs[:, 1]]
@@ -452,16 +473,6 @@ def _pauli_signs(word: str) -> np.ndarray:
 # Compilation
 
 
-def _allocate_ancillas(pool: list[int], count: int, gate: Gate) -> list[int]:
-    if len(pool) < count:
-        raise CompilationError(
-            f"mode budget exceeded: {gate.name} needs {count} fresh ancilla"
-            f" modes, {len(pool)} left"
-        )
-    taken, pool[:] = pool[:count], pool[count:]
-    return taken
-
-
 def _cnot_elements(
     control: tuple[int, int], target: tuple[int, int], ancillas: Sequence[int]
 ) -> list[CircuitElement]:
@@ -558,136 +569,71 @@ def pauli_measurement_setting(word: str, enc: QubitEncoding) -> PhotonicCircuit:
     return circuit
 
 
-@dataclass(frozen=True, eq=False)
-class _CompiledGate:
-    """One gate boundary of a compiled circuit: the gate, its elements,
-    and the state after it (read-only mode matrix, logical matrix,
-    remaining ancilla pool, success product)."""
+@lru_cache(maxsize=256)
+def _gate_elements(
+    gate: Gate, qubit_pairs: tuple[tuple[int, int], ...], ancillas: tuple[int, ...]
+) -> tuple[CircuitElement, ...]:
+    """Elements of one gate on its qubits' rail pairs; entangling gates use ``ancillas``."""
+    pairs = [qubit_pairs[q] for q in gate.qubits]
+    if gate.name == "CNOT":
+        return tuple(_cnot_elements(*pairs, ancillas))
+    if gate.name == "TOFFOLI":
+        hadamard = two_mode_gate_elements(_H, *pairs[2])
+        return (*hadamard, *_ccz_elements(pairs, ancillas), *hadamard)
+    return tuple(two_mode_gate_elements(_single_qubit_matrix(gate), *pairs[0]))
 
-    gate: Gate
-    elements: tuple[CircuitElement, ...]
-    modes: np.ndarray
-    logical: np.ndarray
-    pool: tuple[int, ...]
-    success: float
 
+@lru_cache(maxsize=64)
+def _checked_gates(
+    gates: tuple[Gate, ...], enc: QubitEncoding
+) -> tuple[tuple[CircuitElement, ...], np.ndarray, float]:
+    """Elements, read-only mode matrix and success product of a checked gate list.
 
-class GateCompiler:
-    """Compiles gate circuits on one encoding, reusing the last circuit's work.
-
-    The compiler records the last circuit it compiled, one entry per gate
-    boundary.  A new circuit resumes from the longest prefix of gates
-    equal to the record's (angles compared exactly; 0.0 and -0.0 are
-    equal and decompose alike) and applies only the remaining gates'
-    elements, in element order, onto a copy of the recorded mode matrix;
-    the logical matrix is extended gate by gate the way
-    :meth:`GateCircuit.logical_unitary` builds it.  Each product is
-    therefore formed by the same operations in the same order as from
-    scratch, and every result is bit-identical to a fresh compile.  Gates
-    without an angle (H, T, CNOT, Toffoli) are decomposed once per
-    compiler and ancilla assignment, and a measurement word once per
-    compiler.  A rotation gate is looked up in the last circuit's
-    rotations (keyed by :class:`Gate`, rebuilt on every compile, so it
-    holds one circuit's worth) before it is decomposed, so an unchanged
-    angle after the first changed gate is not decomposed again; the
-    decomposition depends on the gate alone.  The compile
-    check runs in full on every call.  The record is one circuit deep.
+    Entangling gates take fresh ancillas from the encoding pool in gate
+    order, and the elements are applied onto the identity in element
+    order.  The check compares the logical matrix of the mode matrix, 4^n
+    rail permanents (:func:`_rail_amplitudes`), with
+    :meth:`GateCircuit.logical_unitary` up to one constant, to 1e-9, and
+    the constant's squared magnitude with the success product.  The
+    result is a pure function of the list and the encoding, so a repeated
+    list gets back the matrix its check passed; a failing list raises.
     """
-
-    def __init__(self, enc: QubitEncoding):
-        self.enc = enc
-        self._record: list[_CompiledGate] = []
-        self._fixed: dict[tuple[Gate, tuple[int, ...]], tuple[CircuitElement, ...]] = {}
-        self._rotations: dict[Gate, tuple[CircuitElement, ...]] = {}
-        self._settings: dict[str, list[CircuitElement]] = {}
-
-    def _decompose(self, gate: Gate, pool: list[int]) -> tuple[CircuitElement, ...]:
-        """Elements of one gate; entangling gates take fresh ancillas from ``pool``."""
-        enc = self.enc
-        if gate.name in _ROTATION_GATES:
-            if gate in self._rotations:
-                return self._rotations[gate]
-            mat = _single_qubit_matrix(gate)
-            return tuple(two_mode_gate_elements(mat, *enc.qubit_pairs[gate.qubits[0]]))
+    modes = np.eye(enc.n_modes, dtype=complex)
+    pool, success = enc.ancilla_modes, 1.0
+    elements: list[CircuitElement] = []
+    for gate in gates:
         count = {"CNOT": 2, "TOFFOLI": 4}.get(gate.name, 0)
-        ancillas = tuple(_allocate_ancillas(pool, count, gate))
-        key = (gate, ancillas)
-        if key not in self._fixed:
-            pairs = [enc.qubit_pairs[q] for q in gate.qubits]
-            if gate.name == "CNOT":
-                elements = _cnot_elements(*pairs, ancillas)
-            elif gate.name == "TOFFOLI":
-                hadamard = two_mode_gate_elements(_H, *pairs[2])
-                elements = [*hadamard, *_ccz_elements(pairs, ancillas), *hadamard]
-            else:
-                elements = two_mode_gate_elements(_single_qubit_matrix(gate), *pairs[0])
-            self._fixed[key] = tuple(elements)
-        return self._fixed[key]
-
-    def compile(
-        self, gc: GateCircuit
-    ) -> tuple[PhotonicCircuit, PostselectionRule, float, ModeUnitary]:
-        """Compile ``gc``; the result is that of :func:`compile_gate_circuit`."""
-        enc = self.enc
-        if enc.n_qubits != gc.n_qubits:
+        if len(pool) < count:
             raise CompilationError(
-                f"encoding has {enc.n_qubits} qubits, circuit needs {gc.n_qubits}"
+                f"mode budget exceeded: {gate.name} needs {count} fresh ancilla"
+                f" modes, {len(pool)} left"
             )
-        record = self._record
-        kept = 0
-        for step, gate in zip(record, gc.gates):
-            if step.gate != gate:
-                break
-            kept += 1
-        del record[kept:]
-        if record:
-            last = record[-1]
-            modes, logical = last.modes.copy(), last.logical
-            pool, success = list(last.pool), last.success
-        else:
-            modes = np.eye(enc.n_modes, dtype=complex)
-            logical = np.eye(1 << gc.n_qubits, dtype=complex)
-            pool, success = list(enc.ancilla_modes), 1.0
-        for gate in gc.gates[kept:]:
-            elements = self._decompose(gate, pool)
-            for element in elements:
-                _apply_element(modes, element)
-            logical = _logical_step(logical, gate, gc.n_qubits)
-            if gate.name == "CNOT":
-                success *= CNOT_SUCCESS
-            elif gate.name == "TOFFOLI":
-                success *= TOFFOLI_SUCCESS
-            frozen = modes.copy()
-            frozen.setflags(write=False)
-            logical.setflags(write=False)
-            record.append(_CompiledGate(gate, elements, frozen, logical, tuple(pool), success))
-        self._rotations = {
-            step.gate: step.elements for step in record if step.gate.name in _ROTATION_GATES
-        }
+        for element in _gate_elements(gate, enc.qubit_pairs, pool[:count]):
+            _apply_element(modes, element)
+            elements.append(element)
+        pool = pool[count:]
+        success *= {"CNOT": CNOT_SUCCESS, "TOFFOLI": TOFFOLI_SUCCESS}.get(gate.name, 1.0)
 
-        realized = _rail_amplitudes(modes, enc)
-        anchor = np.unravel_index(np.argmax(np.abs(logical)), logical.shape)
-        scale = realized[anchor] / logical[anchor]
-        deviation = float(np.max(np.abs(realized - scale * logical)))
-        weight = float(abs(scale) ** 2)
-        if not (deviation <= 1e-9 and abs(weight - success) <= 1e-9):
-            raise CompilationError(
-                f"compiled circuit deviates from the logical unitary by {deviation:.2e}"
-                f" (tolerance 1e-9) and has success weight {weight:.6g} against the"
-                f" expected {success:.6g}"
-            )
+    logical = GateCircuit(enc.n_qubits, gates).logical_unitary()
+    realized = _rail_amplitudes(modes, enc)
+    anchor = np.unravel_index(np.argmax(np.abs(logical)), logical.shape)
+    scale = realized[anchor] / logical[anchor]
+    deviation = float(np.max(np.abs(realized - scale * logical)))
+    weight = float(abs(scale) ** 2)
+    if not (deviation <= 1e-9 and abs(weight - success) <= 1e-9):
+        raise CompilationError(
+            f"compiled circuit deviates from the logical unitary by {deviation:.2e}"
+            f" (tolerance 1e-9) and has success weight {weight:.6g} against the"
+            f" expected {success:.6g}"
+        )
+    modes.setflags(write=False)
+    return tuple(elements), modes, success
 
-        elements = [element for step in record for element in step.elements]
-        word = gc.measurement
-        if word is not None:
-            if word not in self._settings:
-                self._settings[word] = pauli_measurement_setting(word, enc).elements
-            setting = self._settings[word]
-            for element in setting:
-                _apply_element(modes, element)
-            elements.extend(setting)
-        rule = PostselectionRule(enc.qubit_pairs, vacuum_modes=enc.ancilla_modes)
-        return PhotonicCircuit(enc.n_modes, elements), rule, success, ModeUnitary(modes)
+
+@lru_cache(maxsize=16)
+def _setting_elements(word: str, enc: QubitEncoding) -> tuple[CircuitElement, ...]:
+    """Elements of the basis-change rotations of one measurement word."""
+    return tuple(pauli_measurement_setting(word, enc).elements)
 
 
 def compile_gate_circuit(
@@ -695,27 +641,38 @@ def compile_gate_circuit(
 ) -> tuple[PhotonicCircuit, PostselectionRule, float, ModeUnitary]:
     """Compile a gate circuit to mode elements plus its postselection rule.
 
-    This is one :class:`GateCompiler` used once, so nothing is reused.  A
-    caller compiling many circuits that share leading gates should hold
-    a compiler instead; its results are bit-identical to this function's.
     Entangling gates draw fresh ancilla modes from the encoding pool so
     their postselected actions compose exactly; running out of ancillas
-    raises ``CompilationError``.  The compiled circuit's unitary is built
-    once: the check against the circuit's logical unitary reads it, and
-    it is returned as the last item, so a caller need not build it again.
-    The check compares the logical matrix of that unitary, 4^n rail
-    permanents (:func:`_rail_amplitudes`), with the gate product up to one
-    constant, to 1e-9, and the constant's squared magnitude with the
-    expected success probability.
-    With a measurement word, the word's rotations are applied onto the
-    checked matrix in element order, which gives exactly the matrix of
-    the returned circuit's ``unitary()``.  The returned success
-    probability is the postselection weight, independent of the input
-    state (1/9 per CNOT, (2^(1/3)-1)^3 per Toffoli).
+    raises ``CompilationError``.  Every distinct gate list is checked
+    against its logical unitary (:func:`_checked_gates`), and the
+    compiled circuit's unitary is returned as the last item, so a caller
+    need not build it again.  Three bounded caches hold the elements of
+    each gate, each checked gate list and each measurement word, so a
+    sweep that moves one angle decomposes only that rotation, and two
+    circuits that differ only in their measurement word share one
+    checked matrix.  With a measurement word, the word's rotations are
+    applied onto a copy of the checked matrix in element order, which
+    gives exactly the matrix of the returned circuit's ``unitary()``.
+    The returned success probability is the postselection weight,
+    independent of the input state (1/9 per CNOT, (2^(1/3)-1)^3 per
+    Toffoli).
     """
     if enc is None:
         enc = QubitEncoding.default(gc.n_qubits)
-    return GateCompiler(enc).compile(gc)
+    if enc.n_qubits != gc.n_qubits:
+        raise CompilationError(
+            f"encoding has {enc.n_qubits} qubits, circuit needs {gc.n_qubits}"
+        )
+    gate_elements, modes, success = _checked_gates(gc.gates, enc)
+    elements = list(gate_elements)
+    if gc.measurement is not None:
+        setting = _setting_elements(gc.measurement, enc)
+        modes = modes.copy()
+        for element in setting:
+            _apply_element(modes, element)
+        elements.extend(setting)
+    rule = PostselectionRule(enc.qubit_pairs, vacuum_modes=enc.ancilla_modes)
+    return PhotonicCircuit(enc.n_modes, elements), rule, success, ModeUnitary(modes)
 
 
 # ---------------------------------------------------------------------------

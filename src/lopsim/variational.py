@@ -26,8 +26,8 @@ from .qubits import (
     _PAULI,
     Gate,
     GateCircuit,
-    GateCompiler,
     QubitEncoding,
+    compile_gate_circuit,
     encoding_input_state,
     logical_distribution,
 )
@@ -187,13 +187,11 @@ class PhotonicVqeBackend:
     after postselection, and an optional source model replaces the
     ideal two-photon input with its noisy labeled mixture.
 
-    The backend holds one :class:`~lopsim.qubits.GateCompiler` for its
-    lifetime.  The coordinate sweeps move one angle at a time, and the
-    two measurement settings of one evaluation share every gate and
-    differ only in the measurement word, so a circuit recompiles only
-    the gates from its first changed one on.  The
-    compiler's results are bit-identical to a fresh compile, so the
-    energies are those of compiling every circuit from scratch.
+    Every circuit goes through
+    :func:`~lopsim.qubits.compile_gate_circuit`.  The coordinate sweeps
+    move one angle at a time, so its gate cache decomposes only the
+    changed rotation, and the two measurement settings of one
+    evaluation share every gate, so they share one checked matrix.
     """
 
     def __init__(
@@ -206,7 +204,6 @@ class PhotonicVqeBackend:
         self.readout_flip = float(readout_flip)
         self.source = source
         self._encoding = QubitEncoding.default(2)
-        self._compiler = GateCompiler(self._encoding)
         self._input_state = encoding_input_state(self._encoding)
         self._labeled = None
         if source is not None:
@@ -223,7 +220,7 @@ class PhotonicVqeBackend:
         """
         if circuit.n_qubits != 2:
             raise ValueError("backend is wired for two-qubit circuits")
-        _, rule, _, unitary = self._compiler.compile(circuit)
+        _, rule, _, unitary = compile_gate_circuit(circuit, self._encoding)
         if self._labeled is None:
             dist = strong_simulate(unitary, self._input_state)
         else:

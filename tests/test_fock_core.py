@@ -417,6 +417,12 @@ class TestBatchedKernel:
         assert np.array_equal(batched_amplitudes(u, ()), np.ones((2, 1)))
         assert batched_amplitudes(u[:0], (0, 1)).shape == (0, 6)
 
+    @pytest.mark.parametrize("mode", [-1, 3])
+    def test_an_input_mode_outside_the_unitaries_is_refused(self, mode):
+        u = np.stack([haar(3, seed).matrix for seed in range(2)])
+        with pytest.raises(ValueError, match=f"mode {mode} out of range for m=3"):
+            batched_amplitudes(u, (0, mode))
+
 
 class TestNoisySimulate:
     @settings(max_examples=30, deadline=None)

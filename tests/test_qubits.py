@@ -20,7 +20,6 @@ from lopsim.qubits import (
     CompilationError,
     Gate,
     GateCircuit,
-    GateCompiler,
     HeraldPattern,
     PostselectionRule,
     QubitEncoding,
@@ -35,6 +34,7 @@ from lopsim.qubits import (
     pauli_measurement_setting,
 )
 from lopsim.sources import SourceModel
+from lopsim.variational import ansatz_circuit
 
 RNG = np.random.default_rng(1234)
 
@@ -172,6 +172,11 @@ class TestGateValidation:
         with pytest.raises(ValueError, match="needs an angle"):
             Gate("RX", (0,))
 
+    @pytest.mark.parametrize("angle", [np.nan, np.inf, -np.inf])
+    def test_rotation_angle_must_be_finite(self, angle):
+        with pytest.raises(ValueError, match="RX angle must be finite"):
+            Gate("RX", (0,), angle)
+
     def test_fixed_gate_takes_no_angle(self):
         with pytest.raises(ValueError, match="no angle"):
             Gate("H", (0,), 0.3)
@@ -231,6 +236,11 @@ class TestTextFormat:
             GateCircuit.from_text("RX 0\n")
         with pytest.raises(ValueError, match="duplicate MEASURE"):
             GateCircuit.from_text("MEASURE Z\nMEASURE X\n")
+
+    @pytest.mark.parametrize("angle", ["nan", "inf", "-inf"])
+    def test_a_non_finite_angle_is_reported_with_its_line(self, angle):
+        with pytest.raises(ValueError, match="line 2: RY angle must be finite"):
+            GateCircuit.from_text(f"H 0\nRY 1 {angle}\n")
 
 
 class TestLogicalUnitary:
@@ -455,7 +465,23 @@ def test_compile_returns_the_circuit_unitary(text):
     assert np.array_equal(unitary.matrix, circuit.unitary().matrix)
 
 
-def test_compile_check_reports_a_wrong_success_weight(monkeypatch):
+_COMPILE_CACHES = (qubits._gate_elements, qubits._checked_gates, qubits._setting_elements)
+
+
+def _clear_compile_caches():
+    for cached in _COMPILE_CACHES:
+        cached.cache_clear()
+
+
+@pytest.fixture
+def cold_compile():
+    """Empty compile caches, emptied again so no patched decomposition outlives the test."""
+    _clear_compile_caches()
+    yield
+    _clear_compile_caches()
+
+
+def test_compile_check_reports_a_wrong_success_weight(monkeypatch, cold_compile):
     # the logical action is right, only the expected weight is not
     monkeypatch.setattr(qubits, "CNOT_SUCCESS", 0.2)
     gc = GateCircuit(2, (Gate("CNOT", (0, 1)),))
@@ -501,62 +527,73 @@ def _compile_or_error(compile, gc):
 
 @settings(max_examples=40, deadline=None)
 @given(_circuit_sequences())
-def test_gate_compiler_matches_a_fresh_compile(circuits):
-    compiler = GateCompiler(QubitEncoding.default(circuits[0].n_qubits))
-    for gc in circuits:
-        got = _compile_or_error(compiler.compile, gc)
+def test_a_warm_compile_matches_a_cold_one(circuits):
+    warm = [_compile_or_error(compile_gate_circuit, gc) for gc in circuits]
+    for gc, got in zip(circuits, warm):
+        _clear_compile_caches()
         want = _compile_or_error(compile_gate_circuit, gc)
         if isinstance(want, str):
             assert got == want
             continue
         circuit, rule, success, unitary = got
-        assert circuit.elements == want[0].elements
+        assert repr(circuit.elements) == repr(want[0].elements)
         assert (rule, success) == (want[1], want[2])
-        assert np.array_equal(unitary.matrix, want[3].matrix)
+        assert unitary.matrix.tobytes() == want[3].matrix.tobytes()
         assert unitary.matrix.tobytes() == circuit.unitary().matrix.tobytes()
 
 
-def test_gate_compiler_recovers_after_an_exhausted_pool():
+def test_a_compile_after_an_exhausted_pool_matches_a_cold_one(cold_compile):
     enc = QubitEncoding.default(2)
-    compiler = GateCompiler(enc)
     prefix = (Gate("RY", (0,), 0.3), Gate("CNOT", (0, 1)))
-    compiler.compile(GateCircuit(2, prefix))
+    compile_gate_circuit(GateCircuit(2, prefix), enc)
     with pytest.raises(CompilationError, match="mode budget"):
-        compiler.compile(GateCircuit(2, prefix + (Gate("CNOT", (1, 0)),)))
+        compile_gate_circuit(GateCircuit(2, prefix + (Gate("CNOT", (1, 0)),)), enc)
     after = GateCircuit(2, prefix + (Gate("RX", (1,), 0.7),), "XZ")
-    got, want = compiler.compile(after), compile_gate_circuit(after, enc)
+    got = compile_gate_circuit(after, enc)
+    _clear_compile_caches()
+    want = compile_gate_circuit(after, enc)
     assert got[0].elements == want[0].elements
-    assert np.array_equal(got[3].matrix, want[3].matrix)
+    assert got[3].matrix.tobytes() == want[3].matrix.tobytes()
 
 
-def test_gate_compiler_decomposes_only_the_changed_tail(monkeypatch):
-    calls = []
+def test_a_sweep_step_decomposes_and_checks_only_what_changed(monkeypatch, cold_compile):
+    decompositions, checks = [], []
+    rail_amplitudes = qubits._rail_amplitudes
 
-    def counted(v, mode_a, mode_b):
-        calls.append((mode_a, mode_b))
+    def counted_elements(v, mode_a, mode_b):
+        decompositions.append((mode_a, mode_b))
         return two_mode_gate_elements(v, mode_a, mode_b)
 
-    monkeypatch.setattr(qubits, "two_mode_gate_elements", counted)
-    compiler = GateCompiler(QubitEncoding.default(2))
-    gates = [
-        Gate("RY", (0,), 0.1), Gate("CNOT", (0, 1)), Gate("RX", (1,), 0.2),
-        Gate("RZ", (0,), 0.3), Gate("H", (0,)),
-    ]
-    compiler.compile(GateCircuit(2, tuple(gates)))
-    assert len(calls) == 6  # RY, the CNOT's two Hadamards, RX, RZ, H
-    gates[2] = Gate("RX", (1,), 0.25)
-    compiler.compile(GateCircuit(2, tuple(gates)))
-    assert len(calls) == 7  # only the new RX; the RZ and H after it are reused
+    def counted_check(unitary, enc):
+        checks.append(enc)
+        return rail_amplitudes(unitary, enc)
+
+    monkeypatch.setattr(qubits, "two_mode_gate_elements", counted_elements)
+    monkeypatch.setattr(qubits, "_rail_amplitudes", counted_check)
+    theta = np.linspace(0.1, 0.7, 7)
+    for basis in ("ZZ", "XX"):
+        compile_gate_circuit(ansatz_circuit(theta, basis))
+    # 7 rotations, the CNOT's two Hadamards, and the XX word's two Hadamards
+    assert (len(decompositions), len(checks)) == (11, 1)
+    theta[3] += np.pi / 2.0
+    compile_gate_circuit(ansatz_circuit(theta, "ZZ"))
+    assert (len(decompositions), len(checks)) == (12, 2)
+    compile_gate_circuit(ansatz_circuit(theta, "XX"))
+    assert (len(decompositions), len(checks)) == (12, 2)
 
 
-def test_gate_compiler_keeps_only_the_last_circuits_rotations():
-    compiler = GateCompiler(QubitEncoding.default(2))
-    for i in range(50):
-        gc = GateCircuit(
-            2, (Gate("RY", (0,), 0.01 * i), Gate("CNOT", (0, 1)), Gate("RZ", (1,), -0.02 * i))
-        )
-        compiler.compile(gc)
-    assert set(compiler._rotations) == {gc.gates[0], gc.gates[2]}
+def test_the_caches_stay_bounded_and_hand_out_read_only_matrices(cold_compile):
+    enc = QubitEncoding.default(2)
+    for i in range(2000):
+        gates = (Gate("RY", (0,), 0.001 * i), Gate("CNOT", (0, 1)), Gate("RZ", (1,), -0.002 * i))
+        compile_gate_circuit(GateCircuit(2, gates, "XY"), enc)
+    for cached in _COMPILE_CACHES:
+        info = cached.cache_info()
+        assert info.maxsize is not None and info.currsize <= info.maxsize
+    _, modes, _ = qubits._checked_gates(gates, enc)
+    with pytest.raises(ValueError, match="read-only"):
+        modes[0, 0] = 0.0
+    assert compile_gate_circuit(GateCircuit(2, gates), enc)[3].matrix.tobytes() == modes.tobytes()
 
 
 @pytest.mark.parametrize("n_qubits", [1, 2, 3])
@@ -569,7 +606,7 @@ def test_rail_amplitudes_match_the_slos_oracle(n_qubits):
         assert np.max(np.abs(got - want)) <= 1e-13
 
 
-def test_compile_check_catches_a_dropped_coupler(monkeypatch):
+def test_compile_check_catches_a_dropped_coupler(monkeypatch, cold_compile):
     cnot_elements = qubits._cnot_elements
 
     def without_one_coupler(*args):
@@ -583,7 +620,7 @@ def test_compile_check_catches_a_dropped_coupler(monkeypatch):
         compile_gate_circuit(GateCircuit(2, (Gate("CNOT", (0, 1)),)))
 
 
-def test_compile_check_runs_no_slos_pass(monkeypatch):
+def test_compile_check_runs_no_slos_pass(monkeypatch, cold_compile):
     calls = []
 
     def counted(*args):
@@ -628,6 +665,27 @@ class TestPostselectionRule:
         )
         accepted, _ = rule.readout(np.array([(1, 0, 2, 0), (1, 0, 0, 0)]))
         assert accepted.tolist() == [True, False]
+
+    @pytest.mark.parametrize(
+        "pairs, vacuum, heralds",
+        [(((0, -1),), (), ()), (((0, 1),), (-1,), ()), (((0, 1),), (), (((-2, 1),),))],
+        ids=["qubit_pairs", "vacuum_modes", "heralds"],
+    )
+    def test_a_negative_mode_is_refused(self, pairs, vacuum, heralds):
+        with pytest.raises(ValueError, match="must be nonnegative"):
+            PostselectionRule(pairs, vacuum_modes=vacuum, heralds=heralds)
+
+    def test_a_mode_past_the_rows_is_refused(self):
+        rule = PostselectionRule(((0, 1),), vacuum_modes=(2,))
+        with pytest.raises(ValueError, match=r"reads modes \[2\], rows have 2 modes"):
+            rule.readout(np.array([(1, 0), (0, 1)]))
+
+    @pytest.mark.parametrize("source", [None, SourceModel()], ids=["ideal", "noisy"])
+    @pytest.mark.parametrize("mode", [-1, 2])
+    def test_logical_distributions_refuse_an_input_mode_outside_the_stack(self, mode, source):
+        rule = PostselectionRule(((0, 1),))
+        with pytest.raises(ValueError, match=f"mode {mode} out of range for m=2"):
+            logical_distributions(np.eye(2)[None], (mode,), rule, source)
 
     def test_empty_distribution_raises(self):
         rule = PostselectionRule(((0, 1),), vacuum_modes=(2,))

@@ -65,7 +65,7 @@ def _confusion_with_nan() -> np.ndarray:
         (
             lambda: compile_gate_circuit(GateCircuit(2, (Gate("RY", (0,), NAN),))),
             ValueError,
-            "not unitary",
+            "RY angle must be finite",
         ),
         (lambda: two_mode_gate_elements(np.full((2, 2), NAN), 0, 1), ValueError, "not unitary"),
         (
