@@ -11,11 +11,12 @@ and contracted with per-class weights to form the classifier output.
 Only the four encoding phases change from sample to sample, so the chip
 unitary factors as ``U_k = A diag(exp(i phi_k)) B`` with ``B`` the first
 trainable block and ``A`` the second block followed by the redirect
-layer.  An evaluation builds ``A`` and ``B`` once per set of chip
-phases, forms every ``U_k`` in one broadcast product, runs all samples
-through one batched SLOS pass (:func:`lopsim.fock.batched_amplitudes`)
-and merges the outcomes with one product against the ``(N, 37)``
-pattern matrix.
+layer.  An evaluation of T sets of chip phases (one training
+iteration's picks, or T = 1) builds every ``A`` and ``B`` in one element
+pass over column-stacked blocks, forms each ``U_k`` in one broadcast
+product per candidate, runs all T x K through one batched SLOS pass
+(:func:`lopsim.fock.batched_amplitudes`) and merges each candidate's
+outcomes with one product against the ``(N, 37)`` pattern matrix.
 """
 
 from __future__ import annotations
@@ -28,7 +29,7 @@ from typing import Sequence
 import numpy as np
 
 from .fock import _seeded_rng, _shot_count, batched_amplitudes, enumerate_basis
-from .mesh import DirectionalCoupler, PhaseShifter, PhotonicCircuit
+from .mesh import DirectionalCoupler, _apply_element
 
 __all__ = [
     "ENCODING_MODES",
@@ -116,26 +117,46 @@ def _pattern_table() -> tuple[tuple[tuple[int, int, int, int, int], ...], np.nda
 def _checked_theta(theta: Sequence[float]) -> np.ndarray:
     theta = np.asarray(theta, dtype=float)
     if theta.shape != (N_THETA,):
-        raise ValueError(f"expected {N_THETA} trainable phases, got shape {theta.shape}")
+        raise ValueError(f"theta must have {N_THETA} trainable phases, got shape {theta.shape}")
+    if not np.all(np.isfinite(theta)):
+        raise ValueError("chip phases must be finite")
     return theta
 
 
-def _add_block(circuit: PhotonicCircuit, block: np.ndarray) -> None:
-    """One trainable block, cell by cell (outer and inner phase per cell)."""
+def _stacked_blocks(thetas: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Blocks ``B`` and ``A`` (redirect included) of T candidates, ``(T, 12, 12)`` each.
+
+    One element pass over the 2T blocks side by side: a coupler is applied
+    once, a phase shifter is one row product, so each entry is bit for bit
+    the element-by-element circuit's.
+    """
+    count = 2 * len(thetas)
+    halves = np.concatenate([thetas[:, : N_THETA // 2], thetas[:, N_THETA // 2 :]])
+    factors = np.repeat(np.exp(1j * halves.T), N_MODES, axis=1)
+    u = np.tile(np.eye(N_MODES, dtype=complex), count)
     for cell, (a, b) in enumerate(_BLOCK_PAIRS):
-        outer, inner = block[2 * cell], block[2 * cell + 1]
-        circuit.add(PhaseShifter(a, outer))
-        circuit.add(DirectionalCoupler(a, b))
-        circuit.add(PhaseShifter(a, inner))
-        circuit.add(DirectionalCoupler(a, b))
+        u[a] *= factors[2 * cell]
+        _apply_element(u, DirectionalCoupler(a, b))
+        u[a] *= factors[2 * cell + 1]
+        _apply_element(u, DirectionalCoupler(a, b))
+    for a, b in ((1, 2), (0, 1), (6, 7), (7, 8)):  # the redirect layer, on the A blocks
+        _apply_element(u[:, N_MODES * len(thetas) :], DirectionalCoupler(a, b))
+    blocks = np.ascontiguousarray(u.reshape(N_MODES, count, N_MODES).transpose(1, 0, 2))
+    return blocks[: len(thetas)], blocks[len(thetas) :]
 
 
-def _add_redirect(circuit: PhotonicCircuit) -> None:
-    """Fixed layer spreading the outer region modes over their neighbors."""
-    circuit.add(DirectionalCoupler(1, 2))
-    circuit.add(DirectionalCoupler(0, 1))
-    circuit.add(DirectionalCoupler(6, 7))
-    circuit.add(DirectionalCoupler(7, 8))
+def _candidate_distributions(thetas, phases, shots, rng) -> np.ndarray:
+    """:func:`pattern_distributions` of T candidates, ``(T, K, 37)``, in one SLOS pass."""
+    first, second = _stacked_blocks(thetas)
+    diag = np.ones((len(phases), N_MODES), dtype=complex)
+    diag[:, ENCODING_MODES] = np.exp(1j * phases)
+    unitaries = np.stack([a @ (diag[:, :, None] * b) for a, b in zip(second, first)])
+    amps = batched_amplitudes(unitaries.reshape(-1, N_MODES, N_MODES), INPUT_MODES)
+    amps = amps.reshape(len(thetas), len(phases), -1)
+    merged = [np.abs(a) ** 2 @ _pattern_table()[1] for a in amps]
+    if shots is not None:
+        merged = [rng.multinomial(shots, p / p.sum(axis=1, keepdims=True)) / shots for p in merged]
+    return np.stack(merged)
 
 
 def pattern_distributions(
@@ -157,19 +178,9 @@ def pattern_distributions(
     phases = np.asarray(phases, dtype=float)
     if phases.ndim != 2 or phases.shape[1] != N_FEATURES:
         raise ValueError(f"expected (K, {N_FEATURES}) encoding phases, got shape {phases.shape}")
-    first = PhotonicCircuit(N_MODES)
-    _add_block(first, theta[: N_THETA // 2])
-    second = PhotonicCircuit(N_MODES)
-    _add_block(second, theta[N_THETA // 2 :])
-    _add_redirect(second)
-    diag = np.ones((len(phases), N_MODES), dtype=complex)
-    diag[:, ENCODING_MODES] = np.exp(1j * phases)
-    unitaries = second.unitary().matrix @ (diag[:, :, None] * first.unitary().matrix)
-    merged = np.abs(batched_amplitudes(unitaries, INPUT_MODES)) ** 2 @ _pattern_table()[1]
-    if shots is not None:
-        pvals = merged / merged.sum(axis=1, keepdims=True)
-        merged = rng.multinomial(shots, pvals) / shots
-    return merged
+    if not np.all(np.isfinite(phases)):
+        raise ValueError("encoding phases must be finite")
+    return _candidate_distributions(theta[None], phases, shots, rng)[0]
 
 
 def pattern_distribution(
@@ -207,9 +218,7 @@ class ClassifierModel:
     class_names: tuple[str, ...] | None = None
 
     def __post_init__(self) -> None:
-        theta = np.asarray(self.theta, dtype=float)
-        if theta.shape != (N_THETA,):
-            raise ValueError(f"theta must have {N_THETA} entries, got shape {theta.shape}")
+        theta = _checked_theta(self.theta)
         lambdas = np.asarray(self.lambdas, dtype=float)
         n_patterns = len(pattern_space())
         if lambdas.ndim != 2 or lambdas.shape[1] != n_patterns:
@@ -247,6 +256,8 @@ class ClassifierModel:
         x = np.asarray(x, dtype=float)
         if x.ndim not in (1, 2) or x.shape[-1] != N_FEATURES:
             raise ValueError(f"expected {N_FEATURES} features per row, got shape {x.shape}")
+        if not np.all(np.isfinite(x)):
+            raise ValueError("features must be finite")
         scaled = (x - self.feature_low) / self.feature_span * np.pi
         return np.clip(scaled, 0.0, np.pi)
 
@@ -380,6 +391,8 @@ def qnn_train(
     labels = np.asarray(labels, dtype=int)
     if features.ndim != 2 or features.shape[1] != N_FEATURES:
         raise ValueError(f"features must be (n, {N_FEATURES}), got shape {features.shape}")
+    if not np.all(np.isfinite(features)):
+        raise ValueError("features must be finite")
     if labels.shape != (features.shape[0],):
         raise ValueError("one label per feature row required")
     classes = np.unique(labels)
@@ -392,6 +405,7 @@ def qnn_train(
         raise ValueError("one class name per class required")
 
     rng = _seeded_rng(config.seed)
+    shots = _shot_count(config.shots, rng)
     train_idx, test_idx = stratified_split(labels, config.n_test, rng)
     x_train, y_train = features[train_idx], labels[train_idx]
     x_test, y_test = features[test_idx], labels[test_idx]
@@ -400,11 +414,6 @@ def qnn_train(
     span = x_train.max(axis=0) - low
     span[span <= 0.0] = 1.0
     train_phases = np.clip((x_train - low) / span * np.pi, 0.0, np.pi)
-
-    def evaluate(theta: np.ndarray):
-        probs = pattern_distributions(theta, train_phases, config.shots, rng)
-        weights, accuracy, loss = _solve_lambdas(probs, y_train, n_classes)
-        return weights, accuracy - 0.01 * loss, accuracy
 
     history_thetas: list[np.ndarray] = []
     history_scores: list[float] = []
@@ -429,9 +438,10 @@ def qnn_train(
             )[::-1]
         else:
             ranking = rng.permutation(len(pool))
-        for pick in ranking[: config.evaluations_per_iteration]:
-            theta = pool[pick]
-            weights, score, accuracy = evaluate(theta)
+        picks = pool[ranking[: config.evaluations_per_iteration]]
+        for theta, probs in zip(picks, _candidate_distributions(picks, train_phases, shots, rng)):
+            weights, accuracy, loss = _solve_lambdas(probs, y_train, n_classes)
+            score = accuracy - 0.01 * loss
             history_thetas.append(theta)
             history_scores.append(score)
             if score > best["score"]:

@@ -34,13 +34,11 @@ Pauli and stabilizer expectations are sign vectors applied to its rows.
 Only the VQE backend still reads each circuit out of its Fock
 distribution with :func:`logical_distribution`.
 
-:func:`compile_gate_circuit` is the one compile.  It reads three bounded
-``lru_cache`` tables: the elements of each gate, each checked gate list
-(elements, read-only mode matrix, success product) and the rotations of
-each measurement word.  A VQE sweep step therefore decomposes only the
-angle it moved, and the two settings of one energy evaluation share one
-checked matrix.  The module also owns the 2x2 gate constants that other
-modules import.
+:func:`compile_gate_circuit` compiles any gate circuit through bounded
+``lru_cache`` tables (each gate's elements and 2x2 matrix, each checked
+gate list, each measurement word); the VQE ansatz binds its angles into
+the same tables and the same checked compile (:func:`_checked_gates`).
+The module also owns the 2x2 gate constants that other modules import.
 """
 
 from __future__ import annotations
@@ -210,19 +208,39 @@ class Gate:
             raise ValueError(f"{name} takes no angle")
 
 
-def _single_qubit_matrix(gate: Gate) -> np.ndarray:
-    if gate.name == "H":
-        return _H
-    if gate.name == "T":
-        return _T
-    half = gate.angle / 2.0
-    if gate.name == "RX":
-        return np.array(
-            [[np.cos(half), -1j * np.sin(half)], [-1j * np.sin(half), np.cos(half)]]
-        )
-    if gate.name == "RY":
-        return np.array([[np.cos(half), -np.sin(half)], [np.sin(half), np.cos(half)]])
-    return np.diag([np.exp(-1j * half), np.exp(1j * half)])
+@lru_cache(maxsize=256)
+def _gate_matrix(name: str, angle: float | None) -> np.ndarray:
+    """Read-only 2x2 matrix of a single-qubit gate: its elements and the check read it."""
+    if name in ("H", "T"):
+        return _H if name == "H" else _T
+    half = angle / 2.0
+    cos, sin = np.cos(half), np.sin(half)
+    if name == "RX":
+        matrix = np.array([[cos, -1j * sin], [-1j * sin, cos]])
+    elif name == "RY":
+        matrix = np.array([[cos, -sin], [sin, cos]])
+    else:
+        matrix = np.diag([np.exp(-1j * half), np.exp(1j * half)])
+    matrix.setflags(write=False)
+    return matrix
+
+
+def _logical_matrix(n: int, steps: Sequence[tuple]) -> np.ndarray:
+    """The 2^n x 2^n unitary of (name, qubits, angle) steps (qubit 0 = leftmost bit).
+
+    A 2x2 matrix contracts with its qubit's row axis; a CNOT or Toffoli
+    flips the target bit of the rows where every control is 1.
+    """
+    dim = 1 << n
+    u, index = np.eye(dim, dtype=complex), np.arange(dim)
+    for name, qubits, angle in steps:
+        if name in ("CNOT", "TOFFOLI"):
+            *controls, target = qubits
+            fire = np.all([(index >> (n - 1 - c)) & 1 for c in controls], axis=0)
+            u = u[index ^ (fire << (n - 1 - target))]
+        else:
+            u = (_gate_matrix(name, angle) @ u.reshape(1 << qubits[0], 2, -1)).reshape(dim, dim)
+    return u
 
 
 @dataclass(frozen=True)
@@ -247,23 +265,8 @@ class GateCircuit:
                 raise ValueError(f"bad measurement word {self.measurement!r}")
 
     def logical_unitary(self) -> np.ndarray:
-        """The 2^n x 2^n unitary of the gate list (qubit 0 = leftmost bit).
-
-        A single-qubit gate contracts its 2x2 matrix with the row axis of
-        its qubit (rows viewed as ``(2^q, 2, rest)``); a CNOT or Toffoli
-        permutes the rows, flipping the target bit where every control is 1.
-        """
-        n, dim = self.n_qubits, 1 << self.n_qubits
-        u, index = np.eye(dim, dtype=complex), np.arange(dim)
-        for gate in self.gates:
-            if gate.name in ("CNOT", "TOFFOLI"):
-                *controls, target = gate.qubits
-                fire = np.all([(index >> (n - 1 - c)) & 1 for c in controls], axis=0)
-                u = u[index ^ (fire << (n - 1 - target))]
-            else:
-                q = gate.qubits[0]
-                u = (_single_qubit_matrix(gate) @ u.reshape(1 << q, 2, -1)).reshape(dim, dim)
-        return u
+        """The 2^n x 2^n unitary of the gate list (qubit 0 = leftmost bit)."""
+        return _logical_matrix(self.n_qubits, [(g.name, g.qubits, g.angle) for g in self.gates])
 
     @classmethod
     def from_text(cls, text: str, n_qubits: int | None = None) -> "GateCircuit":
@@ -571,50 +574,51 @@ def pauli_measurement_setting(word: str, enc: QubitEncoding) -> PhotonicCircuit:
 
 @lru_cache(maxsize=256)
 def _gate_elements(
-    gate: Gate, qubit_pairs: tuple[tuple[int, int], ...], ancillas: tuple[int, ...]
+    step: tuple, qubit_pairs: tuple[tuple[int, int], ...], ancillas: tuple[int, ...]
 ) -> tuple[CircuitElement, ...]:
-    """Elements of one gate on its qubits' rail pairs; entangling gates use ``ancillas``."""
-    pairs = [qubit_pairs[q] for q in gate.qubits]
-    if gate.name == "CNOT":
+    """Elements of one gate step on its qubits' rail pairs; entangling gates use ``ancillas``."""
+    name, qubits, angle = step
+    pairs = [qubit_pairs[q] for q in qubits]
+    if name == "CNOT":
         return tuple(_cnot_elements(*pairs, ancillas))
-    if gate.name == "TOFFOLI":
+    if name == "TOFFOLI":
         hadamard = two_mode_gate_elements(_H, *pairs[2])
         return (*hadamard, *_ccz_elements(pairs, ancillas), *hadamard)
-    return tuple(two_mode_gate_elements(_single_qubit_matrix(gate), *pairs[0]))
+    return tuple(two_mode_gate_elements(_gate_matrix(name, angle), *pairs[0]))
 
 
 @lru_cache(maxsize=64)
 def _checked_gates(
-    gates: tuple[Gate, ...], enc: QubitEncoding
-) -> tuple[tuple[CircuitElement, ...], np.ndarray, float]:
-    """Elements, read-only mode matrix and success product of a checked gate list.
+    steps: tuple[tuple, ...], enc: QubitEncoding
+) -> tuple[tuple[CircuitElement, ...], ModeUnitary, float]:
+    """Elements, mode unitary and success product of (name, qubits, angle) steps.
 
-    Entangling gates take fresh ancillas from the encoding pool in gate
-    order, and the elements are applied onto the identity in element
-    order.  The check compares the logical matrix of the mode matrix, 4^n
-    rail permanents (:func:`_rail_amplitudes`), with
-    :meth:`GateCircuit.logical_unitary` up to one constant, to 1e-9, and
-    the constant's squared magnitude with the success product.  The
-    result is a pure function of the list and the encoding, so a repeated
-    list gets back the matrix its check passed; a failing list raises.
+    Entangling gates take fresh ancillas from the encoding pool in step
+    order; the elements are applied onto the identity in element order.
+    The check compares the 4^n rail permanents (:func:`_rail_amplitudes`)
+    with :func:`_logical_matrix` up to one constant, to 1e-9, and the
+    constant's squared magnitude with the success product; a failing
+    list raises uncached, a repeated one gets back the unitary its check
+    passed.  The VQE ansatz binds its angles straight into it.
     """
     modes = np.eye(enc.n_modes, dtype=complex)
     pool, success = enc.ancilla_modes, 1.0
     elements: list[CircuitElement] = []
-    for gate in gates:
-        count = {"CNOT": 2, "TOFFOLI": 4}.get(gate.name, 0)
+    for step in steps:
+        name = step[0]
+        count = {"CNOT": 2, "TOFFOLI": 4}.get(name, 0)
         if len(pool) < count:
             raise CompilationError(
-                f"mode budget exceeded: {gate.name} needs {count} fresh ancilla"
+                f"mode budget exceeded: {name} needs {count} fresh ancilla"
                 f" modes, {len(pool)} left"
             )
-        for element in _gate_elements(gate, enc.qubit_pairs, pool[:count]):
+        for element in _gate_elements(step, enc.qubit_pairs, pool[:count]):
             _apply_element(modes, element)
             elements.append(element)
         pool = pool[count:]
-        success *= {"CNOT": CNOT_SUCCESS, "TOFFOLI": TOFFOLI_SUCCESS}.get(gate.name, 1.0)
+        success *= {"CNOT": CNOT_SUCCESS, "TOFFOLI": TOFFOLI_SUCCESS}.get(name, 1.0)
 
-    logical = GateCircuit(enc.n_qubits, gates).logical_unitary()
+    logical = _logical_matrix(enc.n_qubits, steps)
     realized = _rail_amplitudes(modes, enc)
     anchor = np.unravel_index(np.argmax(np.abs(logical)), logical.shape)
     scale = realized[anchor] / logical[anchor]
@@ -626,14 +630,23 @@ def _checked_gates(
             f" (tolerance 1e-9) and has success weight {weight:.6g} against the"
             f" expected {success:.6g}"
         )
-    modes.setflags(write=False)
-    return tuple(elements), modes, success
+    return tuple(elements), ModeUnitary(modes), success
 
 
 @lru_cache(maxsize=16)
 def _setting_elements(word: str, enc: QubitEncoding) -> tuple[CircuitElement, ...]:
     """Elements of the basis-change rotations of one measurement word."""
     return tuple(pauli_measurement_setting(word, enc).elements)
+
+
+def _rotated(unitary: ModeUnitary, setting: Sequence[CircuitElement]) -> ModeUnitary:
+    """``unitary`` followed by a word's rotation elements, applied to a copy; as is without any."""
+    if not setting:
+        return unitary
+    modes = unitary.matrix.copy()
+    for element in setting:
+        _apply_element(modes, element)
+    return ModeUnitary(modes)
 
 
 def compile_gate_circuit(
@@ -644,18 +657,11 @@ def compile_gate_circuit(
     Entangling gates draw fresh ancilla modes from the encoding pool so
     their postselected actions compose exactly; running out of ancillas
     raises ``CompilationError``.  Every distinct gate list is checked
-    against its logical unitary (:func:`_checked_gates`), and the
-    compiled circuit's unitary is returned as the last item, so a caller
-    need not build it again.  Three bounded caches hold the elements of
-    each gate, each checked gate list and each measurement word, so a
-    sweep that moves one angle decomposes only that rotation, and two
-    circuits that differ only in their measurement word share one
-    checked matrix.  With a measurement word, the word's rotations are
-    applied onto a copy of the checked matrix in element order, which
-    gives exactly the matrix of the returned circuit's ``unitary()``.
-    The returned success probability is the postselection weight,
-    independent of the input state (1/9 per CNOT, (2^(1/3)-1)^3 per
-    Toffoli).
+    against its logical unitary (:func:`_checked_gates`, which caches
+    it), and the compiled circuit's unitary, exactly its ``unitary()``,
+    is returned as the last item (:func:`_rotated`).  The success
+    probability is the postselection weight, independent of the input
+    state (1/9 per CNOT, (2^(1/3)-1)^3 per Toffoli).
     """
     if enc is None:
         enc = QubitEncoding.default(gc.n_qubits)
@@ -663,16 +669,12 @@ def compile_gate_circuit(
         raise CompilationError(
             f"encoding has {enc.n_qubits} qubits, circuit needs {gc.n_qubits}"
         )
-    gate_elements, modes, success = _checked_gates(gc.gates, enc)
-    elements = list(gate_elements)
-    if gc.measurement is not None:
-        setting = _setting_elements(gc.measurement, enc)
-        modes = modes.copy()
-        for element in setting:
-            _apply_element(modes, element)
-        elements.extend(setting)
+    steps = tuple((g.name, g.qubits, g.angle) for g in gc.gates)
+    gate_elements, unitary, success = _checked_gates(steps, enc)
+    setting = _setting_elements(gc.measurement, enc) if gc.measurement else ()
     rule = PostselectionRule(enc.qubit_pairs, vacuum_modes=enc.ancilla_modes)
-    return PhotonicCircuit(enc.n_modes, elements), rule, success, ModeUnitary(modes)
+    circuit = PhotonicCircuit(enc.n_modes, [*gate_elements, *setting])
+    return circuit, rule, success, _rotated(unitary, setting)
 
 
 # ---------------------------------------------------------------------------

@@ -8,6 +8,8 @@ settings (computational and Hadamard-rotated) supply every Pauli
 expectation in the Hamiltonian, readout errors are corrected by
 inverting per-basis confusion matrices built from eigenvector
 preparations, and repeated exact coordinate sweeps drive the angles.
+The ansatz angles are bound into the checked compile without building
+gates (:meth:`PhotonicVqeBackend.ansatz_distributions`).
 """
 
 from __future__ import annotations
@@ -20,13 +22,17 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .fock import _seeded_rng, _shot_count, strong_simulate
+from .fock import ModeUnitary, _seeded_rng, _shot_count, strong_simulate
 from .qubits import (
     _ID2,
     _PAULI,
     Gate,
     GateCircuit,
+    PostselectionRule,
     QubitEncoding,
+    _checked_gates,
+    _rotated,
+    _setting_elements,
     compile_gate_circuit,
     encoding_input_state,
     logical_distribution,
@@ -187,11 +193,11 @@ class PhotonicVqeBackend:
     after postselection, and an optional source model replaces the
     ideal two-photon input with its noisy labeled mixture.
 
-    Every circuit goes through
-    :func:`~lopsim.qubits.compile_gate_circuit`.  The coordinate sweeps
-    move one angle at a time, so its gate cache decomposes only the
-    changed rotation, and the two measurement settings of one
-    evaluation share every gate, so they share one checked matrix.
+    :meth:`ansatz_distributions` is the method energies are read from
+    (:func:`measure_energy`, :func:`vqe_run`): a backend must provide it,
+    and overriding :meth:`distribution` alone does not change them.
+    Every circuit is simulated through ``strong_simulate`` (or
+    ``noisy_simulate``).
     """
 
     def __init__(
@@ -203,8 +209,9 @@ class PhotonicVqeBackend:
             raise ValueError(f"readout_flip must lie in [0, 0.5), got {readout_flip}")
         self.readout_flip = float(readout_flip)
         self.source = source
-        self._encoding = QubitEncoding.default(2)
-        self._input_state = encoding_input_state(self._encoding)
+        enc = self._encoding = QubitEncoding.default(2)
+        self._rule = PostselectionRule(enc.qubit_pairs, vacuum_modes=enc.ancilla_modes)
+        self._input_state = encoding_input_state(enc)
         self._labeled = None
         if source is not None:
             self._labeled = build_input(2, source, modes=self._input_state.modes())
@@ -221,11 +228,32 @@ class PhotonicVqeBackend:
         if circuit.n_qubits != 2:
             raise ValueError("backend is wired for two-qubit circuits")
         _, rule, _, unitary = compile_gate_circuit(circuit, self._encoding)
+        return self._readout(unitary, rule)
+
+    def ansatz_distributions(self, theta: Sequence[float]) -> tuple[np.ndarray, ...]:
+        """``distribution(ansatz_circuit(theta, b))`` for each b in ``BASES``, with no ``Gate``."""
+        _, unitary, _ = _checked_gates(_ansatz_steps(theta), self._encoding)
+        words = (_rotated(unitary, _setting_elements(b, self._encoding)) for b in BASES)
+        return tuple(self._readout(rotated, self._rule) for rotated in words)
+
+    def _readout(self, unitary: ModeUnitary, rule: PostselectionRule) -> np.ndarray:
         if self._labeled is None:
             dist = strong_simulate(unitary, self._input_state)
         else:
             dist = noisy_simulate(unitary, self._labeled)
         return self._confusion @ logical_distribution(dist, rule)[0].ravel()
+
+
+def _ansatz_steps(theta: Sequence[float]) -> tuple[tuple, ...]:
+    """The ansatz gate list as (name, qubits, angle) steps, refusing angles as ``Gate`` does."""
+    a = np.asarray(theta, dtype=float)
+    if a.shape != (N_ANSATZ_ANGLES,):
+        raise ValueError(f"expected {N_ANSATZ_ANGLES} angles, got shape {a.shape}")
+    if not np.all(np.isfinite(a)):
+        raise ValueError(f"ansatz angle must be finite, got {a}")
+    a = a.tolist()
+    return (("RY", (0,), a[0]), ("CNOT", (0, 1), None), ("RX", (0,), a[1]), ("RX", (1,), a[2]),
+            ("RZ", (0,), a[3]), ("RZ", (1,), a[4]), ("RX", (0,), a[5]), ("RX", (1,), a[6]))
 
 
 def ansatz_circuit(theta: Sequence[float], basis: str = "ZZ") -> GateCircuit:
@@ -236,23 +264,11 @@ def ansatz_circuit(theta: Sequence[float], basis: str = "ZZ") -> GateCircuit:
     the circuit's measurement word, so the compiler applies its
     rotation (none for ZZ, a Hadamard on each qubit for XX).
     """
-    theta = np.asarray(theta, dtype=float)
-    if theta.shape != (N_ANSATZ_ANGLES,):
-        raise ValueError(f"expected {N_ANSATZ_ANGLES} angles, got shape {theta.shape}")
+    steps = _ansatz_steps(theta)
     basis = basis.upper()
     if basis not in BASES:
         raise ValueError(f"basis must be one of {BASES}, got {basis!r}")
-    gates = [
-        Gate("RY", (0,), theta[0]),
-        Gate("CNOT", (0, 1)),
-        Gate("RX", (0,), theta[1]),
-        Gate("RX", (1,), theta[2]),
-        Gate("RZ", (0,), theta[3]),
-        Gate("RZ", (1,), theta[4]),
-        Gate("RX", (0,), theta[5]),
-        Gate("RX", (1,), theta[6]),
-    ]
-    return GateCircuit(2, tuple(gates), basis)
+    return GateCircuit(2, tuple(Gate(*step) for step in steps), basis)
 
 
 def energy_from_distributions(
@@ -282,15 +298,20 @@ def measure_energy(
 ) -> float:
     """One energy evaluation from the two measurement settings.
 
-    ``shots`` counts postselected samples per setting (a whole number,
-    at least 1) drawn from ``rng``, which is then required; None uses the
-    exact distributions.  ``mitigation`` maps a setting name to its
-    confusion matrix; missing entries leave that setting unmitigated.
+    The settings' distributions come from
+    ``backend.ansatz_distributions(theta)``, which every backend must
+    provide.  ``shots`` counts postselected samples per
+    setting (a whole number, at least 1) drawn from ``rng``, which is then
+    required; None uses the exact distributions.  ``mitigation`` maps a
+    setting name to its confusion matrix; missing entries leave that
+    setting unmitigated.
     """
+    if not hasattr(backend, "ansatz_distributions"):
+        name = type(backend).__name__
+        raise TypeError(f"{name} has no ansatz_distributions(theta) to read energies from")
     shots = _shot_count(shots, rng)
     settings = {}
-    for basis in BASES:
-        p = backend.distribution(ansatz_circuit(theta, basis))
+    for basis, p in zip(BASES, backend.ansatz_distributions(theta)):
         if shots is not None:
             p = rng.multinomial(shots, p / p.sum()) / shots
         if mitigation and basis in mitigation:
@@ -447,7 +468,9 @@ def vqe_run(
     energy by less than ``SWEEP_TOLERANCE`` (``converged=True``) or the
     cap leaves fewer than two evaluations for the next angle.
     ``config.max_iterations`` is a hard cap on all evaluations, and the
-    last one re-measures the energy at the returned angles.
+    last one re-measures the energy at the returned angles.  Energies
+    come from ``backend.ansatz_distributions`` (:func:`measure_energy`),
+    mitigation columns from ``backend.distribution``.
     """
     if config is None:
         config = VqeConfig()

@@ -13,12 +13,12 @@ interferometer's noisy output over the full basis, the bright
 cyclic-fringe patterns from a simulation of the ideal circuit and the
 contrast classified row by row on every call, benchmark-plan
 weights from the dense 16^n correlation solve, a plan executed one
-configuration per executor call, the classifier chip built element by
-element, the mesh transfer matrix and its derivatives as products
+configuration per executor call, the classifier chip and its two blocks
+built element by element, the mesh transfer matrix and its derivatives as products
 of per-element factors, the element kernel with numpy scalars, the
 rail amplitudes of a mode unitary from a SLOS pass over the whole
-n-photon basis, and a VQE backend that compiles every circuit from
-scratch.
+n-photon basis, and a VQE backend that compiles every circuit, the
+ansatz settings included, from scratch.
 """
 
 from __future__ import annotations
@@ -56,17 +56,19 @@ from lopsim.mesh import (
     PhotonicCircuit,
 )
 from lopsim.qnn import (
+    _BLOCK_PAIRS,
     ENCODING_MODES,
     N_FEATURES,
     N_MODES,
     N_THETA,
-    _add_block,
-    _add_redirect,
     _checked_theta,
 )
 from lopsim.qubits import (
     QubitEncoding,
+    _checked_gates,
+    _gate_elements,
     _pauli_signs,
+    _setting_elements,
     compile_gate_circuit,
     encoding_input_state,
     logical_distribution,
@@ -82,7 +84,7 @@ from lopsim.sources import (
     cyclic_interferometer,
     noisy_simulate,
 )
-from lopsim.variational import PhotonicVqeBackend
+from lopsim.variational import BASES, PhotonicVqeBackend, ansatz_circuit
 
 
 def fock_basis_rows(m: int, n: int, collision_free: bool) -> np.ndarray:
@@ -533,6 +535,34 @@ def per_configuration_favg(
     return FidelityEstimate(float(total), float(np.sqrt(variance)), shots)
 
 
+def _add_block(circuit: PhotonicCircuit, block: np.ndarray) -> None:
+    """One trainable block, cell by cell (outer and inner phase per cell)."""
+    for cell, (a, b) in enumerate(_BLOCK_PAIRS):
+        outer, inner = block[2 * cell], block[2 * cell + 1]
+        circuit.add(PhaseShifter(a, outer))
+        circuit.add(DirectionalCoupler(a, b))
+        circuit.add(PhaseShifter(a, inner))
+        circuit.add(DirectionalCoupler(a, b))
+
+
+def _add_redirect(circuit: PhotonicCircuit) -> None:
+    """Fixed layer spreading the outer region modes over their neighbors."""
+    circuit.add(DirectionalCoupler(1, 2))
+    circuit.add(DirectionalCoupler(0, 1))
+    circuit.add(DirectionalCoupler(6, 7))
+    circuit.add(DirectionalCoupler(7, 8))
+
+
+def classifier_blocks(theta) -> tuple[np.ndarray, np.ndarray]:
+    """The first block and the second block plus redirect layer, each built element by element."""
+    theta = _checked_theta(theta)
+    first, second = PhotonicCircuit(N_MODES), PhotonicCircuit(N_MODES)
+    _add_block(first, theta[: N_THETA // 2])
+    _add_block(second, theta[N_THETA // 2 :])
+    _add_redirect(second)
+    return first.unitary().matrix, second.unitary().matrix
+
+
 def classifier_circuit(theta, phases) -> PhotonicCircuit:
     """Full twelve-mode classifier circuit for one data point, element by element.
 
@@ -706,12 +736,14 @@ def rail_amplitudes_slos(unitary: np.ndarray, enc: QubitEncoding) -> np.ndarray:
 class PerEvaluationVqeBackend(PhotonicVqeBackend):
     """``PhotonicVqeBackend`` with no compiler kept between circuits.
 
-    Every circuit is compiled from scratch by ``compile_gate_circuit``,
-    so nothing one evaluation compiled is reused by the next, and is
-    read out through a Fock distribution: ``strong_simulate`` or
-    ``noisy_simulate``, then ``logical_distribution``.  The encoding,
-    input and readout-flip matrix are built here, not read from the
-    backend.
+    Every circuit is compiled from scratch by ``compile_gate_circuit``
+    after its caches are emptied, so nothing one evaluation compiled is
+    reused by the next, and the ansatz settings of an energy evaluation
+    are the compiles of ``ansatz_circuit(theta, basis)``, one per basis,
+    not the bound compile.  Each is read out through a Fock
+    distribution: ``strong_simulate`` or ``noisy_simulate``, then
+    ``logical_distribution``.  The encoding, input and readout-flip
+    matrix are built here, not read from the backend.
     """
 
     def distribution(self, circuit):
@@ -719,6 +751,8 @@ class PerEvaluationVqeBackend(PhotonicVqeBackend):
             raise ValueError("backend is wired for two-qubit circuits")
         enc = QubitEncoding.default(2)
         state = encoding_input_state(enc)
+        for cached in (_gate_elements, _checked_gates, _setting_elements):
+            cached.cache_clear()
         _, rule, _, unitary = compile_gate_circuit(circuit, enc)
         if self.source is None:
             dist = strong_simulate(unitary, state)
@@ -727,6 +761,9 @@ class PerEvaluationVqeBackend(PhotonicVqeBackend):
         f = self.readout_flip
         flip = np.array([[1.0 - f, f], [f, 1.0 - f]])
         return np.kron(flip, flip) @ logical_distribution(dist, rule)[0].ravel()
+
+    def ansatz_distributions(self, theta):
+        return tuple(self.distribution(ansatz_circuit(theta, basis)) for basis in BASES)
 
 
 def adjoint_sweep_by_layer(layout: MeshLayout, tape, adjoint: np.ndarray):

@@ -2,9 +2,9 @@
 
 import numpy as np
 import pytest
-from _oracles import classifier_circuit, evolve_state_vector
+from _oracles import classifier_blocks, classifier_circuit, evolve_state_vector
 
-from lopsim.fock import FockState, strong_simulate
+from lopsim.fock import FockState, batched_amplitudes, strong_simulate
 from lopsim.qnn import (
     ENCODING_MODES,
     INPUT_MODES,
@@ -19,6 +19,9 @@ from lopsim.qnn import (
     pattern_space,
     qnn_predict,
     qnn_train,
+    _candidate_distributions,
+    _pattern_table,
+    _stacked_blocks,
     stratified_split,
 )
 
@@ -366,3 +369,39 @@ def test_small_iris_subset_trains_above_chance():
     assert metrics["n_train"] == 24 and metrics["n_test"] == 6
     assert metrics["train_accuracy"] >= 0.8
     assert model.n_classes == 3
+
+
+def blockwise_patterns(theta, phases):
+    """``pattern_distributions`` from the element-by-element blocks, one SLOS pass per candidate."""
+    first, second = classifier_blocks(theta)
+    diag = np.ones((len(phases), N_MODES), dtype=complex)
+    diag[:, list(ENCODING_MODES)] = np.exp(1j * phases)
+    amps = batched_amplitudes(second @ (diag[:, :, None] * first), INPUT_MODES)
+    return np.abs(amps) ** 2 @ _pattern_table()[1]
+
+
+@pytest.mark.parametrize("count", [1, 3, 8])
+def test_stacked_blocks_are_the_element_by_element_circuits(count):
+    rng = np.random.default_rng(count)
+    thetas = rng.uniform(-2.0 * np.pi, 4.0 * np.pi, (count, N_THETA))
+    first, second = _stacked_blocks(thetas)
+    assert first.shape == second.shape == (count, N_MODES, N_MODES)
+    for t, theta in enumerate(thetas):
+        want_first, want_second = classifier_blocks(theta)
+        assert first[t].tobytes() == want_first.tobytes()
+        assert second[t].tobytes() == want_second.tobytes()
+    phases = rng.uniform(0.0, np.pi, (4, N_FEATURES))
+    stacked = _candidate_distributions(thetas, phases, None, None)
+    for got, theta in zip(stacked, thetas):
+        assert got.tobytes() == blockwise_patterns(theta, phases).tobytes()
+        assert got.tobytes() == pattern_distributions(theta, phases).tobytes()
+
+
+def test_stacked_candidates_draw_the_shots_of_one_call_per_candidate():
+    rng = np.random.default_rng(31)
+    thetas = rng.uniform(0.0, 2.0 * np.pi, (3, N_THETA))
+    phases = rng.uniform(0.0, np.pi, (5, N_FEATURES))
+    stacked = _candidate_distributions(thetas, phases, 200, np.random.default_rng(4))
+    draws = np.random.default_rng(4)
+    one_by_one = [pattern_distributions(theta, phases, 200, draws) for theta in thetas]
+    assert np.array_equal(stacked, np.stack(one_by_one))

@@ -590,10 +590,14 @@ def test_the_caches_stay_bounded_and_hand_out_read_only_matrices(cold_compile):
     for cached in _COMPILE_CACHES:
         info = cached.cache_info()
         assert info.maxsize is not None and info.currsize <= info.maxsize
-    _, modes, _ = qubits._checked_gates(gates, enc)
+    steps = tuple((g.name, g.qubits, g.angle) for g in gates)
+    _, unitary, _ = qubits._checked_gates(steps, enc)
     with pytest.raises(ValueError, match="read-only"):
-        modes[0, 0] = 0.0
-    assert compile_gate_circuit(GateCircuit(2, gates), enc)[3].matrix.tobytes() == modes.tobytes()
+        unitary.matrix[0, 0] = 0.0
+    assert compile_gate_circuit(GateCircuit(2, gates), enc)[3] is unitary
+    rotated = compile_gate_circuit(GateCircuit(2, gates, "XY"), enc)[3]
+    with pytest.raises(ValueError, match="read-only"):
+        rotated.matrix[0, 0] = 0.0
 
 
 @pytest.mark.parametrize("n_qubits", [1, 2, 3])

@@ -23,13 +23,17 @@ from lopsim.fock import (
     outcome_arrays,
     strong_simulate,
 )
+from lopsim.mesh import PhotonicCircuit
 from lopsim.qubits import (
+    GHZ_INPUT_MODES,
     Gate,
     GateCircuit,
     PostselectionRule,
     QubitEncoding,
     compile_gate_circuit,
     encoding_input_state,
+    ghz_factory,
+    ghz_postselection,
     logical_distribution,
     logical_distributions,
 )
@@ -160,6 +164,25 @@ def test_empty_distribution_has_no_accepted_outcome():
         assert rows.shape == (0, modes) and values.shape == (0,)
         with pytest.raises(ValueError, match="postselection"):
             logical_distribution(empty, rule)
+
+
+def test_a_rule_built_from_lists_reads_out_as_its_tuple_rule():
+    _, heralds, _ = ghz_factory()
+    tupled = ghz_postselection(heralds, 1, threshold=True)
+    listed = PostselectionRule(
+        [list(pair) for pair in tupled.qubit_pairs],
+        heralds=[[list(spec) for spec in pattern] for pattern in tupled.heralds],
+        threshold=True,
+    )
+    ghz = PhotonicCircuit(12).extend(ghz_factory()[0].elements).unitary().matrix[None]
+    want = logical_distributions(ghz, GHZ_INPUT_MODES, tupled)
+    assert np.array_equal(logical_distributions(ghz, GHZ_INPUT_MODES, listed), want)
+    enc = QubitEncoding.default(2)
+    circuit, tupled, _, unitary = compile_gate_circuit(GateCircuit.from_text("CNOT 0 1"), enc)
+    listed = PostselectionRule([list(p) for p in enc.qubit_pairs], list(enc.ancilla_modes))
+    dist = strong_simulate(unitary, encoding_input_state(enc, (1, 0)))
+    got, want = logical_distribution(dist, listed), logical_distribution(dist, tupled)
+    assert np.array_equal(got[0], want[0]) and got[1] == want[1]
 
 
 def test_threshold_herald_reads_any_count_as_a_click():

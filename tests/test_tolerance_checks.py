@@ -20,6 +20,7 @@ from lopsim.hardware import (
     voltages_from_phases,
 )
 from lopsim.mesh import _push_diagonal_through, two_mode_gate_elements
+from lopsim.qnn import ClassifierModel, QnnConfig, pattern_distributions, qnn_predict, qnn_train
 from lopsim.qubits import Gate, GateCircuit, compile_gate_circuit
 from lopsim.sources import genuine_indistinguishability
 from lopsim.variational import MitigationMatrix, apply_mitigation
@@ -49,6 +50,23 @@ def _phases_with_nan_voltage() -> np.ndarray:
     voltages = np.zeros_like(hw.b)
     voltages[0] = NAN
     return phases_from_voltages(voltages, hw)
+
+
+def _qnn_phases(chip: float = 0.3, encoding: float = 0.3) -> np.ndarray:
+    """Patterns of two samples with one chip phase and one encoding phase set."""
+    theta, phases = np.full(32, 0.7), np.full((2, 4), 0.5)
+    theta[5], phases[1, 2] = chip, encoding
+    return pattern_distributions(theta, phases)
+
+
+def _qnn_features(value: float, train: bool) -> np.ndarray:
+    """Predict or train on four samples, one feature of one sample set to ``value``."""
+    features = np.tile([[0.1, 0.2, 0.3, 0.4], [0.5, 0.6, 0.7, 0.8]], (2, 1))
+    features[3, 1] = value
+    if train:
+        return qnn_train(features, np.array([0, 1, 0, 1]), QnnConfig(outer_iterations=1, n_test=0))
+    model = ClassifierModel(np.zeros(32), np.zeros((2, 37)), np.zeros(4), np.ones(4))
+    return qnn_predict(model, features)
 
 
 def _confusion_with_nan() -> np.ndarray:
@@ -92,6 +110,18 @@ def _confusion_with_nan() -> np.ndarray:
             "nonnegative",
         ),
         (lambda: OutputDistribution(2, {1: [NAN, 0.5]}), ValueError, "NaN probability"),
+        (lambda: _qnn_phases(chip=NAN), ValueError, "chip phases must be finite"),
+        (lambda: _qnn_phases(chip=np.inf), ValueError, "chip phases must be finite"),
+        (lambda: _qnn_phases(encoding=NAN), ValueError, "encoding phases must be finite"),
+        (lambda: _qnn_phases(encoding=-np.inf), ValueError, "encoding phases must be finite"),
+        (
+            lambda: ClassifierModel(np.full(32, NAN), np.zeros((2, 37)), np.zeros(4), np.ones(4)),
+            ValueError,
+            "chip phases must be finite",
+        ),
+        (lambda: _qnn_features(NAN, train=False), ValueError, "features must be finite"),
+        (lambda: _qnn_features(np.inf, train=False), ValueError, "features must be finite"),
+        (lambda: _qnn_features(NAN, train=True), ValueError, "features must be finite"),
         (_phases_with_nan_voltage, ValueError, "voltages outside"),
         (
             lambda: genuine_indistinguishability(
@@ -119,6 +149,14 @@ def _confusion_with_nan() -> np.ndarray:
         "HardwareModel-zero_output_loss",
         "apply_mitigation",
         "OutputDistribution",
+        "pattern_distributions-chip_nan",
+        "pattern_distributions-chip_inf",
+        "pattern_distributions-encoding_nan",
+        "pattern_distributions-encoding_inf",
+        "ClassifierModel-chip_nan",
+        "qnn_predict-feature_nan",
+        "qnn_predict-feature_inf",
+        "qnn_train-feature_nan",
         "phases_from_voltages",
         "genuine_indistinguishability",
     ],

@@ -3,8 +3,11 @@
 import numpy as np
 import pytest
 from _oracles import PerEvaluationVqeBackend, h2_ground_energy_closed_form
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from lopsim.qubits import _MEAS_ROT, Gate, GateCircuit, compile_gate_circuit
+from lopsim import qubits
+from lopsim.qubits import _MEAS_ROT, Gate, GateCircuit, QubitEncoding, compile_gate_circuit
 from lopsim.sources import SourceModel
 from lopsim.variational import (
     BASES,
@@ -12,6 +15,7 @@ from lopsim.variational import (
     PhotonicVqeBackend,
     QubitHamiltonian,
     VqeConfig,
+    _ansatz_steps,
     _mitigation_circuit,
     ansatz_circuit,
     apply_mitigation,
@@ -498,3 +502,121 @@ def test_vqe_energies_match_a_backend_compiling_every_circuit(case):
     got = vqe_run(h, PhotonicVqeBackend(**_BACKENDS[kind]), config)
     assert np.array_equal(got.energies, want.energies)
     assert np.array_equal(got.theta, want.theta)
+
+
+_COMPILE_CACHES = (
+    qubits._gate_elements,
+    qubits._gate_matrix,
+    qubits._checked_gates,
+    qubits._setting_elements,
+)
+_ANSATZ_ANGLE = st.sampled_from([0.0, -0.0, np.pi, -np.pi / 2, 2.0 * np.pi, 9.5, -31.0]) | st.floats(
+    -40.0, 40.0, allow_nan=False
+)
+
+
+class _RecordingBackend(PhotonicVqeBackend):
+    """Keeps every mode unitary it simulates."""
+
+    def _readout(self, unitary, rule):
+        self.simulated.append(unitary)
+        return super()._readout(unitary, rule)
+
+
+def _compiled_settings(theta):
+    """Mode matrices of ``ansatz_circuit(theta, basis)`` per basis, compiled with empty caches.
+
+    Each is the compiled circuit's element-by-element ``unitary()``, which
+    must also be the compile's own returned unitary.
+    """
+    matrices = []
+    for basis in BASES:
+        for cached in _COMPILE_CACHES:
+            cached.cache_clear()
+        circuit, _, _, unitary = compile_gate_circuit(ansatz_circuit(theta, basis))
+        assert unitary.matrix.tobytes() == circuit.unitary().matrix.tobytes()
+        matrices.append(unitary.matrix.tobytes())
+    return matrices
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    st.lists(_ANSATZ_ANGLE, min_size=7, max_size=7),
+    st.sampled_from(["warm", "after cache_clear", "after eviction"]),
+)
+def test_the_bound_ansatz_is_the_compiled_circuits_byte_for_byte(theta, state):
+    backend = _RecordingBackend()
+    backend.simulated = []
+    backend.ansatz_distributions(theta)
+    if state == "after cache_clear":
+        for cached in _COMPILE_CACHES:
+            cached.cache_clear()
+    elif state == "after eviction":
+        enc = QubitEncoding.default(2)
+        for i in range(qubits._checked_gates.cache_info().maxsize):
+            qubits._checked_gates(_ansatz_steps(np.full(7, 100.0 + i)), enc)
+    backend.simulated = []
+    got = backend.ansatz_distributions(theta)
+    bound = [unitary.matrix.tobytes() for unitary in backend.simulated]
+    assert bound == _compiled_settings(theta)
+    # a signed zero reads the same matrices as the other sign
+    flipped = [-a if a == 0.0 else a for a in theta]
+    assert bound == _compiled_settings(flipped)
+    for unitary in backend.simulated:
+        with pytest.raises(ValueError, match="read-only"):
+            unitary.matrix[0, 0] = 0.0
+    want = [backend.distribution(ansatz_circuit(theta, basis)) for basis in BASES]
+    assert np.array_equal(np.stack(got), np.stack(want))
+
+
+def test_a_backend_without_ansatz_distributions_is_named_in_the_error():
+    class DistributionOnly:
+        def distribution(self, circuit):
+            return PhotonicVqeBackend().distribution(circuit)
+
+    h = h2_hamiltonian(0.75)
+    with pytest.raises(TypeError, match="DistributionOnly has no ansatz_distributions"):
+        measure_energy(h, np.zeros(7), DistributionOnly())
+    config = VqeConfig(shots=100, max_iterations=3, mitigation=True)
+    with pytest.raises(TypeError, match="DistributionOnly has no ansatz_distributions"):
+        vqe_run(h, DistributionOnly(), config)
+
+
+@pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf")])
+def test_a_non_finite_ansatz_angle_is_refused(bad):
+    theta = np.full(7, 0.3)
+    theta[4] = bad
+    h = h2_hamiltonian(0.75)
+    with pytest.raises(ValueError, match="angle must be finite"):
+        measure_energy(h, theta, PhotonicVqeBackend(), shots=None)
+    for mitigation in (False, True):
+        config = VqeConfig(shots=100, max_iterations=3, initial_theta=theta, mitigation=mitigation)
+        with pytest.raises(ValueError, match="angle must be finite"):
+            vqe_run(h, PhotonicVqeBackend(), config)
+
+
+def test_a_warm_energy_at_a_new_angle_builds_no_gate_and_checks_once(monkeypatch):
+    backend, h = PhotonicVqeBackend(readout_flip=0.02), h2_hamiltonian(0.75)
+    theta = np.linspace(0.2, 1.4, 7)
+    measure_energy(h, theta, backend, shots=None)
+    gates, checks = [], []
+    post_init, rail_amplitudes = Gate.__post_init__, qubits._rail_amplitudes
+
+    def counted_gate(self):
+        gates.append(self)
+        post_init(self)
+
+    def counted_check(unitary, enc):
+        checks.append(enc)
+        return rail_amplitudes(unitary, enc)
+
+    monkeypatch.setattr(Gate, "__post_init__", counted_gate)
+    monkeypatch.setattr(qubits, "_rail_amplitudes", counted_check)
+    theta[3] += np.pi / 2.0
+    energy = measure_energy(h, theta, backend, shots=None)
+    assert (len(gates), len(checks)) == (0, 1)
+    # the same angles again hit the checked compile's cache: no further check
+    assert measure_energy(h, theta, backend, shots=None) == energy
+    assert (len(gates), len(checks)) == (0, 1)
+    zz, xx = (backend.distribution(ansatz_circuit(theta, basis)) for basis in BASES)
+    assert np.array_equal(np.stack(backend.ansatz_distributions(theta)), np.stack([zz, xx]))
