@@ -24,18 +24,16 @@ tables, built from the live rows alone, serves both.  Live rows are
 generated by pair pattern, never filtered from the full basis.
 Permanents serve only single amplitudes.
 
-:class:`OutputDistribution` is the one type of every simulated output,
-ideal or from a noisy source: a probability vector per photon-number
-sector over the cached basis, plus the mass a simulation left out
+:class:`OutputDistribution` is the one outcome type, simulated or
+sampled: a vector per photon-number sector over the cached basis, of
+probabilities (ideal or from a noisy source) or of the counts
+:func:`sample` draws, plus the mass a simulation left out
 (``dropped_weight``).  The simulators return full vectors; a reader that
 wants a restricted view, such as the collision-free outcomes of
 threshold detectors (:mod:`lopsim.validation`), restricts them itself.
 Every readout (click patterns, postselection, pattern merging) is a mask
-or group-by on one outcome view, :func:`outcome_arrays`: ``(K, m)``
-occupation rows and ``(K,)`` values.  An :class:`OutputDistribution`
-hands over its arrays through ``outcomes()``; any other mapping, such as
-the counts of :func:`sample`, keyed by state or by tuple, is converted
-once.
+or group-by on its outcome view, ``outcomes()``: ``(K, m)`` occupation
+rows and ``(K,)`` values, or on its ``sectors`` directly.
 """
 
 from __future__ import annotations
@@ -53,14 +51,12 @@ __all__ = [
     "FockBasis",
     "ModeUnitary",
     "OutputDistribution",
-    "SampleCounts",
     "permanent",
     "enumerate_basis",
     "output_amplitude",
     "strong_simulate",
     "batched_amplitudes",
     "sample",
-    "outcome_arrays",
 ]
 
 PERMANENT_MAX_SIZE = 16
@@ -602,15 +598,17 @@ def _check_states(unitary: ModeUnitary, *states: FockState) -> None:
 
 
 class OutputDistribution(Mapping[FockState, float]):
-    """Outcome probabilities of one detector array, one vector per photon number.
+    """Outcomes of one detector array, one vector per photon number.
 
-    ``sectors[n]`` is the probability vector over ``enumerate_basis(m, n)``;
-    only sectors with mass are kept.  Iteration, ``items`` and ``len``
+    ``sectors[n]`` is a vector over ``enumerate_basis(m, n)`` of
+    probabilities, or of counts when :func:`sample` drew it; only
+    sectors with mass are kept.  Iteration, ``items`` and ``len``
     cover the nonzero outcomes, and so do ``in``, ``get`` and ``[]``:
     ``[]`` raises KeyError elsewhere, while :meth:`prob` is total and
     returns 0.0 there.  ``dropped_weight`` is the mass a simulation left
-    out (see :func:`lopsim.sources.noisy_simulate`), so ``total() +
-    dropped_weight`` is 1 before any postselection.  The vectors given
+    out (see :func:`lopsim.sources.noisy_simulate`), so for probabilities
+    ``total() + dropped_weight`` is 1 before any postselection, and for
+    counts ``total()`` is the number of shots.  The vectors given
     are kept, not copied; one is clipped into a new array only when it
     holds a negative rounding residue.  A negative, NaN or infinite
     probability is refused.
@@ -710,9 +708,6 @@ class OutputDistribution(Mapping[FockState, float]):
         )
 
 
-SampleCounts = dict[FockState, int]
-
-
 def strong_simulate(unitary: ModeUnitary, input_state: FockState) -> OutputDistribution:
     """Exact output distribution of ``input_state`` through ``unitary``.
 
@@ -760,25 +755,16 @@ def sample(
     input_state: FockState,
     shots: int,
     rng: np.random.Generator | int,
-) -> SampleCounts:
-    """Draw ``shots`` outcomes by inverse-CDF sampling of the exact distribution."""
+) -> OutputDistribution:
+    """Draw ``shots`` outcomes of the exact distribution and return their counts.
+
+    The counts come as an :class:`OutputDistribution` over the input's
+    photon-number sector (float tallies, ``total()`` equal to ``shots``),
+    the type every readout reads.
+    """
     rng = _seeded_rng(rng)
     shots = _shot_count(shots, rng, required=True)
-    rows, p = strong_simulate(unitary, input_state).outcomes()
+    p = strong_simulate(unitary, input_state).sectors[input_state.n]
     draws = rng.choice(len(p), size=shots, p=p / p.sum())
-    tallies = np.bincount(draws, minlength=len(p))
-    return {FockState(tuple(rows[i].tolist())): int(tallies[i]) for i in np.flatnonzero(tallies)}
-
-
-def outcome_arrays(dist: Mapping) -> tuple[np.ndarray, np.ndarray]:
-    """Occupation rows ``(K, m)`` and values ``(K,)`` of a distribution.
-
-    An :class:`OutputDistribution` hands over its ``outcomes()``.  Any
-    other mapping, keyed by :class:`FockState` or by occupation
-    tuple, is converted here; an empty one gives ``(0, 0)`` rows.
-    """
-    if isinstance(dist, OutputDistribution):
-        return dist.outcomes()
-    rows = [getattr(key, "occupations", key) for key in dist]
-    values = np.fromiter(dist.values(), dtype=float, count=len(rows))
-    return np.array(rows, dtype=np.int64).reshape(len(rows), -1 if rows else 0), values
+    tallies = np.bincount(draws, minlength=len(p)).astype(float)
+    return OutputDistribution(input_state.m, {input_state.n: tallies})

@@ -24,7 +24,8 @@ photon in any ancilla mode.  The same rule type also carries herald
 patterns for the GHZ factory, where part of the photons are detected to
 signal that the surviving qubits carry entanglement.  A rule is a mask on
 the occupation rows of a distribution's outcome view
-(:func:`lopsim.fock.outcome_arrays`): one vectorized readout gives the
+(:meth:`lopsim.fock.OutputDistribution.outcomes`, simulated or sampled
+counts alike): one vectorized readout gives the
 acceptance mask and the logical index of every row, and the logical
 distribution is a weighted ``bincount`` of the accepted indices.
 :func:`logical_distributions` is the one batched path from
@@ -52,10 +53,10 @@ import numpy as np
 from lopsim.fock import (
     FockState,
     ModeUnitary,
+    OutputDistribution,
     _glynn_deltas,
     batched_amplitudes,
     enumerate_basis,
-    outcome_arrays,
 )
 from lopsim.mesh import (
     CircuitElement,
@@ -341,7 +342,9 @@ class PostselectionRule:
     photon count on a set of modes and the state must match one of them.
     With ``threshold`` the rule only distinguishes click from no-click on
     every mode, which is what threshold detectors resolve.  Every mode
-    the rule reads must be nonnegative.
+    the rule reads must be nonnegative.  Fields given as lists are
+    stored as tuples, so a rule built from lists equals and hashes as
+    its tuple rule.
     """
 
     qubit_pairs: tuple[tuple[int, int], ...]
@@ -350,6 +353,10 @@ class PostselectionRule:
     threshold: bool = False
 
     def __post_init__(self) -> None:
+        object.__setattr__(self, "qubit_pairs", tuple(map(tuple, self.qubit_pairs)))
+        object.__setattr__(self, "vacuum_modes", tuple(self.vacuum_modes))
+        heralds = tuple(tuple(map(tuple, pattern)) for pattern in self.heralds)
+        object.__setattr__(self, "heralds", heralds)
         negative = [mode for mode in self._modes() if mode < 0]
         if negative:
             raise ValueError(f"postselection modes must be nonnegative, got {negative}")
@@ -370,8 +377,6 @@ class PostselectionRule:
         mask is set.  A rule mode at or past m raises ``ValueError``.
         """
         rows = np.asarray(rows)
-        if not rows.size:
-            return np.zeros(len(rows), dtype=bool), np.zeros(len(rows), dtype=np.intp)
         outside = [mode for mode in self._modes() if mode >= rows.shape[1]]
         if outside:
             raise ValueError(f"rule reads modes {outside}, rows have {rows.shape[1]} modes")
@@ -405,17 +410,17 @@ def _logical_mass(rows: np.ndarray, values: np.ndarray, rule: PostselectionRule)
 
 
 def logical_distribution(
-    distribution: Mapping[FockState, float], rule: PostselectionRule
+    distribution: OutputDistribution, rule: PostselectionRule
 ) -> tuple[np.ndarray, float]:
     """Postselected logical distribution and its total weight.
 
     The probabilities come as an array of shape ``(2,) * n_qubits``,
     indexed by the bits (``probs[(1, 0)]``), normalized over the accepted
     outcomes; ``probs.ravel()`` is the vector with qubit 0 as the most
-    significant bit.  The weight is the unnormalized probability of
-    acceptance.
+    significant bit.  The weight is the accepted mass: the unnormalized
+    probability of acceptance, or the accepted shots of sampled counts.
     """
-    rows, values = outcome_arrays(distribution)
+    rows, values = distribution.outcomes()
     raw = _logical_mass(rows, values[:, None], rule)[:, 0]
     weight = float(raw.sum())
     if weight <= 0.0:
@@ -833,20 +838,20 @@ def ghz_fidelity(expectations: Mapping[str, float]) -> float:
 def ghz_noisy_fidelity(source: SourceModel | None = None) -> tuple[float, dict[str, float]]:
     """GHZ fidelity of the factory, pooled over the h+ heralds.
 
-    ``source`` is the photon source (None for ideal photons).  Each of
-    the five measurement settings is read with threshold detection in
-    one :func:`logical_distributions` call (a batch of five is slower on
-    the noisy 12-mode sectors); the two-qubit Z words are parity
-    marginals of the ZZZ readout.  Returns the stabilizer-average
-    fidelity together with the eight expectations.
+    ``source`` is the photon source (None for ideal photons).  The
+    factory unitary is built once; each of the five measurement words
+    rotates a copy of it (:func:`_rotated`), which is read with
+    threshold detection in one :func:`logical_distributions` call (a
+    batch of five is slower on the noisy 12-mode sectors); the two-qubit
+    Z words are parity marginals of the ZZZ readout.  Returns the
+    stabilizer-average fidelity together with the eight expectations.
     """
     circuit, heralds, encoding = ghz_factory()
     rule = ghz_postselection(heralds, sign=1, threshold=True)
+    base = circuit.unitary()
     logical = {}
     for word in GHZ_MEASUREMENT_SETTINGS:
-        setting = PhotonicCircuit(12).extend(circuit.elements)
-        setting.extend(pauli_measurement_setting(word, encoding).elements)
-        unitary = setting.unitary().matrix[None]
+        unitary = _rotated(base, _setting_elements(word, encoding)).matrix[None]
         logical[word] = logical_distributions(unitary, GHZ_INPUT_MODES, rule, source)[0]
     expectations = _ghz_expectations(logical)
     return ghz_fidelity(expectations), expectations

@@ -51,7 +51,7 @@ from functools import cached_property, lru_cache
 from importlib import resources
 from math import prod
 from pathlib import Path
-from typing import Mapping, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -66,7 +66,6 @@ from .fock import (
     _live_table,
     _unbunched,
     enumerate_basis,
-    outcome_arrays,
 )
 from .mesh import DirectionalCoupler, PhaseShifter, PhotonicCircuit
 
@@ -490,18 +489,14 @@ def noisy_simulate(
     )
 
 
-def coincidence_probability(
-    dist: Mapping[FockState, float], modes: Sequence[int]
-) -> float:
+def coincidence_probability(dist: OutputDistribution, modes: Sequence[int]) -> float:
     """Probability that every listed mode clicks (threshold detectors)."""
     modes = list(modes)
-    rows, values = outcome_arrays(dist)
-    # an empty plain mapping gives (0, 0) rows, which carry no mode count
-    m = rows.shape[1] if rows.shape != (0, 0) else max(modes, default=-1) + 1
-    outside = [q for q in modes if not 0 <= q < m]
+    outside = [q for q in modes if not 0 <= q < dist.m]
     if outside:
-        raise ValueError(f"modes {outside} lie outside the distribution's modes [0, {m})")
-    return float(values[np.all(rows[:, modes] > 0, axis=1)].sum()) if len(rows) else 0.0
+        raise ValueError(f"modes {outside} lie outside the distribution's modes [0, {dist.m})")
+    rows, values = dist.outcomes()
+    return float(values[np.all(rows[:, modes] > 0, axis=1)].sum())
 
 
 def _mzi_unitary(internal_phase: float) -> ModeUnitary:
@@ -600,52 +595,37 @@ def _output_pairs(n_photons: int, m: int) -> tuple[tuple[int, int], ...]:
     return tuple((2 * k, 2 * k + 1) for k in range(n_photons))
 
 
-def _fringe_classes(rows: np.ndarray, n_photons: int) -> tuple[np.ndarray, np.ndarray]:
-    """Indices of the constructive (even odd-mode clicks) and destructive one-click-per-pair rows."""
-    width = 2 * n_photons
-    if len(rows):
-        _output_pairs(n_photons, rows.shape[1])
-    clicks = rows[:, :width].reshape(len(rows), width) > 0
-    right = clicks[:, 1::2]
-    valid = np.all(clicks[:, 0::2] != right, axis=1)
-    constructive = valid & (right.sum(axis=1) % 2 == 0)
-    return np.flatnonzero(constructive), np.flatnonzero(valid & ~constructive)
-
-
 @lru_cache(maxsize=None)
 def _fringe_table(m: int, n: int, n_photons: int) -> tuple[np.ndarray, np.ndarray]:
-    """Read-only basis ranks of one sector's :func:`_fringe_classes`.
+    """Read-only basis ranks of one sector's constructive and destructive fringe rows.
 
     Its rows with one click in every output pair are the live rows of
     those pairs at a cap of n (:func:`~lopsim.fock._live_table`), so
-    they are generated, not searched for in the basis.
+    they are generated, not searched for in the basis.  Each such row
+    clicks on the even or the odd mode of every pair, so its class is
+    the parity of its odd-mode clicks: even is constructive.
     """
     ranks, rows = _live_table(m, n, _output_pairs(n_photons, m), n)
-    classes = tuple(ranks[at] for at in _fringe_classes(rows, n_photons))
+    odd = np.count_nonzero(rows[:, 1 : 2 * n_photons : 2], axis=1) % 2
+    classes = ranks[odd == 0], ranks[odd == 1]
     for index in classes:
         index.setflags(write=False)
     return classes
 
 
-def genuine_indistinguishability(
-    dist: Mapping[FockState, float],
-    n_photons: int,
-) -> float:
+def genuine_indistinguishability(dist: OutputDistribution, n_photons: int) -> float:
     """Genuine n-photon indistinguishability from cyclic-circuit statistics.
 
-    Restricts ``dist`` (probabilities or counts from the interferometer
-    at alpha = 0; modes past the first ``2 * n_photons`` are ignored) to
-    events with exactly one click per output pair and contrasts the
-    constructive class (an even number of pairs clicking on their odd
-    mode) against the destructive one (an odd number):
+    Restricts ``dist`` (probabilities or sampled counts from the
+    interferometer at alpha = 0; modes past the first ``2 * n_photons``
+    are ignored) to events with exactly one click per output pair and
+    contrasts the constructive class (an even number of pairs clicking
+    on their odd mode) against the destructive one (an odd number):
     ``p_N = (C - D) / (C + D)``.  For the independent-label model with
     perfect purity this equals the product of the ``m_i``.
     """
-    if isinstance(dist, OutputDistribution):
-        parts = [(vec, _fringe_table(dist.m, n, n_photons)) for n, vec in dist.sectors.items()]
-    else:
-        rows, values = outcome_arrays(dist)
-        parts = [(values, _fringe_classes(rows, n_photons))]
+    _output_pairs(n_photons, dist.m)  # refuses too few modes, with or without events
+    parts = [(vec, _fringe_table(dist.m, n, n_photons)) for n, vec in dist.sectors.items()]
     constructive = np.concatenate([vec[c] for vec, (c, _) in parts] + [[]])
     destructive = np.concatenate([vec[d] for vec, (_, d) in parts] + [[]])
     c_sum, d_sum = float(constructive.sum()), float(destructive.sum())

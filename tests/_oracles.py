@@ -1,8 +1,9 @@
 """Brute-force reference implementations used only by the test suite.
 
 Each function here recomputes a quantity through a route independent of
-the library code: Fock bases filtered from every occupation tuple, the
-live rows of a set of one-click pairs and the cyclic-fringe classes
+the library code: Fock bases filtered from every occupation tuple,
+sampled counts keyed by state from one ``choice`` and a ``bincount``,
+the live rows of a set of one-click pairs and the cyclic-fringe classes
 filtered from every row of the full basis,
 factorial-cost permanents, the collision-free sampling probabilities and
 validation counters from one permanent pair per pattern, full second-quantized
@@ -18,7 +19,8 @@ built element by element, the mesh transfer matrix and its derivatives as produc
 of per-element factors, the element kernel with numpy scalars, the
 rail amplitudes of a mode unitary from a SLOS pass over the whole
 n-photon basis, and a VQE backend that compiles every circuit, the
-ansatz settings included, from scratch.
+ansatz settings included, from scratch.  One helper,
+:func:`placed_distribution`, builds hand-written test inputs.
 """
 
 from __future__ import annotations
@@ -32,11 +34,11 @@ import numpy as np
 from lopsim.benchmark import _MEAS_SIGNS, _PREP_VECTORS, FidelityEstimate
 from lopsim.fock import (
     FockState,
+    OutputDistribution,
     _gains,
     _successors,
     batched_amplitudes,
     enumerate_basis,
-    outcome_arrays,
     strong_simulate,
 )
 from lopsim.hardware import (
@@ -77,7 +79,6 @@ from lopsim.sources import (
     TAIL_TOLERANCE,
     _accumulate,
     _cyclic_circuit,
-    _fringe_classes,
     _photon_number_tail,
     build_input,
     cyclic_input_modes,
@@ -85,6 +86,25 @@ from lopsim.sources import (
     noisy_simulate,
 )
 from lopsim.variational import BASES, PhotonicVqeBackend, ansatz_circuit
+
+
+def sample_by_choice(unitary, input_state: FockState, shots: int, seed: int) -> dict[FockState, int]:
+    """Counts of ``shots`` draws keyed by state: one ``choice`` over the exact vector, then ``bincount``."""
+    rng = np.random.default_rng(seed)
+    rows, p = strong_simulate(unitary, input_state).outcomes()
+    draws = rng.choice(len(p), size=shots, p=p / p.sum())
+    tallies = np.bincount(draws, minlength=len(p))
+    return {FockState(tuple(rows[i].tolist())): int(tallies[i]) for i in np.flatnonzero(tallies)}
+
+
+def placed_distribution(m: int, entries: dict[tuple[int, ...], float]) -> OutputDistribution:
+    """A hand-written input: each value at its occupation tuple's basis rank, one sector per photon number."""
+    sectors: dict[int, np.ndarray] = {}
+    for occupations, value in entries.items():
+        basis = enumerate_basis(m, sum(occupations))
+        vec = sectors.setdefault(basis.n, np.zeros(len(basis)))
+        vec[basis.index(FockState(occupations))] = value
+    return OutputDistribution(m, sectors)
 
 
 def fock_basis_rows(m: int, n: int, collision_free: bool) -> np.ndarray:
@@ -127,8 +147,19 @@ def live_rows_by_filter(
 
 
 def fringe_classes_by_filter(m: int, n: int, n_photons: int) -> tuple[np.ndarray, np.ndarray]:
-    """Constructive and destructive ranks of one sector, classified over every basis row."""
-    return _fringe_classes(enumerate_basis(m, n).occupations, n_photons)
+    """Constructive and destructive ranks of one sector, classified over every basis row.
+
+    A row is in a class when each output pair ``(2k, 2k + 1)`` has
+    exactly one clicking mode; the class is constructive when an even
+    number of pairs click on their odd mode.  Modes past the first
+    ``2 * n_photons`` are ignored.
+    """
+    width = 2 * n_photons
+    clicks = enumerate_basis(m, n).occupations[:, :width] > 0
+    right = clicks[:, 1::2]
+    valid = np.all(clicks[:, 0::2] != right, axis=1)
+    constructive = valid & (right.sum(axis=1) % 2 == 0)
+    return np.flatnonzero(constructive), np.flatnonzero(valid & ~constructive)
 
 
 def permanent_by_permutations(a: np.ndarray) -> complex:
@@ -381,7 +412,7 @@ def constructive_patterns(n_photons: int) -> frozenset[tuple[int, ...]]:
     m = 2 * n_photons
     unitary = _cyclic_circuit(n_photons, 0.0).unitary()
     dist = strong_simulate(unitary, FockState.from_modes(m, cyclic_input_modes(n_photons)))
-    rows, probs = outcome_arrays(dist)
+    rows, probs = dist.outcomes()
     clicks = rows > 0
     right = clicks[:, 1::2]
     valid = np.all(clicks[:, 0::2] != right, axis=1)
@@ -399,7 +430,7 @@ def fringe_contrast_rows(dist, n_photons: int) -> float:
     in outcome order.
     """
     width = 2 * n_photons
-    rows, values = outcome_arrays(dist)
+    rows, values = dist.outcomes()
     clicks = rows[:, :width].reshape(len(rows), width) > 0
     right = clicks[:, 1::2]
     valid = np.all(clicks[:, 0::2] != right, axis=1)

@@ -20,6 +20,7 @@ from _oracles import (
     classical_routing_probability,
     evolve_state_vector,
     permanent_by_permutations,
+    sample_by_choice,
 )
 
 
@@ -97,7 +98,7 @@ class TestPermanent:
         # perm of the k x k all-ones matrix is k!
         from math import factorial
 
-        for k in (2, 3, 5, 8):
+        for k in (0, 2, 3, 5, 8):
             assert permanent(np.ones((k, k))) == pytest.approx(float(factorial(k)))
 
     @pytest.mark.parametrize("k", [2, 3, 4, 5, 6, 7])
@@ -145,7 +146,7 @@ class TestAmplitudes:
         bunched = FockState.from_string("20")
         assert abs(output_amplitude(u, ones, bunched)) ** 2 == pytest.approx(0.5)
 
-    @pytest.mark.parametrize("m,photons", [(4, [0, 1]), (5, [0, 2, 4]), (6, [1, 1, 3])])
+    @pytest.mark.parametrize("m,photons", [(4, [0, 1]), (5, [0, 2, 4]), (6, [1, 1, 3]), (3, [])])
     def test_against_state_vector_evolution(self, m, photons):
         rng = np.random.default_rng(m * 17 + len(photons))
         u = ModeUnitary.haar_random(m, rng)
@@ -274,6 +275,20 @@ class TestSampling:
         assert a == b
         c = sample(u, s, shots=500, rng=1235)
         assert a != c
+
+    @pytest.mark.parametrize(
+        "m, photons, shots, seed",
+        [(2, (0, 1), 7, 0), (5, (0, 1, 3), 400, 11), (6, (0, 0, 2, 5), 1000, 3)],
+    )
+    def test_tallies_are_the_draw_of_one_choice_and_a_bincount(self, m, photons, shots, seed):
+        u = ModeUnitary.haar_random(m, np.random.default_rng(seed + 50))
+        s = FockState.from_modes(m, photons)
+        counts = sample(u, s, shots, rng=seed)
+        assert isinstance(counts, OutputDistribution)
+        assert list(counts.sectors) == [s.n] and counts.sectors[s.n].dtype == float
+        assert counts.total() == shots
+        expected = sample_by_choice(u, s, shots, seed)
+        assert counts == expected and list(counts) == list(expected)
 
     def test_counts_total(self):
         rng = np.random.default_rng(2)

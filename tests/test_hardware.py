@@ -6,6 +6,7 @@ import re
 import numpy as np
 import pytest
 
+from lopsim import hardware
 from lopsim.hardware import (
     HardwareModel,
     IntensityMeasurement,
@@ -432,6 +433,26 @@ class TestBatchedTranspiler:
             got = benchmark_tvd(est, chip, layout, n_configs=60, seed=120 + index)
             expected = benchmark_tvds_per_row(est, chip, layout, 60, 120 + index)
             assert np.array_equal(got.tvds, expected)
+
+    def test_a_search_cut_short_names_the_shifters_still_outside(self, monkeypatch):
+        # One round solves each row at its starting branches; a row whose
+        # squares are not all feasible then runs out of rounds.
+        monkeypatch.setattr(hardware, "TRANSPILE_MAX_ROUNDS", 1)
+        hw = HardwareModel.synthetic(6, rng=3)
+        phi = np.random.default_rng(0).uniform(0.0, 2 * np.pi, size=(50, hw.b.shape[0]))
+        _, errors = _transpile(phi, hw)
+        expected = {}
+        for i, row in enumerate(phi):
+            k = np.ceil((hw.b - row) / (2.0 * np.pi))
+            w = np.linalg.solve(hw.a, row + 2.0 * np.pi * k - hw.b)
+            bad = np.flatnonzero((w < -1e-12) | (w > hw.v_max**2 + 1e-9)).tolist()
+            if bad:
+                expected[i] = f"branch search did not converge for shifters {bad}"
+        assert len(expected) == 27
+        assert errors == expected
+        for i, message in expected.items():
+            with pytest.raises(TranspilationError, match=re.escape(message)):
+                voltages_from_phases(phi[i], hw)
 
     def test_too_many_infeasible_targets_raise(self):
         prior = HardwareModel.prior(3)

@@ -481,11 +481,14 @@ class TestDeterminism:
 
 
 class TestUnitaryEmbedding:
-    @pytest.mark.parametrize("k", [2, 3, 4, 5])
+    @pytest.mark.parametrize("k", [1, 2, 3, 4, 5])
     def test_exact_on_contiguous_modes(self, k):
         block = haar(k, 20 + k).matrix
-        circuit = PhotonicCircuit(k).extend(unitary_to_elements(block, range(k)))
+        elements = unitary_to_elements(block, range(k))
+        circuit = PhotonicCircuit(k).extend(elements)
         assert np.max(np.abs(circuit.unitary().matrix - block)) < 1e-12
+        if k == 1:  # one mode is one phase
+            assert [type(e) for e in elements] == [PhaseShifter]
 
     def test_scattered_modes_leave_the_rest_alone(self):
         block = haar(3, 31).matrix

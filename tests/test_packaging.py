@@ -2,7 +2,8 @@
 every console script resolves to a callable, every name a module exports
 or the package imports exists, no module-level definition, method or
 property is dead, no module draws from an unseeded generator, every
-``np.allclose``/``np.isclose`` sets its ``rtol``, and importing the
+``np.allclose``/``np.isclose`` sets its ``rtol``, no parameter takes a
+plain ``Mapping[FockState, ...]`` of outcomes, and importing the
 package (or running ``lopsim fringe`` or ``lopsim vqe``) loads no scipy
 module, so a fresh process starts without paying for it."""
 
@@ -238,6 +239,24 @@ def test_every_allclose_sets_its_rtol():
                 and all(keyword.arg != "rtol" for keyword in node.keywords)
             ):
                 offenders.append(f"{path.name}:{node.lineno}")
+    assert offenders == []
+
+
+def test_no_parameter_takes_a_plain_mapping_of_states():
+    # OutputDistribution is the one outcome type: probabilities and the
+    # counts of fock.sample alike.  A parameter typed Mapping[FockState, ...]
+    # would invite a second input path that converts plain mappings.
+    plain = re.compile(r"(\w+\.)?Mapping\[\s*(\w+\.)?FockState\b")
+    offenders = []
+    for path in sorted((ROOT / "src" / "lopsim").glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                args = node.args
+                offenders += [
+                    f"{path.name}:{arg.lineno}:{node.name}.{arg.arg}"
+                    for arg in args.posonlyargs + args.args + args.kwonlyargs
+                    if arg.annotation is not None and plain.match(ast.unparse(arg.annotation))
+                ]
     assert offenders == []
 
 

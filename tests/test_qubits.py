@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from _oracles import pauli_matrix, postselect_by_state, rail_amplitudes_slos
+from _oracles import pauli_matrix, placed_distribution, postselect_by_state, rail_amplitudes_slos
 from lopsim import fock, qubits
 from lopsim.fock import FockState, ModeUnitary, output_amplitude, strong_simulate
 from lopsim.mesh import PhotonicCircuit, two_mode_gate_elements
@@ -693,7 +693,7 @@ class TestPostselectionRule:
 
     def test_empty_distribution_raises(self):
         rule = PostselectionRule(((0, 1),), vacuum_modes=(2,))
-        dist = {FockState((0, 0, 2)): 1.0}
+        dist = placed_distribution(3, {(0, 0, 2): 1.0})
         with pytest.raises(ValueError, match="postselection"):
             logical_distribution(dist, rule)
 

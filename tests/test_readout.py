@@ -1,14 +1,16 @@
 """Postselection as a mask on occupation rows, checked against a per-state rule.
 
-``logical_distribution`` reads any distribution through the outcome view
-of ``lopsim.fock.outcome_arrays``; random rules and random single- and
-multi-sector ``OutputDistribution`` and counts-dict inputs are compared
-with the brute-force ``postselect_by_state`` of ``_oracles.py``.  The
+``logical_distribution`` reads an ``OutputDistribution`` through its
+outcome view; random rules and random single- and multi-sector
+distributions of probabilities or of integer counts are compared with
+the brute-force ``postselect_by_state`` of ``_oracles.py``.  The
 batched ``logical_distributions`` path is compared with
 ``logical_distribution`` of each unitary's ``strong_simulate`` and
 ``noisy_simulate`` output.  The accessors of ``OutputDistribution`` are
 checked against its outcome view.
 """
+
+import re
 
 import numpy as np
 import pytest
@@ -20,7 +22,6 @@ from lopsim.fock import (
     ModeUnitary,
     OutputDistribution,
     enumerate_basis,
-    outcome_arrays,
     strong_simulate,
 )
 from lopsim.mesh import PhotonicCircuit
@@ -39,7 +40,7 @@ from lopsim.qubits import (
 )
 from lopsim.sources import SourceModel, build_input, noisy_simulate
 
-from _oracles import postselect_by_state
+from _oracles import placed_distribution, postselect_by_state
 
 
 @st.composite
@@ -77,7 +78,7 @@ def random_sector(
 @settings(max_examples=50, deadline=None)
 @given(
     drawn=rules(),
-    kind=st.sampled_from(["output", "noisy", "states", "tuples"]),
+    kind=st.sampled_from(["output", "noisy", "counts"]),
     seed=st.integers(0, 2**32 - 1),
 )
 def test_mask_readout_matches_per_state_rule(drawn, kind, seed):
@@ -91,11 +92,8 @@ def test_mask_readout_matches_per_state_rule(drawn, kind, seed):
     elif kind == "noisy":
         dist = OutputDistribution(m, sectors)
     else:
-        noisy = OutputDistribution(m, sectors)
-        dist = {
-            (state if kind == "states" else state.occupations): int(rng.integers(1, 50))
-            for state, _ in noisy.items()
-        }
+        counts = {n: (vec > 0) * rng.integers(1, 50, len(vec)) for n, vec in sectors.items()}
+        dist = OutputDistribution(m, counts)
     expected, weight = postselect_by_state(dist, rule)
     if weight <= 0.0:
         with pytest.raises(ValueError, match="postselection"):
@@ -108,7 +106,7 @@ def test_mask_readout_matches_per_state_rule(drawn, kind, seed):
     for bits, p in expected.items():
         reference[bits] = p
     assert np.max(np.abs(probs - reference)) < 1e-12
-    rows, _ = outcome_arrays(dist)
+    rows, _ = dist.outcomes()
     accepted, index = rule.readout(rows)
     for row, ok, i in zip(rows[:20].tolist(), accepted[:20], index[:20]):
         single, single_weight = postselect_by_state({tuple(row): 1.0}, rule)
@@ -159,11 +157,13 @@ def test_ravel_puts_qubit_zero_first():
 
 def test_empty_distribution_has_no_accepted_outcome():
     rule = PostselectionRule(((0, 1),))
-    for empty, modes in (({}, 0), (OutputDistribution(2, {}), 2)):
-        rows, values = outcome_arrays(empty)
-        assert rows.shape == (0, modes) and values.shape == (0,)
-        with pytest.raises(ValueError, match="postselection"):
-            logical_distribution(empty, rule)
+    empty = OutputDistribution(2, {})
+    rows, values = empty.outcomes()
+    assert rows.shape == (0, 2) and values.shape == (0,)
+    with pytest.raises(ValueError, match="postselection"):
+        logical_distribution(empty, rule)
+    with pytest.raises(ValueError, match=re.escape("rule reads modes [5], rows have 2 modes")):
+        logical_distribution(empty, PostselectionRule(((0, 5),)))
 
 
 def test_a_rule_built_from_lists_reads_out_as_its_tuple_rule():
@@ -175,11 +175,13 @@ def test_a_rule_built_from_lists_reads_out_as_its_tuple_rule():
         threshold=True,
     )
     ghz = PhotonicCircuit(12).extend(ghz_factory()[0].elements).unitary().matrix[None]
+    assert listed == tupled and hash(listed) == hash(tupled)
     want = logical_distributions(ghz, GHZ_INPUT_MODES, tupled)
     assert np.array_equal(logical_distributions(ghz, GHZ_INPUT_MODES, listed), want)
     enc = QubitEncoding.default(2)
     circuit, tupled, _, unitary = compile_gate_circuit(GateCircuit.from_text("CNOT 0 1"), enc)
     listed = PostselectionRule([list(p) for p in enc.qubit_pairs], list(enc.ancilla_modes))
+    assert listed == tupled and hash(listed) == hash(tupled)
     dist = strong_simulate(unitary, encoding_input_state(enc, (1, 0)))
     got, want = logical_distribution(dist, listed), logical_distribution(dist, tupled)
     assert np.array_equal(got[0], want[0]) and got[1] == want[1]
@@ -187,7 +189,8 @@ def test_a_rule_built_from_lists_reads_out_as_its_tuple_rule():
 
 def test_threshold_herald_reads_any_count_as_a_click():
     rule = PostselectionRule(((0, 1),), heralds=(((2, 2),),), threshold=True)
-    probs, weight = logical_distribution({(0, 1, 1): 0.25, (1, 0, 0): 0.75}, rule)
+    dist = placed_distribution(3, {(0, 1, 1): 0.25, (1, 0, 0): 0.75})
+    probs, weight = logical_distribution(dist, rule)
     assert weight == 0.25 and probs[1] == 1.0
 
 

@@ -25,6 +25,8 @@ from lopsim.qubits import Gate, GateCircuit, compile_gate_circuit
 from lopsim.sources import genuine_indistinguishability
 from lopsim.variational import MitigationMatrix, apply_mitigation
 
+from _oracles import placed_distribution
+
 NAN = float("nan")
 
 
@@ -125,10 +127,13 @@ def _confusion_with_nan() -> np.ndarray:
         (_phases_with_nan_voltage, ValueError, "voltages outside"),
         (
             lambda: genuine_indistinguishability(
-                {(1, 0, 1, 0, 1, 0, 1, 0): NAN, (0, 1, 1, 0, 1, 0, 1, 0): 1.0}, 4
+                placed_distribution(
+                    8, {(1, 0, 1, 0, 1, 0, 1, 0): NAN, (0, 1, 1, 0, 1, 0, 1, 0): 1.0}
+                ),
+                4,
             ),
             ValueError,
-            "undefined",
+            "NaN probability",
         ),
     ],
     ids=[
