@@ -17,12 +17,12 @@ is the classical convolution.  A trailing batch axis runs many unitaries
 through the same recursion at once, and one coherent pass
 (:func:`_coherent_prefixes`) serves both :func:`batched_amplitudes` and
 the noisy trigger sum of :mod:`lopsim.sources`.  The kernel's vectors
-run over the live rows of a set of disjoint mode pairs and a
-photon cap, those that can still reach one click in every pair, plus one
-sink row; with no pairs every basis row is live, so one family of
-tables, built from the live rows alone, serves both.  Live rows are
-generated by pair pattern, never filtered from the full basis.
-Permanents serve only single amplitudes.
+hold the live rows of a set of disjoint mode pairs and a photon cap,
+those that can still reach one click in every pair, and nothing else;
+with no pairs every basis row is live, so one family of tables, built
+from the live rows alone, serves both.  Live rows are generated by pair
+pattern, never filtered from the full basis.  Permanents serve only
+single amplitudes.
 
 :class:`OutputDistribution` is the one outcome type, simulated or
 sampled: a vector per photon-number sector over the cached basis, of
@@ -38,6 +38,7 @@ rows and ``(K,)`` values, or on its ``sectors`` directly.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from itertools import combinations, product
@@ -65,13 +66,19 @@ UNITARITY_ATOL = 1e-10
 
 @dataclass(frozen=True)
 class FockState:
-    """Occupation numbers of ``m`` optical modes, mode 0 first."""
+    """Occupation numbers of ``m`` optical modes, mode 0 first.
+
+    They are stored as a tuple of ints; a non-integer occupation, such as
+    the float ``1.0``, raises ``TypeError`` and a negative one ``ValueError``.
+    """
 
     occupations: tuple[int, ...]
 
     def __post_init__(self) -> None:
-        if any(o < 0 for o in self.occupations):
-            raise ValueError(f"negative occupation in {self.occupations}")
+        occupations = tuple(operator.index(o) for o in self.occupations)
+        if any(o < 0 for o in occupations):
+            raise ValueError(f"negative occupation in {occupations}")
+        object.__setattr__(self, "occupations", occupations)
 
     @property
     def m(self) -> int:
@@ -345,7 +352,7 @@ def _support(m: int, n: int, pairs: tuple[tuple[int, int], ...], cap: int) -> np
 
 
 def _live_size(m: int, n: int, pairs: tuple[tuple[int, int], ...], cap: int | None) -> int:
-    """Live rows of the n-photon vector (see :func:`_support`), the sink not counted."""
+    """Length of the n-photon vector: its live rows (see :func:`_support`)."""
     return len(_support(m, n, pairs, cap)) if pairs else len(enumerate_basis(m, n))
 
 
@@ -362,34 +369,32 @@ def _successors(
 
     Tables are keyed by ``(m, n, pairs, cap)``; with no pairs the caller
     passes ``cap`` None, so the full basis has one table per sector.  A
-    vector holds the live rows (:func:`_support`) followed by one sink
-    row, and ``s + e_j`` of the row at ``rows[i]`` sits at ``targets[i]``
-    of the (n+1)-photon vector.  With no pairs ``rows`` is every row
-    (``slice(None)``), the sink going to the next sink.  With pairs the
-    additions that leave the live rows are left out, and so is the sink:
-    an ``s + e_j`` that fills a pair, or that keeps more than
-    ``cap - n - 1`` pairs empty, which is read from the empty-pair count
-    of ``s`` and whether j fills an empty pair, not searched.  The rank
-    terms of ``s + e_j`` are those of ``s`` with one more photon left for
-    modes up to j, so each row is a prefix, a term and a suffix (the
-    rank of ``s`` less its terms up to j), from the live rows alone.
+    vector holds the live rows (:func:`_support`), and ``s + e_j`` of the
+    row at ``rows[i]`` sits at ``targets[i]`` of the (n+1)-photon vector.
+    With no pairs ``rows`` is every row (``slice(None)``).  With pairs
+    the additions that leave the live rows are left out: an ``s + e_j``
+    that fills a pair, or that keeps more than ``cap - n - 1`` pairs
+    empty, which is read from the empty-pair count of ``s`` and whether
+    j fills an empty pair, not searched.  The rank terms of ``s + e_j``
+    are those of ``s`` with one more photon left for modes up to j, so
+    each row is a prefix, a term and a suffix (the rank of ``s`` less its
+    terms up to j), from the live rows alone.
     With no pairs the rank is the position; otherwise it is looked up in
     the grown live ranks.  Every array is read-only.
     """
     occ = _live_rows(m, n, pairs, cap)
     below = enumerate_basis(m, n + 1)._below
-    table = np.empty((m, len(occ) + 1), dtype=np.intp)
+    table = np.empty((m, len(occ)), dtype=np.intp)
     suffix = _support(m, n, pairs, cap).copy() if pairs else np.arange(len(occ))
     prefix, left = 0, np.full(len(occ), n)
     for j in range(m):
         flat, at = below[j].ravel(), left * (n + 2) + occ[:, j]
         suffix -= flat[at]
         at += n + 2
-        table[j, :-1] = prefix + flat[at + 1] + suffix
+        table[j] = prefix + flat[at + 1] + suffix
         prefix = prefix + flat[at]
         left -= occ[:, j]
     if not pairs:
-        table[:, -1] = len(enumerate_basis(m, n + 1))
         table.setflags(write=False)
         return tuple((slice(None), table[j]) for j in range(m))
     grown = _support(m, n + 1, pairs, cap)
@@ -413,10 +418,8 @@ def _successors(
 def _gains(
     m: int, n: int, pairs: tuple[tuple[int, int], ...], cap: int | None
 ) -> np.ndarray:
-    """Gain ``sqrt(s_j + 1)`` of a photon added to mode j (sink gain 1), shape (m, K_n + 1)."""
-    occ = _live_rows(m, n, pairs, cap)
-    gains = np.ones((m, len(occ) + 1))
-    gains[:, :-1] = np.sqrt(occ.T + 1.0)
+    """Gain ``sqrt(s_j + 1)`` of a photon added to mode j, shape (m, K_n), C-contiguous."""
+    gains = np.ascontiguousarray(np.sqrt(_live_rows(m, n, pairs, cap).T + 1.0))
     gains.setflags(write=False)
     return gains
 
@@ -439,10 +442,10 @@ def _expand_support(
 
     Only the rows with one click in every pair are written; the other
     live rows are left out too.  With no pairs every row is written, and
-    this is the view ``vec[:-1]``.
+    this is ``vec`` itself.
     """
     if not pairs:
-        return vec[:-1]
+        return vec
     at, ranks = _one_click_rows(m, n, pairs, cap)
     full = np.zeros((len(enumerate_basis(m, n)), *vec.shape[1:]), dtype=vec.dtype)
     full[ranks] = vec[at]
@@ -454,7 +457,7 @@ def _add_photon(
     out: np.ndarray | None = None, scratch: np.ndarray | None = None,
     pairs: tuple[tuple[int, int], ...] = (), cap: int | None = None,
 ) -> np.ndarray:
-    """Add one photon to vectors over the live n-photon rows and a sink row.
+    """Add one photon to vectors over the live n-photon rows.
 
     ``column`` is where the photon goes.  Coherently, ``vec`` holds
     amplitudes, ``column`` is ``U[:, k]`` for input mode k, and the step
@@ -462,42 +465,37 @@ def _add_photon(
     Otherwise ``vec`` holds probabilities, ``column`` is ``|U[:, k]|^2``
     and the step is ``p'[s + e_j] += |U[j, k]|^2 p[s]``.
 
-    The basis axis comes first.  ``vec`` is ``(K_n + 1,)`` or
-    ``(K_n + 1, B)``, the :func:`_support` rows of ``pairs`` (sorted
-    disjoint mode pairs) under photon cap ``cap`` (with no pairs, every
-    basis row, whatever the cap) and one sink row, and
-    ``column`` is ``(m,)`` or ``(m, B)``; a trailing batch axis on either
-    runs B independent additions (one unitary and state per column) in the
-    same scatter, and a 1-D operand is shared by all B.  Returns the
-    vectors over the live (n+1)-photon rows and sink, ``(K_{n+1} + 1,)``
-    when both inputs are 1-D and ``(K_{n+1} + 1, B)`` otherwise: ``out``
-    (or a view of it) plus the step, if given.  Each ``column[j] * vec``
-    is formed in one buffer, the head of a flat ``scratch`` of the
-    result's dtype if given.  B = 1 runs as the 1-D call: a trailing axis
-    of length 1 only slows the scatter.
+    The basis axis comes first.  ``vec`` holds the :func:`_support` rows
+    of ``pairs`` (sorted disjoint mode pairs) under photon cap ``cap``
+    (with no pairs, every basis row, whatever the cap): ``(K_n,)`` with a
+    1-D ``column`` of shape ``(m,)``, or ``(K_n, B)``, which runs B
+    independent additions (one unitary and state per column) in the same
+    scatter, with ``column`` ``(m, B)`` or an ``(m,)`` shared by all B.
+    Returns the vectors over the live (n+1)-photon rows, ``(K_{n+1},)``
+    or ``(K_{n+1}, B)`` as ``vec``: ``out`` (or a view of it) plus the
+    step, if given.  Each ``column[j] * vec`` is formed in one buffer,
+    the head of a flat ``scratch`` of the result's dtype if given.  B = 1
+    runs as the 1-D call: a trailing axis of length 1 only slows the
+    scatter.
 
     One loop reads the :func:`_successors` and :func:`_gains` tables of
     ``(pairs, cap)``: every live entry gets the same products, added in
     the same mode order, as over the full basis.  The additions that
-    leave the live rows are not formed; only the sink feeds the sink, and
-    with pairs nothing does, so a sink that starts at 0 stays 0.  The
-    targets of one mode are distinct, so both scatters add the same terms
-    in the same order: ``np.add.at`` on 1-D vectors (12 scatters of
-    167,960 states on 12 modes: 5.5 ms, fancy-index ``+=`` 11.5 ms) and
-    ``+=`` with a batch axis (4,368 x 4 states: 2.1 ms, ``np.add.at``
-    4.6 ms).
+    leave the live rows are not formed.  The targets of one mode are
+    distinct, so both scatters add the same terms in the same order:
+    ``np.add.at`` on 1-D vectors (12 scatters of 167,960 states on 12
+    modes: 5.5 ms, fancy-index ``+=`` 11.5 ms) and ``+=`` with a batch
+    axis (4,368 x 4 states: 2.1 ms, ``np.add.at`` 4.6 ms).
     """
     m = len(column)
-    batch = vec.shape[1:] or column.shape[1:]
+    batch = vec.shape[1:]
     if batch == (1,):
         out = None if out is None else out.reshape(len(out))
         vec, column = vec.reshape(len(vec)), column.reshape(m)
         return _add_photon(vec, n, column, coherent, out, scratch, pairs, cap)[:, None]
-    if batch and vec.ndim == 1:
-        vec = vec[:, None]
     key = (m, n, pairs, cap if pairs else None)
     if out is None:
-        out = np.zeros((_live_size(m, n + 1, pairs, cap) + 1, *batch), np.result_type(vec, column))
+        out = np.zeros((_live_size(m, n + 1, pairs, cap), *batch), np.result_type(vec, column))
     term = np.ndarray((len(vec), *batch), out.dtype, buffer=scratch)
     steps = _successors(*key)
     for j in np.flatnonzero(column if column.ndim == 1 else np.any(column, axis=1)):
@@ -526,13 +524,12 @@ def _coherent_prefixes(
     prefix i's last mode to its head.  Each column gets the products of
     a call of its own, added in the same order (plus exact zeros where
     only another column's mode reaches an output), so every prefix is
-    bit for bit that call's.  Returns ``(K + 1, B)`` live vectors of
+    bit for bit that call's.  Returns ``(K, B)`` live vectors of
     ``(pairs, cap)`` keyed by prefix, the vacuum under ``()``, with no
     bunching division (:func:`_unbunched`).
     """
     count, m = unitaries.shape[:2]
-    vacuum = np.zeros((_live_size(m, 0, pairs, cap) + 1, count), dtype=complex)
-    vacuum[:-1] = 1.0  # the vacuum row, when it is live; the sink stays 0
+    vacuum = np.ones((_live_size(m, 0, pairs, cap), count), dtype=complex)  # none if not live
     prefixes = {(): vacuum}
     for k in range(max(map(len, wanted), default=0)):
         grow = sorted({modes[: k + 1] for modes in wanted if len(modes) > k})
@@ -557,8 +554,8 @@ def batched_amplitudes(unitaries: np.ndarray, modes: Sequence[int]) -> np.ndarra
     each photon (repeats bunch), shared by every unitary.  Returns
     ``(B, N)`` amplitudes over ``enumerate_basis(m, n)``, row b being
     ``<t|U_b|s>`` for every basis state t: the one-tuple case of
-    :func:`_coherent_prefixes`, its sink dropped and divided by
-    :func:`_unbunched`.  A mode outside ``[0, m)`` raises ``ValueError``.
+    :func:`_coherent_prefixes`, divided by :func:`_unbunched`.  A mode
+    outside ``[0, m)`` raises ``ValueError``.
     """
     unitaries = np.asarray(unitaries, dtype=complex)
     modes = tuple(int(q) for q in modes)
@@ -566,7 +563,7 @@ def batched_amplitudes(unitaries: np.ndarray, modes: Sequence[int]) -> np.ndarra
     for mode in modes:
         if not 0 <= mode < m:
             raise ValueError(f"mode {mode} out of range for m={m}")
-    return _unbunched(_coherent_prefixes(unitaries, [modes])[modes][:-1].T, modes)
+    return _unbunched(_coherent_prefixes(unitaries, [modes])[modes].T, modes)
 
 
 def _submatrix(u: np.ndarray, input_state: FockState, output_state: FockState) -> np.ndarray:

@@ -398,7 +398,7 @@ def batched_noisy_sectors(
     power = np.abs(unitaries) ** 2
     columns = [np.ascontiguousarray(power[:, :, q].T) for q in labeled.modes]
     largest = max((_live_size(m, n, pairs, cap) for n in range(cap)), default=0)
-    scratch = np.empty((largest + 1) * count)
+    scratch = np.empty(largest * count)
 
     shared: dict[tuple[bool, ...], tuple[tuple[int, ...], float]] = {}
     for members in itertools.product((False, True), repeat=len(labeled.modes)):

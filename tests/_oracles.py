@@ -320,7 +320,7 @@ def branchwise_noisy_distribution(u: np.ndarray, labeled) -> dict[tuple[int, ...
 def add_photon_fancy_index(
     vec: np.ndarray, n: int, column: np.ndarray, coherent: bool
 ) -> np.ndarray:
-    """One photon-addition step over the full basis (no sink row), fancy-index ``+=`` scatter."""
+    """One photon-addition step over the full basis, fancy-index ``+=`` scatter."""
     m = len(column)
     batch = vec.shape[1:] or column.shape[1:]
     if batch == (1,):
@@ -328,12 +328,12 @@ def add_photon_fancy_index(
     if batch and vec.ndim == 1:
         vec = vec[:, None]
     out = np.zeros((len(enumerate_basis(m, n + 1)), *batch), dtype=np.result_type(vec, column))
-    steps, gains = _successors(m, n, (), None), _gains(m, n, (), None)[:, :-1]
+    steps, gains = _successors(m, n, (), None), _gains(m, n, (), None)
     for j in np.flatnonzero(column if column.ndim == 1 else np.any(column, axis=1)):
         term = column[j] * vec
         if coherent:
             term *= gains[j][:, None] if batch else gains[j]
-        out[steps[j][1][:-1]] += term
+        out[steps[j][1]] += term
     return out
 
 

@@ -48,6 +48,17 @@ class TestFockState:
         with pytest.raises(ValueError):
             FockState((1, -1))
 
+    @pytest.mark.parametrize("occupations", [(1.0, 0.0), (0.5, 0.5)])
+    def test_rejects_non_integer_occupations(self, occupations):
+        # a float state would pass here and fail later as an index or a count
+        with pytest.raises(TypeError, match="integer"):
+            FockState(occupations)
+
+    def test_integer_like_occupations_are_stored_as_ints(self):
+        state = FockState(np.array([1, 0, 2], dtype=np.int8))
+        assert state.occupations == (1, 0, 2) and type(state.occupations[0]) is int
+        assert state in enumerate_basis(3, 3) and hash(state) == hash(FockState((1, 0, 2)))
+
 
 def collision_free_states(m: int, n: int) -> list[FockState]:
     """The collision-free states of ``enumerate_basis(m, n)``, as a mask keeps them."""
@@ -260,9 +271,19 @@ def test_output_distribution_clips_a_rounding_residue_and_drops_empty_sectors():
         OutputDistribution(2, {2: np.array([0.5, -1e-11, 0.5])})
 
 
-def test_output_distribution_refuses_an_infinite_sector():
-    with pytest.raises(ValueError, match="infinite probability mass in the 1-photon sector"):
-        OutputDistribution(2, {1: np.array([np.inf, 0.0])})
+@pytest.mark.parametrize(
+    "m, vec, message",
+    [
+        (2, [np.inf, 0.0], "infinite probability mass in the 1-photon sector"),
+        # one row past the basis, as a vector that kept a trailing sink row would be
+        (3, [0.2, 0.3, 0.5, 0.0], "does not match the 1-photon basis"),
+        (3, [0.5, 0.5], "does not match the 1-photon basis"),
+    ],
+    ids=["infinite", "one_row_long", "one_row_short"],
+)
+def test_output_distribution_refuses_a_malformed_sector(m, vec, message):
+    with pytest.raises(ValueError, match=message):
+        OutputDistribution(m, {1: np.array(vec)})
 
 
 class TestSampling:

@@ -9,7 +9,7 @@ also against the sum over every labeled branch of its input, and the
 trigger sum against one coherent pass per shared set, entry by entry to
 a relative 1e-13 (it adds the same terms in another order).  The
 kernel's trailing batch axis is checked against one-at-a-time calls, and
-with no pairs its sink row stays exactly 0.
+a chain of additions against the fancy-index oracle.
 The trigger sum with one-click pairs is checked against the sum without
 pairs: equal bit for bit on the outcomes with one click in every pair
 and 0 elsewhere.
@@ -129,7 +129,7 @@ class TestBasisRank:
         basis, grown = enumerate_basis(m, n), enumerate_basis(m, n + 1)
         assert np.array_equal(basis.rank(basis.occupations), np.arange(len(basis)))
         for step, (_, targets) in zip(np.eye(m, dtype=np.int8), _successors(m, n, (), None)):
-            assert np.array_equal(targets[:-1], grown.rank(basis.occupations + step))
+            assert np.array_equal(targets, grown.rank(basis.occupations + step))
 
     def test_a_basis_too_large_to_index_is_refused(self):
         with pytest.raises(ValueError, match="too many to index"):
@@ -176,13 +176,11 @@ class TestBasisTables:
                 for j in range(m)
             ]
             steps, gains = _successors(m, n, (), None), _gains(m, n, (), None)
-            # every row moves, the sink row last
+            # every row moves
             assert all(moved == slice(None) for moved, _ in steps)
             succ = np.array([targets for _, targets in steps])
-            assert np.array_equal(succ[:, :-1], np.array(successors).reshape(m, len(rows)))
-            assert np.array_equal(gains[:, :-1], np.sqrt(rows.T + 1.0))
-            # the sink row feeds the next vector's sink, with gain 1
-            assert np.all(succ[:, -1] == len(grown)) and np.all(gains[:, -1] == 1.0)
+            assert np.array_equal(succ, np.array(successors).reshape(m, len(rows)))
+            assert np.array_equal(gains, np.sqrt(rows.T + 1.0)) and gains.flags.c_contiguous
 
     @pytest.mark.parametrize(
         "pairs",
@@ -205,7 +203,7 @@ class TestBasisTables:
                 full = {tuple(r): i for i, r in enumerate(fock_basis_rows(m, n, False).tolist())}
                 ranks = [full[tuple(r)] for r in rows.tolist()]
                 assert np.array_equal(_support(m, n, pairs, cap), ranks)
-                # an s + e_j that leaves the live rows is left out, as is the sink
+                # an s + e_j that leaves the live rows is left out
                 position = {tuple(r): i for i, r in enumerate(grown.tolist())}
                 steps = _successors(m, n, pairs, cap)
                 for step, (moved, targets) in zip(np.eye(m, dtype=np.int8), steps):
@@ -213,9 +211,8 @@ class TestBasisTables:
                     kept = [i for i, r in enumerate(grown_rows) if r in position]
                     assert np.array_equal(moved, kept)
                     assert np.array_equal(targets, [position[grown_rows[i]] for i in kept])
-                gains = np.ones((m, len(rows) + 1))
-                gains[:, :-1] = np.sqrt(rows.T + 1.0)
-                assert np.array_equal(_gains(m, n, pairs, cap), gains)
+                assert np.array_equal(_gains(m, n, pairs, cap), np.sqrt(rows.T + 1.0))
+                assert _gains(m, n, pairs, cap).flags.c_contiguous
                 one_click = [
                     i for i, r in enumerate(rows.tolist())
                     if all(bool(r[a]) != bool(r[b]) for a, b in pairs)
@@ -334,22 +331,18 @@ class TestBatchedKernel:
         unitaries, modes = case
         m, n = unitaries.shape[1], len(modes)
         rng = np.random.default_rng(n)
-        vec = rng.normal(size=len(enumerate_basis(m, n - 1)) + 1)  # basis rows and sink
+        vec = rng.normal(size=len(enumerate_basis(m, n - 1)))
         if coherent:
             vec = vec + 1j * rng.normal(size=vec.shape)
         columns = unitaries[:, :, 0].T if coherent else np.abs(unitaries[:, :, 0].T) ** 2
-        batched = _add_photon(vec, n - 1, columns, coherent)
         stacked = _add_photon(np.stack([vec] * len(unitaries), axis=1), n - 1, columns, coherent)
-        assert np.array_equal(batched, stacked)
+        assert stacked.shape == (len(enumerate_basis(m, n)), len(unitaries))
         for b, column in enumerate(columns.T):
             single = _add_photon(vec, n - 1, column, coherent)
-            assert np.allclose(single, batched[:, b], rtol=0, atol=1e-14)
-            for one in (
-                _add_photon(vec[:, None], n - 1, column[:, None], coherent),
-                _add_photon(vec, n - 1, column[:, None], coherent),
-            ):
-                assert one.shape == (len(single), 1)
-                assert np.array_equal(single, one[:, 0])
+            assert np.allclose(single, stacked[:, b], rtol=0, atol=1e-14)
+            one = _add_photon(vec[:, None], n - 1, column[:, None], coherent)
+            assert one.shape == (len(single), 1)
+            assert np.array_equal(single, one[:, 0])
 
     @settings(max_examples=50, deadline=None)
     @given(case=batched_inputs(), coherent=st.booleans())
@@ -358,10 +351,8 @@ class TestBatchedKernel:
         m, n = unitaries.shape[1], len(modes)
         rng = np.random.default_rng(n)
         columns = unitaries[:, :, 0].T if coherent else np.abs(unitaries[:, :, 0].T) ** 2
-        # basis rows and a sink row, which starts at 0 as it does with no pairs
-        vec = rng.random((len(enumerate_basis(m, n - 1)) + 1, len(unitaries))).astype(columns.dtype)
-        vec[-1] = 0.0
-        start = rng.random((len(enumerate_basis(m, n)) + 1, len(unitaries))).astype(columns.dtype)
+        vec = rng.random((len(enumerate_basis(m, n - 1)), len(unitaries))).astype(columns.dtype)
+        start = rng.random((len(enumerate_basis(m, n)), len(unitaries))).astype(columns.dtype)
         scratch = np.full(vec.size + 3, np.nan, dtype=columns.dtype)
         out = start.copy()
         got = _add_photon(vec, n - 1, columns, coherent, out, scratch)
@@ -379,23 +370,21 @@ class TestBatchedKernel:
         given_out=st.booleans(),
         seed=st.integers(0, 2**32 - 1),
     )
-    def test_the_sink_stays_zero_without_pairs(self, m, coherent_steps, batch, given_out, seed):
-        # With no pairs every successor of a basis row is a basis row, so
-        # only the sink feeds the sink: from 0 it stays exactly 0.
+    def test_a_chain_of_additions_matches_the_fancy_index_oracle(
+        self, m, coherent_steps, batch, given_out, seed
+    ):
         rng = np.random.default_rng(seed)
-        vec = np.zeros((2, *batch), dtype=complex)  # the vacuum row and the sink
-        vec[0] = 1.0
+        vec = np.ones((1, *batch), dtype=complex)  # the vacuum
         for n, coherent in enumerate(coherent_steps):
             column = rng.normal(size=(m, *batch)) + 1j * rng.normal(size=(m, *batch))
             if not coherent:
                 column = np.abs(column) ** 2
-            start = np.zeros((len(enumerate_basis(m, n + 1)) + 1, *batch), vec.dtype)
+            start = np.zeros((len(enumerate_basis(m, n + 1)), *batch), vec.dtype)
             if given_out:
-                start[:-1] = rng.random(start[:-1].shape)
+                start[:] = rng.random(start.shape)
             got = _add_photon(vec, n, column, coherent, start.copy() if given_out else None)
-            assert np.all(got[-1] == 0.0)
-            expected = start[:-1] + add_photon_fancy_index(vec[:-1], n, column, coherent)
-            assert np.allclose(got[:-1], expected, rtol=1e-12, atol=1e-12)
+            expected = start + add_photon_fancy_index(vec, n, column, coherent)
+            assert np.allclose(got, expected, rtol=1e-12, atol=1e-12)
             vec = got
 
     @settings(max_examples=50, deadline=None)

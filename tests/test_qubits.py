@@ -691,6 +691,17 @@ class TestPostselectionRule:
         with pytest.raises(ValueError, match=f"mode {mode} out of range for m=2"):
             logical_distributions(np.eye(2)[None], (mode,), rule, source)
 
+    @pytest.mark.parametrize(
+        "source", [None, SourceModel(indistinguishability=0.9, g2=0.01)], ids=["ideal", "noisy"]
+    )
+    def test_logical_distributions_refuse_a_row_with_no_accepted_mass(self, source):
+        # the swap sends the photon into the vacuum mode, so row 1 has nothing to normalize
+        rule = PostselectionRule(((0, 1),), vacuum_modes=(2,))
+        stack = np.stack([np.eye(3), np.eye(3)[[2, 1, 0]]])
+        assert np.array_equal(logical_distributions(stack[:1], (0,), rule, source), [[1.0, 0.0]])
+        with pytest.raises(ValueError, match="no outcomes pass the postselection rule"):
+            logical_distributions(stack, (0,), rule, source)
+
     def test_empty_distribution_raises(self):
         rule = PostselectionRule(((0, 1),), vacuum_modes=(2,))
         dist = placed_distribution(3, {(0, 0, 2): 1.0})
