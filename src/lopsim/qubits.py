@@ -30,10 +30,11 @@ acceptance mask and the logical index of every row, and the logical
 distribution is a weighted ``bincount`` of the accepted indices.
 :func:`logical_distributions` is the one batched path from
 interferometers to postselected logical distributions, for an ideal or
-a noisy source: the F_avg executor and the GHZ fidelity call it, and
-Pauli and stabilizer expectations are sign vectors applied to its rows.
-Only the VQE backend still reads each circuit out of its Fock
-distribution with :func:`logical_distribution`.
+a noisy source, reading each sector through a cached table of its
+accepted rows: the F_avg executor, the GHZ fidelity and the VQE ansatz
+call it, and Pauli and stabilizer expectations are sign vectors applied
+to its rows.  Only the VQE mitigation columns still read each circuit
+out of its Fock distribution with :func:`logical_distribution`.
 
 :func:`compile_gate_circuit` compiles any gate circuit through bounded
 ``lru_cache`` tables (each gate's elements and 2x2 matrix, each checked
@@ -395,18 +396,14 @@ class PostselectionRule:
         return accepted, rail1 @ (1 << np.arange(len(pairs))[::-1])
 
 
-def _logical_mass(rows: np.ndarray, values: np.ndarray, rule: PostselectionRule) -> np.ndarray:
-    """Accepted mass per logical index, ``(2^n, B)``, of ``(K, B)`` values.
-
-    One readout mask serves all B columns.  The weighted ``bincount``
-    runs over (index, column) bins, so each bin sums its rows in order.
-    """
-    accepted, index = rule.readout(rows)
-    kept = values[accepted]
-    dim, batch = 1 << len(rule.qubit_pairs), kept.shape[1]
-    bins = (index[accepted][:, None] * batch + np.arange(batch)).ravel()
-    raw = np.bincount(bins, weights=kept.ravel(), minlength=dim * batch)
-    return raw.reshape(dim, batch)
+@lru_cache(maxsize=32)
+def _readout_table(rule: PostselectionRule, m: int, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Accepted row positions in ``enumerate_basis(m, n)`` and their logical indices, read-only."""
+    accepted, index = rule.readout(enumerate_basis(m, n).occupations)
+    table = (np.flatnonzero(accepted), index[accepted])
+    for array in table:
+        array.setflags(write=False)
+    return table
 
 
 def logical_distribution(
@@ -421,7 +418,8 @@ def logical_distribution(
     probability of acceptance, or the accepted shots of sampled counts.
     """
     rows, values = distribution.outcomes()
-    raw = _logical_mass(rows, values[:, None], rule)[:, 0]
+    accepted, index = rule.readout(rows)
+    raw = np.bincount(index[accepted], weights=values[accepted], minlength=1 << len(rule.qubit_pairs))
     weight = float(raw.sum())
     if weight <= 0.0:
         raise ValueError("no outcomes pass the postselection rule")
@@ -436,16 +434,17 @@ def logical_distributions(
 ) -> np.ndarray:
     """Postselected logical distributions of B interferometers, ``(B, 2^n)``.
 
-    This is the dual-rail readout path of the F_avg plans and the GHZ
-    factory.  ``unitaries`` is a ``(B, m, m)`` stack, each fed one
-    photon per mode of ``input_modes``.  With ``source=None`` the
-    photons are ideal and the stack runs through one
+    This is the dual-rail readout path of the F_avg plans, the GHZ
+    factory and the VQE ansatz.  ``unitaries`` is a ``(B, m, m)`` stack,
+    each fed one photon per mode of ``input_modes``.  With ``source=None``
+    the photons are ideal and the stack runs through one
     :func:`~lopsim.fock.batched_amplitudes` pass; with a source, its
     labeled input (:func:`~lopsim.sources.build_input`) runs through one
     :func:`~lopsim.sources.batched_noisy_sectors` trigger sum.  Each
-    photon-number sector is read with one mask for all B columns; row b
-    is the normalized logical vector of unitary b, qubit 0 the most
-    significant bit.
+    photon-number sector is read for all B columns through one cached
+    table of its accepted rows (:func:`_readout_table`); row b is the
+    normalized logical vector of unitary b, qubit 0 the most significant
+    bit.
     """
     unitaries = np.asarray(unitaries, dtype=complex)
     m = unitaries.shape[1]
@@ -455,11 +454,15 @@ def logical_distributions(
         sectors = {len(modes): np.abs(amps.T) ** 2}
     else:
         sectors, _ = batched_noisy_sectors(unitaries, build_input(len(modes), source, modes))
-    raw = np.zeros((1 << len(rule.qubit_pairs), 1))
+    dim, batch = 1 << len(rule.qubit_pairs), len(unitaries)
+    raw = np.zeros(dim * batch)
     for n, vec in sectors.items():
-        raw = raw + _logical_mass(enumerate_basis(m, n).occupations, vec, rule)
+        kept, index = _readout_table(rule, m, n)
+        # one weighted bincount over (index, column) bins: each bin sums its rows in order
+        bins = (index[:, None] * batch + np.arange(batch)).ravel()
+        raw += np.bincount(bins, weights=vec[kept].ravel(), minlength=dim * batch)
     # rows contiguous, so each weight sums as logical_distribution's does
-    raw = np.ascontiguousarray(raw.T)
+    raw = np.ascontiguousarray(raw.reshape(dim, batch).T)
     weight = raw.sum(axis=1, keepdims=True)
     if not np.all(weight > 0.0):
         raise ValueError("no outcomes pass the postselection rule")

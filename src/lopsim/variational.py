@@ -22,7 +22,7 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .fock import ModeUnitary, _seeded_rng, _shot_count, strong_simulate
+from .fock import _seeded_rng, _shot_count, strong_simulate
 from .qubits import (
     _ID2,
     _PAULI,
@@ -36,6 +36,7 @@ from .qubits import (
     compile_gate_circuit,
     encoding_input_state,
     logical_distribution,
+    logical_distributions,
 )
 from .sources import SourceModel, build_input, noisy_simulate
 
@@ -196,8 +197,8 @@ class PhotonicVqeBackend:
     :meth:`ansatz_distributions` is the method energies are read from
     (:func:`measure_energy`, :func:`vqe_run`): a backend must provide it,
     and overriding :meth:`distribution` alone does not change them.
-    Every circuit is simulated through ``strong_simulate`` (or
-    ``noisy_simulate``).
+    :meth:`distribution` (the mitigation columns) simulates its circuit
+    through ``strong_simulate`` (or ``noisy_simulate``).
     """
 
     def __init__(
@@ -228,20 +229,27 @@ class PhotonicVqeBackend:
         if circuit.n_qubits != 2:
             raise ValueError("backend is wired for two-qubit circuits")
         _, rule, _, unitary = compile_gate_circuit(circuit, self._encoding)
-        return self._readout(unitary, rule)
-
-    def ansatz_distributions(self, theta: Sequence[float]) -> tuple[np.ndarray, ...]:
-        """``distribution(ansatz_circuit(theta, b))`` for each b in ``BASES``, with no ``Gate``."""
-        _, unitary, _ = _checked_gates(_ansatz_steps(theta), self._encoding)
-        words = (_rotated(unitary, _setting_elements(b, self._encoding)) for b in BASES)
-        return tuple(self._readout(rotated, self._rule) for rotated in words)
-
-    def _readout(self, unitary: ModeUnitary, rule: PostselectionRule) -> np.ndarray:
         if self._labeled is None:
             dist = strong_simulate(unitary, self._input_state)
         else:
             dist = noisy_simulate(unitary, self._labeled)
         return self._confusion @ logical_distribution(dist, rule)[0].ravel()
+
+    def ansatz_distributions(self, thetas: np.ndarray) -> np.ndarray:
+        """``distribution(ansatz_circuit(theta, b))`` for each row theta and b in ``BASES``.
+
+        ``thetas`` is a ``(K, 7)`` stack and the result ``(K, 2, 4)``.  Each
+        row binds into :func:`~lopsim.qubits._checked_gates` with no ``Gate``;
+        the 2K setting unitaries run through one
+        :func:`~lopsim.qubits.logical_distributions` call.
+        """
+        enc, unitaries = self._encoding, []
+        for theta in thetas:
+            _, unitary, _ = _checked_gates(_ansatz_steps(theta), enc)
+            unitaries += [_rotated(unitary, _setting_elements(b, enc)).matrix for b in BASES]
+        stack, modes = np.stack(unitaries), self._input_state.modes()
+        logical = logical_distributions(stack, modes, self._rule, self.source)
+        return np.array([self._confusion @ row for row in logical]).reshape(-1, len(BASES), 4)
 
 
 def _ansatz_steps(theta: Sequence[float]) -> tuple[tuple, ...]:
@@ -298,26 +306,31 @@ def measure_energy(
 ) -> float:
     """One energy evaluation from the two measurement settings.
 
-    The settings' distributions come from
-    ``backend.ansatz_distributions(theta)``, which every backend must
+    The settings' distributions come from the K = 1 stack
+    ``backend.ansatz_distributions([theta])``, which every backend must
     provide.  ``shots`` counts postselected samples per
     setting (a whole number, at least 1) drawn from ``rng``, which is then
     required; None uses the exact distributions.  ``mitigation`` maps a
     setting name to its confusion matrix; missing entries leave that
     setting unmitigated.
     """
+    return _energies(h, [theta], backend, shots, mitigation, rng)[0]
+
+
+def _energies(h, thetas, backend, shots, mitigation, rng) -> list[float]:
+    """Energies of an angle stack read in one call; shots drawn row by row, ZZ then XX."""
     if not hasattr(backend, "ansatz_distributions"):
         name = type(backend).__name__
-        raise TypeError(f"{name} has no ansatz_distributions(theta) to read energies from")
+        raise TypeError(f"{name} has no ansatz_distributions(thetas) to read energies from")
     shots = _shot_count(shots, rng)
-    settings = {}
-    for basis, p in zip(BASES, backend.ansatz_distributions(theta)):
+
+    def setting(basis: str, p: np.ndarray) -> np.ndarray:
         if shots is not None:
             p = rng.multinomial(shots, p / p.sum()) / shots
-        if mitigation and basis in mitigation:
-            p = apply_mitigation(mitigation[basis], p)
-        settings[basis] = p
-    return energy_from_distributions(h, settings["ZZ"], settings["XX"])
+        return apply_mitigation(mitigation[basis], p) if mitigation and basis in mitigation else p
+
+    rows = backend.ansatz_distributions(thetas)
+    return [energy_from_distributions(h, *map(setting, BASES, row)) for row in rows]
 
 
 def _mitigation_circuit(basis: str, outcome: int) -> GateCircuit:
@@ -427,23 +440,21 @@ def _sweep(
     Every trainable angle enters through a rotation gate, so with the
     other angles held fixed the energy is an exact sinusoid of that
     angle.  ``value`` (the energy at ``theta``) and two evaluations a
-    quarter period either side determine it; the angle jumps to the
-    sinusoid minimum, and the predicted energy there is carried on as
-    ``value`` for the next angle.  The sweep stops early when fewer
-    than two of its ``budget`` evaluations are left.  Returns the swept
-    angles, the predicted energy there and whether every angle was swept.
+    quarter period either side, which ``objective`` gets as one stack,
+    determine it; the angle jumps to the sinusoid minimum, and the
+    predicted energy there is carried on as ``value`` for the next angle.
+    The sweep stops early when fewer than two of its ``budget``
+    evaluations are left.  Returns the swept angles, the predicted energy
+    there and whether every angle was swept.
     """
     theta = theta.copy()
     for k in range(N_ANSATZ_ANGLES):
         if budget < 2:
             return theta, value, False
         budget -= 2
-        up = theta.copy()
-        up[k] += np.pi / 2.0
-        down = theta.copy()
-        down[k] -= np.pi / 2.0
-        e_up = objective(up)
-        e_down = objective(down)
+        shifted = np.stack([theta, theta])
+        shifted[:, k] += (np.pi / 2.0, -np.pi / 2.0)
+        e_up, e_down = objective(shifted)
         offset = 0.5 * (e_up + e_down)
         cos_part = value - offset
         sin_part = 0.5 * (e_up - e_down)
@@ -469,8 +480,9 @@ def vqe_run(
     cap leaves fewer than two evaluations for the next angle.
     ``config.max_iterations`` is a hard cap on all evaluations, and the
     last one re-measures the energy at the returned angles.  Energies
-    come from ``backend.ansatz_distributions`` (:func:`measure_energy`),
-    mitigation columns from ``backend.distribution``.
+    come from one ``backend.ansatz_distributions`` call per sweep step
+    and one each for the first evaluation and the re-measure, shots drawn
+    in evaluation order; mitigation columns from ``backend.distribution``.
     """
     if config is None:
         config = VqeConfig()
@@ -494,16 +506,16 @@ def vqe_run(
 
     trajectory: list[float] = []
 
-    def objective(angles: np.ndarray) -> float:
-        value = measure_energy(h, angles, backend, config.shots, gammas, rng)
-        trajectory.append(value)
-        return value
+    def objective(stack: np.ndarray) -> list[float]:
+        values = _energies(h, stack, backend, config.shots, gammas, rng)
+        trajectory.extend(values)
+        return values
 
     # One evaluation stays reserved for the closing re-measure.
     budget = config.max_iterations - 1
     converged = False
     if budget > 0:
-        value = objective(theta)
+        [value] = objective(theta[None])
         while True:
             theta, swept, complete = _sweep(objective, theta, value, budget - len(trajectory))
             if not complete:
@@ -512,7 +524,7 @@ def vqe_run(
                 converged = True
                 break
             value = swept
-    energy = objective(theta)
+    [energy] = objective(theta[None])
 
     return VqeResult(
         energies=np.asarray(trajectory),

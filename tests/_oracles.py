@@ -19,8 +19,8 @@ built element by element, the mesh transfer matrix and its derivatives as produc
 of per-element factors, the element kernel with numpy scalars, the
 rail amplitudes of a mode unitary from a SLOS pass over the whole
 n-photon basis, and a VQE backend that compiles every circuit, the
-ansatz settings included, from scratch.  One helper,
-:func:`placed_distribution`, builds hand-written test inputs.
+ansatz settings included, from scratch and reads each out alone.  One
+helper, :func:`placed_distribution`, builds hand-written test inputs.
 """
 
 from __future__ import annotations
@@ -769,9 +769,10 @@ class PerEvaluationVqeBackend(PhotonicVqeBackend):
 
     Every circuit is compiled from scratch by ``compile_gate_circuit``
     after its caches are emptied, so nothing one evaluation compiled is
-    reused by the next, and the ansatz settings of an energy evaluation
-    are the compiles of ``ansatz_circuit(theta, basis)``, one per basis,
-    not the bound compile.  Each is read out through a Fock
+    reused by the next, and the ansatz settings of a stack of angle rows
+    are the compiles of ``ansatz_circuit(theta, basis)``, one per row
+    and basis, not the bound compile, read out one circuit at a time,
+    not in one stacked pass.  Each is read out through a Fock
     distribution: ``strong_simulate`` or ``noisy_simulate``, then
     ``logical_distribution``.  The encoding, input and readout-flip
     matrix are built here, not read from the backend.
@@ -793,8 +794,10 @@ class PerEvaluationVqeBackend(PhotonicVqeBackend):
         flip = np.array([[1.0 - f, f], [f, 1.0 - f]])
         return np.kron(flip, flip) @ logical_distribution(dist, rule)[0].ravel()
 
-    def ansatz_distributions(self, theta):
-        return tuple(self.distribution(ansatz_circuit(theta, basis)) for basis in BASES)
+    def ansatz_distributions(self, thetas):
+        return np.array(
+            [[self.distribution(ansatz_circuit(theta, b)) for b in BASES] for theta in thetas]
+        )
 
 
 def adjoint_sweep_by_layer(layout: MeshLayout, tape, adjoint: np.ndarray):

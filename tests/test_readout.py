@@ -6,7 +6,9 @@ distributions of probabilities or of integer counts are compared with
 the brute-force ``postselect_by_state`` of ``_oracles.py``.  The
 batched ``logical_distributions`` path is compared with
 ``logical_distribution`` of each unitary's ``strong_simulate`` and
-``noisy_simulate`` output.  The accessors of ``OutputDistribution`` are
+``noisy_simulate`` output, each row of a stack bit for bit with its own
+one-unitary call, and its cached readout table with the rule's readout
+of the whole basis.  The accessors of ``OutputDistribution`` are
 checked against its outcome view.
 """
 
@@ -17,6 +19,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from lopsim import qubits
 from lopsim.fock import (
     FockState,
     ModeUnitary,
@@ -238,3 +241,93 @@ def test_accessors_agree_with_the_outcome_view(drawn):
         assert conditioned.dropped_weight == pytest.approx(dist.dropped_weight / weight)
     with pytest.raises(ValueError, match="sector"):
         dist.postselect_photon_number(max(weights, default=0) + 1)
+
+
+@settings(max_examples=20, deadline=None)
+@given(k=st.integers(1, 8), seed=st.integers(0, 2**32 - 1))
+def test_each_row_of_a_stack_is_bit_for_bit_its_own_one_unitary_call(k, seed):
+    rng = np.random.default_rng(seed)
+    enc = QubitEncoding.default(2)
+    rule = PostselectionRule(enc.qubit_pairs, vacuum_modes=enc.ancilla_modes)
+    modes = encoding_input_state(enc, tuple(rng.integers(0, 2, 2))).modes()
+    stack = np.array([ModeUnitary.haar_random(6, rng).matrix for _ in range(k)])
+    source = SourceModel(
+        indistinguishability=tuple(rng.uniform(0.5, 1.0, 2)),
+        g2=float(rng.uniform(0.0, 0.05)),
+        efficiency=float(rng.uniform(0.5, 1.0)),
+    )
+    for photons in (None, source):
+        rows = logical_distributions(stack, modes, rule, photons)
+        assert rows.shape == (k, 4)
+        for unitary, row in zip(stack, rows):
+            assert np.array_equal(row, logical_distributions(unitary[None], modes, rule, photons)[0])
+
+
+def _named_rules():
+    _, heralds, _ = ghz_factory()
+    enc = QubitEncoding.default(2)
+    return {
+        "ghz-threshold": (12, ghz_postselection(heralds, 1, threshold=True)),
+        "ghz-number": (12, ghz_postselection(heralds, -1)),
+        "one-herald-threshold": (12, heralds[0].rule(threshold=True)),
+        "threshold": (6, PostselectionRule(enc.qubit_pairs, threshold=True)),
+        "plain": (6, PostselectionRule(enc.qubit_pairs, vacuum_modes=enc.ancilla_modes)),
+    }
+
+
+def assert_table_matches_readout(rule, m, n):
+    kept, index = qubits._readout_table(rule, m, n)
+    accepted, want = rule.readout(enumerate_basis(m, n).occupations)
+    assert np.array_equal(kept, np.flatnonzero(accepted))
+    assert np.array_equal(index, want[accepted])
+    assert not kept.flags.writeable and not index.flags.writeable
+
+
+@pytest.mark.parametrize("name", list(_named_rules()))
+def test_the_readout_table_is_the_rule_readout_of_the_basis(name):
+    m, rule = _named_rules()[name]
+    for n in (2, 3, 6, 7) if m == 12 else range(5):
+        assert_table_matches_readout(rule, m, n)
+    kept, index = qubits._readout_table(rule, m, 6 if m == 12 else 2)
+    assert len(kept) > 0
+    with pytest.raises(ValueError, match="read-only"):
+        kept[0] = 0
+    with pytest.raises(ValueError, match="read-only"):
+        index[0] = 0
+
+
+@settings(max_examples=40, deadline=None)
+@given(drawn=rules(), n=st.integers(0, 4))
+def test_the_readout_table_of_a_drawn_rule_is_its_readout(drawn, n):
+    m, rule = drawn
+    assert_table_matches_readout(rule, m, n)
+
+
+def test_a_rule_built_from_lists_reads_its_tuple_rules_table():
+    _, heralds, _ = ghz_factory()
+    tupled = ghz_postselection(heralds, 1, threshold=True)
+    listed = PostselectionRule(
+        [list(pair) for pair in tupled.qubit_pairs],
+        heralds=[[list(spec) for spec in pattern] for pattern in tupled.heralds],
+        threshold=True,
+    )
+    qubits._readout_table.cache_clear()
+    table = qubits._readout_table(tupled, 12, 6)
+    assert qubits._readout_table(listed, 12, 6) is table
+    info = qubits._readout_table.cache_info()
+    assert (info.hits, info.misses) == (1, 1)
+
+
+def test_a_multi_sector_readout_sums_its_accepted_rows_in_one_bincount_in_sector_order():
+    # a threshold rule with no vacuum modes accepts rows of several photon numbers
+    rule = PostselectionRule(((1, 2), (4, 3)), threshold=True)
+    source = SourceModel(indistinguishability=0.9, g2=0.05)
+    unitary = ModeUnitary.haar_random(6, np.random.default_rng(5))
+    dist = noisy_simulate(unitary, build_input(2, source, modes=(1, 4)))
+    rows, values = dist.outcomes()
+    accepted, index = rule.readout(rows)
+    assert len(np.unique(rows[accepted].sum(axis=1))) == 3
+    raw = np.bincount(index[accepted], weights=values[accepted], minlength=4)
+    probs, weight = logical_distribution(dist, rule)
+    assert weight == raw.sum()
+    assert np.array_equal(probs.ravel(), raw / raw.sum())

@@ -1,12 +1,14 @@
 """Tests for the two-qubit variational ground-state workflow."""
 
+import sys
+
 import numpy as np
 import pytest
 from _oracles import PerEvaluationVqeBackend, h2_ground_energy_closed_form
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from lopsim import qubits
+from lopsim import fock, qubits, variational
 from lopsim.qubits import _MEAS_ROT, Gate, GateCircuit, QubitEncoding, compile_gate_circuit
 from lopsim.sources import SourceModel
 from lopsim.variational import (
@@ -516,11 +518,21 @@ _ANSATZ_ANGLE = st.sampled_from([0.0, -0.0, np.pi, -np.pi / 2, 2.0 * np.pi, 9.5,
 
 
 class _RecordingBackend(PhotonicVqeBackend):
-    """Keeps every mode unitary it simulates."""
+    """Keeps every setting unitary it builds and every stack it reads out."""
 
-    def _readout(self, unitary, rule):
-        self.simulated.append(unitary)
-        return super()._readout(unitary, rule)
+    def ansatz_distributions(self, thetas):
+        def rotated(unitary, setting):
+            self.rotated.append(qubits._rotated(unitary, setting))
+            return self.rotated[-1]
+
+        def read(unitaries, *args):
+            self.simulated.extend(unitaries)
+            return qubits.logical_distributions(unitaries, *args)
+
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(variational, "_rotated", rotated)
+            patch.setattr(variational, "logical_distributions", read)
+            return super().ansatz_distributions(thetas)
 
 
 def _compiled_settings(theta):
@@ -546,8 +558,8 @@ def _compiled_settings(theta):
 )
 def test_the_bound_ansatz_is_the_compiled_circuits_byte_for_byte(theta, state):
     backend = _RecordingBackend()
-    backend.simulated = []
-    backend.ansatz_distributions(theta)
+    backend.rotated, backend.simulated = [], []
+    backend.ansatz_distributions([theta])
     if state == "after cache_clear":
         for cached in _COMPILE_CACHES:
             cached.cache_clear()
@@ -555,18 +567,19 @@ def test_the_bound_ansatz_is_the_compiled_circuits_byte_for_byte(theta, state):
         enc = QubitEncoding.default(2)
         for i in range(qubits._checked_gates.cache_info().maxsize):
             qubits._checked_gates(_ansatz_steps(np.full(7, 100.0 + i)), enc)
-    backend.simulated = []
-    got = backend.ansatz_distributions(theta)
-    bound = [unitary.matrix.tobytes() for unitary in backend.simulated]
+    backend.rotated, backend.simulated = [], []
+    [got] = backend.ansatz_distributions([theta])
+    bound = [unitary.tobytes() for unitary in backend.simulated]
     assert bound == _compiled_settings(theta)
+    assert bound == [unitary.matrix.tobytes() for unitary in backend.rotated]
     # a signed zero reads the same matrices as the other sign
     flipped = [-a if a == 0.0 else a for a in theta]
     assert bound == _compiled_settings(flipped)
-    for unitary in backend.simulated:
+    for unitary in backend.rotated:
         with pytest.raises(ValueError, match="read-only"):
             unitary.matrix[0, 0] = 0.0
     want = [backend.distribution(ansatz_circuit(theta, basis)) for basis in BASES]
-    assert np.array_equal(np.stack(got), np.stack(want))
+    assert np.array_equal(got, np.stack(want))
 
 
 def test_a_backend_without_ansatz_distributions_is_named_in_the_error():
@@ -619,4 +632,51 @@ def test_a_warm_energy_at_a_new_angle_builds_no_gate_and_checks_once(monkeypatch
     assert measure_energy(h, theta, backend, shots=None) == energy
     assert (len(gates), len(checks)) == (0, 1)
     zz, xx = (backend.distribution(ansatz_circuit(theta, basis)) for basis in BASES)
-    assert np.array_equal(np.stack(backend.ansatz_distributions(theta)), np.stack([zz, xx]))
+    assert np.array_equal(backend.ansatz_distributions([theta])[0], np.stack([zz, xx]))
+
+
+@settings(max_examples=15, deadline=None)
+@given(k=st.integers(1, 8), seed=st.integers(0, 2**32 - 1), noisy=st.booleans())
+def test_each_row_of_an_ansatz_stack_is_its_own_one_row_call(k, seed, noisy):
+    rng = np.random.default_rng(seed)
+    source = SourceModel(indistinguishability=0.92, g2=0.012) if noisy else None
+    backend = PhotonicVqeBackend(readout_flip=0.03, source=source)
+    thetas = rng.uniform(-2.0 * np.pi, 2.0 * np.pi, (k, 7))
+    stacked = backend.ansatz_distributions(thetas)
+    assert stacked.shape == (k, 2, 4)
+    for i in range(k):
+        assert stacked[i].tobytes() == backend.ansatz_distributions(thetas[i : i + 1])[0].tobytes()
+
+
+def test_an_ansatz_stack_must_be_a_stack_of_rows():
+    with pytest.raises(ValueError, match="expected 7 angles"):
+        PhotonicVqeBackend().ansatz_distributions(np.zeros(7))
+
+
+def _count_calls(monkeypatch, home, name):
+    """Calls of ``home.name`` through every lopsim module that imported it by name."""
+    original, calls = getattr(home, name), []
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    for module_name, module in list(sys.modules.items()):
+        if module_name.startswith("lopsim") and getattr(module, name, None) is original:
+            monkeypatch.setattr(module, name, counted)
+    return calls
+
+
+def test_a_qubit_apps_vqe_run_simulates_only_its_mitigation_columns(monkeypatch):
+    # The benchmark's tracer self-test needs one traced span in the op: the
+    # 8 mitigation columns are its only strong_simulate calls, and every
+    # sweep step reads both shifted angles in one stacked readout.
+    simulated = _count_calls(monkeypatch, fock, "strong_simulate")
+    single = _count_calls(monkeypatch, qubits, "logical_distribution")
+    stacked = _count_calls(monkeypatch, qubits, "logical_distributions")
+    config = VqeConfig(shots=2000, max_iterations=20, seed=5, mitigation=True)
+    result = vqe_run(h2_hamiltonian(0.75), PhotonicVqeBackend(readout_flip=0.03), config)
+    assert result.evaluations == 20 and not result.converged
+    assert (len(simulated), len(single)) == (8, 8)
+    steps = (result.evaluations - 2) // 2
+    assert [len(args[0]) for args in stacked] == [2] + [4] * steps + [2]
