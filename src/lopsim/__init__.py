@@ -60,7 +60,6 @@ from lopsim.benchmark import (
     build_plan,
     estimate_favg,
     photonic_executor,
-    spam_floor,
 )
 from lopsim.variational import (
     MitigationMatrix,

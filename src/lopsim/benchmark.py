@@ -8,11 +8,10 @@ product of one 16 x 16 one-qubit system and so is solved one qubit at a
 time, ``estimate_favg`` executes a plan against a simulator backend in
 one call that carries every configuration (:data:`Executor`; each
 executor here simulates that batch as one stack of density matrices or
-interferometers), and ``spam_floor`` bounds the preparation-and-measurement
-error a plan inherits from its single-qubit layer.
+interferometers).
 
 Two estimator functionals are supported.  The ``tabulated`` route solves
-the swap-paired estimator used by the bundled reference plans; it agrees
+the swap-paired estimator used by the reference plan tables; it agrees
 with the exact average fidelity on the ideal gate but weighs noise
 differently (a depolarizing channel of strength p on one qubit evaluates
 to 1 - 2p/3 instead of 1 - p/2).  The ``exact`` route solves the true
@@ -54,7 +53,6 @@ __all__ = [
     "depolarizing_executor",
     "estimate_favg",
     "photonic_executor",
-    "spam_floor",
 ]
 
 #: Preparation labels in canonical order, one character per qubit.
@@ -165,11 +163,6 @@ def _qubit_basis(functional: str) -> np.ndarray:
 # Benchmark plans
 
 
-def _canonical_float(value: float) -> str:
-    """Shortest text of ``value`` rounded to 12 significant digits."""
-    return repr(float(format(value, ".12g")))
-
-
 @dataclass(frozen=True)
 class PlanEntry:
     """One weighted Pauli correlation of a benchmark plan."""
@@ -182,10 +175,6 @@ class PlanEntry:
     def setting(self) -> str:
         """Measurement configuration once I-letters recycle Z data."""
         return self.word.replace("I", "Z")
-
-    @property
-    def label(self) -> str:
-        return f"{self.preparation}:{self.word}"
 
 
 @dataclass(frozen=True)
@@ -214,14 +203,6 @@ class BenchmarkPlan:
     constant: float
     normalization: float
 
-    @property
-    def k_terms(self) -> int:
-        return len(self.entries)
-
-    @property
-    def m_settings(self) -> int:
-        return len({(e.preparation, e.setting) for e in self.entries})
-
     def configurations(self) -> dict[tuple[str, str], list[int]]:
         """Entry indices grouped by (preparation, setting), in plan order."""
         grouped: dict[tuple[str, str], list[int]] = {}
@@ -239,30 +220,6 @@ class BenchmarkPlan:
         for c in entry.word:
             sign *= _MEAS_SIGNS[self.functional][c]
         return sign
-
-    def to_csv(self) -> str:
-        """Plan table as CSV text, weights in normalization units.
-
-        Units within 1e-9 of an integer print as that integer.  Every other
-        float (``normalization``, ``constant`` and non-integer units) prints
-        as ``repr`` of the value rounded to 12 significant digits, so the
-        last-ulp noise of the correlation solve, which varies between BLAS
-        builds, does not reach the text.
-        """
-        lines = [
-            "# average-gate-fidelity benchmark plan",
-            f"# n_qubits,{self.n_qubits}",
-            f"# functional,{self.functional}",
-            f"# normalization,{_canonical_float(self.normalization)}",
-            f"# constant,{_canonical_float(self.constant)}",
-            "label,weight",
-        ]
-        for entry in self.entries:
-            unit = entry.weight / self.normalization
-            rounded = round(unit)
-            text = str(rounded) if abs(unit - rounded) < 1e-9 else _canonical_float(unit)
-            lines.append(f"{entry.label},{text}")
-        return "\n".join(lines) + "\n"
 
 
 def build_plan(
@@ -484,20 +441,3 @@ def photonic_executor(circuit: GateCircuit, source: SourceModel | None = None) -
         return logical_distributions(totals, input_modes, rule, source)
 
     return run
-
-
-# ---------------------------------------------------------------------------
-# SPAM accounting
-
-
-def spam_floor(f_t: float, n_qubits: int) -> float:
-    """Preparation-and-measurement error floor inherited by an n-qubit plan.
-
-    Each qubit's preparation and measurement together cost roughly the
-    equivalent of two single-qubit gates out of three, so a single-qubit
-    reference fidelity ``f_t`` bounds the plan's SPAM error from below by
-    1 - f_t^(2n/3).
-    """
-    if not 0.0 < f_t <= 1.0:
-        raise ValueError("reference fidelity must lie in (0, 1]")
-    return 1.0 - f_t ** (2.0 * n_qubits / 3.0)

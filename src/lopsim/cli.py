@@ -222,7 +222,11 @@ def main(argv: Sequence[str] | None = None) -> int:
         keys = ("train_accuracy", "test_accuracy", "objective_evaluations", "best_iteration")
         record = {"command": "qnn", "seed": args.seed, **{key: metrics[key] for key in keys}}
     else:
-        record = {"command": "fringe", "alpha": args.alpha, **fringe(args.alpha)}
+        try:
+            stats = fringe(args.alpha)
+        except ValueError as exc:  # a non-finite alpha
+            parsers["fringe"].error(str(exc))
+        record = {"command": "fringe", "alpha": args.alpha, **stats}
     print(json.dumps(record) if args.json else _text_line(record))
     return 0
 

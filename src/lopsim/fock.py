@@ -21,8 +21,11 @@ hold the live rows of a set of disjoint mode pairs and a photon cap,
 those that can still reach one click in every pair, and nothing else;
 with no pairs every basis row is live, so one family of tables, built
 from the live rows alone, serves both.  Live rows are generated by pair
-pattern, never filtered from the full basis.  Permanents serve only
-single amplitudes.
+pattern, never filtered from the full basis.  Permanents serve single
+amplitudes (:func:`output_amplitude`) and, through Glynn's formula
+(:func:`_glynn_deltas`), the 4^n rail amplitudes that check every
+dual-rail gate compile (:func:`lopsim.qubits._rail_amplitudes`); neither
+builds a basis.
 
 :class:`OutputDistribution` is the one outcome type, simulated or
 sampled: a vector per photon-number sector over the cached basis, of
@@ -470,7 +473,7 @@ def _add_photon(
     (with no pairs, every basis row, whatever the cap): ``(K_n,)`` with a
     1-D ``column`` of shape ``(m,)``, or ``(K_n, B)``, which runs B
     independent additions (one unitary and state per column) in the same
-    scatter, with ``column`` ``(m, B)`` or an ``(m,)`` shared by all B.
+    scatter, with ``column`` ``(m, B)``.
     Returns the vectors over the live (n+1)-photon rows, ``(K_{n+1},)``
     or ``(K_{n+1}, B)`` as ``vec``: ``out`` (or a view of it) plus the
     step, if given.  Each ``column[j] * vec`` is formed in one buffer,
@@ -604,10 +607,10 @@ class OutputDistribution(Mapping[FockState, float]):
     ``[]`` raises KeyError elsewhere, while :meth:`prob` is total and
     returns 0.0 there.  ``dropped_weight`` is the mass a simulation left
     out (see :func:`lopsim.sources.noisy_simulate`), so for probabilities
-    ``total() + dropped_weight`` is 1 before any postselection, and for
-    counts ``total()`` is the number of shots.  The vectors given
-    are kept, not copied; one is clipped into a new array only when it
-    holds a negative rounding residue.  A negative, NaN or infinite
+    the sum of ``probabilities`` plus ``dropped_weight`` is 1 before any
+    postselection, and for counts that sum is the number of shots.  The
+    vectors given are kept, not copied; one is clipped into a new array
+    only when it holds a negative rounding residue.  A negative, NaN or infinite
     probability is refused.
     """
 
@@ -669,29 +672,6 @@ class OutputDistribution(Mapping[FockState, float]):
 
     def __len__(self) -> int:
         return sum(int(np.count_nonzero(vec)) for vec in self.sectors.values())
-
-    def total(self) -> float:
-        return float(sum(vec.sum() for vec in self.sectors.values()))
-
-    def sector_weights(self) -> dict[int, float]:
-        """Total probability per photon number."""
-        return {n: float(vec.sum()) for n, vec in self.sectors.items()}
-
-    def postselect_photon_number(self, n: int) -> tuple["OutputDistribution", float]:
-        """Distribution conditioned on ``n`` detected photons, and its weight.
-
-        The conditioned ``dropped_weight`` is the original divided by that
-        weight: a bound on the relative error of the conditioned values.
-        """
-        if n not in self.sectors:
-            raise ValueError(f"no probability mass in the {n}-photon sector")
-        weight = float(self.sectors[n].sum())
-        conditioned = OutputDistribution(
-            self.m,
-            {n: self.sectors[n] / weight},
-            dropped_weight=self.dropped_weight / weight,
-        )
-        return conditioned, weight
 
     def outcomes(self) -> tuple[np.ndarray, np.ndarray]:
         """Occupation rows and probabilities of every sector, photon number ascending."""
@@ -756,7 +736,7 @@ def sample(
     """Draw ``shots`` outcomes of the exact distribution and return their counts.
 
     The counts come as an :class:`OutputDistribution` over the input's
-    photon-number sector (float tallies, ``total()`` equal to ``shots``),
+    photon-number sector (float tallies summing to ``shots``),
     the type every readout reads.
     """
     rng = _seeded_rng(rng)

@@ -16,7 +16,6 @@ product bit for bit, so no result depends on how the rows were batched.
 
 from __future__ import annotations
 
-import json
 import warnings
 from dataclasses import dataclass, field
 
@@ -40,7 +39,6 @@ __all__ = [
     "TvdStatistics",
 ]
 
-SCHEMA = "lopsim-hardware-v1"
 DEFAULT_SELF_HEATING = 0.034
 DEFAULT_V_MAX = 14.0
 
@@ -72,8 +70,7 @@ class HardwareModel:
     phases are pinned; every phase otherwise), ``b`` is the static
     offset in rad, ``reflectivities`` holds the two coupler values of
     every cell and ``output_losses`` the relative output transmissions
-    (scaled so the best mode is 1).  Saved files of older versions that
-    carry a ``pin_input_phases`` key still load; the key is ignored.
+    (scaled so the best mode is 1).
     """
 
     m: int
@@ -106,6 +103,8 @@ class HardwareModel:
             raise ValueError("reflectivities must lie in [0, 1]")
         if not np.all((self.output_losses > 0) & (self.output_losses <= 1 + 1e-9)):
             raise ValueError("output losses must lie in (0, 1]")
+        if not (np.isfinite(self.v_max) and self.v_max > 0):
+            raise ValueError(f"v_max must be a finite positive voltage, got {self.v_max}")
 
     def layout(self) -> MeshLayout:
         return MeshLayout(self.m)
@@ -139,40 +138,6 @@ class HardwareModel:
         losses = 1.0 - rng.uniform(0.0, SYNTHETIC_LOSS_SPREAD, size=m)
         losses = losses / losses.max()
         return cls(m=m, a=a, b=b, reflectivities=refl, output_losses=losses)
-
-    def to_dict(self) -> dict:
-        return {
-            "schema": SCHEMA,
-            "m": self.m,
-            "v_max": self.v_max,
-            "a": self.a.tolist(),
-            "b": self.b.tolist(),
-            "reflectivities": self.reflectivities.tolist(),
-            "output_losses": self.output_losses.tolist(),
-        }
-
-    @classmethod
-    def from_dict(cls, payload: dict) -> "HardwareModel":
-        if payload.get("schema") != SCHEMA:
-            raise ValueError(f"unsupported hardware schema {payload.get('schema')!r}")
-        return cls(
-            m=int(payload["m"]),
-            a=np.array(payload["a"]),
-            b=np.array(payload["b"]),
-            reflectivities=np.array(payload["reflectivities"]),
-            output_losses=np.array(payload["output_losses"]),
-            v_max=float(payload["v_max"]),
-        )
-
-    def save(self, path: str) -> None:
-        with open(path, "w", encoding="utf-8") as handle:
-            json.dump(self.to_dict(), handle, indent=2, sort_keys=True)
-            handle.write("\n")
-
-    @classmethod
-    def load(cls, path: str) -> "HardwareModel":
-        with open(path, encoding="utf-8") as handle:
-            return cls.from_dict(json.load(handle))
 
 
 @dataclass(frozen=True)

@@ -247,10 +247,6 @@ class ClassifierModel:
                 raise ValueError("one class name per lambda row required")
             object.__setattr__(self, "class_names", names)
 
-    @property
-    def n_classes(self) -> int:
-        return self.lambdas.shape[0]
-
     def encode(self, x: Sequence[float]) -> np.ndarray:
         """Scaled encoding phases in [0, pi], one row per feature row of ``x``."""
         x = np.asarray(x, dtype=float)

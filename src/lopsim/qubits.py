@@ -318,17 +318,6 @@ class GateCircuit:
             n_qubits = max(max_target + 1, len(measurement or ""), 1)
         return cls(n_qubits, tuple(gates), measurement)
 
-    def to_text(self) -> str:
-        lines = []
-        for gate in self.gates:
-            fields = [gate.name, *map(str, gate.qubits)]
-            if gate.angle is not None:
-                fields.append(repr(gate.angle))
-            lines.append(" ".join(fields))
-        if self.measurement is not None:
-            lines.append(f"MEASURE {self.measurement}")
-        return "\n".join(lines) + "\n"
-
 
 # ---------------------------------------------------------------------------
 # Postselection
@@ -726,11 +715,6 @@ class HeraldPattern:
     name: str
     occupations: tuple[tuple[int, int], ...]
     sign: int
-
-    def rule(self, threshold: bool = False) -> PostselectionRule:
-        return PostselectionRule(
-            GHZ_OUTPUT_PAIRS, heralds=(self.occupations,), threshold=threshold
-        )
 
 
 def _ghz_elements() -> list[CircuitElement]:

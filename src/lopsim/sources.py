@@ -26,8 +26,8 @@ pairs names those pairs (``one_click_pairs``).  The sum then runs on the
 live outcomes, those that fill no pair and leave no more pairs empty
 than the photons the cap leaves could fill, since only these can still
 reach a read outcome; each read outcome is exact, bit for bit its value
-without pairs, and every other outcome is 0, so ``total() +
-dropped_weight`` falls short of 1 by the mass of the outcomes left out.
+without pairs, and every other outcome is 0, so the probabilities plus
+``dropped_weight`` fall short of 1 by the mass of the outcomes left out.
 The cyclic fringe reads one click per output pair, so
 :func:`measure_genuine_indistinguishability` simulates those outcomes
 only.  Detection throughout this module is click-based (threshold
@@ -44,7 +44,6 @@ parity (:func:`genuine_indistinguishability`).
 from __future__ import annotations
 
 import itertools
-import json
 import warnings
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
@@ -89,8 +88,6 @@ __all__ = [
     "load_indistinguishability_matrix",
     "fit_product_model",
 ]
-
-SCHEMA = "lopsim-source-v1"
 
 SHARED_LABEL = 0
 
@@ -144,46 +141,6 @@ class SourceModel:
                 )
             return np.array(ind)
         return np.full(n, ind)
-
-    @classmethod
-    def from_pairwise_matrix(
-        cls,
-        matrix: np.ndarray,
-        g2: float = 0.0,
-        efficiency: float = 1.0,
-    ) -> "SourceModel":
-        """Source with per-photon ``m_i`` fitted from a pairwise matrix."""
-        m_fit, _ = fit_product_model(matrix)
-        return cls(indistinguishability=tuple(m_fit), g2=g2, efficiency=efficiency)
-
-    def to_dict(self) -> dict:
-        ind = self.indistinguishability
-        return {
-            "schema": SCHEMA,
-            "indistinguishability": list(ind) if isinstance(ind, tuple) else ind,
-            "g2": self.g2,
-            "efficiency": self.efficiency,
-        }
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "SourceModel":
-        if data.get("schema") != SCHEMA:
-            raise ValueError(f"unexpected schema {data.get('schema')!r}")
-        ind = data["indistinguishability"]
-        if isinstance(ind, list):
-            ind = tuple(ind)
-        return cls(
-            indistinguishability=ind,
-            g2=float(data["g2"]),
-            efficiency=float(data["efficiency"]),
-        )
-
-    def save(self, path: str | Path) -> None:
-        Path(path).write_text(json.dumps(self.to_dict(), indent=2) + "\n")
-
-    @classmethod
-    def load(cls, path: str | Path) -> "SourceModel":
-        return cls.from_dict(json.loads(Path(path).read_text()))
 
 
 @dataclass(frozen=True)
@@ -473,10 +430,10 @@ def noisy_simulate(
         populated photon number up to the cap, the type
         :func:`~lopsim.fock.strong_simulate` returns.  Every sector is
         exact and its ``dropped_weight`` is the tail above the cap, so
-        ``total() + dropped_weight`` is 1.  With ``one_click_pairs``
-        every outcome with one click in every pair is exact and every
-        other one is 0, so the sum falls short of 1 by the mass of those
-        others.
+        the probabilities plus ``dropped_weight`` sum to 1.  With
+        ``one_click_pairs`` every outcome with one click in every pair is
+        exact and every other one is 0, so the sum falls short of 1 by the
+        mass of those others.
         Postselection scales ``dropped_weight`` like the probabilities.
     """
     if not isinstance(unitary, ModeUnitary):
@@ -585,6 +542,8 @@ def cyclic_interferometer(n_photons: int, alpha: float) -> ModeUnitary:
     """
     if n_photons not in (4, 6):
         raise ValueError(f"unsupported photon number {n_photons}; expected 4 or 6")
+    if not np.isfinite(alpha):
+        raise ValueError(f"alpha must be a finite phase, got {alpha}")
     return _cyclic_circuit(n_photons, alpha).unitary()
 
 
@@ -624,6 +583,8 @@ def genuine_indistinguishability(dist: OutputDistribution, n_photons: int) -> fl
     ``p_N = (C - D) / (C + D)``.  For the independent-label model with
     perfect purity this equals the product of the ``m_i``.
     """
+    if n_photons < 1:
+        raise ValueError(f"need at least one photon, got {n_photons}")
     _output_pairs(n_photons, dist.m)  # refuses too few modes, with or without events
     parts = [(vec, _fringe_table(dist.m, n, n_photons)) for n, vec in dist.sectors.items()]
     constructive = np.concatenate([vec[c] for vec, (c, _) in parts] + [[]])

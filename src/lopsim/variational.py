@@ -83,10 +83,6 @@ class QubitHamiltonian:
     delta: float
     mu: float
 
-    @property
-    def coefficients(self) -> tuple[float, float, float, float, float]:
-        return (self.alpha, self.beta, self.gamma, self.delta, self.mu)
-
     def matrix(self) -> np.ndarray:
         """Dense 4x4 matrix in the computational basis (00, 01, 10, 11)."""
         z, x = _PAULI["Z"], _PAULI["X"]

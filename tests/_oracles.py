@@ -546,7 +546,7 @@ def per_configuration_favg(
     rng = np.random.default_rng(seed)
     groups: dict[tuple, list[int]] = {}
     for index, entry in enumerate(plan.entries):
-        key = (entry.preparation, entry.setting) if merge_settings else (entry.label, index)
+        key = (entry.preparation, entry.setting) if merge_settings else (index,)
         groups.setdefault(key, []).append(index)
     total, variance = plan.constant, 0.0
     for indices in groups.values():

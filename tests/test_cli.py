@@ -130,6 +130,14 @@ def test_vqe_rejects_an_untabulated_radius(capsys):
     assert "not tabulated" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("alpha", ["nan", "inf", "-inf"])
+def test_fringe_rejects_a_non_finite_alpha(alpha, capsys):
+    with pytest.raises(SystemExit) as exit_info:
+        main(["fringe", f"--alpha={alpha}"])
+    assert exit_info.value.code != 0
+    assert "alpha must be a finite phase" in capsys.readouterr().err
+
+
 
 # Each command with its runner replaced by a fixed record: the argv, the
 # runner's name and the arguments it must receive, the options the JSON

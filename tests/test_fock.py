@@ -201,7 +201,7 @@ class TestDistinguishable:
     def test_normalization(self):
         rng = np.random.default_rng(11)
         u = ModeUnitary.haar_random(5, rng)
-        assert self.classical(u, [0, 1, 2]).total() == pytest.approx(1.0, abs=1e-9)
+        assert self.classical(u, [0, 1, 2]).probabilities.sum() == pytest.approx(1.0, abs=1e-9)
 
 
 class TestStrongSimulate:
@@ -210,7 +210,7 @@ class TestStrongSimulate:
         u = ModeUnitary.haar_random(6, rng)
         s = FockState.from_string("110100")
         dist = strong_simulate(u, s)
-        assert dist.total() == pytest.approx(1.0, abs=1e-9)
+        assert dist.probabilities.sum() == pytest.approx(1.0, abs=1e-9)
 
     def test_matches_state_vector_oracle(self):
         rng = np.random.default_rng(8)
@@ -307,7 +307,7 @@ class TestSampling:
         counts = sample(u, s, shots, rng=seed)
         assert isinstance(counts, OutputDistribution)
         assert list(counts.sectors) == [s.n] and counts.sectors[s.n].dtype == float
-        assert counts.total() == shots
+        assert counts.probabilities.sum() == shots
         expected = sample_by_choice(u, s, shots, seed)
         assert counts == expected and list(counts) == list(expected)
 

@@ -71,32 +71,14 @@ class TestHardwareModel:
         assert np.all(hw.output_losses > 0)
         assert np.all((hw.reflectivities > 0) & (hw.reflectivities < 1))
 
-    def test_json_round_trip(self, tmp_path):
-        hw = HardwareModel.synthetic(4, rng=1)
-        path = tmp_path / "chip.json"
-        hw.save(str(path))
-        loaded = HardwareModel.load(str(path))
-        assert loaded.m == hw.m
-        assert np.allclose(loaded.a, hw.a)
-        assert np.allclose(loaded.b, hw.b)
-        assert np.allclose(loaded.reflectivities, hw.reflectivities)
-        assert np.allclose(loaded.output_losses, hw.output_losses)
-        assert loaded.v_max == hw.v_max
-
-    @pytest.mark.parametrize("m, pinned", [(12, True), (12, None), (4, False), (4, None)])
-    def test_loads_files_with_the_retired_pinning_key(self, m, pinned):
-        # files written before pinning became the fixed m = 12 rule carry
-        # a "pin_input_phases" entry (null unless set); it is ignored
-        hw = HardwareModel.synthetic(m, rng=3)
-        payload = {**hw.to_dict(), "pin_input_phases": pinned}
-        loaded = HardwareModel.from_dict(payload)
-        assert loaded.a.shape == (MeshLayout(m).n_actuated,) * 2
-        assert np.array_equal(loaded.a, hw.a) and np.array_equal(loaded.b, hw.b)
-        assert "pin_input_phases" not in loaded.to_dict()
-
-    def test_rejects_bad_schema(self):
-        with pytest.raises(ValueError, match="schema"):
-            HardwareModel.from_dict({"schema": "something-else"})
+    @pytest.mark.parametrize("v_max", [0.0, -3.0, np.nan, np.inf])
+    def test_rejects_a_v_max_that_is_not_a_finite_positive_voltage(self, v_max):
+        # 0 would divide calibrate's normalization by zero, a negative
+        # value refuses every voltage, and NaN or inf overflows the
+        # measurement draw
+        prior = HardwareModel.prior(4)
+        with pytest.raises(ValueError, match="v_max"):
+            HardwareModel(4, prior.a, prior.b, prior.reflectivities, prior.output_losses, v_max)
 
     def test_rejects_nonpositive_self_heating(self):
         prior = HardwareModel.prior(4)

@@ -1,7 +1,9 @@
-"""Packaging metadata: an installed copy carries every bundled data file,
-every console script resolves to a callable, every name a module exports
-or the package imports exists, no module-level definition, method or
-property is dead, no module draws from an unseeded generator, every
+"""Packaging metadata: an installed copy carries every bundled data file
+and some module reads each one, every console script resolves to a
+callable, every name a module exports or the package imports exists, no
+module-level definition, method or property is dead, every public name
+has a caller in the package or the benchmark (or an allowlist entry that
+names its coming reader), no module draws from an unseeded generator, every
 ``np.allclose``/``np.isclose`` sets its ``rtol``, no parameter takes a
 plain ``Mapping[FockState, ...]`` of outcomes, and importing the
 package (or running ``lopsim fringe`` or ``lopsim vqe``) loads no scipy
@@ -38,6 +40,15 @@ def test_every_data_file_matches_a_package_data_glob():
     assert files
     missing = [str(f) for f in files if not any(f.match(g) for g in globs)]
     assert missing == []
+
+
+def test_every_data_file_has_a_reader():
+    # A bundled file that no module names ships to every install unread.
+    package = ROOT / "src" / "lopsim"
+    modules = _read(package.glob("*.py"))
+    files = [path.name for path in (package / "data").rglob("*") if path.is_file()]
+    assert files
+    assert [name for name in files if name not in modules] == []
 
 
 def test_every_console_script_target_is_callable():
@@ -86,13 +97,52 @@ def _class_members(tree: ast.Module):
     ]
 
 
-def _unused_definitions(select) -> list[str]:
-    # A name counts as used when it occurs in the package outside its own
-    # definition and outside the __all__ lists and the package's
-    # __init__ imports, or anywhere in the tests.  Dunder names are used
-    # by the language.
-    source = ROOT / "src" / "lopsim"
-    tests = "\n".join(p.read_text(encoding="utf-8") for p in (ROOT / "tests").glob("*.py"))
+def _is_all(node) -> bool:
+    return isinstance(node, ast.Assign) and _name(node) == "__all__"
+
+
+def _exported(tree: ast.Module):
+    """The definitions and constants a module lists in ``__all__``."""
+    names = {name for node in tree.body if _is_all(node) for name in ast.literal_eval(node.value)}
+    found = [node for node in tree.body if _name(node) in names]
+    assert {_name(node) for node in found} == names
+    return found
+
+
+def _public_members(tree: ast.Module):
+    """Methods and properties of the public module-level classes, public names only."""
+    return [
+        node
+        for cls in tree.body
+        if isinstance(cls, ast.ClassDef) and not cls.name.startswith("_")
+        for node in cls.body
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+        and not node.name.startswith("_")
+    ]
+
+
+def _name(node) -> str | None:
+    """The name a definition or a one-name assignment binds."""
+    if isinstance(node, _DEFINITIONS):
+        return node.name
+    if isinstance(node, ast.Assign) and len(node.targets) == 1:
+        return getattr(node.targets[0], "id", None)
+    return None
+
+
+def _read(paths) -> str:
+    return "\n".join(p.read_text(encoding="utf-8") for p in paths)
+
+
+def _unused_definitions(
+    select, readers: str | None = None, source: Path = ROOT / "src" / "lopsim"
+) -> list[str]:
+    # A name counts as used when it occurs in the package at ``source``
+    # outside its own definition, the docstrings, the __all__ lists and
+    # the package's __init__ imports, or anywhere in ``readers`` (by
+    # default the tests).  Dunder names are used by the language.
+    if readers is None:
+        readers = _read((ROOT / "tests").glob("*.py"))
     modules = {
         path.name: path.read_text(encoding="utf-8").splitlines()
         for path in sorted(source.glob("*.py"))
@@ -100,29 +150,37 @@ def _unused_definitions(select) -> list[str]:
     }
     trees = {name: ast.parse("\n".join(lines)) for name, lines in modules.items()}
 
-    def text_without(name: str, spans: list[tuple[int, int]]) -> str:
-        exports = [
-            (node.lineno, node.end_lineno)
-            for node in trees[name].body
-            if isinstance(node, ast.Assign)
-            and any(getattr(target, "id", None) == "__all__" for target in node.targets)
+    def skipped(tree: ast.Module) -> list[tuple[int, int]]:
+        exports = [(node.lineno, node.end_lineno) for node in tree.body if _is_all(node)]
+        docstrings = [
+            (node.body[0].lineno, node.body[0].end_lineno)
+            for node in ast.walk(tree)
+            if isinstance(node, (ast.Module, *_DEFINITIONS))
+            and ast.get_docstring(node, clean=False) is not None
         ]
-        drop = {i for start, end in exports + spans for i in range(start - 1, end)}
+        return exports + docstrings
+
+    always = {name: skipped(tree) for name, tree in trees.items()}
+
+    def text_without(name: str, spans: list[tuple[int, int]]) -> str:
+        drop = {i for start, end in always[name] + spans for i in range(start - 1, end)}
         return "\n".join(line for i, line in enumerate(modules[name]) if i not in drop)
 
     unused = []
     for module, tree in trees.items():
         for node in select(tree):
-            if node.name.startswith("__") and node.name.endswith("__"):
+            name = _name(node)
+            if name.startswith("__") and name.endswith("__"):
                 continue
-            start = min([node.lineno] + [d.lineno for d in node.decorator_list])
+            start = min([node.lineno] + [d.lineno for d in getattr(node, "decorator_list", [])])
             texts = [
                 text_without(other, [(start, node.end_lineno)] if other == module else [])
                 for other in modules
             ]
-            pattern = re.compile(rf"\b{re.escape(node.name)}\b")
-            if not any(pattern.search(text) for text in [*texts, tests]):
-                unused.append(f"{module}:{node.name}")
+            dot = "" if node in tree.body else r"\."  # a member is read as an attribute
+            pattern = re.compile(rf"{dot}\b{re.escape(name)}\b")
+            if not any(pattern.search(text) for text in [*texts, readers]):
+                unused.append(f"{module}:{name}")
     return unused
 
 
@@ -132,6 +190,121 @@ def test_every_module_level_definition_has_a_caller_or_a_test():
 
 def test_every_method_and_property_has_a_caller_or_a_test():
     assert _unused_definitions(_class_members) == []
+
+
+#: Public names that no code in the package or the benchmark reads, each
+#: with the user-facing entry or ROADMAP item that is to read it.  The
+#: scan must equal this table: a new test-only name fails, and so does an
+#: entry whose name found a caller or left.
+TEST_ONLY_PUBLIC_NAMES = {
+    "benchmark.py:depolarizing_executor": "closed-form reference executor of F_avg plans",
+    "fock.py:from_string": "input pattern text of `lopsim sample` (ROADMAP items 7, 8)",
+    "hardware.py:held_out_tvd": "restart selection of the calibration fit (ROADMAP item 2)",
+    "hardware.py:unitary_at_voltages": "gates on a calibrated chip (ROADMAP item 4)",
+    "qubits.py:ghz_noisy_fidelity": "`lopsim ghz` (ROADMAP items 8, 12)",
+    "sources.py:fit_fringe": "`lopsim fringe` scan over alpha (ROADMAP item 8)",
+    "sources.py:hom_experiment": "`lopsim hom` (ROADMAP item 8)",
+    "sources.py:ms_correction": "`lopsim hom` (ROADMAP item 8)",
+    "validation.py:collision_free_reference": "`lopsim sample` validation (ROADMAP item 7)",
+    "validation.py:compare_distributions": "`lopsim sample` validation (ROADMAP item 7)",
+    "validation.py:counter_trajectory_csv": "`lopsim sample` validation (ROADMAP item 7)",
+    "validation.py:run_validation": "`lopsim sample` validation (ROADMAP items 7, 8)",
+    "validation.py:sample_outcomes": "`lopsim sample` hypotheses (ROADMAP items 7, 11)",
+    "variational.py:ansatz_circuit": "reference circuit of a stacked VQE compile (ROADMAP item 14)",
+}
+
+
+def test_every_public_name_has_a_caller_outside_the_tests():
+    # Counts callers in src/lopsim and perfbench/*.py only: a public name
+    # that only tests call is surface with no user.
+    perfbench = _read(sorted((ROOT / "perfbench").glob("*.py")))
+    found = _unused_definitions(_exported, perfbench)
+    found += _unused_definitions(_public_members, perfbench)
+    assert sorted(found) == sorted(TEST_ONLY_PUBLIC_NAMES)
+
+
+#: A two-module package for the caller scan: ``unused`` is named only in
+#: docstrings and ``__all__``, ``helper`` only in docstrings and as a
+#: bare local name, never read as an attribute.
+_SCANNED_PACKAGE = {
+    "alpha.py": '''"""Names `Model.helper`, `unused` and `called`."""
+
+__all__ = ["Model", "unused", "called"]
+
+
+class Model:
+    """A model whose ``helper`` and ``used`` are named here."""
+
+    def used(self):
+        return 1
+
+    def helper(self):
+        return 2
+
+
+def unused():
+    """Calls nothing; mentions Model.helper() and unused()."""
+    return 3
+
+
+def called():
+    return Model().used()
+''',
+    "beta.py": '''from alpha import called
+
+
+def run():
+    helper = called()
+    return helper
+''',
+}
+
+
+def _write_package(root: Path, modules: dict[str, str]) -> Path:
+    root.mkdir()
+    for name, text in modules.items():
+        (root / name).write_text(text, encoding="utf-8")
+    return root
+
+
+def test_the_caller_scan_counts_no_docstring_or_all_entry_as_a_use(tmp_path):
+    source = _write_package(tmp_path / "pkg", _SCANNED_PACKAGE)
+    assert _unused_definitions(_exported, "", source) == ["alpha.py:unused"]
+    assert _unused_definitions(_exported, "unused()", source) == []
+
+
+def test_the_caller_scan_reads_a_member_only_as_an_attribute(tmp_path):
+    # beta's local variable ``helper`` is not a read of Model.helper
+    source = _write_package(tmp_path / "pkg", _SCANNED_PACKAGE)
+    assert _unused_definitions(_public_members, "", source) == ["alpha.py:helper"]
+    assert _unused_definitions(_public_members, "model.helper()", source) == []
+
+
+def test_a_new_test_only_method_fails_only_the_public_name_guard(tmp_path):
+    # A public method that the package names only in docstrings and that
+    # only a test calls has a caller for the dead-code guards, but no
+    # caller outside the tests.
+    source = ROOT / "src" / "lopsim"
+    modules = {path.name: path.read_text(encoding="utf-8") for path in source.glob("*.py")}
+    lines = modules["fock.py"].splitlines()
+    tree = ast.parse(modules["fock.py"])
+    (cls,) = [n for n in tree.body if isinstance(n, ast.ClassDef) and n.name == "OutputDistribution"]
+    method = [
+        "",
+        "    def sector_masses(self):",
+        '        """The summed ``probabilities`` of each sector."""',
+        "        return [float(v.sum()) for v in self.sectors]",
+    ]
+    lines[cls.end_lineno:cls.end_lineno] = method
+    modules["fock.py"] = "\n".join(lines) + "\n"
+    mutated = _write_package(tmp_path / "lopsim", modules)
+    tests = _read((ROOT / "tests").glob("*.py")) + "\nassert dist.sector_masses()\n"
+    assert _unused_definitions(_module_level, tests, mutated) == []
+    assert _unused_definitions(_class_members, tests, mutated) == []
+    perfbench = _read(sorted((ROOT / "perfbench").glob("*.py")))
+    found = _unused_definitions(_exported, perfbench, mutated)
+    found += _unused_definitions(_public_members, perfbench, mutated)
+    assert sorted(found) == sorted([*TEST_ONLY_PUBLIC_NAMES, "fock.py:sector_masses"])
 
 
 def test_the_benchmark_tracer_wraps_and_restores_every_name_it_names(monkeypatch):

@@ -368,7 +368,7 @@ def test_small_iris_subset_trains_above_chance():
     model, metrics = qnn_train(features[subset], labels[subset], config)
     assert metrics["n_train"] == 24 and metrics["n_test"] == 6
     assert metrics["train_accuracy"] >= 0.8
-    assert model.n_classes == 3
+    assert model.lambdas.shape[0] == 3
 
 
 def blockwise_patterns(theta, phases):

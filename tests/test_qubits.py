@@ -213,13 +213,13 @@ class TestTextFormat:
         assert [g.name for g in gc.gates] == ["H", "TOFFOLI"]
         assert gc.measurement == "ZZZ" and gc.n_qubits == 3
 
-    def test_round_trip(self):
+    def test_rotation_angle_and_measurement_word(self):
         gc = GateCircuit(
             2,
             (Gate("H", (0,)), Gate("RZ", (1,), 1.25), Gate("CNOT", (0, 1))),
             "XY",
         )
-        assert GateCircuit.from_text(gc.to_text()) == gc
+        assert GateCircuit.from_text("H 0\nRZ 1 1.25\nCNOT 0 1\nMEASURE XY\n") == gc
 
     def test_qubit_count_from_measurement(self):
         gc = GateCircuit.from_text("H 0\nMEASURE ZZ")
@@ -868,7 +868,8 @@ class TestGhzFactory:
             circuit, _, encoding = ghz_factory()
             run = PhotonicCircuit(12).extend(circuit.elements)
             run.extend(pauli_measurement_setting(setting, encoding).elements)
-            measured = pauli_readout(run.unitary(), GHZ_INPUT_MODES, herald.rule(), word)
+            rule = ghz_postselection([herald], herald.sign)
+            measured = pauli_readout(run.unitary(), GHZ_INPUT_MODES, rule, word)
             assert measured == pytest.approx(direct, abs=1e-9), word
 
     def test_z_marginals_equal_per_word_readouts(self, factory):

@@ -1,6 +1,5 @@
 """Tests for the source noise model and its characterization experiments."""
 
-import json
 import re
 
 import numpy as np
@@ -78,19 +77,6 @@ class TestSourceModel:
         with pytest.raises(ValueError):
             SourceModel(**kwargs)
 
-    def test_json_round_trip(self, tmp_path):
-        src = SourceModel(indistinguishability=(0.95, 0.9), g2=0.0075, efficiency=0.08)
-        path = tmp_path / "source.json"
-        src.save(path)
-        loaded = SourceModel.load(path)
-        assert loaded == src
-
-    def test_rejects_unknown_schema(self, tmp_path):
-        path = tmp_path / "bad.json"
-        path.write_text(json.dumps({"schema": "something-else"}))
-        with pytest.raises(ValueError, match="schema"):
-            SourceModel.load(path)
-
 
 class TestIndistinguishabilityMatrix:
     def test_bundled_matrix(self):
@@ -153,11 +139,11 @@ class TestIndistinguishabilityMatrix:
         with pytest.raises(ValueError, match=match):
             fit_product_model(matrix)
 
-    def test_source_from_pairwise_matrix(self):
-        matrix = load_indistinguishability_matrix()
-        src = SourceModel.from_pairwise_matrix(matrix, g2=0.0075)
+    def test_the_product_fit_of_the_bundled_matrix_is_a_six_photon_source(self):
+        m_fit, _ = fit_product_model(load_indistinguishability_matrix())
+        src = SourceModel(indistinguishability=tuple(m_fit), g2=0.0075)
         assert len(src.indistinguishability) == 6
-        assert src.g2 == 0.0075
+        assert np.array_equal(src.m_values(6), m_fit)
 
 
 class TestBuildInput:
@@ -227,7 +213,7 @@ class TestNoisySimulate:
         ideal = strong_simulate(unitary, FockState.from_modes(5, (0, 1, 2)))
         for state, p in zip(enumerate_basis(5, 3), ideal.probabilities):
             assert noisy.prob(state) == pytest.approx(p, abs=1e-12)
-        assert noisy.total() == pytest.approx(1.0, abs=1e-12)
+        assert noisy.probabilities.sum() == pytest.approx(1.0, abs=1e-12)
 
     def test_fully_distinguishable_matches_classical_routing(self):
         rng = np.random.default_rng(12)
@@ -272,18 +258,13 @@ class TestNoisySimulate:
         with pytest.raises(ValueError, match="out of range"):
             noisy_simulate(unitary, labeled)
 
-    def test_sector_weights_and_postselection(self):
+    def test_sector_masses_follow_the_efficiency(self):
         unitary = ModeUnitary(np.eye(2, dtype=complex))
         labeled = build_input(2, SourceModel(efficiency=0.75))
         dist = noisy_simulate(unitary, labeled)
-        sectors = dist.sector_weights()
-        assert sectors[2] == pytest.approx(0.75**2)
-        assert sectors[0] == pytest.approx(0.25**2)
-        conditioned, weight = dist.postselect_photon_number(2)
-        assert weight == pytest.approx(0.75**2)
-        assert conditioned.total() == pytest.approx(1.0)
-        with pytest.raises(ValueError, match="sector"):
-            dist.postselect_photon_number(5)
+        assert dist.sectors[2].sum() == pytest.approx(0.75**2)
+        assert dist.sectors[1].sum() == pytest.approx(2 * 0.75 * 0.25)
+        assert dist.sectors[0].sum() == pytest.approx(0.25**2)
 
 
 class TestHomExperiment:
@@ -327,6 +308,11 @@ class TestCyclicInterferometer:
         for n in (2, 3, 5, 7):
             with pytest.raises(ValueError, match="unsupported"):
                 cyclic_interferometer(n, 0.0)
+
+    @pytest.mark.parametrize("alpha", [np.nan, np.inf, -np.inf])
+    def test_a_non_finite_phase_is_refused_by_name(self, alpha):
+        with pytest.raises(ValueError, match="alpha must be a finite phase"):
+            cyclic_interferometer(4, alpha)
 
     def test_input_modes_are_odd(self):
         assert cyclic_input_modes(4) == (1, 3, 5, 7)
@@ -395,6 +381,13 @@ class TestCyclicInterferometer:
             genuine_indistinguishability(placed_distribution(6, {(1, 0, 1, 0, 1, 0): 5}), 4)
         with pytest.raises(ValueError, match="needs 8 modes, got 6"):
             genuine_indistinguishability(OutputDistribution(6, {}), 4)
+
+    @pytest.mark.parametrize("n_photons", [0, -1])
+    def test_estimator_refuses_fewer_than_one_photon(self, n_photons):
+        # with no output pairs the class split is empty; it must not read as p_N = 1 or 0
+        dist = strong_simulate(cyclic_interferometer(4, 0.0), FockState.from_modes(8, (1, 3, 5, 7)))
+        with pytest.raises(ValueError, match="at least one photon"):
+            genuine_indistinguishability(dist, n_photons)
 
     def test_four_photon_regime_with_measured_matrix(self):
         matrix = load_indistinguishability_matrix()

@@ -1,6 +1,7 @@
 """Tests for the two-qubit variational ground-state workflow."""
 
 import sys
+from dataclasses import astuple
 
 import numpy as np
 import pytest
@@ -66,8 +67,8 @@ def test_bond_table_has_all_rows():
 
 
 def test_hamiltonian_lookup_matches_bundled_rows():
-    assert h2_hamiltonian(0.75).coefficients == ROW_075
-    assert h2_hamiltonian(0.2).coefficients == ROW_020
+    assert astuple(h2_hamiltonian(0.75)) == ROW_075
+    assert astuple(h2_hamiltonian(0.2)) == ROW_020
 
 
 def test_beta_equals_gamma_at_every_radius():
@@ -76,7 +77,7 @@ def test_beta_equals_gamma_at_every_radius():
 
 
 def test_duplicated_neighbor_rows_are_preserved():
-    assert h2_hamiltonian(0.3).coefficients == h2_hamiltonian(0.35).coefficients
+    assert astuple(h2_hamiltonian(0.3)) == astuple(h2_hamiltonian(0.35))
 
 
 def test_unknown_radius_error_lists_available_radii():
@@ -106,7 +107,7 @@ def test_exact_ground_energy_trivial_cases():
 
 def test_exact_ground_energy_matches_closed_form_oracle():
     for _, h in bond_table():
-        expected = h2_ground_energy_closed_form(*h.coefficients)
+        expected = h2_ground_energy_closed_form(*astuple(h))
         assert exact_ground_energy(h) == pytest.approx(expected, abs=1e-12)
 
 
@@ -293,7 +294,7 @@ def test_energy_linear_in_hamiltonian_coefficients():
     h2 = h2_hamiltonian(1.55)
     c1, c2 = 0.6, -1.3
     combined = QubitHamiltonian(
-        *(c1 * x + c2 * y for x, y in zip(h1.coefficients, h2.coefficients))
+        *(c1 * x + c2 * y for x, y in zip(astuple(h1), astuple(h2)))
     )
     e1 = measure_energy(h1, theta, backend, shots=None)
     e2 = measure_energy(h2, theta, backend, shots=None)
