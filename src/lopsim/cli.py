@@ -42,7 +42,8 @@ the energy re-measured at the returned angles, the exact ground energy,
 their difference in mHa, the number of energy evaluations, whether the
 sweeps converged within the cap, and the wall time of the run.
 ``--json`` also reports ``exact_energy_at_theta``, the infinite-shot
-energy at the returned angles.  An untabulated radius is a usage error.
+energy at the returned angles.  An untabulated radius is a usage error,
+and so is a negative ``--seed`` for any command.
 """
 
 from __future__ import annotations
@@ -153,6 +154,16 @@ def run_vqe(h: QubitHamiltonian, seed: int) -> dict:
     }
 
 
+def _seed(text: str) -> int:
+    """A ``--seed`` value: an int that :func:`~lopsim.fock._seeded_rng` accepts."""
+    try:
+        seed = int(text)
+        _seeded_rng(seed)
+    except ValueError as exc:  # not an int, or a negative one
+        raise argparse.ArgumentTypeError(f"invalid seed {text!r}: {exc}") from None
+    return seed
+
+
 #: Each subcommand's help and the help of its ``--seed`` (None: no seed).
 _COMMANDS = {
     "fringe": ("six-photon cyclic fringe p6 cos(alpha) of the bundled source", None),
@@ -203,7 +214,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     for name, (_, seed_help) in _COMMANDS.items():
         if seed_help is not None:
             parsers[name].add_argument(
-                "--seed", type=int, default=0, help=f"{seed_help} (default 0)"
+                "--seed", type=_seed, default=0, help=f"{seed_help} (default 0)"
             )
         parsers[name].add_argument("--json", action="store_true", help="print one JSON object")
     args = parser.parse_args(argv)

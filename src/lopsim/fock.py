@@ -1,7 +1,10 @@
 """Fock-space linear algebra for multi-photon interferometry.
 
-Occupation-number states, basis enumeration, matrix permanents, exact
-transition amplitudes and strong simulation of linear-optical circuits.
+Occupation-number input states, basis enumeration, matrix permanents,
+exact transition amplitudes and strong simulation of linear-optical
+circuits.  A :class:`FockState` specifies an input (or the one output of
+:func:`output_amplitude`); every outcome is an int8 occupation row,
+placed in its basis by :meth:`FockBasis.rank`.
 
 A :class:`FockBasis` orders every n-photon state on m modes
 lexicographically and ranks rows by the combinatorial number system (a
@@ -46,7 +49,7 @@ from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from itertools import combinations, product
 from math import comb, factorial, isfinite, prod, sqrt
-from typing import Iterable, Iterator, Mapping, Sequence
+from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
@@ -134,10 +137,9 @@ class FockBasis:
     order, so for m=12, n=6 the basis runs from |000000000006> up to
     |600000000000>.  Any restriction, such as the collision-free rows a
     threshold detector can tell apart, is a mask on these rows and keeps
-    their order.  States are built on demand by indexing or iteration;
-    :meth:`rank` maps occupation rows back to their positions.  The size
-    and rank table are arithmetic, so ``len``, ``rank``, ``index`` and
-    ``in`` never build the rows; ``occupations`` is built on first read.
+    their order.  :meth:`rank` maps occupation rows back to their
+    positions.  The size and rank table are arithmetic, so ``len`` and
+    ``rank`` never build the rows; ``occupations`` is built on first read.
     """
 
     def __init__(self, m: int, n: int):
@@ -203,24 +205,6 @@ class FockBasis:
 
     def __len__(self) -> int:
         return self.size
-
-    def __iter__(self) -> Iterator[FockState]:
-        return (FockState(tuple(row)) for row in self.occupations.tolist())
-
-    def __getitem__(self, i: int) -> FockState:
-        return FockState(tuple(self.occupations[i].tolist()))
-
-    def __contains__(self, state: FockState) -> bool:
-        try:
-            return self.index(state) >= 0
-        except (KeyError, AttributeError):
-            return False
-
-    def index(self, state: FockState) -> int:
-        try:
-            return int(self.rank(np.array([state.occupations]))[0])
-        except KeyError:
-            raise KeyError(f"{state} is not in this basis") from None
 
 
 class ModeUnitary:
@@ -597,15 +581,14 @@ def _check_states(unitary: ModeUnitary, *states: FockState) -> None:
             raise ValueError("photon number mismatch between states")
 
 
-class OutputDistribution(Mapping[FockState, float]):
+class OutputDistribution:
     """Outcomes of one detector array, one vector per photon number.
 
     ``sectors[n]`` is a vector over ``enumerate_basis(m, n)`` of
     probabilities, or of counts when :func:`sample` drew it; only
-    sectors with mass are kept.  Iteration, ``items`` and ``len``
-    cover the nonzero outcomes, and so do ``in``, ``get`` and ``[]``:
-    ``[]`` raises KeyError elsewhere, while :meth:`prob` is total and
-    returns 0.0 there.  ``dropped_weight`` is the mass a simulation left
+    sectors with mass are kept.  An outcome is read as an occupation row
+    of :meth:`outcomes` (or a ``rank`` into its sector), never looked up
+    by :class:`FockState`.  ``dropped_weight`` is the mass a simulation left
     out (see :func:`lopsim.sources.noisy_simulate`), so for probabilities
     the sum of ``probabilities`` plus ``dropped_weight`` is 1 before any
     postselection, and for counts that sum is the number of shots.  The
@@ -644,33 +627,8 @@ class OutputDistribution(Mapping[FockState, float]):
         """Every sector's vector, concatenated in photon-number order."""
         return self.outcomes()[1]
 
-    def prob(self, state: FockState) -> float:
-        """Probability of ``state``; 0.0 for any outcome outside the support."""
-        vec = self.sectors.get(state.n)
-        if vec is None or state.m != self.m:
-            return 0.0
-        try:
-            return float(vec[enumerate_basis(self.m, state.n).index(state)])
-        except KeyError:
-            return 0.0
-
-    def __getitem__(self, state: FockState) -> float:
-        """Probability of a nonzero outcome; KeyError elsewhere, as iteration says."""
-        p = self.prob(state) if isinstance(state, FockState) else 0.0
-        if p == 0.0:
-            raise KeyError(state)
-        return p
-
-    def items(self) -> Iterator[tuple[FockState, float]]:
-        rows, values = self.outcomes()
-        nonzero = np.flatnonzero(values)
-        for row, p in zip(rows[nonzero].tolist(), values[nonzero].tolist()):
-            yield FockState(tuple(row)), p
-
-    def __iter__(self) -> Iterator[FockState]:
-        return (state for state, _ in self.items())
-
     def __len__(self) -> int:
+        """Number of nonzero outcomes; the benchmark tracer reports it per noisy simulation."""
         return sum(int(np.count_nonzero(vec)) for vec in self.sectors.values())
 
     def outcomes(self) -> tuple[np.ndarray, np.ndarray]:
@@ -701,10 +659,13 @@ def _seeded_rng(seed: np.random.Generator | int) -> np.random.Generator:
     """Generator for ``seed``: an int seeds a new one, a Generator passes through.
 
     None is refused: ``default_rng(None)`` seeds itself from the OS, so
-    its draws would differ from run to run.
+    its draws would differ from run to run.  A negative int is refused
+    here, by name, rather than deep inside numpy.
     """
     if seed is None:
         raise ValueError("need an int seed or a numpy Generator, got None")
+    if isinstance(seed, (int, np.integer)) and seed < 0:
+        raise ValueError(f"seed must be a nonnegative int, got {seed}")
     return np.random.default_rng(seed)
 
 

@@ -201,6 +201,11 @@ def pattern_distribution(
     return pattern_distributions(theta, phases[None], shots, rng)[0]
 
 
+def _feature_phases(x: np.ndarray, low: np.ndarray, span: np.ndarray) -> np.ndarray:
+    """The feature map: encoding phases ``(x - low) / span * pi``, clipped to [0, pi]."""
+    return np.clip((x - low) / span * np.pi, 0.0, np.pi)
+
+
 @dataclass(frozen=True, eq=False)
 class ClassifierModel:
     """Trained classifier: chip phases, outcome weights and feature map.
@@ -208,7 +213,7 @@ class ClassifierModel:
     ``lambdas`` holds one weight row per class over the pattern space
     (disjoint per-class estimators, decision by argmax).  Features are
     scaled to encoding phases by ``(x - feature_low) / feature_span * pi``
-    and clipped to [0, pi].
+    and clipped to [0, pi], the map training used (:func:`_feature_phases`).
     """
 
     theta: np.ndarray
@@ -254,8 +259,7 @@ class ClassifierModel:
             raise ValueError(f"expected {N_FEATURES} features per row, got shape {x.shape}")
         if not np.all(np.isfinite(x)):
             raise ValueError("features must be finite")
-        scaled = (x - self.feature_low) / self.feature_span * np.pi
-        return np.clip(scaled, 0.0, np.pi)
+        return _feature_phases(x, self.feature_low, self.feature_span)
 
 
 def qnn_predict(
@@ -409,7 +413,7 @@ def qnn_train(
     low = x_train.min(axis=0)
     span = x_train.max(axis=0) - low
     span[span <= 0.0] = 1.0
-    train_phases = np.clip((x_train - low) / span * np.pi, 0.0, np.pi)
+    train_phases = _feature_phases(x_train, low, span)
 
     history_thetas: list[np.ndarray] = []
     history_scores: list[float] = []

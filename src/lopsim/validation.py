@@ -10,15 +10,17 @@ vectors every draw and counter step reads, so restricted: the ideal
 distinguishable (classical routing) ones from one ``noisy_simulate``
 with a fully distinguishable (m = 0) source.
 
-:func:`sample_outcomes` draws events from either vector or uniformly over
-the K = C(m, n) collision-free patterns of the same mask.
-:func:`run_validation` ranks each event once and steps two
-likelihood-ratio counters by +1 or -1: the uniform-sampler counter
-(Aaronson and Arkhipov) steps up when the event's ideal probability is
-at least 1/K, the distinguishable-sampler counter (Spagnolo et al.) when
-it is at least the distinguishable one; an event both hypotheses rule
-out is logged and counted against.  A positive long-run slope favors
-genuine multiphoton interference.
+An event is an occupation row, and a stream of K events one int8
+``(K, m)`` array; no event is a :class:`~lopsim.fock.FockState`.
+:func:`sample_outcomes` draws that array from either vector or uniformly
+over the C(m, n) collision-free patterns of the same mask.
+:func:`run_validation` checks the array as a whole, ranks each row once
+and steps two likelihood-ratio counters by +1 or -1: the uniform-sampler
+counter (Aaronson and Arkhipov) steps up when the event's ideal
+probability is at least 1/C(m, n), the distinguishable-sampler counter
+(Spagnolo et al.) when it is at least the distinguishable one; an event
+both hypotheses rule out is logged and counted against.  A positive
+long-run slope favors genuine multiphoton interference.
 
 The module also provides a distribution-level comparison (fidelity,
 total variation distance, residuals).
@@ -30,7 +32,6 @@ import logging
 from dataclasses import dataclass, field, replace
 from functools import lru_cache
 from math import comb
-from typing import Iterable
 
 import numpy as np
 
@@ -168,8 +169,11 @@ def sample_outcomes(
     n_events: int,
     rng: np.random.Generator,
     hypothesis: str = "ideal",
-) -> tuple[FockState, ...]:
+) -> np.ndarray:
     """Draw collision-free detection events from a chosen sampler.
+
+    Returns the events as an int8 ``(n_events, m)`` array of occupation
+    rows, one ``choice`` draw over the rows of ``enumerate_basis(m, n)``.
 
     Args:
         reference: the experiment's collision-free distributions.
@@ -189,7 +193,7 @@ def sample_outcomes(
     else:
         weights = reference.ideal if hypothesis == "ideal" else reference.distinguishable
     picks = rng.choice(len(rows), size=n_events, p=weights)
-    return tuple(FockState(tuple(rows[i].tolist())) for i in picks)
+    return rows[picks]
 
 
 def _counter(steps: np.ndarray, checkpoint_every: int) -> CounterState:
@@ -200,35 +204,48 @@ def _counter(steps: np.ndarray, checkpoint_every: int) -> CounterState:
     return replace(state, checkpoints=tuple(zip(marks.tolist(), values[marks - 1].tolist())))
 
 
+def _row_text(row: np.ndarray) -> str:
+    """An occupation row as one digit per mode, such as ``0011``."""
+    return "".join(str(o) for o in row.tolist())
+
+
 def run_validation(
     reference: CollisionFreeReference,
-    events: Iterable[FockState],
+    events: np.ndarray,
     checkpoint_every: int = 20,
 ) -> tuple[CounterState, CounterState]:
     """Run both counters over an event stream.
 
-    Each event is ranked once in ``enumerate_basis(m, n)`` and both
-    counters' steps are read from the reference's vectors.  Returns the
-    (uniform-sampler, distinguishable-sampler) counter states after all
-    events; replaying the same stream reproduces them bit-exactly.
+    ``events`` is a ``(K, m)`` array of occupation rows, as
+    :func:`sample_outcomes` draws them: whole numbers, at most 1 per mode
+    and n per row.  Each event is ranked once in ``enumerate_basis(m, n)``
+    and both counters' steps are read from the reference's vectors.
+    Returns the (uniform-sampler, distinguishable-sampler) counter states
+    after all events; replaying the same stream reproduces them bit-exactly.
     """
     m, n = reference.m, reference.n
-    events = list(events)
-    for event in events:
-        if event.m != m:
-            raise ValueError(f"event {event} has {event.m} modes, out of range for m={m}")
-        if not event.is_collision_free():
-            raise ValueError(f"event {event} is not collision-free: modes must be distinct")
-        if event.n != n:
-            raise ValueError(f"{event.n} detected modes for {n} input photons")
-    rows = np.array([event.occupations for event in events], dtype=np.int8).reshape(-1, m)
+    events = np.asarray(events)
+    if events.ndim != 2 or events.shape[1] != m:
+        raise ValueError(f"events of shape {events.shape} have modes out of range for m={m}")
+    whole = np.all((events >= 0) & (events == np.floor(events)), axis=1)
+    if not whole.all():
+        bad = events[np.argmin(whole)].tolist()
+        raise ValueError(f"event {bad} has an occupation that is not a whole number >= 0")
+    bunched = np.any(events > 1, axis=1)
+    if bunched.any():
+        bad = _row_text(events[np.argmax(bunched)].astype(int))
+        raise ValueError(f"event {bad} is not collision-free: modes must be distinct")
+    rows = events.astype(np.int8)
+    detected = rows.sum(axis=1)
+    if np.any(detected != n):
+        raise ValueError(f"{detected[detected != n][0]} detected modes for {n} input photons")
     index = enumerate_basis(m, n).rank(rows)
     ideal = reference.ideal[index]
     distinguishable = reference.distinguishable[index]
     unreachable = (ideal <= 0.0) & (distinguishable <= 0.0)
     for i in np.flatnonzero(unreachable):
         _LOGGER.warning(
-            "outcome %s unreachable under both hypotheses; counting it against", events[i]
+            "outcome %s unreachable under both hypotheses; counting it against", _row_text(rows[i])
         )
     aa = np.where(ideal * reference.n_outcomes >= 1.0, 1, -1)
     lr = np.where((ideal >= distinguishable) & ~unreachable, 1, -1)

@@ -417,7 +417,9 @@ class VqeResult:
     ``evaluations`` never exceeds ``VqeConfig.max_iterations``.
     ``converged`` is True when a full sweep lowered the predicted energy
     by less than ``SWEEP_TOLERANCE`` and False when the run stopped at
-    the evaluation cap.
+    the evaluation cap.  With finite shots it stays False: each angle's
+    fit takes a minimum over noisy estimates, so every sweep lowers the
+    prediction by about the shot noise, far more than the tolerance.
     """
 
     energies: np.ndarray
@@ -473,7 +475,9 @@ def vqe_run(
     optimization of Nakanishi, Fujii and Todo (Phys. Rev. Research 2,
     043158 (2020)).  Sweeps repeat until a full one lowers the predicted
     energy by less than ``SWEEP_TOLERANCE`` (``converged=True``) or the
-    cap leaves fewer than two evaluations for the next angle.
+    cap leaves fewer than two evaluations for the next angle.  Only
+    exact (infinite-shot) energies meet that tolerance; with finite shots
+    the sweeps run until the cap, which the run then spends in full.
     ``config.max_iterations`` is a hard cap on all evaluations, and the
     last one re-measures the energy at the returned angles.  Energies
     come from one ``backend.ansatz_distributions`` call per sweep step

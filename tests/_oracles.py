@@ -19,8 +19,11 @@ built element by element, the mesh transfer matrix and its derivatives as produc
 of per-element factors, the element kernel with numpy scalars, the
 rail amplitudes of a mode unitary from a SLOS pass over the whole
 n-photon basis, and a VQE backend that compiles every circuit, the
-ansatz settings included, from scratch and reads each out alone.  One
-helper, :func:`placed_distribution`, builds hand-written test inputs.
+ansatz settings included, from scratch and reads each out alone.  Three
+helpers serve the tests: :func:`placed_distribution` builds hand-written
+inputs, :func:`basis_states` lists a basis as states for the state-keyed
+oracles, and :func:`values_at` reads a distribution at states' rows by
+``rank``.
 """
 
 from __future__ import annotations
@@ -88,13 +91,12 @@ from lopsim.sources import (
 from lopsim.variational import BASES, PhotonicVqeBackend, ansatz_circuit
 
 
-def sample_by_choice(unitary, input_state: FockState, shots: int, seed: int) -> dict[FockState, int]:
-    """Counts of ``shots`` draws keyed by state: one ``choice`` over the exact vector, then ``bincount``."""
+def sample_by_choice(unitary, input_state: FockState, shots: int, seed: int) -> np.ndarray:
+    """Counts of ``shots`` draws per basis row: one ``choice`` over the exact vector, then ``bincount``."""
     rng = np.random.default_rng(seed)
-    rows, p = strong_simulate(unitary, input_state).outcomes()
+    p = strong_simulate(unitary, input_state).probabilities
     draws = rng.choice(len(p), size=shots, p=p / p.sum())
-    tallies = np.bincount(draws, minlength=len(p))
-    return {FockState(tuple(rows[i].tolist())): int(tallies[i]) for i in np.flatnonzero(tallies)}
+    return np.bincount(draws, minlength=len(p))
 
 
 def placed_distribution(m: int, entries: dict[tuple[int, ...], float]) -> OutputDistribution:
@@ -103,8 +105,24 @@ def placed_distribution(m: int, entries: dict[tuple[int, ...], float]) -> Output
     for occupations, value in entries.items():
         basis = enumerate_basis(m, sum(occupations))
         vec = sectors.setdefault(basis.n, np.zeros(len(basis)))
-        vec[basis.index(FockState(occupations))] = value
+        vec[basis.rank(np.array([occupations]))[0]] = value
     return OutputDistribution(m, sectors)
+
+
+def basis_states(m: int, n: int) -> list[FockState]:
+    """The rows of ``enumerate_basis(m, n)`` as states, in order, for the state-keyed oracles."""
+    return [FockState(tuple(row)) for row in enumerate_basis(m, n).occupations.tolist()]
+
+
+def values_at(dist: OutputDistribution, states) -> np.ndarray:
+    """``dist``'s value at each state's occupation row, found by ``rank``; 0.0 in a sector with no mass."""
+    rows = np.array([state.occupations for state in states], dtype=np.int8).reshape(-1, dist.m)
+    counts = rows.sum(axis=1)
+    values = np.zeros(len(rows))
+    for n, vec in dist.sectors.items():
+        at = counts == n
+        values[at] = vec[enumerate_basis(dist.m, n).rank(rows[at])]
+    return values
 
 
 def fock_basis_rows(m: int, n: int, collision_free: bool) -> np.ndarray:
@@ -215,7 +233,7 @@ def counter_trajectories_by_permanents(
     k = comb(u.shape[0], len(input_modes))
     counters = [[0, 0, []], [0, 0, []]]
     for event in events:
-        q, p = probabilities[event.modes()]
+        q, p = probabilities[tuple(np.flatnonzero(event).tolist())]
         steps = (1 if q * k >= 1.0 else -1, 1 if q >= p and q + p > 0.0 else -1)
         for counter, step in zip(counters, steps):
             counter[0] += step
@@ -632,15 +650,18 @@ def h2_ground_energy_closed_form(
 def postselect_by_state(distribution, rule) -> tuple[dict[tuple[int, ...], float], float]:
     """Postselected logical distribution, checking one outcome at a time.
 
-    Keys may be ``FockState`` objects or occupation tuples.  A state is
+    ``distribution`` is an ``OutputDistribution`` or a dict keyed by
+    occupation tuples.  An outcome is
     kept when every rail pair holds exactly one photon (one click with
     ``rule.threshold``), every vacuum mode is empty and, if the rule has
     heralds, one herald pattern matches.  Returns the normalized
     ``{bits: probability}`` dict and the acceptance weight.
     """
+    if isinstance(distribution, OutputDistribution):
+        rows, values = distribution.outcomes()
+        distribution = {tuple(r): p for r, p in zip(rows.tolist(), values.tolist()) if p}
     raw: dict[tuple[int, ...], float] = {}
-    for key, prob in distribution.items():
-        occ = getattr(key, "occupations", key)
+    for occ, prob in distribution.items():
         bits = []
         for r0, r1 in rule.qubit_pairs:
             if rule.threshold:

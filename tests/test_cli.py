@@ -130,6 +130,19 @@ def test_vqe_rejects_an_untabulated_radius(capsys):
     assert "not tabulated" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command", ["qnn", "calibrate", "vqe"])
+def test_a_negative_seed_is_a_usage_error(command, monkeypatch, capsys):
+    def unreached(*args, **kwargs):
+        raise AssertionError("the command ran with a negative seed")
+
+    for name in ("train_iris", "calibrate_chip", "run_vqe"):
+        monkeypatch.setattr(cli, name, unreached)
+    with pytest.raises(SystemExit) as exit_info:
+        main([command, "--seed", "-1"])
+    assert exit_info.value.code == 2
+    assert "seed must be a nonnegative int, got -1" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("alpha", ["nan", "inf", "-inf"])
 def test_fringe_rejects_a_non_finite_alpha(alpha, capsys):
     with pytest.raises(SystemExit) as exit_info:

@@ -57,6 +57,7 @@ from lopsim.sources import (
 
 from _oracles import (
     add_photon_fancy_index,
+    basis_states,
     branchwise_noisy_distribution,
     classical_routing_probability,
     evolve_state_vector,
@@ -100,14 +101,12 @@ def photon_inputs(draw, max_photons=4, max_modes=6):
 class TestBasisRank:
     @settings(max_examples=50, deadline=None)
     @given(shape=basis_shapes(), data=st.data())
-    def test_rank_and_index_round_trip(self, shape, data):
+    def test_rank_round_trip(self, shape, data):
         basis = enumerate_basis(*shape)
         picks = np.array(data.draw(st.lists(st.integers(0, len(basis) - 1), min_size=1)))
         assert np.array_equal(basis.rank(basis.occupations[picks]), picks)
         i = int(picks[0])
-        assert basis.index(basis[i]) == i
-        assert basis.index(basis[i - len(basis)]) == i
-        assert basis[i] in basis
+        assert basis.rank(basis.occupations[[i - len(basis)]])[0] == i
 
     @settings(max_examples=50, deadline=None)
     @given(shape=basis_shapes(), data=st.data())
@@ -118,10 +117,6 @@ class TestBasisRank:
         basis = enumerate_basis(m, n)
         with pytest.raises(KeyError):
             basis.rank(np.array([row]))
-        if min(row) >= 0:
-            with pytest.raises(KeyError):
-                basis.index(FockState(tuple(row)))
-            assert FockState(tuple(row)) not in basis
 
     @pytest.mark.parametrize("m, n", [(2, 12), (3, 40)])
     def test_rank_and_successors_of_crowded_rows(self, m, n):
@@ -145,14 +140,14 @@ class TestBasisRank:
     def test_size_and_rank_need_no_rows(self):
         basis = FockBasis(12, 10)
         assert len(basis) == basis.size == 352_716
-        last = FockState((10,) + (0,) * 11)
-        assert basis.index(last) == len(basis) - 1 and last in basis
+        last = np.array([(10,) + (0,) * 11])
+        assert basis.rank(last)[0] == len(basis) - 1
         assert "occupations" not in vars(basis)
         # built on first read: the same order the rank table gives, read-only
         rows = basis.occupations
         assert rows.dtype == np.int8 and not rows.flags.writeable
         assert np.array_equal(basis.rank(rows), np.arange(len(basis)))
-        assert basis.index(basis[12_345]) == 12_345
+        assert np.array_equal(rows[-1], last[0])
 
 
 class TestBasisTables:
@@ -287,7 +282,7 @@ class TestStrongSimulate:
         reference = evolve_state_vector(u.matrix, state)
         probs, mass = strong_simulate(u, state).probabilities, 1.0
         basis = enumerate_basis(m, len(modes))
-        expected = np.array([abs(reference.get(t, 0.0)) ** 2 for t in basis])
+        expected = np.array([abs(reference.get(t, 0.0)) ** 2 for t in basis_states(m, len(modes))])
         if collision_free:
             expected[~np.all(basis.occupations <= 1, axis=1)] = 0.0
             probs, mass = _restrict_collision_free(probs, m, len(modes))
@@ -322,7 +317,7 @@ class TestBatchedKernel:
             single = strong_simulate(ModeUnitary(u), state)
             assert np.allclose(np.abs(amp) ** 2, single.probabilities, rtol=0, atol=1e-12)
             reference = evolve_state_vector(u, state)
-            expected = np.array([reference.get(t, 0.0) for t in basis])
+            expected = np.array([reference.get(t, 0.0) for t in basis_states(m, n)])
             assert np.allclose(amp, expected, rtol=0, atol=1e-12)
 
     @settings(max_examples=50, deadline=None)
@@ -395,9 +390,9 @@ class TestBatchedKernel:
         m = unitaries.shape[1]
         state = FockState.from_modes(m, modes)
         amps = batched_amplitudes(unitaries, modes)
-        basis = enumerate_basis(m, state.n)
+        states = basis_states(m, state.n)
         for u, amp in zip(unitaries, amps):
-            expected = [output_amplitude(ModeUnitary(u), state, t) for t in basis]
+            expected = [output_amplitude(ModeUnitary(u), state, t) for t in states]
             assert np.allclose(amp, expected, rtol=0, atol=1e-12)
         assert np.allclose(amps, batched_amplitudes(unitaries, sorted(modes)), rtol=0, atol=1e-12)
 
@@ -422,9 +417,9 @@ class TestNoisySimulate:
         labeled = build_input(len(modes), SourceModel(indistinguishability=0.0), modes=modes)
         noisy = noisy_simulate(u, labeled)
         state = FockState.from_modes(m, modes)
-        for t in enumerate_basis(m, len(modes)):
+        for t, p in zip(basis_states(m, len(modes)), noisy.sectors[len(modes)]):
             expected = classical_routing_probability(u.matrix, state, t)
-            assert noisy.prob(t) == pytest.approx(expected, abs=1e-12)
+            assert p == pytest.approx(expected, abs=1e-12)
 
     @settings(max_examples=30, deadline=None)
     @given(case=photon_inputs(), seed=st.integers(0, 2**32 - 1))
@@ -441,10 +436,7 @@ class TestNoisySimulate:
         rows, values = noisy.outcomes()
         assert np.array_equal(rows, ideal.outcomes()[0])
         assert np.array_equal(values, ideal.probabilities)
-        assert [s for s, _ in noisy.items()] == [s for s, _ in ideal.items()] == list(ideal)
         assert len(noisy) == len(ideal)
-        for state in ideal:
-            assert noisy.prob(state) == pytest.approx(ideal.prob(state), abs=1e-12)
         for dist in (noisy, ideal):
             assert dist.m == m
             assert dist.dropped_weight == 0.0
@@ -468,8 +460,7 @@ class TestNoisySimulate:
             sum(b.weight for b in labeled.branches), abs=1e-12
         )
         assert 0.0 <= noisy.dropped_weight <= TAIL_TOLERANCE
-        assert sum(p for _, p in noisy.items()) == pytest.approx(total, abs=1e-12)
-        assert len(noisy) == sum(1 for _ in noisy)
+        assert len(noisy) == np.count_nonzero(noisy.probabilities)
 
 
     @settings(max_examples=30, deadline=None)
@@ -824,7 +815,7 @@ def fringe_distributions(draw):
         size = len(enumerate_basis(m, n))
         vectors[n] = rng.random(size) * (rng.random(size) >= zero_frac)
     left_clicks = FockState.from_modes(m, range(0, 2 * n_photons, 2))
-    vectors[n_photons][enumerate_basis(m, n_photons).index(left_clicks)] = 1.0
+    vectors[n_photons][enumerate_basis(m, n_photons).rank(np.array([left_clicks.occupations]))] = 1.0
     return n_photons, OutputDistribution(m, vectors)
 
 

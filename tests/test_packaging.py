@@ -23,7 +23,7 @@ from pathlib import Path, PurePosixPath
 import numpy as np
 import pytest
 
-from lopsim import benchmark, cli, fock, hardware, mesh, qnn, qubits, variational
+from lopsim import benchmark, cli, fock, hardware, mesh, qnn, qubits, sources, variational
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -199,6 +199,7 @@ def test_every_method_and_property_has_a_caller_or_a_test():
 TEST_ONLY_PUBLIC_NAMES = {
     "benchmark.py:depolarizing_executor": "closed-form reference executor of F_avg plans",
     "fock.py:from_string": "input pattern text of `lopsim sample` (ROADMAP items 7, 8)",
+    "fock.py:sample": "counts of `lopsim sample` (ROADMAP items 7, 11)",
     "hardware.py:held_out_tvd": "restart selection of the calibration fit (ROADMAP item 2)",
     "hardware.py:unitary_at_voltages": "gates on a calibrated chip (ROADMAP item 4)",
     "qubits.py:ghz_noisy_fidelity": "`lopsim ghz` (ROADMAP items 8, 12)",
@@ -214,13 +215,73 @@ TEST_ONLY_PUBLIC_NAMES = {
 }
 
 
+def _benchmark_reads(directory: Path = ROOT / "perfbench") -> tuple[str, str]:
+    """What the benchmark's code reads of lopsim, as reader texts for the caller scan.
+
+    The first text lists each name read as ``<lopsim module>.name`` (the
+    module imported by ``from lopsim import ...``) and each name of a
+    tracer entry ``("lopsim.<module>", name, ...)``; the second each
+    attribute read, as ``.name``.  Both come from the syntax tree, so a
+    docstring, a comment or an unrelated bare word counts for neither.
+    """
+    names, members = [], []
+    for path in sorted(directory.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        modules = {
+            alias.asname or alias.name
+            for node in ast.walk(tree)
+            if isinstance(node, ast.ImportFrom) and node.module == "lopsim"
+            for alias in node.names
+        }
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Attribute):
+                members.append(f".{node.attr}")
+                if isinstance(node.value, ast.Name) and node.value.id in modules:
+                    names.append(node.attr)
+            elif isinstance(node, ast.Tuple) and node.elts:
+                strings = [getattr(item, "value", None) for item in node.elts]
+                if str(strings[0]).startswith("lopsim."):
+                    entry = [v for v in strings[1:] if isinstance(v, str) and v.isidentifier()]
+                    names += entry
+                    members += [f".{name}" for name in entry]
+    return "\n".join(names), "\n".join(members)
+
+
+def _public_names_without_a_caller(source: Path = ROOT / "src" / "lopsim") -> list[str]:
+    names, members = _benchmark_reads()
+    found = _unused_definitions(_exported, names, source)
+    return sorted(found + _unused_definitions(_public_members, members, source))
+
+
 def test_every_public_name_has_a_caller_outside_the_tests():
-    # Counts callers in src/lopsim and perfbench/*.py only: a public name
-    # that only tests call is surface with no user.
-    perfbench = _read(sorted((ROOT / "perfbench").glob("*.py")))
-    found = _unused_definitions(_exported, perfbench)
-    found += _unused_definitions(_public_members, perfbench)
-    assert sorted(found) == sorted(TEST_ONLY_PUBLIC_NAMES)
+    # Counts callers in src/lopsim and the code of perfbench/*.py only: a
+    # public name that only tests call is surface with no user.
+    assert _public_names_without_a_caller() == sorted(TEST_ONLY_PUBLIC_NAMES)
+
+
+def test_the_benchmark_reads_only_module_attributes_and_tracer_entries(tmp_path):
+    # ``mark.sample`` and a docstring naming ``fock.sample`` read no lopsim
+    # name; ``fock.strong_simulate`` and a tracer entry do.
+    bench = _write_package(
+        tmp_path / "bench",
+        {
+            "run.py": '''"""Times fock.sample and sample() calls."""
+from lopsim import fock
+
+FUNCTIONS = (("lopsim.sources", "noisy_simulate", "sources.noisy_simulate", None),)
+
+
+def op(mark, result):
+    """Reads result.branches."""
+    return fock.strong_simulate(mark.sample), result.probabilities
+''',
+        },
+    )
+    names, members = _benchmark_reads(bench)
+    assert sorted(names.split()) == ["noisy_simulate", "strong_simulate"]
+    assert sorted(members.split()) == [
+        ".noisy_simulate", ".probabilities", ".sample", ".strong_simulate"
+    ]
 
 
 #: A two-module package for the caller scan: ``unused`` is named only in
@@ -301,22 +362,26 @@ def test_a_new_test_only_method_fails_only_the_public_name_guard(tmp_path):
     tests = _read((ROOT / "tests").glob("*.py")) + "\nassert dist.sector_masses()\n"
     assert _unused_definitions(_module_level, tests, mutated) == []
     assert _unused_definitions(_class_members, tests, mutated) == []
-    perfbench = _read(sorted((ROOT / "perfbench").glob("*.py")))
-    found = _unused_definitions(_exported, perfbench, mutated)
-    found += _unused_definitions(_public_members, perfbench, mutated)
-    assert sorted(found) == sorted([*TEST_ONLY_PUBLIC_NAMES, "fock.py:sector_masses"])
+    found = _public_names_without_a_caller(mutated)
+    assert found == sorted([*TEST_ONLY_PUBLIC_NAMES, "fock.py:sector_masses"])
 
 
-def test_the_benchmark_tracer_wraps_and_restores_every_name_it_names(monkeypatch):
-    # The benchmark's tracer (perfbench/tracing.py) replaces lopsim functions
-    # and methods by name, so a renamed or deleted name breaks every traced
-    # run; uninstall must put back every object it replaced.
+@pytest.fixture
+def tracing(monkeypatch):
+    """The benchmark's tracer module, perfbench/tracing.py."""
     spec = importlib.util.spec_from_file_location(
         "_benchmark_tracing", ROOT / "perfbench" / "tracing.py"
     )
-    tracing = importlib.util.module_from_spec(spec)
-    monkeypatch.setitem(sys.modules, spec.name, tracing)
-    spec.loader.exec_module(tracing)
+    module = importlib.util.module_from_spec(spec)
+    monkeypatch.setitem(sys.modules, spec.name, module)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_the_benchmark_tracer_wraps_and_restores_every_name_it_names(tracing):
+    # The benchmark's tracer (perfbench/tracing.py) replaces lopsim functions
+    # and methods by name, so a renamed or deleted name breaks every traced
+    # run; uninstall must put back every object it replaced.
     names = ["lopsim"] + [
         f"lopsim.{p.stem}" for p in sorted((ROOT / "src" / "lopsim").glob("*.py"))
         if p.stem != "__init__"
@@ -343,6 +408,49 @@ def test_the_benchmark_tracer_wraps_and_restores_every_name_it_names(monkeypatch
         assert [key for key in saved if now[key] is not saved[key]] == [], name
     for (cls, attr), original in methods.items():
         assert cls.__dict__[attr] is original
+
+
+def test_every_tracer_observer_reads_a_real_call(tracing):
+    # The observers read lopsim results by attribute and ``len`` (for
+    # example ``len(result)`` of an OutputDistribution and the weights of
+    # ``labeled.branches``), so a change to those breaks every traced run.
+    u = fock.ModeUnitary.haar_random(3, np.random.default_rng(0))
+    labeled = sources.build_input(2, sources.SourceModel(indistinguishability=0.9, g2=0.01))
+    rule = qubits.PostselectionRule(((0, 1),), vacuum_modes=(2,))
+    reflectivities = np.full((mesh.MeshLayout(3).n_cells, 2), 0.5)
+    one_photon = fock.strong_simulate(u, fock.FockState((1, 0, 0)))
+    calls = {
+        "fock.strong_simulate": ((u, fock.FockState((1, 1, 0))), {}),
+        "sources.noisy_simulate": ((u, labeled), {}),
+        "mesh.compile": ((u, reflectivities), {"max_restarts": 1, "maxiter": 5}),
+        "qubits.logical_distribution": ((one_photon, rule), {}),
+    }
+    observers = {
+        name: (module, attr, observe)
+        for module, attr, name, observe in tracing.FUNCTIONS
+        if observe is not None
+    }
+    assert sorted(observers) == sorted(calls)
+    results, infos = {}, {}
+    for name, (module, attr, observe) in observers.items():
+        args, kwargs = calls[name]
+        results[name] = getattr(importlib.import_module(module), attr)(*args, **kwargs)
+        infos[name] = observe(args, kwargs, results[name])
+    noisy = results["sources.noisy_simulate"]
+    assert infos == {
+        "fock.strong_simulate": {"fock.strong_simulate.states": 6},
+        "sources.noisy_simulate": {
+            "sources.output_states": int(np.count_nonzero(noisy.probabilities)),
+            "sources.branches_in": len(labeled.branches),
+            "sources.branches_kept": len(labeled.branches),
+            "sources.dropped_mass": 0.0,
+        },
+        "mesh.compile": {"mesh.compile.restarts": 1},
+        "qubits.logical_distribution": {
+            "qubits.accept_weight": float(results["qubits.logical_distribution"][1])
+        },
+    }
+    assert 0.0 < infos["qubits.logical_distribution"]["qubits.accept_weight"] <= 1.0
 
 
 def test_no_module_imports_scipy_at_import_time():

@@ -52,8 +52,7 @@ def unit_model(lambdas):
     )
 
 
-def merged_pattern_of(state):
-    occ = state.occupations
+def merged_pattern_of(occ):
     left = sum(occ[m] > 0 for m in (0, 1, 2))
     right = sum(occ[m] > 0 for m in (6, 7, 8))
     return (left, int(occ[3] > 0), int(occ[4] > 0), int(occ[5] > 0), right)
@@ -123,8 +122,8 @@ def test_forward_matches_state_vector_oracle():
     amplitudes = evolve_state_vector(u, FockState.from_modes(N_MODES, INPUT_MODES))
     expected = {}
     for state, amp in amplitudes.items():
-        expected[merged_pattern_of(state)] = expected.get(
-            merged_pattern_of(state), 0.0
+        expected[merged_pattern_of(state.occupations)] = expected.get(
+            merged_pattern_of(state.occupations), 0.0
         ) + abs(amp) ** 2
     merged = pattern_distribution(theta, phases)
     for k, pattern in enumerate(pattern_space()):
@@ -143,9 +142,9 @@ def per_sample_patterns(theta, phases):
         u = classifier_circuit(theta, phi).unitary()
         dist = strong_simulate(u, FockState.from_modes(N_MODES, INPUT_MODES))
         merged = dict.fromkeys(pattern_space(), 0.0)
-        for state, p in dist.items():
+        for row, p in zip(*dist.outcomes()):
             if p > 0.0:
-                merged[merged_pattern_of(state)] += p
+                merged[merged_pattern_of(row)] += p
         rows.append(list(merged.values()))
     return np.array(rows)
 

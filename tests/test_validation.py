@@ -83,7 +83,7 @@ def test_sampler_draws_the_rows_its_weights_were_built_for():
     u = haar(6, 5)
     inp = FockState.from_modes(6, (0, 2, 4))
     ref = collision_free_reference(u, inp)
-    cf = collision_free_states(6, 3)
+    cf = fock_basis_rows(6, 3, True)
     free = collision_free_rows(6, 3)
     for hypothesis, weights in (
         ("ideal", ref.ideal[free]),
@@ -92,7 +92,8 @@ def test_sampler_draws_the_rows_its_weights_were_built_for():
     ):
         picks = np.random.default_rng(3).choice(len(cf), size=50, p=weights)
         events = sample_outcomes(ref, 50, np.random.default_rng(3), hypothesis)
-        assert events == tuple(cf[i] for i in picks)
+        assert events.dtype == np.int8 and events.shape == (50, 6)
+        assert np.array_equal(events, cf[picks])
 
 
 @pytest.mark.parametrize("n_events", [0, 2.5, float("inf"), float("nan")])
@@ -107,14 +108,14 @@ def test_a_missing_event_count_is_refused_by_name():
 
 
 def test_a_whole_float_event_count_draws_that_many():
-    assert len(sample_outcomes(REF5, 3.0, np.random.default_rng(0))) == 3
+    assert sample_outcomes(REF5, 3.0, np.random.default_rng(0)).shape == (3, 5)
 
 
 def test_run_validation_replays_bit_exactly():
     ref = collision_free_reference(haar(8, 1), FockState.from_modes(8, (0, 1, 2)))
     events = sample_outcomes(ref, 90, np.random.default_rng(7))
     again = sample_outcomes(ref, 90, np.random.default_rng(7))
-    assert events == again
+    assert np.array_equal(events, again)
     first = run_validation(ref, events, checkpoint_every=20)
     assert run_validation(ref, again, checkpoint_every=20) == first
     aa, lr = first
@@ -195,7 +196,7 @@ def test_event_unreachable_under_both_hypotheses_counts_against(caplog):
     block[2:, 2:] = haar(2, 1).matrix
     ref = collision_free_reference(ModeUnitary(block), FockState((1, 1, 0, 0)))
     with caplog.at_level(logging.WARNING, logger="lopsim.validation"):
-        aa, lr = run_validation(ref, [FockState((1, 1, 0, 0)), FockState((0, 0, 1, 1))], 1)
+        aa, lr = run_validation(ref, np.array([[1, 1, 0, 0], [0, 0, 1, 1]]), 1)
     assert ["unreachable" in r.getMessage() for r in caplog.records] == [True]
     assert "0011" in caplog.records[0].getMessage()
     assert aa.checkpoints == lr.checkpoints == ((1, 1), (2, 0))
@@ -217,11 +218,15 @@ V15 = np.full(15, 0.1)
 BUNCHED = FockState((2, 0, 0, 0, 0))
 
 
+def rows(*events) -> np.ndarray:
+    return np.array(events).reshape(len(events), -1)
+
+
 @pytest.mark.parametrize(
     "call, match",
     [
         (lambda: CounterState(checkpoint_every=0), "cadence"),
-        (lambda: run_validation(REF5, [FockState((0, 1, 1, 0, 0))], 0), "at least 1 event"),
+        (lambda: run_validation(REF5, rows((0, 1, 1, 0, 0)), 0), "at least 1 event"),
         (lambda: DistributionComparison(1.5, 0.0, np.zeros(1)), "fidelity"),
         (lambda: DistributionComparison(1.0, -0.1, np.zeros(1)), "variation"),
         (lambda: CollisionFreeReference(5, 2, V15, V15, 0.0, 0.5), "ideal"),
@@ -229,15 +234,18 @@ BUNCHED = FockState((2, 0, 0, 0, 0))
         (lambda: CollisionFreeReference(2, 3, np.zeros(4), np.zeros(4), 0.5, 0.5), "at least one"),
         (lambda: CollisionFreeReference(5, 2, V15, np.zeros(10), 0.5, 0.5), "cover the"),
         (lambda: collision_free_reference(U5, BUNCHED), "collision-free input"),
-        (lambda: run_validation(REF5, [FockState((0, 1, 0, 0, 0))]), "1 detected modes"),
-        (lambda: run_validation(REF5, [FockState((0, 2, 0, 0, 0))]), "distinct"),
-        (lambda: run_validation(REF5, [FockState((1, 0, 0, 0, 0, 1))]), "out of range"),
+        (lambda: run_validation(REF5, rows((0, 1, 1, 0, 0), (0, 1, 0, 0, 0))), "1 detected modes"),
+        (lambda: run_validation(REF5, rows((0, 2, 0, 0, 0))), "distinct"),
+        (lambda: run_validation(REF5, rows((1, 0, 0, 0, 0, 1))), "out of range"),
+        (lambda: run_validation(REF5, np.array([0, 1, 1, 0, 0])), "out of range"),
+        (lambda: run_validation(REF5, rows((0, 1, -1, 1, 1))), r"\[0, 1, -1, 1, 1\].*whole number"),
+        (lambda: run_validation(REF5, rows((0.5, 0.5, 1, 0, 0))), "whole number"),
         (lambda: sample_outcomes(REF5, 0, np.random.default_rng(0)), "n_events"),
         (
             lambda: sample_outcomes(REF5, 1, np.random.default_rng(0), hypothesis="x"),
             "unknown hypothesis",
         ),
-        (lambda: run_validation(REF5, [BUNCHED]), "not collision-free"),
+        (lambda: run_validation(REF5, rows(BUNCHED.occupations)), "20000 is not collision-free"),
         (
             lambda: counter_trajectory_csv(CounterState(), CounterState(checkpoint_every=5)),
             "lockstep",
