@@ -10,7 +10,6 @@ that only simulates, or runs the VQE, starts without it.
 
 from lopsim.fock import (
     FockBasis,
-    FockState,
     ModeUnitary,
     OutputDistribution,
     enumerate_basis,

@@ -30,7 +30,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .fock import _seeded_rng, _shot_count
+from .fock import _frequencies, _seeded_rng, _shot_count
 from .qubits import (
     _MEAS_ROT,
     _PAULI,
@@ -39,7 +39,7 @@ from .qubits import (
     QubitEncoding,
     _pauli_signs,
     compile_gate_circuit,
-    encoding_input_state,
+    encoding_input_modes,
     logical_distributions,
 )
 from .sources import SourceModel
@@ -330,8 +330,7 @@ def estimate_favg(
     signs: dict[str, np.ndarray] = {}
     for indices, probs in zip(groups.values(), results):
         if shots_per_config is not None:
-            counts = rng.multinomial(shots_per_config, probs / probs.sum())
-            probs = counts / shots_per_config
+            probs = _frequencies(rng, shots_per_config, probs)
         for index in indices:
             entry = plan.entries[index]
             if entry.word not in signs:
@@ -428,7 +427,7 @@ def photonic_executor(circuit: GateCircuit, source: SourceModel | None = None) -
         raise ValueError("benchmark circuits must not embed a measurement")
     _, rule, _, gate = compile_gate_circuit(circuit, enc)
     m = enc.n_modes
-    input_modes = encoding_input_state(enc).modes()
+    input_modes = encoding_input_modes(enc)
     pairs = np.array(enc.qubit_pairs, dtype=np.intp)
     block_rows, block_cols = pairs[:, :, None], pairs[:, None, :]
 

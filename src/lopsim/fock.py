@@ -1,10 +1,9 @@
 """Fock-space linear algebra for multi-photon interferometry.
 
-Occupation-number input states, basis enumeration, matrix permanents,
-exact transition amplitudes and strong simulation of linear-optical
-circuits.  A :class:`FockState` specifies an input (or the one output of
-:func:`output_amplitude`); every outcome is an int8 occupation row,
-placed in its basis by :meth:`FockBasis.rank`.
+Basis enumeration, matrix permanents, exact transition amplitudes and
+strong simulation of linear-optical circuits.  An input is a sequence of
+modes, one entry per photon (repeats bunch); every outcome is an int8
+occupation row, placed in its basis by :meth:`FockBasis.rank`.
 
 A :class:`FockBasis` orders every n-photon state on m modes
 lexicographically and ranks rows by the combinatorial number system (a
@@ -45,16 +44,14 @@ rows and ``(K,)`` values, or on its ``sectors`` directly.
 from __future__ import annotations
 
 import operator
-from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from itertools import combinations, product
 from math import comb, factorial, isfinite, prod, sqrt
-from typing import Iterable, Mapping, Sequence
+from typing import Mapping, Sequence
 
 import numpy as np
 
 __all__ = [
-    "FockState",
     "FockBasis",
     "ModeUnitary",
     "OutputDistribution",
@@ -68,66 +65,6 @@ __all__ = [
 
 PERMANENT_MAX_SIZE = 16
 UNITARITY_ATOL = 1e-10
-
-
-@dataclass(frozen=True)
-class FockState:
-    """Occupation numbers of ``m`` optical modes, mode 0 first.
-
-    They are stored as a tuple of ints; a non-integer occupation, such as
-    the float ``1.0``, raises ``TypeError`` and a negative one ``ValueError``.
-    """
-
-    occupations: tuple[int, ...]
-
-    def __post_init__(self) -> None:
-        occupations = tuple(operator.index(o) for o in self.occupations)
-        if any(o < 0 for o in occupations):
-            raise ValueError(f"negative occupation in {occupations}")
-        object.__setattr__(self, "occupations", occupations)
-
-    @property
-    def m(self) -> int:
-        return len(self.occupations)
-
-    @property
-    def n(self) -> int:
-        return sum(self.occupations)
-
-    @classmethod
-    def from_string(cls, text: str) -> "FockState":
-        """Parse a digit string such as ``"010010"`` (one digit per mode)."""
-        if not text or not text.isdigit():
-            raise ValueError(f"not a valid occupation string: {text!r}")
-        return cls(tuple(int(c) for c in text))
-
-    @classmethod
-    def from_modes(cls, m: int, modes: Iterable[int]) -> "FockState":
-        """State with one photon added per entry of ``modes``."""
-        occ = [0] * m
-        for mode in modes:
-            if not 0 <= mode < m:
-                raise ValueError(f"mode {mode} out of range for m={m}")
-            occ[mode] += 1
-        return cls(tuple(occ))
-
-    def to_string(self) -> str:
-        if any(o > 9 for o in self.occupations):
-            raise ValueError("occupation > 9 has no single-digit form")
-        return "".join(str(o) for o in self.occupations)
-
-    def modes(self) -> tuple[int, ...]:
-        """Mode index of each photon, repeated by occupation, sorted."""
-        out: list[int] = []
-        for mode, occ in enumerate(self.occupations):
-            out.extend([mode] * occ)
-        return tuple(out)
-
-    def is_collision_free(self) -> bool:
-        return all(o <= 1 for o in self.occupations)
-
-    def __str__(self) -> str:
-        return self.to_string()
 
 
 class FockBasis:
@@ -528,57 +465,59 @@ def _coherent_prefixes(
     return prefixes
 
 
+def _bunching(modes: tuple[int, ...]) -> int:
+    """``prod s_i!`` of the occupations that ``modes`` lists."""
+    return prod(factorial(modes.count(q)) for q in set(modes))
+
+
 def _unbunched(amp: np.ndarray, modes: tuple[int, ...]) -> np.ndarray:
     """``amp`` divided by ``sqrt(prod s_i!)`` of the input that ``modes`` lists."""
-    bunching = prod(factorial(modes.count(q)) for q in set(modes))
+    bunching = _bunching(modes)
     return amp / sqrt(bunching) if bunching > 1 else amp
+
+
+def _input_modes(m: int, modes: Sequence[int]) -> tuple[int, ...]:
+    """``modes`` as a tuple of ints, one per photon, each checked.
+
+    A non-integer mode (such as ``1.0``) raises ``TypeError`` and a mode
+    outside ``[0, m)`` ``ValueError``.
+    """
+    modes = tuple(map(operator.index, modes))
+    for mode in modes:
+        if not 0 <= mode < m:
+            raise ValueError(f"mode {mode} out of range for m={m}")
+    return modes
 
 
 def batched_amplitudes(unitaries: np.ndarray, modes: Sequence[int]) -> np.ndarray:
     """Output amplitudes of one input through B unitaries in one SLOS pass.
 
     ``unitaries`` is ``(B, m, m)`` and ``modes`` lists the input mode of
-    each photon (repeats bunch), shared by every unitary.  Returns
-    ``(B, N)`` amplitudes over ``enumerate_basis(m, n)``, row b being
-    ``<t|U_b|s>`` for every basis state t: the one-tuple case of
-    :func:`_coherent_prefixes`, divided by :func:`_unbunched`.  A mode
-    outside ``[0, m)`` raises ``ValueError``.
+    each photon (repeats bunch), shared by every unitary; photons are
+    added in the order listed.  Returns ``(B, N)`` amplitudes over
+    ``enumerate_basis(m, n)``, row b being ``<t|U_b|s>`` for every basis
+    state t: the one-tuple case of :func:`_coherent_prefixes`, divided by
+    :func:`_unbunched`.  Modes are checked by :func:`_input_modes`.
     """
     unitaries = np.asarray(unitaries, dtype=complex)
-    modes = tuple(int(q) for q in modes)
-    m = unitaries.shape[-1]
-    for mode in modes:
-        if not 0 <= mode < m:
-            raise ValueError(f"mode {mode} out of range for m={m}")
+    modes = _input_modes(unitaries.shape[-1], modes)
     return _unbunched(_coherent_prefixes(unitaries, [modes])[modes].T, modes)
 
 
-def _submatrix(u: np.ndarray, input_state: FockState, output_state: FockState) -> np.ndarray:
-    return u[np.ix_(output_state.modes(), input_state.modes())]
-
-
-def _factorials(state: FockState) -> int:
-    return prod(factorial(occ) for occ in state.occupations)
-
-
 def output_amplitude(
-    unitary: ModeUnitary, input_state: FockState, output_state: FockState
+    unitary: ModeUnitary, input_modes: Sequence[int], output_modes: Sequence[int]
 ) -> complex:
-    """Transition amplitude <t|U|s> = Perm(U_st) / sqrt(prod s_i! prod t_j!)."""
-    _check_states(unitary, input_state, output_state)
-    if input_state.n == 0:
-        return 1.0 + 0.0j
-    perm = permanent(_submatrix(unitary.matrix, input_state, output_state))
-    return perm / sqrt(_factorials(input_state) * _factorials(output_state))
+    """Transition amplitude <t|U|s> = Perm(U[t, s]) / sqrt(prod s_i! prod t_j!).
 
-
-def _check_states(unitary: ModeUnitary, *states: FockState) -> None:
-    n = states[0].n
-    for s in states:
-        if s.m != unitary.m:
-            raise ValueError(f"state has {s.m} modes, unitary has {unitary.m}")
-        if s.n != n:
-            raise ValueError("photon number mismatch between states")
+    ``input_modes`` and ``output_modes`` list the mode of each photon of
+    s and t (repeats bunch); the submatrix takes them in ascending order.
+    """
+    s = tuple(sorted(_input_modes(unitary.m, input_modes)))
+    t = tuple(sorted(_input_modes(unitary.m, output_modes)))
+    if len(s) != len(t):
+        raise ValueError("photon number mismatch between states")
+    perm = permanent(unitary.matrix[np.ix_(t, s)])
+    return perm / sqrt(_bunching(s) * _bunching(t))
 
 
 class OutputDistribution:
@@ -586,10 +525,10 @@ class OutputDistribution:
 
     ``sectors[n]`` is a vector over ``enumerate_basis(m, n)`` of
     probabilities, or of counts when :func:`sample` drew it; only
-    sectors with mass are kept.  An outcome is read as an occupation row
-    of :meth:`outcomes` (or a ``rank`` into its sector), never looked up
-    by :class:`FockState`.  ``dropped_weight`` is the mass a simulation left
-    out (see :func:`lopsim.sources.noisy_simulate`), so for probabilities
+    sectors with mass are kept.  The input was a list of modes; an
+    outcome is an occupation row of :meth:`outcomes` (or a ``rank`` into
+    its sector).  ``dropped_weight`` is the mass a simulation left out
+    (see :func:`lopsim.sources.noisy_simulate`), so for probabilities
     the sum of ``probabilities`` plus ``dropped_weight`` is 1 before any
     postselection, and for counts that sum is the number of shots.  The
     vectors given are kept, not copied; one is clipped into a new array
@@ -643,16 +582,17 @@ class OutputDistribution:
         )
 
 
-def strong_simulate(unitary: ModeUnitary, input_state: FockState) -> OutputDistribution:
-    """Exact output distribution of ``input_state`` through ``unitary``.
+def strong_simulate(unitary: ModeUnitary, modes: Sequence[int]) -> OutputDistribution:
+    """Exact output distribution of the photons that ``modes`` lists through ``unitary``.
 
-    The B = 1 case of :func:`batched_amplitudes`: photons are added one
-    input mode at a time by the SLOS kernel, which yields every output
-    amplitude at once.
+    ``modes`` holds the input mode of each photon (repeats bunch).  The
+    B = 1 case of :func:`batched_amplitudes`, with the photons added one
+    input mode at a time in ascending mode order, whatever order they are
+    listed in; the SLOS kernel yields every output amplitude at once.
     """
-    _check_states(unitary, input_state)
-    probs = np.abs(batched_amplitudes(unitary.matrix[None], input_state.modes())[0]) ** 2
-    return OutputDistribution(input_state.m, {input_state.n: probs})
+    modes = tuple(sorted(_input_modes(unitary.m, modes)))
+    probs = np.abs(batched_amplitudes(unitary.matrix[None], modes)[0]) ** 2
+    return OutputDistribution(unitary.m, {len(modes): probs})
 
 
 def _seeded_rng(seed: np.random.Generator | int) -> np.random.Generator:
@@ -688,13 +628,18 @@ def _shot_count(
     return int(shots)
 
 
+def _frequencies(rng: np.random.Generator, shots: int, p: np.ndarray) -> np.ndarray:
+    """Frequencies of ``shots`` multinomial draws from each row of ``p`` (last axis normalized)."""
+    return rng.multinomial(shots, p / p.sum(axis=-1, keepdims=True)) / shots
+
+
 def sample(
     unitary: ModeUnitary,
-    input_state: FockState,
+    modes: Sequence[int],
     shots: int,
     rng: np.random.Generator | int,
 ) -> OutputDistribution:
-    """Draw ``shots`` outcomes of the exact distribution and return their counts.
+    """Draw ``shots`` outcomes of :func:`strong_simulate` and return their counts.
 
     The counts come as an :class:`OutputDistribution` over the input's
     photon-number sector (float tallies summing to ``shots``),
@@ -702,7 +647,8 @@ def sample(
     """
     rng = _seeded_rng(rng)
     shots = _shot_count(shots, rng, required=True)
-    p = strong_simulate(unitary, input_state).sectors[input_state.n]
+    dist = strong_simulate(unitary, modes)
+    [(n, p)] = dist.sectors.items()
     draws = rng.choice(len(p), size=shots, p=p / p.sum())
     tallies = np.bincount(draws, minlength=len(p)).astype(float)
-    return OutputDistribution(input_state.m, {input_state.n: tallies})
+    return OutputDistribution(dist.m, {n: tallies})

@@ -28,7 +28,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .fock import _seeded_rng, _shot_count, batched_amplitudes, enumerate_basis
+from .fock import _frequencies, _seeded_rng, _shot_count, batched_amplitudes, enumerate_basis
 from .mesh import DirectionalCoupler, _apply_element
 
 __all__ = [
@@ -153,10 +153,8 @@ def _candidate_distributions(thetas, phases, shots, rng) -> np.ndarray:
     unitaries = np.stack([a @ (diag[:, :, None] * b) for a, b in zip(second, first)])
     amps = batched_amplitudes(unitaries.reshape(-1, N_MODES, N_MODES), INPUT_MODES)
     amps = amps.reshape(len(thetas), len(phases), -1)
-    merged = [np.abs(a) ** 2 @ _pattern_table()[1] for a in amps]
-    if shots is not None:
-        merged = [rng.multinomial(shots, p / p.sum(axis=1, keepdims=True)) / shots for p in merged]
-    return np.stack(merged)
+    merged = np.stack([np.abs(a) ** 2 @ _pattern_table()[1] for a in amps])
+    return merged if shots is None else _frequencies(rng, shots, merged)
 
 
 def pattern_distributions(

@@ -52,7 +52,6 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from lopsim.fock import (
-    FockState,
     ModeUnitary,
     OutputDistribution,
     _glynn_deltas,
@@ -84,7 +83,7 @@ __all__ = [
     "GHZ_OUTPUT_PAIRS",
     "GHZ_MEASUREMENT_SETTINGS",
     "compile_gate_circuit",
-    "encoding_input_state",
+    "encoding_input_modes",
     "pauli_measurement_setting",
     "logical_distribution",
     "logical_distributions",
@@ -542,16 +541,15 @@ def _rail_amplitudes(unitary: np.ndarray, enc: QubitEncoding) -> np.ndarray:
     return signs @ np.prod(sums[:, :, rails], axis=-1) / (1 << (n - 1))
 
 
-def encoding_input_state(
+def encoding_input_modes(
     enc: QubitEncoding, bits: Sequence[int] | None = None
-) -> FockState:
-    """Fock input with one photon per qubit on the rail of its bit."""
+) -> tuple[int, ...]:
+    """Input modes with one photon per qubit on the rail of its bit, qubit 0 first."""
     if bits is None:
         bits = (0,) * enc.n_qubits
     if len(bits) != enc.n_qubits:
         raise ValueError("one bit per qubit required")
-    modes = tuple(enc.rail(q, bit) for q, bit in enumerate(bits))
-    return FockState.from_modes(enc.n_modes, modes)
+    return tuple(enc.rail(q, bit) for q, bit in enumerate(bits))
 
 
 def pauli_measurement_setting(word: str, enc: QubitEncoding) -> PhotonicCircuit:

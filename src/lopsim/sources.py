@@ -49,22 +49,20 @@ from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from importlib import resources
 from math import prod
-from pathlib import Path
 from typing import Sequence
 
 import numpy as np
 
 from .fock import (
-    FockState,
     ModeUnitary,
     OutputDistribution,
     _add_photon,
     _coherent_prefixes,
     _expand_support,
+    _input_modes,
     _live_size,
     _live_table,
     _unbunched,
-    enumerate_basis,
 )
 from .mesh import DirectionalCoupler, PhaseShifter, PhotonicCircuit
 
@@ -349,7 +347,7 @@ def batched_noisy_sectors(
     unitaries = np.asarray(unitaries, dtype=complex)
     count, m = unitaries.shape[:2]
     pairs = _pair_key(one_click_pairs, m)
-    FockState.from_modes(m, labeled.modes)  # rejects an input mode outside the unitary
+    _input_modes(m, labeled.modes)  # rejects an input mode outside the unitary
     tail = _photon_number_tail(labeled)
     cap = int(np.argmax(tail[1:] <= TAIL_TOLERANCE))
     power = np.abs(unitaries) ** 2
@@ -652,21 +650,18 @@ def fit_fringe(alphas: Sequence[float], values: Sequence[float]) -> FringeFit:
     return FringeFit(amplitude=amplitude, frequency=frequency, phase=phase)
 
 
-def load_indistinguishability_matrix(path: str | Path | None = None) -> np.ndarray:
-    """Pairwise indistinguishability matrix from an upper-triangular CSV.
+def load_indistinguishability_matrix() -> np.ndarray:
+    """The measured six-photon pairwise indistinguishability matrix bundled with the package."""
+    text = resources.files("lopsim").joinpath("data/indistinguishability_matrix.csv").read_text()
+    return _upper_triangular(text)
 
-    Line ``i`` of the file lists the entries above the diagonal of row
-    ``i``; the diagonal is 1 and the matrix is symmetric.  With no path
-    the measured six-photon matrix bundled with the package is loaded.
+
+def _upper_triangular(text: str) -> np.ndarray:
+    """Symmetric matrix from an upper-triangular CSV text.
+
+    Line ``i`` lists the entries above the diagonal of row ``i``; the
+    diagonal is 1 and the matrix is symmetric.
     """
-    if path is None:
-        text = (
-            resources.files("lopsim")
-            .joinpath("data/indistinguishability_matrix.csv")
-            .read_text()
-        )
-    else:
-        text = Path(path).read_text()
     rows = [line.strip() for line in text.splitlines() if line.strip()]
     n = len(rows) + 1
     matrix = np.eye(n)

@@ -8,12 +8,13 @@ rest.  One :class:`CollisionFreeReference` per experiment holds the two
 vectors every draw and counter step reads, so restricted: the ideal
 (coherent) probabilities from one ``strong_simulate``, and the
 distinguishable (classical routing) ones from one ``noisy_simulate``
-with a fully distinguishable (m = 0) source.
+with a fully distinguishable (m = 0) source.  The experiment's input is
+a list of modes, one photon per mode (:func:`collision_free_reference`).
 
 An event is an occupation row, and a stream of K events one int8
-``(K, m)`` array; no event is a :class:`~lopsim.fock.FockState`.
-:func:`sample_outcomes` draws that array from either vector or uniformly
-over the C(m, n) collision-free patterns of the same mask.
+``(K, m)`` array.  :func:`sample_outcomes` draws that array from either
+vector or uniformly over the C(m, n) collision-free patterns of the same
+mask.
 :func:`run_validation` checks the array as a whole, ranks each row once
 and steps two likelihood-ratio counters by +1 or -1: the uniform-sampler
 counter (Aaronson and Arkhipov) steps up when the event's ideal
@@ -32,10 +33,11 @@ import logging
 from dataclasses import dataclass, field, replace
 from functools import lru_cache
 from math import comb
+from typing import Sequence
 
 import numpy as np
 
-from .fock import FockState, ModeUnitary, _shot_count, enumerate_basis, strong_simulate
+from .fock import ModeUnitary, _input_modes, _shot_count, enumerate_basis, strong_simulate
 from .sources import SourceModel, build_input, noisy_simulate
 
 __all__ = [
@@ -150,15 +152,20 @@ def _restrict_collision_free(probs: np.ndarray, m: int, n: int) -> tuple[np.ndar
 
 
 def collision_free_reference(
-    unitary: ModeUnitary, input_state: FockState
+    unitary: ModeUnitary, modes: Sequence[int]
 ) -> CollisionFreeReference:
-    """Both collision-free distributions, from one coherent and one classical pass."""
-    if not input_state.is_collision_free():
+    """Both collision-free distributions, from one coherent and one classical pass.
+
+    ``modes`` lists the input mode of each photon, one photon per mode;
+    the photons are taken in ascending mode order.
+    """
+    modes = tuple(sorted(_input_modes(unitary.m, modes)))
+    if len(set(modes)) < len(modes):
         raise ValueError("reference requires a collision-free input state")
-    m, n = unitary.m, input_state.n
-    coherent = strong_simulate(unitary, input_state).sectors[n]
+    m, n = unitary.m, len(modes)
+    coherent = strong_simulate(unitary, modes).sectors[n]
     ideal, ideal_mass = _restrict_collision_free(coherent, m, n)
-    labeled = build_input(n, SourceModel(indistinguishability=0.0), modes=input_state.modes())
+    labeled = build_input(n, SourceModel(indistinguishability=0.0), modes=modes)
     classical = noisy_simulate(unitary, labeled).sectors[n]
     distinguishable, classical_mass = _restrict_collision_free(classical, m, n)
     return CollisionFreeReference(m, n, ideal, distinguishable, ideal_mass, classical_mass)

@@ -22,7 +22,7 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .fock import _seeded_rng, _shot_count, strong_simulate
+from .fock import _frequencies, _seeded_rng, _shot_count, strong_simulate
 from .qubits import (
     _ID2,
     _PAULI,
@@ -34,7 +34,7 @@ from .qubits import (
     _rotated,
     _setting_elements,
     compile_gate_circuit,
-    encoding_input_state,
+    encoding_input_modes,
     logical_distribution,
     logical_distributions,
 )
@@ -208,10 +208,10 @@ class PhotonicVqeBackend:
         self.source = source
         enc = self._encoding = QubitEncoding.default(2)
         self._rule = PostselectionRule(enc.qubit_pairs, vacuum_modes=enc.ancilla_modes)
-        self._input_state = encoding_input_state(enc)
+        self._input_modes = encoding_input_modes(enc)
         self._labeled = None
         if source is not None:
-            self._labeled = build_input(2, source, modes=self._input_state.modes())
+            self._labeled = build_input(2, source, modes=self._input_modes)
         flip = np.array(
             [[1.0 - readout_flip, readout_flip], [readout_flip, 1.0 - readout_flip]]
         )
@@ -226,7 +226,7 @@ class PhotonicVqeBackend:
             raise ValueError("backend is wired for two-qubit circuits")
         _, rule, _, unitary = compile_gate_circuit(circuit, self._encoding)
         if self._labeled is None:
-            dist = strong_simulate(unitary, self._input_state)
+            dist = strong_simulate(unitary, self._input_modes)
         else:
             dist = noisy_simulate(unitary, self._labeled)
         return self._confusion @ logical_distribution(dist, rule)[0].ravel()
@@ -243,8 +243,8 @@ class PhotonicVqeBackend:
         for theta in thetas:
             _, unitary, _ = _checked_gates(_ansatz_steps(theta), enc)
             unitaries += [_rotated(unitary, _setting_elements(b, enc)).matrix for b in BASES]
-        stack, modes = np.stack(unitaries), self._input_state.modes()
-        logical = logical_distributions(stack, modes, self._rule, self.source)
+        stack = np.stack(unitaries)
+        logical = logical_distributions(stack, self._input_modes, self._rule, self.source)
         return np.array([self._confusion @ row for row in logical]).reshape(-1, len(BASES), 4)
 
 
@@ -322,7 +322,7 @@ def _energies(h, thetas, backend, shots, mitigation, rng) -> list[float]:
 
     def setting(basis: str, p: np.ndarray) -> np.ndarray:
         if shots is not None:
-            p = rng.multinomial(shots, p / p.sum()) / shots
+            p = _frequencies(rng, shots, p)
         return apply_mitigation(mitigation[basis], p) if mitigation and basis in mitigation else p
 
     rows = backend.ansatz_distributions(thetas)
@@ -372,7 +372,7 @@ def build_mitigation(
     for outcome in range(4):
         p = backend.distribution(_mitigation_circuit(basis, outcome))
         if shots is not None:
-            p = rng.multinomial(shots, p / p.sum()) / shots
+            p = _frequencies(rng, shots, p)
         columns.append(p)
     matrix = np.column_stack(columns)
     try:

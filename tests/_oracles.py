@@ -2,7 +2,7 @@
 
 Each function here recomputes a quantity through a route independent of
 the library code: Fock bases filtered from every occupation tuple,
-sampled counts keyed by state from one ``choice`` and a ``bincount``,
+sampled counts per basis row from one ``choice`` and a ``bincount``,
 the live rows of a set of one-click pairs and the cyclic-fringe classes
 filtered from every row of the full basis,
 factorial-cost permanents, the collision-free sampling probabilities and
@@ -21,9 +21,10 @@ rail amplitudes of a mode unitary from a SLOS pass over the whole
 n-photon basis, and a VQE backend that compiles every circuit, the
 ansatz settings included, from scratch and reads each out alone.  Three
 helpers serve the tests: :func:`placed_distribution` builds hand-written
-inputs, :func:`basis_states` lists a basis as states for the state-keyed
-oracles, and :func:`values_at` reads a distribution at states' rows by
-``rank``.
+inputs, :func:`basis_states` lists a basis as occupation tuples for the
+tuple-keyed oracles, and :func:`values_at` reads a distribution at those
+tuples' rows by ``rank``.  Every oracle takes an input as a tuple of
+modes, one entry per photon.
 """
 
 from __future__ import annotations
@@ -36,7 +37,6 @@ import numpy as np
 
 from lopsim.benchmark import _MEAS_SIGNS, _PREP_VECTORS, FidelityEstimate
 from lopsim.fock import (
-    FockState,
     OutputDistribution,
     _gains,
     _successors,
@@ -75,7 +75,6 @@ from lopsim.qubits import (
     _pauli_signs,
     _setting_elements,
     compile_gate_circuit,
-    encoding_input_state,
     logical_distribution,
 )
 from lopsim.sources import (
@@ -91,10 +90,10 @@ from lopsim.sources import (
 from lopsim.variational import BASES, PhotonicVqeBackend, ansatz_circuit
 
 
-def sample_by_choice(unitary, input_state: FockState, shots: int, seed: int) -> np.ndarray:
+def sample_by_choice(unitary, modes: tuple[int, ...], shots: int, seed: int) -> np.ndarray:
     """Counts of ``shots`` draws per basis row: one ``choice`` over the exact vector, then ``bincount``."""
     rng = np.random.default_rng(seed)
-    p = strong_simulate(unitary, input_state).probabilities
+    p = strong_simulate(unitary, modes).probabilities
     draws = rng.choice(len(p), size=shots, p=p / p.sum())
     return np.bincount(draws, minlength=len(p))
 
@@ -109,14 +108,14 @@ def placed_distribution(m: int, entries: dict[tuple[int, ...], float]) -> Output
     return OutputDistribution(m, sectors)
 
 
-def basis_states(m: int, n: int) -> list[FockState]:
-    """The rows of ``enumerate_basis(m, n)`` as states, in order, for the state-keyed oracles."""
-    return [FockState(tuple(row)) for row in enumerate_basis(m, n).occupations.tolist()]
+def basis_states(m: int, n: int) -> list[tuple[int, ...]]:
+    """The rows of ``enumerate_basis(m, n)`` as occupation tuples, in order, for the tuple-keyed oracles."""
+    return [tuple(row) for row in enumerate_basis(m, n).occupations.tolist()]
 
 
 def values_at(dist: OutputDistribution, states) -> np.ndarray:
-    """``dist``'s value at each state's occupation row, found by ``rank``; 0.0 in a sector with no mass."""
-    rows = np.array([state.occupations for state in states], dtype=np.int8).reshape(-1, dist.m)
+    """``dist``'s value at each occupation tuple's row, found by ``rank``; 0.0 in a sector with no mass."""
+    rows = np.array(list(states), dtype=np.int8).reshape(-1, dist.m)
     counts = rows.sum(axis=1)
     values = np.zeros(len(rows))
     for n, vec in dist.sectors.items():
@@ -243,17 +242,20 @@ def counter_trajectories_by_permanents(
     return tuple((value, samples, tuple(marks)) for value, samples, marks in counters)
 
 
-def evolve_state_vector(u: np.ndarray, input_state: FockState) -> dict[FockState, complex]:
+def evolve_state_vector(u: np.ndarray, modes) -> dict[tuple[int, ...], complex]:
     """Second-quantized evolution of a Fock input through an interferometer.
 
+    ``modes`` lists the input mode of each photon (repeats bunch).
     Applies the image of each creation operator photon by photon and
-    returns amplitudes on normalized occupation kets.
+    returns amplitudes on normalized occupation kets, keyed by
+    occupation tuple.
     """
-    amps: dict[tuple[int, ...], complex] = {(0,) * input_state.m: 1.0 + 0.0j}
-    for mode in input_state.modes():
+    m = u.shape[0]
+    amps: dict[tuple[int, ...], complex] = {(0,) * m: 1.0 + 0.0j}
+    for mode in modes:
         nxt: dict[tuple[int, ...], complex] = {}
         for occ, amp in amps.items():
-            for j in range(input_state.m):
+            for j in range(m):
                 coeff = u[j, mode]
                 if coeff == 0:
                     continue
@@ -262,26 +264,23 @@ def evolve_state_vector(u: np.ndarray, input_state: FockState) -> dict[FockState
                 key = tuple(new_occ)
                 nxt[key] = nxt.get(key, 0.0) + amp * coeff * sqrt(new_occ[j])
         amps = nxt
-    norm = 1.0
-    for occ in input_state.occupations:
-        norm *= factorial(occ)
+    norm = prod(factorial(list(modes).count(q)) for q in set(modes))
     scale = 1.0 / sqrt(norm)
-    return {FockState(k): v * scale for k, v in amps.items()}
+    return {k: v * scale for k, v in amps.items()}
 
 
 def classical_routing_probability(
-    u: np.ndarray, input_state: FockState, output_state: FockState
+    u: np.ndarray, photons, occupations: tuple[int, ...]
 ) -> float:
-    """Distinguishable-photon outcome probability by explicit enumeration."""
-    m = input_state.m
+    """Distinguishable-photon probability of ``occupations`` from input modes ``photons``, by enumeration."""
+    m = u.shape[0]
     weights = np.abs(u) ** 2
-    photons = input_state.modes()
     total = 0.0
     for assignment in itertools.product(range(m), repeat=len(photons)):
         occ = [0] * m
         for dest in assignment:
             occ[dest] += 1
-        if tuple(occ) != output_state.occupations:
+        if tuple(occ) != tuple(occupations):
             continue
         p = 1.0
         for src, dest in zip(photons, assignment):
@@ -303,11 +302,11 @@ def branch_distribution(u: np.ndarray, photons) -> dict[tuple[int, ...], float]:
         classes.setdefault(ph.label, []).append(ph.mode)
     dist = {(0,) * m: 1.0}
     for modes in classes.values():
-        amps = evolve_state_vector(u, FockState.from_modes(m, modes))
+        amps = evolve_state_vector(u, modes)
         nxt: dict[tuple[int, ...], float] = {}
         for occ, p in dist.items():
-            for state, amp in amps.items():
-                key = tuple(a + b for a, b in zip(occ, state.occupations))
+            for out, amp in amps.items():
+                key = tuple(a + b for a, b in zip(occ, out))
                 nxt[key] = nxt.get(key, 0.0) + p * abs(amp) ** 2
         dist = nxt
     return dist
@@ -427,9 +426,8 @@ def constructive_patterns(n_photons: int) -> frozenset[tuple[int, ...]]:
     one-click-per-pair outcomes with probability above 1e-9 of the largest
     one; a pattern lists, pair by pair, whether the odd mode clicked.
     """
-    m = 2 * n_photons
     unitary = _cyclic_circuit(n_photons, 0.0).unitary()
-    dist = strong_simulate(unitary, FockState.from_modes(m, cyclic_input_modes(n_photons)))
+    dist = strong_simulate(unitary, cyclic_input_modes(n_photons))
     rows, probs = dist.outcomes()
     clicks = rows > 0
     right = clicks[:, 1::2]
@@ -803,14 +801,14 @@ class PerEvaluationVqeBackend(PhotonicVqeBackend):
         if circuit.n_qubits != 2:
             raise ValueError("backend is wired for two-qubit circuits")
         enc = QubitEncoding.default(2)
-        state = encoding_input_state(enc)
+        modes = tuple(rail0 for rail0, _ in enc.qubit_pairs)
         for cached in (_gate_elements, _checked_gates, _setting_elements):
             cached.cache_clear()
         _, rule, _, unitary = compile_gate_circuit(circuit, enc)
         if self.source is None:
-            dist = strong_simulate(unitary, state)
+            dist = strong_simulate(unitary, modes)
         else:
-            dist = noisy_simulate(unitary, build_input(2, self.source, modes=state.modes()))
+            dist = noisy_simulate(unitary, build_input(2, self.source, modes=modes))
         f = self.readout_flip
         flip = np.array([[1.0 - f, f], [f, 1.0 - f]])
         return np.kron(flip, flip) @ logical_distribution(dist, rule)[0].ravel()

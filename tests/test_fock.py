@@ -5,10 +5,10 @@ import pytest
 
 from lopsim import fock
 from lopsim.fock import (
-    FockState,
     ModeUnitary,
     OutputDistribution,
     _glynn_deltas,
+    batched_amplitudes,
     enumerate_basis,
     output_amplitude,
     permanent,
@@ -34,45 +34,54 @@ def coupler(r: float = 0.5) -> ModeUnitary:
     return ModeUnitary(np.array([[t, k], [k, t]]))
 
 
-class TestFockState:
-    def test_string_round_trip(self):
-        s = FockState.from_string("010010100100")
-        assert s.m == 12
-        assert s.n == 4
-        assert s.to_string() == "010010100100"
+U4 = ModeUnitary.haar_random(4, np.random.default_rng(1))
 
-    def test_from_modes(self):
-        s = FockState.from_modes(4, [1, 1, 3])
-        assert s.occupations == (0, 2, 0, 1)
-        assert s.modes() == (1, 1, 3)
-
-    def test_rejects_garbage(self):
-        with pytest.raises(ValueError):
-            FockState.from_string("01a")
-        with pytest.raises(ValueError):
-            FockState((1, -1))
-
-    @pytest.mark.parametrize("occupations", [(1.0, 0.0), (0.5, 0.5)])
-    def test_rejects_non_integer_occupations(self, occupations):
-        # a float state would pass here and fail later as an index or a count
-        with pytest.raises(TypeError, match="integer"):
-            FockState(occupations)
-
-    def test_integer_like_occupations_are_stored_as_ints(self):
-        state = FockState(np.array([1, 0, 2], dtype=np.int8))
-        assert state.occupations == (1, 0, 2) and type(state.occupations[0]) is int
-        assert enumerate_basis(3, 3).rank(np.array([state.occupations]))[0] >= 0
-        assert hash(state) == hash(FockState((1, 0, 2)))
+#: Each entry point that takes input modes, called with the modes ``(0, bad)``.
+BAD_MODE_CALLS = {
+    "strong_simulate": lambda bad: strong_simulate(U4, (0, bad)),
+    "sample": lambda bad: sample(U4, (0, bad), 5, rng=0),
+    "output_amplitude_input": lambda bad: output_amplitude(U4, (0, bad), (0, 1)),
+    "output_amplitude_output": lambda bad: output_amplitude(U4, (0, 1), (0, bad)),
+    "collision_free_reference": lambda bad: collision_free_reference(U4, (0, bad)),
+    "batched_amplitudes": lambda bad: batched_amplitudes(U4.matrix[None], (0, bad)),
+}
 
 
-def collision_free_states(m: int, n: int) -> list[FockState]:
-    """The collision-free states of ``enumerate_basis(m, n)``, as a mask keeps them."""
+@pytest.mark.parametrize(
+    "bad, error, message",
+    [(4, ValueError, "mode 4 out of range for m=4"), (-1, ValueError, "mode -1 out of range"),
+     (1.0, TypeError, "integer")],
+    ids=["out_of_range", "negative", "float"],
+)
+@pytest.mark.parametrize("entry", list(BAD_MODE_CALLS))
+def test_every_entry_point_refuses_a_bad_mode(entry, bad, error, message):
+    # a float mode would pass an int() conversion and a negative one index from the end
+    with pytest.raises(error, match=message):
+        BAD_MODE_CALLS[entry](bad)
+
+
+def test_the_listed_order_of_the_photons_does_not_change_a_result():
+    u = ModeUnitary.haar_random(4, np.random.default_rng(2))
+    a, b = strong_simulate(u, (3, 1, 1)), strong_simulate(u, (1, 1, 3))
+    assert a.probabilities.tobytes() == b.probabilities.tobytes()
+    as_array = strong_simulate(u, np.array([3, 1, 1], dtype=np.int8))
+    assert as_array.probabilities.tobytes() == b.probabilities.tobytes()
+    a, b = sample(u, (3, 1, 1), 50, rng=4), sample(u, (1, 1, 3), 50, rng=4)
+    assert a.probabilities.tobytes() == b.probabilities.tobytes()
+    assert output_amplitude(u, (3, 1, 1), (2, 0, 0)) == output_amplitude(u, (1, 1, 3), (0, 0, 2))
+    a, b = collision_free_reference(u, (3, 0)), collision_free_reference(u, (0, 3))
+    assert a.ideal.tobytes() == b.ideal.tobytes()
+    assert a.distinguishable.tobytes() == b.distinguishable.tobytes()
+
+
+def collision_free_states(m: int, n: int) -> list[tuple[int, ...]]:
+    """The collision-free rows of ``enumerate_basis(m, n)`` as tuples, as a mask keeps them."""
     occupations = enumerate_basis(m, n).occupations
-    return [FockState(tuple(row)) for row in occupations[np.all(occupations <= 1, axis=1)].tolist()]
+    return [tuple(row) for row in occupations[np.all(occupations <= 1, axis=1)].tolist()]
 
 
-def row_text(row: np.ndarray) -> str:
-    return "".join(map(str, row.tolist()))
+def row_text(row) -> str:
+    return "".join(str(int(o)) for o in row)
 
 
 class TestBasis:
@@ -83,8 +92,8 @@ class TestBasis:
 
     def test_canonical_order_endpoints(self):
         states = collision_free_states(12, 6)
-        assert states[0].to_string() == "000000111111"
-        assert states[-1].to_string() == "111111000000"
+        assert row_text(states[0]) == "000000111111"
+        assert row_text(states[-1]) == "111111000000"
         rows = enumerate_basis(12, 6).occupations
         assert row_text(rows[0]) == "000000000006"
         assert row_text(rows[-1]) == "600000000000"
@@ -99,12 +108,12 @@ class TestBasis:
         basis = enumerate_basis(6, 3)
         assert np.array_equal(basis.rank(basis.occupations), np.arange(len(basis)))
         with pytest.raises(KeyError):
-            basis.rank(np.array([FockState.from_string("310000").occupations]))
+            basis.rank(np.array([[3, 1, 0, 0, 0, 0]]))
 
     def test_no_collision_free_mass_rejected(self):
         # Hong-Ou-Mandel: both photons leave a balanced coupler together
         with pytest.raises(ValueError, match="no probability mass"):
-            collision_free_reference(coupler(0.5), FockState((1, 1)))
+            collision_free_reference(coupler(0.5), (0, 1))
 
 
 class TestPermanent:
@@ -153,36 +162,29 @@ class TestAmplitudes:
         u = ModeUnitary.haar_random(5, rng)
         for i in range(5):
             for j in range(5):
-                amp = output_amplitude(
-                    u, FockState.from_modes(5, [j]), FockState.from_modes(5, [i])
-                )
+                amp = output_amplitude(u, [j], [i])
                 assert amp == pytest.approx(u.matrix[i, j])
 
     def test_hom_coincidence_vanishes(self):
         u = coupler(0.5)
-        ones = FockState.from_string("11")
+        ones = (0, 1)
         assert abs(output_amplitude(u, ones, ones)) == pytest.approx(0.0, abs=1e-12)
-        bunched = FockState.from_string("20")
+        bunched = (0, 0)
         assert abs(output_amplitude(u, ones, bunched)) ** 2 == pytest.approx(0.5)
 
     @pytest.mark.parametrize("m,photons", [(4, [0, 1]), (5, [0, 2, 4]), (6, [1, 1, 3]), (3, [])])
     def test_against_state_vector_evolution(self, m, photons):
         rng = np.random.default_rng(m * 17 + len(photons))
         u = ModeUnitary.haar_random(m, rng)
-        s = FockState.from_modes(m, photons)
-        reference = evolve_state_vector(u.matrix, s)
+        reference = evolve_state_vector(u.matrix, photons)
         for t, expected in reference.items():
-            assert output_amplitude(u, s, t) == pytest.approx(expected, abs=1e-10)
-
-    def test_mode_count_mismatch_rejected(self):
-        u = coupler()
-        with pytest.raises(ValueError):
-            output_amplitude(u, FockState.from_string("110"), FockState.from_string("110"))
+            out = np.repeat(np.arange(m), t)
+            assert output_amplitude(u, photons, out) == pytest.approx(expected, abs=1e-10)
 
     def test_photon_number_mismatch_rejected(self):
         u = coupler()
-        with pytest.raises(ValueError):
-            output_amplitude(u, FockState.from_string("11"), FockState.from_string("10"))
+        with pytest.raises(ValueError, match="photon number mismatch"):
+            output_amplitude(u, (0, 1), (0,))
 
 
 class TestDistinguishable:
@@ -194,16 +196,15 @@ class TestDistinguishable:
 
     def test_hom_coincidence_half(self):
         dist = self.classical(coupler(0.5), [0, 1])
-        assert values_at(dist, [FockState.from_string("11")])[0] == pytest.approx(0.5)
+        assert values_at(dist, [(1, 1)])[0] == pytest.approx(0.5)
 
     @pytest.mark.parametrize("m,photons", [(4, [0, 3]), (5, [0, 2, 4]), (4, [1, 1])])
     def test_against_enumeration(self, m, photons):
         rng = np.random.default_rng(m + 31 * len(photons))
         u = ModeUnitary.haar_random(m, rng)
-        s = FockState.from_modes(m, photons)
         dist = self.classical(u, photons)
         for t, p in zip(basis_states(m, len(photons)), dist.sectors[len(photons)]):
-            expected = classical_routing_probability(u.matrix, s, t)
+            expected = classical_routing_probability(u.matrix, photons, t)
             assert p == pytest.approx(expected, abs=1e-12)
 
     def test_normalization(self):
@@ -216,16 +217,14 @@ class TestStrongSimulate:
     def test_sums_to_one(self):
         rng = np.random.default_rng(5)
         u = ModeUnitary.haar_random(6, rng)
-        s = FockState.from_string("110100")
-        dist = strong_simulate(u, s)
+        dist = strong_simulate(u, (0, 1, 3))
         assert dist.probabilities.sum() == pytest.approx(1.0, abs=1e-9)
 
     def test_matches_state_vector_oracle(self):
         rng = np.random.default_rng(8)
         u = ModeUnitary.haar_random(6, rng)
-        s = FockState.from_string("101010")
-        dist = strong_simulate(u, s)
-        reference = evolve_state_vector(u.matrix, s)
+        dist = strong_simulate(u, (0, 2, 4))
+        reference = evolve_state_vector(u.matrix, (0, 2, 4))
         got = values_at(dist, reference)
         for p, amp in zip(got, reference.values()):
             assert p == pytest.approx(abs(amp) ** 2, abs=1e-10)
@@ -233,7 +232,7 @@ class TestStrongSimulate:
     def test_collision_free_renormalization(self):
         rng = np.random.default_rng(9)
         u = ModeUnitary.haar_random(8, rng)
-        s = FockState.from_string("11110000")
+        s = (0, 1, 2, 3)
         full = strong_simulate(u, s)
         ref = collision_free_reference(u, s)
         free = collision_free_states(8, 4)
@@ -242,19 +241,19 @@ class TestStrongSimulate:
         assert ref.ideal_mass == pytest.approx(mass, abs=1e-9)
         assert ref.ideal.sum() == pytest.approx(1.0, abs=1e-9)
         basis = enumerate_basis(8, 4)
-        index = basis.rank(np.array([t.occupations for t in free]))
+        index = basis.rank(np.array(free))
         for i, p in zip(index, probs):
             assert ref.ideal[i] == pytest.approx(p / mass, abs=1e-9)
         assert np.all(basis.occupations[np.flatnonzero(ref.ideal)] <= 1)
 
     def test_len_counts_the_nonzero_outcomes(self):
-        dist = strong_simulate(ModeUnitary(np.eye(2)), FockState((1, 0)))
+        dist = strong_simulate(ModeUnitary(np.eye(2)), (0,))
         assert len(dist) == 1
         rows, values = dist.outcomes()
         assert rows[values > 0].tolist() == [[1, 0]] and values.tolist() == [0.0, 1.0]
 
     def test_outcomes_are_rows_not_a_state_mapping(self):
-        dist = strong_simulate(ModeUnitary(np.eye(2)), FockState((1, 0)))
+        dist = strong_simulate(ModeUnitary(np.eye(2)), (0,))
         assert not isinstance(dist, Mapping)
         for name in ("prob", "__getitem__", "items", "__iter__"):
             assert not hasattr(dist, name), name
@@ -265,8 +264,7 @@ class TestStrongSimulate:
     def test_twelve_mode_six_photon_size(self):
         rng = np.random.default_rng(21)
         u = ModeUnitary.haar_random(12, rng)
-        s = FockState.from_string("111111000000")
-        ideal = collision_free_reference(u, s).ideal
+        ideal = collision_free_reference(u, range(6)).ideal
         assert np.count_nonzero(ideal) == 924
         assert ideal.sum() == pytest.approx(1.0, abs=1e-9)
 
@@ -304,7 +302,7 @@ class TestSampling:
     def test_deterministic_per_seed(self):
         rng = np.random.default_rng(2)
         u = ModeUnitary.haar_random(6, rng)
-        s = FockState.from_string("110010")
+        s = (0, 1, 4)
         a = sample(u, s, shots=500, rng=1234)
         b = sample(u, s, shots=500, rng=1234)
         assert np.array_equal(a.probabilities, b.probabilities)
@@ -317,25 +315,24 @@ class TestSampling:
     )
     def test_tallies_are_the_draw_of_one_choice_and_a_bincount(self, m, photons, shots, seed):
         u = ModeUnitary.haar_random(m, np.random.default_rng(seed + 50))
-        s = FockState.from_modes(m, photons)
-        counts = sample(u, s, shots, rng=seed)
+        n = len(photons)
+        counts = sample(u, photons, shots, rng=seed)
         assert isinstance(counts, OutputDistribution)
-        assert list(counts.sectors) == [s.n] and counts.sectors[s.n].dtype == float
+        assert list(counts.sectors) == [n] and counts.sectors[n].dtype == float
         assert counts.probabilities.sum() == shots
-        expected = sample_by_choice(u, s, shots, seed)
-        assert np.array_equal(counts.sectors[s.n], expected)
+        expected = sample_by_choice(u, photons, shots, seed)
+        assert np.array_equal(counts.sectors[n], expected)
 
     def test_counts_total(self):
         rng = np.random.default_rng(2)
         u = ModeUnitary.haar_random(5, rng)
-        s = FockState.from_string("11000")
-        counts = sample(u, s, shots=321, rng=0)
+        counts = sample(u, (0, 1), shots=321, rng=0)
         assert counts.probabilities.sum() == 321
 
     @pytest.mark.parametrize("shots", [0, 2.5, float("inf"), float("nan")])
     def test_a_shot_count_must_be_a_whole_number(self, shots):
         with pytest.raises(ValueError, match="shots must be a whole number"):
-            sample(coupler(0.5), FockState.from_string("11"), shots, rng=0)
+            sample(coupler(0.5), (0, 1), shots, rng=0)
 
     def test_a_missing_shot_count_is_refused_before_simulating(self, monkeypatch):
         def simulated(*args, **kwargs):
@@ -343,22 +340,21 @@ class TestSampling:
 
         monkeypatch.setattr(fock, "strong_simulate", simulated)
         with pytest.raises(ValueError, match="shots must be given as a whole number"):
-            sample(coupler(0.5), FockState.from_string("11"), None, rng=0)
+            sample(coupler(0.5), (0, 1), None, rng=0)
 
     @pytest.mark.parametrize("seed", [-1, np.int64(-5)])
     def test_a_negative_seed_is_refused_by_name(self, seed):
         with pytest.raises(ValueError, match=f"seed must be a nonnegative int, got {seed}"):
-            sample(coupler(0.5), FockState.from_string("11"), 3, rng=seed)
+            sample(coupler(0.5), (0, 1), 3, rng=seed)
 
     def test_a_whole_float_shot_count_draws_that_many(self):
-        counts = sample(coupler(0.5), FockState.from_string("11"), 3.0, rng=0)
+        counts = sample(coupler(0.5), (0, 1), 3.0, rng=0)
         assert counts.probabilities.sum() == 3
 
     def test_empirical_frequencies_converge(self):
         u = coupler(0.5)
-        s = FockState.from_string("11")
-        counts = sample(u, s, shots=20000, rng=7)
-        f11, f20 = values_at(counts, [FockState.from_string("11"), FockState.from_string("20")])
+        counts = sample(u, (0, 1), shots=20000, rng=7)
+        f11, f20 = values_at(counts, [(1, 1), (2, 0)])
         assert f11 == 0
         f20 /= 20000
         assert f20 == pytest.approx(0.5, abs=0.02)

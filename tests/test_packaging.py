@@ -198,7 +198,6 @@ def test_every_method_and_property_has_a_caller_or_a_test():
 #: entry whose name found a caller or left.
 TEST_ONLY_PUBLIC_NAMES = {
     "benchmark.py:depolarizing_executor": "closed-form reference executor of F_avg plans",
-    "fock.py:from_string": "input pattern text of `lopsim sample` (ROADMAP items 7, 8)",
     "fock.py:sample": "counts of `lopsim sample` (ROADMAP items 7, 11)",
     "hardware.py:held_out_tvd": "restart selection of the calibration fit (ROADMAP item 2)",
     "hardware.py:unitary_at_voltages": "gates on a calibrated chip (ROADMAP item 4)",
@@ -418,9 +417,9 @@ def test_every_tracer_observer_reads_a_real_call(tracing):
     labeled = sources.build_input(2, sources.SourceModel(indistinguishability=0.9, g2=0.01))
     rule = qubits.PostselectionRule(((0, 1),), vacuum_modes=(2,))
     reflectivities = np.full((mesh.MeshLayout(3).n_cells, 2), 0.5)
-    one_photon = fock.strong_simulate(u, fock.FockState((1, 0, 0)))
+    one_photon = fock.strong_simulate(u, (0,))
     calls = {
-        "fock.strong_simulate": ((u, fock.FockState((1, 1, 0))), {}),
+        "fock.strong_simulate": ((u, (0, 1)), {}),
         "sources.noisy_simulate": ((u, labeled), {}),
         "mesh.compile": ((u, reflectivities), {"max_restarts": 1, "maxiter": 5}),
         "qubits.logical_distribution": ((one_photon, rule), {}),
@@ -451,6 +450,57 @@ def test_every_tracer_observer_reads_a_real_call(tracing):
         },
     }
     assert 0.0 < infos["qubits.logical_distribution"]["qubits.accept_weight"] <= 1.0
+
+
+def _unused_imports(source: Path = ROOT / "src" / "lopsim") -> list[str]:
+    """``file:name`` of each name a module imports (``__future__`` aside) and never reads.
+
+    A read is an ``ast.Name`` anywhere in the module, so a docstring or
+    comment mention does not count.  ``__init__.py`` is left out: its
+    imports are the package's exports.
+    """
+    found = []
+    for path in sorted(source.glob("*.py")):
+        if path.name == "__init__.py":
+            continue
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import) or (
+                isinstance(node, ast.ImportFrom) and node.module != "__future__"
+            ):
+                for alias in node.names:
+                    name = alias.asname or alias.name.split(".")[0]
+                    if name not in read:
+                        found.append(f"{path.name}:{name}")
+    return found
+
+
+def test_every_imported_name_is_read():
+    assert _unused_imports() == []
+
+
+def test_the_import_scan_counts_no_docstring_mention_as_a_read(tmp_path):
+    source = _write_package(
+        tmp_path / "pkg",
+        {
+            "__init__.py": "from .alpha import root\n",
+            "alpha.py": '''"""Names `isqrt` and `os.path` only here."""
+
+from __future__ import annotations
+
+import os.path
+from math import isqrt, sqrt as root
+
+import numpy as np
+
+
+def norm(x) -> np.ndarray:
+    return root(x)
+''',
+        },
+    )
+    assert _unused_imports(source) == ["alpha.py:os", "alpha.py:isqrt"]
 
 
 def test_no_module_imports_scipy_at_import_time():
@@ -549,9 +599,7 @@ _T_GATE = qubits.GateCircuit.from_text("T 0", n_qubits=1)
 
 #: Every public entry point that makes a generator, called with a None seed.
 UNSEEDED_CALLS = {
-    "fock.sample": lambda: fock.sample(
-        fock.ModeUnitary(np.eye(2)), fock.FockState((1, 0)), 5, None
-    ),
+    "fock.sample": lambda: fock.sample(fock.ModeUnitary(np.eye(2)), (0,), 5, None),
     "HardwareModel.synthetic": lambda: hardware.HardwareModel.synthetic(3, rng=None),
     "generate_measurements": lambda: hardware.generate_measurements(
         _chip(), mesh.MeshLayout(3), 3, rng=None

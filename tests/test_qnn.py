@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from _oracles import classifier_blocks, classifier_circuit, evolve_state_vector
 
-from lopsim.fock import FockState, batched_amplitudes, strong_simulate
+from lopsim.fock import batched_amplitudes, strong_simulate
 from lopsim.qnn import (
     ENCODING_MODES,
     INPUT_MODES,
@@ -119,12 +119,11 @@ def test_forward_matches_state_vector_oracle():
     theta = RNG.uniform(0.0, 2.0 * np.pi, N_THETA)
     phases = RNG.uniform(0.0, np.pi, N_FEATURES)
     u = classifier_circuit(theta, phases).unitary().matrix
-    amplitudes = evolve_state_vector(u, FockState.from_modes(N_MODES, INPUT_MODES))
+    amplitudes = evolve_state_vector(u, INPUT_MODES)
     expected = {}
-    for state, amp in amplitudes.items():
-        expected[merged_pattern_of(state.occupations)] = expected.get(
-            merged_pattern_of(state.occupations), 0.0
-        ) + abs(amp) ** 2
+    for occupations, amp in amplitudes.items():
+        pattern = merged_pattern_of(occupations)
+        expected[pattern] = expected.get(pattern, 0.0) + abs(amp) ** 2
     merged = pattern_distribution(theta, phases)
     for k, pattern in enumerate(pattern_space()):
         assert merged[k] == pytest.approx(expected.get(pattern, 0.0), abs=1e-10)
@@ -140,7 +139,7 @@ def per_sample_patterns(theta, phases):
     rows = []
     for phi in phases:
         u = classifier_circuit(theta, phi).unitary()
-        dist = strong_simulate(u, FockState.from_modes(N_MODES, INPUT_MODES))
+        dist = strong_simulate(u, INPUT_MODES)
         merged = dict.fromkeys(pattern_space(), 0.0)
         for row, p in zip(*dist.outcomes()):
             if p > 0.0:

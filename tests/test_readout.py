@@ -34,7 +34,7 @@ from lopsim.qubits import (
     PostselectionRule,
     QubitEncoding,
     compile_gate_circuit,
-    encoding_input_state,
+    encoding_input_modes,
     ghz_factory,
     ghz_postselection,
     logical_distribution,
@@ -128,7 +128,7 @@ def test_batched_readout_matches_one_distribution_per_unitary(n_qubits, batch, s
     rng = np.random.default_rng(seed)
     enc = QubitEncoding.default(n_qubits)
     rule = PostselectionRule(enc.qubit_pairs, vacuum_modes=enc.ancilla_modes)
-    state = encoding_input_state(enc, tuple(rng.integers(0, 2, n_qubits)))
+    modes = encoding_input_modes(enc, tuple(rng.integers(0, 2, n_qubits)))
     unitaries = [ModeUnitary.haar_random(enc.n_modes, rng) for _ in range(batch)]
     stack = np.array([u.matrix for u in unitaries])
     source = SourceModel(
@@ -136,13 +136,13 @@ def test_batched_readout_matches_one_distribution_per_unitary(n_qubits, batch, s
         g2=float(rng.uniform(0.0, 0.05)),
         efficiency=float(rng.uniform(0.5, 1.0)),
     )
-    labeled = build_input(n_qubits, source, modes=state.modes())
+    labeled = build_input(n_qubits, source, modes=modes)
 
-    ideal = logical_distributions(stack, state.modes(), rule)
-    noisy = logical_distributions(stack, state.modes(), rule, source)
+    ideal = logical_distributions(stack, modes, rule)
+    noisy = logical_distributions(stack, modes, rule, source)
     assert ideal.shape == noisy.shape == (batch, 1 << n_qubits)
     for u, got_ideal, got_noisy in zip(unitaries, ideal, noisy):
-        want, _ = logical_distribution(strong_simulate(u, state), rule)
+        want, _ = logical_distribution(strong_simulate(u, modes), rule)
         assert np.array_equal(got_ideal, want.ravel())
         want, _ = logical_distribution(noisy_simulate(u, labeled), rule)
         assert np.max(np.abs(got_noisy - want.ravel())) < 1e-12
@@ -151,7 +151,7 @@ def test_batched_readout_matches_one_distribution_per_unitary(n_qubits, batch, s
 def test_ravel_puts_qubit_zero_first():
     circuit, rule, _, _ = compile_gate_circuit(GateCircuit(2, (Gate("CNOT", (0, 1)),)))
     enc = QubitEncoding.default(2)
-    dist = strong_simulate(circuit.unitary(), encoding_input_state(enc, (1, 0)))
+    dist = strong_simulate(circuit.unitary(), encoding_input_modes(enc, (1, 0)))
     probs, _ = logical_distribution(dist, rule)
     assert probs.ravel()[3] == pytest.approx(1.0, abs=1e-12)
     assert probs.ravel()[3] == probs[1, 1]
@@ -184,7 +184,7 @@ def test_a_rule_built_from_lists_reads_out_as_its_tuple_rule():
     circuit, tupled, _, unitary = compile_gate_circuit(GateCircuit.from_text("CNOT 0 1"), enc)
     listed = PostselectionRule([list(p) for p in enc.qubit_pairs], list(enc.ancilla_modes))
     assert listed == tupled and hash(listed) == hash(tupled)
-    dist = strong_simulate(unitary, encoding_input_state(enc, (1, 0)))
+    dist = strong_simulate(unitary, encoding_input_modes(enc, (1, 0)))
     got, want = logical_distribution(dist, listed), logical_distribution(dist, tupled)
     assert np.array_equal(got[0], want[0]) and got[1] == want[1]
 
@@ -238,7 +238,7 @@ def test_each_row_of_a_stack_is_bit_for_bit_its_own_one_unitary_call(k, seed):
     rng = np.random.default_rng(seed)
     enc = QubitEncoding.default(2)
     rule = PostselectionRule(enc.qubit_pairs, vacuum_modes=enc.ancilla_modes)
-    modes = encoding_input_state(enc, tuple(rng.integers(0, 2, 2))).modes()
+    modes = encoding_input_modes(enc, tuple(rng.integers(0, 2, 2)))
     stack = np.array([ModeUnitary.haar_random(6, rng).matrix for _ in range(k)])
     source = SourceModel(
         indistinguishability=tuple(rng.uniform(0.5, 1.0, 2)),
