@@ -3,7 +3,9 @@
 The chip maps voltages to phases through phi = A V^2 + b where A couples
 every heater to every phase (thermal crosstalk) and b collects static
 offsets. Calibration fits A, b, coupler reflectivities and relative
-output losses from intensity measurements alone.
+output losses from intensity measurements alone. The measurements are one
+:class:`IntensityData` record of arrays, K rows of drive voltages, input
+mode and output intensities, and every reader works on its arrays whole.
 
 One batched transpiler (``_transpile``) inverts the phase model for a
 whole stack of phase targets: every round of its branch search solves
@@ -16,8 +18,9 @@ product bit for bit, so no result depends on how the rows were batched.
 
 from __future__ import annotations
 
+import math
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -26,7 +29,7 @@ from lopsim.mesh import MeshLayout, _adjoint_sweep, _forward_sweep
 
 __all__ = [
     "HardwareModel",
-    "IntensityMeasurement",
+    "IntensityData",
     "TranspilationError",
     "phases_from_voltages",
     "voltages_from_phases",
@@ -81,20 +84,13 @@ class HardwareModel:
     v_max: float = DEFAULT_V_MAX
 
     def __post_init__(self) -> None:
-        self.a = np.asarray(self.a, dtype=float)
-        self.b = np.asarray(self.b, dtype=float)
-        self.reflectivities = np.asarray(self.reflectivities, dtype=float)
-        self.output_losses = np.asarray(self.output_losses, dtype=float)
-        layout = self.layout()
-        p = layout.n_actuated
-        if self.a.shape != (p, p):
-            raise ValueError(f"expected A of shape {(p, p)}, got {self.a.shape}")
-        if self.b.shape != (p,):
-            raise ValueError(f"expected b of shape {(p,)}, got {self.b.shape}")
-        if self.reflectivities.shape != (layout.n_cells, 2):
-            raise ValueError("reflectivity table does not match the layout")
-        if self.output_losses.shape != (self.m,):
-            raise ValueError("need one output loss per mode")
+        # the model's arrays are the first four fitted blocks of its layout
+        fields = ("a", "b", "reflectivities", "output_losses")
+        for name, (shape, _) in zip(fields, _blocks(self.layout())):
+            value = np.asarray(getattr(self, name), dtype=float)
+            if value.shape != shape:
+                raise ValueError(f"expected {name} of shape {shape}, got {value.shape}")
+            setattr(self, name, value)
         if not (np.all(np.isfinite(self.a)) and np.all(np.isfinite(self.b))):
             raise ValueError("crosstalk matrix and offsets must be finite")
         if not np.all(np.diag(self.a) > 0):
@@ -140,13 +136,34 @@ class HardwareModel:
         return cls(m=m, a=a, b=b, reflectivities=refl, output_losses=losses)
 
 
-@dataclass(frozen=True)
-class IntensityMeasurement:
-    """Applied voltages plus the normalized intensities seen at the outputs."""
+@dataclass(frozen=True, eq=False)
+class IntensityData:
+    """Intensity measurements of one chip as arrays, one row per measurement.
 
-    voltages: tuple[float, ...]
-    input_mode: int
-    intensities: tuple[float, ...]
+    ``voltages`` (K, P) are the drive voltages, ``input_modes`` (K,) the
+    mode each row's light enters and ``intensities`` (K, m) the powers
+    seen at the m outputs. Refuses arrays that disagree on K, and an input
+    mode that is not an integer (``TypeError``) or lies outside ``[0, m)``.
+    """
+
+    voltages: np.ndarray
+    input_modes: np.ndarray
+    intensities: np.ndarray
+
+    def __post_init__(self) -> None:
+        for name, dtype in (("voltages", float), ("input_modes", None), ("intensities", float)):
+            object.__setattr__(self, name, np.asarray(getattr(self, name), dtype=dtype))
+        volts, inputs, powers = self.voltages, self.input_modes, self.intensities
+        shapes = volts.shape, inputs.shape, powers.shape
+        if [len(shape) for shape in shapes] != [2, 1, 2] or len({s[0] for s in shapes}) != 1:
+            raise ValueError(
+                f"expected voltages (K, P), input_modes (K,) and intensities (K, m), got {shapes}"
+            )
+        if not np.issubdtype(inputs.dtype, np.integer):
+            raise TypeError(f"input modes must be integers, got {inputs.dtype}")
+        outside = inputs[(inputs < 0) | (inputs >= powers.shape[1])]
+        if outside.size:
+            raise ValueError(f"input mode {outside[0]} out of range for m={powers.shape[1]}")
 
 
 def phases_from_voltages(voltages: np.ndarray, hw: HardwareModel) -> np.ndarray:
@@ -238,9 +255,11 @@ def unitary_at_voltages(
     return layout.unitary(layout.phases_from_actuated(actuated), hw.reflectivities)
 
 
-def _check_layout(hw: HardwareModel, layout: MeshLayout) -> None:
+def _check_layout(hw: HardwareModel, layout: MeshLayout, data: IntensityData | None = None) -> None:
     if layout.m != hw.m or layout.n_actuated != hw.b.shape[0]:
         raise ValueError("hardware model does not match the layout")
+    if data and data.voltages.shape[1:] + data.intensities.shape[1:] != (hw.b.size, hw.m):
+        raise ValueError("intensity data do not match the layout")
 
 
 def _logical_phases(hw: HardwareModel, layout: MeshLayout, volts) -> np.ndarray:
@@ -265,14 +284,15 @@ def _tvd(p: np.ndarray, q: np.ndarray) -> np.ndarray:
 
 
 def generate_measurements(
-    hw: HardwareModel,
-    layout: MeshLayout,
-    n: int,
-    rng: np.random.Generator | int,
-    noise: float = 0.01,
-    scale: float = 1.0,
-) -> list[IntensityMeasurement]:
-    """Random-drive intensity data with multiplicative detection noise."""
+    hw: HardwareModel, layout: MeshLayout, n: int, rng: np.random.Generator | int,
+    noise: float = 0.01, scale: float = 1.0,
+) -> IntensityData:
+    """``n`` rows of random-drive intensity data with multiplicative detection noise.
+
+    Row i drives every shifter uniformly in ``[0, v_max]`` and feeds mode
+    ``i % m``; it records ``scale`` times the lossy output powers, each
+    times a gain ``1 + noise * N(0, 1)`` and clipped at 0.
+    """
     _check_layout(hw, layout)
     rng = _seeded_rng(rng)
     volts = np.empty((n, hw.b.shape[0]))
@@ -280,141 +300,106 @@ def generate_measurements(
     for i in range(n):
         volts[i] = rng.uniform(0.0, hw.v_max, size=hw.b.shape[0])
         gains[i] = 1.0 + noise * rng.standard_normal(hw.m)
-    inputs = [i % hw.m for i in range(n)]
+    inputs = np.arange(n) % hw.m
     clean = scale * _intensities(hw, layout, _logical_phases(hw, layout, volts), inputs)
-    noisy = np.clip(clean * gains, 0.0, None)
-    return [
-        IntensityMeasurement(tuple(v), input_mode, tuple(row))
-        for v, input_mode, row in zip(volts, inputs, noisy)
-    ]
+    return IntensityData(volts, inputs, np.clip(clean * gains, 0.0, None))
 
 
 # ---------------------------------------------------------------------------
 # Calibration
 
 
-@dataclass
-class _Batch:
-    w: np.ndarray
-    inputs: np.ndarray
-    y: np.ndarray
+def _blocks(layout: MeshLayout) -> list[tuple[tuple[int, ...], tuple]]:
+    """``(shape, L-BFGS bounds)`` of each fitted block in packing order: A (per
+    normalized drive), b, reflectivities, relative output losses, intensity scale."""
+    p, free = layout.n_actuated, (None, None)
+    return [
+        ((p, p), free), ((p,), free), ((layout.n_cells, 2), (0.01, 0.99)),
+        ((layout.m,), (1e-3, 1.0)), ((), (1e-6, None)),
+    ]
 
 
-def _pack(a, b, refl, losses, scale):
-    return np.concatenate(
-        [a.ravel(), b, refl.ravel(), losses, np.array([scale])]
-    )
+def _pack(*blocks) -> np.ndarray:
+    return np.concatenate([np.ravel(block) for block in blocks])
 
 
-def _unpack(x: np.ndarray, p: int, n_cells: int, m: int):
-    i = 0
-    a = x[i : i + p * p].reshape(p, p)
-    i += p * p
-    b = x[i : i + p]
-    i += p
-    refl = x[i : i + 2 * n_cells].reshape(n_cells, 2)
-    i += 2 * n_cells
-    losses = x[i : i + m]
-    i += m
-    scale = x[i]
-    return a, b, refl, losses, scale
+def _unpack(x: np.ndarray, layout: MeshLayout) -> list[np.ndarray]:
+    shapes = [shape for shape, _ in _blocks(layout)]
+    ends = np.cumsum([math.prod(shape) for shape in shapes])[:-1]
+    return [part.reshape(shape) for part, shape in zip(np.split(x, ends), shapes)]
 
 
 def _objective(
-    x: np.ndarray, layout: MeshLayout, batch: _Batch
+    x: np.ndarray, layout: MeshLayout, w: np.ndarray, data: IntensityData
 ) -> tuple[float, np.ndarray]:
-    """Mean squared intensity error and its gradient (reverse mode)."""
-    m = layout.m
-    p = layout.n_actuated
-    n_cells = layout.n_cells
-    a, b, refl, losses, scale = _unpack(x, p, n_cells, m)
-    refl_c = np.clip(refl, 1e-4, 1.0 - 1e-4)
-    n_batch = batch.w.shape[0]
+    """Mean squared intensity error on ``data`` and its gradient (reverse mode).
 
-    phases = layout.phases_from_actuated(batch.w @ a.T + b)
-    rows = np.eye(m, dtype=complex)[batch.inputs]
+    ``w`` holds the squared voltages of ``data`` in the units of the packed A.
+    """
+    a, b, refl, losses, scale = _unpack(x, layout)
+    refl_c = np.clip(refl, 1e-4, 1.0 - 1e-4)
+    phases = layout.phases_from_actuated(w @ a.T + b)
+    rows = np.eye(layout.m, dtype=complex)[data.input_modes]
     out, tape = _forward_sweep(layout, rows, phases, refl_c)
     power = np.abs(out) ** 2
     pred = scale * losses[None, :] * power
-    res = pred - batch.y
-    value = float(np.sum(res * res)) / n_batch
-
-    d_pred = 2.0 * res / n_batch
+    res = pred - data.intensities
+    value = float(np.sum(res * res)) / len(w)
+    d_pred = 2.0 * res / len(w)
     d_losses = np.sum(d_pred * scale * power, axis=0)
     d_scale = float(np.sum(d_pred * losses[None, :] * power))
     adj = (d_pred * scale * losses[None, :]) * np.conj(out)
     d_phases, d_r = _adjoint_sweep(layout, tape, adj)
     d_phi_act = layout.actuated_from_phases(2.0 * np.real(d_phases))
     d_refl = 2.0 * np.real(d_r.sum(axis=0))
-    d_a = d_phi_act.T @ batch.w
-    d_b = d_phi_act.sum(axis=0)
-    grad = _pack(d_a, d_b, d_refl, d_losses, d_scale)
-    return value, grad
+    return value, _pack(d_phi_act.T @ w, d_phi_act.sum(axis=0), d_refl, d_losses, d_scale)
 
 
 def calibrate(
-    measurements: list[IntensityMeasurement],
-    layout: MeshLayout,
-    initial: HardwareModel | None = None,
+    data: IntensityData, layout: MeshLayout, initial: HardwareModel | None = None,
     maxiter: int = 20000,
 ) -> HardwareModel:
-    """Fit a full crosstalk model to intensity measurements.
+    """Fit a full crosstalk model to the intensity measurements in ``data``.
 
     Optimizes A, b, every coupler reflectivity, relative output losses
     and one nuisance intensity scale by quasi-Newton descent on the mean
     squared intensity error, with gradients from a reverse-mode sweep of
     the mesh simulation. Voltages are normalized to the ``v_max`` of the
     prior (``initial`` or the nominal one), which the fit keeps, so the
-    crosstalk block is as well scaled as the offsets.
+    crosstalk block is as well scaled as the offsets. A record with no
+    rows returns the prior.
     """
     from scipy.optimize import minimize
 
     prior = initial if initial is not None else HardwareModel.prior(layout.m)
-    _check_layout(prior, layout)
-    if not measurements:
+    _check_layout(prior, layout, data)
+    n_rows = len(data.input_modes)
+    if not n_rows:
         return prior
-    p = layout.n_actuated
-    n_params = p * p + p + 2 * layout.n_cells + layout.m + 1
-    if len(measurements) * layout.m < n_params:
+    w_scale = prior.v_max**2
+    x0 = _pack(prior.a * w_scale, prior.b, prior.reflectivities, prior.output_losses, 1.0)
+    if n_rows * layout.m < x0.size:
         warnings.warn(
-            f"{len(measurements)} measurements for {n_params} parameters; "
+            f"{n_rows} measurements for {x0.size} parameters; "
             "fit is underdetermined and covariances are unreliable",
             stacklevel=2,
         )
-
-    w_scale = prior.v_max**2
-    volts = np.array([mm.voltages for mm in measurements])
-    batch = _Batch(
-        w=(volts * volts) / w_scale,
-        inputs=np.array([mm.input_mode for mm in measurements]),
-        y=np.array([mm.intensities for mm in measurements]),
-    )
-    x0 = _pack(
-        prior.a * w_scale, prior.b, prior.reflectivities, prior.output_losses, 1.0
-    )
-    bounds = (
-        [(None, None)] * (p * p + p)
-        + [(0.01, 0.99)] * (2 * layout.n_cells)
-        + [(1e-3, 1.0)] * layout.m
-        + [(1e-6, None)]
-    )
     res = minimize(
         _objective,
         x0,
-        args=(layout, batch),
+        args=(layout, (data.voltages * data.voltages) / w_scale, data),
         jac=True,
         method="L-BFGS-B",
-        bounds=bounds,
+        bounds=[bound for shape, bound in _blocks(layout) for _ in range(math.prod(shape))],
         options={"maxiter": maxiter, "maxfun": maxiter + 5000, "ftol": 1e-14, "gtol": 1e-11},
     )
-    a, b, refl, losses, _ = _unpack(res.x, p, layout.n_cells, layout.m)
-    losses = losses / losses.max()
+    a, b, refl, losses, _ = _unpack(res.x, layout)
     return HardwareModel(
         m=layout.m,
         a=a / w_scale,
         b=np.mod(b, 2.0 * np.pi),
         reflectivities=np.clip(refl, 1e-4, 1.0 - 1e-4),
-        output_losses=losses,
+        output_losses=losses / losses.max(),
         v_max=prior.v_max,
     )
 
@@ -426,27 +411,19 @@ def crosstalk_free_baseline(hw: HardwareModel) -> HardwareModel:
     global model fit: diagonal response only, nominal couplers, no loss
     information.
     """
-    return HardwareModel(
-        m=hw.m,
-        a=np.diag(np.diag(hw.a)),
-        b=hw.b.copy(),
-        reflectivities=np.full_like(hw.reflectivities, 0.5),
-        output_losses=np.ones(hw.m),
-        v_max=hw.v_max,
+    return replace(
+        HardwareModel.prior(hw.m), a=np.diag(np.diag(hw.a)), b=hw.b.copy(), v_max=hw.v_max
     )
 
 
-def held_out_tvd(
-    hw: HardwareModel, measurements: list[IntensityMeasurement], layout: MeshLayout
-) -> float:
-    """Mean TVD between normalized predicted and observed intensities."""
-    _check_layout(hw, layout)
-    if not measurements:
+def held_out_tvd(hw: HardwareModel, data: IntensityData, layout: MeshLayout) -> float:
+    """Mean over the rows of ``data`` of the TVD between ``hw``'s normalized
+    predicted intensities and the normalized observed ones."""
+    _check_layout(hw, layout, data)
+    if not len(data.input_modes):
         raise ValueError("held_out_tvd needs at least one measurement")
-    phases = _logical_phases(hw, layout, [mm.voltages for mm in measurements])
-    pred = _intensities(hw, layout, phases, [mm.input_mode for mm in measurements])
-    obs = np.array([mm.intensities for mm in measurements]).reshape(pred.shape)
-    return float(np.mean(_tvd(pred, obs)))
+    pred = _intensities(hw, layout, _logical_phases(hw, layout, data.voltages), data.input_modes)
+    return float(np.mean(_tvd(pred, data.intensities)))
 
 
 @dataclass

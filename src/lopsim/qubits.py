@@ -45,6 +45,7 @@ The module also owns the 2x2 gate constants that other modules import.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Mapping, Sequence
@@ -130,7 +131,8 @@ class QubitEncoding:
 
     ``qubit_pairs[q]`` is the ordered (rail 0, rail 1) pair of qubit q.
     Ancilla modes form the pool that entangling gates draw from; they
-    start and must end in vacuum.
+    start and must end in vacuum.  Each mode is taken through
+    ``operator.index``, so a float mode raises ``TypeError``.
     """
 
     qubit_pairs: tuple[tuple[int, int], ...]
@@ -138,8 +140,8 @@ class QubitEncoding:
     n_modes: int = 0
 
     def __post_init__(self) -> None:
-        pairs = tuple((int(a), int(b)) for a, b in self.qubit_pairs)
-        ancillas = tuple(int(a) for a in self.ancilla_modes)
+        pairs = tuple((operator.index(a), operator.index(b)) for a, b in self.qubit_pairs)
+        ancillas = tuple(map(operator.index, self.ancilla_modes))
         object.__setattr__(self, "qubit_pairs", pairs)
         object.__setattr__(self, "ancilla_modes", ancillas)
         used = [mode for pair in pairs for mode in pair] + list(ancillas)
@@ -331,9 +333,10 @@ class PostselectionRule:
     photon count on a set of modes and the state must match one of them.
     With ``threshold`` the rule only distinguishes click from no-click on
     every mode, which is what threshold detectors resolve.  Every mode
-    the rule reads must be nonnegative.  Fields given as lists are
-    stored as tuples, so a rule built from lists equals and hashes as
-    its tuple rule.
+    and herald count is taken through ``operator.index`` (a float raises
+    ``TypeError``), and every mode the rule reads must be nonnegative.
+    Fields given as lists are stored as tuples, so a rule built from
+    lists equals and hashes as its tuple rule.
     """
 
     qubit_pairs: tuple[tuple[int, int], ...]
@@ -342,9 +345,12 @@ class PostselectionRule:
     threshold: bool = False
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "qubit_pairs", tuple(map(tuple, self.qubit_pairs)))
-        object.__setattr__(self, "vacuum_modes", tuple(self.vacuum_modes))
-        heralds = tuple(tuple(map(tuple, pattern)) for pattern in self.heralds)
+        pairs = tuple(tuple(map(operator.index, pair)) for pair in self.qubit_pairs)
+        object.__setattr__(self, "qubit_pairs", pairs)
+        object.__setattr__(self, "vacuum_modes", tuple(map(operator.index, self.vacuum_modes)))
+        heralds = tuple(
+            tuple(tuple(map(operator.index, entry)) for entry in pattern) for pattern in self.heralds
+        )
         object.__setattr__(self, "heralds", heralds)
         negative = [mode for mode in self._modes() if mode < 0]
         if negative:
@@ -424,7 +430,8 @@ def logical_distributions(
 
     This is the dual-rail readout path of the F_avg plans, the GHZ
     factory and the VQE ansatz.  ``unitaries`` is a ``(B, m, m)`` stack,
-    each fed one photon per mode of ``input_modes``.  With ``source=None``
+    each fed one photon per mode of ``input_modes`` (integers: a float
+    mode raises ``TypeError`` on either path).  With ``source=None``
     the photons are ideal and the stack runs through one
     :func:`~lopsim.fock.batched_amplitudes` pass; with a source, its
     labeled input (:func:`~lopsim.sources.build_input`) runs through one
@@ -436,7 +443,7 @@ def logical_distributions(
     """
     unitaries = np.asarray(unitaries, dtype=complex)
     m = unitaries.shape[1]
-    modes = np.asarray(input_modes, dtype=np.intp)
+    modes = tuple(map(operator.index, input_modes))
     if source is None:
         amps = batched_amplitudes(unitaries, modes)
         sectors = {len(modes): np.abs(amps.T) ** 2}

@@ -44,6 +44,7 @@ parity (:func:`genuine_indistinguishability`).
 from __future__ import annotations
 
 import itertools
+import operator
 import warnings
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
@@ -226,12 +227,13 @@ def build_input(
     Args:
         n: number of triggers.
         src: source noise parameters.
-        modes: input mode per trigger; defaults to ``0..n-1``.
+        modes: input mode per trigger, each an integer (a float raises
+            ``TypeError``); defaults to ``0..n-1``.
     """
     if modes is None:
         modes = tuple(range(n))
     else:
-        modes = tuple(int(q) for q in modes)
+        modes = tuple(map(operator.index, modes))
         if len(modes) != n:
             raise ValueError(f"expected {n} input modes, got {len(modes)}")
     ms = src.m_values(n)
@@ -293,7 +295,7 @@ def _mix_photon(
 
 def _pair_key(pairs: Sequence[Sequence[int]], m: int) -> tuple[tuple[int, int], ...]:
     """``pairs`` as sorted pairs in sorted order; refuses modes outside ``[0, m)`` or shared."""
-    key = tuple(sorted(tuple(sorted((int(a), int(b)))) for a, b in pairs))
+    key = tuple(sorted(tuple(sorted((operator.index(a), operator.index(b)))) for a, b in pairs))
     modes = [q for pair in key for q in pair]
     outside = [q for q in modes if not 0 <= q < m]
     if outside:

@@ -47,7 +47,7 @@ from lopsim.fock import (
 from lopsim.hardware import (
     TRANSPILE_MAX_ROUNDS,
     HardwareModel,
-    IntensityMeasurement,
+    IntensityData,
     TranspilationError,
     _intensities,
     _tvd,
@@ -962,7 +962,7 @@ def benchmark_tvds_per_row(
 
 def measurements_per_row(
     hw: HardwareModel, layout: MeshLayout, n: int, seed: int, noise: float, scale: float
-) -> list[IntensityMeasurement]:
+) -> IntensityData:
     """Random-drive intensity data with the phases of each drive formed on its own."""
     rng = np.random.default_rng(seed)
     volts, gains = [], []
@@ -973,7 +973,4 @@ def measurements_per_row(
     phases = layout.phases_from_actuated(np.array([phases_per_row(v, hw) for v in volts]))
     clean = scale * _intensities(hw, layout, phases, inputs)
     noisy = np.clip(clean * np.array(gains), 0.0, None)
-    return [
-        IntensityMeasurement(tuple(v), input_mode, tuple(row))
-        for v, input_mode, row in zip(volts, inputs, noisy)
-    ]
+    return IntensityData(np.array(volts), np.array(inputs), noisy)

@@ -16,6 +16,7 @@ from lopsim.fock import (
     strong_simulate,
 )
 from lopsim.sources import SourceModel, build_input, noisy_simulate
+from lopsim.qubits import PostselectionRule, QubitEncoding, logical_distributions
 from lopsim.validation import collision_free_reference
 
 from _oracles import (
@@ -58,6 +59,30 @@ def test_every_entry_point_refuses_a_bad_mode(entry, bad, error, message):
     # a float mode would pass an int() conversion and a negative one index from the end
     with pytest.raises(error, match=message):
         BAD_MODE_CALLS[entry](bad)
+
+
+#: Each other reader of modes, called with a fractional mode that int()
+#: or an intp cast would truncate into range.
+FRACTIONAL_MODE_CALLS = {
+    "build_input": lambda: build_input(2, SourceModel(), modes=(1.5, -0.5)),
+    "logical_distributions_ideal": lambda: logical_distributions(
+        np.eye(2)[None], (1.5,), PostselectionRule(((0, 1),))
+    ),
+    "logical_distributions_noisy": lambda: logical_distributions(
+        np.eye(2)[None], (1.5,), PostselectionRule(((0, 1),)), SourceModel(efficiency=0.9)
+    ),
+    "PostselectionRule": lambda: PostselectionRule(((0.5, 1),)),
+    "QubitEncoding": lambda: QubitEncoding(((0.7, 1.2),)),
+    "one_click_pairs": lambda: noisy_simulate(
+        U4, build_input(2, SourceModel()), one_click_pairs=((0.9, 1.9),)
+    ),
+}
+
+
+@pytest.mark.parametrize("entry", list(FRACTIONAL_MODE_CALLS))
+def test_every_mode_reader_refuses_a_fractional_mode(entry):
+    with pytest.raises(TypeError, match="integer"):
+        FRACTIONAL_MODE_CALLS[entry]()
 
 
 def test_the_listed_order_of_the_photons_does_not_change_a_result():

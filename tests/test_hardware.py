@@ -1,6 +1,7 @@
 """Tests for the voltage-phase model, transpilation and calibration."""
 
 import dataclasses
+import hashlib
 import re
 
 import numpy as np
@@ -9,9 +10,8 @@ import pytest
 from lopsim import hardware
 from lopsim.hardware import (
     HardwareModel,
-    IntensityMeasurement,
+    IntensityData,
     TranspilationError,
-    _Batch,
     _intensities,
     _logical_phases,
     _objective,
@@ -33,6 +33,11 @@ from _oracles import (
     measurements_per_row,
     voltages_from_phases_per_row,
 )
+
+
+def no_rows(m):
+    """Intensity data with no measurement for an m-mode chip."""
+    return IntensityData(np.empty((0, MeshLayout(m).n_actuated)), np.empty(0, int), np.empty((0, m)))
 
 
 def column_powers(hw, layout, voltages, input_mode, scale=1.0):
@@ -183,23 +188,17 @@ class TestForwardModel:
     def test_measurements_cycle_inputs(self):
         layout = MeshLayout(4)
         hw = HardwareModel.synthetic(4, rng=12)
-        meas = generate_measurements(hw, layout, 8, rng=13)
-        assert [mm.input_mode for mm in meas] == [0, 1, 2, 3, 0, 1, 2, 3]
-        for mm in meas:
-            assert min(mm.intensities) >= 0.0
+        data = generate_measurements(hw, layout, 8, rng=13)
+        assert data.input_modes.tolist() == [0, 1, 2, 3, 0, 1, 2, 3]
+        assert data.intensities.min() >= 0.0
 
 
 class TestCalibration:
     def test_gradient_matches_finite_differences(self):
         layout = MeshLayout(3)
         hw = HardwareModel.synthetic(3, rng=14)
-        meas = generate_measurements(hw, layout, 25, rng=15, noise=0.0)
-        volts = np.array([mm.voltages for mm in meas])
-        batch = _Batch(
-            w=volts * volts,
-            inputs=np.array([mm.input_mode for mm in meas]),
-            y=np.array([mm.intensities for mm in meas]),
-        )
+        data = generate_measurements(hw, layout, 25, rng=15, noise=0.0)
+        w = data.voltages * data.voltages
         rng = np.random.default_rng(16)
         p, nc, m = layout.n_actuated, layout.n_cells, layout.m
         x = _pack(
@@ -209,17 +208,17 @@ class TestCalibration:
             np.full(m, 0.9),
             1.1,
         )
-        value, grad = _objective(x, layout, batch)
+        value, grad = _objective(x, layout, w, data)
         for idx in rng.choice(len(x), 20, replace=False):
             e = np.zeros_like(x)
             e[idx] = 1e-6
-            up, _ = _objective(x + e, layout, batch)
-            down, _ = _objective(x - e, layout, batch)
+            up, _ = _objective(x + e, layout, w, data)
+            down, _ = _objective(x - e, layout, w, data)
             assert (up - down) / 2e-6 == pytest.approx(grad[idx], abs=2e-6)
 
     def test_no_measurements_returns_prior(self):
         layout = MeshLayout(4)
-        fit = calibrate([], layout)
+        fit = calibrate(no_rows(4), layout)
         prior = HardwareModel.prior(4)
         assert np.allclose(fit.a, prior.a)
         assert np.allclose(fit.b, prior.b)
@@ -266,6 +265,81 @@ class TestCalibration:
             assert np.array_equal(getattr(fits[0], field), getattr(fits[1], field)), field
 
 
+#: sha256 over the bytes of the fitted ``a``, ``b``, ``reflectivities`` and
+#: ``output_losses`` of ``calibrate(maxiter=100)``, keyed by (m, chip seed,
+#: data seed, rows); recorded when each measurement was still its own object.
+PINNED_FITS = {
+    (3, 140, 141, 120): "199369e10f837e4ba66849e91dc63fb17155da81bd0c7bce83a17949b700824f",
+    (4, 142, 143, 200): "2434a76e4c625e2208d725e60d71e5e285856ee150b9b90adecf3bd7127fc50a",
+}
+
+
+@pytest.mark.parametrize("m, chip_seed, data_seed, n", list(PINNED_FITS))
+def test_seeded_calibration_fits_are_pinned(m, chip_seed, data_seed, n):
+    layout = MeshLayout(m)
+    chip = HardwareModel.synthetic(m, rng=chip_seed)
+    fit = calibrate(generate_measurements(chip, layout, n, rng=data_seed), layout, maxiter=100)
+    digest = hashlib.sha256()
+    for name in ("a", "b", "reflectivities", "output_losses"):
+        digest.update(getattr(fit, name).tobytes())
+    assert digest.hexdigest() == PINNED_FITS[m, chip_seed, data_seed, n]
+
+
+@pytest.fixture(scope="module")
+def m3_data():
+    layout = MeshLayout(3)
+    hw = HardwareModel.synthetic(3, rng=27)
+    return layout, hw, generate_measurements(hw, layout, 6, rng=28)
+
+
+#: Arrays (voltages, input_modes, intensities) built from the 6-row 3-mode
+#: record, the error each must raise and its message.
+BAD_RECORDS = {
+    "voltage_rows": (
+        lambda d: (d.voltages[:5], d.input_modes, d.intensities), ValueError, "expected voltages"
+    ),
+    "input_rows": (
+        lambda d: (d.voltages, d.input_modes[:5], d.intensities), ValueError, "expected voltages"
+    ),
+    "intensity_rows": (
+        lambda d: (d.voltages, d.input_modes, d.intensities[:5]), ValueError, "expected voltages"
+    ),
+    "negative_mode": (
+        lambda d: (d.voltages, np.full(6, -1), d.intensities),
+        ValueError,
+        "input mode -1 out of range for m=3",
+    ),
+    "mode_past_m": (
+        lambda d: (d.voltages, np.full(6, 3), d.intensities),
+        ValueError,
+        "input mode 3 out of range for m=3",
+    ),
+    "float_mode": (lambda d: (d.voltages, np.full(6, 1.0), d.intensities), TypeError, "integers"),
+}
+
+
+@pytest.mark.parametrize("case", list(BAD_RECORDS))
+def test_intensity_data_refuses_inconsistent_arrays(m3_data, case):
+    # mode -1 would index mode m - 1 and a float mode would fail inside numpy
+    arrays, error, message = BAD_RECORDS[case]
+    with pytest.raises(error, match=message):
+        IntensityData(*arrays(m3_data[2]))
+
+
+@pytest.mark.parametrize("reader", ["calibrate", "held_out_tvd"])
+def test_data_of_another_mode_count_is_refused(m3_data, reader):
+    # a single intensity column would broadcast over all three outputs
+    layout, hw, data = m3_data
+    one_column = IntensityData(data.voltages, np.zeros(6, int), data.intensities[:, :1])
+    four_modes = generate_measurements(HardwareModel.synthetic(4, rng=29), MeshLayout(4), 6, rng=30)
+    for bad in (one_column, four_modes):
+        with pytest.raises(ValueError, match="intensity data do not match the layout"):
+            if reader == "calibrate":
+                calibrate(bad, layout, maxiter=1)
+            else:
+                held_out_tvd(hw, bad, layout)
+
+
 class TestBenchmark:
     def test_matched_model_is_exact(self):
         layout = MeshLayout(4)
@@ -298,7 +372,7 @@ class TestBenchmark:
     def test_held_out_tvd_needs_a_measurement(self):
         hw = HardwareModel.synthetic(4, rng=21)
         with pytest.raises(ValueError, match="at least one measurement"):
-            held_out_tvd(hw, [], MeshLayout(4))
+            held_out_tvd(hw, no_rows(4), MeshLayout(4))
 
     def test_statistics_fields(self):
         layout = MeshLayout(3)
@@ -321,25 +395,24 @@ class TestBatchedIntensities:
 
     def test_noiseless_measurements(self, chip):
         layout, hw, _ = chip
-        meas = generate_measurements(hw, layout, 30, rng=25, noise=0.0, scale=0.8)
+        data = generate_measurements(hw, layout, 30, rng=25, noise=0.0, scale=0.8)
         rng = np.random.default_rng(25)
-        for i, mm in enumerate(meas):
+        for i in range(30):
             v = rng.uniform(0.0, hw.v_max, size=12)
             rng.standard_normal(4)
-            assert mm.voltages == tuple(v)
-            assert mm.input_mode == i % 4
+            assert np.array_equal(data.voltages[i], v)
+            assert data.input_modes[i] == i % 4
             expected = column_powers(hw, layout, v, i % 4, scale=0.8)
-            assert np.max(np.abs(np.array(mm.intensities) - expected)) < 1e-12
+            assert np.max(np.abs(data.intensities[i] - expected)) < 1e-12
 
     def test_held_out_tvd(self, chip):
         layout, hw, est = chip
-        meas = generate_measurements(hw, layout, 30, rng=26)
+        data = generate_measurements(hw, layout, 30, rng=26)
         tvds = []
-        for mm in meas:
-            pred = column_powers(est, layout, np.array(mm.voltages), mm.input_mode)
-            obs = np.array(mm.intensities)
+        for volts, input_mode, obs in zip(data.voltages, data.input_modes, data.intensities):
+            pred = column_powers(est, layout, volts, input_mode)
             tvds.append(0.5 * np.sum(np.abs(pred / pred.sum() - obs / obs.sum())))
-        assert abs(held_out_tvd(est, meas, layout) - np.mean(tvds)) < 1e-12
+        assert abs(held_out_tvd(est, data, layout) - np.mean(tvds)) < 1e-12
 
     def test_benchmark_tvds(self, chip):
         layout, hw, est = chip
@@ -450,4 +523,6 @@ class TestBatchedTranspiler:
         layout = MeshLayout(6)
         chip = HardwareModel.synthetic(6, rng=130)
         got = generate_measurements(chip, layout, 200, rng=131, noise=noise, scale=scale)
-        assert got == measurements_per_row(chip, layout, 200, 131, noise, scale)
+        expected = measurements_per_row(chip, layout, 200, 131, noise, scale)
+        for name in ("voltages", "input_modes", "intensities"):
+            assert np.array_equal(getattr(got, name), getattr(expected, name)), name

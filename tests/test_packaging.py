@@ -452,15 +452,17 @@ def test_every_tracer_observer_reads_a_real_call(tracing):
     assert 0.0 < infos["qubits.logical_distribution"]["qubits.accept_weight"] <= 1.0
 
 
-def _unused_imports(source: Path = ROOT / "src" / "lopsim") -> list[str]:
+def _unused_imports(*sources: Path) -> list[str]:
     """``file:name`` of each name a module imports (``__future__`` aside) and never reads.
 
-    A read is an ``ast.Name`` anywhere in the module, so a docstring or
-    comment mention does not count.  ``__init__.py`` is left out: its
-    imports are the package's exports.
+    Scans the ``*.py`` files of ``sources``, by default ``src/lopsim``
+    and ``tests``.  A read is an ``ast.Name`` anywhere in the module, so
+    a docstring or comment mention does not count.  ``__init__.py`` is
+    left out: its imports are the package's exports.
     """
     found = []
-    for path in sorted(source.glob("*.py")):
+    defaults = (ROOT / "src" / "lopsim", ROOT / "tests")
+    for path in sorted(path for source in sources or defaults for path in source.glob("*.py")):
         if path.name == "__init__.py":
             continue
         tree = ast.parse(path.read_text(encoding="utf-8"))

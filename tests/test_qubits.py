@@ -13,14 +13,12 @@ from lopsim.fock import ModeUnitary, output_amplitude, strong_simulate
 from lopsim.mesh import PhotonicCircuit, two_mode_gate_elements
 from lopsim.qubits import (
     CNOT_SUCCESS,
-    GHZ_HERALD_MODES,
     GHZ_INPUT_MODES,
     GHZ_MEASUREMENT_SETTINGS,
     TOFFOLI_SUCCESS,
     CompilationError,
     Gate,
     GateCircuit,
-    HeraldPattern,
     PostselectionRule,
     QubitEncoding,
     compile_gate_circuit,

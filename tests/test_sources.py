@@ -15,7 +15,6 @@ from lopsim.fock import (
 from lopsim.mesh import DirectionalCoupler, PhaseShifter, PhotonicCircuit
 from lopsim.sources import (
     SHARED_LABEL,
-    FringeFit,
     TAIL_TOLERANCE,
     LabeledPhoton,
     SourceModel,
