@@ -25,7 +25,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from lopsim.fock import ModeUnitary, _seeded_rng
-from lopsim.mesh import MeshLayout, _adjoint_sweep, _forward_sweep
+from lopsim.mesh import MeshLayout, _Workspace, _adjoint_sweep, _forward_sweep
 
 __all__ = [
     "HardwareModel",
@@ -171,8 +171,7 @@ def phases_from_voltages(voltages: np.ndarray, hw: HardwareModel) -> np.ndarray:
     voltages = np.asarray(voltages, dtype=float)
     if voltages.shape[-1:] != hw.b.shape:
         raise ValueError(f"expected {hw.b.shape[0]} voltages, got {voltages.shape}")
-    if not np.all((voltages >= 0) & (voltages <= hw.v_max + 1e-9)):
-        raise ValueError("voltages outside [0, v_max]")
+    _check_drive_range(voltages, hw)
     # A stack of matrix-vector products: each row matches hw.a @ row bit for bit.
     return np.matmul(hw.a, (voltages * voltages)[..., None])[..., 0] + hw.b
 
@@ -255,11 +254,22 @@ def unitary_at_voltages(
     return layout.unitary(layout.phases_from_actuated(actuated), hw.reflectivities)
 
 
+def _check_drive_range(voltages: np.ndarray, hw: HardwareModel) -> None:
+    if not np.all((voltages >= 0) & (voltages <= hw.v_max + 1e-9)):
+        raise ValueError("voltages outside [0, v_max]")
+
+
 def _check_layout(hw: HardwareModel, layout: MeshLayout, data: IntensityData | None = None) -> None:
+    """Refuse a model, and a record when given, that do not fit ``layout``,
+    and a record driven outside ``[0, hw.v_max]``, so every reader of a
+    record refuses the same ones."""
     if layout.m != hw.m or layout.n_actuated != hw.b.shape[0]:
         raise ValueError("hardware model does not match the layout")
-    if data and data.voltages.shape[1:] + data.intensities.shape[1:] != (hw.b.size, hw.m):
+    if data is None:
+        return
+    if data.voltages.shape[1:] + data.intensities.shape[1:] != (hw.b.size, hw.m):
         raise ValueError("intensity data do not match the layout")
+    _check_drive_range(data.voltages, hw)
 
 
 def _logical_phases(hw: HardwareModel, layout: MeshLayout, volts) -> np.ndarray:
@@ -330,17 +340,19 @@ def _unpack(x: np.ndarray, layout: MeshLayout) -> list[np.ndarray]:
 
 
 def _objective(
-    x: np.ndarray, layout: MeshLayout, w: np.ndarray, data: IntensityData
+    x: np.ndarray, layout: MeshLayout, w: np.ndarray, data: IntensityData,
+    rows: np.ndarray, work: _Workspace,
 ) -> tuple[float, np.ndarray]:
     """Mean squared intensity error on ``data`` and its gradient (reverse mode).
 
-    ``w`` holds the squared voltages of ``data`` in the units of the packed A.
+    ``w`` holds the squared voltages of ``data`` in the units of the packed A,
+    ``rows`` the one-hot input rows, and ``work`` the sweep workspace of
+    ``len(rows)`` rows with per-row phases that the evaluation writes into.
     """
     a, b, refl, losses, scale = _unpack(x, layout)
     refl_c = np.clip(refl, 1e-4, 1.0 - 1e-4)
     phases = layout.phases_from_actuated(w @ a.T + b)
-    rows = np.eye(layout.m, dtype=complex)[data.input_modes]
-    out, tape = _forward_sweep(layout, rows, phases, refl_c)
+    out, tape = _forward_sweep(layout, rows, phases, refl_c, work)
     power = np.abs(out) ** 2
     pred = scale * losses[None, :] * power
     res = pred - data.intensities
@@ -387,7 +399,13 @@ def calibrate(
     res = minimize(
         _objective,
         x0,
-        args=(layout, (data.voltages * data.voltages) / w_scale, data),
+        args=(
+            layout,
+            (data.voltages * data.voltages) / w_scale,
+            data,
+            np.eye(layout.m, dtype=complex)[data.input_modes],
+            _Workspace(layout, n_rows, True),
+        ),
         jac=True,
         method="L-BFGS-B",
         bounds=[bound for shape, bound in _blocks(layout) for _ in range(math.prod(shape))],

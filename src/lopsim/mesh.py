@@ -28,12 +28,22 @@ derivatives from those and the tape. At a phase element the product is
 ``1j * a_top * s_top`` (cotangent times state on the top mode), so no
 2x2 derivative blocks are formed. The unitary, the compile objective and
 every calibration and benchmark intensity go through this pair.
+
+Both sweeps write into a workspace (``_Workspace``) that the caller owns,
+one per shape of rows and phases. ``hardware.calibrate`` builds one per
+fit and hands it to every objective evaluation, so a fit makes its state,
+tape, cotangent and derivative arrays once; a caller that passes none gets
+a fresh one through the same code. The output and tape of a forward sweep
+hold until the next forward sweep on the workspace, and the derivatives
+of an adjoint sweep until its next adjoint sweep.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
+from types import SimpleNamespace
 from typing import Sequence
 
 import numpy as np
@@ -335,6 +345,49 @@ class MeshLayout:
         return circuit
 
 
+class _Workspace:
+    """The arrays the sweeps over one shape write into, call after call.
+
+    One workspace serves ``n_rows`` row states on ``layout`` under one
+    logical phase vector shared by every row, or one per row
+    (``per_row``). ``calibrate`` builds one per fit, so every objective
+    evaluation reuses one set of arrays instead of mapping fresh ones; a
+    sweep given none builds its own, so one-shot readers run the same
+    code. The forward sweep's arrays (state, tape, two scratch rows per
+    cell, output) are made here, the adjoint sweep's on its first call,
+    so forward-only readers never make them.
+    """
+
+    def __init__(self, layout: MeshLayout, n_rows: int, per_row: bool):
+        cells = layout.n_cells
+        # phase_order[j, c] is the logical index of phase j (theta, phi) of
+        # the c-th cell in layer order
+        self.phase_order = 2 * layout.layer_order + np.array([[0], [1]])
+        self.state = np.empty((layout.m, n_rows), dtype=complex)
+        self.e = np.empty((2, cells, n_rows if per_row else 1), dtype=complex)
+        self.x = np.empty((2, cells, n_rows), dtype=complex)
+        self.y = np.empty_like(self.x)
+        self.scratch = np.empty_like(self.x)
+        self.out = np.empty((n_rows, layout.m), dtype=complex)
+
+    @cached_property
+    def adjoint(self) -> SimpleNamespace:
+        """The adjoint sweep's arrays: the cotangent ``a`` (m, B); ``ax``,
+        ``ay`` and ``d_phases`` (2, n_cells, B) in layer order; a third
+        scratch row per cell ``w``; and the derivatives in cell order,
+        ``phase_grad`` and ``refl_grad`` (B, n_cells, 2)."""
+        x = self.x
+        return SimpleNamespace(
+            a=np.empty_like(self.state),
+            ax=np.empty_like(x),
+            ay=np.empty_like(x),
+            d_phases=np.empty_like(x),
+            w=np.empty_like(x[0]),
+            phase_grad=np.empty(x.shape[::-1], dtype=complex),
+            refl_grad=np.empty(x.shape[::-1], dtype=complex),
+        )
+
+
 @dataclass(frozen=True)
 class _Tape:
     """What the forward sweep recorded for the adjoint.
@@ -347,6 +400,10 @@ class _Tape:
     n_cells, B) hold every cell's top and bottom amplitudes entering
     coupler(r1) (``[0]``, after phase(phi)) and coupler(r2) (``[1]``, after
     phase(theta)).
+
+    ``e``, ``x`` and ``y`` are arrays of the workspace ``work``: the tape
+    serves any number of adjoint sweeps until the next forward sweep on
+    that workspace writes over it.
     """
 
     e: np.ndarray
@@ -355,38 +412,60 @@ class _Tape:
     refl: np.ndarray
     x: np.ndarray
     y: np.ndarray
+    work: _Workspace
+
+
+def _mix(a, x, b, y, p: np.ndarray, q: np.ndarray, out: np.ndarray) -> None:
+    """``out = a * x + b * y`` through the scratch ``p`` and ``q``.
+
+    Each product is written to a scratch array that is none of its
+    operands, because numpy rounds an in-place complex product of one
+    element differently from the same product out of place; ``out`` may be
+    ``p`` or ``q``.
+    """
+    np.multiply(a, x, out=p)
+    np.multiply(b, y, out=q)
+    np.add(p, q, out=out)
 
 
 def _forward_sweep(
-    layout: MeshLayout, rows: np.ndarray, phases: np.ndarray, refl: np.ndarray
+    layout: MeshLayout,
+    rows: np.ndarray,
+    phases: np.ndarray,
+    refl: np.ndarray,
+    work: _Workspace | None = None,
 ) -> tuple[np.ndarray, _Tape]:
     """Push row states (B, m) through the mesh, one layer at a time.
 
     ``phases`` is one logical vector shared by every row, or one per row
     (B, n_logical); ``refl`` is the (n_cells, 2) coupler table. Returns
     ``out`` (B, m), where ``out[b]`` is the mesh transfer matrix applied to
-    ``rows[b]``, and the tape that ``_adjoint_sweep`` reads. The phase
-    factors are formed once and one (m, B) state array is updated in
-    place; the tape gets copies of the amplitudes it needs.
+    ``rows[b]``, and the tape that ``_adjoint_sweep`` reads. Both live in
+    ``work`` (a fresh workspace when None) until its next forward sweep.
+    The phase factors are formed once and one (m, B) state array is
+    updated in place; the tape gets copies of the amplitudes it needs.
     """
-    order = layout.layer_order
-    cell_phases = np.reshape(phases, (-1, layout.n_cells, 2))[:, order]
-    e = np.exp(1j * np.ascontiguousarray(cell_phases.T))
-    refl = np.ascontiguousarray(refl[order].T)[..., None]
+    if work is None:
+        work = _Workspace(layout, len(rows), np.ndim(phases) == 2)
+    s, e, x, y = work.state, work.e, work.x, work.y
+    np.multiply(1j, np.reshape(phases, (-1, layout.n_logical)).T[work.phase_order], out=e)
+    np.exp(e, out=e)
+    refl = np.ascontiguousarray(refl[layout.layer_order].T)[..., None]
     t, k = np.sqrt(refl), 1j * np.sqrt(1.0 - refl)
-    s = np.array(rows.T, dtype=complex, order="C")
-    x = np.empty((2, layout.n_cells, s.shape[1]), dtype=complex)
-    y = np.empty_like(x)
+    np.copyto(s, rows.T)
     for span, top, bot in layout.layers:
         t1, k1, t2, k2 = t[0, span], k[0, span], t[1, span], k[1, span]
         x1, y1, x3, y3 = x[0, span], y[0, span], x[1, span], y[1, span]
-        x1[...] = s[top] * e[1, span]
+        p, q = work.scratch[0, span], work.scratch[1, span]
+        np.multiply(s[top], e[1, span], out=x1)
         y1[...] = s[bot]
-        x3[...] = (t1 * x1 + k1 * y1) * e[0, span]
-        y3[...] = k1 * x1 + t1 * y1
-        s[top] = t2 * x3 + k2 * y3
-        s[bot] = k2 * x3 + t2 * y3
-    return np.ascontiguousarray(s.T), _Tape(e, t, k, refl, x, y)
+        _mix(t1, x1, k1, y1, p, q, out=p)
+        np.multiply(p, e[0, span], out=x3)
+        _mix(k1, x1, t1, y1, p, q, out=y3)
+        _mix(t2, x3, k2, y3, p, q, out=s[top])
+        _mix(k2, x3, t2, y3, p, q, out=s[bot])
+    np.copyto(work.out, s.T)
+    return work.out, _Tape(e, t, k, refl, x, y, work)
 
 
 def _adjoint_sweep(
@@ -398,19 +477,18 @@ def _adjoint_sweep(
     serves any number of cotangents. For each row b, with ``a =
     adjoint[b]`` and ``out`` the forward output row, returns ``a . d out /
     d phase`` as (B, n_logical) in logical order and ``a . d out / d r``
-    as (B, n_cells, 2). The layer loop (``_cotangents``) only carries the
-    cotangent back; one pass over all cells (``_cell_derivatives``) then
-    forms both derivatives, in layer order, and they are permuted back to
-    cell order once, at the end. The two stages are functions of their own
-    so their stored cotangents and scratch are freed before the permuted
-    copies are made.
+    as (B, n_cells, 2). Both are arrays of the tape's workspace, written
+    over by its next adjoint sweep. The layer loop (``_cotangents``) only
+    carries the cotangent back; one pass over all cells
+    (``_cell_derivatives``) then forms both derivatives, in layer order,
+    and they are permuted back to cell order once, at the end.
     """
     d_phases, d_refl = _cell_derivatives(tape, *_cotangents(layout, tape, adjoint))
-    inverse = layout.layer_inverse
-    return (
-        np.take(d_phases.T, inverse, axis=1).reshape(-1, layout.n_logical),
-        np.take(d_refl.T, inverse, axis=1),
-    )
+    arrays = tape.work.adjoint
+    # mode="clip" takes straight into ``out``; the indices are in range
+    np.take(d_phases.T, layout.layer_inverse, axis=1, out=arrays.phase_grad, mode="clip")
+    np.take(d_refl.T, layout.layer_inverse, axis=1, out=arrays.refl_grad, mode="clip")
+    return arrays.phase_grad.reshape(-1, layout.n_logical), arrays.refl_grad
 
 
 def _cotangents(
@@ -423,17 +501,21 @@ def _cotangents(
     on the tape.
     """
     e, t, k = tape.e, tape.t, tape.k
-    a = np.array(adjoint.T, dtype=complex, order="C")
-    ax, ay = np.empty_like(tape.x), np.empty_like(tape.x)
+    arrays, scratch = tape.work.adjoint, tape.work.scratch
+    a, ax, ay = arrays.a, arrays.ax, arrays.ay
+    np.copyto(a, adjoint.T)
     for span, top, bot in reversed(layout.layers):
         t1, k1, t2, k2 = t[0, span], k[0, span], t[1, span], k[1, span]
         ax1, ay1, ax2, ay2 = ax[0, span], ay[0, span], ax[1, span], ay[1, span]
+        p, q = scratch[0, span], scratch[1, span]
         ax2[...] = a[top]
         ay2[...] = a[bot]
-        ax1[...] = (t2 * ax2 + k2 * ay2) * e[0, span]
-        ay1[...] = k2 * ax2 + t2 * ay2
-        a[top] = (t1 * ax1 + k1 * ay1) * e[1, span]
-        a[bot] = k1 * ax1 + t1 * ay1
+        _mix(t2, ax2, k2, ay2, p, q, out=p)
+        np.multiply(p, e[0, span], out=ax1)
+        _mix(k2, ax2, t2, ay2, p, q, out=ay1)
+        _mix(t1, ax1, k1, ay1, p, q, out=p)
+        np.multiply(p, e[1, span], out=a[top])
+        _mix(k1, ax1, t1, ay1, p, q, out=a[bot])
     return ax, ay
 
 
@@ -448,25 +530,20 @@ def _cell_derivatives(
     ``1j (t ax + k ay) x`` (cotangent times state on the top mode).
     Returns (theta, phi) and (r1, r2) derivatives, each (2, n_cells, B)
     in layer order; the second overwrites ``ax``. One coupler is done at a
-    time, so the scratch is three (n_cells, B) arrays. No product is
-    taken in place: numpy rounds an in-place complex product of one
-    element differently from the same product out of place.
+    time, so the scratch is three (n_cells, B) arrays.
     """
     t, k, x, y = tape.t, tape.k, tape.x, tape.y
     dt, dk = 0.5 / t, -0.5j / np.sqrt(1.0 - tape.refl)
-    d_phases = np.empty_like(x)
-    u, v, w = np.empty_like(x[0]), np.empty_like(x[0]), np.empty_like(x[0])
+    arrays = tape.work.adjoint
+    d_phases, (u, v), w = arrays.d_phases, tape.work.scratch, arrays.w
     for j in (0, 1):
         # Coupler(r1) follows phase(phi), coupler(r2) phase(theta).
-        np.multiply(t[j], ax[j], out=u)
-        u += np.multiply(k[j], ay[j], out=v)
+        _mix(t[j], ax[j], k[j], ay[j], u, v, out=u)
         np.multiply(1j, u, out=v)
         np.multiply(v, x[j], out=d_phases[1 - j])
-        np.multiply(dt[j], x[j], out=u)
-        u += np.multiply(dk[j], y[j], out=v)
+        _mix(dt[j], x[j], dk[j], y[j], u, v, out=u)
         np.multiply(ax[j], u, out=w)
-        np.multiply(dk[j], x[j], out=u)
-        u += np.multiply(dt[j], y[j], out=v)
+        _mix(dk[j], x[j], dt[j], y[j], u, v, out=u)
         np.multiply(ay[j], u, out=v)
         np.add(w, v, out=ax[j])
     return d_phases, ax

@@ -131,8 +131,8 @@ class QubitEncoding:
 
     ``qubit_pairs[q]`` is the ordered (rail 0, rail 1) pair of qubit q.
     Ancilla modes form the pool that entangling gates draw from; they
-    start and must end in vacuum.  Each mode is taken through
-    ``operator.index``, so a float mode raises ``TypeError``.
+    start and must end in vacuum.  Each mode, and ``n_modes``, is taken
+    through ``operator.index``, so a float raises ``TypeError``.
     """
 
     qubit_pairs: tuple[tuple[int, int], ...]
@@ -148,7 +148,7 @@ class QubitEncoding:
         if len(set(used)) != len(used):
             raise ValueError("rail and ancilla modes must be disjoint")
         n_modes = self.n_modes if self.n_modes else (max(used) + 1 if used else 0)
-        object.__setattr__(self, "n_modes", int(n_modes))
+        object.__setattr__(self, "n_modes", operator.index(n_modes))
         if used and not 0 <= min(used) <= max(used) < self.n_modes:
             raise ValueError("encoding uses modes outside the circuit")
 
@@ -182,7 +182,11 @@ _ROTATION_GATES = {"RX", "RY", "RZ"}
 
 @dataclass(frozen=True)
 class Gate:
-    """One gate application: a name, target qubits and an optional angle."""
+    """One gate application: a name, target qubits and an optional angle.
+
+    Each qubit index is taken through ``operator.index``, so a float raises
+    ``TypeError``.
+    """
 
     name: str
     qubits: tuple[int, ...]
@@ -191,7 +195,7 @@ class Gate:
     def __post_init__(self) -> None:
         name = self.name.upper()
         object.__setattr__(self, "name", name)
-        object.__setattr__(self, "qubits", tuple(int(q) for q in self.qubits))
+        object.__setattr__(self, "qubits", tuple(map(operator.index, self.qubits)))
         if name not in _GATE_ARITY:
             raise ValueError(f"unknown gate {self.name!r}")
         if len(self.qubits) != _GATE_ARITY[name]:

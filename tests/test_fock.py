@@ -16,7 +16,7 @@ from lopsim.fock import (
     strong_simulate,
 )
 from lopsim.sources import SourceModel, build_input, noisy_simulate
-from lopsim.qubits import PostselectionRule, QubitEncoding, logical_distributions
+from lopsim.qubits import Gate, PostselectionRule, QubitEncoding, logical_distributions
 from lopsim.validation import collision_free_reference
 
 from _oracles import (
@@ -61,8 +61,8 @@ def test_every_entry_point_refuses_a_bad_mode(entry, bad, error, message):
         BAD_MODE_CALLS[entry](bad)
 
 
-#: Each other reader of modes, called with a fractional mode that int()
-#: or an intp cast would truncate into range.
+#: Each other reader of modes (and of qubit indices and mode counts), called
+#: with a fractional value that int() or an intp cast would truncate into range.
 FRACTIONAL_MODE_CALLS = {
     "build_input": lambda: build_input(2, SourceModel(), modes=(1.5, -0.5)),
     "logical_distributions_ideal": lambda: logical_distributions(
@@ -73,6 +73,8 @@ FRACTIONAL_MODE_CALLS = {
     ),
     "PostselectionRule": lambda: PostselectionRule(((0.5, 1),)),
     "QubitEncoding": lambda: QubitEncoding(((0.7, 1.2),)),
+    "QubitEncoding_n_modes": lambda: QubitEncoding(((0, 1),), (), 2.7),
+    "Gate_qubits": lambda: Gate("H", (0.5,)),
     "one_click_pairs": lambda: noisy_simulate(
         U4, build_input(2, SourceModel()), one_click_pairs=((0.9, 1.9),)
     ),

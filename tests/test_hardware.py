@@ -3,6 +3,7 @@
 import dataclasses
 import hashlib
 import re
+import resource
 
 import numpy as np
 import pytest
@@ -26,7 +27,7 @@ from lopsim.hardware import (
     unitary_at_voltages,
     voltages_from_phases,
 )
-from lopsim.mesh import MeshLayout
+from lopsim.mesh import MeshLayout, _Workspace
 
 from _oracles import (
     benchmark_tvds_per_row,
@@ -208,12 +209,14 @@ class TestCalibration:
             np.full(m, 0.9),
             1.1,
         )
-        value, grad = _objective(x, layout, w, data)
+        rows = np.eye(3, dtype=complex)[data.input_modes]
+        args = (layout, w, data, rows, _Workspace(layout, 25, True))
+        value, grad = _objective(x, *args)
         for idx in rng.choice(len(x), 20, replace=False):
             e = np.zeros_like(x)
             e[idx] = 1e-6
-            up, _ = _objective(x + e, layout, w, data)
-            down, _ = _objective(x - e, layout, w, data)
+            up, _ = _objective(x + e, *args)
+            down, _ = _objective(x - e, *args)
             assert (up - down) / 2e-6 == pytest.approx(grad[idx], abs=2e-6)
 
     def test_no_measurements_returns_prior(self):
@@ -263,6 +266,45 @@ class TestCalibration:
         fits = [calibrate(data, layout, maxiter=20) for _ in range(2)]
         for field in ("a", "b", "reflectivities", "output_losses"):
             assert np.array_equal(getattr(fits[0], field), getattr(fits[1], field)), field
+
+
+def test_a_warm_fit_faults_in_no_fresh_sweep_buffers():
+    # Every objective evaluation used to allocate about 20 tape-sized arrays
+    # (up to 190 KB at 400 rows), which glibc mapped and faulted in afresh:
+    # this warm fit read 35,000-47,000 minor faults before the sweeps wrote
+    # into one workspace per fit.
+    layout = MeshLayout(6)
+    data = generate_measurements(HardwareModel.synthetic(6, rng=44), layout, 400, rng=45)
+    calibrate(data, layout, maxiter=100)
+    before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+    calibrate(data, layout, maxiter=100)
+    assert resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before <= 2000
+
+
+@pytest.mark.parametrize("n_rows", [1, 7, 400])
+@pytest.mark.parametrize("m", range(2, 9))
+def test_one_workspace_gives_the_objective_bits_of_fresh_ones(m, n_rows):
+    # a buffer that some evaluation left partly written would show here
+    layout = MeshLayout(m)
+    chip = HardwareModel.synthetic(m, rng=50 + m)
+    data = generate_measurements(chip, layout, n_rows, rng=60 + m)
+    w = (data.voltages * data.voltages) / chip.v_max**2
+    rows = np.eye(m, dtype=complex)[data.input_modes]
+    work = _Workspace(layout, n_rows, True)
+    rng = np.random.default_rng(70 + m)
+    p, nc = layout.n_actuated, layout.n_cells
+    for _ in range(4):
+        x = _pack(
+            np.eye(p) * 6.7 + rng.normal(0, 0.1, (p, p)),
+            rng.uniform(0, 2 * np.pi, p),
+            rng.uniform(0.3, 0.7, (nc, 2)),
+            rng.uniform(0.8, 1.0, m),
+            rng.uniform(0.5, 1.5),
+        )
+        shared = _objective(x, layout, w, data, rows, work)
+        fresh = _objective(x, layout, w, data, rows, _Workspace(layout, n_rows, True))
+        assert shared[0] == fresh[0]
+        assert shared[1].tobytes() == fresh[1].tobytes()
 
 
 #: sha256 over the bytes of the fitted ``a``, ``b``, ``reflectivities`` and
@@ -338,6 +380,20 @@ def test_data_of_another_mode_count_is_refused(m3_data, reader):
                 calibrate(bad, layout, maxiter=1)
             else:
                 held_out_tvd(hw, bad, layout)
+
+
+@pytest.mark.parametrize("reader", ["calibrate", "held_out_tvd"])
+@pytest.mark.parametrize("scale", [1.5, -1.0])
+def test_voltages_outside_the_drive_range_are_refused(m3_data, reader, scale):
+    # calibrate squares the voltages, so it used to fit a record that
+    # held_out_tvd then refused; both refuse it before any sweep now
+    layout, hw, data = m3_data
+    bad = IntensityData(scale * data.voltages, data.input_modes, data.intensities)
+    with pytest.raises(ValueError, match=re.escape("voltages outside [0, v_max]")):
+        if reader == "calibrate":
+            calibrate(bad, layout, maxiter=1)
+        else:
+            held_out_tvd(hw, bad, layout)
 
 
 class TestBenchmark:

@@ -21,6 +21,7 @@ from lopsim.mesh import (
     gauge_fidelity,
     two_mode_gate_elements,
     unitary_to_elements,
+    _Workspace,
     _adjoint_sweep,
     _apply_element,
     _forward_sweep,
@@ -435,18 +436,29 @@ class TestSweepOracle:
             )
 
     @pytest.mark.parametrize("m", [2, 5, 8])
-    def test_tape_survives_a_second_adjoint(self, m):
+    def test_a_tape_serves_every_adjoint_until_the_next_forward_sweep(self, m):
         layout = MeshLayout(m)
         rng = np.random.default_rng(60 + m)
         refl = rng.uniform(0.2, 0.8, size=(layout.n_cells, 2))
-        phases = rng.uniform(0.0, 2 * np.pi, size=(4, layout.n_logical))
+        phases = rng.uniform(0.0, 2 * np.pi, size=(2, 4, layout.n_logical))
         rows = np.eye(m, dtype=complex)[np.arange(4) % m]
-        adjoint = rng.normal(size=(4, m)) + 1j * rng.normal(size=(4, m))
-        _, tape = _forward_sweep(layout, rows, phases, refl)
-        first = _adjoint_sweep(layout, tape, adjoint)
-        second = _adjoint_sweep(layout, tape, adjoint)
-        assert np.array_equal(first[0], second[0])
-        assert np.array_equal(first[1], second[1])
+        cotangents = rng.normal(size=(3, 4, m)) + 1j * rng.normal(size=(3, 4, m))
+        # each expected pair from its own forward sweep on a fresh workspace
+        expected = [
+            _adjoint_sweep(layout, _forward_sweep(layout, rows, phases[0], refl)[1], adjoint)
+            for adjoint in cotangents
+        ]
+        work = _Workspace(layout, 4, True)
+        _, tape = _forward_sweep(layout, rows, phases[0], refl, work)
+        for _ in range(2):
+            for adjoint, (d_phases, d_refl) in zip(cotangents, expected):
+                got = _adjoint_sweep(layout, tape, adjoint)
+                assert got[0].tobytes() == d_phases.tobytes()
+                assert got[1].tobytes() == d_refl.tobytes()
+        # the next forward sweep on the workspace writes its tape over this one
+        _, later = _forward_sweep(layout, rows, phases[1], refl, work)
+        for old, new in zip((tape.e, tape.x, tape.y), (later.e, later.x, later.y)):
+            assert old is new
 
     @pytest.mark.parametrize("m", range(2, 13))
     def test_adjoint_matches_the_per_layer_kernel_bit_for_bit(self, m):

@@ -575,6 +575,74 @@ def test_every_allclose_sets_its_rtol():
     assert offenders == []
 
 
+#: The sweep kernels and the calibration objective, by file: every product
+#: they write into a buffer must stay the out-of-place ufunc call.
+SWEEP_KERNELS = {
+    "mesh.py": ("_forward_sweep", "_cotangents", "_cell_derivatives", "_adjoint_sweep", "_mix"),
+    "hardware.py": ("_objective",),
+}
+
+
+def _root_name(node) -> str | None:
+    while isinstance(node, (ast.Subscript, ast.Attribute)):
+        node = node.value
+    return node.id if isinstance(node, ast.Name) else None
+
+
+def _in_place_products(path: Path, functions) -> list[str]:
+    """``file:line:function`` of each augmented ``*=`` or ``/=``, and of each
+    ``np.multiply`` whose ``out`` names one of its operands, in ``functions``."""
+    found = []
+    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+        if not (isinstance(node, ast.FunctionDef) and node.name in functions):
+            continue
+        for inner in ast.walk(node):
+            if isinstance(inner, ast.AugAssign) and isinstance(inner.op, (ast.Mult, ast.Div)):
+                found.append(f"{path.name}:{inner.lineno}:{node.name}")
+            elif isinstance(inner, ast.Call) and getattr(inner.func, "attr", None) == "multiply":
+                outs = inner.args[2:] + [k.value for k in inner.keywords if k.arg == "out"]
+                operands = {_root_name(arg) for arg in inner.args[:2]} - {None}
+                if any(_root_name(out) in operands for out in outs):
+                    found.append(f"{path.name}:{inner.lineno}:{node.name}")
+    return found
+
+
+def test_no_sweep_kernel_multiplies_in_place():
+    # numpy rounds an in-place complex product differently from the same
+    # product written to a separate array, so a buffer reused that way
+    # would move the calibrated fits and the pinned hashes.
+    found = []
+    for name, functions in SWEEP_KERNELS.items():
+        found += _in_place_products(ROOT / "src" / "lopsim" / name, functions)
+    assert found == []
+
+
+def test_the_in_place_scan_catches_each_form(tmp_path):
+    module = tmp_path / "kernel.py"
+    module.write_text(
+        """import numpy as np
+
+
+def kernel(a, b, c):
+    a *= b
+    c[0] /= 2.0
+    np.multiply(a, b, out=a)
+    np.multiply(b, c[1], c[0])
+    np.multiply(a, b, out=c)
+    np.add(a, b, out=a)
+    a += b
+
+
+def other(a, b):
+    a *= b
+""",
+        encoding="utf-8",
+    )
+    assert _in_place_products(module, ("kernel",)) == [
+        f"kernel.py:{line}:kernel" for line in (5, 6, 7, 8)
+    ]
+
+
 def test_no_parameter_takes_a_plain_mapping_of_states():
     # OutputDistribution is the one outcome type: probabilities and the
     # counts of fock.sample alike.  A parameter typed Mapping[FockState, ...]
