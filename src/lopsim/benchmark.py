@@ -6,8 +6,8 @@ drawn from {|0>, |1>, |+>, |+i>} per qubit.  ``build_plan`` derives the
 weights from the 16^n correlation system, which is the n-fold Kronecker
 product of one 16 x 16 one-qubit system and so is solved one qubit at a
 time, ``estimate_favg`` executes a plan against a simulator backend in
-one call that carries every configuration (:data:`Executor`; each
-executor here simulates that batch as one stack of density matrices or
+one call that carries every configuration (:data:`Executor`;
+:func:`photonic_executor` simulates that batch as one stack of
 interferometers).
 
 Two estimator functionals are supported.  The ``tabulated`` route solves
@@ -49,8 +49,6 @@ __all__ = [
     "FidelityEstimate",
     "PlanEntry",
     "build_plan",
-    "channel_executor",
-    "depolarizing_executor",
     "estimate_favg",
     "photonic_executor",
 ]
@@ -349,55 +347,6 @@ def estimate_favg(
 
 # ---------------------------------------------------------------------------
 # Executor backends
-
-
-def channel_executor(
-    channel: Callable[[np.ndarray], np.ndarray], n_qubits: int
-) -> Executor:
-    """Executor for any density-matrix map that includes the gate action.
-
-    ``channel`` maps a ``(B, 2^n, 2^n)`` stack of density matrices to the
-    stack of their outputs and is called once per executor call, on the
-    product preparations of all B configurations.  Each configuration's
-    measurement rotation is the Kronecker product of its 2x2 blocks (at
-    most 16 x 16), and only the diagonal of the rotated output is formed.
-    """
-
-    def run(preparations: np.ndarray, settings: Sequence[str]) -> np.ndarray:
-        preparations = np.asarray(preparations, dtype=complex)
-        count = len(preparations)
-        blocks = np.array(
-            [[_MEAS_ROT[c] for c in word] for word in settings], dtype=complex
-        ).reshape(count, n_qubits, 2, 2)
-        psi = np.ones((count, 1), dtype=complex)
-        rot = np.ones((count, 1, 1), dtype=complex)
-        for q in range(n_qubits):
-            psi = (psi[:, :, None] * preparations[:, q, None, :]).reshape(count, -1)
-            rot = rot[:, :, None, :, None] * blocks[:, q, None, :, None, :]
-            rot = rot.reshape(count, 2 << q, 2 << q)
-        out = channel(psi[:, :, None] * psi[:, None, :].conj())
-        # diag(R rho R^dagger)_i = sum_j (R rho)_ij conj(R_ij)
-        probs = np.sum((rot @ out) * rot.conj(), axis=2).real
-        return np.clip(probs, 0.0, None)
-
-    return run
-
-
-def depolarizing_executor(gate: GateCircuit | np.ndarray, probability: float) -> Executor:
-    """Executor applying the gate followed by a depolarizing channel."""
-    if not 0.0 <= probability <= 1.0:
-        raise ValueError("depolarizing probability must lie in [0, 1]")
-    mat = _as_unitary(gate)
-    d = mat.shape[0]
-    n_qubits = int(round(np.log2(d)))
-    eye = np.eye(d, dtype=complex)
-
-    def channel(rho: np.ndarray) -> np.ndarray:
-        out = mat @ rho @ mat.conj().T
-        trace = np.trace(out, axis1=-2, axis2=-1).real[..., None, None]
-        return (1.0 - probability) * out + probability * trace / d * eye
-
-    return channel_executor(channel, n_qubits)
 
 
 def _prep_unitaries(vectors: np.ndarray) -> np.ndarray:

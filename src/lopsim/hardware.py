@@ -352,7 +352,7 @@ def _objective(
     a, b, refl, losses, scale = _unpack(x, layout)
     refl_c = np.clip(refl, 1e-4, 1.0 - 1e-4)
     phases = layout.phases_from_actuated(w @ a.T + b)
-    out, tape = _forward_sweep(layout, rows, phases, refl_c, work)
+    out = _forward_sweep(layout, rows, phases, refl_c, work)[0]
     power = np.abs(out) ** 2
     pred = scale * losses[None, :] * power
     res = pred - data.intensities
@@ -361,7 +361,7 @@ def _objective(
     d_losses = np.sum(d_pred * scale * power, axis=0)
     d_scale = float(np.sum(d_pred * losses[None, :] * power))
     adj = (d_pred * scale * losses[None, :]) * np.conj(out)
-    d_phases, d_r = _adjoint_sweep(layout, tape, adj)
+    d_phases, d_r = _adjoint_sweep(layout, work, adj)
     d_phi_act = layout.actuated_from_phases(2.0 * np.real(d_phases))
     d_refl = 2.0 * np.real(d_r.sum(axis=0))
     return value, _pack(d_phi_act.T @ w, d_phi_act.sum(axis=0), d_refl, d_losses, d_scale)

@@ -1,9 +1,11 @@
 """Circuit elements, rectangular interferometer meshes and compilation.
 
 A circuit is an ordered list of phase shifters, directional couplers and
-mode permutations. The rectangular mesh follows the nulling scheme of
-rectangular decompositions: every unitary factors exactly into one
-two-phase cell per mode pair plus a diagonal layer of output phases.
+mode permutations; each element takes its modes through
+``operator.index``, so a float mode raises ``TypeError``. The rectangular
+mesh follows the nulling scheme of rectangular decompositions: every
+unitary factors exactly into one two-phase cell per mode pair plus a
+diagonal layer of output phases.
 
 A cell on modes (p, p+1) is four elements in light order: phase(phi) on
 the top mode p, coupler(r1), phase(theta) on mode p, coupler(r2).
@@ -30,20 +32,24 @@ derivatives from those and the tape. At a phase element the product is
 every calibration and benchmark intensity go through this pair.
 
 Both sweeps write into a workspace (``_Workspace``) that the caller owns,
-one per shape of rows and phases. ``hardware.calibrate`` builds one per
-fit and hands it to every objective evaluation, so a fit makes its state,
-tape, cotangent and derivative arrays once; a caller that passes none gets
-a fresh one through the same code. The output and tape of a forward sweep
-hold until the next forward sweep on the workspace, and the derivatives
-of an adjoint sweep until its next adjoint sweep.
+one per shape of rows and phases, and the workspace is the tape: the
+forward sweep leaves its phase and coupler factors and cell amplitudes
+there beside its output, and the adjoint sweep reads them from there.
+Each fit owns one: ``hardware.calibrate`` and
+``compile_with_imperfections`` build one per fit and hand it to every
+objective evaluation, so a fit makes its state, tape, cotangent and
+derivative arrays once; a caller that passes none gets a fresh one
+through the same code. The output and tape of a forward sweep hold until
+the next forward sweep on the workspace, and the derivatives of an
+adjoint sweep until its next adjoint sweep.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass, field
 from functools import cached_property
-from types import SimpleNamespace
 from typing import Sequence
 
 import numpy as np
@@ -80,8 +86,13 @@ GAUGE_ITERATIONS = 40
 
 @dataclass(frozen=True)
 class PhaseShifter:
+    """Phase ``exp(1j * phase)`` on one mode."""
+
     mode: int
     phase: float
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "mode", operator.index(self.mode))
 
 
 @dataclass(frozen=True)
@@ -93,6 +104,8 @@ class DirectionalCoupler:
     reflectivity: float = 0.5
 
     def __post_init__(self) -> None:
+        object.__setattr__(self, "mode_a", operator.index(self.mode_a))
+        object.__setattr__(self, "mode_b", operator.index(self.mode_b))
         if self.mode_a == self.mode_b:
             raise ValueError("coupler needs two distinct modes")
         if not 0.0 <= self.reflectivity <= 1.0:
@@ -106,6 +119,7 @@ class ModePermutation:
     targets: tuple[int, ...]
 
     def __post_init__(self) -> None:
+        object.__setattr__(self, "targets", tuple(map(operator.index, self.targets)))
         if sorted(self.targets) != list(range(len(self.targets))):
             raise ValueError(f"not a permutation of modes: {self.targets}")
 
@@ -346,16 +360,20 @@ class MeshLayout:
 
 
 class _Workspace:
-    """The arrays the sweeps over one shape write into, call after call.
+    """The arrays the sweeps over one shape write into, call after call: the tape.
 
     One workspace serves ``n_rows`` row states on ``layout`` under one
     logical phase vector shared by every row, or one per row
-    (``per_row``). ``calibrate`` builds one per fit, so every objective
-    evaluation reuses one set of arrays instead of mapping fresh ones; a
-    sweep given none builds its own, so one-shot readers run the same
-    code. The forward sweep's arrays (state, tape, two scratch rows per
-    cell, output) are made here, the adjoint sweep's on its first call,
-    so forward-only readers never make them.
+    (``per_row``). Arrays are mode- or cell-major with the row batch last,
+    so a layer's update runs over contiguous rows, and cells are permuted
+    by ``MeshLayout.layer_order``. The forward sweep writes ``e`` (2,
+    n_cells, B or 1), the phase factors of (theta, phi); ``t``, ``k`` and
+    ``refl`` (2, n_cells, 1), the coupler factors and reflectivities of
+    (r1, r2); ``x`` and ``y`` (2, n_cells, B), every cell's top and bottom
+    amplitudes entering coupler(r1) (``[0]``, after phase(phi)) and
+    coupler(r2) (``[1]``, after phase(theta)); and ``out``. Its arrays are
+    made here, the adjoint sweep's on its first call, so forward-only
+    readers never make them.
     """
 
     def __init__(self, layout: MeshLayout, n_rows: int, per_row: bool):
@@ -371,48 +389,17 @@ class _Workspace:
         self.out = np.empty((n_rows, layout.m), dtype=complex)
 
     @cached_property
-    def adjoint(self) -> SimpleNamespace:
+    def adjoint(self) -> tuple[np.ndarray, ...]:
         """The adjoint sweep's arrays: the cotangent ``a`` (m, B); ``ax``,
         ``ay`` and ``d_phases`` (2, n_cells, B) in layer order; a third
         scratch row per cell ``w``; and the derivatives in cell order,
         ``phase_grad`` and ``refl_grad`` (B, n_cells, 2)."""
         x = self.x
-        return SimpleNamespace(
-            a=np.empty_like(self.state),
-            ax=np.empty_like(x),
-            ay=np.empty_like(x),
-            d_phases=np.empty_like(x),
-            w=np.empty_like(x[0]),
-            phase_grad=np.empty(x.shape[::-1], dtype=complex),
-            refl_grad=np.empty(x.shape[::-1], dtype=complex),
+        return (
+            np.empty_like(self.state), np.empty_like(x), np.empty_like(x), np.empty_like(x),
+            np.empty_like(x[0]), np.empty(x.shape[::-1], dtype=complex),
+            np.empty(x.shape[::-1], dtype=complex),
         )
-
-
-@dataclass(frozen=True)
-class _Tape:
-    """What the forward sweep recorded for the adjoint.
-
-    Arrays are mode- or cell-major with the row batch last, so a layer's
-    update runs over contiguous rows, and cells are permuted by
-    ``MeshLayout.layer_order``. ``e`` (2, n_cells, B or 1) holds the phase
-    factors of (theta, phi); ``t``, ``k`` and ``refl`` (2, n_cells, 1) the
-    coupler factors and reflectivities of (r1, r2). ``x`` and ``y`` (2,
-    n_cells, B) hold every cell's top and bottom amplitudes entering
-    coupler(r1) (``[0]``, after phase(phi)) and coupler(r2) (``[1]``, after
-    phase(theta)).
-
-    ``e``, ``x`` and ``y`` are arrays of the workspace ``work``: the tape
-    serves any number of adjoint sweeps until the next forward sweep on
-    that workspace writes over it.
-    """
-
-    e: np.ndarray
-    t: np.ndarray
-    k: np.ndarray
-    refl: np.ndarray
-    x: np.ndarray
-    y: np.ndarray
-    work: _Workspace
 
 
 def _mix(a, x, b, y, p: np.ndarray, q: np.ndarray, out: np.ndarray) -> None:
@@ -434,24 +421,25 @@ def _forward_sweep(
     phases: np.ndarray,
     refl: np.ndarray,
     work: _Workspace | None = None,
-) -> tuple[np.ndarray, _Tape]:
+) -> tuple[np.ndarray, _Workspace]:
     """Push row states (B, m) through the mesh, one layer at a time.
 
     ``phases`` is one logical vector shared by every row, or one per row
     (B, n_logical); ``refl`` is the (n_cells, 2) coupler table. Returns
     ``out`` (B, m), where ``out[b]`` is the mesh transfer matrix applied to
-    ``rows[b]``, and the tape that ``_adjoint_sweep`` reads. Both live in
-    ``work`` (a fresh workspace when None) until its next forward sweep.
-    The phase factors are formed once and one (m, B) state array is
-    updated in place; the tape gets copies of the amplitudes it needs.
+    ``rows[b]``, and the workspace (a fresh one when ``work`` is None)
+    that holds it and the tape ``_adjoint_sweep`` reads until its next
+    forward sweep. The phase factors are formed once and one (m, B) state
+    array is updated in place; the tape gets copies of the amplitudes it
+    needs.
     """
     if work is None:
         work = _Workspace(layout, len(rows), np.ndim(phases) == 2)
     s, e, x, y = work.state, work.e, work.x, work.y
     np.multiply(1j, np.reshape(phases, (-1, layout.n_logical)).T[work.phase_order], out=e)
     np.exp(e, out=e)
-    refl = np.ascontiguousarray(refl[layout.layer_order].T)[..., None]
-    t, k = np.sqrt(refl), 1j * np.sqrt(1.0 - refl)
+    work.refl = refl = np.ascontiguousarray(refl[layout.layer_order].T)[..., None]
+    work.t, work.k = t, k = np.sqrt(refl), 1j * np.sqrt(1.0 - refl)
     np.copyto(s, rows.T)
     for span, top, bot in layout.layers:
         t1, k1, t2, k2 = t[0, span], k[0, span], t[1, span], k[1, span]
@@ -465,49 +453,38 @@ def _forward_sweep(
         _mix(t2, x3, k2, y3, p, q, out=s[top])
         _mix(k2, x3, t2, y3, p, q, out=s[bot])
     np.copyto(work.out, s.T)
-    return work.out, _Tape(e, t, k, refl, x, y, work)
+    return work.out, work
 
 
 def _adjoint_sweep(
-    layout: MeshLayout, tape: _Tape, adjoint: np.ndarray
+    layout: MeshLayout, work: _Workspace, cotangent: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Run the cotangent ``adjoint`` (B, m) back through the mesh.
+    """Run the cotangent (B, m) back through the mesh taped on ``work``.
 
-    ``tape`` comes from ``_forward_sweep`` and is only read, so one tape
-    serves any number of cotangents. For each row b, with ``a =
-    adjoint[b]`` and ``out`` the forward output row, returns ``a . d out /
-    d phase`` as (B, n_logical) in logical order and ``a . d out / d r``
-    as (B, n_cells, 2). Both are arrays of the tape's workspace, written
-    over by its next adjoint sweep. The layer loop (``_cotangents``) only
-    carries the cotangent back; one pass over all cells
-    (``_cell_derivatives``) then forms both derivatives, in layer order,
-    and they are permuted back to cell order once, at the end.
+    The tape is only read, so one forward sweep serves any number of
+    cotangents. For each row b, with ``a = cotangent[b]`` and ``out`` the
+    forward output row, returns ``a . d out / d phase`` as (B, n_logical)
+    in logical order and ``a . d out / d r`` as (B, n_cells, 2). Both are
+    arrays of ``work``, written over by its next adjoint sweep.
+
+    The layer loop only carries the cotangent back, storing ``ax``,
+    ``ay`` (2, n_cells, B), the cotangents leaving every cell's coupler(r1)
+    (``[0]``) and coupler(r2) (``[1]``) on its top and bottom mode. One
+    pass over all cells then forms both derivatives: with ``x``, ``y``
+    the amplitudes entering a coupler and ``ax``, ``ay`` those leaving
+    it, the coupler contributes ``ax (dt x + dk y) + ay (dk x + dt y)``
+    and the phase in front of it ``1j (t ax + k ay) x``. One coupler is
+    done at a time, so the scratch is three (n_cells, B) arrays, and the
+    reflectivity derivatives overwrite ``ax``. Both are permuted back to
+    cell order once, at the end.
     """
-    d_phases, d_refl = _cell_derivatives(tape, *_cotangents(layout, tape, adjoint))
-    arrays = tape.work.adjoint
-    # mode="clip" takes straight into ``out``; the indices are in range
-    np.take(d_phases.T, layout.layer_inverse, axis=1, out=arrays.phase_grad, mode="clip")
-    np.take(d_refl.T, layout.layer_inverse, axis=1, out=arrays.refl_grad, mode="clip")
-    return arrays.phase_grad.reshape(-1, layout.n_logical), arrays.refl_grad
-
-
-def _cotangents(
-    layout: MeshLayout, tape: _Tape, adjoint: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
-    """Cotangents ``ax``, ``ay`` (2, n_cells, B) leaving every cell's couplers.
-
-    ``[0]`` is coupler(r1), ``[1]`` coupler(r2); ``ax`` is on the cell's
-    top mode and ``ay`` on its bottom mode. Cells are in layer order, as
-    on the tape.
-    """
-    e, t, k = tape.e, tape.t, tape.k
-    arrays, scratch = tape.work.adjoint, tape.work.scratch
-    a, ax, ay = arrays.a, arrays.ax, arrays.ay
-    np.copyto(a, adjoint.T)
+    e, t, k, x, y = work.e, work.t, work.k, work.x, work.y
+    a, ax, ay, d_phases, w, phase_grad, refl_grad = work.adjoint
+    np.copyto(a, cotangent.T)
     for span, top, bot in reversed(layout.layers):
         t1, k1, t2, k2 = t[0, span], k[0, span], t[1, span], k[1, span]
         ax1, ay1, ax2, ay2 = ax[0, span], ay[0, span], ax[1, span], ay[1, span]
-        p, q = scratch[0, span], scratch[1, span]
+        p, q = work.scratch[0, span], work.scratch[1, span]
         ax2[...] = a[top]
         ay2[...] = a[bot]
         _mix(t2, ax2, k2, ay2, p, q, out=p)
@@ -516,26 +493,8 @@ def _cotangents(
         _mix(t1, ax1, k1, ay1, p, q, out=p)
         np.multiply(p, e[1, span], out=a[top])
         _mix(k1, ax1, t1, ay1, p, q, out=a[bot])
-    return ax, ay
-
-
-def _cell_derivatives(
-    tape: _Tape, ax: np.ndarray, ay: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
-    """Derivatives by every phase and reflectivity from the coupler cotangents.
-
-    With ``x``, ``y`` the amplitudes entering a coupler (from the tape)
-    and ``ax``, ``ay`` the cotangents leaving it, the coupler contributes
-    ``ax (dt x + dk y) + ay (dk x + dt y)`` and the phase in front of it
-    ``1j (t ax + k ay) x`` (cotangent times state on the top mode).
-    Returns (theta, phi) and (r1, r2) derivatives, each (2, n_cells, B)
-    in layer order; the second overwrites ``ax``. One coupler is done at a
-    time, so the scratch is three (n_cells, B) arrays.
-    """
-    t, k, x, y = tape.t, tape.k, tape.x, tape.y
-    dt, dk = 0.5 / t, -0.5j / np.sqrt(1.0 - tape.refl)
-    arrays = tape.work.adjoint
-    d_phases, (u, v), w = arrays.d_phases, tape.work.scratch, arrays.w
+    dt, dk = 0.5 / t, -0.5j / np.sqrt(1.0 - work.refl)
+    u, v = work.scratch
     for j in (0, 1):
         # Coupler(r1) follows phase(phi), coupler(r2) phase(theta).
         _mix(t[j], ax[j], k[j], ay[j], u, v, out=u)
@@ -546,7 +505,10 @@ def _cell_derivatives(
         _mix(dk[j], x[j], dt[j], y[j], u, v, out=u)
         np.multiply(ay[j], u, out=v)
         np.add(w, v, out=ax[j])
-    return d_phases, ax
+    # mode="clip" takes straight into ``out``; the indices are in range
+    np.take(d_phases.T, layout.layer_inverse, axis=1, out=phase_grad, mode="clip")
+    np.take(ax.T, layout.layer_inverse, axis=1, out=refl_grad, mode="clip")
+    return phase_grad.reshape(-1, layout.n_logical), refl_grad
 
 
 def _mesh_cell_sequence(m: int) -> list[int]:
@@ -739,24 +701,27 @@ class CompilationResult:
 
 
 def _gauge_objective_and_grad(
-    layout: MeshLayout, actuated: np.ndarray, refl: np.ndarray, target: np.ndarray
+    actuated: np.ndarray, layout: MeshLayout, refl: np.ndarray, target: np.ndarray,
+    rows: np.ndarray, work: _Workspace,
 ) -> tuple[float, np.ndarray]:
     """Negative gauge fidelity and its gradient over actuated phases.
 
-    The boundary phase layers solve an inner maximization, so at their
+    ``rows`` holds the m identity rows and ``work`` the sweep workspace of
+    m rows under one phase vector that the evaluation writes into. The
+    boundary phase layers solve an inner maximization, so at their
     optimum the fidelity gradient reduces to the partial derivative
     through the cell chain (envelope argument): one adjoint sweep seeded
     with the gauge-weighted target.
     """
     m = layout.m
     phases = layout.phases_from_actuated(actuated)
-    rows_out, tape = _forward_sweep(layout, np.eye(m, dtype=complex), phases, refl)
+    rows_out, work = _forward_sweep(layout, rows, phases, refl, work)
     out, inn = _optimal_gauges(target, rows_out.T)
     # Row j of the sweep output is column j of the unitary, so
     # z = Tr(D_in T^dag D_out U) = sum(weight * rows_out).
     weight = np.exp(1j * inn)[:, None] * target.conj().T * np.exp(1j * out)[None, :]
     z = np.sum(weight * rows_out)
-    d_phases, _ = _adjoint_sweep(layout, tape, weight)
+    d_phases, _ = _adjoint_sweep(layout, work, weight)
     grad = 2.0 * np.real(np.conj(z) * d_phases.sum(axis=0)) / m**2
     value = float(np.abs(z) ** 2) / m**2
     return -value, -layout.actuated_from_phases(grad)
@@ -790,9 +755,8 @@ def compile_with_imperfections(
     ideal = clements_decompose(target, layout)
     seed = layout.actuated_from_phases(ideal.phases)
     tmat = target.matrix
-
-    def objective(actuated: np.ndarray) -> tuple[float, np.ndarray]:
-        return _gauge_objective_and_grad(layout, actuated, refl, tmat)
+    m = layout.m
+    args = (layout, refl, tmat, np.eye(m, dtype=complex), _Workspace(layout, m, False))
 
     best_x = None
     best_f = np.inf
@@ -801,7 +765,10 @@ def compile_with_imperfections(
     for attempt in range(max_restarts):
         restarts = attempt + 1
         x0 = seed if attempt == 0 else seed + rng.normal(0.0, 0.05 * attempt, size=seed.shape)
-        res = minimize(objective, x0, jac=True, method="L-BFGS-B", options={"maxiter": maxiter})
+        res = minimize(
+            _gauge_objective_and_grad, x0, args=args, jac=True, method="L-BFGS-B",
+            options={"maxiter": maxiter},
+        )
         if res.fun < best_f - 1e-7:
             stale = 0
         else:
@@ -866,7 +833,7 @@ def unitary_to_elements(
     sorted.
     """
     u = unitary if isinstance(unitary, ModeUnitary) else ModeUnitary(np.asarray(unitary))
-    modes = [int(mode) for mode in modes]
+    modes = list(map(operator.index, modes))
     if len(modes) != u.m or len(set(modes)) != u.m:
         raise ValueError(f"need {u.m} distinct modes, got {modes}")
     if u.m == 1:

@@ -14,6 +14,7 @@ gates (:meth:`PhotonicVqeBackend.ansatz_distributions`).
 
 from __future__ import annotations
 
+import operator
 import warnings
 from dataclasses import dataclass
 from functools import cache
@@ -48,7 +49,6 @@ __all__ = [
     "QubitHamiltonian",
     "VqeConfig",
     "VqeResult",
-    "ansatz_circuit",
     "apply_mitigation",
     "bond_table",
     "build_mitigation",
@@ -232,8 +232,10 @@ class PhotonicVqeBackend:
         return self._confusion @ logical_distribution(dist, rule)[0].ravel()
 
     def ansatz_distributions(self, thetas: np.ndarray) -> np.ndarray:
-        """``distribution(ansatz_circuit(theta, b))`` for each row theta and b in ``BASES``.
+        """Logical outcome probabilities of the ansatz in each setting of ``BASES``.
 
+        Entry ``[k, j]`` is what :meth:`distribution` gives for the ansatz
+        gate list at angles ``thetas[k]`` measured in setting ``BASES[j]``.
         ``thetas`` is a ``(K, 7)`` stack and the result ``(K, 2, 4)``.  Each
         row binds into :func:`~lopsim.qubits._checked_gates` with no ``Gate``;
         the 2K setting unitaries run through one
@@ -249,7 +251,11 @@ class PhotonicVqeBackend:
 
 
 def _ansatz_steps(theta: Sequence[float]) -> tuple[tuple, ...]:
-    """The ansatz gate list as (name, qubits, angle) steps, refusing angles as ``Gate`` does."""
+    """The ansatz gate list as (name, qubits, angle) steps, refusing angles as ``Gate`` does.
+
+    The gate list is RY on qubit 0, CNOT, then RX, RZ, RX layers on both
+    qubits; any two-qubit pure state is reachable.
+    """
     a = np.asarray(theta, dtype=float)
     if a.shape != (N_ANSATZ_ANGLES,):
         raise ValueError(f"expected {N_ANSATZ_ANGLES} angles, got shape {a.shape}")
@@ -258,21 +264,6 @@ def _ansatz_steps(theta: Sequence[float]) -> tuple[tuple, ...]:
     a = a.tolist()
     return (("RY", (0,), a[0]), ("CNOT", (0, 1), None), ("RX", (0,), a[1]), ("RX", (1,), a[2]),
             ("RZ", (0,), a[3]), ("RZ", (1,), a[4]), ("RX", (0,), a[5]), ("RX", (1,), a[6]))
-
-
-def ansatz_circuit(theta: Sequence[float], basis: str = "ZZ") -> GateCircuit:
-    """Seven-angle two-qubit ansatz measured in the ``basis`` setting.
-
-    The gate list is RY on qubit 0, CNOT, then RX, RZ, RX layers on
-    both qubits; any two-qubit pure state is reachable.  ``basis`` is
-    the circuit's measurement word, so the compiler applies its
-    rotation (none for ZZ, a Hadamard on each qubit for XX).
-    """
-    steps = _ansatz_steps(theta)
-    basis = basis.upper()
-    if basis not in BASES:
-        raise ValueError(f"basis must be one of {BASES}, got {basis!r}")
-    return GateCircuit(2, tuple(Gate(*step) for step in steps), basis)
 
 
 def energy_from_distributions(
@@ -392,7 +383,8 @@ class VqeConfig:
 
     ``shots`` counts postselected samples per measurement setting (None
     for the infinite-shot limit), ``max_iterations`` is a hard cap on
-    objective evaluations, the closing re-measure included, and
+    objective evaluations, the closing re-measure included (a whole
+    number, at least 1: a fraction raises ``TypeError``), and
     ``mitigation`` toggles confusion-matrix correction with matrices
     measured once before the optimization starts.  The seed drives
     sampling only; the sweeps start from all-zero angles unless
@@ -486,8 +478,9 @@ def vqe_run(
     """
     if config is None:
         config = VqeConfig()
-    if config.max_iterations < 1:
-        raise ValueError(f"max_iterations must be positive, got {config.max_iterations}")
+    max_iterations = operator.index(config.max_iterations)
+    if max_iterations < 1:
+        raise ValueError(f"max_iterations must be positive, got {max_iterations}")
     theta = np.zeros(N_ANSATZ_ANGLES)
     if config.initial_theta is not None:
         theta = np.array(config.initial_theta, dtype=float)
@@ -512,7 +505,7 @@ def vqe_run(
         return values
 
     # One evaluation stays reserved for the closing re-measure.
-    budget = config.max_iterations - 1
+    budget = max_iterations - 1
     converged = False
     if budget > 0:
         [value] = objective(theta[None])

@@ -14,12 +14,15 @@ interferometer's noisy output over the full basis, the bright
 cyclic-fringe patterns from a simulation of the ideal circuit and the
 contrast classified row by row on every call, benchmark-plan
 weights from the dense 16^n correlation solve, a plan executed one
-configuration per executor call, the classifier chip and its two blocks
+configuration per executor call, executors that run a plan's
+configurations through a density-matrix channel (the gate followed by
+depolarizing noise in closed form), the classifier chip and its two blocks
 built element by element, the mesh transfer matrix and its derivatives as products
 of per-element factors, the element kernel with numpy scalars, the
 rail amplitudes of a mode unitary from a SLOS pass over the whole
-n-photon basis, and a VQE backend that compiles every circuit, the
-ansatz settings included, from scratch and reads each out alone.  Three
+n-photon basis, the VQE ansatz as a gate circuit, and a VQE backend
+that compiles every circuit, the ansatz settings included, from scratch
+and reads each out alone.  Three
 helpers serve the tests: :func:`placed_distribution` builds hand-written
 inputs, :func:`basis_states` lists a basis as occupation tuples for the
 tuple-keyed oracles, and :func:`values_at` reads a distribution at those
@@ -32,10 +35,11 @@ from __future__ import annotations
 import functools
 import itertools
 from math import comb, factorial, prod, sqrt
+from typing import Callable, Sequence
 
 import numpy as np
 
-from lopsim.benchmark import _MEAS_SIGNS, _PREP_VECTORS, FidelityEstimate
+from lopsim.benchmark import _MEAS_SIGNS, _PREP_VECTORS, Executor, FidelityEstimate, _as_unitary
 from lopsim.fock import (
     OutputDistribution,
     _gains,
@@ -69,6 +73,9 @@ from lopsim.qnn import (
     _checked_theta,
 )
 from lopsim.qubits import (
+    _MEAS_ROT,
+    Gate,
+    GateCircuit,
     QubitEncoding,
     _checked_gates,
     _gate_elements,
@@ -87,7 +94,7 @@ from lopsim.sources import (
     cyclic_interferometer,
     noisy_simulate,
 )
-from lopsim.variational import BASES, PhotonicVqeBackend, ansatz_circuit
+from lopsim.variational import BASES, PhotonicVqeBackend, _ansatz_steps
 
 
 def sample_by_choice(unitary, modes: tuple[int, ...], shots: int, seed: int) -> np.ndarray:
@@ -582,6 +589,55 @@ def per_configuration_favg(
     return FidelityEstimate(float(total), float(np.sqrt(variance)), shots)
 
 
+def channel_executor(
+    channel: Callable[[np.ndarray], np.ndarray], n_qubits: int
+) -> Executor:
+    """Executor for any density-matrix map that includes the gate action.
+
+    ``channel`` maps a ``(B, 2^n, 2^n)`` stack of density matrices to the
+    stack of their outputs and is called once per executor call, on the
+    product preparations of all B configurations.  Each configuration's
+    measurement rotation is the Kronecker product of its 2x2 blocks (at
+    most 16 x 16), and only the diagonal of the rotated output is formed.
+    """
+
+    def run(preparations: np.ndarray, settings: Sequence[str]) -> np.ndarray:
+        preparations = np.asarray(preparations, dtype=complex)
+        count = len(preparations)
+        blocks = np.array(
+            [[_MEAS_ROT[c] for c in word] for word in settings], dtype=complex
+        ).reshape(count, n_qubits, 2, 2)
+        psi = np.ones((count, 1), dtype=complex)
+        rot = np.ones((count, 1, 1), dtype=complex)
+        for q in range(n_qubits):
+            psi = (psi[:, :, None] * preparations[:, q, None, :]).reshape(count, -1)
+            rot = rot[:, :, None, :, None] * blocks[:, q, None, :, None, :]
+            rot = rot.reshape(count, 2 << q, 2 << q)
+        out = channel(psi[:, :, None] * psi[:, None, :].conj())
+        # diag(R rho R^dagger)_i = sum_j (R rho)_ij conj(R_ij)
+        probs = np.sum((rot @ out) * rot.conj(), axis=2).real
+        return np.clip(probs, 0.0, None)
+
+    return run
+
+
+def depolarizing_executor(gate: GateCircuit | np.ndarray, probability: float) -> Executor:
+    """Executor applying the gate followed by a depolarizing channel."""
+    if not 0.0 <= probability <= 1.0:
+        raise ValueError("depolarizing probability must lie in [0, 1]")
+    mat = _as_unitary(gate)
+    d = mat.shape[0]
+    n_qubits = int(round(np.log2(d)))
+    eye = np.eye(d, dtype=complex)
+
+    def channel(rho: np.ndarray) -> np.ndarray:
+        out = mat @ rho @ mat.conj().T
+        trace = np.trace(out, axis1=-2, axis2=-1).real[..., None, None]
+        return (1.0 - probability) * out + probability * trace / d * eye
+
+    return channel_executor(channel, n_qubits)
+
+
 def _add_block(circuit: PhotonicCircuit, block: np.ndarray) -> None:
     """One trainable block, cell by cell (outer and inner phase per cell)."""
     for cell, (a, b) in enumerate(_BLOCK_PAIRS):
@@ -783,6 +839,21 @@ def rail_amplitudes_slos(unitary: np.ndarray, enc: QubitEncoding) -> np.ndarray:
     return amps[:, enumerate_basis(enc.n_modes, n).rank(rows)].T
 
 
+def ansatz_circuit(theta: Sequence[float], basis: str = "ZZ") -> GateCircuit:
+    """Seven-angle two-qubit ansatz measured in the ``basis`` setting.
+
+    The gate list is RY on qubit 0, CNOT, then RX, RZ, RX layers on
+    both qubits; any two-qubit pure state is reachable.  ``basis`` is
+    the circuit's measurement word, so the compiler applies its
+    rotation (none for ZZ, a Hadamard on each qubit for XX).
+    """
+    steps = _ansatz_steps(theta)
+    basis = basis.upper()
+    if basis not in BASES:
+        raise ValueError(f"basis must be one of {BASES}, got {basis!r}")
+    return GateCircuit(2, tuple(Gate(*step) for step in steps), basis)
+
+
 class PerEvaluationVqeBackend(PhotonicVqeBackend):
     """``PhotonicVqeBackend`` with no compiler kept between circuits.
 
@@ -819,17 +890,18 @@ class PerEvaluationVqeBackend(PhotonicVqeBackend):
         )
 
 
-def adjoint_sweep_by_layer(layout: MeshLayout, tape, adjoint: np.ndarray):
+def adjoint_sweep_by_layer(layout: MeshLayout, work, adjoint: np.ndarray):
     """``mesh._adjoint_sweep`` with every derivative formed inside the layer loop.
 
+    ``work`` is the sweep workspace that holds the forward sweep's tape.
     Each layer reads its tape amplitudes, forms the reflectivity and
     phase derivatives of its cells from the cotangent at hand and
     carries the cotangent on; the results are permuted back to cell
     order at the end.  The library's post-loop pass must match it bit
     for bit.
     """
-    e, t, k, x, y = tape.e, tape.t, tape.k, tape.x, tape.y
-    dt, dk = 0.5 / t, -0.5j / np.sqrt(1.0 - tape.refl)
+    e, t, k, x, y = work.e, work.t, work.k, work.x, work.y
+    dt, dk = 0.5 / t, -0.5j / np.sqrt(1.0 - work.refl)
     a = np.array(adjoint.T, dtype=complex, order="C")
     d_phases, d_refl = np.empty_like(x), np.empty_like(x)
     for span, top, bot in reversed(layout.layers):

@@ -6,15 +6,15 @@ import numpy as np
 import pytest
 
 from _oracles import (
+    channel_executor,
     dense_plan_weights,
+    depolarizing_executor,
     haar_average_fidelity,
     per_configuration_favg,
     swap_paired_functional,
 )
 from lopsim.benchmark import (
     build_plan,
-    channel_executor,
-    depolarizing_executor,
     estimate_favg,
     photonic_executor,
 )

@@ -7,7 +7,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from _oracles import pauli_matrix, placed_distribution, postselect_by_state, rail_amplitudes_slos
+from _oracles import (
+    ansatz_circuit,
+    pauli_matrix,
+    placed_distribution,
+    postselect_by_state,
+    rail_amplitudes_slos,
+)
 from lopsim import fock, qubits
 from lopsim.fock import ModeUnitary, output_amplitude, strong_simulate
 from lopsim.mesh import PhotonicCircuit, two_mode_gate_elements
@@ -32,7 +38,6 @@ from lopsim.qubits import (
     pauli_measurement_setting,
 )
 from lopsim.sources import SourceModel
-from lopsim.variational import ansatz_circuit
 
 RNG = np.random.default_rng(1234)
 

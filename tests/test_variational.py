@@ -5,7 +5,7 @@ from dataclasses import astuple
 
 import numpy as np
 import pytest
-from _oracles import PerEvaluationVqeBackend, h2_ground_energy_closed_form
+from _oracles import PerEvaluationVqeBackend, ansatz_circuit, h2_ground_energy_closed_form
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -20,7 +20,6 @@ from lopsim.variational import (
     VqeConfig,
     _ansatz_steps,
     _mitigation_circuit,
-    ansatz_circuit,
     apply_mitigation,
     bond_table,
     build_mitigation,
@@ -469,6 +468,8 @@ def test_vqe_config_validation():
     h = h2_hamiltonian(0.75)
     with pytest.raises(ValueError, match="max_iterations"):
         vqe_run(h, backend, VqeConfig(max_iterations=0))
+    with pytest.raises(TypeError):
+        vqe_run(h, backend, VqeConfig(max_iterations=2.5, shots=None, mitigation=False))
     with pytest.raises(ValueError, match="initial_theta"):
         vqe_run(h, backend, VqeConfig(initial_theta=np.zeros(3)))
     with pytest.raises(ValueError, match="shots"):
