@@ -33,9 +33,10 @@ builds a basis.
 sampled: a vector per photon-number sector over the cached basis, of
 probabilities (ideal or from a noisy source) or of the counts
 :func:`sample` draws, plus the mass a simulation left out
-(``dropped_weight``).  The simulators return full vectors; a reader that
-wants a restricted view, such as the collision-free outcomes of
-threshold detectors (:mod:`lopsim.validation`), restricts them itself.
+(``dropped_weight``).  The simulators return full vectors (the trigger
+sum with one-click pairs its read rows, by rank); a reader that wants a
+restricted view, such as the collision-free outcomes of threshold
+detectors (:mod:`lopsim.validation`), restricts them itself.
 Every readout (click patterns, postselection, pattern merging) is a mask
 or group-by on its outcome view, ``outcomes()``: ``(K, m)`` occupation
 rows and ``(K,)`` values, or on its ``sectors`` directly.
@@ -352,28 +353,14 @@ def _gains(
 def _one_click_rows(
     m: int, n: int, pairs: tuple[tuple[int, int], ...], cap: int
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Vector positions and ranks of the one-click-per-pair rows (live at a cap of n), read-only."""
+    """Vector positions and ranks of the one-click-per-pair rows (live at a cap of n), read-only.
+
+    The trigger sum with pairs returns ``vec[positions]``, a vector over these ranks.
+    """
     ranks = _support(m, n, pairs, min(n, cap))
     at = np.searchsorted(_support(m, n, pairs, cap), ranks)
     at.setflags(write=False)
     return at, ranks
-
-
-def _expand_support(
-    vec: np.ndarray, m: int, n: int, pairs: tuple[tuple[int, int], ...], cap: int | None
-) -> np.ndarray:
-    """A live vector as one over the full n-photon basis: its one-click rows, 0 elsewhere.
-
-    Only the rows with one click in every pair are written; the other
-    live rows are left out too.  With no pairs every row is written, and
-    this is ``vec`` itself.
-    """
-    if not pairs:
-        return vec
-    at, ranks = _one_click_rows(m, n, pairs, cap)
-    full = np.zeros((len(enumerate_basis(m, n)), *vec.shape[1:]), dtype=vec.dtype)
-    full[ranks] = vec[at]
-    return full
 
 
 def _add_photon(
@@ -523,17 +510,20 @@ def output_amplitude(
 class OutputDistribution:
     """Outcomes of one detector array, one vector per photon number.
 
-    ``sectors[n]`` is a vector over ``enumerate_basis(m, n)`` of
-    probabilities, or of counts when :func:`sample` drew it; only
-    sectors with mass are kept.  The input was a list of modes; an
-    outcome is an occupation row of :meth:`outcomes` (or a ``rank`` into
-    its sector).  ``dropped_weight`` is the mass a simulation left out
-    (see :func:`lopsim.sources.noisy_simulate`), so for probabilities
-    the sum of ``probabilities`` plus ``dropped_weight`` is 1 before any
-    postselection, and for counts that sum is the number of shots.  The
-    vectors given are kept, not copied; one is clipped into a new array
-    only when it holds a negative rounding residue.  A negative, NaN or infinite
-    probability is refused.
+    ``sectors[n]`` is a vector of probabilities, or of counts when
+    :func:`sample` drew it, over the basis ranks ``ranks[n]`` if given
+    (0 elsewhere; :func:`lopsim.sources.noisy_simulate` with one-click
+    pairs returns its read rows so) and over ``enumerate_basis(m, n)``
+    otherwise; only sectors with mass are kept.  An outcome is an
+    occupation row of :meth:`outcomes`.  ``dropped_weight`` is the mass
+    a simulation left out, so for probabilities the sum of
+    ``probabilities`` plus ``dropped_weight`` is 1 before any
+    postselection, less the mass of rows not returned, and for counts
+    that sum is the number of shots.  The vectors and ranks given are
+    kept, not copied; a vector is clipped into a new array only when it
+    holds a negative rounding residue.  A negative, NaN or infinite
+    probability is refused, and so are ranks that are not strictly
+    ascending 1-D integers inside the basis, one per value.
     """
 
     def __init__(
@@ -542,14 +532,35 @@ class OutputDistribution:
         sectors: Mapping[int, np.ndarray],
         *,
         dropped_weight: float = 0.0,
+        ranks: Mapping[int, np.ndarray] | None = None,
     ):
         self.m = m
         self.sectors: dict[int, np.ndarray] = {}
+        self.ranks: dict[int, np.ndarray] = {}
+        ranks = ranks or {}
+        unvectored = sorted(set(ranks) - set(sectors))
+        if unvectored:
+            raise ValueError(f"ranks given for sectors {unvectored} with no vector")
         for n, vec in sorted(sectors.items()):
             vec = np.asarray(vec, dtype=float)
-            if vec.shape != (len(enumerate_basis(m, n)),):
-                raise ValueError(f"probability vector does not match the {n}-photon basis")
-            low = vec.min()
+            size = len(enumerate_basis(m, n))
+            covered = ranks.get(n)
+            if covered is None:
+                if vec.shape != (size,):
+                    raise ValueError(f"probability vector does not match the {n}-photon basis")
+            else:
+                covered = np.asarray(covered)
+                if covered.ndim != 1 or covered.dtype.kind not in "iu":
+                    raise ValueError(f"ranks of the {n}-photon sector must be a 1-D integer array")
+                if np.any(covered[1:] <= covered[:-1]):
+                    raise ValueError(f"ranks of the {n}-photon sector must ascend strictly")
+                if len(covered) and not (covered[0] >= 0 and covered[-1] < size):
+                    raise ValueError(f"ranks of the {n}-photon sector lie outside [0, {size})")
+                if vec.shape != covered.shape:
+                    raise ValueError(
+                        f"the {n}-photon sector has {vec.shape} values for {len(covered)} ranks"
+                    )
+            low = vec.min(initial=0.0)  # a ranked sector may be empty
             if not low >= -1e-12:  # also NaN, which min propagates
                 raise ValueError("negative or NaN probability")
             if low < 0.0:
@@ -559,6 +570,8 @@ class OutputDistribution:
                 raise ValueError(f"infinite probability mass in the {n}-photon sector")
             if total > 0.0:
                 self.sectors[n] = vec
+                if covered is not None:
+                    self.ranks[n] = covered
         self.dropped_weight = float(dropped_weight)
 
     @property
@@ -570,12 +583,17 @@ class OutputDistribution:
         """Number of nonzero outcomes; the benchmark tracer reports it per noisy simulation."""
         return sum(int(np.count_nonzero(vec)) for vec in self.sectors.values())
 
+    def _rows(self, n: int) -> np.ndarray:
+        """Occupation rows that sector n's vector covers, in its order."""
+        rows = enumerate_basis(self.m, n).occupations
+        return rows[self.ranks[n]] if n in self.ranks else rows
+
     def outcomes(self) -> tuple[np.ndarray, np.ndarray]:
         """Occupation rows and probabilities of every sector, photon number ascending."""
         if len(self.sectors) == 1:
             [(n, vec)] = self.sectors.items()
-            return enumerate_basis(self.m, n).occupations, vec
-        rows = [enumerate_basis(self.m, n).occupations for n in self.sectors]
+            return self._rows(n), vec
+        rows = [self._rows(n) for n in self.sectors]
         return (
             np.concatenate(rows or [np.zeros((0, self.m), dtype=np.int8)]),
             np.concatenate([*self.sectors.values(), []]),

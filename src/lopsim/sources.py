@@ -25,8 +25,9 @@ outcomes with exactly one click in every pair of some disjoint mode
 pairs names those pairs (``one_click_pairs``).  The sum then runs on the
 live outcomes, those that fill no pair and leave no more pairs empty
 than the photons the cap leaves could fill, since only these can still
-reach a read outcome; each read outcome is exact, bit for bit its value
-without pairs, and every other outcome is 0, so the probabilities plus
+reach a read outcome, and returns the read outcomes alone: each sector
+covers its one-click rows by rank (``OutputDistribution.ranks``), each
+value bit for bit its value without pairs, so the probabilities plus
 ``dropped_weight`` fall short of 1 by the mass of the outcomes left out.
 The cyclic fringe reads one click per output pair, so
 :func:`measure_genuine_indistinguishability` simulates those outcomes
@@ -49,7 +50,7 @@ import warnings
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from importlib import resources
-from math import prod
+from math import fsum, prod
 from typing import Sequence
 
 import numpy as np
@@ -59,10 +60,11 @@ from .fock import (
     OutputDistribution,
     _add_photon,
     _coherent_prefixes,
-    _expand_support,
     _input_modes,
     _live_size,
     _live_table,
+    _one_click_rows,
+    _support,
     _unbunched,
 )
 from .mesh import DirectionalCoupler, PhaseShifter, PhotonicCircuit
@@ -336,15 +338,17 @@ def batched_noisy_sectors(
     could fill.  Removing a photon never fills a pair and empties at
     most one, so no outcome off the live rows feeds one on them, and no
     read outcome comes from a dead row.  Only the read outcomes are
-    written into the full-basis sectors at the end: each is exact (bit
-    for bit its value without pairs) and every other outcome is 0.  With
-    no pairs every row is live and read.  (On the 12-mode cyclic p6 at
-    a cap of 10, sectors 6-10 hold 57,340 live states, 13,440 of them
-    read, instead of 640,458.)
+    returned: each sector keeps the rows with one click in every pair
+    (:func:`~lopsim.fock._one_click_rows`), rank ascending, each exact
+    (bit for bit its value without pairs), and a sector with no such row
+    is left out.  With no pairs every row is live and read.  (On the
+    12-mode cyclic p6 at a cap of 10, sectors 6-10 hold 57,340 live
+    states and return the 13,440 read ones, instead of 640,458.)
 
-    Returns the sectors, ``{n: (N_n, B)}`` probabilities over
-    ``enumerate_basis(m, n)`` (column b the output of unitary b), and the
-    photon-number tail above the cap, which every column shares.
+    Returns the sectors, ``{n: (N_n, B)}`` probabilities (column b the
+    output of unitary b) over ``enumerate_basis(m, n)``, or with pairs
+    over its ranks ``_support(m, n, pairs, n)``, and the photon-number
+    tail above the cap, which every column shares.
     """
     unitaries = np.asarray(unitaries, dtype=complex)
     count, m = unitaries.shape[:2]
@@ -380,8 +384,9 @@ def batched_noisy_sectors(
     sectors = terms[()]
     for column, extra in zip(columns, labeled.extra):
         _mix_photon(sectors, column, 1.0 - extra, extra, cap, scratch, pairs)
-    for n, vec in sectors.items():  # one sector at a time, so each live vector is freed
-        sectors[n] = _expand_support(vec, m, n, pairs, cap)
+    if pairs:
+        reads = {n: _one_click_rows(m, n, pairs, cap)[0] for n in sectors}
+        sectors = {n: vec[reads[n]] for n, vec in sectors.items() if len(reads[n])}
     return sectors, float(tail[cap + 1])
 
 
@@ -431,18 +436,20 @@ def noisy_simulate(
         :func:`~lopsim.fock.strong_simulate` returns.  Every sector is
         exact and its ``dropped_weight`` is the tail above the cap, so
         the probabilities plus ``dropped_weight`` sum to 1.  With
-        ``one_click_pairs`` every outcome with one click in every pair is
-        exact and every other one is 0, so the sum falls short of 1 by the
-        mass of those others.
+        ``one_click_pairs`` a sector covers only its outcomes with one
+        click in every pair, by rank (``ranks[n]``), and one with none is
+        left out, so the sum falls short of 1 by the mass of the others.
         Postselection scales ``dropped_weight`` like the probabilities.
     """
     if not isinstance(unitary, ModeUnitary):
         unitary = ModeUnitary(np.asarray(unitary))
-    sectors, dropped = batched_noisy_sectors(
-        unitary.matrix[None], labeled, one_click_pairs=one_click_pairs
-    )
+    pairs = _pair_key(one_click_pairs, unitary.m)
+    sectors, dropped = batched_noisy_sectors(unitary.matrix[None], labeled, one_click_pairs=pairs)
     return OutputDistribution(
-        unitary.m, {n: vec[:, 0] for n, vec in sectors.items()}, dropped_weight=dropped
+        unitary.m,
+        {n: vec[:, 0] for n, vec in sectors.items()},
+        dropped_weight=dropped,
+        ranks={n: _support(unitary.m, n, pairs, n) for n in sectors} if pairs else None,
     )
 
 
@@ -453,7 +460,8 @@ def coincidence_probability(dist: OutputDistribution, modes: Sequence[int]) -> f
     if outside:
         raise ValueError(f"modes {outside} lie outside the distribution's modes [0, {dist.m})")
     rows, values = dist.outcomes()
-    return float(values[np.all(rows[:, modes] > 0, axis=1)].sum())
+    # rounded once, so the value does not depend on which zero rows a sector holds
+    return fsum(values[np.all(rows[:, modes] > 0, axis=1)])
 
 
 def _mzi_unitary(internal_phase: float) -> ModeUnitary:
@@ -555,21 +563,22 @@ def _output_pairs(n_photons: int, m: int) -> tuple[tuple[int, int], ...]:
 
 
 @lru_cache(maxsize=None)
-def _fringe_table(m: int, n: int, n_photons: int) -> tuple[np.ndarray, np.ndarray]:
-    """Read-only basis ranks of one sector's constructive and destructive fringe rows.
+def _fringe_table(m: int, n: int, n_photons: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Read-only basis ranks of one sector's fringe rows and the positions of each class among them.
 
     Its rows with one click in every output pair are the live rows of
     those pairs at a cap of n (:func:`~lopsim.fock._live_table`), so
-    they are generated, not searched for in the basis.  Each such row
+    they are generated, not searched for in the basis, and their ranks
+    are the array a fringe simulation's sector covers.  Each such row
     clicks on the even or the odd mode of every pair, so its class is
     the parity of its odd-mode clicks: even is constructive.
     """
     ranks, rows = _live_table(m, n, _output_pairs(n_photons, m), n)
     odd = np.count_nonzero(rows[:, 1 : 2 * n_photons : 2], axis=1) % 2
-    classes = ranks[odd == 0], ranks[odd == 1]
+    classes = np.flatnonzero(odd == 0), np.flatnonzero(odd == 1)
     for index in classes:
         index.setflags(write=False)
-    return classes
+    return ranks, *classes
 
 
 def genuine_indistinguishability(dist: OutputDistribution, n_photons: int) -> float:
@@ -586,10 +595,19 @@ def genuine_indistinguishability(dist: OutputDistribution, n_photons: int) -> fl
     if n_photons < 1:
         raise ValueError(f"need at least one photon, got {n_photons}")
     _output_pairs(n_photons, dist.m)  # refuses too few modes, with or without events
-    parts = [(vec, _fringe_table(dist.m, n, n_photons)) for n, vec in dist.sectors.items()]
-    constructive = np.concatenate([vec[c] for vec, (c, _) in parts] + [[]])
-    destructive = np.concatenate([vec[d] for vec, (_, d) in parts] + [[]])
-    c_sum, d_sum = float(constructive.sum()), float(destructive.sum())
+    constructive, destructive = [[]], [[]]
+    for n, vec in dist.sectors.items():
+        ranks, bright, dark = _fringe_table(dist.m, n, n_photons)
+        covered = dist.ranks.get(n)
+        if covered is None:  # the full basis
+            vec = vec[ranks]
+        elif covered is not ranks:  # rows other than the fringe's: read those it holds
+            read = np.flatnonzero(np.isin(covered, ranks))
+            is_bright = np.isin(covered[read], ranks[bright])
+            bright, dark = read[is_bright], read[~is_bright]
+        constructive.append(vec[bright])
+        destructive.append(vec[dark])
+    c_sum, d_sum = (float(np.concatenate(part).sum()) for part in (constructive, destructive))
     total = c_sum + d_sum
     if not total > 0.0:
         raise ValueError("no one-click-per-pair events; p_N is undefined")
@@ -600,7 +618,8 @@ def _fringe_distribution(n_photons: int, src: SourceModel, alpha: float) -> Outp
     """Noisy output of the cyclic interferometer on the outcomes the fringe reads.
 
     The fringe reads one click per output pair ``(2k, 2k + 1)``, so
-    those are the one-click pairs: every other outcome is 0.
+    those are the one-click pairs, and each sector covers those
+    outcomes only.
     """
     unitary = cyclic_interferometer(n_photons, alpha)
     labeled = build_input(n_photons, src, modes=cyclic_input_modes(n_photons))

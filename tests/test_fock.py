@@ -325,6 +325,39 @@ def test_output_distribution_refuses_a_malformed_sector(m, vec, message):
         OutputDistribution(m, {1: np.array(vec)})
 
 
+def test_a_ranked_sector_reads_through_its_ranks():
+    given, ranks = np.array([0.25, 0.0, 0.5]), np.array([0, 3, 5])
+    dist = OutputDistribution(3, {1: np.array([0.25, 0.0, 0.0]), 2: given}, ranks={2: ranks})
+    assert dist.sectors[2] is given and dist.ranks[2] is ranks and list(dist.ranks) == [2]
+    rows, values = dist.outcomes()
+    assert rows.tolist() == [[0, 0, 1], [0, 1, 0], [1, 0, 0], [0, 0, 2], [1, 0, 1], [2, 0, 0]]
+    assert values.tolist() == [0.25, 0.0, 0.0, 0.25, 0.0, 0.5]
+    assert len(dist) == 3
+    # a ranked sector without mass is dropped with its ranks
+    empty = OutputDistribution(3, {2: np.zeros(0)}, ranks={2: np.zeros(0, dtype=int)})
+    assert empty.sectors == {} and empty.ranks == {}
+
+
+@pytest.mark.parametrize(
+    "ranks, message",
+    [
+        ({1: np.array([[0, 2]])}, "ranks of the 1-photon sector must be a 1-D integer array"),
+        ({1: np.array([0.0, 2.0])}, "ranks of the 1-photon sector must be a 1-D integer array"),
+        ({1: np.array([1, 1])}, "ranks of the 1-photon sector must ascend strictly"),
+        ({1: np.array([2, 0])}, "ranks of the 1-photon sector must ascend strictly"),
+        ({1: np.array([-1, 2])}, r"ranks of the 1-photon sector lie outside \[0, 3\)"),
+        ({1: np.array([1, 3])}, r"ranks of the 1-photon sector lie outside \[0, 3\)"),
+        ({1: np.array([0, 1, 2])}, r"the 1-photon sector has \(2,\) values for 3 ranks"),
+        ({1: np.array([0, 2]), 2: np.array([0])}, r"ranks given for sectors \[2\] with no vector"),
+    ],
+    ids=["two_d", "float", "repeated", "descending", "negative", "past_the_basis", "length",
+         "no_vector"],
+)
+def test_output_distribution_refuses_malformed_ranks(ranks, message):
+    with pytest.raises(ValueError, match=message):
+        OutputDistribution(3, {1: np.array([0.25, 0.75])}, ranks=ranks)
+
+
 class TestSampling:
     def test_deterministic_per_seed(self):
         rng = np.random.default_rng(2)
