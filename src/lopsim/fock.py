@@ -76,8 +76,9 @@ class FockBasis:
     |600000000000>.  Any restriction, such as the collision-free rows a
     threshold detector can tell apart, is a mask on these rows and keeps
     their order.  :meth:`rank` maps occupation rows back to their
-    positions.  The size and rank table are arithmetic, so ``len`` and
-    ``rank`` never build the rows; ``occupations`` is built on first read.
+    positions and :meth:`unrank` back to rows.  The size and rank table
+    are arithmetic, so ``len``, ``rank`` and ``unrank`` never build the
+    rows; ``occupations`` is built on first read.
     """
 
     def __init__(self, m: int, n: int):
@@ -140,6 +141,31 @@ class FockBasis:
             index += below.ravel()[left * (self.n + 1) + column]
             left -= column
         return index
+
+    def unrank(self, ranks: np.ndarray) -> np.ndarray:
+        """Occupation rows (int8) at basis indices ``ranks``: the inverse of :meth:`rank`.
+
+        Reads the rank table only, so picking a few rows never builds
+        ``occupations``. Mode by mode, a row takes the largest occupation
+        whose count of earlier states still fits in what is left of its
+        rank.
+        """
+        ranks = np.asarray(ranks)
+        if ranks.ndim != 1 or ranks.dtype.kind not in "iu" or not (
+            np.all((ranks >= 0) & (ranks < self.size))
+        ):
+            raise IndexError(f"ranks outside the ({self.m}, {self.n}) basis of {self.size} states")
+        rows = np.empty((len(ranks), self.m), dtype=np.int8)
+        rest = ranks.astype(np.intp)
+        left = np.full(len(ranks), self.n)
+        at = np.arange(len(ranks))
+        for below, column in zip(self._below, rows.T):
+            before = below[left]  # (K, n + 1): states under each occupation of this mode
+            occupation = np.count_nonzero(before[:, 1:] <= rest[:, None], axis=1)
+            rest -= before[at, occupation]
+            left -= occupation
+            column[...] = occupation
+        return rows
 
     def __len__(self) -> int:
         return self.size
@@ -576,28 +602,30 @@ class OutputDistribution:
 
     @property
     def probabilities(self) -> np.ndarray:
-        """Every sector's vector, concatenated in photon-number order."""
-        return self.outcomes()[1]
+        """Every sector's vector, concatenated in photon-number order; no rows are read."""
+        if len(self.sectors) == 1:
+            return next(iter(self.sectors.values()))
+        return np.concatenate([*self.sectors.values(), []])
 
     def __len__(self) -> int:
         """Number of nonzero outcomes; the benchmark tracer reports it per noisy simulation."""
         return sum(int(np.count_nonzero(vec)) for vec in self.sectors.values())
 
     def _rows(self, n: int) -> np.ndarray:
-        """Occupation rows that sector n's vector covers, in its order."""
-        rows = enumerate_basis(self.m, n).occupations
-        return rows[self.ranks[n]] if n in self.ranks else rows
+        """Occupation rows that sector n's vector covers, in its order.
+
+        A sector over ranks unranks them, so it never builds the full basis.
+        """
+        basis = enumerate_basis(self.m, n)
+        return basis.unrank(self.ranks[n]) if n in self.ranks else basis.occupations
 
     def outcomes(self) -> tuple[np.ndarray, np.ndarray]:
         """Occupation rows and probabilities of every sector, photon number ascending."""
         if len(self.sectors) == 1:
-            [(n, vec)] = self.sectors.items()
-            return self._rows(n), vec
+            [n] = self.sectors
+            return self._rows(n), self.probabilities
         rows = [self._rows(n) for n in self.sectors]
-        return (
-            np.concatenate(rows or [np.zeros((0, self.m), dtype=np.int8)]),
-            np.concatenate([*self.sectors.values(), []]),
-        )
+        return np.concatenate(rows or [np.zeros((0, self.m), dtype=np.int8)]), self.probabilities
 
 
 def strong_simulate(unitary: ModeUnitary, modes: Sequence[int]) -> OutputDistribution:

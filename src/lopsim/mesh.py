@@ -42,6 +42,11 @@ derivative arrays once; a caller that passes none gets a fresh one
 through the same code. The output and tape of a forward sweep hold until
 the next forward sweep on the workspace, and the derivatives of an
 adjoint sweep until its next adjoint sweep.
+
+``compile_with_imperfections`` seeds its L-BFGS fit with the
+error-corrected decomposition (``_corrected_phases``): the ideal
+rectangular cells, each re-solved in light order for its own couplers,
+with the phases a cell leaves on its modes carried into the next cells.
 """
 
 from __future__ import annotations
@@ -335,6 +340,13 @@ class MeshLayout:
         if refl.shape != (self.n_cells, 2):
             raise ValueError(
                 f"expected reflectivities of shape {(self.n_cells, 2)}, got {refl.shape}"
+            )
+        outside = ~((refl >= 0.0) & (refl <= 1.0))  # NaN included
+        if outside.any():
+            cell, coupler = np.argwhere(outside)[0]
+            raise ValueError(
+                f"reflectivity {refl[cell, coupler]} of cell {cell} (coupler r{coupler + 1}) "
+                "outside [0, 1]"
             )
         return refl
 
@@ -727,6 +739,56 @@ def _gauge_objective_and_grad(
     return -value, -layout.actuated_from_phases(grad)
 
 
+def _corrected_phases(layout: MeshLayout, ideal_phases: np.ndarray, refl: np.ndarray) -> np.ndarray:
+    """Logical phases that rebuild each ideal cell on its own couplers ``refl``.
+
+    The error-corrected decomposition of Bandyopadhyay, Hamerly and
+    Englund (Optica 8, 1247, 2021). On couplers (r1, r2), with
+    ``a = sqrt(r1 r2)``, ``b = sqrt((1-r1)(1-r2))``, ``c = sqrt((1-r1) r2)``
+    and ``d = sqrt(r1 (1-r2))`` (so ``cd = ab``), a cell is
+    ``M00 = e^{i phi} (a e^{i theta} - b)``, ``M01 = i (c e^{i theta} + d)``
+    and ``M11 = a - b e^{i theta}``. Its split fixes theta through
+    ``|M00|^2 = (a-b)^2 + 4ab sin^2(theta/2)`` and
+    ``|M01|^2 = (c-d)^2 + 4ab cos^2(theta/2)``; each part is clipped at 0,
+    so a split the couplers cannot reach goes to the nearest one they
+    can (the arccos of ``(a^2 + b^2 - |M00|^2) / 2ab`` clipped to
+    [-1, 1], without its loss of digits near 0 and pi). Where ``ab`` is 0
+    theta cannot move the split and keeps its ideal value. Psi, chi and
+    phi then match the phases of W01, W11 and W00, where W is the ideal
+    balanced block (:func:`_cell_matrix`).
+
+    The cells are walked in light order with one phase debt per mode: a
+    cell realizes ``diag(e^{-i psi}, e^{-i chi}) W``, so the next cell on
+    a mode takes W with that mode's column rephased by ``-debt``. The
+    debts left at the end are output gauge, and a pinned phi on an
+    untouched input mode is input gauge; the compile's optimal gauges
+    absorb both. With r = 0.5 everywhere this gives ``ideal_phases`` back.
+    """
+    r1, r2 = refl[:, 0], refl[:, 1]
+    a, b = np.sqrt(r1 * r2), np.sqrt((1.0 - r1) * (1.0 - r2))
+    c, d = np.sqrt((1.0 - r1) * r2), np.sqrt(r1 * (1.0 - r2))
+    ideal_theta, ideal_phi = ideal_phases[0::2], ideal_phases[1::2]
+    # W00, W01 and W11 of every ideal block: a = b = c = d = 1/2
+    e0 = np.exp(1j * ideal_theta)
+    w00, w01, w11 = 0.5 * np.exp(1j * ideal_phi) * (e0 - 1.0), 0.5j * (e0 + 1.0), 0.5 * (1.0 - e0)
+    sin_half = np.sqrt(np.maximum(np.abs(w00) ** 2 - (a - b) ** 2, 0.0))
+    cos_half = np.sqrt(np.maximum(np.abs(w01) ** 2 - (c - d) ** 2, 0.0))
+    theta = np.where(a * b > 0.0, 2.0 * np.arctan2(sin_half, cos_half), ideal_theta)
+    e = np.exp(1j * theta)
+    # psi, chi and psi + phi of every cell with no debt on its modes
+    psi0 = np.angle(w01) - np.angle(1j * (c * e + d))
+    chi0 = np.angle(w11) - np.angle(a - b * e)
+    phi0 = np.angle(w00) - np.angle(a * e - b)
+    phases = np.empty_like(ideal_phases)
+    phases[0::2] = theta
+    debt = np.zeros(layout.m)
+    for cell, p in enumerate(layout.cells):
+        psi = psi0[cell] - debt[p + 1]
+        phases[2 * cell + 1] = phi0[cell] - debt[p] - psi
+        debt[p], debt[p + 1] = -psi, debt[p + 1] - chi0[cell]
+    return phases
+
+
 def compile_with_imperfections(
     target: ModeUnitary,
     reflectivities: np.ndarray,
@@ -737,11 +799,14 @@ def compile_with_imperfections(
 ) -> CompilationResult:
     """Fit mesh phases so the imperfect mesh implements ``target``.
 
-    Seeds a quasi-Newton refinement from the ideal rectangular solution
-    and retries from perturbed seeds until ``COMPILE_STOP_FIDELITY`` is
-    reached, ``COMPILE_PATIENCE`` consecutive restarts stop improving, or
-    ``max_restarts`` seeds are exhausted. Boundary phase layers are
-    chosen in closed form at every step.
+    Seeds a quasi-Newton refinement from the error-corrected
+    decomposition (:func:`_corrected_phases`): the ideal rectangular
+    solution with each cell re-solved, in light order, for its own
+    couplers. It retries from perturbed seeds until
+    ``COMPILE_STOP_FIDELITY`` is reached, ``COMPILE_PATIENCE``
+    consecutive restarts stop improving, or ``max_restarts`` seeds are
+    exhausted. Boundary phase layers are chosen in closed form at every
+    step.
     """
     from scipy.optimize import minimize
 
@@ -753,7 +818,7 @@ def compile_with_imperfections(
     rng = _seeded_rng(rng)
 
     ideal = clements_decompose(target, layout)
-    seed = layout.actuated_from_phases(ideal.phases)
+    seed = layout.actuated_from_phases(_corrected_phases(layout, ideal.phases, refl))
     tmat = target.matrix
     m = layout.m
     args = (layout, refl, tmat, np.eye(m, dtype=complex), _Workspace(layout, m, False))

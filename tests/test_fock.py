@@ -5,6 +5,7 @@ import pytest
 
 from lopsim import fock
 from lopsim.fock import (
+    FockBasis,
     ModeUnitary,
     OutputDistribution,
     _glynn_deltas,
@@ -136,6 +137,23 @@ class TestBasis:
         assert np.array_equal(basis.rank(basis.occupations), np.arange(len(basis)))
         with pytest.raises(KeyError):
             basis.rank(np.array([[3, 1, 0, 0, 0, 0]]))
+
+    @pytest.mark.parametrize("m, n", [(1, 3), (2, 0), (3, 4), (5, 5), (8, 3), (12, 6), (12, 10)])
+    def test_unrank_gives_the_rows_at_random_ranks(self, m, n):
+        basis = FockBasis(m, n)  # uncached, so the gather below builds its own rows
+        ranks = np.random.default_rng(m * 100 + n).integers(basis.size, size=300)
+        rows = basis.unrank(ranks)
+        assert "occupations" not in vars(basis)
+        assert rows.dtype == np.int8
+        assert np.array_equal(rows, basis.occupations[ranks])
+        assert np.array_equal(basis.rank(rows), ranks)
+
+    @pytest.mark.parametrize(
+        "ranks", [np.array([-1]), np.array([6]), np.array([0.0]), np.zeros((1, 1), dtype=int)]
+    )
+    def test_unrank_refuses_ranks_outside_the_basis(self, ranks):
+        with pytest.raises(IndexError, match="outside the"):
+            enumerate_basis(3, 2).unrank(ranks)
 
     def test_no_collision_free_mass_rejected(self):
         # Hong-Ou-Mandel: both photons leave a balanced coupler together

@@ -788,6 +788,23 @@ class TestColdStart:
         for n in range(11):  # every sector of the p6 cap
             assert "occupations" not in vars(enumerate_basis(12, n))
 
+    def test_a_cold_read_of_fringe_rows_builds_no_full_basis_rows(self):
+        dist = sources._fringe_distribution(6, self.SOURCE, 0.3)
+        self.clear_tables()
+        assert dist.probabilities.sum() > 0.0
+        assert enumerate_basis.cache_info().currsize == 0  # the values need no basis
+        rows, values = dist.outcomes()
+        assert coincidence_probability(dist, (0, 2)) > 0.0
+        for n in range(11):
+            assert "occupations" not in vars(enumerate_basis(12, n))
+        # the rows are those of the full basis at the sector's ranks
+        start = 0
+        for n, ranks in dist.ranks.items():
+            stop = start + len(ranks)
+            assert np.array_equal(rows[start:stop], FockBasis(12, n).occupations[ranks])
+            start = stop
+        assert start == len(rows) == len(values)
+
     def test_a_cold_p6_peak_stays_small(self):
         # the full 12-mode bases alone hold 7.4 MB; the filtered tables
         # peaked at 27.6 MB, the generated ones at about 12 MB with

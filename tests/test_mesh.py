@@ -2,6 +2,7 @@
 
 import hashlib
 import warnings
+from functools import lru_cache
 
 import numpy as np
 import pytest
@@ -25,6 +26,7 @@ from lopsim.mesh import (
     _Workspace,
     _adjoint_sweep,
     _apply_element,
+    _corrected_phases,
     _forward_sweep,
     _gauge_objective_and_grad,
     _optimal_gauges,
@@ -423,6 +425,21 @@ class TestCompilation:
         assert fidelity(target, result.implemented) == pytest.approx(result.fidelity, abs=1e-9)
 
 
+    @pytest.mark.parametrize("bad", [1.2, -0.1, np.nan])
+    @pytest.mark.parametrize("reader", ["compile", "unitary", "circuit"])
+    def test_a_reflectivity_outside_zero_to_one_is_refused(self, bad, reader):
+        layout = MeshLayout(4)
+        refl = np.full((layout.n_cells, 2), 0.5)
+        refl[3, 1] = bad
+        phases = np.zeros(layout.n_logical)
+        call = {
+            "compile": lambda: compile_with_imperfections(haar(4, 18), refl, layout=layout),
+            "unitary": lambda: layout.unitary(phases, refl),
+            "circuit": lambda: layout.circuit(phases, refl),
+        }[reader]
+        with pytest.raises(ValueError, match=r"of cell 3 \(coupler r2\) outside \[0, 1\]"):
+            call()
+
     def test_max_restarts_below_one_is_rejected(self):
         layout = MeshLayout(4)
         refl = np.full((layout.n_cells, 2), 0.5)
@@ -509,27 +526,106 @@ class TestSweepOracle:
 #: sha256 over the bytes of ``phases``, ``output_phases``, ``input_phases``
 #: and ``fidelity`` of ``compile_with_imperfections(max_restarts=2,
 #: maxiter=60)``, keyed by (m, target seed, coupler seed); the coupler seed
-#: also seeds the restarts. Recorded when every objective evaluation built
-#: its own sweep workspace.
+#: also seeds the restarts. Recorded when the compile first seeded from
+#: the error-corrected decomposition (1 - F = 2.2e-16, 2.2e-16, 7.686e-4).
 PINNED_COMPILES = {
-    (4, 150, 151): "52b5f9f201118e45f3c36862faac4cad632c7f0d3f35f3fcc65b795741ff934d",
-    (6, 152, 153): "c768e334f037cd8cfe6da76e6ea3450d76bf4e810c2e253941746686ede58ff8",
-    (12, 154, 155): "a5d1d1a7051d7d29628c149503c596cfa6a59e79fc2d1193a221606a2643f603",
+    (4, 150, 151): "68228508b15fed9f0a6e777f958e7f2c0276c4aaa288b62405dbc312bbf60e59",
+    (6, 152, 153): "34bbf4038487f49a0f8d4a583f14362d86884a64afcd0cce2dfd811d98fa5e76",
+    (12, 154, 155): "f07114fe6820cbd45f72769835beaa79479e44df368189a2a48590447b746329",
 }
+
+#: 1 - F of the same compiles seeded from the ideal Clements phases.
+CLEMENTS_SEEDED_INFIDELITY = {
+    (4, 150, 151): 2.566e-9,
+    (6, 152, 153): 2.973e-9,
+    (12, 154, 155): 9.868e-4,
+}
+
+
+@lru_cache(maxsize=None)
+def pinned_case(m: int, target_seed: int, coupler_seed: int):
+    """Target, couplers and compile of one ``PINNED_COMPILES`` case."""
+    layout = MeshLayout(m)
+    target = haar(m, target_seed)
+    refl = np.random.default_rng(coupler_seed).normal(0.567, 0.006, size=(layout.n_cells, 2))
+    fit = compile_with_imperfections(
+        target, refl, layout=layout, max_restarts=2, rng=coupler_seed, maxiter=60
+    )
+    return target, refl, fit
 
 
 @pytest.mark.parametrize("m, target_seed, coupler_seed", list(PINNED_COMPILES))
 def test_seeded_compiles_are_pinned(m, target_seed, coupler_seed):
-    layout = MeshLayout(m)
-    refl = np.random.default_rng(coupler_seed).normal(0.567, 0.006, size=(layout.n_cells, 2))
-    fit = compile_with_imperfections(
-        haar(m, target_seed), refl, layout=layout, max_restarts=2, rng=coupler_seed, maxiter=60
-    )
+    fit = pinned_case(m, target_seed, coupler_seed)[2]
     digest = hashlib.sha256()
     for name in ("phases", "output_phases", "input_phases"):
         digest.update(getattr(fit, name).tobytes())
     digest.update(np.float64(fit.fidelity).tobytes())
     assert digest.hexdigest() == PINNED_COMPILES[m, target_seed, coupler_seed]
+
+
+@pytest.mark.parametrize("case", list(CLEMENTS_SEEDED_INFIDELITY))
+def test_pinned_compiles_land_no_farther_than_from_the_clements_seed(case):
+    assert 1.0 - pinned_case(*case)[2].fidelity <= CLEMENTS_SEEDED_INFIDELITY[case]
+
+
+def seeded_infidelity(target, layout, phases, refl):
+    """1 - F of ``phases`` on the couplers ``refl``, as the compile seeds them (pinned at 0)."""
+    seed = layout.phases_from_actuated(layout.actuated_from_phases(phases))
+    return 1.0 - gauge_fidelity(target, layout.unitary(seed, refl))
+
+
+class TestCorrectedSeed:
+    """The error-corrected decomposition the compile starts from."""
+
+    @pytest.mark.parametrize("m", range(2, 13))
+    def test_balanced_couplers_give_the_clements_phases(self, m):
+        layout = MeshLayout(m)
+        refl = np.full((layout.n_cells, 2), 0.5)
+        for seed in range(3):
+            ideal = clements_decompose(haar(m, 700 + 10 * m + seed), layout).phases
+            got = _corrected_phases(layout, ideal, refl)
+            assert np.max(np.abs(np.angle(np.exp(1j * (got - ideal))))) < 1e-12
+
+    @pytest.mark.parametrize("case", [(4, 150, 151), (6, 152, 153)])
+    def test_a_seed_with_every_cell_in_reach_is_exact(self, case):
+        target, refl = pinned_case(*case)[:2]
+        layout = MeshLayout(case[0])
+        ideal = clements_decompose(target, layout).phases
+        # a cell reaches its split when bar and cross each clear the couplers' floor
+        r1, r2 = refl.T
+        a, b = np.sqrt(r1 * r2), np.sqrt((1 - r1) * (1 - r2))
+        c, d = np.sqrt((1 - r1) * r2), np.sqrt(r1 * (1 - r2))
+        half = ideal[0::2] / 2
+        assert np.all(np.sin(half) ** 2 > (a - b) ** 2)
+        assert np.all(np.cos(half) ** 2 > (c - d) ** 2)
+        corrected = _corrected_phases(layout, ideal, refl)
+        assert seeded_infidelity(target, layout, corrected, refl) < 1e-12
+        assert seeded_infidelity(target, layout, ideal, refl) > 1e-4
+
+    def test_the_seed_beats_the_clements_seed_on_the_reference_couplers(self):
+        layout = MeshLayout(12)
+        rng = np.random.default_rng(160)
+        for _ in range(6):
+            target = ModeUnitary.haar_random(12, rng)
+            refl = rng.normal(0.567, 0.006, size=(layout.n_cells, 2))
+            ideal = clements_decompose(target, layout).phases
+            corrected = _corrected_phases(layout, ideal, refl)
+            assert seeded_infidelity(target, layout, corrected, refl) < seeded_infidelity(
+                target, layout, ideal, refl
+            )
+
+    @pytest.mark.parametrize("r", [0.0, 1.0])
+    def test_a_coupler_at_zero_or_one_keeps_the_ideal_theta(self, r):
+        layout = MeshLayout(4)
+        refl = np.full((layout.n_cells, 2), 0.567)
+        refl[2, 0] = r
+        ideal = clements_decompose(haar(4, 170), layout).phases
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            corrected = _corrected_phases(layout, ideal, refl)
+        assert np.all(np.isfinite(corrected))
+        assert corrected[4] == ideal[4]
 
 
 @pytest.mark.parametrize("m", range(2, 13))
