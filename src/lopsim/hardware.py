@@ -56,6 +56,9 @@ SYNTHETIC_REFLECTIVITY_MEAN = 0.567
 SYNTHETIC_REFLECTIVITY_STD = 0.006
 SYNTHETIC_LOSS_SPREAD = 0.15
 
+#: Relative spread of the detection gain in :func:`generate_measurements`.
+MEASUREMENT_NOISE = 0.01
+
 #: Branch-search rounds of the transpiler before it gives up on a row.
 TRANSPILE_MAX_ROUNDS = 200
 
@@ -294,14 +297,13 @@ def _tvd(p: np.ndarray, q: np.ndarray) -> np.ndarray:
 
 
 def generate_measurements(
-    hw: HardwareModel, layout: MeshLayout, n: int, rng: np.random.Generator | int,
-    noise: float = 0.01, scale: float = 1.0,
+    hw: HardwareModel, layout: MeshLayout, n: int, rng: np.random.Generator | int
 ) -> IntensityData:
     """``n`` rows of random-drive intensity data with multiplicative detection noise.
 
     Row i drives every shifter uniformly in ``[0, v_max]`` and feeds mode
-    ``i % m``; it records ``scale`` times the lossy output powers, each
-    times a gain ``1 + noise * N(0, 1)`` and clipped at 0.
+    ``i % m``; it records the lossy output powers, each times a gain
+    ``1 + MEASUREMENT_NOISE * N(0, 1)`` and clipped at 0.
     """
     _check_layout(hw, layout)
     rng = _seeded_rng(rng)
@@ -309,9 +311,9 @@ def generate_measurements(
     gains = np.empty((n, hw.m))
     for i in range(n):
         volts[i] = rng.uniform(0.0, hw.v_max, size=hw.b.shape[0])
-        gains[i] = 1.0 + noise * rng.standard_normal(hw.m)
+        gains[i] = 1.0 + MEASUREMENT_NOISE * rng.standard_normal(hw.m)
     inputs = np.arange(n) % hw.m
-    clean = scale * _intensities(hw, layout, _logical_phases(hw, layout, volts), inputs)
+    clean = _intensities(hw, layout, _logical_phases(hw, layout, volts), inputs)
     return IntensityData(volts, inputs, np.clip(clean * gains, 0.0, None))
 
 

@@ -81,9 +81,11 @@ RECONSTRUCTION_ATOL = 1e-10
 
 #: :func:`compile_with_imperfections` stops restarting once the fidelity
 #: reaches ``COMPILE_STOP_FIDELITY`` or ``COMPILE_PATIENCE`` restarts in a
-#: row fail to improve it.
+#: row fail to improve it, where an improvement lowers the best ``1 - F``
+#: by more than the fraction ``COMPILE_PROGRESS`` of it.
 COMPILE_STOP_FIDELITY = 1.0 - 1e-6
 COMPILE_PATIENCE = 2
+COMPILE_PROGRESS = 0.01
 
 #: Alternating phase updates per update order in the boundary-phase search.
 GAUGE_ITERATIONS = 40
@@ -176,6 +178,10 @@ class PhotonicCircuit:
 
     m: int
     elements: list[CircuitElement] = field(default_factory=list)
+
+    def __post_init__(self) -> None:
+        for element in self.elements:
+            _check_element_modes(element, self.m)
 
     def add(self, element: CircuitElement) -> "PhotonicCircuit":
         _check_element_modes(element, self.m)
@@ -321,17 +327,25 @@ class MeshLayout:
         reflectivities: np.ndarray | None = None,
         output_phases: np.ndarray | None = None,
     ) -> np.ndarray:
+        phases, output_phases = self._checked_phases(phases, output_phases)
+        refl = self._reflectivity_table(reflectivities)
+        u = _forward_sweep(self, np.eye(self.m, dtype=complex), phases, refl)[0].T
+        if output_phases is not None:
+            u = np.exp(1j * output_phases)[:, None] * u
+        return u
+
+    def _checked_phases(
+        self, phases: np.ndarray, output_phases: np.ndarray | None
+    ) -> tuple[np.ndarray, np.ndarray | None]:
+        """The logical phases and the optional output layer as float arrays of their shapes."""
         phases = np.asarray(phases, dtype=float)
         if phases.shape != (self.n_logical,):
             raise ValueError(f"expected {self.n_logical} logical phases, got {phases.shape}")
-        refl = self._reflectivity_table(reflectivities)
-        u = _forward_sweep(self, np.eye(self.m, dtype=complex), phases, refl)[0].T
         if output_phases is not None:
             output_phases = np.asarray(output_phases, dtype=float)
             if output_phases.shape != (self.m,):
                 raise ValueError("output phase layer must have one phase per mode")
-            u = np.exp(1j * output_phases)[:, None] * u
-        return u
+        return phases, output_phases
 
     def _reflectivity_table(self, reflectivities: np.ndarray | None) -> np.ndarray:
         if reflectivities is None:
@@ -351,20 +365,16 @@ class MeshLayout:
         return refl
 
     def circuit(
-        self,
-        phases: np.ndarray,
-        reflectivities: np.ndarray | None = None,
-        output_phases: np.ndarray | None = None,
+        self, phases: np.ndarray, output_phases: np.ndarray | None = None
     ) -> PhotonicCircuit:
-        """Element-level expansion of the mesh (phi, coupler, theta, coupler per cell)."""
-        phases = np.asarray(phases, dtype=float)
-        refl = self._reflectivity_table(reflectivities)
+        """Element-level expansion of the balanced mesh (phi, coupler, theta, coupler per cell)."""
+        phases, output_phases = self._checked_phases(phases, output_phases)
         circuit = PhotonicCircuit(self.m)
         for c, p in enumerate(self.cells):
             circuit.add(PhaseShifter(p, float(phases[2 * c + 1])))
-            circuit.add(DirectionalCoupler(p, p + 1, float(refl[c, 0])))
+            circuit.add(DirectionalCoupler(p, p + 1))
             circuit.add(PhaseShifter(p, float(phases[2 * c])))
-            circuit.add(DirectionalCoupler(p, p + 1, float(refl[c, 1])))
+            circuit.add(DirectionalCoupler(p, p + 1))
         if output_phases is not None:
             for mode in range(self.m):
                 circuit.add(PhaseShifter(mode, float(output_phases[mode])))
@@ -545,8 +555,8 @@ class MeshPhases:
     phases: np.ndarray
     output_phases: np.ndarray
 
-    def unitary(self, reflectivities: np.ndarray | None = None) -> ModeUnitary:
-        return self.layout.unitary(self.phases, reflectivities, self.output_phases)
+    def unitary(self) -> ModeUnitary:
+        return self.layout.unitary(self.phases, output_phases=self.output_phases)
 
 
 def clements_decompose(unitary: ModeUnitary, layout: MeshLayout | None = None) -> MeshPhases:
@@ -691,13 +701,17 @@ def _optimal_gauges(target: np.ndarray, implemented: np.ndarray) -> tuple[np.nda
     return np.angle(best[1]), np.angle(best[2])
 
 
+def _dressed(target: np.ndarray, implemented: np.ndarray) -> tuple[np.ndarray, ...]:
+    """The optimal output and input phase layers and ``implemented`` dressed with them."""
+    out, inn = _optimal_gauges(target, implemented)
+    return out, inn, np.exp(1j * out)[:, None] * implemented * np.exp(1j * inn)[None, :]
+
+
 def gauge_fidelity(target: ModeUnitary | np.ndarray, implemented: ModeUnitary | np.ndarray) -> float:
     """Fidelity maximized over free input/output phase layers."""
     u = target.matrix if isinstance(target, ModeUnitary) else np.asarray(target)
     v = implemented.matrix if isinstance(implemented, ModeUnitary) else np.asarray(implemented)
-    out, inn = _optimal_gauges(u, v)
-    dressed = np.exp(1j * out)[:, None] * v * np.exp(1j * inn)[None, :]
-    return fidelity(u, dressed)
+    return fidelity(u, _dressed(u, v)[2])
 
 
 @dataclass
@@ -834,7 +848,8 @@ def compile_with_imperfections(
             _gauge_objective_and_grad, x0, args=args, jac=True, method="L-BFGS-B",
             options={"maxiter": maxiter},
         )
-        if res.fun < best_f - 1e-7:
+        # relative to the best 1 - F, which is inf before the first attempt
+        if 1.0 + res.fun < (1.0 - COMPILE_PROGRESS) * (1.0 + best_f):
             stale = 0
         else:
             stale += 1
@@ -845,9 +860,7 @@ def compile_with_imperfections(
             break
 
     phases = layout.phases_from_actuated(np.mod(best_x, 2.0 * np.pi))
-    v = layout._matrix(phases, refl)
-    out, inn = _optimal_gauges(tmat, v)
-    dressed = np.exp(1j * out)[:, None] * v * np.exp(1j * inn)[None, :]
+    out, inn, dressed = _dressed(tmat, layout._matrix(phases, refl))
     return CompilationResult(
         layout=layout,
         phases=phases,

@@ -28,7 +28,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .fock import _frequencies, _seeded_rng, _shot_count, batched_amplitudes, enumerate_basis
+from .fock import _seeded_rng, batched_amplitudes, enumerate_basis
 from .mesh import DirectionalCoupler, _apply_element
 
 __all__ = [
@@ -145,7 +145,7 @@ def _stacked_blocks(thetas: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return blocks[: len(thetas)], blocks[len(thetas) :]
 
 
-def _candidate_distributions(thetas, phases, shots, rng) -> np.ndarray:
+def _candidate_distributions(thetas, phases) -> np.ndarray:
     """:func:`pattern_distributions` of T candidates, ``(T, K, 37)``, in one SLOS pass."""
     first, second = _stacked_blocks(thetas)
     diag = np.ones((len(phases), N_MODES), dtype=complex)
@@ -153,50 +153,34 @@ def _candidate_distributions(thetas, phases, shots, rng) -> np.ndarray:
     unitaries = np.stack([a @ (diag[:, :, None] * b) for a, b in zip(second, first)])
     amps = batched_amplitudes(unitaries.reshape(-1, N_MODES, N_MODES), INPUT_MODES)
     amps = amps.reshape(len(thetas), len(phases), -1)
-    merged = np.stack([np.abs(a) ** 2 @ _pattern_table()[1] for a in amps])
-    return merged if shots is None else _frequencies(rng, shots, merged)
+    return np.stack([np.abs(a) ** 2 @ _pattern_table()[1] for a in amps])
 
 
-def pattern_distributions(
-    theta: Sequence[float],
-    phases: np.ndarray,
-    shots: int | None = None,
-    rng: np.random.Generator | None = None,
-) -> np.ndarray:
+def pattern_distributions(theta: Sequence[float], phases: np.ndarray) -> np.ndarray:
     """Merged outcome-pattern probabilities of K data points, ``(K, 37)``.
 
     ``phases`` holds one row of encoding phases per data point.  The K
     chip unitaries ``A diag(exp(i phi_k)) B`` share the blocks ``A`` and
-    ``B`` and go through one batched SLOS pass.  With ``shots`` (a whole
-    number, at least 1) every row is replaced by a multinomial draw of
-    that many detection events, row by row in order from ``rng``.
+    ``B`` and go through one batched SLOS pass.
     """
-    shots = _shot_count(shots, rng)
     theta = _checked_theta(theta)
     phases = np.asarray(phases, dtype=float)
     if phases.ndim != 2 or phases.shape[1] != N_FEATURES:
         raise ValueError(f"expected (K, {N_FEATURES}) encoding phases, got shape {phases.shape}")
     if not np.all(np.isfinite(phases)):
         raise ValueError("encoding phases must be finite")
-    return _candidate_distributions(theta[None], phases, shots, rng)[0]
+    return _candidate_distributions(theta[None], phases)[0]
 
 
-def pattern_distribution(
-    theta: Sequence[float],
-    phases: Sequence[float],
-    shots: int | None = None,
-    rng: np.random.Generator | None = None,
-) -> np.ndarray:
+def pattern_distribution(theta: Sequence[float], phases: Sequence[float]) -> np.ndarray:
     """Probabilities of the merged outcome patterns for one data point.
 
-    The K = 1 case of :func:`pattern_distributions`.  With ``shots`` the
-    exact distribution is replaced by an empirical multinomial draw of
-    that many detection events.
+    The K = 1 case of :func:`pattern_distributions`.
     """
     phases = np.asarray(phases, dtype=float)
     if phases.shape != (N_FEATURES,):
         raise ValueError(f"expected {N_FEATURES} encoding phases, got shape {phases.shape}")
-    return pattern_distributions(theta, phases[None], shots, rng)[0]
+    return pattern_distributions(theta, phases[None])[0]
 
 
 def _feature_phases(x: np.ndarray, low: np.ndarray, span: np.ndarray) -> np.ndarray:
@@ -260,15 +244,10 @@ class ClassifierModel:
         return _feature_phases(x, self.feature_low, self.feature_span)
 
 
-def qnn_predict(
-    model: ClassifierModel,
-    features: np.ndarray,
-    shots: int | None = None,
-    rng: np.random.Generator | None = None,
-) -> np.ndarray:
+def qnn_predict(model: ClassifierModel, features: np.ndarray) -> np.ndarray:
     """Predicted class labels for a feature matrix."""
     phases = model.encode(np.atleast_2d(np.asarray(features, dtype=float)))
-    values = pattern_distributions(model.theta, phases, shots, rng) @ model.lambdas.T
+    values = pattern_distributions(model.theta, phases) @ model.lambdas.T
     return np.argmax(values, axis=1)
 
 
@@ -334,7 +313,6 @@ class QnnConfig:
     evaluations_per_iteration: int = 8
     pool_size: int = 40
     seed: int = 0
-    shots: int | None = None
     n_test: int = 38
 
 
@@ -403,7 +381,6 @@ def qnn_train(
         raise ValueError("one class name per class required")
 
     rng = _seeded_rng(config.seed)
-    shots = _shot_count(config.shots, rng)
     train_idx, test_idx = stratified_split(labels, config.n_test, rng)
     x_train, y_train = features[train_idx], labels[train_idx]
     x_test, y_test = features[test_idx], labels[test_idx]
@@ -437,7 +414,7 @@ def qnn_train(
         else:
             ranking = rng.permutation(len(pool))
         picks = pool[ranking[: config.evaluations_per_iteration]]
-        for theta, probs in zip(picks, _candidate_distributions(picks, train_phases, shots, rng)):
+        for theta, probs in zip(picks, _candidate_distributions(picks, train_phases)):
             weights, accuracy, loss = _solve_lambdas(probs, y_train, n_classes)
             score = accuracy - 0.01 * loss
             history_thetas.append(theta)

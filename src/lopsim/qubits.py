@@ -102,6 +102,10 @@ class CompilationError(ValueError):
 CNOT_SUCCESS = 1.0 / 9.0
 TOFFOLI_SUCCESS = (2.0 ** (1.0 / 3.0) - 1.0) ** 3
 
+#: A singular value s of a contraction adds a vacuum mode in
+#: :func:`_dilate_contraction` when ``1 - s^2`` exceeds this.
+DILATION_ATOL = 1e-12
+
 _SQRT2 = np.sqrt(2.0)
 _ID2 = np.eye(2, dtype=complex)
 _X = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
@@ -495,11 +499,12 @@ def _cnot_elements(
     return elements
 
 
-def _dilate_contraction(w: np.ndarray, atol: float = 1e-12) -> np.ndarray:
+def _dilate_contraction(w: np.ndarray) -> np.ndarray:
     """Smallest unitary with ``w`` as its top-left block.
 
-    One extra mode is added per singular value of ``w`` below one; the
-    extra columns (vacuum inputs) are an arbitrary orthonormal completion.
+    One extra mode is added per singular value of ``w`` below one (by more
+    than ``DILATION_ATOL`` in ``1 - s^2``); the extra columns (vacuum
+    inputs) are an arbitrary orthonormal completion.
     """
     from scipy.linalg import null_space
 
@@ -507,7 +512,7 @@ def _dilate_contraction(w: np.ndarray, atol: float = 1e-12) -> np.ndarray:
     gram = np.eye(k) - w.conj().T @ w
     vals, vecs = np.linalg.eigh(gram)
     vals = np.clip(vals, 0.0, None)
-    keep = vals > atol
+    keep = vals > DILATION_ATOL
     bottom = (vecs[:, keep] * np.sqrt(vals[keep])).conj().T
     isometry = np.vstack([w, bottom])
     completion = null_space(isometry.conj().T)
@@ -552,15 +557,9 @@ def _rail_amplitudes(unitary: np.ndarray, enc: QubitEncoding) -> np.ndarray:
     return signs @ np.prod(sums[:, :, rails], axis=-1) / (1 << (n - 1))
 
 
-def encoding_input_modes(
-    enc: QubitEncoding, bits: Sequence[int] | None = None
-) -> tuple[int, ...]:
-    """Input modes with one photon per qubit on the rail of its bit, qubit 0 first."""
-    if bits is None:
-        bits = (0,) * enc.n_qubits
-    if len(bits) != enc.n_qubits:
-        raise ValueError("one bit per qubit required")
-    return tuple(enc.rail(q, bit) for q, bit in enumerate(bits))
+def encoding_input_modes(enc: QubitEncoding) -> tuple[int, ...]:
+    """Input modes of the all-zero state: one photon per qubit on its rail 0, qubit 0 first."""
+    return tuple(enc.rail(q, 0) for q in range(enc.n_qubits))
 
 
 def pauli_measurement_setting(word: str, enc: QubitEncoding) -> PhotonicCircuit:
@@ -795,12 +794,12 @@ def ghz_factory() -> tuple[PhotonicCircuit, tuple[HeraldPattern, ...], QubitEnco
 
 
 def ghz_postselection(
-    heralds: Sequence[HeraldPattern], sign: int = 1, threshold: bool = False
+    heralds: Sequence[HeraldPattern], threshold: bool = False
 ) -> PostselectionRule:
-    """Pooled rule accepting every herald of the given sign."""
-    selected = tuple(h.occupations for h in heralds if h.sign == sign)
+    """Pooled rule accepting every plus-sign herald."""
+    selected = tuple(h.occupations for h in heralds if h.sign == 1)
     if not selected:
-        raise ValueError(f"no herald with sign {sign}")
+        raise ValueError("no herald with sign 1")
     return PostselectionRule(GHZ_OUTPUT_PAIRS, heralds=selected, threshold=threshold)
 
 
@@ -843,7 +842,7 @@ def ghz_noisy_fidelity(source: SourceModel | None = None) -> tuple[float, dict[s
     stabilizer-average fidelity together with the eight expectations.
     """
     circuit, heralds, encoding = ghz_factory()
-    rule = ghz_postselection(heralds, sign=1, threshold=True)
+    rule = ghz_postselection(heralds, threshold=True)
     base = circuit.unitary()
     logical = {}
     for word in GHZ_MEASUREMENT_SETTINGS:

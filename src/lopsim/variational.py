@@ -19,7 +19,7 @@ import warnings
 from dataclasses import dataclass
 from functools import cache
 from importlib import resources
-from typing import Mapping, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -287,21 +287,18 @@ def measure_energy(
     h: QubitHamiltonian,
     theta: Sequence[float],
     backend: PhotonicVqeBackend,
-    shots: int | None = None,
-    mitigation: Mapping[str, MitigationMatrix] | None = None,
-    rng: np.random.Generator | None = None,
+    shots: None = None,
 ) -> float:
-    """One energy evaluation from the two measurement settings.
+    """One exact, unmitigated energy evaluation from the two measurement settings.
 
     The settings' distributions come from the K = 1 stack
     ``backend.ansatz_distributions([theta])``, which every backend must
-    provide.  ``shots`` counts postselected samples per
-    setting (a whole number, at least 1) drawn from ``rng``, which is then
-    required; None uses the exact distributions.  ``mitigation`` maps a
-    setting name to its confusion matrix; missing entries leave that
-    setting unmitigated.
+    provide.  ``shots`` must be None (the exact distributions): sampled
+    energies are read by :func:`vqe_run` through ``VqeConfig.shots``.
     """
-    return _energies(h, [theta], backend, shots, mitigation, rng)[0]
+    if shots is not None:
+        raise ValueError(f"measure_energy reads exact distributions; got shots={shots}")
+    return _energies(h, [theta], backend, None, None, None)[0]
 
 
 def _energies(h, thetas, backend, shots, mitigation, rng) -> list[float]:
@@ -314,7 +311,7 @@ def _energies(h, thetas, backend, shots, mitigation, rng) -> list[float]:
     def setting(basis: str, p: np.ndarray) -> np.ndarray:
         if shots is not None:
             p = _frequencies(rng, shots, p)
-        return apply_mitigation(mitigation[basis], p) if mitigation and basis in mitigation else p
+        return apply_mitigation(mitigation[basis], p) if mitigation else p
 
     rows = backend.ansatz_distributions(thetas)
     return [energy_from_distributions(h, *map(setting, BASES, row)) for row in rows]
@@ -387,15 +384,13 @@ class VqeConfig:
     number, at least 1: a fraction raises ``TypeError``), and
     ``mitigation`` toggles confusion-matrix correction with matrices
     measured once before the optimization starts.  The seed drives
-    sampling only; the sweeps start from all-zero angles unless
-    ``initial_theta`` is given.
+    sampling only; the sweeps start from all-zero angles.
     """
 
     shots: int | None = 10000
     max_iterations: int = 100
     seed: int = 0
     mitigation: bool = True
-    initial_theta: Sequence[float] | None = None
 
 
 @dataclass
@@ -460,12 +455,11 @@ def vqe_run(
 ) -> VqeResult:
     """Minimize the measured energy over the ansatz angles.
 
-    Starting from all-zero angles (the reference state), or from
-    ``config.initial_theta``, each sweep pins every angle in turn to the
-    minimum of its energy sinusoid: Rotosolve (Ostaszewski, Grant and
-    Benedetti, Quantum 5, 391 (2021)), the sequential minimal
-    optimization of Nakanishi, Fujii and Todo (Phys. Rev. Research 2,
-    043158 (2020)).  Sweeps repeat until a full one lowers the predicted
+    Starting from all-zero angles (the reference state), each sweep
+    pins every angle in turn to the minimum of its energy sinusoid:
+    Rotosolve (Ostaszewski, Grant and Benedetti, Quantum 5, 391 (2021)),
+    the sequential minimal optimization of Nakanishi, Fujii and Todo
+    (Phys. Rev. Research 2, 043158 (2020)).  Sweeps repeat until a full one lowers the predicted
     energy by less than ``SWEEP_TOLERANCE`` (``converged=True``) or the
     cap leaves fewer than two evaluations for the next angle.  Only
     exact (infinite-shot) energies meet that tolerance; with finite shots
@@ -482,10 +476,6 @@ def vqe_run(
     if max_iterations < 1:
         raise ValueError(f"max_iterations must be positive, got {max_iterations}")
     theta = np.zeros(N_ANSATZ_ANGLES)
-    if config.initial_theta is not None:
-        theta = np.array(config.initial_theta, dtype=float)
-        if theta.shape != (N_ANSATZ_ANGLES,):
-            raise ValueError(f"initial_theta must have {N_ANSATZ_ANGLES} entries")
     rng = _seeded_rng(config.seed)
 
     gammas = None

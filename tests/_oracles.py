@@ -1046,3 +1046,9 @@ def measurements_per_row(
     clean = scale * _intensities(hw, layout, phases, inputs)
     noisy = np.clip(clean * np.array(gains), 0.0, None)
     return IntensityData(np.array(volts), np.array(inputs), noisy)
+
+
+def rail_modes(enc: QubitEncoding, bits: Sequence[int]) -> tuple[int, ...]:
+    """Input modes of a computational basis state: one photon per qubit on the
+    rail of its bit, qubit 0 first."""
+    return tuple(enc.rail(q, bit) for q, bit in enumerate(bits))

@@ -10,6 +10,7 @@ import pytest
 
 from lopsim import hardware
 from lopsim.hardware import (
+    MEASUREMENT_NOISE,
     HardwareModel,
     IntensityData,
     TranspilationError,
@@ -51,8 +52,8 @@ def column_powers(hw, layout, voltages, input_mode, scale=1.0):
 def m4_setup():
     layout = MeshLayout(4)
     hw = HardwareModel.synthetic(4, rng=11)
-    train = generate_measurements(hw, layout, 1200, rng=12, noise=0.0)
-    test = generate_measurements(hw, layout, 150, rng=13, noise=0.0)
+    train = measurements_per_row(hw, layout, 1200, 12, 0.0, 1.0)
+    test = measurements_per_row(hw, layout, 150, 13, 0.0, 1.0)
     fit = calibrate(train, layout)
     return layout, hw, fit, test
 
@@ -198,7 +199,7 @@ class TestCalibration:
     def test_gradient_matches_finite_differences(self):
         layout = MeshLayout(3)
         hw = HardwareModel.synthetic(3, rng=14)
-        data = generate_measurements(hw, layout, 25, rng=15, noise=0.0)
+        data = measurements_per_row(hw, layout, 25, 15, 0.0, 1.0)
         w = data.voltages * data.voltages
         rng = np.random.default_rng(16)
         p, nc, m = layout.n_actuated, layout.n_cells, layout.m
@@ -250,8 +251,8 @@ class TestCalibration:
         # Dimming the lamp must not change the recovered relative losses.
         layout = MeshLayout(3)
         hw = HardwareModel.synthetic(3, rng=19)
-        bright = generate_measurements(hw, layout, 600, rng=20, noise=0.0, scale=1.0)
-        dim = generate_measurements(hw, layout, 600, rng=20, noise=0.0, scale=0.6)
+        bright = measurements_per_row(hw, layout, 600, 20, 0.0, 1.0)
+        dim = measurements_per_row(hw, layout, 600, 20, 0.0, 0.6)
         fit_bright = calibrate(bright, layout)
         fit_dim = calibrate(dim, layout)
         assert np.allclose(
@@ -451,7 +452,7 @@ class TestBatchedIntensities:
 
     def test_noiseless_measurements(self, chip):
         layout, hw, _ = chip
-        data = generate_measurements(hw, layout, 30, rng=25, noise=0.0, scale=0.8)
+        data = measurements_per_row(hw, layout, 30, 25, 0.0, 0.8)
         rng = np.random.default_rng(25)
         for i in range(30):
             v = rng.uniform(0.0, hw.v_max, size=12)
@@ -574,11 +575,10 @@ class TestBatchedTranspiler:
         with pytest.raises(TranspilationError, match="too many infeasible"):
             benchmark_tvd(hw, hw, MeshLayout(3), n_configs=5, seed=0)
 
-    @pytest.mark.parametrize("noise, scale", [(0.0, 1.0), (0.01, 0.7)])
-    def test_measurements_match_per_row_phases(self, noise, scale):
+    def test_measurements_match_per_row_phases(self):
         layout = MeshLayout(6)
         chip = HardwareModel.synthetic(6, rng=130)
-        got = generate_measurements(chip, layout, 200, rng=131, noise=noise, scale=scale)
-        expected = measurements_per_row(chip, layout, 200, 131, noise, scale)
+        got = generate_measurements(chip, layout, 200, rng=131)
+        expected = measurements_per_row(chip, layout, 200, 131, MEASUREMENT_NOISE, 1.0)
         for name in ("voltages", "input_modes", "intensities"):
             assert np.array_equal(getattr(got, name), getattr(expected, name)), name

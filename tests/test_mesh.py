@@ -1,5 +1,6 @@
 """Tests for circuit elements, the rectangular mesh and compilation."""
 
+import dataclasses
 import hashlib
 import warnings
 from functools import lru_cache
@@ -110,6 +111,22 @@ class TestElements:
     def test_float_permutation_targets_are_refused(self):
         with pytest.raises(TypeError):
             ModePermutation((1.0, 0.0))
+
+    @pytest.mark.parametrize(
+        "element, message",
+        [
+            (PhaseShifter(-1, 0.5), "mode -1 out of range for m=3"),
+            (DirectionalCoupler(1, 3), "mode 3 out of range for m=3"),
+            (ModePermutation((1, 0)), "permutation over 2 modes, circuit has 3"),
+        ],
+        ids=["negative", "past-the-end", "short-permutation"],
+    )
+    def test_elements_given_at_construction_are_checked_as_add_checks_them(self, element, message):
+        # a negative mode would otherwise index from the end of the matrix
+        with pytest.raises(ValueError, match=message):
+            PhotonicCircuit(3).add(element)
+        with pytest.raises(ValueError, match=message):
+            PhotonicCircuit(3, [PhaseShifter(0, 0.1), element])
 
     def test_compose_order_is_first_element_first(self):
         # A phase on mode 0 before the coupler lands on the coupler input.
@@ -244,9 +261,34 @@ class TestMeshLayout:
         phases = rng.uniform(0, 2 * np.pi, layout.n_logical)
         refl = rng.uniform(0.3, 0.7, size=(layout.n_cells, 2))
         output = rng.uniform(0, 2 * np.pi, m)
+        balanced = layout.circuit(phases, output_phases=output)
+        direct = layout.unitary(phases, output_phases=output).matrix
+        assert np.max(np.abs(direct - balanced.unitary().matrix)) < 1e-12
+        # the same cells on the couplers ``refl``, in cell order r1, r2
+        couplers = iter(refl.ravel().tolist())
+        imperfect = [
+            dataclasses.replace(e, reflectivity=next(couplers))
+            if isinstance(e, DirectionalCoupler) else e
+            for e in balanced.elements
+        ]
         direct = layout.unitary(phases, refl, output).matrix
-        expanded = layout.circuit(phases, refl, output).unitary().matrix
+        expanded = PhotonicCircuit(m, imperfect).unitary().matrix
         assert np.max(np.abs(direct - expanded)) < 1e-12
+
+    @pytest.mark.parametrize(
+        "shapes, message",
+        [
+            ((15, None), r"expected 12 logical phases, got \(15,\)"),
+            ((12, 7), "output phase layer must have one phase per mode"),
+        ],
+        ids=["phases", "output-phases"],
+    )
+    @pytest.mark.parametrize("reader", ["unitary", "circuit"])
+    def test_both_readers_refuse_phases_of_another_shape(self, reader, shapes, message):
+        layout = MeshLayout(4)
+        phases, outputs = (None if n is None else np.zeros(n) for n in shapes)
+        with pytest.raises(ValueError, match=message):
+            getattr(layout, reader)(phases, output_phases=outputs)
 
 
 class TestDecomposition:
@@ -426,7 +468,7 @@ class TestCompilation:
 
 
     @pytest.mark.parametrize("bad", [1.2, -0.1, np.nan])
-    @pytest.mark.parametrize("reader", ["compile", "unitary", "circuit"])
+    @pytest.mark.parametrize("reader", ["compile", "unitary"])
     def test_a_reflectivity_outside_zero_to_one_is_refused(self, bad, reader):
         layout = MeshLayout(4)
         refl = np.full((layout.n_cells, 2), 0.5)
@@ -435,10 +477,36 @@ class TestCompilation:
         call = {
             "compile": lambda: compile_with_imperfections(haar(4, 18), refl, layout=layout),
             "unitary": lambda: layout.unitary(phases, refl),
-            "circuit": lambda: layout.circuit(phases, refl),
         }[reader]
         with pytest.raises(ValueError, match=r"of cell 3 \(coupler r2\) outside \[0, 1\]"):
             call()
+
+    @pytest.mark.parametrize(
+        "gain, attempts",
+        [(1.0, mesh.COMPILE_PATIENCE + 1), (0.995, mesh.COMPILE_PATIENCE + 1), (0.98, 6)],
+        ids=["none", "0.5%", "2%"],
+    )
+    def test_restarts_stop_once_they_gain_less_than_the_progress_fraction(
+        self, monkeypatch, gain, attempts
+    ):
+        # Each scripted attempt lowers 1 - F (1e-4 at the first) by the
+        # factor ``gain``: 0.5 % gains are more than 1e-7 apiece, so an
+        # absolute 1e-7 rule ran all six attempts; 2 % gains still count,
+        # and the first attempt counts against no earlier one.
+        import scipy.optimize
+
+        infidelities = []
+
+        def scripted(fun, x0, **_):
+            infidelities.append(1e-4 * gain ** len(infidelities))
+            return scipy.optimize.OptimizeResult(fun=infidelities[-1] - 1.0, x=x0)
+
+        monkeypatch.setattr(scipy.optimize, "minimize", scripted)
+        layout = MeshLayout(4)
+        refl = np.full((layout.n_cells, 2), 0.5)
+        result = compile_with_imperfections(haar(4, 18), refl, layout, max_restarts=6)
+        assert result.restarts_used == len(infidelities) == attempts
+        assert np.isfinite(result.fidelity)
 
     def test_max_restarts_below_one_is_rejected(self):
         layout = MeshLayout(4)

@@ -3,7 +3,8 @@ and some module reads each one, every console script resolves to a
 callable, every name a module exports or the package imports exists, no
 module-level definition, method or property is dead, every public name
 has a caller in the package or the benchmark (or an allowlist entry that
-names its coming reader), no module draws from an unseeded generator, every
+names its coming reader), so does every defaulted parameter and dataclass
+field (a call that sets it), no module draws from an unseeded generator, every
 ``np.allclose``/``np.isclose`` sets its ``rtol``, no parameter takes a
 plain ``Mapping[FockState, ...]`` of outcomes, and importing the
 package (or running ``lopsim fringe`` or ``lopsim vqe``) loads no scipy
@@ -362,6 +363,229 @@ def test_a_new_test_only_method_fails_only_the_public_name_guard(tmp_path):
     assert _unused_definitions(_class_members, tests, mutated) == []
     found = _public_names_without_a_caller(mutated)
     assert found == sorted([*TEST_ONLY_PUBLIC_NAMES, "fock.py:sector_masses"])
+
+
+#: Defaulted parameters and dataclass fields that no code in the package
+#: or the benchmark sets, each with the entry point or ROADMAP item that
+#: is to set it.  The scan must equal this table, as for the public names.
+TEST_ONLY_OPTIONS = {
+    "benchmark.py:build_plan.functional": "item 4's tabulated / exact F_avg table (ROADMAP item 4)",
+    "benchmark.py:estimate_favg.seed": "`std_error` in `lopsim paper` (ROADMAP item 8)",
+    "benchmark.py:estimate_favg.shots_per_config": "`std_error` in `lopsim paper` (ROADMAP item 8)",
+    "cli.py:main.argv": "none: the `lopsim` console script reads `sys.argv`",
+    "hardware.py:calibrate.initial": "restarts of the calibration fit (ROADMAP item 2)",
+    "sources.py:SourceModel.efficiency": "the eta column of the heralded GHZ (ROADMAP item 12)",
+    "variational.py:PhotonicVqeBackend.source": "a source beside `chip=` (ROADMAP item 4)",
+    "variational.py:VqeConfig.mitigation": "raw against mitigated H2 curve (ROADMAP item 8)",
+    "variational.py:measure_energy.shots": "none: must be None; the benchmark passes "
+    "`shots=None`, so the keyword goes at its next change (ROADMAP item 9)",
+}
+
+
+def _callee(node) -> str | None:
+    """The name a call or a decorator uses: ``f`` of ``f(...)`` and of ``mod.f(...)``."""
+    node = node.func if isinstance(node, ast.Call) else node
+    return getattr(node, "id", getattr(node, "attr", None))
+
+
+def _defaulted_options(source: Path) -> dict[str, tuple[str, int | None, str, bool, str]]:
+    """``file:owner.name`` -> (callable name, positional index or None, name,
+    whether a dataclass field, ``ast.dump`` of the default) of every option.
+
+    An option is a defaulted parameter of a function or method (nested and
+    private ones included) or a defaulted dataclass field.  The callable
+    name is the one a call uses: the function or method name, or the
+    class name for ``__init__`` and for dataclass fields.  The positional
+    index counts the arguments a call passes, so ``self`` and ``cls`` are
+    not counted; a keyword-only parameter has none.  Functions with a
+    ``TEST_ONLY_PUBLIC_NAMES`` entry are skipped: their whole surface waits
+    for its reader.
+    """
+    found = {}
+
+    def visit(node, path: Path, scope: list[str], cls: ast.ClassDef | None) -> None:
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, ast.ClassDef):
+                if any(_callee(d) == "dataclass" for d in child.decorator_list):
+                    fields = [
+                        item for item in child.body
+                        if isinstance(item, ast.AnnAssign) and isinstance(item.target, ast.Name)
+                        and "ClassVar" not in ast.unparse(item.annotation)
+                    ]
+                    for index, item in enumerate(fields):
+                        if item.value is not None:
+                            key = ".".join([*scope, child.name, item.target.id])
+                            found[f"{path.name}:{key}"] = (
+                                child.name, index, item.target.id, True, ast.dump(item.value)
+                            )
+                visit(child, path, [*scope, child.name], child)
+            elif isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                if f"{path.name}:{child.name}" in TEST_ONLY_PUBLIC_NAMES:
+                    continue
+                init = cls is not None and child.name == "__init__"
+                called, owner = (cls.name, scope) if init else (child.name, [*scope, child.name])
+                bound = cls is not None and "staticmethod" not in map(_callee, child.decorator_list)
+                args = child.args
+                positional = args.posonlyargs + args.args
+                first = len(positional) - len(args.defaults)
+                indexed = [
+                    (arg, i - bound, args.defaults[i - first])
+                    for i, arg in enumerate(positional) if i >= first
+                ]
+                keyword_only = zip(args.kwonlyargs, args.kw_defaults)
+                indexed += [(arg, None, default) for arg, default in keyword_only if default]
+                for arg, index, default in indexed:
+                    key = ".".join([*owner, arg.arg])
+                    found[f"{path.name}:{key}"] = (called, index, arg.arg, False, ast.dump(default))
+                visit(child, path, [*scope, child.name], None)
+            else:
+                visit(child, path, scope, cls)
+
+    for path in sorted(source.glob("*.py")):
+        visit(ast.parse(path.read_text(encoding="utf-8")), path, [], None)
+    return found
+
+
+def _option_settings(paths) -> tuple[dict[tuple[str, str], set[str]], dict[str, int]]:
+    """What the calls in ``paths`` set: (callable name, keyword) -> the
+    ``ast.dump`` of each value passed, and the most positional arguments
+    per callable name.
+
+    ``**NAME`` passes the keys of ``NAME`` when it is a module-level dict
+    display or ``dict(...)`` call of the same file; a starred ``*args``
+    reaches no further than the positional arguments before it.
+    """
+    keywords, reach = {}, {}
+    for path in paths:
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        dicts = {}
+        for node in tree.body:
+            value = getattr(node, "value", None)
+            if isinstance(node, ast.Assign) and isinstance(value, ast.Dict):
+                dicts[_name(node)] = [
+                    (k.value, v) for k, v in zip(value.keys, value.values)
+                    if isinstance(k, ast.Constant)
+                ]
+            elif isinstance(node, ast.Assign) and isinstance(value, ast.Call):
+                if _callee(value) == "dict":
+                    dicts[_name(node)] = [(k.arg, k.value) for k in value.keywords if k.arg]
+        for node in ast.walk(tree):
+            if not isinstance(node, ast.Call):
+                continue
+            name = _callee(node)
+            given = [(k.arg, k.value) for k in node.keywords if k.arg is not None]
+            for k in node.keywords:
+                if k.arg is None:
+                    given += dicts.get(getattr(k.value, "id", None), [])
+            for key, value in given:
+                keywords.setdefault((name, key), set()).add(ast.dump(value))
+            starred = [i for i, arg in enumerate(node.args) if isinstance(arg, ast.Starred)]
+            reach[name] = max(reach.get(name, 0), starred[0] if starred else len(node.args))
+    return keywords, reach
+
+
+def _options_without_a_setter(
+    source: Path = ROOT / "src" / "lopsim", bench: Path = ROOT / "perfbench"
+) -> list[str]:
+    """Options of the package at ``source`` that no call in it or in ``bench/*.py`` sets.
+
+    A call sets an option when it passes it by keyword, passes enough
+    positional arguments to reach it, expands ``**NAME`` of a module-level
+    dict holding it as a key, or (a dataclass field) calls
+    ``replace(obj, name=...)``; a keyword whose value is the default's
+    own expression (``shots=None`` for ``shots=None``) sets nothing.
+    Calls are matched by callable name alone, so a name that several
+    callables share counts as set for all of them
+    (``unitary`` of ``MeshLayout``, ``PhotonicCircuit`` and ``MeshPhases``)
+    and ``replace`` sets a field of that name in every dataclass; an
+    option hidden that way needs a check by hand.
+    """
+    keywords, reach = _option_settings(
+        sorted(source.glob("*.py")) + sorted(bench.glob("*.py"))
+    )
+    return sorted(
+        key
+        for key, (called, index, name, field, default) in _defaulted_options(source).items()
+        if not keywords.get((called, name), set()) - {default}
+        and not (index is not None and reach.get(called, 0) > index)
+        and not (field and keywords.get(("replace", name), set()) - {default})
+    )
+
+
+def test_every_option_has_a_setter_outside_the_tests():
+    # Counts setters in src/lopsim and the code of perfbench/*.py only: an
+    # option that only tests set is a code path with no user.
+    assert _options_without_a_setter() == sorted(TEST_ONLY_OPTIONS)
+
+
+#: A package for the option scan: each option is set in one of the four
+#: ways, except ``scale.offset`` and ``Config.depth``, which ``replace``
+#: passes only its default.
+_OPTIONED_PACKAGE = {
+    "alpha.py": '''from dataclasses import dataclass, replace
+
+GAINS = {"gain": 2.0}
+
+
+@dataclass
+class Config:
+    size: int = 1
+    depth: int = 2
+    spare: int = 3
+
+
+def scale(x, factor=1.0, offset=0.0, *, clip=None):
+    return x * factor + offset if clip is None else min(x, clip)
+
+
+def amplify(x, gain=1.0):
+    return gain * x
+
+
+def run():
+    """Calls scale(1.0, offset=2.0) in a docstring only."""
+    replace(Config(size=4), spare=5, depth=2)
+    return scale(1.0, 2.0) + scale(1.0, clip=3.0) + amplify(1.0, **GAINS)
+''',
+}
+
+
+def test_the_option_scan_counts_each_setting_form(tmp_path):
+    source = _write_package(tmp_path / "pkg", _OPTIONED_PACKAGE)
+    empty = _write_package(tmp_path / "bench", {})
+    assert _options_without_a_setter(source, empty) == [
+        "alpha.py:Config.depth", "alpha.py:scale.offset"
+    ]
+    bench = _write_package(
+        tmp_path / "bench2",
+        {"run.py": "from alpha import Config, scale\nConfig(depth=2)\nscale(0.0, offset=1.0)\n"},
+    )
+    assert _options_without_a_setter(source, bench) == ["alpha.py:Config.depth"]
+
+
+def test_a_keyword_set_to_its_default_sets_nothing(tmp_path):
+    # The benchmark passes ``shots=None`` to measure_energy, its default;
+    # passing a count would set the option.
+    paths = (ROOT / "perfbench").glob("*.py")
+    bench = {path.name: path.read_text(encoding="utf-8") for path in paths}
+    old = "variational.PhotonicVqeBackend(), shots=None)"
+    assert bench["workloads.py"].count(old) == 1
+    bench["workloads.py"] = bench["workloads.py"].replace(old, old.replace("None", "VQE_SHOTS"))
+    found = _options_without_a_setter(bench=_write_package(tmp_path / "perfbench", bench))
+    assert found == sorted(set(TEST_ONLY_OPTIONS) - {"variational.py:measure_energy.shots"})
+
+
+def test_a_new_test_only_option_fails_the_option_guard(tmp_path):
+    # A defaulted parameter that only a test would pass has no setter: the
+    # guard reads the package and the benchmark, never the tests.
+    source = ROOT / "src" / "lopsim"
+    modules = {path.name: path.read_text(encoding="utf-8") for path in source.glob("*.py")}
+    old = "def qnn_predict(model: ClassifierModel, features: np.ndarray)"
+    assert modules["qnn.py"].count(old) == 1
+    modules["qnn.py"] = modules["qnn.py"].replace(old, old[:-1] + ", batch: int = 1)")
+    mutated = _write_package(tmp_path / "lopsim", modules)
+    found = _options_without_a_setter(mutated)
+    assert found == sorted([*TEST_ONLY_OPTIONS, "qnn.py:qnn_predict.batch"])
 
 
 @pytest.fixture

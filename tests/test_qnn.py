@@ -156,25 +156,9 @@ def test_batched_patterns_match_per_sample_circuits():
     assert np.allclose(batched, per_sample_patterns(theta, phases), rtol=0, atol=1e-12)
     for row, phi in zip(batched, phases):
         assert np.allclose(row, pattern_distribution(theta, phi), rtol=0, atol=1e-15)
+    assert np.allclose(batched.sum(axis=1), 1.0, rtol=0, atol=1e-12)
     with pytest.raises(ValueError, match="encoding"):
         pattern_distributions(theta, phases[:, :3])
-
-
-def test_batched_shots_draw_rows_in_sample_order():
-    theta = RNG.uniform(0.0, 2.0 * np.pi, N_THETA)
-    phases = RNG.uniform(0.0, np.pi, (5, N_FEATURES))
-    batched = pattern_distributions(theta, phases, shots=300, rng=np.random.default_rng(9))
-    rng = np.random.default_rng(9)
-    rows = [pattern_distribution(theta, phi, shots=300, rng=rng) for phi in phases]
-    assert np.array_equal(batched, np.array(rows))
-
-
-def test_shots_without_rng_raise():
-    theta, phases = np.zeros(N_THETA), np.zeros((2, N_FEATURES))
-    with pytest.raises(ValueError, match="rng"):
-        pattern_distributions(theta, phases, shots=300)
-    with pytest.raises(ValueError, match="rng"):
-        pattern_distribution(theta, phases[0], shots=300)
 
 
 def test_predict_matches_per_sample_forward():
@@ -185,30 +169,6 @@ def test_predict_matches_per_sample_forward():
     )
     assert np.array_equal(qnn_predict(model, features), np.argmax(values, axis=1))
     assert np.array_equal(model.encode(features)[2], model.encode(features[2]))
-
-
-def test_sampled_forward_within_shot_noise():
-    lambdas = RNG.normal(size=(3, len(pattern_space())))
-    model = unit_model(lambdas)
-    x = RNG.uniform(0.0, 1.0, 4)
-    probs = pattern_distribution(model.theta, model.encode(x))
-    exact = lambdas @ probs
-    shots = 50000
-    rng = np.random.default_rng(8)
-    sampled = lambdas @ pattern_distribution(model.theta, model.encode(x), shots, rng)
-    sigma = np.sqrt((lambdas**2) @ probs / shots)
-    assert np.all(np.abs(sampled - exact) <= 3.0 * sigma + 1e-12)
-
-
-def test_sampled_distribution_is_seeded_and_normalized():
-    theta = RNG.uniform(0.0, 2.0 * np.pi, N_THETA)
-    phases = RNG.uniform(0.0, np.pi, N_FEATURES)
-    a = pattern_distribution(theta, phases, shots=2000, rng=np.random.default_rng(5))
-    b = pattern_distribution(theta, phases, shots=2000, rng=np.random.default_rng(5))
-    assert np.array_equal(a, b)
-    assert a.sum() == pytest.approx(1.0, abs=1e-12)
-    with pytest.raises(ValueError, match="shots"):
-        pattern_distribution(theta, phases, shots=0)
 
 
 def test_encode_scales_and_clips():
@@ -297,15 +257,6 @@ def test_an_empty_search_is_refused(field):
         qnn_train(TOY_FEATURES, TOY_LABELS, config)
 
 
-@pytest.mark.parametrize("shots", [2.5, float("inf"), float("nan")])
-def test_a_fractional_shot_count_is_refused(shots):
-    rng = np.random.default_rng(6)
-    theta = rng.uniform(0.0, 2.0 * np.pi, N_THETA)
-    phases = rng.uniform(0.0, np.pi, (2, N_FEATURES))
-    with pytest.raises(ValueError, match="shots must be a whole number"):
-        pattern_distributions(theta, phases, shots=shots, rng=np.random.default_rng(0))
-
-
 def test_training_input_validation():
     config = QnnConfig(outer_iterations=1, n_test=0)
     with pytest.raises(ValueError, match="two classes"):
@@ -320,11 +271,11 @@ def test_training_input_validation():
         qnn_train(TOY_FEATURES, TOY_LABELS, config, class_names=("only",))
 
 
-def test_seeded_sampled_training_is_pinned():
-    """Values of the per-sample implementation this batched path replaced."""
+def test_seeded_training_is_pinned():
+    """A seeded iris run with exact pattern probabilities, pinned."""
     features, labels, _ = load_iris_dataset()
     config = QnnConfig(
-        outer_iterations=2, evaluations_per_iteration=2, pool_size=6, shots=200, seed=11, n_test=30
+        outer_iterations=2, evaluations_per_iteration=2, pool_size=6, seed=11, n_test=30
     )
     model, metrics = qnn_train(features, labels, config)
     assert np.allclose(
@@ -335,24 +286,24 @@ def test_seeded_sampled_training_is_pinned():
     )
     assert np.allclose(
         model.lambdas.sum(axis=1),
-        [5.439355659091575, -12.471084761669731, 44.02919046934919],
+        [12.660149552824475, 40.56530790137684, -18.232246602689937],
         rtol=1e-9,
         atol=0,
     )
     assert np.allclose(
         model.lambdas[:, :3],
         [
-            [-2.6252965286862127, -3.261859079522184, -4.709160501393152],
-            [-17.767600745047957, 5.04805526149084, 0.3742216560830144],
-            [21.392396174938412, -0.7861735144396841, 5.333981405353431],
+            [0.9495140867479336, 3.9879591641336622, 1.1394169040128133],
+            [-32.042152056650544, -134.57703863627918, -38.45058246756499],
+            [31.414814854569872, 131.9422223879297, 37.697777825208966],
         ],
         rtol=1e-9,
         atol=0,
     )
-    assert metrics["train_accuracy"] == 119 / 120
-    assert metrics["test_accuracy"] == 27 / 30
-    assert metrics["confusion_train"] == [[40, 0, 0], [0, 39, 1], [0, 0, 40]]
-    assert metrics["confusion_test"] == [[10, 0, 0], [0, 8, 2], [0, 1, 9]]
+    assert metrics["train_accuracy"] == 1.0
+    assert metrics["test_accuracy"] == 28 / 30
+    assert metrics["confusion_train"] == [[40, 0, 0], [0, 40, 0], [0, 0, 40]]
+    assert metrics["confusion_test"] == [[10, 0, 0], [0, 9, 1], [0, 1, 9]]
     assert metrics["objective_evaluations"] == 4
     assert metrics["best_iteration"] == 1
 
@@ -389,17 +340,7 @@ def test_stacked_blocks_are_the_element_by_element_circuits(count):
         assert first[t].tobytes() == want_first.tobytes()
         assert second[t].tobytes() == want_second.tobytes()
     phases = rng.uniform(0.0, np.pi, (4, N_FEATURES))
-    stacked = _candidate_distributions(thetas, phases, None, None)
+    stacked = _candidate_distributions(thetas, phases)
     for got, theta in zip(stacked, thetas):
         assert got.tobytes() == blockwise_patterns(theta, phases).tobytes()
         assert got.tobytes() == pattern_distributions(theta, phases).tobytes()
-
-
-def test_stacked_candidates_draw_the_shots_of_one_call_per_candidate():
-    rng = np.random.default_rng(31)
-    thetas = rng.uniform(0.0, 2.0 * np.pi, (3, N_THETA))
-    phases = rng.uniform(0.0, np.pi, (5, N_FEATURES))
-    stacked = _candidate_distributions(thetas, phases, 200, np.random.default_rng(4))
-    draws = np.random.default_rng(4)
-    one_by_one = [pattern_distributions(theta, phases, 200, draws) for theta in thetas]
-    assert np.array_equal(stacked, np.stack(one_by_one))

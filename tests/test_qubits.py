@@ -13,6 +13,7 @@ from _oracles import (
     placed_distribution,
     postselect_by_state,
     rail_amplitudes_slos,
+    rail_modes,
 )
 from lopsim import fock, qubits
 from lopsim.fock import ModeUnitary, output_amplitude, strong_simulate
@@ -142,6 +143,11 @@ class TestQubitEncoding:
         enc = QubitEncoding.default(2)
         assert enc.rail(0, 0) == 1 and enc.rail(0, 1) == 2
         assert enc.rail(1, 0) == 4 and enc.rail(1, 1) == 3
+
+    @pytest.mark.parametrize("n_qubits, modes", [(1, (0,)), (2, (1, 4)), (3, (0, 2, 4))])
+    def test_input_modes_are_the_all_zero_state(self, n_qubits, modes):
+        enc = QubitEncoding.default(n_qubits)
+        assert encoding_input_modes(enc) == modes == rail_modes(enc, (0,) * n_qubits)
 
     def test_overlapping_modes_rejected(self):
         with pytest.raises(ValueError, match="disjoint"):
@@ -290,7 +296,7 @@ class TestLogicalMatrix:
         enc = QubitEncoding.default(n_qubits)
         circuit, _, _, _ = compile_gate_circuit(gc, enc)
         unitary = circuit.unitary()
-        states = [encoding_input_modes(enc, bits) for bits in np.ndindex((2,) * n_qubits)]
+        states = [rail_modes(enc, bits) for bits in np.ndindex((2,) * n_qubits)]
         expected = np.array(
             [[output_amplitude(unitary, col, row) for col in states] for row in states]
         )
@@ -348,7 +354,7 @@ class TestCnotCompilation:
         gc = GateCircuit(2, (Gate("CNOT", (0, 1)),))
         circuit, rule, _, _ = compile_gate_circuit(gc)
         enc = QubitEncoding.default(2)
-        dist = strong_simulate(circuit.unitary(), encoding_input_modes(enc, (1, 0)))
+        dist = strong_simulate(circuit.unitary(), rail_modes(enc, (1, 0)))
         logical, weight = logical_distribution(dist, rule)
         assert logical[(1, 1)] == pytest.approx(1.0, abs=1e-12)
         assert weight == pytest.approx(CNOT_SUCCESS, abs=1e-12)
@@ -415,6 +421,18 @@ class TestCnotCompilation:
             compile_gate_circuit(gc, QubitEncoding.default(1))
 
 
+@pytest.mark.parametrize("shrink, extra", [(1.0, 0), (1.0 - 1e-13, 0), (0.9, 1)])
+def test_a_dilation_adds_one_mode_per_singular_value_below_one(shrink, extra):
+    # 1 - s^2 at or below DILATION_ATOL counts as s = 1: no vacuum mode
+    u = ModeUnitary.haar_random(3, np.random.default_rng(17)).matrix
+    w = u @ np.diag([1.0, 1.0, shrink])
+    dilated = qubits._dilate_contraction(w)
+    assert dilated.shape == (3 + extra, 3 + extra)
+    assert np.array_equal(dilated[:3, :3], w)
+    if extra:
+        assert np.allclose(dilated.conj().T @ dilated, np.eye(4), rtol=0, atol=1e-12)
+
+
 class TestToffoliCompilation:
     def test_logical_action_and_success(self):
         gc = GateCircuit(3, (Gate("TOFFOLI", (0, 1, 2)),))
@@ -427,7 +445,7 @@ class TestToffoliCompilation:
         gc = GateCircuit(3, (Gate("TOFFOLI", (0, 1, 2)),))
         circuit, rule, _, _ = compile_gate_circuit(gc)
         enc = QubitEncoding.default(3)
-        dist = strong_simulate(circuit.unitary(), encoding_input_modes(enc, (1, 1, 0)))
+        dist = strong_simulate(circuit.unitary(), rail_modes(enc, (1, 1, 0)))
         logical, weight = logical_distribution(dist, rule)
         assert logical[(1, 1, 1)] == pytest.approx(1.0, abs=1e-12)
         assert weight == pytest.approx(TOFFOLI_SUCCESS, rel=1e-9)
@@ -827,7 +845,7 @@ class TestGhzFactory:
 
     def test_pooled_postselection_rule(self, factory):
         circuit, heralds, _, unitary = factory
-        rule = ghz_postselection(heralds, sign=1)
+        rule = ghz_postselection(heralds)
         assert len(rule.heralds) == 4
         dist = strong_simulate(unitary, GHZ_INPUT_MODES)
         logical, weight = logical_distribution(dist, rule)
@@ -835,7 +853,7 @@ class TestGhzFactory:
         assert logical[(0, 0, 0)] == pytest.approx(0.5, abs=1e-12)
         assert logical[(1, 1, 1)] == pytest.approx(0.5, abs=1e-12)
         with pytest.raises(ValueError, match="sign"):
-            ghz_postselection(heralds, sign=0)
+            ghz_postselection([h for h in heralds if h.sign == -1])
 
     def test_noiseless_stabilizers_are_signed_units(self):
         fidelity, expectations = ghz_noisy_fidelity(None)
@@ -868,13 +886,13 @@ class TestGhzFactory:
             circuit, _, encoding = ghz_factory()
             run = PhotonicCircuit(12).extend(circuit.elements)
             run.extend(pauli_measurement_setting(setting, encoding).elements)
-            rule = ghz_postselection([herald], herald.sign)
+            rule = ghz_postselection([herald])
             measured = pauli_readout(run.unitary(), GHZ_INPUT_MODES, rule, word)
             assert measured == pytest.approx(direct, abs=1e-9), word
 
     def test_z_marginals_equal_per_word_readouts(self, factory):
         _, heralds, _, _ = factory
-        rule = ghz_postselection(heralds, sign=1, threshold=True)
+        rule = ghz_postselection(heralds, threshold=True)
         rng = np.random.default_rng(77)
         unitaries = {
             word: ModeUnitary.haar_random(12, rng) for word in GHZ_MEASUREMENT_SETTINGS

@@ -29,12 +29,12 @@ from lopsim.fock import (
 from lopsim.mesh import PhotonicCircuit
 from lopsim.qubits import (
     GHZ_INPUT_MODES,
+    GHZ_OUTPUT_PAIRS,
     Gate,
     GateCircuit,
     PostselectionRule,
     QubitEncoding,
     compile_gate_circuit,
-    encoding_input_modes,
     ghz_factory,
     ghz_postselection,
     logical_distribution,
@@ -42,7 +42,7 @@ from lopsim.qubits import (
 )
 from lopsim.sources import SourceModel, build_input, noisy_simulate
 
-from _oracles import placed_distribution, postselect_by_state
+from _oracles import placed_distribution, postselect_by_state, rail_modes
 
 
 @st.composite
@@ -128,7 +128,7 @@ def test_batched_readout_matches_one_distribution_per_unitary(n_qubits, batch, s
     rng = np.random.default_rng(seed)
     enc = QubitEncoding.default(n_qubits)
     rule = PostselectionRule(enc.qubit_pairs, vacuum_modes=enc.ancilla_modes)
-    modes = encoding_input_modes(enc, tuple(rng.integers(0, 2, n_qubits)))
+    modes = rail_modes(enc, tuple(rng.integers(0, 2, n_qubits)))
     unitaries = [ModeUnitary.haar_random(enc.n_modes, rng) for _ in range(batch)]
     stack = np.array([u.matrix for u in unitaries])
     source = SourceModel(
@@ -151,7 +151,7 @@ def test_batched_readout_matches_one_distribution_per_unitary(n_qubits, batch, s
 def test_ravel_puts_qubit_zero_first():
     circuit, rule, _, _ = compile_gate_circuit(GateCircuit(2, (Gate("CNOT", (0, 1)),)))
     enc = QubitEncoding.default(2)
-    dist = strong_simulate(circuit.unitary(), encoding_input_modes(enc, (1, 0)))
+    dist = strong_simulate(circuit.unitary(), rail_modes(enc, (1, 0)))
     probs, _ = logical_distribution(dist, rule)
     assert probs.ravel()[3] == pytest.approx(1.0, abs=1e-12)
     assert probs.ravel()[3] == probs[1, 1]
@@ -170,7 +170,7 @@ def test_empty_distribution_has_no_accepted_outcome():
 
 def test_a_rule_built_from_lists_reads_out_as_its_tuple_rule():
     _, heralds, _ = ghz_factory()
-    tupled = ghz_postselection(heralds, 1, threshold=True)
+    tupled = ghz_postselection(heralds, threshold=True)
     listed = PostselectionRule(
         [list(pair) for pair in tupled.qubit_pairs],
         heralds=[[list(spec) for spec in pattern] for pattern in tupled.heralds],
@@ -184,7 +184,7 @@ def test_a_rule_built_from_lists_reads_out_as_its_tuple_rule():
     circuit, tupled, _, unitary = compile_gate_circuit(GateCircuit.from_text("CNOT 0 1"), enc)
     listed = PostselectionRule([list(p) for p in enc.qubit_pairs], list(enc.ancilla_modes))
     assert listed == tupled and hash(listed) == hash(tupled)
-    dist = strong_simulate(unitary, encoding_input_modes(enc, (1, 0)))
+    dist = strong_simulate(unitary, rail_modes(enc, (1, 0)))
     got, want = logical_distribution(dist, listed), logical_distribution(dist, tupled)
     assert np.array_equal(got[0], want[0]) and got[1] == want[1]
 
@@ -238,7 +238,7 @@ def test_each_row_of_a_stack_is_bit_for_bit_its_own_one_unitary_call(k, seed):
     rng = np.random.default_rng(seed)
     enc = QubitEncoding.default(2)
     rule = PostselectionRule(enc.qubit_pairs, vacuum_modes=enc.ancilla_modes)
-    modes = encoding_input_modes(enc, tuple(rng.integers(0, 2, 2)))
+    modes = rail_modes(enc, tuple(rng.integers(0, 2, 2)))
     stack = np.array([ModeUnitary.haar_random(6, rng).matrix for _ in range(k)])
     source = SourceModel(
         indistinguishability=tuple(rng.uniform(0.5, 1.0, 2)),
@@ -256,10 +256,15 @@ def _named_rules():
     _, heralds, _ = ghz_factory()
     enc = QubitEncoding.default(2)
     return {
-        "ghz-threshold": (12, ghz_postselection(heralds, 1, threshold=True)),
-        "ghz-number": (12, ghz_postselection(heralds, -1)),
+        "ghz-threshold": (12, ghz_postselection(heralds, threshold=True)),
+        "ghz-number": (
+            12, PostselectionRule(
+                GHZ_OUTPUT_PAIRS, heralds=tuple(h.occupations for h in heralds if h.sign == -1)
+            ),
+        ),
         "one-herald-threshold": (
-            12, ghz_postselection(heralds[:1], heralds[0].sign, threshold=True)
+            12,
+            PostselectionRule(GHZ_OUTPUT_PAIRS, heralds=(heralds[0].occupations,), threshold=True),
         ),
         "threshold": (6, PostselectionRule(enc.qubit_pairs, threshold=True)),
         "plain": (6, PostselectionRule(enc.qubit_pairs, vacuum_modes=enc.ancilla_modes)),
@@ -296,7 +301,7 @@ def test_the_readout_table_of_a_drawn_rule_is_its_readout(drawn, n):
 
 def test_a_rule_built_from_lists_reads_its_tuple_rules_table():
     _, heralds, _ = ghz_factory()
-    tupled = ghz_postselection(heralds, 1, threshold=True)
+    tupled = ghz_postselection(heralds, threshold=True)
     listed = PostselectionRule(
         [list(pair) for pair in tupled.qubit_pairs],
         heralds=[[list(spec) for spec in pattern] for pattern in tupled.heralds],

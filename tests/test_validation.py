@@ -106,6 +106,11 @@ def test_a_missing_event_count_is_refused_by_name():
         sample_outcomes(REF5, None, np.random.default_rng(0))
 
 
+def test_events_without_a_generator_are_refused_by_name():
+    with pytest.raises(ValueError, match="sampled n_events need a seeded rng"):
+        sample_outcomes(REF5, 10, None)
+
+
 def test_a_whole_float_event_count_draws_that_many():
     assert sample_outcomes(REF5, 3.0, np.random.default_rng(0)).shape == (3, 5)
 

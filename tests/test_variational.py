@@ -20,6 +20,7 @@ from lopsim.variational import (
     VqeConfig,
     _ansatz_steps,
     _mitigation_circuit,
+    _sweep,
     apply_mitigation,
     bond_table,
     build_mitigation,
@@ -332,39 +333,25 @@ def test_energy_at_ground_angles_equals_eigenvalue():
         assert energy == pytest.approx(exact_ground_energy(h), abs=1e-9)
 
 
-def test_measure_energy_sampling_is_seeded():
+@pytest.mark.parametrize("shots", [100, 0, 2.5])
+def test_measure_energy_refuses_a_shot_count(shots):
+    # Sampled energies come from vqe_run; measure_energy reads exact ones.
     backend = PhotonicVqeBackend()
-    h = h2_hamiltonian(0.75)
-    theta = RNG.uniform(0.0, 2.0 * np.pi, 7)
-    a = measure_energy(h, theta, backend, shots=2000, rng=np.random.default_rng(3))
-    b = measure_energy(h, theta, backend, shots=2000, rng=np.random.default_rng(3))
-    c = measure_energy(h, theta, backend, shots=2000, rng=np.random.default_rng(4))
-    assert a == b
-    assert a != c
-
-
-def test_measure_energy_rejects_nonpositive_shots():
-    backend = PhotonicVqeBackend()
-    with pytest.raises(ValueError, match="shots"):
-        measure_energy(h2_hamiltonian(0.75), np.zeros(7), backend, shots=0)
-
-
-@pytest.mark.parametrize("shots", [2.5, float("inf"), float("nan")])
-def test_measure_energy_rejects_a_fractional_shot_count(shots):
-    backend = PhotonicVqeBackend()
-    with pytest.raises(ValueError, match="shots must be a whole number"):
-        measure_energy(
-            h2_hamiltonian(0.75), np.zeros(7), backend, shots=shots, rng=np.random.default_rng(0)
-        )
-
-
-def test_measure_energy_rejects_shots_without_rng():
-    backend = PhotonicVqeBackend()
-    with pytest.raises(ValueError, match="rng"):
-        measure_energy(h2_hamiltonian(0.75), np.zeros(7), backend, shots=100)
+    with pytest.raises(ValueError, match=f"exact distributions; got shots={shots}"):
+        measure_energy(h2_hamiltonian(0.75), np.zeros(7), backend, shots=shots)
     assert measure_energy(h2_hamiltonian(0.75), np.zeros(7), backend) == measure_energy(
         h2_hamiltonian(0.75), np.zeros(7), backend, shots=None
     )
+
+
+def test_a_sampled_vqe_run_is_seeded():
+    h, backend = h2_hamiltonian(0.75), PhotonicVqeBackend()
+    runs = [
+        vqe_run(h, backend, VqeConfig(shots=2000, seed=seed, max_iterations=3, mitigation=False))
+        for seed in (3, 3, 4)
+    ]
+    assert np.array_equal(runs[0].energies, runs[1].energies)
+    assert not np.array_equal(runs[0].energies, runs[2].energies)
 
 
 def test_vqe_with_exact_energies_does_not_depend_on_the_seed():
@@ -412,13 +399,20 @@ def test_vqe_diagonal_hamiltonian_reaches_basis_optimum_quickly():
     assert abs(result.energy - exact) < 1e-6
 
 
-def test_vqe_infinite_shot_from_ground_angles_is_exact():
+def test_an_infinite_shot_sweep_from_ground_angles_stays_exact():
     backend = PhotonicVqeBackend()
     h = h2_hamiltonian(0.75)
     exact = exact_ground_energy(h)
-    config = VqeConfig(shots=None, mitigation=False, initial_theta=ground_angles(h))
-    result = vqe_run(h, backend, config)
-    assert abs(result.energy - exact) < 1e-9
+
+    def objective(stack):
+        return [measure_energy(h, theta, backend) for theta in stack]
+
+    start = ground_angles(h)
+    [value] = objective(start[None])
+    theta, swept, complete = _sweep(objective, start, value, 2 * len(start))
+    assert complete
+    assert abs(swept - exact) < 1e-9
+    assert abs(measure_energy(h, theta, backend) - exact) < 1e-9
 
 
 def test_vqe_trajectory_and_cap_flag():
@@ -433,16 +427,13 @@ def test_vqe_trajectory_and_cap_flag():
 @pytest.mark.filterwarnings("error::UserWarning")
 @pytest.mark.parametrize("method", ["cobyla", "nelder-mead"])
 @pytest.mark.parametrize("cap", [1, 12, 20])
-@pytest.mark.parametrize("initial_theta", [None, np.full(7, 0.3)], ids=["presweep", "given"])
-def test_vqe_cap_is_hard_for_every_method(method, cap, initial_theta):
+def test_vqe_cap_is_hard_for_every_method(method, cap):
     # The sweeps and the closing re-measure share the cap.  The method axis
     # keeps the names of the removed SciPy optimizers: a config that still
     # asks for one is refused rather than run with the sweep in its place.
     with pytest.raises(TypeError, match="method"):
         VqeConfig(method=method)
-    config = VqeConfig(
-        shots=500, seed=2, max_iterations=cap, mitigation=False, initial_theta=initial_theta
-    )
+    config = VqeConfig(shots=500, seed=2, max_iterations=cap, mitigation=False)
     result = vqe_run(h2_hamiltonian(0.75), PhotonicVqeBackend(), config)
     assert 1 <= result.evaluations <= cap
     assert len(result.energies) == result.evaluations
@@ -470,8 +461,6 @@ def test_vqe_config_validation():
         vqe_run(h, backend, VqeConfig(max_iterations=0))
     with pytest.raises(TypeError):
         vqe_run(h, backend, VqeConfig(max_iterations=2.5, shots=None, mitigation=False))
-    with pytest.raises(ValueError, match="initial_theta"):
-        vqe_run(h, backend, VqeConfig(initial_theta=np.zeros(3)))
     with pytest.raises(ValueError, match="shots"):
         vqe_run(h, backend, VqeConfig(shots=0))
 
@@ -604,10 +593,6 @@ def test_a_non_finite_ansatz_angle_is_refused(bad):
     h = h2_hamiltonian(0.75)
     with pytest.raises(ValueError, match="angle must be finite"):
         measure_energy(h, theta, PhotonicVqeBackend(), shots=None)
-    for mitigation in (False, True):
-        config = VqeConfig(shots=100, max_iterations=3, initial_theta=theta, mitigation=mitigation)
-        with pytest.raises(ValueError, match="angle must be finite"):
-            vqe_run(h, PhotonicVqeBackend(), config)
 
 
 def test_a_warm_energy_at_a_new_angle_builds_no_gate_and_checks_once(monkeypatch):
