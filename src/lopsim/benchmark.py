@@ -359,7 +359,7 @@ def _prep_unitaries(vectors: np.ndarray) -> np.ndarray:
     return np.stack([np.stack([a, -b.conj()], -1), np.stack([b, a.conj()], -1)], -2)
 
 
-def photonic_executor(circuit: GateCircuit, source: SourceModel | None = None) -> Executor:
+def photonic_executor(circuit: GateCircuit, source: SourceModel = SourceModel()) -> Executor:
     """Executor running plans on the dual-rail photonic simulator.
 
     The gate circuit compiles once to postselected mode optics in the
@@ -369,7 +369,7 @@ def photonic_executor(circuit: GateCircuit, source: SourceModel | None = None) -
     qubit's rail pair) and simulates and reads out the stack in one
     :func:`~lopsim.qubits.logical_distributions` call, the dual-rail
     readout path shared with the GHZ factory.  ``source`` is the photon
-    source (None for ideal photons).
+    source (perfect by default).
     """
     enc = QubitEncoding.default(circuit.n_qubits)
     if circuit.measurement is not None:

@@ -435,12 +435,13 @@ def _add_photon(
         out = np.zeros((_live_size(m, n + 1, pairs, cap), *batch), np.result_type(vec, column))
     term = np.ndarray((len(vec), *batch), out.dtype, buffer=scratch)
     steps = _successors(*key)
-    for j in np.flatnonzero(column if column.ndim == 1 else np.any(column, axis=1)):
+    gains = _gains(*key) if coherent else None  # classical steps never build a gain table
+    for j in (column if column.ndim == 1 else column.any(axis=1)).nonzero()[0]:
         rows, targets = steps[j]
         part = term[: len(targets)]
         np.multiply(vec[rows], column[j], out=part)
-        if coherent:  # classical steps never build a gain table
-            gain = _gains(*key)[j][rows]
+        if coherent:
+            gain = gains[j][rows]
             part *= gain[:, None] if batch else gain
         if batch:
             out[targets] += part
@@ -470,9 +471,11 @@ def _coherent_prefixes(
     prefixes = {(): vacuum}
     for k in range(max(map(len, wanted), default=0)):
         grow = sorted({modes[: k + 1] for modes in wanted if len(modes) > k})
-        heads = np.concatenate([prefixes[p[:-1]] for p in grow], axis=1)
-        columns = np.concatenate([unitaries[:, :, p[-1]].T for p in grow], axis=1)
-        grown = _add_photon(heads, k, columns, True, pairs=pairs, cap=cap)
+        heads = [prefixes[p[:-1]] for p in grow]
+        columns = [unitaries[:, :, p[-1]].T for p in grow]
+        if len(grow) > 1:  # column blocks side by side; one block is read as it is
+            heads, columns = [np.concatenate(heads, axis=1)], [np.concatenate(columns, axis=1)]
+        grown = _add_photon(heads[0], k, columns[0], True, pairs=pairs, cap=cap)
         for i, p in enumerate(grow):
             prefixes[p] = grown[:, i * count : (i + 1) * count]
     return prefixes

@@ -29,12 +29,12 @@ counts alike): one vectorized readout gives the
 acceptance mask and the logical index of every row, and the logical
 distribution is a weighted ``bincount`` of the accepted indices.
 :func:`logical_distributions` is the one batched path from
-interferometers to postselected logical distributions, for an ideal or
-a noisy source, reading each sector through a cached table of its
-accepted rows: the F_avg executor, the GHZ fidelity and the VQE ansatz
-call it, and Pauli and stabilizer expectations are sign vectors applied
-to its rows.  Only the VQE mitigation columns still read each circuit
-out of its Fock distribution with :func:`logical_distribution`.
+interferometers to postselected logical distributions, for any source
+(the perfect one by default), reading each sector through a cached
+table of its accepted rows: the F_avg executor, the GHZ fidelity and
+the VQE ansatz call it, and Pauli and stabilizer expectations are sign
+vectors applied to its rows.  Only the VQE mitigation columns still read
+each circuit out of its Fock distribution with :func:`logical_distribution`.
 
 :func:`compile_gate_circuit` compiles any gate circuit through bounded
 ``lru_cache`` tables (each gate's elements and 2x2 matrix, each checked
@@ -56,7 +56,6 @@ from lopsim.fock import (
     ModeUnitary,
     OutputDistribution,
     _glynn_deltas,
-    batched_amplitudes,
     enumerate_basis,
 )
 from lopsim.mesh import (
@@ -432,18 +431,16 @@ def logical_distributions(
     unitaries: np.ndarray,
     input_modes: Sequence[int],
     rule: PostselectionRule,
-    source: SourceModel | None = None,
+    source: SourceModel = SourceModel(),
 ) -> np.ndarray:
     """Postselected logical distributions of B interferometers, ``(B, 2^n)``.
 
     This is the dual-rail readout path of the F_avg plans, the GHZ
     factory and the VQE ansatz.  ``unitaries`` is a ``(B, m, m)`` stack,
-    each fed one photon per mode of ``input_modes`` (integers: a float
-    mode raises ``TypeError`` on either path).  With ``source=None``
-    the photons are ideal and the stack runs through one
-    :func:`~lopsim.fock.batched_amplitudes` pass; with a source, its
-    labeled input (:func:`~lopsim.sources.build_input`) runs through one
-    :func:`~lopsim.sources.batched_noisy_sectors` trigger sum.  Each
+    each fed by one trigger of ``source`` per mode of ``input_modes``
+    (integers: a float mode raises ``TypeError``), through one
+    :func:`~lopsim.sources.batched_noisy_sectors` trigger sum; the
+    default perfect source is the ideal simulator, bit for bit.  Each
     photon-number sector is read for all B columns through one cached
     table of its accepted rows (:func:`_readout_table`); row b is the
     normalized logical vector of unitary b, qubit 0 the most significant
@@ -451,12 +448,8 @@ def logical_distributions(
     """
     unitaries = np.asarray(unitaries, dtype=complex)
     m = unitaries.shape[1]
-    modes = tuple(map(operator.index, input_modes))
-    if source is None:
-        amps = batched_amplitudes(unitaries, modes)
-        sectors = {len(modes): np.abs(amps.T) ** 2}
-    else:
-        sectors, _ = batched_noisy_sectors(unitaries, build_input(len(modes), source, modes))
+    labeled = build_input(len(input_modes), source, input_modes)
+    sectors, _ = batched_noisy_sectors(unitaries, labeled)
     dim, batch = 1 << len(rule.qubit_pairs), len(unitaries)
     raw = np.zeros(dim * batch)
     for n, vec in sectors.items():
@@ -467,7 +460,7 @@ def logical_distributions(
     # rows contiguous, so each weight sums as logical_distribution's does
     raw = np.ascontiguousarray(raw.reshape(dim, batch).T)
     weight = raw.sum(axis=1, keepdims=True)
-    if not np.all(weight > 0.0):
+    if not (weight > 0.0).all():
         raise ValueError("no outcomes pass the postselection rule")
     return raw / weight
 
@@ -717,8 +710,9 @@ _GHZ_STABILIZER_SIGNS = {
 
 @dataclass(frozen=True)
 class HeraldPattern:
-    """One herald: exact occupations on the detector modes and the sign
-    (+1 or -1) of the three-qubit state |000> + sign |111> it flags."""
+    """One herald: exact occupations on the detector modes and the sign (+1
+    or -1) of the state |000> + sign |111> it flags, jointly with one
+    photon in each output pair only (see :func:`ghz_factory`)."""
 
     name: str
     occupations: tuple[tuple[int, int], ...]
@@ -762,9 +756,11 @@ def ghz_factory() -> tuple[PhotonicCircuit, tuple[HeraldPattern, ...], QubitEnco
 
     Six photons enter on ``GHZ_INPUT_MODES``; three are detected on the
     herald modes and the other three leave as dual-rail qubits on pairs
-    (0,1), (5,6) and (10,11).  Each of the eight herald patterns occurs
-    with probability 1/256 and flags (|000> + sign |111>)/sqrt(2); the
-    plus-sign heralds are h2, h3, h5 and h8.
+    (0,1), (5,6) and (10,11).  With ideal photons and photon-number
+    detection each of the eight herald patterns occurs with probability
+    1/64, and with one photon in each output pair as well (a qubit weight
+    of 1/4) with probability 1/256; only then does it flag (|000> + sign
+    |111>)/sqrt(2).  The plus-sign heralds are h2, h3, h5 and h8.
     """
     circuit = PhotonicCircuit(12).extend(_ghz_elements())
     encoding = QubitEncoding(GHZ_OUTPUT_PAIRS, (), 12)
@@ -830,10 +826,10 @@ def ghz_fidelity(expectations: Mapping[str, float]) -> float:
     ) / len(_GHZ_STABILIZER_SIGNS)
 
 
-def ghz_noisy_fidelity(source: SourceModel | None = None) -> tuple[float, dict[str, float]]:
+def ghz_noisy_fidelity(source: SourceModel = SourceModel()) -> tuple[float, dict[str, float]]:
     """GHZ fidelity of the factory, pooled over the h+ heralds.
 
-    ``source`` is the photon source (None for ideal photons).  The
+    ``source`` is the photon source (perfect by default).  The
     factory unitary is built once; each of the five measurement words
     rotates a copy of it (:func:`_rotated`), which is read with
     threshold detection in one :func:`logical_distributions` call (a

@@ -12,28 +12,21 @@ Phenomenological per-trigger noise model with three ingredients:
 
 The model is a mixture of up to 6^n labeled branches.
 :func:`build_input` keeps it as a per-trigger table, and
-:func:`noisy_simulate` sums it exactly over the 2^n sets of triggers
-whose photon takes the shared label (the distinguishable-photon
-expansion of Renema et al., PRL 120, 220502 (2018)), in Horner order
-over the triggers, truncated only by a photon-number cap whose tail
-mass it reports.  The result is the same
-:class:`~lopsim.fock.OutputDistribution` that an ideal input gives, with
-one sector per detected photon number and the truncated mass as
-``dropped_weight``; :func:`batched_noisy_sectors` runs the same sum for
-a stack of interferometers at once.  A caller that reads only the
-outcomes with exactly one click in every pair of some disjoint mode
-pairs names those pairs (``one_click_pairs``).  The sum then runs on the
-live outcomes, those that fill no pair and leave no more pairs empty
-than the photons the cap leaves could fill, since only these can still
-reach a read outcome, and returns the read outcomes alone: each sector
-covers its one-click rows by rank (``OutputDistribution.ranks``), each
-value bit for bit its value without pairs, so the probabilities plus
-``dropped_weight`` fall short of 1 by the mass of the outcomes left out.
-The cyclic fringe reads one click per output pair, so
-:func:`measure_genuine_indistinguishability` simulates those outcomes
-only.  Detection throughout this module is click-based (threshold
-detectors): an occupied mode counts as one click regardless of photon
-number.
+:func:`noisy_simulate` sums it exactly over the sets of triggers whose
+photon takes the shared label (the distinguishable-photon expansion of
+Renema et al., PRL 120, 220502 (2018)), in Horner order over the
+triggers, truncated only by a photon-number cap whose tail mass it
+reports as ``dropped_weight``, into the
+:class:`~lopsim.fock.OutputDistribution` an ideal input gives;
+:func:`batched_noisy_sectors` runs the same sum for a stack of
+interferometers.  Only the sets that carry weight are formed, so the
+perfect source ``SourceModel()`` (m_i = 1, g2 = 0, efficiency 1) forms
+one and is the ideal simulator, bit for bit.  A caller that reads only
+the outcomes with one click in every pair of some disjoint mode pairs
+names them (``one_click_pairs``) and gets those outcomes alone, as the
+cyclic fringe does (:func:`measure_genuine_indistinguishability`).
+Detection throughout this module is click-based (threshold detectors):
+an occupied mode counts as one click regardless of photon number.
 
 The module also provides the two standard source characterization
 experiments: the two-photon Hong-Ou-Mandel visibility (with its purity
@@ -232,21 +225,18 @@ def build_input(
         modes: input mode per trigger, each an integer (a float raises
             ``TypeError``); defaults to ``0..n-1``.
     """
-    if modes is None:
-        modes = tuple(range(n))
-    else:
-        modes = tuple(map(operator.index, modes))
-        if len(modes) != n:
-            raise ValueError(f"expected {n} input modes, got {len(modes)}")
-    ms = src.m_values(n)
-    eta = src.efficiency
-    return LabeledInput(
-        modes=modes,
-        shared=tuple(float(eta * m) for m in ms),
-        unique=tuple(float(eta * (1.0 - m)) for m in ms),
-        lost=(1.0 - eta,) * n,
-        extra=(src.g2 * eta,) * n,
-    )
+    modes = tuple(range(n)) if modes is None else tuple(map(operator.index, modes))
+    if len(modes) != n:
+        raise ValueError(f"expected {n} input modes, got {len(modes)}")
+    return _labeled_input(src, modes)
+
+
+@lru_cache(maxsize=64)
+def _labeled_input(src: SourceModel, modes: tuple[int, ...]) -> LabeledInput:
+    """:func:`build_input`'s table, built once per source and modes (both frozen)."""
+    n, eta, ms = len(modes), src.efficiency, src.m_values(len(modes)).tolist()
+    shared, unique = tuple(float(eta * m) for m in ms), tuple(float(eta * (1.0 - m)) for m in ms)
+    return LabeledInput(modes, shared, unique, (1.0 - eta,) * n, (src.g2 * eta,) * n)
 
 
 def _photon_number_tail(labeled: LabeledInput) -> np.ndarray:
@@ -261,6 +251,28 @@ def _photon_number_tail(labeled: LabeledInput) -> np.ndarray:
     for p in (*(1.0 - lost for lost in labeled.lost), *labeled.extra):
         pmf = np.convolve(pmf, [1.0 - p, p])
     return np.append(np.cumsum(pmf[::-1])[::-1], 0.0)
+
+
+@lru_cache(maxsize=64)
+def _trigger_sets(labeled: LabeledInput) -> tuple[int, float, tuple[int, ...], tuple]:
+    """Photon cap, tail above it, folded triggers and the shared sets of weight, per input.
+
+    A trigger is in S only if ``shared[i] > 0`` and out of it only if ``unique[i] + lost[i]
+    > 0``, and only those that can be out fold.  A set is ``(one flag per folded trigger,
+    modes, P(S))``, in ``itertools.product`` order (out first), none above the cap.
+    """
+    tail = _photon_number_tail(labeled)
+    cap = int(np.argmax(tail[1:] <= TAIL_TOLERANCE))
+    triggers = zip(labeled.shared, labeled.unique, labeled.lost)
+    options = [(False,) * (u + lost > 0.0) + (True,) * (w > 0.0) for w, u, lost in triggers]
+    folds = tuple(i for i, option in enumerate(options) if not option[0])
+    sets = []
+    for flags in itertools.product(*options):
+        modes = tuple(sorted(q for q, s in zip(labeled.modes, flags) if s))
+        if len(modes) <= cap:
+            weight = prod(w for w, s in zip(labeled.shared, flags) if s)
+            sets.append((tuple(flags[i] for i in folds), modes, weight))
+    return cap, float(tail[cap + 1]), folds, tuple(sets)
 
 
 def _accumulate(sectors: dict[int, np.ndarray], n: int, vec: np.ndarray) -> None:
@@ -316,20 +328,22 @@ def batched_noisy_sectors(
     """Noisy-source outputs of B interferometers in one trigger sum.
 
     ``unitaries`` is ``(B, m, m)``.  The sum of :func:`noisy_simulate`
-    runs once for the whole stack.  The coherent amplitudes of a shared
-    set, modes sorted, are those of the set without its last mode plus
-    one SLOS step, so each prefix is computed once: 2^n - 1 photon
-    additions for n distinct triggers instead of n 2^(n-1), in one
-    batched call per prefix length.  The prefixes come from the coherent
-    pass that :func:`~lopsim.fock.batched_amplitudes` runs for one tuple
-    (:func:`~lopsim.fock._coherent_prefixes`) and are divided by the
-    same :func:`~lopsim.fock._unbunched`, so each set's coherent term is
-    bit for bit the one that call gives for its modes (on the live rows,
-    with pairs).  The classical steps fold in one trigger at a time
-    (2^n - 1 D's, not n 2^(n-1); sums round in another order), in place
-    through one scratch buffer, column b taking ``|U_b[:, q]|^2``.  A
-    batch pays off on small sectors only; on large ones its strided
-    scatters cost more than the Python calls it saves.
+    runs once for the whole stack, over the shared sets that carry
+    weight (:func:`_trigger_sets`).  A set's coherent amplitudes, modes
+    sorted, are those of the set without its last mode plus one SLOS
+    step, so each prefix is computed once (at most 2^n - 1 photon
+    additions for n distinct triggers, n for the perfect source's one
+    set), in one batched call per prefix length of the coherent pass of
+    :func:`~lopsim.fock.batched_amplitudes`
+    (:func:`~lopsim.fock._coherent_prefixes`, then
+    :func:`~lopsim.fock._unbunched`): each set's coherent term is bit for
+    bit that call's for its modes.  The classical steps then fold in each
+    trigger that can be out of S (at most 2^n - 1 D's; sums round in
+    another order) and each extra photon of nonzero weight, in place
+    through one scratch buffer, column b taking ``|U_b[:, q]|^2``; with
+    no such step none of these is built.  A batch pays off on small
+    sectors only; on large ones its strided scatters cost more than the
+    Python calls it saves.
 
     ``one_click_pairs`` lists disjoint mode pairs of which the caller
     reads only the outcomes with exactly one click in every pair.  Every
@@ -354,40 +368,36 @@ def batched_noisy_sectors(
     count, m = unitaries.shape[:2]
     pairs = _pair_key(one_click_pairs, m)
     _input_modes(m, labeled.modes)  # rejects an input mode outside the unitary
-    tail = _photon_number_tail(labeled)
-    cap = int(np.argmax(tail[1:] <= TAIL_TOLERANCE))
-    power = np.abs(unitaries) ** 2
-    columns = [np.ascontiguousarray(power[:, :, q].T) for q in labeled.modes]
-    largest = max((_live_size(m, n, pairs, cap) for n in range(cap)), default=0)
-    scratch = np.empty(largest * count)
+    cap, dropped, folds, shared = _trigger_sets(labeled)
+    columns, scratch = [None] * len(labeled.modes), None
+    if any(labeled.unique) or any(labeled.extra):  # some classical step adds a photon
+        columns = [np.ascontiguousarray(np.abs(unitaries[:, :, q].T) ** 2) for q in labeled.modes]
+        largest = max((_live_size(m, n, pairs, cap) for n in range(cap)), default=0)
+        scratch = np.empty(largest * count)
 
-    shared: dict[tuple[bool, ...], tuple[tuple[int, ...], float]] = {}
-    for members in itertools.product((False, True), repeat=len(labeled.modes)):
-        shared_modes = tuple(sorted(q for q, s in zip(labeled.modes, members) if s))
-        weight = prod(w for w, s in zip(labeled.shared, members) if s)
-        if weight != 0.0 and len(shared_modes) <= cap:
-            shared[members] = shared_modes, weight
-    prefixes = _coherent_prefixes(unitaries, [modes for modes, _ in shared.values()], pairs, cap)
+    prefixes = _coherent_prefixes(unitaries, [modes for _, modes, _ in shared], pairs, cap)
     terms: dict[tuple[bool, ...], dict[int, np.ndarray]] = {}
-    for members, (shared_modes, weight) in shared.items():
-        amp = _unbunched(prefixes[shared_modes], shared_modes)
-        terms[members] = {len(shared_modes): weight * np.abs(amp) ** 2}
+    for members, shared_modes, weight in shared:
+        probs = np.abs(_unbunched(prefixes[shared_modes], shared_modes)) ** 2
+        terms[members] = {len(shared_modes): probs if weight == 1.0 else weight * probs}
     del prefixes  # the classical fold needs none of the amplitudes
-    for column, unique, lost in zip(columns, labeled.unique, labeled.lost):  # Horner order
+    for j in folds:  # Horner order
+        step = columns[j], labeled.lost[j], labeled.unique[j], cap, scratch, pairs
         folded: dict[tuple[bool, ...], dict[int, np.ndarray]] = {}
         for members, term in terms.items():
             if not members[0]:
-                _mix_photon(term, column, lost, unique, cap, scratch, pairs)
+                _mix_photon(term, *step)
             for n, vec in term.items():
                 _accumulate(folded.setdefault(members[1:], {}), n, vec)
         terms = folded
     sectors = terms[()]
     for column, extra in zip(columns, labeled.extra):
-        _mix_photon(sectors, column, 1.0 - extra, extra, cap, scratch, pairs)
+        if extra:
+            _mix_photon(sectors, column, 1.0 - extra, extra, cap, scratch, pairs)
     if pairs:
         reads = {n: _one_click_rows(m, n, pairs, cap)[0] for n in sectors}
         sectors = {n: vec[reads[n]] for n, vec in sectors.items() if len(reads[n])}
-    return sectors, float(tail[cap + 1])
+    return sectors, dropped
 
 
 def noisy_simulate(
@@ -415,11 +425,9 @@ def noisy_simulate(
     exact tail ``P(photons > N)`` is at most ``TAIL_TOLERANCE``.  Sectors
     above N are not formed and the tail is reported as ``dropped_weight``.
 
-    This is the B = 1 case of :func:`batched_noisy_sectors`, as
+    The B = 1 case of :func:`batched_noisy_sectors`, as
     :func:`~lopsim.fock.strong_simulate` is of
-    :func:`~lopsim.fock.batched_amplitudes`; both read the same coherent
-    pass, and a batch of one runs the one-dimensional photon-addition
-    kernel.
+    :func:`~lopsim.fock.batched_amplitudes`, on the 1-D kernel.
 
     Args:
         unitary: the interferometer.
@@ -431,15 +439,13 @@ def noisy_simulate(
             :func:`batched_noisy_sectors`).
 
     Returns:
-        An :class:`~lopsim.fock.OutputDistribution` with one sector per
-        populated photon number up to the cap, the type
-        :func:`~lopsim.fock.strong_simulate` returns.  Every sector is
-        exact and its ``dropped_weight`` is the tail above the cap, so
-        the probabilities plus ``dropped_weight`` sum to 1.  With
-        ``one_click_pairs`` a sector covers only its outcomes with one
-        click in every pair, by rank (``ranks[n]``), and one with none is
-        left out, so the sum falls short of 1 by the mass of the others.
-        Postselection scales ``dropped_weight`` like the probabilities.
+        An :class:`~lopsim.fock.OutputDistribution` with one exact sector
+        per populated photon number up to the cap, whose probabilities
+        plus ``dropped_weight`` sum to 1.  With ``one_click_pairs`` a
+        sector covers only its outcomes with one click in every pair, by
+        rank (``ranks[n]``), and one with none is left out, so the sum
+        falls short of 1 by the mass of the others.  Postselection scales
+        ``dropped_weight`` like the probabilities.
     """
     if not isinstance(unitary, ModeUnitary):
         unitary = ModeUnitary(np.asarray(unitary))

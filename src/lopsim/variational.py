@@ -23,7 +23,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .fock import _frequencies, _seeded_rng, _shot_count, strong_simulate
+from .fock import _frequencies, _seeded_rng, _shot_count
 from .qubits import (
     _ID2,
     _PAULI,
@@ -187,21 +187,17 @@ class PhotonicVqeBackend:
     Circuits are compiled onto six modes (two rail pairs plus the
     ancilla modes the entangling gate draws) and simulated exactly.  An
     optional symmetric readout flip acts independently on each qubit
-    after postselection, and an optional source model replaces the
-    ideal two-photon input with its noisy labeled mixture.
+    after postselection, and the two photons come from ``source``, a
+    perfect one by default.
 
     :meth:`ansatz_distributions` is the method energies are read from
     (:func:`measure_energy`, :func:`vqe_run`): a backend must provide it,
     and overriding :meth:`distribution` alone does not change them.
     :meth:`distribution` (the mitigation columns) simulates its circuit
-    through ``strong_simulate`` (or ``noisy_simulate``).
+    through ``noisy_simulate``.
     """
 
-    def __init__(
-        self,
-        readout_flip: float = 0.0,
-        source: SourceModel | None = None,
-    ):
+    def __init__(self, readout_flip: float = 0.0, source: SourceModel = SourceModel()):
         if not 0.0 <= readout_flip < 0.5:
             raise ValueError(f"readout_flip must lie in [0, 0.5), got {readout_flip}")
         self.readout_flip = float(readout_flip)
@@ -209,9 +205,7 @@ class PhotonicVqeBackend:
         enc = self._encoding = QubitEncoding.default(2)
         self._rule = PostselectionRule(enc.qubit_pairs, vacuum_modes=enc.ancilla_modes)
         self._input_modes = encoding_input_modes(enc)
-        self._labeled = None
-        if source is not None:
-            self._labeled = build_input(2, source, modes=self._input_modes)
+        self._labeled = build_input(2, source, modes=self._input_modes)
         flip = np.array(
             [[1.0 - readout_flip, readout_flip], [readout_flip, 1.0 - readout_flip]]
         )
@@ -225,10 +219,7 @@ class PhotonicVqeBackend:
         if circuit.n_qubits != 2:
             raise ValueError("backend is wired for two-qubit circuits")
         _, rule, _, unitary = compile_gate_circuit(circuit, self._encoding)
-        if self._labeled is None:
-            dist = strong_simulate(unitary, self._input_modes)
-        else:
-            dist = noisy_simulate(unitary, self._labeled)
+        dist = noisy_simulate(unitary, self._labeled)
         return self._confusion @ logical_distribution(dist, rule)[0].ravel()
 
     def ansatz_distributions(self, thetas: np.ndarray) -> np.ndarray:

@@ -86,6 +86,7 @@ from lopsim.qubits import (
 )
 from lopsim.sources import (
     TAIL_TOLERANCE,
+    SourceModel,
     _accumulate,
     _cyclic_circuit,
     _photon_number_tail,
@@ -354,7 +355,8 @@ def add_photon_fancy_index(
     out = np.zeros((len(enumerate_basis(m, n + 1)), *batch), dtype=np.result_type(vec, column))
     steps, gains = _successors(m, n, (), None), _gains(m, n, (), None)
     for j in np.flatnonzero(column if column.ndim == 1 else np.any(column, axis=1)):
-        term = column[j] * vec
+        # the kernel's operand order: swapped, a complex product may round apart
+        term = vec * column[j]
         if coherent:
             term *= gains[j][:, None] if batch else gains[j]
         out[steps[j][1]] += term
@@ -863,9 +865,11 @@ class PerEvaluationVqeBackend(PhotonicVqeBackend):
     are the compiles of ``ansatz_circuit(theta, basis)``, one per row
     and basis, not the bound compile, read out one circuit at a time,
     not in one stacked pass.  Each is read out through a Fock
-    distribution: ``strong_simulate`` or ``noisy_simulate``, then
-    ``logical_distribution``.  The encoding, input and readout-flip
-    matrix are built here, not read from the backend.
+    distribution, then ``logical_distribution``: ``strong_simulate`` for
+    the perfect source, so the ideal cases compare the trigger sum the
+    backend runs with the ideal simulator, and ``noisy_simulate``
+    otherwise.  The encoding, input and readout-flip matrix are built
+    here, not read from the backend.
     """
 
     def distribution(self, circuit):
@@ -876,7 +880,7 @@ class PerEvaluationVqeBackend(PhotonicVqeBackend):
         for cached in (_gate_elements, _checked_gates, _setting_elements):
             cached.cache_clear()
         _, rule, _, unitary = compile_gate_circuit(circuit, enc)
-        if self.source is None:
+        if self.source == SourceModel():  # the ideal simulator, not the trigger sum
             dist = strong_simulate(unitary, modes)
         else:
             dist = noisy_simulate(unitary, build_input(2, self.source, modes=modes))

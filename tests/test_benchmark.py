@@ -355,7 +355,7 @@ def test_one_batched_call_matches_one_call_per_configuration(gate, noisy, toffol
     circuit = GateCircuit.from_text(gate)
     plan = toffoli_plan if circuit.n_qubits == 3 else build_plan(circuit, circuit.n_qubits)
     ms = (0.97, 0.94, 0.91)[: circuit.n_qubits]
-    source = SourceModel(indistinguishability=ms, g2=0.01) if noisy else None
+    source = SourceModel(indistinguishability=ms, g2=0.01) if noisy else SourceModel()
     executor = photonic_executor(circuit, source=source)
     calls = []
 

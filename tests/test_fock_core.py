@@ -20,10 +20,11 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from lopsim import fock, sources
+from lopsim.qubits import GHZ_INPUT_MODES, ghz_factory
 from lopsim.validation import _restrict_collision_free
 from lopsim.fock import (
     FockBasis,
@@ -304,6 +305,34 @@ def batched_inputs(draw):
     return unitaries, modes
 
 
+def added_in_kernel_order(start, vec, n, columns, coherent):
+    """``start`` plus one photon addition's terms, added in ``_add_photon``'s order.
+
+    Each mode's terms go into their targets one mode at a time, in
+    ascending mode order, as ``vec * column[j]`` times the gain, so every
+    entry rounds through the same sums as the kernel's scatter into an
+    output it is given.
+    """
+    expected = start.copy()
+    m = len(columns)
+    steps, gains = _successors(m, n, (), None), _gains(m, n, (), None)
+    for j in np.flatnonzero(np.any(columns, axis=1)):
+        term = vec * columns[j]
+        if coherent:
+            term *= gains[j][:, None]
+        expected[steps[j][1]] += term
+    return expected
+
+
+#: A 5-mode coherent case whose scatter into ``start`` differs from
+#: ``start + _add_photon(...)`` by more than a relative 1e-14 (the two
+#: round in another order).
+_REORDERED_SUM_CASE = (
+    np.stack([ModeUnitary.haar_random(5, np.random.default_rng(372047938)).matrix]),
+    (3, 0, 1),
+)
+
+
 class TestBatchedKernel:
     @settings(max_examples=50, deadline=None)
     @given(case=batched_inputs())
@@ -341,6 +370,7 @@ class TestBatchedKernel:
 
     @settings(max_examples=50, deadline=None)
     @given(case=batched_inputs(), coherent=st.booleans())
+    @example(case=_REORDERED_SUM_CASE, coherent=True)
     def test_scatter_into_a_given_output_through_a_scratch_buffer(self, case, coherent):
         unitaries, modes = case
         m, n = unitaries.shape[1], len(modes)
@@ -352,8 +382,7 @@ class TestBatchedKernel:
         out = start.copy()
         got = _add_photon(vec, n - 1, columns, coherent, out, scratch)
         assert np.shares_memory(got, out) and got.shape == out.shape
-        expected = start + _add_photon(vec, n - 1, columns, coherent)
-        assert np.allclose(out, expected, rtol=1e-14, atol=0)
+        assert np.array_equal(out, added_in_kernel_order(start, vec, n - 1, columns, coherent))
         fresh = _add_photon(vec, n - 1, columns, coherent, scratch=scratch)
         assert np.array_equal(fresh, _add_photon(vec, n - 1, columns, coherent))
 
@@ -622,6 +651,69 @@ class TestTriggerSum:
         # grow the summed sector 6 one photon at a time up to the cap of
         # 10, from 6..k for k < 10 (1 + 2 + 3 + 4 + 4 + 4 = 18).
         assert len(classical) == 2**6 - 1 + 18
+
+    def test_a_perfect_source_runs_one_coherent_pass_and_no_mixture(self, monkeypatch):
+        real_add, real_mix, additions, mixes = fock._add_photon, sources._mix_photon, [], []
+
+        def added(vec, n, column, coherent, *args, **kwargs):
+            additions.append((coherent, n, column.shape[1:]))
+            return real_add(vec, n, column, coherent, *args, **kwargs)
+
+        def mixed(sectors, *args):
+            mixes.append(sorted(sectors))
+            return real_mix(sectors, *args)
+
+        monkeypatch.setattr(fock, "_add_photon", added)
+        monkeypatch.setattr(sources, "_add_photon", added)
+        monkeypatch.setattr(sources, "_mix_photon", mixed)
+        labeled = build_input(6, SourceModel(), modes=cyclic_input_modes(6))
+        unitaries = np.stack([cyclic_interferometer(6, 0.3).matrix, haar(12, 5).matrix])
+        sectors, dropped = batched_noisy_sectors(unitaries, labeled)
+        # one shared set, all six triggers: one photon addition per photon, both columns at once
+        assert additions == [(True, n, (2,)) for n in range(6)]
+        assert mixes == [] and list(sectors) == [6] and dropped == 0.0
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        m=st.integers(1, 8),
+        batch=st.integers(1, 3),
+        data=st.data(),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_a_perfect_source_is_the_ideal_simulator_bit_for_bit(self, m, batch, data, seed):
+        # the trigger sum adds the photons in ascending mode order, whatever the listed order
+        modes = data.draw(st.lists(st.integers(0, m - 1), max_size=4))
+        rng = np.random.default_rng(seed)
+        unitaries = np.stack([ModeUnitary.haar_random(m, rng).matrix for _ in range(batch)])
+        sectors, dropped = batched_noisy_sectors(unitaries, build_input(len(modes), SourceModel(), modes))
+        ideal = np.abs(batched_amplitudes(unitaries, sorted(modes)).T) ** 2
+        assert list(sectors) == [len(modes)] and dropped == 0.0
+        assert np.array_equal(sectors[len(modes)], ideal)
+
+    def test_a_perfect_source_reads_the_ghz_inputs_as_the_ideal_simulator(self):
+        unitaries = np.stack([ghz_factory()[0].unitary().matrix, haar(12, 3).matrix])
+        labeled = build_input(6, SourceModel(), modes=GHZ_INPUT_MODES)
+        sectors, dropped = batched_noisy_sectors(unitaries, labeled)
+        ideal = np.abs(batched_amplitudes(unitaries, GHZ_INPUT_MODES).T) ** 2
+        assert list(sectors) == [6] and dropped == 0.0
+        assert np.array_equal(sectors[6], ideal)
+
+    @pytest.mark.parametrize("batch", [1, 3])
+    @pytest.mark.parametrize(
+        "ms", [(0.0, 1.0, 0.8, 1.0), (1.0, 0.6, 1.0, 1.0), (0.0, 0.0, 1.0, 0.3)]
+    )
+    def test_forced_triggers_sum_as_the_per_subset_oracle_bit_for_bit(self, ms, batch):
+        # A lossless trigger with m_i = 1 is always in S and one with m_i = 0
+        # always out, so only one trigger is free: the two shared sets meet in
+        # one addition, and every term is the oracle's own product.
+        labeled = build_input(4, SourceModel(indistinguishability=ms), modes=(1, 4, 1, 2))
+        unitaries = np.stack([haar(6, seed).matrix for seed in range(batch)])
+        assert len(sources._trigger_sets(labeled)[3]) == 2
+        sectors, dropped = batched_noisy_sectors(unitaries, labeled)
+        expected, expected_dropped = per_subset_noisy_sectors(unitaries, labeled)
+        assert dropped == expected_dropped == 0.0
+        assert sorted(sectors) == sorted(expected) == [4]
+        assert np.array_equal(sectors[4], expected[4])
 
     def test_working_memory_stays_near_the_output(self):
         unitary, labeled = cyclic_interferometer(6, 0.3), p6_input()

@@ -15,7 +15,7 @@ from _oracles import (
     rail_amplitudes_slos,
     rail_modes,
 )
-from lopsim import fock, qubits
+from lopsim import fock, qubits, sources
 from lopsim.fock import ModeUnitary, output_amplitude, strong_simulate
 from lopsim.mesh import PhotonicCircuit, two_mode_gate_elements
 from lopsim.qubits import (
@@ -646,13 +646,15 @@ def test_compile_check_catches_a_dropped_coupler(monkeypatch, cold_compile):
 
 
 def test_compile_check_runs_no_slos_pass(monkeypatch, cold_compile):
-    calls = []
+    calls, original = [], fock._coherent_prefixes
 
     def counted(*args):
         calls.append(args)
-        return fock.batched_amplitudes(*args)
+        return original(*args)
 
-    monkeypatch.setattr(qubits, "batched_amplitudes", counted)
+    # the one coherent pass, as fock and the trigger sum of sources read it
+    for module in (fock, sources):
+        monkeypatch.setattr(module, "_coherent_prefixes", counted)
     compile_gate_circuit(GateCircuit(2, (Gate("H", (0,)), Gate("CNOT", (0, 1)))))
     assert calls == []
 
@@ -705,7 +707,9 @@ class TestPostselectionRule:
         with pytest.raises(ValueError, match=r"reads modes \[2\], rows have 2 modes"):
             rule.readout(np.array([(1, 0), (0, 1)]))
 
-    @pytest.mark.parametrize("source", [None, SourceModel()], ids=["ideal", "noisy"])
+    @pytest.mark.parametrize(
+        "source", [SourceModel(), SourceModel(indistinguishability=0.9, g2=0.01)], ids=["ideal", "noisy"]
+    )
     @pytest.mark.parametrize("mode", [-1, 2])
     def test_logical_distributions_refuse_an_input_mode_outside_the_stack(self, mode, source):
         rule = PostselectionRule(((0, 1),))
@@ -713,7 +717,7 @@ class TestPostselectionRule:
             logical_distributions(np.eye(2)[None], (mode,), rule, source)
 
     @pytest.mark.parametrize(
-        "source", [None, SourceModel(indistinguishability=0.9, g2=0.01)], ids=["ideal", "noisy"]
+        "source", [SourceModel(), SourceModel(indistinguishability=0.9, g2=0.01)], ids=["ideal", "noisy"]
     )
     def test_logical_distributions_refuse_a_row_with_no_accepted_mass(self, source):
         # the swap sends the photon into the vacuum mode, so row 1 has nothing to normalize
@@ -843,6 +847,24 @@ class TestGhzFactory:
         plus = sum(p for h, p in zip(heralds, probs) if h.sign == 1)
         assert plus == pytest.approx(1.0 / 64.0, abs=1e-9)
 
+    def test_each_herald_occurs_at_one_in_64_and_holds_qubits_a_quarter_of_the_time(
+        self, factory
+    ):
+        # ideal photons, photon-number detection: a pattern alone does not
+        # put one photon in each output pair
+        _, heralds, encoding, unitary = factory
+        dist = strong_simulate(unitary, GHZ_INPUT_MODES)
+        rows, values = dist.outcomes()
+        qubits_held = PostselectionRule(encoding.qubit_pairs).readout(rows)[0]
+        for herald in heralds:
+            modes, counts = np.array(herald.occupations).T
+            flagged = np.all(rows[:, modes] == counts, axis=1)
+            herald_rate = values[flagged].sum()
+            joint = values[flagged & qubits_held].sum()
+            assert herald_rate == pytest.approx(1.0 / 64.0, abs=1e-12), herald.name
+            assert joint == pytest.approx(1.0 / 256.0, abs=1e-12), herald.name
+            assert joint / herald_rate == pytest.approx(0.25, abs=1e-10), herald.name
+
     def test_pooled_postselection_rule(self, factory):
         circuit, heralds, _, unitary = factory
         rule = ghz_postselection(heralds)
@@ -855,9 +877,18 @@ class TestGhzFactory:
         with pytest.raises(ValueError, match="sign"):
             ghz_postselection([h for h in heralds if h.sign == -1])
 
-    def test_noiseless_stabilizers_are_signed_units(self):
-        fidelity, expectations = ghz_noisy_fidelity(None)
-        _, perfect_source = ghz_noisy_fidelity(SourceModel())
+    def test_noiseless_stabilizers_are_signed_units(self, factory):
+        fidelity, expectations = ghz_noisy_fidelity()
+        # the ideal simulator, one Fock distribution per setting
+        circuit, heralds, encoding, _ = factory
+        rule = ghz_postselection(heralds, threshold=True)
+        logical = {}
+        for setting in GHZ_MEASUREMENT_SETTINGS:
+            run = PhotonicCircuit(12).extend(circuit.elements)
+            run.extend(pauli_measurement_setting(setting, encoding).elements)
+            dist = strong_simulate(run.unitary(), GHZ_INPUT_MODES)
+            logical[setting] = logical_distribution(dist, rule)[0].ravel()
+        ideal = qubits._ghz_expectations(logical)
         signs = {
             "III": 1,
             "XXX": 1,
@@ -870,7 +901,7 @@ class TestGhzFactory:
         }
         for word, sign in signs.items():
             assert expectations[word] == pytest.approx(sign, abs=1e-9), word
-            assert expectations[word] == pytest.approx(perfect_source[word], abs=1e-12), word
+            assert expectations[word] == pytest.approx(ideal[word], abs=1e-12), word
         assert fidelity == pytest.approx(1.0, abs=1e-12)
         assert ghz_fidelity(expectations) == fidelity
 

@@ -245,7 +245,7 @@ def test_each_row_of_a_stack_is_bit_for_bit_its_own_one_unitary_call(k, seed):
         g2=float(rng.uniform(0.0, 0.05)),
         efficiency=float(rng.uniform(0.5, 1.0)),
     )
-    for photons in (None, source):
+    for photons in (SourceModel(), source):
         rows = logical_distributions(stack, modes, rule, photons)
         assert rows.shape == (k, 4)
         for unitary, row in zip(stack, rows):

@@ -9,7 +9,7 @@ from _oracles import PerEvaluationVqeBackend, ansatz_circuit, h2_ground_energy_c
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from lopsim import fock, qubits, variational
+from lopsim import fock, qubits, sources, variational
 from lopsim.qubits import _MEAS_ROT, Gate, GateCircuit, QubitEncoding, compile_gate_circuit
 from lopsim.sources import SourceModel
 from lopsim.variational import (
@@ -626,7 +626,7 @@ def test_a_warm_energy_at_a_new_angle_builds_no_gate_and_checks_once(monkeypatch
 @given(k=st.integers(1, 8), seed=st.integers(0, 2**32 - 1), noisy=st.booleans())
 def test_each_row_of_an_ansatz_stack_is_its_own_one_row_call(k, seed, noisy):
     rng = np.random.default_rng(seed)
-    source = SourceModel(indistinguishability=0.92, g2=0.012) if noisy else None
+    source = SourceModel(indistinguishability=0.92, g2=0.012) if noisy else SourceModel()
     backend = PhotonicVqeBackend(readout_flip=0.03, source=source)
     thetas = rng.uniform(-2.0 * np.pi, 2.0 * np.pi, (k, 7))
     stacked = backend.ansatz_distributions(thetas)
@@ -656,14 +656,16 @@ def _count_calls(monkeypatch, home, name):
 
 def test_a_qubit_apps_vqe_run_simulates_only_its_mitigation_columns(monkeypatch):
     # The benchmark's tracer self-test needs one traced span in the op: the
-    # 8 mitigation columns are its only strong_simulate calls, and every
-    # sweep step reads both shifted angles in one stacked readout.
-    simulated = _count_calls(monkeypatch, fock, "strong_simulate")
+    # 8 mitigation columns are its only noisy_simulate calls (the perfect
+    # source runs the trigger sum, never strong_simulate), and every sweep
+    # step reads both shifted angles in one stacked readout.
+    ideal = _count_calls(monkeypatch, fock, "strong_simulate")
+    simulated = _count_calls(monkeypatch, sources, "noisy_simulate")
     single = _count_calls(monkeypatch, qubits, "logical_distribution")
     stacked = _count_calls(monkeypatch, qubits, "logical_distributions")
     config = VqeConfig(shots=2000, max_iterations=20, seed=5, mitigation=True)
     result = vqe_run(h2_hamiltonian(0.75), PhotonicVqeBackend(readout_flip=0.03), config)
     assert result.evaluations == 20 and not result.converged
-    assert (len(simulated), len(single)) == (8, 8)
+    assert (len(ideal), len(simulated), len(single)) == (0, 8, 8)
     steps = (result.evaluations - 2) // 2
     assert [len(args[0]) for args in stacked] == [2] + [4] * steps + [2]
