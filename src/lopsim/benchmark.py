@@ -181,25 +181,23 @@ class FidelityEstimate:
 
     f_avg: float
     std_error: float
-    shots: int | None = None
 
 
 @dataclass(frozen=True)
 class BenchmarkPlan:
     """Weighted-correlation expansion of a gate's average fidelity.
 
-    ``entries`` hold the raw weights; dividing by ``normalization`` (the
-    smallest weight magnitude) recovers the integer-like units used in
-    plan tables.  For single-qubit plans the identity-word terms, whose
-    correlations equal 1 on any trace-preserving channel, are folded into
-    ``constant``; multi-qubit plans keep them as explicit entries.
+    ``entries`` hold the raw weights; dividing by the smallest weight
+    magnitude recovers the integer-like units used in plan tables.  For
+    single-qubit plans the identity-word terms, whose correlations equal
+    1 on any trace-preserving channel, are folded into ``constant``;
+    multi-qubit plans keep them as explicit entries.
     """
 
     n_qubits: int
     functional: str
     entries: tuple[PlanEntry, ...]
     constant: float
-    normalization: float
 
     def configurations(self) -> dict[tuple[str, str], list[int]]:
         """Entry indices grouped by (preparation, setting), in plan order."""
@@ -274,13 +272,11 @@ def build_plan(
             constant += weight
         else:
             entries.append(PlanEntry(preparation=prep, word=word, weight=float(weight)))
-    normalization = min((abs(e.weight) for e in entries), default=1.0)
     return BenchmarkPlan(
         n_qubits=n_qubits,
         functional=functional,
         entries=tuple(entries),
         constant=float(constant),
-        normalization=float(normalization),
     )
 
 
@@ -339,10 +335,7 @@ def estimate_favg(
             if shots_per_config is not None:
                 spread = max(0.0, 1.0 - correlation * correlation)
                 variance += entry.weight**2 * spread / shots_per_config
-    shots = None if shots_per_config is None else len(groups) * shots_per_config
-    return FidelityEstimate(
-        f_avg=float(total), std_error=float(np.sqrt(variance)), shots=shots
-    )
+    return FidelityEstimate(f_avg=float(total), std_error=float(np.sqrt(variance)))
 
 
 # ---------------------------------------------------------------------------

@@ -109,9 +109,8 @@ def fringe(alpha: float) -> dict:
 
 def train_iris(seed: int) -> dict:
     """Train the classifier on the bundled iris set; returns its metrics."""
-    features, labels, names = load_iris_dataset()
-    _, metrics = qnn_train(features, labels, QnnConfig(seed=seed), class_names=names)
-    return metrics
+    features, labels, _ = load_iris_dataset()
+    return qnn_train(features, labels, QnnConfig(seed=seed))[1]
 
 
 def calibrate_chip(seed: int) -> dict:
@@ -229,9 +228,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     elif args.command == "calibrate":
         record = {"command": "calibrate", "seed": args.seed, **calibrate_chip(args.seed)}
     elif args.command == "qnn":
-        metrics = train_iris(args.seed)
-        keys = ("train_accuracy", "test_accuracy", "objective_evaluations", "best_iteration")
-        record = {"command": "qnn", "seed": args.seed, **{key: metrics[key] for key in keys}}
+        record = {"command": "qnn", "seed": args.seed, **train_iris(args.seed)}
     else:
         try:
             stats = fringe(args.alpha)

@@ -190,8 +190,9 @@ class ModeUnitary:
         return self.matrix.shape[0]
 
     @classmethod
-    def haar_random(cls, m: int, rng: np.random.Generator) -> "ModeUnitary":
+    def haar_random(cls, m: int, rng: np.random.Generator | int) -> "ModeUnitary":
         """Haar-distributed random unitary via QR with phase correction."""
+        rng = _seeded_rng(rng)
         z = rng.normal(size=(m, m)) + 1j * rng.normal(size=(m, m))
         q, r = np.linalg.qr(z)
         phases = np.diag(r).copy()

@@ -449,7 +449,6 @@ def held_out_tvd(hw: HardwareModel, data: IntensityData, layout: MeshLayout) -> 
 @dataclass
 class TvdStatistics:
     mean: float
-    std: float
     tvds: np.ndarray = field(repr=False)
 
 
@@ -495,4 +494,4 @@ def benchmark_tvd(
     intended = _intensities(hw_est, layout, layout.phases_from_actuated(targets), inputs)
     realized = _intensities(hw_true, layout, _logical_phases(hw_true, layout, volts), inputs)
     tvds = _tvd(intended, realized)
-    return TvdStatistics(mean=float(tvds.mean()), std=float(tvds.std()), tvds=tvds)
+    return TvdStatistics(mean=float(tvds.mean()), tvds=tvds)

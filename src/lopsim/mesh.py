@@ -701,28 +701,28 @@ def _optimal_gauges(target: np.ndarray, implemented: np.ndarray) -> tuple[np.nda
     return np.angle(best[1]), np.angle(best[2])
 
 
-def _dressed(target: np.ndarray, implemented: np.ndarray) -> tuple[np.ndarray, ...]:
-    """The optimal output and input phase layers and ``implemented`` dressed with them."""
-    out, inn = _optimal_gauges(target, implemented)
-    return out, inn, np.exp(1j * out)[:, None] * implemented * np.exp(1j * inn)[None, :]
-
-
 def gauge_fidelity(target: ModeUnitary | np.ndarray, implemented: ModeUnitary | np.ndarray) -> float:
-    """Fidelity maximized over free input/output phase layers."""
+    """Fidelity maximized over free input/output phase layers (:func:`_optimal_gauges`)."""
     u = target.matrix if isinstance(target, ModeUnitary) else np.asarray(target)
     v = implemented.matrix if isinstance(implemented, ModeUnitary) else np.asarray(implemented)
-    return fidelity(u, _dressed(u, v)[2])
+    out, inn = _optimal_gauges(u, v)
+    return fidelity(u, np.exp(1j * out)[:, None] * v * np.exp(1j * inn)[None, :])
 
 
 @dataclass
 class CompilationResult:
-    layout: MeshLayout
+    """What a compile found: the logical ``phases`` of its layout, the
+    ``fidelity`` they reach on its couplers (:func:`gauge_fidelity`) and
+    the ``restarts_used`` to find them.
+
+    ``phases`` are the settings to program a chip with; the benchmark
+    reads ``fidelity`` and its tracer ``restarts_used``.  The boundary
+    phase layers are not kept: photon counting cannot see them, and
+    :func:`_optimal_gauges` recomputes them from ``phases``.
+    """
+
     phases: np.ndarray
-    output_phases: np.ndarray
-    input_phases: np.ndarray
-    reflectivities: np.ndarray
     fidelity: float
-    implemented: ModeUnitary
     restarts_used: int
 
 
@@ -860,15 +860,9 @@ def compile_with_imperfections(
             break
 
     phases = layout.phases_from_actuated(np.mod(best_x, 2.0 * np.pi))
-    out, inn, dressed = _dressed(tmat, layout._matrix(phases, refl))
     return CompilationResult(
-        layout=layout,
         phases=phases,
-        output_phases=out,
-        input_phases=inn,
-        reflectivities=refl,
-        fidelity=fidelity(tmat, dressed),
-        implemented=ModeUnitary(dressed),
+        fidelity=gauge_fidelity(tmat, layout._matrix(phases, refl)),
         restarts_used=restarts,
     )
 

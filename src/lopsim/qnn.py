@@ -202,7 +202,6 @@ class ClassifierModel:
     lambdas: np.ndarray
     feature_low: np.ndarray
     feature_span: np.ndarray
-    class_names: tuple[str, ...] | None = None
 
     def __post_init__(self) -> None:
         theta = _checked_theta(self.theta)
@@ -228,11 +227,6 @@ class ClassifierModel:
         ):
             value.setflags(write=False)
             object.__setattr__(self, name, value)
-        if self.class_names is not None:
-            names = tuple(str(n) for n in self.class_names)
-            if len(names) != lambdas.shape[0]:
-                raise ValueError("one class name per lambda row required")
-            object.__setattr__(self, "class_names", names)
 
     def encode(self, x: Sequence[float]) -> np.ndarray:
         """Scaled encoding phases in [0, pi], one row per feature row of ``x``."""
@@ -270,7 +264,7 @@ def load_iris_dataset() -> tuple[np.ndarray, np.ndarray, tuple[str, ...]]:
 
 
 def stratified_split(
-    labels: np.ndarray, n_test: int, rng: np.random.Generator
+    labels: np.ndarray, n_test: int, rng: np.random.Generator | int
 ) -> tuple[np.ndarray, np.ndarray]:
     """Class-proportional train/test index split.
 
@@ -280,6 +274,7 @@ def stratified_split(
     labels = np.asarray(labels)
     if not 0 <= n_test < len(labels):
         raise ValueError(f"n_test must lie in [0, {len(labels)}), got {n_test}")
+    rng = _seeded_rng(rng)
     classes, counts = np.unique(labels, return_counts=True)
     shares = counts * n_test / len(labels)
     base = np.floor(shares).astype(int)
@@ -348,15 +343,17 @@ def qnn_train(
     features: np.ndarray,
     labels: np.ndarray,
     config: QnnConfig | None = None,
-    class_names: Sequence[str] | None = None,
 ) -> tuple[ClassifierModel, dict]:
     """Train the classifier on a labeled feature set.
 
     Runs the see-saw scheme: an outer surrogate-assisted random search
     over the 32 chip phases, with the outcome weights re-solved exactly
     for every candidate, scored by training accuracy (mean squared
-    error as tie-break).  Returns the best model and a metrics dict
-    with accuracies and confusion matrices for both split halves.
+    error as tie-break).  Returns the best model and a record of four
+    keys: ``train_accuracy`` (the best candidate's, as ranked),
+    ``test_accuracy`` (None when ``config.n_test`` is 0),
+    ``objective_evaluations`` (candidates scored) and ``best_iteration``
+    (the outer iteration, from 1, that found the best candidate).
     """
     if config is None:
         config = QnnConfig()
@@ -377,8 +374,6 @@ def qnn_train(
         raise ValueError("training needs at least two classes")
     if not np.array_equal(classes, np.arange(n_classes)):
         raise ValueError(f"labels must be 0..{n_classes - 1}, got {classes}")
-    if class_names is not None and len(class_names) != n_classes:
-        raise ValueError("one class name per class required")
 
     rng = _seeded_rng(config.seed)
     train_idx, test_idx = stratified_split(labels, config.n_test, rng)
@@ -393,7 +388,6 @@ def qnn_train(
     history_thetas: list[np.ndarray] = []
     history_scores: list[float] = []
     best = {"score": -np.inf, "theta": None, "lambdas": None, "accuracy": 0.0, "iteration": 0}
-    history_best: list[float] = []
     step = PERTURBATION
 
     for iteration in range(config.outer_iterations):
@@ -427,7 +421,6 @@ def qnn_train(
                     accuracy=accuracy,
                     iteration=iteration + 1,
                 )
-        history_best.append(best["accuracy"])
         step *= PERTURBATION_DECAY
 
     model = ClassifierModel(
@@ -435,32 +428,14 @@ def qnn_train(
         lambdas=best["lambdas"],
         feature_low=low,
         feature_span=span,
-        class_names=tuple(class_names) if class_names is not None else None,
     )
-
-    def confusion(x: np.ndarray, y: np.ndarray) -> np.ndarray:
-        matrix = np.zeros((n_classes, n_classes), dtype=int)
-        if len(y):
-            predicted = qnn_predict(model, x)
-            for truth, guess in zip(y, predicted):
-                matrix[truth, guess] += 1
-        return matrix
-
-    confusion_train = confusion(x_train, y_train)
-    confusion_test = confusion(x_test, y_test)
     test_accuracy = (
-        float(np.trace(confusion_test) / len(y_test)) if len(y_test) else None
+        float(np.mean(qnn_predict(model, x_test) == y_test)) if len(y_test) else None
     )
     metrics = {
-        "n_train": int(len(y_train)),
-        "n_test": int(len(y_test)),
-        "train_accuracy": float(np.trace(confusion_train) / len(y_train)),
+        "train_accuracy": best["accuracy"],
         "test_accuracy": test_accuracy,
-        "confusion_train": confusion_train.tolist(),
-        "confusion_test": confusion_test.tolist(),
-        "outer_iterations": int(config.outer_iterations),
-        "objective_evaluations": int(len(history_scores)),
-        "best_iteration": int(best["iteration"]),
-        "accuracy_history": [float(v) for v in history_best],
+        "objective_evaluations": len(history_scores),
+        "best_iteration": best["iteration"],
     }
     return model, metrics

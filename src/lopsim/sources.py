@@ -320,10 +320,7 @@ def _pair_key(pairs: Sequence[Sequence[int]], m: int) -> tuple[tuple[int, int], 
 
 
 def batched_noisy_sectors(
-    unitaries: np.ndarray,
-    labeled: LabeledInput,
-    *,
-    one_click_pairs: Sequence[Sequence[int]] = (),
+    unitaries: np.ndarray, labeled: LabeledInput
 ) -> tuple[dict[int, np.ndarray], float]:
     """Noisy-source outputs of B interferometers in one trigger sum.
 
@@ -345,28 +342,34 @@ def batched_noisy_sectors(
     sectors only; on large ones its strided scatters cost more than the
     Python calls it saves.
 
-    ``one_click_pairs`` lists disjoint mode pairs of which the caller
-    reads only the outcomes with exactly one click in every pair.  Every
-    step then runs on the live rows (:func:`~lopsim.fock._support`): no
-    pair filled, and no more pairs empty than the photons the cap leaves
-    could fill.  Removing a photon never fills a pair and empties at
-    most one, so no outcome off the live rows feeds one on them, and no
-    read outcome comes from a dead row.  Only the read outcomes are
-    returned: each sector keeps the rows with one click in every pair
-    (:func:`~lopsim.fock._one_click_rows`), rank ascending, each exact
-    (bit for bit its value without pairs), and a sector with no such row
-    is left out.  With no pairs every row is live and read.  (On the
-    12-mode cyclic p6 at a cap of 10, sectors 6-10 hold 57,340 live
-    states and return the 13,440 read ones, instead of 640,458.)
-
     Returns the sectors, ``{n: (N_n, B)}`` probabilities (column b the
-    output of unitary b) over ``enumerate_basis(m, n)``, or with pairs
-    over its ranks ``_support(m, n, pairs, n)``, and the photon-number
-    tail above the cap, which every column shares.
+    output of unitary b) over ``enumerate_basis(m, n)``, and the
+    photon-number tail above the cap, which every column shares.
     """
-    unitaries = np.asarray(unitaries, dtype=complex)
+    return _trigger_sum(np.asarray(unitaries, dtype=complex), labeled, ())
+
+
+def _trigger_sum(
+    unitaries: np.ndarray, labeled: LabeledInput, pairs: tuple[tuple[int, int], ...]
+) -> tuple[dict[int, np.ndarray], float]:
+    """:func:`batched_noisy_sectors` of a complex stack, read on one-click pairs.
+
+    ``pairs``, keyed by :func:`_pair_key`, lists disjoint mode pairs of
+    which the caller reads only the outcomes with exactly one click in
+    every pair.  Every step then runs on the live rows
+    (:func:`~lopsim.fock._support`): no pair filled, and no more pairs
+    empty than the photons the cap leaves could fill.  Removing a photon
+    never fills a pair and empties at most one, so no outcome off the
+    live rows feeds one on them, and no read outcome comes from a dead
+    row.  Only the read outcomes are returned: each sector keeps the rows
+    with one click in every pair (:func:`~lopsim.fock._one_click_rows`),
+    rank ascending, over the ranks ``_support(m, n, pairs, n)``, each
+    exact (bit for bit its value without pairs), and a sector with no
+    such row is left out.  With no pairs every row is live and read.
+    (On the 12-mode cyclic p6 at a cap of 10, sectors 6-10 hold 57,340
+    live states and return the 13,440 read ones, instead of 640,458.)
+    """
     count, m = unitaries.shape[:2]
-    pairs = _pair_key(one_click_pairs, m)
     _input_modes(m, labeled.modes)  # rejects an input mode outside the unitary
     cap, dropped, folds, shared = _trigger_sets(labeled)
     columns, scratch = [None] * len(labeled.modes), None
@@ -436,7 +439,7 @@ def noisy_simulate(
             only the outcomes with exactly one click in every pair, such
             as the output pairs of the cyclic fringe; only the outcomes
             that can still reach one are simulated (see
-            :func:`batched_noisy_sectors`).
+            :func:`_trigger_sum`).
 
     Returns:
         An :class:`~lopsim.fock.OutputDistribution` with one exact sector
@@ -450,7 +453,7 @@ def noisy_simulate(
     if not isinstance(unitary, ModeUnitary):
         unitary = ModeUnitary(np.asarray(unitary))
     pairs = _pair_key(one_click_pairs, unitary.m)
-    sectors, dropped = batched_noisy_sectors(unitary.matrix[None], labeled, one_click_pairs=pairs)
+    sectors, dropped = _trigger_sum(unitary.matrix[None], labeled, pairs)
     return OutputDistribution(
         unitary.m,
         {n: vec[:, 0] for n, vec in sectors.items()},
@@ -460,8 +463,12 @@ def noisy_simulate(
 
 
 def coincidence_probability(dist: OutputDistribution, modes: Sequence[int]) -> float:
-    """Probability that every listed mode clicks (threshold detectors)."""
-    modes = list(modes)
+    """Probability that every listed mode clicks (threshold detectors).
+
+    Each mode is taken through ``operator.index``, so a float mode raises
+    ``TypeError``.
+    """
+    modes = list(map(operator.index, modes))
     outside = [q for q in modes if not 0 <= q < dist.m]
     if outside:
         raise ValueError(f"modes {outside} lie outside the distribution's modes [0, {dist.m})")

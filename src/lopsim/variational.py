@@ -138,14 +138,9 @@ class MitigationMatrix:
     which guarantees invertibility.
     """
 
-    basis: str
     matrix: np.ndarray
 
     def __post_init__(self) -> None:
-        basis = self.basis.upper()
-        if basis not in BASES:
-            raise ValueError(f"basis must be one of {BASES}, got {self.basis!r}")
-        object.__setattr__(self, "basis", basis)
         matrix = np.array(self.matrix, dtype=float)
         if matrix.shape != (4, 4):
             raise ValueError(f"confusion matrix must be 4x4, got shape {matrix.shape}")
@@ -355,14 +350,14 @@ def build_mitigation(
         columns.append(p)
     matrix = np.column_stack(columns)
     try:
-        return MitigationMatrix(basis, matrix)
+        return MitigationMatrix(matrix)
     except ValueError as exc:
         warnings.warn(
             f"readout mitigation disabled for {basis}: {exc}",
             RuntimeWarning,
             stacklevel=2,
         )
-        return MitigationMatrix(basis, np.eye(4))
+        return MitigationMatrix(np.eye(4))
 
 
 @dataclass
@@ -405,7 +400,6 @@ class VqeResult:
     energy: float
     converged: bool
     evaluations: int
-    mitigation: dict[str, MitigationMatrix] | None
 
 
 def _sweep(
@@ -506,5 +500,4 @@ def vqe_run(
         energy=energy,
         converged=converged,
         evaluations=len(trajectory),
-        mitigation=gammas,
     )

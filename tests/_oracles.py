@@ -587,8 +587,7 @@ def per_configuration_favg(
             if shots_per_config is not None:
                 spread = max(0.0, 1.0 - correlation * correlation)
                 variance += entry.weight**2 * spread / shots_per_config
-    shots = None if shots_per_config is None else len(groups) * shots_per_config
-    return FidelityEstimate(float(total), float(np.sqrt(variance)), shots)
+    return FidelityEstimate(float(total), float(np.sqrt(variance)))
 
 
 def channel_executor(

@@ -768,13 +768,14 @@ class TestExclusivePairs:
         unitaries, labeled, pairs = case
         m = unitaries.shape[1]
         full, dropped = batched_noisy_sectors(unitaries, labeled)
-        sectors, pair_dropped = batched_noisy_sectors(unitaries, labeled, one_click_pairs=pairs)
+        key = sources._pair_key(pairs, m)
+        sectors, pair_dropped = sources._trigger_sum(unitaries, labeled, key)
         assert pair_dropped == dropped
         read = {}
         for n in full:
             occ = enumerate_basis(m, n).occupations
             one_click = np.all([(occ[:, a] > 0) != (occ[:, b] > 0) for a, b in pairs], axis=0)
-            read[n] = _support(m, n, sources._pair_key(pairs, m), n)
+            read[n] = _support(m, n, key, n)
             assert np.array_equal(read[n], np.flatnonzero(one_click))
         assert sorted(sectors) == [n for n in sorted(full) if len(read[n])]
         for n, vec in sectors.items():

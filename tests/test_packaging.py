@@ -4,7 +4,8 @@ callable, every name a module exports or the package imports exists, no
 module-level definition, method or property is dead, every public name
 has a caller in the package or the benchmark (or an allowlist entry that
 names its coming reader), so does every defaulted parameter and dataclass
-field (a call that sets it), no module draws from an unseeded generator, every
+field (a call that sets it) and every field of a public dataclass (code
+that reads it), no module draws from an unseeded generator, every
 ``np.allclose``/``np.isclose`` sets its ``rtol``, no parameter takes a
 plain ``Mapping[FockState, ...]`` of outcomes, and importing the
 package (or running ``lopsim fringe`` or ``lopsim vqe``) loads no scipy
@@ -588,6 +589,157 @@ def test_a_new_test_only_option_fails_the_option_guard(tmp_path):
     assert found == sorted([*TEST_ONLY_OPTIONS, "qnn.py:qnn_predict.batch"])
 
 
+#: Fields of public dataclasses that no code in the package or the
+#: benchmark reads, each with the ROADMAP item that is to read it or why
+#: it stays.  The scan must equal this table, as for the public names.
+TEST_ONLY_FIELDS = {
+    "benchmark.py:FidelityEstimate.std_error": "`std_error` in `lopsim paper` "
+    "(ROADMAP items 8, 19)",
+    "hardware.py:TvdStatistics.tvds": "none: `mean` is their mean, and the tests compare the "
+    "batched draw with the per-candidate oracle one configuration at a time",
+    "sources.py:FringeFit.amplitude": "`lopsim fringe` scan over alpha (ROADMAP item 8)",
+    "sources.py:FringeFit.frequency": "`lopsim fringe` scan over alpha (ROADMAP item 8)",
+    "sources.py:LabeledPhoton.label": "moves into tests/_oracles.py after item 1b "
+    "(ROADMAP item 9)",
+    "validation.py:CollisionFreeReference.classical_mass": "`lopsim sample` validation "
+    "(ROADMAP item 7)",
+    "validation.py:CollisionFreeReference.ideal_mass": "`lopsim sample` validation "
+    "(ROADMAP item 7)",
+    "validation.py:DistributionComparison.residuals": "`lopsim sample` validation "
+    "(ROADMAP item 7)",
+    "validation.py:DistributionComparison.tvd": "`lopsim sample` validation (ROADMAP item 7)",
+    "variational.py:VqeResult.energies": "the convergence trace of `lopsim paper` "
+    "(ROADMAP item 8); the VQE oracle trajectories compare it",
+}
+
+
+def _attribute_loads(tree: ast.AST, owners: dict[int, str]) -> set[tuple[str, str | None]]:
+    """(name, owner) of each ``.name`` that ``tree`` loads; the owner is
+    ``owners[id(node)]``, or None for a node it does not list."""
+    return {
+        (node.attr, owners.get(id(node)))
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)
+    }
+
+
+def _fields_without_a_reader(
+    source: Path = ROOT / "src" / "lopsim", bench: Path = ROOT / "perfbench"
+) -> list[str]:
+    """``file:Class.field`` of each field of a public module-level dataclass
+    in ``source`` that no code reads.
+
+    A field counts as read when ``.name`` is loaded in ``source`` outside
+    its class's own ``__post_init__`` (a ``self.name`` in any other method
+    counts) or in the code of ``bench/*.py``; a docstring loads nothing.
+    Reads are matched by name alone, so a field that shares its name with
+    an attribute read elsewhere counts as read.  The fields passed that
+    way were checked by hand: ``CompilationResult.phases`` (which is to
+    program a calibrated chip, ROADMAP item 4) shares its name with
+    ``MeshPhases``; ``InputBranch.photons`` is read by ``InputBranch.n``;
+    and these were read by nothing until they were deleted:
+    ``CompilationResult.layout``, ``.output_phases`` and
+    ``.reflectivities`` (names of ``MeshPhases`` and ``HardwareModel``),
+    ``FidelityEstimate.shots`` and ``VqeResult.mitigation`` (names of
+    ``VqeConfig``) and ``TvdStatistics.std`` (``ndarray.std``).
+    """
+    fields, reads = {}, set()
+    for path in sorted(source.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        owners = {}
+        for cls in (node for node in tree.body if isinstance(node, ast.ClassDef)):
+            owner = f"{path.name}:{cls.name}"
+            if not cls.name.startswith("_") and any(
+                _callee(d) == "dataclass" for d in cls.decorator_list
+            ):
+                for item in cls.body:
+                    if (
+                        isinstance(item, ast.AnnAssign) and isinstance(item.target, ast.Name)
+                        and "ClassVar" not in ast.unparse(item.annotation)
+                    ):
+                        fields[f"{owner}.{item.target.id}"] = (owner, item.target.id)
+            for item in cls.body:
+                if isinstance(item, ast.FunctionDef) and item.name == "__post_init__":
+                    owners.update({id(node): owner for node in ast.walk(item)})
+        reads |= _attribute_loads(tree, owners)
+    for path in sorted(bench.glob("*.py")):
+        reads |= _attribute_loads(ast.parse(path.read_text(encoding="utf-8")), {})
+    return sorted(
+        key
+        for key, (owner, name) in fields.items()
+        if not any(attr == name and reader != owner for attr, reader in reads)
+    )
+
+
+def test_every_result_field_has_a_reader_outside_the_tests():
+    # Counts readers in src/lopsim and the code of perfbench/*.py only: a
+    # field that only tests read is a result that no user gets to see.
+    assert _fields_without_a_reader() == sorted(TEST_ONLY_FIELDS)
+
+
+#: A package for the field scan: ``Record.spare`` is named only in a
+#: docstring and ``Record.checked`` read only in its own ``__post_init__``.
+_FIELDED_PACKAGE = {
+    "alpha.py": '''"""Names `Record.spare`."""
+
+from dataclasses import dataclass
+
+
+@dataclass
+class Record:
+    value: float
+    scale: float
+    spare: int = 0
+    checked: int = 0
+
+    def __post_init__(self):
+        if self.checked < 0:
+            raise ValueError("checked must be nonnegative")
+
+    def scaled(self):
+        return self.value * self.scale
+
+
+@dataclass
+class _Private:
+    hidden: int
+
+
+def run(record):
+    """Reads record.spare in a docstring only."""
+    return record.scaled()
+''',
+}
+
+
+def test_the_field_scan_skips_docstrings_and_the_own_post_init(tmp_path):
+    source = _write_package(tmp_path / "pkg", _FIELDED_PACKAGE)
+    empty = _write_package(tmp_path / "bench", {})
+    assert _fields_without_a_reader(source, empty) == [
+        "alpha.py:Record.checked", "alpha.py:Record.spare"
+    ]
+    bench = _write_package(
+        tmp_path / "bench2",
+        {"run.py": '"""Reads record.checked."""\n\n\ndef op(record):\n    return record.spare\n'},
+    )
+    assert _fields_without_a_reader(source, bench) == ["alpha.py:Record.checked"]
+
+
+def test_a_new_unread_field_fails_the_field_guard(tmp_path):
+    # A field that the package fills but never reads back has no reader:
+    # the guard reads the package and the benchmark, never the tests.
+    source = ROOT / "src" / "lopsim"
+    modules = {path.name: path.read_text(encoding="utf-8") for path in source.glob("*.py")}
+    old = "    f_avg: float\n    std_error: float\n"
+    assert modules["benchmark.py"].count(old) == 1
+    modules["benchmark.py"] = modules["benchmark.py"].replace(
+        old, old + "    n_configurations: int = 0\n"
+    )
+    mutated = _write_package(tmp_path / "lopsim", modules)
+    found = _fields_without_a_reader(mutated)
+    assert found == sorted([*TEST_ONLY_FIELDS, "benchmark.py:FidelityEstimate.n_configurations"])
+
+
 @pytest.fixture
 def tracing(monkeypatch):
     """The benchmark's tracer module, perfbench/tracing.py."""
@@ -894,6 +1046,8 @@ _T_GATE = qubits.GateCircuit.from_text("T 0", n_qubits=1)
 #: Every public entry point that makes a generator, called with a None seed.
 UNSEEDED_CALLS = {
     "fock.sample": lambda: fock.sample(fock.ModeUnitary(np.eye(2)), (0,), 5, None),
+    "ModeUnitary.haar_random": lambda: fock.ModeUnitary.haar_random(3, None),
+    "stratified_split": lambda: qnn.stratified_split(np.repeat([0, 1], 4), 2, None),
     "HardwareModel.synthetic": lambda: hardware.HardwareModel.synthetic(3, rng=None),
     "generate_measurements": lambda: hardware.generate_measurements(
         _chip(), mesh.MeshLayout(3), 3, rng=None

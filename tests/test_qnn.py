@@ -201,8 +201,6 @@ def test_model_validation():
         ClassifierModel(**{**good, "lambdas": np.full((3, n_patterns), np.nan)})
     with pytest.raises(ValueError, match="span"):
         ClassifierModel(**{**good, "feature_span": np.zeros(4)})
-    with pytest.raises(ValueError, match="class name"):
-        ClassifierModel(**good, class_names=("a", "b"))
     model = ClassifierModel(**good)
     with pytest.raises(ValueError, match="features"):
         model.encode([1.0, 2.0])
@@ -232,11 +230,16 @@ def test_toy_training_reaches_perfect_accuracy():
     model, metrics = qnn_train(TOY_FEATURES, TOY_LABELS, config)
     assert metrics["train_accuracy"] == 1.0
     assert metrics["test_accuracy"] is None
-    assert metrics["n_train"] == 8 and metrics["n_test"] == 0
     assert np.array_equal(qnn_predict(model, TOY_FEATURES), TOY_LABELS)
-    confusion = np.array(metrics["confusion_train"])
-    assert confusion.sum() == 8
-    assert np.trace(confusion) == 8
+
+
+def test_the_training_record_holds_the_keys_its_readers_read():
+    # `lopsim qnn` and the benchmark read these four; the result-field
+    # guard of tests/test_packaging.py cannot see dict keys.
+    _, metrics = qnn_train(TOY_FEATURES, TOY_LABELS, QnnConfig(outer_iterations=1, n_test=2))
+    assert set(metrics) == {
+        "train_accuracy", "test_accuracy", "objective_evaluations", "best_iteration"
+    }
 
 
 def test_training_is_deterministic_given_seed():
@@ -267,8 +270,6 @@ def test_training_input_validation():
         qnn_train(TOY_FEATURES[:, :3], TOY_LABELS, config)
     with pytest.raises(ValueError, match="one label"):
         qnn_train(TOY_FEATURES, TOY_LABELS[:5], config)
-    with pytest.raises(ValueError, match="class name"):
-        qnn_train(TOY_FEATURES, TOY_LABELS, config, class_names=("only",))
 
 
 def test_seeded_training_is_pinned():
@@ -302,8 +303,10 @@ def test_seeded_training_is_pinned():
     )
     assert metrics["train_accuracy"] == 1.0
     assert metrics["test_accuracy"] == 28 / 30
-    assert metrics["confusion_train"] == [[40, 0, 0], [0, 40, 0], [0, 0, 40]]
-    assert metrics["confusion_test"] == [[10, 0, 0], [0, 9, 1], [0, 1, 9]]
+    # the ranked accuracy is the trained model's on the training rows
+    train_idx, test_idx = stratified_split(labels, 30, np.random.default_rng(11))
+    for rows, accuracy in ((train_idx, 1.0), (test_idx, 28 / 30)):
+        assert np.mean(qnn_predict(model, features[rows]) == labels[rows]) == accuracy
     assert metrics["objective_evaluations"] == 4
     assert metrics["best_iteration"] == 1
 
@@ -315,7 +318,6 @@ def test_small_iris_subset_trains_above_chance():
         outer_iterations=3, evaluations_per_iteration=3, pool_size=12, seed=2, n_test=6
     )
     model, metrics = qnn_train(features[subset], labels[subset], config)
-    assert metrics["n_train"] == 24 and metrics["n_test"] == 6
     assert metrics["train_accuracy"] >= 0.8
     assert model.lambdas.shape[0] == 3
 

@@ -462,6 +462,13 @@ class TestFringeFit:
         with pytest.raises(ValueError, match=re.escape(f"modes {bad} lie outside") + ".*8"):
             coincidence_probability(dist, modes)
 
+    @pytest.mark.parametrize("modes", [(0.0, 1.0), (0.5, 1)])
+    def test_coincidence_modes_that_are_not_integers_raise(self, modes):
+        # (0.0, 1.0) lies inside the range and once failed as numpy indexing
+        dist = strong_simulate(ModeUnitary(np.eye(8)), (1, 3))
+        with pytest.raises(TypeError, match="'float' object cannot be interpreted as an integer"):
+            coincidence_probability(dist, modes)
+
     def test_an_empty_distribution_keeps_its_mode_count(self):
         empty = OutputDistribution(8, {})
         assert empty.outcomes()[0].shape == (0, 8)

@@ -95,7 +95,7 @@ def _confusion_with_nan() -> np.ndarray:
         ),
         (lambda: _voltages_with_nan("target"), ValueError, "non-finite"),
         (lambda: _voltages_with_nan("offset"), TranspilationError, "non-finite voltage"),
-        (lambda: MitigationMatrix("ZZ", _confusion_with_nan()), ValueError, "sum to 1"),
+        (lambda: MitigationMatrix(_confusion_with_nan()), ValueError, "sum to 1"),
         (lambda: _hardware_with("a", (0, 0), NAN), ValueError, "finite"),
         (lambda: _hardware_with("a", (0, 1), NAN), ValueError, "finite"),
         (lambda: _hardware_with("b", (0,), NAN), ValueError, "finite"),
@@ -106,7 +106,7 @@ def _confusion_with_nan() -> np.ndarray:
         (lambda: _hardware_with("output_losses", (0,), 0.0), ValueError, "output losses"),
         (
             lambda: apply_mitigation(
-                MitigationMatrix("ZZ", np.eye(4)), np.array([NAN, 0.5, 0.25, 0.25])
+                MitigationMatrix(np.eye(4)), np.array([NAN, 0.5, 0.25, 0.25])
             ),
             ValueError,
             "nonnegative",
