@@ -54,32 +54,7 @@ import sys
 import time
 from typing import Sequence
 
-from .fock import _seeded_rng
-from .hardware import (
-    HardwareModel,
-    benchmark_tvd,
-    calibrate,
-    crosstalk_free_baseline,
-    generate_measurements,
-)
-from .mesh import MeshLayout
-from .qnn import QnnConfig, load_iris_dataset, qnn_train
-from .sources import (
-    SourceModel,
-    _fringe_distribution,
-    fit_product_model,
-    genuine_indistinguishability,
-    load_indistinguishability_matrix,
-)
-from .variational import (
-    PhotonicVqeBackend,
-    QubitHamiltonian,
-    VqeConfig,
-    exact_ground_energy,
-    h2_hamiltonian,
-    measure_energy,
-    vqe_run,
-)
+from . import fock, hardware, mesh, qnn, sources, variational
 
 #: Residual multiphoton emission of the measured source.
 BUNDLED_G2 = 0.0075
@@ -93,12 +68,12 @@ def _stage_times(stages: Sequence[str], marks: Sequence[float]) -> dict[str, flo
 def fringe(alpha: float) -> dict:
     """``p6 cos(alpha)`` of the bundled fitted source, the mass left out and stage times."""
     marks = [time.perf_counter()]
-    m_fit, _ = fit_product_model(load_indistinguishability_matrix())
+    m_fit, _ = sources.fit_product_model(sources.load_indistinguishability_matrix())
     marks.append(time.perf_counter())
-    source = SourceModel(indistinguishability=tuple(m_fit), g2=BUNDLED_G2)
-    dist = _fringe_distribution(6, source, alpha)
+    source = sources.SourceModel(indistinguishability=tuple(m_fit), g2=BUNDLED_G2)
+    dist = sources._fringe_distribution(6, source, alpha)
     marks.append(time.perf_counter())
-    value = genuine_indistinguishability(dist, 6)
+    value = sources.genuine_indistinguishability(dist, 6)
     marks.append(time.perf_counter())
     return {
         "p6_cos_alpha": value,
@@ -109,43 +84,46 @@ def fringe(alpha: float) -> dict:
 
 def train_iris(seed: int) -> dict:
     """Train the classifier on the bundled iris set; returns its metrics."""
-    features, labels, _ = load_iris_dataset()
-    return qnn_train(features, labels, QnnConfig(seed=seed))[1]
+    features, labels, _ = qnn.load_iris_dataset()
+    return qnn.qnn_train(features, labels, qnn.QnnConfig(seed=seed))[1]
 
 
 def calibrate_chip(seed: int) -> dict:
     """Calibrate a synthetic 6-mode chip; returns both TVDs and stage times."""
-    draws = _seeded_rng(seed).integers(2**31, size=3)
+    draws = fock._seeded_rng(seed).integers(2**31, size=3)
     chip_seed, data_seed, tvd_seed = (int(x) for x in draws)
-    layout = MeshLayout(6)
-    chip = HardwareModel.synthetic(6, rng=chip_seed)
+    layout = mesh.MeshLayout(6)
+    chip = hardware.HardwareModel.synthetic(6, rng=chip_seed)
     marks = [time.perf_counter()]
-    data = generate_measurements(chip, layout, 400, rng=data_seed)
+    data = hardware.generate_measurements(chip, layout, 400, rng=data_seed)
     marks.append(time.perf_counter())
-    fit = calibrate(data, layout, maxiter=100)
+    fit = hardware.calibrate(data, layout, maxiter=100)
     marks.append(time.perf_counter())
-    tvd = benchmark_tvd(fit, chip, layout, n_configs=100, seed=tvd_seed)
-    baseline = crosstalk_free_baseline(chip)
-    baseline_tvd = benchmark_tvd(baseline, chip, layout, n_configs=100, seed=tvd_seed)
+    tvd = hardware.benchmark_tvd(fit, chip, layout, n_configs=100, seed=tvd_seed)
+    baseline = hardware.crosstalk_free_baseline(chip)
+    baseline_tvd = hardware.benchmark_tvd(baseline, chip, layout, n_configs=100, seed=tvd_seed)
     marks.append(time.perf_counter())
     stage_s = _stage_times(("measure", "calibrate", "benchmark"), marks)
     return {"calib_tvd": tvd.mean, "baseline_tvd": baseline_tvd.mean, "stage_s": stage_s}
 
 
-def run_vqe(h: QubitHamiltonian, seed: int) -> dict:
+def run_vqe(h: variational.QubitHamiltonian, seed: int) -> dict:
     """Default-config VQE of ``h``; the energies, the error and the run's counts.
 
     ``energy`` is the run's re-measured estimate at its angles and
     ``exact_energy_at_theta`` the infinite-shot energy there.
     """
     start = time.perf_counter()
-    result = vqe_run(h, PhotonicVqeBackend(), VqeConfig(seed=seed))
+    backend, config = variational.PhotonicVqeBackend(), variational.VqeConfig(seed=seed)
+    result = variational.vqe_run(h, backend, config)
     wall = time.perf_counter() - start
-    exact = exact_ground_energy(h)
+    exact = variational.exact_ground_energy(h)
     return {
         "energy": result.energy,
         "exact_energy": exact,
-        "exact_energy_at_theta": measure_energy(h, result.theta, PhotonicVqeBackend()),
+        "exact_energy_at_theta": variational.measure_energy(
+            h, result.theta, variational.PhotonicVqeBackend()
+        ),
         "error_mha": 1e3 * (result.energy - exact),
         "evaluations": result.evaluations,
         "converged": result.converged,
@@ -157,7 +135,7 @@ def _seed(text: str) -> int:
     """A ``--seed`` value: an int that :func:`~lopsim.fock._seeded_rng` accepts."""
     try:
         seed = int(text)
-        _seeded_rng(seed)
+        fock._seeded_rng(seed)
     except ValueError as exc:  # not an int, or a negative one
         raise argparse.ArgumentTypeError(f"invalid seed {text!r}: {exc}") from None
     return seed
@@ -220,7 +198,7 @@ def main(argv: Sequence[str] | None = None) -> int:
 
     if args.command == "vqe":
         try:
-            h = h2_hamiltonian(args.radius)
+            h = variational.h2_hamiltonian(args.radius)
         except ValueError as exc:
             parsers["vqe"].error(str(exc))
         record = {"command": "vqe", "radius": args.radius, "seed": args.seed}

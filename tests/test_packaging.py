@@ -9,7 +9,8 @@ that reads it), no module draws from an unseeded generator, every
 ``np.allclose``/``np.isclose`` sets its ``rtol``, no parameter takes a
 plain ``Mapping[FockState, ...]`` of outcomes, and importing the
 package (or running ``lopsim fringe`` or ``lopsim vqe``) loads no scipy
-module, so a fresh process starts without paying for it."""
+module and runs only the lopsim modules it reads, so a fresh process
+starts without paying for the rest."""
 
 import ast
 import importlib
@@ -71,15 +72,14 @@ def test_every_exported_name_resolves():
         module = importlib.import_module(f"lopsim.{name}")
         missing = [n for n in getattr(module, "__all__", ()) if not hasattr(module, n)]
         assert missing == [], name
-    imported = ast.parse((source / "__init__.py").read_text(encoding="utf-8"))
-    names = [
-        alias.asname or alias.name
-        for node in ast.walk(imported)
-        if isinstance(node, ast.ImportFrom)
-        for alias in node.names
-    ]
-    assert names
+    # The package reads each exported name from the module its table names.
+    homes = [(module, n) for module, names in package._EXPORTS.items() for n in names]
+    assert homes
+    names = [n for _, n in homes]
+    assert len(set(names)) == len(names)
     assert [n for n in names if not hasattr(package, n)] == []
+    for module, n in homes:
+        assert getattr(package, n) is getattr(importlib.import_module(f"lopsim.{module}"), n), n
 
 
 _DEFINITIONS = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
@@ -142,7 +142,7 @@ def _unused_definitions(
 ) -> list[str]:
     # A name counts as used when it occurs in the package at ``source``
     # outside its own definition, the docstrings, the __all__ lists and
-    # the package's __init__ imports, or anywhere in ``readers`` (by
+    # the package's __init__ export table, or anywhere in ``readers`` (by
     # default the tests).  Dunder names are used by the language.
     if readers is None:
         readers = _read((ROOT / "tests").glob("*.py"))
@@ -1120,6 +1120,14 @@ def test_no_seed_defaults_to_none():
     assert offenders == []
 
 
+def _fresh_process(*args: str) -> subprocess.CompletedProcess:
+    """A fresh interpreter run with ``args``, ``src`` on its path; it must exit 0."""
+    env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
+    return subprocess.run(
+        [sys.executable, *args], capture_output=True, text=True, env=env, check=True, timeout=300
+    )
+
+
 @pytest.mark.parametrize("command", ["fringe", "vqe"])
 def test_a_fresh_cli_process_loads_no_scipy(command):
     script = (
@@ -1128,15 +1136,102 @@ def test_a_fresh_cli_process_loads_no_scipy(command):
         f"lopsim.cli.main([{command!r}, '--json'])\n"
         "print(json.dumps(sorted(n for n in sys.modules if n.startswith('scipy'))))\n"
     )
-    env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
-    done = subprocess.run(
-        [sys.executable, "-c", script],
-        capture_output=True,
-        text=True,
-        env=env,
-        check=True,
-        timeout=300,
-    )
-    lines = done.stdout.strip().splitlines()
+    lines = _fresh_process("-c", script).stdout.strip().splitlines()
     assert json.loads(lines[0])["command"] == command
     assert json.loads(lines[-1]) == []
+
+
+#: Prints the lopsim submodules whose body has run.  A lazy module is an
+#: ``importlib.util._LazyModule`` until its first attribute read, and
+#: ``type`` reads no attribute, so printing loads nothing.
+_PRINT_LOADED = (
+    "print(json.dumps(sorted(name for name, module in sys.modules.items()"
+    " if name.startswith('lopsim.') and type(module) is types.ModuleType)))\n"
+)
+
+
+def _benchmark_import_line() -> str:
+    """The line by which perfbench/workloads.py imports lopsim."""
+    tree = ast.parse((ROOT / "perfbench" / "workloads.py").read_text(encoding="utf-8"))
+    [line] = [
+        ast.unparse(node)
+        for node in tree.body
+        if isinstance(node, ast.ImportFrom) and node.module == "lopsim"
+    ]
+    return line
+
+
+@pytest.mark.parametrize(
+    ("command", "runs"),
+    [
+        ("fringe", ["cli", "fock", "mesh", "sources"]),
+        ("vqe", ["cli", "fock", "mesh", "qubits", "sources", "variational"]),
+    ],
+    ids=["fringe", "vqe"],
+)
+def test_a_fresh_cli_process_runs_only_the_modules_its_command_reads(command, runs):
+    # Neither command runs hardware or qnn, whose names cli also reads.
+    script = (
+        "import json, sys, types\n"
+        "import lopsim.cli\n"
+        f"lopsim.cli.main([{command!r}, '--json'])\n" + _PRINT_LOADED
+    )
+    loaded = json.loads(_fresh_process("-c", script).stdout.strip().splitlines()[-1])
+    assert loaded == [f"lopsim.{name}" for name in runs]
+
+
+def test_running_the_cli_module_warns_nothing():
+    # runpy warns when the package's import already put lopsim.cli in
+    # sys.modules, as registering it lazily in lopsim/__init__.py would.
+    done = _fresh_process("-W", "error", "-m", "lopsim.cli", "fringe", "--json")
+    [line] = done.stdout.strip().splitlines()
+    assert json.loads(line)["command"] == "fringe"
+    assert done.stderr == ""
+
+
+def test_the_benchmark_import_runs_no_module_before_its_first_read():
+    script = (
+        "import json, sys, types\n"
+        f"{_benchmark_import_line()}\n"
+        + _PRINT_LOADED
+        + "print(json.dumps('numpy' in sys.modules))\n"
+        "sources.measure_genuine_indistinguishability(4, sources.SourceModel(), 0.3)\n"
+        + _PRINT_LOADED
+    )
+    lines = _fresh_process("-c", script).stdout.strip().splitlines()
+    assert [json.loads(line) for line in lines] == [
+        [],
+        False,
+        ["lopsim.fock", "lopsim.mesh", "lopsim.sources"],
+    ]
+
+
+def test_the_tracer_leaves_no_wrapper_in_a_module_it_loaded():
+    # Tracer.install loads each lazy module by reading its vars, in
+    # sys.modules order.  A module that loads after a wrapper is set on
+    # its source binds the wrapper by name, and uninstall, which restores
+    # only what it replaced, would leave that wrapper in place.
+    script = (
+        "import json, sys\n"
+        f"{_benchmark_import_line()}\n"
+        f"sys.path.insert(0, {str(ROOT / 'perfbench')!r})\n"
+        "import tracing\n"
+        "def wrappers():\n"
+        "    return sorted(\n"
+        "        f'{name}.{key}'\n"
+        "        for name, module in list(sys.modules.items())\n"
+        "        if name.split('.')[0] == 'lopsim'\n"
+        "        for key, value in vars(module).items()\n"
+        "        if getattr(getattr(value, '__code__', None), 'co_filename', None)\n"
+        "        == tracing.__file__\n"
+        "    )\n"
+        "tracer = tracing.Tracer()\n"
+        "tracer.install()\n"
+        "print(json.dumps(wrappers()))\n"
+        "tracer.uninstall()\n"
+        "print(json.dumps(wrappers()))\n"
+    )
+    lines = _fresh_process("-c", script).stdout.splitlines()
+    installed, left = (json.loads(line) for line in lines)
+    assert {"lopsim.fock.strong_simulate", "lopsim.sources.noisy_simulate"} <= set(installed)
+    assert left == []
