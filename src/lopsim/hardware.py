@@ -335,23 +335,28 @@ def _pack(*blocks) -> np.ndarray:
     return np.concatenate([np.ravel(block) for block in blocks])
 
 
-def _unpack(x: np.ndarray, layout: MeshLayout) -> list[np.ndarray]:
+def _block_slices(layout: MeshLayout) -> list[tuple[slice, tuple[int, ...]]]:
+    """``(slice, shape)`` of each fitted block in the packed vector."""
     shapes = [shape for shape, _ in _blocks(layout)]
-    ends = np.cumsum([math.prod(shape) for shape in shapes])[:-1]
-    return [part.reshape(shape) for part, shape in zip(np.split(x, ends), shapes)]
+    ends = np.cumsum([0] + [math.prod(shape) for shape in shapes]).tolist()
+    return [(slice(lo, hi), shape) for lo, hi, shape in zip(ends, ends[1:], shapes)]
+
+
+def _unpack(x: np.ndarray, blocks: list[tuple[slice, tuple[int, ...]]]) -> list[np.ndarray]:
+    return [x[at].reshape(shape) for at, shape in blocks]
 
 
 def _objective(
     x: np.ndarray, layout: MeshLayout, w: np.ndarray, data: IntensityData,
-    rows: np.ndarray, work: _Workspace,
+    rows: np.ndarray, work: _Workspace, blocks: list[tuple[slice, tuple[int, ...]]],
 ) -> tuple[float, np.ndarray]:
     """Mean squared intensity error on ``data`` and its gradient (reverse mode).
 
     ``w`` holds the squared voltages of ``data`` in the units of the packed A,
-    ``rows`` the one-hot input rows, and ``work`` the sweep workspace of
-    ``len(rows)`` rows with per-row phases that the evaluation writes into.
+    ``rows`` the one-hot input rows, ``work`` the per-row sweep workspace the
+    evaluation writes into and ``blocks`` the fit's ``_block_slices``.
     """
-    a, b, refl, losses, scale = _unpack(x, layout)
+    a, b, refl, losses, scale = _unpack(x, blocks)
     refl_c = np.clip(refl, 1e-4, 1.0 - 1e-4)
     phases = layout.phases_from_actuated(w @ a.T + b)
     out = _forward_sweep(layout, rows, phases, refl_c, work)[0]
@@ -363,7 +368,7 @@ def _objective(
     d_losses = np.sum(d_pred * scale * power, axis=0)
     d_scale = float(np.sum(d_pred * losses[None, :] * power))
     adj = (d_pred * scale * losses[None, :]) * np.conj(out)
-    d_phases, d_r = _adjoint_sweep(layout, work, adj)
+    d_phases, d_r = _adjoint_sweep(work, adj)
     d_phi_act = layout.actuated_from_phases(2.0 * np.real(d_phases))
     d_refl = 2.0 * np.real(d_r.sum(axis=0))
     return value, _pack(d_phi_act.T @ w, d_phi_act.sum(axis=0), d_refl, d_losses, d_scale)
@@ -391,6 +396,7 @@ def calibrate(
     if not n_rows:
         return prior
     w_scale = prior.v_max**2
+    blocks = _block_slices(layout)
     x0 = _pack(prior.a * w_scale, prior.b, prior.reflectivities, prior.output_losses, 1.0)
     if n_rows * layout.m < x0.size:
         warnings.warn(
@@ -407,13 +413,14 @@ def calibrate(
             data,
             np.eye(layout.m, dtype=complex)[data.input_modes],
             _Workspace(layout, n_rows, True),
+            blocks,
         ),
         jac=True,
         method="L-BFGS-B",
         bounds=[bound for shape, bound in _blocks(layout) for _ in range(math.prod(shape))],
         options={"maxiter": maxiter, "maxfun": maxiter + 5000, "ftol": 1e-14, "gtol": 1e-11},
     )
-    a, b, refl, losses, _ = _unpack(res.x, layout)
+    a, b, refl, losses, _ = _unpack(res.x, blocks)
     return HardwareModel(
         m=layout.m,
         a=a / w_scale,

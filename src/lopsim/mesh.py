@@ -20,12 +20,14 @@ The forward sweep pushes row states, held mode-major with the row batch
 last, through the layers and records a tape: the phase and coupler
 factors, permuted once into layer order so each layer is a contiguous
 span of cells on stride-2 mode slices, and every cell's pair amplitudes
-entering its two couplers. The adjoint sweep reads that tape back to
-front with a cotangent and returns its product with the derivative of
-the output by every phase and reflectivity, so nothing of the forward
-pass is recomputed. Its layer loop only carries the cotangent back and
-stores the cotangents leaving every cell's two couplers, (2, n_cells, B)
-like the tape; one vectorized pass over all cells then forms both
+entering its two couplers. The coupler factors are full-width (2,
+n_cells, B) planes, so no coupler product broadcasts a column over the
+rows. The adjoint sweep reads that tape back to front with a cotangent
+and returns its product with the derivative of the output by every phase
+and reflectivity, so nothing of the forward pass is recomputed. Its
+layer loop only carries the cotangent back and stores the cotangents
+leaving every cell's two couplers, (2, n_cells, B) like the tape; one
+vectorized pass over all cells and both couplers then forms both
 derivatives from those and the tape. At a phase element the product is
 ``1j * a_top * s_top`` (cotangent times state on the top mode), so no
 2x2 derivative blocks are formed. The unitary, the compile objective and
@@ -267,9 +269,7 @@ class MeshLayout:
                 touched[p] = True
                 touched[p + 1] = True
         self.pinned_indices = tuple(pinned)
-        self.actuated_indices = tuple(
-            i for i in range(self.n_logical) if i not in set(pinned)
-        )
+        self.actuated_indices = np.delete(np.arange(self.n_logical), pinned)
         self.n_actuated = len(self.actuated_indices)
         layer_of: list[int] = []
         free = [0] * m
@@ -303,7 +303,7 @@ class MeshLayout:
                 f"expected {self.n_actuated} actuated phases, got {actuated.shape}"
             )
         full = np.zeros(actuated.shape[:-1] + (self.n_logical,))
-        full[..., list(self.actuated_indices)] = actuated
+        full[..., self.actuated_indices] = actuated
         return full
 
     def actuated_from_phases(self, full: np.ndarray) -> np.ndarray:
@@ -311,7 +311,7 @@ class MeshLayout:
         full = np.asarray(full, dtype=float)
         if full.shape[-1:] != (self.n_logical,):
             raise ValueError(f"expected {self.n_logical} logical phases, got {full.shape}")
-        return full[..., list(self.actuated_indices)]
+        return full[..., self.actuated_indices]
 
     def unitary(
         self,
@@ -389,38 +389,53 @@ class _Workspace:
     (``per_row``). Arrays are mode- or cell-major with the row batch last,
     so a layer's update runs over contiguous rows, and cells are permuted
     by ``MeshLayout.layer_order``. The forward sweep writes ``e`` (2,
-    n_cells, B or 1), the phase factors of (theta, phi); ``t``, ``k`` and
-    ``refl`` (2, n_cells, 1), the coupler factors and reflectivities of
-    (r1, r2); ``x`` and ``y`` (2, n_cells, B), every cell's top and bottom
-    amplitudes entering coupler(r1) (``[0]``, after phase(phi)) and
-    coupler(r2) (``[1]``, after phase(theta)); and ``out``. Its arrays are
-    made here, the adjoint sweep's on its first call, so forward-only
-    readers never make them.
+    n_cells, B or 1), the phase factors of (theta, phi); ``refl``, ``t``
+    and ``k`` (2, n_cells, 1), the reflectivities and coupler factors of
+    (r1, r2), and ``t_plane`` and ``k_plane``, the same factors over all
+    (2, n_cells, B); ``x`` and ``y`` (2, n_cells, B), every cell's top and
+    bottom amplitudes entering coupler(r1) (``[0]``, after phase(phi)) and
+    coupler(r2) (``[1]``, after phase(theta)); and ``out``. Each layer's
+    views of these, of its state rows and of two scratch rows per cell (a
+    layer has at most m // 2) are made once, in ``layer_views``. Its
+    arrays are made here, the adjoint sweep's on its first call, so
+    forward-only readers never make them.
     """
 
     def __init__(self, layout: MeshLayout, n_rows: int, per_row: bool):
-        cells = layout.n_cells
+        self.layout = layout
         # phase_order[j, c] is the logical index of phase j (theta, phi) of
         # the c-th cell in layer order
         self.phase_order = 2 * layout.layer_order + np.array([[0], [1]])
-        self.state = np.empty((layout.m, n_rows), dtype=complex)
-        self.e = np.empty((2, cells, n_rows if per_row else 1), dtype=complex)
-        self.x = np.empty((2, cells, n_rows), dtype=complex)
-        self.y = np.empty_like(self.x)
-        self.scratch = np.empty_like(self.x)
+        self.state = s = np.empty((layout.m, n_rows), dtype=complex)
+        self.e = e = np.empty((2, layout.n_cells, n_rows if per_row else 1), dtype=complex)
+        self.x = x = np.empty((2, layout.n_cells, n_rows), dtype=complex)
+        self.y = y = np.empty_like(x)
+        self.t_plane = t = np.empty_like(x)
+        self.k_plane = k = np.empty_like(x)
+        self.scratch = np.empty((2, layout.m // 2, n_rows), dtype=complex)
         self.out = np.empty((n_rows, layout.m), dtype=complex)
+        self.layer_views = [
+            (*t[:, span], *k[:, span], *self.scratch[:, : span.stop - span.start],
+             s[top], s[bot], *e[:, span], *x[:, span], *y[:, span])
+            for span, top, bot in layout.layers
+        ]
 
     @cached_property
-    def adjoint(self) -> tuple[np.ndarray, ...]:
-        """The adjoint sweep's arrays: the cotangent ``a`` (m, B); ``ax``,
-        ``ay`` and ``d_phases`` (2, n_cells, B) in layer order; a third
-        scratch row per cell ``w``; and the derivatives in cell order,
-        ``phase_grad`` and ``refl_grad`` (B, n_cells, 2)."""
+    def adjoint(self) -> tuple:
+        """The adjoint sweep's arrays: ``ax``, ``ay`` and ``d_phases`` (2,
+        n_cells, B) in layer order; the derivatives in cell order,
+        ``phase_grad`` (B, n_logical) and ``refl_grad`` (B, n_cells, 2);
+        ``gather``, the flat positions in a (2, n_cells, B) array in layer
+        order of the entries of a (B, n_cells, 2) one in cell order; and
+        the layer views with ``ax``, ``ay`` in place of the tape."""
         x = self.x
+        ax, ay = np.empty_like(x), np.empty_like(x)
+        cells = np.arange(x.size).reshape(x.shape)[:, self.layout.layer_inverse]
         return (
-            np.empty_like(self.state), np.empty_like(x), np.empty_like(x), np.empty_like(x),
-            np.empty_like(x[0]), np.empty(x.shape[::-1], dtype=complex),
-            np.empty(x.shape[::-1], dtype=complex),
+            ax, ay, np.empty_like(x), np.empty((x.shape[2], 2 * x.shape[1]), dtype=complex),
+            np.empty(x.shape[::-1], dtype=complex), cells.T.ravel(),
+            [v[:-4] + (*ax[:, at], *ay[:, at])
+             for v, (at, _, _) in zip(self.layer_views, self.layout.layers)],
         )
 
 
@@ -451,36 +466,33 @@ def _forward_sweep(
     ``out`` (B, m), where ``out[b]`` is the mesh transfer matrix applied to
     ``rows[b]``, and the workspace (a fresh one when ``work`` is None)
     that holds it and the tape ``_adjoint_sweep`` reads until its next
-    forward sweep. The phase factors are formed once and one (m, B) state
-    array is updated in place; the tape gets copies of the amplitudes it
-    needs.
+    forward sweep. The phase factors and coupler planes are formed once
+    and one (m, B) state array is updated in place; the tape gets copies
+    of the amplitudes it needs.
     """
     if work is None:
         work = _Workspace(layout, len(rows), np.ndim(phases) == 2)
-    s, e, x, y = work.state, work.e, work.x, work.y
+    s, e = work.state, work.e
     np.multiply(1j, np.reshape(phases, (-1, layout.n_logical)).T[work.phase_order], out=e)
     np.exp(e, out=e)
     work.refl = refl = np.ascontiguousarray(refl[layout.layer_order].T)[..., None]
-    work.t, work.k = t, k = np.sqrt(refl), 1j * np.sqrt(1.0 - refl)
+    work.t, work.k = np.sqrt(refl), 1j * np.sqrt(1.0 - refl)
+    np.copyto(work.t_plane, work.t)
+    np.copyto(work.k_plane, work.k)
     np.copyto(s, rows.T)
-    for span, top, bot in layout.layers:
-        t1, k1, t2, k2 = t[0, span], k[0, span], t[1, span], k[1, span]
-        x1, y1, x3, y3 = x[0, span], y[0, span], x[1, span], y[1, span]
-        p, q = work.scratch[0, span], work.scratch[1, span]
-        np.multiply(s[top], e[1, span], out=x1)
-        y1[...] = s[bot]
+    for t1, t2, k1, k2, p, q, top, bot, e0, e1, x1, x3, y1, y3 in work.layer_views:
+        np.multiply(top, e1, out=x1)
+        y1[...] = bot
         _mix(t1, x1, k1, y1, p, q, out=p)
-        np.multiply(p, e[0, span], out=x3)
+        np.multiply(p, e0, out=x3)
         _mix(k1, x1, t1, y1, p, q, out=y3)
-        _mix(t2, x3, k2, y3, p, q, out=s[top])
-        _mix(k2, x3, t2, y3, p, q, out=s[bot])
+        _mix(t2, x3, k2, y3, p, q, out=top)
+        _mix(k2, x3, t2, y3, p, q, out=bot)
     np.copyto(work.out, s.T)
     return work.out, work
 
 
-def _adjoint_sweep(
-    layout: MeshLayout, work: _Workspace, cotangent: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
+def _adjoint_sweep(work: _Workspace, cotangent: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Run the cotangent (B, m) back through the mesh taped on ``work``.
 
     The tape is only read, so one forward sweep serves any number of
@@ -489,48 +501,46 @@ def _adjoint_sweep(
     in logical order and ``a . d out / d r`` as (B, n_cells, 2). Both are
     arrays of ``work``, written over by its next adjoint sweep.
 
-    The layer loop only carries the cotangent back, storing ``ax``,
-    ``ay`` (2, n_cells, B), the cotangents leaving every cell's coupler(r1)
-    (``[0]``) and coupler(r2) (``[1]``) on its top and bottom mode. One
-    pass over all cells then forms both derivatives: with ``x``, ``y``
-    the amplitudes entering a coupler and ``ax``, ``ay`` those leaving
-    it, the coupler contributes ``ax (dt x + dk y) + ay (dk x + dt y)``
-    and the phase in front of it ``1j (t ax + k ay) x``. One coupler is
-    done at a time, so the scratch is three (n_cells, B) arrays, and the
-    reflectivity derivatives overwrite ``ax``. Both are permuted back to
-    cell order once, at the end.
+    The layer loop only carries the cotangent back, in the forward
+    sweep's state array, storing ``ax``, ``ay`` (2, n_cells, B), the
+    cotangents leaving every cell's coupler(r1) (``[0]``) and coupler(r2)
+    (``[1]``) on its top and bottom mode. One pass over all cells and both
+    couplers then forms both derivatives: with ``x``, ``y`` the amplitudes
+    entering a coupler and ``ax``, ``ay`` those leaving it, the coupler
+    contributes ``ax (dt x + dk y) + ay (dk x + dt y)`` and the phase in
+    front of it ``1j (t ax + k ay) x``. Its scratch is the two derivative
+    outputs, free until the end, and ``ax``, which the reflectivity
+    derivatives overwrite. One flat gather per derivative then permutes
+    it back to cell order.
     """
-    e, t, k, x, y = work.e, work.t, work.k, work.x, work.y
-    a, ax, ay, d_phases, w, phase_grad, refl_grad = work.adjoint
-    np.copyto(a, cotangent.T)
-    for span, top, bot in reversed(layout.layers):
-        t1, k1, t2, k2 = t[0, span], k[0, span], t[1, span], k[1, span]
-        ax1, ay1, ax2, ay2 = ax[0, span], ay[0, span], ax[1, span], ay[1, span]
-        p, q = work.scratch[0, span], work.scratch[1, span]
-        ax2[...] = a[top]
-        ay2[...] = a[bot]
+    t, k, x, y = work.t_plane, work.k_plane, work.x, work.y
+    ax, ay, d_phases, phase_grad, refl_grad, gather, layer_views = work.adjoint
+    np.copyto(work.state, cotangent.T)
+    for t1, t2, k1, k2, p, q, top, bot, e0, e1, ax1, ax2, ay1, ay2 in reversed(layer_views):
+        ax2[...] = top
+        ay2[...] = bot
         _mix(t2, ax2, k2, ay2, p, q, out=p)
-        np.multiply(p, e[0, span], out=ax1)
+        np.multiply(p, e0, out=ax1)
         _mix(k2, ax2, t2, ay2, p, q, out=ay1)
         _mix(t1, ax1, k1, ay1, p, q, out=p)
-        np.multiply(p, e[1, span], out=a[top])
-        _mix(k1, ax1, t1, ay1, p, q, out=a[bot])
-    dt, dk = 0.5 / t, -0.5j / np.sqrt(1.0 - work.refl)
-    u, v = work.scratch
-    for j in (0, 1):
-        # Coupler(r1) follows phase(phi), coupler(r2) phase(theta).
-        _mix(t[j], ax[j], k[j], ay[j], u, v, out=u)
-        np.multiply(1j, u, out=v)
-        np.multiply(v, x[j], out=d_phases[1 - j])
-        _mix(dt[j], x[j], dk[j], y[j], u, v, out=u)
-        np.multiply(ax[j], u, out=w)
-        _mix(dk[j], x[j], dt[j], y[j], u, v, out=u)
-        np.multiply(ay[j], u, out=v)
-        np.add(w, v, out=ax[j])
+        np.multiply(p, e1, out=top)
+        _mix(k1, ax1, t1, ay1, p, q, out=bot)
+    dt, dk = 0.5 / work.t, -0.5j / np.sqrt(1.0 - work.refl)
+    # the derivative buffers are free until the takes fill them
+    u, v = phase_grad.reshape(x.shape), refl_grad.reshape(x.shape)
+    _mix(t, ax, k, ay, u, v, out=u)
+    np.multiply(1j, u, out=v)
+    # coupler(r1) follows phase(phi), coupler(r2) phase(theta)
+    np.multiply(v, x, out=d_phases[::-1])
+    _mix(dt, x, dk, y, u, v, out=u)
+    np.multiply(ax, u, out=v)
+    _mix(dk, x, dt, y, u, ax, out=u)
+    np.multiply(ay, u, out=ax)
+    np.add(v, ax, out=ax)
     # mode="clip" takes straight into ``out``; the indices are in range
-    np.take(d_phases.T, layout.layer_inverse, axis=1, out=phase_grad, mode="clip")
-    np.take(ax.T, layout.layer_inverse, axis=1, out=refl_grad, mode="clip")
-    return phase_grad.reshape(-1, layout.n_logical), refl_grad
+    np.take(d_phases.reshape(-1), gather, out=phase_grad.reshape(-1), mode="clip")
+    np.take(ax.reshape(-1), gather, out=refl_grad.reshape(-1), mode="clip")
+    return phase_grad, refl_grad
 
 
 def _mesh_cell_sequence(m: int) -> list[int]:
@@ -747,7 +757,7 @@ def _gauge_objective_and_grad(
     # z = Tr(D_in T^dag D_out U) = sum(weight * rows_out).
     weight = np.exp(1j * inn)[:, None] * target.conj().T * np.exp(1j * out)[None, :]
     z = np.sum(weight * rows_out)
-    d_phases, _ = _adjoint_sweep(layout, work, weight)
+    d_phases, _ = _adjoint_sweep(work, weight)
     grad = 2.0 * np.real(np.conj(z) * d_phases.sum(axis=0)) / m**2
     value = float(np.abs(z) ** 2) / m**2
     return -value, -layout.actuated_from_phases(grad)

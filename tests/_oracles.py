@@ -893,6 +893,46 @@ class PerEvaluationVqeBackend(PhotonicVqeBackend):
         )
 
 
+def forward_sweep_by_layer(layout: MeshLayout, rows: np.ndarray, phases: np.ndarray, refl):
+    """``mesh._forward_sweep`` on coupler factors broadcast from (2, n_cells, 1).
+
+    Each layer reads its span of the (2, n_cells, 1) coupler columns, so
+    every coupler product broadcasts a column over the row batch, and
+    writes its products into scratch sliced from (2, n_cells, B) arrays by
+    the same span.  Every product still goes to an array that is none of
+    its operands.  Returns the output (B, m) and the tape amplitudes ``x``
+    and ``y`` (2, n_cells, B) in layer order; the library's sweep on
+    full-width coupler planes must match them bit for bit.
+    """
+    n_rows = len(rows)
+    e = np.multiply(1j, np.reshape(phases, (-1, layout.n_logical)).T[
+        2 * layout.layer_order + np.array([[0], [1]])
+    ])
+    np.exp(e, out=e)
+    r = np.ascontiguousarray(np.asarray(refl)[layout.layer_order].T)[..., None]
+    t, k = np.sqrt(r), 1j * np.sqrt(1.0 - r)
+    s = np.array(rows.T, dtype=complex, order="C")
+    x, y, scratch = (np.empty((2, layout.n_cells, n_rows), dtype=complex) for _ in range(3))
+
+    def mix(a, u, b, v, p, q, out):
+        np.multiply(a, u, out=p)
+        np.multiply(b, v, out=q)
+        np.add(p, q, out=out)
+
+    for span, top, bot in layout.layers:
+        t1, k1, t2, k2 = t[0, span], k[0, span], t[1, span], k[1, span]
+        x1, y1, x3, y3 = x[0, span], y[0, span], x[1, span], y[1, span]
+        p, q = scratch[0, span], scratch[1, span]
+        np.multiply(s[top], e[1, span], out=x1)
+        y1[...] = s[bot]
+        mix(t1, x1, k1, y1, p, q, out=p)
+        np.multiply(p, e[0, span], out=x3)
+        mix(k1, x1, t1, y1, p, q, out=y3)
+        mix(t2, x3, k2, y3, p, q, out=s[top])
+        mix(k2, x3, t2, y3, p, q, out=s[bot])
+    return np.ascontiguousarray(s.T), x, y
+
+
 def adjoint_sweep_by_layer(layout: MeshLayout, work, adjoint: np.ndarray):
     """``mesh._adjoint_sweep`` with every derivative formed inside the layer loop.
 

@@ -14,6 +14,7 @@ from lopsim.hardware import (
     HardwareModel,
     IntensityData,
     TranspilationError,
+    _block_slices,
     _intensities,
     _logical_phases,
     _objective,
@@ -211,7 +212,7 @@ class TestCalibration:
             1.1,
         )
         rows = np.eye(3, dtype=complex)[data.input_modes]
-        args = (layout, w, data, rows, _Workspace(layout, 25, True))
+        args = (layout, w, data, rows, _Workspace(layout, 25, True), _block_slices(layout))
         value, grad = _objective(x, *args)
         for idx in rng.choice(len(x), 20, replace=False):
             e = np.zeros_like(x)
@@ -291,7 +292,7 @@ def test_one_workspace_gives_the_objective_bits_of_fresh_ones(m, n_rows):
     data = generate_measurements(chip, layout, n_rows, rng=60 + m)
     w = (data.voltages * data.voltages) / chip.v_max**2
     rows = np.eye(m, dtype=complex)[data.input_modes]
-    work = _Workspace(layout, n_rows, True)
+    work, blocks = _Workspace(layout, n_rows, True), _block_slices(layout)
     rng = np.random.default_rng(70 + m)
     p, nc = layout.n_actuated, layout.n_cells
     for _ in range(4):
@@ -302,8 +303,8 @@ def test_one_workspace_gives_the_objective_bits_of_fresh_ones(m, n_rows):
             rng.uniform(0.8, 1.0, m),
             rng.uniform(0.5, 1.5),
         )
-        shared = _objective(x, layout, w, data, rows, work)
-        fresh = _objective(x, layout, w, data, rows, _Workspace(layout, n_rows, True))
+        shared = _objective(x, layout, w, data, rows, work, blocks)
+        fresh = _objective(x, layout, w, data, rows, _Workspace(layout, n_rows, True), blocks)
         assert shared[0] == fresh[0]
         assert shared[1].tobytes() == fresh[1].tobytes()
 
@@ -314,6 +315,8 @@ def test_one_workspace_gives_the_objective_bits_of_fresh_ones(m, n_rows):
 PINNED_FITS = {
     (3, 140, 141, 120): "199369e10f837e4ba66849e91dc63fb17155da81bd0c7bce83a17949b700824f",
     (4, 142, 143, 200): "2434a76e4c625e2208d725e60d71e5e285856ee150b9b90adecf3bd7127fc50a",
+    # the benchmark's fit shape: 15 cells, 400 rows with per-row phases
+    (6, 144, 145, 400): "aa2c14c697935cd0d50a2f4c550e0c37fb38866d0c1a9b89abac5882d3cc03f6",
 }
 
 

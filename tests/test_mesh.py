@@ -36,6 +36,7 @@ from lopsim.mesh import (
 from lopsim import mesh
 from _oracles import (
     adjoint_sweep_by_layer,
+    forward_sweep_by_layer,
     apply_element_numpy,
     mesh_transfer_with_derivatives,
     optimal_gauges_einsum,
@@ -530,7 +531,7 @@ class TestSweepOracle:
         rows = rng.normal(size=(n_rows, m)) + 1j * rng.normal(size=(n_rows, m))
         adjoint = rng.normal(size=(n_rows, m)) + 1j * rng.normal(size=(n_rows, m))
         out, tape = _forward_sweep(layout, rows, phases, refl)
-        d_phases, d_refl = _adjoint_sweep(layout, tape, adjoint)
+        d_phases, d_refl = _adjoint_sweep(tape, adjoint)
         assert d_phases.shape == (n_rows, layout.n_logical)
         assert d_refl.shape == (n_rows, layout.n_cells, 2)
         for b in range(n_rows):
@@ -556,22 +557,38 @@ class TestSweepOracle:
 
         def fresh(phases, adjoint):
             # each expected pair from its own forward sweep on a fresh workspace
-            return _adjoint_sweep(layout, _forward_sweep(layout, rows, phases, refl)[1], adjoint)
+            return _adjoint_sweep(_forward_sweep(layout, rows, phases, refl)[1], adjoint)
 
         expected = [fresh(phases[0], adjoint) for adjoint in cotangents]
         work = _Workspace(layout, 4, True)
         assert _forward_sweep(layout, rows, phases[0], refl, work)[1] is work
         for _ in range(2):
             for adjoint, (d_phases, d_refl) in zip(cotangents, expected):
-                got = _adjoint_sweep(layout, work, adjoint)
+                got = _adjoint_sweep(work, adjoint)
                 assert got[0].tobytes() == d_phases.tobytes()
                 assert got[1].tobytes() == d_refl.tobytes()
         # the next forward sweep on the workspace writes its tape over this one
         _forward_sweep(layout, rows, phases[1], refl, work)
-        got = _adjoint_sweep(layout, work, cotangents[0])
+        got = _adjoint_sweep(work, cotangents[0])
         later = fresh(phases[1], cotangents[0])
         assert got[0].tobytes() == later[0].tobytes()
         assert got[0].tobytes() != expected[0][0].tobytes()
+
+    @pytest.mark.parametrize("m", range(2, 13))
+    def test_forward_matches_the_broadcast_column_kernel_bit_for_bit(self, m):
+        # tobytes() also tells a signed zero from an unsigned one
+        layout = MeshLayout(m)
+        rng = np.random.default_rng(90 + m)
+        refl = rng.uniform(0.2, 0.8, size=(layout.n_cells, 2))
+        for n_rows in (1, 7, 400):
+            for per_row in (False, True):
+                shape = (n_rows, layout.n_logical) if per_row else (layout.n_logical,)
+                phases = rng.uniform(0.0, 2 * np.pi, size=shape)
+                rows = rng.normal(size=(n_rows, m)) + 1j * rng.normal(size=(n_rows, m))
+                out, work = _forward_sweep(layout, rows, phases, refl)
+                expected = forward_sweep_by_layer(layout, rows, phases, refl)
+                for got, want in zip((out, work.x, work.y), expected):
+                    assert got.tobytes() == want.tobytes(), (n_rows, per_row)
 
     @pytest.mark.parametrize("m", range(2, 13))
     def test_adjoint_matches_the_per_layer_kernel_bit_for_bit(self, m):
@@ -585,7 +602,7 @@ class TestSweepOracle:
                 rows = rng.normal(size=(n_rows, m)) + 1j * rng.normal(size=(n_rows, m))
                 adjoint = rng.normal(size=(n_rows, m)) + 1j * rng.normal(size=(n_rows, m))
                 _, tape = _forward_sweep(layout, rows, phases, refl)
-                got = _adjoint_sweep(layout, tape, adjoint)
+                got = _adjoint_sweep(tape, adjoint)
                 expected = adjoint_sweep_by_layer(layout, tape, adjoint)
                 assert np.array_equal(got[0], expected[0]), (n_rows, per_row)
                 assert np.array_equal(got[1], expected[1]), (n_rows, per_row)

@@ -951,10 +951,10 @@ def test_every_allclose_sets_its_rtol():
 
 
 #: The sweep kernels and the two fit objectives that reuse a sweep
-#: workspace, by file: every product they write into a buffer must stay
-#: the out-of-place ufunc call.
+#: workspace, by file: every product they, or a helper they call in the
+#: same file, write into a buffer must stay the out-of-place ufunc call.
 SWEEP_KERNELS = {
-    "mesh.py": ("_forward_sweep", "_adjoint_sweep", "_mix", "_gauge_objective_and_grad"),
+    "mesh.py": ("_forward_sweep", "_adjoint_sweep", "_gauge_objective_and_grad"),
     "hardware.py": ("_objective",),
 }
 
@@ -965,11 +965,33 @@ def _root_name(node) -> str | None:
     return node.id if isinstance(node, ast.Name) else None
 
 
-def _in_place_products(path: Path, functions) -> list[str]:
+def _with_helpers(tree: ast.Module, roots) -> set[str]:
+    """``roots`` and every function of ``tree`` they call, directly or through
+    one another, by name or as a method (``layout.phases_from_actuated``,
+    not ``np.add``)."""
+    defined = {
+        node.name: node for node in ast.walk(tree) if isinstance(node, ast.FunctionDef)
+    }
+    found, todo = set(), list(roots)
+    while todo:
+        name = todo.pop()
+        if name in found or name not in defined:
+            continue
+        found.add(name)
+        for call in ast.walk(defined[name]):
+            if isinstance(call, ast.Call) and _root_name(call.func) != "np":
+                todo.append(getattr(call.func, "id", getattr(call.func, "attr", None)))
+    return found
+
+
+def _in_place_products(path: Path, roots) -> list[str]:
     """``file:line:function`` of each augmented ``*=`` or ``/=``, and of each
-    ``np.multiply`` whose ``out`` names one of its operands, in ``functions``."""
+    ``np.multiply`` whose ``out`` names one of its operands, in ``roots`` and
+    the helpers they call in ``path``."""
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    functions = _with_helpers(tree, roots)
     found = []
-    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+    for node in ast.walk(tree):
         if not (isinstance(node, ast.FunctionDef) and node.name in functions):
             continue
         for inner in ast.walk(node):
@@ -987,10 +1009,13 @@ def test_no_sweep_kernel_multiplies_in_place():
     # numpy rounds an in-place complex product differently from the same
     # product written to a separate array, so a buffer reused that way
     # would move the calibrated fits and the pinned hashes.
-    found = []
-    for name, functions in SWEEP_KERNELS.items():
-        found += _in_place_products(ROOT / "src" / "lopsim" / name, functions)
+    found, scanned = [], set()
+    for name, roots in SWEEP_KERNELS.items():
+        path = ROOT / "src" / "lopsim" / name
+        found += _in_place_products(path, roots)
+        scanned |= _with_helpers(ast.parse(path.read_text(encoding="utf-8")), roots)
     assert found == []
+    assert {"_mix", "_unpack", "phases_from_actuated"} <= scanned
 
 
 def test_the_in_place_scan_catches_each_form(tmp_path):
@@ -1007,6 +1032,11 @@ def kernel(a, b, c):
     np.multiply(a, b, out=c)
     np.add(a, b, out=a)
     a += b
+    helper(a, b)
+
+
+def helper(a, b):
+    np.multiply(a, b, out=a)
 
 
 def other(a, b):
@@ -1016,7 +1046,7 @@ def other(a, b):
     )
     assert _in_place_products(module, ("kernel",)) == [
         f"kernel.py:{line}:kernel" for line in (5, 6, 7, 8)
-    ]
+    ] + ["kernel.py:16:helper"]
 
 
 def test_no_parameter_takes_a_plain_mapping_of_states():
