@@ -7,6 +7,10 @@ redirects the outer modes of the region into two unused neighbor modes
 each, so threshold detectors resolve up to three photons there; the
 detected click patterns are merged into pseudo photon-number outcomes
 and contracted with per-class weights to form the classifier output.
+No element touches the three modes above the redirect groups, so the
+chip unitary is the identity there and the photons never reach them:
+everything is simulated on the nine lit modes, where the three-photon
+basis has 165 states instead of the chip's 364.
 
 Only the four encoding phases change from sample to sample, so the chip
 unitary factors as ``U_k = A diag(exp(i phi_k)) B`` with ``B`` the first
@@ -16,7 +20,7 @@ iteration's picks, or T = 1) builds every ``A`` and ``B`` in one element
 pass over column-stacked blocks, forms each ``U_k`` in one broadcast
 product per candidate, runs all T x K through one batched SLOS pass
 (:func:`lopsim.fock.batched_amplitudes`) and merges each candidate's
-outcomes with one product against the ``(N, 37)`` pattern matrix.
+outcomes with one product against the ``(165, 37)`` pattern matrix.
 """
 
 from __future__ import annotations
@@ -60,6 +64,15 @@ N_FEATURES = 4
 #: Cell pairs of one trainable block, column by column.
 _BLOCK_PAIRS = ((2, 3), (4, 5), (3, 4), (5, 6), (2, 3), (4, 5), (3, 4), (5, 6))
 
+#: Couplers of the fixed redirect layer after the second block, in order.
+_REDIRECT_PAIRS = ((1, 2), (0, 1), (6, 7), (7, 8))
+
+#: Lit modes: every element acts below this mode, so the chip unitary is
+#: the identity on the modes above and no photon reaches them.
+_N_LIT = 1 + max(max(pair) for pair in _BLOCK_PAIRS + _REDIRECT_PAIRS)
+if _N_LIT > N_MODES:
+    raise ValueError(f"the classifier's {_N_LIT} lit modes exceed the {N_MODES}-mode chip")
+
 #: Modes whose phase shifters carry the scaled features.
 ENCODING_MODES = (3, 4, 5, 6)
 
@@ -87,17 +100,14 @@ def pattern_space() -> tuple[tuple[int, int, int, int, int], ...]:
 
 @cache
 def _pattern_table() -> tuple[tuple[tuple[int, int, int, int, int], ...], np.ndarray]:
-    """The 37 patterns and the ``(N, 37)`` aggregation matrix from the
-    three-photon Fock basis, from one enumeration.
+    """The 37 patterns and the ``(165, 37)`` aggregation matrix from the
+    three-photon Fock basis of the lit modes, from one enumeration.
 
     Each basis row is threshold-detected and the redirect groups are
     merged into pseudo photon numbers; the sorted distinct merged rows
-    are the patterns.  Basis states with photons beyond the detected
-    region (the circuit never populates those modes) are left
-    unassigned; they carry zero probability, so the merge preserves the
-    total.
+    are the patterns.
     """
-    occ = enumerate_basis(N_MODES, N_PHOTONS).occupations
+    occ = enumerate_basis(_N_LIT, N_PHOTONS).occupations
     clicks = occ > 0
     merged = np.column_stack(
         [
@@ -106,11 +116,9 @@ def _pattern_table() -> tuple[tuple[tuple[int, int, int, int, int], ...], np.nda
             clicks[:, _RIGHT_GROUP].sum(axis=1),
         ]
     )
-    region = [*_LEFT_GROUP, *_MIDDLE_MODES, *_RIGHT_GROUP]
-    inside = np.flatnonzero(occ[:, region].sum(axis=1) == N_PHOTONS)
-    patterns, index = np.unique(merged[inside], axis=0, return_inverse=True)
+    patterns, index = np.unique(merged, axis=0, return_inverse=True)
     matrix = np.zeros((len(occ), len(patterns)))
-    matrix[inside, index.ravel()] = 1.0
+    matrix[np.arange(len(occ)), index.ravel()] = 1.0
     return tuple(map(tuple, patterns.tolist())), matrix
 
 
@@ -124,34 +132,36 @@ def _checked_theta(theta: Sequence[float]) -> np.ndarray:
 
 
 def _stacked_blocks(thetas: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Blocks ``B`` and ``A`` (redirect included) of T candidates, ``(T, 12, 12)`` each.
+    """Blocks ``B`` and ``A`` (redirect included) of T candidates on the lit modes,
+    ``(T, 9, 9)`` each.
 
     One element pass over the 2T blocks side by side: a coupler is applied
     once, a phase shifter is one row product, so each entry is bit for bit
-    the element-by-element circuit's.
+    the element-by-element circuit's (the chip's block is the identity on
+    the dark modes above).
     """
     count = 2 * len(thetas)
     halves = np.concatenate([thetas[:, : N_THETA // 2], thetas[:, N_THETA // 2 :]])
-    factors = np.repeat(np.exp(1j * halves.T), N_MODES, axis=1)
-    u = np.tile(np.eye(N_MODES, dtype=complex), count)
+    factors = np.repeat(np.exp(1j * halves.T), _N_LIT, axis=1)
+    u = np.tile(np.eye(_N_LIT, dtype=complex), count)
     for cell, (a, b) in enumerate(_BLOCK_PAIRS):
         u[a] *= factors[2 * cell]
         _apply_element(u, DirectionalCoupler(a, b))
         u[a] *= factors[2 * cell + 1]
         _apply_element(u, DirectionalCoupler(a, b))
-    for a, b in ((1, 2), (0, 1), (6, 7), (7, 8)):  # the redirect layer, on the A blocks
-        _apply_element(u[:, N_MODES * len(thetas) :], DirectionalCoupler(a, b))
-    blocks = np.ascontiguousarray(u.reshape(N_MODES, count, N_MODES).transpose(1, 0, 2))
+    for a, b in _REDIRECT_PAIRS:  # on the A blocks only
+        _apply_element(u[:, _N_LIT * len(thetas) :], DirectionalCoupler(a, b))
+    blocks = np.ascontiguousarray(u.reshape(_N_LIT, count, _N_LIT).transpose(1, 0, 2))
     return blocks[: len(thetas)], blocks[len(thetas) :]
 
 
 def _candidate_distributions(thetas, phases) -> np.ndarray:
     """:func:`pattern_distributions` of T candidates, ``(T, K, 37)``, in one SLOS pass."""
     first, second = _stacked_blocks(thetas)
-    diag = np.ones((len(phases), N_MODES), dtype=complex)
+    diag = np.ones((len(phases), _N_LIT), dtype=complex)
     diag[:, ENCODING_MODES] = np.exp(1j * phases)
     unitaries = np.stack([a @ (diag[:, :, None] * b) for a, b in zip(second, first)])
-    amps = batched_amplitudes(unitaries.reshape(-1, N_MODES, N_MODES), INPUT_MODES)
+    amps = batched_amplitudes(unitaries.reshape(-1, _N_LIT, _N_LIT), INPUT_MODES)
     amps = amps.reshape(len(thetas), len(phases), -1)
     return np.stack([np.abs(a) ** 2 @ _pattern_table()[1] for a in amps])
 
@@ -161,7 +171,7 @@ def pattern_distributions(theta: Sequence[float], phases: np.ndarray) -> np.ndar
 
     ``phases`` holds one row of encoding phases per data point.  The K
     chip unitaries ``A diag(exp(i phi_k)) B`` share the blocks ``A`` and
-    ``B`` and go through one batched SLOS pass.
+    ``B`` and go through one batched SLOS pass on the nine lit modes.
     """
     theta = _checked_theta(theta)
     phases = np.asarray(phases, dtype=float)

@@ -17,7 +17,8 @@ weights from the dense 16^n correlation solve, a plan executed one
 configuration per executor call, executors that run a plan's
 configurations through a density-matrix channel (the gate followed by
 depolarizing noise in closed form), the classifier chip and its two blocks
-built element by element, the mesh transfer matrix and its derivatives as products
+built element by element and its pattern matrix merged row by row over
+the whole twelve-mode basis, the mesh transfer matrix and its derivatives as products
 of per-element factors, the element kernel with numpy scalars, the
 rail amplitudes of a mode unitary from a SLOS pass over the whole
 n-photon basis, the VQE ansatz as a gate circuit, and a VQE backend
@@ -665,6 +666,28 @@ def classifier_blocks(theta) -> tuple[np.ndarray, np.ndarray]:
     _add_block(second, theta[N_THETA // 2 :])
     _add_redirect(second)
     return first.unitary().matrix, second.unitary().matrix
+
+
+def classifier_pattern_table() -> tuple[tuple[tuple[int, ...], ...], np.ndarray]:
+    """Merged patterns and the ``(364, 37)`` matrix over the twelve-mode three-photon basis.
+
+    Row by row, each occupation is threshold-detected and the redirect
+    groups (modes 0-2 and 6-8) are summed into pseudo photon numbers.  A
+    row with a photon on modes 9-11 is left unassigned: the circuit never
+    populates those modes.
+    """
+    rows = basis_states(N_MODES, 3)
+    merged = {}
+    for i, occ in enumerate(rows):
+        if sum(occ[:9]) == 3:
+            clicks = [int(c > 0) for c in occ]
+            merged[i] = (sum(clicks[0:3]), *clicks[3:6], sum(clicks[6:9]))
+    patterns = tuple(sorted(set(merged.values())))
+    column = {pattern: k for k, pattern in enumerate(patterns)}
+    matrix = np.zeros((len(rows), len(patterns)))
+    for i, pattern in merged.items():
+        matrix[i, column[pattern]] = 1.0
+    return patterns, matrix
 
 
 def classifier_circuit(theta, phases) -> PhotonicCircuit:

@@ -1,8 +1,19 @@
 """Tests for the photonic classifier with pseudo photon-number readout."""
 
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
-from _oracles import classifier_blocks, classifier_circuit, evolve_state_vector
+from _oracles import (
+    classifier_blocks,
+    classifier_circuit,
+    classifier_pattern_table,
+    evolve_state_vector,
+)
 
 from lopsim.fock import batched_amplitudes, strong_simulate
 from lopsim.qnn import (
@@ -26,6 +37,9 @@ from lopsim.qnn import (
 )
 
 RNG = np.random.default_rng(424)
+
+#: The lit modes, 0-8: every element of the chip acts on them only.
+LIT = 9
 
 TOY_FEATURES = np.array(
     [
@@ -322,13 +336,14 @@ def test_small_iris_subset_trains_above_chance():
     assert model.lambdas.shape[0] == 3
 
 
-def blockwise_patterns(theta, phases):
-    """``pattern_distributions`` from the element-by-element blocks, one SLOS pass per candidate."""
+def chip_patterns(theta, phases):
+    """``pattern_distributions`` on all twelve modes: one SLOS pass through the
+    element-by-element blocks, merged by the twelve-mode pattern matrix."""
     first, second = classifier_blocks(theta)
     diag = np.ones((len(phases), N_MODES), dtype=complex)
     diag[:, list(ENCODING_MODES)] = np.exp(1j * phases)
     amps = batched_amplitudes(second @ (diag[:, :, None] * first), INPUT_MODES)
-    return np.abs(amps) ** 2 @ _pattern_table()[1]
+    return np.abs(amps) ** 2 @ classifier_pattern_table()[1]
 
 
 @pytest.mark.parametrize("count", [1, 3, 8])
@@ -336,13 +351,48 @@ def test_stacked_blocks_are_the_element_by_element_circuits(count):
     rng = np.random.default_rng(count)
     thetas = rng.uniform(-2.0 * np.pi, 4.0 * np.pi, (count, N_THETA))
     first, second = _stacked_blocks(thetas)
-    assert first.shape == second.shape == (count, N_MODES, N_MODES)
+    assert first.shape == second.shape == (count, LIT, LIT)
+    identity = np.eye(N_MODES)
     for t, theta in enumerate(thetas):
-        want_first, want_second = classifier_blocks(theta)
-        assert first[t].tobytes() == want_first.tobytes()
-        assert second[t].tobytes() == want_second.tobytes()
+        for got, want in zip((first[t], second[t]), classifier_blocks(theta)):
+            assert got.tobytes() == np.ascontiguousarray(want[:LIT, :LIT]).tobytes()
+            # the dark modes: no element touches them
+            assert np.array_equal(want[LIT:], identity[LIT:])
+            assert np.array_equal(want[:, LIT:], identity[:, LIT:])
     phases = rng.uniform(0.0, np.pi, (4, N_FEATURES))
     stacked = _candidate_distributions(thetas, phases)
     for got, theta in zip(stacked, thetas):
-        assert got.tobytes() == blockwise_patterns(theta, phases).tobytes()
+        assert got.tobytes() == chip_patterns(theta, phases).tobytes()
         assert got.tobytes() == pattern_distributions(theta, phases).tobytes()
+
+
+def test_the_classifier_runs_on_its_nine_lit_modes():
+    patterns, matrix = _pattern_table()
+    assert matrix.shape == (165, 37)
+    assert np.array_equal(matrix.sum(axis=1), np.ones(165))  # every row merges once
+    assert pattern_space() == patterns == classifier_pattern_table()[0]
+
+
+def test_training_in_a_fresh_process_builds_only_lit_mode_bases():
+    # Every basis goes through FockBasis.__init__; a fresh interpreter has
+    # cached none, so the recorded (m, n) are the ones training builds.
+    script = (
+        "import json\n"
+        "from lopsim import fock, qnn\n"
+        "built, init = [], fock.FockBasis.__init__\n"
+        "def record(self, m, n):\n"
+        "    built.append((m, n))\n"
+        "    init(self, m, n)\n"
+        "fock.FockBasis.__init__ = record\n"
+        "features, labels, _ = qnn.load_iris_dataset()\n"
+        "config = qnn.QnnConfig(outer_iterations=1, evaluations_per_iteration=2, n_test=3)\n"
+        "qnn.qnn_train(features[::5], labels[::5], config)\n"
+        "print(json.dumps(sorted(set(built))))\n"
+    )
+    env = {**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parents[1] / "src")}
+    done = subprocess.run(
+        [sys.executable, "-c", script], capture_output=True, text=True, env=env, check=True,
+        timeout=300,
+    )
+    # no twelve-mode basis, enumerate_basis(12, 3) included
+    assert json.loads(done.stdout.strip().splitlines()[-1]) == [[LIT, n] for n in range(4)]
