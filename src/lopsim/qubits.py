@@ -38,17 +38,20 @@ each circuit out of its Fock distribution with :func:`logical_distribution`.
 
 :func:`compile_gate_circuit` compiles any gate circuit through bounded
 ``lru_cache`` tables (each gate's elements and 2x2 matrix, each checked
-gate list, each measurement word); the VQE ansatz binds its angles into
-the same tables and the same checked compile (:func:`_checked_gates`).
-The module also owns the 2x2 gate constants that other modules import.
+gate list, each measurement word) and one bounded store of compiled step
+prefixes.  The VQE ansatz binds its angle rows into the same tables and
+the same compile routine (:func:`_compiled_rows`), which builds the
+rows' common prefix once and the rest side by side.  The module also
+owns the 2x2 gate constants that other modules import.
 """
 
 from __future__ import annotations
 
 import operator
+from collections import Counter, OrderedDict
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Mapping, Sequence
+from typing import Mapping, NamedTuple, Sequence
 
 import numpy as np
 
@@ -235,21 +238,24 @@ def _gate_matrix(name: str, angle: float | None) -> np.ndarray:
     return matrix
 
 
-def _logical_matrix(n: int, steps: Sequence[tuple]) -> np.ndarray:
+def _logical_matrix(n: int, steps: Sequence[tuple], start: np.ndarray | None = None) -> np.ndarray:
     """The 2^n x 2^n unitary of (name, qubits, angle) steps (qubit 0 = leftmost bit).
 
     A 2x2 matrix contracts with its qubit's row axis; a CNOT or Toffoli
-    flips the target bit of the rows where every control is 1.
+    flips the target bit of the rows where every control is 1.  With
+    ``start``, any ``(2^n, X)`` array, the steps act on it instead of on
+    the identity.
     """
     dim = 1 << n
-    u, index = np.eye(dim, dtype=complex), np.arange(dim)
+    u = np.eye(dim, dtype=complex) if start is None else start
+    index = np.arange(dim)
     for name, qubits, angle in steps:
         if name in ("CNOT", "TOFFOLI"):
             *controls, target = qubits
             fire = np.all([(index >> (n - 1 - c)) & 1 for c in controls], axis=0)
             u = u[index ^ (fire << (n - 1 - target))]
         else:
-            u = (_gate_matrix(name, angle) @ u.reshape(1 << qubits[0], 2, -1)).reshape(dim, dim)
+            u = (_gate_matrix(name, angle) @ u.reshape(1 << qubits[0], 2, -1)).reshape(dim, -1)
     return u
 
 
@@ -540,14 +546,14 @@ def _rail_amplitudes(unitary: np.ndarray, enc: QubitEncoding) -> np.ndarray:
     probability.  All 4^n permanents go through Glynn's formula at once:
     the signed sums of each output's rail rows are formed once, over
     every mode, and each input reads its rail columns of them.  No
-    n-photon basis is built.
+    n-photon basis is built.  A ``(K, m, m)`` stack gives ``(K, 2^n, 2^n)``.
     """
     n = enc.n_qubits
     bits = (np.arange(1 << n)[:, None] >> np.arange(n - 1, -1, -1)) & 1
     rails = np.array(enc.qubit_pairs, dtype=np.intp)[np.arange(n), bits]
     deltas, signs = _glynn_deltas(n)
-    sums = deltas @ unitary[rails]
-    return signs @ np.prod(sums[:, :, rails], axis=-1) / (1 << (n - 1))
+    sums = deltas @ unitary[..., rails, :]
+    return signs @ np.prod(sums[..., rails], axis=-1) / (1 << (n - 1))
 
 
 def encoding_input_modes(enc: QubitEncoding) -> tuple[int, ...]:
@@ -585,49 +591,212 @@ def _gate_elements(
     return tuple(two_mode_gate_elements(_gate_matrix(name, angle), *pairs[0]))
 
 
+def _step(
+    step: tuple, enc: QubitEncoding, pool: tuple[int, ...]
+) -> tuple[tuple[CircuitElement, ...], tuple[int, ...], float]:
+    """Elements of one step, the ancilla pool it leaves and its success factor.
+
+    An entangling gate takes the next fresh ancillas of ``pool``; running
+    out raises ``CompilationError``.
+    """
+    name = step[0]
+    count = {"CNOT": 2, "TOFFOLI": 4}.get(name, 0)
+    if len(pool) < count:
+        raise CompilationError(
+            f"mode budget exceeded: {name} needs {count} fresh ancilla"
+            f" modes, {len(pool)} left"
+        )
+    factor = {"CNOT": CNOT_SUCCESS, "TOFFOLI": TOFFOLI_SUCCESS}.get(name, 1.0)
+    return _gate_elements(step, enc.qubit_pairs, pool[:count]), pool[count:], factor
+
+
+class _Prefix(NamedTuple):
+    """A compiled step prefix; ``checked`` if it passed the check as a whole list."""
+
+    matrix: np.ndarray
+    logical: np.ndarray
+    pool: tuple[int, ...]
+    success: float
+    checked: bool
+
+
+class _StoreInfo(NamedTuple):
+    maxsize: int
+    currsize: int
+
+
+class _PrefixStore:
+    """Bounded LRU store of compiled step prefixes, keyed by (steps, encoding)."""
+
+    def __init__(self, maxsize: int):
+        self.maxsize = maxsize
+        self._entries: OrderedDict[tuple, _Prefix] = OrderedDict()
+        self._lengths: Counter[int] = Counter()  # stored keys per step count
+
+    def get(self, steps: tuple[tuple, ...], enc: QubitEncoding) -> _Prefix | None:
+        entry = self._entries.get((steps, enc))
+        if entry is not None:
+            self._entries.move_to_end((steps, enc))
+        return entry
+
+    def longest(self, steps: tuple[tuple, ...], enc: QubitEncoding) -> tuple[int, _Prefix | None]:
+        """The longest stored prefix of ``steps`` and its length, or ``(0, None)``."""
+        # probe only the lengths stored keys have: a long list is not sliced at every length
+        for n in sorted((n for n in self._lengths if n <= len(steps)), reverse=True):
+            entry = self.get(steps[:n], enc)
+            if entry is not None:
+                return n, entry
+        return 0, None
+
+    def put(self, steps: tuple[tuple, ...], enc: QubitEncoding, entry: _Prefix) -> None:
+        if (steps, enc) not in self._entries:
+            self._lengths[len(steps)] += 1
+        self._entries[(steps, enc)] = entry
+        self._entries.move_to_end((steps, enc))
+        if len(self._entries) > self.maxsize:
+            (old, _), _ = self._entries.popitem(last=False)
+            self._lengths[len(old)] -= 1
+            if not self._lengths[len(old)]:
+                del self._lengths[len(old)]
+
+    def cache_clear(self) -> None:
+        self._entries.clear()
+        self._lengths.clear()
+
+    def cache_info(self) -> _StoreInfo:
+        return _StoreInfo(self.maxsize, len(self._entries))
+
+
+#: Every compiled step prefix that :func:`_compiled_rows` builds on.
+_PREFIXES = _PrefixStore(maxsize=64)
+
+
+def _prefix(steps: tuple[tuple, ...], enc: QubitEncoding) -> _Prefix:
+    """The stored compile of ``steps``, built and stored on its longest stored prefix.
+
+    A step past the mode budget raises before anything is stored.
+    """
+    start, entry = _PREFIXES.longest(steps, enc)
+    if entry is None:
+        eye = np.eye(enc.n_modes, dtype=complex), np.eye(1 << enc.n_qubits, dtype=complex)
+        entry = _Prefix(*eye, enc.ancilla_modes, 1.0, False)
+    elif start == len(steps):
+        return entry
+    modes, pool, success = entry.matrix.copy(), entry.pool, entry.success
+    logical = _logical_matrix(enc.n_qubits, steps[start:], entry.logical)
+    for step in steps[start:]:
+        elements, pool, factor = _step(step, enc, pool)
+        for element in elements:
+            _apply_element(modes, element)
+        success *= factor
+    modes.setflags(write=False)
+    logical.setflags(write=False)
+    entry = _Prefix(modes, logical, pool, success, False)
+    if steps:
+        _PREFIXES.put(steps, enc, entry)
+    return entry
+
+
+def _common_prefix(rows: Sequence[tuple[tuple, ...]]) -> int:
+    """Number of leading steps that all rows share."""
+    head = 0
+    while all(head < len(row) and row[head] == rows[0][head] for row in rows):
+        head += 1
+    return head
+
+
+def _check(
+    enc: QubitEncoding, modes: np.ndarray, logical: np.ndarray, successes: Sequence[float]
+) -> None:
+    """Raise ``CompilationError`` unless each mode matrix ``modes[i]`` realizes ``logical[i]``.
+
+    Each row's 4^n rail permanents (:func:`_rail_amplitudes`, one call
+    for the K rows) must match its logical matrix up to one constant, to
+    1e-9, and the constant's squared magnitude its success product.
+    """
+    rows = np.arange(len(modes))
+    realized = _rail_amplitudes(modes, enc).reshape(len(rows), -1)
+    flat = logical.reshape(len(rows), -1)
+    anchor = np.abs(flat).argmax(axis=1)
+    scale = realized[rows, anchor] / flat[rows, anchor]
+    deviation = np.max(np.abs(realized - scale[:, None] * flat), axis=1)
+    weight = np.abs(scale) ** 2
+    passed = (deviation <= 1e-9) & (np.abs(weight - successes) <= 1e-9)
+    if not passed.all():
+        i = int(np.argmin(passed))
+        raise CompilationError(
+            f"compiled circuit deviates from the logical unitary by {deviation[i]:.2e}"
+            f" (tolerance 1e-9) and has success weight {weight[i]:.6g} against the"
+            f" expected {successes[i]:.6g}"
+        )
+
+
+def _compiled_rows(
+    rows: Sequence[tuple[tuple, ...]], enc: QubitEncoding
+) -> tuple[np.ndarray, list[float]]:
+    """Checked mode matrices of K step lists of one length side by side,
+    ``(m, K*m)``, and their success products.
+
+    The one compile routine, of :func:`_checked_gates` (K = 1) and the
+    VQE ansatz stacks.  The rows' common prefix comes from the store
+    (:func:`_prefix`).  After it, a step the same in every row (drawing
+    the same ancillas) is applied once to the whole array, and one on
+    which the rows differ to each row's own column block, so every entry
+    is bit for bit the element-by-element product; the logical matrices
+    go alongside.  The distinct rows not yet checked are checked together
+    and stored as checked; a failing stack stores none as checked.
+    """
+    n, m, d, k = enc.n_qubits, enc.n_modes, 1 << enc.n_qubits, len(rows)
+    stored = [_PREFIXES.get(row, enc) for row in rows]
+    if all(entry is not None and entry.checked for entry in stored):
+        return np.hstack([entry.matrix for entry in stored]), [entry.success for entry in stored]
+    head = _common_prefix(rows)
+    base = _prefix(rows[0][:head], enc)
+    wide, logical = np.tile(base.matrix, k), np.tile(base.logical, k)
+    pools, successes = [base.pool] * k, [base.success] * k
+    for j in range(head, len(rows[0])):
+        steps = [row[j] for row in rows]
+        if len(set(zip(steps, pools))) == 1:
+            groups = [(range(k), slice(None), slice(None))]
+        else:
+            groups = [((i,), slice(i * m, (i + 1) * m), slice(i * d, (i + 1) * d)) for i in range(k)]
+        for members, columns, logical_columns in groups:
+            step, target = steps[members[0]], wide[:, columns]
+            elements, pool, factor = _step(step, enc, pools[members[0]])
+            for element in elements:
+                _apply_element(target, element)
+            logical[:, logical_columns] = _logical_matrix(n, (step,), logical[:, logical_columns])
+            for i in members:
+                pools[i], successes[i] = pool, successes[i] * factor
+    new = {row: i for i, row in enumerate(rows) if stored[i] is None or not stored[i].checked}
+    picked = list(new.values())
+    blocks = wide.reshape(m, k, m).transpose(1, 0, 2)[picked]
+    logicals = logical.reshape(d, k, d).transpose(1, 0, 2)[picked]
+    _check(enc, blocks, logicals, [successes[i] for i in picked])
+    blocks.setflags(write=False)
+    logicals.setflags(write=False)
+    for row, i, block, row_logical in zip(new, picked, blocks, logicals):
+        _PREFIXES.put(row, enc, _Prefix(block, row_logical, pools[i], successes[i], True))
+    return wide, successes
+
+
 @lru_cache(maxsize=64)
 def _checked_gates(
     steps: tuple[tuple, ...], enc: QubitEncoding
 ) -> tuple[tuple[CircuitElement, ...], ModeUnitary, float]:
     """Elements, mode unitary and success product of (name, qubits, angle) steps.
 
-    Entangling gates take fresh ancillas from the encoding pool in step
-    order; the elements are applied onto the identity in element order.
-    The check compares the 4^n rail permanents (:func:`_rail_amplitudes`)
-    with :func:`_logical_matrix` up to one constant, to 1e-9, and the
-    constant's squared magnitude with the success product; a failing
-    list raises uncached, a repeated one gets back the unitary its check
-    passed.  The VQE ansatz binds its angles straight into it.
+    The K = 1 case of :func:`_compiled_rows`: entangling gates take fresh
+    ancillas from the encoding pool in step order, and the list is
+    checked against its logical unitary once.  A failing list raises
+    uncached, a repeated one gets back the unitary its check passed.
     """
-    modes = np.eye(enc.n_modes, dtype=complex)
-    pool, success = enc.ancilla_modes, 1.0
+    modes, [success] = _compiled_rows((steps,), enc)
     elements: list[CircuitElement] = []
+    pool = enc.ancilla_modes
     for step in steps:
-        name = step[0]
-        count = {"CNOT": 2, "TOFFOLI": 4}.get(name, 0)
-        if len(pool) < count:
-            raise CompilationError(
-                f"mode budget exceeded: {name} needs {count} fresh ancilla"
-                f" modes, {len(pool)} left"
-            )
-        for element in _gate_elements(step, enc.qubit_pairs, pool[:count]):
-            _apply_element(modes, element)
-            elements.append(element)
-        pool = pool[count:]
-        success *= {"CNOT": CNOT_SUCCESS, "TOFFOLI": TOFFOLI_SUCCESS}.get(name, 1.0)
-
-    logical = _logical_matrix(enc.n_qubits, steps)
-    realized = _rail_amplitudes(modes, enc)
-    anchor = np.unravel_index(np.argmax(np.abs(logical)), logical.shape)
-    scale = realized[anchor] / logical[anchor]
-    deviation = float(np.max(np.abs(realized - scale * logical)))
-    weight = float(abs(scale) ** 2)
-    if not (deviation <= 1e-9 and abs(weight - success) <= 1e-9):
-        raise CompilationError(
-            f"compiled circuit deviates from the logical unitary by {deviation:.2e}"
-            f" (tolerance 1e-9) and has success weight {weight:.6g} against the"
-            f" expected {success:.6g}"
-        )
+        step_elements, pool, _ = _step(step, enc, pool)
+        elements.extend(step_elements)
     return tuple(elements), ModeUnitary(modes), success
 
 
@@ -647,6 +816,29 @@ def _rotated(unitary: ModeUnitary, setting: Sequence[CircuitElement]) -> ModeUni
     return ModeUnitary(modes)
 
 
+def _setting_unitaries(
+    rows: Sequence[tuple[tuple, ...]], words: Sequence[str], enc: QubitEncoding
+) -> np.ndarray:
+    """Read-only ``(K*W, m, m)`` stack: entry ``k*W + w`` is row k's compile
+    followed by word w's rotations, bit for bit :func:`compile_gate_circuit`'s.
+
+    Each word's rotations are applied once to a copy of the whole
+    side-by-side array (:func:`_compiled_rows`).
+    """
+    wide, _ = _compiled_rows(rows, enc)
+    m = enc.n_modes
+    settings = []
+    for word in words:
+        setting = _setting_elements(word, enc)
+        rotated = wide.copy() if setting else wide
+        for element in setting:
+            _apply_element(rotated, element)
+        settings.append(rotated.reshape(m, len(rows), m))
+    stack = np.stack(settings, axis=1).transpose(2, 1, 0, 3).reshape(-1, m, m)
+    stack.setflags(write=False)
+    return stack
+
+
 def compile_gate_circuit(
     gc: GateCircuit, enc: QubitEncoding | None = None
 ) -> tuple[PhotonicCircuit, PostselectionRule, float, ModeUnitary]:
@@ -656,8 +848,9 @@ def compile_gate_circuit(
     their postselected actions compose exactly; running out of ancillas
     raises ``CompilationError``.  Every distinct gate list is checked
     against its logical unitary (:func:`_checked_gates`, which caches
-    it), and the compiled circuit's unitary, exactly its ``unitary()``,
-    is returned as the last item (:func:`_rotated`).  The success
+    it), on the longest prefix of the list that the compiled-prefix store
+    holds.  The compiled circuit's unitary, exactly its ``unitary()``, is
+    returned as the last item (:func:`_rotated`).  The success
     probability is the postselection weight, independent of the input
     state (1/9 per CNOT, (2^(1/3)-1)^3 per Toffoli).
     """

@@ -9,7 +9,9 @@ expectation in the Hamiltonian, readout errors are corrected by
 inverting per-basis confusion matrices built from eigenvector
 preparations, and repeated exact coordinate sweeps drive the angles.
 The ansatz angles are bound into the checked compile without building
-gates (:meth:`PhotonicVqeBackend.ansatz_distributions`).
+gates (:meth:`PhotonicVqeBackend.ansatz_distributions`): the angle rows
+of a sweep step compile side by side on their shared, stored step
+prefix, and each setting's confusion systems are solved in one call.
 """
 
 from __future__ import annotations
@@ -31,9 +33,7 @@ from .qubits import (
     GateCircuit,
     PostselectionRule,
     QubitEncoding,
-    _checked_gates,
-    _rotated,
-    _setting_elements,
+    _setting_unitaries,
     compile_gate_circuit,
     encoding_input_modes,
     logical_distribution,
@@ -161,17 +161,20 @@ def apply_mitigation(gamma: MitigationMatrix, observed: np.ndarray) -> np.ndarra
     Linear inversion can leave the probability simplex at finite
     statistics, so negative entries are clipped to zero and the result
     is renormalized; exact distributions of the form ``gamma.matrix @ p``
-    round-trip unchanged.
+    round-trip unchanged.  A ``(..., 4)`` stack of distributions goes
+    through one broadcast ``np.linalg.solve`` (a LAPACK ``gesv`` per
+    distribution, so each is bit for bit its own one-vector call).
     """
     q = np.asarray(observed, dtype=float)
-    if q.shape != (4,):
+    if q.shape[-1:] != (4,):
         raise ValueError(f"expected 4 outcome probabilities, got shape {q.shape}")
-    if not (np.all(q >= 0.0) and q.sum() > 0.0):
+    mass = q.sum(axis=-1, keepdims=True)
+    if not (np.all(q >= 0.0) and np.all(mass > 0.0)):
         raise ValueError("observed distribution must be nonnegative with positive mass")
-    p = np.linalg.solve(gamma.matrix, q / q.sum())
+    p = np.linalg.solve(gamma.matrix, (q / mass)[..., None])[..., 0]
     p = np.clip(p, 0.0, None)
-    total = p.sum()
-    if total <= 0.0:
+    total = p.sum(axis=-1, keepdims=True)
+    if not np.all(total > 0.0):
         raise ValueError("mitigated distribution has no probability mass left")
     return p / total
 
@@ -222,16 +225,21 @@ class PhotonicVqeBackend:
 
         Entry ``[k, j]`` is what :meth:`distribution` gives for the ansatz
         gate list at angles ``thetas[k]`` measured in setting ``BASES[j]``.
-        ``thetas`` is a ``(K, 7)`` stack and the result ``(K, 2, 4)``.  Each
-        row binds into :func:`~lopsim.qubits._checked_gates` with no ``Gate``;
-        the 2K setting unitaries run through one
-        :func:`~lopsim.qubits.logical_distributions` call.
+        ``thetas`` is a ``(K, 7)`` stack with K >= 1, refused by shape
+        before anything compiles, and the result is ``(K, 2, 4)``.  The
+        rows compile side by side with no ``Gate``, on their common step
+        prefix from the compiled-prefix store
+        (:func:`~lopsim.qubits._setting_unitaries`), and the 2K setting
+        unitaries run through one :func:`~lopsim.qubits.logical_distributions` call.
         """
-        enc, unitaries = self._encoding, []
-        for theta in thetas:
-            _, unitary, _ = _checked_gates(_ansatz_steps(theta), enc)
-            unitaries += [_rotated(unitary, _setting_elements(b, enc)).matrix for b in BASES]
-        stack = np.stack(unitaries)
+        thetas = np.asarray(thetas, dtype=float)
+        if thetas.ndim != 2 or thetas.shape[1] != N_ANSATZ_ANGLES or not len(thetas):
+            raise ValueError(
+                f"expected a (K, {N_ANSATZ_ANGLES}) stack of angle rows with K >= 1,"
+                f" got shape {thetas.shape}"
+            )
+        rows = [_ansatz_steps(theta) for theta in thetas]
+        stack = _setting_unitaries(rows, BASES, self._encoding)
         logical = logical_distributions(stack, self._input_modes, self._rule, self.source)
         return np.array([self._confusion @ row for row in logical]).reshape(-1, len(BASES), 4)
 
@@ -288,19 +296,21 @@ def measure_energy(
 
 
 def _energies(h, thetas, backend, shots, mitigation, rng) -> list[float]:
-    """Energies of an angle stack read in one call; shots drawn row by row, ZZ then XX."""
+    """Energies of an angle stack read in one call.
+
+    Shots are drawn row by row, ZZ then XX; then each setting's K
+    distributions are mitigated in one :func:`apply_mitigation` call.
+    """
     if not hasattr(backend, "ansatz_distributions"):
         name = type(backend).__name__
         raise TypeError(f"{name} has no ansatz_distributions(thetas) to read energies from")
     shots = _shot_count(shots, rng)
-
-    def setting(basis: str, p: np.ndarray) -> np.ndarray:
-        if shots is not None:
-            p = _frequencies(rng, shots, p)
-        return apply_mitigation(mitigation[basis], p) if mitigation else p
-
     rows = backend.ansatz_distributions(thetas)
-    return [energy_from_distributions(h, *map(setting, BASES, row)) for row in rows]
+    if shots is not None:
+        rows = np.array([[_frequencies(rng, shots, p) for p in row] for row in rows])
+    if mitigation:
+        rows = np.stack([apply_mitigation(mitigation[b], rows[:, j]) for j, b in enumerate(BASES)], 1)
+    return [energy_from_distributions(h, *row) for row in rows]
 
 
 def _mitigation_circuit(basis: str, outcome: int) -> GateCircuit:

@@ -78,6 +78,7 @@ from lopsim.qubits import (
     Gate,
     GateCircuit,
     QubitEncoding,
+    _PREFIXES,
     _checked_gates,
     _gate_elements,
     _pauli_signs,
@@ -899,7 +900,7 @@ class PerEvaluationVqeBackend(PhotonicVqeBackend):
             raise ValueError("backend is wired for two-qubit circuits")
         enc = QubitEncoding.default(2)
         modes = tuple(rail0 for rail0, _ in enc.qubit_pairs)
-        for cached in (_gate_elements, _checked_gates, _setting_elements):
+        for cached in (_gate_elements, _checked_gates, _PREFIXES, _setting_elements):
             cached.cache_clear()
         _, rule, _, unitary = compile_gate_circuit(circuit, enc)
         if self.source == SourceModel():  # the ideal simulator, not the trigger sum

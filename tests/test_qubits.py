@@ -486,7 +486,9 @@ def test_compile_returns_the_circuit_unitary(text):
     assert np.array_equal(unitary.matrix, circuit.unitary().matrix)
 
 
-_COMPILE_CACHES = (qubits._gate_elements, qubits._checked_gates, qubits._setting_elements)
+_COMPILE_CACHES = (
+    qubits._gate_elements, qubits._checked_gates, qubits._PREFIXES, qubits._setting_elements
+)
 
 
 def _clear_compile_caches():
@@ -575,6 +577,79 @@ def test_a_compile_after_an_exhausted_pool_matches_a_cold_one(cold_compile):
     want = compile_gate_circuit(after, enc)
     assert got[0].elements == want[0].elements
     assert got[3].matrix.tobytes() == want[3].matrix.tobytes()
+
+
+@st.composite
+def _row_stacks(draw):
+    """K step lists of one length on one qubit count, sharing a random prefix."""
+    n, length = draw(st.integers(1, 3)), draw(st.integers(0, 5))
+    shared = draw(st.integers(0, length))
+    head = [draw(_gates(n)) for _ in range(shared)]
+    rows = [head + [draw(_gates(n)) for _ in range(length - shared)] for _ in range(draw(st.integers(1, 3)))]
+    return n, [tuple((g.name, g.qubits, g.angle) for g in row) for row in rows]
+
+
+@settings(max_examples=40, deadline=None)
+@given(_row_stacks())
+def test_step_lists_compiled_side_by_side_match_their_own_compiles(stack):
+    # entangling steps make the rows' ancilla pools and success products differ
+    n, rows = stack
+    enc = QubitEncoding.default(n)
+    _clear_compile_caches()
+    try:
+        wide, successes = qubits._compiled_rows(rows, enc)
+    except CompilationError as exc:
+        got = str(exc)
+    else:
+        got = [(wide[:, i * enc.n_modes : (i + 1) * enc.n_modes].tobytes(), successes[i]) for i in range(len(rows))]
+    want, errors = [], set()
+    for row in rows:
+        _clear_compile_caches()
+        try:
+            _, unitary, success = qubits._checked_gates(row, enc)
+        except CompilationError as exc:
+            errors.add(str(exc))
+        else:
+            want.append((unitary.matrix.tobytes(), success))
+    if errors:  # the stack raises one failing row's error
+        assert got in errors
+    else:
+        assert got == want
+
+
+def _stored_prefixes(steps, enc):
+    """Lengths of the stored compiled prefixes of ``steps``."""
+    return [n for n in range(len(steps) + 1) if qubits._PREFIXES.get(steps[:n], enc) is not None]
+
+
+def test_a_mode_budget_failure_stores_no_prefix_past_the_last_good_step(cold_compile):
+    enc = QubitEncoding.default(2)
+    good = (("RY", (0,), 0.3), ("CNOT", (0, 1), None), ("RX", (1,), 0.5))
+    failing = (*good, ("CNOT", (1, 0), None), ("RZ", (0,), 0.2))
+    qubits._checked_gates(good[:2], enc)
+    for rows in [(failing,), (failing, (("RY", (0,), -0.3), *failing[1:]))]:
+        with pytest.raises(CompilationError, match="mode budget"):
+            qubits._compiled_rows(rows, enc)
+        for row in rows:
+            assert max(_stored_prefixes(row, enc), default=0) <= len(good)
+    assert _stored_prefixes(failing, enc) == [2]
+    got = qubits._checked_gates(good, enc)
+    _clear_compile_caches()
+    want = qubits._checked_gates(good, enc)
+    assert got[0] == want[0] and got[1].matrix.tobytes() == want[1].matrix.tobytes()
+
+
+def test_a_2000_gate_list_compiles_without_recursion_and_matches_a_cold_compile(cold_compile):
+    rng = np.random.default_rng(2000)
+    names = rng.choice(["RX", "RY", "RZ", "H", "T"], 2000)
+    gates = tuple(Gate(n, (0,), float(a) if n[0] == "R" else None) for n, a in zip(names, rng.normal(size=2000)))
+    enc = QubitEncoding.default(1)
+    compile_gate_circuit(GateCircuit(1, gates[:1200]), enc)  # a stored prefix to build on
+    circuit, _, success, got = compile_gate_circuit(GateCircuit(1, gates, "X"), enc)
+    _clear_compile_caches()
+    want = compile_gate_circuit(GateCircuit(1, gates, "X"), enc)
+    assert circuit.elements == want[0].elements and success == want[2] == 1.0
+    assert got.matrix.tobytes() == want[3].matrix.tobytes() == circuit.unitary().matrix.tobytes()
 
 
 def test_a_sweep_step_decomposes_and_checks_only_what_changed(monkeypatch, cold_compile):

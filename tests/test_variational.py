@@ -1,5 +1,6 @@
 """Tests for the two-qubit variational ground-state workflow."""
 
+import re
 import sys
 from dataclasses import astuple
 
@@ -160,8 +161,12 @@ def test_apply_mitigation_rejects_bad_input():
     gamma = MitigationMatrix(np.eye(4))
     with pytest.raises(ValueError, match="4 outcome"):
         apply_mitigation(gamma, np.zeros(3))
+    with pytest.raises(ValueError, match=re.escape("4 outcome probabilities, got shape (2, 3)")):
+        apply_mitigation(gamma, np.ones((2, 3)))
     with pytest.raises(ValueError, match="nonnegative"):
         apply_mitigation(gamma, np.array([0.5, -0.1, 0.4, 0.2]))
+    with pytest.raises(ValueError, match="positive mass"):  # one empty row of a stack
+        apply_mitigation(gamma, np.array([[0.5, 0.1, 0.4, 0.2], [0.0, 0.0, 0.0, 0.0]]))
 
 
 def test_backend_matches_statevector():
@@ -507,6 +512,7 @@ _COMPILE_CACHES = (
     qubits._gate_elements,
     qubits._gate_matrix,
     qubits._checked_gates,
+    qubits._PREFIXES,
     qubits._setting_elements,
 )
 _ANSATZ_ANGLE = st.sampled_from([0.0, -0.0, np.pi, -np.pi / 2, 2.0 * np.pi, 9.5, -31.0]) | st.floats(
@@ -515,21 +521,25 @@ _ANSATZ_ANGLE = st.sampled_from([0.0, -0.0, np.pi, -np.pi / 2, 2.0 * np.pi, 9.5,
 
 
 class _RecordingBackend(PhotonicVqeBackend):
-    """Keeps every setting unitary it builds and every stack it reads out."""
+    """Keeps every stack it reads out, and each unitary of it."""
 
     def ansatz_distributions(self, thetas):
-        def rotated(unitary, setting):
-            self.rotated.append(qubits._rotated(unitary, setting))
-            return self.rotated[-1]
-
         def read(unitaries, *args):
+            self.stacks.append(unitaries)
             self.simulated.extend(unitaries)
             return qubits.logical_distributions(unitaries, *args)
 
         with pytest.MonkeyPatch.context() as patch:
-            patch.setattr(variational, "_rotated", rotated)
             patch.setattr(variational, "logical_distributions", read)
             return super().ansatz_distributions(thetas)
+
+
+def _evict_compile_caches():
+    """Fill the checked-list cache and the prefix store with unrelated step lists."""
+    enc = QubitEncoding.default(2)
+    count = max(cached.cache_info().maxsize for cached in (qubits._checked_gates, qubits._PREFIXES))
+    for i in range(count):
+        qubits._checked_gates(_ansatz_steps(np.full(7, 100.0 + i)), enc)
 
 
 def _compiled_settings(theta):
@@ -555,28 +565,142 @@ def _compiled_settings(theta):
 )
 def test_the_bound_ansatz_is_the_compiled_circuits_byte_for_byte(theta, state):
     backend = _RecordingBackend()
-    backend.rotated, backend.simulated = [], []
+    backend.stacks, backend.simulated = [], []
     backend.ansatz_distributions([theta])
     if state == "after cache_clear":
         for cached in _COMPILE_CACHES:
             cached.cache_clear()
     elif state == "after eviction":
-        enc = QubitEncoding.default(2)
-        for i in range(qubits._checked_gates.cache_info().maxsize):
-            qubits._checked_gates(_ansatz_steps(np.full(7, 100.0 + i)), enc)
-    backend.rotated, backend.simulated = [], []
+        _evict_compile_caches()
+    backend.stacks, backend.simulated = [], []
     [got] = backend.ansatz_distributions([theta])
     bound = [unitary.tobytes() for unitary in backend.simulated]
     assert bound == _compiled_settings(theta)
-    assert bound == [unitary.matrix.tobytes() for unitary in backend.rotated]
+    # the one-row compile, warm, rotated as compile_gate_circuit rotates it
+    enc = QubitEncoding.default(2)
+    _, unitary, _ = qubits._checked_gates(_ansatz_steps(theta), enc)
+    rotated = [qubits._rotated(unitary, qubits._setting_elements(b, enc)) for b in BASES]
+    assert bound == [unitary.matrix.tobytes() for unitary in rotated]
     # a signed zero reads the same matrices as the other sign
     flipped = [-a if a == 0.0 else a for a in theta]
     assert bound == _compiled_settings(flipped)
-    for unitary in backend.rotated:
+    [stack] = backend.stacks
+    for unitary in stack:
         with pytest.raises(ValueError, match="read-only"):
-            unitary.matrix[0, 0] = 0.0
+            unitary[0, 0] = 0.0
     want = [backend.distribution(ansatz_circuit(theta, basis)) for basis in BASES]
     assert np.array_equal(got, np.stack(want))
+
+
+#: Ansatz step index of each angle: RY, then the CNOT, then six rotations.
+_ANGLE_STEP = (0, 2, 3, 4, 5, 6, 7)
+
+
+@st.composite
+def _prefix_stacks(draw):
+    """K in {1, 2, 3} angle rows sharing their first ``shared`` of the 8 ansatz steps."""
+    k, shared = draw(st.integers(1, 3)), draw(st.integers(0, 8))
+    base = draw(st.lists(_ANSATZ_ANGLE, min_size=7, max_size=7))
+    rows = [list(base)]
+    for _ in range(k - 1):
+        if draw(st.booleans()):  # an identical row
+            rows.append(list(base))
+            continue
+        rows.append([a if step < shared else draw(_ANSATZ_ANGLE) for a, step in zip(base, _ANGLE_STEP)])
+    return rows
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    _prefix_stacks(),
+    st.integers(0, 8),
+    st.sampled_from(["cold", "warm", "after eviction"]),
+)
+def test_an_ansatz_stack_is_each_rows_compiled_circuits_byte_for_byte(thetas, warm_prefix, state):
+    backend = _RecordingBackend()
+    backend.stacks, backend.simulated = [], []
+    for cached in _COMPILE_CACHES:
+        cached.cache_clear()
+    if state != "cold":
+        # store the first row's steps up to its first angle at or after step warm_prefix
+        other = [a + 1.0 if step >= warm_prefix else a for a, step in zip(thetas[0], _ANGLE_STEP)]
+        backend.ansatz_distributions([thetas[0], other])
+    if state == "after eviction":
+        _evict_compile_caches()
+    backend.stacks, backend.simulated = [], []
+    got = backend.ansatz_distributions(thetas)
+    bound = [unitary.tobytes() for unitary in backend.simulated]
+    assert bound == [matrix for theta in thetas for matrix in _compiled_settings(theta)]
+    for theta, row in zip(thetas, got):
+        want = [backend.distribution(ansatz_circuit(theta, basis)) for basis in BASES]
+        assert np.array_equal(row, np.stack(want))
+
+
+def _sweep_step(theta, k):
+    """The stack of a sweep step at angle k: theta with angle k shifted by +-pi/2."""
+    shifted = np.stack([theta, theta])
+    shifted[:, k] += (np.pi / 2.0, -np.pi / 2.0)
+    return shifted
+
+
+@pytest.mark.parametrize("k", range(1, 7))
+def test_a_warm_sweep_step_applies_each_element_after_the_differing_step_once(monkeypatch, k):
+    for cached in _COMPILE_CACHES:
+        cached.cache_clear()
+    backend, enc = PhotonicVqeBackend(), QubitEncoding.default(2)
+    theta = np.linspace(0.3, 1.5, 7) + k
+    backend.ansatz_distributions(_sweep_step(theta, k - 1))
+    theta[k - 1] += 0.25  # the previous step's fitted angle
+    applied, apply = [], qubits._apply_element
+
+    def counted(u, element):
+        applied.append(element)
+        return apply(u, element)
+
+    monkeypatch.setattr(qubits, "_apply_element", counted)
+    backend.ansatz_distributions(_sweep_step(theta, k))
+    zz, xx = (_ansatz_steps(row) for row in _sweep_step(theta, k))
+
+    def elements(row, start, stop):
+        """Elements of steps start..stop-1 of a row, on the ancillas the row draws."""
+        pool, out = enc.ancilla_modes, []
+        for j, step in enumerate(row[:stop]):
+            step_elements, pool, _ = qubits._step(step, enc, pool)
+            out += step_elements if j >= start else ()
+        return out
+
+    # the previous stack stored the steps before angle k - 1's; for k = 1,
+    # the CNOT after angle 0 is new as well
+    start, differing = 0 if k == 1 else _ANGLE_STEP[k - 1], _ANGLE_STEP[k]
+    rotations = list(qubits._setting_elements("XX", enc))
+    assert applied == [
+        *elements(zz, start, differing),
+        *elements(zz, differing, differing + 1),
+        *elements(xx, differing, differing + 1),
+        *elements(zz, differing + 1, 8),  # once for the stack, as are the rotations
+        *rotations,
+    ]
+
+
+@pytest.mark.parametrize("shape", [(7,), (0, 7), (2, 6), (1, 2, 7)])
+def test_an_ansatz_stack_must_be_a_stack_of_rows(shape, monkeypatch):
+    monkeypatch.setattr(variational, "_setting_unitaries", None)  # refused before compiling
+    message = re.escape(f"expected a (K, 7) stack of angle rows with K >= 1, got shape {shape}")
+    with pytest.raises(ValueError, match=message):
+        PhotonicVqeBackend().ansatz_distributions(np.zeros(shape))
+
+
+def test_stacked_energies_match_one_vector_mitigation_row_by_row():
+    # shots drawn row by row, ZZ then XX, then each setting's rows mitigated in one call
+    backend = PhotonicVqeBackend(readout_flip=0.03)
+    gammas = {basis: build_mitigation(backend, basis, shots=500, seed=3) for basis in BASES}
+    h, thetas = h2_hamiltonian(0.75), RNG.uniform(-7.0, 7.0, (5, 7))
+    got = variational._energies(h, thetas, backend, 2000, gammas, np.random.default_rng(8))
+    rng, want = np.random.default_rng(8), []
+    for row in backend.ansatz_distributions(thetas):
+        p = [apply_mitigation(gammas[b], fock._frequencies(rng, 2000, q)) for b, q in zip(BASES, row)]
+        want.append(energy_from_distributions(h, *p))
+    assert np.asarray(got).tobytes() == np.asarray(want).tobytes()
 
 
 def test_a_backend_without_ansatz_distributions_is_named_in_the_error():
@@ -639,11 +763,6 @@ def test_each_row_of_an_ansatz_stack_is_its_own_one_row_call(k, seed, noisy):
     assert stacked.shape == (k, 2, 4)
     for i in range(k):
         assert stacked[i].tobytes() == backend.ansatz_distributions(thetas[i : i + 1])[0].tobytes()
-
-
-def test_an_ansatz_stack_must_be_a_stack_of_rows():
-    with pytest.raises(ValueError, match="expected 7 angles"):
-        PhotonicVqeBackend().ansatz_distributions(np.zeros(7))
 
 
 def _count_calls(monkeypatch, home, name):
