@@ -36,6 +36,7 @@ from .qubits import (
     _PAULI,
     _SQRT2,
     GateCircuit,
+    PostselectionRule,
     QubitEncoding,
     _pauli_signs,
     compile_gate_circuit,
@@ -355,8 +356,9 @@ def _prep_unitaries(vectors: np.ndarray) -> np.ndarray:
 def photonic_executor(circuit: GateCircuit, source: SourceModel = SourceModel()) -> Executor:
     """Executor running plans on the dual-rail photonic simulator.
 
-    The gate circuit compiles once to postselected mode optics in the
-    default encoding, and its checked unitary is the gate matrix.  A call
+    The gate circuit compiles once in the default encoding
+    (:func:`~lopsim.qubits.compile_gate_circuit`), and the executor
+    builds its postselection rule once.  A call
     stacks ``meas @ gate @ prep`` for its B configurations into one
     ``(B, m, m)`` array (the rotations are exact 2x2 blocks on each
     qubit's rail pair) and simulates and reads out the stack in one
@@ -367,7 +369,8 @@ def photonic_executor(circuit: GateCircuit, source: SourceModel = SourceModel())
     enc = QubitEncoding.default(circuit.n_qubits)
     if circuit.measurement is not None:
         raise ValueError("benchmark circuits must not embed a measurement")
-    _, rule, _, gate = compile_gate_circuit(circuit, enc)
+    gate = compile_gate_circuit(circuit, enc)
+    rule = PostselectionRule(enc.qubit_pairs, vacuum_modes=enc.ancilla_modes)
     m = enc.n_modes
     input_modes = encoding_input_modes(enc)
     pairs = np.array(enc.qubit_pairs, dtype=np.intp)

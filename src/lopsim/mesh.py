@@ -55,7 +55,7 @@ from __future__ import annotations
 
 import math
 import operator
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 from typing import Sequence
 
@@ -174,16 +174,15 @@ def _check_element_modes(element: CircuitElement, m: int) -> None:
             raise ValueError(f"mode {mode} out of range for m={m}")
 
 
-@dataclass
 class PhotonicCircuit:
-    """Ordered element list; the first element acts on the input first."""
+    """Ordered element list on ``m`` modes; the first element acts on the input first.
 
-    m: int
-    elements: list[CircuitElement] = field(default_factory=list)
+    Elements enter through :meth:`add` and :meth:`extend`, which check their modes.
+    """
 
-    def __post_init__(self) -> None:
-        for element in self.elements:
-            _check_element_modes(element, self.m)
+    def __init__(self, m: int):
+        self.m = m
+        self.elements: list[CircuitElement] = []
 
     def add(self, element: CircuitElement) -> "PhotonicCircuit":
         _check_element_modes(element, self.m)

@@ -36,13 +36,15 @@ the VQE ansatz call it, and Pauli and stabilizer expectations are sign
 vectors applied to its rows.  Only the VQE mitigation columns still read
 each circuit out of its Fock distribution with :func:`logical_distribution`.
 
-:func:`compile_gate_circuit` compiles any gate circuit through bounded
-``lru_cache`` tables (each gate's elements and 2x2 matrix, each checked
-gate list, each measurement word) and one bounded store of compiled step
-prefixes.  The VQE ansatz binds its angle rows into the same tables and
-the same compile routine (:func:`_compiled_rows`), which builds the
-rows' common prefix once and the rest side by side.  The module also
-owns the 2x2 gate constants that other modules import.
+:func:`compile_gate_circuit` returns the mode unitary a gate circuit is
+read out through, from one bounded ``lru_cache`` over bounded tables
+(each gate's elements and 2x2 matrix, each word's rotations) and one
+bounded store of compiled step prefixes.  The VQE ansatz binds its angle
+rows into the same tables and compile routine (:func:`_compiled_rows`),
+which builds the rows' common prefix once and the rest side by side; the
+compile, the ansatz and the GHZ fidelity apply measurement words through
+:func:`_rotations`.  The module also owns the 2x2 gate constants that
+other modules import.
 """
 
 from __future__ import annotations
@@ -261,13 +263,18 @@ def _logical_matrix(n: int, steps: Sequence[tuple], start: np.ndarray | None = N
 
 @dataclass(frozen=True)
 class GateCircuit:
-    """Qubit-level circuit: gate list plus an optional Pauli measurement."""
+    """Qubit-level circuit: gate list plus an optional Pauli measurement.
+
+    ``n_qubits`` is taken through ``operator.index``, so a float raises
+    ``TypeError``.
+    """
 
     n_qubits: int
     gates: tuple[Gate, ...] = ()
     measurement: str | None = None
 
     def __post_init__(self) -> None:
+        object.__setattr__(self, "n_qubits", operator.index(self.n_qubits))
         object.__setattr__(self, "gates", tuple(self.gates))
         if not 1 <= self.n_qubits <= 3:
             raise ValueError(f"supported qubit counts are 1..3, got {self.n_qubits}")
@@ -561,19 +568,23 @@ def encoding_input_modes(enc: QubitEncoding) -> tuple[int, ...]:
     return tuple(enc.rail(q, 0) for q in range(enc.n_qubits))
 
 
-def pauli_measurement_setting(word: str, enc: QubitEncoding) -> PhotonicCircuit:
-    """Basis-change rotations so rail detection measures the Pauli word."""
+@lru_cache(maxsize=16)
+def pauli_measurement_setting(word: str, enc: QubitEncoding) -> tuple[CircuitElement, ...]:
+    """Basis-change rotation elements so rail detection measures the Pauli word.
+
+    Cached per word and encoding; I and Z letters add no element.
+    """
     word = word.upper()
     if len(word) != enc.n_qubits:
         raise ValueError(f"word {word!r} does not match {enc.n_qubits} qubits")
-    circuit = PhotonicCircuit(enc.n_modes)
+    elements: list[CircuitElement] = []
     for q, pauli in enumerate(word):
         if pauli not in _MEAS_ROT:
             raise ValueError(f"bad Pauli letter {pauli!r}")
         rotation = _MEAS_ROT[pauli]
         if rotation is not _ID2:
-            circuit.extend(two_mode_gate_elements(rotation, *enc.qubit_pairs[q]))
-    return circuit
+            elements.extend(two_mode_gate_elements(rotation, *enc.qubit_pairs[q]))
+    return tuple(elements)
 
 
 @lru_cache(maxsize=256)
@@ -737,8 +748,8 @@ def _compiled_rows(
     """Checked mode matrices of K step lists of one length side by side,
     ``(m, K*m)``, and their success products.
 
-    The one compile routine, of :func:`_checked_gates` (K = 1) and the
-    VQE ansatz stacks.  The rows' common prefix comes from the store
+    The one compile routine, of :func:`compile_gate_circuit` (K = 1) and
+    the VQE ansatz stacks.  The rows' common prefix comes from the store
     (:func:`_prefix`).  After it, a step the same in every row (drawing
     the same ancillas) is applied once to the whole array, and one on
     which the rows differ to each row's own column block, so every entry
@@ -780,79 +791,51 @@ def _compiled_rows(
     return wide, successes
 
 
-@lru_cache(maxsize=64)
-def _checked_gates(
-    steps: tuple[tuple, ...], enc: QubitEncoding
-) -> tuple[tuple[CircuitElement, ...], ModeUnitary, float]:
-    """Elements, mode unitary and success product of (name, qubits, angle) steps.
+def _rotations(wide: np.ndarray, words: Sequence[str], enc: QubitEncoding) -> np.ndarray:
+    """Read-only ``(K*W, m, m)`` stack: entry ``k*W + w`` is unitary k of the
+    ``(m, K*m)`` side-by-side array ``wide`` followed by word w's rotations.
 
-    The K = 1 case of :func:`_compiled_rows`: entangling gates take fresh
-    ancillas from the encoding pool in step order, and the list is
-    checked against its logical unitary once.  A failing list raises
-    uncached, a repeated one gets back the unitary its check passed.
+    Each word's elements are applied once to a copy of the whole array
+    (to none for a word without any), so every entry is bit for bit the
+    element-by-element product.
     """
-    modes, [success] = _compiled_rows((steps,), enc)
-    elements: list[CircuitElement] = []
-    pool = enc.ancilla_modes
-    for step in steps:
-        step_elements, pool, _ = _step(step, enc, pool)
-        elements.extend(step_elements)
-    return tuple(elements), ModeUnitary(modes), success
-
-
-@lru_cache(maxsize=16)
-def _setting_elements(word: str, enc: QubitEncoding) -> tuple[CircuitElement, ...]:
-    """Elements of the basis-change rotations of one measurement word."""
-    return tuple(pauli_measurement_setting(word, enc).elements)
-
-
-def _rotated(unitary: ModeUnitary, setting: Sequence[CircuitElement]) -> ModeUnitary:
-    """``unitary`` followed by a word's rotation elements, applied to a copy; as is without any."""
-    if not setting:
-        return unitary
-    modes = unitary.matrix.copy()
-    for element in setting:
-        _apply_element(modes, element)
-    return ModeUnitary(modes)
-
-
-def _setting_unitaries(
-    rows: Sequence[tuple[tuple, ...]], words: Sequence[str], enc: QubitEncoding
-) -> np.ndarray:
-    """Read-only ``(K*W, m, m)`` stack: entry ``k*W + w`` is row k's compile
-    followed by word w's rotations, bit for bit :func:`compile_gate_circuit`'s.
-
-    Each word's rotations are applied once to a copy of the whole
-    side-by-side array (:func:`_compiled_rows`).
-    """
-    wide, _ = _compiled_rows(rows, enc)
     m = enc.n_modes
     settings = []
     for word in words:
-        setting = _setting_elements(word, enc)
+        setting = pauli_measurement_setting(word, enc)
         rotated = wide.copy() if setting else wide
         for element in setting:
             _apply_element(rotated, element)
-        settings.append(rotated.reshape(m, len(rows), m))
+        settings.append(rotated.reshape(m, -1, m))
     stack = np.stack(settings, axis=1).transpose(2, 1, 0, 3).reshape(-1, m, m)
     stack.setflags(write=False)
     return stack
 
 
-def compile_gate_circuit(
-    gc: GateCircuit, enc: QubitEncoding | None = None
-) -> tuple[PhotonicCircuit, PostselectionRule, float, ModeUnitary]:
-    """Compile a gate circuit to mode elements plus its postselection rule.
+@lru_cache(maxsize=64)
+def _compiled_unitary(
+    steps: tuple[tuple, ...], word: str | None, enc: QubitEncoding
+) -> ModeUnitary:
+    """Checked mode unitary of (name, qubits, angle) steps followed by ``word``'s rotations.
 
-    Entangling gates draw fresh ancilla modes from the encoding pool so
-    their postselected actions compose exactly; running out of ancillas
-    raises ``CompilationError``.  Every distinct gate list is checked
-    against its logical unitary (:func:`_checked_gates`, which caches
-    it), on the longest prefix of the list that the compiled-prefix store
-    holds.  The compiled circuit's unitary, exactly its ``unitary()``, is
-    returned as the last item (:func:`_rotated`).  The success
-    probability is the postselection weight, independent of the input
-    state (1/9 per CNOT, (2^(1/3)-1)^3 per Toffoli).
+    The K = 1 case of :func:`_compiled_rows` and :func:`_rotations`; a
+    failing list raises uncached.
+    """
+    wide, _ = _compiled_rows((steps,), enc)
+    return ModeUnitary(_rotations(wide, (word or "I" * enc.n_qubits,), enc)[0])
+
+
+def compile_gate_circuit(gc: GateCircuit, enc: QubitEncoding | None = None) -> ModeUnitary:
+    """The checked mode unitary of a gate circuit, then its word's rotations.
+
+    Read-only and cached per (gate list, word, encoding), so a repeated
+    circuit gets back the same object.  Entangling gates draw fresh
+    ancilla modes from the encoding pool so their postselected actions
+    compose exactly; running out raises ``CompilationError``.  Every
+    distinct gate list is checked against its logical unitary, with
+    success weight 1/9 per CNOT and (2^(1/3)-1)^3 per Toffoli, on the
+    longest prefix the compiled-prefix store holds.  Callers postselect
+    with ``PostselectionRule(enc.qubit_pairs, vacuum_modes=enc.ancilla_modes)``.
     """
     if enc is None:
         enc = QubitEncoding.default(gc.n_qubits)
@@ -861,11 +844,7 @@ def compile_gate_circuit(
             f"encoding has {enc.n_qubits} qubits, circuit needs {gc.n_qubits}"
         )
     steps = tuple((g.name, g.qubits, g.angle) for g in gc.gates)
-    gate_elements, unitary, success = _checked_gates(steps, enc)
-    setting = _setting_elements(gc.measurement, enc) if gc.measurement else ()
-    rule = PostselectionRule(enc.qubit_pairs, vacuum_modes=enc.ancilla_modes)
-    circuit = PhotonicCircuit(enc.n_modes, [*gate_elements, *setting])
-    return circuit, rule, success, _rotated(unitary, setting)
+    return _compiled_unitary(steps, gc.measurement, enc)
 
 
 # ---------------------------------------------------------------------------
@@ -1023,19 +1002,19 @@ def ghz_noisy_fidelity(source: SourceModel = SourceModel()) -> tuple[float, dict
     """GHZ fidelity of the factory, pooled over the h+ heralds.
 
     ``source`` is the photon source (perfect by default).  The
-    factory unitary is built once; each of the five measurement words
-    rotates a copy of it (:func:`_rotated`), which is read with
-    threshold detection in one :func:`logical_distributions` call (a
+    factory unitary is built once and the five measurement words rotate
+    it as one stack (:func:`_rotations`); each entry is read with
+    threshold detection in its own :func:`logical_distributions` call (a
     batch of five is slower on the noisy 12-mode sectors); the two-qubit
     Z words are parity marginals of the ZZZ readout.  Returns the
     stabilizer-average fidelity together with the eight expectations.
     """
     circuit, heralds, encoding = ghz_factory()
     rule = ghz_postselection(heralds, threshold=True)
-    base = circuit.unitary()
-    logical = {}
-    for word in GHZ_MEASUREMENT_SETTINGS:
-        unitary = _rotated(base, _setting_elements(word, encoding)).matrix[None]
-        logical[word] = logical_distributions(unitary, GHZ_INPUT_MODES, rule, source)[0]
+    stack = _rotations(circuit.unitary().matrix, GHZ_MEASUREMENT_SETTINGS, encoding)
+    logical = {
+        word: logical_distributions(unitary[None], GHZ_INPUT_MODES, rule, source)[0]
+        for word, unitary in zip(GHZ_MEASUREMENT_SETTINGS, stack)
+    }
     expectations = _ghz_expectations(logical)
     return ghz_fidelity(expectations), expectations

@@ -33,7 +33,8 @@ from .qubits import (
     GateCircuit,
     PostselectionRule,
     QubitEncoding,
-    _setting_unitaries,
+    _compiled_rows,
+    _rotations,
     compile_gate_circuit,
     encoding_input_modes,
     logical_distribution,
@@ -212,13 +213,14 @@ class PhotonicVqeBackend:
     def distribution(self, circuit: GateCircuit) -> np.ndarray:
         """Probabilities of the four logical outcomes, qubit 0 first.
 
-        The unitary that the compile check built is the one simulated.
+        The circuit's cached compile (:func:`~lopsim.qubits.compile_gate_circuit`)
+        is simulated and read through the backend's postselection rule.
         """
         if circuit.n_qubits != 2:
             raise ValueError("backend is wired for two-qubit circuits")
-        _, rule, _, unitary = compile_gate_circuit(circuit, self._encoding)
+        unitary = compile_gate_circuit(circuit, self._encoding)
         dist = noisy_simulate(unitary, self._labeled)
-        return self._confusion @ logical_distribution(dist, rule)[0].ravel()
+        return self._confusion @ logical_distribution(dist, self._rule)[0].ravel()
 
     def ansatz_distributions(self, thetas: np.ndarray) -> np.ndarray:
         """Logical outcome probabilities of the ansatz in each setting of ``BASES``.
@@ -228,9 +230,10 @@ class PhotonicVqeBackend:
         ``thetas`` is a ``(K, 7)`` stack with K >= 1, refused by shape
         before anything compiles, and the result is ``(K, 2, 4)``.  The
         rows compile side by side with no ``Gate``, on their common step
-        prefix from the compiled-prefix store
-        (:func:`~lopsim.qubits._setting_unitaries`), and the 2K setting
-        unitaries run through one :func:`~lopsim.qubits.logical_distributions` call.
+        prefix from the compiled-prefix store (:func:`~lopsim.qubits._compiled_rows`),
+        each setting's rotations go onto a copy of the whole array
+        (:func:`~lopsim.qubits._rotations`), and the 2K setting unitaries run
+        through one :func:`~lopsim.qubits.logical_distributions` call.
         """
         thetas = np.asarray(thetas, dtype=float)
         if thetas.ndim != 2 or thetas.shape[1] != N_ANSATZ_ANGLES or not len(thetas):
@@ -239,7 +242,8 @@ class PhotonicVqeBackend:
                 f" got shape {thetas.shape}"
             )
         rows = [_ansatz_steps(theta) for theta in thetas]
-        stack = _setting_unitaries(rows, BASES, self._encoding)
+        wide, _ = _compiled_rows(rows, self._encoding)
+        stack = _rotations(wide, BASES, self._encoding)
         logical = logical_distributions(stack, self._input_modes, self._rule, self.source)
         return np.array([self._confusion @ row for row in logical]).reshape(-1, len(BASES), 4)
 

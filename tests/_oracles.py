@@ -21,9 +21,10 @@ built element by element and its pattern matrix merged row by row over
 the whole twelve-mode basis, the mesh transfer matrix and its derivatives as products
 of per-element factors, the element kernel with numpy scalars, the
 rail amplitudes of a mode unitary from a SLOS pass over the whole
-n-photon basis, the VQE ansatz as a gate circuit, and a VQE backend
-that compiles every circuit, the ansatz settings included, from scratch
-and reads each out alone.  Three
+n-photon basis, the gate compile as an element list with its success
+product, the VQE ansatz as a gate circuit, and a VQE backend that
+compiles every circuit, the ansatz settings included, from scratch as an
+element list and reads each out alone.  Three
 helpers serve the tests: :func:`placed_distribution` builds hand-written
 inputs, :func:`basis_states` lists a basis as occupation tuples for the
 tuple-keyed oracles, and :func:`values_at` reads a distribution at those
@@ -77,14 +78,15 @@ from lopsim.qubits import (
     _MEAS_ROT,
     Gate,
     GateCircuit,
+    PostselectionRule,
     QubitEncoding,
     _PREFIXES,
-    _checked_gates,
+    _compiled_unitary,
     _gate_elements,
     _pauli_signs,
-    _setting_elements,
-    compile_gate_circuit,
+    _step,
     logical_distribution,
+    pauli_measurement_setting,
 )
 from lopsim.sources import (
     TAIL_TOLERANCE,
@@ -864,6 +866,28 @@ def rail_amplitudes_slos(unitary: np.ndarray, enc: QubitEncoding) -> np.ndarray:
     return amps[:, enumerate_basis(enc.n_modes, n).rank(rows)].T
 
 
+def compiled_circuit(
+    gc: GateCircuit, enc: QubitEncoding | None = None
+) -> tuple[PhotonicCircuit, float]:
+    """A gate circuit compiled element by element, and its success product.
+
+    Each gate's elements come from ``qubits._step`` on the ancillas the
+    gates draw in order, followed by the measurement word's rotation
+    elements; the success is the product of the gates' factors.  Nothing
+    is checked: the circuit's ``unitary()`` is what ``compile_gate_circuit``
+    must return bit for bit.
+    """
+    enc = enc or QubitEncoding.default(gc.n_qubits)
+    circuit, pool, success = PhotonicCircuit(enc.n_modes), enc.ancilla_modes, 1.0
+    for gate in gc.gates:
+        elements, pool, factor = _step((gate.name, gate.qubits, gate.angle), enc, pool)
+        circuit.extend(elements)
+        success *= factor
+    if gc.measurement:
+        circuit.extend(pauli_measurement_setting(gc.measurement, enc))
+    return circuit, success
+
+
 def ansatz_circuit(theta: Sequence[float], basis: str = "ZZ") -> GateCircuit:
     """Seven-angle two-qubit ansatz measured in the ``basis`` setting.
 
@@ -882,9 +906,9 @@ def ansatz_circuit(theta: Sequence[float], basis: str = "ZZ") -> GateCircuit:
 class PerEvaluationVqeBackend(PhotonicVqeBackend):
     """``PhotonicVqeBackend`` with no compiler kept between circuits.
 
-    Every circuit is compiled from scratch by ``compile_gate_circuit``
-    after its caches are emptied, so nothing one evaluation compiled is
-    reused by the next, and the ansatz settings of a stack of angle rows
+    Every circuit is compiled from scratch by :func:`compiled_circuit`
+    after the compile caches are emptied, so nothing one evaluation
+    compiled is reused by the next, and the ansatz settings of a stack of angle rows
     are the compiles of ``ansatz_circuit(theta, basis)``, one per row
     and basis, not the bound compile, read out one circuit at a time,
     not in one stacked pass.  Each is read out through a Fock
@@ -892,7 +916,7 @@ class PerEvaluationVqeBackend(PhotonicVqeBackend):
     the perfect source, so the ideal cases compare the trigger sum the
     backend runs with the ideal simulator, and ``noisy_simulate``
     otherwise.  The encoding, input and readout-flip matrix are built
-    here, not read from the backend.
+    here, as is the postselection rule, not read from the backend.
     """
 
     def distribution(self, circuit):
@@ -900,9 +924,10 @@ class PerEvaluationVqeBackend(PhotonicVqeBackend):
             raise ValueError("backend is wired for two-qubit circuits")
         enc = QubitEncoding.default(2)
         modes = tuple(rail0 for rail0, _ in enc.qubit_pairs)
-        for cached in (_gate_elements, _checked_gates, _PREFIXES, _setting_elements):
+        for cached in (_gate_elements, _compiled_unitary, _PREFIXES, pauli_measurement_setting):
             cached.cache_clear()
-        _, rule, _, unitary = compile_gate_circuit(circuit, enc)
+        unitary = compiled_circuit(circuit, enc)[0].unitary()
+        rule = PostselectionRule(enc.qubit_pairs, vacuum_modes=enc.ancilla_modes)
         if self.source == SourceModel():  # the ideal simulator, not the trigger sum
             dist = strong_simulate(unitary, modes)
         else:

@@ -122,12 +122,12 @@ class TestElements:
         ],
         ids=["negative", "past-the-end", "short-permutation"],
     )
-    def test_elements_given_at_construction_are_checked_as_add_checks_them(self, element, message):
+    def test_elements_given_to_extend_are_checked_as_add_checks_them(self, element, message):
         # a negative mode would otherwise index from the end of the matrix
         with pytest.raises(ValueError, match=message):
             PhotonicCircuit(3).add(element)
         with pytest.raises(ValueError, match=message):
-            PhotonicCircuit(3, [PhaseShifter(0, 0.1), element])
+            PhotonicCircuit(3).extend([PhaseShifter(0, 0.1), element])
 
     def test_compose_order_is_first_element_first(self):
         # A phase on mode 0 before the coupler lands on the coupler input.
@@ -273,7 +273,7 @@ class TestMeshLayout:
             for e in balanced.elements
         ]
         direct = layout.unitary(phases, refl, output).matrix
-        expanded = PhotonicCircuit(m, imperfect).unitary().matrix
+        expanded = PhotonicCircuit(m).extend(imperfect).unitary().matrix
         assert np.max(np.abs(direct - expanded)) < 1e-12
 
     @pytest.mark.parametrize(

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from _oracles import (
     ansatz_circuit,
+    compiled_circuit,
     pauli_matrix,
     placed_distribution,
     postselect_by_state,
@@ -115,10 +116,19 @@ def kron_logical_unitary(gc):
     return total
 
 
+def default_rule(n_qubits):
+    """One photon per rail pair and vacuum on the ancillas of the default encoding."""
+    enc = QubitEncoding.default(n_qubits)
+    return PostselectionRule(enc.qubit_pairs, vacuum_modes=enc.ancilla_modes)
+
+
 def compiled_matrix_and_scale(gc, enc=None):
-    circuit, rule, success, _ = compile_gate_circuit(gc, enc)
+    """Rail amplitudes of the compile, the logical unitary, their ratio and the oracle's success."""
     enc = enc or QubitEncoding.default(gc.n_qubits)
-    mat = qubits._rail_amplitudes(circuit.unitary().matrix, enc)
+    circuit, success = compiled_circuit(gc, enc)
+    unitary = compile_gate_circuit(gc, enc)
+    assert unitary.matrix.tobytes() == circuit.unitary().matrix.tobytes()
+    mat = qubits._rail_amplitudes(unitary.matrix, enc)
     target = gc.logical_unitary()
     anchor = np.unravel_index(np.argmax(np.abs(target)), target.shape)
     scale = mat[anchor] / target[anchor]
@@ -200,6 +210,17 @@ class TestGateValidation:
     def test_circuit_qubit_count_range(self):
         with pytest.raises(ValueError, match="1..3"):
             GateCircuit(4)
+
+    @pytest.mark.parametrize("count", [2.5, 2.0])
+    def test_a_float_qubit_count_raises_at_construction(self, count):
+        with pytest.raises(TypeError):
+            GateCircuit(count, (Gate("H", (0,)),))
+        with pytest.raises(TypeError):
+            GateCircuit.from_text("H 0", n_qubits=count)
+
+    def test_an_integer_like_qubit_count_is_stored_as_int(self):
+        gc = GateCircuit(np.int64(2), (Gate("H", (0,)),))
+        assert type(gc.n_qubits) is int and gc.logical_unitary().shape == (4, 4)
 
     def test_measurement_word_checked(self):
         with pytest.raises(ValueError, match="bad measurement"):
@@ -294,8 +315,7 @@ class TestLogicalMatrix:
     def test_matches_per_entry_amplitudes(self, n_qubits, seed):
         gc = random_gate_circuit(n_qubits, np.random.default_rng([seed, n_qubits]))
         enc = QubitEncoding.default(n_qubits)
-        circuit, _, _, _ = compile_gate_circuit(gc, enc)
-        unitary = circuit.unitary()
+        unitary = compile_gate_circuit(gc, enc)
         states = [rail_modes(enc, bits) for bits in np.ndindex((2,) * n_qubits)]
         expected = np.array(
             [[output_amplitude(unitary, col, row) for col in states] for row in states]
@@ -324,9 +344,8 @@ class TestSingleQubitCompilation:
 
     def test_t_gate_on_plus_state(self):
         gc = GateCircuit.from_text("H 0\nT 0")
-        circuit, rule, success, _ = compile_gate_circuit(gc)
-        assert success == 1.0
-        mat = qubits._rail_amplitudes(circuit.unitary().matrix, QubitEncoding.default(1))
+        assert compiled_circuit(gc)[1] == 1.0
+        mat = qubits._rail_amplitudes(compile_gate_circuit(gc).matrix, QubitEncoding.default(1))
         column = mat[:, 0] / mat[0, 0] * abs(mat[0, 0])
         expected = np.array([1.0, np.exp(1j * np.pi / 4)]) / np.sqrt(2)
         assert np.max(np.abs(column - expected)) < 1e-12
@@ -352,16 +371,15 @@ class TestCnotCompilation:
 
     def test_one_zero_maps_to_one_one(self):
         gc = GateCircuit(2, (Gate("CNOT", (0, 1)),))
-        circuit, rule, _, _ = compile_gate_circuit(gc)
         enc = QubitEncoding.default(2)
-        dist = strong_simulate(circuit.unitary(), rail_modes(enc, (1, 0)))
-        logical, weight = logical_distribution(dist, rule)
+        dist = strong_simulate(compile_gate_circuit(gc), rail_modes(enc, (1, 0)))
+        logical, weight = logical_distribution(dist, default_rule(2))
         assert logical[(1, 1)] == pytest.approx(1.0, abs=1e-12)
         assert weight == pytest.approx(CNOT_SUCCESS, abs=1e-12)
 
     def test_success_is_input_independent(self):
         gc = GateCircuit(2, (Gate("CNOT", (0, 1)),))
-        circuit, _, _, _ = compile_gate_circuit(gc)
+        circuit, _ = compiled_circuit(gc)
         enc = QubitEncoding.default(2)
         weights = []
         for _ in range(20):
@@ -376,7 +394,7 @@ class TestCnotCompilation:
 
     def test_random_product_inputs_follow_the_gate(self):
         gc = GateCircuit(2, (Gate("CNOT", (0, 1)),))
-        circuit, _, _, _ = compile_gate_circuit(gc)
+        circuit, _ = compiled_circuit(gc)
         enc = QubitEncoding.default(2)
         for _ in range(20):
             u_a, u_b = haar_2x2(RNG), haar_2x2(RNG)
@@ -443,10 +461,9 @@ class TestToffoliCompilation:
 
     def test_one_one_zero_flips_target(self):
         gc = GateCircuit(3, (Gate("TOFFOLI", (0, 1, 2)),))
-        circuit, rule, _, _ = compile_gate_circuit(gc)
         enc = QubitEncoding.default(3)
-        dist = strong_simulate(circuit.unitary(), rail_modes(enc, (1, 1, 0)))
-        logical, weight = logical_distribution(dist, rule)
+        dist = strong_simulate(compile_gate_circuit(gc), rail_modes(enc, (1, 1, 0)))
+        logical, weight = logical_distribution(dist, default_rule(3))
         assert logical[(1, 1, 1)] == pytest.approx(1.0, abs=1e-12)
         assert weight == pytest.approx(TOFFOLI_SUCCESS, rel=1e-9)
 
@@ -481,13 +498,24 @@ class TestToffoliCompilation:
     ["T 0", "H 0\nMEASURE X", "RY 0 0.4\nCNOT 0 1\nRX 1 1.1", "CNOT 1 0\nMEASURE YX",
      "TOFFOLI 0 1 2", "H 2\nTOFFOLI 0 1 2\nMEASURE XZY"],
 )
-def test_compile_returns_the_circuit_unitary(text):
-    circuit, _, _, unitary = compile_gate_circuit(GateCircuit.from_text(text))
-    assert np.array_equal(unitary.matrix, circuit.unitary().matrix)
+def test_compile_returns_the_circuit_unitary(text, cold_compile):
+    # cold, then warm (the same object), then after cache_clear; and the gate
+    # list alone, on the prefix store the word's compile left
+    gc = GateCircuit.from_text(text)
+    unmeasured = replace(gc, measurement=None)
+    cold = compile_gate_circuit(gc)
+    warm = compile_gate_circuit(gc)
+    bare = compile_gate_circuit(unmeasured)
+    _clear_compile_caches()
+    cleared = [compile_gate_circuit(gc), compile_gate_circuit(unmeasured)]
+    assert warm is cold
+    got = [u.matrix.tobytes() for u in (cold, warm, bare, *cleared)]
+    want = [compiled_circuit(c)[0].unitary().matrix.tobytes() for c in (gc, gc, unmeasured, gc, unmeasured)]
+    assert got == want
 
 
 _COMPILE_CACHES = (
-    qubits._gate_elements, qubits._checked_gates, qubits._PREFIXES, qubits._setting_elements
+    qubits._gate_elements, qubits._compiled_unitary, qubits._PREFIXES, qubits.pauli_measurement_setting
 )
 
 
@@ -558,11 +586,8 @@ def test_a_warm_compile_matches_a_cold_one(circuits):
         if isinstance(want, str):
             assert got == want
             continue
-        circuit, rule, success, unitary = got
-        assert repr(circuit.elements) == repr(want[0].elements)
-        assert (rule, success) == (want[1], want[2])
-        assert unitary.matrix.tobytes() == want[3].matrix.tobytes()
-        assert unitary.matrix.tobytes() == circuit.unitary().matrix.tobytes()
+        assert got.matrix.tobytes() == want.matrix.tobytes()
+        assert got.matrix.tobytes() == compiled_circuit(gc)[0].unitary().matrix.tobytes()
 
 
 def test_a_compile_after_an_exhausted_pool_matches_a_cold_one(cold_compile):
@@ -575,8 +600,8 @@ def test_a_compile_after_an_exhausted_pool_matches_a_cold_one(cold_compile):
     got = compile_gate_circuit(after, enc)
     _clear_compile_caches()
     want = compile_gate_circuit(after, enc)
-    assert got[0].elements == want[0].elements
-    assert got[3].matrix.tobytes() == want[3].matrix.tobytes()
+    assert got.matrix.tobytes() == want.matrix.tobytes()
+    assert got.matrix.tobytes() == compiled_circuit(after, enc)[0].unitary().matrix.tobytes()
 
 
 @st.composite
@@ -606,11 +631,11 @@ def test_step_lists_compiled_side_by_side_match_their_own_compiles(stack):
     for row in rows:
         _clear_compile_caches()
         try:
-            _, unitary, success = qubits._checked_gates(row, enc)
+            unitary, [success] = qubits._compiled_rows((row,), enc)
         except CompilationError as exc:
             errors.add(str(exc))
         else:
-            want.append((unitary.matrix.tobytes(), success))
+            want.append((unitary.tobytes(), success))
     if errors:  # the stack raises one failing row's error
         assert got in errors
     else:
@@ -626,17 +651,17 @@ def test_a_mode_budget_failure_stores_no_prefix_past_the_last_good_step(cold_com
     enc = QubitEncoding.default(2)
     good = (("RY", (0,), 0.3), ("CNOT", (0, 1), None), ("RX", (1,), 0.5))
     failing = (*good, ("CNOT", (1, 0), None), ("RZ", (0,), 0.2))
-    qubits._checked_gates(good[:2], enc)
+    qubits._compiled_rows((good[:2],), enc)
     for rows in [(failing,), (failing, (("RY", (0,), -0.3), *failing[1:]))]:
         with pytest.raises(CompilationError, match="mode budget"):
             qubits._compiled_rows(rows, enc)
         for row in rows:
             assert max(_stored_prefixes(row, enc), default=0) <= len(good)
     assert _stored_prefixes(failing, enc) == [2]
-    got = qubits._checked_gates(good, enc)
+    got = qubits._compiled_unitary(good, None, enc)
     _clear_compile_caches()
-    want = qubits._checked_gates(good, enc)
-    assert got[0] == want[0] and got[1].matrix.tobytes() == want[1].matrix.tobytes()
+    want = qubits._compiled_unitary(good, None, enc)
+    assert got.matrix.tobytes() == want.matrix.tobytes()
 
 
 def test_a_2000_gate_list_compiles_without_recursion_and_matches_a_cold_compile(cold_compile):
@@ -645,11 +670,12 @@ def test_a_2000_gate_list_compiles_without_recursion_and_matches_a_cold_compile(
     gates = tuple(Gate(n, (0,), float(a) if n[0] == "R" else None) for n, a in zip(names, rng.normal(size=2000)))
     enc = QubitEncoding.default(1)
     compile_gate_circuit(GateCircuit(1, gates[:1200]), enc)  # a stored prefix to build on
-    circuit, _, success, got = compile_gate_circuit(GateCircuit(1, gates, "X"), enc)
+    got = compile_gate_circuit(GateCircuit(1, gates, "X"), enc)
     _clear_compile_caches()
     want = compile_gate_circuit(GateCircuit(1, gates, "X"), enc)
-    assert circuit.elements == want[0].elements and success == want[2] == 1.0
-    assert got.matrix.tobytes() == want[3].matrix.tobytes() == circuit.unitary().matrix.tobytes()
+    circuit, success = compiled_circuit(GateCircuit(1, gates, "X"), enc)
+    assert success == 1.0
+    assert got.matrix.tobytes() == want.matrix.tobytes() == circuit.unitary().matrix.tobytes()
 
 
 def test_a_sweep_step_decomposes_and_checks_only_what_changed(monkeypatch, cold_compile):
@@ -686,14 +712,11 @@ def test_the_caches_stay_bounded_and_hand_out_read_only_matrices(cold_compile):
     for cached in _COMPILE_CACHES:
         info = cached.cache_info()
         assert info.maxsize is not None and info.currsize <= info.maxsize
-    steps = tuple((g.name, g.qubits, g.angle) for g in gates)
-    _, unitary, _ = qubits._checked_gates(steps, enc)
-    with pytest.raises(ValueError, match="read-only"):
-        unitary.matrix[0, 0] = 0.0
-    assert compile_gate_circuit(GateCircuit(2, gates), enc)[3] is unitary
-    rotated = compile_gate_circuit(GateCircuit(2, gates, "XY"), enc)[3]
-    with pytest.raises(ValueError, match="read-only"):
-        rotated.matrix[0, 0] = 0.0
+    for word in (None, "XY"):
+        unitary = compile_gate_circuit(GateCircuit(2, gates, word), enc)
+        with pytest.raises(ValueError, match="read-only"):
+            unitary.matrix[0, 0] = 0.0
+        assert compile_gate_circuit(GateCircuit(2, gates, word), enc) is unitary
 
 
 @pytest.mark.parametrize("n_qubits", [1, 2, 3])
@@ -812,7 +835,7 @@ class TestPostselectionRule:
 class TestPauliMeasurement:
     def test_z_and_identity_words_add_nothing(self):
         enc = QubitEncoding.default(2)
-        assert pauli_measurement_setting("ZI", enc).elements == []
+        assert pauli_measurement_setting("ZI", enc) == ()
 
     def test_word_validation(self):
         enc = QubitEncoding.default(2)
@@ -824,28 +847,24 @@ class TestPauliMeasurement:
     def test_rotations_diagonalize_the_word(self):
         enc = QubitEncoding.default(1)
         for letter in "XY":
-            circuit = pauli_measurement_setting(letter, enc)
-            u = circuit.unitary().matrix[:2, :2]
+            circuit = PhotonicCircuit(enc.n_modes).extend(pauli_measurement_setting(letter, enc))
+            u = circuit.unitary().matrix
             rotated = u @ pauli_matrix(letter) @ u.conj().T
             assert np.max(np.abs(rotated - pauli_matrix("Z"))) < 1e-12
 
     def test_x_on_plus_state(self):
         gc = GateCircuit(1, (Gate("H", (0,)),), measurement="X")
-        circuit, rule, _, _ = compile_gate_circuit(gc)
         modes = encoding_input_modes(QubitEncoding.default(1))
-        assert pauli_readout(circuit.unitary(), modes, rule, "X") == pytest.approx(
-            1.0, abs=1e-12
-        )
+        readout = pauli_readout(compile_gate_circuit(gc), modes, default_rule(1), "X")
+        assert readout == pytest.approx(1.0, abs=1e-12)
 
     def test_y_on_circular_state(self):
         gc = GateCircuit(
             1, (Gate("H", (0,)), Gate("RZ", (0,), np.pi / 2)), measurement="Y"
         )
-        circuit, rule, _, _ = compile_gate_circuit(gc)
         modes = encoding_input_modes(QubitEncoding.default(1))
-        assert pauli_readout(circuit.unitary(), modes, rule, "Y") == pytest.approx(
-            1.0, abs=1e-12
-        )
+        readout = pauli_readout(compile_gate_circuit(gc), modes, default_rule(1), "Y")
+        assert readout == pytest.approx(1.0, abs=1e-12)
 
     def test_bell_state_correlations(self):
         enc = QubitEncoding.default(2)
@@ -853,11 +872,9 @@ class TestPauliMeasurement:
         expected = {"ZZ": 1.0, "XX": 1.0, "YY": -1.0, "ZI": 0.0, "IZ": 0.0}
         for word, value in expected.items():
             gc = GateCircuit(2, base.gates, measurement=word)
-            circuit, rule, _, _ = compile_gate_circuit(gc)
             modes = encoding_input_modes(enc)
-            assert pauli_readout(circuit.unitary(), modes, rule, word) == pytest.approx(
-                value, abs=1e-12
-            )
+            readout = pauli_readout(compile_gate_circuit(gc), modes, default_rule(2), word)
+            assert readout == pytest.approx(value, abs=1e-12)
 
 
 @pytest.fixture(scope="module")
@@ -960,7 +977,7 @@ class TestGhzFactory:
         logical = {}
         for setting in GHZ_MEASUREMENT_SETTINGS:
             run = PhotonicCircuit(12).extend(circuit.elements)
-            run.extend(pauli_measurement_setting(setting, encoding).elements)
+            run.extend(pauli_measurement_setting(setting, encoding))
             dist = strong_simulate(run.unitary(), GHZ_INPUT_MODES)
             logical[setting] = logical_distribution(dist, rule)[0].ravel()
         ideal = qubits._ghz_expectations(logical)
@@ -991,7 +1008,7 @@ class TestGhzFactory:
             setting = "ZZZ" if set(word) <= {"Z", "I"} else word
             circuit, _, encoding = ghz_factory()
             run = PhotonicCircuit(12).extend(circuit.elements)
-            run.extend(pauli_measurement_setting(setting, encoding).elements)
+            run.extend(pauli_measurement_setting(setting, encoding))
             rule = ghz_postselection([herald])
             measured = pauli_readout(run.unitary(), GHZ_INPUT_MODES, rule, word)
             assert measured == pytest.approx(direct, abs=1e-9), word

@@ -149,9 +149,10 @@ def test_batched_readout_matches_one_distribution_per_unitary(n_qubits, batch, s
 
 
 def test_ravel_puts_qubit_zero_first():
-    circuit, rule, _, _ = compile_gate_circuit(GateCircuit(2, (Gate("CNOT", (0, 1)),)))
     enc = QubitEncoding.default(2)
-    dist = strong_simulate(circuit.unitary(), rail_modes(enc, (1, 0)))
+    unitary = compile_gate_circuit(GateCircuit(2, (Gate("CNOT", (0, 1)),)), enc)
+    rule = PostselectionRule(enc.qubit_pairs, vacuum_modes=enc.ancilla_modes)
+    dist = strong_simulate(unitary, rail_modes(enc, (1, 0)))
     probs, _ = logical_distribution(dist, rule)
     assert probs.ravel()[3] == pytest.approx(1.0, abs=1e-12)
     assert probs.ravel()[3] == probs[1, 1]
@@ -181,7 +182,8 @@ def test_a_rule_built_from_lists_reads_out_as_its_tuple_rule():
     want = logical_distributions(ghz, GHZ_INPUT_MODES, tupled)
     assert np.array_equal(logical_distributions(ghz, GHZ_INPUT_MODES, listed), want)
     enc = QubitEncoding.default(2)
-    circuit, tupled, _, unitary = compile_gate_circuit(GateCircuit.from_text("CNOT 0 1"), enc)
+    unitary = compile_gate_circuit(GateCircuit.from_text("CNOT 0 1"), enc)
+    tupled = PostselectionRule(enc.qubit_pairs, vacuum_modes=enc.ancilla_modes)
     listed = PostselectionRule([list(p) for p in enc.qubit_pairs], list(enc.ancilla_modes))
     assert listed == tupled and hash(listed) == hash(tupled)
     dist = strong_simulate(unitary, rail_modes(enc, (1, 0)))

@@ -6,11 +6,17 @@ from dataclasses import astuple
 
 import numpy as np
 import pytest
-from _oracles import PerEvaluationVqeBackend, ansatz_circuit, h2_ground_energy_closed_form
+from _oracles import (
+    PerEvaluationVqeBackend,
+    ansatz_circuit,
+    compiled_circuit,
+    h2_ground_energy_closed_form,
+)
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from lopsim import fock, qubits, sources, variational
+from lopsim.benchmark import photonic_executor
 from lopsim.qubits import _MEAS_ROT, Gate, GateCircuit, QubitEncoding, compile_gate_circuit
 from lopsim.sources import SourceModel
 from lopsim.variational import (
@@ -200,8 +206,8 @@ def test_xx_word_compiles_like_an_appended_hadamard_layer():
         pairs.append((_mitigation_circuit("XX", outcome), flips + 2 * hadamards))
     for circuit, gates in pairs:
         assert circuit.measurement == "XX"
-        got = compile_gate_circuit(circuit)[3].matrix
-        want = compile_gate_circuit(GateCircuit(2, tuple(gates)))[3].matrix
+        got = compile_gate_circuit(circuit).matrix
+        want = compile_gate_circuit(GateCircuit(2, tuple(gates))).matrix
         assert got.tobytes() == want.tobytes()
 
 
@@ -511,9 +517,9 @@ def test_vqe_energies_match_a_backend_compiling_every_circuit(case):
 _COMPILE_CACHES = (
     qubits._gate_elements,
     qubits._gate_matrix,
-    qubits._checked_gates,
+    qubits._compiled_unitary,
     qubits._PREFIXES,
-    qubits._setting_elements,
+    qubits.pauli_measurement_setting,
 )
 _ANSATZ_ANGLE = st.sampled_from([0.0, -0.0, np.pi, -np.pi / 2, 2.0 * np.pi, 9.5, -31.0]) | st.floats(
     -40.0, 40.0, allow_nan=False
@@ -535,25 +541,25 @@ class _RecordingBackend(PhotonicVqeBackend):
 
 
 def _evict_compile_caches():
-    """Fill the checked-list cache and the prefix store with unrelated step lists."""
+    """Fill the compile cache and the prefix store with unrelated step lists."""
     enc = QubitEncoding.default(2)
-    count = max(cached.cache_info().maxsize for cached in (qubits._checked_gates, qubits._PREFIXES))
+    count = max(cached.cache_info().maxsize for cached in (qubits._compiled_unitary, qubits._PREFIXES))
     for i in range(count):
-        qubits._checked_gates(_ansatz_steps(np.full(7, 100.0 + i)), enc)
+        qubits._compiled_unitary(_ansatz_steps(np.full(7, 100.0 + i)), None, enc)
 
 
 def _compiled_settings(theta):
     """Mode matrices of ``ansatz_circuit(theta, basis)`` per basis, compiled with empty caches.
 
-    Each is the compiled circuit's element-by-element ``unitary()``, which
-    must also be the compile's own returned unitary.
+    Each must also be the oracle circuit's element-by-element ``unitary()``.
     """
     matrices = []
     for basis in BASES:
         for cached in _COMPILE_CACHES:
             cached.cache_clear()
-        circuit, _, _, unitary = compile_gate_circuit(ansatz_circuit(theta, basis))
-        assert unitary.matrix.tobytes() == circuit.unitary().matrix.tobytes()
+        circuit = ansatz_circuit(theta, basis)
+        unitary = compile_gate_circuit(circuit)
+        assert unitary.matrix.tobytes() == compiled_circuit(circuit)[0].unitary().matrix.tobytes()
         matrices.append(unitary.matrix.tobytes())
     return matrices
 
@@ -576,11 +582,10 @@ def test_the_bound_ansatz_is_the_compiled_circuits_byte_for_byte(theta, state):
     [got] = backend.ansatz_distributions([theta])
     bound = [unitary.tobytes() for unitary in backend.simulated]
     assert bound == _compiled_settings(theta)
-    # the one-row compile, warm, rotated as compile_gate_circuit rotates it
-    enc = QubitEncoding.default(2)
-    _, unitary, _ = qubits._checked_gates(_ansatz_steps(theta), enc)
-    rotated = [qubits._rotated(unitary, qubits._setting_elements(b, enc)) for b in BASES]
-    assert bound == [unitary.matrix.tobytes() for unitary in rotated]
+    # each setting's circuit compiled warm, and built element by element
+    circuits = [ansatz_circuit(theta, b) for b in BASES]
+    assert bound == [compile_gate_circuit(circuit).matrix.tobytes() for circuit in circuits]
+    assert bound == [compiled_circuit(c)[0].unitary().matrix.tobytes() for c in circuits]
     # a signed zero reads the same matrices as the other sign
     flipped = [-a if a == 0.0 else a for a in theta]
     assert bound == _compiled_settings(flipped)
@@ -672,7 +677,7 @@ def test_a_warm_sweep_step_applies_each_element_after_the_differing_step_once(mo
     # the previous stack stored the steps before angle k - 1's; for k = 1,
     # the CNOT after angle 0 is new as well
     start, differing = 0 if k == 1 else _ANGLE_STEP[k - 1], _ANGLE_STEP[k]
-    rotations = list(qubits._setting_elements("XX", enc))
+    rotations = list(qubits.pauli_measurement_setting("XX", enc))
     assert applied == [
         *elements(zz, start, differing),
         *elements(zz, differing, differing + 1),
@@ -684,7 +689,7 @@ def test_a_warm_sweep_step_applies_each_element_after_the_differing_step_once(mo
 
 @pytest.mark.parametrize("shape", [(7,), (0, 7), (2, 6), (1, 2, 7)])
 def test_an_ansatz_stack_must_be_a_stack_of_rows(shape, monkeypatch):
-    monkeypatch.setattr(variational, "_setting_unitaries", None)  # refused before compiling
+    monkeypatch.setattr(variational, "_compiled_rows", None)  # refused before compiling
     message = re.escape(f"expected a (K, 7) stack of angle rows with K >= 1, got shape {shape}")
     with pytest.raises(ValueError, match=message):
         PhotonicVqeBackend().ansatz_distributions(np.zeros(shape))
@@ -794,3 +799,39 @@ def test_a_qubit_apps_vqe_run_simulates_only_its_mitigation_columns(monkeypatch)
     assert (len(ideal), len(simulated), len(single)) == (0, 8, 8)
     steps = (result.evaluations - 2) // 2
     assert [len(args[0]) for args in stacked] == [2] + [4] * steps + [2]
+
+
+def test_a_second_qubit_apps_pass_compiles_no_known_circuit_again(monkeypatch):
+    # A qubit_apps op builds two CNOT executors and runs a mitigated VQE. On
+    # a second pass the CNOT and the eight mitigation circuits are hits of
+    # the compile cache, and the check sees only the ansatz rows that the
+    # prefix store does not hold as checked (a new radius: new rows).
+    cnot = GateCircuit.from_text("CNOT 0 1", n_qubits=2)
+    config = VqeConfig(shots=2000, max_iterations=20, seed=5, mitigation=True)
+
+    def qubit_apps_pass(radius):
+        photonic_executor(cnot)
+        photonic_executor(cnot, source=SourceModel(indistinguishability=0.94, g2=0.01))
+        vqe_run(h2_hamiltonian(radius), PhotonicVqeBackend(readout_flip=0.03), config)
+
+    qubit_apps_pass(0.75)
+    unchecked, checked = [], []
+    compiled_rows, check = variational._compiled_rows, qubits._check
+
+    def counted_rows(rows, enc):
+        # the lookups _compiled_rows makes first, in its order, so the store's order is kept
+        stored = [qubits._PREFIXES.get(row, enc) for row in rows]
+        unchecked.append(len({row for row, e in zip(rows, stored) if e is None or not e.checked}))
+        return compiled_rows(rows, enc)
+
+    def counted_check(enc, modes, logical, successes):
+        checked.append(len(modes))
+        return check(enc, modes, logical, successes)
+
+    monkeypatch.setattr(variational, "_compiled_rows", counted_rows)
+    monkeypatch.setattr(qubits, "_check", counted_check)
+    before = qubits._compiled_unitary.cache_info()
+    qubit_apps_pass(1.55)
+    after = qubits._compiled_unitary.cache_info()
+    assert (after.hits - before.hits, after.misses - before.misses) == (10, 0)
+    assert checked == [n for n in unchecked if n] and sum(checked) > 0
